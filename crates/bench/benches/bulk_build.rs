@@ -77,7 +77,8 @@ fn bulk_build(db: std::path::PathBuf, docs: &[String]) {
 /// (pool logical page reads, segment block reads, segment block
 /// fetches, matches).
 fn cold_workload(db: &std::path::Path) -> (u64, u64, u64, usize) {
-    let mut e = PrixEngine::reopen(db, 2000).unwrap();
+    let e = PrixEngine::reopen(db, 2000).unwrap();
+    let e = e.snapshot();
     let (mut lr, mut sbr, mut sbf, mut matches) = (0u64, 0u64, 0u64, 0usize);
     for pq in queries_for(Dataset::Dblp) {
         let q = e.parse_query(pq.xpath).unwrap();

@@ -9,51 +9,10 @@
 //! while TwigStackXB drills down from the ~rare `needle` stream and
 //! skips almost the entire `hay` stream.
 
-use std::sync::Arc;
-
-use prix_core::index::{IndexError, Result as CoreResult};
-use prix_core::{
-    AltProvider, EngineChoice, EngineConfig, EngineId, ExecOpts, PrixEngine, QueryEngine,
-};
-use prix_storage::{BufferPool, Pager};
+use prix_core::{EngineChoice, EngineConfig, ExecOpts, PrixEngine};
+use prix_server::{AltCache, SnapshotAlts};
 use prix_testkit::bench::{Harness, Opts, Report};
-use prix_twigstack::{Substrate, TwigStackEngine};
-use prix_vist::VistEngine;
 use prix_xml::Collection;
-
-struct BenchAlts {
-    vist: Arc<dyn QueryEngine>,
-    twigstack: Arc<dyn QueryEngine>,
-    twigstack_xb: Arc<dyn QueryEngine>,
-}
-
-impl BenchAlts {
-    fn build(collection: &Collection) -> BenchAlts {
-        let collection = Arc::new(collection.clone());
-        let vist_pool = Arc::new(BufferPool::new(Pager::in_memory(), 4096));
-        let vist = VistEngine::build(vist_pool, Arc::clone(&collection)).unwrap();
-        let ts_pool = Arc::new(BufferPool::new(Pager::in_memory(), 4096));
-        let sub = Arc::new(Substrate::build(ts_pool, &collection).unwrap());
-        BenchAlts {
-            vist: Arc::new(vist),
-            twigstack: Arc::new(TwigStackEngine::twigstack(Arc::clone(&sub))),
-            twigstack_xb: Arc::new(TwigStackEngine::twigstack_xb(sub)),
-        }
-    }
-}
-
-impl AltProvider for BenchAlts {
-    fn alt_engine(&self, id: EngineId) -> CoreResult<Arc<dyn QueryEngine>> {
-        match id {
-            EngineId::Vist => Ok(Arc::clone(&self.vist)),
-            EngineId::TwigStack => Ok(Arc::clone(&self.twigstack)),
-            EngineId::TwigStackXb => Ok(Arc::clone(&self.twigstack_xb)),
-            EngineId::PrixRp | EngineId::PrixEp => {
-                Err(IndexError::Unsupported("not an alternative engine".into()))
-            }
-        }
-    }
-}
 
 /// ~1200 documents full of `hay`, a `needle` ancestor in one of 40.
 /// Each `hay` sits in a pseudo-randomly chosen wrapper so document
@@ -91,7 +50,14 @@ fn median_of(reports: &[Report], name: &str) -> std::time::Duration {
 
 fn main() {
     let engine = PrixEngine::build(skewed_collection(), EngineConfig::default()).unwrap();
-    let alts = BenchAlts::build(engine.collection());
+    let snap = engine.snapshot();
+    // The substrates are built at the first routed alternative — the
+    // untimed planner check below — and shared by every sample.
+    let cache = AltCache::new();
+    let alts = SnapshotAlts {
+        snap: &snap,
+        cache: &cache,
+    };
     let mut syms = engine.collection().symbols().clone();
     let opts = ExecOpts::new();
 
@@ -111,7 +77,7 @@ fn main() {
     let mut chosen_labels = Vec::new();
     for (class, xpath, expect_prix) in classes {
         let q = prix_core::parse_xpath(xpath, &mut syms).unwrap();
-        let routed = engine.query_routed(&q, &opts, None, &alts).unwrap();
+        let routed = snap.query_routed(&q, &opts, None, &alts).unwrap();
         let chosen = routed.report.chosen;
         assert!(
             !routed.outcome.matches.is_empty(),
@@ -127,17 +93,17 @@ fn main() {
         chosen_labels.push((class, chosen.label()));
 
         h.bench(&format!("{class}/routed"), || {
-            let r = engine.query_routed(&q, &opts, None, &alts).unwrap();
+            let r = snap.query_routed(&q, &opts, None, &alts).unwrap();
             std::hint::black_box(r.outcome.matches.len());
         });
         h.bench(&format!("{class}/forced_prix"), || {
-            let r = engine
+            let r = snap
                 .query_routed(&q, &opts, Some(EngineChoice::Prix), &alts)
                 .unwrap();
             std::hint::black_box(r.outcome.matches.len());
         });
         h.bench(&format!("{class}/forced_{}", chosen.label()), || {
-            let r = engine
+            let r = snap
                 .query_routed(&q, &opts, Some(EngineChoice::Forced(chosen)), &alts)
                 .unwrap();
             std::hint::black_box(r.outcome.matches.len());

@@ -9,25 +9,19 @@ use prix_testkit::bench::{Harness, Opts};
 
 fn bench_maxgap_ablation(h: &mut Harness) {
     let collection = generate(Dataset::Treebank, 0.1, 5);
-    let mut engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
     // Q8: the query the paper uses to showcase MaxGap (§6.4.2).
-    let q8 = engine.parse_query("//NP[./RBR_OR_JJR]/PP").unwrap();
-    let q9 = engine.parse_query("//NP/PP/NP[./NNS_OR_NN][./NN]").unwrap();
+    let q8 = snap.parse_query("//NP[./RBR_OR_JJR]/PP").unwrap();
+    let q9 = snap.parse_query("//NP/PP/NP[./NNS_OR_NN][./NN]").unwrap();
     h.set_opts(Opts::samples(20));
     for (name, q) in [("q8", &q8), ("q9", &q9)] {
         h.bench(&format!("maxgap/{name}_with_maxgap"), || {
-            std::hint::black_box(
-                engine
-                    .query_opts(q, &ExecOpts::new())
-                    .unwrap()
-                    .matches
-                    .len(),
-            );
+            std::hint::black_box(snap.query_opts(q, &ExecOpts::new()).unwrap().matches.len());
         });
         h.bench(&format!("maxgap/{name}_coarse_maxgap"), || {
             std::hint::black_box(
-                engine
-                    .query_opts(q, &ExecOpts::new().without_fine_maxgap())
+                snap.query_opts(q, &ExecOpts::new().without_fine_maxgap())
                     .unwrap()
                     .matches
                     .len(),
@@ -35,8 +29,7 @@ fn bench_maxgap_ablation(h: &mut Harness) {
         });
         h.bench(&format!("maxgap/{name}_without_maxgap"), || {
             std::hint::black_box(
-                engine
-                    .query_opts(q, &ExecOpts::new().without_maxgap())
+                snap.query_opts(q, &ExecOpts::new().without_maxgap())
                     .unwrap()
                     .matches
                     .len(),

@@ -119,22 +119,17 @@ impl Workbench {
         &self.prix
     }
 
-    /// Mutable PRIX engine access (query parsing interns symbols).
-    pub fn prix_mut(&mut self) -> &mut PrixEngine {
-        &mut self.prix
-    }
-
     /// Runs `xpath` on all four engines from cold caches.
     pub fn run_query(&mut self, id: &str, xpath: &str) -> QueryRow {
-        let q = self
-            .prix
+        let view = self.prix.snapshot();
+        let q = view
             .parse_query(xpath)
             .unwrap_or_else(|e| panic!("bad query {id}: {e}"));
         let expected = naive::naive_count(self.prix.collection(), &q) as u64;
 
         // PRIX.
         self.prix.clear_cache().expect("cache clear");
-        let out = self.prix.query(&q).expect("prix query");
+        let out = view.query(&q).expect("prix query");
         let prix = Measurement {
             seconds: out.elapsed.as_secs_f64(),
             pages: out.io.physical_reads,
@@ -190,11 +185,7 @@ impl Workbench {
             id: id.to_string(),
             xpath: xpath.to_string(),
             prix,
-            prix_index: self
-                .prix
-                .pick_index(&q)
-                .map(|i| i.kind().to_string())
-                .unwrap_or_else(|_| "-".into()),
+            prix_index: out.index_used.to_string(),
             vist,
             vist_candidates: vist_out.stats.candidates,
             vist_false_alarms: vist_out.stats.false_alarms,

@@ -24,13 +24,12 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use prix_core::plan::{AltProvider, EngineChoice, EngineId, QueryEngine};
+use prix_core::plan::EngineChoice;
 use prix_core::{EngineConfig, ExecOpts, LabelingMode, PrixEngine};
-use prix_server::{Server, ServerConfig};
-use prix_storage::{BufferPool, Pager};
+use prix_server::{AltCache, Server, ServerConfig, SnapshotAlts};
 use prix_xml::{write_document, Collection};
 
-const USAGE: &str = "usage:\n  prix index [--bulk] [--run-mem-mb N] [--split] [--no-wal] [--alpha N] <out.prix> <file.xml>...\n  prix query <db.prix> \"<xpath>\" [--unordered] [--limit N] [--engine prix|prix_rp|prix_ep|vist|twigstack|twigstackxb]\n  prix serve <db.prix> [--addr HOST:PORT] [--ingest] [--threads N] [--queue N] [--buffer-pages N] [--batch-threads N] [--max-conns N] [--result-cache-entries N] [--idle-timeout-ms N] [--compact-after N] [--no-wal]\n  prix stats <db.prix>\n  prix segments <db.prix> [--verify]\n  prix compact <db.prix> [--run-mem-mb N]\n  prix fsck <db.prix>\n  prix explain <db.prix> \"<xpath>\"\n  prix add <db.prix> <file.xml>...\n  prix gen <dblp|swissprot|treebank|shop> <dir> [--scale S] [--seed N]";
+const USAGE: &str = "usage:\n  prix index [--bulk] [--run-mem-mb N] [--split] [--alpha N] <out.prix> <file.xml>...\n  prix query <db.prix> \"<xpath>\" [--unordered] [--limit N] [--engine prix|prix_rp|prix_ep|vist|twigstack|twigstackxb]\n  prix serve <db.prix> [--addr HOST:PORT] [--ingest] [--threads N] [--queue N] [--buffer-pages N] [--batch-threads N] [--max-conns N] [--result-cache-entries N] [--idle-timeout-ms N] [--compact-after N]\n  prix stats <db.prix>\n  prix segments <db.prix> [--verify]\n  prix compact <db.prix> [--run-mem-mb N]\n  prix fsck <db.prix>\n  prix explain <db.prix> \"<xpath>\"\n  prix add <db.prix> <file.xml>...\n  prix gen <dblp|swissprot|treebank|shop> <dir> [--scale S] [--seed N]";
 
 /// A CLI failure: usage errors exit 2 (with the usage text on stderr),
 /// runtime errors exit 1.
@@ -85,7 +84,6 @@ fn main() -> ExitCode {
 
 fn cmd_index(args: &[String]) -> Result<(), CliError> {
     let mut split = false;
-    let mut wal = true;
     let mut bulk = false;
     let mut run_mem_bytes = prix_core::DEFAULT_RUN_MEM_BYTES;
     let mut labeling = LabelingMode::Exact;
@@ -94,10 +92,6 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
         match args {
             [flag, rest @ ..] if flag == "--split" => {
                 split = true;
-                args = rest;
-            }
-            [flag, rest @ ..] if flag == "--no-wal" => {
-                wal = false;
                 args = rest;
             }
             [flag, rest @ ..] if flag == "--bulk" => {
@@ -136,12 +130,14 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
             "index needs <out.prix> and at least one <file.xml>",
         ));
     };
+    if out.starts_with("--") {
+        return Err(usage_err(format!("unknown index flag `{out}`")));
+    }
     if files.is_empty() {
         return Err(usage_err("index needs at least one <file.xml>"));
     }
     let cfg = EngineConfig {
         path: Some(PathBuf::from(out)),
-        wal,
         labeling,
         ..Default::default()
     };
@@ -203,56 +199,6 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Lazily-built ViST/TwigStack engines for `prix query --engine`: the
-/// collection is reconstructed out of the RP index on first use, then
-/// indexed into in-memory substrates (same data path as the server's
-/// per-epoch cache).
-struct CliAlts<'a> {
-    engine: &'a PrixEngine,
-    built: std::sync::Mutex<Option<CliBuilt>>,
-}
-
-struct CliBuilt {
-    vist: std::sync::Arc<dyn QueryEngine>,
-    twigstack: std::sync::Arc<dyn QueryEngine>,
-    twigstack_xb: std::sync::Arc<dyn QueryEngine>,
-}
-
-impl AltProvider for CliAlts<'_> {
-    fn alt_engine(
-        &self,
-        id: EngineId,
-    ) -> prix_core::index::Result<std::sync::Arc<dyn QueryEngine>> {
-        use std::sync::Arc;
-        let mut built = self.built.lock().unwrap_or_else(|e| e.into_inner());
-        if built.is_none() {
-            let collection = Arc::new(self.engine.reconstruct_collection()?);
-            let vist_pool = Arc::new(BufferPool::new(Pager::in_memory(), 4096));
-            let vist = prix_vist::VistEngine::build(vist_pool, Arc::clone(&collection))
-                .map_err(prix_core::index::IndexError::Storage)?;
-            let ts_pool = Arc::new(BufferPool::new(Pager::in_memory(), 4096));
-            let sub = Arc::new(
-                prix_twigstack::Substrate::build(ts_pool, &collection)
-                    .map_err(prix_core::index::IndexError::Storage)?,
-            );
-            *built = Some(CliBuilt {
-                vist: Arc::new(vist),
-                twigstack: Arc::new(prix_twigstack::TwigStackEngine::twigstack(Arc::clone(&sub))),
-                twigstack_xb: Arc::new(prix_twigstack::TwigStackEngine::twigstack_xb(sub)),
-            });
-        }
-        let b = built.as_ref().unwrap();
-        match id {
-            EngineId::Vist => Ok(Arc::clone(&b.vist)),
-            EngineId::TwigStack => Ok(Arc::clone(&b.twigstack)),
-            EngineId::TwigStackXb => Ok(Arc::clone(&b.twigstack_xb)),
-            EngineId::PrixRp | EngineId::PrixEp => Err(prix_core::index::IndexError::Unsupported(
-                "PRIX runs on its own indexes".into(),
-            )),
-        }
-    }
-}
-
 fn cmd_query(args: &[String]) -> Result<(), CliError> {
     let [db, xpath, rest @ ..] = args else {
         return Err(usage_err("query needs <db.prix> and \"<xpath>\""));
@@ -299,19 +245,21 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
             "--engine cannot be combined with --unordered (arrangement matching is PRIX-only)",
         ));
     }
-    let mut engine = PrixEngine::reopen(db, 2000).map_err(|e| e.to_string())?;
-    let q = engine.parse_query(xpath).map_err(|e| e.to_string())?;
+    let engine = PrixEngine::reopen(db, 2000).map_err(|e| e.to_string())?;
+    let snap = engine.snapshot();
+    let q = snap.parse_query(xpath).map_err(|e| e.to_string())?;
     let out = if unordered {
-        engine
-            .query_unordered_opts(&q, &opts)
+        snap.query_unordered_opts(&q, &opts)
             .map_err(|e| e.to_string())?
     } else {
-        let alts = CliAlts {
-            engine: &engine,
-            built: std::sync::Mutex::new(None),
+        // ViST/TwigStack substrates are built on first use, out of the
+        // documents reconstructed from the RP index.
+        let cache = AltCache::new();
+        let alts = SnapshotAlts {
+            snap: &snap,
+            cache: &cache,
         };
-        engine
-            .query_routed(&q, &opts, forced, &alts)
+        snap.query_routed(&q, &opts, forced, &alts)
             .map_err(|e| e.to_string())?
             .outcome
     };
@@ -360,7 +308,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         ..Default::default()
     };
     let mut buffer_pages = 2000usize;
-    let mut wal = true;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         let mut val = |flag: &str| -> Result<&String, CliError> {
@@ -370,7 +317,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         match a.as_str() {
             "--addr" => cfg.addr = val("--addr")?.clone(),
             "--ingest" => cfg.ingest = true,
-            "--no-wal" => wal = false,
             "--threads" => {
                 cfg.threads = val("--threads")?
                     .parse()
@@ -427,7 +373,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             other => return Err(usage_err(format!("unknown serve flag `{other}`"))),
         }
     }
-    let engine = PrixEngine::reopen_opts(db, buffer_pages, wal).map_err(|e| e.to_string())?;
+    let engine = PrixEngine::reopen(db, buffer_pages).map_err(|e| e.to_string())?;
     let handle = Server::start(engine, cfg).map_err(|e| format!("cannot start server: {e}"))?;
     // The smoke script parses this line to find the ephemeral port;
     // keep its shape stable.
@@ -443,9 +389,9 @@ fn cmd_explain(args: &[String]) -> Result<(), CliError> {
     let [db, xpath] = args else {
         return Err(usage_err("explain needs <db.prix> and \"<xpath>\""));
     };
-    let mut engine = PrixEngine::reopen(db, 2000).map_err(|e| e.to_string())?;
-    let q = engine.parse_query(xpath).map_err(|e| e.to_string())?;
-    print!("{}", engine.explain(&q).map_err(|e| e.to_string())?);
+    let engine = PrixEngine::reopen(db, 2000).map_err(|e| e.to_string())?;
+    let plan = engine.snapshot().explain(xpath);
+    print!("{}", plan.map_err(|e| e.to_string())?);
     Ok(())
 }
 
@@ -576,18 +522,16 @@ fn cmd_fsck(args: &[String]) -> Result<(), CliError> {
     // A manifest that references a missing or corrupt segment file makes
     // this reopen fail — fsck refuses such databases outright.
     let engine = PrixEngine::reopen(db, 256).map_err(|e| e.to_string())?;
-    match engine.recovery() {
-        Some(rep) if rep.unclean_shutdown => println!(
+    let rep = engine
+        .recovery()
+        .expect("a reopened engine reports recovery");
+    if rep.unclean_shutdown {
+        println!(
             "recovery: unclean shutdown; replayed {} frame(s) to {} page(s) from {} WAL byte(s)",
             rep.replayed_frames, rep.replayed_pages, rep.wal_bytes
-        ),
-        Some(_) => println!("recovery: clean shutdown, nothing to replay"),
-        None => {
-            return Err(CliError::Runtime(
-                "database has no checksum sidecar (indexed with --no-wal); nothing to verify"
-                    .into(),
-            ))
-        }
+        );
+    } else {
+        println!("recovery: clean shutdown, nothing to replay");
     }
     let (verified, skipped) = engine.verify_checksums().map_err(|e| e.to_string())?;
     println!("pages: {verified} verified, {skipped} never written");

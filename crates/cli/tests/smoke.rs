@@ -40,6 +40,7 @@ fn usage_errors_are_consistent_across_subcommands() {
     // Missing required arguments, every subcommand.
     assert_usage_error(&["index"]);
     assert_usage_error(&["index", "out.prix"]); // no input files
+    assert_usage_error(&["index", "--no-wal", "out.prix", "doc.xml"]); // retired flag, not a path
     assert_usage_error(&["query", "db.prix"]); // no xpath
     assert_usage_error(&["query", "db.prix", "//a", "--limit"]); // flag missing value
     assert_usage_error(&["query", "db.prix", "//a", "--limit", "x"]); // non-integer
@@ -48,6 +49,7 @@ fn usage_errors_are_consistent_across_subcommands() {
     assert_usage_error(&["serve", "--addr", "127.0.0.1:0"]); // flag where db belongs
     assert_usage_error(&["serve", "db.prix", "--threads"]); // flag missing value
     assert_usage_error(&["serve", "db.prix", "--bogus"]); // unknown flag
+    assert_usage_error(&["serve", "db.prix", "--no-wal"]); // retired flag
     assert_usage_error(&["stats"]);
     assert_usage_error(&["fsck"]); // no db
     assert_usage_error(&["fsck", "a.prix", "b.prix"]); // too many args
@@ -228,47 +230,6 @@ fn alpha_index_then_add_advances_the_epoch() {
     assert!(
         epoch_of(&text, "epoch:") >= committed,
         "query must serve at or past the add's epoch: {text}"
-    );
-
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn no_wal_index_roundtrip_and_fsck_refusal() {
-    let dir = std::env::temp_dir().join(format!("prix-cli-nowal-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let xml = dir.join("doc.xml");
-    std::fs::write(&xml, "<a><b>v</b></a>").unwrap();
-    let db = dir.join("db.prix");
-
-    let out = prix(&[
-        "index",
-        "--no-wal",
-        db.to_str().unwrap(),
-        xml.to_str().unwrap(),
-    ]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "index --no-wal: {}",
-        stderr(&out)
-    );
-    assert!(
-        !db.with_file_name("db.prix.sum").exists(),
-        "--no-wal must not create a checksum sidecar"
-    );
-
-    let out = prix(&["query", db.to_str().unwrap(), "//a/b"]);
-    assert_eq!(out.status.code(), Some(0), "query: {}", stderr(&out));
-    assert!(String::from_utf8_lossy(&out.stdout).contains("1 match(es)"));
-
-    // fsck has nothing to verify on a legacy database: runtime error.
-    let out = prix(&["fsck", db.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "fsck: {}", stderr(&out));
-    assert!(
-        stderr(&out).contains("no checksum sidecar"),
-        "{}",
-        stderr(&out)
     );
 
     std::fs::remove_dir_all(&dir).unwrap();

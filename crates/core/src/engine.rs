@@ -1,52 +1,41 @@
-//! The PRIX engine: both indexes plus the §5.6 query optimizer.
+//! The PRIX engine's write side: build, reopen, insert, ingest, save,
+//! compact, verify.
 //!
-//! "In the PRIX system, both RPIndex and EPIndex can coexist. A query
-//! optimizer can choose either of the indexes based on the presence or
-//! absence of values in twig queries." [`PrixEngine::query`] implements
-//! exactly that routing, and [`PrixEngine::query_unordered`] adds the
-//! §5.7 branch-arrangement loop.
+//! "In the PRIX system, both RPIndex and EPIndex can coexist." A
+//! [`PrixEngine`] owns both, plus the value index, the segment tiers
+//! and the buffer pool they live in. It answers no queries itself:
+//! every read goes through an [`EngineSnapshot`] (see
+//! [`PrixEngine::snapshot`] and [`crate::snapshot::SharedEngine`]),
+//! which carries the §5.6 optimizer rule and the §5.7 arrangement loop.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use prix_storage::{
-    recover, BufferPool, FileSegEnv, FileStore, IoScope, IoSnapshot, IoStats, Manifest,
-    ManifestSegment, MemSegEnv, Pager, RawStore, RecordId, RecordStore, RecoveryReport,
-    SegmentCheck, SegmentEnv, SegmentReader, Wal, PAGE_SIZE, SEG_KIND_EP, SEG_KIND_RP,
+    recover, BufferPool, FileSegEnv, IoStats, Manifest, ManifestSegment, MemSegEnv, Pager,
+    RawStore, RecordId, RecordStore, RecoveryReport, SegmentCheck, SegmentEnv, SegmentReader, Wal,
+    PAGE_SIZE, SEG_KIND_EP, SEG_KIND_RP,
 };
-use prix_xml::{Collection, PostNum, Sym, SymbolTable};
+use prix_xml::{Collection, Sym, SymbolTable};
 
-use crate::arrange::arrangements;
-use crate::index::{ExecOpts, IndexError, IndexKind, PrixIndex, QueryStats, Result, TwigMatch};
-use crate::plan::{
-    AltProvider, EngineChoice, EngineId, Planner, PlannerStats, PrixBackend, Routed, Router,
-};
-use crate::query::TwigQuery;
+use crate::index::{IndexError, IndexKind, PrixIndex, Result};
+use crate::plan::{Planner, PlannerStats};
+use crate::snapshot::EngineSnapshot;
 use crate::trie::LabelingMode;
-use crate::valix::{PredEval, Valix, ValixEntry};
-use crate::xpath::{parse_xpath, XPathError};
+use crate::valix::{Valix, ValixEntry};
 
-/// Version of the catalog-page layout written by [`PrixEngine::save`].
-/// [`PrixEngine::reopen`] refuses newer versions rather than misreading
-/// an unknown layout, but still accepts [`MIN_CATALOG_VERSION`].
+/// Version of the catalog-page layout written by [`PrixEngine::save`]
+/// and the only one [`PrixEngine::reopen`] reads; any other version is
+/// refused rather than misread.
 ///
-/// History: v1 ended after the dummy symbol; v2 appended the
-/// arrangement limit; v3 appended the length-prefixed planner
-/// statistics blob; v4 appended the valix metadata record id after the
-/// blob (0 = no value index).
+/// Layout: magic, version, RP/EP metadata record ids, symbol-table
+/// record id, dummy symbol, arrangement limit, the length-prefixed
+/// planner statistics blob, then the valix metadata record id (0 = no
+/// value index).
 const CATALOG_VERSION: u32 = 4;
 
-/// Oldest catalog version [`PrixEngine::reopen`] still reads. A v2
-/// database opens with empty planner statistics (the planner relearns
-/// from traffic); a v3 database opens without a value index (predicate
-/// queries fall back to verification-only). Both are rewritten as v4 on
-/// the next save.
-const MIN_CATALOG_VERSION: u32 = 2;
-
 /// Byte offset of the planner-stats blob (u32 length + payload) in the
-/// catalog page, right after the v2 fields.
+/// catalog page, right after the fixed fields.
 const CATALOG_STATS_OFF: usize = 44;
 
 /// Engine construction options.
@@ -64,14 +53,6 @@ pub struct EngineConfig {
     pub build_ep: bool,
     /// Cap on unordered branch arrangements.
     pub arrangement_limit: usize,
-    /// Write-ahead logging for file-backed engines: pages evicted
-    /// before a [`PrixEngine::save`] spill to the log instead of the
-    /// database file, and every save is a group commit (WAL fsync
-    /// before any page write), so a crash at any instant leaves either
-    /// the previous save or the new one — never a torn mixture.
-    /// Ignored for in-memory engines. Default `true`; disable to
-    /// measure the logging overhead (`--no-wal`).
-    pub wal: bool,
 }
 
 impl Default for EngineConfig {
@@ -83,12 +64,11 @@ impl Default for EngineConfig {
             build_rp: true,
             build_ep: true,
             arrangement_limit: 720,
-            wal: true,
         }
     }
 }
 
-/// The raw byte stores a durable engine lives on: the page file, its
+/// The raw byte stores a persistent engine lives on: the page file, its
 /// checksum sidecar, and the write-ahead log. Normally these are the
 /// files `<db>`, `<db>.sum`, and `<db>.wal`, but any [`RawStore`]
 /// works — the crash-recovery harness passes fault-injecting in-memory
@@ -96,20 +76,33 @@ impl Default for EngineConfig {
 pub struct EngineStores {
     /// The page file.
     pub db: Box<dyn RawStore>,
-    /// Per-page CRC sidecar (`<db>.sum`). `None` = legacy non-durable
-    /// layout.
-    pub sum: Option<Box<dyn RawStore>>,
-    /// Write-ahead log (`<db>.wal`). Must be `Some` iff `sum` is.
-    pub wal: Option<Box<dyn RawStore>>,
+    /// Per-page CRC sidecar (`<db>.sum`).
+    pub sum: Box<dyn RawStore>,
+    /// Write-ahead log (`<db>.wal`).
+    pub wal: Box<dyn RawStore>,
 }
 
-/// `<db>` → `<db>.sum` / `<db>.wal`: sidecar paths are formed by
-/// appending to the full file name, so they sit next to the database
-/// whatever its extension.
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(suffix);
-    PathBuf::from(name)
+/// Decodes the symbol-table record [`PrixEngine::save`] writes (u32
+/// count, then one u32-length-prefixed UTF-8 name per symbol). `None`
+/// for a record that ends early or holds a non-UTF-8 name: the page
+/// checksum vouches for the bytes as last written, not for their shape.
+fn decode_symbols(bytes: &[u8]) -> Option<SymbolTable> {
+    let mut r = bytes;
+    let mut take = |n: usize| -> Option<&[u8]> {
+        if r.len() < n {
+            return None;
+        }
+        let (head, tail) = r.split_at(n);
+        r = tail;
+        Some(head)
+    };
+    let mut syms = SymbolTable::new();
+    let count = u32::from_le_bytes(take(4)?.try_into().ok()?);
+    for _ in 0..count {
+        let len = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
+        syms.intern(std::str::from_utf8(take(len)?).ok()?);
+    }
+    Some(syms)
 }
 
 /// One immutable segment tier: the RP/EP segment pair covering global
@@ -123,60 +116,6 @@ pub(crate) struct SegTier {
     pub(crate) ep: Option<PrixIndex>,
     pub(crate) doc_base: u32,
     pub(crate) n_docs: u32,
-}
-
-/// One tier's index pair as seen by the shared query paths: the same
-/// `(rp, ep)` shape [`pick_index_from`] routes over.
-pub(crate) type TierRefs<'a> = (Option<&'a PrixIndex>, Option<&'a PrixIndex>);
-
-/// Builds the tier list a query descends: segments in ascending
-/// `doc_base` order, then the mutable delta. The mutable tier joins
-/// only when it has documents (or when there is nothing else): an
-/// empty delta would re-run every trie descent for zero candidates,
-/// and — worse — flip the conservative truncation flag for limited
-/// queries. Omitting it keeps a freshly bulk-built or just-compacted
-/// engine bit-identical to a single-tier engine over the same
-/// documents, which is the property the `bulk_equals_incremental`
-/// suite pins.
-pub(crate) fn collect_tiers<'a>(
-    segments: &'a [SegTier],
-    rp: Option<&'a PrixIndex>,
-    ep: Option<&'a PrixIndex>,
-) -> Vec<TierRefs<'a>> {
-    let mut tiers: Vec<TierRefs<'a>> = segments
-        .iter()
-        .map(|t| (t.rp.as_ref(), t.ep.as_ref()))
-        .collect();
-    let mutable_docs = rp.or(ep).map_or(0, |i| i.doc_count());
-    if tiers.is_empty() || mutable_docs > 0 {
-        tiers.push((rp, ep));
-    }
-    tiers
-}
-
-/// Everything a query execution reports.
-#[derive(Debug, Clone)]
-pub struct QueryOutcome {
-    /// The twig occurrences (deduplicated embeddings).
-    pub matches: Vec<TwigMatch>,
-    /// Filter/refinement counters.
-    pub stats: QueryStats,
-    /// Which index answered the query.
-    pub index_used: IndexKind,
-    /// I/O performed *by this query* (pages read = the paper's
-    /// "Disk IO" column when the pool started cold). Attributed via a
-    /// per-thread [`IoScope`], so it stays exact even when other
-    /// queries run concurrently on the same buffer pool.
-    pub io: IoSnapshot,
-    /// Wall-clock execution time.
-    pub elapsed: Duration,
-    /// `true` when execution stopped at [`ExecOpts::limit`] without
-    /// proving the result set was drained; more matches *may* exist
-    /// (conservative — no probing for the next match is done).
-    pub truncated: bool,
-    /// Which engine produced this outcome. PRIX paths derive it from
-    /// `index_used`; routed alternative engines set their own id.
-    pub engine: EngineId,
 }
 
 /// An indexed XML database: the collection, its RP/EP indexes, and a
@@ -196,7 +135,7 @@ pub struct PrixEngine {
     /// bytes: an unchanged table is not re-appended on the next save.
     saved_syms: Option<(RecordId, Vec<u8>)>,
     /// What crash recovery did when this engine was reopened; `None`
-    /// for freshly built engines and clean reopens of legacy files.
+    /// for freshly built engines.
     recovery: Option<RecoveryReport>,
     /// Immutable segment tiers in ascending `doc_base` order (empty for
     /// a never-segmented engine).
@@ -224,80 +163,53 @@ pub struct PrixEngine {
     labeling: LabelingMode,
     /// The cost-based planner's statistics, shared (via `Arc`) with
     /// every snapshot so observations from served queries feed back
-    /// into later plans. Persisted in the catalog (v3).
+    /// into later plans. Persisted in the catalog.
     planner: Arc<Planner>,
     /// The value-predicate secondary index over leaf values
     /// ([`crate::valix`]), living in the same buffer pool as the
-    /// structural indexes. `None` on pre-v4 databases.
+    /// structural indexes. `None` when no structural index was built.
     valix: Option<Valix>,
 }
 
 impl PrixEngine {
-    /// Builds the engine over `collection`. File-backed engines with
-    /// [`EngineConfig::wal`] (the default) get the durable layout:
-    /// `<path>.sum` checksum sidecar and `<path>.wal` write-ahead log
-    /// next to the database file.
+    /// Builds the engine over `collection`. A file-backed engine
+    /// ([`EngineConfig::path`]) gets the `<path>.sum` checksum sidecar
+    /// and the `<path>.wal` write-ahead log next to the database file:
+    /// pages evicted before a [`PrixEngine::save`] spill to the log,
+    /// and every save is a group commit (WAL fsync before any page
+    /// write), so a crash at any instant leaves either the previous
+    /// save or the new one — never a torn mixture. Without a path the
+    /// engine lives in memory.
     pub fn build(collection: Collection, cfg: EngineConfig) -> Result<Self> {
-        let pool = match &cfg.path {
-            Some(p) if cfg.wal => {
-                let db = Box::new(FileStore::create(p).map_err(IndexError::Storage)?);
-                let sum =
-                    Box::new(FileStore::create(sibling(p, ".sum")).map_err(IndexError::Storage)?);
-                let wal =
-                    Box::new(FileStore::create(sibling(p, ".wal")).map_err(IndexError::Storage)?);
-                Self::durable_pool_create(db, sum, wal, cfg.buffer_pages)?
+        match &cfg.path {
+            Some(p) => {
+                let env: Arc<dyn SegmentEnv> = Arc::new(FileSegEnv::new(p.clone()));
+                Self::build_mutable_env(collection, &cfg, &env, "")
             }
-            Some(p) => BufferPool::new(
-                Pager::create(p).map_err(IndexError::Storage)?,
-                cfg.buffer_pages,
-            ),
-            None => BufferPool::new(Pager::in_memory(), cfg.buffer_pages),
-        };
-        Self::build_over(collection, cfg, pool)
+            None => {
+                let pool = BufferPool::new(Pager::in_memory(), cfg.buffer_pages);
+                Self::build_over(collection, cfg, pool)
+            }
+        }
     }
 
     /// [`PrixEngine::build`] over caller-supplied stores instead of
-    /// files (ignores [`EngineConfig::path`]). With `sum` + `wal`
-    /// stores the engine is durable exactly as if file-backed.
+    /// files (ignores [`EngineConfig::path`]); durable exactly as if
+    /// file-backed.
     pub fn build_on(
         collection: Collection,
         cfg: EngineConfig,
         stores: EngineStores,
     ) -> Result<Self> {
-        let pool = match (stores.sum, stores.wal) {
-            (Some(sum), Some(wal)) => {
-                Self::durable_pool_create(stores.db, sum, wal, cfg.buffer_pages)?
-            }
-            (None, None) => BufferPool::new(
-                Pager::create_on(stores.db).map_err(IndexError::Storage)?,
-                cfg.buffer_pages,
-            ),
-            _ => {
-                return Err(IndexError::Unsupported(
-                    "EngineStores needs both sum and wal stores, or neither".into(),
-                ))
-            }
-        };
+        let pager = Pager::create_durable(stores.db, stores.sum).map_err(IndexError::Storage)?;
+        let wal =
+            Wal::create(stores.wal, pager.epoch(), pager.stats()).map_err(IndexError::Storage)?;
+        let pool = BufferPool::with_wal(pager, cfg.buffer_pages, wal);
         Self::build_over(collection, cfg, pool)
-    }
-
-    fn durable_pool_create(
-        db: Box<dyn RawStore>,
-        sum: Box<dyn RawStore>,
-        wal: Box<dyn RawStore>,
-        buffer_pages: usize,
-    ) -> Result<BufferPool> {
-        let pager = Pager::create_durable(db, sum).map_err(IndexError::Storage)?;
-        let wal = Wal::create(wal, pager.epoch(), pager.stats()).map_err(IndexError::Storage)?;
-        Ok(BufferPool::with_wal(pager, buffer_pages, wal))
     }
 
     fn build_over(mut collection: Collection, cfg: EngineConfig, pool: BufferPool) -> Result<Self> {
         let pool = Arc::new(pool);
-        let seg_env: Arc<dyn SegmentEnv> = match &cfg.path {
-            Some(p) => Arc::new(FileSegEnv::new(p.clone())),
-            None => Arc::new(MemSegEnv::new()),
-        };
         let dummy = collection.intern("\u{1}prix-dummy");
         // Both indexes read the same immutable collection and write
         // through the internally synchronized buffer pool, so they can
@@ -375,7 +287,10 @@ impl PrixEngine {
             recovery: None,
             segments: Vec::new(),
             manifest_segments: Vec::new(),
-            seg_env,
+            // In-memory and harness engines keep this one;
+            // [`PrixEngine::build_mutable_env`] installs the real
+            // environment of a database that has one.
+            seg_env: Arc::new(MemSegEnv::new()),
             seg_stats: Arc::new(IoStats::new()),
             generation: 0,
             mutable_suffix: String::new(),
@@ -417,25 +332,21 @@ impl PrixEngine {
         self.ep.as_ref()
     }
 
-    /// Parses an XPath string against this engine's symbol table.
-    pub fn parse_query(&mut self, xpath: &str) -> std::result::Result<TwigQuery, XPathError> {
-        parse_xpath(xpath, self.collection.symbols_mut())
+    /// An epoch-pinned read view of the engine as it stands now: the
+    /// one way to parse, explain and run queries against a bare engine.
+    /// The view borrows the engine, so it cannot be held across a
+    /// `&mut self` call — outside [`crate::snapshot::SharedEngine`]'s
+    /// ingest protocol the pool keeps no pre-images, and a view that
+    /// outlived an insert or a compaction would read half-new pages
+    /// through its frozen index handles.
+    pub fn snapshot(&self) -> impl std::ops::Deref<Target = EngineSnapshot> + '_ {
+        Box::new(EngineSnapshot::capture(self))
     }
 
     /// Flushes and empties the buffer pool so the next query measures
     /// cold-cache I/O, like the paper's direct-I/O setup.
     pub fn clear_cache(&self) -> Result<()> {
         self.pool.clear().map_err(IndexError::Storage)
-    }
-
-    /// Picks the index for a query (§5.6's optimizer rule). On a
-    /// tiered engine this reports the choice for the *first* tier —
-    /// every tier routes the same way, but only a tier with documents
-    /// has meaningful MaxGap values for [`PrixEngine::explain`].
-    pub fn pick_index(&self, q: &TwigQuery) -> Result<&PrixIndex> {
-        let tiers = self.tiers();
-        let (rp, ep) = tiers[0];
-        pick_index_from(rp, ep, q)
     }
 
     /// Persists the engine so [`PrixEngine::reopen`] can load it from
@@ -514,36 +425,25 @@ impl PrixEngine {
         self.pool.flush().map_err(IndexError::Storage)
     }
 
-    /// Reopens a previously [`PrixEngine::save`]d database.
+    /// Reopens a previously [`PrixEngine::save`]d database: page
+    /// checksums are verified on cold reads and any crashed commit left
+    /// in `<path>.wal` is replayed first (see [`PrixEngine::recovery`]).
     ///
     /// The document trees themselves are not persisted — only what
     /// query processing needs (sequences, leaf lists, indexes, symbol
     /// table) — so [`PrixEngine::collection`] of a reopened engine is
     /// empty. Queries, embeddings, and statistics work as before.
     pub fn reopen<P: AsRef<Path>>(path: P, buffer_pages: usize) -> Result<Self> {
-        Self::reopen_opts(path, buffer_pages, true)
-    }
-
-    /// [`PrixEngine::reopen`] with explicit control over write-ahead
-    /// logging. A database with a `<path>.sum` sidecar is opened in
-    /// durable mode: page checksums are verified on cold reads and any
-    /// crashed commit left in `<path>.wal` is replayed first (see
-    /// [`PrixEngine::recovery`]). With `wal = false` the log is still
-    /// recovered and truncated, but subsequent saves write pages
-    /// directly — checksums stay maintained, crash atomicity is off.
-    /// A legacy database (no sidecar) opens exactly as before.
-    pub fn reopen_opts<P: AsRef<Path>>(path: P, buffer_pages: usize, wal: bool) -> Result<Self> {
         let env: Arc<dyn SegmentEnv> = Arc::new(FileSegEnv::new(path.as_ref().to_path_buf()));
-        Self::reopen_env(env, buffer_pages, wal)
+        Self::reopen_env(env, buffer_pages)
     }
 
-    /// [`PrixEngine::reopen_opts`] over a segment environment. The
-    /// manifest (suffix `".seg"`) is consulted *first*: it names the
-    /// live mutable generation and every immutable segment. Without a
-    /// manifest the base store opens exactly as a legacy single-file
-    /// database. The crash harness hands fault-injecting environments
-    /// in here.
-    pub fn reopen_env(env: Arc<dyn SegmentEnv>, buffer_pages: usize, wal: bool) -> Result<Self> {
+    /// [`PrixEngine::reopen`] over a segment environment. The manifest
+    /// (suffix `".seg"`) is consulted *first*: it names the live
+    /// mutable generation and every immutable segment; without one the
+    /// base store is the whole database. The crash harness hands
+    /// fault-injecting environments in here.
+    pub fn reopen_env(env: Arc<dyn SegmentEnv>, buffer_pages: usize) -> Result<Self> {
         let manifest = if env.exists(".seg")? {
             Manifest::read_from(&*env.open(".seg")?)?
         } else {
@@ -552,23 +452,30 @@ impl PrixEngine {
         let msuffix = manifest
             .as_ref()
             .map_or_else(String::new, |m| m.mutable_suffix.clone());
+        let db = env.open(&msuffix)?;
         let sum_suffix = format!("{msuffix}.sum");
-        let mut eng = if !env.exists(&sum_suffix)? {
-            let pager = Pager::open_on(env.open(&msuffix)?).map_err(IndexError::Storage)?;
-            Self::reopen_over(BufferPool::new(pager, buffer_pages), None)?
+        if !env.exists(&sum_suffix)? {
+            // Opening the page file alone would mean serving it with
+            // checksum verification off; refuse instead.
+            return Err(IndexError::Unsupported(format!(
+                "database has no checksum sidecar ('{sum_suffix}' is missing); \
+                 re-index the source documents to rebuild it"
+            )));
+        }
+        let wal_suffix = format!("{msuffix}.wal");
+        let wal = if env.exists(&wal_suffix)? {
+            env.open(&wal_suffix)?
         } else {
-            let db = env.open(&msuffix)?;
-            let sum = env.open(&sum_suffix)?;
-            let wal_suffix = format!("{msuffix}.wal");
-            let wal_store: Box<dyn RawStore> = if env.exists(&wal_suffix)? {
-                env.open(&wal_suffix)?
-            } else {
-                // Sidecar present but the log is missing (deleted by
-                // hand): nothing to replay; recreate it empty.
-                env.create(&wal_suffix)?
-            };
-            Self::reopen_durable(db, sum, wal_store, buffer_pages, wal)?
+            // Sidecar present but the log is missing (deleted by
+            // hand): nothing to replay; recreate it empty.
+            env.create(&wal_suffix)?
         };
+        let stores = EngineStores {
+            db,
+            sum: env.open(&sum_suffix)?,
+            wal,
+        };
+        let mut eng = Self::reopen_on(stores, buffer_pages)?;
         eng.seg_env = env;
         if let Some(m) = &manifest {
             eng.attach_manifest(m)?;
@@ -577,41 +484,15 @@ impl PrixEngine {
     }
 
     /// [`PrixEngine::reopen`] over caller-supplied stores (the crash
-    /// harness hands in the post-crash disk images). Durable iff `sum`
-    /// and `wal` stores are present.
+    /// harness hands in the post-crash disk images).
     pub fn reopen_on(stores: EngineStores, buffer_pages: usize) -> Result<Self> {
-        match (stores.sum, stores.wal) {
-            (Some(sum), Some(wal)) => Self::reopen_durable(stores.db, sum, wal, buffer_pages, true),
-            (None, None) => {
-                let pager = Pager::open_on(stores.db).map_err(IndexError::Storage)?;
-                Self::reopen_over(BufferPool::new(pager, buffer_pages), None)
-            }
-            _ => Err(IndexError::Unsupported(
-                "EngineStores needs both sum and wal stores, or neither".into(),
-            )),
-        }
-    }
-
-    fn reopen_durable(
-        db: Box<dyn RawStore>,
-        sum: Box<dyn RawStore>,
-        wal_store: Box<dyn RawStore>,
-        buffer_pages: usize,
-        keep_wal: bool,
-    ) -> Result<Self> {
-        let pager = Pager::open_durable(db, sum).map_err(IndexError::Storage)?;
+        let pager = Pager::open_durable(stores.db, stores.sum).map_err(IndexError::Storage)?;
         let stats = pager.stats();
-        let (wal, report) = recover(&pager, wal_store, stats).map_err(IndexError::Storage)?;
-        let pool = if keep_wal {
-            BufferPool::with_wal(pager, buffer_pages, wal)
-        } else {
-            drop(wal); // log is already truncated; run without it
-            BufferPool::new(pager, buffer_pages)
-        };
-        Self::reopen_over(pool, Some(report))
+        let (wal, report) = recover(&pager, stores.wal, stats).map_err(IndexError::Storage)?;
+        Self::reopen_over(BufferPool::with_wal(pager, buffer_pages, wal), report)
     }
 
-    fn reopen_over(pool: BufferPool, recovery: Option<RecoveryReport>) -> Result<Self> {
+    fn reopen_over(pool: BufferPool, recovery: RecoveryReport) -> Result<Self> {
         let pool = Arc::new(pool);
         let buffer_pages = pool.capacity();
         let (rp_meta, ep_meta, syms_rec, dummy, arrangement_limit, pstats, valix_meta) = pool
@@ -622,38 +503,21 @@ impl PrixEngine {
                     ));
                 }
                 let version = u32::from_le_bytes(p[4..8].try_into().unwrap());
-                if !(MIN_CATALOG_VERSION..=CATALOG_VERSION).contains(&version) {
+                if version != CATALOG_VERSION {
                     return Err(IndexError::Unsupported(format!(
                         "unsupported PRIX database version {version} (this build reads \
-                         versions {MIN_CATALOG_VERSION}..={CATALOG_VERSION}); refusing to \
-                         guess at its layout"
+                         version {CATALOG_VERSION}); refusing to guess at its layout"
                     )));
                 }
-                // v2 has no stats blob: the planner starts empty and
-                // relearns from traffic.
-                let mut blob_end = CATALOG_STATS_OFF;
-                let pstats = if version >= 3 {
-                    let off = CATALOG_STATS_OFF;
-                    let len = u32::from_le_bytes(p[off..off + 4].try_into().unwrap()) as usize;
-                    if off + 4 + len > PAGE_SIZE {
-                        return Err(IndexError::Unsupported(
-                            "corrupt planner statistics in catalog".into(),
-                        ));
-                    }
-                    blob_end = off + 4 + len;
-                    PlannerStats::decode(&p[off + 4..off + 4 + len]).ok_or_else(|| {
-                        IndexError::Unsupported("corrupt planner statistics in catalog".into())
-                    })?
-                } else {
-                    PlannerStats::default()
-                };
-                // v3 has no valix: predicate queries run
-                // verification-only until the next save rewrites v4.
-                let valix_meta = if version >= 4 && blob_end + 8 <= PAGE_SIZE {
-                    u64::from_le_bytes(p[blob_end..blob_end + 8].try_into().unwrap())
-                } else {
-                    0
-                };
+                let corrupt_stats =
+                    || IndexError::Unsupported("corrupt planner statistics in catalog".into());
+                let off = CATALOG_STATS_OFF + 4;
+                let len = u32::from_le_bytes(p[off - 4..off].try_into().unwrap()) as usize;
+                // The valix record id trails the blob; both must fit.
+                let blob = p.get(off..off + len).ok_or_else(corrupt_stats)?;
+                let valix_rec = p.get(off + len..off + len + 8).ok_or_else(corrupt_stats)?;
+                let pstats = PlannerStats::decode(blob).ok_or_else(corrupt_stats)?;
+                let valix_meta = u64::from_le_bytes(valix_rec.try_into().unwrap());
                 Ok((
                     u64::from_le_bytes(p[8..16].try_into().unwrap()),
                     u64::from_le_bytes(p[16..24].try_into().unwrap()),
@@ -669,19 +533,9 @@ impl PrixEngine {
         let bytes = store
             .read(RecordId::from_raw(syms_rec))
             .map_err(IndexError::Storage)?;
-        let mut syms = SymbolTable::new();
-        let mut off = 4usize;
-        let count = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-        for _ in 0..count {
-            let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-            off += 4;
-            let name = std::str::from_utf8(&bytes[off..off + len])
-                .map_err(|_| IndexError::Unsupported("corrupt symbol table".into()))?;
-            syms.intern(name);
-            off += len;
-        }
         let mut collection = Collection::new();
-        *collection.symbols_mut() = syms;
+        *collection.symbols_mut() = decode_symbols(&bytes)
+            .ok_or_else(|| IndexError::Unsupported("corrupt symbol table".into()))?;
         let rp = (rp_meta != 0)
             .then(|| PrixIndex::load(Arc::clone(&pool), RecordId::from_raw(rp_meta)))
             .transpose()?;
@@ -700,7 +554,7 @@ impl PrixEngine {
             arrangement_limit,
             catalog_store: None,
             saved_syms: Some((RecordId::from_raw(syms_rec), bytes)),
-            recovery,
+            recovery: Some(recovery),
             segments: Vec::new(),
             manifest_segments: Vec::new(),
             // Placeholder; [`PrixEngine::reopen_env`] installs the real
@@ -717,19 +571,19 @@ impl PrixEngine {
     }
 
     /// What crash recovery did when this engine was reopened: `None`
-    /// for freshly built engines and legacy files, `Some` (possibly a
-    /// clean no-op report) whenever a durable database was reopened.
+    /// for freshly built engines, `Some` (possibly a clean no-op
+    /// report) for reopened ones.
     pub fn recovery(&self) -> Option<RecoveryReport> {
         self.recovery
     }
 
     /// Verifies every page of the backing store against its recorded
-    /// checksum, returning `(verified, skipped)` counts. Durable
-    /// databases only; a legacy file reports `Unsupported`.
+    /// checksum, returning `(verified, skipped)` counts. An in-memory
+    /// engine has no sidecar and reports `Unsupported`.
     pub fn verify_checksums(&self) -> Result<(u64, u64)> {
         if !self.pool.pager().has_checksums() {
             return Err(IndexError::Unsupported(
-                "database has no checksum sidecar (built without WAL support)".into(),
+                "in-memory engine has no checksum sidecar".into(),
             ));
         }
         self.pool
@@ -824,32 +678,21 @@ impl PrixEngine {
         Ok(())
     }
 
-    /// Builds a mutable-generation engine whose stores live in `env` at
-    /// `suffix` (durable layout iff `cfg.wal`). Used by bulk builds and
-    /// compaction, which address files through a [`SegmentEnv`] rather
-    /// than paths.
+    /// Builds a mutable-generation engine whose stores (page file,
+    /// `.sum`, `.wal`) live in `env` at `suffix`: the base database at
+    /// `""`, bulk builds and compaction at their generation's name.
     fn build_mutable_env(
         collection: Collection,
         cfg: &EngineConfig,
         env: &Arc<dyn SegmentEnv>,
         suffix: &str,
     ) -> Result<Self> {
-        let stores = if cfg.wal {
-            EngineStores {
-                db: env.create(suffix)?,
-                sum: Some(env.create(&format!("{suffix}.sum"))?),
-                wal: Some(env.create(&format!("{suffix}.wal"))?),
-            }
-        } else {
-            EngineStores {
-                db: env.create(suffix)?,
-                sum: None,
-                wal: None,
-            }
+        let stores = EngineStores {
+            db: env.create(suffix)?,
+            sum: env.create(&format!("{suffix}.sum"))?,
+            wal: env.create(&format!("{suffix}.wal"))?,
         };
-        let mut sub = cfg.clone();
-        sub.path = None;
-        let mut eng = Self::build_on(collection, sub, stores)?;
+        let mut eng = Self::build_on(collection, cfg.clone(), stores)?;
         eng.seg_env = Arc::clone(env);
         Ok(eng)
     }
@@ -970,7 +813,6 @@ impl PrixEngine {
             build_rp: self.rp.is_some(),
             build_ep: self.ep.is_some(),
             arrangement_limit: self.arrangement_limit,
-            wal: self.pool.is_durable(),
         };
         let new_suffix = format!(".g{generation}");
         let mut fresh = Self::build_mutable_env(collection, &cfg, &self.seg_env, &new_suffix)?;
@@ -1081,12 +923,6 @@ impl PrixEngine {
         Ok(out)
     }
 
-    /// The tier list queries descend (segments first, mutable delta
-    /// last; see [`collect_tiers`]).
-    fn tiers(&self) -> Vec<TierRefs<'_>> {
-        collect_tiers(&self.segments, self.rp.as_ref(), self.ep.as_ref())
-    }
-
     /// Parses `xml` and incrementally indexes it into every built
     /// index (§5.2.1 dynamic labeling in action). Use
     /// [`LabelingMode::Dynamic`] at build time to leave scope headroom;
@@ -1150,150 +986,15 @@ impl PrixEngine {
         Ok(id)
     }
 
-    /// Describes the plan the optimizer would use for `q` (index
-    /// choice, sequences, edge constraints, MaxGap rules), followed by
-    /// the cost-based planner's ranked alternatives.
-    pub fn explain(&self, q: &TwigQuery) -> Result<String> {
-        let idx = self.pick_index(q)?;
-        let mut out = format!("index: {}\n", idx.kind());
-        out.push_str(&idx.explain(q, self.collection.symbols())?);
-        if let Some(pred) = self.pred_eval(q)? {
-            out.push_str(&explain_pred(q, &pred, self.collection.symbols()));
-        }
-        let caps = self.engine_caps();
-        let report = self.planner.decide(q, caps, &ExecOpts::default(), None)?;
-        out.push_str(&report.render());
-        Ok(out)
-    }
-
-    /// The engine capabilities the planner scores over: which PRIX
-    /// indexes exist, and whether the alternative engines could be
-    /// built (they replay documents out of the RP index, so every tier
-    /// must have one).
-    pub fn engine_caps(&self) -> crate::plan::EngineCaps {
-        let tiers = self.tiers();
-        let (rp, ep) = tiers[0];
-        let alt = tiers.iter().all(|(rp, _)| rp.is_some());
-        crate::plan::EngineCaps {
-            rp: rp.is_some(),
-            ep: ep.is_some(),
-            vist: alt,
-            twigstack: alt,
-        }
-    }
-
     /// The shared planner (snapshots and the serving layer feed
     /// observations back through it).
     pub fn planner(&self) -> &Arc<Planner> {
         &self.planner
     }
 
-    /// Plans and executes `q` through the cost-based router:
-    /// the planner scores every alternative, `forced` bypasses the
-    /// comparison, and the result is canonicalized (matches sorted by
-    /// `(doc, embedding)`) whatever engine ran.
-    pub fn query_routed(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-        forced: Option<EngineChoice>,
-        alts: &dyn AltProvider,
-    ) -> Result<Routed> {
-        Router {
-            planner: &self.planner,
-            prix: self,
-            alts,
-        }
-        .route(q, opts, forced)
-    }
-
-    /// Rebuilds the document trees from the RP index's stored
-    /// sequences ([`prix_prufer::reconstruct::tree_from_sequences`]), in global
-    /// document order across every tier. This is how the alternative
-    /// engines get a collection to encode on a reopened database,
-    /// whose in-memory collection is empty. All nodes come back as
-    /// elements (the RP encoding does not mark text nodes), which is
-    /// exactly what label-driven matching needs. Requires the RP index
-    /// in every tier.
-    pub fn reconstruct_collection(&self) -> Result<Collection> {
-        reconstruct_from_tiers(&self.tiers(), self.collection.symbols().clone())
-    }
-
-    /// Executes an ordered twig query.
-    pub fn query(&self, q: &TwigQuery) -> Result<QueryOutcome> {
-        self.query_opts(q, &ExecOpts::default())
-    }
-
-    /// Executes an ordered twig query with options. With
-    /// [`ExecOpts::limit`] set the query runs through the streaming
-    /// executor and stops pulling at the limit — the remaining trie
-    /// range queries and refinements never happen.
-    pub fn query_opts(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome> {
-        let pred = self.pred_eval(q)?;
-        run_query_opts(&self.tiers(), q, opts, pred.as_ref())
-    }
-
-    /// Executes a batch of ordered twig queries on up to `threads`
-    /// worker threads, returning one [`QueryOutcome`] per query in
-    /// input order. Workers pull queries from a shared atomic cursor,
-    /// so long and short queries balance across threads; all of them
-    /// read through the same sharded buffer pool.
-    ///
-    /// `threads` is clamped to `1..=queries.len()`: `threads == 0` is
-    /// treated as 1 (serial), never an empty worker set. With
-    /// `threads <= 1` (or a single query) this degenerates to the
-    /// serial loop. Each outcome's [`QueryOutcome::io`] is attributed
-    /// through a per-thread [`IoScope`], so it counts exactly the pages
-    /// that query touched — concurrent queries on other workers never
-    /// leak into it.
-    pub fn query_batch(&self, queries: &[TwigQuery], threads: usize) -> Result<Vec<QueryOutcome>> {
-        self.query_batch_opts(queries, threads, &ExecOpts::default())
-    }
-
-    /// [`PrixEngine::query_batch`] with per-query execution options
-    /// (each query gets the same `opts`, including any limit).
-    pub fn query_batch_opts(
-        &self,
-        queries: &[TwigQuery],
-        threads: usize,
-        opts: &ExecOpts,
-    ) -> Result<Vec<QueryOutcome>> {
-        run_query_batch(queries, threads, |q| self.query_opts(q, opts))
-    }
-
-    /// Executes an unordered twig query by running every distinct branch
-    /// arrangement (§5.7) and unioning the embeddings.
-    pub fn query_unordered(&self, q: &TwigQuery) -> Result<QueryOutcome> {
-        self.query_unordered_opts(q, &ExecOpts::default())
-    }
-
-    /// [`PrixEngine::query_unordered`] with execution options. With
-    /// [`ExecOpts::limit`] set, arrangements interleave through the
-    /// *shared* limit: each arrangement is streamed, distinct
-    /// base-numbered matches count against the one budget, and as soon
-    /// as it is reached the current stream is abandoned mid-trie and
-    /// the remaining arrangements never run at all.
-    pub fn query_unordered_opts(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome> {
-        let pred = self.pred_eval(q)?;
-        run_query_unordered(
-            &self.tiers(),
-            self.arrangement_limit,
-            q,
-            opts,
-            Some(&self.planner),
-            pred.as_ref(),
-        )
-    }
-
     /// The value-predicate index, when this engine carries one.
     pub fn valix(&self) -> Option<&Valix> {
         self.valix.as_ref()
-    }
-
-    /// Resolves `q`'s value predicates against this engine's valix and
-    /// symbol table (`None` for predicate-free queries).
-    fn pred_eval(&self, q: &TwigQuery) -> Result<Option<PredEval>> {
-        PredEval::build(q, self.valix.as_ref(), self.collection.symbols())
     }
 
     /// The commit epoch this engine's durable state is at: the pager's
@@ -1380,24 +1081,6 @@ impl PrixEngine {
     }
 }
 
-impl PrixBackend for PrixEngine {
-    fn prix_caps(&self) -> (bool, bool) {
-        let tiers = self.tiers();
-        let (rp, ep) = tiers[0];
-        (rp.is_some(), ep.is_some())
-    }
-
-    fn execute_prix(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-        force: Option<IndexKind>,
-    ) -> Result<QueryOutcome> {
-        let pred = self.pred_eval(q)?;
-        run_query_forced(&self.tiers(), q, opts, force, pred.as_ref())
-    }
-}
-
 /// What [`PrixEngine::ingest_batch`] did, before epoch publication.
 pub struct IngestOutcome {
     /// Ids assigned to accepted documents, in input order.
@@ -1406,436 +1089,15 @@ pub struct IngestOutcome {
     pub rejected: Vec<(usize, String)>,
 }
 
-/// §5.6's optimizer rule over whatever index pair a view carries:
-/// value queries need the EPIndex; value-free queries prefer the
-/// RPIndex ("If twig queries have no values, then indexing
-/// Regular-Prüfer sequences is recommended").
-pub(crate) fn pick_index_from<'a>(
-    rp: Option<&'a PrixIndex>,
-    ep: Option<&'a PrixIndex>,
-    q: &TwigQuery,
-) -> Result<&'a PrixIndex> {
-    pick_index_forced(rp, ep, q, None)
-}
-
-/// [`pick_index_from`] with an optional forced index kind (the
-/// planner's RP-vs-EP choice, or `--engine prix_rp`/`prix_ep`).
-/// Forcing the RPIndex for a value query is refused — it cannot answer
-/// it — as is forcing an index that was not built.
-pub(crate) fn pick_index_forced<'a>(
-    rp: Option<&'a PrixIndex>,
-    ep: Option<&'a PrixIndex>,
-    q: &TwigQuery,
-    force: Option<IndexKind>,
-) -> Result<&'a PrixIndex> {
-    match force {
-        Some(IndexKind::Regular) => {
-            if q.needs_extended() {
-                return Err(IndexError::Unsupported(
-                    "value query cannot run on the RPIndex".into(),
-                ));
-            }
-            rp.ok_or_else(|| IndexError::Unsupported("the RPIndex was not built".into()))
-        }
-        Some(IndexKind::Extended) => {
-            ep.ok_or_else(|| IndexError::Unsupported("the EPIndex was not built".into()))
-        }
-        None => {
-            if q.needs_extended() {
-                ep.ok_or_else(|| {
-                    IndexError::Unsupported(
-                        "query requires the EPIndex, which was not built".into(),
-                    )
-                })
-            } else {
-                rp.or(ep)
-                    .ok_or_else(|| IndexError::Unsupported("no index was built".into()))
-            }
-        }
-    }
-}
-
-/// Rebuilds every document tree from the RP index's stored sequences,
-/// ascending through the tiers so collection ids equal global document
-/// ids. Shared by the engine and snapshot `reconstruct_collection`.
-pub(crate) fn reconstruct_from_tiers(
-    tiers: &[TierRefs<'_>],
-    syms: SymbolTable,
-) -> Result<Collection> {
-    let mut collection = Collection::new();
-    *collection.symbols_mut() = syms;
-    for &(rp, _) in tiers {
-        let rp = rp.ok_or_else(|| {
-            IndexError::Unsupported(
-                "reconstructing documents requires the RPIndex in every tier".into(),
-            )
-        })?;
-        let base = rp.doc_base();
-        for local in 0..rp.doc_count() as u32 {
-            let data = rp.load_doc(base + local, true)?;
-            let tree =
-                prix_prufer::reconstruct::tree_from_sequences(&data.lps, &data.nps, &data.leaves)
-                    .map_err(|e| {
-                    IndexError::Unsupported(format!("stored sequences are inconsistent: {e}"))
-                })?;
-            let id = collection.add_tree(tree);
-            debug_assert_eq!(id, base + local, "tiers ascend contiguously");
-        }
-    }
-    Ok(collection)
-}
-
-/// Shared ordered-query path: the engine runs it over its live tiers,
-/// a snapshot over its frozen clones (inside an epoch-pin guard).
-/// Tiers ascend by document base and matches come out per-tier in
-/// order, so concatenation preserves the global document order the
-/// single-tier executor produced. With a limit set each tier streams
-/// against the *remaining* budget and stops pulling once it is spent —
-/// later tiers (and the rest of the current one) never run their trie
-/// range queries at all.
-pub(crate) fn run_query_opts(
-    tiers: &[TierRefs<'_>],
-    q: &TwigQuery,
-    opts: &ExecOpts,
-    pred: Option<&PredEval>,
-) -> Result<QueryOutcome> {
-    run_query_forced(tiers, q, opts, None, pred)
-}
-
-/// [`run_query_opts`] with an optional forced index kind (the routed
-/// RP-vs-EP decision).
-pub(crate) fn run_query_forced(
-    tiers: &[TierRefs<'_>],
-    q: &TwigQuery,
-    opts: &ExecOpts,
-    force: Option<IndexKind>,
-    pred: Option<&PredEval>,
-) -> Result<QueryOutcome> {
-    let scope = IoScope::begin();
-    let start = Instant::now();
-    let mut matches: Vec<TwigMatch> = Vec::new();
-    let mut stats = QueryStats::default();
-    let mut index_used = IndexKind::Regular;
-    let mut truncated = false;
-    if let Some(k) = opts.limit {
-        let mut remaining = k;
-        for (i, &(rp, ep)) in tiers.iter().enumerate() {
-            if i > 0 && remaining == 0 {
-                // Budget exhausted with tiers left unexplored: more
-                // matches may exist (the same conservative flag a
-                // mid-stream stop reports).
-                truncated = true;
-                break;
-            }
-            let idx = pick_index_forced(rp, ep, q, force)?;
-            index_used = idx.kind();
-            let tier_opts = opts.with_limit(remaining);
-            let mut stream = idx.execute_stream_pred(q, &tier_opts, pred)?;
-            while let Some(m) = stream.next_match()? {
-                matches.push(m);
-                remaining -= 1;
-            }
-            let exhausted = stream.exhausted();
-            add_filter_counters(&mut stats, &stream.stats());
-            if !exhausted {
-                truncated = true;
-                break;
-            }
-        }
-    } else {
-        for &(rp, ep) in tiers {
-            let idx = pick_index_forced(rp, ep, q, force)?;
-            index_used = idx.kind();
-            let (m, s) = idx.execute_opts_pred(q, opts, pred)?;
-            matches.extend(m);
-            add_filter_counters(&mut stats, &s);
-        }
-    }
-    stats.matches = matches.len() as u64;
-    if let Some(p) = pred {
-        stats.valix_probes += p.probe.probes;
-        stats.valix_postings += p.probe.postings;
-    }
-    Ok(QueryOutcome {
-        matches,
-        stats,
-        index_used,
-        io: scope.end(),
-        elapsed: start.elapsed(),
-        truncated,
-        engine: EngineId::from_kind(index_used),
-    })
-}
-
-/// Shared batch driver: workers pull queries from an atomic cursor and
-/// run `exec_one` (which closes over the engine or snapshot view, and
-/// installs any per-thread pin guard itself).
-pub(crate) fn run_query_batch(
-    queries: &[TwigQuery],
-    threads: usize,
-    exec_one: impl Fn(&TwigQuery) -> Result<QueryOutcome> + Sync,
-) -> Result<Vec<QueryOutcome>> {
-    let threads = threads.max(1).min(queries.len().max(1));
-    if threads == 1 {
-        return queries.iter().map(&exec_one).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<Result<QueryOutcome>>>> = queries
-        .iter()
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    std::thread::scope(|s| {
-        for _ in 0..threads {
-            let next = &next;
-            let slots = &slots;
-            let exec_one = &exec_one;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= queries.len() {
-                    break;
-                }
-                let out = exec_one(&queries[i]);
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|e| e.into_inner())
-                .expect("every query index was claimed by a worker")
-        })
-        .collect()
-}
-
-/// Shared unordered-query path (§5.7 arrangement loop with the shared
-/// limit and base-numbered dedup). With a limit set and a planner
-/// available, arrangements run cheapest-estimated-first: the shared
-/// budget fills from the arrangements expected to drain (or fail)
-/// fastest. Without a limit the order is left alone — every
-/// arrangement runs to completion anyway, and keeping the stock order
-/// keeps the concatenated match vector bit-identical to older builds.
-pub(crate) fn run_query_unordered(
-    tiers: &[TierRefs<'_>],
-    arrangement_limit: usize,
-    q: &TwigQuery,
-    opts: &ExecOpts,
-    planner: Option<&Planner>,
-    pred: Option<&PredEval>,
-) -> Result<QueryOutcome> {
-    let mut arrs =
-        arrangements(q, arrangement_limit).map_err(|e| IndexError::Unsupported(e.to_string()))?;
-    if let (Some(planner), Some(_)) = (planner, opts.limit) {
-        let queries: Vec<TwigQuery> = arrs.iter().map(|a| a.query.clone()).collect();
-        let order = planner.rank_arrangements(&queries);
-        let mut reordered = Vec::with_capacity(arrs.len());
-        let mut taken: Vec<Option<_>> = arrs.into_iter().map(Some).collect();
-        for i in order {
-            reordered.push(taken[i].take().expect("permutation visits each index once"));
-        }
-        arrs = reordered;
-    }
-    let scope = IoScope::begin();
-    let start = Instant::now();
-    let mut stats = QueryStats::default();
-    let mut index_used = IndexKind::Regular;
-    let mut seen: std::collections::HashSet<(u32, Vec<PostNum>)> = std::collections::HashSet::new();
-    let mut matches: Vec<TwigMatch> = Vec::new();
-    let mut truncated = false;
-    // Dedup across arrangements makes a per-stream limit unsound
-    // (k matches from one arrangement may collapse with earlier
-    // ones), so each arrangement streams unlimited and the shared
-    // countdown is enforced on distinct base-numbered matches. Tiers
-    // nest inside the arrangement loop; the final sort re-establishes
-    // global order either way.
-    let arr_opts = opts.without_limit();
-    'arrs: for arr in &arrs {
-        // Arrangements strip predicates from their queries (the
-        // structural twig is what gets rearranged), so the evaluator is
-        // renumbered to each arrangement's postorders instead.
-        let arr_pred = pred.map(|p| p.remap(&arr.base_of));
-        for &(rp, ep) in tiers {
-            let idx = pick_index_from(rp, ep, &arr.query)?;
-            index_used = idx.kind();
-            let mut stream = idx.execute_stream_pred(&arr.query, &arr_opts, arr_pred.as_ref())?;
-            while let Some(m) = stream.next_match()? {
-                // Re-map the arrangement's postorder numbering back to
-                // the base query's.
-                let mut base_emb = vec![0 as PostNum; m.embedding.len()];
-                for (arr_q, &img) in m.embedding.iter().enumerate() {
-                    let base_q = arr.base_of[arr_q];
-                    base_emb[(base_q - 1) as usize] = img;
-                }
-                if seen.insert((m.doc, base_emb.clone())) {
-                    matches.push(TwigMatch {
-                        doc: m.doc,
-                        embedding: base_emb,
-                    });
-                    if opts.limit.map_or(false, |k| matches.len() >= k) {
-                        let s = stream.stats();
-                        add_filter_counters(&mut stats, &s);
-                        truncated = true;
-                        break 'arrs;
-                    }
-                }
-            }
-            let s = stream.stats();
-            add_filter_counters(&mut stats, &s);
-        }
-    }
-    matches.sort();
-    stats.matches = matches.len() as u64;
-    if let Some(p) = pred {
-        stats.valix_probes += p.probe.probes;
-        stats.valix_postings += p.probe.postings;
-    }
-    Ok(QueryOutcome {
-        matches,
-        stats,
-        index_used,
-        io: scope.end(),
-        elapsed: start.elapsed(),
-        truncated,
-        engine: EngineId::from_kind(index_used),
-    })
-}
-
-/// Renders the `/explain` lines for a predicate query: one line per
-/// predicate plus the valix probe's estimated selectivity. Predicate-
-/// free queries never reach this (their explain output is pinned).
-pub(crate) fn explain_pred(q: &TwigQuery, pred: &PredEval, syms: &SymbolTable) -> String {
-    let mut out = String::new();
-    for p in q.preds() {
-        out.push_str(&format!(
-            "predicate: {}{{{}}}\n",
-            syms.name(q.tree().label(p.node)),
-            p.render_op()
-        ));
-    }
-    match pred.estimate() {
-        Some((n, covered)) if covered > 0 => {
-            out.push_str(&format!(
-                "valix: probe passes {n}/{covered} docs (estimated selectivity {:.2}%)\n",
-                (n as f64 / covered as f64) * 100.0
-            ));
-        }
-        Some((n, _)) => {
-            out.push_str(&format!("valix: probe passes {n} docs (nothing indexed)\n"));
-        }
-        None => {
-            out.push_str("valix: no probeable predicate (verification only)\n");
-        }
-    }
-    out
-}
-
-/// Accumulates one arrangement's pipeline stats into the union's
-/// (everything except `matches`, which counts distinct base-numbered
-/// embeddings across all arrangements).
-fn add_filter_counters(total: &mut QueryStats, s: &QueryStats) {
-    total.range_queries += s.range_queries;
-    total.nodes_scanned += s.nodes_scanned;
-    total.maxgap_pruned += s.maxgap_pruned;
-    total.candidates += s.candidates;
-    total.refined += s.refined;
-    total.filter_time += s.filter_time;
-    total.refine_time += s.refine_time;
-    total.project_time += s.project_time;
-    total.pred_skipped += s.pred_skipped;
-    total.pred_rejected += s.pred_rejected;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn engine() -> PrixEngine {
-        let mut c = Collection::new();
-        c.add_xml("<dblp><inproceedings><author>Jim Gray</author><year>1990</year></inproceedings></dblp>")
-            .unwrap();
-        c.add_xml("<dblp><inproceedings><year>1990</year><author>Jim Gray</author></inproceedings></dblp>")
-            .unwrap();
-        c.add_xml("<dblp><www><editor>E</editor><url>u</url></www></dblp>")
-            .unwrap();
-        PrixEngine::build(c, EngineConfig::default()).unwrap()
-    }
-
-    #[test]
-    fn optimizer_routes_value_queries_to_ep() {
-        let mut e = engine();
-        let q = e
-            .parse_query(r#"//inproceedings[./author="Jim Gray"]"#)
-            .unwrap();
-        let out = e.query(&q).unwrap();
-        assert_eq!(out.index_used, IndexKind::Extended);
-        assert_eq!(out.matches.len(), 2);
-    }
-
-    #[test]
-    fn optimizer_routes_structural_queries_to_rp() {
-        let mut e = engine();
-        let q = e.parse_query("//www[./editor]/url").unwrap();
-        let out = e.query(&q).unwrap();
-        assert_eq!(out.index_used, IndexKind::Regular);
-        assert_eq!(out.matches.len(), 1);
-    }
-
-    #[test]
-    fn ordered_vs_unordered() {
-        let mut e = engine();
-        // Ordered: author before year — only doc 0.
-        let q = e
-            .parse_query(r#"//inproceedings[./author="Jim Gray"][./year="1990"]"#)
-            .unwrap();
-        let ordered = e.query(&q).unwrap();
-        assert_eq!(ordered.matches.len(), 1);
-        assert_eq!(ordered.matches[0].doc, 0);
-        // Unordered: both docs.
-        let unordered = e.query_unordered(&q).unwrap();
-        assert_eq!(unordered.matches.len(), 2);
-    }
-
-    #[test]
-    fn unordered_embeddings_use_base_numbering() {
-        let mut e = engine();
-        let q = e
-            .parse_query(r#"//inproceedings[./author="Jim Gray"][./year="1990"]"#)
-            .unwrap();
-        let out = e.query_unordered(&q).unwrap();
-        let syms = e.collection().symbols();
-        let author = syms.lookup("author").unwrap();
-        for m in &out.matches {
-            let t = e.collection().doc(m.doc);
-            // Base query postorder: "Jim Gray"=1, author=2, "1990"=3,
-            // year=4, inproceedings=5.
-            assert_eq!(t.label_at(m.embedding[1]), author, "doc {}", m.doc);
-        }
-    }
-
-    #[test]
-    fn cold_cache_queries_report_io() {
-        let mut e = engine();
-        let q = e.parse_query("//www[./editor]/url").unwrap();
-        e.clear_cache().unwrap();
-        let out = e.query(&q).unwrap();
-        assert!(out.io.physical_reads > 0, "cold run must hit the disk");
-        let warm = e.query(&q).unwrap();
-        assert_eq!(warm.io.physical_reads, 0, "warm run is fully cached");
-        assert_eq!(warm.matches.len(), out.matches.len());
-    }
-
-    #[test]
-    fn rp_only_engine_rejects_value_queries() {
-        let mut c = Collection::new();
-        c.add_xml("<a><b>v</b></a>").unwrap();
-        let cfg = EngineConfig {
-            build_ep: false,
-            ..Default::default()
-        };
-        let mut e = PrixEngine::build(c, cfg).unwrap();
-        let q = e.parse_query(r#"//a[./b="v"]"#).unwrap();
-        assert!(e.query(&q).is_err());
+    /// Match count of `xpath` on the engine as it stands.
+    fn count(e: &PrixEngine, xpath: &str) -> usize {
+        let view = e.snapshot();
+        let q = view.parse_query(xpath).unwrap();
+        view.query(&q).unwrap().matches.len()
     }
 
     #[test]
@@ -1849,134 +1111,9 @@ mod tests {
             buffer_pages: 16,
             ..Default::default()
         };
-        let mut e = PrixEngine::build(c, cfg).unwrap();
-        let q = e.parse_query("//a/b/c").unwrap();
-        let out = e.query(&q).unwrap();
-        assert_eq!(out.matches.len(), 1);
+        let e = PrixEngine::build(c, cfg).unwrap();
+        assert_eq!(count(&e, "//a/b/c"), 1);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn dynamic_labeling_engine_matches_exact() {
-        let mut c = Collection::new();
-        for i in 0..20 {
-            c.add_xml(&format!("<a><b><c>v{i}</c></b><d/></a>"))
-                .unwrap();
-        }
-        let exact = PrixEngine::build(c.clone(), EngineConfig::default()).unwrap();
-        let dynamic = PrixEngine::build(
-            c,
-            EngineConfig {
-                labeling: LabelingMode::Dynamic { alpha: 2 },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let mut syms = exact.collection().symbols().clone();
-        let q = parse_xpath("//a[./b/c]/d", &mut syms).unwrap();
-        let a = exact.query(&q).unwrap();
-        let b = dynamic.query(&q).unwrap();
-        assert_eq!(a.matches, b.matches);
-        assert_eq!(a.matches.len(), 20);
-    }
-
-    #[test]
-    fn explain_describes_the_plan() {
-        let mut e = engine();
-        let q = e.parse_query("//www[./editor]/url").unwrap();
-        let text = e.explain(&q).unwrap();
-        assert!(text.contains("RPIndex"), "{text}");
-        assert!(text.contains("leaf-extended"), "{text}");
-        assert!(text.contains("LPS(Q)"), "{text}");
-        assert!(text.contains("MaxGap rules"), "{text}");
-        let qv = e
-            .parse_query(r#"//inproceedings[./author="Jim Gray"]"#)
-            .unwrap();
-        let tv = e.explain(&qv).unwrap();
-        assert!(tv.contains("EPIndex"), "{tv}");
-    }
-
-    /// Collapses digit runs (with embedded dots) to `#` and space runs
-    /// to one space, so the explain pins cover the full output shape —
-    /// including the planner section — without re-pinning on every
-    /// cost-constant or dataset tweak.
-    fn normalize_explain(s: &str) -> String {
-        let mut out = String::new();
-        let (mut in_num, mut in_space) = (false, false);
-        for ch in s.chars() {
-            if ch.is_ascii_digit() || (ch == '.' && in_num) {
-                if !in_num {
-                    out.push('#');
-                    in_num = true;
-                }
-                in_space = false;
-                continue;
-            }
-            in_num = false;
-            if ch == ' ' {
-                if in_space {
-                    continue;
-                }
-                in_space = true;
-            } else {
-                in_space = false;
-            }
-            out.push(ch);
-        }
-        out
-    }
-
-    #[test]
-    fn explain_output_shape_is_pinned() {
-        // The serving layer's `GET /explain` exposes this text
-        // verbatim; pin the exact shape (digits and space runs
-        // normalized — see `normalize_explain`) for one path query and
-        // one twig query so refactors can't silently change the
-        // contract.
-        let mut e = engine();
-        let path_q = e.parse_query("/dblp/www/url").unwrap();
-        assert_eq!(
-            normalize_explain(&e.explain(&path_q).unwrap()),
-            "index: RPIndex\n\
-             plan: RPIndex, leaf-extended query (§# fast path)\n\
-             LPS(Q) = url www dblp\n\
-             NPS(Q) = # # #\n\
-             edges = / / / /\n\
-             executor: streaming filter -> refine -> project (limit pushdown)\n\
-             MaxGap rules: # of # adjacent pairs bounded\n\
-             \x20positions #->#: distance <= min(#, per-node) + #\n\
-             \x20positions #->#: distance <= min(#, per-node) + #\n\
-             planner: engine=prix_rp maxgap=on cost=#us (routed) shape=n#l#v#d# ewma_rows=#\n\
-             \x20alt prix_rp maxgap=on cost= #us\n\
-             \x20alt prix_rp maxgap=off cost= #us\n\
-             \x20alt twigstack cost= #us\n\
-             \x20alt prix_ep maxgap=on cost= #us\n\
-             \x20alt prix_ep maxgap=off cost= #us\n\
-             \x20alt twigstackxb cost= #us\n\
-             \x20alt vist cost= #us\n"
-        );
-        let twig_q = e.parse_query("//www[./editor]/url").unwrap();
-        assert_eq!(
-            normalize_explain(&e.explain(&twig_q).unwrap()),
-            "index: RPIndex\n\
-             plan: RPIndex, leaf-extended query (§# fast path)\n\
-             LPS(Q) = editor www url www\n\
-             NPS(Q) = # # # #\n\
-             edges = / / / / /\n\
-             executor: streaming filter -> refine -> project (limit pushdown)\n\
-             MaxGap rules: # of # adjacent pairs bounded\n\
-             \x20positions #->#: distance <= min(#, per-node) + #\n\
-             \x20positions #->#: distance <= min(#, per-node) + #\n\
-             \x20positions #->#: distance <= min(#, per-node) + #\n\
-             planner: engine=prix_rp maxgap=on cost=#us (routed) shape=n#l#v#d# ewma_rows=#\n\
-             \x20alt prix_rp maxgap=on cost= #us\n\
-             \x20alt prix_rp maxgap=off cost= #us\n\
-             \x20alt twigstack cost= #us\n\
-             \x20alt prix_ep maxgap=on cost= #us\n\
-             \x20alt prix_ep maxgap=off cost= #us\n\
-             \x20alt twigstackxb cost= #us\n\
-             \x20alt vist cost= #us\n"
-        );
     }
 
     #[test]
@@ -2010,7 +1147,8 @@ mod tests {
         for d in &docs {
             full.add_xml(d).unwrap();
         }
-        let mut bulk = PrixEngine::build(full, EngineConfig::default()).unwrap();
+        let bulk = PrixEngine::build(full, EngineConfig::default()).unwrap();
+        let (inc_view, bulk_view) = (incremental.snapshot(), bulk.snapshot());
 
         for xpath in [
             "//www[./editor]/url",
@@ -2018,10 +1156,10 @@ mod tests {
             "//x//z",
             "//www/url",
         ] {
-            let qi = incremental.parse_query(xpath).unwrap();
-            let qb = bulk.parse_query(xpath).unwrap();
-            let mi = incremental.query(&qi).unwrap().matches;
-            let mb = bulk.query(&qb).unwrap().matches;
+            let qi = inc_view.parse_query(xpath).unwrap();
+            let qb = bulk_view.parse_query(xpath).unwrap();
+            let mi = inc_view.query(&qi).unwrap().matches;
+            let mb = bulk_view.query(&qb).unwrap().matches;
             assert_eq!(mi, mb, "{xpath}");
             let oracle = crate::naive::naive_count(incremental.collection(), &qi);
             assert_eq!(mi.len(), oracle, "{xpath} vs oracle");
@@ -2045,8 +1183,7 @@ mod tests {
         e.insert_document("<a><b><c>w</c></b></a>").unwrap();
         let nodes_after = e.rp_index().unwrap().build_stats().trie_nodes;
         assert_eq!(nodes_before, nodes_after, "no new RP trie nodes");
-        let q = e.parse_query("//a/b/c").unwrap();
-        assert_eq!(e.query(&q).unwrap().matches.len(), 2);
+        assert_eq!(count(&e, "//a/b/c"), 2);
     }
 
     #[test]
@@ -2088,67 +1225,8 @@ mod tests {
         // (identical document: both paths shared) assigns aligned ids.
         let id = e.insert_document("<a><b>v</b></a>").unwrap();
         assert_eq!(id, 1);
-        let q = e.parse_query("//a/b").unwrap();
-        assert_eq!(e.query(&q).unwrap().matches.len(), 2);
-        let qv = e.parse_query(r#"//b[text()="v"]"#).unwrap();
-        assert_eq!(e.query(&qv).unwrap().matches.len(), 2);
-    }
-
-    #[test]
-    fn query_batch_matches_serial_and_preserves_order() {
-        let mut e = engine();
-        let xpaths = [
-            "//www[./editor]/url",
-            r#"//inproceedings[./author="Jim Gray"]"#,
-            "//dblp//year",
-            "//www/url",
-        ];
-        let queries: Vec<_> = xpaths.iter().map(|x| e.parse_query(x).unwrap()).collect();
-        let serial: Vec<_> = queries
-            .iter()
-            .map(|q| e.query(q).unwrap().matches)
-            .collect();
-        for threads in [1, 2, 4, 16] {
-            let batch = e.query_batch(&queries, threads).unwrap();
-            assert_eq!(batch.len(), queries.len());
-            for (i, out) in batch.iter().enumerate() {
-                assert_eq!(out.matches, serial[i], "threads={threads} query {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn query_batch_zero_threads_clamps_to_serial() {
-        // Regression: `threads == 0` must behave exactly like the
-        // serial path (clamped to 1), not spawn zero workers and
-        // return nothing / hang.
-        let mut e = engine();
-        let xpaths = ["//www[./editor]/url", "//dblp//year"];
-        let queries: Vec<_> = xpaths.iter().map(|x| e.parse_query(x).unwrap()).collect();
-        let batch = e.query_batch(&queries, 0).unwrap();
-        assert_eq!(batch.len(), queries.len());
-        for (q, out) in queries.iter().zip(&batch) {
-            assert_eq!(out.matches, e.query(q).unwrap().matches);
-        }
-        // Empty input with zero threads is a no-op, not a panic.
-        assert!(e.query_batch(&[], 0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn query_batch_surfaces_errors() {
-        // An RP-only engine cannot answer value queries; the batch must
-        // report the failure rather than swallow it.
-        let mut c = Collection::new();
-        c.add_xml("<a><b>v</b></a>").unwrap();
-        let cfg = EngineConfig {
-            build_ep: false,
-            ..Default::default()
-        };
-        let mut e = PrixEngine::build(c, cfg).unwrap();
-        let good = e.parse_query("//a/b").unwrap();
-        let bad = e.parse_query(r#"//a[./b="v"]"#).unwrap();
-        let queries = vec![good, bad];
-        assert!(e.query_batch(&queries, 2).is_err());
+        assert_eq!(count(&e, "//a/b"), 2);
+        assert_eq!(count(&e, r#"//b[text()="v"]"#), 2);
     }
 
     #[test]
@@ -2169,80 +1247,15 @@ mod tests {
         .unwrap();
         e.save().unwrap();
         drop(e);
-        assert!(sibling(&path, ".sum").exists(), "checksum sidecar created");
-        assert!(sibling(&path, ".wal").exists(), "write-ahead log created");
-        let mut r = PrixEngine::reopen(&path, 64).unwrap();
-        let rep = r.recovery().expect("durable reopen reports recovery");
+        assert!(dir.join("db.prix.sum").exists(), "checksum sidecar created");
+        assert!(dir.join("db.prix.wal").exists(), "write-ahead log created");
+        let r = PrixEngine::reopen(&path, 64).unwrap();
+        let rep = r.recovery().expect("reopen reports recovery");
         assert!(!rep.unclean_shutdown, "clean shutdown: nothing to replay");
         assert_eq!(rep.replayed_frames, 0);
         let (verified, _) = r.verify_checksums().unwrap();
         assert!(verified > 0, "pages have checksums");
-        let q = r.parse_query("//a/b").unwrap();
-        assert_eq!(r.query(&q).unwrap().matches.len(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn no_wal_engine_is_legacy_and_reports_no_recovery() {
-        let dir = std::env::temp_dir().join(format!("prix-nowal-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.prix");
-        let mut c = Collection::new();
-        c.add_xml("<a><b>v</b></a>").unwrap();
-        let mut e = PrixEngine::build(
-            c,
-            EngineConfig {
-                path: Some(path.clone()),
-                wal: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        e.save().unwrap();
-        drop(e);
-        assert!(!sibling(&path, ".sum").exists(), "no sidecar without WAL");
-        let mut r = PrixEngine::reopen(&path, 64).unwrap();
-        assert!(r.recovery().is_none());
-        assert!(
-            r.verify_checksums().is_err(),
-            "legacy file has no checksums"
-        );
-        let q = r.parse_query("//a/b").unwrap();
-        assert_eq!(r.query(&q).unwrap().matches.len(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn durable_engine_reopens_without_wal_on_request() {
-        // `serve --no-wal` path: durable database, WAL disabled at
-        // reopen. Checksums stay maintained; saves write direct.
-        let dir = std::env::temp_dir().join(format!("prix-nowal-ro-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("db.prix");
-        let mut c = Collection::new();
-        c.add_xml("<a><b>v</b></a>").unwrap();
-        let mut e = PrixEngine::build(
-            c,
-            EngineConfig {
-                path: Some(path.clone()),
-                labeling: LabelingMode::Dynamic { alpha: 1 },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        e.save().unwrap();
-        drop(e);
-        let mut r = PrixEngine::reopen_opts(&path, 64, false).unwrap();
-        assert!(r.recovery().is_some(), "recovery still ran");
-        assert!(!r.pool().is_durable(), "pool runs without a WAL");
-        r.insert_document("<a><b>w</b></a>").unwrap();
-        r.save().unwrap();
-        let (verified, _) = r.verify_checksums().unwrap();
-        assert!(verified > 0);
-        drop(r);
-        let mut again = PrixEngine::reopen(&path, 64).unwrap();
-        let q = again.parse_query("//a/b").unwrap();
-        assert_eq!(again.query(&q).unwrap().matches.len(), 2);
+        assert_eq!(count(&r, "//a/b"), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -2265,9 +1278,8 @@ mod tests {
         e.insert_document("<a><q><b>w</b></q></a>").unwrap();
         e.save().unwrap();
         drop(e);
-        let mut reopened = PrixEngine::reopen(&path, 256).unwrap();
-        let q = reopened.parse_query("//a//b").unwrap();
-        assert_eq!(reopened.query(&q).unwrap().matches.len(), 2);
+        let reopened = PrixEngine::reopen(&path, 256).unwrap();
+        assert_eq!(count(&reopened, "//a//b"), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

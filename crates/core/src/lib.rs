@@ -25,8 +25,12 @@
 //!   edges and equality value predicates,
 //! * [`PrixIndex`] — a disk-resident index (RPIndex or EPIndex, §5.6)
 //!   over one collection,
-//! * [`PrixEngine`] — owns both indexes and routes each query to the
-//!   right one like the paper's query optimizer (§5.6),
+//! * [`PrixEngine`] — owns both indexes and everything that changes
+//!   them: build, reopen, insert, ingest, save, compact, verify,
+//! * [`EngineSnapshot`] — an epoch-pinned view of an engine and the one
+//!   place queries run; routes each to the right index like the paper's
+//!   query optimizer (§5.6). [`PrixEngine::snapshot`] hands one out for
+//!   a bare engine, [`SharedEngine`] publishes one per ingest,
 //! * [`naive`] — a direct tree-matching oracle used to validate every
 //!   engine (no false alarms, no false dismissals),
 //! * [`scan`] — an index-free in-memory matcher built from the same
@@ -46,17 +50,17 @@ pub mod trie;
 pub mod valix;
 pub mod xpath;
 
-pub use engine::{EngineConfig, EngineStores, IngestOutcome, PrixEngine, QueryOutcome};
+pub use engine::{EngineConfig, EngineStores, IngestOutcome, PrixEngine};
 pub use exec::MatchStream;
 pub use index::{ExecOpts, IndexKind, PrixIndex, QueryStats, TwigMatch};
 pub use plan::{
     canonicalize, prix_embedding_exact, AltProvider, EngineCaps, EngineChoice, EngineId, NoAlts,
-    PlanReport, Planner, PlannerStats, PrixBackend, QueryEngine, QueryShape, Routed, Router,
+    PlanReport, Planner, PlannerStats, QueryEngine, QueryShape, Routed, Router,
 };
 pub use prix_storage::{ManifestSegment, SegmentCheck, SEG_KIND_EP, SEG_KIND_RP};
 pub use query::{PredOp, PredValue, TwigBuilder, TwigQuery, ValuePred};
 pub use segbuild::{BulkBuilder, DEFAULT_RUN_MEM_BYTES};
-pub use snapshot::{EngineSnapshot, IngestReport, SharedEngine};
+pub use snapshot::{EngineSnapshot, IngestReport, QueryOutcome, SharedEngine};
 pub use trie::{LabelingMode, VirtualTrie};
 pub use valix::{PredEval, ProbeStats, Valix, ValixEntry};
 pub use xpath::{parse_xpath, XPathError};

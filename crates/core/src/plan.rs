@@ -19,8 +19,8 @@
 //!   by query *shape* (node/leaf/value/descendant-edge counts),
 //!   blended into the analytic model once samples exist.
 //!
-//! Stats are persisted in the engine catalog (version 3) and rebuilt
-//! from it on reopen, so a reopened database plans like the one that
+//! Stats are persisted in the engine catalog and rebuilt from it on
+//! reopen, so a reopened database plans like the one that
 //! was saved.
 //!
 //! ## Result compatibility
@@ -46,9 +46,9 @@ use std::time::Duration;
 use prix_prufer::EdgeKind;
 use prix_xml::{Collection, NodeKind, Sym};
 
-use crate::engine::QueryOutcome;
 use crate::index::{ExecOpts, IndexError, IndexKind, Result};
 use crate::query::TwigQuery;
+use crate::snapshot::{EngineSnapshot, QueryOutcome};
 
 /// Every engine the planner can route to. `PrixRp`/`PrixEp`
 /// distinguish the paper's two index flavors (§5.6) because they are
@@ -151,22 +151,6 @@ pub trait QueryEngine: Send + Sync {
     /// with their own id and report whatever counters map onto
     /// [`crate::index::QueryStats`].
     fn execute(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome>;
-}
-
-/// The PRIX side of the router: executes a query on the RP/EP tiers,
-/// optionally forcing one index kind. Implemented by `PrixEngine` and
-/// `EngineSnapshot`.
-pub trait PrixBackend: Sync {
-    /// `(has_rp, has_ep)`.
-    fn prix_caps(&self) -> (bool, bool);
-    /// Runs the query, forcing `force` when set (classic §5.6 routing
-    /// when `None`).
-    fn execute_prix(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-        force: Option<IndexKind>,
-    ) -> Result<QueryOutcome>;
 }
 
 /// Supplies (usually lazily-built) alternative engines to the router.
@@ -451,7 +435,7 @@ impl PlannerStats {
     }
 
     /// Inverse of [`PlannerStats::encode`]. Returns `None` on any
-    /// malformed input (a legacy catalog simply starts empty).
+    /// malformed input.
     pub fn decode(bytes: &[u8]) -> Option<PlannerStats> {
         let mut r = bytes;
         let mut take = |n: usize| -> Option<&[u8]> {
@@ -896,13 +880,13 @@ pub struct Routed {
     pub mispredicted: bool,
 }
 
-/// Plans and executes one query over a PRIX backend plus optional
-/// alternative engines.
+/// Plans and executes one query over a snapshot's PRIX indexes plus
+/// optional alternative engines.
 pub struct Router<'a> {
     /// The planner (owned by the engine, shared with snapshots).
     pub planner: &'a Planner,
-    /// PRIX execution (tiers, snapshot pins — the backend's business).
-    pub prix: &'a dyn PrixBackend,
+    /// PRIX execution (tiers, epoch pin — the snapshot's business).
+    pub prix: &'a EngineSnapshot,
     /// Lazily-built alternative engines.
     pub alts: &'a dyn AltProvider,
 }
@@ -915,16 +899,13 @@ impl<'a> Router<'a> {
         opts: &ExecOpts,
         forced: Option<EngineChoice>,
     ) -> Result<PlanReport> {
-        let (rp, ep) = self.prix.prix_caps();
-        // Alternative engines replay documents out of the RP index, so
-        // they need it in addition to a willing provider.
-        let alt = self.alts.available() && rp;
-        let caps = EngineCaps {
-            rp,
-            ep,
-            vist: alt,
-            twigstack: alt,
-        };
+        // Alternative engines replay documents out of the RP index
+        // (the snapshot's caps say whether it can) and need a willing
+        // provider on top.
+        let mut caps = self.prix.engine_caps();
+        let provided = self.alts.available();
+        caps.vist &= provided;
+        caps.twigstack &= provided;
         self.planner.decide(q, caps, opts, forced)
     }
 

@@ -1,4 +1,12 @@
-//! Snapshot-isolated online ingest: versioned catalogs over the engine.
+//! The read side of the engine, and snapshot-isolated online ingest.
+//!
+//! [`EngineSnapshot`] is the one query surface: the Figure 3 pipeline
+//! (filter by subsequence matching → refine → project) behind §5.6's
+//! RP-vs-EP rule, the §5.7 arrangement loop, the routed and batch
+//! entries, `explain`, and document reconstruction all live here and
+//! nowhere else. [`PrixEngine`] builds and mutates; whoever wants
+//! answers takes a view — [`PrixEngine::snapshot`] for a bare engine,
+//! [`SharedEngine::snapshot`] while a writer runs.
 //!
 //! The paper treats the index as a build-once artifact with §5.2.1's
 //! dynamic labeling for incremental inserts; this module makes those
@@ -32,23 +40,53 @@
 //! index), which is exactly the right answer for a label the pinned
 //! epoch has never seen.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
-use prix_storage::EpochPin;
-use prix_xml::{DocId, ScratchSyms, SymbolTable};
+use prix_storage::{EpochPin, IoScope, IoSnapshot};
+use prix_xml::{Collection, DocId, PostNum, ScratchSyms, SymbolTable};
 
-use crate::engine::{
-    collect_tiers, explain_pred, pick_index_from, reconstruct_from_tiers, run_query_batch,
-    run_query_forced, run_query_opts, run_query_unordered, PrixEngine, QueryOutcome, SegTier,
-};
-use crate::index::{ExecOpts, IndexError, IndexKind, PrixIndex, Result};
-use crate::plan::{AltProvider, EngineCaps, EngineChoice, Planner, PrixBackend, Routed, Router};
+use crate::arrange::arrangements;
+use crate::engine::{PrixEngine, SegTier};
+use crate::index::{ExecOpts, IndexError, IndexKind, PrixIndex, QueryStats, Result, TwigMatch};
+use crate::plan::{AltProvider, EngineCaps, EngineChoice, EngineId, Planner, Routed, Router};
 use crate::query::TwigQuery;
 use crate::valix::{PredEval, Valix};
 use crate::xpath::{parse_xpath, XPathError};
 
-/// An immutable, epoch-pinned view of a [`PrixEngine`].
+/// Everything a query execution reports.
+#[derive(Debug, Clone)]
+pub struct QueryOutcome {
+    /// The twig occurrences (deduplicated embeddings).
+    pub matches: Vec<TwigMatch>,
+    /// Filter/refinement counters.
+    pub stats: QueryStats,
+    /// Which index answered the query.
+    pub index_used: IndexKind,
+    /// I/O performed *by this query* (pages read = the paper's
+    /// "Disk IO" column when the pool started cold). Attributed via a
+    /// per-thread [`IoScope`], so it stays exact even when other
+    /// queries run concurrently on the same buffer pool.
+    pub io: IoSnapshot,
+    /// Wall-clock execution time.
+    pub elapsed: Duration,
+    /// `true` when execution stopped at [`ExecOpts::limit`] without
+    /// proving the result set was drained; more matches *may* exist
+    /// (conservative — no probing for the next match is done).
+    pub truncated: bool,
+    /// Which engine produced this outcome. PRIX paths derive it from
+    /// `index_used`; routed alternative engines set their own id.
+    pub engine: EngineId,
+}
+
+/// One tier's index pair, `(rp, ep)`: the shape [`pick_index`] routes
+/// over.
+type TierRefs<'a> = (Option<&'a PrixIndex>, Option<&'a PrixIndex>);
+
+/// An immutable, epoch-pinned view of a [`PrixEngine`], and the only
+/// way to query one.
 ///
 /// Everything reachable from a snapshot reads as of its
 /// [`EngineSnapshot::epoch`]: the index handles are clones sharing the
@@ -80,7 +118,7 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    fn capture(engine: &PrixEngine) -> Self {
+    pub(crate) fn capture(engine: &PrixEngine) -> Self {
         let pin = engine.pool().pin_epoch();
         EngineSnapshot {
             epoch: pin.epoch(),
@@ -102,9 +140,25 @@ impl EngineSnapshot {
         PredEval::build(q, self.valix.as_ref(), &self.syms)
     }
 
-    /// The tier list this snapshot's queries descend.
-    fn tiers(&self) -> Vec<crate::engine::TierRefs<'_>> {
-        collect_tiers(&self.segments, self.rp.as_ref(), self.ep.as_ref())
+    /// The tier list a query descends: segments in ascending
+    /// `doc_base` order, then the mutable delta. The mutable tier joins
+    /// only when it has documents (or when there is nothing else): an
+    /// empty delta would re-run every trie descent for zero candidates,
+    /// and — worse — flip the conservative truncation flag for limited
+    /// queries. Omitting it keeps a freshly bulk-built or just-compacted
+    /// engine bit-identical to a single-tier engine over the same
+    /// documents, which is the property the `bulk_equals_incremental`
+    /// suite pins.
+    fn tiers(&self) -> Vec<TierRefs<'_>> {
+        let mut tiers: Vec<TierRefs<'_>> = self
+            .segments
+            .iter()
+            .map(|t| (t.rp.as_ref(), t.ep.as_ref()))
+            .collect();
+        if tiers.is_empty() || self.mutable_docs() > 0 {
+            tiers.push((self.rp.as_ref(), self.ep.as_ref()));
+        }
+        tiers
     }
 
     /// Immutable segment tiers visible at this epoch.
@@ -154,55 +208,223 @@ impl EngineSnapshot {
         self.query_opts(q, &ExecOpts::default())
     }
 
-    /// [`EngineSnapshot::query`] with execution options.
+    /// [`EngineSnapshot::query`] with execution options. With
+    /// [`ExecOpts::limit`] set the query runs through the streaming
+    /// executor and stops pulling at the limit — the remaining trie
+    /// range queries and refinements never happen.
     pub fn query_opts(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome> {
-        let _pin = self.pin.guard();
-        let pred = self.pred_eval(q)?;
-        run_query_opts(&self.tiers(), q, opts, pred.as_ref())
+        self.execute_prix(q, opts, None)
     }
 
-    /// Executes a batch across `threads` workers; every worker reads
-    /// this snapshot's epoch (the pin is installed per query, so it is
-    /// in effect on each worker thread).
+    /// The ordered-query path, optionally forcing one index kind (the
+    /// router's RP-vs-EP decision; §5.6's rule when `None`). Tiers
+    /// ascend by document base and matches come out per-tier in order,
+    /// so concatenation preserves the global document order the
+    /// single-tier executor produced. With a limit set each tier
+    /// streams against the *remaining* budget and stops pulling once it
+    /// is spent — later tiers (and the rest of the current one) never
+    /// run their trie range queries at all.
+    pub(crate) fn execute_prix(
+        &self,
+        q: &TwigQuery,
+        opts: &ExecOpts,
+        force: Option<IndexKind>,
+    ) -> Result<QueryOutcome> {
+        let _pin = self.pin.guard();
+        let pred = self.pred_eval(q)?;
+        let pred = pred.as_ref();
+        let tiers = self.tiers();
+        let scope = IoScope::begin();
+        let start = Instant::now();
+        let mut matches: Vec<TwigMatch> = Vec::new();
+        let mut stats = QueryStats::default();
+        let mut index_used = IndexKind::Regular;
+        let mut truncated = false;
+        if let Some(k) = opts.limit {
+            let mut remaining = k;
+            for (i, &(rp, ep)) in tiers.iter().enumerate() {
+                if i > 0 && remaining == 0 {
+                    // Budget exhausted with tiers left unexplored: more
+                    // matches may exist (the same conservative flag a
+                    // mid-stream stop reports).
+                    truncated = true;
+                    break;
+                }
+                let idx = pick_index(rp, ep, q, force)?;
+                index_used = idx.kind();
+                let tier_opts = opts.with_limit(remaining);
+                let mut stream = idx.execute_stream_pred(q, &tier_opts, pred)?;
+                while let Some(m) = stream.next_match()? {
+                    matches.push(m);
+                    remaining -= 1;
+                }
+                let exhausted = stream.exhausted();
+                add_filter_counters(&mut stats, &stream.stats());
+                if !exhausted {
+                    truncated = true;
+                    break;
+                }
+            }
+        } else {
+            for &(rp, ep) in &tiers {
+                let idx = pick_index(rp, ep, q, force)?;
+                index_used = idx.kind();
+                let (m, s) = idx.execute_opts_pred(q, opts, pred)?;
+                matches.extend(m);
+                add_filter_counters(&mut stats, &s);
+            }
+        }
+        Ok(finish_outcome(
+            matches, stats, index_used, truncated, pred, scope, start,
+        ))
+    }
+
+    /// Executes a batch of ordered twig queries on up to `threads`
+    /// worker threads, returning one [`QueryOutcome`] per query in
+    /// input order. Every worker reads this snapshot's epoch (the pin
+    /// is installed per query, so it is in effect on each worker
+    /// thread).
     pub fn query_batch(&self, queries: &[TwigQuery], threads: usize) -> Result<Vec<QueryOutcome>> {
         self.query_batch_opts(queries, threads, &ExecOpts::default())
     }
 
-    /// [`EngineSnapshot::query_batch`] with execution options.
+    /// [`EngineSnapshot::query_batch`] with execution options (each
+    /// query gets the same `opts`, including any limit). Workers pull
+    /// queries from a shared atomic cursor, so long and short queries
+    /// balance across threads; all of them read through the same
+    /// sharded buffer pool.
+    ///
+    /// `threads` is clamped to `1..=queries.len()`: `threads == 0` is
+    /// treated as 1 (serial), never an empty worker set. Each outcome's
+    /// [`QueryOutcome::io`] is attributed through a per-thread
+    /// [`IoScope`], so it counts exactly the pages that query touched —
+    /// concurrent queries on other workers never leak into it.
     pub fn query_batch_opts(
         &self,
         queries: &[TwigQuery],
         threads: usize,
         opts: &ExecOpts,
     ) -> Result<Vec<QueryOutcome>> {
-        run_query_batch(queries, threads, |q| {
-            let _pin = self.pin.guard();
-            let pred = self.pred_eval(q)?;
-            run_query_opts(&self.tiers(), q, opts, pred.as_ref())
-        })
+        let threads = threads.max(1).min(queries.len().max(1));
+        if threads == 1 {
+            return queries.iter().map(|q| self.query_opts(q, opts)).collect();
+        }
+        let next = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<Result<QueryOutcome>>>> =
+            queries.iter().map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= queries.len() {
+                        break;
+                    }
+                    let out = self.query_opts(&queries[i], opts);
+                    *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(out);
+                });
+            }
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .expect("every query index was claimed by a worker")
+            })
+            .collect()
     }
 
-    /// Executes an unordered twig query (§5.7 arrangements) against
-    /// this epoch's view.
+    /// Executes an unordered twig query by running every distinct branch
+    /// arrangement (§5.7) and unioning the embeddings.
     pub fn query_unordered(&self, q: &TwigQuery) -> Result<QueryOutcome> {
         self.query_unordered_opts(q, &ExecOpts::default())
     }
 
-    /// [`EngineSnapshot::query_unordered`] with execution options.
+    /// [`EngineSnapshot::query_unordered`] with execution options. With
+    /// [`ExecOpts::limit`] set, arrangements interleave through the
+    /// *shared* limit: each arrangement is streamed, distinct
+    /// base-numbered matches count against the one budget, and as soon
+    /// as it is reached the current stream is abandoned mid-trie and
+    /// the remaining arrangements never run at all. They also run
+    /// cheapest-estimated-first then, so the budget fills from the
+    /// arrangements expected to drain (or fail) fastest. Without a
+    /// limit the order is left alone — every arrangement runs to
+    /// completion anyway, and keeping the stock order keeps the
+    /// concatenated match vector bit-identical to older builds.
     pub fn query_unordered_opts(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome> {
         let _pin = self.pin.guard();
         let pred = self.pred_eval(q)?;
-        run_query_unordered(
-            &self.tiers(),
-            self.arrangement_limit,
-            q,
-            opts,
-            Some(&self.planner),
-            pred.as_ref(),
-        )
+        let pred = pred.as_ref();
+        let tiers = self.tiers();
+        let mut arrs = arrangements(q, self.arrangement_limit)
+            .map_err(|e| IndexError::Unsupported(e.to_string()))?;
+        if opts.limit.is_some() {
+            let queries: Vec<TwigQuery> = arrs.iter().map(|a| a.query.clone()).collect();
+            let order = self.planner.rank_arrangements(&queries);
+            let mut reordered = Vec::with_capacity(arrs.len());
+            let mut taken: Vec<Option<_>> = arrs.into_iter().map(Some).collect();
+            for i in order {
+                reordered.push(taken[i].take().expect("permutation visits each index once"));
+            }
+            arrs = reordered;
+        }
+        let scope = IoScope::begin();
+        let start = Instant::now();
+        let mut stats = QueryStats::default();
+        let mut index_used = IndexKind::Regular;
+        let mut seen: HashSet<(u32, Vec<PostNum>)> = HashSet::new();
+        let mut matches: Vec<TwigMatch> = Vec::new();
+        let mut truncated = false;
+        // Dedup across arrangements makes a per-stream limit unsound
+        // (k matches from one arrangement may collapse with earlier
+        // ones), so each arrangement streams unlimited and the shared
+        // countdown is enforced on distinct base-numbered matches. Tiers
+        // nest inside the arrangement loop; the final sort re-establishes
+        // global order either way.
+        let arr_opts = opts.without_limit();
+        'arrs: for arr in &arrs {
+            // Arrangements strip predicates from their queries (the
+            // structural twig is what gets rearranged), so the evaluator is
+            // renumbered to each arrangement's postorders instead.
+            let arr_pred = pred.map(|p| p.remap(&arr.base_of));
+            for &(rp, ep) in &tiers {
+                let idx = pick_index(rp, ep, &arr.query, None)?;
+                index_used = idx.kind();
+                let mut stream =
+                    idx.execute_stream_pred(&arr.query, &arr_opts, arr_pred.as_ref())?;
+                while let Some(m) = stream.next_match()? {
+                    // Re-map the arrangement's postorder numbering back to
+                    // the base query's.
+                    let mut base_emb = vec![0 as PostNum; m.embedding.len()];
+                    for (arr_q, &img) in m.embedding.iter().enumerate() {
+                        let base_q = arr.base_of[arr_q];
+                        base_emb[(base_q - 1) as usize] = img;
+                    }
+                    if seen.insert((m.doc, base_emb.clone())) {
+                        matches.push(TwigMatch {
+                            doc: m.doc,
+                            embedding: base_emb,
+                        });
+                        if opts.limit.map_or(false, |k| matches.len() >= k) {
+                            add_filter_counters(&mut stats, &stream.stats());
+                            truncated = true;
+                            break 'arrs;
+                        }
+                    }
+                }
+                add_filter_counters(&mut stats, &stream.stats());
+            }
+        }
+        matches.sort();
+        Ok(finish_outcome(
+            matches, stats, index_used, truncated, pred, scope, start,
+        ))
     }
 
-    /// The engine capabilities the planner scores over at this epoch.
+    /// The engine capabilities the planner scores over at this epoch:
+    /// which PRIX indexes exist, and whether the alternative engines
+    /// could be built (they replay documents out of the RP index, so
+    /// every tier must have one).
     pub fn engine_caps(&self) -> EngineCaps {
         let tiers = self.tiers();
         let (rp, ep) = tiers[0];
@@ -221,7 +443,10 @@ impl EngineSnapshot {
     }
 
     /// Plans and executes `q` through the cost-based router against
-    /// this epoch's view (see `PrixEngine::query_routed`).
+    /// this epoch's view: the planner scores every alternative,
+    /// `forced` bypasses the comparison, and the result is
+    /// canonicalized (matches sorted by `(doc, embedding)`) whatever
+    /// engine ran.
     pub fn query_routed(
         &self,
         q: &TwigQuery,
@@ -238,25 +463,56 @@ impl EngineSnapshot {
     }
 
     /// Rebuilds the document trees this epoch can see from the RP
-    /// index's stored sequences (see
-    /// `PrixEngine::reconstruct_collection`); the alternative engines
-    /// encode their substrates from the result.
-    pub fn reconstruct_collection(&self) -> Result<prix_xml::Collection> {
+    /// index's stored sequences
+    /// ([`prix_prufer::reconstruct::tree_from_sequences`]), ascending
+    /// through the tiers so collection ids equal global document ids.
+    /// This is how the alternative engines get a collection to encode
+    /// on a reopened database, whose in-memory collection is empty. All
+    /// nodes come back as elements (the RP encoding does not mark text
+    /// nodes), which is exactly what label-driven matching needs.
+    /// Requires the RP index in every tier.
+    pub fn reconstruct_collection(&self) -> Result<Collection> {
         let _pin = self.pin.guard();
-        reconstruct_from_tiers(&self.tiers(), (*self.syms).clone())
+        let mut collection = Collection::new();
+        *collection.symbols_mut() = (*self.syms).clone();
+        for (rp, _) in self.tiers() {
+            let rp = rp.ok_or_else(|| {
+                IndexError::Unsupported(
+                    "reconstructing documents requires the RPIndex in every tier".into(),
+                )
+            })?;
+            let base = rp.doc_base();
+            for local in 0..rp.doc_count() as u32 {
+                let data = rp.load_doc(base + local, true)?;
+                let tree = prix_prufer::reconstruct::tree_from_sequences(
+                    &data.lps,
+                    &data.nps,
+                    &data.leaves,
+                )
+                .map_err(|e| {
+                    IndexError::Unsupported(format!("stored sequences are inconsistent: {e}"))
+                })?;
+                let id = collection.add_tree(tree);
+                debug_assert_eq!(id, base + local, "tiers ascend contiguously");
+            }
+        }
+        Ok(collection)
     }
 
-    /// Describes the plan for an XPath at this epoch. Parses against a
-    /// private copy of the symbol table (explain needs names for every
-    /// query label, including ones this epoch has never seen).
+    /// Describes the plan for an XPath at this epoch (index choice,
+    /// sequences, edge constraints, MaxGap rules), followed by the
+    /// cost-based planner's ranked alternatives. On a tiered view the
+    /// index shown is the *first* tier's — every tier routes the same
+    /// way. Parses against a private copy of the symbol table (explain
+    /// needs names for every query label, including ones this epoch has
+    /// never seen).
     pub fn explain(&self, xpath: &str) -> Result<String> {
         let mut syms = (*self.syms).clone();
         let q = parse_xpath(xpath, &mut syms)
             .map_err(|e| IndexError::Unsupported(format!("parse error: {e}")))?;
         let _pin = self.pin.guard();
-        let tiers = self.tiers();
-        let (rp, ep) = tiers[0];
-        let idx = pick_index_from(rp, ep, &q)?;
+        let (rp, ep) = self.tiers()[0];
+        let idx = pick_index(rp, ep, &q, None)?;
         let mut out = format!("index: {}\n", idx.kind());
         out.push_str(&idx.explain(&q, &syms)?);
         if let Some(pred) = PredEval::build(&q, self.valix.as_ref(), &syms)? {
@@ -270,23 +526,116 @@ impl EngineSnapshot {
     }
 }
 
-impl PrixBackend for EngineSnapshot {
-    fn prix_caps(&self) -> (bool, bool) {
-        let tiers = self.tiers();
-        let (rp, ep) = tiers[0];
-        (rp.is_some(), ep.is_some())
+/// §5.6's optimizer rule over one tier's index pair: value queries need
+/// the EPIndex; value-free queries prefer the RPIndex ("If twig queries
+/// have no values, then indexing Regular-Prüfer sequences is
+/// recommended"). `force` overrides the rule (the planner's RP-vs-EP
+/// choice, or `--engine prix_rp`/`prix_ep`); forcing the RPIndex for a
+/// value query is refused — it cannot answer it — as is forcing an
+/// index that was not built.
+fn pick_index<'a>(
+    rp: Option<&'a PrixIndex>,
+    ep: Option<&'a PrixIndex>,
+    q: &TwigQuery,
+    force: Option<IndexKind>,
+) -> Result<&'a PrixIndex> {
+    match force {
+        Some(IndexKind::Regular) => {
+            if q.needs_extended() {
+                return Err(IndexError::Unsupported(
+                    "value query cannot run on the RPIndex".into(),
+                ));
+            }
+            rp.ok_or_else(|| IndexError::Unsupported("the RPIndex was not built".into()))
+        }
+        Some(IndexKind::Extended) => {
+            ep.ok_or_else(|| IndexError::Unsupported("the EPIndex was not built".into()))
+        }
+        None => {
+            if q.needs_extended() {
+                ep.ok_or_else(|| {
+                    IndexError::Unsupported(
+                        "query requires the EPIndex, which was not built".into(),
+                    )
+                })
+            } else {
+                rp.or(ep)
+                    .ok_or_else(|| IndexError::Unsupported("no index was built".into()))
+            }
+        }
     }
+}
 
-    fn execute_prix(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-        force: Option<IndexKind>,
-    ) -> Result<QueryOutcome> {
-        let _pin = self.pin.guard();
-        let pred = self.pred_eval(q)?;
-        run_query_forced(&self.tiers(), q, opts, force, pred.as_ref())
+/// Accumulates one tier's (or arrangement's) pipeline stats into the
+/// query's (everything except `matches`, which [`finish_outcome`]
+/// counts once over the final match list).
+fn add_filter_counters(total: &mut QueryStats, s: &QueryStats) {
+    total.range_queries += s.range_queries;
+    total.nodes_scanned += s.nodes_scanned;
+    total.maxgap_pruned += s.maxgap_pruned;
+    total.candidates += s.candidates;
+    total.refined += s.refined;
+    total.filter_time += s.filter_time;
+    total.refine_time += s.refine_time;
+    total.project_time += s.project_time;
+    total.pred_skipped += s.pred_skipped;
+    total.pred_rejected += s.pred_rejected;
+}
+
+/// Closes a PRIX execution: match count, the valix probe counters, the
+/// I/O scope and the clock.
+fn finish_outcome(
+    matches: Vec<TwigMatch>,
+    mut stats: QueryStats,
+    index_used: IndexKind,
+    truncated: bool,
+    pred: Option<&PredEval>,
+    scope: IoScope,
+    start: Instant,
+) -> QueryOutcome {
+    stats.matches = matches.len() as u64;
+    if let Some(p) = pred {
+        stats.valix_probes += p.probe.probes;
+        stats.valix_postings += p.probe.postings;
     }
+    QueryOutcome {
+        matches,
+        stats,
+        index_used,
+        io: scope.end(),
+        elapsed: start.elapsed(),
+        truncated,
+        engine: EngineId::from_kind(index_used),
+    }
+}
+
+/// Renders the `/explain` lines for a predicate query: one line per
+/// predicate plus the valix probe's estimated selectivity. Predicate-
+/// free queries never reach this (their explain output is pinned).
+fn explain_pred(q: &TwigQuery, pred: &PredEval, syms: &SymbolTable) -> String {
+    let mut out = String::new();
+    for p in q.preds() {
+        out.push_str(&format!(
+            "predicate: {}{{{}}}\n",
+            syms.name(q.tree().label(p.node)),
+            p.render_op()
+        ));
+    }
+    match pred.estimate() {
+        Some((n, covered)) if covered > 0 => {
+            out.push_str(&format!(
+                "valix: probe passes {n}/{covered} docs (estimated selectivity {:.2}%)\n",
+                (n as f64 / covered as f64) * 100.0
+            ));
+        }
+        Some((n, _)) => {
+            out.push_str(&format!("valix: probe passes {n} docs (nothing indexed)\n"));
+        }
+        None => {
+            out.push_str("valix: no probeable predicate (verification only)\n");
+        }
+    }
+    out
 }
 
 /// What one [`SharedEngine::ingest`] call did.
@@ -434,18 +783,7 @@ impl SharedEngine {
                         .unwrap_or_else(|e| e.into_inner())
                         .push(Arc::downgrade(&old));
                 }
-                let snap = Arc::new(EngineSnapshot::capture(&engine));
-                let epoch = snap.epoch();
-                *self.current.lock().unwrap_or_else(|e| e.into_inner()) = snap;
-                if let Some(hook) = self
-                    .on_publish
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .as_ref()
-                {
-                    hook(epoch);
-                }
-                Ok(Some(epoch))
+                Ok(Some(self.publish(&engine)))
             }
             Err(e) => {
                 // Compaction failed at an unknown point; the in-memory
@@ -455,6 +793,24 @@ impl SharedEngine {
                 Err(e)
             }
         }
+    }
+
+    /// Makes the engine's state the current snapshot and tells the
+    /// publish hook; returns the epoch readers now see. The caller
+    /// holds the writer lock.
+    fn publish(&self, engine: &PrixEngine) -> u64 {
+        let snap = Arc::new(EngineSnapshot::capture(engine));
+        let epoch = snap.epoch();
+        *self.current.lock().unwrap_or_else(|e| e.into_inner()) = snap;
+        if let Some(hook) = self
+            .on_publish
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .as_ref()
+        {
+            hook(epoch);
+        }
+        epoch
     }
 
     /// What crash recovery did when the wrapped engine was opened.
@@ -551,17 +907,8 @@ impl SharedEngine {
                 // the new epoch replaces the old one's role of keeping
                 // in-flight pre-images alive.
                 let epoch = engine.pool().publish_ingest();
-                let snap = Arc::new(EngineSnapshot::capture(&engine));
-                debug_assert_eq!(snap.epoch(), epoch);
-                *self.current.lock().unwrap_or_else(|e| e.into_inner()) = snap;
-                if let Some(hook) = self
-                    .on_publish
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .as_ref()
-                {
-                    hook(epoch);
-                }
+                let published = self.publish(&engine);
+                debug_assert_eq!(published, epoch);
                 Ok(IngestReport {
                     accepted: outcome.accepted,
                     rejected: outcome.rejected,
@@ -585,7 +932,7 @@ impl SharedEngine {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use prix_xml::Collection;
+    use crate::trie::LabelingMode;
 
     fn docs(xs: &[&str]) -> Vec<String> {
         xs.iter().map(|s| s.to_string()).collect()
@@ -596,6 +943,281 @@ mod tests {
         coll.add_xml("<a><b>hello</b><c/></a>").unwrap();
         let engine = PrixEngine::build(coll, EngineConfig::default()).unwrap();
         SharedEngine::new(engine)
+    }
+
+    fn engine() -> PrixEngine {
+        let mut c = Collection::new();
+        c.add_xml("<dblp><inproceedings><author>Jim Gray</author><year>1990</year></inproceedings></dblp>")
+            .unwrap();
+        c.add_xml("<dblp><inproceedings><year>1990</year><author>Jim Gray</author></inproceedings></dblp>")
+            .unwrap();
+        c.add_xml("<dblp><www><editor>E</editor><url>u</url></www></dblp>")
+            .unwrap();
+        PrixEngine::build(c, EngineConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn optimizer_routes_value_queries_to_ep() {
+        let eng = engine();
+        let e = eng.snapshot();
+        let q = e
+            .parse_query(r#"//inproceedings[./author="Jim Gray"]"#)
+            .unwrap();
+        let out = e.query(&q).unwrap();
+        assert_eq!(out.index_used, IndexKind::Extended);
+        assert_eq!(out.matches.len(), 2);
+    }
+
+    #[test]
+    fn optimizer_routes_structural_queries_to_rp() {
+        let eng = engine();
+        let e = eng.snapshot();
+        let q = e.parse_query("//www[./editor]/url").unwrap();
+        let out = e.query(&q).unwrap();
+        assert_eq!(out.index_used, IndexKind::Regular);
+        assert_eq!(out.matches.len(), 1);
+    }
+
+    #[test]
+    fn ordered_vs_unordered() {
+        let eng = engine();
+        let e = eng.snapshot();
+        // Ordered: author before year — only doc 0.
+        let q = e
+            .parse_query(r#"//inproceedings[./author="Jim Gray"][./year="1990"]"#)
+            .unwrap();
+        let ordered = e.query(&q).unwrap();
+        assert_eq!(ordered.matches.len(), 1);
+        assert_eq!(ordered.matches[0].doc, 0);
+        // Unordered: both docs.
+        let unordered = e.query_unordered(&q).unwrap();
+        assert_eq!(unordered.matches.len(), 2);
+    }
+
+    #[test]
+    fn unordered_embeddings_use_base_numbering() {
+        let eng = engine();
+        let e = eng.snapshot();
+        let q = e
+            .parse_query(r#"//inproceedings[./author="Jim Gray"][./year="1990"]"#)
+            .unwrap();
+        let out = e.query_unordered(&q).unwrap();
+        let syms = eng.collection().symbols();
+        let author = syms.lookup("author").unwrap();
+        for m in &out.matches {
+            let t = eng.collection().doc(m.doc);
+            // Base query postorder: "Jim Gray"=1, author=2, "1990"=3,
+            // year=4, inproceedings=5.
+            assert_eq!(t.label_at(m.embedding[1]), author, "doc {}", m.doc);
+        }
+    }
+
+    #[test]
+    fn cold_cache_queries_report_io() {
+        let eng = engine();
+        let e = eng.snapshot();
+        let q = e.parse_query("//www[./editor]/url").unwrap();
+        eng.clear_cache().unwrap();
+        let out = e.query(&q).unwrap();
+        assert!(out.io.physical_reads > 0, "cold run must hit the disk");
+        let warm = e.query(&q).unwrap();
+        assert_eq!(warm.io.physical_reads, 0, "warm run is fully cached");
+        assert_eq!(warm.matches.len(), out.matches.len());
+    }
+
+    #[test]
+    fn rp_only_engine_rejects_value_queries() {
+        let mut c = Collection::new();
+        c.add_xml("<a><b>v</b></a>").unwrap();
+        let cfg = EngineConfig {
+            build_ep: false,
+            ..Default::default()
+        };
+        let eng = PrixEngine::build(c, cfg).unwrap();
+        let e = eng.snapshot();
+        let q = e.parse_query(r#"//a[./b="v"]"#).unwrap();
+        assert!(e.query(&q).is_err());
+    }
+
+    #[test]
+    fn dynamic_labeling_engine_matches_exact() {
+        let mut c = Collection::new();
+        for i in 0..20 {
+            c.add_xml(&format!("<a><b><c>v{i}</c></b><d/></a>"))
+                .unwrap();
+        }
+        let exact = PrixEngine::build(c.clone(), EngineConfig::default()).unwrap();
+        let dynamic = PrixEngine::build(
+            c,
+            EngineConfig {
+                labeling: LabelingMode::Dynamic { alpha: 2 },
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut syms = exact.collection().symbols().clone();
+        let q = parse_xpath("//a[./b/c]/d", &mut syms).unwrap();
+        let a = exact.snapshot().query(&q).unwrap();
+        let b = dynamic.snapshot().query(&q).unwrap();
+        assert_eq!(a.matches, b.matches);
+        assert_eq!(a.matches.len(), 20);
+    }
+
+    #[test]
+    fn explain_describes_the_plan() {
+        let eng = engine();
+        let e = eng.snapshot();
+        let text = e.explain("//www[./editor]/url").unwrap();
+        assert!(text.contains("RPIndex"), "{text}");
+        assert!(text.contains("leaf-extended"), "{text}");
+        assert!(text.contains("LPS(Q)"), "{text}");
+        assert!(text.contains("MaxGap rules"), "{text}");
+        let tv = e
+            .explain(r#"//inproceedings[./author="Jim Gray"]"#)
+            .unwrap();
+        assert!(tv.contains("EPIndex"), "{tv}");
+    }
+
+    /// Collapses digit runs (with embedded dots) to `#` and space runs
+    /// to one space, so the explain pins cover the full output shape —
+    /// including the planner section — without re-pinning on every
+    /// cost-constant or dataset tweak.
+    fn normalize_explain(s: &str) -> String {
+        let mut out = String::new();
+        let (mut in_num, mut in_space) = (false, false);
+        for ch in s.chars() {
+            if ch.is_ascii_digit() || (ch == '.' && in_num) {
+                if !in_num {
+                    out.push('#');
+                    in_num = true;
+                }
+                in_space = false;
+                continue;
+            }
+            in_num = false;
+            if ch == ' ' {
+                if in_space {
+                    continue;
+                }
+                in_space = true;
+            } else {
+                in_space = false;
+            }
+            out.push(ch);
+        }
+        out
+    }
+
+    #[test]
+    fn explain_output_shape_is_pinned() {
+        // The serving layer's `GET /explain` exposes this text
+        // verbatim; pin the exact shape (digits and space runs
+        // normalized — see `normalize_explain`) for one path query and
+        // one twig query so refactors can't silently change the
+        // contract.
+        let eng = engine();
+        let e = eng.snapshot();
+        assert_eq!(
+            normalize_explain(&e.explain("/dblp/www/url").unwrap()),
+            "index: RPIndex\n\
+             plan: RPIndex, leaf-extended query (§# fast path)\n\
+             LPS(Q) = url www dblp\n\
+             NPS(Q) = # # #\n\
+             edges = / / / /\n\
+             executor: streaming filter -> refine -> project (limit pushdown)\n\
+             MaxGap rules: # of # adjacent pairs bounded\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             planner: engine=prix_rp maxgap=on cost=#us (routed) shape=n#l#v#d# ewma_rows=#\n\
+             \x20alt prix_rp maxgap=on cost= #us\n\
+             \x20alt prix_rp maxgap=off cost= #us\n\
+             \x20alt twigstack cost= #us\n\
+             \x20alt prix_ep maxgap=on cost= #us\n\
+             \x20alt prix_ep maxgap=off cost= #us\n\
+             \x20alt twigstackxb cost= #us\n\
+             \x20alt vist cost= #us\n"
+        );
+        assert_eq!(
+            normalize_explain(&e.explain("//www[./editor]/url").unwrap()),
+            "index: RPIndex\n\
+             plan: RPIndex, leaf-extended query (§# fast path)\n\
+             LPS(Q) = editor www url www\n\
+             NPS(Q) = # # # #\n\
+             edges = / / / / /\n\
+             executor: streaming filter -> refine -> project (limit pushdown)\n\
+             MaxGap rules: # of # adjacent pairs bounded\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             planner: engine=prix_rp maxgap=on cost=#us (routed) shape=n#l#v#d# ewma_rows=#\n\
+             \x20alt prix_rp maxgap=on cost= #us\n\
+             \x20alt prix_rp maxgap=off cost= #us\n\
+             \x20alt twigstack cost= #us\n\
+             \x20alt prix_ep maxgap=on cost= #us\n\
+             \x20alt prix_ep maxgap=off cost= #us\n\
+             \x20alt twigstackxb cost= #us\n\
+             \x20alt vist cost= #us\n"
+        );
+    }
+
+    #[test]
+    fn query_batch_matches_serial_and_preserves_order() {
+        let eng = engine();
+        let e = eng.snapshot();
+        let xpaths = [
+            "//www[./editor]/url",
+            r#"//inproceedings[./author="Jim Gray"]"#,
+            "//dblp//year",
+            "//www/url",
+        ];
+        let queries: Vec<_> = xpaths.iter().map(|x| e.parse_query(x).unwrap()).collect();
+        let serial: Vec<_> = queries
+            .iter()
+            .map(|q| e.query(q).unwrap().matches)
+            .collect();
+        for threads in [1, 2, 4, 16] {
+            let batch = e.query_batch(&queries, threads).unwrap();
+            assert_eq!(batch.len(), queries.len());
+            for (i, out) in batch.iter().enumerate() {
+                assert_eq!(out.matches, serial[i], "threads={threads} query {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn query_batch_zero_threads_clamps_to_serial() {
+        // Regression: `threads == 0` must behave exactly like the
+        // serial path (clamped to 1), not spawn zero workers and
+        // return nothing / hang.
+        let eng = engine();
+        let e = eng.snapshot();
+        let xpaths = ["//www[./editor]/url", "//dblp//year"];
+        let queries: Vec<_> = xpaths.iter().map(|x| e.parse_query(x).unwrap()).collect();
+        let batch = e.query_batch(&queries, 0).unwrap();
+        assert_eq!(batch.len(), queries.len());
+        for (q, out) in queries.iter().zip(&batch) {
+            assert_eq!(out.matches, e.query(q).unwrap().matches);
+        }
+        // Empty input with zero threads is a no-op, not a panic.
+        assert!(e.query_batch(&[], 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn query_batch_surfaces_errors() {
+        // An RP-only engine cannot answer value queries; the batch must
+        // report the failure rather than swallow it.
+        let mut c = Collection::new();
+        c.add_xml("<a><b>v</b></a>").unwrap();
+        let cfg = EngineConfig {
+            build_ep: false,
+            ..Default::default()
+        };
+        let eng = PrixEngine::build(c, cfg).unwrap();
+        let e = eng.snapshot();
+        let good = e.parse_query("//a/b").unwrap();
+        let bad = e.parse_query(r#"//a[./b="v"]"#).unwrap();
+        let queries = vec![good, bad];
+        assert!(e.query_batch(&queries, 2).is_err());
     }
 
     #[test]

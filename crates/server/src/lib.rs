@@ -10,8 +10,15 @@
 //! metrics ([`metrics`]), a JSON writer ([`json`]), and the server
 //! itself ([`server`]).
 //!
+//! The server takes a [`prix_core::PrixEngine`] and keeps it behind a
+//! [`prix_core::SharedEngine`]: every handler reaches the index through
+//! `SharedEngine::snapshot()` — the engine itself answers no queries —
+//! and the alternative-engine substrates ([`alts`]) are built from that
+//! same snapshot. `prix query --engine`, the routing bench and the
+//! agreement tests build theirs through [`AltCache`] too.
+//!
 //! ```no_run
-//! use prix_core::{EngineConfig, PrixEngine};
+//! use prix_core::PrixEngine;
 //! use prix_server::{Server, ServerConfig};
 //!
 //! let engine = PrixEngine::reopen("db.prix", 2000).unwrap();

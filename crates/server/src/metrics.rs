@@ -325,8 +325,9 @@ impl Metrics {
     /// `resident`/`capacity` describe its current occupancy;
     /// `queue_depth` is the HTTP work queue's current length;
     /// `recovery` is what crash recovery did when the database was
-    /// opened (`None` for legacy databases — the series still render,
-    /// as zeros, so dashboards never see a metric vanish); `epoch` is
+    /// opened (`None` for an engine built in this process — the series
+    /// still render, as zeros, so dashboards never see a metric
+    /// vanish); `epoch` is
     /// the currently published snapshot epoch; `plan_cache` /
     /// `result_cache` are the query caches' counter snapshots;
     /// `engine` is the segment/pin gauge sample.

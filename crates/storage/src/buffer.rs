@@ -320,11 +320,6 @@ impl BufferPool {
         pool
     }
 
-    /// `true` when the pool runs the durable commit protocol.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
     /// The underlying pager (epoch and checksum access for recovery
     /// tooling such as `prix fsck`).
     pub fn pager(&self) -> &Pager {
@@ -524,8 +519,8 @@ impl BufferPool {
                     shard.frames[idx].data.copy_from_slice(&v.image[..]);
                     // Keep the frame dirty unless it was clean *and*
                     // nothing of this round reached the backing store:
-                    // a legacy pool may have stolen the junk image into
-                    // the page file, so force a write-back of the
+                    // a pool without a WAL may have stolen the junk image
+                    // into the page store, so force a write-back of the
                     // restored bytes.
                     shard.frames[idx].dirty = true;
                     if chain.is_empty() {
@@ -620,9 +615,10 @@ impl BufferPool {
         Ok(f(&mut shard.frames[idx].data))
     }
 
-    /// Makes all dirty pages durable. In a legacy pool this writes
-    /// them straight to the pager (no sync, no atomicity promise); in a
-    /// durable pool it delegates to [`BufferPool::commit`].
+    /// Makes all dirty pages durable. A pool without a WAL (in-memory
+    /// engines and substrates) writes them straight to the pager (no
+    /// sync, no atomicity promise); a durable pool delegates to
+    /// [`BufferPool::commit`].
     ///
     /// Durable pools require external serialization against writers
     /// (`with_page_mut`/`allocate_page`) for the commit to be a
@@ -811,7 +807,7 @@ impl BufferPool {
     }
 
     /// Looks up `id` in the WAL spill map and reads its image back, or
-    /// `None` when the page is not spilled (or the pool is legacy).
+    /// `None` when the page is not spilled (or the pool has no WAL).
     fn spilled_frame(&self, id: PageId) -> Result<Option<Vec<u8>>> {
         let walm = match &self.wal {
             Some(w) => w,

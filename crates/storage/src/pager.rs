@@ -1,21 +1,22 @@
 //! Page-granular backing store.
 //!
 //! A [`Pager`] owns a flat array of fixed-size pages over a
-//! [`RawStore`], either a file (the realistic configuration, matching
-//! the paper's on-disk indexes) or memory (hermetic tests). Page 0 is
-//! reserved at creation so that [`NIL_PAGE`] (= 0) can serve as a null
-//! pointer in page layouts.
+//! [`RawStore`]: persistent stores through
+//! [`Pager::create_durable`]/[`Pager::open_durable`] (the realistic
+//! configuration, matching the paper's on-disk indexes), or process
+//! memory through [`Pager::in_memory`] (alt-engine substrates, hermetic
+//! tests). Page 0 is reserved at creation so that [`NIL_PAGE`] (= 0)
+//! can serve as a null pointer in page layouts.
 //!
 //! # Durable mode: checksum sidecar + epoch
 //!
-//! A pager opened through [`Pager::create_durable`]/[`Pager::open_durable`]
-//! additionally maintains a **checksum sidecar** (`<db>.sum` on disk):
-//! a 16-byte header (magic + the database **epoch**) followed by one
-//! CRC-32 entry per page. Every page write updates its entry; every
-//! page read verifies it, so a torn sector or bit rot surfaces as
-//! [`StorageError::Corrupt`] instead of a silently wrong answer. The
-//! page file's own layout is byte-identical to legacy mode — page `i`
-//! lives at offset `i * PAGE_SIZE` — so legacy databases stay readable.
+//! A durable pager maintains a **checksum sidecar** (`<db>.sum` on
+//! disk) next to the page file: a 16-byte header (magic + the database
+//! **epoch**) followed by one CRC-32 entry per page. Every page write
+//! updates its entry; every page read verifies it, so a torn sector or
+//! bit rot surfaces as [`StorageError::Corrupt`] instead of a silently
+//! wrong answer. In the page file itself page `i` lives at offset
+//! `i * PAGE_SIZE`.
 //!
 //! The epoch counts committed write batches. The write-ahead log
 //! ([`crate::wal`]) stamps its frames with the epoch they extend;
@@ -28,14 +29,13 @@
 //! stored as 1, trading a 2⁻³² sliver of detection strength for an
 //! unambiguous sentinel.
 
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::crc::crc32;
 use crate::error::{Result, StorageError};
 use crate::stats::IoStats;
-use crate::store::{FileStore, MemStore, RawStore};
+use crate::store::{MemStore, RawStore};
 
 /// Size of every page, matching the paper's 8 K page configuration §6.1.
 pub const PAGE_SIZE: usize = 8192;
@@ -136,49 +136,6 @@ pub struct Pager {
 }
 
 impl Pager {
-    /// Creates (truncating) a file-backed pager at `path` in legacy
-    /// mode: no checksums, no epoch. Durable databases use
-    /// [`Pager::create_durable`].
-    pub fn create<P: AsRef<Path>>(path: P) -> Result<Self> {
-        Self::create_on(Box::new(FileStore::create(path)?))
-    }
-
-    /// Creates a legacy-mode pager over an arbitrary store (truncated).
-    pub fn create_on(store: Box<dyn RawStore>) -> Result<Self> {
-        store.set_len(0)?;
-        let pager = Pager {
-            store,
-            sum: None,
-            next_page: AtomicU64::new(0),
-            stats: Arc::new(IoStats::new()),
-        };
-        pager.reserve_meta_page()?;
-        Ok(pager)
-    }
-
-    /// Opens an existing file-backed pager, preserving its pages
-    /// (legacy mode: reads are not checksum-verified).
-    pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
-        Self::open_on(Box::new(FileStore::open(path)?))
-    }
-
-    /// Opens a legacy-mode pager over an arbitrary store.
-    pub fn open_on(store: Box<dyn RawStore>) -> Result<Self> {
-        let pages = store.len()? / PAGE_SIZE as u64;
-        if pages == 0 {
-            return Err(StorageError::Corrupt {
-                page: 0,
-                reason: "file too small to be a pager database".into(),
-            });
-        }
-        Ok(Pager {
-            store,
-            sum: None,
-            next_page: AtomicU64::new(pages),
-            stats: Arc::new(IoStats::new()),
-        })
-    }
-
     /// Creates (truncating) a durable pager: `db` holds the pages,
     /// `sum` the checksum sidecar. The epoch starts at 1.
     pub fn create_durable(db: Box<dyn RawStore>, sum: Box<dyn RawStore>) -> Result<Self> {
@@ -244,8 +201,8 @@ impl Pager {
         self.sum.is_some()
     }
 
-    /// The database epoch (committed batch count). Panics on a legacy
-    /// pager, which has no epoch.
+    /// The database epoch (committed batch count). Panics on an
+    /// in-memory pager, which has no epoch.
     pub fn epoch(&self) -> u64 {
         self.sum
             .as_ref()
@@ -354,8 +311,8 @@ impl Pager {
     /// Verifies every allocated page against its sidecar checksum
     /// (`prix fsck`). Returns `(verified, skipped)` — skipped pages
     /// have no recorded checksum (never written, e.g. freshly
-    /// allocated). Errors on the first mismatch. Panics on a legacy
-    /// pager.
+    /// allocated). Errors on the first mismatch. Panics on an
+    /// in-memory pager.
     pub fn verify_checksums(&self) -> Result<(u64, u64)> {
         assert!(
             self.sum.is_some(),
@@ -397,10 +354,14 @@ mod tests {
 
     #[test]
     fn file_pager_roundtrip() {
+        use crate::store::FileStore;
         let dir = std::env::temp_dir().join(format!("prix-pager-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.db");
-        let p = Pager::create(&path).unwrap();
+        let p = Pager::create_durable(
+            Box::new(FileStore::create(dir.join("t.db")).unwrap()),
+            Box::new(FileStore::create(dir.join("t.db.sum")).unwrap()),
+        )
+        .unwrap();
         let a = p.allocate().unwrap();
         let b = p.allocate().unwrap();
         let mut pa = [1u8; PAGE_SIZE];
@@ -491,29 +452,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_pager_skips_verification() {
-        // The same torn write goes unnoticed without the sidecar —
-        // exactly why durable mode exists.
-        let db = MemStore::new();
-        let p = Pager::create_on(Box::new(db.clone())).unwrap();
-        let a = p.allocate().unwrap();
-        p.write_page(a, &[3u8; PAGE_SIZE]).unwrap();
-        drop(p);
-        let mut bytes = db.snapshot();
-        bytes[a as usize * PAGE_SIZE] ^= 0xFF;
-        let p = Pager::open_on(Box::new(MemStore::from_bytes(bytes))).unwrap();
-        let mut back = [0u8; PAGE_SIZE];
-        p.read_page(a, &mut back).unwrap();
-        assert_eq!(back[0], 3 ^ 0xFF);
-    }
-
-    #[test]
     fn sync_counts_fsyncs() {
         let (p, _db, _sum) = durable_mem_pager();
         p.sync().unwrap();
         assert_eq!(p.stats().fsyncs(), 2, "page file + sidecar");
-        let legacy = Pager::in_memory();
-        legacy.sync().unwrap();
-        assert_eq!(legacy.stats().fsyncs(), 1);
+        let mem = Pager::in_memory();
+        mem.sync().unwrap();
+        assert_eq!(mem.stats().fsyncs(), 1);
     }
 }

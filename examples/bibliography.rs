@@ -20,7 +20,7 @@ fn main() {
         stats.sequences, stats.elements, stats.attributes, stats.max_depth
     );
 
-    let mut engine = PrixEngine::build(collection, EngineConfig::default()).expect("engine build");
+    let engine = PrixEngine::build(collection, EngineConfig::default()).expect("engine build");
     if let Some(rp) = engine.rp_index() {
         let b = rp.build_stats();
         println!(
@@ -29,11 +29,14 @@ fn main() {
         );
     }
 
+    // Queries run against a read view of the engine.
+    let view = engine.snapshot();
+
     // Value lookup: which papers did Jim Gray write in 1990?
-    let q1 = engine
+    let q1 = view
         .parse_query(r#"//inproceedings[./author="Jim Gray"][./year="1990"]"#)
         .unwrap();
-    let ordered = engine.query(&q1).unwrap();
+    let ordered = view.query(&q1).unwrap();
     println!(
         "\nJim Gray 1990 inproceedings (ordered twig): {} — via {}, {} pages read",
         ordered.matches.len(),
@@ -43,7 +46,7 @@ fn main() {
 
     // Unordered matching also accepts records that list the year before
     // the author (§5.7 branch arrangements).
-    let unordered = engine.query_unordered(&q1).unwrap();
+    let unordered = view.query_unordered(&q1).unwrap();
     println!(
         "Jim Gray 1990 inproceedings (unordered twig): {}",
         unordered.matches.len()
@@ -51,8 +54,8 @@ fn main() {
 
     // Structural query: websites with an editor. No values, so the
     // optimizer picks the RPIndex.
-    let q2 = engine.parse_query("//www[./editor]/url").unwrap();
-    let out = engine.query(&q2).unwrap();
+    let q2 = view.parse_query("//www[./editor]/url").unwrap();
+    let out = view.query(&q2).unwrap();
     println!(
         "\nwww records with editors: {} — via {} ({} candidates, {} survived refinement)",
         out.matches.len(),
@@ -63,10 +66,10 @@ fn main() {
 
     // Exact-title point lookup: EPIndex again, extremely selective.
     engine.clear_cache().unwrap();
-    let q3 = engine
+    let q3 = view
         .parse_query(r#"//title[text()="Semantic Analysis Patterns"]"#)
         .unwrap();
-    let out = engine.query(&q3).unwrap();
+    let out = view.query(&q3).unwrap();
     println!(
         "exact title lookup: {} match, cold-cache IO = {} pages, {:?}",
         out.matches.len(),

@@ -24,15 +24,15 @@ fn main() {
         stats.sequences, stats.elements, stats.max_depth
     );
 
-    let mut engine =
-        PrixEngine::build(collection.clone(), EngineConfig::default()).expect("engine");
+    let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).expect("engine");
+    let view = engine.snapshot();
 
     // `//` and `*` wildcards: processed without extra subsequence
     // overhead (§4.5) — only the connectedness climb changes.
     for xpath in ["//S//NP/SYM", "//S/*/NP", "//NP//PP//NN"] {
-        let q = engine.parse_query(xpath).unwrap();
+        let q = view.parse_query(xpath).unwrap();
         engine.clear_cache().unwrap();
-        let out = engine.query(&q).unwrap();
+        let out = view.query(&q).unwrap();
         println!(
             "\n{xpath}: {} matches, {} pages, {:?}",
             out.matches.len(),
@@ -44,9 +44,9 @@ fn main() {
     // The MaxGap effect on Q8 (§6.4.2): near misses where NP is an
     // ancestor but not the parent of RBR_OR_JJR/PP are pruned during
     // subsequence matching because MaxGap(RBR_OR_JJR) = 0.
-    let q8 = engine.parse_query("//NP[./RBR_OR_JJR]/PP").unwrap();
-    let with = engine.query_opts(&q8, &ExecOpts::new()).unwrap();
-    let without = engine
+    let q8 = view.parse_query("//NP[./RBR_OR_JJR]/PP").unwrap();
+    let with = view.query_opts(&q8, &ExecOpts::new()).unwrap();
+    let without = view
         .query_opts(&q8, &ExecOpts::new().without_maxgap())
         .unwrap();
     println!(

@@ -34,18 +34,20 @@ fn main() {
 
     // 2. Build the PRIX engine: documents become Prüfer sequences,
     //    indexed in B+-tree-backed virtual tries (RPIndex + EPIndex).
-    let mut engine = PrixEngine::build(collection, EngineConfig::default())
+    let engine = PrixEngine::build(collection, EngineConfig::default())
         .expect("in-memory build cannot fail");
 
-    // 3. Ask twig queries in the supported XPath subset.
+    // 3. Ask twig queries in the supported XPath subset, against a
+    //    read view of the engine.
+    let view = engine.snapshot();
     for xpath in [
         r#"//book[./title="Gone With The Wind"]"#,
         r#"//book[./allauthors/author]/year"#,
         r#"//title"#,
         r#"//book//author"#,
     ] {
-        let query = engine.parse_query(xpath).expect("valid XPath");
-        let outcome = engine.query(&query).expect("query");
+        let query = view.parse_query(xpath).expect("valid XPath");
+        let outcome = view.query(&query).expect("query");
         println!(
             "{xpath}\n  -> {} match(es) via {} ({} range queries, {} candidates)",
             outcome.matches.len(),

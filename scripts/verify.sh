@@ -10,6 +10,12 @@ cargo clippy --all-targets --offline --locked -- -D warnings
 cargo fmt --all -- --check
 cargo test -q --offline --workspace
 
+# prixbench (the repository's benchmark, BENCHMARK.json) is a package
+# of its own, so nothing above compiles it: build it against the
+# workspace's current API and run its self-test.
+cargo build --release --offline --manifest-path crates/bench/examples/prixbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path crates/bench/examples/prixbench/Cargo.toml -- --self-test
+
 # The concurrency and server suites are timing-sensitive: run them
 # again in release so contention bugs that hide under debug-build
 # pacing still get a shot. The server suite binds ephemeral ports

@@ -1,4 +1,4 @@
-//! Concurrent read queries: the engine is `Sync` — all index reads go
+//! Concurrent read queries: an engine view is `Sync` — all index reads go
 //! through the internally synchronized *sharded* buffer pool — so many
 //! threads can query one database simultaneously, and the pool's
 //! eviction, clearing, and I/O accounting must stay correct under
@@ -13,7 +13,8 @@ use prix::storage::{BufferPool, Pager};
 #[test]
 fn parallel_queries_agree_with_serial() {
     let collection = generate(Dataset::Swissprot, 0.03, 5);
-    let mut engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let engine = engine.snapshot();
     let queries: Vec<_> = queries_for(Dataset::Swissprot)
         .into_iter()
         .map(|pq| {
@@ -31,9 +32,9 @@ fn parallel_queries_agree_with_serial() {
         .map(|(_, q, _)| engine.query(q).unwrap().matches.len())
         .collect();
 
-    // 8 threads x all queries, sharing the engine immutably. A panic in
-    // any spawned thread propagates when the scope joins it.
-    let engine_ref = &engine;
+    // 8 threads x all queries, sharing one view of the engine. A panic
+    // in any spawned thread propagates when the scope joins it.
+    let engine_ref = &*engine;
     std::thread::scope(|s| {
         for t in 0..8 {
             let queries = &queries;
@@ -54,7 +55,7 @@ fn parallel_queries_under_cache_pressure() {
     // A tiny buffer pool forces constant eviction while 4 threads hit
     // different queries: exercises the LRU under contention.
     let collection = generate(Dataset::Dblp, 0.025, 9);
-    let mut engine = PrixEngine::build(
+    let engine = PrixEngine::build(
         collection,
         EngineConfig {
             buffer_pages: 8,
@@ -62,11 +63,12 @@ fn parallel_queries_under_cache_pressure() {
         },
     )
     .unwrap();
+    let engine = engine.snapshot();
     let queries: Vec<_> = queries_for(Dataset::Dblp)
         .into_iter()
         .map(|pq| (engine.parse_query(pq.xpath).unwrap(), pq.expected_matches))
         .collect();
-    let engine_ref = &engine;
+    let engine_ref = &*engine;
     std::thread::scope(|s| {
         for _ in 0..4 {
             let queries = &queries;
@@ -82,7 +84,8 @@ fn parallel_queries_under_cache_pressure() {
 #[test]
 fn query_batch_agrees_with_serial() {
     let collection = generate(Dataset::Dblp, 0.025, 3);
-    let mut engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let engine = engine.snapshot();
     let queries: Vec<_> = queries_for(Dataset::Dblp)
         .into_iter()
         .map(|pq| engine.parse_query(pq.xpath).unwrap())

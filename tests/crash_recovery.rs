@@ -22,7 +22,7 @@
 //! below — the same convention as `tests/property_engines.rs`.
 
 use prix::core::{EngineConfig, EngineStores, LabelingMode, PrixEngine};
-use prix::storage::{BufferPool, MemStore, Pager};
+use prix::storage::{BufferPool, MemStore, Pager, Wal};
 use prix::xml::Collection;
 use prix_testkit::{FaultInjector, FaultKind, FaultStore, TestRng};
 
@@ -63,8 +63,8 @@ fn doc_xml(rng: &mut TestRng) -> String {
 fn stores_of(db: &FaultStore, sum: &FaultStore, wal: &FaultStore) -> EngineStores {
     EngineStores {
         db: Box::new(db.clone()),
-        sum: Some(Box::new(sum.clone())),
-        wal: Some(Box::new(wal.clone())),
+        sum: Box::new(sum.clone()),
+        wal: Box::new(wal.clone()),
     }
 }
 
@@ -142,13 +142,12 @@ fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
     let after = PrixEngine::reopen_on(
         EngineStores {
             db: Box::new(MemStore::from_bytes(db.durable_bytes())),
-            sum: Some(Box::new(MemStore::from_bytes(sum.durable_bytes()))),
-            wal: Some(Box::new(MemStore::from_bytes(wal.durable_bytes()))),
+            sum: Box::new(MemStore::from_bytes(sum.durable_bytes())),
+            wal: Box::new(MemStore::from_bytes(wal.durable_bytes())),
         },
         64,
     )
     .map_err(|e| format!("reopen after crash: {e}"))?;
-    let mut after = after;
     after
         .recovery()
         .ok_or("durable reopen must produce a recovery report")?;
@@ -183,7 +182,7 @@ fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
             .add_xml(d)
             .map_err(|e| format!("reference doc: {e}"))?;
     }
-    let mut reference = PrixEngine::build(
+    let reference = PrixEngine::build(
         reference_coll,
         EngineConfig {
             labeling: labeling(),
@@ -191,6 +190,7 @@ fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
         },
     )
     .map_err(|e| format!("reference build: {e}"))?;
+    let (after, reference) = (after.snapshot(), reference.snapshot());
     for xp in QUERIES {
         let qa = after.parse_query(xp).map_err(|e| format!("{xp}: {e}"))?;
         let qr = reference
@@ -320,13 +320,12 @@ fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
     let after = PrixEngine::reopen_on(
         EngineStores {
             db: Box::new(MemStore::from_bytes(db.durable_bytes())),
-            sum: Some(Box::new(MemStore::from_bytes(sum.durable_bytes()))),
-            wal: Some(Box::new(MemStore::from_bytes(wal.durable_bytes()))),
+            sum: Box::new(MemStore::from_bytes(sum.durable_bytes())),
+            wal: Box::new(MemStore::from_bytes(wal.durable_bytes())),
         },
         64,
     )
     .map_err(|e| format!("reopen after crash: {e}"))?;
-    let mut after = after;
     after
         .recovery()
         .ok_or("durable reopen must produce a recovery report")?;
@@ -369,7 +368,7 @@ fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
             .add_xml(d)
             .map_err(|e| format!("reference doc: {e}"))?;
     }
-    let mut reference = PrixEngine::build(
+    let reference = PrixEngine::build(
         reference_coll,
         EngineConfig {
             labeling: labeling(),
@@ -377,6 +376,7 @@ fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
         },
     )
     .map_err(|e| format!("reference build: {e}"))?;
+    let (after, reference) = (after.snapshot(), reference.snapshot());
     for xp in QUERIES {
         let qa = after.parse_query(xp).map_err(|e| format!("{xp}: {e}"))?;
         let qr = reference
@@ -477,9 +477,10 @@ fn ingest_crash_replay_dropped_fsync_seed_5eed0006() {
 fn drop_flush_error_is_counted_not_swallowed() {
     let inj = FaultInjector::unarmed();
     let store = FaultStore::new(&inj, 9);
-    let pager = Pager::create_on(Box::new(store)).unwrap();
+    let pager = Pager::create_durable(Box::new(store), Box::new(MemStore::new())).unwrap();
     let stats = pager.stats();
-    let pool = BufferPool::new(pager, 4);
+    let wal = Wal::create(Box::new(MemStore::new()), pager.epoch(), pager.stats()).unwrap();
+    let pool = BufferPool::with_wal(pager, 4, wal);
     let id = pool.allocate_page().unwrap();
     pool.with_page_mut(id, |d| d[0] = 7).unwrap();
     assert_eq!(stats.flush_errors(), 0);
@@ -506,8 +507,8 @@ fn silent_corruption_is_caught_by_verify_checksums() {
         },
         EngineStores {
             db: Box::new(db.clone()),
-            sum: Some(Box::new(sum.clone())),
-            wal: Some(Box::new(wal.clone())),
+            sum: Box::new(sum.clone()),
+            wal: Box::new(wal.clone()),
         },
     )
     .unwrap();
@@ -524,8 +525,8 @@ fn silent_corruption_is_caught_by_verify_checksums() {
     let err = match PrixEngine::reopen_on(
         EngineStores {
             db: Box::new(MemStore::from_bytes(bytes)),
-            sum: Some(Box::new(MemStore::from_bytes(sum.snapshot()))),
-            wal: Some(Box::new(MemStore::from_bytes(wal.snapshot()))),
+            sum: Box::new(MemStore::from_bytes(sum.snapshot())),
+            wal: Box::new(MemStore::from_bytes(wal.snapshot())),
         },
         64,
     ) {

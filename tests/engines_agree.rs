@@ -11,21 +11,21 @@ use std::sync::Arc;
 
 use prix::core::query::TwigQuery;
 use prix::core::{
-    naive, prix_embedding_exact, AltProvider, EngineChoice, EngineConfig, EngineId, ExecOpts,
-    PrixEngine, QueryEngine, TwigMatch,
+    naive, prix_embedding_exact, EngineChoice, EngineConfig, EngineId, EngineSnapshot, ExecOpts,
+    PrixEngine, TwigMatch,
 };
 use prix::datagen::{generate, queries::queries_for, Dataset};
+use prix::server::{AltCache, SnapshotAlts};
 use prix::storage::{BufferPool, Pager};
-use prix::twigstack::{
-    encode_collection, Algorithm, StreamStore, Substrate, TwigJoin, TwigStackEngine, XbTree,
-};
-use prix::vist::{VistEngine, VistIndex};
+use prix::twigstack::{encode_collection, Algorithm, StreamStore, TwigJoin, XbTree};
+use prix::vist::VistIndex;
 use prix::xml::{Collection, NodeKind, SymbolTable, XmlTree};
 use prix_testkit::{check, from_fn, replay, Config, Generator, TestRng};
 
 fn check_counts(ds: Dataset) {
     let collection = generate(ds, 0.03, 7);
-    let mut engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
+    let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
 
     // TwigStack substrate.
     let pool = Arc::new(BufferPool::new(Pager::in_memory(), 2000));
@@ -41,10 +41,10 @@ fn check_counts(ds: Dataset) {
     let vist = VistIndex::build(vist_pool, &collection).unwrap();
 
     for pq in queries_for(ds) {
-        let q = engine.parse_query(pq.xpath).unwrap();
+        let q = snap.parse_query(pq.xpath).unwrap();
         let expected = naive::naive_count(engine.collection(), &q) as u64;
 
-        let prix_n = engine.query(&q).unwrap().matches.len() as u64;
+        let prix_n = snap.query(&q).unwrap().matches.len() as u64;
         assert_eq!(prix_n, expected, "{}: PRIX", pq.id);
 
         let ts = TwigJoin::new(&streams)
@@ -60,7 +60,7 @@ fn check_counts(ds: Dataset) {
         let vo = vist.execute(&q, &collection).unwrap();
         assert_eq!(vo.verified_matches, expected, "{}: ViST verified", pq.id);
         // Native ViST never loses answers (no false dismissals).
-        for m in &engine.query(&q).unwrap().matches {
+        for m in &snap.query(&q).unwrap().matches {
             assert!(
                 vo.candidate_docs.contains(&m.doc),
                 "{}: ViST missed doc {}",
@@ -90,42 +90,6 @@ fn treebank_engines_agree() {
 // Routed agreement: the planner's answer is the answer.
 // ---------------------------------------------------------------------
 
-/// An eager [`AltProvider`] for tests, which own the collection and can
-/// afford to build every alternative substrate up front.
-struct TestAlts {
-    vist: Arc<dyn QueryEngine>,
-    twigstack: Arc<dyn QueryEngine>,
-    twigstack_xb: Arc<dyn QueryEngine>,
-}
-
-impl TestAlts {
-    fn build(collection: &Collection) -> TestAlts {
-        let collection = Arc::new(collection.clone());
-        let vist_pool = Arc::new(BufferPool::new(Pager::in_memory(), 2000));
-        let vist = VistEngine::build(vist_pool, Arc::clone(&collection)).unwrap();
-        let ts_pool = Arc::new(BufferPool::new(Pager::in_memory(), 2000));
-        let sub = Arc::new(Substrate::build(ts_pool, &collection).unwrap());
-        TestAlts {
-            vist: Arc::new(vist),
-            twigstack: Arc::new(TwigStackEngine::twigstack(Arc::clone(&sub))),
-            twigstack_xb: Arc::new(TwigStackEngine::twigstack_xb(sub)),
-        }
-    }
-}
-
-impl AltProvider for TestAlts {
-    fn alt_engine(&self, id: EngineId) -> prix::core::index::Result<Arc<dyn QueryEngine>> {
-        match id {
-            EngineId::Vist => Ok(Arc::clone(&self.vist)),
-            EngineId::TwigStack => Ok(Arc::clone(&self.twigstack)),
-            EngineId::TwigStackXb => Ok(Arc::clone(&self.twigstack_xb)),
-            EngineId::PrixRp | EngineId::PrixEp => Err(prix::core::index::IndexError::Unsupported(
-                "not an alternative engine".into(),
-            )),
-        }
-    }
-}
-
 fn doc_set(matches: &[TwigMatch]) -> Vec<u32> {
     let mut d: Vec<u32> = matches.iter().map(|m| m.doc).collect();
     d.sort_unstable();
@@ -144,7 +108,11 @@ fn doc_set(matches: &[TwigMatch]) -> Vec<u32> {
 ///   frequency-consistency pins the branch image);
 /// * with a limit, the planner stays on PRIX (no limit pushdown in the
 ///   alternative joins).
-fn assert_routing_agrees(engine: &PrixEngine, q: &TwigQuery, alts: &TestAlts, tag: &str) {
+fn assert_routing_agrees(engine: &EngineSnapshot, q: &TwigQuery, cache: &AltCache, tag: &str) {
+    let alts = &SnapshotAlts {
+        snap: engine,
+        cache,
+    };
     let opts = ExecOpts::new();
     let routed = engine.query_routed(q, &opts, None, alts).unwrap();
     let prix = engine
@@ -203,11 +171,14 @@ fn assert_routing_agrees(engine: &PrixEngine, q: &TwigQuery, alts: &TestAlts, ta
 
 fn check_routed(ds: Dataset) {
     let collection = generate(ds, 0.03, 7);
-    let mut engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
-    let alts = TestAlts::build(&collection);
+    let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
+    // One cache for the whole workload: the substrates are built once,
+    // at the first forced alternative.
+    let cache = AltCache::new();
     for pq in queries_for(ds) {
-        let q = engine.parse_query(pq.xpath).unwrap();
-        assert_routing_agrees(&engine, &q, &alts, pq.id);
+        let q = snap.parse_query(pq.xpath).unwrap();
+        assert_routing_agrees(&snap, &q, &cache, pq.id);
     }
 }
 
@@ -330,9 +301,8 @@ fn prop_routed_matches_forced_prix(input: &RoutedInput) -> Result<(), String> {
     let collection = build_collection(doc_scripts);
     let mut syms = collection.symbols().clone();
     let q = build_query(*q_root, q_steps, q_edges, &mut syms);
-    let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
-    let alts = TestAlts::build(&collection);
-    assert_routing_agrees(&engine, &q, &alts, "random twig");
+    let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    assert_routing_agrees(&engine.snapshot(), &q, &AltCache::new(), "random twig");
     Ok(())
 }
 

@@ -40,10 +40,11 @@ fn sorted(mut v: Vec<prix::core::TwigMatch>) -> Vec<prix::core::TwigMatch> {
 /// and equal deterministic counters.
 fn check_equivalence(ds: Dataset) {
     let collection = generate(ds, 0.03, 7);
-    let mut engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
     let queries: Vec<_> = queries_for(ds)
         .iter()
-        .map(|pq| (pq.id, engine.parse_query(pq.xpath).unwrap()))
+        .map(|pq| (pq.id, snap.parse_query(pq.xpath).unwrap()))
         .collect();
     let indexes = [
         ("RPIndex", engine.rp_index()),
@@ -120,12 +121,12 @@ fn high_fanout_collection(docs: usize) -> Collection {
 #[test]
 fn limit_pushdown_strictly_reduces_work_and_io() {
     let engine = PrixEngine::build(high_fanout_collection(120), EngineConfig::default()).unwrap();
-    let mut syms = engine.collection().symbols().clone();
-    let q = prix::core::parse_xpath("//a/b", &mut syms).unwrap();
+    let snap = engine.snapshot();
+    let q = snap.parse_query("//a/b").unwrap();
 
     // Cold cache for each run so `io.logical_reads` is comparable.
     engine.clear_cache().unwrap();
-    let unlimited = engine.query_opts(&q, &ExecOpts::new()).unwrap();
+    let unlimited = snap.query_opts(&q, &ExecOpts::new()).unwrap();
     assert!(
         unlimited.matches.len() > 100,
         "workload too small: {} matches",
@@ -134,7 +135,7 @@ fn limit_pushdown_strictly_reduces_work_and_io() {
     assert!(!unlimited.truncated);
 
     engine.clear_cache().unwrap();
-    let limited = engine
+    let limited = snap
         .query_opts(&q, &ExecOpts::new().with_limit(10))
         .unwrap();
     assert_eq!(limited.matches.len(), 10);
@@ -159,7 +160,7 @@ fn limit_pushdown_strictly_reduces_work_and_io() {
         unlimited.io.logical_reads
     );
     // The limited run's matches are a prefix of the unlimited stream.
-    let idx = engine.pick_index(&q).unwrap();
+    let idx = engine.rp_index().unwrap(); // `//a/b` carries no value
     let (streamed, _, _) = drain(idx, &q, &ExecOpts::new());
     assert_eq!(limited.matches, streamed[..10]);
 }
@@ -170,22 +171,23 @@ fn limit_pushdown_strictly_reduces_work_and_io() {
 #[test]
 fn batch_io_is_attributed_per_query() {
     let collection = generate(Dataset::Dblp, 0.03, 7);
-    let mut engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
     let queries: Vec<_> = queries_for(Dataset::Dblp)
         .iter()
-        .map(|pq| engine.parse_query(pq.xpath).unwrap())
+        .map(|pq| snap.parse_query(pq.xpath).unwrap())
         .collect();
 
     // Serial baseline: logical reads are deterministic per query
     // (independent of cache temperature, unlike physical reads).
     let serial: Vec<u64> = queries
         .iter()
-        .map(|q| engine.query(q).unwrap().io.logical_reads)
+        .map(|q| snap.query(q).unwrap().io.logical_reads)
         .collect();
 
     // Interleave the queries across 4 workers, several times over.
     let many: Vec<TwigQuery> = (0..4).flat_map(|_| queries.iter().cloned()).collect();
-    let outs = engine.query_batch(&many, 4).unwrap();
+    let outs = snap.query_batch(&many, 4).unwrap();
     for (i, out) in outs.iter().enumerate() {
         assert_eq!(
             out.io.logical_reads,

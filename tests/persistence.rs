@@ -2,8 +2,46 @@
 //! answers the same queries with the same results and realistic cold
 //! I/O.
 
+use std::path::Path;
+
 use prix::core::{EngineConfig, PrixEngine};
 use prix::datagen::{generate, queries::queries_for, Dataset};
+use prix::storage::{FileStore, Pager, PAGE_SIZE};
+
+/// A one-document database saved at `path`.
+fn save_small_db(path: &Path) {
+    let mut c = prix::xml::Collection::new();
+    c.add_xml("<a><b/></a>").unwrap();
+    let mut engine = PrixEngine::build(
+        c,
+        EngineConfig {
+            path: Some(path.to_path_buf()),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    engine.save().unwrap();
+}
+
+/// The database's pager, checksum sidecar attached: a page written
+/// through it carries a valid checksum, so whatever is wrong with its
+/// contents is for the layer above to catch.
+fn durable_pager(path: &Path) -> Pager {
+    let mut sum = path.as_os_str().to_owned();
+    sum.push(".sum");
+    Pager::open_durable(
+        Box::new(FileStore::open(path).unwrap()),
+        Box::new(FileStore::open(sum).unwrap()),
+    )
+    .unwrap()
+}
+
+fn reopen_error(path: &Path) -> String {
+    match PrixEngine::reopen(path, 64) {
+        Err(e) => e.to_string(),
+        Ok(_) => panic!("a damaged database was accepted"),
+    }
+}
 
 #[test]
 fn saved_engine_reopens_and_answers_identically() {
@@ -23,19 +61,23 @@ fn saved_engine_reopens_and_answers_identically() {
 
     let queries = queries_for(Dataset::Dblp);
     let mut expected = Vec::new();
-    for pq in &queries {
-        let q = engine.parse_query(pq.xpath).unwrap();
-        expected.push(engine.query(&q).unwrap().matches);
+    {
+        let snap = engine.snapshot();
+        for pq in &queries {
+            let q = snap.parse_query(pq.xpath).unwrap();
+            expected.push(snap.query(&q).unwrap().matches);
+        }
     }
     engine.save().unwrap();
     drop(engine);
 
-    let mut reopened = PrixEngine::reopen(&path, 2000).unwrap();
+    let reopened = PrixEngine::reopen(&path, 2000).unwrap();
     assert!(reopened.collection().is_empty(), "trees are not persisted");
+    let snap = reopened.snapshot();
     for (pq, exp) in queries.iter().zip(&expected) {
-        let q = reopened.parse_query(pq.xpath).unwrap();
+        let q = snap.parse_query(pq.xpath).unwrap();
         reopened.clear_cache().unwrap();
-        let out = reopened.query(&q).unwrap();
+        let out = snap.query(&q).unwrap();
         assert_eq!(&out.matches, exp, "{} after reopen", pq.id);
         assert_eq!(out.matches.len() as u64, pq.expected_matches, "{}", pq.id);
         assert!(
@@ -75,18 +117,21 @@ fn non_default_arrangement_limit_survives_reopen() {
     .unwrap();
     assert_eq!(engine.arrangement_limit(), 1);
     // Three branches under `a` have 6 arrangements: over the limit.
-    let q = engine.parse_query("//a[./b][./c]/d").unwrap();
-    assert!(engine.query_unordered(&q).is_err(), "limit 1 must reject");
+    let rejects = |e: &PrixEngine| {
+        let snap = e.snapshot();
+        let q = snap.parse_query("//a[./b][./c]/d").unwrap();
+        snap.query_unordered(&q).is_err()
+    };
+    assert!(rejects(&engine), "limit 1 must reject");
     engine.save().unwrap();
     drop(engine);
-    let mut reopened = PrixEngine::reopen(&path, 64).unwrap();
+    let reopened = PrixEngine::reopen(&path, 64).unwrap();
     assert_eq!(
         reopened.arrangement_limit(),
         1,
         "configured limit was silently replaced by the default on reopen"
     );
-    let q = reopened.parse_query("//a[./b][./c]/d").unwrap();
-    assert!(reopened.query_unordered(&q).is_err(), "limit survives");
+    assert!(rejects(&reopened), "limit survives");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -118,9 +163,10 @@ fn repeated_saves_do_not_grow_the_file() {
     }
     // The file still reopens correctly after the repeated saves.
     drop(engine);
-    let mut reopened = PrixEngine::reopen(&path, 256).unwrap();
-    let q = reopened.parse_query("//inproceedings/author").unwrap();
-    assert!(reopened.query(&q).is_ok());
+    let reopened = PrixEngine::reopen(&path, 256).unwrap();
+    let snap = reopened.snapshot();
+    let q = snap.parse_query("//inproceedings/author").unwrap();
+    assert!(snap.query(&q).is_ok());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -129,18 +175,7 @@ fn doctored_catalog_version_is_rejected() {
     let dir = std::env::temp_dir().join(format!("prix-persist-ver-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("db.prix");
-    let mut c = prix::xml::Collection::new();
-    c.add_xml("<a><b/></a>").unwrap();
-    let mut engine = PrixEngine::build(
-        c,
-        EngineConfig {
-            path: Some(path.clone()),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    engine.save().unwrap();
-    drop(engine);
+    save_small_db(&path);
     // Doctor the version field (bytes 4..8 of the catalog page) while
     // leaving the magic intact: a future layout we cannot read.
     {
@@ -149,31 +184,78 @@ fn doctored_catalog_version_is_rejected() {
         f.seek(SeekFrom::Start(4)).unwrap();
         f.write_all(&99u32.to_le_bytes()).unwrap();
     }
-    // With the durable layout the doctored byte is caught one layer
+    // Behind the pager's back the doctored byte is caught one layer
     // below the catalog parser: the page no longer matches its
     // recorded checksum.
-    let err = match PrixEngine::reopen(&path, 64) {
-        Err(e) => e,
-        Ok(_) => panic!("doctored page was accepted"),
-    };
-    let msg = err.to_string();
+    let msg = reopen_error(&path);
     assert!(
         msg.contains("checksum"),
-        "durable reopen must flag the corrupted page: {msg}"
+        "reopen must flag the corrupted page: {msg}"
     );
-    // Strip the sidecars to take the legacy path: now the bytes are
-    // trusted and the catalog parser itself must refuse the version.
-    std::fs::remove_file(dir.join("db.prix.sum")).unwrap();
-    std::fs::remove_file(dir.join("db.prix.wal")).unwrap();
-    let err = match PrixEngine::reopen(&path, 64) {
-        Err(e) => e,
-        Ok(_) => panic!("doctored version was accepted"),
-    };
-    let msg = err.to_string();
+    // Written through the pager the same page carries a valid
+    // checksum: now the bytes are trusted and the catalog parser
+    // itself must refuse the version.
+    let mut catalog = [0u8; PAGE_SIZE];
+    catalog.copy_from_slice(&std::fs::read(&path).unwrap()[..PAGE_SIZE]);
+    durable_pager(&path).write_page(0, &catalog).unwrap();
+    let msg = reopen_error(&path);
     assert!(
         msg.contains("version 99"),
         "error must name the unknown version: {msg}"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Without its checksum sidecar a page file could only be served with
+/// verification off; reopen refuses and says what to do instead.
+#[test]
+fn database_without_its_sidecar_is_refused() {
+    let dir = std::env::temp_dir().join(format!("prix-persist-nosum-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.prix");
+    save_small_db(&path);
+    std::fs::remove_file(dir.join("db.prix.sum")).unwrap();
+    std::fs::remove_file(dir.join("db.prix.wal")).unwrap();
+    let msg = reopen_error(&path);
+    assert!(
+        msg.contains("no checksum sidecar") && msg.contains("re-index"),
+        "error must name the missing sidecar and the fix: {msg}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A symbol-table record cut short — its page rewritten through the
+/// pager, so the checksum layer has nothing to object to — is an error
+/// from the decoder, not a slice-index panic.
+#[test]
+fn truncated_symbol_table_record_is_refused() {
+    let dir = std::env::temp_dir().join(format!("prix-persist-syms-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.prix");
+    save_small_db(&path);
+    let pager = durable_pager(&path);
+    let mut page = [0u8; PAGE_SIZE];
+    pager.read_page(0, &mut page).unwrap();
+    // Catalog bytes 24..32: the record id, `page << 16 | slot`.
+    let rec = u64::from_le_bytes(page[24..32].try_into().unwrap());
+    let (data_page, slot) = (rec >> 16, (rec & 0xFFFF) as usize);
+    assert_ne!(slot, 0xFFFF, "a small table lives in a slotted data page");
+    pager.read_page(data_page, &mut page).unwrap();
+    // Slotted page: u16 cell offsets from byte 5; a cell is a u16
+    // length and then the record.
+    let cell = u16::from_le_bytes([page[5 + 2 * slot], page[6 + 2 * slot]]) as usize;
+    let full = u16::from_le_bytes([page[cell], page[cell + 1]]);
+    // No count; half a count; a count and half a name length; a name
+    // one byte short.
+    for len in [0, 3, 6, full - 1] {
+        page[cell..cell + 2].copy_from_slice(&len.to_le_bytes());
+        pager.write_page(data_page, &page).unwrap();
+        let msg = reopen_error(&path);
+        assert!(
+            msg.contains("corrupt symbol table"),
+            "record cut to {len} of {full} bytes: {msg}"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -193,7 +275,8 @@ fn unsaved_new_queries_after_save_still_work_in_original() {
     )
     .unwrap();
     engine.save().unwrap();
-    let q = engine.parse_query("//S//NP/SYM").unwrap();
-    assert_eq!(engine.query(&q).unwrap().matches.len(), 9);
+    let snap = engine.snapshot();
+    let q = snap.parse_query("//S//NP/SYM").unwrap();
+    assert_eq!(snap.query(&q).unwrap().matches.len(), 9);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -14,10 +14,11 @@ fn predicate_workload_matches_planted_counts() {
         records: 900,
         seed: 42,
     });
-    let mut engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
     for pq in predicate_queries() {
-        let q = engine.parse_query(pq.xpath).unwrap();
-        let out = engine.query(&q).unwrap();
+        let q = snap.parse_query(pq.xpath).unwrap();
+        let out = snap.query(&q).unwrap();
         assert_eq!(
             out.matches.len() as u64,
             pq.expected_matches,
@@ -34,7 +35,7 @@ fn predicate_workload_matches_planted_counts() {
         // Predicates only ever narrow: the filtered matches are a subset
         // of the structural matches of the predicate-free twig.
         let bare = q.without_preds();
-        let unfiltered = engine.query(&bare).unwrap();
+        let unfiltered = snap.query(&bare).unwrap();
         assert!(out.matches.len() <= unfiltered.matches.len(), "{}", pq.id);
         for m in &out.matches {
             assert!(
@@ -50,10 +51,11 @@ fn predicate_workload_matches_planted_counts() {
 fn predicate_workload_counts_survive_scale_and_seed() {
     for (records, seed) in [(400usize, 7u64), (1600, 1234)] {
         let collection = generate(&ShopConfig { records, seed });
-        let mut engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+        let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+        let snap = engine.snapshot();
         for pq in predicate_queries() {
-            let q = engine.parse_query(pq.xpath).unwrap();
-            let out = engine.query(&q).unwrap();
+            let q = snap.parse_query(pq.xpath).unwrap();
+            let out = snap.query(&q).unwrap();
             assert_eq!(
                 out.matches.len() as u64,
                 pq.expected_matches,

@@ -177,7 +177,7 @@ fn prop_all_engines_equal_oracle(input: &EngineInput) -> Result<(), String> {
 
     // PRIX engine, exact labeling.
     let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
-    let out = engine.query(&q).unwrap();
+    let out = engine.snapshot().query(&q).unwrap();
     assert_eq!(matches_as_set(&out.matches), expected, "PRIX vs oracle");
 
     // PRIX engine, dynamic labeling.
@@ -189,7 +189,7 @@ fn prop_all_engines_equal_oracle(input: &EngineInput) -> Result<(), String> {
         },
     )
     .unwrap();
-    let out_dyn = engine_dyn.query(&q).unwrap();
+    let out_dyn = engine_dyn.snapshot().query(&q).unwrap();
     assert_eq!(
         matches_as_set(&out_dyn.matches),
         expected,
@@ -246,7 +246,7 @@ fn prop_descendant_queries(input: &EngineInput) -> Result<(), String> {
 
     let oracle = naive_as_set(&collection, &q);
     let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
-    let prix = matches_as_set(&engine.query(&q).unwrap().matches);
+    let prix = matches_as_set(&engine.snapshot().query(&q).unwrap().matches);
     // No false alarms: every PRIX embedding is a real embedding.
     for m in &prix {
         assert!(oracle.contains(m), "false alarm: {m:?}");
@@ -302,9 +302,10 @@ fn prop_maxgap_is_lossless(input: &EngineInput) -> Result<(), String> {
     let mut syms = collection.symbols().clone();
     let q = build_query(*q_root, q_steps, q_edges, true, &mut syms);
     let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
     use prix::core::index::ExecOpts;
-    let with = engine.query_opts(&q, &ExecOpts::new()).unwrap();
-    let without = engine
+    let with = snap.query_opts(&q, &ExecOpts::new()).unwrap();
+    let without = snap
         .query_opts(&q, &ExecOpts::new().without_maxgap())
         .unwrap();
     assert_eq!(
@@ -340,17 +341,20 @@ fn prop_limit_is_prefix_of_unlimited(input: &EngineInput) -> Result<(), String> 
     let mut syms = collection.symbols().clone();
     let q = build_query(*q_root, q_steps, q_edges, true, &mut syms);
     let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
     use prix::core::index::ExecOpts;
 
-    let unlimited = engine.query_opts(&q, &ExecOpts::new()).unwrap();
+    let unlimited = snap.query_opts(&q, &ExecOpts::new()).unwrap();
     assert!(!unlimited.truncated);
 
-    // The unlimited stream: same match set, trie-arrival order.
-    let mut stream = engine
-        .pick_index(&q)
-        .unwrap()
-        .execute_stream(&q, &ExecOpts::new())
-        .unwrap();
+    // The unlimited stream: same match set, trie-arrival order, off
+    // the index §5.6 routes the query to.
+    let idx = if q.needs_extended() {
+        engine.ep_index()
+    } else {
+        engine.rp_index()
+    };
+    let mut stream = idx.unwrap().execute_stream(&q, &ExecOpts::new()).unwrap();
     let mut streamed = Vec::new();
     while let Some(m) = stream.next_match().unwrap() {
         streamed.push(m);
@@ -362,9 +366,7 @@ fn prop_limit_is_prefix_of_unlimited(input: &EngineInput) -> Result<(), String> 
     );
 
     for k in 0..=streamed.len() + 1 {
-        let out = engine
-            .query_opts(&q, &ExecOpts::new().with_limit(k))
-            .unwrap();
+        let out = snap.query_opts(&q, &ExecOpts::new().with_limit(k)).unwrap();
         let expect: Vec<_> = streamed.iter().take(k).cloned().collect();
         assert_eq!(out.matches, expect, "limit {k} is not a prefix");
         assert_eq!(
@@ -422,7 +424,7 @@ fn prop_unordered_is_arrangement_union(input: &EngineInput) -> Result<(), String
     expected.sort();
     expected.dedup();
 
-    let out = engine.query_unordered(&q).unwrap();
+    let out = engine.snapshot().query_unordered(&q).unwrap();
     assert_eq!(matches_as_set(&out.matches), expected);
     Ok(())
 }
@@ -505,8 +507,8 @@ fn prop_incremental_equals_bulk(input: &IncrementalInput) -> Result<(), String> 
     let qi = build_query(*q_root, q_steps, q_edges, false, &mut syms_i);
     let mut syms_b = bulk.collection().symbols().clone();
     let qb = build_query(*q_root, q_steps, q_edges, false, &mut syms_b);
-    let mi = matches_as_set(&incremental.query(&qi).unwrap().matches);
-    let mb = matches_as_set(&bulk.query(&qb).unwrap().matches);
+    let mi = matches_as_set(&incremental.snapshot().query(&qi).unwrap().matches);
+    let mb = matches_as_set(&bulk.snapshot().query(&qb).unwrap().matches);
     assert_eq!(&mi, &mb);
     let oracle = naive_as_set(bulk.collection(), &qb);
     assert_eq!(&mi, &oracle);

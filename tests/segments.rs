@@ -91,7 +91,8 @@ fn match_set(matches: &[TwigMatch]) -> MatchSet {
 /// database (the trie dummy interns first) and an incrementally grown
 /// one (the dummy interns after the base collection), so ids never
 /// cross engines — only `(doc, embedding)` sets do.
-fn full_results(engine: &mut PrixEngine) -> Result<Vec<(MatchSet, MatchSet)>, String> {
+fn full_results(engine: &PrixEngine) -> Result<Vec<(MatchSet, MatchSet)>, String> {
+    let engine = engine.snapshot();
     let mut out = Vec::new();
     for xp in QUERIES {
         let q = engine
@@ -113,11 +114,8 @@ fn full_results(engine: &mut PrixEngine) -> Result<Vec<(MatchSet, MatchSet)>, St
 /// ids, so the exact prefix may differ across engines — but every
 /// limited answer must be a correctly sized subset of the full result
 /// set, and a run that claims it drained must actually have done so.
-fn check_limited(
-    engine: &mut PrixEngine,
-    xp: &str,
-    full: &[(u32, Vec<u32>)],
-) -> Result<(), String> {
+fn check_limited(engine: &PrixEngine, xp: &str, full: &[(u32, Vec<u32>)]) -> Result<(), String> {
+    let engine = engine.snapshot();
     for limit in [1usize, 3] {
         let q = engine
             .parse_query(xp)
@@ -194,7 +192,7 @@ fn bulk_equals_incremental(docs: &[String]) -> Result<(), String> {
         }
     }
 
-    let mut bulk = bulk_over(Arc::new(MemSegEnv::new()), &accepted)?;
+    let bulk = bulk_over(Arc::new(MemSegEnv::new()), &accepted)?;
     if bulk.generation() != 1 {
         return Err(format!("bulk generation {}, want 1", bulk.generation()));
     }
@@ -207,8 +205,8 @@ fn bulk_equals_incremental(docs: &[String]) -> Result<(), String> {
         ));
     }
 
-    let inc_full = full_results(&mut inc)?;
-    let bulk_full = full_results(&mut bulk)?;
+    let inc_full = full_results(&inc)?;
+    let bulk_full = full_results(&bulk)?;
     for (i, xp) in QUERIES.iter().enumerate() {
         if inc_full[i] != bulk_full[i] {
             return Err(format!(
@@ -218,8 +216,8 @@ fn bulk_equals_incremental(docs: &[String]) -> Result<(), String> {
                 bulk_full[i]
             ));
         }
-        check_limited(&mut inc, xp, &inc_full[i].0)?;
-        check_limited(&mut bulk, xp, &inc_full[i].0)?;
+        check_limited(&inc, xp, &inc_full[i].0)?;
+        check_limited(&bulk, xp, &inc_full[i].0)?;
     }
     Ok(())
 }
@@ -356,7 +354,7 @@ fn bulk_build_is_deterministic_and_rebuild_reproduces_segments() {
     // childless-set or MaxGap serialization).
     let env_a = Arc::new(MemSegEnv::new());
     let env_b = Arc::new(MemSegEnv::new());
-    let mut eng_a = bulk_over(env_a.clone(), &docs).unwrap();
+    let eng_a = bulk_over(env_a.clone(), &docs).unwrap();
     let _eng_b = bulk_over(env_b.clone(), &docs).unwrap();
     for kind in ["rp", "ep"] {
         let suffix = format!(".g1.{kind}.seg");
@@ -368,14 +366,14 @@ fn bulk_build_is_deterministic_and_rebuild_reproduces_segments() {
     }
     let g1_rp = read_file(&env_a, ".g1.rp.seg");
     let g1_ep = read_file(&env_a, ".g1.ep.seg");
-    let before = full_results(&mut eng_a).unwrap();
+    let before = full_results(&eng_a).unwrap();
     drop(eng_a);
 
     // Rebuilding the same documents over the same environment must
     // reproduce the segment bytes under the next generation's names
     // (the header stores kind/doc range, never the generation) and
     // retire the superseded generation's files.
-    let mut eng = bulk_over(env_a.clone(), &docs).unwrap();
+    let eng = bulk_over(env_a.clone(), &docs).unwrap();
     assert_eq!(eng.generation(), 2);
     assert_eq!(read_file(&env_a, ".g2.rp.seg"), g1_rp);
     assert_eq!(read_file(&env_a, ".g2.ep.seg"), g1_ep);
@@ -383,7 +381,7 @@ fn bulk_build_is_deterministic_and_rebuild_reproduces_segments() {
         env_a.store(".g1.rp.seg").is_none() && env_a.store(".g1.ep.seg").is_none(),
         "superseded generation 1 segments were not retired"
     );
-    assert_eq!(full_results(&mut eng).unwrap(), before);
+    assert_eq!(full_results(&eng).unwrap(), before);
 }
 
 #[test]
@@ -407,7 +405,7 @@ fn compaction_is_deterministic_across_instances() {
     let env_b = Arc::new(MemSegEnv::new());
     let mut eng_a = run(env_a.clone());
     let mut eng_b = run(env_b.clone());
-    let before = full_results(&mut eng_a).unwrap();
+    let before = full_results(&eng_a).unwrap();
 
     assert!(eng_a.compact().unwrap());
     assert!(eng_b.compact().unwrap());
@@ -424,7 +422,7 @@ fn compaction_is_deterministic_across_instances() {
     // single answer, and the old mutable generation's files are gone.
     assert_eq!(eng_a.generation(), 2);
     assert_eq!(eng_a.mutable_docs(), 0);
-    assert_eq!(full_results(&mut eng_a).unwrap(), before);
+    assert_eq!(full_results(&eng_a).unwrap(), before);
     for side in ["", ".sum", ".wal"] {
         assert!(
             env_a.store(side).is_none(),
@@ -550,7 +548,7 @@ impl SegmentEnv for FaultSegEnv {
 /// Reopens the post-crash durable image and checks it serves exactly
 /// one acknowledged state, with clean checksums and segments.
 fn reopen_and_verify(fenv: &FaultSegEnv) -> Result<PrixEngine, String> {
-    let engine = PrixEngine::reopen_env(fenv.durable_env(), BUFFER_PAGES, true)
+    let engine = PrixEngine::reopen_env(fenv.durable_env(), BUFFER_PAGES)
         .map_err(|e| format!("reopen after crash: {e}"))?;
     engine
         .verify_checksums()
@@ -578,10 +576,10 @@ fn bulk_rebuild_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String
 
     // References built on clean environments: what generation 1 and
     // generation 2 must each answer.
-    let mut ref_old = bulk_over(Arc::new(MemSegEnv::new()), &base)?;
-    let mut ref_new = bulk_over(Arc::new(MemSegEnv::new()), &all)?;
-    let old_results = full_results(&mut ref_old)?;
-    let new_results = full_results(&mut ref_new)?;
+    let ref_old = bulk_over(Arc::new(MemSegEnv::new()), &base)?;
+    let ref_new = bulk_over(Arc::new(MemSegEnv::new()), &all)?;
+    let old_results = full_results(&ref_old)?;
+    let new_results = full_results(&ref_new)?;
 
     // Known-good generation 1 on the faulty environment, built and
     // committed before the injector is armed.
@@ -604,7 +602,7 @@ fn bulk_rebuild_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String
     }
     drop(rebuilt);
 
-    let mut eng =
+    let eng =
         reopen_and_verify(&fenv).map_err(|e| format!("{e} ({kind:?}, kill point {kill_after})"))?;
     let gen = eng.generation();
     let want = match gen {
@@ -615,7 +613,7 @@ fn bulk_rebuild_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String
     if !crashed && gen != 2 {
         return Err("rebuild was acknowledged but generation 1 still serves".into());
     }
-    let got = full_results(&mut eng)?;
+    let got = full_results(&eng)?;
     if got != *want {
         return Err(format!(
             "generation {gen} serves wrong results after a {kind:?} crash at kill point {kill_after}"
@@ -647,7 +645,7 @@ fn compaction_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> 
         return Ok(());
     }
     eng.save().map_err(|e| format!("pre-arm save: {e}"))?;
-    let expected = full_results(&mut eng)?;
+    let expected = full_results(&eng)?;
 
     let kill_after = match kind {
         FaultKind::DroppedFsync => rng.below(40),
@@ -663,12 +661,12 @@ fn compaction_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> 
     }
     drop(eng);
 
-    let mut eng =
+    let eng =
         reopen_and_verify(&fenv).map_err(|e| format!("{e} ({kind:?}, kill point {kill_after})"))?;
     if matches!(res, Ok(true)) && !crashed && eng.generation() < 2 {
         return Err("compaction was acknowledged but the old generation still serves".into());
     }
-    let got = full_results(&mut eng)?;
+    let got = full_results(&eng)?;
     if got != expected {
         return Err(format!(
             "answers changed across a {kind:?} compaction crash at kill point {kill_after} \

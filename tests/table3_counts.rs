@@ -7,10 +7,11 @@ use prix::datagen::{generate, queries::queries_for, Dataset};
 
 fn check_dataset(ds: Dataset) {
     let collection = generate(ds, 0.05, 42);
-    let mut engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
+    let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
     for pq in queries_for(ds) {
-        let q = engine.parse_query(pq.xpath).unwrap();
-        let out = engine.query(&q).unwrap();
+        let q = snap.parse_query(pq.xpath).unwrap();
+        let out = snap.query(&q).unwrap();
         let naive_n = naive::naive_count(engine.collection(), &q);
         let scan_n = scan::scan_matches(engine.collection(), &q, engine.dummy()).len();
         assert_eq!(

@@ -10,9 +10,8 @@
 //! bottom.
 
 use prix::core::index::{ExecOpts, IndexKind};
-use prix::core::plan::PrixBackend;
 use prix::core::query::{PredOp, PredValue, TwigQuery, ValuePred};
-use prix::core::{EngineConfig, LabelingMode, PrixEngine, TwigMatch};
+use prix::core::{EngineConfig, LabelingMode, PredEval, PrixEngine, QueryStats, TwigMatch};
 use prix::prufer::EdgeKind;
 use prix::xml::{Collection, NodeKind, PostNum, SymbolTable, XmlTree};
 use prix_testkit::{check, from_fn, replay, Config, Generator, TestRng};
@@ -222,20 +221,38 @@ fn prop_filtered_equals_postfiltered(input: &PredInput) -> Result<(), String> {
     let bare = q.without_preds();
 
     let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
+    let opts = ExecOpts::new();
+    // §5.6's own routing through the engine view; a forced kind
+    // straight on that index of this single-tier engine, with the
+    // evaluator the view would build.
+    let run = |query: &TwigQuery, force: Option<IndexKind>| -> (Vec<TwigMatch>, QueryStats) {
+        let idx = match force {
+            None => {
+                let out = snap.query_opts(query, &opts).unwrap();
+                return (out.matches, out.stats);
+            }
+            Some(IndexKind::Regular) => engine.rp_index(),
+            Some(IndexKind::Extended) => engine.ep_index(),
+        };
+        let pred = PredEval::build(query, engine.valix(), snap.symbols()).unwrap();
+        idx.unwrap()
+            .execute_opts_pred(query, &opts, pred.as_ref())
+            .unwrap()
+    };
     for force in [None, Some(IndexKind::Regular), Some(IndexKind::Extended)] {
         if force == Some(IndexKind::Regular) && bare.needs_extended() {
             continue; // Exactly-edge leaves and single-node twigs are EP-only
         }
-        let opts = ExecOpts::new();
-        let unfiltered = engine.execute_prix(&bare, &opts, force).unwrap();
-        let filtered = engine.execute_prix(&q, &opts, force).unwrap();
-        let expect = oracle_filter(&collection, &syms, &q, &unfiltered.matches);
+        let (unfiltered, unfiltered_stats) = run(&bare, force);
+        let (filtered, filtered_stats) = run(&q, force);
+        let expect = oracle_filter(&collection, &syms, &q, &unfiltered);
         assert_eq!(
-            filtered.matches, expect,
+            filtered, expect,
             "force={force:?}: filtered != post-filtered"
         );
         // The pre-filter may only ever *save* work.
-        assert!(filtered.stats.candidates <= unfiltered.stats.candidates);
+        assert!(filtered_stats.candidates <= unfiltered_stats.candidates);
     }
     Ok(())
 }
@@ -263,11 +280,10 @@ fn prop_predicate_limit_is_prefix(input: &PredInput) -> Result<(), String> {
     let q = build_query(*q_root, q_steps, q_edges, pred_specs, &mut syms);
 
     let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
-    let all = engine.query_opts(&q, &ExecOpts::new()).unwrap();
+    let snap = engine.snapshot();
+    let all = snap.query_opts(&q, &ExecOpts::new()).unwrap();
     for k in [0, 1, 2, all.matches.len(), all.matches.len() + 3] {
-        let out = engine
-            .query_opts(&q, &ExecOpts::new().with_limit(k))
-            .unwrap();
+        let out = snap.query_opts(&q, &ExecOpts::new().with_limit(k)).unwrap();
         let expect: Vec<_> = all.matches.iter().take(k).cloned().collect();
         assert_eq!(out.matches, expect, "limit {k} is not a prefix");
     }
@@ -299,8 +315,9 @@ fn prop_unordered_filters_identically(input: &PredInput) -> Result<(), String> {
     let bare = q.without_preds();
 
     let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
-    let unfiltered = engine.query_unordered(&bare).unwrap();
-    let filtered = engine.query_unordered(&q).unwrap();
+    let snap = engine.snapshot();
+    let unfiltered = snap.query_unordered(&bare).unwrap();
+    let filtered = snap.query_unordered(&q).unwrap();
     let expect = oracle_filter(&collection, &syms, &q, &unfiltered.matches);
     assert_eq!(filtered.matches, expect);
     Ok(())
@@ -361,8 +378,9 @@ fn prop_insert_maintains_valix(input: &PredInput) -> Result<(), String> {
     let mut syms = incremental.collection().symbols().clone();
     let q = build_query(*q_root, q_steps, q_edges, pred_specs, &mut syms);
     let bare = q.without_preds();
-    let unfiltered = incremental.query(&bare).unwrap();
-    let filtered = incremental.query(&q).unwrap();
+    let snap = incremental.snapshot();
+    let unfiltered = snap.query(&bare).unwrap();
+    let filtered = snap.query(&q).unwrap();
     let expect = oracle_filter(incremental.collection(), &syms, &q, &unfiltered.matches);
     assert_eq!(filtered.matches, expect);
     Ok(())

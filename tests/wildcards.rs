@@ -23,10 +23,11 @@ fn collection() -> Collection {
 }
 
 fn run_all(c: &Collection, xpath: &str) -> (usize, usize, usize, usize) {
-    let mut engine = PrixEngine::build(c.clone(), EngineConfig::default()).unwrap();
-    let q = engine.parse_query(xpath).unwrap();
+    let engine = PrixEngine::build(c.clone(), EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
+    let q = snap.parse_query(xpath).unwrap();
     let expected = naive::naive_count(c, &q);
-    let prix = engine.query(&q).unwrap().matches.len();
+    let prix = snap.query(&q).unwrap().matches.len();
 
     let pool = Arc::new(BufferPool::new(Pager::in_memory(), 256));
     let raw = encode_collection(c);
@@ -73,10 +74,11 @@ fn star_distance_counts() {
 #[test]
 fn wildcard_above_leaf_routes_to_epindex() {
     let c = collection();
-    let mut engine = PrixEngine::build(c, EngineConfig::default()).unwrap();
-    let q = engine.parse_query("//a//t").unwrap();
+    let engine = PrixEngine::build(c, EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
+    let q = snap.parse_query("//a//t").unwrap();
     assert!(q.needs_extended());
-    let out = engine.query(&q).unwrap();
+    let out = snap.query(&q).unwrap();
     assert_eq!(out.index_used, prix::core::IndexKind::Extended);
     // doc0: t under b under a (1); doc1: 1; doc2: 1; doc3: a(t) child ->
     // t is a descendant (1); doc4: t under both a's (2).

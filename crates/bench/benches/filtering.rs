@@ -46,7 +46,7 @@ fn bench_labeling_modes(h: &mut Harness) {
     });
     h.bench("labeling/build_exact", || {
         let e = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
-        std::hint::black_box(e.rp_index().unwrap().build_stats().trie_nodes);
+        std::hint::black_box(e.rp_index().build_stats().trie_nodes);
     });
     h.bench("labeling/build_dynamic_alpha3", || {
         let cfg = EngineConfig {
@@ -54,7 +54,7 @@ fn bench_labeling_modes(h: &mut Harness) {
             ..Default::default()
         };
         let e = PrixEngine::build(collection.clone(), cfg).unwrap();
-        std::hint::black_box(e.rp_index().unwrap().build_stats().underflows);
+        std::hint::black_box(e.rp_index().build_stats().underflows);
     });
 }
 

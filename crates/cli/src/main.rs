@@ -543,13 +543,8 @@ fn cmd_fsck(args: &[String]) -> Result<(), CliError> {
             );
         }
     }
-    match engine.valix() {
-        Some(vx) => {
-            let (nums, strs) = vx.verify().map_err(|e| e.to_string())?;
-            println!("valix: {nums} numeric posting(s), {strs} string posting(s) ok");
-        }
-        None => println!("valix: none"),
-    }
+    let (nums, strs) = engine.valix().verify().map_err(|e| e.to_string())?;
+    println!("valix: {nums} numeric posting(s), {strs} string posting(s) ok");
     for name in unknown_siblings(db) {
         println!("sibling {name}: not part of this database (ignored)");
     }
@@ -609,17 +604,15 @@ fn print_index_stats(engine: &PrixEngine) {
         ("RPIndex", engine.rp_index()),
         ("EPIndex", engine.ep_index()),
     ] {
-        if let Some(idx) = idx {
-            let b = idx.build_stats();
-            println!(
-                "{name}: {} docs, {} trie nodes, {} paths (best shared by {}), total seq len {}",
-                idx.doc_count(),
-                b.trie_nodes,
-                b.trie_paths,
-                b.max_path_sharing,
-                b.total_seq_len
-            );
-        }
+        let b = idx.build_stats();
+        println!(
+            "{name}: {} docs, {} trie nodes, {} paths (best shared by {}), total seq len {}",
+            idx.doc_count(),
+            b.trie_nodes,
+            b.trie_paths,
+            b.max_path_sharing,
+            b.total_seq_len
+        );
     }
 }
 

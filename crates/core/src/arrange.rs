@@ -42,6 +42,10 @@ pub struct Arrangement {
     pub base_of: Vec<PostNum>,
 }
 
+/// The engine's cap on distinct arrangements per unordered query: 6!,
+/// every order of six branches under one node.
+pub const ARRANGEMENT_LIMIT: usize = 720;
+
 /// Enumerates the distinct branch arrangements of `q` (the identity
 /// arrangement first). Fails if more than `limit` would be produced.
 ///

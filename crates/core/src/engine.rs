@@ -18,6 +18,7 @@ use prix_storage::{
 };
 use prix_xml::{Collection, Sym, SymbolTable};
 
+use crate::arrange::ARRANGEMENT_LIMIT;
 use crate::index::{IndexError, IndexKind, PrixIndex, Result};
 use crate::plan::{Planner, PlannerStats};
 use crate::snapshot::EngineSnapshot;
@@ -29,9 +30,10 @@ use crate::valix::{Valix, ValixEntry};
 /// refused rather than misread.
 ///
 /// Layout: magic, version, RP/EP metadata record ids, symbol-table
-/// record id, dummy symbol, arrangement limit, the length-prefixed
-/// planner statistics blob, then the valix metadata record id (0 = no
-/// value index).
+/// record id, dummy symbol, arrangement limit (written for layout
+/// compatibility, never read back), the length-prefixed planner
+/// statistics blob, then the valix metadata record id. A zero RP, EP or
+/// valix record id is refused at reopen.
 const CATALOG_VERSION: u32 = 4;
 
 /// Byte offset of the planner-stats blob (u32 length + payload) in the
@@ -47,12 +49,6 @@ pub struct EngineConfig {
     pub labeling: LabelingMode,
     /// Backing file; `None` = in-memory pager.
     pub path: Option<PathBuf>,
-    /// Build the Regular-Prüfer index.
-    pub build_rp: bool,
-    /// Build the Extended-Prüfer index.
-    pub build_ep: bool,
-    /// Cap on unordered branch arrangements.
-    pub arrangement_limit: usize,
 }
 
 impl Default for EngineConfig {
@@ -61,9 +57,6 @@ impl Default for EngineConfig {
             buffer_pages: 2000,
             labeling: LabelingMode::Exact,
             path: None,
-            build_rp: true,
-            build_ep: true,
-            arrangement_limit: 720,
         }
     }
 }
@@ -112,8 +105,8 @@ fn decode_symbols(bytes: &[u8]) -> Option<SymbolTable> {
 /// and internally shared).
 #[derive(Clone)]
 pub(crate) struct SegTier {
-    pub(crate) rp: Option<PrixIndex>,
-    pub(crate) ep: Option<PrixIndex>,
+    pub(crate) rp: PrixIndex,
+    pub(crate) ep: PrixIndex,
     pub(crate) doc_base: u32,
     pub(crate) n_docs: u32,
 }
@@ -123,10 +116,9 @@ pub(crate) struct SegTier {
 pub struct PrixEngine {
     collection: Collection,
     pool: Arc<BufferPool>,
-    rp: Option<PrixIndex>,
-    ep: Option<PrixIndex>,
+    rp: PrixIndex,
+    ep: PrixIndex,
     dummy: Sym,
-    arrangement_limit: usize,
     /// Record store holding engine-level catalog records (the symbol
     /// table); kept open across saves so repeated saves append into the
     /// same data page instead of allocating a fresh one each time.
@@ -156,19 +148,14 @@ pub struct PrixEngine {
     /// File-name suffix of the live mutable generation (`""` = the
     /// base database file; compaction moves to `".g{N}"`).
     mutable_suffix: String,
-    /// Pool capacity in pages; compaction builds the replacement
-    /// mutable generation with the same capacity.
-    buffer_pages: usize,
-    /// Labeling mode for fresh mutable generations.
-    labeling: LabelingMode,
     /// The cost-based planner's statistics, shared (via `Arc`) with
     /// every snapshot so observations from served queries feed back
     /// into later plans. Persisted in the catalog.
     planner: Arc<Planner>,
     /// The value-predicate secondary index over leaf values
     /// ([`crate::valix`]), living in the same buffer pool as the
-    /// structural indexes. `None` when no structural index was built.
-    valix: Option<Valix>,
+    /// structural indexes.
+    valix: Valix,
 }
 
 impl PrixEngine {
@@ -214,74 +201,40 @@ impl PrixEngine {
         // Both indexes read the same immutable collection and write
         // through the internally synchronized buffer pool, so they can
         // be built concurrently.
-        let (rp, ep) = if cfg.build_rp && cfg.build_ep {
-            let (rp_res, ep_res) = std::thread::scope(|s| {
-                let rp_pool = Arc::clone(&pool);
-                let ep_pool = Arc::clone(&pool);
-                let coll = &collection;
-                let rp = s.spawn(move || {
-                    PrixIndex::build(rp_pool, coll, IndexKind::Regular, cfg.labeling, dummy)
-                });
-                let ep = s.spawn(move || {
-                    PrixIndex::build(ep_pool, coll, IndexKind::Extended, cfg.labeling, dummy)
-                });
-                (
-                    rp.join().expect("rp build thread"),
-                    ep.join().expect("ep build thread"),
-                )
+        let (rp, ep) = std::thread::scope(|s| {
+            let rp_pool = Arc::clone(&pool);
+            let ep_pool = Arc::clone(&pool);
+            let coll = &collection;
+            let rp = s.spawn(move || {
+                PrixIndex::build(rp_pool, coll, IndexKind::Regular, cfg.labeling, dummy)
             });
-            (Some(rp_res?), Some(ep_res?))
-        } else if cfg.build_rp {
+            let ep = s.spawn(move || {
+                PrixIndex::build(ep_pool, coll, IndexKind::Extended, cfg.labeling, dummy)
+            });
             (
-                Some(PrixIndex::build(
-                    Arc::clone(&pool),
-                    &collection,
-                    IndexKind::Regular,
-                    cfg.labeling,
-                    dummy,
-                )?),
-                None,
+                rp.join().expect("rp build thread"),
+                ep.join().expect("ep build thread"),
             )
-        } else if cfg.build_ep {
-            (
-                None,
-                Some(PrixIndex::build(
-                    Arc::clone(&pool),
-                    &collection,
-                    IndexKind::Extended,
-                    cfg.labeling,
-                    dummy,
-                )?),
-            )
-        } else {
-            (None, None)
-        };
+        });
+        let (rp, ep) = (rp?, ep?);
         // Seed the planner from what the build just saw: label counts
         // from the collection, trie fanout from the RP build.
         let mut pstats = PlannerStats::default();
         pstats.merge_collection(&collection);
-        if let Some(idx) = rp.as_ref().or(ep.as_ref()) {
-            let b = idx.build_stats();
-            pstats.set_trie_shape(b.trie_nodes as u64, b.trie_paths as u64, b.sequences);
+        let b = rp.build_stats();
+        pstats.set_trie_shape(b.trie_nodes as u64, b.trie_paths as u64, b.sequences);
+        // The value-predicate index shares the structural indexes'
+        // document numbering.
+        let mut valix = Valix::create(Arc::clone(&pool))?;
+        for (doc, tree) in collection.iter() {
+            valix.index_tree(tree, doc, collection.symbols())?;
         }
-        // The value-predicate index rides along whenever a structural
-        // index exists (it shares their document numbering).
-        let valix = if rp.is_some() || ep.is_some() {
-            let mut vx = Valix::create(Arc::clone(&pool))?;
-            for (doc, tree) in collection.iter() {
-                vx.index_tree(tree, doc, collection.symbols())?;
-            }
-            Some(vx)
-        } else {
-            None
-        };
         Ok(PrixEngine {
             collection,
             pool,
             rp,
             ep,
             dummy,
-            arrangement_limit: cfg.arrangement_limit,
             catalog_store: None,
             saved_syms: None,
             recovery: None,
@@ -294,8 +247,6 @@ impl PrixEngine {
             seg_stats: Arc::new(IoStats::new()),
             generation: 0,
             mutable_suffix: String::new(),
-            buffer_pages: cfg.buffer_pages,
-            labeling: cfg.labeling,
             planner: Arc::new(Planner::new(pstats)),
             valix,
         })
@@ -316,20 +267,14 @@ impl PrixEngine {
         self.dummy
     }
 
-    /// The cap on unordered branch arrangements (§5.7). Persisted by
-    /// [`PrixEngine::save`] and restored by [`PrixEngine::reopen`].
-    pub fn arrangement_limit(&self) -> usize {
-        self.arrangement_limit
+    /// The mutable tier's RPIndex.
+    pub fn rp_index(&self) -> &PrixIndex {
+        &self.rp
     }
 
-    /// The RPIndex, if built.
-    pub fn rp_index(&self) -> Option<&PrixIndex> {
-        self.rp.as_ref()
-    }
-
-    /// The EPIndex, if built.
-    pub fn ep_index(&self) -> Option<&PrixIndex> {
-        self.ep.as_ref()
+    /// The mutable tier's EPIndex.
+    pub fn ep_index(&self) -> &PrixIndex {
+        &self.ep
     }
 
     /// An epoch-pinned read view of the engine as it stands now: the
@@ -357,14 +302,8 @@ impl PrixEngine {
     /// Only works for file-backed engines (`EngineConfig::path`);
     /// in-memory engines have nowhere to persist to.
     pub fn save(&mut self) -> Result<()> {
-        let rp_meta = match &mut self.rp {
-            Some(i) => i.save()?.raw(),
-            None => 0,
-        };
-        let ep_meta = match &mut self.ep {
-            Some(i) => i.save()?.raw(),
-            None => 0,
-        };
+        let rp_meta = self.rp.save()?.raw();
+        let ep_meta = self.ep.save()?.raw();
         // Serialize the symbol table (needed to parse queries after
         // reopen).
         let mut buf: Vec<u8> = Vec::new();
@@ -391,10 +330,7 @@ impl PrixEngine {
                 id
             }
         };
-        let valix_meta = match &mut self.valix {
-            Some(v) => v.save()?.raw(),
-            None => 0,
-        };
+        let valix_meta = self.valix.save()?.raw();
         // Catalog page. The planner-stats blob is capped by its encoder
         // to fit the remainder of the page (minus the trailing valix
         // record id); an oversized blob would be a bug in that cap, so
@@ -413,7 +349,7 @@ impl PrixEngine {
                 p[16..24].copy_from_slice(&ep_meta.to_le_bytes());
                 p[24..32].copy_from_slice(&syms_rec.raw().to_le_bytes());
                 p[32..36].copy_from_slice(&self.dummy.0.to_le_bytes());
-                p[36..44].copy_from_slice(&(self.arrangement_limit as u64).to_le_bytes());
+                p[36..44].copy_from_slice(&(ARRANGEMENT_LIMIT as u64).to_le_bytes());
                 let off = CATALOG_STATS_OFF;
                 p[off..off + 4].copy_from_slice(&(stats_blob.len() as u32).to_le_bytes());
                 p[off + 4..off + 4 + stats_blob.len()].copy_from_slice(&stats_blob);
@@ -494,8 +430,7 @@ impl PrixEngine {
 
     fn reopen_over(pool: BufferPool, recovery: RecoveryReport) -> Result<Self> {
         let pool = Arc::new(pool);
-        let buffer_pages = pool.capacity();
-        let (rp_meta, ep_meta, syms_rec, dummy, arrangement_limit, pstats, valix_meta) = pool
+        let (rp_meta, ep_meta, syms_rec, dummy, pstats, valix_meta) = pool
             .with_page(0, |p: &[u8; PAGE_SIZE]| {
                 if &p[..4] != b"PRIX" {
                     return Err(IndexError::Unsupported(
@@ -523,7 +458,6 @@ impl PrixEngine {
                     u64::from_le_bytes(p[16..24].try_into().unwrap()),
                     u64::from_le_bytes(p[24..32].try_into().unwrap()),
                     Sym(u32::from_le_bytes(p[32..36].try_into().unwrap())),
-                    u64::from_le_bytes(p[36..44].try_into().unwrap()) as usize,
                     pstats,
                     valix_meta,
                 ))
@@ -536,22 +470,29 @@ impl PrixEngine {
         let mut collection = Collection::new();
         *collection.symbols_mut() = decode_symbols(&bytes)
             .ok_or_else(|| IndexError::Unsupported("corrupt symbol table".into()))?;
-        let rp = (rp_meta != 0)
-            .then(|| PrixIndex::load(Arc::clone(&pool), RecordId::from_raw(rp_meta)))
-            .transpose()?;
-        let ep = (ep_meta != 0)
-            .then(|| PrixIndex::load(Arc::clone(&pool), RecordId::from_raw(ep_meta)))
-            .transpose()?;
-        let valix = (valix_meta != 0)
-            .then(|| Valix::load(Arc::clone(&pool), RecordId::from_raw(valix_meta)))
-            .transpose()?;
+        // Every engine this build writes carries all three; a zero id
+        // is a database from a build that could leave one out.
+        for (what, id) in [
+            ("RPIndex", rp_meta),
+            ("EPIndex", ep_meta),
+            ("value index", valix_meta),
+        ] {
+            if id == 0 {
+                return Err(IndexError::Unsupported(format!(
+                    "database was written without its {what}; \
+                     re-index the source documents"
+                )));
+            }
+        }
+        let rp = PrixIndex::load(Arc::clone(&pool), RecordId::from_raw(rp_meta))?;
+        let ep = PrixIndex::load(Arc::clone(&pool), RecordId::from_raw(ep_meta))?;
+        let valix = Valix::load(Arc::clone(&pool), RecordId::from_raw(valix_meta))?;
         Ok(PrixEngine {
             collection,
             pool,
             rp,
             ep,
             dummy,
-            arrangement_limit,
             catalog_store: None,
             saved_syms: Some((RecordId::from_raw(syms_rec), bytes)),
             recovery: Some(recovery),
@@ -563,8 +504,6 @@ impl PrixEngine {
             seg_stats: Arc::new(IoStats::new()),
             generation: 0,
             mutable_suffix: String::new(),
-            buffer_pages,
-            labeling: LabelingMode::Exact,
             planner: Arc::new(Planner::new(pstats)),
             valix,
         })
@@ -599,7 +538,17 @@ impl PrixEngine {
     /// non-contiguous tier layout is a hard error — serving a database
     /// with silently absent documents would be worse than refusing.
     fn attach_manifest(&mut self, m: &Manifest) -> Result<()> {
-        let mut tiers: std::collections::BTreeMap<u32, SegTier> = std::collections::BTreeMap::new();
+        // Per kind (RP, then EP): doc base -> (n_docs, index).
+        let mut by_kind = [
+            std::collections::BTreeMap::new(),
+            std::collections::BTreeMap::new(),
+        ];
+        let conflict = |doc_base: u32| {
+            IndexError::Unsupported(format!(
+                "manifest generation {} lists conflicting segments at doc base {doc_base}",
+                m.generation
+            ))
+        };
         for s in &m.segments {
             if !self.seg_env.exists(&s.suffix)? {
                 return Err(IndexError::Unsupported(format!(
@@ -621,45 +570,49 @@ impl PrixEngine {
                 )));
             }
             let idx = PrixIndex::from_segment(reader)?;
-            let tier = tiers.entry(s.doc_base).or_insert_with(|| SegTier {
-                rp: None,
-                ep: None,
-                doc_base: s.doc_base,
-                n_docs: s.n_docs,
-            });
-            let slot = if s.kind == SEG_KIND_RP {
-                &mut tier.rp
-            } else {
-                &mut tier.ep
-            };
-            if tier.n_docs != s.n_docs || slot.is_some() {
-                return Err(IndexError::Unsupported(format!(
-                    "manifest generation {} lists conflicting segments at doc base {}",
-                    m.generation, s.doc_base
-                )));
+            let kind_slot = &mut by_kind[usize::from(s.kind != SEG_KIND_RP)];
+            if kind_slot.insert(s.doc_base, (s.n_docs, idx)).is_some() {
+                return Err(conflict(s.doc_base));
             }
-            *slot = Some(idx);
         }
-        let tiers: Vec<SegTier> = tiers.into_values().collect();
+        let [rps, mut eps] = by_kind;
+        let lacks = |kind: &str, doc_base: u32| {
+            IndexError::Unsupported(format!(
+                "manifest generation {} has no {kind} segment for the tier at doc base \
+                 {doc_base}; re-index the source documents",
+                m.generation
+            ))
+        };
+        let mut tiers: Vec<SegTier> = Vec::with_capacity(rps.len());
         let mut next = 0u32;
-        for t in &tiers {
-            if t.doc_base != next {
+        for (doc_base, (n_docs, rp)) in rps {
+            let ep = match eps.remove(&doc_base) {
+                Some((n, ep)) if n == n_docs => ep,
+                Some(_) => return Err(conflict(doc_base)),
+                None => return Err(lacks("EP", doc_base)),
+            };
+            if doc_base != next {
                 return Err(IndexError::Unsupported(
                     "segment tiers are not contiguous".into(),
                 ));
             }
-            next += t.n_docs;
+            next += n_docs;
+            tiers.push(SegTier {
+                rp,
+                ep,
+                doc_base,
+                n_docs,
+            });
+        }
+        if let Some(&doc_base) = eps.keys().next() {
+            return Err(lacks("RP", doc_base));
         }
         self.segments = tiers;
         self.manifest_segments = m.segments.clone();
         self.generation = m.generation;
         self.mutable_suffix = m.mutable_suffix.clone();
-        if let Some(rp) = &mut self.rp {
-            rp.set_doc_base(next);
-        }
-        if let Some(ep) = &mut self.ep {
-            ep.set_doc_base(next);
-        }
+        self.rp.set_doc_base(next);
+        self.ep.set_doc_base(next);
         Ok(())
     }
 
@@ -724,11 +677,7 @@ impl PrixEngine {
         // The segments' leaf values, bulk-loaded into the fresh mutable
         // generation's pool (the valix always lives with the mutable
         // generation; its coverage spans the segment documents).
-        eng.valix = Some(Valix::build_bulk(
-            Arc::clone(&eng.pool),
-            &valix_entries,
-            n_docs,
-        )?);
+        eng.valix = Valix::build_bulk(Arc::clone(&eng.pool), &valix_entries, n_docs)?;
         eng.save()?;
         let manifest = Manifest {
             generation,
@@ -760,12 +709,8 @@ impl PrixEngine {
 
     /// [`PrixEngine::compact`] with an explicit sort-run budget.
     pub fn compact_with(&mut self, run_mem_bytes: usize) -> Result<bool> {
-        let live = match self.rp.as_ref().or(self.ep.as_ref()) {
-            Some(i) => i,
-            None => return Ok(false),
-        };
-        let n = live.doc_count() as u32;
-        let doc_base = live.doc_base();
+        let n = self.rp.doc_count() as u32;
+        let doc_base = self.rp.doc_base();
         if n == 0 {
             return Ok(false);
         }
@@ -774,14 +719,8 @@ impl PrixEngine {
         // records through the same encoder the bulk path uses, so the
         // segment bytes come out identical to a bulk build's.
         let mut manifest_segments = self.manifest_segments.clone();
-        for (idx, kname, seg_kind) in [
-            (self.rp.as_ref(), "rp", SEG_KIND_RP),
-            (self.ep.as_ref(), "ep", SEG_KIND_EP),
-        ] {
-            let idx = match idx {
-                Some(i) => i,
-                None => continue,
-            };
+        for (idx, kname, seg_kind) in [(&self.rp, "rp", SEG_KIND_RP), (&self.ep, "ep", SEG_KIND_EP)]
+        {
             let suffix = format!(".g{generation}.{kname}.seg");
             let mut b = crate::segbuild::SegIndexBuilder::new(
                 &self.seg_env,
@@ -802,17 +741,14 @@ impl PrixEngine {
                 n_docs: n,
             });
         }
-        // (2) The replacement mutable generation: empty, same symbol
-        // table, same configuration, fresh files.
+        // (2) The replacement mutable generation: empty (so the
+        // labeling mode has nothing to label), same symbol table, same
+        // pool capacity, fresh files.
         let mut collection = Collection::new();
         *collection.symbols_mut() = self.collection.symbols().clone();
         let cfg = EngineConfig {
-            buffer_pages: self.buffer_pages,
-            labeling: self.labeling,
-            path: None,
-            build_rp: self.rp.is_some(),
-            build_ep: self.ep.is_some(),
-            arrangement_limit: self.arrangement_limit,
+            buffer_pages: self.pool.capacity(),
+            ..Default::default()
         };
         let new_suffix = format!(".g{generation}");
         let mut fresh = Self::build_mutable_env(collection, &cfg, &self.seg_env, &new_suffix)?;
@@ -820,10 +756,7 @@ impl PrixEngine {
         // The valix covers *global* document ids, so it migrates
         // page-for-page into the replacement generation's pool rather
         // than being rebuilt from the (empty) fresh collection.
-        fresh.valix = match &self.valix {
-            Some(v) => Some(v.clone_into(Arc::clone(&fresh.pool))?),
-            None => fresh.valix,
-        };
+        fresh.valix = self.valix.clone_into(Arc::clone(&fresh.pool))?;
         fresh.save()?;
         let epoch = self.pool.published_epoch().max(self.pool.current_epoch()) + 1;
         fresh.pool.reseed_epoch(epoch)?;
@@ -882,10 +815,7 @@ impl PrixEngine {
     /// Documents living in the mutable delta (what the next
     /// [`PrixEngine::compact`] would fold).
     pub fn mutable_docs(&self) -> usize {
-        self.rp
-            .as_ref()
-            .or(self.ep.as_ref())
-            .map_or(self.collection.len(), |i| i.doc_count())
+        self.rp.doc_count()
     }
 
     /// Lifetime segment-block I/O counters (survive compaction pool
@@ -908,11 +838,11 @@ impl PrixEngine {
                     IndexError::Unsupported("manifest row without a loaded tier".into())
                 })?;
             let idx = if s.kind == SEG_KIND_RP {
-                tier.rp.as_ref()
+                &tier.rp
             } else {
-                tier.ep.as_ref()
+                &tier.ep
             };
-            let reader = idx.and_then(|i| i.segment()).ok_or_else(|| {
+            let reader = idx.segment().ok_or_else(|| {
                 IndexError::Unsupported("manifest row without a loaded tier".into())
             })?;
             out.push((
@@ -923,8 +853,8 @@ impl PrixEngine {
         Ok(out)
     }
 
-    /// Parses `xml` and incrementally indexes it into every built
-    /// index (§5.2.1 dynamic labeling in action). Use
+    /// Parses `xml` and incrementally indexes it into both indexes
+    /// and the value index (§5.2.1 dynamic labeling in action). Use
     /// [`LabelingMode::Dynamic`] at build time to leave scope headroom;
     /// a bulk-exact index only accepts documents whose trie paths
     /// already exist or branch at the root.
@@ -940,45 +870,28 @@ impl PrixEngine {
         // Validate against *both* indexes before mutating either: if RP
         // accepted the document but EP then ran out of trie scope, the
         // two indexes would disagree on document ids forever after.
-        if let Some(rp) = &self.rp {
-            rp.check_insert(&tree)?;
-        }
-        if let Some(ep) = &self.ep {
-            ep.check_insert(&tree)?;
-        }
+        self.rp.check_insert(&tree)?;
+        self.ep.check_insert(&tree)?;
         // A reopened engine's collection starts empty while its indexes
         // carry every persisted document, and a tiered engine's mutable
         // indexes start above the segments, so collection ids only
         // track index ids when they were aligned before this insert
         // (fresh builds and pure in-memory engines).
-        let was_aligned = self.rp.as_ref().or(self.ep.as_ref()).map_or(true, |i| {
-            i.doc_base() as usize + i.doc_count() == self.collection.len()
+        let was_aligned =
+            self.rp.doc_base() as usize + self.rp.doc_count() == self.collection.len();
+        let id = self.rp.insert_document(&tree)?;
+        let ep_id = self.ep.insert_document(&tree)?;
+        debug_assert_eq!(id, ep_id, "indexes assign ids in lockstep");
+        let b = self.rp.build_stats();
+        self.planner.update(|s| {
+            s.merge_tree(&tree);
+            s.set_trie_shape(b.trie_nodes as u64, b.trie_paths as u64, b.sequences);
         });
-        let mut id = None;
-        if let Some(rp) = &mut self.rp {
-            id = Some(rp.insert_document(&tree)?);
-        }
-        if let Some(ep) = &mut self.ep {
-            let ep_id = ep.insert_document(&tree)?;
-            if let Some(rp_id) = id {
-                debug_assert_eq!(rp_id, ep_id, "indexes assign ids in lockstep");
-            }
-            id = Some(ep_id);
-        }
-        self.planner.update(|s| s.merge_tree(&tree));
-        if let Some(idx) = self.rp.as_ref().or(self.ep.as_ref()) {
-            let b = idx.build_stats();
-            self.planner.update(|s| {
-                s.set_trie_shape(b.trie_nodes as u64, b.trie_paths as u64, b.sequences)
-            });
-        }
-        if let (Some(vx), Some(id)) = (&mut self.valix, id) {
-            if id == vx.covered() {
-                vx.index_tree(&tree, id, self.collection.symbols())?;
-            }
+        if id == self.valix.covered() {
+            self.valix
+                .index_tree(&tree, id, self.collection.symbols())?;
         }
         let coll_id = self.collection.add_tree(tree);
-        let id = id.unwrap_or(coll_id);
         debug_assert!(
             !was_aligned || id == coll_id,
             "collection and indexes stay aligned"
@@ -992,9 +905,9 @@ impl PrixEngine {
         &self.planner
     }
 
-    /// The value-predicate index, when this engine carries one.
-    pub fn valix(&self) -> Option<&Valix> {
-        self.valix.as_ref()
+    /// The value-predicate index.
+    pub fn valix(&self) -> &Valix {
+        &self.valix
     }
 
     /// The commit epoch this engine's durable state is at: the pager's
@@ -1178,10 +1091,10 @@ mod tests {
             },
         )
         .unwrap();
-        let nodes_before = e.rp_index().unwrap().build_stats().trie_nodes;
+        let nodes_before = e.rp_index().build_stats().trie_nodes;
         // Identical structure: the RP trie path is fully shared.
         e.insert_document("<a><b><c>w</c></b></a>").unwrap();
-        let nodes_after = e.rp_index().unwrap().build_stats().trie_nodes;
+        let nodes_after = e.rp_index().build_stats().trie_nodes;
         assert_eq!(nodes_before, nodes_after, "no new RP trie nodes");
         assert_eq!(count(&e, "//a/b/c"), 2);
     }
@@ -1200,7 +1113,6 @@ mod tests {
         let mut e = PrixEngine::build(c, EngineConfig::default()).unwrap();
         assert!(
             e.rp_index()
-                .unwrap()
                 .check_insert(
                     &prix_xml::parse_document(
                         "<a><c>v</c></a>",
@@ -1216,8 +1128,8 @@ mod tests {
             matches!(err, IndexError::Unsupported(_)),
             "expected scope underflow, got {err}"
         );
-        let rp_docs = e.rp_index().unwrap().doc_count();
-        let ep_docs = e.ep_index().unwrap().doc_count();
+        let rp_docs = e.rp_index().doc_count();
+        let ep_docs = e.ep_index().doc_count();
         assert_eq!(rp_docs, ep_docs, "indexes out of lockstep");
         assert_eq!(rp_docs, 1, "rejected document must not be half-indexed");
         assert!(e.collection().len() == 1, "collection unchanged");

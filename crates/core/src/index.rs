@@ -1167,7 +1167,8 @@ impl PrixIndex {
                     n_orig: rec.n_orig,
                 })
             }
-            Backing::Seg(r) => Ok(decode_doc_record(&r.record(local)?, need_leaf_data)),
+            Backing::Seg(r) => decode_doc_record(&r.record(local)?, need_leaf_data)
+                .ok_or_else(|| IndexError::Unsupported("corrupt document record".into())),
         }
     }
 }
@@ -1239,24 +1240,60 @@ mod codec {
             self.0.extend_from_slice(&v.to_le_bytes());
         }
     }
+    /// Bounds-checked: the bytes come from disk, and neither a page
+    /// checksum nor the unverified-on-read segment blocks vouch for
+    /// their shape. `None` = the input ended early.
     pub struct Reader<'a>(pub &'a [u8]);
     impl<'a> Reader<'a> {
-        pub fn u8(&mut self) -> u8 {
-            let v = self.0[0];
-            self.0 = &self.0[1..];
-            v
+        fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
+            if n > self.0.len() {
+                return None;
+            }
+            let (head, tail) = self.0.split_at(n);
+            self.0 = tail;
+            Some(head)
         }
-        pub fn u32(&mut self) -> u32 {
-            let v = u32::from_le_bytes(self.0[..4].try_into().unwrap());
-            self.0 = &self.0[4..];
-            v
+        pub fn u8(&mut self) -> Option<u8> {
+            self.bytes(1).map(|b| b[0])
         }
-        pub fn u64(&mut self) -> u64 {
-            let v = u64::from_le_bytes(self.0[..8].try_into().unwrap());
-            self.0 = &self.0[8..];
-            v
+        pub fn u32(&mut self) -> Option<u32> {
+            Some(u32::from_le_bytes(self.bytes(4)?.try_into().ok()?))
+        }
+        pub fn u64(&mut self) -> Option<u64> {
+            Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
+        }
+        /// `n` consecutive u32s, `n` itself read from the input: the
+        /// length is checked against what is left before anything is
+        /// allocated for it.
+        pub fn u32s(&mut self, n: usize) -> Option<impl Iterator<Item = u32> + 'a> {
+            let words = self.bytes(n.checked_mul(4)?)?.chunks_exact(4);
+            Some(words.map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
         }
     }
+}
+
+/// Decodes the MaxGap table, childless set and build statistics that
+/// close both the pool index's and a segment's metadata, and requires
+/// the input to end there.
+fn decode_meta_tail(
+    r: &mut codec::Reader,
+) -> Option<(MaxGapTable, std::collections::HashSet<Sym>, BuildStats)> {
+    let n_gaps = r.u32()? as usize;
+    let mut gaps = r.u32s(n_gaps.checked_mul(2)?)?;
+    let maxgap = MaxGapTable::from_entries(std::iter::from_fn(|| {
+        Some((Sym(gaps.next()?), gaps.next()?))
+    }));
+    let n_childless = r.u32()? as usize;
+    let childless = r.u32s(n_childless)?.map(Sym).collect();
+    let stats = BuildStats {
+        trie_nodes: r.u64()? as usize,
+        trie_paths: r.u64()? as usize,
+        sequences: r.u64()?,
+        max_path_sharing: r.u64()?,
+        underflows: r.u64()?,
+        total_seq_len: r.u64()?,
+    };
+    r.0.is_empty().then_some((maxgap, childless, stats))
 }
 
 impl PrixIndex {
@@ -1319,50 +1356,37 @@ impl PrixIndex {
 
     /// Reopens an index previously described by [`PrixIndex::save`].
     pub fn load(pool: Arc<BufferPool>, meta: RecordId) -> Result<Self> {
-        use codec::Reader;
         let store = RecordStore::open(Arc::clone(&pool))?;
         let bytes = store.read(meta)?;
-        let mut r = Reader(&bytes);
-        let kind = match r.u8() {
-            0 => IndexKind::Regular,
-            _ => IndexKind::Extended,
+        let decode = || {
+            let mut r = codec::Reader(&bytes);
+            let kind = match r.u8()? {
+                0 => IndexKind::Regular,
+                _ => IndexKind::Extended,
+            };
+            let dummy = Sym(r.u32()?);
+            let roots = [r.u64()?, r.u64()?, r.u64()?];
+            let n_docs = r.u32()? as usize;
+            let docs = (0..n_docs)
+                .map(|_| {
+                    let nps = RecordId::from_raw(r.u64()?);
+                    let lps = RecordId::from_raw(r.u64()?);
+                    let leaves = RecordId::from_raw(r.u64()?);
+                    let om = r.u64()?;
+                    Some(DocRecords {
+                        nps,
+                        lps,
+                        leaves,
+                        orig_map: (om != 0).then(|| RecordId::from_raw(om)),
+                        n_orig: r.u32()?,
+                    })
+                })
+                .collect::<Option<Vec<_>>>()?;
+            Some((kind, dummy, roots, docs, decode_meta_tail(&mut r)?))
         };
-        let dummy = Sym(r.u32());
-        let tag_root = r.u64();
-        let docid_root = r.u64();
-        let trie_nodes_root = r.u64();
-        let n_docs = r.u32() as usize;
-        let mut docs = Vec::with_capacity(n_docs);
-        for _ in 0..n_docs {
-            let nps = RecordId::from_raw(r.u64());
-            let lps = RecordId::from_raw(r.u64());
-            let leaves = RecordId::from_raw(r.u64());
-            let om = r.u64();
-            let n_orig = r.u32();
-            docs.push(DocRecords {
-                nps,
-                lps,
-                leaves,
-                orig_map: (om != 0).then(|| RecordId::from_raw(om)),
-                n_orig,
-            });
-        }
-        let n_gaps = r.u32() as usize;
-        let maxgap = MaxGapTable::from_entries((0..n_gaps).map(|_| {
-            let sym = Sym(r.u32());
-            let gap = r.u32();
-            (sym, gap)
-        }));
-        let n_childless = r.u32() as usize;
-        let childless = (0..n_childless).map(|_| Sym(r.u32())).collect();
-        let build_stats = BuildStats {
-            trie_nodes: r.u64() as usize,
-            trie_paths: r.u64() as usize,
-            sequences: r.u64(),
-            max_path_sharing: r.u64(),
-            underflows: r.u64(),
-            total_seq_len: r.u64(),
-        };
+        let (kind, dummy, roots, docs, (maxgap, childless, build_stats)) =
+            decode().ok_or_else(|| IndexError::Unsupported("corrupt index metadata".into()))?;
+        let [tag_root, docid_root, trie_nodes_root] = roots;
         Ok(PrixIndex {
             kind,
             maxgap,
@@ -1386,35 +1410,22 @@ impl PrixIndex {
     /// childless set, and build stats come from the segment's metadata
     /// blob (see [`encode_seg_index_meta`]).
     pub fn from_segment(reader: Arc<SegmentReader>) -> Result<Self> {
-        use codec::Reader;
         let bytes = reader.meta()?;
-        let mut r = Reader(&bytes);
-        let kind = match r.u8() {
-            0 => IndexKind::Regular,
-            _ => IndexKind::Extended,
+        let decode = || {
+            let mut r = codec::Reader(&bytes);
+            let kind = match r.u8()? {
+                0 => IndexKind::Regular,
+                _ => IndexKind::Extended,
+            };
+            Some((kind, Sym(r.u32()?), decode_meta_tail(&mut r)?))
         };
+        let (kind, dummy, (maxgap, childless, build_stats)) =
+            decode().ok_or_else(|| IndexError::Unsupported("corrupt segment metadata".into()))?;
         if (reader.kind() == SEG_KIND_RP) != matches!(kind, IndexKind::Regular) {
             return Err(IndexError::Unsupported(
                 "segment header kind disagrees with its index metadata".into(),
             ));
         }
-        let dummy = Sym(r.u32());
-        let n_gaps = r.u32() as usize;
-        let maxgap = MaxGapTable::from_entries((0..n_gaps).map(|_| {
-            let sym = Sym(r.u32());
-            let gap = r.u32();
-            (sym, gap)
-        }));
-        let n_childless = r.u32() as usize;
-        let childless = (0..n_childless).map(|_| Sym(r.u32())).collect();
-        let build_stats = BuildStats {
-            trie_nodes: r.u64() as usize,
-            trie_paths: r.u64() as usize,
-            sequences: r.u64(),
-            max_path_sharing: r.u64(),
-            underflows: r.u64(),
-            total_seq_len: r.u64(),
-        };
         Ok(PrixIndex {
             kind,
             maxgap,
@@ -1467,42 +1478,36 @@ pub(crate) fn encode_doc_record(
 
 /// Inverse of [`encode_doc_record`]. With `need_leaf_data` unset the
 /// LPS and leaf list are skipped without allocating, mirroring the
-/// record-store fast path.
-fn decode_doc_record(bytes: &[u8], need_leaf_data: bool) -> DocData {
+/// record-store fast path. `None` when the bytes are not one whole
+/// record: segment blocks are not checksummed on the query path.
+fn decode_doc_record(bytes: &[u8], need_leaf_data: bool) -> Option<DocData> {
     let mut r = codec::Reader(bytes);
-    let n = r.u32() as usize;
-    let nps: Vec<PostNum> = (0..n).map(|_| r.u32()).collect();
-    let (lps, leaves): (Vec<Sym>, Vec<(Sym, PostNum)>) = if need_leaf_data {
-        let lps = (0..n).map(|_| Sym(r.u32())).collect();
-        let nl = r.u32() as usize;
-        let leaves = (0..nl)
-            .map(|_| {
-                let s = Sym(r.u32());
-                let p = r.u32();
-                (s, p)
-            })
-            .collect();
-        (lps, leaves)
+    let n = r.u32()? as usize;
+    let nps: Vec<PostNum> = r.u32s(n)?.collect();
+    let lps = r.u32s(n)?;
+    let nl = r.u32()? as usize;
+    let mut leaf_words = r.u32s(nl.checked_mul(2)?)?;
+    let (lps, leaves) = if need_leaf_data {
+        // `u32s` vouched for the length, so reserving it is safe.
+        let mut leaves = Vec::with_capacity(nl);
+        while let (Some(s), Some(p)) = (leaf_words.next(), leaf_words.next()) {
+            leaves.push((Sym(s), p));
+        }
+        (lps.map(Sym).collect(), leaves)
     } else {
-        for _ in 0..n {
-            r.u32();
-        }
-        let nl = r.u32() as usize;
-        for _ in 0..(2 * nl) {
-            r.u32();
-        }
         (Vec::new(), Vec::new())
     };
-    let n_map = r.u32() as usize;
-    let orig_map = (n_map != 0).then(|| (0..n_map).map(|_| r.u32()).collect());
-    let n_orig = r.u32();
-    DocData {
+    let n_map = r.u32()? as usize;
+    let orig_map = r.u32s(n_map)?;
+    let orig_map = (n_map != 0).then(|| orig_map.collect());
+    let n_orig = r.u32()?;
+    r.0.is_empty().then_some(DocData {
         nps,
         lps,
         leaves,
         orig_map,
         n_orig,
-    }
+    })
 }
 
 /// Encodes the per-tier index metadata a segment carries in its meta

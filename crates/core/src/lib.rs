@@ -54,8 +54,8 @@ pub use engine::{EngineConfig, EngineStores, IngestOutcome, PrixEngine};
 pub use exec::MatchStream;
 pub use index::{ExecOpts, IndexKind, PrixIndex, QueryStats, TwigMatch};
 pub use plan::{
-    canonicalize, prix_embedding_exact, AltProvider, EngineCaps, EngineChoice, EngineId, NoAlts,
-    PlanReport, Planner, PlannerStats, QueryEngine, QueryShape, Routed, Router,
+    canonicalize, prix_embedding_exact, AltProvider, EngineChoice, EngineId, NoAlts, PlanReport,
+    Planner, PlannerStats, QueryEngine, QueryShape, Routed, Router,
 };
 pub use prix_storage::{ManifestSegment, SegmentCheck, SEG_KIND_EP, SEG_KIND_RP};
 pub use query::{PredOp, PredValue, TwigBuilder, TwigQuery, ValuePred};

@@ -182,19 +182,6 @@ impl AltProvider for NoAlts {
     }
 }
 
-/// Which engines the planner may consider.
-#[derive(Debug, Clone, Copy)]
-pub struct EngineCaps {
-    /// RP index present.
-    pub rp: bool,
-    /// EP index present.
-    pub ep: bool,
-    /// ViST adapter constructible.
-    pub vist: bool,
-    /// TwigStack/TwigStackXB adapter constructible.
-    pub twigstack: bool,
-}
-
 /// The query-shape key the EWMA table uses: queries with the same
 /// node/leaf/value/descendant-edge counts are assumed to cost alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -638,15 +625,17 @@ impl Planner {
             .encode()
     }
 
-    /// Scores every alternative for `q` and picks one. `forced`
-    /// bypasses the comparison but still produces the full report.
+    /// Scores every alternative for `q` and picks one: both PRIX
+    /// indexes always, ViST and the TwigStacks when `alts_available`
+    /// (an [`AltProvider`] willing to build them). `forced` bypasses
+    /// the comparison but still produces the full report.
     pub fn decide(
         &self,
         q: &TwigQuery,
-        caps: EngineCaps,
+        alts_available: bool,
         opts: &ExecOpts,
         forced: Option<EngineChoice>,
-    ) -> Result<PlanReport> {
+    ) -> PlanReport {
         let stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
         let shape = QueryShape::of(q);
         let exact = prix_embedding_exact(q);
@@ -715,7 +704,7 @@ impl Planner {
         let alt_ok = exact && opts.limit.is_none() && !has_preds;
 
         let mut alts = Vec::new();
-        if caps.rp && !needs_ep {
+        if !needs_ep {
             alts.push(PlanAlt {
                 engine: EngineId::PrixRp,
                 maxgap: true,
@@ -731,23 +720,21 @@ impl Planner {
                 note: "",
             });
         }
-        if caps.ep {
-            alts.push(PlanAlt {
-                engine: EngineId::PrixEp,
-                maxgap: true,
-                cost_us: blend(EngineId::PrixEp, prix_on * ep_factor),
-                eligible: true,
-                note: "",
-            });
-            alts.push(PlanAlt {
-                engine: EngineId::PrixEp,
-                maxgap: false,
-                cost_us: blend(EngineId::PrixEp, prix_off * ep_factor),
-                eligible: true,
-                note: "",
-            });
-        }
-        if caps.vist {
+        alts.push(PlanAlt {
+            engine: EngineId::PrixEp,
+            maxgap: true,
+            cost_us: blend(EngineId::PrixEp, prix_on * ep_factor),
+            eligible: true,
+            note: "",
+        });
+        alts.push(PlanAlt {
+            engine: EngineId::PrixEp,
+            maxgap: false,
+            cost_us: blend(EngineId::PrixEp, prix_off * ep_factor),
+            eligible: true,
+            note: "",
+        });
+        if alts_available {
             alts.push(PlanAlt {
                 engine: EngineId::Vist,
                 maxgap: false,
@@ -755,8 +742,6 @@ impl Planner {
                 eligible: alt_ok,
                 note: alt_note,
             });
-        }
-        if caps.twigstack {
             alts.push(PlanAlt {
                 engine: EngineId::TwigStack,
                 maxgap: false,
@@ -773,11 +758,6 @@ impl Planner {
             });
         }
         drop(stats);
-        if alts.is_empty() {
-            return Err(IndexError::Unsupported(
-                "no engine can run this query".into(),
-            ));
-        }
         alts.sort_by(|a, b| {
             a.cost_us
                 .partial_cmp(&b.cost_us)
@@ -786,7 +766,7 @@ impl Planner {
 
         let (chosen, maxgap, cost_us, forced_flag) = match forced {
             Some(EngineChoice::Prix) => {
-                let id = if needs_ep || !caps.rp {
+                let id = if needs_ep {
                     EngineId::PrixEp
                 } else {
                     EngineId::PrixRp
@@ -808,12 +788,12 @@ impl Planner {
                 let best = alts
                     .iter()
                     .find(|a| a.eligible)
-                    .ok_or_else(|| IndexError::Unsupported("no eligible engine".into()))?;
+                    .expect("the EPIndex alternatives are always eligible");
                 (best.engine, best.maxgap, best.cost_us, false)
             }
         };
 
-        Ok(PlanReport {
+        PlanReport {
             shape,
             ewma_samples: self
                 .stats
@@ -826,7 +806,7 @@ impl Planner {
             cost_us,
             forced: forced_flag,
             prix_exact: exact,
-        })
+        }
     }
 
     /// Ranks unordered-mode arrangements cheapest-first by the
@@ -892,23 +872,6 @@ pub struct Router<'a> {
 }
 
 impl<'a> Router<'a> {
-    /// Plans `q` without executing (the `/explain` path).
-    pub fn plan(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-        forced: Option<EngineChoice>,
-    ) -> Result<PlanReport> {
-        // Alternative engines replay documents out of the RP index
-        // (the snapshot's caps say whether it can) and need a willing
-        // provider on top.
-        let mut caps = self.prix.engine_caps();
-        let provided = self.alts.available();
-        caps.vist &= provided;
-        caps.twigstack &= provided;
-        self.planner.decide(q, caps, opts, forced)
-    }
-
     /// Plans and executes `q`, canonicalizes the result, and feeds the
     /// observation back into the EWMA table.
     pub fn route(
@@ -917,7 +880,7 @@ impl<'a> Router<'a> {
         opts: &ExecOpts,
         forced: Option<EngineChoice>,
     ) -> Result<Routed> {
-        let report = self.plan(q, opts, forced)?;
+        let report = self.planner.decide(q, self.alts.available(), opts, forced);
         let mut exec_opts = *opts;
         if report.chosen.is_prix() {
             exec_opts.use_maxgap = report.maxgap;
@@ -1103,15 +1066,7 @@ mod tests {
         let needle = syms.intern("needle");
         assert_eq!((hay, needle), (Sym(1), Sym(2)));
         let q = parse_xpath("//hay//needle", &mut syms).unwrap();
-        let caps = EngineCaps {
-            rp: true,
-            ep: true,
-            vist: true,
-            twigstack: true,
-        };
-        let report = planner
-            .decide(&q, caps, &ExecOpts::default(), None)
-            .unwrap();
+        let report = planner.decide(&q, true, &ExecOpts::default(), None);
         assert_eq!(report.chosen, EngineId::TwigStackXb, "{report:?}");
         assert!(!report.forced);
     }
@@ -1132,35 +1087,19 @@ mod tests {
         syms.intern("b");
         syms.intern("c");
         let q = parse_xpath("/a/b/c", &mut syms).unwrap();
-        let caps = EngineCaps {
-            rp: true,
-            ep: true,
-            vist: true,
-            twigstack: true,
-        };
-        let report = planner
-            .decide(&q, caps, &ExecOpts::default(), None)
-            .unwrap();
+        let report = planner.decide(&q, true, &ExecOpts::default(), None);
         assert!(report.chosen.is_prix(), "{report:?}");
     }
 
     #[test]
     fn forced_choice_bypasses_the_comparison() {
         let planner = Planner::new(PlannerStats::default());
-        let caps = EngineCaps {
-            rp: true,
-            ep: true,
-            vist: true,
-            twigstack: true,
-        };
-        let report = planner
-            .decide(
-                &q("//a[.//b]/c"), // not exact: alts ineligible...
-                caps,
-                &ExecOpts::default(),
-                Some(EngineChoice::Forced(EngineId::Vist)), // ...but forceable
-            )
-            .unwrap();
+        let report = planner.decide(
+            &q("//a[.//b]/c"), // not exact: alts ineligible...
+            true,
+            &ExecOpts::default(),
+            Some(EngineChoice::Forced(EngineId::Vist)), // ...but forceable
+        );
         assert_eq!(report.chosen, EngineId::Vist);
         assert!(report.forced);
     }
@@ -1168,24 +1107,14 @@ mod tests {
     #[test]
     fn observations_feed_the_ewma_and_flag_mispredictions() {
         let planner = Planner::new(PlannerStats::default());
-        let caps = EngineCaps {
-            rp: true,
-            ep: false,
-            vist: false,
-            twigstack: false,
-        };
         let query = q("/a/b");
-        let report = planner
-            .decide(&query, caps, &ExecOpts::default(), None)
-            .unwrap();
+        let report = planner.decide(&query, false, &ExecOpts::default(), None);
         assert!(report.cost_us > 0.0);
         // 10x over the estimate: mispredicted.
         let slow = Duration::from_micros((report.cost_us * 10.0) as u64);
         assert!(planner.observe(&report, slow));
         // The EWMA now exists and gets blended into the next decision.
-        let again = planner
-            .decide(&query, caps, &ExecOpts::default(), None)
-            .unwrap();
+        let again = planner.decide(&query, false, &ExecOpts::default(), None);
         assert_eq!(again.ewma_samples, 1);
         assert!(again.cost_us > report.cost_us);
         // Within budget: not a misprediction.
@@ -1203,16 +1132,8 @@ mod tests {
         s.total_nodes = 200_050;
         s.doc_count = 1;
         let planner = Planner::new(s);
-        let caps = EngineCaps {
-            rp: true,
-            ep: true,
-            vist: true,
-            twigstack: true,
-        };
         let query = q("//hay//needle[price < 10]");
-        let report = planner
-            .decide(&query, caps, &ExecOpts::default(), None)
-            .unwrap();
+        let report = planner.decide(&query, true, &ExecOpts::default(), None);
         assert!(report.chosen.is_prix(), "{report:?}");
         for alt in report.alternatives.iter().filter(|a| !a.engine.is_prix()) {
             assert!(!alt.eligible);

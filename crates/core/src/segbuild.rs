@@ -197,8 +197,8 @@ pub struct BulkBuilder {
     syms: SymbolTable,
     generation: u64,
     prev: Option<prix_storage::Manifest>,
-    rp: Option<SegIndexBuilder>,
-    ep: Option<SegIndexBuilder>,
+    rp: SegIndexBuilder,
+    ep: SegIndexBuilder,
     rp_maxgap: MaxGapTable,
     ep_maxgap: MaxGapTable,
     childless: HashSet<Sym>,
@@ -235,11 +235,6 @@ impl BulkBuilder {
         env: Arc<dyn SegmentEnv>,
         run_mem_bytes: usize,
     ) -> Result<Self> {
-        if !cfg.build_rp && !cfg.build_ep {
-            return Err(IndexError::Unsupported(
-                "bulk build needs at least one index kind".into(),
-            ));
-        }
         // A rebuild over a live segmented database takes the next
         // generation's names; a fresh path starts at generation 1.
         let prev = if env.exists(".seg")? {
@@ -250,32 +245,22 @@ impl BulkBuilder {
         let generation = prev.as_ref().map_or(1, |m| m.generation + 1);
         let mut syms = SymbolTable::new();
         let dummy = syms.intern("\u{1}prix-dummy");
-        let rp = cfg
-            .build_rp
-            .then(|| {
-                SegIndexBuilder::new(
-                    &env,
-                    &format!(".g{generation}.rp.seg"),
-                    IndexKind::Regular,
-                    dummy,
-                    0,
-                    run_mem_bytes,
-                )
-            })
-            .transpose()?;
-        let ep = cfg
-            .build_ep
-            .then(|| {
-                SegIndexBuilder::new(
-                    &env,
-                    &format!(".g{generation}.ep.seg"),
-                    IndexKind::Extended,
-                    dummy,
-                    0,
-                    run_mem_bytes,
-                )
-            })
-            .transpose()?;
+        let rp = SegIndexBuilder::new(
+            &env,
+            &format!(".g{generation}.rp.seg"),
+            IndexKind::Regular,
+            dummy,
+            0,
+            run_mem_bytes,
+        )?;
+        let ep = SegIndexBuilder::new(
+            &env,
+            &format!(".g{generation}.ep.seg"),
+            IndexKind::Extended,
+            dummy,
+            0,
+            run_mem_bytes,
+        )?;
         Ok(BulkBuilder {
             cfg,
             env,
@@ -335,12 +320,8 @@ impl BulkBuilder {
                 }
             }
         }
-        if let Some(rp) = &mut self.rp {
-            rp.add_tree(tree, &mut self.rp_maxgap)?;
-        }
-        if let Some(ep) = &mut self.ep {
-            ep.add_tree(tree, &mut self.ep_maxgap)?;
-        }
+        self.rp.add_tree(tree, &mut self.rp_maxgap)?;
+        self.ep.add_tree(tree, &mut self.ep_maxgap)?;
         let id = self.n_docs;
         self.n_docs += 1;
         Ok(id)
@@ -376,25 +357,16 @@ impl BulkBuilder {
             valix,
             n_docs,
         } = self;
-        let mut segments: Vec<ManifestSegment> = Vec::new();
-        if let Some(rp) = rp {
-            rp.finish(&rp_maxgap, &childless)?;
-            segments.push(ManifestSegment {
-                kind: SEG_KIND_RP,
-                suffix: format!(".g{generation}.rp.seg"),
+        rp.finish(&rp_maxgap, &childless)?;
+        ep.finish(&ep_maxgap, &childless)?;
+        let segments = Vec::from([(SEG_KIND_RP, "rp"), (SEG_KIND_EP, "ep")].map(
+            |(kind, kname)| ManifestSegment {
+                kind,
+                suffix: format!(".g{generation}.{kname}.seg"),
                 doc_base: 0,
                 n_docs,
-            });
-        }
-        if let Some(ep) = ep {
-            ep.finish(&ep_maxgap, &childless)?;
-            segments.push(ManifestSegment {
-                kind: SEG_KIND_EP,
-                suffix: format!(".g{generation}.ep.seg"),
-                doc_base: 0,
-                n_docs,
-            });
-        }
+            },
+        ));
         let mutable_suffix = if generation == 1 {
             String::new()
         } else {

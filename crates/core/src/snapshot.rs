@@ -14,8 +14,8 @@
 //! versioning at two levels:
 //!
 //! * **Catalog level** — [`EngineSnapshot`] freezes everything a query
-//!   needs (symbol table, RP/EP index handles, the optimizer's
-//!   arrangement limit) at one published epoch. Snapshots are immutable
+//!   needs (symbol table, RP/EP index handles, the value index) at
+//!   one published epoch. Snapshots are immutable
 //!   and cheap to share (`Arc`); queries against one snapshot are
 //!   bit-identical no matter what the writer does concurrently.
 //! * **Page level** — each snapshot holds a [`prix_storage::EpochPin`].
@@ -48,10 +48,10 @@ use std::time::{Duration, Instant};
 use prix_storage::{EpochPin, IoScope, IoSnapshot};
 use prix_xml::{Collection, DocId, PostNum, ScratchSyms, SymbolTable};
 
-use crate::arrange::arrangements;
+use crate::arrange::{arrangements, ARRANGEMENT_LIMIT};
 use crate::engine::{PrixEngine, SegTier};
 use crate::index::{ExecOpts, IndexError, IndexKind, PrixIndex, QueryStats, Result, TwigMatch};
-use crate::plan::{AltProvider, EngineCaps, EngineChoice, EngineId, Planner, Routed, Router};
+use crate::plan::{AltProvider, EngineChoice, EngineId, Planner, Routed, Router};
 use crate::query::TwigQuery;
 use crate::valix::{PredEval, Valix};
 use crate::xpath::{parse_xpath, XPathError};
@@ -83,7 +83,7 @@ pub struct QueryOutcome {
 
 /// One tier's index pair, `(rp, ep)`: the shape [`pick_index`] routes
 /// over.
-type TierRefs<'a> = (Option<&'a PrixIndex>, Option<&'a PrixIndex>);
+type TierRefs<'a> = (&'a PrixIndex, &'a PrixIndex);
 
 /// An immutable, epoch-pinned view of a [`PrixEngine`], and the only
 /// way to query one.
@@ -96,15 +96,14 @@ type TierRefs<'a> = (Option<&'a PrixIndex>, Option<&'a PrixIndex>);
 pub struct EngineSnapshot {
     epoch: u64,
     syms: Arc<SymbolTable>,
-    rp: Option<PrixIndex>,
-    ep: Option<PrixIndex>,
+    rp: PrixIndex,
+    ep: PrixIndex,
     /// Immutable segment tiers at capture time. The tiers themselves
     /// never change after publication; cloning shares the underlying
     /// segment readers. Epoch pinning is only needed for the mutable
     /// `rp`/`ep` handles above.
     segments: Vec<SegTier>,
     generation: u64,
-    arrangement_limit: usize,
     /// The engine's planner, *shared* (not frozen): observed stage
     /// clocks from queries served off this snapshot feed the same
     /// statistics later plans read. Plans are advisory — sharing never
@@ -113,7 +112,7 @@ pub struct EngineSnapshot {
     /// The value index at capture time. A clone of the engine's handle:
     /// shares pages through the pool, and under this snapshot's epoch
     /// pin reads the frozen bytes of its epoch like `rp`/`ep` do.
-    valix: Option<Valix>,
+    valix: Valix,
     pin: EpochPin,
 }
 
@@ -123,13 +122,12 @@ impl EngineSnapshot {
         EngineSnapshot {
             epoch: pin.epoch(),
             syms: Arc::new(engine.collection().symbols().clone()),
-            rp: engine.rp_index().cloned(),
-            ep: engine.ep_index().cloned(),
+            rp: engine.rp_index().clone(),
+            ep: engine.ep_index().clone(),
             segments: engine.seg_tiers().to_vec(),
             generation: engine.generation(),
-            arrangement_limit: engine.arrangement_limit(),
             planner: Arc::clone(engine.planner()),
-            valix: engine.valix().cloned(),
+            valix: engine.valix().clone(),
             pin,
         }
     }
@@ -137,7 +135,7 @@ impl EngineSnapshot {
     /// Builds the predicate evaluator for `q` against this epoch's
     /// value index (`None` when the query has no predicates).
     fn pred_eval(&self, q: &TwigQuery) -> Result<Option<PredEval>> {
-        PredEval::build(q, self.valix.as_ref(), &self.syms)
+        PredEval::build(q, &self.valix, &self.syms)
     }
 
     /// The tier list a query descends: segments in ascending
@@ -150,13 +148,9 @@ impl EngineSnapshot {
     /// documents, which is the property the `bulk_equals_incremental`
     /// suite pins.
     fn tiers(&self) -> Vec<TierRefs<'_>> {
-        let mut tiers: Vec<TierRefs<'_>> = self
-            .segments
-            .iter()
-            .map(|t| (t.rp.as_ref(), t.ep.as_ref()))
-            .collect();
+        let mut tiers: Vec<TierRefs<'_>> = self.segments.iter().map(|t| (&t.rp, &t.ep)).collect();
         if tiers.is_empty() || self.mutable_docs() > 0 {
-            tiers.push((self.rp.as_ref(), self.ep.as_ref()));
+            tiers.push((&self.rp, &self.ep));
         }
         tiers
     }
@@ -179,10 +173,7 @@ impl EngineSnapshot {
 
     /// Documents living in the mutable delta at this epoch.
     pub fn mutable_docs(&self) -> usize {
-        self.rp
-            .as_ref()
-            .or(self.ep.as_ref())
-            .map_or(0, |i| i.doc_count())
+        self.rp.doc_count()
     }
 
     /// The published epoch this view is pinned at.
@@ -356,7 +347,7 @@ impl EngineSnapshot {
         let pred = self.pred_eval(q)?;
         let pred = pred.as_ref();
         let tiers = self.tiers();
-        let mut arrs = arrangements(q, self.arrangement_limit)
+        let mut arrs = arrangements(q, ARRANGEMENT_LIMIT)
             .map_err(|e| IndexError::Unsupported(e.to_string()))?;
         if opts.limit.is_some() {
             let queries: Vec<TwigQuery> = arrs.iter().map(|a| a.query.clone()).collect();
@@ -421,22 +412,6 @@ impl EngineSnapshot {
         ))
     }
 
-    /// The engine capabilities the planner scores over at this epoch:
-    /// which PRIX indexes exist, and whether the alternative engines
-    /// could be built (they replay documents out of the RP index, so
-    /// every tier must have one).
-    pub fn engine_caps(&self) -> EngineCaps {
-        let tiers = self.tiers();
-        let (rp, ep) = tiers[0];
-        let alt = tiers.iter().all(|(rp, _)| rp.is_some());
-        EngineCaps {
-            rp: rp.is_some(),
-            ep: ep.is_some(),
-            vist: alt,
-            twigstack: alt,
-        }
-    }
-
     /// The shared planner.
     pub fn planner(&self) -> &Arc<Planner> {
         &self.planner
@@ -470,17 +445,11 @@ impl EngineSnapshot {
     /// on a reopened database, whose in-memory collection is empty. All
     /// nodes come back as elements (the RP encoding does not mark text
     /// nodes), which is exactly what label-driven matching needs.
-    /// Requires the RP index in every tier.
     pub fn reconstruct_collection(&self) -> Result<Collection> {
         let _pin = self.pin.guard();
         let mut collection = Collection::new();
         *collection.symbols_mut() = (*self.syms).clone();
         for (rp, _) in self.tiers() {
-            let rp = rp.ok_or_else(|| {
-                IndexError::Unsupported(
-                    "reconstructing documents requires the RPIndex in every tier".into(),
-                )
-            })?;
             let base = rp.doc_base();
             for local in 0..rp.doc_count() as u32 {
                 let data = rp.load_doc(base + local, true)?;
@@ -515,54 +484,34 @@ impl EngineSnapshot {
         let idx = pick_index(rp, ep, &q, None)?;
         let mut out = format!("index: {}\n", idx.kind());
         out.push_str(&idx.explain(&q, &syms)?);
-        if let Some(pred) = PredEval::build(&q, self.valix.as_ref(), &syms)? {
+        if let Some(pred) = PredEval::build(&q, &self.valix, &syms)? {
             out.push_str(&explain_pred(&q, &pred, &syms));
         }
-        let report = self
-            .planner
-            .decide(&q, self.engine_caps(), &ExecOpts::default(), None)?;
+        let report = self.planner.decide(&q, true, &ExecOpts::default(), None);
         out.push_str(&report.render());
         Ok(out)
     }
 }
 
 /// §5.6's optimizer rule over one tier's index pair: value queries need
-/// the EPIndex; value-free queries prefer the RPIndex ("If twig queries
+/// the EPIndex; value-free queries take the RPIndex ("If twig queries
 /// have no values, then indexing Regular-Prüfer sequences is
 /// recommended"). `force` overrides the rule (the planner's RP-vs-EP
 /// choice, or `--engine prix_rp`/`prix_ep`); forcing the RPIndex for a
-/// value query is refused — it cannot answer it — as is forcing an
-/// index that was not built.
+/// value query is refused — it cannot answer it.
 fn pick_index<'a>(
-    rp: Option<&'a PrixIndex>,
-    ep: Option<&'a PrixIndex>,
+    rp: &'a PrixIndex,
+    ep: &'a PrixIndex,
     q: &TwigQuery,
     force: Option<IndexKind>,
 ) -> Result<&'a PrixIndex> {
     match force {
-        Some(IndexKind::Regular) => {
-            if q.needs_extended() {
-                return Err(IndexError::Unsupported(
-                    "value query cannot run on the RPIndex".into(),
-                ));
-            }
-            rp.ok_or_else(|| IndexError::Unsupported("the RPIndex was not built".into()))
-        }
-        Some(IndexKind::Extended) => {
-            ep.ok_or_else(|| IndexError::Unsupported("the EPIndex was not built".into()))
-        }
-        None => {
-            if q.needs_extended() {
-                ep.ok_or_else(|| {
-                    IndexError::Unsupported(
-                        "query requires the EPIndex, which was not built".into(),
-                    )
-                })
-            } else {
-                rp.or(ep)
-                    .ok_or_else(|| IndexError::Unsupported("no index was built".into()))
-            }
-        }
+        Some(IndexKind::Regular) if q.needs_extended() => Err(IndexError::Unsupported(
+            "value query cannot run on the RPIndex".into(),
+        )),
+        Some(IndexKind::Regular) => Ok(rp),
+        Some(IndexKind::Extended) => Ok(ep),
+        None => Ok(if q.needs_extended() { ep } else { rp }),
     }
 }
 
@@ -995,6 +944,19 @@ mod tests {
     }
 
     #[test]
+    fn unordered_query_over_the_arrangement_limit_is_refused() {
+        let eng = engine();
+        let e = eng.snapshot();
+        // Seven distinct branches: 7! = 5040 arrangements.
+        let q = e
+            .parse_query("//a[./b][./c][./d][./e][./f][./g]/h")
+            .unwrap();
+        let err = e.query_unordered(&q).unwrap_err().to_string();
+        assert!(err.contains(&ARRANGEMENT_LIMIT.to_string()), "{err}");
+        assert!(e.query(&q).is_ok(), "the ordered query is unaffected");
+    }
+
+    #[test]
     fn unordered_embeddings_use_base_numbering() {
         let eng = engine();
         let e = eng.snapshot();
@@ -1026,17 +988,25 @@ mod tests {
     }
 
     #[test]
-    fn rp_only_engine_rejects_value_queries() {
-        let mut c = Collection::new();
-        c.add_xml("<a><b>v</b></a>").unwrap();
-        let cfg = EngineConfig {
-            build_ep: false,
-            ..Default::default()
-        };
-        let eng = PrixEngine::build(c, cfg).unwrap();
+    fn value_query_forced_onto_the_rp_index_is_refused() {
+        let eng = engine();
         let e = eng.snapshot();
-        let q = e.parse_query(r#"//a[./b="v"]"#).unwrap();
-        assert!(e.query(&q).is_err());
+        let q = e
+            .parse_query(r#"//inproceedings[./author="Jim Gray"]"#)
+            .unwrap();
+        let forced = e.execute_prix(&q, &ExecOpts::default(), Some(IndexKind::Regular));
+        assert!(forced.is_err(), "the RPIndex cannot answer a value query");
+        let routed = e.query_routed(
+            &q,
+            &ExecOpts::default(),
+            Some(EngineChoice::Forced(EngineId::PrixRp)),
+            &crate::plan::NoAlts,
+        );
+        assert!(
+            routed.is_err(),
+            "--engine prix_rp goes through the same rule"
+        );
+        assert_eq!(e.query(&q).unwrap().matches.len(), 2, "unforced: EPIndex");
     }
 
     #[test]
@@ -1200,24 +1170,6 @@ mod tests {
         }
         // Empty input with zero threads is a no-op, not a panic.
         assert!(e.query_batch(&[], 0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn query_batch_surfaces_errors() {
-        // An RP-only engine cannot answer value queries; the batch must
-        // report the failure rather than swallow it.
-        let mut c = Collection::new();
-        c.add_xml("<a><b>v</b></a>").unwrap();
-        let cfg = EngineConfig {
-            build_ep: false,
-            ..Default::default()
-        };
-        let eng = PrixEngine::build(c, cfg).unwrap();
-        let e = eng.snapshot();
-        let good = e.parse_query("//a/b").unwrap();
-        let bad = e.parse_query(r#"//a[./b="v"]"#).unwrap();
-        let queries = vec![good, bad];
-        assert!(e.query_batch(&queries, 2).is_err());
     }
 
     #[test]

@@ -466,8 +466,8 @@ pub struct PredEval {
     /// symbols)` per predicate.
     items: Vec<(PostNum, Arc<HashSet<Sym>>)>,
     /// Documents below the coverage horizon that can satisfy every
-    /// probeable predicate; `None` when no predicate was probeable (no
-    /// valix, or `!=`-only).
+    /// probeable predicate; `None` when no predicate was probeable
+    /// (`!=`-only).
     allowed: Option<HashSet<DocId>>,
     /// The valix coverage horizon at probe time. Documents at or past
     /// it were never indexed, so the pre-filter must admit them.
@@ -477,14 +477,10 @@ pub struct PredEval {
 }
 
 impl PredEval {
-    /// Resolves `q`'s predicates against `syms`, probing `valix` (when
-    /// present) for the document pre-filter. `Ok(None)` when the query
-    /// has no predicates.
-    pub fn build(
-        q: &TwigQuery,
-        valix: Option<&Valix>,
-        syms: &SymbolTable,
-    ) -> Result<Option<PredEval>> {
+    /// Resolves `q`'s predicates against `syms`, probing `valix` for
+    /// the document pre-filter. `Ok(None)` when the query has no
+    /// predicates.
+    pub fn build(q: &TwigQuery, valix: &Valix, syms: &SymbolTable) -> Result<Option<PredEval>> {
         if q.preds().is_empty() {
             return Ok(None);
         }
@@ -500,23 +496,19 @@ impl PredEval {
         }
         let mut probe = ProbeStats::default();
         let mut allowed: Option<HashSet<DocId>> = None;
-        let mut covered = 0;
-        if let Some(vx) = valix {
-            covered = vx.covered();
-            for p in q.preds() {
-                let tag = tree.label(p.node);
-                if let Some(docs) = vx.probe_docs(tag, p, &mut probe)? {
-                    allowed = Some(match allowed {
-                        None => docs,
-                        Some(acc) => acc.intersection(&docs).copied().collect(),
-                    });
-                }
+        for p in q.preds() {
+            let tag = tree.label(p.node);
+            if let Some(docs) = valix.probe_docs(tag, p, &mut probe)? {
+                allowed = Some(match allowed {
+                    None => docs,
+                    Some(acc) => acc.intersection(&docs).copied().collect(),
+                });
             }
         }
         Ok(Some(PredEval {
             items,
             allowed,
-            covered,
+            covered: valix.covered(),
             probe,
         }))
     }

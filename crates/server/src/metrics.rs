@@ -895,6 +895,49 @@ mod tests {
         );
     }
 
+    /// README.md's `/metrics` table and the exposition list the same
+    /// series with the same types. A table row is
+    /// ``| `prix_name` | type | meaning |``.
+    #[test]
+    fn readme_metrics_table_matches_the_exposition() {
+        use std::collections::BTreeSet;
+        let text = Metrics::new().render(
+            IoSnapshot::default(),
+            0,
+            0,
+            0,
+            None,
+            0,
+            CacheSnapshot::default(),
+            CacheSnapshot::default(),
+            EngineGauges::default(),
+        );
+        let emitted: BTreeSet<(String, String)> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE prix_"))
+            .filter_map(|l| l.split_once(' '))
+            .map(|(name, kind)| (format!("prix_{name}"), kind.to_string()))
+            .collect();
+        let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+        let readme = std::fs::read_to_string(readme).expect("README.md at the workspace root");
+        let documented: BTreeSet<(String, String)> = readme
+            .lines()
+            .filter_map(|l| l.strip_prefix("| `prix_"))
+            .filter_map(|l| l.split_once("` | "))
+            .filter_map(|(name, rest)| Some((name, rest.split_once(" | ")?.0)))
+            .map(|(name, kind)| (format!("prix_{name}"), kind.to_string()))
+            .collect();
+        assert!(emitted.len() > 40, "exposition lost its TYPE lines: {text}");
+        let undocumented: Vec<_> = emitted.difference(&documented).collect();
+        let stale: Vec<_> = documented.difference(&emitted).collect();
+        assert!(
+            undocumented.is_empty() && stale.is_empty(),
+            "README.md /metrics table is out of step with Metrics::render\n\
+             emitted but not in README: {undocumented:?}\n\
+             in README but not emitted: {stale:?}"
+        );
+    }
+
     #[test]
     fn durability_series_render_with_and_without_recovery() {
         let m = Metrics::new();

@@ -21,13 +21,11 @@ fn main() {
     );
 
     let engine = PrixEngine::build(collection, EngineConfig::default()).expect("engine build");
-    if let Some(rp) = engine.rp_index() {
-        let b = rp.build_stats();
-        println!(
-            "RPIndex: {} trie nodes for {} sequences ({} distinct paths, best path shared by {})",
-            b.trie_nodes, b.sequences, b.trie_paths, b.max_path_sharing
-        );
-    }
+    let b = engine.rp_index().build_stats();
+    println!(
+        "RPIndex: {} trie nodes for {} sequences ({} distinct paths, best path shared by {})",
+        b.trie_nodes, b.sequences, b.trie_paths, b.max_path_sharing
+    );
 
     // Queries run against a read view of the engine.
     let view = engine.snapshot();

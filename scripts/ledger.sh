@@ -1,0 +1,77 @@
+#!/usr/bin/env bash
+# The simplicity ledger: the numbers a simplicity PR reports in
+# CHANGES.md, counted the same way every time.
+#
+#   scripts/ledger.sh [<base-rev>]      (default: HEAD)
+#
+# Per file under crates/{core,storage,server,cli}/src, base vs working
+# tree: lines that are neither blank nor a `//` comment and sit above
+# the file's `#[cfg(test)]` module (every such module in these crates
+# closes its file). Then the option counts: `pub` fields of
+# EngineConfig, ExecOpts and ServerConfig, and CLI flag match sites
+# (`== "--x"`, `"--x" =>`, `Some("--x")` in crates/cli/src/main.rs).
+set -euo pipefail
+cd "$(dirname "$0")/.."
+BASE=${1:-HEAD}
+git rev-parse --verify --quiet "$BASE^{commit}" >/dev/null || { echo "ledger: unknown revision '$BASE'" >&2; exit 2; }
+
+CRATES=(core storage server cli)
+
+# Source text of <path> at the base revision / in the working tree;
+# empty when the file does not exist on that side.
+at_base() { git show "$BASE:$1" 2>/dev/null || true; }
+at_work() { cat "$1" 2>/dev/null || true; }
+
+code_lines() {
+  awk '/^#\[cfg\(test\)\]/ { exit }
+       { sub(/^[ \t]+/, "") }
+       $0 != "" && $0 !~ /^\/\// { n++ }
+       END { print n + 0 }'
+}
+
+# pub_fields <struct>: reads a source file, counts the struct's `pub` fields.
+pub_fields() {
+  awk -v s="pub struct $1 {" '
+    index($0, s) == 1 { inside = 1; next }
+    inside && /^}/ { exit }
+    inside && /^[ \t]+pub [a-z_0-9]+:/ { n++ }
+    END { print n + 0 }'
+}
+
+cli_flags() {
+  awk '/^#\[cfg\(test\)\]/ { exit } { print }' |
+    { grep -oE '== "--[a-z][a-z0-9-]*"|"--[a-z][a-z0-9-]*" =>|Some\("--[a-z][a-z0-9-]*"\)' || true; } |
+    wc -l | tr -d ' '
+}
+
+echo "code lines outside #[cfg(test)], $BASE -> working tree"
+total_b=0 total_w=0
+for c in "${CRATES[@]}"; do
+  dir="crates/$c/src"
+  crate_b=0 crate_w=0
+  while read -r f; do
+    b=$(at_base "$f" | code_lines)
+    w=$(at_work "$f" | code_lines)
+    crate_b=$((crate_b + b)) crate_w=$((crate_w + w))
+    if [ "$b" != "$w" ]; then
+      printf '  %-34s %6d -> %6d  (%+d)\n' "$f" "$b" "$w" $((w - b))
+    else
+      printf '  %-34s %6d\n' "$f" "$w"
+    fi
+  done < <({ git ls-tree -r --name-only "$BASE" -- "$dir"; find "$dir" -name '*.rs'; } | sort -u)
+  printf '  %-34s %6d -> %6d  (%+d)\n' "crates/$c/src total" "$crate_b" "$crate_w" $((crate_w - crate_b))
+  total_b=$((total_b + crate_b)) total_w=$((total_w + crate_w))
+done
+printf '  %-34s %6d -> %6d  (%+d)\n' "all four crates" "$total_b" "$total_w" $((total_w - total_b))
+
+echo "options, $BASE -> working tree"
+while read -r name file; do
+  printf '  %-34s %6d -> %6d\n' "$name pub fields" \
+    "$(at_base "$file" | pub_fields "$name")" "$(at_work "$file" | pub_fields "$name")"
+done <<'EOF'
+EngineConfig crates/core/src/engine.rs
+ExecOpts crates/core/src/index.rs
+ServerConfig crates/server/src/server.rs
+EOF
+printf '  %-34s %6d -> %6d\n' "CLI flag sites" \
+  "$(at_base crates/cli/src/main.rs | cli_flags)" "$(at_work crates/cli/src/main.rs | cli_flags)"

@@ -161,7 +161,7 @@ fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
     // The recovered document count must be an acknowledged state: the
     // last acked save, or — only if the crash hit a save — that save's
     // full contents (WAL-committed before the error surfaced).
-    let n = after.rp_index().ok_or("rp index missing")?.doc_count();
+    let n = after.rp_index().doc_count();
     let acceptable = if crashed_during_save && acked != docs.len() {
         vec![acked, docs.len()]
     } else {
@@ -337,7 +337,7 @@ fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
     // last acked boundary, or — only if the crash interrupted a batch —
     // that batch's boundary (its WAL commit may have landed before the
     // error surfaced). Nothing in between, nothing beyond.
-    let n = after.rp_index().ok_or("rp index missing")?.doc_count();
+    let n = after.rp_index().doc_count();
     let mut acceptable = vec![states[last_acked].len()];
     if let Some(k) = crashed_in_batch {
         acceptable.push(states[k].len());

@@ -4,9 +4,9 @@
 
 use std::path::Path;
 
-use prix::core::{EngineConfig, PrixEngine};
+use prix::core::{BulkBuilder, EngineConfig, PrixEngine, SEG_KIND_EP, SEG_KIND_RP};
 use prix::datagen::{generate, queries::queries_for, Dataset};
-use prix::storage::{FileStore, Pager, PAGE_SIZE};
+use prix::storage::{FileStore, Manifest, Pager, PAGE_SIZE};
 
 /// A one-document database saved at `path`.
 fn save_small_db(path: &Path) {
@@ -100,42 +100,6 @@ fn reopening_garbage_fails_cleanly() {
 }
 
 #[test]
-fn non_default_arrangement_limit_survives_reopen() {
-    let dir = std::env::temp_dir().join(format!("prix-persist-limit-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("db.prix");
-    let mut c = prix::xml::Collection::new();
-    c.add_xml("<a><b/><c/><d/></a>").unwrap();
-    let mut engine = PrixEngine::build(
-        c,
-        EngineConfig {
-            path: Some(path.clone()),
-            arrangement_limit: 1,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(engine.arrangement_limit(), 1);
-    // Three branches under `a` have 6 arrangements: over the limit.
-    let rejects = |e: &PrixEngine| {
-        let snap = e.snapshot();
-        let q = snap.parse_query("//a[./b][./c]/d").unwrap();
-        snap.query_unordered(&q).is_err()
-    };
-    assert!(rejects(&engine), "limit 1 must reject");
-    engine.save().unwrap();
-    drop(engine);
-    let reopened = PrixEngine::reopen(&path, 64).unwrap();
-    assert_eq!(
-        reopened.arrangement_limit(),
-        1,
-        "configured limit was silently replaced by the default on reopen"
-    );
-    assert!(rejects(&reopened), "limit survives");
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn repeated_saves_do_not_grow_the_file() {
     let dir = std::env::temp_dir().join(format!("prix-persist-grow-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -202,6 +166,79 @@ fn doctored_catalog_version_is_rejected() {
     assert!(
         msg.contains("version 99"),
         "error must name the unknown version: {msg}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Catalog v4 can spell "this engine has no RPIndex / EPIndex / value
+/// index" as a zero record id. This build never writes one, and opening
+/// half an engine is refused with the way out.
+#[test]
+fn catalog_without_an_index_is_refused() {
+    let dir = std::env::temp_dir().join(format!("prix-persist-zero-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.prix");
+    save_small_db(&path);
+    let pager = durable_pager(&path);
+    let mut catalog = [0u8; PAGE_SIZE];
+    pager.read_page(0, &mut catalog).unwrap();
+    // The valix id trails the length-prefixed planner blob at byte 44.
+    let stats_len = u32::from_le_bytes(catalog[44..48].try_into().unwrap()) as usize;
+    for (what, off) in [
+        ("RPIndex", 8),
+        ("EPIndex", 16),
+        ("value index", 48 + stats_len),
+    ] {
+        let mut page = catalog;
+        assert_ne!(page[off..off + 8], [0u8; 8], "{what} id is set as saved");
+        page[off..off + 8].fill(0);
+        pager.write_page(0, &page).unwrap();
+        let msg = reopen_error(&path);
+        assert!(
+            msg.contains(what) && msg.contains("re-index"),
+            "zero {what} record id: {msg}"
+        );
+    }
+    pager.write_page(0, &catalog).unwrap();
+    assert!(
+        PrixEngine::reopen(&path, 64).is_ok(),
+        "restored catalog opens"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A manifest tier with only one of its two segments is the same half
+/// engine one level up.
+#[test]
+fn manifest_tier_missing_a_kind_is_refused() {
+    let dir = std::env::temp_dir().join(format!("prix-persist-kind-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.prix");
+    let mut bulk = BulkBuilder::new(EngineConfig {
+        path: Some(path.clone()),
+        ..Default::default()
+    })
+    .unwrap();
+    bulk.add_xml("<a><b>v</b></a>").unwrap();
+    bulk.add_xml("<a><c/></a>").unwrap();
+    drop(bulk.finish().unwrap());
+    let store = FileStore::open(dir.join("db.prix.seg")).unwrap();
+    let full = Manifest::read_from(&store).unwrap().unwrap();
+    assert_eq!(full.segments.len(), 2, "one tier: an RP and an EP segment");
+    for (kind, name) in [(SEG_KIND_RP, "RP"), (SEG_KIND_EP, "EP")] {
+        let mut m = full.clone();
+        m.segments.retain(|s| s.kind != kind);
+        m.write_to(&store).unwrap();
+        let msg = reopen_error(&path);
+        assert!(
+            msg.contains(&format!("no {name} segment")) && msg.contains("re-index"),
+            "tier without its {name} segment: {msg}"
+        );
+    }
+    full.write_to(&store).unwrap();
+    assert!(
+        PrixEngine::reopen(&path, 64).is_ok(),
+        "restored manifest opens"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

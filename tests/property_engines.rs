@@ -354,7 +354,7 @@ fn prop_limit_is_prefix_of_unlimited(input: &EngineInput) -> Result<(), String> 
     } else {
         engine.rp_index()
     };
-    let mut stream = idx.unwrap().execute_stream(&q, &ExecOpts::new()).unwrap();
+    let mut stream = idx.execute_stream(&q, &ExecOpts::new()).unwrap();
     let mut streamed = Vec::new();
     while let Some(m) = stream.next_match().unwrap() {
         streamed.push(m);

@@ -432,6 +432,108 @@ fn compaction_is_deterministic_across_instances() {
 }
 
 // ---------------------------------------------------------------------------
+// Corrupt segment bytes: an error from the decoder, not a panic
+// ---------------------------------------------------------------------------
+
+/// Segment blocks are CRC-checked by `verify_segments`, not on the open
+/// or query path, so the decoders see whatever the file holds. A
+/// two-document database whose RP segment the tests below damage.
+fn small_segmented_env() -> Arc<MemSegEnv> {
+    let env = Arc::new(MemSegEnv::new());
+    let docs = ["<a><b><y/></b><d/></a>", "<a><b><y/></b></a>"].map(String::from);
+    drop(bulk_over(env.clone(), &docs).unwrap());
+    env
+}
+
+/// The `N` bytes at `off` of `.g1.rp.seg`.
+fn rp_segment_bytes<const N: usize>(env: &MemSegEnv, off: u64) -> [u8; N] {
+    let mut buf = [0u8; N];
+    let store = env.store(".g1.rp.seg").unwrap();
+    store.read_at(off, &mut buf).unwrap();
+    buf
+}
+
+/// Overwrites the u32 at `off` of `.g1.rp.seg`, returning what it held.
+fn poke_rp_segment(env: &MemSegEnv, off: u64, word: u32) -> u32 {
+    let old = u32::from_le_bytes(rp_segment_bytes(env, off));
+    let store = env.store(".g1.rp.seg").unwrap();
+    store.write_at(off, &word.to_le_bytes()).unwrap();
+    old
+}
+
+#[test]
+fn garbled_segment_meta_is_refused_at_reopen() {
+    let env = small_segmented_env();
+    let meta_off = u64::from_le_bytes(rp_segment_bytes(&env, 88)); // header field
+                                                                   // The blob: kind u8, dummy u32, then the MaxGap count and, after
+                                                                   // its 8-byte entries, the childless count.
+    let n_gaps_off = meta_off + 5;
+    let n_gaps = u32::from_le_bytes(rp_segment_bytes(&env, n_gaps_off));
+    let n_childless_off = n_gaps_off + 4 + 8 * u64::from(n_gaps);
+    for (off, word) in [
+        (n_gaps_off, u32::MAX),
+        (n_gaps_off, n_gaps + 1),
+        (n_childless_off, u32::MAX),
+        (n_childless_off, 0),
+    ] {
+        let good = poke_rp_segment(&env, off, word);
+        let err = match PrixEngine::reopen_env(env.clone(), BUFFER_PAGES) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("count word at {off} = {word} was accepted"),
+        };
+        assert!(
+            err.contains("corrupt segment metadata"),
+            "{off}/{word}: {err}"
+        );
+        poke_rp_segment(&env, off, good);
+    }
+    assert!(PrixEngine::reopen_env(env, BUFFER_PAGES).is_ok());
+}
+
+#[test]
+fn garbled_document_record_fails_the_query() {
+    let env = small_segmented_env();
+    // Record 0 opens the record section: the sequence length `n`, 2n
+    // words of NPS and LPS, then the leaf count.
+    let n_off = u64::from_le_bytes(rp_segment_bytes(&env, 48)); // header field
+    let n = u32::from_le_bytes(rp_segment_bytes(&env, n_off));
+    let n_leaves_off = n_off + 4 + 8 * u64::from(n);
+    for (off, word) in [(n_off, u32::MAX), (n_off, n - 1), (n_leaves_off, u32::MAX)] {
+        let good = poke_rp_segment(&env, off, word);
+        // A fresh reader: nothing of the record is cached yet.
+        let engine = PrixEngine::reopen_env(env.clone(), BUFFER_PAGES).unwrap();
+        let snap = engine.snapshot();
+        let q = snap.parse_query("//a/d").unwrap();
+        let err = snap.query(&q).unwrap_err().to_string();
+        assert!(
+            err.contains("corrupt document record"),
+            "{off}/{word}: {err}"
+        );
+        poke_rp_segment(&env, off, good);
+    }
+    let engine = PrixEngine::reopen_env(env, BUFFER_PAGES).unwrap();
+    let snap = engine.snapshot();
+    let q = snap.parse_query("//a/d").unwrap();
+    assert_eq!(snap.query(&q).unwrap().matches.len(), 1);
+}
+
+/// The batch entry hands a failing query's error back instead of
+/// swallowing it. Every engine has both indexes, so the failure comes
+/// from the one source left: bytes the decoder refuses.
+#[test]
+fn query_batch_surfaces_errors() {
+    let env = small_segmented_env();
+    let record_0 = u64::from_le_bytes(rp_segment_bytes(&env, 48)); // header field
+    poke_rp_segment(&env, record_0, u32::MAX);
+    let engine = PrixEngine::reopen_env(env, BUFFER_PAGES).unwrap();
+    let snap = engine.snapshot();
+    let good = snap.parse_query("//a/nothing").unwrap();
+    let bad = snap.parse_query("//a/d").unwrap();
+    assert!(snap.query(&good).unwrap().matches.is_empty());
+    assert!(snap.query_batch(&[good, bad], 2).is_err());
+}
+
+// ---------------------------------------------------------------------------
 // Crash consistency: kill points inside bulk rebuild and compaction
 // ---------------------------------------------------------------------------
 

@@ -236,9 +236,7 @@ fn prop_filtered_equals_postfiltered(input: &PredInput) -> Result<(), String> {
             Some(IndexKind::Extended) => engine.ep_index(),
         };
         let pred = PredEval::build(query, engine.valix(), snap.symbols()).unwrap();
-        idx.unwrap()
-            .execute_opts_pred(query, &opts, pred.as_ref())
-            .unwrap()
+        idx.execute_opts_pred(query, &opts, pred.as_ref()).unwrap()
     };
     for force in [None, Some(IndexKind::Regular), Some(IndexKind::Extended)] {
         if force == Some(IndexKind::Regular) && bare.needs_extended() {

@@ -448,11 +448,13 @@ fn cmd_segments(args: &[String]) -> Result<(), CliError> {
     );
     for s in engine.segment_manifest() {
         println!(
-            "  segment {}: kind {}, docs {}..{}",
+            "  segment {}: kind {}, docs {}..{}, format v{}, {} fence bytes resident",
             s.suffix,
             seg_kind_name(s.kind),
             s.doc_base,
-            s.doc_base + s.n_docs
+            s.doc_base + s.n_docs,
+            prix_core::SEG_VERSION,
+            engine.segment_fence_bytes(s).map_err(|e| e.to_string())?
         );
     }
     if verify {
@@ -505,11 +507,13 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
     );
     for s in engine.segment_manifest() {
         println!(
-            "  segment {}: kind {}, docs {}..{}",
+            "  segment {}: kind {}, docs {}..{}, format v{}, {} fence bytes resident",
             s.suffix,
             seg_kind_name(s.kind),
             s.doc_base,
-            s.doc_base + s.n_docs
+            s.doc_base + s.n_docs,
+            prix_core::SEG_VERSION,
+            engine.segment_fence_bytes(s).map_err(|e| e.to_string())?
         );
     }
     Ok(())

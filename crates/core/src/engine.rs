@@ -824,33 +824,33 @@ impl PrixEngine {
         &self.seg_stats
     }
 
-    /// Verifies every live segment file: header magic and geometry,
-    /// per-block checksums, and the sorted-order invariant of the
-    /// Trie-Symbol entries. Returns one report per manifest row.
+    /// The open reader behind manifest row `s`.
+    fn segment_reader(&self, s: &ManifestSegment) -> Result<&Arc<SegmentReader>> {
+        self.segments
+            .iter()
+            .find(|t| t.doc_base == s.doc_base)
+            .and_then(|t| if s.kind == SEG_KIND_RP { &t.rp } else { &t.ep }.segment())
+            .ok_or_else(|| IndexError::Unsupported("manifest row without a loaded tier".into()))
+    }
+
+    /// Bytes of fence arrays the reader of manifest row `s` holds in
+    /// memory (`prix segments`).
+    pub fn segment_fence_bytes(&self, s: &ManifestSegment) -> Result<u64> {
+        Ok(self.segment_reader(s)?.fence_bytes())
+    }
+
+    /// Verifies every live segment file: per-block checksums, the
+    /// record index, the sorted-order invariant of both entry sections
+    /// against the resident fences, and the padding. Returns one report
+    /// per manifest row.
     pub fn verify_segments(&self) -> Result<Vec<(String, SegmentCheck)>> {
-        let mut out = Vec::new();
-        for s in &self.manifest_segments {
-            let tier = self
-                .segments
-                .iter()
-                .find(|t| t.doc_base == s.doc_base)
-                .ok_or_else(|| {
-                    IndexError::Unsupported("manifest row without a loaded tier".into())
-                })?;
-            let idx = if s.kind == SEG_KIND_RP {
-                &tier.rp
-            } else {
-                &tier.ep
-            };
-            let reader = idx.segment().ok_or_else(|| {
-                IndexError::Unsupported("manifest row without a loaded tier".into())
-            })?;
-            out.push((
-                s.suffix.clone(),
-                reader.verify().map_err(IndexError::Storage)?,
-            ));
-        }
-        Ok(out)
+        self.manifest_segments
+            .iter()
+            .map(|s| {
+                let check = self.segment_reader(s)?.verify();
+                Ok((s.suffix.clone(), check.map_err(IndexError::Storage)?))
+            })
+            .collect()
     }
 
     /// Parses `xml` and incrementally indexes it into both indexes

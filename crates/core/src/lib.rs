@@ -57,7 +57,7 @@ pub use plan::{
     canonicalize, prix_embedding_exact, AltProvider, EngineChoice, EngineId, NoAlts, PlanReport,
     Planner, PlannerStats, QueryEngine, QueryShape, Routed, Router,
 };
-pub use prix_storage::{ManifestSegment, SegmentCheck, SEG_KIND_EP, SEG_KIND_RP};
+pub use prix_storage::{ManifestSegment, SegmentCheck, SEG_KIND_EP, SEG_KIND_RP, SEG_VERSION};
 pub use query::{PredOp, PredValue, TwigBuilder, TwigQuery, ValuePred};
 pub use segbuild::{BulkBuilder, DEFAULT_RUN_MEM_BYTES};
 pub use snapshot::{EngineSnapshot, IngestReport, QueryOutcome, SharedEngine};

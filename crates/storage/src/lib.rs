@@ -39,7 +39,7 @@ pub use pager::{PageId, Pager, NIL_PAGE, PAGE_SIZE};
 pub use record::{RecordId, RecordStore};
 pub use segment::{
     env_temp_factory, FileSegEnv, Manifest, ManifestSegment, MemSegEnv, SegTrieStats,
-    SegmentBuilder, SegmentCheck, SegmentEnv, SegmentReader, SEG_KIND_EP, SEG_KIND_RP,
+    SegmentBuilder, SegmentCheck, SegmentEnv, SegmentReader, SEG_KIND_EP, SEG_KIND_RP, SEG_VERSION,
 };
 pub use stats::{IoScope, IoSnapshot, IoStats};
 pub use store::{FileStore, MemStore, RawStore};

@@ -9,35 +9,49 @@
 //! key locality. A *segment* is the bulk alternative, following the
 //! read-only bstree design (cds-bstree-file-readonly): sort everything
 //! once with bounded memory, then write an **implicit** tree — entries
-//! packed back-to-back in key order with no per-node pointers and zero
-//! unused bytes, plus a small fence array (first key of every
-//! entry group) and an in-memory super-fence array (every
-//! [`FENCES_PER_SUPER`]-th fence). A point lookup is two bounded binary
-//! searches and at most two block fetches; a range scan is a seek plus
-//! a sequential read.
+//! packed in key order with no per-node pointers, cut into groups of
+//! exactly one [`SEG_BLOCK`] each, plus a fence array (the first key of
+//! every group) that the reader holds in memory. A lookup is one binary
+//! search over the resident fences and one binary search over the
+//! encoded rows of one cached block; a range scan continues into the
+//! following blocks only while their fences are still inside the range.
 //!
 //! One segment file holds one index flavor (RP or EP) for a contiguous
-//! range of document ids (`doc_base .. doc_base + n_docs`):
+//! range of document ids (`doc_base .. doc_base + n_docs`). Format
+//! version 2:
 //!
 //! ```text
-//! +--------+----------+---------+-------------+------------+----------+-----------+------+-----------+
-//! | header | rec data | rec idx | tag entries | tag fences | doc ends | doc fences| meta | CRC table |
-//! +--------+----------+---------+-------------+------------+----------+-----------+------+-----------+
+//! +--------+----------+---------+-----+-------------+------------+-----+----------+------------+------+-----------+
+//! | header | rec data | rec idx | pad | tag entries | tag fences | pad | doc ends | doc fences | meta | CRC table |
+//! +--------+----------+---------+-----+-------------+------------+-----+----------+------------+------+-----------+
+//!                                     ^ block-aligned                  ^ block-aligned
 //! ```
 //!
-//! * **header** — fixed 128 bytes, magic `PRIXSEG\0`, section offsets,
-//!   its own CRC-32.
+//! * **header** — fixed 128 bytes, magic `PRIXSEG\0`, version, counts,
+//!   section offsets, its own CRC-32. Every offset follows from the
+//!   counts (`Header::lay_out`); a header that disagrees with that
+//!   arithmetic is refused at open.
 //! * **rec data / rec idx** — per-document refinement records (opaque
 //!   blobs) and their `n_docs + 1` offsets.
 //! * **tag entries** — the Trie-Symbol index: 28-byte
 //!   `(sym, left, right, level, fine_gap)` rows sorted by `(sym, left)`.
+//!   The section starts on a block boundary and every group of
+//!   [`TAG_GROUP`] rows is zero-padded (8 bytes) to one block, so group
+//!   *g* is block *g* of the section.
 //! * **doc ends** — the Docid index: 12-byte `(left, doc)` rows sorted
-//!   by `(left, doc)`.
+//!   by `(left, doc)`, laid out the same way ([`DOC_GROUP`] rows and 4
+//!   pad bytes per block).
+//! * **tag / doc fences** — the first key of every group (12 and 8
+//!   bytes each), read once at open: 16 bytes of memory per 4 KiB of
+//!   entries.
 //! * **meta** — an opaque blob (the core layer stores MaxGap table,
 //!   childless set, build stats).
 //! * **CRC table** — one CRC-32 per [`SEG_BLOCK`]-sized block of
 //!   everything before it, so `fsck` can verify the file without
 //!   trusting any of it.
+//!
+//! Version 1 (unpadded groups, fences searched on disk) is refused at
+//! open: re-index.
 //!
 //! Readers bypass the buffer pool entirely: direct [`RawStore`] reads
 //! through a per-segment block cache of [`CACHE_BLOCKS`] blocks,
@@ -64,28 +78,26 @@ use crate::sync::Mutex;
 
 /// Segment file magic (first 8 bytes).
 pub const SEG_MAGIC: [u8; 8] = *b"PRIXSEG\0";
-/// Segment format version.
-pub const SEG_VERSION: u32 = 1;
+/// Segment format version (2: block-aligned, padded fence groups).
+pub const SEG_VERSION: u32 = 2;
 /// Fixed header length in bytes.
 pub const SEG_HEADER_LEN: u64 = 128;
 /// Block granularity for the reader cache and the CRC table.
 pub const SEG_BLOCK: usize = 4096;
 /// Blocks held by one segment's read cache (256 KiB).
 pub const CACHE_BLOCKS: usize = 64;
-/// Tag entries per fence group (one group ≈ one block).
+/// Tag entries per fence group: the most that fit one block (4088 of
+/// 4096 bytes; the group is zero-padded to the block).
 pub const TAG_GROUP: u64 = 146;
-/// Doc-end entries per fence group.
+/// Doc-end entries per fence group (4092 of 4096 bytes).
 pub const DOC_GROUP: u64 = 341;
-/// Fences per in-memory super-fence (one super-fence spans ~256 KiB of
-/// entries — the disk-cache-sized outer blocking level).
-pub const FENCES_PER_SUPER: u64 = 64;
 /// Encoded tag entry size: sym(4) left(8) right(8) level(4) fine(4).
 pub const TAG_ENTRY_LEN: u64 = 28;
-/// Encoded tag fence size: sym(4) left(8).
+/// Encoded tag fence size: sym(4) left(8), the key prefix of a row.
 pub const TAG_FENCE_LEN: u64 = 12;
 /// Encoded doc-end entry size: left(8) doc(4).
 pub const DOC_ENTRY_LEN: u64 = 12;
-/// Encoded doc fence size: left(8).
+/// Encoded doc fence size: left(8), the key prefix of a row.
 pub const DOC_FENCE_LEN: u64 = 8;
 /// `kind` byte for a Regular-Prüfer segment.
 pub const SEG_KIND_RP: u8 = 0;
@@ -97,7 +109,20 @@ fn corrupt(reason: String) -> StorageError {
 }
 
 fn div_ceil(a: u64, b: u64) -> u64 {
-    (a + b - 1) / b
+    a / b + u64::from(a % b != 0)
+}
+
+/// `(sym, left)` of an encoded tag row or tag fence.
+fn tag_key(b: &[u8]) -> (u32, u64) {
+    (
+        u32::from_le_bytes(b[0..4].try_into().unwrap()),
+        u64::from_le_bytes(b[4..12].try_into().unwrap()),
+    )
+}
+
+/// `left` of an encoded doc-end row or doc fence.
+fn doc_key(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[0..8].try_into().unwrap())
 }
 
 // ---------------------------------------------------------------------------
@@ -540,6 +565,7 @@ impl StreamTrie {
 // Segment writer
 // ---------------------------------------------------------------------------
 
+#[derive(Debug, PartialEq, Eq)]
 struct Header {
     kind: u8,
     doc_base: u32,
@@ -559,6 +585,49 @@ struct Header {
 }
 
 impl Header {
+    /// The version-2 geometry, in one place: every section offset
+    /// follows from the three counts, where the record data ends and
+    /// how long the meta blob is. The builder writes the header this
+    /// returns; [`Header::decode`] refuses one that differs from it.
+    /// `None` when the sizes overflow.
+    fn lay_out(
+        kind: u8,
+        doc_base: u32,
+        n_docs: u32,
+        n_tag: u64,
+        n_doc: u64,
+        rec_idx_off: u64,
+        meta_len: u64,
+    ) -> Option<Header> {
+        let block = SEG_BLOCK as u64;
+        let align = |x: u64| div_ceil(x, block).checked_mul(block);
+        let (tag_groups, doc_groups) = (div_ceil(n_tag, TAG_GROUP), div_ceil(n_doc, DOC_GROUP));
+        let tag_off = align(rec_idx_off.checked_add((u64::from(n_docs) + 1) * 8)?)?;
+        let tag_fence_off = tag_off.checked_add(tag_groups.checked_mul(block)?)?;
+        let doc_off = align(tag_fence_off.checked_add(tag_groups * TAG_FENCE_LEN)?)?;
+        let doc_fence_off = doc_off.checked_add(doc_groups.checked_mul(block)?)?;
+        let meta_off = doc_fence_off.checked_add(doc_groups * DOC_FENCE_LEN)?;
+        let crc_off = meta_off.checked_add(meta_len)?;
+        let file_len = crc_off.checked_add(div_ceil(crc_off, block).checked_mul(4)?)?;
+        Some(Header {
+            kind,
+            doc_base,
+            n_docs,
+            n_tag,
+            n_doc,
+            rec_data_off: SEG_HEADER_LEN,
+            rec_idx_off,
+            tag_off,
+            tag_fence_off,
+            doc_off,
+            doc_fence_off,
+            meta_off,
+            meta_len,
+            crc_off,
+            file_len,
+        })
+    }
+
     fn encode(&self) -> [u8; SEG_HEADER_LEN as usize] {
         let mut h = [0u8; SEG_HEADER_LEN as usize];
         h[0..8].copy_from_slice(&SEG_MAGIC);
@@ -583,13 +652,25 @@ impl Header {
         h
     }
 
+    /// Decodes and validates a header: magic, version, CRC, then the
+    /// arithmetic — the stored offsets must be exactly what
+    /// [`Header::lay_out`] derives from the stored counts, which rules
+    /// out sections out of order, overlapping, misaligned, past the
+    /// end of the file, or sized differently from their counts. (A
+    /// count or `rec_idx_off` can still move within the padding before
+    /// the next aligned section without moving it; no read leaves the
+    /// file then, and [`SegmentReader::verify`] reports the rows that
+    /// disagree.)
     fn decode(h: &[u8]) -> Result<Header> {
         if h[0..8] != SEG_MAGIC {
             return Err(corrupt("bad segment magic".into()));
         }
         let version = u32::from_le_bytes(h[8..12].try_into().unwrap());
         if version != SEG_VERSION {
-            return Err(corrupt(format!("unsupported segment version {version}")));
+            return Err(corrupt(format!(
+                "segment format version {version} is not supported (this build reads \
+                 version {SEG_VERSION}); re-index the source documents"
+            )));
         }
         let stored = u32::from_le_bytes(h[120..124].try_into().unwrap());
         if crc32(&h[..120]) != stored {
@@ -597,7 +678,7 @@ impl Header {
         }
         let u64_at = |i: usize| u64::from_le_bytes(h[i..i + 8].try_into().unwrap());
         let u32_at = |i: usize| u32::from_le_bytes(h[i..i + 4].try_into().unwrap());
-        Ok(Header {
+        let hdr = Header {
             kind: h[12],
             doc_base: u32_at(16),
             n_docs: u32_at(20),
@@ -613,7 +694,22 @@ impl Header {
             meta_len: u64_at(96),
             crc_off: u64_at(104),
             file_len: u64_at(112),
-        })
+        };
+        let want = Header::lay_out(
+            hdr.kind,
+            hdr.doc_base,
+            hdr.n_docs,
+            hdr.n_tag,
+            hdr.n_doc,
+            hdr.rec_idx_off,
+            hdr.meta_len,
+        );
+        if hdr.rec_idx_off < SEG_HEADER_LEN || want.as_ref() != Some(&hdr) {
+            return Err(corrupt(
+                "segment header geometry is inconsistent with its counts".into(),
+            ));
+        }
+        Ok(hdr)
     }
 }
 
@@ -639,6 +735,14 @@ impl<'a> SectionWriter<'a> {
             self.flush()?;
         }
         Ok(())
+    }
+
+    /// Zero-fills up to the next [`SEG_BLOCK`] boundary (a no-op on
+    /// one).
+    fn pad_to_block(&mut self) {
+        let pos = self.off + self.buf.len() as u64;
+        let pad = (SEG_BLOCK as u64 - pos % SEG_BLOCK as u64) % SEG_BLOCK as u64;
+        self.buf.resize(self.buf.len() + pad as usize, 0);
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -740,13 +844,14 @@ impl SegmentBuilder {
             self.rec_buf.clear();
         }
         let n_docs = (self.rec_offsets.len() - 1) as u32;
-        let rec_data_off = SEG_HEADER_LEN;
         let rec_idx_off = self.rec_writer_off;
+        // One sequential writer from here to the CRC table; the header
+        // offsets come from `Header::lay_out` and must agree with it.
         let mut w = SectionWriter::new(&*self.out, rec_idx_off);
         for &o in &self.rec_offsets {
             w.push(&o.to_le_bytes())?;
         }
-        let tag_off = w.finish()?;
+        w.pad_to_block();
 
         // Merge path runs through the streaming trie. Tag rows come out
         // in pop (postorder) order and need a second sort by
@@ -769,69 +874,61 @@ impl SegmentBuilder {
         let mut emit_tag = |t: TagEntry| tag_sorter.push(t);
         let stats = trie.finish(&mut emit_tag)?;
 
-        // Tag entries + fences.
+        // Tag entries, one zero-padded block per fence group, then the
+        // fences (the first key of every group).
         let n_tag = tag_sorter.len();
-        let mut w = SectionWriter::new(&*self.out, tag_off);
-        let mut tag_fences: Vec<u8> = Vec::new();
+        let mut fences: Vec<u8> = Vec::new();
         let mut i = 0u64;
         let mut row = Vec::with_capacity(TAG_ENTRY_LEN as usize);
         let mut prev_key: Option<(u32, u64)> = None;
         tag_sorter.drain(|t| {
             debug_assert!(prev_key.map_or(true, |p| p < t.key()), "duplicate tag key");
             prev_key = Some(t.key());
-            if i % TAG_GROUP == 0 {
-                tag_fences.extend_from_slice(&t.sym.to_le_bytes());
-                tag_fences.extend_from_slice(&t.left.to_le_bytes());
-            }
-            i += 1;
             row.clear();
             t.write(&mut row);
+            if i % TAG_GROUP == 0 {
+                w.pad_to_block();
+                fences.extend_from_slice(&row[..TAG_FENCE_LEN as usize]);
+            }
+            i += 1;
             w.push(&row)
         })?;
-        let tag_fence_off = w.finish()?;
-        self.out.write_at(tag_fence_off, &tag_fences)?;
-        let doc_off = tag_fence_off + tag_fences.len() as u64;
+        w.pad_to_block();
+        w.push(&fences)?;
+        w.pad_to_block();
 
-        // Doc ends + fences.
+        // Doc ends + fences, laid out the same way.
         let n_doc = doc_ends.len() as u64;
-        let mut w = SectionWriter::new(&*self.out, doc_off);
-        let mut doc_fences: Vec<u8> = Vec::new();
+        fences.clear();
         for (i, d) in doc_ends.iter().enumerate() {
-            if i as u64 % DOC_GROUP == 0 {
-                doc_fences.extend_from_slice(&d.left.to_le_bytes());
-            }
             let mut row = [0u8; DOC_ENTRY_LEN as usize];
             row[0..8].copy_from_slice(&d.left.to_le_bytes());
             row[8..12].copy_from_slice(&d.doc.to_le_bytes());
+            if i as u64 % DOC_GROUP == 0 {
+                w.pad_to_block();
+                fences.extend_from_slice(&row[..DOC_FENCE_LEN as usize]);
+            }
             w.push(&row)?;
         }
-        let doc_fence_off = w.finish()?;
-        self.out.write_at(doc_fence_off, &doc_fences)?;
-        let meta_off = doc_fence_off + doc_fences.len() as u64;
+        w.pad_to_block();
+        w.push(&fences)?;
 
         // Meta, header, CRC table.
         let meta = make_meta(&stats);
-        self.out.write_at(meta_off, &meta)?;
-        let crc_off = meta_off + meta.len() as u64;
-        let n_blocks = div_ceil(crc_off, SEG_BLOCK as u64);
-        let file_len = crc_off + n_blocks * 4;
-        let header = Header {
-            kind: self.kind,
-            doc_base: self.doc_base,
+        w.push(&meta)?;
+        let crc_off = w.finish()?;
+        let header = Header::lay_out(
+            self.kind,
+            self.doc_base,
             n_docs,
             n_tag,
             n_doc,
-            rec_data_off,
             rec_idx_off,
-            tag_off,
-            tag_fence_off,
-            doc_off,
-            doc_fence_off,
-            meta_off,
-            meta_len: meta.len() as u64,
-            crc_off,
-            file_len,
-        };
+            meta.len() as u64,
+        )
+        .ok_or_else(|| corrupt("segment too large".into()))?;
+        assert_eq!(header.crc_off, crc_off, "segment writer left its layout");
+        let file_len = header.file_len;
         self.out.write_at(0, &header.encode())?;
 
         // Sequential CRC pass over everything written so far (the
@@ -876,25 +973,59 @@ pub struct SegmentCheck {
     pub records: u64,
 }
 
+/// One fence-grouped entry section of an open segment: group `g` is
+/// block `first_block + g` of the file, holds `rows_in(g)` rows of
+/// `row_len` bytes from offset 0, and starts with the key `fences[g]`.
+/// `key` decodes the search key from a row (or a fence: a fence is the
+/// key prefix of its group's first row).
+struct Section<K> {
+    fences: Vec<K>,
+    first_block: u64,
+    n_rows: u64,
+    group: u64,
+    row_len: usize,
+    key: fn(&[u8]) -> K,
+}
+
+impl<K> Section<K> {
+    /// Reads the `n_groups` fences of a section in one sequential read
+    /// at `off`. The header was validated against the file length, so
+    /// the array lies inside the file and is bounded by its size.
+    fn read_fences(
+        store: &dyn RawStore,
+        off: u64,
+        fence_len: u64,
+        n_groups: u64,
+        key: fn(&[u8]) -> K,
+    ) -> Result<Vec<K>> {
+        let mut raw = vec![0u8; (n_groups * fence_len) as usize];
+        store.read_at(off, &mut raw)?;
+        Ok(raw.chunks_exact(fence_len as usize).map(key).collect())
+    }
+
+    fn rows_in(&self, g: usize) -> usize {
+        (self.n_rows - g as u64 * self.group).min(self.group) as usize
+    }
+}
+
 /// Read handle over one immutable segment file: direct [`RawStore`]
 /// reads through a tiny per-segment block cache, never touching the
-/// buffer pool. All lookups run over the implicit layout — in-memory
-/// super-fences, then one fence group, then one entry group.
+/// buffer pool. Both fence arrays are resident, so a lookup is one
+/// in-memory binary search plus one binary search over the encoded
+/// rows of one cached block.
 pub struct SegmentReader {
     store: Box<dyn RawStore>,
     stats: Arc<IoStats>,
     hdr: Header,
     cache: Mutex<Cache>,
-    tag_supers: Vec<(u32, u64)>,
-    doc_supers: Vec<u64>,
-    n_tag_groups: u64,
-    n_doc_groups: u64,
+    tags: Section<(u32, u64)>,
+    docs: Section<u64>,
 }
 
 impl SegmentReader {
-    /// Opens a segment, validating the header and priming the
-    /// super-fence arrays with one sequential pass over the (small)
-    /// fence sections. Segment block reads are recorded into `stats`.
+    /// Opens a segment: validates the header against the file and
+    /// loads both fence arrays (16 bytes of memory per 4 KiB of
+    /// entries). Segment block reads are recorded into `stats`.
     pub fn open(store: Box<dyn RawStore>, stats: Arc<IoStats>) -> Result<SegmentReader> {
         let len = store.len()?;
         if len < SEG_HEADER_LEN {
@@ -909,9 +1040,35 @@ impl SegmentReader {
                 hdr.file_len
             )));
         }
-        let n_tag_groups = div_ceil(hdr.n_tag, TAG_GROUP);
-        let n_doc_groups = div_ceil(hdr.n_doc, DOC_GROUP);
-        let mut reader = SegmentReader {
+        let tags = Section {
+            fences: Section::read_fences(
+                &*store,
+                hdr.tag_fence_off,
+                TAG_FENCE_LEN,
+                div_ceil(hdr.n_tag, TAG_GROUP),
+                tag_key,
+            )?,
+            first_block: hdr.tag_off / SEG_BLOCK as u64,
+            n_rows: hdr.n_tag,
+            group: TAG_GROUP,
+            row_len: TAG_ENTRY_LEN as usize,
+            key: tag_key,
+        };
+        let docs = Section {
+            fences: Section::read_fences(
+                &*store,
+                hdr.doc_fence_off,
+                DOC_FENCE_LEN,
+                div_ceil(hdr.n_doc, DOC_GROUP),
+                doc_key,
+            )?,
+            first_block: hdr.doc_off / SEG_BLOCK as u64,
+            n_rows: hdr.n_doc,
+            group: DOC_GROUP,
+            row_len: DOC_ENTRY_LEN as usize,
+            key: doc_key,
+        };
+        Ok(SegmentReader {
             store,
             stats,
             hdr,
@@ -919,31 +1076,9 @@ impl SegmentReader {
                 blocks: HashMap::new(),
                 tick: 0,
             }),
-            tag_supers: Vec::new(),
-            doc_supers: Vec::new(),
-            n_tag_groups,
-            n_doc_groups,
-        };
-        // Super-fences: every FENCES_PER_SUPER-th fence, via one
-        // sequential chunked pass over each fence section.
-        let mut off = reader.hdr.tag_fence_off;
-        for _ in 0..div_ceil(n_tag_groups, FENCES_PER_SUPER) {
-            let mut b = [0u8; TAG_FENCE_LEN as usize];
-            reader.store.read_at(off, &mut b)?;
-            reader.tag_supers.push((
-                u32::from_le_bytes(b[0..4].try_into().unwrap()),
-                u64::from_le_bytes(b[4..12].try_into().unwrap()),
-            ));
-            off += FENCES_PER_SUPER * TAG_FENCE_LEN;
-        }
-        let mut off = reader.hdr.doc_fence_off;
-        for _ in 0..div_ceil(n_doc_groups, FENCES_PER_SUPER) {
-            let mut b = [0u8; DOC_FENCE_LEN as usize];
-            reader.store.read_at(off, &mut b)?;
-            reader.doc_supers.push(u64::from_le_bytes(b));
-            off += FENCES_PER_SUPER * DOC_FENCE_LEN;
-        }
-        Ok(reader)
+            tags,
+            docs,
+        })
     }
 
     /// Segment flavor byte ([`SEG_KIND_RP`] / [`SEG_KIND_EP`]).
@@ -976,30 +1111,29 @@ impl SegmentReader {
         self.hdr.file_len
     }
 
-    /// Reads `len` bytes at `off` through the block cache, counting one
-    /// logical segment read per block touched and one fetch per miss.
-    fn read_bytes(&self, off: u64, len: usize) -> Result<Vec<u8>> {
-        let mut out = vec![0u8; len];
-        if len == 0 {
-            return Ok(out);
+    /// Bytes of memory the two resident fence arrays occupy.
+    pub fn fence_bytes(&self) -> u64 {
+        (std::mem::size_of_val(&self.tags.fences[..])
+            + std::mem::size_of_val(&self.docs.fences[..])) as u64
+    }
+
+    /// Copies `dst.len()` bytes at `off` out of the block cache,
+    /// counting one logical segment read per block touched and one
+    /// fetch per miss.
+    fn read_into(&self, mut off: u64, mut dst: &mut [u8]) -> Result<()> {
+        while !dst.is_empty() {
+            let block = self.block(off / SEG_BLOCK as u64)?;
+            let lo = (off % SEG_BLOCK as u64) as usize;
+            let n = dst.len().min(block.len().saturating_sub(lo));
+            if n == 0 {
+                return Err(corrupt(format!("segment read past end at {off}")));
+            }
+            let (head, tail) = dst.split_at_mut(n);
+            head.copy_from_slice(&block[lo..lo + n]);
+            dst = tail;
+            off += n as u64;
         }
-        let first = off / SEG_BLOCK as u64;
-        let last = (off + len as u64 - 1) / SEG_BLOCK as u64;
-        let mut done = 0usize;
-        for b in first..=last {
-            let block = self.block(b)?;
-            let b_start = b * SEG_BLOCK as u64;
-            let lo = if b == first {
-                (off - b_start) as usize
-            } else {
-                0
-            };
-            let want = (len - done).min(block.len() - lo);
-            out[done..done + want].copy_from_slice(&block[lo..lo + want]);
-            done += want;
-        }
-        debug_assert_eq!(done, len);
-        Ok(out)
+        Ok(())
     }
 
     fn block(&self, idx: u64) -> Result<Arc<Vec<u8>>> {
@@ -1031,94 +1165,47 @@ impl SegmentReader {
         Ok(block)
     }
 
-    fn tag_entry_range(&self, start: u64, end: u64) -> Result<Vec<TagEntry>> {
-        let bytes = self.read_bytes(
-            self.hdr.tag_off + start * TAG_ENTRY_LEN,
-            ((end - start) * TAG_ENTRY_LEN) as usize,
-        )?;
-        Ok(bytes
-            .chunks_exact(TAG_ENTRY_LEN as usize)
-            .map(TagEntry::read)
-            .collect())
-    }
-
-    fn doc_entry_range(&self, start: u64, end: u64) -> Result<Vec<DocEnd>> {
-        let bytes = self.read_bytes(
-            self.hdr.doc_off + start * DOC_ENTRY_LEN,
-            ((end - start) * DOC_ENTRY_LEN) as usize,
-        )?;
-        Ok(bytes
-            .chunks_exact(DOC_ENTRY_LEN as usize)
-            .map(|b| DocEnd {
-                left: u64::from_le_bytes(b[0..8].try_into().unwrap()),
-                doc: u32::from_le_bytes(b[8..12].try_into().unwrap()),
-            })
-            .collect())
-    }
-
-    /// First tag index whose key is strictly greater than `key`:
-    /// in-memory super-fences, one fence-group read, one entry-group
-    /// read.
-    fn tag_first_gt(&self, key: (u32, u64)) -> Result<u64> {
-        if self.hdr.n_tag == 0 {
-            return Ok(0);
+    /// The one lookup both scans share. Keys ascend through the
+    /// section, `before` holds on a prefix of them (the rows below the
+    /// range) and `past` on a suffix (the rows above it); every row in
+    /// between goes to `visit` still encoded, in key order. One binary
+    /// search over the resident fences finds the group holding the
+    /// first such row, one over that block's rows finds the row, and a
+    /// following block is touched only if its fence is not `past`.
+    fn scan<K: Copy>(
+        &self,
+        sec: &Section<K>,
+        before: impl Fn(K) -> bool,
+        past: impl Fn(K) -> bool,
+        mut visit: impl FnMut(&[u8]),
+    ) -> Result<()> {
+        let first = sec.fences.partition_point(|&k| before(k)).saturating_sub(1);
+        for g in first..sec.fences.len() {
+            if past(sec.fences[g]) {
+                break;
+            }
+            let block = self.block(sec.first_block + g as u64)?;
+            let n = sec.rows_in(g);
+            let row = |i: usize| &block[i * sec.row_len..(i + 1) * sec.row_len];
+            // Later groups start inside the range: their fence is
+            // neither `before` nor `past`.
+            let (mut lo, mut hi) = (0, if g == first { n } else { 0 });
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if before((sec.key)(row(mid))) {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            for i in lo..n {
+                if past((sec.key)(row(i))) {
+                    return Ok(());
+                }
+                visit(row(i));
+            }
         }
-        let sj = self.tag_supers.partition_point(|k| *k <= key);
-        if sj == 0 {
-            return Ok(0);
-        }
-        let gstart = (sj as u64 - 1) * FENCES_PER_SUPER;
-        let gend = (gstart + FENCES_PER_SUPER).min(self.n_tag_groups);
-        let fences = self.read_bytes(
-            self.hdr.tag_fence_off + gstart * TAG_FENCE_LEN,
-            ((gend - gstart) * TAG_FENCE_LEN) as usize,
-        )?;
-        let keys: Vec<(u32, u64)> = fences
-            .chunks_exact(TAG_FENCE_LEN as usize)
-            .map(|b| {
-                (
-                    u32::from_le_bytes(b[0..4].try_into().unwrap()),
-                    u64::from_le_bytes(b[4..12].try_into().unwrap()),
-                )
-            })
-            .collect();
-        let rel = keys.partition_point(|k| *k <= key);
-        debug_assert!(rel >= 1, "super-fence said this range starts <= key");
-        let g = gstart + rel as u64 - 1;
-        let estart = g * TAG_GROUP;
-        let eend = (estart + TAG_GROUP).min(self.hdr.n_tag);
-        let entries = self.tag_entry_range(estart, eend)?;
-        let local = entries.partition_point(|e| e.key() <= key);
-        Ok(estart + local as u64)
-    }
-
-    /// First doc-end index whose left is `>= left`.
-    fn doc_first_ge(&self, left: u64) -> Result<u64> {
-        if self.hdr.n_doc == 0 {
-            return Ok(0);
-        }
-        let sj = self.doc_supers.partition_point(|&k| k < left);
-        if sj == 0 {
-            return Ok(0);
-        }
-        let gstart = (sj as u64 - 1) * FENCES_PER_SUPER;
-        let gend = (gstart + FENCES_PER_SUPER).min(self.n_doc_groups);
-        let fences = self.read_bytes(
-            self.hdr.doc_fence_off + gstart * DOC_FENCE_LEN,
-            ((gend - gstart) * DOC_FENCE_LEN) as usize,
-        )?;
-        let keys: Vec<u64> = fences
-            .chunks_exact(DOC_FENCE_LEN as usize)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-            .collect();
-        let rel = keys.partition_point(|&k| k < left);
-        debug_assert!(rel >= 1);
-        let g = gstart + rel as u64 - 1;
-        let estart = g * DOC_GROUP;
-        let eend = (estart + DOC_GROUP).min(self.hdr.n_doc);
-        let entries = self.doc_entry_range(estart, eend)?;
-        let local = entries.partition_point(|e| e.left < left);
-        Ok(estart + local as u64)
+        Ok(())
     }
 
     /// Range query on the Trie-Symbol section: rows with this `sym` and
@@ -1126,35 +1213,27 @@ impl SegmentReader {
     /// the B⁺-tree `scan_tag_range`.
     pub fn scan_tag_range(&self, sym: u32, ql: u64, qr: u64) -> Result<Vec<(u64, u64, u32, u32)>> {
         let mut hits = Vec::new();
-        let mut i = self.tag_first_gt((sym, ql))?;
-        'outer: while i < self.hdr.n_tag {
-            let end = (i + TAG_GROUP).min(self.hdr.n_tag);
-            for e in self.tag_entry_range(i, end)? {
-                if e.key() > (sym, qr) {
-                    break 'outer;
-                }
+        self.scan(
+            &self.tags,
+            |k| k <= (sym, ql),
+            |k| k > (sym, qr),
+            |row| {
+                let e = TagEntry::read(row);
                 hits.push((e.left, e.right, e.level, e.fine_gap));
-            }
-            i = end;
-        }
+            },
+        )?;
         Ok(hits)
     }
 
     /// Range query on the Docid section: local doc ids whose end-node
     /// left is in `[left, right]`, in `(left, doc)` order.
     pub fn scan_docids(&self, left: u64, right: u64, out: &mut impl FnMut(u32)) -> Result<()> {
-        let mut i = self.doc_first_ge(left)?;
-        'outer: while i < self.hdr.n_doc {
-            let end = (i + DOC_GROUP).min(self.hdr.n_doc);
-            for e in self.doc_entry_range(i, end)? {
-                if e.left > right {
-                    break 'outer;
-                }
-                out(e.doc);
-            }
-            i = end;
-        }
-        Ok(())
+        self.scan(
+            &self.docs,
+            |k| k < left,
+            |k| k > right,
+            |row| out(u32::from_le_bytes(row[8..12].try_into().unwrap())),
+        )
     }
 
     /// Reads the refinement record of local document `doc`.
@@ -1165,24 +1244,31 @@ impl SegmentReader {
                 self.hdr.n_docs
             )));
         }
-        let idx = self.read_bytes(self.hdr.rec_idx_off + doc as u64 * 8, 16)?;
+        let mut idx = [0u8; 16];
+        self.read_into(self.hdr.rec_idx_off + u64::from(doc) * 8, &mut idx)?;
         let a = u64::from_le_bytes(idx[0..8].try_into().unwrap());
         let b = u64::from_le_bytes(idx[8..16].try_into().unwrap());
-        if b < a || self.hdr.rec_data_off + b > self.hdr.rec_idx_off {
+        if b < a || b > self.hdr.rec_idx_off - self.hdr.rec_data_off {
             return Err(corrupt(format!("record {doc} has corrupt offsets")));
         }
-        self.read_bytes(self.hdr.rec_data_off + a, (b - a) as usize)
+        let mut rec = vec![0u8; (b - a) as usize];
+        self.read_into(self.hdr.rec_data_off + a, &mut rec)?;
+        Ok(rec)
     }
 
     /// The opaque meta blob.
     pub fn meta(&self) -> Result<Vec<u8>> {
-        self.read_bytes(self.hdr.meta_off, self.hdr.meta_len as usize)
+        let mut meta = vec![0u8; self.hdr.meta_len as usize];
+        self.read_into(self.hdr.meta_off, &mut meta)?;
+        Ok(meta)
     }
 
-    /// Full integrity check: header CRC (already validated at open),
-    /// every content block against the CRC table, strict sort order of
-    /// both entry sections, fence consistency, and record-index
-    /// monotonicity. Reads bypass the cache (sequential, one pass).
+    /// Full integrity check: every content block against the CRC
+    /// table, record-index monotonicity, strict sort order of both
+    /// entry sections, each group's first key against the resident
+    /// fence, and every pad byte zero (the header, and with it the
+    /// block alignment of both sections, was validated at open). Reads
+    /// bypass the cache (sequential, one pass).
     pub fn verify(&self) -> Result<SegmentCheck> {
         let mut check = SegmentCheck::default();
         // CRC table.
@@ -1206,101 +1292,93 @@ impl SegmentReader {
         }
         check.blocks = b as u64;
         // Record index monotone and bounded.
-        let idx_bytes = self.store_read(
-            self.hdr.rec_idx_off,
-            ((self.hdr.n_docs as u64 + 1) * 8) as usize,
-        )?;
+        let rec_len = self.hdr.rec_idx_off - self.hdr.rec_data_off;
+        let mut idx_bytes = vec![0u8; (self.hdr.n_docs as usize + 1) * 8];
+        self.store.read_at(self.hdr.rec_idx_off, &mut idx_bytes)?;
         let mut prev = 0u64;
         for (i, c) in idx_bytes.chunks_exact(8).enumerate() {
             let o = u64::from_le_bytes(c.try_into().unwrap());
-            if o < prev || self.hdr.rec_data_off + o > self.hdr.rec_idx_off {
+            if o < prev || o > rec_len {
                 return Err(corrupt(format!("record index entry {i} out of order")));
             }
             prev = o;
         }
-        if self.hdr.rec_data_off + prev != self.hdr.rec_idx_off {
+        if prev != rec_len {
             return Err(corrupt(
                 "record data length disagrees with record index".into(),
             ));
         }
         check.records = self.hdr.n_docs as u64;
-        // Tag section: strict (sym, left) ascending + fences match.
+        // The two alignment gaps.
+        let idx_end = self.hdr.rec_idx_off + idx_bytes.len() as u64;
+        let fence_end = self.hdr.tag_fence_off + self.tags.fences.len() as u64 * TAG_FENCE_LEN;
+        for (from, to) in [(idx_end, self.hdr.tag_off), (fence_end, self.hdr.doc_off)] {
+            let gap = &mut chunk[..(to - from) as usize];
+            self.store.read_at(from, gap)?;
+            if gap.iter().any(|&b| b != 0) {
+                return Err(corrupt(format!("alignment padding at {from} is not zero")));
+            }
+        }
+        // Tag section: strict (sym, left) ascending.
         let mut prev_key: Option<(u32, u64)> = None;
-        let mut i = 0u64;
-        while i < self.hdr.n_tag {
-            let end = (i + 4 * TAG_GROUP).min(self.hdr.n_tag);
-            let bytes = self.store_read(
-                self.hdr.tag_off + i * TAG_ENTRY_LEN,
-                ((end - i) * TAG_ENTRY_LEN) as usize,
-            )?;
-            for (j, row) in bytes.chunks_exact(TAG_ENTRY_LEN as usize).enumerate() {
-                let e = TagEntry::read(row);
-                let n = i + j as u64;
-                if let Some(p) = prev_key {
-                    if e.key() <= p {
-                        return Err(corrupt(format!("tag entry {n} out of order")));
-                    }
-                }
-                if n % TAG_GROUP == 0 {
-                    let f = self.store_read(
-                        self.hdr.tag_fence_off + (n / TAG_GROUP) * TAG_FENCE_LEN,
-                        TAG_FENCE_LEN as usize,
-                    )?;
-                    let fk = (
-                        u32::from_le_bytes(f[0..4].try_into().unwrap()),
-                        u64::from_le_bytes(f[4..12].try_into().unwrap()),
-                    );
-                    if fk != e.key() {
-                        return Err(corrupt(format!("tag fence {} disagrees", n / TAG_GROUP)));
-                    }
-                }
-                prev_key = Some(e.key());
+        self.verify_section(&self.tags, "tag", &mut chunk, |n, row| {
+            let key = tag_key(row);
+            if prev_key.map_or(false, |p| key <= p) {
+                return Err(corrupt(format!("tag entry {n} out of order")));
             }
-            i = end;
-        }
+            prev_key = Some(key);
+            Ok(())
+        })?;
         check.tag_entries = self.hdr.n_tag;
-        // Doc section: strict (left, doc) ascending + fences match.
+        // Doc section: strict (left, doc) ascending, docs in range.
         let mut prev_doc: Option<(u64, u32)> = None;
-        let mut i = 0u64;
-        while i < self.hdr.n_doc {
-            let end = (i + 4 * DOC_GROUP).min(self.hdr.n_doc);
-            let bytes = self.store_read(
-                self.hdr.doc_off + i * DOC_ENTRY_LEN,
-                ((end - i) * DOC_ENTRY_LEN) as usize,
-            )?;
-            for (j, row) in bytes.chunks_exact(DOC_ENTRY_LEN as usize).enumerate() {
-                let left = u64::from_le_bytes(row[0..8].try_into().unwrap());
-                let doc = u32::from_le_bytes(row[8..12].try_into().unwrap());
-                let n = i + j as u64;
-                if let Some(p) = prev_doc {
-                    if (left, doc) <= p {
-                        return Err(corrupt(format!("doc entry {n} out of order")));
-                    }
-                }
-                if doc >= self.hdr.n_docs {
-                    return Err(corrupt(format!("doc entry {n} references document {doc}")));
-                }
-                if n % DOC_GROUP == 0 {
-                    let f = self.store_read(
-                        self.hdr.doc_fence_off + (n / DOC_GROUP) * DOC_FENCE_LEN,
-                        DOC_FENCE_LEN as usize,
-                    )?;
-                    if u64::from_le_bytes(f.as_slice().try_into().unwrap()) != left {
-                        return Err(corrupt(format!("doc fence {} disagrees", n / DOC_GROUP)));
-                    }
-                }
-                prev_doc = Some((left, doc));
+        self.verify_section(&self.docs, "doc", &mut chunk, |n, row| {
+            let doc = u32::from_le_bytes(row[8..12].try_into().unwrap());
+            if prev_doc.map_or(false, |p| (doc_key(row), doc) <= p) {
+                return Err(corrupt(format!("doc entry {n} out of order")));
             }
-            i = end;
-        }
+            if doc >= self.hdr.n_docs {
+                return Err(corrupt(format!("doc entry {n} references document {doc}")));
+            }
+            prev_doc = Some((doc_key(row), doc));
+            Ok(())
+        })?;
         check.doc_entries = self.hdr.n_doc;
         Ok(check)
     }
 
-    fn store_read(&self, off: u64, len: usize) -> Result<Vec<u8>> {
-        let mut buf = vec![0u8; len];
-        self.store.read_at(off, &mut buf)?;
-        Ok(buf)
+    /// One sequential pass over a section, `chunk` blocks at a time:
+    /// each group's first key must equal its resident fence, its pad
+    /// bytes must be zero, and every row goes to `check` with its
+    /// index.
+    fn verify_section<K: Copy + PartialEq>(
+        &self,
+        sec: &Section<K>,
+        name: &str,
+        chunk: &mut [u8],
+        mut check: impl FnMut(u64, &[u8]) -> Result<()>,
+    ) -> Result<()> {
+        let per_read = chunk.len() / SEG_BLOCK;
+        for (c, fences) in sec.fences.chunks(per_read).enumerate() {
+            let g0 = c * per_read;
+            let bytes = &mut chunk[..fences.len() * SEG_BLOCK];
+            self.store
+                .read_at((sec.first_block + g0 as u64) * SEG_BLOCK as u64, bytes)?;
+            for (j, (block, &fence)) in bytes.chunks_exact(SEG_BLOCK).zip(fences).enumerate() {
+                let g = g0 + j;
+                let (rows, pad) = block.split_at(sec.rows_in(g) * sec.row_len);
+                if (sec.key)(rows) != fence {
+                    return Err(corrupt(format!("{name} fence {g} disagrees")));
+                }
+                if pad.iter().any(|&b| b != 0) {
+                    return Err(corrupt(format!("{name} group {g} padding is not zero")));
+                }
+                for (i, row) in rows.chunks_exact(sec.row_len).enumerate() {
+                    check(g as u64 * sec.group + i as u64, row)?;
+                }
+            }
+        }
+        Ok(())
     }
 }
 
@@ -1719,6 +1797,16 @@ mod tests {
         out
     }
 
+    /// Document `i`'s record: a few bytes, except one record of 2.5
+    /// blocks.
+    fn record_of(i: usize) -> Vec<u8> {
+        if i == 2 {
+            (0..10_000).map(|j| (j % 251) as u8).collect()
+        } else {
+            vec![i as u8; i % 7 + 1]
+        }
+    }
+
     fn build_segment(
         paths: &[(Vec<u32>, Vec<u32>)],
         run_mem: usize,
@@ -1728,13 +1816,71 @@ mod tests {
         let env_dyn: Arc<dyn SegmentEnv> = Arc::<MemSegEnv>::clone(&env);
         let mut b = SegmentBuilder::new(out, env_temp_factory(&env_dyn), SEG_KIND_RP, 0, run_mem);
         for (i, (path, gaps)) in paths.iter().enumerate() {
-            let rec = vec![i as u8; i % 7 + 1];
-            b.add_doc(&rec, path.clone(), gaps.clone()).unwrap();
+            b.add_doc(&record_of(i), path.clone(), gaps.clone())
+                .unwrap();
         }
         let stats = b
             .finish(|st| format!("meta:{}", st.nodes).into_bytes())
             .unwrap();
         (env, stats)
+    }
+
+    fn oracle_rows(paths: &[(Vec<u32>, Vec<u32>)]) -> (Vec<TagEntry>, Vec<DocEnd>) {
+        let mut oracle = RefTrie::new();
+        for (doc, (p, g)) in paths.iter().enumerate() {
+            oracle.insert(p, g, doc as u32);
+        }
+        oracle.label()
+    }
+
+    /// A collection whose segment has exactly `n_tag` tag rows and
+    /// `n_doc` doc-end rows: 60 random paths over symbols 2..=7, one
+    /// chain of symbol 9 long enough to reach `n_tag` (so one symbol's
+    /// rows span several groups), and copies of the first path up to
+    /// `n_doc` (so one `left` spans several doc groups).
+    fn sized_paths(n_tag: u64, n_doc: u64, seed: u64) -> Vec<(Vec<u32>, Vec<u32>)> {
+        let mut paths = sample_paths(60, seed);
+        for (p, _) in &mut paths {
+            p.iter_mut().for_each(|s| *s += 2);
+        }
+        let chain = n_tag as usize - oracle_rows(&paths).0.len();
+        assert!(chain as u64 >= 3 * TAG_GROUP, "chain must span 3 groups");
+        paths.push((vec![9; chain], (0..chain as u32).map(|g| g % 50).collect()));
+        let filler = paths[0].clone();
+        paths.resize(n_doc as usize, filler);
+        paths
+    }
+
+    /// Both scans of `r` against the brute-force filter over the
+    /// oracle rows, for every given symbol and every pair of bounds.
+    fn check_scans(
+        r: &SegmentReader,
+        tags: &[TagEntry],
+        ends: &[DocEnd],
+        syms: &[u32],
+        bounds: &[u64],
+    ) {
+        for &a in bounds {
+            for &b in bounds {
+                for &sym in syms {
+                    let got = r.scan_tag_range(sym, a, b).unwrap();
+                    let want: Vec<(u64, u64, u32, u32)> = tags
+                        .iter()
+                        .filter(|t| t.sym == sym && t.left > a && t.left <= b)
+                        .map(|t| (t.left, t.right, t.level, t.fine_gap))
+                        .collect();
+                    assert_eq!(got, want, "sym {sym} range ({a}, {b}]");
+                }
+                let mut got = Vec::new();
+                r.scan_docids(a, b, &mut |d| got.push(d)).unwrap();
+                let want: Vec<u32> = ends
+                    .iter()
+                    .filter(|e| e.left >= a && e.left <= b)
+                    .map(|e| e.doc)
+                    .collect();
+                assert_eq!(got, want, "docs [{a}, {b}]");
+            }
+        }
     }
 
     fn open_reader(env: &MemSegEnv) -> SegmentReader {
@@ -1745,11 +1891,7 @@ mod tests {
     #[test]
     fn segment_matches_reference_trie_labeling() {
         let paths = sample_paths(200, 42);
-        let mut oracle = RefTrie::new();
-        for (doc, (p, g)) in paths.iter().enumerate() {
-            oracle.insert(p, g, doc as u32);
-        }
-        let (exp_tags, exp_ends) = oracle.label();
+        let (exp_tags, exp_ends) = oracle_rows(&paths);
         let (env, stats) = build_segment(&paths, 1 << 20);
         let r = open_reader(&env);
         assert_eq!(r.n_tag_entries(), exp_tags.len() as u64);
@@ -1774,37 +1916,73 @@ mod tests {
 
     #[test]
     fn range_scans_match_filtered_oracle() {
+        // Random ranges over a random segment.
         let paths = sample_paths(300, 7);
-        let mut oracle = RefTrie::new();
-        for (doc, (p, g)) in paths.iter().enumerate() {
-            oracle.insert(p, g, doc as u32);
-        }
-        let (exp_tags, exp_ends) = oracle.label();
+        let (exp_tags, exp_ends) = oracle_rows(&paths);
         let (env, _) = build_segment(&paths, 1 << 20);
         let r = open_reader(&env);
         let mut s = 99u64;
         for _ in 0..50 {
-            let sym = (lcg(&mut s) % 6) as u32;
             let a = lcg(&mut s) % 400;
             let b = a + lcg(&mut s) % 400;
-            // Tag range: (a, b], exclusive low like the B+-tree scan.
-            let got = r.scan_tag_range(sym, a, b).unwrap();
-            let want: Vec<(u64, u64, u32, u32)> = exp_tags
-                .iter()
-                .filter(|t| t.sym == sym && t.left > a && t.left <= b)
-                .map(|t| (t.left, t.right, t.level, t.fine_gap))
-                .collect();
-            assert_eq!(got, want, "sym {sym} range ({a}, {b}]");
-            // Doc range: [a, b] inclusive.
-            let mut got = Vec::new();
-            r.scan_docids(a, b, &mut |d| got.push(d)).unwrap();
-            let want: Vec<u32> = exp_ends
-                .iter()
-                .filter(|e| e.left >= a && e.left <= b)
-                .map(|e| e.doc)
-                .collect();
-            assert_eq!(got, want, "docs [{a}, {b}]");
+            check_scans(
+                &r,
+                &exp_tags,
+                &exp_ends,
+                &[(lcg(&mut s) % 6) as u32],
+                &[a, b],
+            );
         }
+        // Row counts of exactly k groups and one either side: every
+        // bound that is the key of a row next to a group boundary (and
+        // its neighbours), the extremes, inverted ranges (each pair is
+        // tried both ways round), and symbols below, between and above
+        // the stored ones.
+        let syms = [0, 1, 2, 5, 7, 8, 9, 10, u32::MAX];
+        for d in [-1i64, 0, 1] {
+            let (n_tag, n_doc) = (
+                (6 * TAG_GROUP as i64 + d) as u64,
+                (4 * DOC_GROUP as i64 + d) as u64,
+            );
+            let paths = sized_paths(n_tag, n_doc, 21);
+            let (exp_tags, exp_ends) = oracle_rows(&paths);
+            let (env, _) = build_segment(&paths, 1 << 20);
+            let r = open_reader(&env);
+            assert_eq!((r.n_tag_entries(), r.n_doc_entries()), (n_tag, n_doc));
+            let chain: Vec<u64> = exp_tags
+                .iter()
+                .filter(|t| t.sym == 9)
+                .map(|t| t.left)
+                .collect();
+            assert!(chain.len() as u64 >= 3 * TAG_GROUP);
+            let mut bounds = vec![
+                0,
+                1,
+                u64::MAX - 1,
+                u64::MAX,
+                chain[0],
+                *chain.last().unwrap(),
+            ];
+            for k in 1..=6 {
+                for i in [k * TAG_GROUP - 1, k * TAG_GROUP] {
+                    let left = exp_tags.get(i as usize).map_or(0, |t| t.left);
+                    bounds.extend([left.saturating_sub(1), left, left + 1]);
+                }
+            }
+            for k in 1..=4 {
+                for i in [k * DOC_GROUP - 1, k * DOC_GROUP] {
+                    let left = exp_ends.get(i as usize).map_or(0, |e| e.left);
+                    bounds.extend([left.saturating_sub(1), left, left + 1]);
+                }
+            }
+            bounds.sort_unstable();
+            bounds.dedup();
+            check_scans(&r, &exp_tags, &exp_ends, &syms, &bounds);
+            r.verify().unwrap();
+        }
+        // The empty segment answers every range with nothing.
+        let (env, _) = build_segment(&[], 1 << 20);
+        check_scans(&open_reader(&env), &[], &[], &syms, &[0, 1, u64::MAX]);
     }
 
     #[test]
@@ -1855,14 +2033,22 @@ mod tests {
 
     #[test]
     fn records_and_meta_roundtrip() {
-        let paths = sample_paths(50, 3);
+        // Enough documents for the record index to cross block
+        // boundaries, behind a record longer than a block.
+        let paths = sample_paths(1100, 3);
         let (env, stats) = build_segment(&paths, 1 << 20);
         let r = open_reader(&env);
-        assert_eq!(r.n_docs(), 50);
-        for i in 0..50usize {
-            assert_eq!(r.record(i as u32).unwrap(), vec![i as u8; i % 7 + 1]);
+        assert_eq!(r.n_docs(), 1100);
+        let straddles = |doc: u64| {
+            let off = r.hdr.rec_idx_off + doc * 8;
+            off / SEG_BLOCK as u64 != (off + 15) / SEG_BLOCK as u64
+        };
+        assert!((0..1100).any(straddles), "no offset pair straddles a block");
+        assert!(record_of(2).len() > 2 * SEG_BLOCK);
+        for i in 0..1100usize {
+            assert_eq!(r.record(i as u32).unwrap(), record_of(i), "record {i}");
         }
-        assert!(r.record(50).is_err());
+        assert!(r.record(1100).is_err());
         assert_eq!(
             r.meta().unwrap(),
             format!("meta:{}", stats.nodes).into_bytes()
@@ -1887,22 +2073,83 @@ mod tests {
         assert!(r.verify().is_err(), "bit flip must fail verification");
     }
 
+    fn try_open(bytes: &[u8]) -> Result<SegmentReader> {
+        let store = MemStore::new();
+        store.write_at(0, bytes).unwrap();
+        SegmentReader::open(Box::new(store), Arc::new(IoStats::default()))
+    }
+
+    /// `good` with the little-endian header field at `at..at + width`
+    /// replaced by `f(old)` and the header CRC recomputed.
+    fn patch_header(good: &[u8], at: usize, width: usize, f: impl Fn(u64) -> u64) -> Vec<u8> {
+        let mut bytes = good.to_vec();
+        let mut v = [0u8; 8];
+        v[..width].copy_from_slice(&bytes[at..at + width]);
+        let new = f(u64::from_le_bytes(v)).to_le_bytes();
+        bytes[at..at + width].copy_from_slice(&new[..width]);
+        let crc = crc32(&bytes[..120]);
+        bytes[120..124].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
     #[test]
-    fn open_rejects_bad_magic_and_truncation() {
+    fn open_rejects_bad_magic_truncation_and_version_1() {
         let paths = sample_paths(20, 9);
         let (env, _) = build_segment(&paths, 1 << 20);
-        let store = env.store(".t.seg").unwrap();
-        let good = store.snapshot();
-        store.write_at(0, b"NOTASEG!").unwrap();
+        let good = env.store(".t.seg").unwrap().snapshot();
+        try_open(&good).unwrap();
+        let mut bad = good.clone();
+        bad[..8].copy_from_slice(b"NOTASEG!");
+        assert!(try_open(&bad).is_err());
         assert!(
-            SegmentReader::open(env.open(".t.seg").unwrap(), Arc::new(IoStats::default())).is_err()
-        );
-        store.set_len(0).unwrap();
-        store.write_at(0, &good[..good.len() - 10]).unwrap();
-        assert!(
-            SegmentReader::open(env.open(".t.seg").unwrap(), Arc::new(IoStats::default())).is_err(),
+            try_open(&good[..good.len() - 10]).is_err(),
             "length mismatch must be rejected"
         );
+        let err = match try_open(&patch_header(&good, 8, 4, |_| 1)) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a version-1 segment must be refused"),
+        };
+        assert!(
+            err.contains("version 1") && err.contains("re-index"),
+            "unhelpful refusal: {err}"
+        );
+    }
+
+    #[test]
+    fn open_rejects_inconsistent_header_geometry() {
+        let paths = sample_paths(400, 9);
+        let (env, _) = build_segment(&paths, 1 << 20);
+        let good = env.store(".t.seg").unwrap().snapshot();
+        // (offset, width) of n_docs, n_tag, n_doc, then the ten section
+        // offsets and lengths: none of them can change alone, by one, by
+        // a whole block (alignment kept), by whole groups, or to
+        // something huge.
+        let fields = [(20, 4), (24, 8), (32, 8)]
+            .into_iter()
+            .chain((40..120).step_by(8).map(|at| (at, 8)));
+        for (at, width) in fields {
+            let perturb: [fn(u64) -> u64; 5] = [
+                |v| v + 1,
+                |v| v.wrapping_sub(1),
+                |v| v + SEG_BLOCK as u64,
+                |v| v + TAG_GROUP * DOC_GROUP,
+                |_| u64::MAX / 2,
+            ];
+            for f in perturb {
+                match try_open(&patch_header(&good, at, width, f)) {
+                    Err(StorageError::Corrupt { .. }) => {}
+                    Err(e) => panic!("field at {at}: wrong error {e}"),
+                    // A count, or the end of the record data, can move
+                    // by one inside the padding before the next aligned
+                    // section without moving it: the rows then disagree
+                    // with the header, and verify says so.
+                    Ok(r) => assert!(
+                        at <= 40 && matches!(r.verify(), Err(StorageError::Corrupt { .. })),
+                        "field at {at}: inconsistent header accepted"
+                    ),
+                }
+            }
+        }
     }
 
     #[test]
@@ -1911,6 +2158,22 @@ mod tests {
         let (env, _) = build_segment(&paths, 1 << 20);
         let stats = Arc::new(IoStats::default());
         let r = SegmentReader::open(env.open(".t.seg").unwrap(), Arc::clone(&stats)).unwrap();
+        // The cost model: a lookup whose hits lie inside one group is
+        // one block read, fetched the first time and cached after, and
+        // nothing before it (open included) touched the cache.
+        let (exp_tags, _) = oracle_rows(&paths);
+        let g = TAG_GROUP as usize;
+        let i = (g + 1..2 * g - 4)
+            .find(|&i| exp_tags[i - 1].sym == exp_tags[i + 3].sym)
+            .expect("four rows of one symbol inside group 1");
+        let (sym, ql, qr) = (exp_tags[i].sym, exp_tags[i - 1].left, exp_tags[i + 3].left);
+        for fetches in [1, 0] {
+            let before = stats.snapshot();
+            assert_eq!(r.scan_tag_range(sym, ql, qr).unwrap().len(), 4);
+            let after = stats.snapshot();
+            assert_eq!(after.seg_block_reads - before.seg_block_reads, 1);
+            assert_eq!(after.seg_block_fetches - before.seg_block_fetches, fetches);
+        }
         let before = stats.snapshot();
         for sym in 0..6u32 {
             r.scan_tag_range(sym, 0, u64::MAX).unwrap();

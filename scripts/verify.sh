@@ -187,14 +187,21 @@ grep -q 'fsck: clean' "$SMOKE/fsck.log" || { echo "fsck not clean after live ing
 echo "live-ingest smoke OK (count $BEFORE -> $AFTER on port $PORT)"
 
 # Segment lifecycle smoke: bulk-index the corpus into a fresh database,
-# verify the segments, grow a mutable delta with `prix add`, serve and
-# query it through segments + delta over /dev/tcp, then compact and
+# verify the segments, rebuild and compare them, grow a mutable delta
+# with `prix add`, serve and query it through segments + delta over
+# /dev/tcp, then compact and
 # require the answer bit-identical — same matches before and after the
 # delta folds into generation 2 — and a clean fsck at the end.
 "$PRIX" index --bulk --alpha 4 "$SMOKE/seg.prix" "$SMOKE"/corpus/*.xml >"$SMOKE/bulk.log"
 grep -q 'generation 1' "$SMOKE/bulk.log" || { echo "bulk index did not report generation 1" >&2; cat "$SMOKE/bulk.log" >&2; exit 1; }
 "$PRIX" segments "$SMOKE/seg.prix" --verify >"$SMOKE/segments.log"
 grep -q 'segments: clean' "$SMOKE/segments.log" || { echo "segments --verify not clean after bulk index" >&2; cat "$SMOKE/segments.log" >&2; exit 1; }
+# Determinism outside `cargo test`: a second bulk build of the same
+# corpus must produce byte-identical segment files.
+"$PRIX" index --bulk --alpha 4 "$SMOKE/seg2.prix" "$SMOKE"/corpus/*.xml >/dev/null
+for KIND in rp ep; do
+  cmp "$SMOKE/seg.prix.g1.$KIND.seg" "$SMOKE/seg2.prix.g1.$KIND.seg" || { echo "two bulk builds of one corpus wrote different $KIND segments" >&2; exit 1; }
+done
 
 "$PRIX" add "$SMOKE/seg.prix" "$SMOKE"/corpus/doc00000*.xml >/dev/null
 
@@ -234,7 +241,7 @@ cmp -s "$SMOKE/m-before.txt" "$SMOKE/m-after.txt" || {
 }
 "$PRIX" fsck "$SMOKE/seg.prix" >"$SMOKE/fsck.log" || { echo "fsck failed after compaction" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
 grep -q 'fsck: clean' "$SMOKE/fsck.log" || { echo "fsck not clean after compaction" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
-echo "segment smoke OK (bulk -> add -> compact bit-identical, fsck clean)"
+echo "segment smoke OK (two bulk builds byte-identical, bulk -> add -> compact bit-identical, fsck clean)"
 
 # Value-predicate smoke: generate the shop scenario, index it (the
 # value index is built alongside the structural ones), and require the

@@ -537,6 +537,10 @@ fn cmd_fsck(args: &[String]) -> Result<(), CliError> {
     } else {
         println!("recovery: clean shutdown, nothing to replay");
     }
+    println!(
+        "log: {} byte(s) found, {} frame(s) replayed",
+        rep.log_len, rep.replayed_frames
+    );
     let (verified, skipped) = engine.verify_checksums().map_err(|e| e.to_string())?;
     println!("pages: {verified} verified, {skipped} never written");
     if engine.generation() > 0 {

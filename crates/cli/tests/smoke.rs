@@ -158,6 +158,12 @@ fn index_query_roundtrip_works() {
     assert_eq!(out.status.code(), Some(0), "fsck: {}", stderr(&out));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("recovery: clean shutdown"), "{text}");
+    // Every command above closed the database cleanly: checkpointed,
+    // the log back at its bare header.
+    assert!(
+        text.contains("log: 24 byte(s) found, 0 frame(s) replayed"),
+        "{text}"
+    );
     assert!(text.contains("valix:"), "{text}");
     assert!(
         text.contains("sibling db.prix.stray: not part of this database"),

@@ -163,10 +163,10 @@ impl PrixEngine {
     /// ([`EngineConfig::path`]) gets the `<path>.sum` checksum sidecar
     /// and the `<path>.wal` write-ahead log next to the database file:
     /// pages evicted before a [`PrixEngine::save`] spill to the log,
-    /// and every save is a group commit (WAL fsync before any page
-    /// write), so a crash at any instant leaves either the previous
-    /// save or the new one — never a torn mixture. Without a path the
-    /// engine lives in memory.
+    /// and every save is a group commit (one WAL append, one fsync; the
+    /// page file catches up at checkpoints), so a crash at any instant
+    /// leaves either the previous save or the new one — never a torn
+    /// mixture. Without a path the engine lives in memory.
     pub fn build(collection: Collection, cfg: EngineConfig) -> Result<Self> {
         match &cfg.path {
             Some(p) => {
@@ -297,11 +297,30 @@ impl PrixEngine {
     /// Persists the engine so [`PrixEngine::reopen`] can load it from
     /// the backing file: index metadata and the symbol table go into
     /// the shared store, their locations into the reserved catalog page
-    /// (page 0), and the buffer pool is flushed.
+    /// (page 0), and the buffer pool is flushed — for a durable engine
+    /// one WAL group commit.
     ///
     /// Only works for file-backed engines (`EngineConfig::path`);
     /// in-memory engines have nowhere to persist to.
     pub fn save(&mut self) -> Result<()> {
+        self.write_catalog()?;
+        self.pool.flush().map_err(IndexError::Storage)
+    }
+
+    /// [`PrixEngine::save`] for the fresh mutable generation a bulk
+    /// build or a compaction has just filled: its pages go straight to
+    /// their files, unlogged. Nothing durable names those files until
+    /// the manifest write that follows, so a crash in here leaves
+    /// debris no reopen looks at, and logging the pages first would
+    /// only write every one of them twice.
+    fn save_unlogged(&mut self) -> Result<()> {
+        self.write_catalog()?;
+        self.pool.checkpoint_unlogged().map_err(IndexError::Storage)
+    }
+
+    /// Writes what [`PrixEngine::reopen`] starts from into the pool:
+    /// index metadata, the symbol table, the catalog page.
+    fn write_catalog(&mut self) -> Result<()> {
         let rp_meta = self.rp.save()?.raw();
         let ep_meta = self.ep.save()?.raw();
         // Serialize the symbol table (needed to parse queries after
@@ -357,13 +376,13 @@ impl PrixEngine {
                 let voff = off + 4 + stats_blob.len();
                 p[voff..voff + 8].copy_from_slice(&valix_meta.to_le_bytes());
             })
-            .map_err(IndexError::Storage)?;
-        self.pool.flush().map_err(IndexError::Storage)
+            .map_err(IndexError::Storage)
     }
 
     /// Reopens a previously [`PrixEngine::save`]d database: page
-    /// checksums are verified on cold reads and any crashed commit left
-    /// in `<path>.wal` is replayed first (see [`PrixEngine::recovery`]).
+    /// checksums are verified on cold reads and every commit left in
+    /// `<path>.wal` (an unclean shutdown's, not yet checkpointed) is
+    /// replayed first (see [`PrixEngine::recovery`]).
     ///
     /// The document trees themselves are not persisted — only what
     /// query processing needs (sequences, leaf lists, indexes, symbol
@@ -654,8 +673,9 @@ impl PrixEngine {
     /// mutable generation plus the just-written segments, committed by
     /// one manifest write. Crash-ordering contract (the bulk crash
     /// suite pins it): segments are fully written and synced *before*
-    /// this runs, the mutable generation is created and saved next, and
-    /// the manifest write is last — a crash anywhere earlier leaves the
+    /// this runs, the mutable generation is created and saved (unlogged
+    /// — see [`PrixEngine::save_unlogged`]) next, and the manifest write
+    /// is last — a crash anywhere earlier leaves the
     /// previous manifest (or no database at all) in charge.
     pub(crate) fn from_bulk(
         cfg: EngineConfig,
@@ -678,7 +698,7 @@ impl PrixEngine {
         // generation's pool (the valix always lives with the mutable
         // generation; its coverage spans the segment documents).
         eng.valix = Valix::build_bulk(Arc::clone(&eng.pool), &valix_entries, n_docs)?;
-        eng.save()?;
+        eng.save_unlogged()?;
         let manifest = Manifest {
             generation,
             mutable_suffix,
@@ -695,13 +715,14 @@ impl PrixEngine {
     ///
     /// Publish protocol, in order: (1) build and sync the new segment
     /// files under the next generation's names — the live tree is
-    /// untouched; (2) create and save the next mutable generation in
-    /// *new* files, its epoch clock re-seeded past the old pool's so
-    /// epoch-keyed caches and snapshots stay monotone; (3) write the
-    /// manifest — the single commit point; (4) swap the in-memory state
-    /// and unlink the old mutable generation's files. Readers pinned on
-    /// the old pool keep reading through their open handles (the files
-    /// are unlinked, never truncated), so a snapshot taken before a
+    /// untouched; (2) create the next mutable generation in *new*
+    /// files and write it out unlogged, its epoch clock re-seeded past
+    /// the old pool's so epoch-keyed caches and snapshots stay
+    /// monotone; (3) write the manifest — the single commit point;
+    /// (4) swap the in-memory state, retire the old pool and unlink
+    /// the old mutable generation's files. Readers pinned on the old
+    /// pool keep reading through their open handles (the files are
+    /// unlinked, never truncated), so a snapshot taken before a
     /// compaction answers bit-identically after it.
     pub fn compact(&mut self) -> Result<bool> {
         self.compact_with(crate::segbuild::DEFAULT_RUN_MEM_BYTES)
@@ -757,9 +778,9 @@ impl PrixEngine {
         // page-for-page into the replacement generation's pool rather
         // than being rebuilt from the (empty) fresh collection.
         fresh.valix = self.valix.clone_into(Arc::clone(&fresh.pool))?;
-        fresh.save()?;
         let epoch = self.pool.published_epoch().max(self.pool.current_epoch()) + 1;
-        fresh.pool.reseed_epoch(epoch)?;
+        fresh.pool.reseed_epoch(epoch);
+        fresh.save_unlogged()?;
         // (3) Commit.
         let manifest = Manifest {
             generation,
@@ -770,7 +791,9 @@ impl PrixEngine {
         // (4) Publish in memory and retire the old generation's files.
         let old_suffix = std::mem::take(&mut self.mutable_suffix);
         self.collection = fresh.collection;
-        self.pool = fresh.pool;
+        // Whatever the old pool still holds un-checkpointed has been
+        // folded into the new generation; its files are about to go.
+        std::mem::replace(&mut self.pool, fresh.pool).retire();
         self.rp = fresh.rp;
         self.ep = fresh.ep;
         self.catalog_store = fresh.catalog_store;
@@ -910,9 +933,9 @@ impl PrixEngine {
         &self.valix
     }
 
-    /// The commit epoch this engine's durable state is at: the pager's
-    /// token for durable engines (what the next save will supersede),
-    /// the pool's publish counter otherwise.
+    /// The commit epoch this engine's durable state is at: the last
+    /// committed epoch for durable engines (what the next save will
+    /// supersede), the pool's publish counter otherwise.
     pub fn epoch(&self) -> u64 {
         self.pool.current_epoch()
     }
@@ -1160,7 +1183,8 @@ mod tests {
         e.save().unwrap();
         drop(e);
         assert!(dir.join("db.prix.sum").exists(), "checksum sidecar created");
-        assert!(dir.join("db.prix.wal").exists(), "write-ahead log created");
+        let wal = std::fs::metadata(dir.join("db.prix.wal")).expect("write-ahead log created");
+        assert_eq!(wal.len(), 24, "a clean close checkpoints: header only");
         let r = PrixEngine::reopen(&path, 64).unwrap();
         let rep = r.recovery().expect("reopen reports recovery");
         assert!(!rep.unclean_shutdown, "clean shutdown: nothing to replay");

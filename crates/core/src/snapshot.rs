@@ -28,7 +28,7 @@
 //! [`SharedEngine::ingest`] path that batches documents through one
 //! save (one WAL group commit), and a wait-free-for-readers
 //! [`SharedEngine::snapshot`] that hands out the current epoch's view.
-//! Publication is atomic — the two-barrier WAL commit inside
+//! Publication is atomic — the WAL commit (one append, one fsync) inside
 //! `PrixEngine::save` *is* the durability point, and swapping the
 //! current snapshot afterwards is the visibility point. A crash between
 //! the two recovers to exactly the new epoch (the commit landed); a

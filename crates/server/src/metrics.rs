@@ -161,6 +161,10 @@ pub struct EngineGauges {
     pub seg_block_reads: u64,
     /// Segment blocks actually read from disk, engine lifetime.
     pub seg_block_fetches: u64,
+    /// Current length of the write-ahead log in bytes.
+    pub wal_bytes: u64,
+    /// Pages whose latest image is in the log, not the page file.
+    pub log_resident_pages: u64,
 }
 
 /// The server's metric registry. One instance lives in the shared
@@ -629,7 +633,7 @@ impl Metrics {
             "prix_bufferpool_physical_writes_total {}\n",
             io.physical_writes
         ));
-        out.push_str("# HELP prix_bufferpool_fsyncs_total fsync barriers issued (WAL group commits, page-file and sidecar syncs).\n");
+        out.push_str("# HELP prix_bufferpool_fsyncs_total fsync barriers issued: one per WAL group commit, four per checkpoint (page file, sidecar, epoch advance, log truncation).\n");
         out.push_str("# TYPE prix_bufferpool_fsyncs_total counter\n");
         out.push_str(&format!("prix_bufferpool_fsyncs_total {}\n", io.fsyncs));
         out.push_str("# HELP prix_bufferpool_wal_appends_total Page images appended to the write-ahead log (spills + commits).\n");
@@ -637,6 +641,18 @@ impl Metrics {
         out.push_str(&format!(
             "prix_bufferpool_wal_appends_total {}\n",
             io.wal_appends
+        ));
+        out.push_str("# HELP prix_checkpoints_total Checkpoints completed (log-resident pages written to the page file, log truncated).\n");
+        out.push_str("# TYPE prix_checkpoints_total counter\n");
+        out.push_str(&format!("prix_checkpoints_total {}\n", io.checkpoints));
+        out.push_str("# HELP prix_wal_bytes Current length of the write-ahead log in bytes (what a crash now would replay).\n");
+        out.push_str("# TYPE prix_wal_bytes gauge\n");
+        out.push_str(&format!("prix_wal_bytes {}\n", engine.wal_bytes));
+        out.push_str("# HELP prix_bufferpool_log_resident_pages Pages whose latest image is in the write-ahead log, awaiting the next checkpoint.\n");
+        out.push_str("# TYPE prix_bufferpool_log_resident_pages gauge\n");
+        out.push_str(&format!(
+            "prix_bufferpool_log_resident_pages {}\n",
+            engine.log_resident_pages
         ));
         out.push_str("# HELP prix_bufferpool_flush_errors_total Buffer-pool flushes that failed (including during drop).\n");
         out.push_str("# TYPE prix_bufferpool_flush_errors_total counter\n");
@@ -801,6 +817,7 @@ mod tests {
             pinned_oldest_lag: 2,
             seg_block_reads: 100,
             seg_block_fetches: 25,
+            ..EngineGauges::default()
         };
         let text = m.render(
             IoSnapshot::default(),
@@ -944,6 +961,7 @@ mod tests {
         let io = IoSnapshot {
             fsyncs: 7,
             wal_appends: 5,
+            checkpoints: 2,
             flush_errors: 1,
             ..IoSnapshot::default()
         };
@@ -952,6 +970,12 @@ mod tests {
             replayed_frames: 12,
             replayed_pages: 9,
             wal_bytes: 4096,
+            log_len: 4120,
+        };
+        let gauges = EngineGauges {
+            wal_bytes: 8240,
+            log_resident_pages: 3,
+            ..EngineGauges::default()
         };
         let text = m.render(
             io,
@@ -962,9 +986,15 @@ mod tests {
             0,
             CacheSnapshot::default(),
             CacheSnapshot::default(),
-            EngineGauges::default(),
+            gauges,
         );
         assert!(text.contains("prix_bufferpool_fsyncs_total 7"), "{text}");
+        assert!(text.contains("prix_checkpoints_total 2"), "{text}");
+        assert!(text.contains("prix_wal_bytes 8240"), "{text}");
+        assert!(
+            text.contains("prix_bufferpool_log_resident_pages 3"),
+            "{text}"
+        );
         assert!(
             text.contains("prix_bufferpool_wal_appends_total 5"),
             "{text}"

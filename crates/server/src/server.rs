@@ -277,8 +277,9 @@ impl ServerHandle {
 
     /// Blocks until shutdown is requested (by `POST /shutdown` or
     /// [`ServerHandle::request_shutdown`]), then tears down gracefully:
-    /// stops accepting, drains queued and in-flight requests, flushes
-    /// the engine's buffer pool.
+    /// stops accepting, drains queued and in-flight requests,
+    /// checkpoints the engine's buffer pool (the database is left with
+    /// an empty write-ahead log).
     pub fn wait(mut self) -> io::Result<()> {
         self.shared.shutdown.wait();
         self.finish()
@@ -307,7 +308,7 @@ impl ServerHandle {
         self.shared
             .engine
             .pool()
-            .flush()
+            .checkpoint()
             .map_err(|e| io::Error::new(io::ErrorKind::Other, e.to_string()))
     }
 }
@@ -553,6 +554,8 @@ fn handle_metrics(shared: &Arc<Shared>) -> Response {
         pinned_oldest_lag: oldest.map_or(0, |o| snap.epoch().saturating_sub(o)),
         seg_block_reads: seg_io.seg_block_reads,
         seg_block_fetches: seg_io.seg_block_fetches,
+        wal_bytes: pool.wal_bytes(),
+        log_resident_pages: pool.log_resident_pages() as u64,
     };
     let body = shared.metrics.render(
         pool.snapshot(),

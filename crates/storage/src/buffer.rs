@@ -35,10 +35,16 @@ use crate::error::Result;
 use crate::pager::{PageId, Pager, PAGE_SIZE};
 use crate::stats::{IoSnapshot, IoStats};
 use crate::sync::Mutex;
-use crate::wal::Wal;
+use crate::wal::{stage_page_frame, Wal, PAGE_FRAME_BYTES};
 
 /// Default pool capacity, matching the paper's 2000-page configuration.
 pub const DEFAULT_CAPACITY: usize = 2000;
+
+/// Log length at which a commit is followed by a checkpoint. 8 MiB is
+/// about 1 024 page frames: it bounds replay on open to some 45 ms at
+/// the 43 µs/frame EXPERIMENTS.md measures, and bounds the disk space
+/// the log holds between checkpoints.
+pub const CHECKPOINT_LOG_BYTES: u64 = 8 << 20;
 
 /// Upper bound on the default shard count (`min(16, cores)`).
 pub const MAX_DEFAULT_SHARDS: usize = 16;
@@ -126,11 +132,15 @@ fn default_shards(capacity: usize) -> usize {
 /// All methods take `&self`; the pool is internally synchronized (one
 /// mutex per shard) and is typically wrapped in an [`Arc`] shared by
 /// every index of a database.
-/// WAL attachment of a durable pool: the log plus the spill map
-/// (evicted dirty pages -> their frame offset in the log).
+/// WAL attachment of a durable pool: the log plus the map of
+/// log-resident pages.
 struct WalState {
     wal: Wal,
-    spilled: HashMap<PageId, u64>,
+    /// Page -> offset of its latest image in the log (a commit frame or
+    /// an eviction spill). Until the next checkpoint the page file
+    /// holds an older image of these pages, or none, so a miss on one
+    /// of them reads the log.
+    resident: HashMap<PageId, u64>,
 }
 
 /// A retained pre-image of one page: the bytes the page held when some
@@ -218,17 +228,21 @@ pub struct BufferPool {
     shards: Box<[Mutex<Shard>]>,
     capacity: usize,
     /// Present in durable (WAL) mode. Lock order: a shard lock may be
-    /// held while taking this lock (eviction spill, spill re-read);
+    /// held while taking this lock (eviction spill, log re-read);
     /// never the reverse — [`BufferPool::commit`] collects under shard
     /// locks *before* taking it and cleans dirty bits *after* releasing
     /// it.
     wal: Option<Mutex<WalState>>,
+    /// The last committed epoch of a durable pool: the pager's token at
+    /// open, plus one per [`BufferPool::commit`] since. The pager's own
+    /// epoch only catches up at a checkpoint.
+    committed: AtomicU64,
     /// Latest epoch visible to new snapshots. Durable pools initialize
-    /// it from the pager's commit token and re-sync it on
-    /// [`BufferPool::publish_ingest`]; in-memory pools count publishes.
-    /// It deliberately lags the pager epoch between the commit barrier
-    /// and publish, so readers never pin state whose catalog they have
-    /// not been handed yet.
+    /// it from the pager's commit token and re-sync it to the committed
+    /// epoch on [`BufferPool::publish_ingest`]; in-memory pools count
+    /// publishes. It deliberately lags the committed epoch between the
+    /// commit barrier and publish, so readers never pin state whose
+    /// catalog they have not been handed yet.
     published: AtomicU64,
     /// Pins + pre-image chains (see [`VersionState`] for lock order).
     vstate: Mutex<VersionState>,
@@ -239,6 +253,9 @@ pub struct BufferPool {
     /// `with_page_mut` captures a pre-image before the first
     /// modification of each pre-existing page.
     ingest_active: AtomicBool,
+    /// Set by [`BufferPool::retire`]: the files are unlinked, so `Drop`
+    /// has nothing worth writing.
+    retired: AtomicBool,
 }
 
 impl BufferPool {
@@ -273,21 +290,23 @@ impl BufferPool {
         let shards: Vec<Mutex<Shard>> = (0..shards)
             .map(|i| Mutex::new(Shard::new(base + usize::from(i < extra))))
             .collect();
-        let published = AtomicU64::new(if pager.has_checksums() {
+        let epoch = if pager.has_checksums() {
             pager.epoch()
         } else {
             0
-        });
+        };
         BufferPool {
             pager,
             stats,
             shards: shards.into_boxed_slice(),
             capacity,
             wal: None,
-            published,
+            committed: AtomicU64::new(epoch),
+            published: AtomicU64::new(epoch),
             vstate: Mutex::new(VersionState::default()),
             versioned: AtomicUsize::new(0),
             ingest_active: AtomicBool::new(false),
+            retired: AtomicBool::new(false),
         }
     }
 
@@ -296,15 +315,15 @@ impl BufferPool {
         Self::new(pager, DEFAULT_CAPACITY)
     }
 
-    /// Creates a **durable** pool: dirty pages never reach the pager
-    /// outside [`BufferPool::commit`]. Evicted dirty pages spill into
-    /// `wal` instead of being stolen into the page file (a crash would
-    /// otherwise persist half-applied tree mutations under the old
-    /// catalog), and [`BufferPool::flush`] becomes a commit: WAL
-    /// append + fsync first, pages second, log truncation last.
+    /// Creates a **durable** pool: page images reach the pager only
+    /// in a checkpoint, after the log holding them is durable. Evicted
+    /// dirty pages spill into `wal` instead of being stolen into the
+    /// page file (a crash would otherwise persist half-applied tree
+    /// mutations under the old catalog), and [`BufferPool::flush`]
+    /// becomes a commit: one WAL append, one fsync.
     ///
     /// `pager` must be durable ([`Pager::create_durable`] /
-    /// [`Pager::open_durable`]) so the commit protocol has an epoch to
+    /// [`Pager::open_durable`]) so a checkpoint has an epoch to
     /// advance; `wal` is typically the log [`crate::wal::recover`]
     /// returned.
     pub fn with_wal(pager: Pager, capacity: usize, wal: Wal) -> Self {
@@ -315,7 +334,7 @@ impl BufferPool {
         let mut pool = Self::new(pager, capacity);
         pool.wal = Some(Mutex::new(WalState {
             wal,
-            spilled: HashMap::new(),
+            resident: HashMap::new(),
         }));
         pool
     }
@@ -355,21 +374,35 @@ impl BufferPool {
     }
 
     /// The latest *published* epoch: what a new snapshot pins. Lags the
-    /// pager's commit token between a commit barrier and
+    /// committed epoch between a commit barrier and
     /// [`BufferPool::publish_ingest`].
     pub fn published_epoch(&self) -> u64 {
         self.published.load(Ordering::Acquire)
     }
 
-    /// The engine-visible commit epoch: the pager's durable token when
-    /// there is one, else the in-memory publish counter. What `prix
+    /// The engine-visible commit epoch: the last committed epoch of a
+    /// durable pool (which the pager's own token trails until the next
+    /// checkpoint), else the in-memory publish counter. What `prix
     /// add`-style offline writers report after a save.
     pub fn current_epoch(&self) -> u64 {
         if self.pager.has_checksums() {
-            self.pager.epoch()
+            self.committed.load(Ordering::Acquire)
         } else {
             self.published.load(Ordering::Acquire)
         }
+    }
+
+    /// Current length of the write-ahead log in bytes, header included
+    /// (0 without a WAL): what a crash right now would make the next
+    /// open scan.
+    pub fn wal_bytes(&self) -> u64 {
+        self.wal.as_ref().map_or(0, |w| w.lock().wal.len())
+    }
+
+    /// Pages whose latest image lives in the log, not the page file —
+    /// what the next checkpoint will write.
+    pub fn log_resident_pages(&self) -> usize {
+        self.wal.as_ref().map_or(0, |w| w.lock().resident.len())
     }
 
     /// Observability for long-held reader pins: the number of active
@@ -389,8 +422,9 @@ impl BufferPool {
     /// epoch-keyed caches, and `/metrics` all require the published
     /// epoch to be monotone across that swap, so the new pool jumps
     /// forward before it is ever published. Only valid outside ingest
-    /// mode and only forward.
-    pub fn reseed_epoch(&self, epoch: u64) -> Result<()> {
+    /// mode and only forward. The jump is in memory; the next commit
+    /// or checkpoint makes it durable.
+    pub fn reseed_epoch(&self, epoch: u64) {
         assert!(
             !self.ingest_active.load(Ordering::Acquire),
             "reseed_epoch during an ingest round"
@@ -400,14 +434,18 @@ impl BufferPool {
             vs.pins.is_empty(),
             "reseed_epoch with readers pinned on the old clock"
         );
-        if self.pager.has_checksums() && epoch > self.pager.epoch() {
-            self.pager.set_epoch(epoch)?;
-            self.pager.sync_meta()?;
-        }
-        let cur = self.published.load(Ordering::Acquire);
-        self.published.store(cur.max(epoch), Ordering::Release);
+        self.committed.fetch_max(epoch, Ordering::AcqRel);
+        self.published.fetch_max(epoch, Ordering::AcqRel);
         drop(vs);
-        Ok(())
+    }
+
+    /// Tells the pool its files have been retired (compaction published
+    /// a replacement generation and unlinked them). Readers still
+    /// pinned here keep reading through the open handles; when the last
+    /// of them lets go, `Drop` skips the final checkpoint — it would
+    /// only write into files nothing can open again.
+    pub fn retire(&self) {
+        self.retired.store(true, Ordering::Release);
     }
 
     /// Pins the currently published epoch for a new reader. Registration
@@ -477,13 +515,13 @@ impl BufferPool {
     }
 
     /// Publishes the committed ingest: re-syncs the published epoch to
-    /// the pager's token (in-memory pools count up), leaves ingest
+    /// the committed one (in-memory pools count up), leaves ingest
     /// mode, and prunes pre-images nobody pins. Call after the dirty
     /// set is durable (`flush`/`commit`); returns the new epoch.
     pub fn publish_ingest(&self) -> u64 {
         let mut vs = self.vstate.lock();
         let next = if self.pager.has_checksums() {
-            self.pager.epoch()
+            self.committed.load(Ordering::Acquire)
         } else {
             self.published.load(Ordering::Acquire) + 1
         };
@@ -495,7 +533,8 @@ impl BufferPool {
     }
 
     /// Rolls the in-flight ingest back: every page captured this round
-    /// is restored to its pre-image (and its WAL spill forgotten), the
+    /// is restored to its pre-image and left dirty (so the next commit
+    /// logs it after any spill the round left in the WAL), the
     /// published epoch stays put, and ingest mode ends. Pages allocated
     /// during the round leak until the next vacuum — they are
     /// unreferenced, never committed into a catalog.
@@ -517,11 +556,11 @@ impl BufferPool {
                 Some(chain) if chain.last().map_or(false, |v| v.valid_through == published) => {
                     let v = chain.pop().expect("checked non-empty");
                     shard.frames[idx].data.copy_from_slice(&v.image[..]);
-                    // Keep the frame dirty unless it was clean *and*
-                    // nothing of this round reached the backing store:
-                    // a pool without a WAL may have stolen the junk image
-                    // into the page store, so force a write-back of the
-                    // restored bytes.
+                    // The round's image may have left the pool: stolen
+                    // into the page store (no WAL) or spilled into the
+                    // log, where a later commit record would commit
+                    // it. Dirty, the restored bytes are written after
+                    // it and win.
                     shard.frames[idx].dirty = true;
                     if chain.is_empty() {
                         vs.chains.remove(&id);
@@ -533,9 +572,6 @@ impl BufferPool {
             drop(vs);
             if restored {
                 self.versioned.fetch_sub(1, Ordering::Release);
-                if let Some(walm) = &self.wal {
-                    walm.lock().spilled.remove(&id);
-                }
             }
         }
         let mut vs = self.vstate.lock();
@@ -629,101 +665,73 @@ impl BufferPool {
             self.commit()
         } else {
             for shard in self.shards.iter() {
-                let mut shard = shard.lock();
-                self.flush_shard(&mut shard)?;
+                self.flush_shard(&mut shard.lock(), |_| ())?;
             }
             Ok(())
         }
     }
 
-    /// [`BufferPool::commit`], under the name recovery literature uses
-    /// for "force the dirty set and truncate the log".
-    pub fn checkpoint(&self) -> Result<()> {
-        self.flush()
-    }
-
-    /// Atomically commits the dirty set (durable pools).
+    /// Atomically commits the dirty set (durable pools): **one append,
+    /// one fsync**.
     ///
-    /// Protocol — the WAL-before-page write ordering:
+    /// 1. encode every dirty frame, straight from the pool, into one
+    ///    batch buffer;
+    /// 2. append the batch plus a commit record to the WAL as one group
+    ///    write and `fsync` the WAL — from this instant the batch is
+    ///    durable, redoable by [`crate::wal::recover`], and the commit
+    ///    is done.
     ///
-    /// 1. collect every dirty page image (pool frames + WAL spills);
-    /// 2. append all of them plus a commit record to the WAL as one
-    ///    group write, then `fsync` the WAL — from this instant the
-    ///    batch is durable, redoable by [`crate::wal::recover`];
-    /// 3. write the pages (and their sidecar checksums) to the pager
-    ///    and `fsync` both — pages durable, epoch still old;
-    /// 4. advance the epoch and `fsync` the sidecar — only now does the
-    ///    database claim the batch;
-    /// 5. truncate the WAL back to a bare header at the new epoch.
+    /// Dirty pages evicted since the last commit already sit in the log
+    /// as spills; preceding the commit record is what commits them. The
+    /// page file is not touched: the committed images stay
+    /// *log-resident* (a miss re-reads them from the log) until a
+    /// checkpoint, which this call runs itself once the log has grown
+    /// to [`CHECKPOINT_LOG_BYTES`].
     ///
-    /// A crash before step 2's fsync loses the whole batch (the old
-    /// epoch's pages were never touched); a crash after it replays the
-    /// whole batch on reopen. Nothing in between is observable. Steps
-    /// 3 and 4 must be separate barriers: inside one shared barrier a
-    /// crash could persist the new epoch over torn pages, and recovery
-    /// would discard the very log that could repair them as stale.
+    /// A crash before the fsync loses the whole batch (nothing else was
+    /// written); a crash after it replays the whole batch on reopen.
+    /// Nothing in between is observable.
     pub fn commit(&self) -> Result<()> {
         let walm = match &self.wal {
             Some(w) => w,
             None => return self.flush(),
         };
-        // Phase A: collect dirty images shard by shard. Writers are
+        // Phase A: stage dirty images shard by shard. Writers are
         // externally serialized (see `flush`), so this is a consistent
         // cut; readers racing us at worst evict a page we already
-        // copied, which re-spills an identical image — harmless.
-        let mut images: Vec<(PageId, Box<[u8; PAGE_SIZE]>)> = Vec::new();
+        // staged, which spills an identical image — harmless.
+        let mut batch: Vec<u8> = Vec::new();
+        let mut ids: Vec<PageId> = Vec::new();
         for shard in self.shards.iter() {
             let shard = shard.lock();
-            for f in shard.frames.iter() {
-                if f.dirty {
-                    images.push((f.page_id, f.data.clone()));
-                }
+            let dirty = shard.frames.iter().filter(|f| f.dirty);
+            batch.reserve(dirty.clone().count() * PAGE_FRAME_BYTES);
+            for f in dirty {
+                stage_page_frame(&mut batch, f.page_id, &f.data);
+                ids.push(f.page_id);
             }
         }
-        // Phase B: the durable dance, under the WAL lock (no shard
+        // Phase B: the durable step, under the WAL lock (no shard
         // locks held — see the lock-order note on the `wal` field).
         {
             let mut ws = walm.lock();
-            let in_pool: HashSet<PageId> = images.iter().map(|(id, _)| *id).collect();
-            // Dirty pages evicted earlier this epoch live only in the
-            // log; they are part of the write set too.
-            let spill_reads: Vec<(PageId, u64)> = ws
-                .spilled
-                .iter()
-                .filter(|(id, _)| !in_pool.contains(id))
-                .map(|(&id, &off)| (id, off))
-                .collect();
-            for (id, off) in spill_reads {
-                let rec = ws.wal.read_frame(off)?;
-                let mut data = Box::new([0u8; PAGE_SIZE]);
-                data.copy_from_slice(&rec.payload);
-                images.push((id, data));
+            if ids.is_empty() && ws.wal.is_fully_durable() {
+                return Ok(()); // nothing dirty, nothing spilled: no fsyncs
             }
-            if images.is_empty() {
-                return Ok(()); // nothing dirty anywhere: no fsyncs
-            }
-            let next_epoch = self.pager.epoch() + 1;
-            ws.wal.append_commit_batch(&images, next_epoch)?;
+            let next_epoch = self.committed.load(Ordering::Acquire) + 1;
+            let first = ws.wal.append_commit_batch(&mut batch, next_epoch)?;
             ws.wal.sync()?;
-            // WAL-before-page: every image is durable in the log
-            // before any of them touches the page file.
-            debug_assert!(ws.wal.is_fully_durable());
-            for (id, data) in &images {
-                self.pager.write_page(*id, data)?;
+            self.committed.store(next_epoch, Ordering::Release);
+            for (i, id) in ids.iter().enumerate() {
+                ws.resident
+                    .insert(*id, first + (i * PAGE_FRAME_BYTES) as u64);
             }
-            // Page-before-epoch: the pages (and their checksums) must
-            // be durable before the epoch advance becomes durable. In
-            // one shared barrier a crash could persist the new epoch
-            // over torn pages — and recovery would discard the very
-            // log that could repair them as stale.
-            self.pager.sync()?;
-            self.pager.set_epoch(next_epoch)?;
-            self.pager.sync_meta()?;
-            ws.wal.reset(next_epoch)?;
-            ws.spilled.clear();
+            if ws.wal.len() >= CHECKPOINT_LOG_BYTES {
+                self.write_back(&mut ws)?;
+            }
         }
         // Phase C: mark the committed frames clean.
-        let committed: HashSet<PageId> = images.iter().map(|(id, _)| *id).collect();
+        let committed: HashSet<PageId> = ids.into_iter().collect();
         for shard in self.shards.iter() {
             let mut shard = shard.lock();
             for f in shard.frames.iter_mut() {
@@ -735,14 +743,97 @@ impl BufferPool {
         Ok(())
     }
 
-    fn flush_shard(&self, shard: &mut Shard) -> Result<()> {
-        let dirty: Vec<usize> = (0..shard.frames.len())
-            .filter(|&i| shard.frames[i].dirty)
-            .collect();
-        for i in dirty {
-            self.pager
-                .write_page(shard.frames[i].page_id, &shard.frames[i].data)?;
-            shard.frames[i].dirty = false;
+    /// Commits, then brings the page file up to date and truncates the
+    /// log (durable pools; others just [`BufferPool::flush`]). Runs on
+    /// [`BufferPool::clear`], on clean close (`Drop`, server shutdown)
+    /// and from [`BufferPool::commit`] when the log has grown to
+    /// [`CHECKPOINT_LOG_BYTES`]. Free when the log is empty.
+    ///
+    /// Same serialization contract as [`BufferPool::flush`].
+    pub fn checkpoint(&self) -> Result<()> {
+        let walm = match &self.wal {
+            Some(w) => w,
+            None => return self.flush(),
+        };
+        self.commit()?;
+        let mut ws = walm.lock();
+        if ws.wal.is_empty() {
+            return Ok(());
+        }
+        // WAL-before-page: every image is durable in the log before
+        // any of them touches the page file.
+        debug_assert!(ws.wal.is_fully_durable());
+        self.write_back(&mut ws)
+    }
+
+    /// Makes the pool's current contents the durable base of its files
+    /// **without logging them**: dirty frames go straight to the page
+    /// file, then a checkpoint's barriers follow.
+    ///
+    /// Only sound while nothing durable names these files — the fresh
+    /// mutable generation of a bulk build or a compaction, whose
+    /// manifest write afterwards is the commit point. A crash in here
+    /// leaves torn files that no manifest refers to; on a live database
+    /// it would leave torn pages that no log can repair.
+    pub fn checkpoint_unlogged(&self) -> Result<()> {
+        let walm = self
+            .wal
+            .as_ref()
+            .expect("an unlogged checkpoint needs a durable pool");
+        for shard in self.shards.iter() {
+            // An older spill of a flushed page must not overwrite it.
+            self.flush_shard(&mut shard.lock(), |id| {
+                walm.lock().resident.remove(&id);
+            })?;
+        }
+        self.write_back(&mut walm.lock())
+    }
+
+    /// The checkpoint proper, under the WAL lock:
+    ///
+    /// 1. write the latest image of every log-resident page (and its
+    ///    sidecar checksum) to the pager and `fsync` both — pages
+    ///    durable, epoch still old;
+    /// 2. advance the pager epoch to the committed one and `fsync` the
+    ///    sidecar — only now does the page file claim the commits;
+    /// 3. truncate the WAL back to a bare header at that epoch.
+    ///
+    /// A crash in step 1 or 2 leaves the log intact under the old
+    /// epoch: reopening replays it over whatever the page file holds. A
+    /// crash in step 3 leaves a log behind the database epoch, which
+    /// recovery discards. Steps 1 and 2 must be separate barriers:
+    /// inside one shared barrier a crash could persist the new epoch
+    /// over torn pages, and recovery would discard the very log that
+    /// could repair them as stale.
+    fn write_back(&self, ws: &mut WalState) -> Result<()> {
+        // Page order, so a checkpoint issues the same writes in the
+        // same order on every run (the crash harness counts syscalls).
+        let mut pages: Vec<(PageId, u64)> =
+            ws.resident.iter().map(|(&id, &off)| (id, off)).collect();
+        pages.sort_unstable();
+        let mut image = [0u8; PAGE_SIZE];
+        for (id, off) in pages {
+            let logged = ws.wal.read_page(off, &mut image)?;
+            debug_assert_eq!(logged, id, "log-resident map points at another page");
+            self.pager.write_page(id, &image)?;
+        }
+        self.pager.sync()?;
+        let epoch = self.committed.load(Ordering::Acquire);
+        self.pager.set_epoch(epoch)?;
+        self.pager.sync_meta()?;
+        ws.wal.reset(epoch)?;
+        ws.resident.clear();
+        self.stats.record_checkpoint();
+        Ok(())
+    }
+
+    /// Writes the shard's dirty frames straight to the pager, telling
+    /// `flushed` each page id as it goes clean.
+    fn flush_shard(&self, shard: &mut Shard, mut flushed: impl FnMut(PageId)) -> Result<()> {
+        for f in shard.frames.iter_mut().filter(|f| f.dirty) {
+            self.pager.write_page(f.page_id, &f.data)?;
+            f.dirty = false;
+            flushed(f.page_id);
         }
         Ok(())
     }
@@ -754,15 +845,16 @@ impl BufferPool {
     /// racing a `clear` always see either the cached bytes or the
     /// flushed bytes re-read from the pager — never a torn state.
     pub fn clear(&self) -> Result<()> {
-        // Durable pools commit first (dirty pages may not bypass the
-        // WAL), then drop the now-clean frames.
+        // Durable pools checkpoint first (dirty pages may not bypass
+        // the WAL, and a cold read should come from the page file),
+        // then drop the now-clean frames.
         if self.wal.is_some() {
-            self.commit()?;
+            self.checkpoint()?;
         }
         for shard in self.shards.iter() {
             let mut shard = shard.lock();
             if self.wal.is_none() {
-                self.flush_shard(&mut shard)?;
+                self.flush_shard(&mut shard, |_| ())?;
             }
             shard.frames.clear();
             shard.map.clear();
@@ -787,36 +879,35 @@ impl BufferPool {
             return Ok(idx);
         }
         let idx = self.take_frame(shard)?;
-        // A dirty page evicted earlier this epoch lives in the WAL,
-        // not the page file; its spilled image stays dirty (it has not
-        // been committed).
-        let mut dirty = false;
-        match self.spilled_frame(id)? {
-            Some(payload) => {
-                self.stats.record_physical_read();
-                shard.frames[idx].data.copy_from_slice(&payload);
-                dirty = true;
-            }
-            None => self.pager.read_page(id, &mut shard.frames[idx].data)?,
+        // The latest image of a log-resident page is in the WAL, not
+        // the page file. Either way the frame comes back clean: it
+        // equals what the log (or the page file) already holds.
+        if !self.read_log_resident(id, &mut shard.frames[idx].data)? {
+            self.pager.read_page(id, &mut shard.frames[idx].data)?;
         }
         shard.frames[idx].page_id = id;
-        shard.frames[idx].dirty = dirty;
+        shard.frames[idx].dirty = false;
         shard.map.insert(id, idx);
         shard.push_front(idx);
         Ok(idx)
     }
 
-    /// Looks up `id` in the WAL spill map and reads its image back, or
-    /// `None` when the page is not spilled (or the pool has no WAL).
-    fn spilled_frame(&self, id: PageId) -> Result<Option<Vec<u8>>> {
+    /// Reads page `id` from the log into `out` if it is log-resident;
+    /// `false` when its latest image is the page file's (or the pool
+    /// has no WAL).
+    fn read_log_resident(&self, id: PageId, out: &mut [u8; PAGE_SIZE]) -> Result<bool> {
         let walm = match &self.wal {
             Some(w) => w,
-            None => return Ok(None),
+            None => return Ok(false),
         };
         let ws = walm.lock();
-        match ws.spilled.get(&id) {
-            Some(&off) => Ok(Some(ws.wal.read_frame(off)?.payload)),
-            None => Ok(None),
+        match ws.resident.get(&id) {
+            Some(&off) => {
+                self.stats.record_physical_read();
+                ws.wal.read_page(off, out)?;
+                Ok(true)
+            }
+            None => Ok(false),
         }
     }
 
@@ -842,13 +933,13 @@ impl BufferPool {
         if shard.frames[victim].dirty {
             match &self.wal {
                 // Durable pools never steal a dirty page into the page
-                // file mid-epoch: spill its image to the WAL instead
-                // (un-synced — it carries no durability promise, it
-                // just has to be re-readable until the next commit).
+                // file: spill its image to the WAL instead (un-synced —
+                // it carries no durability promise until a commit
+                // record follows it, it just has to be re-readable).
                 Some(walm) => {
                     let mut ws = walm.lock();
                     let off = ws.wal.append_page(old_id, &shard.frames[victim].data)?;
-                    ws.spilled.insert(old_id, off);
+                    ws.resident.insert(old_id, off);
                 }
                 None => self.pager.write_page(old_id, &shard.frames[victim].data)?,
             }
@@ -860,11 +951,15 @@ impl BufferPool {
 
 impl Drop for BufferPool {
     fn drop(&mut self) {
-        // A failed flush here has no caller to report to, but it must
-        // not vanish: pages may not have reached the backing store.
-        // Count it (surfaced as `flush_errors` in /metrics) and say so
-        // on stderr.
-        if let Err(e) = self.flush() {
+        if self.retired.load(Ordering::Acquire) {
+            return;
+        }
+        // Clean close: commit what is dirty and checkpoint, so the
+        // database is left with an empty log. A failure here has no
+        // caller to report to, but it must not vanish: pages may not
+        // have reached the backing store. Count it (surfaced as
+        // `flush_errors` in /metrics) and say so on stderr.
+        if let Err(e) = self.checkpoint() {
             self.stats.record_flush_error();
             eprintln!("prix-storage: buffer pool flush failed during drop: {e}");
         }
@@ -1005,22 +1100,39 @@ mod tests {
         }
     }
 
-    fn durable_pool(cap: usize) -> (BufferPool, crate::store::MemStore) {
-        use crate::store::MemStore;
-        let db = MemStore::new();
-        let sum = MemStore::new();
-        let wal_store = MemStore::new();
-        let pager = Pager::create_durable(Box::new(db.clone()), Box::new(sum)).unwrap();
-        let stats = pager.stats();
-        let wal = Wal::create(Box::new(wal_store), pager.epoch(), stats).unwrap();
-        (BufferPool::with_wal(pager, cap, wal), db)
+    use crate::store::{MemStore, RawStore};
+
+    /// A durable pool over in-memory stores, plus handles on its page
+    /// file, sidecar and log.
+    fn durable_stores(cap: usize) -> (BufferPool, [MemStore; 3]) {
+        let stores = [MemStore::new(), MemStore::new(), MemStore::new()];
+        let [db, sum, log] = stores.clone();
+        let pager = Pager::create_durable(Box::new(db), Box::new(sum)).unwrap();
+        let wal = Wal::create(Box::new(log), pager.epoch(), pager.stats()).unwrap();
+        (BufferPool::with_wal(pager, cap, wal), stores)
+    }
+
+    fn durable_pool(cap: usize) -> (BufferPool, MemStore) {
+        let (pool, [db, _, _]) = durable_stores(cap);
+        (pool, db)
+    }
+
+    /// Reopens the bytes the stores hold right now — what a process
+    /// killed at this instant would find — through recovery.
+    fn reopen(stores: &[MemStore; 3], cap: usize) -> (BufferPool, crate::wal::RecoveryReport) {
+        let [db, sum, log] = stores
+            .clone()
+            .map(|s| Box::new(MemStore::from_bytes(s.snapshot())));
+        let pager = Pager::open_durable(db, sum).unwrap();
+        let (wal, report) = crate::wal::recover(&pager, log, pager.stats()).unwrap();
+        (BufferPool::with_wal(pager, cap, wal), report)
     }
 
     #[test]
     fn durable_pool_spills_evicted_dirty_pages_to_wal() {
         // Capacity 1 forces an eviction per access; the page file must
-        // stay untouched until commit (no stealing mid-epoch), yet
-        // every page reads back correctly via the WAL spill path.
+        // stay untouched until a checkpoint (no stealing), yet every
+        // page reads back correctly via the WAL spill path.
         let (pool, db) = durable_pool(1);
         let a = pool.allocate_page().unwrap();
         pool.with_page_mut(a, |d| d[0] = 7).unwrap();
@@ -1032,7 +1144,15 @@ mod tests {
         assert_eq!(pool.with_page(a, |d| d[0]).unwrap(), 7, "spill re-read");
         assert_eq!(pool.with_page(b, |d| d[0]).unwrap(), 8);
         pool.commit().unwrap();
-        assert_eq!(db.snapshot()[a as usize * PAGE_SIZE], 7, "committed");
+        assert_eq!(pool.current_epoch(), 2);
+        assert_eq!(
+            db.snapshot()[a as usize * PAGE_SIZE],
+            0,
+            "commit is log-only"
+        );
+        assert_eq!(pool.with_page(a, |d| d[0]).unwrap(), 7, "log re-read");
+        pool.checkpoint().unwrap();
+        assert_eq!(db.snapshot()[a as usize * PAGE_SIZE], 7, "checkpointed");
         assert_eq!(db.snapshot()[b as usize * PAGE_SIZE], 8);
         assert_eq!(pool.pager().epoch(), 2);
     }
@@ -1067,15 +1187,163 @@ mod tests {
         let before = pool.snapshot();
         pool.commit().unwrap();
         let d = pool.snapshot().since(&before);
-        // WAL group sync + page file + sidecar + epoch advance + WAL
-        // truncation sync.
-        assert_eq!(d.fsyncs, 5, "group commit costs a fixed fsync budget");
-        assert_eq!(d.wal_appends, 1);
+        assert_eq!(d.fsyncs, 1, "a commit is one WAL group sync");
+        assert_eq!((d.wal_appends, d.physical_writes), (1, 0));
         let before = pool.snapshot();
         pool.commit().unwrap(); // nothing dirty
         assert_eq!(pool.snapshot().since(&before).fsyncs, 0);
-        pool.checkpoint().unwrap(); // alias, also clean
+        pool.checkpoint().unwrap();
+        let d = pool.snapshot().since(&before);
+        // Page file + sidecar + epoch advance + WAL truncation sync.
+        assert_eq!(d.fsyncs, 4, "a checkpoint costs a fixed fsync budget");
+        assert_eq!((d.physical_writes, d.checkpoints), (1, 1));
+        assert_eq!((pool.wal_bytes(), pool.log_resident_pages()), (24, 0));
+        let before = pool.snapshot();
+        pool.checkpoint().unwrap(); // empty log
+        pool.clear().unwrap();
         assert_eq!(pool.snapshot().since(&before).fsyncs, 0);
+    }
+
+    #[test]
+    fn commits_accumulate_in_the_log_until_a_checkpoint() {
+        let (pool, stores) = durable_stores(8);
+        let a = pool.allocate_page().unwrap();
+        let b = pool.allocate_page().unwrap();
+        for round in 1..=3u8 {
+            pool.with_page_mut(a, |d| d[0] = round).unwrap();
+            pool.with_page_mut(b, |d| d[0] = 10 * round).unwrap();
+            pool.commit().unwrap();
+        }
+        assert_eq!(pool.current_epoch(), 4);
+        assert_eq!(pool.pager().epoch(), 1, "the page file has seen none");
+        assert_eq!(pool.log_resident_pages(), 2, "six frames, two pages");
+        assert_eq!(pool.snapshot().physical_writes, 0);
+        // Killed here, all three commits replay.
+        let (after, report) = reopen(&stores, 8);
+        assert_eq!((report.replayed_frames, report.replayed_pages), (6, 2));
+        assert_eq!(after.current_epoch(), 4);
+        assert_eq!(after.with_page(a, |d| d[0]).unwrap(), 3);
+        assert_eq!(after.with_page(b, |d| d[0]).unwrap(), 30);
+        // The checkpoint writes each page once, whatever the log held.
+        pool.checkpoint().unwrap();
+        assert_eq!(pool.snapshot().physical_writes, 2);
+        assert_eq!(pool.pager().epoch(), 4);
+        let (after, report) = reopen(&stores, 8);
+        assert!(!report.unclean_shutdown);
+        assert_eq!(after.with_page(a, |d| d[0]).unwrap(), 3);
+    }
+
+    #[test]
+    fn a_long_log_checkpoints_itself() {
+        let (pool, _db) = durable_pool(64);
+        let ids: Vec<_> = (0..32).map(|_| pool.allocate_page().unwrap()).collect();
+        let per_commit = (ids.len() * PAGE_FRAME_BYTES) as u64;
+        let before = pool.snapshot();
+        let mut commits = 0u64;
+        while pool.snapshot().checkpoints == 0 {
+            for &id in &ids {
+                pool.with_page_mut(id, |d| d[0] = d[0].wrapping_add(1))
+                    .unwrap();
+            }
+            pool.commit().unwrap();
+            commits += 1;
+            assert!(
+                commits * per_commit < 2 * CHECKPOINT_LOG_BYTES,
+                "no checkpoint"
+            );
+        }
+        assert!(commits * per_commit >= CHECKPOINT_LOG_BYTES);
+        assert_eq!(pool.wal_bytes(), 24, "the checkpoint truncated the log");
+        assert_eq!(pool.pager().epoch(), pool.current_epoch());
+        let io = pool.snapshot().since(&before);
+        assert_eq!(io.physical_writes, 32, "one write per distinct page");
+        assert_eq!(io.fsyncs, commits + 4);
+    }
+
+    #[test]
+    fn unlogged_checkpoint_writes_no_frames() {
+        // Pool of 4 under 12 pages: most of them spill before the
+        // checkpoint, the rest are still dirty in the pool.
+        let (pool, stores) = durable_stores(4);
+        let ids: Vec<_> = (0..12).map(|_| pool.allocate_page().unwrap()).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            pool.with_page_mut(id, |d| d[0] = i as u8 + 1).unwrap();
+        }
+        let before = pool.snapshot();
+        assert!(before.wal_appends >= 8, "spills");
+        pool.reseed_epoch(9);
+        pool.checkpoint_unlogged().unwrap();
+        let io = pool.snapshot().since(&before);
+        assert_eq!(
+            (io.wal_appends, io.physical_writes),
+            (0, 12),
+            "nothing logged"
+        );
+        assert_eq!(io.fsyncs, 4);
+        assert_eq!((pool.wal_bytes(), pool.log_resident_pages()), (24, 0));
+        assert_eq!((pool.pager().epoch(), pool.current_epoch()), (9, 9));
+        let (after, report) = reopen(&stores, 4);
+        assert!(!report.unclean_shutdown);
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(after.with_page(id, |d| d[0]).unwrap(), i as u8 + 1);
+        }
+        after.pager().verify_checksums().unwrap();
+    }
+
+    #[test]
+    fn clean_drop_leaves_an_empty_log_and_a_retired_pool_writes_nothing() {
+        let (pool, stores) = durable_stores(8);
+        let a = pool.allocate_page().unwrap();
+        pool.with_page_mut(a, |d| d[0] = 5).unwrap();
+        pool.commit().unwrap();
+        pool.with_page_mut(a, |d| d[0] = 6).unwrap(); // dirty at drop
+        drop(pool);
+        assert_eq!(stores[2].len().unwrap(), 24, "header only");
+        let (after, report) = reopen(&stores, 8);
+        assert!(!report.unclean_shutdown);
+        assert_eq!(after.with_page(a, |d| d[0]).unwrap(), 6);
+
+        after.with_page_mut(a, |d| d[0] = 7).unwrap();
+        after.commit().unwrap();
+        let stats = after.pager().stats();
+        let before = stats.snapshot();
+        after.retire();
+        drop(after);
+        let d = stats.snapshot().since(&before);
+        assert_eq!((d.physical_writes, d.fsyncs, d.flush_errors), (0, 0, 0));
+    }
+
+    #[test]
+    fn abort_after_spill_commits_the_restored_image() {
+        // One frame: the aborted round's image of `a` is evicted into
+        // the log, where the next commit record would commit it — the
+        // restored pre-image must be logged after it.
+        let (pool, stores) = durable_stores(1);
+        let pool = Arc::new(pool);
+        let a = pool.allocate_page().unwrap();
+        let b = pool.allocate_page().unwrap();
+        pool.with_page_mut(a, |d| d[0] = 1).unwrap();
+        pool.commit().unwrap();
+        pool.begin_ingest();
+        pool.with_page_mut(a, |d| d[0] = 99).unwrap();
+        pool.with_page_mut(b, |d| d[0] = 98).unwrap(); // evicts a: spill
+        pool.abort_ingest().unwrap();
+        assert_eq!(pool.with_page(a, |d| d[0]).unwrap(), 1, "rolled back");
+        let (after, _) = reopen(&stores, 4);
+        assert_eq!(
+            after.with_page(a, |d| d[0]).unwrap(),
+            1,
+            "spill not committed"
+        );
+        drop(after);
+        pool.commit().unwrap();
+        let (after, _) = reopen(&stores, 4);
+        assert_eq!(
+            after.with_page(a, |d| d[0]).unwrap(),
+            1,
+            "restored image wins"
+        );
+        assert_eq!(after.with_page(b, |d| d[0]).unwrap(), 0);
     }
 
     #[test]
@@ -1180,7 +1448,7 @@ mod tests {
     }
 
     #[test]
-    fn durable_publish_tracks_pager_epoch() {
+    fn durable_publish_tracks_committed_epoch() {
         let (pool, _db) = durable_pool(8);
         let pool = Arc::new(pool);
         assert_eq!(pool.published_epoch(), pool.pager().epoch());
@@ -1191,10 +1459,10 @@ mod tests {
         pool.with_page_mut(p, |d| d[0] = 4).unwrap();
         pool.commit().unwrap();
         // Between the commit barrier and publish, the published epoch
-        // lags the pager token — readers keep the old pin target.
-        assert_eq!(pool.pager().epoch(), pool.published_epoch() + 1);
+        // lags the committed one — readers keep the old pin target.
+        assert_eq!(pool.current_epoch(), pool.published_epoch() + 1);
         let published = pool.publish_ingest();
-        assert_eq!(published, pool.pager().epoch());
+        assert_eq!(published, pool.pager().epoch() + 1, "no checkpoint yet");
         let _g = pin.guard();
         assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 3, "pinned view");
         assert_eq!(pool.current_epoch(), published);

@@ -137,7 +137,10 @@ pub struct Pager {
 
 impl Pager {
     /// Creates (truncating) a durable pager: `db` holds the pages,
-    /// `sum` the checksum sidecar. The epoch starts at 1.
+    /// `sum` the checksum sidecar. The epoch starts at 1. The empty
+    /// shell — reserved page, sidecar header — is synced before this
+    /// returns: commits go to the log alone, so the first of them must
+    /// find files [`Pager::open_durable`] accepts already on disk.
     pub fn create_durable(db: Box<dyn RawStore>, sum: Box<dyn RawStore>) -> Result<Self> {
         db.set_len(0)?;
         let sum = SumFile::create(sum, 1)?;
@@ -148,6 +151,7 @@ impl Pager {
             stats: Arc::new(IoStats::new()),
         };
         pager.reserve_meta_page()?;
+        pager.sync()?;
         Ok(pager)
     }
 
@@ -454,8 +458,9 @@ mod tests {
     #[test]
     fn sync_counts_fsyncs() {
         let (p, _db, _sum) = durable_mem_pager();
+        assert_eq!(p.stats().fsyncs(), 2, "creation syncs the empty shell");
         p.sync().unwrap();
-        assert_eq!(p.stats().fsyncs(), 2, "page file + sidecar");
+        assert_eq!(p.stats().fsyncs(), 4, "page file + sidecar");
         let mem = Pager::in_memory();
         mem.sync().unwrap();
         assert_eq!(mem.stats().fsyncs(), 1);

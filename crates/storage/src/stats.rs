@@ -123,6 +123,7 @@ pub struct IoStats {
     physical_writes: AtomicU64,
     fsyncs: AtomicU64,
     wal_appends: AtomicU64,
+    checkpoints: AtomicU64,
     flush_errors: AtomicU64,
     seg_block_reads: AtomicU64,
     seg_block_fetches: AtomicU64,
@@ -212,6 +213,13 @@ impl IoStats {
         self.wal_appends.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one completed checkpoint (log-resident pages written to
+    /// the page file, log truncated).
+    #[inline]
+    pub fn record_checkpoint(&self) {
+        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records a flush failure that could not be propagated (the
     /// buffer pool's `Drop` has no caller to return an error to).
     #[inline]
@@ -229,6 +237,11 @@ impl IoStats {
         self.wal_appends.load(Ordering::Relaxed)
     }
 
+    /// Checkpoints completed.
+    pub fn checkpoints(&self) -> u64 {
+        self.checkpoints.load(Ordering::Relaxed)
+    }
+
     /// Flush failures swallowed by `Drop` (should stay 0).
     pub fn flush_errors(&self) -> u64 {
         self.flush_errors.load(Ordering::Relaxed)
@@ -242,6 +255,7 @@ impl IoStats {
             physical_writes: self.physical_writes(),
             fsyncs: self.fsyncs(),
             wal_appends: self.wal_appends(),
+            checkpoints: self.checkpoints(),
             flush_errors: self.flush_errors(),
             seg_block_reads: self.seg_block_reads(),
             seg_block_fetches: self.seg_block_fetches(),
@@ -255,6 +269,7 @@ impl IoStats {
         self.physical_writes.store(0, Ordering::Relaxed);
         self.fsyncs.store(0, Ordering::Relaxed);
         self.wal_appends.store(0, Ordering::Relaxed);
+        self.checkpoints.store(0, Ordering::Relaxed);
         self.flush_errors.store(0, Ordering::Relaxed);
         self.seg_block_reads.store(0, Ordering::Relaxed);
         self.seg_block_fetches.store(0, Ordering::Relaxed);
@@ -276,6 +291,9 @@ pub struct IoSnapshot {
     pub fsyncs: u64,
     /// Page images appended to the write-ahead log.
     pub wal_appends: u64,
+    /// Checkpoints completed (page file brought up to date, log
+    /// truncated).
+    pub checkpoints: u64,
     /// Flush failures swallowed by `BufferPool::drop`.
     pub flush_errors: u64,
     /// Segment blocks requested through per-segment caches (logical).
@@ -293,6 +311,7 @@ impl IoSnapshot {
             physical_writes: self.physical_writes - earlier.physical_writes,
             fsyncs: self.fsyncs - earlier.fsyncs,
             wal_appends: self.wal_appends - earlier.wal_appends,
+            checkpoints: self.checkpoints - earlier.checkpoints,
             flush_errors: self.flush_errors - earlier.flush_errors,
             seg_block_reads: self.seg_block_reads - earlier.seg_block_reads,
             seg_block_fetches: self.seg_block_fetches - earlier.seg_block_fetches,
@@ -323,12 +342,14 @@ mod tests {
         s.record_fsync();
         s.record_fsync();
         s.record_wal_append();
+        s.record_checkpoint();
         s.record_flush_error();
         assert_eq!(s.logical_reads(), 2);
         assert_eq!(s.physical_reads(), 1);
         assert_eq!(s.physical_writes(), 1);
         assert_eq!(s.fsyncs(), 3);
         assert_eq!(s.wal_appends(), 1);
+        assert_eq!(s.checkpoints(), 1);
         assert_eq!(s.flush_errors(), 1);
         s.reset();
         assert_eq!(s.snapshot(), IoSnapshot::default());

@@ -3,12 +3,17 @@
 //! The durability contract of the storage layer is *commit-grained
 //! atomicity*: a [`crate::BufferPool::commit`] either happens entirely
 //! or not at all, no matter where a crash lands. The WAL is the
-//! mechanism. Every commit appends the full set of dirty page images as
+//! mechanism. A commit appends the dirty page images as
 //! length-prefixed, CRC-guarded frames, ends the batch with a **commit
-//! record**, and `fsync`s the log *before* any page reaches the page
-//! file — the WAL-before-page invariant. Only after the page file (and
-//! its checksum sidecar) are durable is the log truncated back to its
-//! header, so at any instant the durable state is reconstructible:
+//! record**, and `fsync`s the log — one append, one barrier, done. The
+//! page file is not touched: the log is a real redo log that
+//! accumulates commits until a **checkpoint**
+//! ([`crate::BufferPool::checkpoint`]) copies the latest image of every
+//! logged page into the page file, makes it durable, advances the
+//! database epoch and only then truncates the log. A page image reaches
+//! the page file only after the log holding it is durable — the
+//! WAL-before-page invariant — so at any instant the durable state is
+//! reconstructible:
 //!
 //! ```text
 //!   WAL file layout
@@ -17,30 +22,32 @@
 //!   ├──────────────────────────┤
 //!   │ frame: len │ crc │ lsn │ page_id │ payload (page image)
 //!   │ frame: …                                   ← eviction spills and
-//!   │ frame: …                                     commit batches
+//!   │ frame: len │ crc │ lsn │ COMMIT  │ epoch_after   commit batches,
+//!   │ frame: …                                     any number of them
 //!   │ frame: len │ crc │ lsn │ COMMIT  │ epoch_after
 //!   └──────────────────────────┘ ← fsync boundary; torn tail beyond
 //! ```
 //!
 //! The log doubles as **spill space**: in durable mode the buffer pool
-//! may not steal a dirty page into the page file mid-epoch (a crash
-//! would persist a half-applied B⁺-tree mutation under the old
+//! may not steal a dirty page into the page file between checkpoints
+//! (a crash would persist a half-applied B⁺-tree mutation under the old
 //! catalog), so evicted dirty pages are appended here — un-synced,
-//! re-read on demand — and re-appended as part of the next commit
-//! batch. Replay is latest-image-wins, so spills superseded by the
-//! commit batch are harmless.
+//! re-read on demand — and become part of the next commit simply by
+//! preceding its commit record. Replay is latest-image-wins, so images
+//! superseded by a later frame are harmless.
 //!
 //! [`recover`] ties it together on open: a log whose header epoch
-//! matches the database epoch and that ends in a valid commit record
-//! is the redo work of a crashed commit — replay it. A log whose epoch
-//! is behind the database crashed *after* the pages were durable but
-//! before truncation — discard it. Anything torn (short frame, CRC
-//! mismatch) marks the end of the valid prefix, exactly as if the
-//! crash had happened one write earlier.
+//! matches the database epoch and that holds a valid commit record is
+//! redo work the page file has not seen — replay it up to the last
+//! commit. A log whose epoch is behind the database crashed *after* a
+//! checkpoint made the pages durable but before truncation — discard
+//! it. Anything torn (short frame, CRC mismatch) marks the end of the
+//! valid prefix, exactly as if the crash had happened one write
+//! earlier.
 
 use std::sync::Arc;
 
-use crate::crc::crc32;
+use crate::crc::{crc32, crc32_update};
 use crate::error::{Result, StorageError};
 use crate::pager::{PageId, Pager, PAGE_SIZE};
 use crate::stats::IoStats;
@@ -62,6 +69,10 @@ const FRAME_FIXED: usize = 16;
 /// Largest legal frame body (a full page image). Anything bigger in a
 /// length prefix is torn garbage.
 const MAX_FRAME_BODY: usize = FRAME_FIXED + PAGE_SIZE;
+
+/// Bytes of one page-image frame in the log: length prefix, CRC, lsn,
+/// page id, image.
+pub const PAGE_FRAME_BYTES: usize = 8 + MAX_FRAME_BODY;
 
 /// One decoded WAL frame.
 #[derive(Debug, Clone)]
@@ -98,12 +109,14 @@ pub struct RecoveryReport {
     /// `true` when the previous process did not shut down cleanly
     /// (the log held anything beyond its header).
     pub unclean_shutdown: bool,
-    /// Valid frames replayed (including superseded spill images).
+    /// Valid frames replayed (including superseded images).
     pub replayed_frames: u64,
     /// Distinct pages rewritten into the page file.
     pub replayed_pages: u64,
     /// Valid WAL bytes scanned — replay cost is proportional to this.
     pub wal_bytes: u64,
+    /// Length of the log file as found, header included.
+    pub log_len: u64,
 }
 
 /// An open write-ahead log. Callers serialize access externally (the
@@ -119,15 +132,34 @@ pub struct Wal {
     durable_end: u64,
 }
 
-fn encode_frame(buf: &mut Vec<u8>, lsn: u64, page_id: PageId, payload: &[u8]) {
+/// Appends a frame to `buf` with its lsn and CRC left blank;
+/// [`seal_frame`] fills them in once the lsn is known.
+fn stage_frame(buf: &mut Vec<u8>, page_id: PageId, payload: &[u8]) {
     let body_len = (FRAME_FIXED + payload.len()) as u32;
-    let mut body = Vec::with_capacity(body_len as usize);
-    body.extend_from_slice(&lsn.to_le_bytes());
-    body.extend_from_slice(&page_id.to_le_bytes());
-    body.extend_from_slice(payload);
     buf.extend_from_slice(&body_len.to_le_bytes());
-    buf.extend_from_slice(&crc32(&body).to_le_bytes());
-    buf.extend_from_slice(&body);
+    buf.extend_from_slice(&[0u8; 4 + 8]); // CRC + lsn
+    buf.extend_from_slice(&page_id.to_le_bytes());
+    buf.extend_from_slice(payload);
+}
+
+/// Stamps `lsn` into a staged frame and checksums its body in place.
+fn seal_frame(frame: &mut [u8], lsn: u64) {
+    frame[8..16].copy_from_slice(&lsn.to_le_bytes());
+    let crc = crc32(&frame[8..]);
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+}
+
+fn encode_frame(buf: &mut Vec<u8>, lsn: u64, page_id: PageId, payload: &[u8]) {
+    let start = buf.len();
+    stage_frame(buf, page_id, payload);
+    seal_frame(&mut buf[start..], lsn);
+}
+
+/// Stages the frame of one page image in a commit batch: encoded
+/// straight from the pool frame, with the lsn and CRC left for
+/// [`Wal::append_commit_batch`] to fill in under the log's lock.
+pub fn stage_page_frame(batch: &mut Vec<u8>, page_id: PageId, image: &[u8; PAGE_SIZE]) {
+    stage_frame(batch, page_id, image);
 }
 
 impl Wal {
@@ -168,13 +200,13 @@ impl Wal {
     }
 
     /// Appends one page-image frame (an eviction spill), returning the
-    /// frame's offset for [`Wal::read_frame`]. Write-through but **not
+    /// frame's offset for [`Wal::read_page`]. Write-through but **not
     /// synced**: spills carry no durability promise — they exist so the
     /// pool can re-read evicted dirty pages without stealing them into
-    /// the page file mid-epoch.
+    /// the page file before a checkpoint.
     pub fn append_page(&mut self, page_id: PageId, payload: &[u8; PAGE_SIZE]) -> Result<u64> {
         let offset = self.end;
-        let mut buf = Vec::with_capacity(8 + FRAME_FIXED + PAGE_SIZE);
+        let mut buf = Vec::with_capacity(PAGE_FRAME_BYTES);
         encode_frame(&mut buf, self.next_lsn, page_id, payload);
         self.next_lsn += 1;
         self.store.write_at(offset, &buf)?;
@@ -183,30 +215,29 @@ impl Wal {
         Ok(offset)
     }
 
-    /// Appends a commit batch — every image plus the trailing commit
-    /// record — as **one** contiguous write (group commit: one write,
-    /// one [`Wal::sync`], however many pages the batch carries).
-    pub fn append_commit_batch(
-        &mut self,
-        images: &[(PageId, Box<[u8; PAGE_SIZE]>)],
-        epoch_after: u64,
-    ) -> Result<()> {
-        let mut buf = Vec::with_capacity(images.len() * (8 + FRAME_FIXED + PAGE_SIZE) + 64);
-        for (page_id, data) in images {
-            encode_frame(&mut buf, self.next_lsn, *page_id, &data[..]);
+    /// Appends a commit batch — the page frames staged in `batch` by
+    /// [`stage_page_frame`] plus the trailing commit record — as **one**
+    /// contiguous write (group commit: one write, one [`Wal::sync`],
+    /// however many pages the batch carries). Returns the offset of the
+    /// first frame; frame *i* sits [`PAGE_FRAME_BYTES`]` * i` past it.
+    pub fn append_commit_batch(&mut self, batch: &mut Vec<u8>, epoch_after: u64) -> Result<u64> {
+        debug_assert_eq!(batch.len() % PAGE_FRAME_BYTES, 0);
+        for frame in batch.chunks_exact_mut(PAGE_FRAME_BYTES) {
+            seal_frame(frame, self.next_lsn);
             self.next_lsn += 1;
             self.stats.record_wal_append();
         }
         encode_frame(
-            &mut buf,
+            batch,
             self.next_lsn,
             COMMIT_PAGE,
             &epoch_after.to_le_bytes(),
         );
         self.next_lsn += 1;
-        self.store.write_at(self.end, &buf)?;
-        self.end += buf.len() as u64;
-        Ok(())
+        let offset = self.end;
+        self.store.write_at(offset, batch)?;
+        self.end += batch.len() as u64;
+        Ok(offset)
     }
 
     /// Durability barrier: all appended frames survive a crash once
@@ -218,43 +249,36 @@ impl Wal {
         Ok(())
     }
 
-    /// Reads one frame back by the offset [`Wal::append_page`]
-    /// returned (spill re-read on a buffer-pool miss).
-    pub fn read_frame(&self, offset: u64) -> Result<LogRecord> {
-        if offset + 8 > self.end {
-            return Err(StorageError::Corrupt {
-                page: 0,
-                reason: format!("WAL frame offset {offset} past end {}", self.end),
-            });
+    /// Reads the page image of the frame at `offset` (as returned by
+    /// [`Wal::append_page`] / [`Wal::append_commit_batch`]) straight
+    /// into `out`, verifying its checksum, and returns the page id the
+    /// frame carries — how the pool re-reads a log-resident page.
+    pub fn read_page(&self, offset: u64, out: &mut [u8; PAGE_SIZE]) -> Result<PageId> {
+        let corrupt = |reason: String| StorageError::Corrupt { page: 0, reason };
+        if offset + PAGE_FRAME_BYTES as u64 > self.end {
+            return Err(corrupt(format!(
+                "WAL frame offset {offset} past end {}",
+                self.end
+            )));
         }
-        let mut prefix = [0u8; 8];
-        self.store.read_at(offset, &mut prefix)?;
-        let body_len = u32::from_le_bytes(prefix[..4].try_into().unwrap()) as usize;
-        let checksum = u32::from_le_bytes(prefix[4..8].try_into().unwrap());
-        if !(FRAME_FIXED..=MAX_FRAME_BODY).contains(&body_len) {
-            return Err(StorageError::Corrupt {
-                page: 0,
-                reason: format!("WAL frame at {offset} has bad length {body_len}"),
-            });
+        let mut head = [0u8; 8 + FRAME_FIXED];
+        self.store.read_at(offset, &mut head)?;
+        let body_len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
+        let checksum = u32::from_le_bytes(head[4..8].try_into().unwrap());
+        if body_len != MAX_FRAME_BODY {
+            return Err(corrupt(format!(
+                "WAL frame at {offset} is not a page image (length {body_len})"
+            )));
         }
-        let mut body = vec![0u8; body_len];
-        self.store.read_at(offset + 8, &mut body)?;
-        if crc32(&body) != checksum {
-            return Err(StorageError::Corrupt {
-                page: 0,
-                reason: format!("WAL frame at {offset} fails its checksum"),
-            });
+        self.store.read_at(offset + head.len() as u64, out)?;
+        if crc32_update(crc32(&head[8..]), out) != checksum {
+            return Err(corrupt(format!("WAL frame at {offset} fails its checksum")));
         }
-        Ok(LogRecord {
-            lsn: u64::from_le_bytes(body[..8].try_into().unwrap()),
-            page_id: u64::from_le_bytes(body[8..16].try_into().unwrap()),
-            checksum,
-            payload: body[FRAME_FIXED..].to_vec(),
-        })
+        Ok(u64::from_le_bytes(head[16..24].try_into().unwrap()))
     }
 
     /// Truncates the log back to a bare header at `epoch` and syncs —
-    /// the end of a commit or recovery, or initialization.
+    /// the end of a checkpoint or recovery, or initialization.
     pub fn reset(&mut self, epoch: u64) -> Result<()> {
         self.store.set_len(WAL_HEADER)?;
         let mut header = [0u8; WAL_HEADER as usize];
@@ -306,8 +330,8 @@ impl Wal {
 }
 
 /// Opens the log in `store` against an already-open durable `pager`,
-/// replaying a crashed commit if one is present, and returns the log
-/// ready for use plus a [`RecoveryReport`].
+/// replaying every commit the page file has not seen, and returns the
+/// log ready for use plus a [`RecoveryReport`].
 ///
 /// Decision table (db = pager epoch, wal = log header epoch):
 ///
@@ -316,14 +340,22 @@ impl Wal {
 ///   wal == db, valid COMMIT present   -> replay frames up to the last
 ///                                        commit (latest image wins),
 ///                                        epoch := commit's epoch_after
-///   wal == db, no COMMIT              -> crash mid-epoch before the
-///                                        commit fsync: spills only,
-///                                        nothing acknowledged; discard
-///   wal <  db                         -> crash after pages were durable
-///                                        but before truncation; discard
+///   wal == db, no COMMIT              -> crash before the first commit
+///                                        fsync since the checkpoint:
+///                                        spills only, nothing
+///                                        acknowledged; discard
+///   wal <  db                         -> crash after a checkpoint made
+///                                        the pages durable but before
+///                                        truncation; discard
 ///   wal >  db                         -> impossible under the protocol;
 ///                                        treat as stale and discard
 /// ```
+///
+/// The second row covers a log of one commit and a log of many alike:
+/// commits accumulate between checkpoints, every one of them was
+/// acknowledged, and the last commit record names the epoch they add
+/// up to. Frames after it (spills, a torn batch) were never
+/// acknowledged and are dropped.
 ///
 /// Replay is idempotent — a crash *during* recovery just recovers
 /// again from the same log.
@@ -336,6 +368,7 @@ pub fn recover(
     let raw_len = store.len()?;
     let mut report = RecoveryReport {
         unclean_shutdown: raw_len != 0 && raw_len != WAL_HEADER,
+        log_len: raw_len,
         ..RecoveryReport::default()
     };
 
@@ -404,8 +437,8 @@ pub fn recover(
                 pager.write_page(*page_id, &buf)?;
                 report.replayed_pages += 1;
             }
-            // Page-before-epoch, exactly as in the commit protocol: a
-            // crash *during recovery* must leave the log replayable,
+            // Page-before-epoch, exactly as in a checkpoint: a crash
+            // *during recovery* must leave the log replayable,
             // so the epoch advance only becomes durable after the
             // restored pages have.
             pager.sync()?;
@@ -447,12 +480,12 @@ mod tests {
         let (mut wal, _store) = mem_wal(1);
         let a = wal.append_page(7, &page(0xAA)).unwrap();
         let b = wal.append_page(9, &page(0xBB)).unwrap();
-        let ra = wal.read_frame(a).unwrap();
-        assert_eq!(ra.page_id, 7);
-        assert!(ra.payload.iter().all(|&x| x == 0xAA));
-        let rb = wal.read_frame(b).unwrap();
-        assert_eq!(rb.page_id, 9);
-        assert!(rb.lsn > ra.lsn);
+        let mut out = [0u8; PAGE_SIZE];
+        assert_eq!(wal.read_page(a, &mut out).unwrap(), 7);
+        assert!(out.iter().all(|&x| x == 0xAA));
+        assert_eq!(wal.read_page(b, &mut out).unwrap(), 9);
+        assert!(out.iter().all(|&x| x == 0xBB));
+        assert!(wal.read_page(a + 1, &mut out).is_err(), "not a frame");
         assert!(!wal.is_empty());
         wal.reset(2).unwrap();
         assert!(wal.is_empty());
@@ -487,6 +520,38 @@ mod tests {
         assert_eq!(end, WAL_HEADER);
     }
 
+    /// A commit batch of the given `(page, image)` pairs.
+    fn commit(wal: &mut Wal, images: &[(PageId, Box<[u8; PAGE_SIZE]>)], epoch_after: u64) -> u64 {
+        let mut batch = Vec::new();
+        for (id, image) in images {
+            stage_page_frame(&mut batch, *id, image);
+        }
+        wal.append_commit_batch(&mut batch, epoch_after).unwrap()
+    }
+
+    #[test]
+    fn batch_frames_read_back_and_scan() {
+        let (mut wal, store) = mem_wal(1);
+        wal.append_page(3, &page(0x33)).unwrap();
+        let off = commit(&mut wal, &[(7, page(0x77)), (9, page(0x99))], 2);
+        let mut out = [0u8; PAGE_SIZE];
+        assert_eq!(wal.read_page(off, &mut out).unwrap(), 7);
+        assert_eq!(
+            wal.read_page(off + PAGE_FRAME_BYTES as u64, &mut out)
+                .unwrap(),
+            9
+        );
+        assert!(out.iter().all(|&x| x == 0x99));
+        // The staged-then-sealed frames are what `scan` expects: valid
+        // CRCs, ascending lsns, the commit record last.
+        let (records, end) = Wal::scan(&store).unwrap();
+        assert_eq!(end, wal.len());
+        let ids: Vec<_> = records.iter().map(|r| r.page_id).collect();
+        assert_eq!(ids, [3, 7, 9, COMMIT_PAGE]);
+        assert!(records.windows(2).all(|w| w[0].lsn < w[1].lsn));
+        assert_eq!(records[3].epoch_after(), Some(2));
+    }
+
     fn durable_pager() -> (Pager, MemStore, MemStore) {
         let db = MemStore::new();
         let sum = MemStore::new();
@@ -504,8 +569,7 @@ mod tests {
         let stats = pager.stats();
         let (mut wal, wal_store) = mem_wal(1);
         wal.append_page(a, &page(0x11)).unwrap(); // superseded spill
-        wal.append_commit_batch(&[(a, page(0x22)), (b, page(0x33))], 2)
-            .unwrap();
+        commit(&mut wal, &[(a, page(0x22)), (b, page(0x33))], 2);
         wal.sync().unwrap();
         drop(wal);
         drop(pager);
@@ -526,6 +590,49 @@ mod tests {
         pager.read_page(b, &mut buf).unwrap();
         assert_eq!(buf[0], 0x33);
         pager.verify_checksums().unwrap();
+    }
+
+    #[test]
+    fn recover_replays_many_commits_up_to_the_last() {
+        let (pager, db, sum) = durable_pager();
+        let a = pager.allocate().unwrap();
+        let b = pager.allocate().unwrap();
+        pager.sync().unwrap();
+        // Three acknowledged commits accumulated without a checkpoint,
+        // then a spill and a batch whose commit record never landed.
+        let stats = pager.stats();
+        let (mut wal, wal_store) = mem_wal(1);
+        commit(&mut wal, &[(a, page(0x01))], 2);
+        wal.sync().unwrap();
+        wal.append_page(b, &page(0x0B)).unwrap(); // spill, committed by the next record
+        commit(&mut wal, &[(a, page(0x02))], 3);
+        wal.sync().unwrap();
+        commit(&mut wal, &[(a, page(0x03))], 4);
+        wal.sync().unwrap();
+        let acked_end = wal.len();
+        wal.append_page(b, &page(0xEE)).unwrap();
+        commit(&mut wal, &[(a, page(0xFF))], 5);
+        drop(wal);
+        // Tear the last batch's commit record off.
+        wal_store.set_len(wal_store.len().unwrap() - 10).unwrap();
+        drop(pager);
+
+        let pager = Pager::open_durable(Box::new(db), Box::new(sum)).unwrap();
+        let (wal, report) = recover(&pager, Box::new(wal_store), stats).unwrap();
+        assert!(report.unclean_shutdown);
+        assert!(report.log_len > acked_end);
+        assert_eq!(report.replayed_frames, 4, "three images of a, one of b");
+        assert_eq!(report.replayed_pages, 2);
+        assert_eq!(pager.epoch(), 4, "the last acknowledged commit");
+        assert!(wal.is_empty());
+        let mut buf = [0u8; PAGE_SIZE];
+        pager.read_page(a, &mut buf).unwrap();
+        assert_eq!(buf[0], 0x03, "latest committed image wins");
+        pager.read_page(b, &mut buf).unwrap();
+        assert_eq!(
+            buf[0], 0x0B,
+            "a spill ahead of a commit record is committed"
+        );
     }
 
     #[test]
@@ -561,7 +668,7 @@ mod tests {
         pager.sync().unwrap();
         let stats = pager.stats();
         let (mut wal, wal_store) = mem_wal(1);
-        wal.append_commit_batch(&[(a, page(0xEE))], 2).unwrap();
+        commit(&mut wal, &[(a, page(0xEE))], 2);
         wal.sync().unwrap();
         drop(wal);
         drop(pager);
@@ -599,7 +706,7 @@ mod tests {
         pager.sync().unwrap();
         let stats = pager.stats();
         let (mut wal, wal_store) = mem_wal(1);
-        wal.append_commit_batch(&[(a, page(0x42))], 2).unwrap();
+        commit(&mut wal, &[(a, page(0x42))], 2);
         wal.sync().unwrap();
         drop(wal);
         drop(pager);

@@ -23,11 +23,13 @@
 //! Everything is driven by seeds, so a failing iteration replays
 //! exactly, following the same convention as the property harness.
 
+use std::collections::HashMap;
 use std::io;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use prix_storage::error::{Result, StorageError};
-use prix_storage::RawStore;
+use prix_storage::{MemSegEnv, RawStore, SegmentEnv};
 
 use crate::TestRng;
 
@@ -364,6 +366,110 @@ impl RawStore for FaultStore {
         s.pending.clear();
         s.crashing = None;
         Ok(())
+    }
+}
+
+/// A [`SegmentEnv`] over [`FaultStore`]s sharing one injector, so a
+/// kill point lands anywhere in the segment lifecycle's syscall
+/// stream — run spills, segment writes, mutable saves, manifest
+/// slots. Unlinks are modeled as immediately durable; every `remove`
+/// the engine issues happens after its manifest commit point, so the
+/// simplification cannot hide an inconsistent window.
+pub struct FaultSegEnv {
+    inj: FaultInjector,
+    files: Mutex<HashMap<String, FaultStore>>,
+    salt: AtomicU64,
+}
+
+impl FaultSegEnv {
+    /// An empty environment governed by `inj`.
+    pub fn new(inj: &FaultInjector) -> Self {
+        FaultSegEnv {
+            inj: inj.clone(),
+            files: Mutex::new(HashMap::new()),
+            salt: AtomicU64::new(1),
+        }
+    }
+
+    fn next_salt(&self) -> u64 {
+        self.salt.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// What the platter holds after the crash, as a reopenable
+    /// in-memory environment: each surviving file's durable image.
+    pub fn durable_env(&self) -> Arc<MemSegEnv> {
+        let env = MemSegEnv::new();
+        let files = self.files.lock().unwrap_or_else(|e| e.into_inner());
+        for (suffix, store) in files.iter() {
+            let bytes = store.durable_bytes();
+            let dst = env.create(suffix).unwrap();
+            if !bytes.is_empty() {
+                dst.write_at(0, &bytes).unwrap();
+                dst.sync().unwrap();
+            }
+        }
+        Arc::new(env)
+    }
+}
+
+impl SegmentEnv for FaultSegEnv {
+    fn create(&self, suffix: &str) -> Result<Box<dyn RawStore>> {
+        if self.inj.crashed() {
+            return Err(killed());
+        }
+        let store = FaultStore::new(&self.inj, self.next_salt());
+        self.files
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(suffix.to_string(), store.clone());
+        Ok(Box::new(store))
+    }
+
+    fn open(&self, suffix: &str) -> Result<Box<dyn RawStore>> {
+        if self.inj.crashed() {
+            return Err(killed());
+        }
+        self.files
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(suffix)
+            .cloned()
+            .map(|s| Box::new(s) as Box<dyn RawStore>)
+            .ok_or_else(|| {
+                StorageError::Io(io::Error::new(
+                    io::ErrorKind::NotFound,
+                    format!("no such store: {suffix:?}"),
+                ))
+            })
+    }
+
+    fn exists(&self, suffix: &str) -> Result<bool> {
+        if self.inj.crashed() {
+            return Err(killed());
+        }
+        Ok(self
+            .files
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .contains_key(suffix))
+    }
+
+    fn remove(&self, suffix: &str) -> Result<()> {
+        if self.inj.crashed() {
+            return Err(killed());
+        }
+        self.files
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(suffix);
+        Ok(())
+    }
+
+    fn temp(&self) -> Result<Box<dyn RawStore>> {
+        if self.inj.crashed() {
+            return Err(killed());
+        }
+        Ok(Box::new(FaultStore::new(&self.inj, self.next_salt())))
     }
 }
 

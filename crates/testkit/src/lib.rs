@@ -15,8 +15,9 @@
 //!   optional JSON output.
 //! * [`fault`] — a power-loss simulator behind the storage layer's
 //!   `RawStore` trait: seeded kill points, short/torn writes, dropped
-//!   fsyncs, and post-crash disk-image reconstruction for the crash
-//!   recovery harness.
+//!   fsyncs, post-crash disk-image reconstruction for the crash
+//!   recovery harness, and a `SegmentEnv` of such stores for the
+//!   segment lifecycle.
 //!
 //! # Writing a property test
 //!
@@ -54,7 +55,7 @@ pub mod gen;
 pub mod rng;
 pub mod runner;
 
-pub use fault::{FaultInjector, FaultKind, FaultStore};
+pub use fault::{FaultInjector, FaultKind, FaultSegEnv, FaultStore};
 pub use gen::{
     bools, from_fn, one_of, option_of, u64_in, u8_in, usize_in, vec_of, Generator, Weighted,
 };

@@ -21,10 +21,12 @@
 //! failure message names the exact inputs to pin as a regression test
 //! below — the same convention as `tests/property_engines.rs`.
 
-use prix::core::{EngineConfig, EngineStores, LabelingMode, PrixEngine};
-use prix::storage::{BufferPool, MemStore, Pager, Wal};
+use std::sync::Arc;
+
+use prix::core::{BulkBuilder, EngineConfig, EngineStores, LabelingMode, PrixEngine};
+use prix::storage::{BufferPool, MemSegEnv, MemStore, Pager, SegmentEnv, Wal};
 use prix::xml::Collection;
-use prix_testkit::{FaultInjector, FaultKind, FaultStore, TestRng};
+use prix_testkit::{FaultInjector, FaultKind, FaultSegEnv, FaultStore, TestRng};
 
 /// Tiny pool: forces dirty evictions, so the WAL spill path is
 /// exercised constantly, not just the commit path.
@@ -66,6 +68,48 @@ fn stores_of(db: &FaultStore, sum: &FaultStore, wal: &FaultStore) -> EngineStore
         sum: Box::new(sum.clone()),
         wal: Box::new(wal.clone()),
     }
+}
+
+/// `recovered` must answer every query of [`QUERIES`] bit-identically
+/// to a fresh in-memory engine built over `docs`.
+fn same_answers(recovered: &PrixEngine, docs: &[String]) -> Result<(), String> {
+    let mut reference_coll = Collection::new();
+    for d in docs {
+        reference_coll
+            .add_xml(d)
+            .map_err(|e| format!("reference doc: {e}"))?;
+    }
+    let reference = PrixEngine::build(
+        reference_coll,
+        EngineConfig {
+            labeling: labeling(),
+            ..Default::default()
+        },
+    )
+    .map_err(|e| format!("reference build: {e}"))?;
+    let (after, reference) = (recovered.snapshot(), reference.snapshot());
+    for xp in QUERIES {
+        let qa = after.parse_query(xp).map_err(|e| format!("{xp}: {e}"))?;
+        let qr = reference
+            .parse_query(xp)
+            .map_err(|e| format!("{xp}: {e}"))?;
+        // Sorted: a tiered database delivers matches tier by tier.
+        let mut ma = after.query(&qa).map_err(|e| format!("{xp}: {e}"))?.matches;
+        let mut mr = reference
+            .query(&qr)
+            .map_err(|e| format!("{xp}: {e}"))?
+            .matches;
+        ma.sort();
+        mr.sort();
+        if ma != mr {
+            return Err(format!(
+                "{xp}: recovered engine found {} match(es), reference {}",
+                ma.len(),
+                mr.len()
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// One full crash-recovery round. Returns `Err` with a diagnosis when
@@ -176,41 +220,7 @@ fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
 
     // Bit-identical query results against a fresh in-memory engine over
     // the surviving prefix.
-    let mut reference_coll = Collection::new();
-    for d in &docs[..n] {
-        reference_coll
-            .add_xml(d)
-            .map_err(|e| format!("reference doc: {e}"))?;
-    }
-    let reference = PrixEngine::build(
-        reference_coll,
-        EngineConfig {
-            labeling: labeling(),
-            ..Default::default()
-        },
-    )
-    .map_err(|e| format!("reference build: {e}"))?;
-    let (after, reference) = (after.snapshot(), reference.snapshot());
-    for xp in QUERIES {
-        let qa = after.parse_query(xp).map_err(|e| format!("{xp}: {e}"))?;
-        let qr = reference
-            .parse_query(xp)
-            .map_err(|e| format!("{xp}: {e}"))?;
-        let ma = after.query(&qa).map_err(|e| format!("{xp}: {e}"))?.matches;
-        let mr = reference
-            .query(&qr)
-            .map_err(|e| format!("{xp}: {e}"))?
-            .matches;
-        if ma != mr {
-            return Err(format!(
-                "{xp}: recovered engine found {} match(es), reference {} \
-                 ({n} docs survived)",
-                ma.len(),
-                mr.len()
-            ));
-        }
-    }
-    Ok(())
+    same_answers(&after, &docs[..n]).map_err(|e| format!("{e} ({n} docs survived)"))
 }
 
 /// Kill-during-publish: the online ingest path. A [`SharedEngine`]
@@ -362,41 +372,8 @@ fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
 
     // Bit-identical query results against a fresh engine over exactly
     // that boundary's document list.
-    let mut reference_coll = Collection::new();
-    for d in &states[state] {
-        reference_coll
-            .add_xml(d)
-            .map_err(|e| format!("reference doc: {e}"))?;
-    }
-    let reference = PrixEngine::build(
-        reference_coll,
-        EngineConfig {
-            labeling: labeling(),
-            ..Default::default()
-        },
-    )
-    .map_err(|e| format!("reference build: {e}"))?;
-    let (after, reference) = (after.snapshot(), reference.snapshot());
-    for xp in QUERIES {
-        let qa = after.parse_query(xp).map_err(|e| format!("{xp}: {e}"))?;
-        let qr = reference
-            .parse_query(xp)
-            .map_err(|e| format!("{xp}: {e}"))?;
-        let ma = after.query(&qa).map_err(|e| format!("{xp}: {e}"))?.matches;
-        let mr = reference
-            .query(&qr)
-            .map_err(|e| format!("{xp}: {e}"))?
-            .matches;
-        if ma != mr {
-            return Err(format!(
-                "{xp}: recovered engine found {} match(es), the epoch-{state} \
-                 reference {} — the recovered state mixes epochs",
-                ma.len(),
-                mr.len()
-            ));
-        }
-    }
-    Ok(())
+    same_answers(&after, &states[state])
+        .map_err(|e| format!("{e} — the recovered state mixes epochs (expected epoch {state})"))
 }
 
 /// ≥200 randomized kill points, cycling through every fault kind.
@@ -468,6 +445,288 @@ fn ingest_crash_replay_torn_sector_seed_5eed0005() {
 #[test]
 fn ingest_crash_replay_dropped_fsync_seed_5eed0006() {
     ingest_crash_iteration(0x5EED_0006, FaultKind::DroppedFsync).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// The redo log between checkpoints
+// ---------------------------------------------------------------------------
+
+/// Where the kill lands while K ≥ 3 acknowledged commits sit in the
+/// log, none of them checkpointed.
+#[derive(Debug, Clone, Copy)]
+enum KillIn {
+    /// Inside commit K+1.
+    Commit,
+    /// Inside the checkpoint that moves the K commits to the page file.
+    Checkpoint,
+    /// Inside a compaction: the segment build, the unlogged build of
+    /// the fresh generation, the manifest write, the unlinks.
+    Compaction,
+    /// Inside the commit + checkpoint of a clean close, after an
+    /// aborted ingest round left its spills in the log.
+    AfterAbort,
+}
+
+impl KillIn {
+    const ALL: [KillIn; 4] = [
+        KillIn::Commit,
+        KillIn::Checkpoint,
+        KillIn::Compaction,
+        KillIn::AfterAbort,
+    ];
+}
+
+/// One acknowledged ingest round on a bare engine — the three steps
+/// `SharedEngine::ingest` takes. Returns the documents it accepted.
+fn ingest_round(engine: &mut PrixEngine, batch: &[String]) -> Result<Vec<String>, String> {
+    engine.pool().begin_ingest();
+    let out = engine.ingest_batch(batch).map_err(|e| e.to_string())?;
+    engine.pool().publish_ingest();
+    Ok(batch
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !out.rejected.iter().any(|(r, _)| r == i))
+        .map(|(_, d)| d.clone())
+        .collect())
+}
+
+/// What one seed of the redo-log harness does: a bulk-built base and
+/// K + 1 ingest batches.
+struct Script {
+    base: Vec<String>,
+    k: usize,
+    batches: Vec<Vec<String>>,
+    /// `states[i]`: the documents a database holds after batch `i`.
+    /// Which documents a batch gets accepted depends on the label
+    /// scopes the earlier ones took, so a twin on clean stores runs
+    /// the script once to find out.
+    states: Vec<Vec<String>>,
+    crash_seed: u64,
+}
+
+impl Script {
+    fn new(seed: u64) -> Result<Script, String> {
+        let mut rng = TestRng::from_seed(seed);
+        let base: Vec<String> = (0..4).map(|_| doc_xml(&mut rng)).collect();
+        let k = rng.range(3, 6) as usize;
+        let batches: Vec<Vec<String>> = (0..=k)
+            .map(|_| (0..rng.range(1, 4)).map(|_| doc_xml(&mut rng)).collect())
+            .collect();
+        let mut script = Script {
+            base,
+            k,
+            batches,
+            states: Vec::new(),
+            crash_seed: rng.next_u64(),
+        };
+        let mut twin = script.bulk_base(Arc::new(MemSegEnv::new()))?;
+        let mut states = vec![script.base.clone()];
+        for batch in &script.batches {
+            let mut docs = states.last().expect("starts non-empty").clone();
+            docs.extend(ingest_round(&mut twin, batch).map_err(|e| format!("twin: {e}"))?);
+            states.push(docs);
+        }
+        script.states = states;
+        Ok(script)
+    }
+
+    fn bulk_base(&self, env: Arc<dyn SegmentEnv>) -> Result<PrixEngine, String> {
+        let cfg = EngineConfig {
+            buffer_pages: BUFFER_PAGES,
+            labeling: labeling(),
+            ..Default::default()
+        };
+        let mut b = BulkBuilder::with_env(cfg, env).map_err(|e| format!("bulk open: {e}"))?;
+        for d in &self.base {
+            b.add_xml(d).map_err(|e| format!("bulk add: {e}"))?;
+        }
+        b.finish().map_err(|e| format!("bulk finish: {e}"))
+    }
+}
+
+/// One round of the redo-log harness: the script's base, K
+/// acknowledged ingest commits that stay in the log, then a kill at
+/// the `kill_at`-th matching syscall of the phase `kill_in` names.
+/// Whatever the kill hits, reopening must find all K batches (and
+/// batch K+1 whole or not at all), clean checksums and segments, and
+/// the answers of a fresh in-memory engine. Returns how many matching
+/// syscalls the phase issued, so a caller can sweep every one of them.
+fn redo_log_iteration(
+    script: &Script,
+    kind: FaultKind,
+    kill_in: KillIn,
+    kill_at: u64,
+) -> Result<u64, String> {
+    let Script {
+        k, batches, states, ..
+    } = script;
+    let k = *k;
+    let inj = FaultInjector::unarmed();
+    let fenv = Arc::new(FaultSegEnv::new(&inj));
+    let mut engine = script.bulk_base(fenv.clone())?;
+    let pool = Arc::clone(engine.pool());
+    let checkpointed = pool.pager().epoch();
+    for batch in &batches[..k] {
+        ingest_round(&mut engine, batch).map_err(|e| format!("unarmed ingest: {e}"))?;
+    }
+    if pool.pager().epoch() != checkpointed || pool.log_resident_pages() == 0 {
+        return Err("the K commits did not stay in the log".into());
+    }
+    if matches!(kill_in, KillIn::AfterAbort) {
+        // A round that dirties pages, spills some of them and is then
+        // rolled back. The engine's in-memory counters are stale from
+        // here on; only its pool is used again.
+        let mut rng = TestRng::from_seed(script.crash_seed);
+        let spilled = pool.snapshot().wal_appends;
+        pool.begin_ingest();
+        while pool.snapshot().wal_appends == spilled {
+            let _ = engine.insert_document(&doc_xml(&mut rng));
+        }
+        pool.abort_ingest().map_err(|e| format!("abort: {e}"))?;
+    }
+
+    inj.arm(kind, kill_at, script.crash_seed ^ kill_at);
+    let ops = inj.ops_seen();
+    let mut acceptable = vec![k];
+    let phase = match kill_in {
+        KillIn::Commit => {
+            let r = ingest_round(&mut engine, &batches[k]).map(|_| ());
+            acceptable = if r.is_ok() {
+                vec![k + 1]
+            } else {
+                vec![k, k + 1]
+            };
+            r
+        }
+        // What `Drop` and server shutdown run.
+        KillIn::Checkpoint | KillIn::AfterAbort => pool.checkpoint().map_err(|e| e.to_string()),
+        KillIn::Compaction => engine.compact().map(|_| ()).map_err(|e| e.to_string()),
+    };
+    let ops = inj.ops_seen() - ops;
+    if let Err(e) = phase {
+        if !inj.crashed() {
+            return Err(format!("{kill_in:?} failed without a crash: {e}"));
+        }
+    }
+    drop(pool);
+    drop(engine); // post-crash the drop-checkpoint fails; counted, not fatal
+
+    let after = PrixEngine::reopen_env(fenv.durable_env(), 64)
+        .map_err(|e| format!("reopen after crash: {e}"))?;
+    after
+        .verify_checksums()
+        .map_err(|e| format!("checksum verification after recovery: {e}"))?;
+    after
+        .verify_segments()
+        .map_err(|e| format!("segment verification after recovery: {e}"))?;
+    let n = after.segment_docs() as usize + after.mutable_docs();
+    let state = acceptable
+        .into_iter()
+        .find(|&i| states[i].len() == n)
+        .ok_or_else(|| format!("recovered {n} docs, {k} batches were acknowledged"))?;
+    same_answers(&after, &states[state])?;
+    Ok(ops)
+}
+
+/// Runs each phase of `phases` once to completion to learn how many
+/// syscalls it issues, then kills it at `picks` kill points drawn from
+/// that range (`None`: at every one). Returns the failures.
+fn redo_log_sweep(
+    seed: u64,
+    kind: FaultKind,
+    phases: &[KillIn],
+    picks: Option<u64>,
+) -> Vec<String> {
+    let script = match Script::new(seed) {
+        Ok(s) => s,
+        Err(e) => return vec![format!("seed {seed:#x}: {e}")],
+    };
+    let mut rng = TestRng::from_seed(seed ^ 0xC0FF_EE00);
+    let mut failures = Vec::new();
+    for &kill_in in phases {
+        let label = |e| format!("seed {seed:#x} kind {kind:?} in {kill_in:?}: {e}");
+        let ops = match redo_log_iteration(&script, kind, kill_in, u64::MAX) {
+            Ok(ops) => ops,
+            Err(e) => {
+                failures.push(label(format!("no kill: {e}")));
+                continue;
+            }
+        };
+        let points: Vec<u64> = match picks {
+            None => (0..ops).collect(),
+            Some(n) => (0..n).map(|_| rng.below(ops)).collect(),
+        };
+        for at in points {
+            if let Err(e) = redo_log_iteration(&script, kind, kill_in, at) {
+                failures.push(label(format!("kill point {at} of {ops}: {e}")));
+            }
+        }
+    }
+    failures
+}
+
+/// Random kill points in every phase, every fault kind.
+#[test]
+fn redo_log_survives_random_crashes() {
+    let mut failures = Vec::new();
+    for seed in 0..5u64 {
+        for kind in FaultKind::ALL {
+            failures.extend(redo_log_sweep(seed, kind, &KillIn::ALL, Some(2)));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} redo-log crash iteration(s) lost an acknowledged commit:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
+/// A kill at every single syscall of a checkpoint: the page writes,
+/// the two page-file barriers, the epoch advance, the log truncation.
+#[test]
+fn checkpoint_survives_a_kill_at_every_syscall() {
+    let mut failures = Vec::new();
+    for kind in FaultKind::ALL {
+        failures.extend(redo_log_sweep(
+            0x5EED_0010,
+            kind,
+            &[KillIn::Checkpoint],
+            None,
+        ));
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+// Pinned replay seeds, one per fault kind, each swept through every
+// kill point of its phase.
+
+#[test]
+fn redo_log_replay_short_write_seed_5eed0011() {
+    let failures = redo_log_sweep(0x5EED_0011, FaultKind::ShortWrite, &[KillIn::Commit], None);
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn redo_log_replay_torn_sector_seed_5eed0012() {
+    let failures = redo_log_sweep(
+        0x5EED_0012,
+        FaultKind::TornSector,
+        &[KillIn::Compaction],
+        None,
+    );
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
+fn redo_log_replay_dropped_fsync_seed_5eed0013() {
+    let failures = redo_log_sweep(
+        0x5EED_0013,
+        FaultKind::DroppedFsync,
+        &[KillIn::AfterAbort],
+        None,
+    );
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// Regression for the silently-discarded drop-flush error: a pool whose

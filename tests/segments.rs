@@ -15,21 +15,16 @@
 //!   compaction leave a database that reopens cleanly and serves an
 //!   acknowledged state with verified checksums and segments.
 
-use std::collections::HashMap;
-use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use prix::core::{
     BulkBuilder, EngineConfig, ExecOpts, LabelingMode, PrixEngine, SharedEngine, TwigMatch,
 };
-use prix::storage::{MemSegEnv, RawStore, SegmentEnv, StorageError};
+use prix::storage::{MemSegEnv, RawStore, SegmentEnv};
 use prix::xml::Collection;
 use prix_testkit::{
-    check, from_fn, replay, Config, FaultInjector, FaultKind, FaultStore, Generator, TestRng,
+    check, from_fn, replay, Config, FaultInjector, FaultKind, FaultSegEnv, Generator, TestRng,
 };
-
-type StorageResult<T> = std::result::Result<T, StorageError>;
 
 const BUFFER_PAGES: usize = 8;
 
@@ -295,6 +290,17 @@ fn pinned_reader_is_bit_identical_across_compaction() {
     assert_eq!(snap.mutable_docs(), 3);
     let before = snapshot_results(&snap);
 
+    // The pre-compaction pool, watched from outside: its counters, and
+    // a weak handle that tells when the last reader has let go of it.
+    let (old_io, old_pool) = {
+        let pool = shared.pool();
+        assert!(
+            pool.log_resident_pages() > 0,
+            "the ingest is committed in the old log, not checkpointed"
+        );
+        (pool.pager().stats(), Arc::downgrade(&pool))
+    };
+
     let epoch = shared.compact().unwrap().expect("delta was non-empty");
     assert!(epoch > snap.epoch(), "publish advances the epoch");
 
@@ -325,8 +331,14 @@ fn pinned_reader_is_bit_identical_across_compaction() {
     }
 
     // Dropping the pinned reader drains the retired pool; only the
-    // internally held current snapshot remains pinned.
+    // internally held current snapshot remains pinned. The pool's
+    // files are unlinked, so it goes without a checkpoint: not one
+    // write, not one barrier, nothing to fail.
+    let io = old_io.snapshot();
     drop(snap);
+    assert!(old_pool.upgrade().is_none(), "the retired pool is gone");
+    assert_eq!(old_io.snapshot(), io, "a retired pool drops silently");
+    assert_eq!(io.flush_errors, 0);
     assert_eq!(shared.pinned_epochs(), (1, Some(epoch)));
     drop(fresh);
     assert_eq!(shared.pinned_epochs(), (1, Some(epoch)));
@@ -536,116 +548,6 @@ fn query_batch_surfaces_errors() {
 // ---------------------------------------------------------------------------
 // Crash consistency: kill points inside bulk rebuild and compaction
 // ---------------------------------------------------------------------------
-
-fn killed() -> StorageError {
-    StorageError::Io(io::Error::new(
-        io::ErrorKind::Other,
-        "injected crash: process is dead",
-    ))
-}
-
-/// A [`SegmentEnv`] over [`FaultStore`]s sharing one injector, so a
-/// kill point lands anywhere in the segment lifecycle's syscall
-/// stream — run spills, segment writes, mutable saves, manifest
-/// slots. Unlinks are modeled as immediately durable; every `remove`
-/// the engine issues happens after its manifest commit point, so the
-/// simplification cannot hide an inconsistent window.
-struct FaultSegEnv {
-    inj: FaultInjector,
-    files: Mutex<HashMap<String, FaultStore>>,
-    salt: AtomicU64,
-}
-
-impl FaultSegEnv {
-    fn new(inj: &FaultInjector) -> Self {
-        FaultSegEnv {
-            inj: inj.clone(),
-            files: Mutex::new(HashMap::new()),
-            salt: AtomicU64::new(1),
-        }
-    }
-
-    fn next_salt(&self) -> u64 {
-        self.salt.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// What the platter holds after the crash, as a reopenable
-    /// in-memory environment: each surviving file's durable image.
-    fn durable_env(&self) -> Arc<MemSegEnv> {
-        let env = MemSegEnv::new();
-        let files = self.files.lock().unwrap_or_else(|e| e.into_inner());
-        for (suffix, store) in files.iter() {
-            let bytes = store.durable_bytes();
-            let dst = env.create(suffix).unwrap();
-            if !bytes.is_empty() {
-                dst.write_at(0, &bytes).unwrap();
-                dst.sync().unwrap();
-            }
-        }
-        Arc::new(env)
-    }
-}
-
-impl SegmentEnv for FaultSegEnv {
-    fn create(&self, suffix: &str) -> StorageResult<Box<dyn RawStore>> {
-        if self.inj.crashed() {
-            return Err(killed());
-        }
-        let store = FaultStore::new(&self.inj, self.next_salt());
-        self.files
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(suffix.to_string(), store.clone());
-        Ok(Box::new(store))
-    }
-
-    fn open(&self, suffix: &str) -> StorageResult<Box<dyn RawStore>> {
-        if self.inj.crashed() {
-            return Err(killed());
-        }
-        self.files
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(suffix)
-            .cloned()
-            .map(|s| Box::new(s) as Box<dyn RawStore>)
-            .ok_or_else(|| {
-                StorageError::Io(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("no such store: {suffix:?}"),
-                ))
-            })
-    }
-
-    fn exists(&self, suffix: &str) -> StorageResult<bool> {
-        if self.inj.crashed() {
-            return Err(killed());
-        }
-        Ok(self
-            .files
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains_key(suffix))
-    }
-
-    fn remove(&self, suffix: &str) -> StorageResult<()> {
-        if self.inj.crashed() {
-            return Err(killed());
-        }
-        self.files
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(suffix);
-        Ok(())
-    }
-
-    fn temp(&self) -> StorageResult<Box<dyn RawStore>> {
-        if self.inj.crashed() {
-            return Err(killed());
-        }
-        Ok(Box::new(FaultStore::new(&self.inj, self.next_salt())))
-    }
-}
 
 /// Reopens the post-crash durable image and checks it serves exactly
 /// one acknowledged state, with clean checksums and segments.

@@ -1,0 +1,221 @@
+//! A deterministic mirror of prixbench's `write_amp`: every byte and
+//! every `fsync` the engine issues while it ingests a feed and compacts
+//! once, counted at the [`RawStore`] boundary instead of read off
+//! `/proc/self/io`.
+//!
+//! The numbers pin the write path's shape — a commit is one log append
+//! and one barrier, the page file only sees a page when a checkpoint
+//! comes round, a compaction's fresh generation is written once — so a
+//! change that quietly reintroduces a second copy of every page fails
+//! here, in `cargo test`, not in a 25-second benchmark run.
+
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+use prix::core::{BulkBuilder, EngineConfig, LabelingMode, PrixEngine};
+use prix::storage::{MemSegEnv, RawStore, SegmentEnv, StorageError};
+use prix_testkit::TestRng;
+
+type Result<T> = std::result::Result<T, StorageError>;
+
+/// Bytes written to, and barriers issued on, one class of files.
+#[derive(Default)]
+struct Tally {
+    bytes: AtomicU64,
+    syncs: AtomicU64,
+}
+
+/// What kind of file a suffix names, for the tallies.
+fn class_of(suffix: &str) -> &'static str {
+    if suffix == ".seg" {
+        "manifest"
+    } else if suffix.ends_with(".seg") {
+        "segment"
+    } else if suffix.ends_with(".wal") {
+        "log"
+    } else if suffix.ends_with(".sum") {
+        "sidecar"
+    } else {
+        "pages"
+    }
+}
+
+struct CountingStore {
+    inner: Box<dyn RawStore>,
+    tally: Arc<Tally>,
+}
+
+impl RawStore for CountingStore {
+    fn len(&self) -> Result<u64> {
+        self.inner.len()
+    }
+    fn set_len(&self, len: u64) -> Result<()> {
+        self.inner.set_len(len)
+    }
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+        self.inner.read_at(offset, buf)
+    }
+    fn write_at(&self, offset: u64, buf: &[u8]) -> Result<()> {
+        self.tally
+            .bytes
+            .fetch_add(buf.len() as u64, Ordering::Relaxed);
+        self.inner.write_at(offset, buf)
+    }
+    fn sync(&self) -> Result<()> {
+        self.tally.syncs.fetch_add(1, Ordering::Relaxed);
+        self.inner.sync()
+    }
+}
+
+/// An in-memory [`SegmentEnv`] whose stores count what is written to
+/// them, by file class (sort-run scratch files count as `"temp"`).
+#[derive(Default)]
+struct CountingEnv {
+    inner: MemSegEnv,
+    tallies: Mutex<HashMap<&'static str, Arc<Tally>>>,
+}
+
+impl CountingEnv {
+    fn wrap(&self, class: &'static str, inner: Box<dyn RawStore>) -> Box<dyn RawStore> {
+        let tally = Arc::clone(self.tallies.lock().unwrap().entry(class).or_default());
+        Box::new(CountingStore { inner, tally })
+    }
+
+    fn bytes(&self) -> u64 {
+        let t = self.tallies.lock().unwrap();
+        t.values().map(|t| t.bytes.load(Ordering::Relaxed)).sum()
+    }
+
+    fn syncs(&self, class: &str) -> u64 {
+        let t = self.tallies.lock().unwrap();
+        t.get(class).map_or(0, |t| t.syncs.load(Ordering::Relaxed))
+    }
+}
+
+impl SegmentEnv for CountingEnv {
+    fn create(&self, suffix: &str) -> Result<Box<dyn RawStore>> {
+        Ok(self.wrap(class_of(suffix), self.inner.create(suffix)?))
+    }
+    fn open(&self, suffix: &str) -> Result<Box<dyn RawStore>> {
+        Ok(self.wrap(class_of(suffix), self.inner.open(suffix)?))
+    }
+    fn exists(&self, suffix: &str) -> Result<bool> {
+        self.inner.exists(suffix)
+    }
+    fn remove(&self, suffix: &str) -> Result<()> {
+        self.inner.remove(suffix)
+    }
+    fn temp(&self) -> Result<Box<dyn RawStore>> {
+        Ok(self.wrap("temp", self.inner.temp()?))
+    }
+}
+
+/// One event record of the shape prixbench's feed ingests: four
+/// fields of eight values each, 60-odd bytes.
+fn feed_doc(rng: &mut TestRng) -> String {
+    let mut xml = String::from("<ev>");
+    for (tag, prefix) in [("src", "s"), ("kind", "k"), ("lvl", "l"), ("zone", "z")] {
+        xml.push_str(&format!("<{tag}>{prefix}{}</{tag}>", rng.below(8)));
+    }
+    xml.push_str("</ev>");
+    xml
+}
+
+const BATCHES: u64 = 32;
+const BATCH_DOCS: usize = 32;
+
+/// Bytes written per byte of XML over the ingest and the compaction.
+/// Measured at 244.3 when this was pinned: 1 678 log frames, 212 pages
+/// at the one checkpoint, 28 pages of fresh generation, the segments.
+/// The five-step commit this replaced wrote every one of those frames
+/// to the page file as well and logged the fresh generation before
+/// writing it, which comes to 428.
+const WRITE_AMP_CEILING: f64 = 260.0;
+
+#[test]
+fn ingest_and_compaction_write_each_page_once() {
+    let mut rng = TestRng::from_seed(0x5EED_0021);
+    let env = Arc::new(CountingEnv::default());
+    let cfg = EngineConfig {
+        buffer_pages: 2000,
+        labeling: LabelingMode::Dynamic { alpha: 4 },
+        ..Default::default()
+    };
+    let mut b = BulkBuilder::with_env(cfg, env.clone()).unwrap();
+    for _ in 0..64 {
+        b.add_xml(&feed_doc(&mut rng)).unwrap();
+    }
+    let mut engine: PrixEngine = b.finish().unwrap();
+
+    // From here on everything is counted.
+    let bytes0 = env.bytes();
+    let syncs0: u64 = ["pages", "sidecar", "log"]
+        .map(|c| env.syncs(c))
+        .iter()
+        .sum();
+    let manifest0 = env.syncs("manifest");
+    let old_pool = Arc::clone(engine.pool());
+    let io0 = old_pool.snapshot();
+
+    let mut xml_bytes = 0u64;
+    for _ in 0..BATCHES {
+        let batch: Vec<String> = (0..BATCH_DOCS).map(|_| feed_doc(&mut rng)).collect();
+        xml_bytes += batch.iter().map(|d| d.len() as u64).sum::<u64>();
+        engine.pool().begin_ingest();
+        let out = engine.ingest_batch(&batch).unwrap();
+        assert!(out.rejected.is_empty(), "{:?}", out.rejected.first());
+        engine.pool().publish_ingest();
+    }
+    let ingest = old_pool.snapshot().since(&io0);
+    assert!(ingest.checkpoints >= 1, "the log never reached its bound");
+    assert_eq!(
+        ingest.fsyncs,
+        BATCHES + 4 * ingest.checkpoints,
+        "one barrier per commit, four per checkpoint"
+    );
+    assert!(
+        ingest.physical_writes < ingest.wal_appends,
+        "a checkpoint writes distinct pages ({}), not every logged frame ({})",
+        ingest.physical_writes,
+        ingest.wal_appends
+    );
+
+    assert!(engine.compact().unwrap());
+    let fresh = engine.pool().snapshot();
+    assert_eq!(
+        (fresh.wal_appends, fresh.checkpoints),
+        (0, 1),
+        "the fresh generation is written unlogged, once"
+    );
+    assert_eq!(
+        old_pool.snapshot().since(&io0).physical_writes,
+        ingest.physical_writes,
+        "a retired pool is not checkpointed"
+    );
+    drop(old_pool);
+    drop(engine);
+
+    // Every barrier on a page file, a sidecar or a log is accounted
+    // for: the commits, the checkpoints of both generations, and the
+    // three that create the fresh generation (its empty page file and
+    // sidecar, its log header). The manifest adds its own.
+    let syncs: u64 = ["pages", "sidecar", "log"]
+        .map(|c| env.syncs(c))
+        .iter()
+        .sum();
+    assert_eq!(
+        syncs - syncs0,
+        BATCHES + 4 * (ingest.checkpoints + fresh.checkpoints) + 3
+    );
+    assert!(
+        env.syncs("manifest") > manifest0,
+        "the manifest write is the commit point"
+    );
+
+    let write_amp = (env.bytes() - bytes0) as f64 / xml_bytes as f64;
+    assert!(
+        write_amp <= WRITE_AMP_CEILING,
+        "{write_amp:.1} bytes written per XML byte, ceiling {WRITE_AMP_CEILING}"
+    );
+}

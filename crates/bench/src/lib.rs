@@ -13,14 +13,14 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use prix_core::{naive, EngineConfig, PrixEngine};
 use prix_datagen::{generate, Dataset};
 use prix_storage::{BufferPool, Pager};
 use prix_twigstack::{encode_collection, Algorithm, StreamStore, TwigJoin, XbTree};
 use prix_vist::VistIndex;
-use prix_xml::{CollectionStats, Sym};
+use prix_xml::{Collection, CollectionStats, Sym};
 
 /// One engine's measurement for one query.
 #[derive(Debug, Clone, Copy)]
@@ -65,6 +65,9 @@ pub struct Workbench {
     pub dataset: Dataset,
     /// Scale factor used.
     pub scale: f64,
+    /// The generated documents: the oracle's input and what ViST
+    /// verifies against (the engine keeps only their symbols).
+    collection: Collection,
     prix: PrixEngine,
     vist: VistIndex,
     vist_pool: Arc<BufferPool>,
@@ -94,12 +97,13 @@ impl Workbench {
             );
         }
 
-        let prix = PrixEngine::build(collection, EngineConfig::default())
+        let prix = PrixEngine::build(collection.clone(), EngineConfig::default())
             .expect("PRIX build cannot fail on in-memory pager");
 
         Workbench {
             dataset,
             scale,
+            collection,
             prix,
             vist,
             vist_pool,
@@ -111,7 +115,7 @@ impl Workbench {
 
     /// Table 2 statistics of the generated collection.
     pub fn stats(&self) -> CollectionStats {
-        self.prix.collection().stats()
+        self.collection.stats()
     }
 
     /// The PRIX engine (for direct experimentation).
@@ -125,7 +129,7 @@ impl Workbench {
         let q = view
             .parse_query(xpath)
             .unwrap_or_else(|e| panic!("bad query {id}: {e}"));
-        let expected = naive::naive_count(self.prix.collection(), &q) as u64;
+        let expected = naive::naive_count(&self.collection, &q) as u64;
 
         // PRIX.
         self.prix.clear_cache().expect("cache clear");
@@ -141,10 +145,7 @@ impl Workbench {
         self.vist_pool.clear().expect("cache clear");
         let before = self.vist_pool.snapshot();
         let start = Instant::now();
-        let vist_out = self
-            .vist
-            .execute(&q, self.prix.collection())
-            .expect("vist query");
+        let vist_out = self.vist.execute(&q, &self.collection).expect("vist query");
         // Native phase I/O is everything up to verification, which does
         // no storage reads (it walks the in-memory collection).
         let vist_elapsed = start.elapsed();
@@ -312,21 +313,6 @@ pub fn rows_to_json(rows: &[QueryRow]) -> String {
         })
         .collect();
     format!("[\n  {}\n]\n", body.join(",\n  "))
-}
-
-/// A `Duration` helper for ad hoc timing: median of `n` runs of `f`.
-/// (The bench binaries use `prix_testkit::bench::Harness`, which also
-/// reports p95; this stays for quick one-off measurements in tests.)
-pub fn median_duration(n: usize, mut f: impl FnMut()) -> Duration {
-    let mut samples: Vec<Duration> = (0..n)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2]
 }
 
 #[cfg(test)]

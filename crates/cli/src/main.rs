@@ -402,12 +402,19 @@ fn cmd_add(args: &[String]) -> Result<(), CliError> {
     if files.is_empty() {
         return Err(usage_err("add needs at least one <file.xml>"));
     }
+    // All of the files or none: read them all, insert them as one
+    // batch, and save only when every one was accepted. On a rejection
+    // the engine is dropped unsaved, which commits nothing.
+    let texts = files
+        .iter()
+        .map(|f| std::fs::read_to_string(f).map_err(|e| format!("cannot read {f}: {e}")))
+        .collect::<Result<Vec<String>, String>>()?;
     let mut engine = PrixEngine::reopen(db, 2000).map_err(|e| e.to_string())?;
-    for f in files {
-        let text = std::fs::read_to_string(f).map_err(|e| format!("cannot read {f}: {e}"))?;
-        let id = engine
-            .insert_document(&text)
-            .map_err(|e| format!("{f}: {e}"))?;
+    let outcome = engine.ingest_batch(&texts).map_err(|e| e.to_string())?;
+    if let Some((i, reason)) = outcome.rejected.first() {
+        return Err(format!("{}: {reason}; nothing was added", files[*i]).into());
+    }
+    for (f, id) in files.iter().zip(&outcome.accepted) {
         println!("added {f} as doc {id}");
     }
     engine.save().map_err(|e| e.to_string())?;

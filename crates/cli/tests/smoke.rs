@@ -240,3 +240,88 @@ fn alpha_index_then_add_advances_the_epoch() {
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Regression: a failed `prix add` used to corrupt the database — the
+/// parse error skipped the save, but closing the buffer pool committed
+/// the half-ingested pages (fsck: `posting names doc N past coverage
+/// horizon`, a panic in `load_doc`, reused document ids). `add` is all
+/// or nothing, and closing a database never commits: after the failure
+/// the database is exactly what it was.
+#[test]
+fn failed_add_leaves_the_database_as_it_was() {
+    let dir = std::env::temp_dir().join(format!("prix-cli-failed-add-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, xml: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, xml).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let record = |key: usize| {
+        format!(
+            "<dblp><inproceedings><key>conf/x/{key}</key><author>A{key}</author>\
+             <year>199{}</year></inproceedings></dblp>",
+            key % 10
+        )
+    };
+    let corpus: Vec<String> = (0..6)
+        .map(|i| write(&format!("doc{i}.xml"), &record(i)))
+        .collect();
+    let good1 = write("good1.xml", &record(6));
+    let good2 = write("good2.xml", &record(7));
+    let broken = write("broken.xml", "<dblp><inproceedings><key>oops</dblp>");
+    let db = dir.join("db.prix");
+    let db = db.to_str().unwrap();
+
+    let mut index = vec!["index", "--alpha", "4", db];
+    index.extend(corpus.iter().map(String::as_str));
+    let out = prix(&index);
+    assert_eq!(out.status.code(), Some(0), "index: {}", stderr(&out));
+
+    // The observable state: document counts and three answers (match
+    // count plus every `doc -> nodes` line; the timing lines vary).
+    let state = || -> Vec<String> {
+        let out = prix(&["stats", db]);
+        assert_eq!(out.status.code(), Some(0), "stats: {}", stderr(&out));
+        let mut lines = vec![String::from_utf8_lossy(&out.stdout).into_owned()];
+        for xpath in ["//inproceedings/key", "//dblp//author", "//year"] {
+            let out = prix(&["query", db, xpath, "--limit", "0"]);
+            assert_eq!(out.status.code(), Some(0), "{xpath}: {}", stderr(&out));
+            let text = String::from_utf8_lossy(&out.stdout);
+            let count = text.lines().next().unwrap_or_default();
+            lines.push(count.split(" in ").next().unwrap().to_string());
+            lines.extend(
+                text.lines()
+                    .filter(|l| l.starts_with("  doc "))
+                    .map(String::from),
+            );
+        }
+        lines
+    };
+    let before = state();
+    assert!(before[0].contains("RPIndex: 6 docs"), "{}", before[0]);
+    assert!(before[1].starts_with("6 match(es)"), "{}", before[1]);
+
+    let out = prix(&["add", db, &good1, &good2, &broken]);
+    assert_eq!(out.status.code(), Some(1), "add: {}", stderr(&out));
+    let err = stderr(&out);
+    assert!(err.contains("broken.xml"), "{err}");
+    assert!(err.contains("nothing was added"), "{err}");
+    assert!(out.stdout.is_empty(), "a failed add reports no document");
+
+    let out = prix(&["fsck", db]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "fsck: {text}{}", stderr(&out));
+    assert!(text.contains("fsck: clean"), "{text}");
+    assert_eq!(state(), before, "the failed add changed the database");
+
+    // The ids the failed batch would have taken are still free.
+    let out = prix(&["add", db, &good1]);
+    assert_eq!(out.status.code(), Some(0), "add: {}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("good1.xml as doc 6"), "{text}");
+    let after = state();
+    assert!(after[0].contains("RPIndex: 7 docs"), "{}", after[0]);
+    assert!(after[1].starts_with("7 match(es)"), "{}", after[1]);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -111,10 +111,13 @@ pub(crate) struct SegTier {
     pub(crate) n_docs: u32,
 }
 
-/// An indexed XML database: the collection, its RP/EP indexes, and a
-/// shared buffer pool.
+/// An indexed XML database: its symbol table, its RP/EP indexes and
+/// value index, and the buffer pool they share. The document trees are
+/// not kept: everything query processing needs is in the indexes.
 pub struct PrixEngine {
-    collection: Collection,
+    /// Every label the indexed documents (and the dummy) use; persisted
+    /// by [`PrixEngine::save`] so queries parse after a reopen.
+    symbols: SymbolTable,
     pool: Arc<BufferPool>,
     rp: PrixIndex,
     ep: PrixIndex,
@@ -159,7 +162,8 @@ pub struct PrixEngine {
 }
 
 impl PrixEngine {
-    /// Builds the engine over `collection`. A file-backed engine
+    /// Builds the engine over `collection`, keeping its symbol table
+    /// and none of its trees. A file-backed engine
     /// ([`EngineConfig::path`]) gets the `<path>.sum` checksum sidecar
     /// and the `<path>.wal` write-ahead log next to the database file:
     /// pages evicted before a [`PrixEngine::save`] spill to the log,
@@ -230,7 +234,7 @@ impl PrixEngine {
             valix.index_tree(tree, doc, collection.symbols())?;
         }
         Ok(PrixEngine {
-            collection,
+            symbols: std::mem::take(collection.symbols_mut()),
             pool,
             rp,
             ep,
@@ -252,9 +256,10 @@ impl PrixEngine {
         })
     }
 
-    /// The indexed collection.
-    pub fn collection(&self) -> &Collection {
-        &self.collection
+    /// The labels of every indexed document (what queries parse
+    /// against).
+    pub fn symbols(&self) -> &SymbolTable {
+        &self.symbols
     }
 
     /// The shared buffer pool (for cold-cache benchmarking).
@@ -326,9 +331,8 @@ impl PrixEngine {
         // Serialize the symbol table (needed to parse queries after
         // reopen).
         let mut buf: Vec<u8> = Vec::new();
-        let syms = self.collection.symbols();
-        buf.extend_from_slice(&(syms.len() as u32).to_le_bytes());
-        for (_, name) in syms.iter() {
+        buf.extend_from_slice(&(self.symbols.len() as u32).to_le_bytes());
+        for (_, name) in self.symbols.iter() {
             buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
             buf.extend_from_slice(name.as_bytes());
         }
@@ -386,8 +390,7 @@ impl PrixEngine {
     ///
     /// The document trees themselves are not persisted — only what
     /// query processing needs (sequences, leaf lists, indexes, symbol
-    /// table) — so [`PrixEngine::collection`] of a reopened engine is
-    /// empty. Queries, embeddings, and statistics work as before.
+    /// table). Queries, embeddings, and statistics work as before.
     pub fn reopen<P: AsRef<Path>>(path: P, buffer_pages: usize) -> Result<Self> {
         let env: Arc<dyn SegmentEnv> = Arc::new(FileSegEnv::new(path.as_ref().to_path_buf()));
         Self::reopen_env(env, buffer_pages)
@@ -486,8 +489,7 @@ impl PrixEngine {
         let bytes = store
             .read(RecordId::from_raw(syms_rec))
             .map_err(IndexError::Storage)?;
-        let mut collection = Collection::new();
-        *collection.symbols_mut() = decode_symbols(&bytes)
+        let symbols = decode_symbols(&bytes)
             .ok_or_else(|| IndexError::Unsupported("corrupt symbol table".into()))?;
         // Every engine this build writes carries all three; a zero id
         // is a database from a build that could leave one out.
@@ -507,7 +509,7 @@ impl PrixEngine {
         let ep = PrixIndex::load(Arc::clone(&pool), RecordId::from_raw(ep_meta))?;
         let valix = Valix::load(Arc::clone(&pool), RecordId::from_raw(valix_meta))?;
         Ok(PrixEngine {
-            collection,
+            symbols,
             pool,
             rp,
             ep,
@@ -650,6 +652,20 @@ impl PrixEngine {
         Ok(())
     }
 
+    /// An empty mutable generation over `symbols`, in fresh stores at
+    /// `suffix` (what a bulk build and a compaction publish next to
+    /// their segments).
+    fn empty_mutable_env(
+        symbols: SymbolTable,
+        cfg: &EngineConfig,
+        env: &Arc<dyn SegmentEnv>,
+        suffix: &str,
+    ) -> Result<Self> {
+        let mut collection = Collection::new();
+        *collection.symbols_mut() = symbols;
+        Self::build_mutable_env(collection, cfg, env, suffix)
+    }
+
     /// Builds a mutable-generation engine whose stores (page file,
     /// `.sum`, `.wal`) live in `env` at `suffix`: the base database at
     /// `""`, bulk builds and compaction at their generation's name.
@@ -686,14 +702,12 @@ impl PrixEngine {
         segments: Vec<ManifestSegment>,
         valix_entries: Vec<ValixEntry>,
     ) -> Result<Self> {
-        let mut collection = Collection::new();
-        *collection.symbols_mut() = syms;
         let n_docs: u32 = segments
             .iter()
             .map(|s| s.doc_base + s.n_docs)
             .max()
             .unwrap_or(0);
-        let mut eng = Self::build_mutable_env(collection, &cfg, &env, &mutable_suffix)?;
+        let mut eng = Self::empty_mutable_env(syms, &cfg, &env, &mutable_suffix)?;
         // The segments' leaf values, bulk-loaded into the fresh mutable
         // generation's pool (the valix always lives with the mutable
         // generation; its coverage spans the segment documents).
@@ -765,14 +779,13 @@ impl PrixEngine {
         // (2) The replacement mutable generation: empty (so the
         // labeling mode has nothing to label), same symbol table, same
         // pool capacity, fresh files.
-        let mut collection = Collection::new();
-        *collection.symbols_mut() = self.collection.symbols().clone();
         let cfg = EngineConfig {
             buffer_pages: self.pool.capacity(),
             ..Default::default()
         };
         let new_suffix = format!(".g{generation}");
-        let mut fresh = Self::build_mutable_env(collection, &cfg, &self.seg_env, &new_suffix)?;
+        let mut fresh =
+            Self::empty_mutable_env(self.symbols.clone(), &cfg, &self.seg_env, &new_suffix)?;
         debug_assert_eq!(fresh.dummy, self.dummy, "dummy symbol survives compaction");
         // The valix covers *global* document ids, so it migrates
         // page-for-page into the replacement generation's pool rather
@@ -790,7 +803,6 @@ impl PrixEngine {
         self.write_manifest(&manifest)?;
         // (4) Publish in memory and retire the old generation's files.
         let old_suffix = std::mem::take(&mut self.mutable_suffix);
-        self.collection = fresh.collection;
         // Whatever the old pool still holds un-checkpointed has been
         // folded into the new generation; its files are about to go.
         std::mem::replace(&mut self.pool, fresh.pool).retire();
@@ -882,7 +894,7 @@ impl PrixEngine {
     /// a bulk-exact index only accepts documents whose trie paths
     /// already exist or branch at the root.
     pub fn insert_document(&mut self, xml: &str) -> Result<prix_xml::DocId> {
-        let tree = prix_xml::parse_document(xml, self.collection.symbols_mut())
+        let tree = prix_xml::parse_document(xml, &mut self.symbols)
             .map_err(|e| IndexError::Unsupported(format!("parse error: {e}")))?;
         self.insert_tree(tree)
     }
@@ -895,13 +907,6 @@ impl PrixEngine {
         // two indexes would disagree on document ids forever after.
         self.rp.check_insert(&tree)?;
         self.ep.check_insert(&tree)?;
-        // A reopened engine's collection starts empty while its indexes
-        // carry every persisted document, and a tiered engine's mutable
-        // indexes start above the segments, so collection ids only
-        // track index ids when they were aligned before this insert
-        // (fresh builds and pure in-memory engines).
-        let was_aligned =
-            self.rp.doc_base() as usize + self.rp.doc_count() == self.collection.len();
         let id = self.rp.insert_document(&tree)?;
         let ep_id = self.ep.insert_document(&tree)?;
         debug_assert_eq!(id, ep_id, "indexes assign ids in lockstep");
@@ -911,14 +916,8 @@ impl PrixEngine {
             s.set_trie_shape(b.trie_nodes as u64, b.trie_paths as u64, b.sequences);
         });
         if id == self.valix.covered() {
-            self.valix
-                .index_tree(&tree, id, self.collection.symbols())?;
+            self.valix.index_tree(&tree, id, &self.symbols)?;
         }
-        let coll_id = self.collection.add_tree(tree);
-        debug_assert!(
-            !was_aligned || id == coll_id,
-            "collection and indexes stay aligned"
-        );
         Ok(id)
     }
 
@@ -942,10 +941,12 @@ impl PrixEngine {
 
     /// Batch ingest through the snapshot-isolation write path: every
     /// document is dry-run-validated against *both* indexes (the same
-    /// lockstep rule as [`PrixEngine::insert_document`]), accepted
-    /// documents are inserted and the batch is committed with **one**
-    /// save (one WAL group commit, one epoch advance) instead of a
-    /// commit per document.
+    /// lockstep rule as [`PrixEngine::insert_document`]) and accepted
+    /// documents are inserted. Nothing is committed: the caller looks
+    /// at the outcome and then makes **one** [`PrixEngine::save`] for
+    /// the batch (one WAL group commit, one epoch advance) — or, when
+    /// it wants all of `docs` or none (`prix add`), drops the engine
+    /// unsaved, which commits nothing.
     ///
     /// Rejected documents (trie scope exhausted, parse errors) are
     /// reported per-document and never touch either index. Any error
@@ -954,26 +955,11 @@ impl PrixEngine {
     /// broken (see [`crate::snapshot::SharedEngine`], which rolls the
     /// pool back and poisons itself).
     ///
-    /// The caller is responsible for the pool-level ingest protocol
-    /// (`begin_ingest` / `publish_ingest`); this method only parses,
-    /// validates, inserts, and saves.
+    /// The caller is also responsible for the pool-level ingest
+    /// protocol (`begin_ingest` / `publish_ingest`); this method only
+    /// parses, validates and inserts.
     pub fn ingest_batch(&mut self, docs: &[String]) -> Result<IngestOutcome> {
-        let mut accepted: Vec<prix_xml::DocId> = Vec::new();
-        let mut rejected: Vec<(usize, String)> = Vec::new();
-        for (i, xml) in docs.iter().enumerate() {
-            match self.insert_document(xml) {
-                Ok(id) => accepted.push(id),
-                // `insert_document` validates both indexes before
-                // mutating either, so an Unsupported error here means
-                // the document was refused cleanly.
-                Err(IndexError::Unsupported(msg)) => rejected.push((i, msg)),
-                Err(e) => return Err(e),
-            }
-        }
-        if !accepted.is_empty() {
-            self.save()?;
-        }
-        Ok(IngestOutcome { accepted, rejected })
+        self.insert_each(docs, |engine, xml| engine.insert_document(xml))
     }
 
     /// [`PrixEngine::ingest_batch`] over a *wrapper* document: the
@@ -983,14 +969,13 @@ impl PrixEngine {
     /// export turns into one sequence per record). A malformed wrapper
     /// is a clean whole-batch rejection, not an error.
     pub fn ingest_batch_split(&mut self, wrapper: &str) -> Result<IngestOutcome> {
-        let tree = match prix_xml::parse_document(wrapper, self.collection.symbols_mut()) {
+        let reject = |reason: String| IngestOutcome {
+            accepted: Vec::new(),
+            rejected: vec![(0, reason)],
+        };
+        let tree = match prix_xml::parse_document(wrapper, &mut self.symbols) {
             Ok(t) => t,
-            Err(e) => {
-                return Ok(IngestOutcome {
-                    accepted: Vec::new(),
-                    rejected: vec![(0, format!("parse error: {e}"))],
-                })
-            }
+            Err(e) => return Ok(reject(format!("parse error: {e}"))),
         };
         let subtrees: Vec<prix_xml::XmlTree> = tree
             .children(tree.root())
@@ -998,26 +983,35 @@ impl PrixEngine {
             .filter(|&&c| tree.kind(c) == prix_xml::NodeKind::Element)
             .map(|&c| tree.subtree(c))
             .collect();
+        if subtrees.is_empty() {
+            return Ok(reject("wrapper has no element children to ingest".into()));
+        }
+        self.insert_each(subtrees, Self::insert_tree)
+    }
+
+    /// The one accept/reject loop: `insert` validates against both
+    /// indexes before mutating either, so an `Unsupported` error means
+    /// the document was refused cleanly; anything else aborts.
+    fn insert_each<T>(
+        &mut self,
+        docs: impl IntoIterator<Item = T>,
+        mut insert: impl FnMut(&mut Self, T) -> Result<prix_xml::DocId>,
+    ) -> Result<IngestOutcome> {
         let mut accepted: Vec<prix_xml::DocId> = Vec::new();
         let mut rejected: Vec<(usize, String)> = Vec::new();
-        if subtrees.is_empty() {
-            rejected.push((0, "wrapper has no element children to ingest".into()));
-        }
-        for (i, sub) in subtrees.into_iter().enumerate() {
-            match self.insert_tree(sub) {
+        for (i, doc) in docs.into_iter().enumerate() {
+            match insert(self, doc) {
                 Ok(id) => accepted.push(id),
                 Err(IndexError::Unsupported(msg)) => rejected.push((i, msg)),
                 Err(e) => return Err(e),
             }
         }
-        if !accepted.is_empty() {
-            self.save()?;
-        }
         Ok(IngestOutcome { accepted, rejected })
     }
 }
 
-/// What [`PrixEngine::ingest_batch`] did, before epoch publication.
+/// What [`PrixEngine::ingest_batch`] did, before the caller's save and
+/// epoch publication.
 pub struct IngestOutcome {
     /// Ids assigned to accepted documents, in input order.
     pub accepted: Vec<prix_xml::DocId>,
@@ -1083,7 +1077,7 @@ mod tests {
         for d in &docs {
             full.add_xml(d).unwrap();
         }
-        let bulk = PrixEngine::build(full, EngineConfig::default()).unwrap();
+        let bulk = PrixEngine::build(full.clone(), EngineConfig::default()).unwrap();
         let (inc_view, bulk_view) = (incremental.snapshot(), bulk.snapshot());
 
         for xpath in [
@@ -1097,7 +1091,7 @@ mod tests {
             let mi = inc_view.query(&qi).unwrap().matches;
             let mb = bulk_view.query(&qb).unwrap().matches;
             assert_eq!(mi, mb, "{xpath}");
-            let oracle = crate::naive::naive_count(incremental.collection(), &qi);
+            let oracle = crate::naive::naive_count(&full, &qb);
             assert_eq!(mi.len(), oracle, "{xpath} vs oracle");
         }
     }
@@ -1137,11 +1131,7 @@ mod tests {
         assert!(
             e.rp_index()
                 .check_insert(
-                    &prix_xml::parse_document(
-                        "<a><c>v</c></a>",
-                        &mut e.collection.symbols().clone()
-                    )
-                    .unwrap()
+                    &prix_xml::parse_document("<a><c>v</c></a>", &mut e.symbols().clone()).unwrap()
                 )
                 .is_ok(),
             "RP alone would accept the document (root branch)"
@@ -1155,7 +1145,6 @@ mod tests {
         let ep_docs = e.ep_index().doc_count();
         assert_eq!(rp_docs, ep_docs, "indexes out of lockstep");
         assert_eq!(rp_docs, 1, "rejected document must not be half-indexed");
-        assert!(e.collection().len() == 1, "collection unchanged");
         // The engine still works, and an insert both indexes accept
         // (identical document: both paths shared) assigns aligned ids.
         let id = e.insert_document("<a><b>v</b></a>").unwrap();

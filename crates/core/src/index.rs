@@ -1135,11 +1135,20 @@ impl PrixIndex {
     /// only needed by the leaf-matching phase; extended-query plans skip
     /// it, so those records (and their pages) are never touched.
     pub(crate) fn load_doc(&self, doc: DocId, need_leaf_data: bool) -> Result<DocData> {
-        debug_assert!(doc >= self.doc_base, "document id below this tier's base");
-        let local = doc - self.doc_base;
+        // A docid scan or a value posting can name a document this tier
+        // does not hold only if the database is corrupt (a torn ingest,
+        // say); that is the caller's error to report, not a panic.
+        let unknown = || {
+            IndexError::Unsupported(format!(
+                "corrupt index: it names document {doc}, outside the {} held from id {}",
+                self.doc_count(),
+                self.doc_base
+            ))
+        };
+        let local = doc.checked_sub(self.doc_base).ok_or_else(unknown)?;
         match &self.backing {
             Backing::Tree(t) => {
-                let rec = &t.docs[local as usize];
+                let rec = t.docs.get(local as usize).ok_or_else(unknown)?;
                 let nps = decode_u32s(&t.store.read(rec.nps)?);
                 let (lps, leaves) = if need_leaf_data {
                     let lps = decode_u32s(&t.store.read(rec.lps)?)
@@ -1672,6 +1681,24 @@ mod tests {
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath(r#"//author[text()="Jim Gray"]"#, &mut syms).unwrap();
         assert!(matches!(idx.execute(&q), Err(IndexError::Unsupported(_))));
+    }
+
+    /// A document id past (or below) what a tier holds — what a torn
+    /// ingest's docid entry or value posting names — is an error.
+    #[test]
+    fn load_doc_outside_the_tier_is_an_error_not_a_panic() {
+        let mut c = small_collection();
+        let mut idx = build_index(&mut c, IndexKind::Regular);
+        assert!(idx.load_doc(3, true).is_ok());
+        let err = idx
+            .load_doc(4, true)
+            .err()
+            .expect("past the end")
+            .to_string();
+        assert!(err.contains("names document 4"), "{err}");
+        idx.set_doc_base(10);
+        assert!(idx.load_doc(13, false).is_ok());
+        assert!(idx.load_doc(9, false).is_err(), "below the tier's base");
     }
 
     #[test]

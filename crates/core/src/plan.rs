@@ -293,7 +293,7 @@ const MISPREDICT_FACTOR: f64 = 4.0;
 /// The planner's statistics: collection-level tag frequencies, trie
 /// shape from the RP index build, and the per-shape observed-time
 /// EWMA table. Everything here survives a save/reopen cycle via the
-/// catalog (version 3).
+/// catalog (version 4).
 #[derive(Debug, Clone, Default)]
 pub struct PlannerStats {
     /// Per-label node counts across the collection.

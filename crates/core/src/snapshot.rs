@@ -121,7 +121,7 @@ impl EngineSnapshot {
         let pin = engine.pool().pin_epoch();
         EngineSnapshot {
             epoch: pin.epoch(),
-            syms: Arc::new(engine.collection().symbols().clone()),
+            syms: Arc::new(engine.symbols().clone()),
             rp: engine.rp_index().clone(),
             ep: engine.ep_index().clone(),
             segments: engine.seg_tiers().to_vec(),
@@ -837,7 +837,14 @@ impl SharedEngine {
             ));
         }
         engine.pool().begin_ingest();
-        match run(&mut engine) {
+        // One save commits the whole batch: the durability point.
+        let ingested = run(&mut engine).and_then(|outcome| {
+            if !outcome.accepted.is_empty() {
+                engine.save()?;
+            }
+            Ok(outcome)
+        });
+        match ingested {
             Ok(outcome) if outcome.accepted.is_empty() => {
                 // Nothing validated, nothing written: rejections are
                 // read-only, so this abort has no pre-images to
@@ -850,9 +857,8 @@ impl SharedEngine {
                 })
             }
             Ok(outcome) => {
-                // The save inside `ingest_batch` was the durability
-                // point; publishing moves the epoch and swapping the
-                // snapshot makes it visible. The new snapshot's pin at
+                // Publishing moves the epoch and swapping the snapshot
+                // makes the saved batch visible. The new snapshot's pin at
                 // the new epoch replaces the old one's role of keeping
                 // in-flight pre-images alive.
                 let epoch = engine.pool().publish_ingest();
@@ -865,8 +871,9 @@ impl SharedEngine {
                 })
             }
             Err(e) => {
-                // A document passed validation but failed mid-insert:
-                // the in-memory index state is no longer trustworthy.
+                // A document passed validation but failed mid-insert,
+                // or the save failed: the in-memory index state is no
+                // longer trustworthy.
                 // Roll the pool back to the published epoch and refuse
                 // further writes; readers keep the last good snapshot.
                 self.poisoned.store(true, Ordering::Release);
@@ -894,7 +901,7 @@ mod tests {
         SharedEngine::new(engine)
     }
 
-    fn engine() -> PrixEngine {
+    fn collection() -> Collection {
         let mut c = Collection::new();
         c.add_xml("<dblp><inproceedings><author>Jim Gray</author><year>1990</year></inproceedings></dblp>")
             .unwrap();
@@ -902,7 +909,11 @@ mod tests {
             .unwrap();
         c.add_xml("<dblp><www><editor>E</editor><url>u</url></www></dblp>")
             .unwrap();
-        PrixEngine::build(c, EngineConfig::default()).unwrap()
+        c
+    }
+
+    fn engine() -> PrixEngine {
+        PrixEngine::build(collection(), EngineConfig::default()).unwrap()
     }
 
     #[test]
@@ -964,10 +975,10 @@ mod tests {
             .parse_query(r#"//inproceedings[./author="Jim Gray"][./year="1990"]"#)
             .unwrap();
         let out = e.query_unordered(&q).unwrap();
-        let syms = eng.collection().symbols();
-        let author = syms.lookup("author").unwrap();
+        let c = collection();
+        let author = c.symbols().lookup("author").unwrap();
         for m in &out.matches {
-            let t = eng.collection().doc(m.doc);
+            let t = c.doc(m.doc);
             // Base query postorder: "Jim Gray"=1, author=2, "1990"=3,
             // year=4, inproceedings=5.
             assert_eq!(t.label_at(m.embedding[1]), author, "doc {}", m.doc);
@@ -1025,7 +1036,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut syms = exact.collection().symbols().clone();
+        let mut syms = exact.symbols().clone();
         let q = parse_xpath("//a[./b/c]/d", &mut syms).unwrap();
         let a = exact.snapshot().query(&q).unwrap();
         let b = dynamic.snapshot().query(&q).unwrap();

@@ -38,6 +38,6 @@ pub mod workers;
 pub use alts::{AltCache, SnapshotAlts};
 pub use cache::{CacheSnapshot, PlanCache, ResultCache, ResultKey};
 pub use http::{Request, Response};
-pub use metrics::{Endpoint, EngineGauges, Metrics, LATENCY_BUCKETS_US};
+pub use metrics::{Endpoint, Metrics, Sample, LATENCY_BUCKETS_US};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use workers::WorkerPool;

@@ -5,16 +5,21 @@
 //! its outcome with two `fetch_add`s and never takes a lock. Only the
 //! per-(endpoint, status) counter table uses a mutex, and that table
 //! is touched once per request and is tiny.
+//!
+//! [`SERIES`] is the one place a series is declared: its name, type,
+//! help text and where its value comes from. [`Metrics::render`] is a
+//! loop over it, and the README table, the golden-exposition test and
+//! the check of what `prixbench` scrapes all read it.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use prix_core::plan::EngineId;
 use prix_storage::{IoSnapshot, RecoveryReport};
 
 use crate::cache::CacheSnapshot;
-use crate::json::escape;
 
 /// Fixed latency-histogram bucket upper bounds, in microseconds.
 /// Spanning 100 µs – 2.5 s covers both warm in-memory queries and cold
@@ -45,8 +50,8 @@ pub enum Endpoint {
     Other,
 }
 
-/// The pipeline stages of the streaming query executor, as exposed in
-/// the `prix_query_stage_duration_seconds` histogram.
+/// The pipeline stages of the streaming query executor: the `stage`
+/// label of the per-stage duration histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Algorithm 1 subsequence filtering (trie range queries + MaxGap
@@ -131,17 +136,55 @@ impl Histogram {
         self.total.fetch_add(1, Ordering::Relaxed);
     }
 
-    fn total(&self) -> u64 {
-        self.total.load(Ordering::Relaxed)
+    /// Appends the `_bucket`/`_sum`/`_count` lines of the family `name`
+    /// for this histogram's label set; one that saw no observation
+    /// renders nothing.
+    fn render(&self, out: &mut String, name: &str, labels: &str) {
+        if load(&self.total) == 0 {
+            return;
+        }
+        let bounds = LATENCY_BUCKETS_US
+            .iter()
+            .map(|&us| (us as f64 / 1e6).to_string());
+        let mut cum = 0u64;
+        for (count, le) in self.counts.iter().zip(bounds.chain(["+Inf".to_string()])) {
+            cum += load(count);
+            out.push_str(&format!("{name}_bucket{{{labels},le=\"{le}\"}} {cum}\n"));
+        }
+        let sum = load(&self.sum_us) as f64 / 1e6;
+        out.push_str(&format!(
+            "{name}_sum{{{labels}}} {sum}\n{name}_count{{{labels}}} {cum}\n"
+        ));
     }
 }
 
-/// Engine lifecycle gauges sampled at exposition time: the segment
-/// tiering state of the published snapshot plus the reader-pin
-/// pressure holding old epochs (and their pre-compaction buffer
-/// pools) alive.
+fn load(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
+}
+
+/// What one scrape reads from outside the registry: the engine, its
+/// buffer pool, the worker queue and the query caches. `handle_metrics`
+/// fills it once; every [`SERIES`] reader takes it from there.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct EngineGauges {
+pub struct Sample {
+    /// The engine buffer pool's lifetime I/O counters.
+    pub io: IoSnapshot,
+    /// Pages currently cached in the buffer pool.
+    pub resident: u64,
+    /// The buffer pool's configured capacity in pages.
+    pub capacity: u64,
+    /// Connections waiting in the HTTP work queue.
+    pub queue_depth: u64,
+    /// What crash recovery did when the database was opened. All zeros
+    /// for an engine built in this process: the series still render, so
+    /// dashboards never see a metric vanish.
+    pub recovery: RecoveryReport,
+    /// The currently published snapshot epoch.
+    pub epoch: u64,
+    /// The plan cache's counters.
+    pub plan_cache: CacheSnapshot,
+    /// The result cache's counters.
+    pub result_cache: CacheSnapshot,
     /// Segment generation of the published manifest (0 = never
     /// segmented).
     pub generation: u64,
@@ -167,13 +210,186 @@ pub struct EngineGauges {
     pub log_resident_pages: u64,
 }
 
+/// The Prometheus type of a series family.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Monotone over the server's life.
+    Counter,
+    /// Sampled at scrape time.
+    Gauge,
+    /// `_bucket`/`_sum`/`_count` over [`LATENCY_BUCKETS_US`].
+    Histogram,
+}
+use Kind::{Counter, Gauge};
+
+impl Kind {
+    /// The word on the family's `# TYPE` line.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Counter => "counter",
+            Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        }
+    }
+}
+
+/// Where a family's samples come from at scrape time.
+#[derive(Clone, Copy)]
+enum Read {
+    /// One unlabelled sample, printed as it is exposed (integers, and
+    /// the hit ratios in Rust's shortest round-trip float form).
+    One(fn(&Metrics, &Sample) -> String),
+    /// One sample per label set, each `key="value"[,key="value"]`.
+    Many(fn(&Metrics, &Sample) -> Vec<(String, String)>),
+    /// One histogram per value of the named label; silent ones are
+    /// skipped.
+    Histograms(
+        &'static str,
+        fn(&Metrics) -> Vec<(&'static str, &Histogram)>,
+    ),
+}
+use Read::{Histograms, Many, One};
+
+/// One series family of the exposition.
+pub struct Series {
+    /// The family name (`prix_*`), exactly as scraped.
+    pub name: &'static str,
+    /// Its Prometheus type.
+    pub kind: Kind,
+    /// The text of its `# HELP` line.
+    pub help: &'static str,
+    read: Read,
+}
+
+/// `key="label"` samples, in the order given.
+fn labelled<'a, V: ToString>(
+    key: &str,
+    samples: impl Iterator<Item = (&'a str, V)>,
+) -> Vec<(String, String)> {
+    samples
+        .map(|(label, v)| (format!("{key}=\"{label}\""), v.to_string()))
+        .collect()
+}
+
+/// One sample per query cache, labelled `cache`.
+fn per_cache<V: ToString>(s: &Sample, f: fn(&CacheSnapshot) -> V) -> Vec<(String, String)> {
+    let caches = [("plan", &s.plan_cache), ("result", &s.result_cache)];
+    labelled("cache", caches.into_iter().map(|(name, c)| (name, f(c))))
+}
+
+/// Every series `GET /metrics` exposes, in exposition order: the single
+/// declaration site of a series. Names, types and help text are a
+/// dashboard contract (and `prixbench` scrapes some by name); every
+/// family renders on every scrape, as zeros when idle, except that a
+/// histogram without observations emits no sample lines. README.md's
+/// `/metrics` table carries one row per entry.
+#[rustfmt::skip]
+pub const SERIES: &[Series] = &[
+    Series { name: "prix_http_requests_total", kind: Counter, read: Many(|m, _| m.request_samples()),
+        help: "Requests served, by endpoint and status code." },
+    Series { name: "prix_http_rejected_total", kind: Counter, read: One(|m, _| m.rejected().to_string()),
+        help: "Connections refused with 503 by admission control." },
+    Series { name: "prix_http_connections_active", kind: Gauge, read: One(|m, _| load(&m.active).to_string()),
+        help: "Connections currently being handled." },
+    Series { name: "prix_http_queue_depth", kind: Gauge, read: One(|_, s| s.queue_depth.to_string()),
+        help: "Connections waiting in the worker queue." },
+    Series { name: "prix_http_request_duration_seconds", kind: Kind::Histogram,
+        read: Histograms("endpoint", |m| Endpoint::ALL.iter().map(|e| e.label()).zip(&m.latency).collect()),
+        help: "Request latency, by endpoint." },
+    Series { name: "prix_query_stage_duration_seconds", kind: Kind::Histogram,
+        read: Histograms("stage", |m| Stage::ALL.iter().map(|s| s.label()).zip(&m.stage).collect()),
+        help: "Executor stage wall clock per query, by pipeline stage." },
+    Series { name: "prix_engine_epoch", kind: Gauge, read: One(|_, s| s.epoch.to_string()),
+        help: "The currently published snapshot epoch (advances once per ingest batch)." },
+    Series { name: "prix_engine_pinned_epochs", kind: Gauge, read: One(|_, s| s.pinned_epochs.to_string()),
+        help: "Reader pins currently holding an epoch open, across the live and all retired buffer pools." },
+    Series { name: "prix_engine_pinned_oldest_lag", kind: Gauge, read: One(|_, s| s.pinned_oldest_lag.to_string()),
+        help: "Epochs between the published epoch and the oldest pinned reader (0 when nothing is pinned)." },
+    Series { name: "prix_engine_generation", kind: Gauge, read: One(|_, s| s.generation.to_string()),
+        help: "Segment generation of the published manifest (0 = never segmented)." },
+    Series { name: "prix_segment_tiers", kind: Gauge, read: One(|_, s| s.segment_tiers.to_string()),
+        help: "Immutable segment tiers currently serving reads." },
+    Series { name: "prix_segment_docs", kind: Gauge, read: One(|_, s| s.segment_docs.to_string()),
+        help: "Documents served from immutable segments." },
+    Series { name: "prix_engine_mutable_docs", kind: Gauge, read: One(|_, s| s.mutable_docs.to_string()),
+        help: "Documents in the mutable delta (what a compaction would fold into a segment)." },
+    Series { name: "prix_segment_block_reads_total", kind: Counter, read: One(|_, s| s.seg_block_reads.to_string()),
+        help: "Segment blocks served (cache hits + fetches)." },
+    Series { name: "prix_segment_block_fetches_total", kind: Counter, read: One(|_, s| s.seg_block_fetches.to_string()),
+        help: "Segment blocks read from disk." },
+    Series { name: "prix_compactions_total", kind: Counter, read: One(|m, _| load(&m.compactions).to_string()),
+        help: "Compactions published (mutable delta folded into a segment)." },
+    Series { name: "prix_planner_engine_chosen_total", kind: Counter,
+        read: Many(|m, _| labelled("engine", EngineId::ALL.iter().map(|id| id.label()).zip(m.planner_chosen.iter().map(load)))),
+        help: "Routed queries executed, by the engine the cost-based planner chose." },
+    Series { name: "prix_planner_mispredict_total", kind: Counter, read: One(|m, _| load(&m.planner_mispredict).to_string()),
+        help: "Routed queries whose observed latency exceeded the planner's estimate by the misprediction factor." },
+    Series { name: "prix_valix_probes_total", kind: Counter, read: One(|m, _| load(&m.valix_probes).to_string()),
+        help: "Value-index probes issued by predicate queries." },
+    Series { name: "prix_valix_postings_total", kind: Counter, read: One(|m, _| load(&m.valix_postings).to_string()),
+        help: "Value-index postings scanned across all probes." },
+    Series { name: "prix_valix_pred_skipped_total", kind: Counter, read: One(|m, _| load(&m.valix_pred_skipped).to_string()),
+        help: "Structural candidates skipped by the value-index pre-filter before refinement." },
+    Series { name: "prix_valix_pred_rejected_total", kind: Counter, read: One(|m, _| load(&m.valix_pred_rejected).to_string()),
+        help: "Refined matches rejected by positional predicate verification." },
+    Series { name: "prix_ingest_documents_total", kind: Counter, read: One(|m, _| load(&m.ingest_documents).to_string()),
+        help: "Documents accepted and published by POST /documents." },
+    Series { name: "prix_ingest_batches_total", kind: Counter, read: One(|m, _| load(&m.ingest_batches).to_string()),
+        help: "Ingest batches processed by the writer." },
+    Series { name: "prix_ingest_rejected_total", kind: Counter, read: One(|m, _| load(&m.ingest_rejected).to_string()),
+        help: "Documents refused by validation plus ingest requests shed while the writer was busy." },
+    Series { name: "prix_cache_hits_total", kind: Counter, read: Many(|_, s| per_cache(s, |c| c.hits)),
+        help: "Cache lookups answered from the cache, by cache." },
+    Series { name: "prix_cache_misses_total", kind: Counter, read: Many(|_, s| per_cache(s, |c| c.misses)),
+        help: "Cache lookups that fell through to a live evaluation, by cache." },
+    Series { name: "prix_cache_evictions_total", kind: Counter, read: Many(|_, s| per_cache(s, |c| c.evictions)),
+        help: "Entries removed by LRU pressure or epoch purges, by cache." },
+    Series { name: "prix_cache_hit_ratio", kind: Gauge, read: Many(|_, s| per_cache(s, |c| c.hit_ratio())),
+        help: "Lifetime cache hit ratio in [0,1], by cache." },
+    Series { name: "prix_cache_entries", kind: Gauge, read: Many(|_, s| per_cache(s, |c| c.entries)),
+        help: "Entries currently resident, by cache." },
+    Series { name: "prix_bufferpool_logical_reads_total", kind: Counter, read: One(|_, s| s.io.logical_reads.to_string()),
+        help: "Pages requested from the buffer pool." },
+    Series { name: "prix_bufferpool_physical_reads_total", kind: Counter, read: One(|_, s| s.io.physical_reads.to_string()),
+        help: "Pages read from disk (the paper's Disk IO)." },
+    Series { name: "prix_bufferpool_physical_writes_total", kind: Counter, read: One(|_, s| s.io.physical_writes.to_string()),
+        help: "Pages written back to disk." },
+    Series { name: "prix_bufferpool_fsyncs_total", kind: Counter, read: One(|_, s| s.io.fsyncs.to_string()),
+        help: "fsync barriers issued: one per WAL group commit, four per checkpoint (page file, sidecar, epoch advance, log truncation)." },
+    Series { name: "prix_bufferpool_wal_appends_total", kind: Counter, read: One(|_, s| s.io.wal_appends.to_string()),
+        help: "Page images appended to the write-ahead log (spills + commits)." },
+    Series { name: "prix_checkpoints_total", kind: Counter, read: One(|_, s| s.io.checkpoints.to_string()),
+        help: "Checkpoints completed (log-resident pages written to the page file, log truncated)." },
+    Series { name: "prix_wal_bytes", kind: Gauge, read: One(|_, s| s.wal_bytes.to_string()),
+        help: "Current length of the write-ahead log in bytes (what a crash now would replay)." },
+    Series { name: "prix_bufferpool_log_resident_pages", kind: Gauge, read: One(|_, s| s.log_resident_pages.to_string()),
+        help: "Pages whose latest image is in the write-ahead log, awaiting the next checkpoint." },
+    Series { name: "prix_bufferpool_flush_errors_total", kind: Counter, read: One(|_, s| s.io.flush_errors.to_string()),
+        help: "Buffer-pool flushes that failed (including during drop)." },
+    Series { name: "prix_recovery_unclean_shutdown", kind: Gauge, read: One(|_, s| u64::from(s.recovery.unclean_shutdown).to_string()),
+        help: "1 if the database was opened after an unclean shutdown." },
+    Series { name: "prix_recovery_replayed_frames", kind: Gauge, read: One(|_, s| s.recovery.replayed_frames.to_string()),
+        help: "WAL frames replayed when the database was opened." },
+    Series { name: "prix_recovery_replayed_pages", kind: Gauge, read: One(|_, s| s.recovery.replayed_pages.to_string()),
+        help: "Distinct pages restored by recovery when the database was opened." },
+    Series { name: "prix_recovery_wal_bytes", kind: Gauge, read: One(|_, s| s.recovery.wal_bytes.to_string()),
+        help: "Write-ahead-log bytes scanned by recovery when the database was opened." },
+    Series { name: "prix_bufferpool_hit_ratio", kind: Gauge, read: One(|_, s| s.io.hit_ratio().to_string()),
+        help: "Lifetime buffer-pool hit ratio in [0,1]." },
+    Series { name: "prix_bufferpool_resident_pages", kind: Gauge, read: One(|_, s| s.resident.to_string()),
+        help: "Pages currently cached." },
+    Series { name: "prix_bufferpool_capacity_pages", kind: Gauge, read: One(|_, s| s.capacity.to_string()),
+        help: "Configured buffer-pool capacity." },
+];
+
 /// The server's metric registry. One instance lives in the shared
 /// server state; every handler records into it.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// `(endpoint, status) -> requests`. Status cardinality is tiny
-    /// (the server emits ~8 distinct codes), so a locked Vec is fine.
-    requests: Mutex<Vec<(usize, u16, u64)>>,
+    /// `(endpoint, status) -> requests`, in exposition order. Status
+    /// cardinality is tiny (the server emits ~8 distinct codes), so one
+    /// locked map is fine.
+    requests: Mutex<BTreeMap<(usize, u16), u64>>,
     latency: [Histogram; Endpoint::ALL.len()],
     /// Per-stage executor timings (`filter` / `refine` / `project`),
     /// one observation per executed query.
@@ -214,15 +430,14 @@ impl Metrics {
         Self::default()
     }
 
+    fn requests(&self) -> MutexGuard<'_, BTreeMap<(usize, u16), u64>> {
+        self.requests.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     /// Records one finished request.
     pub fn record(&self, endpoint: Endpoint, status: u16, elapsed: Duration) {
-        let mut table = self.requests.lock().unwrap_or_else(|e| e.into_inner());
         let idx = endpoint.index();
-        match table.iter_mut().find(|(e, s, _)| *e == idx && *s == status) {
-            Some((_, _, n)) => *n += 1,
-            None => table.push((idx, status, 1)),
-        }
-        drop(table);
+        *self.requests().entry((idx, status)).or_insert(0) += 1;
         self.latency[idx].observe(elapsed);
     }
 
@@ -239,7 +454,7 @@ impl Metrics {
 
     /// Total rejections so far.
     pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
+        load(&self.rejected)
     }
 
     /// Records one ingest batch that reached the writer: `accepted`
@@ -257,22 +472,6 @@ impl Metrics {
         self.ingest_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Documents accepted so far (for tests).
-    pub fn ingest_documents(&self) -> u64 {
-        self.ingest_documents.load(Ordering::Relaxed)
-    }
-
-    /// Ingest batches processed so far (for tests).
-    pub fn ingest_batches(&self) -> u64 {
-        self.ingest_batches.load(Ordering::Relaxed)
-    }
-
-    /// Documents/requests refused so far (for tests).
-    pub fn ingest_rejected(&self) -> u64 {
-        self.ingest_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Records one published compaction.
     /// Records one routed query execution: which engine the planner
     /// chose, and whether the estimate turned out badly wrong.
     pub fn record_planner(&self, chosen: EngineId, mispredicted: bool) {
@@ -282,6 +481,7 @@ impl Metrics {
         }
     }
 
+    /// Records one published compaction.
     pub fn record_compaction(&self) {
         self.compactions.fetch_add(1, Ordering::Relaxed);
     }
@@ -297,11 +497,6 @@ impl Metrics {
             .fetch_add(rejected, Ordering::Relaxed);
     }
 
-    /// Compactions published so far (for tests).
-    pub fn compactions(&self) -> u64 {
-        self.compactions.load(Ordering::Relaxed)
-    }
-
     /// Marks a connection as being handled; decremented by the guard.
     pub fn connection_opened(&self) {
         self.active.fetch_add(1, Ordering::Relaxed);
@@ -314,383 +509,42 @@ impl Metrics {
 
     /// Requests recorded for `(endpoint, status)` (for tests).
     pub fn requests_for(&self, endpoint: Endpoint, status: u16) -> u64 {
-        let table = self.requests.lock().unwrap_or_else(|e| e.into_inner());
-        let idx = endpoint.index();
-        table
-            .iter()
-            .find(|(e, s, _)| *e == idx && *s == status)
-            .map(|(_, _, n)| *n)
-            .unwrap_or(0)
+        let key = (endpoint.index(), status);
+        self.requests().get(&key).copied().unwrap_or(0)
     }
 
-    /// Renders the Prometheus text exposition (format 0.0.4).
-    ///
-    /// `io` is the engine buffer pool's lifetime counter snapshot;
-    /// `resident`/`capacity` describe its current occupancy;
-    /// `queue_depth` is the HTTP work queue's current length;
-    /// `recovery` is what crash recovery did when the database was
-    /// opened (`None` for an engine built in this process — the series
-    /// still render, as zeros, so dashboards never see a metric
-    /// vanish); `epoch` is
-    /// the currently published snapshot epoch; `plan_cache` /
-    /// `result_cache` are the query caches' counter snapshots;
-    /// `engine` is the segment/pin gauge sample.
-    #[allow(clippy::too_many_arguments)]
-    pub fn render(
-        &self,
-        io: IoSnapshot,
-        resident: usize,
-        capacity: usize,
-        queue_depth: usize,
-        recovery: Option<RecoveryReport>,
-        epoch: u64,
-        plan_cache: CacheSnapshot,
-        result_cache: CacheSnapshot,
-        engine: EngineGauges,
-    ) -> String {
-        let mut out = String::with_capacity(4096);
-
-        out.push_str(
-            "# HELP prix_http_requests_total Requests served, by endpoint and status code.\n",
-        );
-        out.push_str("# TYPE prix_http_requests_total counter\n");
-        let mut table = {
-            let t = self.requests.lock().unwrap_or_else(|e| e.into_inner());
-            t.clone()
+    /// The request table as `endpoint`/`code` samples.
+    fn request_samples(&self) -> Vec<(String, String)> {
+        let sample = |(&(idx, status), n): (&(usize, u16), &u64)| {
+            let endpoint = Endpoint::ALL[idx].label();
+            let labels = format!("endpoint=\"{endpoint}\",code=\"{status}\"");
+            (labels, n.to_string())
         };
-        table.sort();
-        for (idx, status, n) in &table {
-            out.push_str(&format!(
-                "prix_http_requests_total{{endpoint={},code=\"{status}\"}} {n}\n",
-                escape(Endpoint::ALL[*idx].label()),
-            ));
-        }
+        self.requests().iter().map(sample).collect()
+    }
 
-        out.push_str(
-            "# HELP prix_http_rejected_total Connections refused with 503 by admission control.\n",
-        );
-        out.push_str("# TYPE prix_http_rejected_total counter\n");
-        out.push_str(&format!("prix_http_rejected_total {}\n", self.rejected()));
-
-        out.push_str("# HELP prix_http_connections_active Connections currently being handled.\n");
-        out.push_str("# TYPE prix_http_connections_active gauge\n");
-        out.push_str(&format!(
-            "prix_http_connections_active {}\n",
-            self.active.load(Ordering::Relaxed)
-        ));
-
-        out.push_str("# HELP prix_http_queue_depth Connections waiting in the worker queue.\n");
-        out.push_str("# TYPE prix_http_queue_depth gauge\n");
-        out.push_str(&format!("prix_http_queue_depth {queue_depth}\n"));
-
-        out.push_str("# HELP prix_http_request_duration_seconds Request latency, by endpoint.\n");
-        out.push_str("# TYPE prix_http_request_duration_seconds histogram\n");
-        for ep in Endpoint::ALL {
-            let h = &self.latency[ep.index()];
-            if h.total() == 0 {
-                continue;
+    /// Renders the Prometheus text exposition (format 0.0.4): every
+    /// [`SERIES`] entry's `# HELP` and `# TYPE` lines, then its samples.
+    pub fn render(&self, sample: &Sample) -> String {
+        let mut out = String::with_capacity(4096);
+        for series in SERIES {
+            let (name, kind) = (series.name, series.kind.as_str());
+            let help = series.help;
+            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+            match series.read {
+                One(f) => out.push_str(&format!("{name} {}\n", f(self, sample))),
+                Many(f) => {
+                    for (labels, v) in f(self, sample) {
+                        out.push_str(&format!("{name}{{{labels}}} {v}\n"));
+                    }
+                }
+                Histograms(key, f) => {
+                    for (label, h) in f(self) {
+                        h.render(&mut out, name, &format!("{key}=\"{label}\""));
+                    }
+                }
             }
-            let label = escape(ep.label());
-            let mut cum = 0u64;
-            for (i, &bound_us) in LATENCY_BUCKETS_US.iter().enumerate() {
-                cum += h.counts[i].load(Ordering::Relaxed);
-                out.push_str(&format!(
-                    "prix_http_request_duration_seconds_bucket{{endpoint={label},le=\"{}\"}} {cum}\n",
-                    bound_us as f64 / 1e6
-                ));
-            }
-            cum += h.counts[LATENCY_BUCKETS_US.len()].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "prix_http_request_duration_seconds_bucket{{endpoint={label},le=\"+Inf\"}} {cum}\n"
-            ));
-            out.push_str(&format!(
-                "prix_http_request_duration_seconds_sum{{endpoint={label}}} {}\n",
-                h.sum_us.load(Ordering::Relaxed) as f64 / 1e6
-            ));
-            out.push_str(&format!(
-                "prix_http_request_duration_seconds_count{{endpoint={label}}} {cum}\n"
-            ));
         }
-
-        out.push_str("# HELP prix_query_stage_duration_seconds Executor stage wall clock per query, by pipeline stage.\n");
-        out.push_str("# TYPE prix_query_stage_duration_seconds histogram\n");
-        for st in Stage::ALL {
-            let h = &self.stage[st.index()];
-            if h.total() == 0 {
-                continue;
-            }
-            let label = escape(st.label());
-            let mut cum = 0u64;
-            for (i, &bound_us) in LATENCY_BUCKETS_US.iter().enumerate() {
-                cum += h.counts[i].load(Ordering::Relaxed);
-                out.push_str(&format!(
-                    "prix_query_stage_duration_seconds_bucket{{stage={label},le=\"{}\"}} {cum}\n",
-                    bound_us as f64 / 1e6
-                ));
-            }
-            cum += h.counts[LATENCY_BUCKETS_US.len()].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "prix_query_stage_duration_seconds_bucket{{stage={label},le=\"+Inf\"}} {cum}\n"
-            ));
-            out.push_str(&format!(
-                "prix_query_stage_duration_seconds_sum{{stage={label}}} {}\n",
-                h.sum_us.load(Ordering::Relaxed) as f64 / 1e6
-            ));
-            out.push_str(&format!(
-                "prix_query_stage_duration_seconds_count{{stage={label}}} {cum}\n"
-            ));
-        }
-
-        out.push_str("# HELP prix_engine_epoch The currently published snapshot epoch (advances once per ingest batch).\n");
-        out.push_str("# TYPE prix_engine_epoch gauge\n");
-        out.push_str(&format!("prix_engine_epoch {epoch}\n"));
-
-        // Segment lifecycle. Exact names are a dashboard contract:
-        // the pin gauges say how many reader snapshots are holding an
-        // epoch (and, after a compaction, its retired buffer pool)
-        // alive, and how far the slowest one lags the published epoch.
-        out.push_str("# HELP prix_engine_pinned_epochs Reader pins currently holding an epoch open, across the live and all retired buffer pools.\n");
-        out.push_str("# TYPE prix_engine_pinned_epochs gauge\n");
-        out.push_str(&format!(
-            "prix_engine_pinned_epochs {}\n",
-            engine.pinned_epochs
-        ));
-        out.push_str("# HELP prix_engine_pinned_oldest_lag Epochs between the published epoch and the oldest pinned reader (0 when nothing is pinned).\n");
-        out.push_str("# TYPE prix_engine_pinned_oldest_lag gauge\n");
-        out.push_str(&format!(
-            "prix_engine_pinned_oldest_lag {}\n",
-            engine.pinned_oldest_lag
-        ));
-        out.push_str("# HELP prix_engine_generation Segment generation of the published manifest (0 = never segmented).\n");
-        out.push_str("# TYPE prix_engine_generation gauge\n");
-        out.push_str(&format!("prix_engine_generation {}\n", engine.generation));
-        out.push_str(
-            "# HELP prix_segment_tiers Immutable segment tiers currently serving reads.\n",
-        );
-        out.push_str("# TYPE prix_segment_tiers gauge\n");
-        out.push_str(&format!("prix_segment_tiers {}\n", engine.segment_tiers));
-        out.push_str("# HELP prix_segment_docs Documents served from immutable segments.\n");
-        out.push_str("# TYPE prix_segment_docs gauge\n");
-        out.push_str(&format!("prix_segment_docs {}\n", engine.segment_docs));
-        out.push_str("# HELP prix_engine_mutable_docs Documents in the mutable delta (what a compaction would fold into a segment).\n");
-        out.push_str("# TYPE prix_engine_mutable_docs gauge\n");
-        out.push_str(&format!(
-            "prix_engine_mutable_docs {}\n",
-            engine.mutable_docs
-        ));
-        out.push_str(
-            "# HELP prix_segment_block_reads_total Segment blocks served (cache hits + fetches).\n",
-        );
-        out.push_str("# TYPE prix_segment_block_reads_total counter\n");
-        out.push_str(&format!(
-            "prix_segment_block_reads_total {}\n",
-            engine.seg_block_reads
-        ));
-        out.push_str("# HELP prix_segment_block_fetches_total Segment blocks read from disk.\n");
-        out.push_str("# TYPE prix_segment_block_fetches_total counter\n");
-        out.push_str(&format!(
-            "prix_segment_block_fetches_total {}\n",
-            engine.seg_block_fetches
-        ));
-        out.push_str("# HELP prix_compactions_total Compactions published (mutable delta folded into a segment).\n");
-        out.push_str("# TYPE prix_compactions_total counter\n");
-        out.push_str(&format!("prix_compactions_total {}\n", self.compactions()));
-
-        // Planner routing. Exact names are a dashboard contract:
-        // every engine renders (as zero when never chosen) so a
-        // dashboard never sees a series vanish.
-        out.push_str("# HELP prix_planner_engine_chosen_total Routed queries executed, by the engine the cost-based planner chose.\n");
-        out.push_str("# TYPE prix_planner_engine_chosen_total counter\n");
-        for id in EngineId::ALL {
-            out.push_str(&format!(
-                "prix_planner_engine_chosen_total{{engine=\"{}\"}} {}\n",
-                id.label(),
-                self.planner_chosen[id.index()].load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str("# HELP prix_planner_mispredict_total Routed queries whose observed latency exceeded the planner's estimate by the misprediction factor.\n");
-        out.push_str("# TYPE prix_planner_mispredict_total counter\n");
-        out.push_str(&format!(
-            "prix_planner_mispredict_total {}\n",
-            self.planner_mispredict.load(Ordering::Relaxed)
-        ));
-
-        // The value-predicate secondary index. Exact names are a
-        // dashboard contract; all four render as zeros on databases
-        // that never see a predicate query.
-        out.push_str(
-            "# HELP prix_valix_probes_total Value-index probes issued by predicate queries.\n",
-        );
-        out.push_str("# TYPE prix_valix_probes_total counter\n");
-        out.push_str(&format!(
-            "prix_valix_probes_total {}\n",
-            self.valix_probes.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP prix_valix_postings_total Value-index postings scanned across all probes.\n",
-        );
-        out.push_str("# TYPE prix_valix_postings_total counter\n");
-        out.push_str(&format!(
-            "prix_valix_postings_total {}\n",
-            self.valix_postings.load(Ordering::Relaxed)
-        ));
-        out.push_str("# HELP prix_valix_pred_skipped_total Structural candidates skipped by the value-index pre-filter before refinement.\n");
-        out.push_str("# TYPE prix_valix_pred_skipped_total counter\n");
-        out.push_str(&format!(
-            "prix_valix_pred_skipped_total {}\n",
-            self.valix_pred_skipped.load(Ordering::Relaxed)
-        ));
-        out.push_str("# HELP prix_valix_pred_rejected_total Refined matches rejected by positional predicate verification.\n");
-        out.push_str("# TYPE prix_valix_pred_rejected_total counter\n");
-        out.push_str(&format!(
-            "prix_valix_pred_rejected_total {}\n",
-            self.valix_pred_rejected.load(Ordering::Relaxed)
-        ));
-
-        out.push_str("# HELP prix_ingest_documents_total Documents accepted and published by POST /documents.\n");
-        out.push_str("# TYPE prix_ingest_documents_total counter\n");
-        out.push_str(&format!(
-            "prix_ingest_documents_total {}\n",
-            self.ingest_documents()
-        ));
-        out.push_str("# HELP prix_ingest_batches_total Ingest batches processed by the writer.\n");
-        out.push_str("# TYPE prix_ingest_batches_total counter\n");
-        out.push_str(&format!(
-            "prix_ingest_batches_total {}\n",
-            self.ingest_batches()
-        ));
-        out.push_str("# HELP prix_ingest_rejected_total Documents refused by validation plus ingest requests shed while the writer was busy.\n");
-        out.push_str("# TYPE prix_ingest_rejected_total counter\n");
-        out.push_str(&format!(
-            "prix_ingest_rejected_total {}\n",
-            self.ingest_rejected()
-        ));
-
-        // The query caches. Exact names are a dashboard contract:
-        // prix_cache_{hits,misses,evictions}_total{cache=...} plus the
-        // derived hit-ratio and occupancy gauges.
-        let caches = [("plan", plan_cache), ("result", result_cache)];
-        out.push_str(
-            "# HELP prix_cache_hits_total Cache lookups answered from the cache, by cache.\n",
-        );
-        out.push_str("# TYPE prix_cache_hits_total counter\n");
-        for (name, c) in &caches {
-            out.push_str(&format!(
-                "prix_cache_hits_total{{cache=\"{name}\"}} {}\n",
-                c.hits
-            ));
-        }
-        out.push_str("# HELP prix_cache_misses_total Cache lookups that fell through to a live evaluation, by cache.\n");
-        out.push_str("# TYPE prix_cache_misses_total counter\n");
-        for (name, c) in &caches {
-            out.push_str(&format!(
-                "prix_cache_misses_total{{cache=\"{name}\"}} {}\n",
-                c.misses
-            ));
-        }
-        out.push_str("# HELP prix_cache_evictions_total Entries removed by LRU pressure or epoch purges, by cache.\n");
-        out.push_str("# TYPE prix_cache_evictions_total counter\n");
-        for (name, c) in &caches {
-            out.push_str(&format!(
-                "prix_cache_evictions_total{{cache=\"{name}\"}} {}\n",
-                c.evictions
-            ));
-        }
-        out.push_str("# HELP prix_cache_hit_ratio Lifetime cache hit ratio in [0,1], by cache.\n");
-        out.push_str("# TYPE prix_cache_hit_ratio gauge\n");
-        for (name, c) in &caches {
-            out.push_str(&format!(
-                "prix_cache_hit_ratio{{cache=\"{name}\"}} {}\n",
-                c.hit_ratio()
-            ));
-        }
-        out.push_str("# HELP prix_cache_entries Entries currently resident, by cache.\n");
-        out.push_str("# TYPE prix_cache_entries gauge\n");
-        for (name, c) in &caches {
-            out.push_str(&format!(
-                "prix_cache_entries{{cache=\"{name}\"}} {}\n",
-                c.entries
-            ));
-        }
-
-        out.push_str(
-            "# HELP prix_bufferpool_logical_reads_total Pages requested from the buffer pool.\n",
-        );
-        out.push_str("# TYPE prix_bufferpool_logical_reads_total counter\n");
-        out.push_str(&format!(
-            "prix_bufferpool_logical_reads_total {}\n",
-            io.logical_reads
-        ));
-        out.push_str("# HELP prix_bufferpool_physical_reads_total Pages read from disk (the paper's Disk IO).\n");
-        out.push_str("# TYPE prix_bufferpool_physical_reads_total counter\n");
-        out.push_str(&format!(
-            "prix_bufferpool_physical_reads_total {}\n",
-            io.physical_reads
-        ));
-        out.push_str("# HELP prix_bufferpool_physical_writes_total Pages written back to disk.\n");
-        out.push_str("# TYPE prix_bufferpool_physical_writes_total counter\n");
-        out.push_str(&format!(
-            "prix_bufferpool_physical_writes_total {}\n",
-            io.physical_writes
-        ));
-        out.push_str("# HELP prix_bufferpool_fsyncs_total fsync barriers issued: one per WAL group commit, four per checkpoint (page file, sidecar, epoch advance, log truncation).\n");
-        out.push_str("# TYPE prix_bufferpool_fsyncs_total counter\n");
-        out.push_str(&format!("prix_bufferpool_fsyncs_total {}\n", io.fsyncs));
-        out.push_str("# HELP prix_bufferpool_wal_appends_total Page images appended to the write-ahead log (spills + commits).\n");
-        out.push_str("# TYPE prix_bufferpool_wal_appends_total counter\n");
-        out.push_str(&format!(
-            "prix_bufferpool_wal_appends_total {}\n",
-            io.wal_appends
-        ));
-        out.push_str("# HELP prix_checkpoints_total Checkpoints completed (log-resident pages written to the page file, log truncated).\n");
-        out.push_str("# TYPE prix_checkpoints_total counter\n");
-        out.push_str(&format!("prix_checkpoints_total {}\n", io.checkpoints));
-        out.push_str("# HELP prix_wal_bytes Current length of the write-ahead log in bytes (what a crash now would replay).\n");
-        out.push_str("# TYPE prix_wal_bytes gauge\n");
-        out.push_str(&format!("prix_wal_bytes {}\n", engine.wal_bytes));
-        out.push_str("# HELP prix_bufferpool_log_resident_pages Pages whose latest image is in the write-ahead log, awaiting the next checkpoint.\n");
-        out.push_str("# TYPE prix_bufferpool_log_resident_pages gauge\n");
-        out.push_str(&format!(
-            "prix_bufferpool_log_resident_pages {}\n",
-            engine.log_resident_pages
-        ));
-        out.push_str("# HELP prix_bufferpool_flush_errors_total Buffer-pool flushes that failed (including during drop).\n");
-        out.push_str("# TYPE prix_bufferpool_flush_errors_total counter\n");
-        out.push_str(&format!(
-            "prix_bufferpool_flush_errors_total {}\n",
-            io.flush_errors
-        ));
-        let rec = recovery.unwrap_or_default();
-        out.push_str("# HELP prix_recovery_unclean_shutdown 1 if the database was opened after an unclean shutdown.\n");
-        out.push_str("# TYPE prix_recovery_unclean_shutdown gauge\n");
-        out.push_str(&format!(
-            "prix_recovery_unclean_shutdown {}\n",
-            u64::from(rec.unclean_shutdown)
-        ));
-        out.push_str("# HELP prix_recovery_replayed_frames WAL frames replayed when the database was opened.\n");
-        out.push_str("# TYPE prix_recovery_replayed_frames gauge\n");
-        out.push_str(&format!(
-            "prix_recovery_replayed_frames {}\n",
-            rec.replayed_frames
-        ));
-        out.push_str("# HELP prix_recovery_replayed_pages Distinct pages restored by recovery when the database was opened.\n");
-        out.push_str("# TYPE prix_recovery_replayed_pages gauge\n");
-        out.push_str(&format!(
-            "prix_recovery_replayed_pages {}\n",
-            rec.replayed_pages
-        ));
-        out.push_str("# HELP prix_recovery_wal_bytes Write-ahead-log bytes scanned by recovery when the database was opened.\n");
-        out.push_str("# TYPE prix_recovery_wal_bytes gauge\n");
-        out.push_str(&format!("prix_recovery_wal_bytes {}\n", rec.wal_bytes));
-        out.push_str("# HELP prix_bufferpool_hit_ratio Lifetime buffer-pool hit ratio in [0,1].\n");
-        out.push_str("# TYPE prix_bufferpool_hit_ratio gauge\n");
-        out.push_str(&format!("prix_bufferpool_hit_ratio {}\n", io.hit_ratio()));
-        out.push_str("# HELP prix_bufferpool_resident_pages Pages currently cached.\n");
-        out.push_str("# TYPE prix_bufferpool_resident_pages gauge\n");
-        out.push_str(&format!("prix_bufferpool_resident_pages {resident}\n"));
-        out.push_str("# HELP prix_bufferpool_capacity_pages Configured buffer-pool capacity.\n");
-        out.push_str("# TYPE prix_bufferpool_capacity_pages gauge\n");
-        out.push_str(&format!("prix_bufferpool_capacity_pages {capacity}\n"));
         out
     }
 }
@@ -698,330 +552,206 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
-    #[test]
-    fn records_and_renders_counters() {
+    /// Source files of `dir` (relative to the workspace root), as text.
+    fn sources(dir: &str) -> Vec<(String, String)> {
+        let dir = format!("{}/../../{dir}", env!("CARGO_MANIFEST_DIR"));
+        let mut files: Vec<(String, String)> = std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("{dir}: {e}"))
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+            .map(|path| {
+                let text = std::fs::read_to_string(&path).unwrap();
+                (path.display().to_string(), text)
+            })
+            .collect();
+        files.sort();
+        assert!(!files.is_empty(), "no sources under {dir}");
+        files
+    }
+
+    /// Every `prix_*` token of `text` that `keep` accepts the preceding
+    /// character of.
+    fn prix_tokens(text: &str, keep: fn(Option<char>) -> bool) -> Vec<&str> {
+        text.match_indices("prix_")
+            .filter(|&(at, _)| keep(text[..at].chars().next_back()))
+            .map(|(at, _)| {
+                let word = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
+                let len = text[at..].find(|c| !word(c)).unwrap_or(text.len() - at);
+                &text[at..at + len]
+            })
+            .collect()
+    }
+
+    /// The fixed state the golden exposition was rendered from: every
+    /// recorder called, every rendered `Sample` field non-zero, two
+    /// endpoints with two status codes each, all five engines.
+    fn golden_state() -> (Metrics, Sample) {
         let m = Metrics::new();
         m.record(Endpoint::Query, 200, Duration::from_micros(300));
         m.record(Endpoint::Query, 200, Duration::from_micros(700));
         m.record(Endpoint::Query, 400, Duration::from_micros(50));
+        m.record(Endpoint::Documents, 200, Duration::from_millis(12));
+        m.record(Endpoint::Documents, 503, Duration::from_secs(10));
+        m.record_stage(Stage::Filter, Duration::from_micros(180));
+        m.record_stage(Stage::Refine, Duration::from_micros(2_500));
+        m.record_stage(Stage::Project, Duration::from_micros(40));
         m.record_rejected();
-        assert_eq!(m.requests_for(Endpoint::Query, 200), 2);
-        assert_eq!(m.requests_for(Endpoint::Query, 400), 1);
-        assert_eq!(m.requests_for(Endpoint::Batch, 200), 0);
-
-        let text = m.render(
-            IoSnapshot::default(),
-            3,
-            16,
-            0,
-            None,
-            0,
-            CacheSnapshot::default(),
-            CacheSnapshot::default(),
-            EngineGauges::default(),
-        );
-        assert!(
-            text.contains(r#"prix_http_requests_total{endpoint="query",code="200"} 2"#),
-            "{text}"
-        );
-        assert!(
-            text.contains(r#"prix_http_requests_total{endpoint="query",code="400"} 1"#),
-            "{text}"
-        );
-        assert!(text.contains("prix_http_rejected_total 1"), "{text}");
-        assert!(text.contains("prix_bufferpool_hit_ratio 1"), "{text}");
-        assert!(text.contains("prix_bufferpool_resident_pages 3"), "{text}");
-        assert!(text.contains("prix_bufferpool_capacity_pages 16"), "{text}");
-    }
-
-    #[test]
-    fn histogram_buckets_are_cumulative_and_end_at_inf() {
-        let m = Metrics::new();
-        // 300 µs lands in the 500 µs bucket; 10 s overflows into +Inf.
-        m.record(Endpoint::Query, 200, Duration::from_micros(300));
-        m.record(Endpoint::Query, 200, Duration::from_secs(10));
-        let text = m.render(
-            IoSnapshot::default(),
-            0,
-            0,
-            0,
-            None,
-            0,
-            CacheSnapshot::default(),
-            CacheSnapshot::default(),
-            EngineGauges::default(),
-        );
-        assert!(
-            text.contains(r#"bucket{endpoint="query",le="0.00025"} 0"#),
-            "{text}"
-        );
-        assert!(
-            text.contains(r#"bucket{endpoint="query",le="0.0005"} 1"#),
-            "{text}"
-        );
-        assert!(
-            text.contains(r#"bucket{endpoint="query",le="2.5"} 1"#),
-            "{text}"
-        );
-        assert!(
-            text.contains(r#"bucket{endpoint="query",le="+Inf"} 2"#),
-            "{text}"
-        );
-        assert!(
-            text.contains(r#"duration_seconds_count{endpoint="query"} 2"#),
-            "{text}"
-        );
-        // Endpoints with no traffic emit no histogram series.
-        assert!(!text.contains(r#"bucket{endpoint="batch""#), "{text}");
-    }
-
-    #[test]
-    fn ingest_series_render_with_pinned_names() {
-        let m = Metrics::new();
+        m.record_rejected();
         m.record_ingest(3, 1);
         m.record_ingest(0, 2);
         m.record_ingest_shed();
-        assert_eq!(m.ingest_documents(), 3);
-        assert_eq!(m.ingest_batches(), 2);
-        assert_eq!(m.ingest_rejected(), 4);
-        let text = m.render(
-            IoSnapshot::default(),
-            0,
-            0,
-            0,
-            None,
-            17,
-            CacheSnapshot::default(),
-            CacheSnapshot::default(),
-            EngineGauges::default(),
-        );
-        assert!(text.contains("prix_engine_epoch 17"), "{text}");
-        assert!(text.contains("prix_ingest_documents_total 3"), "{text}");
-        assert!(text.contains("prix_ingest_batches_total 2"), "{text}");
-        assert!(text.contains("prix_ingest_rejected_total 4"), "{text}");
-    }
-
-    #[test]
-    fn segment_series_render_with_pinned_names() {
-        let m = Metrics::new();
         m.record_compaction();
         m.record_compaction();
-        assert_eq!(m.compactions(), 2);
-        let gauges = EngineGauges {
+        for (n, id) in EngineId::ALL.into_iter().enumerate() {
+            for i in 0..=n {
+                m.record_planner(id, i == 1);
+            }
+        }
+        m.record_valix(2, 15, 9, 1);
+        m.record_valix(1, 5, 0, 0);
+        m.connection_opened();
+        m.connection_opened();
+        m.connection_opened();
+        m.connection_closed();
+        let sample = Sample {
+            io: IoSnapshot {
+                logical_reads: 1000,
+                physical_reads: 125,
+                physical_writes: 77,
+                fsyncs: 7,
+                wal_appends: 55,
+                checkpoints: 2,
+                flush_errors: 1,
+                seg_block_reads: 11,
+                seg_block_fetches: 13,
+            },
+            resident: 37,
+            capacity: 64,
+            queue_depth: 21,
+            recovery: RecoveryReport {
+                unclean_shutdown: true,
+                replayed_frames: 12,
+                replayed_pages: 9,
+                wal_bytes: 4096,
+                log_len: 4120,
+            },
+            epoch: 17,
+            plan_cache: CacheSnapshot {
+                hits: 30,
+                misses: 10,
+                evictions: 2,
+                entries: 8,
+            },
+            result_cache: CacheSnapshot {
+                hits: 1,
+                misses: 2,
+                evictions: 14,
+                entries: 19,
+            },
             generation: 3,
             segment_tiers: 2,
             segment_docs: 450,
-            mutable_docs: 7,
+            mutable_docs: 6,
             pinned_epochs: 4,
-            pinned_oldest_lag: 2,
+            pinned_oldest_lag: 5,
             seg_block_reads: 100,
             seg_block_fetches: 25,
-            ..EngineGauges::default()
+            wal_bytes: 8240,
+            log_resident_pages: 31,
         };
-        let text = m.render(
-            IoSnapshot::default(),
-            0,
-            0,
-            0,
-            None,
-            0,
-            CacheSnapshot::default(),
-            CacheSnapshot::default(),
-            gauges,
-        );
-        assert!(text.contains("prix_engine_pinned_epochs 4"), "{text}");
-        assert!(text.contains("prix_engine_pinned_oldest_lag 2"), "{text}");
-        assert!(text.contains("prix_engine_generation 3"), "{text}");
-        assert!(text.contains("prix_segment_tiers 2"), "{text}");
-        assert!(text.contains("prix_segment_docs 450"), "{text}");
-        assert!(text.contains("prix_engine_mutable_docs 7"), "{text}");
-        assert!(
-            text.contains("prix_segment_block_reads_total 100"),
-            "{text}"
-        );
-        assert!(
-            text.contains("prix_segment_block_fetches_total 25"),
-            "{text}"
-        );
-        assert!(text.contains("prix_compactions_total 2"), "{text}");
+        (m, sample)
     }
 
+    /// Byte-identity with the hand-wired `render` this table replaced:
+    /// `tests/metrics_golden*.txt` were written by that `render` (commit
+    /// 2a0ffca) over the same recorded state and over a fresh registry.
+    /// They pin order, help text, types, label spelling, float
+    /// formatting, the cumulative `+Inf`-terminated buckets, the
+    /// silent-histogram rule and the all-zeros rendering of an engine
+    /// without a recovery report.
     #[test]
-    fn valix_series_render_with_pinned_names() {
-        let m = Metrics::new();
-        m.record_valix(2, 15, 9, 1);
-        m.record_valix(1, 5, 0, 0);
-        let text = m.render(
-            IoSnapshot::default(),
-            0,
-            0,
-            0,
-            None,
-            0,
-            CacheSnapshot::default(),
-            CacheSnapshot::default(),
-            EngineGauges::default(),
+    fn exposition_is_byte_identical_to_the_hand_wired_render() {
+        let (m, sample) = golden_state();
+        assert_eq!(
+            m.render(&sample),
+            include_str!("../tests/metrics_golden.txt")
         );
-        assert!(text.contains("prix_valix_probes_total 3"), "{text}");
-        assert!(text.contains("prix_valix_postings_total 20"), "{text}");
-        assert!(text.contains("prix_valix_pred_skipped_total 9"), "{text}");
-        assert!(text.contains("prix_valix_pred_rejected_total 1"), "{text}");
-        // Zero-valued series still render for predicate-free servers.
-        let fresh = Metrics::new().render(
-            IoSnapshot::default(),
-            0,
-            0,
-            0,
-            None,
-            0,
-            CacheSnapshot::default(),
-            CacheSnapshot::default(),
-            EngineGauges::default(),
+        assert_eq!(
+            Metrics::new().render(&Sample::default()),
+            include_str!("../tests/metrics_golden_zero.txt")
         );
-        assert!(fresh.contains("prix_valix_probes_total 0"), "{fresh}");
+        assert_eq!(m.requests_for(Endpoint::Query, 200), 2);
+        assert_eq!(m.requests_for(Endpoint::Batch, 200), 0);
+        assert_eq!(m.rejected(), 2);
     }
 
+    /// One declaration site: `SERIES` names are unique, and each one is
+    /// spelled exactly once in the crate's non-test source.
     #[test]
-    fn hit_ratio_reflects_io_snapshot() {
-        let m = Metrics::new();
-        let io = IoSnapshot {
-            logical_reads: 10,
-            physical_reads: 2,
-            ..IoSnapshot::default()
-        };
-        let text = m.render(
-            io,
-            0,
-            0,
-            0,
-            None,
-            0,
-            CacheSnapshot::default(),
-            CacheSnapshot::default(),
-            EngineGauges::default(),
-        );
-        assert!(text.contains("prix_bufferpool_hit_ratio 0.8"), "{text}");
-        assert!(
-            text.contains("prix_bufferpool_logical_reads_total 10"),
-            "{text}"
-        );
-        assert!(
-            text.contains("prix_bufferpool_physical_reads_total 2"),
-            "{text}"
-        );
+    fn each_series_name_is_declared_exactly_once() {
+        let names: BTreeSet<&str> = SERIES.iter().map(|s| s.name).collect();
+        assert_eq!(names.len(), SERIES.len(), "duplicate name in SERIES");
+        let files = sources("crates/server/src");
+        let spelled: Vec<&str> = files
+            .iter()
+            .map(|(_, text)| text.split("#[cfg(test)]").next().unwrap())
+            .flat_map(|code| prix_tokens(code, |_| true))
+            .collect();
+        for name in names {
+            let n = spelled.iter().filter(|t| **t == name).count();
+            assert_eq!(n, 1, "{name} is spelled {n} times in crates/server/src");
+        }
     }
 
-    /// README.md's `/metrics` table and the exposition list the same
-    /// series with the same types. A table row is
-    /// ``| `prix_name` | type | meaning |``.
+    /// README.md's `/metrics` table carries one row per `SERIES` entry,
+    /// with the same type. A table row is ``| `prix_name` | type | meaning |``.
     #[test]
     fn readme_metrics_table_matches_the_exposition() {
-        use std::collections::BTreeSet;
-        let text = Metrics::new().render(
-            IoSnapshot::default(),
-            0,
-            0,
-            0,
-            None,
-            0,
-            CacheSnapshot::default(),
-            CacheSnapshot::default(),
-            EngineGauges::default(),
-        );
-        let emitted: BTreeSet<(String, String)> = text
-            .lines()
-            .filter_map(|l| l.strip_prefix("# TYPE prix_"))
-            .filter_map(|l| l.split_once(' '))
-            .map(|(name, kind)| (format!("prix_{name}"), kind.to_string()))
-            .collect();
+        let declared: BTreeSet<(&str, &str)> =
+            SERIES.iter().map(|s| (s.name, s.kind.as_str())).collect();
         let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
         let readme = std::fs::read_to_string(readme).expect("README.md at the workspace root");
-        let documented: BTreeSet<(String, String)> = readme
+        let documented: BTreeSet<(&str, &str)> = readme
             .lines()
-            .filter_map(|l| l.strip_prefix("| `prix_"))
+            .filter_map(|l| l.strip_prefix("| `"))
+            .filter(|l| l.starts_with("prix_"))
             .filter_map(|l| l.split_once("` | "))
             .filter_map(|(name, rest)| Some((name, rest.split_once(" | ")?.0)))
-            .map(|(name, kind)| (format!("prix_{name}"), kind.to_string()))
             .collect();
-        assert!(emitted.len() > 40, "exposition lost its TYPE lines: {text}");
-        let undocumented: Vec<_> = emitted.difference(&documented).collect();
-        let stale: Vec<_> = documented.difference(&emitted).collect();
+        let undocumented: Vec<_> = declared.difference(&documented).collect();
+        let stale: Vec<_> = documented.difference(&declared).collect();
         assert!(
             undocumented.is_empty() && stale.is_empty(),
-            "README.md /metrics table is out of step with Metrics::render\n\
-             emitted but not in README: {undocumented:?}\n\
-             in README but not emitted: {stale:?}"
+            "README.md /metrics table is out of step with metrics::SERIES\n\
+             declared but not in README: {undocumented:?}\n\
+             in README but not declared: {stale:?}"
         );
     }
 
+    /// `prixbench` (BENCHMARK.json) scrapes `/metrics` by name and its
+    /// sources are frozen: every series name in one of its string
+    /// literals must be a `SERIES` family (a histogram's `_sum`,
+    /// `_count` and `_bucket` samples included), so renaming one fails
+    /// here rather than in the benchmark pipeline.
     #[test]
-    fn durability_series_render_with_and_without_recovery() {
-        let m = Metrics::new();
-        let io = IoSnapshot {
-            fsyncs: 7,
-            wal_appends: 5,
-            checkpoints: 2,
-            flush_errors: 1,
-            ..IoSnapshot::default()
+    fn every_series_prixbench_scrapes_is_declared() {
+        let family = |name: &str| {
+            SERIES.iter().any(|s| {
+                let sample_of = |suffix| name.strip_suffix(suffix) == Some(s.name);
+                s.name == name
+                    || s.kind == Kind::Histogram
+                        && ["_sum", "_count", "_bucket"].into_iter().any(sample_of)
+            })
         };
-        let rec = RecoveryReport {
-            unclean_shutdown: true,
-            replayed_frames: 12,
-            replayed_pages: 9,
-            wal_bytes: 4096,
-            log_len: 4120,
-        };
-        let gauges = EngineGauges {
-            wal_bytes: 8240,
-            log_resident_pages: 3,
-            ..EngineGauges::default()
-        };
-        let text = m.render(
-            io,
-            0,
-            0,
-            0,
-            Some(rec),
-            0,
-            CacheSnapshot::default(),
-            CacheSnapshot::default(),
-            gauges,
-        );
-        assert!(text.contains("prix_bufferpool_fsyncs_total 7"), "{text}");
-        assert!(text.contains("prix_checkpoints_total 2"), "{text}");
-        assert!(text.contains("prix_wal_bytes 8240"), "{text}");
-        assert!(
-            text.contains("prix_bufferpool_log_resident_pages 3"),
-            "{text}"
-        );
-        assert!(
-            text.contains("prix_bufferpool_wal_appends_total 5"),
-            "{text}"
-        );
-        assert!(
-            text.contains("prix_bufferpool_flush_errors_total 1"),
-            "{text}"
-        );
-        assert!(text.contains("prix_recovery_unclean_shutdown 1"), "{text}");
-        assert!(text.contains("prix_recovery_replayed_frames 12"), "{text}");
-        assert!(text.contains("prix_recovery_replayed_pages 9"), "{text}");
-        assert!(text.contains("prix_recovery_wal_bytes 4096"), "{text}");
-        // Legacy databases (no recovery report) still emit every
-        // series, as zeros — dashboards never see them vanish.
-        let text = m.render(
-            IoSnapshot::default(),
-            0,
-            0,
-            0,
-            None,
-            0,
-            CacheSnapshot::default(),
-            CacheSnapshot::default(),
-            EngineGauges::default(),
-        );
-        assert!(text.contains("prix_bufferpool_fsyncs_total 0"), "{text}");
-        assert!(text.contains("prix_recovery_unclean_shutdown 0"), "{text}");
-        assert!(text.contains("prix_recovery_replayed_frames 0"), "{text}");
+        let mut scraped = BTreeSet::new();
+        for (path, text) in sources("crates/bench/examples/prixbench/src") {
+            for name in prix_tokens(&text, |before| before == Some('"')) {
+                assert!(family(name), "{path} scrapes {name}, not in SERIES");
+                scraped.insert(name.to_string());
+            }
+        }
+        assert!(scraped.len() >= 10, "scraper not found: {scraped:?}");
     }
 }

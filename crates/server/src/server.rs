@@ -58,7 +58,7 @@ use crate::alts::{AltCache, SnapshotAlts};
 use crate::cache::{PlanCache, ResultCache, ResultKey};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::json::JsonWriter;
-use crate::metrics::{Endpoint, EngineGauges, Metrics, Stage};
+use crate::metrics::{Endpoint, Metrics, Sample, Stage};
 use crate::workers::{QueueProbe, WorkerPool};
 
 /// Server tuning knobs. `Default` is sized for tests and small
@@ -544,7 +544,15 @@ fn handle_metrics(shared: &Arc<Shared>) -> Response {
     let snap = shared.engine.snapshot();
     let (pinned, oldest) = shared.engine.pinned_epochs();
     let seg_io = shared.engine.seg_io().snapshot();
-    let gauges = EngineGauges {
+    let body = shared.metrics.render(&Sample {
+        io: pool.snapshot(),
+        resident: pool.resident() as u64,
+        capacity: pool.capacity() as u64,
+        queue_depth: shared.queue.depth() as u64,
+        recovery: shared.engine.recovery().unwrap_or_default(),
+        epoch: snap.epoch(),
+        plan_cache: shared.plan_cache.snapshot(),
+        result_cache: shared.result_cache.snapshot(),
         generation: snap.generation(),
         segment_tiers: snap.segment_tiers() as u64,
         segment_docs: snap.segment_docs(),
@@ -556,18 +564,7 @@ fn handle_metrics(shared: &Arc<Shared>) -> Response {
         seg_block_fetches: seg_io.seg_block_fetches,
         wal_bytes: pool.wal_bytes(),
         log_resident_pages: pool.log_resident_pages() as u64,
-    };
-    let body = shared.metrics.render(
-        pool.snapshot(),
-        pool.resident(),
-        pool.capacity(),
-        shared.queue.depth(),
-        shared.engine.recovery(),
-        snap.epoch(),
-        shared.plan_cache.snapshot(),
-        shared.result_cache.snapshot(),
-        gauges,
-    );
+    });
     Response::new(200).body(
         "text/plain; version=0.0.4; charset=utf-8",
         body.into_bytes(),
@@ -707,9 +704,9 @@ fn handle_query(req: &Request, shared: &Arc<Shared>) -> Response {
     }
 }
 
-/// Feeds one outcome's per-stage executor timings into the
-/// `prix_query_stage_duration_seconds` histograms and its value-index
-/// counters into the `prix_valix_*` series.
+/// Feeds one outcome's per-stage executor timings into the [`Stage`]
+/// histograms and its value-index counters into the `prix_valix_*`
+/// series.
 fn record_stage_timings(shared: &Arc<Shared>, out: &QueryOutcome) {
     shared
         .metrics

@@ -745,9 +745,10 @@ impl BufferPool {
 
     /// Commits, then brings the page file up to date and truncates the
     /// log (durable pools; others just [`BufferPool::flush`]). Runs on
-    /// [`BufferPool::clear`], on clean close (`Drop`, server shutdown)
-    /// and from [`BufferPool::commit`] when the log has grown to
-    /// [`CHECKPOINT_LOG_BYTES`]. Free when the log is empty.
+    /// [`BufferPool::clear`], at server shutdown and from
+    /// [`BufferPool::commit`] when the log has grown to
+    /// [`CHECKPOINT_LOG_BYTES`]; `Drop` runs the write-back half alone,
+    /// and only when nothing is uncommitted. Free when the log is empty.
     ///
     /// Same serialization contract as [`BufferPool::flush`].
     pub fn checkpoint(&self) -> Result<()> {
@@ -950,18 +951,33 @@ impl BufferPool {
 }
 
 impl Drop for BufferPool {
+    /// Closes the files without ever committing. A durable pool whose
+    /// state is all committed checkpoints, so a cleanly closed database
+    /// is left with an empty log. One dropped with dirty frames or
+    /// unsynced spills — an ingest that failed half-way, a caller that
+    /// never saved — leaves its files as a crash at this instant would:
+    /// the next open replays the committed prefix of the log and
+    /// discards the rest. A pool without a WAL is in memory and dies
+    /// with its pages.
     fn drop(&mut self) {
+        let Some(walm) = &self.wal else { return };
         if self.retired.load(Ordering::Acquire) {
             return;
         }
-        // Clean close: commit what is dirty and checkpoint, so the
-        // database is left with an empty log. A failure here has no
-        // caller to report to, but it must not vanish: pages may not
-        // have reached the backing store. Count it (surfaced as
-        // `flush_errors` in /metrics) and say so on stderr.
-        if let Err(e) = self.checkpoint() {
+        let dirty = |shard: &Mutex<Shard>| shard.lock().frames.iter().any(|f| f.dirty);
+        if self.shards.iter().any(dirty) {
+            return;
+        }
+        let mut ws = walm.lock();
+        if ws.wal.is_empty() || !ws.wal.is_fully_durable() {
+            return;
+        }
+        // A failure here has no caller to report to, but it must not
+        // vanish: count it (surfaced as `flush_errors` in /metrics) and
+        // say so on stderr. The log still holds every commit.
+        if let Err(e) = self.write_back(&mut ws) {
             self.stats.record_flush_error();
-            eprintln!("prix-storage: buffer pool flush failed during drop: {e}");
+            eprintln!("prix-storage: checkpoint failed during drop: {e}");
         }
     }
 }
@@ -1296,12 +1312,11 @@ mod tests {
         let a = pool.allocate_page().unwrap();
         pool.with_page_mut(a, |d| d[0] = 5).unwrap();
         pool.commit().unwrap();
-        pool.with_page_mut(a, |d| d[0] = 6).unwrap(); // dirty at drop
         drop(pool);
         assert_eq!(stores[2].len().unwrap(), 24, "header only");
         let (after, report) = reopen(&stores, 8);
         assert!(!report.unclean_shutdown);
-        assert_eq!(after.with_page(a, |d| d[0]).unwrap(), 6);
+        assert_eq!(after.with_page(a, |d| d[0]).unwrap(), 5);
 
         after.with_page_mut(a, |d| d[0] = 7).unwrap();
         after.commit().unwrap();
@@ -1311,6 +1326,41 @@ mod tests {
         drop(after);
         let d = stats.snapshot().since(&before);
         assert_eq!((d.physical_writes, d.fsyncs, d.flush_errors), (0, 0, 0));
+    }
+
+    /// `Drop` never commits: a pool dropped with a dirty frame, or with
+    /// a dirty page spilled to the log but no commit record behind it,
+    /// leaves its files as a crash would and reopens at its last
+    /// commit.
+    #[test]
+    fn a_pool_dropped_with_uncommitted_state_reopens_at_its_last_commit() {
+        for capacity in [8, 1] {
+            let (pool, stores) = durable_stores(capacity);
+            let a = pool.allocate_page().unwrap();
+            let b = pool.allocate_page().unwrap();
+            pool.with_page_mut(a, |d| d[0] = 5).unwrap();
+            pool.commit().unwrap();
+            let committed = stores.clone().map(|s| s.snapshot());
+            let logged = pool.snapshot().wal_appends;
+            pool.with_page_mut(a, |d| d[0] = 6).unwrap();
+            // With one frame this evicts `a`: its image is in the log,
+            // unsynced, and no frame of `a` is dirty any more.
+            pool.with_page(b, |d| d[0]).unwrap();
+            let spilled = pool.snapshot().wal_appends > logged;
+            assert_eq!(spilled, capacity == 1);
+            let stats = pool.pager().stats();
+            let before = stats.snapshot();
+            drop(pool);
+            let d = stats.snapshot().since(&before);
+            assert_eq!((d.physical_writes, d.fsyncs, d.checkpoints), (0, 0, 0));
+            assert_eq!(stores[0].snapshot(), committed[0], "page file untouched");
+            assert_eq!(stores[1].snapshot(), committed[1], "sidecar untouched");
+            let (after, report) = reopen(&stores, 8);
+            assert!(report.unclean_shutdown, "the log still holds the commit");
+            assert_eq!(after.current_epoch(), 2);
+            assert_eq!(after.with_page(a, |d| d[0]).unwrap(), 5, "last commit");
+            after.pager().verify_checksums().unwrap();
+        }
     }
 
     #[test]

@@ -458,11 +458,15 @@ mod tests {
     #[test]
     fn sync_counts_fsyncs() {
         let (p, _db, _sum) = durable_mem_pager();
-        assert_eq!(p.stats().fsyncs(), 2, "creation syncs the empty shell");
+        assert_eq!(
+            p.stats().snapshot().fsyncs,
+            2,
+            "creation syncs the empty shell"
+        );
         p.sync().unwrap();
-        assert_eq!(p.stats().fsyncs(), 4, "page file + sidecar");
+        assert_eq!(p.stats().snapshot().fsyncs, 4, "page file + sidecar");
         let mem = Pager::in_memory();
         mem.sync().unwrap();
-        assert_eq!(mem.stats().fsyncs(), 1);
+        assert_eq!(mem.stats().snapshot().fsyncs, 1);
     }
 }

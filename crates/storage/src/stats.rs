@@ -4,37 +4,160 @@
 //! direct I/O (§6.1). [`IoStats`] counts exactly that: a *physical read*
 //! is a page fetched from the pager because it was not resident in the
 //! buffer pool.
+//!
+//! The counters are declared once, in the `io_counters!` list below:
+//! the atomics, their recorders, [`IoSnapshot`] and its arithmetic are
+//! all generated from it.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Declares the I/O counters: per entry the doc text, the
+/// [`IoSnapshot`] field (and `IoStats` atomic) name, the recorder's
+/// name, and whether an [`IoScope`] attributes the event to the
+/// recording thread's query (`true`) or it is durability cost that no
+/// query pays (`false`).
+macro_rules! io_counters {
+    ($($(#[$doc:meta])* $field:ident, $record:ident, $scoped:literal;)*) => {
+        /// Shared, thread-safe I/O counters. One instance is attached to
+        /// each [`crate::Pager`] and observed through its
+        /// [`crate::BufferPool`]. The counters are plain atomics, so
+        /// they stay exact when the sharded buffer pool serves page
+        /// requests from many threads at once — recording is one
+        /// relaxed `fetch_add`, no lock.
+        #[derive(Debug, Default)]
+        pub struct IoStats {
+            $($field: AtomicU64,)*
+        }
+
+        impl IoStats {
+            $(
+                #[doc = concat!("Counts one event into [`IoSnapshot::", stringify!($field), "`].")]
+                #[inline]
+                pub fn $record(&self) {
+                    self.$field.fetch_add(1, Ordering::Relaxed);
+                    if $scoped {
+                        scope_record(|tally| tally.$field += 1);
+                    }
+                }
+            )*
+
+            /// Snapshot of all counters.
+            pub fn snapshot(&self) -> IoSnapshot {
+                IoSnapshot { $($field: self.$field.load(Ordering::Relaxed),)* }
+            }
+
+            /// Resets all counters to zero.
+            pub fn reset(&self) {
+                $(self.$field.store(0, Ordering::Relaxed);)*
+            }
+        }
+
+        /// A point-in-time copy of [`IoStats`]. Subtract two snapshots
+        /// to get per-query costs.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct IoSnapshot {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl IoSnapshot {
+            const ZERO: IoSnapshot = IoSnapshot { $($field: 0,)* };
+
+            /// Counter deltas since `earlier`.
+            pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
+                IoSnapshot { $($field: self.$field - earlier.$field,)* }
+            }
+
+            /// Counter sums (an ended scope folding into its parent).
+            fn plus(&self, other: &IoSnapshot) -> IoSnapshot {
+                IoSnapshot { $($field: self.$field + other.$field,)* }
+            }
+        }
+
+        /// Every declared counter: name, recorder, snapshot reader,
+        /// and whether scopes tally it.
+        #[cfg(test)]
+        #[allow(clippy::type_complexity)]
+        const COUNTERS: &[(&str, fn(&IoStats), fn(&IoSnapshot) -> u64, bool)] = &[
+            $((stringify!($field), IoStats::$record, |s| s.$field, $scoped),)*
+        ];
+    };
+}
+
+io_counters! {
+    /// Pages requested from the buffer pool (hits and misses).
+    logical_reads, record_logical_read, true;
+    /// Pages read from the backing store — the paper's "Disk IO"
+    /// metric.
+    physical_reads, record_physical_read, true;
+    /// Pages written to the backing store.
+    physical_writes, record_physical_write, true;
+    /// `fsync` calls against any backing store (database, checksum
+    /// sidecar, write-ahead log).
+    fsyncs, record_fsync, false;
+    /// Page images appended to the write-ahead log (commit frames and
+    /// eviction spills).
+    wal_appends, record_wal_append, false;
+    /// Checkpoints completed (log-resident pages written to the page
+    /// file, log truncated).
+    checkpoints, record_checkpoint, false;
+    /// Checkpoint failures `BufferPool::drop` had no caller to return
+    /// to (should stay 0).
+    flush_errors, record_flush_error, false;
+    /// Segment blocks requested through per-segment caches (hits and
+    /// misses). Segments bypass the buffer pool, so their reads get
+    /// their own counters.
+    seg_block_reads, record_seg_block_read, true;
+    /// Segment blocks fetched from disk (per-segment cache misses —
+    /// the segment analogue of a physical page read).
+    seg_block_fetches, record_seg_block_fetch, true;
+}
+
+impl IoStats {
+    /// Creates zeroed counters.
+    pub fn new() -> Self {
+        Self::default()
+    }
+}
+
+impl IoSnapshot {
+    /// Buffer-pool hit ratio in `[0, 1]`; `1.0` when nothing was read.
+    pub fn hit_ratio(&self) -> f64 {
+        if self.logical_reads == 0 {
+            return 1.0;
+        }
+        1.0 - (self.physical_reads as f64 / self.logical_reads as f64)
+    }
+}
 
 // Per-thread scoped accounting. Each query executes on exactly one
 // thread, so a thread-local tally between `IoScope::begin` and
 // `IoScope::end` attributes page accesses to that query exactly, even
 // while other worker threads hammer the same shared pool counters.
 struct ScopeState {
-    depth: u32,
-    cur: [u64; 5],
-    saved: Vec<[u64; 5]>,
+    /// The innermost open scope's tally.
+    cur: IoSnapshot,
+    /// The enclosing scopes' tallies, outermost first; one entry per
+    /// open scope.
+    saved: Vec<IoSnapshot>,
 }
 
 thread_local! {
     static SCOPE: RefCell<ScopeState> = const {
         RefCell::new(ScopeState {
-            depth: 0,
-            cur: [0; 5],
+            cur: IoSnapshot::ZERO,
             saved: Vec::new(),
         })
     };
 }
 
 #[inline]
-fn scope_record(slot: usize) {
+fn scope_record(bump: impl FnOnce(&mut IoSnapshot)) {
     SCOPE.with(|s| {
         let mut s = s.borrow_mut();
-        if s.depth > 0 {
-            s.cur[slot] += 1;
+        if !s.saved.is_empty() {
+            bump(&mut s.cur);
         }
     });
 }
@@ -46,6 +169,8 @@ fn scope_record(slot: usize) {
 /// bumps the same atomics, so a before/after delta silently includes
 /// other queries' pages. `IoScope` fixes attribution by tallying the
 /// accesses made *by the current thread* between `begin` and `end`.
+/// Durability counters (fsyncs, log appends, checkpoints) are not
+/// tallied: queries never sync.
 ///
 /// Scopes nest: an inner scope's accesses are folded back into the
 /// enclosing scope when it ends, so wrapping a sub-operation does not
@@ -63,10 +188,8 @@ impl IoScope {
     pub fn begin() -> Self {
         SCOPE.with(|s| {
             let mut s = s.borrow_mut();
-            let cur = s.cur;
-            s.saved.push(cur);
-            s.cur = [0; 5];
-            s.depth += 1;
+            let outer = std::mem::take(&mut s.cur);
+            s.saved.push(outer);
         });
         IoScope {
             ended: false,
@@ -86,19 +209,8 @@ impl IoScope {
         SCOPE.with(|s| {
             let mut s = s.borrow_mut();
             let delta = s.cur;
-            let saved = s.saved.pop().unwrap_or([0; 5]);
-            for (acc, d) in s.cur.iter_mut().zip(saved.iter().zip(&delta)) {
-                *acc = d.0 + d.1;
-            }
-            s.depth = s.depth.saturating_sub(1);
-            IoSnapshot {
-                logical_reads: delta[0],
-                physical_reads: delta[1],
-                physical_writes: delta[2],
-                seg_block_reads: delta[3],
-                seg_block_fetches: delta[4],
-                ..IoSnapshot::default()
-            }
+            s.cur = s.saved.pop().unwrap_or_default().plus(&delta);
+            delta
         })
     }
 }
@@ -111,328 +223,99 @@ impl Drop for IoScope {
     }
 }
 
-/// Shared, thread-safe I/O counters. One instance is attached to each
-/// [`crate::Pager`] and observed through its [`crate::BufferPool`].
-/// The counters are plain atomics, so they stay exact when the sharded
-/// buffer pool serves page requests from many threads at once — no lock
-/// is held while recording.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    logical_reads: AtomicU64,
-    physical_reads: AtomicU64,
-    physical_writes: AtomicU64,
-    fsyncs: AtomicU64,
-    wal_appends: AtomicU64,
-    checkpoints: AtomicU64,
-    flush_errors: AtomicU64,
-    seg_block_reads: AtomicU64,
-    seg_block_fetches: AtomicU64,
-}
-
-impl IoStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a buffer-pool page request (hit or miss).
-    #[inline]
-    pub fn record_logical_read(&self) {
-        self.logical_reads.fetch_add(1, Ordering::Relaxed);
-        scope_record(0);
-    }
-
-    /// Records a page fetched from the backing store.
-    #[inline]
-    pub fn record_physical_read(&self) {
-        self.physical_reads.fetch_add(1, Ordering::Relaxed);
-        scope_record(1);
-    }
-
-    /// Records a page written back to the backing store.
-    #[inline]
-    pub fn record_physical_write(&self) {
-        self.physical_writes.fetch_add(1, Ordering::Relaxed);
-        scope_record(2);
-    }
-
-    /// Pages requested from the buffer pool.
-    pub fn logical_reads(&self) -> u64 {
-        self.logical_reads.load(Ordering::Relaxed)
-    }
-
-    /// Pages read from the backing store — the paper's "Disk IO" metric.
-    pub fn physical_reads(&self) -> u64 {
-        self.physical_reads.load(Ordering::Relaxed)
-    }
-
-    /// Pages written to the backing store.
-    pub fn physical_writes(&self) -> u64 {
-        self.physical_writes.load(Ordering::Relaxed)
-    }
-
-    /// Records a segment block request (cache hit or miss). Segments
-    /// bypass the buffer pool, so their reads get their own series.
-    #[inline]
-    pub fn record_seg_block_read(&self) {
-        self.seg_block_reads.fetch_add(1, Ordering::Relaxed);
-        scope_record(3);
-    }
-
-    /// Records a segment block actually fetched from its backing store
-    /// (a per-segment cache miss — the segment analogue of a physical
-    /// page read).
-    #[inline]
-    pub fn record_seg_block_fetch(&self) {
-        self.seg_block_fetches.fetch_add(1, Ordering::Relaxed);
-        scope_record(4);
-    }
-
-    /// Segment blocks requested (hits + misses).
-    pub fn seg_block_reads(&self) -> u64 {
-        self.seg_block_reads.load(Ordering::Relaxed)
-    }
-
-    /// Segment blocks fetched from disk.
-    pub fn seg_block_fetches(&self) -> u64 {
-        self.seg_block_fetches.load(Ordering::Relaxed)
-    }
-
-    /// Records one `fsync` of a backing store (database, checksum
-    /// sidecar, or write-ahead log). Durability cost, not query cost:
-    /// fsyncs are not attributed to [`IoScope`]s.
-    #[inline]
-    pub fn record_fsync(&self) {
-        self.fsyncs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one page image appended to the write-ahead log (a
-    /// commit frame or an eviction spill).
-    #[inline]
-    pub fn record_wal_append(&self) {
-        self.wal_appends.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one completed checkpoint (log-resident pages written to
-    /// the page file, log truncated).
-    #[inline]
-    pub fn record_checkpoint(&self) {
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a flush failure that could not be propagated (the
-    /// buffer pool's `Drop` has no caller to return an error to).
-    #[inline]
-    pub fn record_flush_error(&self) {
-        self.flush_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// `fsync` calls issued against any backing store.
-    pub fn fsyncs(&self) -> u64 {
-        self.fsyncs.load(Ordering::Relaxed)
-    }
-
-    /// Page images appended to the write-ahead log.
-    pub fn wal_appends(&self) -> u64 {
-        self.wal_appends.load(Ordering::Relaxed)
-    }
-
-    /// Checkpoints completed.
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints.load(Ordering::Relaxed)
-    }
-
-    /// Flush failures swallowed by `Drop` (should stay 0).
-    pub fn flush_errors(&self) -> u64 {
-        self.flush_errors.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of all counters.
-    pub fn snapshot(&self) -> IoSnapshot {
-        IoSnapshot {
-            logical_reads: self.logical_reads(),
-            physical_reads: self.physical_reads(),
-            physical_writes: self.physical_writes(),
-            fsyncs: self.fsyncs(),
-            wal_appends: self.wal_appends(),
-            checkpoints: self.checkpoints(),
-            flush_errors: self.flush_errors(),
-            seg_block_reads: self.seg_block_reads(),
-            seg_block_fetches: self.seg_block_fetches(),
-        }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.logical_reads.store(0, Ordering::Relaxed);
-        self.physical_reads.store(0, Ordering::Relaxed);
-        self.physical_writes.store(0, Ordering::Relaxed);
-        self.fsyncs.store(0, Ordering::Relaxed);
-        self.wal_appends.store(0, Ordering::Relaxed);
-        self.checkpoints.store(0, Ordering::Relaxed);
-        self.flush_errors.store(0, Ordering::Relaxed);
-        self.seg_block_reads.store(0, Ordering::Relaxed);
-        self.seg_block_fetches.store(0, Ordering::Relaxed);
-    }
-}
-
-/// A point-in-time copy of [`IoStats`]. Subtract two snapshots to get
-/// per-query costs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IoSnapshot {
-    /// Pages requested from the buffer pool.
-    pub logical_reads: u64,
-    /// Pages read from the backing store.
-    pub physical_reads: u64,
-    /// Pages written to the backing store.
-    pub physical_writes: u64,
-    /// `fsync` calls against any backing store. Always 0 in
-    /// [`IoScope`]-attributed snapshots: queries never sync.
-    pub fsyncs: u64,
-    /// Page images appended to the write-ahead log.
-    pub wal_appends: u64,
-    /// Checkpoints completed (page file brought up to date, log
-    /// truncated).
-    pub checkpoints: u64,
-    /// Flush failures swallowed by `BufferPool::drop`.
-    pub flush_errors: u64,
-    /// Segment blocks requested through per-segment caches (logical).
-    pub seg_block_reads: u64,
-    /// Segment blocks fetched from disk (per-segment cache misses).
-    pub seg_block_fetches: u64,
-}
-
-impl IoSnapshot {
-    /// Counter deltas since `earlier`.
-    pub fn since(&self, earlier: &IoSnapshot) -> IoSnapshot {
-        IoSnapshot {
-            logical_reads: self.logical_reads - earlier.logical_reads,
-            physical_reads: self.physical_reads - earlier.physical_reads,
-            physical_writes: self.physical_writes - earlier.physical_writes,
-            fsyncs: self.fsyncs - earlier.fsyncs,
-            wal_appends: self.wal_appends - earlier.wal_appends,
-            checkpoints: self.checkpoints - earlier.checkpoints,
-            flush_errors: self.flush_errors - earlier.flush_errors,
-            seg_block_reads: self.seg_block_reads - earlier.seg_block_reads,
-            seg_block_fetches: self.seg_block_fetches - earlier.seg_block_fetches,
-        }
-    }
-
-    /// Buffer-pool hit ratio in `[0, 1]`; `1.0` when nothing was read.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.logical_reads == 0 {
-            return 1.0;
-        }
-        1.0 - (self.physical_reads as f64 / self.logical_reads as f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Records counter `i` of `COUNTERS` `i + 1` times, so every
+    /// counter ends at a distinct non-zero value.
+    fn record_all(s: &IoStats) {
+        for (i, (_, record, _, _)) in COUNTERS.iter().enumerate() {
+            for _ in 0..=i {
+                record(s);
+            }
+        }
+    }
+
     #[test]
-    fn counters_accumulate_and_reset() {
+    fn every_counter_accumulates_snapshots_and_resets() {
+        assert_eq!(COUNTERS.len(), 9, "a counter was added or removed");
         let s = IoStats::new();
-        s.record_logical_read();
-        s.record_logical_read();
-        s.record_physical_read();
-        s.record_physical_write();
-        s.record_fsync();
-        s.record_fsync();
-        s.record_fsync();
-        s.record_wal_append();
-        s.record_checkpoint();
-        s.record_flush_error();
-        assert_eq!(s.logical_reads(), 2);
-        assert_eq!(s.physical_reads(), 1);
-        assert_eq!(s.physical_writes(), 1);
-        assert_eq!(s.fsyncs(), 3);
-        assert_eq!(s.wal_appends(), 1);
-        assert_eq!(s.checkpoints(), 1);
-        assert_eq!(s.flush_errors(), 1);
+        record_all(&s);
+        let snap = s.snapshot();
+        for (i, (name, _, read, _)) in COUNTERS.iter().enumerate() {
+            assert_eq!(read(&snap), i as u64 + 1, "{name}");
+        }
         s.reset();
         assert_eq!(s.snapshot(), IoSnapshot::default());
     }
 
     #[test]
-    fn snapshot_delta() {
+    fn since_subtracts_every_counter() {
         let s = IoStats::new();
-        s.record_logical_read();
+        record_all(&s);
         let a = s.snapshot();
+        record_all(&s);
         s.record_logical_read();
-        s.record_physical_read();
-        let b = s.snapshot();
-        let d = b.since(&a);
-        assert_eq!(d.logical_reads, 1);
-        assert_eq!(d.physical_reads, 1);
+        let d = s.snapshot().since(&a);
+        for (i, (name, _, read, _)) in COUNTERS.iter().enumerate() {
+            let extra = u64::from(*name == "logical_reads");
+            assert_eq!(read(&d), i as u64 + 1 + extra, "{name}");
+        }
+        assert_eq!(a.since(&a), IoSnapshot::default());
     }
 
     #[test]
-    fn scope_attributes_only_this_threads_accesses() {
+    fn scope_tallies_every_scoped_counter_and_no_durability_counter() {
         let s = IoStats::new();
         let scope = IoScope::begin();
-        s.record_logical_read();
-        s.record_physical_read();
-        // Another thread's traffic hits the shared counters but must
-        // not leak into this thread's scope.
-        let other = std::thread::spawn(|| {
-            let s2 = IoStats::new();
-            s2.record_logical_read();
-            s2.record_logical_read();
-        });
+        record_all(&s);
+        // Another thread's traffic hits shared counters but must not
+        // leak into this thread's scope.
+        let other = std::thread::spawn(|| record_all(&IoStats::new()));
         other.join().unwrap();
         let d = scope.end();
-        assert_eq!(d.logical_reads, 1);
-        assert_eq!(d.physical_reads, 1);
-        assert_eq!(d.physical_writes, 0);
-    }
-
-    #[test]
-    fn scopes_nest_and_fold_into_outer() {
-        let s = IoStats::new();
-        let outer = IoScope::begin();
-        s.record_logical_read();
-        let inner = IoScope::begin();
-        s.record_logical_read();
-        s.record_physical_write();
-        let di = inner.end();
-        assert_eq!(di.logical_reads, 1);
-        assert_eq!(di.physical_writes, 1);
-        s.record_logical_read();
-        let d = outer.end();
-        // Outer sees its own accesses plus the inner scope's.
-        assert_eq!(d.logical_reads, 3);
-        assert_eq!(d.physical_writes, 1);
-    }
-
-    #[test]
-    fn dropped_scope_restores_enclosing_tally() {
-        let s = IoStats::new();
-        let outer = IoScope::begin();
-        {
-            let _inner = IoScope::begin();
-            s.record_logical_read();
-            // dropped without end(): tally still folds into outer
+        for (i, (name, _, read, scoped)) in COUNTERS.iter().enumerate() {
+            let expect = if *scoped { i as u64 + 1 } else { 0 };
+            assert_eq!(read(&d), expect, "{name}");
         }
-        s.record_logical_read();
-        assert_eq!(outer.end().logical_reads, 2);
+        let scoped: Vec<&str> = COUNTERS.iter().filter(|c| c.3).map(|c| c.0).collect();
+        assert_eq!(
+            scoped,
+            [
+                "logical_reads",
+                "physical_reads",
+                "physical_writes",
+                "seg_block_reads",
+                "seg_block_fetches"
+            ]
+        );
+        // Outside a scope nothing is tallied, and the next scope starts
+        // from zero.
+        record_all(&s);
+        assert_eq!(IoScope::begin().end(), IoSnapshot::default());
     }
 
     #[test]
-    fn segment_counters_are_scoped_like_page_counters() {
+    fn scopes_nest_and_fold_every_counter_into_the_outer() {
         let s = IoStats::new();
-        let scope = IoScope::begin();
-        s.record_seg_block_read();
-        s.record_seg_block_read();
-        s.record_seg_block_fetch();
-        let d = scope.end();
-        assert_eq!(d.seg_block_reads, 2);
-        assert_eq!(d.seg_block_fetches, 1);
-        assert_eq!(s.seg_block_reads(), 2);
-        assert_eq!(s.seg_block_fetches(), 1);
-        s.reset();
-        assert_eq!(s.snapshot(), IoSnapshot::default());
+        let outer = IoScope::begin();
+        record_all(&s);
+        let inner = IoScope::begin();
+        record_all(&s);
+        let di = inner.end();
+        {
+            let _dropped = IoScope::begin();
+            record_all(&s);
+            // dropped without end(): the tally still folds into outer
+        }
+        record_all(&s);
+        let d = outer.end();
+        for (i, (name, _, read, scoped)) in COUNTERS.iter().enumerate() {
+            let once = if *scoped { i as u64 + 1 } else { 0 };
+            assert_eq!(read(&di), once, "inner {name}");
+            assert_eq!(read(&d), 4 * once, "outer {name}");
+        }
     }
 
     #[test]

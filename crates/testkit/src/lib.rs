@@ -1,8 +1,7 @@
 //! In-repo test infrastructure for a hermetic workspace.
 //!
 //! The workspace builds with **zero external dependencies**; this crate
-//! supplies the two pieces of test machinery that used to come from
-//! crates.io:
+//! supplies the test machinery that used to come from crates.io:
 //!
 //! * [`mod@gen`] + [`runner`] — a deterministic property-testing
 //!   mini-harness replacing `proptest`. Generators draw from a seeded,
@@ -10,9 +9,6 @@
 //!   `prix-datagen`), so every failure reduces to a single replayable
 //!   `u64` seed, and shrinking operates on the recorded choice sequence —
 //!   which means *every* generator shrinks for free, including closures.
-//! * [`bench`] — a tiny benchmark harness replacing `criterion`:
-//!   warmup + fixed sample count, median/p95/min/max reporting, and
-//!   optional JSON output.
 //! * [`fault`] — a power-loss simulator behind the storage layer's
 //!   `RawStore` trait: seeded kill points, short/torn writes, dropped
 //!   fsyncs, post-crash disk-image reconstruction for the crash
@@ -49,7 +45,6 @@
 //! Replaying a seed regenerates the *identical* input (generation is a
 //! pure function of the seed) and re-checks the property.
 
-pub mod bench;
 pub mod fault;
 pub mod gen;
 pub mod rng;

@@ -34,7 +34,9 @@ fn main() {
 
     // 2. Build the PRIX engine: documents become Prüfer sequences,
     //    indexed in B+-tree-backed virtual tries (RPIndex + EPIndex).
-    let engine = PrixEngine::build(collection, EngineConfig::default())
+    //    The engine keeps the symbols, not the trees; this example
+    //    keeps its own copy to print what the matches point at.
+    let engine = PrixEngine::build(collection.clone(), EngineConfig::default())
         .expect("in-memory build cannot fail");
 
     // 3. Ask twig queries in the supported XPath subset, against a
@@ -58,11 +60,11 @@ fn main() {
         for m in &outcome.matches {
             // The embedding maps every query node (by postorder number)
             // to a document node (by postorder number).
-            let doc = engine.collection().doc(m.doc);
+            let doc = collection.doc(m.doc);
             let labels: Vec<&str> = m
                 .embedding
                 .iter()
-                .map(|&p| engine.collection().symbols().name(doc.label_at(p)))
+                .map(|&p| collection.symbols().name(doc.label_at(p)))
                 .collect();
             println!("     doc {} nodes {:?} = {:?}", m.doc, m.embedding, labels);
         }

@@ -10,6 +10,9 @@
 # closes its file). Then the option counts: `pub` fields of
 # EngineConfig, ExecOpts and ServerConfig, and CLI flag match sites
 # (`== "--x"`, `"--x" =>`, `Some("--x")` in crates/cli/src/main.rs).
+# Last, the `/metrics` registry: entries of `SERIES` in
+# crates/server/src/metrics.rs and rows of README.md's table (a
+# `cargo test` keeps the two lists equal; this prints their sizes).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 BASE=${1:-HEAD}
@@ -75,3 +78,11 @@ ServerConfig crates/server/src/server.rs
 EOF
 printf '  %-34s %6d -> %6d\n' "CLI flag sites" \
   "$(at_base crates/cli/src/main.rs | cli_flags)" "$(at_work crates/cli/src/main.rs | cli_flags)"
+
+echo "/metrics registry, $BASE -> working tree"
+series() { grep -cE '^ +Series \{ name: "prix_' || true; }
+readme_rows() { grep -cE '^\| `prix_[a-z0-9_]+` \| (counter|gauge|histogram) \|' || true; }
+printf '  %-34s %6d -> %6d\n' "SERIES entries" \
+  "$(at_base crates/server/src/metrics.rs | series)" "$(at_work crates/server/src/metrics.rs | series)"
+printf '  %-34s %6d -> %6d\n' "README /metrics rows" \
+  "$(at_base README.md | readme_rows)" "$(at_work README.md | readme_rows)"

@@ -462,7 +462,7 @@ enum KillIn {
     /// Inside a compaction: the segment build, the unlogged build of
     /// the fresh generation, the manifest write, the unlinks.
     Compaction,
-    /// Inside the commit + checkpoint of a clean close, after an
+    /// Inside the commit + checkpoint of a server shutdown, after an
     /// aborted ingest round left its spills in the log.
     AfterAbort,
 }
@@ -476,11 +476,14 @@ impl KillIn {
     ];
 }
 
-/// One acknowledged ingest round on a bare engine — the three steps
+/// One acknowledged ingest round on a bare engine — the four steps
 /// `SharedEngine::ingest` takes. Returns the documents it accepted.
 fn ingest_round(engine: &mut PrixEngine, batch: &[String]) -> Result<Vec<String>, String> {
     engine.pool().begin_ingest();
     let out = engine.ingest_batch(batch).map_err(|e| e.to_string())?;
+    if !out.accepted.is_empty() {
+        engine.save().map_err(|e| e.to_string())?;
+    }
     engine.pool().publish_ingest();
     Ok(batch
         .iter()
@@ -598,7 +601,8 @@ fn redo_log_iteration(
             };
             r
         }
-        // What `Drop` and server shutdown run.
+        // What server shutdown runs; `Drop` runs its write-back half,
+        // and only over all-committed state.
         KillIn::Checkpoint | KillIn::AfterAbort => pool.checkpoint().map_err(|e| e.to_string()),
         KillIn::Compaction => engine.compact().map(|_| ()).map_err(|e| e.to_string()),
     };
@@ -730,8 +734,9 @@ fn redo_log_replay_dropped_fsync_seed_5eed0013() {
 }
 
 /// Regression for the silently-discarded drop-flush error: a pool whose
-/// final flush fails during `Drop` must count the failure in IoStats
-/// (and log it) instead of swallowing it.
+/// closing checkpoint fails during `Drop` must count the failure in
+/// IoStats (and log it) instead of swallowing it. The page is committed
+/// first: `Drop` checkpoints committed state only.
 #[test]
 fn drop_flush_error_is_counted_not_swallowed() {
     let inj = FaultInjector::unarmed();
@@ -742,10 +747,15 @@ fn drop_flush_error_is_counted_not_swallowed() {
     let pool = BufferPool::with_wal(pager, 4, wal);
     let id = pool.allocate_page().unwrap();
     pool.with_page_mut(id, |d| d[0] = 7).unwrap();
-    assert_eq!(stats.flush_errors(), 0);
+    pool.commit().unwrap();
+    assert_eq!(stats.snapshot().flush_errors, 0);
     inj.arm(FaultKind::ShortWrite, 0, 1); // the next write dies
     drop(pool);
-    assert_eq!(stats.flush_errors(), 1, "drop must record the failed flush");
+    assert_eq!(
+        stats.snapshot().flush_errors,
+        1,
+        "drop must record the failed flush"
+    );
 }
 
 /// Bit rot after a clean shutdown: recovery has nothing to replay, but

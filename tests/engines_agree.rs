@@ -42,7 +42,7 @@ fn check_counts(ds: Dataset) {
 
     for pq in queries_for(ds) {
         let q = snap.parse_query(pq.xpath).unwrap();
-        let expected = naive::naive_count(engine.collection(), &q) as u64;
+        let expected = naive::naive_count(&collection, &q) as u64;
 
         let prix_n = snap.query(&q).unwrap().matches.len() as u64;
         assert_eq!(prix_n, expected, "{}: PRIX", pq.id);
@@ -179,6 +179,60 @@ fn check_routed(ds: Dataset) {
     for pq in queries_for(ds) {
         let q = snap.parse_query(pq.xpath).unwrap();
         assert_routing_agrees(&snap, &q, &cache, pq.id);
+    }
+}
+
+/// The planner leaves PRIX when it should and stays when it should, on
+/// a skewed collection: ~1200 documents full of `hay`, a `needle`
+/// ancestor in one of 40. `//needle//hay` drives PRIX's subsequence
+/// filter through every `hay` trie position (the common leaf is the
+/// first LPS symbol) while a twig join drills down from the rare
+/// `needle` stream, so the planner must route that class off PRIX —
+/// and the routed answer must still equal forced PRIX's. The selective
+/// path `/root/needle` stays on PRIX. Each `hay` sits in a
+/// pseudo-randomly chosen wrapper so documents do not collapse onto
+/// shared trie paths, which would make PRIX's scan artificially cheap.
+#[test]
+fn planner_routes_the_rare_ancestor_class_off_prix() {
+    let mut c = Collection::new();
+    for i in 0..1200usize {
+        let mut xml = String::from("<root>");
+        if i % 40 == 0 {
+            xml.push_str("<needle><hay>v</hay><hay>v</hay></needle>");
+        }
+        for j in 0..40usize {
+            let w = (i
+                .wrapping_mul(2654435761)
+                .wrapping_add(j.wrapping_mul(40503))
+                >> 7)
+                % 29;
+            xml.push_str(&format!("<w{w}><hay>v</hay></w{w}>"));
+        }
+        xml.push_str("</root>");
+        c.add_xml(&xml).unwrap();
+    }
+    let engine = PrixEngine::build(c, EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
+    let cache = AltCache::new();
+    let alts = &SnapshotAlts {
+        snap: &snap,
+        cache: &cache,
+    };
+    for (class, xpath, expect_prix) in [
+        ("rare_ancestor", "//needle//hay", false),
+        ("selective_path", "/root/needle", true),
+    ] {
+        let q = snap.parse_query(xpath).unwrap();
+        let routed = snap.query_routed(&q, &ExecOpts::new(), None, alts).unwrap();
+        assert!(!routed.outcome.matches.is_empty(), "{class}: empty answer");
+        assert_eq!(
+            routed.report.chosen.is_prix(),
+            expect_prix,
+            "{class}: planner chose {}\n{}",
+            routed.report.chosen.label(),
+            routed.report.render()
+        );
+        assert_routing_agrees(&snap, &q, &cache, class);
     }
 }
 

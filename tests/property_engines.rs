@@ -498,19 +498,19 @@ fn prop_incremental_equals_bulk(input: &IncrementalInput) -> Result<(), String> 
             Err(e) => panic!("unexpected insert failure: {e}"),
         }
     }
-    let bulk = PrixEngine::build(full, EngineConfig::default()).unwrap();
+    let bulk = PrixEngine::build(full.clone(), EngineConfig::default()).unwrap();
 
     // Symbol ids diverge between the two engines (the dummy label
     // interleaves differently), so build the query against each
     // engine's own table.
-    let mut syms_i = incremental.collection().symbols().clone();
+    let mut syms_i = incremental.symbols().clone();
     let qi = build_query(*q_root, q_steps, q_edges, false, &mut syms_i);
-    let mut syms_b = bulk.collection().symbols().clone();
+    let mut syms_b = bulk.symbols().clone();
     let qb = build_query(*q_root, q_steps, q_edges, false, &mut syms_b);
     let mi = matches_as_set(&incremental.snapshot().query(&qi).unwrap().matches);
     let mb = matches_as_set(&bulk.snapshot().query(&qb).unwrap().matches);
     assert_eq!(&mi, &mb);
-    let oracle = naive_as_set(bulk.collection(), &qb);
+    let oracle = naive_as_set(&full, &qb);
     assert_eq!(&mi, &oracle);
     Ok(())
 }

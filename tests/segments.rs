@@ -217,6 +217,63 @@ fn bulk_equals_incremental(docs: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Cold answers through segments cost strictly fewer bytes than through
+/// the buffer pool, with identical matches: the paper's DBLP workload
+/// over the same corpus, bulk-built into segments and built through the
+/// pool, counting logical reads (8 KiB pages from the pool, 4 KiB
+/// blocks from the segment caches). Counters, not wall clock —
+/// `prixbench query_cold` carries the timings.
+#[test]
+fn cold_answers_through_segments_read_fewer_bytes_than_through_the_pool() {
+    use prix::datagen::{generate, queries::queries_for, Dataset};
+    const PAGE_BYTES: u64 = prix::storage::PAGE_SIZE as u64;
+    const SEG_BLOCK_BYTES: u64 = 4096;
+
+    let corpus = generate(Dataset::Dblp, 0.05, 42);
+    let docs: Vec<String> = corpus
+        .iter()
+        .map(|(_, t)| prix::xml::write_document(t, corpus.symbols()))
+        .collect();
+    let pool_built = PrixEngine::build(corpus, cfg()).unwrap();
+    let bulk_built = bulk_over(Arc::new(MemSegEnv::new()), &docs).unwrap();
+    assert_eq!(bulk_built.segment_docs(), docs.len() as u64);
+
+    // (pool bytes, segment bytes, matches) of the whole workload, cold.
+    let cold_workload = |engine: &PrixEngine| {
+        let view = engine.snapshot();
+        let (mut pool, mut seg, mut matches) = (0u64, 0u64, Vec::new());
+        for pq in queries_for(Dataset::Dblp) {
+            let q = view.parse_query(pq.xpath).unwrap();
+            engine.clear_cache().unwrap();
+            let out = view.query(&q).unwrap();
+            assert_eq!(out.matches.len() as u64, pq.expected_matches, "{}", pq.id);
+            pool += out.io.logical_reads * PAGE_BYTES;
+            seg += out.io.seg_block_reads * SEG_BLOCK_BYTES;
+            matches.push(match_set(&out.matches));
+        }
+        (pool, seg, matches)
+    };
+    let (pool_bytes, no_seg_bytes, pool_matches) = cold_workload(&pool_built);
+    let (seg_pool_bytes, seg_bytes, seg_matches) = cold_workload(&bulk_built);
+    assert_eq!(
+        no_seg_bytes, 0,
+        "the pool-built database read segment blocks"
+    );
+    assert!(
+        seg_bytes > 0,
+        "the bulk-built database did not answer through segments"
+    );
+    assert_eq!(
+        seg_matches, pool_matches,
+        "the two paths disagree on the workload"
+    );
+    assert!(
+        seg_pool_bytes + seg_bytes < pool_bytes,
+        "through segments: {seg_pool_bytes} pool + {seg_bytes} segment bytes; \
+         through the pool: {pool_bytes} bytes"
+    );
+}
+
 #[test]
 fn prop_bulk_equals_incremental() {
     check(

@@ -12,8 +12,8 @@ fn check_dataset(ds: Dataset) {
     for pq in queries_for(ds) {
         let q = snap.parse_query(pq.xpath).unwrap();
         let out = snap.query(&q).unwrap();
-        let naive_n = naive::naive_count(engine.collection(), &q);
-        let scan_n = scan::scan_matches(engine.collection(), &q, engine.dummy()).len();
+        let naive_n = naive::naive_count(&collection, &q);
+        let scan_n = scan::scan_matches(&collection, &q, engine.dummy()).len();
         assert_eq!(
             out.matches.len(),
             naive_n,

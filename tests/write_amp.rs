@@ -165,6 +165,7 @@ fn ingest_and_compaction_write_each_page_once() {
         engine.pool().begin_ingest();
         let out = engine.ingest_batch(&batch).unwrap();
         assert!(out.rejected.is_empty(), "{:?}", out.rejected.first());
+        engine.save().unwrap();
         engine.pool().publish_ingest();
     }
     let ingest = old_pool.snapshot().since(&io0);

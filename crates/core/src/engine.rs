@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 use prix_storage::{
     recover, BufferPool, FileSegEnv, IoStats, Manifest, ManifestSegment, MemSegEnv, Pager,
-    RawStore, RecordId, RecordStore, RecoveryReport, SegmentCheck, SegmentEnv, SegmentReader, Wal,
-    PAGE_SIZE, SEG_KIND_EP, SEG_KIND_RP,
+    RecordId, RecordStore, RecoveryReport, SegmentCheck, SegmentEnv, SegmentReader, Wal, PAGE_SIZE,
+    SEG_KIND_EP, SEG_KIND_RP,
 };
 use prix_xml::{Collection, Sym, SymbolTable};
 
@@ -59,20 +59,6 @@ impl Default for EngineConfig {
             path: None,
         }
     }
-}
-
-/// The raw byte stores a persistent engine lives on: the page file, its
-/// checksum sidecar, and the write-ahead log. Normally these are the
-/// files `<db>`, `<db>.sum`, and `<db>.wal`, but any [`RawStore`]
-/// works — the crash-recovery harness passes fault-injecting in-memory
-/// stores through [`PrixEngine::build_on`] / [`PrixEngine::reopen_on`].
-pub struct EngineStores {
-    /// The page file.
-    pub db: Box<dyn RawStore>,
-    /// Per-page CRC sidecar (`<db>.sum`).
-    pub sum: Box<dyn RawStore>,
-    /// Write-ahead log (`<db>.wal`).
-    pub wal: Box<dyn RawStore>,
 }
 
 /// Decodes the symbol-table record [`PrixEngine::save`] writes (u32
@@ -174,32 +160,58 @@ impl PrixEngine {
     pub fn build(collection: Collection, cfg: EngineConfig) -> Result<Self> {
         match &cfg.path {
             Some(p) => {
-                let env: Arc<dyn SegmentEnv> = Arc::new(FileSegEnv::new(p.clone()));
-                Self::build_mutable_env(collection, &cfg, &env, "")
+                let env = Arc::new(FileSegEnv::new(p.clone()));
+                Self::build_env(collection, cfg, env)
             }
             None => {
                 let pool = BufferPool::new(Pager::in_memory(), cfg.buffer_pages);
-                Self::build_over(collection, cfg, pool)
+                Self::build_over(collection, &cfg, pool, Arc::new(MemSegEnv::new()))
             }
         }
     }
 
-    /// [`PrixEngine::build`] over caller-supplied stores instead of
-    /// files (ignores [`EngineConfig::path`]); durable exactly as if
-    /// file-backed.
-    pub fn build_on(
+    /// [`PrixEngine::build`] with the database's stores — page file,
+    /// `.sum`, `.wal`, and later its segments and manifest — living in
+    /// `env` instead of at [`EngineConfig::path`] (which is ignored);
+    /// durable exactly as if file-backed. The crash harness hands
+    /// fault-injecting environments in here and reopens what survived
+    /// through [`PrixEngine::reopen_env`].
+    pub fn build_env(
         collection: Collection,
         cfg: EngineConfig,
-        stores: EngineStores,
+        env: Arc<dyn SegmentEnv>,
     ) -> Result<Self> {
-        let pager = Pager::create_durable(stores.db, stores.sum).map_err(IndexError::Storage)?;
-        let wal =
-            Wal::create(stores.wal, pager.epoch(), pager.stats()).map_err(IndexError::Storage)?;
-        let pool = BufferPool::with_wal(pager, cfg.buffer_pages, wal);
-        Self::build_over(collection, cfg, pool)
+        Self::build_at(collection, &cfg, env, "")
     }
 
-    fn build_over(mut collection: Collection, cfg: EngineConfig, pool: BufferPool) -> Result<Self> {
+    /// Builds a mutable-generation engine whose stores live in `env` at
+    /// `suffix`: the base database at `""`, bulk builds and compaction
+    /// at their generation's name.
+    fn build_at(
+        collection: Collection,
+        cfg: &EngineConfig,
+        env: Arc<dyn SegmentEnv>,
+        suffix: &str,
+    ) -> Result<Self> {
+        let pager =
+            Pager::create_durable(env.create(suffix)?, env.create(&format!("{suffix}.sum"))?)
+                .map_err(IndexError::Storage)?;
+        let wal = Wal::create(
+            env.create(&format!("{suffix}.wal"))?,
+            pager.epoch(),
+            pager.stats(),
+        )
+        .map_err(IndexError::Storage)?;
+        let pool = BufferPool::with_wal(pager, cfg.buffer_pages, wal);
+        Self::build_over(collection, cfg, pool, env)
+    }
+
+    fn build_over(
+        mut collection: Collection,
+        cfg: &EngineConfig,
+        pool: BufferPool,
+        seg_env: Arc<dyn SegmentEnv>,
+    ) -> Result<Self> {
         let pool = Arc::new(pool);
         let dummy = collection.intern("\u{1}prix-dummy");
         // Both indexes read the same immutable collection and write
@@ -244,10 +256,7 @@ impl PrixEngine {
             recovery: None,
             segments: Vec::new(),
             manifest_segments: Vec::new(),
-            // In-memory and harness engines keep this one;
-            // [`PrixEngine::build_mutable_env`] installs the real
-            // environment of a database that has one.
-            seg_env: Arc::new(MemSegEnv::new()),
+            seg_env,
             seg_stats: Arc::new(IoStats::new()),
             generation: 0,
             mutable_suffix: String::new(),
@@ -428,29 +437,21 @@ impl PrixEngine {
             // hand): nothing to replay; recreate it empty.
             env.create(&wal_suffix)?
         };
-        let stores = EngineStores {
-            db,
-            sum: env.open(&sum_suffix)?,
-            wal,
-        };
-        let mut eng = Self::reopen_on(stores, buffer_pages)?;
-        eng.seg_env = env;
+        let pager = Pager::open_durable(db, env.open(&sum_suffix)?).map_err(IndexError::Storage)?;
+        let (wal, report) = recover(&pager, wal, pager.stats()).map_err(IndexError::Storage)?;
+        let pool = BufferPool::with_wal(pager, buffer_pages, wal);
+        let mut eng = Self::reopen_over(pool, report, env)?;
         if let Some(m) = &manifest {
             eng.attach_manifest(m)?;
         }
         Ok(eng)
     }
 
-    /// [`PrixEngine::reopen`] over caller-supplied stores (the crash
-    /// harness hands in the post-crash disk images).
-    pub fn reopen_on(stores: EngineStores, buffer_pages: usize) -> Result<Self> {
-        let pager = Pager::open_durable(stores.db, stores.sum).map_err(IndexError::Storage)?;
-        let stats = pager.stats();
-        let (wal, report) = recover(&pager, stores.wal, stats).map_err(IndexError::Storage)?;
-        Self::reopen_over(BufferPool::with_wal(pager, buffer_pages, wal), report)
-    }
-
-    fn reopen_over(pool: BufferPool, recovery: RecoveryReport) -> Result<Self> {
+    fn reopen_over(
+        pool: BufferPool,
+        recovery: RecoveryReport,
+        seg_env: Arc<dyn SegmentEnv>,
+    ) -> Result<Self> {
         let pool = Arc::new(pool);
         let (rp_meta, ep_meta, syms_rec, dummy, pstats, valix_meta) = pool
             .with_page(0, |p: &[u8; PAGE_SIZE]| {
@@ -519,9 +520,7 @@ impl PrixEngine {
             recovery: Some(recovery),
             segments: Vec::new(),
             manifest_segments: Vec::new(),
-            // Placeholder; [`PrixEngine::reopen_env`] installs the real
-            // environment right after this returns.
-            seg_env: Arc::new(MemSegEnv::new()),
+            seg_env,
             seg_stats: Arc::new(IoStats::new()),
             generation: 0,
             mutable_suffix: String::new(),
@@ -663,26 +662,7 @@ impl PrixEngine {
     ) -> Result<Self> {
         let mut collection = Collection::new();
         *collection.symbols_mut() = symbols;
-        Self::build_mutable_env(collection, cfg, env, suffix)
-    }
-
-    /// Builds a mutable-generation engine whose stores (page file,
-    /// `.sum`, `.wal`) live in `env` at `suffix`: the base database at
-    /// `""`, bulk builds and compaction at their generation's name.
-    fn build_mutable_env(
-        collection: Collection,
-        cfg: &EngineConfig,
-        env: &Arc<dyn SegmentEnv>,
-        suffix: &str,
-    ) -> Result<Self> {
-        let stores = EngineStores {
-            db: env.create(suffix)?,
-            sum: env.create(&format!("{suffix}.sum"))?,
-            wal: env.create(&format!("{suffix}.wal"))?,
-        };
-        let mut eng = Self::build_on(collection, cfg.clone(), stores)?;
-        eng.seg_env = Arc::clone(env);
-        Ok(eng)
+        Self::build_at(collection, cfg, Arc::clone(env), suffix)
     }
 
     /// Assembles the engine a finished bulk build publishes: an empty
@@ -977,12 +957,7 @@ impl PrixEngine {
             Ok(t) => t,
             Err(e) => return Ok(reject(format!("parse error: {e}"))),
         };
-        let subtrees: Vec<prix_xml::XmlTree> = tree
-            .children(tree.root())
-            .iter()
-            .filter(|&&c| tree.kind(c) == prix_xml::NodeKind::Element)
-            .map(|&c| tree.subtree(c))
-            .collect();
+        let subtrees: Vec<prix_xml::XmlTree> = tree.element_children().collect();
         if subtrees.is_empty() {
             return Ok(reject("wrapper has no element children to ingest".into()));
         }

@@ -156,7 +156,8 @@ pub struct ExecOpts {
     /// a limit the executor stops *pulling* — remaining trie range
     /// queries, docid scans, and refinements never run — and matches
     /// arrive in trie-traversal order rather than sorted candidate
-    /// order.
+    /// order (so a limit no query reaches, `usize::MAX`, asks for
+    /// exactly that order).
     pub limit: Option<usize>,
 }
 
@@ -757,11 +758,6 @@ impl PrixIndex {
         }
     }
 
-    /// Executes an ordered twig query with default options.
-    pub fn execute(&self, q: &TwigQuery) -> Result<(Vec<TwigMatch>, QueryStats)> {
-        self.execute_opts(q, &ExecOpts::default())
-    }
-
     /// Describes how this index would run `q`: the plan flavor, the
     /// query's Prüfer sequences, edge constraints, and the Theorem 4
     /// pruning rules.
@@ -817,125 +813,20 @@ impl PrixIndex {
         Ok(out)
     }
 
-    /// Executes an ordered twig query.
-    ///
-    /// Without a limit this preserves the historical contract exactly:
-    /// all candidates are drained from the [`crate::exec::CandidateCursor`],
-    /// sorted by `(doc, positions)` so per-document record loads batch
-    /// up, then refined in that order — results, ordering, and every
-    /// [`QueryStats`] counter are identical to the pre-streaming
-    /// executor. With `opts.limit` set, execution goes through
-    /// [`PrixIndex::execute_stream`] and stops pulling at the limit, so
-    /// matches arrive in trie-traversal order and the filter counters
-    /// reflect only the work actually performed.
-    pub fn execute_opts(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-    ) -> Result<(Vec<TwigMatch>, QueryStats)> {
-        self.execute_opts_pred(q, opts, None)
-    }
-
-    /// [`PrixIndex::execute_opts`] with a value-predicate evaluator:
-    /// candidates from documents the valix pre-filter rules out are
-    /// skipped before refinement, and every emitted match passes the
-    /// evaluator's positional verification — results are exactly the
-    /// predicate-free results post-filtered.
-    pub fn execute_opts_pred(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-        pred: Option<&crate::valix::PredEval>,
-    ) -> Result<(Vec<TwigMatch>, QueryStats)> {
-        if opts.limit.is_some() {
-            let mut stream = self.execute_stream_pred(q, opts, pred)?;
-            let mut matches = Vec::new();
-            while let Some(m) = stream.next_match()? {
-                matches.push(m);
-            }
-            return Ok((matches, stream.stats()));
-        }
-
-        let plan = self.plan(q)?;
-        if plan.seq.is_empty() {
-            return Err(IndexError::Unsupported(
-                "query has an empty Prüfer sequence (single-node query on RPIndex)".into(),
-            ));
-        }
-
-        // Phase 1: filtering by subsequence matching (Algorithm 1),
-        // fully drained.
-        let rules = if opts.use_maxgap {
-            self.gap_rules(&plan)
-        } else {
-            vec![None; plan.seq.len().saturating_sub(1)]
-        };
-        let mut cursor = crate::exec::CandidateCursor::new(
-            self,
-            plan.seq.lps.clone(),
-            rules,
-            opts.use_fine_maxgap,
-        );
-        let mut pred_skipped = 0u64;
-        let mut candidates: Vec<(DocId, Vec<PostNum>)> = Vec::new();
-        while let Some((doc, pos)) = cursor.next()? {
-            // Predicate pre-filter: documents the valix probe ruled out
-            // cannot pass the positional verification below.
-            if let Some(p) = pred {
-                if !p.allows(doc) {
-                    pred_skipped += 1;
-                    continue;
-                }
-            }
-            candidates.push((doc, pos.to_vec()));
-        }
-        let mut stats = cursor.stats();
-        stats.candidates = candidates.len() as u64;
-        stats.pred_skipped = pred_skipped;
-
-        // Phase 2: refinement (Algorithm 2), grouped per document so the
-        // NPS / LPS / leaf records are fetched once.
-        candidates.sort();
-        let mut stage = crate::exec::RefineStage::new(self, pred.is_some());
-        let mut matches: Vec<TwigMatch> = Vec::new();
-        for (doc, positions) in &candidates {
-            if let Some(m) = stage.process(&plan, q.is_absolute(), *doc, positions)? {
-                if let Some(p) = pred {
-                    let data = stage.doc_data(*doc).expect("process() cached this doc");
-                    if !p.matches(data, &m.embedding) {
-                        stats.pred_rejected += 1;
-                        continue;
-                    }
-                }
-                matches.push(m);
-            }
-        }
-        stats.refined = stage.refined;
-        stats.refine_time = stage.refine_time;
-        stats.project_time = stage.project_time;
-        stats.matches = matches.len() as u64;
-        Ok((matches, stats))
-    }
-
-    /// Executes an ordered twig query as a pull-based stream: one
-    /// [`crate::exec::MatchStream::next_match`] call pulls exactly as
-    /// much trie traversal and refinement as needed to produce the next
-    /// distinct match. Dropping the stream (or hitting `opts.limit`)
-    /// abandons the remaining trie descent — that is the LIMIT
-    /// pushdown. Matches arrive in trie-traversal (document-filter)
-    /// order.
-    pub fn execute_stream(
-        &self,
-        q: &TwigQuery,
-        opts: &ExecOpts,
-    ) -> Result<crate::exec::MatchStream<'_>> {
-        self.execute_stream_pred(q, opts, None)
-    }
-
-    /// [`PrixIndex::execute_stream`] with a value-predicate evaluator
-    /// (see [`PrixIndex::execute_opts_pred`]). The evaluator must
-    /// outlive the stream.
-    pub fn execute_stream_pred<'a>(
+    /// Executes an ordered twig query as a pull-based stream, the one
+    /// way this index runs a query: each
+    /// [`crate::exec::MatchStream::next_match`] call does exactly the
+    /// trie traversal and refinement the next distinct match needs.
+    /// With `opts.limit` set, matches arrive in trie-traversal order
+    /// and hitting the limit (or dropping the stream) abandons the rest
+    /// of the descent — the LIMIT pushdown; without one, the first pull
+    /// drains the descent and matches arrive in `(doc, positions)`
+    /// candidate order. With a value-predicate evaluator (which must
+    /// outlive the stream), candidates from documents its valix
+    /// pre-filter rules out are skipped before refinement and every
+    /// emitted match passes its positional verification — the results
+    /// are exactly the predicate-free results post-filtered.
+    pub fn stream<'a>(
         &'a self,
         q: &TwigQuery,
         opts: &ExecOpts,
@@ -1634,6 +1525,20 @@ mod tests {
         c
     }
 
+    /// Drains `idx.stream(q, opts, None)`: the matches and final stats.
+    fn run(
+        idx: &PrixIndex,
+        q: &TwigQuery,
+        opts: &ExecOpts,
+    ) -> Result<(Vec<TwigMatch>, QueryStats)> {
+        let mut stream = idx.stream(q, opts, None)?;
+        let mut matches = Vec::new();
+        while let Some(m) = stream.next_match()? {
+            matches.push(m);
+        }
+        Ok((matches, stream.stats()))
+    }
+
     fn build_index(c: &mut Collection, kind: IndexKind) -> PrixIndex {
         let dummy = c.intern("\u{1}dummy");
         let pool = Arc::new(BufferPool::new(Pager::in_memory(), 256));
@@ -1650,7 +1555,7 @@ mod tests {
             &mut syms,
         )
         .unwrap();
-        let (matches, stats) = idx.execute(&q).unwrap();
+        let (matches, stats) = run(&idx, &q, &ExecOpts::new()).unwrap();
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].doc, 0);
         assert!(stats.range_queries > 0);
@@ -1669,7 +1574,7 @@ mod tests {
         // they are.
         let q = crate::xpath::parse_xpath("//www[./editor]/url", &mut syms).unwrap();
         assert!(!q.needs_extended());
-        let (matches, _) = idx.execute(&q).unwrap();
+        let (matches, _) = run(&idx, &q, &ExecOpts::new()).unwrap();
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].doc, 3);
     }
@@ -1680,7 +1585,10 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Regular);
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath(r#"//author[text()="Jim Gray"]"#, &mut syms).unwrap();
-        assert!(matches!(idx.execute(&q), Err(IndexError::Unsupported(_))));
+        assert!(matches!(
+            run(&idx, &q, &ExecOpts::new()),
+            Err(IndexError::Unsupported(_))
+        ));
     }
 
     /// A document id past (or below) what a tier holds — what a torn
@@ -1707,7 +1615,7 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Extended);
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath(r#"//author[text()="Jim Gray"]"#, &mut syms).unwrap();
-        let (matches, _) = idx.execute(&q).unwrap();
+        let (matches, _) = run(&idx, &q, &ExecOpts::new()).unwrap();
         assert_eq!(matches.len(), 2);
         for m in &matches {
             let tree = c.doc(m.doc);
@@ -1729,7 +1637,7 @@ mod tests {
         let mut syms = c.symbols().clone();
         // //S//NP/SYM: SYM must be a child of NP, NP a descendant of S.
         let q = crate::xpath::parse_xpath("//S//NP/SYM", &mut syms).unwrap();
-        let (matches, _) = idx.execute(&q).unwrap();
+        let (matches, _) = run(&idx, &q, &ExecOpts::new()).unwrap();
         let docs: Vec<DocId> = matches.iter().map(|m| m.doc).collect();
         assert_eq!(docs, vec![0, 1], "doc 2 has SYM under X, not under NP");
     }
@@ -1743,7 +1651,7 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Regular);
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath("//a/*/b/x", &mut syms).unwrap();
-        let (matches, _) = idx.execute(&q).unwrap();
+        let (matches, _) = run(&idx, &q, &ExecOpts::new()).unwrap();
         let docs: Vec<DocId> = matches.iter().map(|m| m.doc).collect();
         assert_eq!(docs, vec![0]);
     }
@@ -1756,10 +1664,10 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Extended);
         let mut syms = c.symbols().clone();
         let q_rel = crate::xpath::parse_xpath("//a/b/t", &mut syms).unwrap();
-        let (m_rel, _) = idx.execute(&q_rel).unwrap();
+        let (m_rel, _) = run(&idx, &q_rel, &ExecOpts::new()).unwrap();
         assert_eq!(m_rel.len(), 2);
         let q_abs = crate::xpath::parse_xpath("/a/b/t", &mut syms).unwrap();
-        let (m_abs, _) = idx.execute(&q_abs).unwrap();
+        let (m_abs, _) = run(&idx, &q_abs, &ExecOpts::new()).unwrap();
         assert_eq!(m_abs.len(), 1);
         assert_eq!(m_abs[0].doc, 0);
     }
@@ -1774,10 +1682,8 @@ mod tests {
             &mut syms,
         )
         .unwrap();
-        let (with, s_with) = idx.execute_opts(&q, &ExecOpts::new()).unwrap();
-        let (without, s_without) = idx
-            .execute_opts(&q, &ExecOpts::new().without_maxgap())
-            .unwrap();
+        let (with, s_with) = run(&idx, &q, &ExecOpts::new()).unwrap();
+        let (without, s_without) = run(&idx, &q, &ExecOpts::new().without_maxgap()).unwrap();
         assert_eq!(with, without, "pruning must be lossless (Theorem 4)");
         assert!(s_with.nodes_scanned <= s_without.nodes_scanned);
     }
@@ -1788,7 +1694,7 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Extended);
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath("//editor", &mut syms).unwrap();
-        let (matches, _) = idx.execute(&q).unwrap();
+        let (matches, _) = run(&idx, &q, &ExecOpts::new()).unwrap();
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].doc, 3);
     }
@@ -1807,7 +1713,7 @@ mod tests {
         // All ten docs match //a/b.
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath("//a/b/c", &mut syms).unwrap();
-        let (matches, _) = idx.execute(&q).unwrap();
+        let (matches, _) = run(&idx, &q, &ExecOpts::new()).unwrap();
         assert_eq!(matches.len(), 10);
     }
 
@@ -1825,7 +1731,7 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Regular);
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath("//P[./Q]/R", &mut syms).unwrap();
-        let (matches, _) = idx.execute(&q).unwrap();
+        let (matches, _) = run(&idx, &q, &ExecOpts::new()).unwrap();
         assert_eq!(matches.len(), 1);
         assert_eq!(matches[0].doc, 0, "doc 1 would be a ViST false alarm");
     }
@@ -1847,10 +1753,8 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Regular);
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath("//a[./b]/c", &mut syms).unwrap();
-        let fine = idx.execute_opts(&q, &ExecOpts::new()).unwrap();
-        let coarse = idx
-            .execute_opts(&q, &ExecOpts::new().without_fine_maxgap())
-            .unwrap();
+        let fine = run(&idx, &q, &ExecOpts::new()).unwrap();
+        let coarse = run(&idx, &q, &ExecOpts::new().without_fine_maxgap()).unwrap();
         assert_eq!(fine.0, coarse.0, "fine pruning must be lossless");
         assert_eq!(fine.0.len(), 1, "only the wide document matches");
         assert!(

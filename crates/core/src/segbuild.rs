@@ -290,10 +290,8 @@ impl BulkBuilder {
         let tree = parse_document(wrapper, &mut self.syms)
             .map_err(|e| IndexError::Unsupported(format!("parse error: {e}")))?;
         let mut ids = Vec::new();
-        for &c in tree.children(tree.root()) {
-            if tree.kind(c) == prix_xml::NodeKind::Element {
-                ids.push(self.add_tree(&tree.subtree(c))?);
-            }
+        for record in tree.element_children() {
+            ids.push(self.add_tree(&record)?);
         }
         if ids.is_empty() {
             return Err(IndexError::Unsupported(

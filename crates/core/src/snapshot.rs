@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use prix_storage::{EpochPin, IoScope, IoSnapshot};
+use prix_storage::{EpochPin, IoScope, IoSnapshot, PinGuard};
 use prix_xml::{Collection, DocId, PostNum, ScratchSyms, SymbolTable};
 
 use crate::arrange::{arrangements, ARRANGEMENT_LIMIT};
@@ -132,12 +132,6 @@ impl EngineSnapshot {
         }
     }
 
-    /// Builds the predicate evaluator for `q` against this epoch's
-    /// value index (`None` when the query has no predicates).
-    fn pred_eval(&self, q: &TwigQuery) -> Result<Option<PredEval>> {
-        PredEval::build(q, &self.valix, &self.syms)
-    }
-
     /// The tier list a query descends: segments in ascending
     /// `doc_base` order, then the mutable delta. The mutable tier joins
     /// only when it has documents (or when there is nothing else): an
@@ -200,74 +194,53 @@ impl EngineSnapshot {
     }
 
     /// [`EngineSnapshot::query`] with execution options. With
-    /// [`ExecOpts::limit`] set the query runs through the streaming
-    /// executor and stops pulling at the limit — the remaining trie
-    /// range queries and refinements never happen.
+    /// [`ExecOpts::limit`] set the query stops pulling at the limit —
+    /// the remaining trie range queries and refinements never happen —
+    /// and matches come in trie-traversal order per tier instead of
+    /// `(doc, positions)` candidate order.
     pub fn query_opts(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome> {
         self.execute_prix(q, opts, None)
     }
 
     /// The ordered-query path, optionally forcing one index kind (the
-    /// router's RP-vs-EP decision; §5.6's rule when `None`). Tiers
-    /// ascend by document base and matches come out per-tier in order,
-    /// so concatenation preserves the global document order the
-    /// single-tier executor produced. With a limit set each tier
-    /// streams against the *remaining* budget and stops pulling once it
-    /// is spent — later tiers (and the rest of the current one) never
-    /// run their trie range queries at all.
+    /// router's RP-vs-EP decision; §5.6's rule when `None`).
     pub(crate) fn execute_prix(
         &self,
         q: &TwigQuery,
         opts: &ExecOpts,
         force: Option<IndexKind>,
     ) -> Result<QueryOutcome> {
+        let (mut exec, pred) = self.begin(q, opts)?;
+        exec.stream_tiers(q, pred.as_ref(), force, Some)?;
+        Ok(exec.finish(pred.as_ref()))
+    }
+
+    /// Opens an execution at this epoch: installs the pin, probes the
+    /// value index for `q`'s predicates, lists the tiers, and only then
+    /// starts the I/O scope and the clock (the probe's page reads are
+    /// reported as `valix_*` counters, not as query I/O).
+    fn begin(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<(Execution<'_>, Option<PredEval>)> {
         let _pin = self.pin.guard();
-        let pred = self.pred_eval(q)?;
-        let pred = pred.as_ref();
-        let tiers = self.tiers();
-        let scope = IoScope::begin();
-        let start = Instant::now();
-        let mut matches: Vec<TwigMatch> = Vec::new();
-        let mut stats = QueryStats::default();
-        let mut index_used = IndexKind::Regular;
-        let mut truncated = false;
-        if let Some(k) = opts.limit {
-            let mut remaining = k;
-            for (i, &(rp, ep)) in tiers.iter().enumerate() {
-                if i > 0 && remaining == 0 {
-                    // Budget exhausted with tiers left unexplored: more
-                    // matches may exist (the same conservative flag a
-                    // mid-stream stop reports).
-                    truncated = true;
-                    break;
-                }
-                let idx = pick_index(rp, ep, q, force)?;
-                index_used = idx.kind();
-                let tier_opts = opts.with_limit(remaining);
-                let mut stream = idx.execute_stream_pred(q, &tier_opts, pred)?;
-                while let Some(m) = stream.next_match()? {
-                    matches.push(m);
-                    remaining -= 1;
-                }
-                let exhausted = stream.exhausted();
-                add_filter_counters(&mut stats, &stream.stats());
-                if !exhausted {
-                    truncated = true;
-                    break;
-                }
-            }
-        } else {
-            for &(rp, ep) in &tiers {
-                let idx = pick_index(rp, ep, q, force)?;
-                index_used = idx.kind();
-                let (m, s) = idx.execute_opts_pred(q, opts, pred)?;
-                matches.extend(m);
-                add_filter_counters(&mut stats, &s);
-            }
-        }
-        Ok(finish_outcome(
-            matches, stats, index_used, truncated, pred, scope, start,
-        ))
+        let pred = PredEval::build(q, &self.valix, &self.syms)?;
+        let exec = Execution {
+            tiers: self.tiers(),
+            // `stream_tiers` owns the limit, so a limited execution asks
+            // every stream for arrival order with a limit none of them
+            // reaches, and stops pulling when the budget is spent.
+            stream_opts: ExecOpts {
+                limit: opts.limit.map(|_| usize::MAX),
+                ..*opts
+            },
+            budget: opts.limit.unwrap_or(usize::MAX),
+            matches: Vec::new(),
+            stats: QueryStats::default(),
+            index_used: IndexKind::Regular,
+            truncated: false,
+            scope: IoScope::begin(),
+            start: Instant::now(),
+            _pin,
+        };
+        Ok((exec, pred))
     }
 
     /// Executes a batch of ordered twig queries on up to `threads`
@@ -333,83 +306,58 @@ impl EngineSnapshot {
 
     /// [`EngineSnapshot::query_unordered`] with execution options. With
     /// [`ExecOpts::limit`] set, arrangements interleave through the
-    /// *shared* limit: each arrangement is streamed, distinct
-    /// base-numbered matches count against the one budget, and as soon
-    /// as it is reached the current stream is abandoned mid-trie and
-    /// the remaining arrangements never run at all. They also run
-    /// cheapest-estimated-first then, so the budget fills from the
-    /// arrangements expected to drain (or fail) fastest. Without a
-    /// limit the order is left alone — every arrangement runs to
-    /// completion anyway, and keeping the stock order keeps the
+    /// *shared* limit: distinct base-numbered matches count against the
+    /// one budget, and as soon as it is spent the current stream is
+    /// abandoned mid-trie and the remaining arrangements never run at
+    /// all. (A per-stream limit would be unsound here — k matches from
+    /// one arrangement may collapse with earlier ones in the dedup —
+    /// which is why the budget is kept out of the streams.)
+    /// They also run cheapest-estimated-first then, so the budget fills
+    /// from the arrangements expected to drain (or fail) fastest.
+    /// Without a limit the order is left alone — every arrangement runs
+    /// to completion anyway, and keeping the stock order keeps the
     /// concatenated match vector bit-identical to older builds.
     pub fn query_unordered_opts(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome> {
-        let _pin = self.pin.guard();
-        let pred = self.pred_eval(q)?;
-        let pred = pred.as_ref();
-        let tiers = self.tiers();
         let mut arrs = arrangements(q, ARRANGEMENT_LIMIT)
             .map_err(|e| IndexError::Unsupported(e.to_string()))?;
         if opts.limit.is_some() {
             let queries: Vec<TwigQuery> = arrs.iter().map(|a| a.query.clone()).collect();
             let order = self.planner.rank_arrangements(&queries);
-            let mut reordered = Vec::with_capacity(arrs.len());
             let mut taken: Vec<Option<_>> = arrs.into_iter().map(Some).collect();
-            for i in order {
-                reordered.push(taken[i].take().expect("permutation visits each index once"));
-            }
-            arrs = reordered;
+            arrs = order
+                .into_iter()
+                .map(|i| taken[i].take().expect("permutation visits each index once"))
+                .collect();
         }
-        let scope = IoScope::begin();
-        let start = Instant::now();
-        let mut stats = QueryStats::default();
-        let mut index_used = IndexKind::Regular;
+        let (mut exec, pred) = self.begin(q, opts)?;
         let mut seen: HashSet<(u32, Vec<PostNum>)> = HashSet::new();
-        let mut matches: Vec<TwigMatch> = Vec::new();
-        let mut truncated = false;
-        // Dedup across arrangements makes a per-stream limit unsound
-        // (k matches from one arrangement may collapse with earlier
-        // ones), so each arrangement streams unlimited and the shared
-        // countdown is enforced on distinct base-numbered matches. Tiers
-        // nest inside the arrangement loop; the final sort re-establishes
-        // global order either way.
-        let arr_opts = opts.without_limit();
-        'arrs: for arr in &arrs {
+        // Tiers nest inside the arrangement loop; the final sort
+        // re-establishes global order either way.
+        for arr in &arrs {
+            if exec.truncated {
+                break;
+            }
             // Arrangements strip predicates from their queries (the
             // structural twig is what gets rearranged), so the evaluator is
             // renumbered to each arrangement's postorders instead.
-            let arr_pred = pred.map(|p| p.remap(&arr.base_of));
-            for &(rp, ep) in &tiers {
-                let idx = pick_index(rp, ep, &arr.query, None)?;
-                index_used = idx.kind();
-                let mut stream =
-                    idx.execute_stream_pred(&arr.query, &arr_opts, arr_pred.as_ref())?;
-                while let Some(m) = stream.next_match()? {
-                    // Re-map the arrangement's postorder numbering back to
-                    // the base query's.
-                    let mut base_emb = vec![0 as PostNum; m.embedding.len()];
-                    for (arr_q, &img) in m.embedding.iter().enumerate() {
-                        let base_q = arr.base_of[arr_q];
-                        base_emb[(base_q - 1) as usize] = img;
-                    }
-                    if seen.insert((m.doc, base_emb.clone())) {
-                        matches.push(TwigMatch {
-                            doc: m.doc,
-                            embedding: base_emb,
-                        });
-                        if opts.limit.map_or(false, |k| matches.len() >= k) {
-                            add_filter_counters(&mut stats, &stream.stats());
-                            truncated = true;
-                            break 'arrs;
-                        }
-                    }
+            let arr_pred = pred.as_ref().map(|p| p.remap(&arr.base_of));
+            exec.stream_tiers(&arr.query, arr_pred.as_ref(), None, |m| {
+                // Re-map the arrangement's postorder numbering back to
+                // the base query's; only embeddings no earlier
+                // arrangement produced count against the limit.
+                let mut base_emb = vec![0 as PostNum; m.embedding.len()];
+                for (arr_q, &img) in m.embedding.iter().enumerate() {
+                    let base_q = arr.base_of[arr_q];
+                    base_emb[(base_q - 1) as usize] = img;
                 }
-                add_filter_counters(&mut stats, &stream.stats());
-            }
+                seen.insert((m.doc, base_emb.clone())).then_some(TwigMatch {
+                    doc: m.doc,
+                    embedding: base_emb,
+                })
+            })?;
         }
-        matches.sort();
-        Ok(finish_outcome(
-            matches, stats, index_used, truncated, pred, scope, start,
-        ))
+        exec.matches.sort();
+        Ok(exec.finish(pred.as_ref()))
     }
 
     /// The shared planner.
@@ -515,9 +463,9 @@ fn pick_index<'a>(
     }
 }
 
-/// Accumulates one tier's (or arrangement's) pipeline stats into the
-/// query's (everything except `matches`, which [`finish_outcome`]
-/// counts once over the final match list).
+/// Accumulates one stream's pipeline stats into the query's (everything
+/// except `matches`, which [`Execution::finish`] counts once over the
+/// final match list).
 fn add_filter_counters(total: &mut QueryStats, s: &QueryStats) {
     total.range_queries += s.range_queries;
     total.nodes_scanned += s.nodes_scanned;
@@ -531,30 +479,79 @@ fn add_filter_counters(total: &mut QueryStats, s: &QueryStats) {
     total.pred_rejected += s.pred_rejected;
 }
 
-/// Closes a PRIX execution: match count, the valix probe counters, the
-/// I/O scope and the clock.
-fn finish_outcome(
+/// One PRIX execution in progress: what the ordered path and the §5.7
+/// arrangement loop accumulate while they stream twigs over the tiers
+/// (see [`EngineSnapshot::begin`]).
+struct Execution<'a> {
+    tiers: Vec<TierRefs<'a>>,
+    /// What every stream runs with.
+    stream_opts: ExecOpts,
+    /// Matches still wanted (`usize::MAX` when there is no limit).
+    budget: usize,
     matches: Vec<TwigMatch>,
-    mut stats: QueryStats,
+    stats: QueryStats,
     index_used: IndexKind,
     truncated: bool,
-    pred: Option<&PredEval>,
     scope: IoScope,
     start: Instant,
-) -> QueryOutcome {
-    stats.matches = matches.len() as u64;
-    if let Some(p) = pred {
-        stats.valix_probes += p.probe.probes;
-        stats.valix_postings += p.probe.postings;
+    _pin: PinGuard,
+}
+
+impl Execution<'_> {
+    /// Streams `q` over every tier into `matches`; `keep` turns a
+    /// stream's match into the one to report, or drops it. Tiers ascend
+    /// by document base and each stream's matches come out in order, so
+    /// concatenation preserves the global document order a single tier
+    /// produces. Once the budget is spent nothing more is pulled: the
+    /// rest of the current trie descent, and every later tier, never
+    /// runs — and since that leaves a stream undrained, more matches
+    /// *may* exist, which is what `truncated` reports.
+    fn stream_tiers(
+        &mut self,
+        q: &TwigQuery,
+        pred: Option<&PredEval>,
+        force: Option<IndexKind>,
+        mut keep: impl FnMut(TwigMatch) -> Option<TwigMatch>,
+    ) -> Result<()> {
+        for &(rp, ep) in &self.tiers {
+            let idx = pick_index(rp, ep, q, force)?;
+            self.index_used = idx.kind();
+            let mut stream = idx.stream(q, &self.stream_opts, pred)?;
+            while self.budget > 0 {
+                let Some(m) = stream.next_match()? else {
+                    break;
+                };
+                if let Some(m) = keep(m) {
+                    self.matches.push(m);
+                    self.budget -= 1;
+                }
+            }
+            add_filter_counters(&mut self.stats, &stream.stats());
+            if !stream.exhausted() {
+                self.truncated = true;
+                break;
+            }
+        }
+        Ok(())
     }
-    QueryOutcome {
-        matches,
-        stats,
-        index_used,
-        io: scope.end(),
-        elapsed: start.elapsed(),
-        truncated,
-        engine: EngineId::from_kind(index_used),
+
+    /// Closes the execution: match count, the valix probe counters, the
+    /// I/O scope and the clock.
+    fn finish(mut self, pred: Option<&PredEval>) -> QueryOutcome {
+        self.stats.matches = self.matches.len() as u64;
+        if let Some(p) = pred {
+            self.stats.valix_probes += p.probe.probes;
+            self.stats.valix_postings += p.probe.postings;
+        }
+        QueryOutcome {
+            matches: self.matches,
+            stats: self.stats,
+            index_used: self.index_used,
+            io: self.scope.end(),
+            elapsed: self.start.elapsed(),
+            truncated: self.truncated,
+            engine: EngineId::from_kind(self.index_used),
+        }
     }
 }
 

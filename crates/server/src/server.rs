@@ -665,36 +665,27 @@ fn handle_query(req: &Request, shared: &Arc<Shared>) -> Response {
     if let Some(body) = shared.result_cache.get(&key) {
         return Response::new(200).json(String::from(&*body));
     }
-    if unordered {
-        return match snap.query_unordered_opts(&q, &opts) {
-            Ok(out) => {
-                record_stage_timings(shared, &out);
-                let mut w = JsonWriter::new();
-                w.obj();
-                w.key("epoch").num(snap.epoch());
-                outcome_json(&mut w, &xp, &out, true);
-                w.end_obj();
-                let body = w.finish();
-                shared.result_cache.insert(key, Arc::from(body.as_str()));
-                Response::new(200).json(body)
-            }
-            Err(e) => Response::new(400).json(error_json(&format!("query error: {e}"))),
+    let outcome = if unordered {
+        snap.query_unordered_opts(&q, &opts)
+    } else {
+        let alts = SnapshotAlts {
+            snap: &snap,
+            cache: &shared.alt_cache,
         };
-    }
-    let alts = SnapshotAlts {
-        snap: &snap,
-        cache: &shared.alt_cache,
-    };
-    match snap.query_routed(&q, &opts, forced, &alts) {
-        Ok(routed) => {
+        snap.query_routed(&q, &opts, forced, &alts).map(|routed| {
             shared
                 .metrics
                 .record_planner(routed.report.chosen, routed.mispredicted);
-            record_stage_timings(shared, &routed.outcome);
+            routed.outcome
+        })
+    };
+    match outcome {
+        Ok(out) => {
+            record_stage_timings(shared, &out);
             let mut w = JsonWriter::new();
             w.obj();
             w.key("epoch").num(snap.epoch());
-            outcome_json(&mut w, &xp, &routed.outcome, true);
+            outcome_json(&mut w, &xp, &out, true);
             w.end_obj();
             let body = w.finish();
             shared.result_cache.insert(key, Arc::from(body.as_str()));

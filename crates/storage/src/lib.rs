@@ -17,7 +17,7 @@
 //!
 //! All components of one database share a single buffer pool, so the
 //! "Disk IO (pages)" columns of Tables 4–9 fall out of
-//! [`IoStats::physical_reads`].
+//! [`IoSnapshot::physical_reads`].
 
 pub mod bptree;
 pub mod buffer;

@@ -46,13 +46,7 @@ impl Collection {
     pub fn add_xml_split(&mut self, text: &str) -> Result<Vec<DocId>, ParseError> {
         let tree = parse_document(text, &mut self.syms)?;
         self.source_bytes += text.len() as u64;
-        let mut ids = Vec::new();
-        for &child in tree.children(tree.root()) {
-            if tree.kind(child) == NodeKind::Element {
-                ids.push(self.push(tree.subtree(child)));
-            }
-        }
-        Ok(ids)
+        Ok(tree.element_children().map(|t| self.push(t)).collect())
     }
 
     /// Adds an already-built tree (must use this collection's symbol
@@ -233,5 +227,18 @@ mod tests {
             .add_xml_split("<r>noise<a><b/></a>more noise<c/></r>")
             .unwrap();
         assert_eq!(ids.len(), 2);
+    }
+
+    #[test]
+    fn split_records_keep_attributes_and_may_be_deep() {
+        let mut c = Collection::new();
+        c.add_xml_split("<dblp><article key=\"k1\"><title>A</title></article></dblp>")
+            .unwrap();
+        // The key attribute became a subelement with a text child.
+        assert_eq!(c.doc(0).len(), 5);
+        let deep = format!("<r>{}{}</r>", "<d>".repeat(10_000), "</d>".repeat(10_000));
+        let ids = c.add_xml_split(&deep).unwrap();
+        assert_eq!(ids.len(), 1);
+        assert_eq!(c.doc(ids[0]).len(), 10_000);
     }
 }

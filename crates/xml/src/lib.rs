@@ -33,7 +33,7 @@ pub mod writer;
 pub use builder::TreeBuilder;
 pub use collection::{Collection, DocId};
 pub use parser::{parse_document, ParseError, Parser};
-pub use sax::{parse_sax, split_records, RecordSplitter, SaxHandler};
+pub use sax::{parse_sax, SaxHandler};
 pub use stats::CollectionStats;
 pub use sym::{InternSyms, ScratchSyms, Sym, SymbolTable};
 pub use tree::{NodeId, NodeKind, PostNum, XmlTree};

@@ -4,21 +4,15 @@
 //! [`crate::parse_document`], without materializing a tree. The paper's
 //! §5.6 observes that "SAX parsers already have separate callback
 //! routines for values, attributes and elements" — this module is that
-//! interface, and [`RecordSplitter`] uses it to turn a monolithic export
-//! (the real DBLP is one ~100 MB `<dblp>` document) into a stream of
-//! record trees with bounded memory: only one record is materialized at
-//! a time.
+//! interface; [`Parser::parse`] builds its tree through it.
 
 use crate::parser::{ParseError, Parser};
-use crate::sym::SymbolTable;
-use crate::tree::XmlTree;
-use crate::TreeBuilder;
 
 /// Callbacks for streaming parse events.
 ///
 /// Attributes arrive through [`SaxHandler::attribute`] *before* any
 /// children of the element; per paper §2 they are conceptually
-/// subelements, and [`RecordSplitter`] materializes them as such.
+/// subelements, and [`Parser::parse`] materializes them as such.
 pub trait SaxHandler {
     /// `<name ...>` was opened (attributes follow).
     fn start_element(&mut self, name: &str);
@@ -33,104 +27,6 @@ pub trait SaxHandler {
 /// Streams `input` through `handler`.
 pub fn parse_sax(input: &str, handler: &mut dyn SaxHandler) -> Result<(), ParseError> {
     Parser::new(input).parse_sax(handler)
-}
-
-/// Splits a monolithic document into its root's element children,
-/// yielding each as a standalone [`XmlTree`] while holding at most one
-/// record in memory.
-pub struct RecordSplitter<'s> {
-    syms: &'s mut SymbolTable,
-    depth: usize,
-    builder: Option<TreeBuilder<'static>>,
-    records: Vec<XmlTree>,
-}
-
-// The builder borrows the symbol table; to keep the splitter simple we
-// intern through a raw pointer scoped strictly to the handler's
-// lifetime. Safe wrapper below guarantees the table outlives the
-// builder.
-struct SplitHandler {
-    syms: *mut SymbolTable,
-    depth: usize,
-    builder: Option<TreeBuilder<'static>>,
-    records: Vec<XmlTree>,
-}
-
-impl SaxHandler for SplitHandler {
-    fn start_element(&mut self, name: &str) {
-        self.depth += 1;
-        match self.depth {
-            1 => {} // the wrapper root is discarded
-            2 => {
-                // SAFETY: `syms` outlives the handler (guaranteed by
-                // split_records, which owns both for the call's scope)
-                // and no other alias exists while the builder runs.
-                let syms: &'static mut SymbolTable = unsafe { &mut *self.syms };
-                self.builder = Some(TreeBuilder::new(syms, name));
-            }
-            _ => {
-                if let Some(b) = self.builder.as_mut() {
-                    b.start_element(name);
-                }
-            }
-        }
-    }
-
-    fn attribute(&mut self, name: &str, value: &str) {
-        if let Some(b) = self.builder.as_mut() {
-            b.attribute(name, value);
-        }
-    }
-
-    fn text(&mut self, value: &str) {
-        if let Some(b) = self.builder.as_mut() {
-            b.text(value);
-        }
-    }
-
-    fn end_element(&mut self, _name: &str) {
-        if self.depth == 2 {
-            if let Some(b) = self.builder.take() {
-                self.records.push(b.finish());
-            }
-        } else if self.depth > 2 {
-            if let Some(b) = self.builder.as_mut() {
-                b.end_element();
-            }
-        }
-        self.depth -= 1;
-    }
-}
-
-impl<'s> RecordSplitter<'s> {
-    /// Creates a splitter interning into `syms`.
-    pub fn new(syms: &'s mut SymbolTable) -> Self {
-        RecordSplitter {
-            syms,
-            depth: 0,
-            builder: None,
-            records: Vec::new(),
-        }
-    }
-
-    /// Parses `input` and returns its root's element children as
-    /// standalone trees.
-    pub fn split(self, input: &str) -> Result<Vec<XmlTree>, ParseError> {
-        let mut handler = SplitHandler {
-            syms: self.syms as *mut SymbolTable,
-            depth: self.depth,
-            builder: self.builder,
-            records: self.records,
-        };
-        parse_sax(input, &mut handler)?;
-        debug_assert!(handler.builder.is_none());
-        Ok(handler.records)
-    }
-}
-
-/// Convenience: split `input`'s root children into trees.
-pub fn split_records(input: &str, syms: &mut SymbolTable) -> Result<Vec<XmlTree>, ParseError> {
-    RecordSplitter::new(syms).split(input)
 }
 
 #[cfg(test)]
@@ -184,48 +80,5 @@ mod tests {
         let mut r = Recorder::default();
         assert!(parse_sax("<a><b></a>", &mut r).is_err());
         assert!(parse_sax("", &mut r).is_err());
-    }
-
-    #[test]
-    fn splitter_yields_each_record() {
-        let mut syms = SymbolTable::new();
-        let records = split_records(
-            "<dblp><article key=\"k1\"><title>A</title></article><www><url>u</url></www></dblp>",
-            &mut syms,
-        )
-        .unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(syms.name(records[0].label(records[0].root())), "article");
-        // The key attribute became a subelement with a text child.
-        assert_eq!(records[0].len(), 5);
-        assert_eq!(syms.name(records[1].label(records[1].root())), "www");
-    }
-
-    #[test]
-    fn splitter_matches_tree_based_split() {
-        let src = "<r><a><b attr=\"v\">t</b></a><c/><d><e/><f>x</f></d></r>";
-        let mut syms1 = SymbolTable::new();
-        let streamed = split_records(src, &mut syms1).unwrap();
-        let mut c = crate::Collection::new();
-        c.add_xml_split(src).unwrap();
-        assert_eq!(streamed.len(), c.len());
-        for (s, (_, t)) in streamed.iter().zip(c.iter()) {
-            assert_eq!(s.len(), t.len());
-            for n in 1..=s.len() as u32 {
-                assert_eq!(syms1.name(s.label_at(n)), c.symbols().name(t.label_at(n)));
-            }
-        }
-    }
-
-    #[test]
-    fn deep_records_do_not_overflow() {
-        let mut src = String::from("<r>");
-        src.push_str(&"<d>".repeat(10_000));
-        src.push_str(&"</d>".repeat(10_000));
-        src.push_str("</r>");
-        let mut syms = SymbolTable::new();
-        let records = split_records(&src, &mut syms).unwrap();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].len(), 10_000);
     }
 }

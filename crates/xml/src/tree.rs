@@ -261,6 +261,18 @@ impl XmlTree {
         out
     }
 
+    /// The subtree under each element child of the root, in document
+    /// order, as standalone trees: how a wrapper document (`--split`; a
+    /// monolithic export like the real DBLP file, one `<dblp>` root
+    /// around every record) becomes one document per record. The root
+    /// itself and any root-level text are dropped.
+    pub fn element_children(&self) -> impl Iterator<Item = XmlTree> + '_ {
+        self.children(self.root())
+            .iter()
+            .filter(|&&c| self.kind(c) == NodeKind::Element)
+            .map(|&c| self.subtree(c))
+    }
+
     /// Number of element nodes.
     pub fn element_count(&self) -> usize {
         self.kinds

@@ -10,6 +10,9 @@
 # closes its file). Then the option counts: `pub` fields of
 # EngineConfig, ExecOpts and ServerConfig, and CLI flag match sites
 # (`== "--x"`, `"--x" =>`, `Some("--x")` in crates/cli/src/main.rs).
+# Then the entry points: `pub fn`s of PrixIndex named execute*/stream*
+# (ways to run a query) and of PrixEngine named build*/reopen* (ways to
+# make an engine), counted above each file's test module.
 # Last, the `/metrics` registry: entries of `SERIES` in
 # crates/server/src/metrics.rs and rows of README.md's table (a
 # `cargo test` keeps the two lists equal; this prints their sizes).
@@ -78,6 +81,22 @@ ServerConfig crates/server/src/server.rs
 EOF
 printf '  %-34s %6d -> %6d\n' "CLI flag sites" \
   "$(at_base crates/cli/src/main.rs | cli_flags)" "$(at_work crates/cli/src/main.rs | cli_flags)"
+
+echo "entry points, $BASE -> working tree"
+# pub_fns <prefixes>: reads a source file, counts its `pub fn`s whose
+# name starts with one of the `|`-separated prefixes.
+pub_fns() {
+  awk '/^#\[cfg\(test\)\]/ { exit } { print }' |
+    { grep -cE "^ +pub fn ($1)[a-z_]*[(<]" || true; }
+}
+while read -r name file prefixes; do
+  printf '  %-34s %6d -> %6d\n' "$name" \
+    "$(at_base "$file" | pub_fns "$prefixes")" "$(at_work "$file" | pub_fns "$prefixes")"
+done <<'ENTRY_POINTS'
+PrixIndex::{execute*,stream*} crates/core/src/index.rs execute|stream
+PrixEngine::build* crates/core/src/engine.rs build
+PrixEngine::reopen* crates/core/src/engine.rs reopen
+ENTRY_POINTS
 
 echo "/metrics registry, $BASE -> working tree"
 series() { grep -cE '^ +Series \{ name: "prix_' || true; }

@@ -15,6 +15,9 @@ scripts/ledger.sh HEAD || echo "ledger.sh failed (ignored)" >&2
 cargo build --release --offline --locked
 cargo clippy --all-targets --offline --locked -- -D warnings
 cargo fmt --all -- --check
+# Doc comments link to public functions by name; a deleted or renamed
+# one must fail here, not rot. (Links to private items only warn.)
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline --locked --workspace --quiet
 cargo test -q --offline --workspace
 
 # prixbench (the repository's benchmark, BENCHMARK.json) is a package
@@ -27,9 +30,9 @@ cargo run --release --offline --quiet --manifest-path crates/bench/examples/prix
 # again in release so contention bugs that hide under debug-build
 # pacing still get a shot. The server suite binds ephemeral ports
 # (127.0.0.1:0) only, so parallel CI runs don't collide. The executor
-# equivalence suite also reruns in release: its stream-vs-historical
-# counter comparisons are exactly the kind of thing optimized codegen
-# could perturb.
+# suite also reruns in release: its golden (match order, counters and
+# page counts, row by row) is exactly the kind of thing optimized
+# codegen could perturb.
 cargo test --release --test concurrency --offline --locked
 cargo test --release --test server --offline --locked
 cargo test --release --test executor_stream --offline --locked

@@ -1,8 +1,8 @@
 //! Crash-consistency harness: random workloads killed at seeded
 //! syscall points, recovered, and verified against an in-memory model.
 //!
-//! Each iteration builds a durable engine on fault-injecting stores
-//! (`prix_testkit::FaultStore`), saves a known-good base, then arms the
+//! Each iteration builds a durable engine in a fault-injecting
+//! environment (`prix_testkit::FaultSegEnv`), saves a known-good base, then arms the
 //! injector and runs random inserts and saves until the simulated
 //! process dies mid-syscall. The post-crash disk images — durable bytes
 //! plus a seed-chosen subset of un-synced writes, with the in-flight
@@ -23,8 +23,8 @@
 
 use std::sync::Arc;
 
-use prix::core::{BulkBuilder, EngineConfig, EngineStores, LabelingMode, PrixEngine};
-use prix::storage::{BufferPool, MemSegEnv, MemStore, Pager, SegmentEnv, Wal};
+use prix::core::{BulkBuilder, EngineConfig, LabelingMode, PrixEngine};
+use prix::storage::{BufferPool, MemSegEnv, MemStore, Pager, RawStore, SegmentEnv, Wal};
 use prix::xml::Collection;
 use prix_testkit::{FaultInjector, FaultKind, FaultSegEnv, FaultStore, TestRng};
 
@@ -59,14 +59,6 @@ fn doc_xml(rng: &mut TestRng) -> String {
         0 => format!("<a><{mid}><{leaf}>v{val}</{leaf}></{mid}></a>"),
         1 => format!("<a><{mid}><{leaf}>v{val}</{leaf}></{mid}><d/></a>"),
         _ => format!("<a><d/><{mid}><{leaf}>v{val}</{leaf}></{mid}></a>"),
-    }
-}
-
-fn stores_of(db: &FaultStore, sum: &FaultStore, wal: &FaultStore) -> EngineStores {
-    EngineStores {
-        db: Box::new(db.clone()),
-        sum: Box::new(sum.clone()),
-        wal: Box::new(wal.clone()),
     }
 }
 
@@ -117,9 +109,7 @@ fn same_answers(recovered: &PrixEngine, docs: &[String]) -> Result<(), String> {
 fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
     let mut rng = TestRng::from_seed(seed);
     let inj = FaultInjector::unarmed();
-    let db = FaultStore::new(&inj, 1);
-    let sum = FaultStore::new(&inj, 2);
-    let wal = FaultStore::new(&inj, 3);
+    let fenv = Arc::new(FaultSegEnv::new(&inj));
 
     // Known-good base, built and saved before the injector is armed.
     let mut docs: Vec<String> = Vec::new();
@@ -134,8 +124,8 @@ fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
         labeling: labeling(),
         ..Default::default()
     };
-    let mut engine = PrixEngine::build_on(base, cfg, stores_of(&db, &sum, &wal))
-        .map_err(|e| format!("base build: {e}"))?;
+    let mut engine =
+        PrixEngine::build_env(base, cfg, fenv.clone()).map_err(|e| format!("base build: {e}"))?;
     engine.save().map_err(|e| format!("base save: {e}"))?;
     let mut acked = docs.len();
 
@@ -183,15 +173,8 @@ fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
     drop(engine); // post-crash the drop-flush fails; counted, not fatal
 
     // Reconstruct what the platter holds and reopen through recovery.
-    let after = PrixEngine::reopen_on(
-        EngineStores {
-            db: Box::new(MemStore::from_bytes(db.durable_bytes())),
-            sum: Box::new(MemStore::from_bytes(sum.durable_bytes())),
-            wal: Box::new(MemStore::from_bytes(wal.durable_bytes())),
-        },
-        64,
-    )
-    .map_err(|e| format!("reopen after crash: {e}"))?;
+    let after = PrixEngine::reopen_env(fenv.durable_env(), 64)
+        .map_err(|e| format!("reopen after crash: {e}"))?;
     after
         .recovery()
         .ok_or("durable reopen must produce a recovery report")?;
@@ -239,9 +222,7 @@ fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
 
     let mut rng = TestRng::from_seed(seed);
     let inj = FaultInjector::unarmed();
-    let db = FaultStore::new(&inj, 1);
-    let sum = FaultStore::new(&inj, 2);
-    let wal = FaultStore::new(&inj, 3);
+    let fenv = Arc::new(FaultSegEnv::new(&inj));
 
     // Known-good base, saved before the injector is armed.
     let mut base_docs: Vec<String> = Vec::new();
@@ -256,8 +237,8 @@ fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
         labeling: labeling(),
         ..Default::default()
     };
-    let mut engine = PrixEngine::build_on(base, cfg, stores_of(&db, &sum, &wal))
-        .map_err(|e| format!("base build: {e}"))?;
+    let mut engine =
+        PrixEngine::build_env(base, cfg, fenv.clone()).map_err(|e| format!("base build: {e}"))?;
     engine.save().map_err(|e| format!("base save: {e}"))?;
 
     let batches: Vec<Vec<String>> = (0..rng.range(2, 5))
@@ -327,15 +308,8 @@ fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
     drop(shared); // post-crash the drop-flush fails; counted, not fatal
 
     // Reconstruct the platter and reopen through recovery.
-    let after = PrixEngine::reopen_on(
-        EngineStores {
-            db: Box::new(MemStore::from_bytes(db.durable_bytes())),
-            sum: Box::new(MemStore::from_bytes(sum.durable_bytes())),
-            wal: Box::new(MemStore::from_bytes(wal.durable_bytes())),
-        },
-        64,
-    )
-    .map_err(|e| format!("reopen after crash: {e}"))?;
+    let after = PrixEngine::reopen_env(fenv.durable_env(), 64)
+        .map_err(|e| format!("reopen after crash: {e}"))?;
     after
         .recovery()
         .ok_or("durable reopen must produce a recovery report")?;
@@ -762,43 +736,27 @@ fn drop_flush_error_is_counted_not_swallowed() {
 /// checksum verification still refuses the corrupted page.
 #[test]
 fn silent_corruption_is_caught_by_verify_checksums() {
-    let db = MemStore::new();
-    let sum = MemStore::new();
-    let wal = MemStore::new();
+    let env = Arc::new(MemSegEnv::new());
     let mut c = Collection::new();
     c.add_xml("<a><b>v0</b></a>").unwrap();
-    let mut e = PrixEngine::build_on(
-        c,
-        EngineConfig {
-            buffer_pages: BUFFER_PAGES,
-            labeling: labeling(),
-            ..Default::default()
-        },
-        EngineStores {
-            db: Box::new(db.clone()),
-            sum: Box::new(sum.clone()),
-            wal: Box::new(wal.clone()),
-        },
-    )
-    .unwrap();
+    let cfg = EngineConfig {
+        buffer_pages: BUFFER_PAGES,
+        labeling: labeling(),
+        ..Default::default()
+    };
+    let mut e = PrixEngine::build_env(c, cfg, env.clone()).unwrap();
     e.save().unwrap();
     drop(e);
     // Flip one byte in the middle of page 1.
-    let mut bytes = db.snapshot();
+    let db = env.store("").expect("the page file");
     let victim = prix::storage::PAGE_SIZE + prix::storage::PAGE_SIZE / 2;
-    bytes[victim] ^= 0x40;
+    let flipped = db.snapshot()[victim] ^ 0x40;
+    db.write_at(victim as u64, &[flipped]).unwrap();
     // The corruption surfaces at the first checksum-verified cold read
     // of the page — during reopen if the catalog walk touches it, or at
     // the explicit verification sweep otherwise. Either way it must
     // never pass silently.
-    let err = match PrixEngine::reopen_on(
-        EngineStores {
-            db: Box::new(MemStore::from_bytes(bytes)),
-            sum: Box::new(MemStore::from_bytes(sum.snapshot())),
-            wal: Box::new(MemStore::from_bytes(wal.snapshot())),
-        },
-        64,
-    ) {
+    let err = match PrixEngine::reopen_env(env, 64) {
         Err(e) => e.to_string(),
         Ok(reopened) => reopened.verify_checksums().unwrap_err().to_string(),
     };

@@ -1,96 +1,271 @@
-//! The streaming executor's contract against the historical one:
+//! The executor's contract, end to end:
 //!
-//! * **Equivalence** — for every query of the paper workload, on both
-//!   the RPIndex and the EPIndex, draining `execute_stream` yields the
-//!   same match set and identical deterministic counters as
-//!   `execute_opts` without a limit.
+//! * **Golden** — `tests/executor_golden.txt` was written by commit
+//!   155fe53, which still ran unlimited queries through a materialising
+//!   executor of its own (drain, sort, refine) and limited ones through
+//!   `MatchStream`. For the paper workload (Q1–Q9, QP1–QP8) plus one
+//!   wide query per dataset, on a pool-tier engine, a bulk-built
+//!   segment engine and a three-tier engine, routed by §5.6's rule and
+//!   forced onto each index, unlimited and with limits 1 and 10, every
+//!   row pins the match vector in order, `truncated`, the ten
+//!   deterministic counters and the cold I/O counters. The one executor
+//!   must reproduce every row.
 //! * **Limit pushdown** — on a high-fanout collection, `limit = 10`
 //!   performs strictly fewer range queries, scans strictly fewer trie
 //!   nodes, and reads strictly fewer buffer-pool pages than the
-//!   unlimited run (the observable win of stopping the trie descent).
+//!   unlimited run (the observable win of stopping the trie descent) —
+//!   and an unordered query keeps that early stop under its shared
+//!   limit.
 //! * **I/O attribution** — each `QueryOutcome.io` in a concurrent
 //!   batch counts only its own query's page accesses.
 
+use std::fmt::Write as _;
+use std::sync::Arc;
+
 use prix::core::index::ExecOpts;
-use prix::core::{EngineConfig, PrixEngine, PrixIndex, TwigQuery};
-use prix::datagen::{generate, queries::queries_for, Dataset};
-use prix::xml::Collection;
+use prix::core::{
+    BulkBuilder, EngineChoice, EngineConfig, EngineId, EngineSnapshot, NoAlts, PrixEngine,
+    PrixIndex, QueryOutcome, TwigQuery,
+};
+use prix::datagen::values::ShopConfig;
+use prix::datagen::{generate, predicate_queries, queries::queries_for, Dataset};
+use prix::storage::{MemSegEnv, SegmentEnv};
+use prix::xml::{write_document, Collection};
 
-/// Drains a stream and returns its matches plus final stats.
-fn drain(
-    idx: &PrixIndex,
-    q: &TwigQuery,
-    opts: &ExecOpts,
-) -> (Vec<prix::core::TwigMatch>, prix::core::QueryStats, bool) {
-    let mut stream = idx.execute_stream(q, opts).unwrap();
-    let mut out = Vec::new();
-    while let Some(m) = stream.next_match().unwrap() {
-        out.push(m);
-    }
-    (out, stream.stats(), stream.exhausted())
-}
+/// Pool capacity of the golden's segment shapes: small enough that the
+/// order the tail's records are fetched in shows up in `physical_reads`.
+/// (The pool shape keeps the default capacity: `PrixEngine::build`
+/// fills both indexes on two threads, so its page numbering — and with
+/// it what a tight pool evicts — differs from run to run, while the
+/// number of distinct pages a query touches does not.)
+const GOLDEN_POOL_PAGES: usize = 16;
 
-fn sorted(mut v: Vec<prix::core::TwigMatch>) -> Vec<prix::core::TwigMatch> {
-    v.sort();
-    v
-}
-
-/// For every paper-workload query, on every index that supports it:
-/// the drained stream equals the historical executor — same match set
-/// and equal deterministic counters.
-fn check_equivalence(ds: Dataset) {
-    let collection = generate(ds, 0.03, 7);
-    let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
-    let snap = engine.snapshot();
-    let queries: Vec<_> = queries_for(ds)
-        .iter()
-        .map(|pq| (pq.id, snap.parse_query(pq.xpath).unwrap()))
-        .collect();
-    let indexes = [
-        ("RPIndex", engine.rp_index()),
-        ("EPIndex", engine.ep_index()),
-    ];
-    let mut executed = 0;
-    for (id, q) in &queries {
-        for (name, idx) in indexes {
-            // Some queries are only supported by one flavor (value
-            // predicates need the EPIndex, single-node queries the
-            // extended plan); equivalence only applies where the
-            // historical executor ran at all.
-            let Ok((old_matches, old_stats)) = idx.execute_opts(q, &ExecOpts::new()) else {
-                continue;
+/// One golden workload: its name in the file, its documents as XML
+/// text, and its `(id, xpath)` queries — the paper's (Q1–Q9, QP1–QP8)
+/// plus one wide query each (W1–W4). The paper queries plant a handful
+/// of candidates; the wide ones refine hundreds, over more pages than
+/// the tail's pool holds and (W2) more segment blocks than a reader
+/// caches.
+fn golden_workload(name: &str) -> (Vec<String>, Vec<(&'static str, &'static str)>) {
+    let paper = |ds: Dataset, wide: (&'static str, &'static str)| {
+        let mut queries: Vec<_> = queries_for(ds).iter().map(|q| (q.id, q.xpath)).collect();
+        queries.push(wide);
+        (generate(ds, 0.03, 7), queries)
+    };
+    let (collection, queries): (Collection, Vec<_>) = match name {
+        "DBLP" => paper(Dataset::Dblp, ("W1", "//article/journal")),
+        "SWISSPROT" => paper(Dataset::Swissprot, ("W2", "//Entry//from")),
+        "TREEBANK" => paper(Dataset::Treebank, ("W3", "//VP/NP/PP")),
+        "shop" => {
+            let mut queries: Vec<_> = predicate_queries()
+                .iter()
+                .map(|q| (q.id, q.xpath))
+                .collect();
+            queries.push(("W4", "//order/line/sku"));
+            let shop = ShopConfig {
+                records: 600,
+                seed: 7,
             };
-            executed += 1;
-            let (streamed, stream_stats, exhausted) = drain(idx, q, &ExecOpts::new());
-            assert!(exhausted, "{id} on {name}: unlimited stream must drain");
-            assert_eq!(
-                sorted(streamed),
-                sorted(old_matches),
-                "{id} on {name}: match sets differ"
-            );
-            assert_eq!(
-                stream_stats.counters_only(),
-                old_stats.counters_only(),
-                "{id} on {name}: counters differ"
-            );
+            (prix::datagen::values::generate(&shop), queries)
+        }
+        other => panic!("no golden workload named {other}"),
+    };
+    let docs = collection
+        .iter()
+        .map(|(_, tree)| write_document(tree, collection.symbols()))
+        .collect();
+    (docs, queries)
+}
+
+/// An engine shape of the golden, and how it is made cold: the pool
+/// tier empties its buffer pool; the segment shapes are reopened, which
+/// also gives every segment reader an empty block cache.
+enum Shape {
+    Pool(Box<PrixEngine>),
+    Env(Arc<dyn SegmentEnv>),
+}
+
+impl Shape {
+    fn cold<R>(&self, run: impl FnOnce(&EngineSnapshot) -> R) -> R {
+        match self {
+            Shape::Pool(engine) => {
+                engine.clear_cache().unwrap();
+                let snap = engine.snapshot();
+                run(&snap)
+            }
+            Shape::Env(env) => {
+                let engine = PrixEngine::reopen_env(Arc::clone(env), GOLDEN_POOL_PAGES).unwrap();
+                let snap = engine.snapshot();
+                run(&snap)
+            }
         }
     }
-    assert!(executed > 0, "workload exercised no index at all");
+}
+
+/// The three shapes over `docs`: every document in the pool tier; every
+/// document in one bulk-built segment; and three tiers — a bulk-built
+/// segment, a compacted segment, and an ingested tail in the pool.
+fn golden_shapes(docs: &[String]) -> Vec<(&'static str, Shape)> {
+    let cfg = || EngineConfig {
+        buffer_pages: GOLDEN_POOL_PAGES,
+        ..Default::default()
+    };
+    let mut collection = Collection::new();
+    for xml in docs {
+        collection.add_xml(xml).unwrap();
+    }
+    let pool = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+
+    let bulk_env = |upto: usize| {
+        let env: Arc<dyn SegmentEnv> = Arc::new(MemSegEnv::new());
+        let mut b = BulkBuilder::with_env(cfg(), Arc::clone(&env)).unwrap();
+        for xml in &docs[..upto] {
+            b.add_xml(xml).unwrap();
+        }
+        (env, b.finish().unwrap())
+    };
+    let (bulk, _) = bulk_env(docs.len());
+
+    // Forty documents per ingest: a fresh child takes half of its
+    // parent's remaining scope, so an empty generation's root runs out
+    // after about sixty distinct first symbols.
+    let (first, second) = (docs.len() - 80, docs.len() - 40);
+    let (tiers, mut engine) = bulk_env(first);
+    let ingested = engine.ingest_batch(&docs[first..second]).unwrap();
+    assert!(!ingested.accepted.is_empty(), "{:?}", ingested.rejected);
+    engine.save().unwrap();
+    assert!(engine.compact().unwrap());
+    let ingested = engine.ingest_batch(&docs[second..]).unwrap();
+    assert!(!ingested.accepted.is_empty(), "{:?}", ingested.rejected);
+    engine.save().unwrap();
+    drop(engine);
+
+    vec![
+        ("pool", Shape::Pool(Box::new(pool))),
+        ("bulk", Shape::Env(bulk)),
+        ("tiers", Shape::Env(tiers)),
+    ]
+}
+
+/// One golden row: the ten deterministic counters, the three cold I/O
+/// counters, `truncated`, and the match vector in order.
+fn golden_row(head: &str, res: prix::core::index::Result<QueryOutcome>) -> String {
+    let Ok(out) = res else {
+        return format!("{head} | unsupported\n");
+    };
+    let (s, io) = (&out.stats, &out.io);
+    let mut row = format!(
+        "{head} | index={} truncated={} range_queries={} nodes_scanned={} maxgap_pruned={} \
+         candidates={} refined={} matches={} pred_skipped={} pred_rejected={} valix_probes={} \
+         valix_postings={} physical_reads={} seg_block_reads={} seg_block_fetches={} |",
+        out.index_used,
+        out.truncated,
+        s.range_queries,
+        s.nodes_scanned,
+        s.maxgap_pruned,
+        s.candidates,
+        s.refined,
+        s.matches,
+        s.pred_skipped,
+        s.pred_rejected,
+        s.valix_probes,
+        s.valix_postings,
+        io.physical_reads,
+        io.seg_block_reads,
+        io.seg_block_fetches,
+    );
+    for m in &out.matches {
+        write!(row, " {}:{:?}", m.doc, m.embedding).unwrap();
+    }
+    row.push('\n');
+    row
+}
+
+/// Every golden row of one workload: each query, on each shape, routed
+/// by §5.6's rule (`auto`, match order as executed) and forced onto the
+/// RPIndex and the EPIndex (canonical match order), unlimited and with
+/// limits 1 and 10, each run cold.
+fn golden_rows(name: &str) -> String {
+    let (docs, queries) = golden_workload(name);
+    let mut rows = String::new();
+    for (shape_name, shape) in golden_shapes(&docs) {
+        for (id, xpath) in &queries {
+            for limit in [None, Some(1), Some(10)] {
+                let opts = ExecOpts {
+                    limit,
+                    ..Default::default()
+                };
+                for (route, forced) in [
+                    ("auto", None),
+                    ("rp", Some(EngineId::PrixRp)),
+                    ("ep", Some(EngineId::PrixEp)),
+                ] {
+                    let head = format!(
+                        "{name} {shape_name} {id} route={route} limit={}",
+                        limit.map_or("none".to_string(), |k| k.to_string())
+                    );
+                    let res = shape.cold(|snap| {
+                        let q = snap.parse_query(xpath).unwrap();
+                        match forced {
+                            None => snap.query_opts(&q, &opts),
+                            Some(id) => snap
+                                .query_routed(&q, &opts, Some(EngineChoice::Forced(id)), &NoAlts)
+                                .map(|routed| routed.outcome),
+                        }
+                    });
+                    rows.push_str(&golden_row(&head, res));
+                }
+            }
+        }
+    }
+    rows
+}
+
+/// Recomputes `name`'s rows and compares them with the golden's, row by
+/// row (so a failure names the first query that moved).
+fn check_golden(name: &str) {
+    let golden = include_str!("executor_golden.txt");
+    let expected: Vec<&str> = golden
+        .lines()
+        .filter(|l| l.starts_with(&format!("{name} ")))
+        .collect();
+    let rows = golden_rows(name);
+    let actual: Vec<&str> = rows.lines().collect();
+    assert!(!expected.is_empty(), "golden has no {name} rows");
+    for (want, got) in expected.iter().zip(&actual) {
+        assert_eq!(got, want, "{name}: row differs from the golden");
+    }
+    assert_eq!(actual.len(), expected.len(), "{name}: row count");
 }
 
 #[test]
 fn stream_equals_execute_opts_dblp() {
-    check_equivalence(Dataset::Dblp);
+    check_golden("DBLP");
 }
 
 #[test]
 fn stream_equals_execute_opts_swissprot() {
-    check_equivalence(Dataset::Swissprot);
+    check_golden("SWISSPROT");
 }
 
 #[test]
 fn stream_equals_execute_opts_treebank() {
-    check_equivalence(Dataset::Treebank);
+    check_golden("TREEBANK");
+}
+
+#[test]
+fn stream_equals_execute_opts_shop_predicates() {
+    check_golden("shop");
+}
+
+/// Drains a stream off a bare index and returns its matches.
+fn drain(idx: &PrixIndex, q: &TwigQuery, opts: &ExecOpts) -> Vec<prix::core::TwigMatch> {
+    let mut stream = idx.stream(q, opts, None).unwrap();
+    let mut out = Vec::new();
+    while let Some(m) = stream.next_match().unwrap() {
+        out.push(m);
+    }
+    out
 }
 
 /// A collection where `//a/b` has many matches spread over many
@@ -158,10 +333,32 @@ fn limit_pushdown_strictly_reduces_work_and_io() {
         limited.io.logical_reads,
         unlimited.io.logical_reads
     );
-    // The limited run's matches are a prefix of the unlimited stream.
+    // The limited run's matches are a prefix of the arrival order.
     let idx = engine.rp_index(); // `//a/b` carries no value
-    let (streamed, _, _) = drain(idx, &q, &ExecOpts::new());
+    let streamed = drain(idx, &q, &ExecOpts::new().with_limit(usize::MAX));
     assert_eq!(limited.matches, streamed[..10]);
+}
+
+/// An unordered query enforces its limit on the deduplicated union of
+/// its arrangements, outside the streams — and must still abandon the
+/// stream it is in, mid-trie, once that limit is reached.
+#[test]
+fn unordered_limit_still_stops_the_descent() {
+    let engine = PrixEngine::build(high_fanout_collection(120), EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
+    let q = snap.parse_query("//a/b").unwrap();
+    let unlimited = snap.query_unordered_opts(&q, &ExecOpts::new()).unwrap();
+    let limited = snap
+        .query_unordered_opts(&q, &ExecOpts::new().with_limit(1))
+        .unwrap();
+    assert_eq!(limited.matches.len(), 1);
+    assert!(limited.truncated && !unlimited.truncated);
+    assert!(
+        limited.stats.range_queries < unlimited.stats.range_queries,
+        "range queries not reduced: {} vs {}",
+        limited.stats.range_queries,
+        unlimited.stats.range_queries
+    );
 }
 
 /// Per-query I/O attribution: in a concurrent batch, each outcome's

@@ -318,3 +318,37 @@ fn unsaved_new_queries_after_save_still_work_in_original() {
     assert_eq!(snap.query(&q).unwrap().matches.len(), 9);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// Opening a database allocates nothing: ten reopen/close cycles that
+/// write nothing leave the page count and the file length where the
+/// save left them (each open used to append one fresh data page per
+/// record store — four per reopen).
+#[test]
+fn reopening_without_writing_does_not_grow_the_page_file() {
+    let dir = std::env::temp_dir().join(format!("prix-reopen-leak-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.prix");
+    save_small_db(&path);
+
+    let size = |p: &Path| std::fs::metadata(p).unwrap().len();
+    let engine = PrixEngine::reopen(&path, 64).unwrap();
+    let pages = engine.pool().pager().num_pages();
+    drop(engine);
+    let len = size(&path);
+    for cycle in 0..10 {
+        let engine = PrixEngine::reopen(&path, 64).unwrap();
+        assert_eq!(engine.pool().pager().num_pages(), pages, "cycle {cycle}");
+        drop(engine);
+        assert_eq!(size(&path), len, "cycle {cycle}");
+    }
+
+    // A reopened engine that does write allocates only pages it fills.
+    let mut engine = PrixEngine::reopen(&path, 64).unwrap();
+    engine.insert_document("<x><y>new</y></x>").unwrap();
+    engine.save().unwrap();
+    drop(engine);
+    let engine = PrixEngine::reopen(&path, 64).unwrap();
+    let (verified, never_written) = engine.verify_checksums().unwrap();
+    assert_eq!(never_written, 0, "{verified} pages verified");
+    std::fs::remove_dir_all(&dir).ok();
+}

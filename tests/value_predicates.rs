@@ -236,7 +236,12 @@ fn prop_filtered_equals_postfiltered(input: &PredInput) -> Result<(), String> {
             Some(IndexKind::Extended) => engine.ep_index(),
         };
         let pred = PredEval::build(query, engine.valix(), snap.symbols()).unwrap();
-        idx.execute_opts_pred(query, &opts, pred.as_ref()).unwrap()
+        let mut stream = idx.stream(query, &opts, pred.as_ref()).unwrap();
+        let mut matches = Vec::new();
+        while let Some(m) = stream.next_match().unwrap() {
+            matches.push(m);
+        }
+        (matches, stream.stats())
     };
     for force in [None, Some(IndexKind::Regular), Some(IndexKind::Extended)] {
         if force == Some(IndexKind::Regular) && bare.needs_extended() {

@@ -428,6 +428,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     };
     let engine = PrixEngine::reopen(db, 2000).map_err(|e| e.to_string())?;
     print_index_stats(&engine);
+    print_log_state(&engine);
     Ok(())
 }
 
@@ -548,6 +549,7 @@ fn cmd_fsck(args: &[String]) -> Result<(), CliError> {
         "log: {} byte(s) found, {} frame(s) replayed",
         rep.log_len, rep.replayed_frames
     );
+    print_log_state(&engine);
     let (verified, skipped) = engine.verify_checksums().map_err(|e| e.to_string())?;
     println!("pages: {verified} verified, {skipped} never written");
     if engine.generation() > 0 {
@@ -629,6 +631,21 @@ fn print_index_stats(engine: &PrixEngine) {
             b.total_seq_len
         );
     }
+}
+
+/// The write-ahead log as this process holds it: its length, the page
+/// images it implies (held in memory until the next checkpoint), and
+/// what this process has appended to it.
+fn print_log_state(engine: &PrixEngine) {
+    let pool = engine.pool();
+    let io = pool.snapshot();
+    println!(
+        "log: {} byte(s) now, {} page image(s) held, {} byte(s) in {} frame(s) appended since open",
+        pool.wal_bytes(),
+        pool.log_resident_pages(),
+        io.wal_appended_bytes,
+        io.wal_appends
+    );
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), CliError> {

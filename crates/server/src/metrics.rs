@@ -206,7 +206,8 @@ pub struct Sample {
     pub seg_block_fetches: u64,
     /// Current length of the write-ahead log in bytes.
     pub wal_bytes: u64,
-    /// Pages whose latest image is in the log, not the page file.
+    /// Pages whose latest image is in the log, not the page file (and
+    /// so the number of log images the pool holds).
     pub log_resident_pages: u64,
 }
 
@@ -357,13 +358,15 @@ pub const SERIES: &[Series] = &[
     Series { name: "prix_bufferpool_fsyncs_total", kind: Counter, read: One(|_, s| s.io.fsyncs.to_string()),
         help: "fsync barriers issued: one per WAL group commit, four per checkpoint (page file, sidecar, epoch advance, log truncation)." },
     Series { name: "prix_bufferpool_wal_appends_total", kind: Counter, read: One(|_, s| s.io.wal_appends.to_string()),
-        help: "Page images appended to the write-ahead log (spills + commits)." },
+        help: "Page frames appended to the write-ahead log (spills + commits)." },
+    Series { name: "prix_bufferpool_wal_appended_bytes_total", kind: Counter, read: One(|_, s| s.io.wal_appended_bytes.to_string()),
+        help: "Bytes appended to the write-ahead log: page frames (what changed in each page) and commit records, headers included." },
     Series { name: "prix_checkpoints_total", kind: Counter, read: One(|_, s| s.io.checkpoints.to_string()),
         help: "Checkpoints completed (log-resident pages written to the page file, log truncated)." },
     Series { name: "prix_wal_bytes", kind: Gauge, read: One(|_, s| s.wal_bytes.to_string()),
         help: "Current length of the write-ahead log in bytes (what a crash now would replay)." },
     Series { name: "prix_bufferpool_log_resident_pages", kind: Gauge, read: One(|_, s| s.log_resident_pages.to_string()),
-        help: "Pages whose latest image is in the write-ahead log, awaiting the next checkpoint." },
+        help: "Pages whose latest image is in the write-ahead log, awaiting the next checkpoint; each is held in memory as one 8 KiB log image." },
     Series { name: "prix_bufferpool_flush_errors_total", kind: Counter, read: One(|_, s| s.io.flush_errors.to_string()),
         help: "Buffer-pool flushes that failed (including during drop)." },
     Series { name: "prix_recovery_unclean_shutdown", kind: Gauge, read: One(|_, s| u64::from(s.recovery.unclean_shutdown).to_string()),
@@ -622,6 +625,7 @@ mod tests {
                 physical_writes: 77,
                 fsyncs: 7,
                 wal_appends: 55,
+                wal_appended_bytes: 45100,
                 checkpoints: 2,
                 flush_errors: 1,
                 seg_block_reads: 11,
@@ -666,7 +670,8 @@ mod tests {
 
     /// Byte-identity with the hand-wired `render` this table replaced:
     /// `tests/metrics_golden*.txt` were written by that `render` (commit
-    /// 2a0ffca) over the same recorded state and over a fresh registry.
+    /// 2a0ffca) over the same recorded state and over a fresh registry;
+    /// a series added since is three lines added to each by hand.
     /// They pin order, help text, types, label spelling, float
     /// formatting, the cumulative `+Inf`-terminated buckets, the
     /// silent-histogram rule and the all-zeros rendering of an engine

@@ -35,15 +35,16 @@ use crate::error::Result;
 use crate::pager::{PageId, Pager, PAGE_SIZE};
 use crate::stats::{IoSnapshot, IoStats};
 use crate::sync::Mutex;
-use crate::wal::{stage_page_frame, Wal, PAGE_FRAME_BYTES};
+use crate::wal::{absorb_frames, stage_page_frame, LogImages, Wal};
 
 /// Default pool capacity, matching the paper's 2000-page configuration.
 pub const DEFAULT_CAPACITY: usize = 2000;
 
-/// Log length at which a commit is followed by a checkpoint. 8 MiB is
-/// about 1 024 page frames: it bounds replay on open to some 45 ms at
-/// the 43 µs/frame EXPERIMENTS.md measures, and bounds the disk space
-/// the log holds between checkpoints.
+/// Size at which a commit is followed by a checkpoint: 8 MiB of log,
+/// or 8 MiB of log images (1 024 of them), whichever comes first. The
+/// first bounds replay on open and the disk space the log holds
+/// between checkpoints; the second bounds the memory the images take,
+/// whatever the pool size and however small the frames.
 pub const CHECKPOINT_LOG_BYTES: u64 = 8 << 20;
 
 /// Upper bound on the default shard count (`min(16, cores)`).
@@ -132,15 +133,33 @@ fn default_shards(capacity: usize) -> usize {
 /// All methods take `&self`; the pool is internally synchronized (one
 /// mutex per shard) and is typically wrapped in an [`Arc`] shared by
 /// every index of a database.
-/// WAL attachment of a durable pool: the log plus the map of
+/// WAL attachment of a durable pool: the log plus the images of the
 /// log-resident pages.
 struct WalState {
     wal: Wal,
-    /// Page -> offset of its latest image in the log (a commit frame or
-    /// an eviction spill). Until the next checkpoint the page file
-    /// holds an older image of these pages, or none, so a miss on one
-    /// of them reads the log.
-    resident: HashMap<PageId, u64>,
+    /// Page -> the image the log implies for it: its frames (commit
+    /// frames and eviction spills) since the last checkpoint, laid over
+    /// one another. Until the next checkpoint the page file holds an
+    /// older image of these pages, or none, so a miss on one of them
+    /// copies this image, the page's next frame is the difference from
+    /// it, and the checkpoint writes it.
+    resident: LogImages,
+}
+
+impl WalState {
+    /// Stages the frame that takes page `id` from what the log implies
+    /// for it to `image`.
+    fn stage(&self, batch: &mut Vec<u8>, id: PageId, image: &[u8; PAGE_SIZE]) {
+        stage_page_frame(batch, id, self.resident.get(&id).map(|b| &**b), image);
+    }
+
+    /// Appends the staged frames (and, with `commit`, the record that
+    /// commits them at that epoch) and folds them into the images —
+    /// at once, ahead of any sync, so the images never trail the log.
+    fn append(&mut self, batch: &mut Vec<u8>, commit: Option<u64>) -> Result<()> {
+        self.wal.append(batch, commit)?;
+        absorb_frames(batch, &mut self.resident)
+    }
 }
 
 /// A retained pre-image of one page: the bytes the page held when some
@@ -228,10 +247,10 @@ pub struct BufferPool {
     shards: Box<[Mutex<Shard>]>,
     capacity: usize,
     /// Present in durable (WAL) mode. Lock order: a shard lock may be
-    /// held while taking this lock (eviction spill, log re-read);
-    /// never the reverse — [`BufferPool::commit`] collects under shard
-    /// locks *before* taking it and cleans dirty bits *after* releasing
-    /// it.
+    /// held while taking this lock (eviction spill, staging, a miss on
+    /// a log-resident page); never the reverse — [`BufferPool::commit`]
+    /// appends with no shard lock held and cleans dirty bits *after*
+    /// releasing it.
     wal: Option<Mutex<WalState>>,
     /// The last committed epoch of a durable pool: the pager's token at
     /// open, plus one per [`BufferPool::commit`] since. The pager's own
@@ -334,7 +353,7 @@ impl BufferPool {
         let mut pool = Self::new(pager, capacity);
         pool.wal = Some(Mutex::new(WalState {
             wal,
-            resident: HashMap::new(),
+            resident: LogImages::new(),
         }));
         pool
     }
@@ -400,7 +419,8 @@ impl BufferPool {
     }
 
     /// Pages whose latest image lives in the log, not the page file —
-    /// what the next checkpoint will write.
+    /// what the next checkpoint will write, and how many 8 KiB log
+    /// images the pool holds in memory until then.
     pub fn log_resident_pages(&self) -> usize {
         self.wal.as_ref().map_or(0, |w| w.lock().resident.len())
     }
@@ -674,8 +694,10 @@ impl BufferPool {
     /// Atomically commits the dirty set (durable pools): **one append,
     /// one fsync**.
     ///
-    /// 1. encode every dirty frame, straight from the pool, into one
-    ///    batch buffer;
+    /// 1. encode what changed in every dirty frame, straight from the
+    ///    pool — the runs that differ from the image the log already
+    ///    implies for the page, or the whole page (less its zeros) the
+    ///    first time since a checkpoint — into one batch buffer;
     /// 2. append the batch plus a commit record to the WAL as one group
     ///    write and `fsync` the WAL — from this instant the batch is
     ///    durable, redoable by [`crate::wal::recover`], and the commit
@@ -684,9 +706,9 @@ impl BufferPool {
     /// Dirty pages evicted since the last commit already sit in the log
     /// as spills; preceding the commit record is what commits them. The
     /// page file is not touched: the committed images stay
-    /// *log-resident* (a miss re-reads them from the log) until a
-    /// checkpoint, which this call runs itself once the log has grown
-    /// to [`CHECKPOINT_LOG_BYTES`].
+    /// *log-resident* (a miss copies the log image) until a
+    /// checkpoint, which this call runs itself once the log or its
+    /// images have grown to [`CHECKPOINT_LOG_BYTES`].
     ///
     /// A crash before the fsync loses the whole batch (nothing else was
     /// written); a crash after it replays the whole batch on reopen.
@@ -696,18 +718,18 @@ impl BufferPool {
             Some(w) => w,
             None => return self.flush(),
         };
-        // Phase A: stage dirty images shard by shard. Writers are
+        // Phase A: stage dirty frames shard by shard. Writers are
         // externally serialized (see `flush`), so this is a consistent
         // cut; readers racing us at worst evict a page we already
-        // staged, which spills an identical image — harmless.
+        // staged, which spills the very image its staged runs lead to —
+        // laid over it in phase B, they change nothing.
         let mut batch: Vec<u8> = Vec::new();
         let mut ids: Vec<PageId> = Vec::new();
         for shard in self.shards.iter() {
             let shard = shard.lock();
-            let dirty = shard.frames.iter().filter(|f| f.dirty);
-            batch.reserve(dirty.clone().count() * PAGE_FRAME_BYTES);
-            for f in dirty {
-                stage_page_frame(&mut batch, f.page_id, &f.data);
+            let ws = walm.lock();
+            for f in shard.frames.iter().filter(|f| f.dirty) {
+                ws.stage(&mut batch, f.page_id, &f.data);
                 ids.push(f.page_id);
             }
         }
@@ -719,14 +741,11 @@ impl BufferPool {
                 return Ok(()); // nothing dirty, nothing spilled: no fsyncs
             }
             let next_epoch = self.committed.load(Ordering::Acquire) + 1;
-            let first = ws.wal.append_commit_batch(&mut batch, next_epoch)?;
+            ws.append(&mut batch, Some(next_epoch))?;
             ws.wal.sync()?;
             self.committed.store(next_epoch, Ordering::Release);
-            for (i, id) in ids.iter().enumerate() {
-                ws.resident
-                    .insert(*id, first + (i * PAGE_FRAME_BYTES) as u64);
-            }
-            if ws.wal.len() >= CHECKPOINT_LOG_BYTES {
+            let image_bytes = (ws.resident.len() * PAGE_SIZE) as u64;
+            if ws.wal.len().max(image_bytes) >= CHECKPOINT_LOG_BYTES {
                 self.write_back(&mut ws)?;
             }
         }
@@ -746,7 +765,7 @@ impl BufferPool {
     /// Commits, then brings the page file up to date and truncates the
     /// log (durable pools; others just [`BufferPool::flush`]). Runs on
     /// [`BufferPool::clear`], at server shutdown and from
-    /// [`BufferPool::commit`] when the log has grown to
+    /// [`BufferPool::commit`] when the log or its images have grown to
     /// [`CHECKPOINT_LOG_BYTES`]; `Drop` runs the write-back half alone,
     /// and only when nothing is uncommitted. Free when the log is empty.
     ///
@@ -792,7 +811,7 @@ impl BufferPool {
 
     /// The checkpoint proper, under the WAL lock:
     ///
-    /// 1. write the latest image of every log-resident page (and its
+    /// 1. write the log image of every log-resident page (and its
     ///    sidecar checksum) to the pager and `fsync` both — pages
     ///    durable, epoch still old;
     /// 2. advance the pager epoch to the committed one and `fsync` the
@@ -800,7 +819,9 @@ impl BufferPool {
     /// 3. truncate the WAL back to a bare header at that epoch.
     ///
     /// A crash in step 1 or 2 leaves the log intact under the old
-    /// epoch: reopening replays it over whatever the page file holds. A
+    /// epoch: reopening replays it over whatever the page file holds —
+    /// every page's first frame in the log is a whole image, so a page
+    /// torn here is never the base of anything. A
     /// crash in step 3 leaves a log behind the database epoch, which
     /// recovery discards. Steps 1 and 2 must be separate barriers:
     /// inside one shared barrier a crash could persist the new epoch
@@ -809,14 +830,10 @@ impl BufferPool {
     fn write_back(&self, ws: &mut WalState) -> Result<()> {
         // Page order, so a checkpoint issues the same writes in the
         // same order on every run (the crash harness counts syscalls).
-        let mut pages: Vec<(PageId, u64)> =
-            ws.resident.iter().map(|(&id, &off)| (id, off)).collect();
+        let mut pages: Vec<PageId> = ws.resident.keys().copied().collect();
         pages.sort_unstable();
-        let mut image = [0u8; PAGE_SIZE];
-        for (id, off) in pages {
-            let logged = ws.wal.read_page(off, &mut image)?;
-            debug_assert_eq!(logged, id, "log-resident map points at another page");
-            self.pager.write_page(id, &image)?;
+        for id in pages {
+            self.pager.write_page(id, &ws.resident[&id])?;
         }
         self.pager.sync()?;
         let epoch = self.committed.load(Ordering::Acquire);
@@ -880,10 +897,10 @@ impl BufferPool {
             return Ok(idx);
         }
         let idx = self.take_frame(shard)?;
-        // The latest image of a log-resident page is in the WAL, not
-        // the page file. Either way the frame comes back clean: it
+        // The latest image of a log-resident page is the log's, not
+        // the page file's. Either way the frame comes back clean: it
         // equals what the log (or the page file) already holds.
-        if !self.read_log_resident(id, &mut shard.frames[idx].data)? {
+        if !self.copy_log_resident(id, &mut shard.frames[idx].data) {
             self.pager.read_page(id, &mut shard.frames[idx].data)?;
         }
         shard.frames[idx].page_id = id;
@@ -893,23 +910,19 @@ impl BufferPool {
         Ok(idx)
     }
 
-    /// Reads page `id` from the log into `out` if it is log-resident;
-    /// `false` when its latest image is the page file's (or the pool
-    /// has no WAL).
-    fn read_log_resident(&self, id: PageId, out: &mut [u8; PAGE_SIZE]) -> Result<bool> {
-        let walm = match &self.wal {
-            Some(w) => w,
-            None => return Ok(false),
-        };
+    /// Copies the log image of page `id` into `out` if it is
+    /// log-resident (still a miss: counted as a physical read); `false`
+    /// when its latest image is the page file's (or the pool has no
+    /// WAL).
+    fn copy_log_resident(&self, id: PageId, out: &mut [u8; PAGE_SIZE]) -> bool {
+        let Some(walm) = &self.wal else { return false };
         let ws = walm.lock();
-        match ws.resident.get(&id) {
-            Some(&off) => {
-                self.stats.record_physical_read();
-                ws.wal.read_page(off, out)?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+        let Some(image) = ws.resident.get(&id) else {
+            return false;
+        };
+        self.stats.record_physical_read();
+        out.copy_from_slice(&image[..]);
+        true
     }
 
     /// Produces a detached frame index: grows the shard if below its
@@ -934,13 +947,14 @@ impl BufferPool {
         if shard.frames[victim].dirty {
             match &self.wal {
                 // Durable pools never steal a dirty page into the page
-                // file: spill its image to the WAL instead (un-synced —
-                // it carries no durability promise until a commit
-                // record follows it, it just has to be re-readable).
+                // file: spill it to the WAL instead (un-synced — it
+                // carries no durability promise until a commit record
+                // follows it; the log image is what brings it back).
                 Some(walm) => {
                     let mut ws = walm.lock();
-                    let off = ws.wal.append_page(old_id, &shard.frames[victim].data)?;
-                    ws.resident.insert(old_id, off);
+                    let mut frame = Vec::new();
+                    ws.stage(&mut frame, old_id, &shard.frames[victim].data);
+                    ws.append(&mut frame, None)?;
                 }
                 None => self.pager.write_page(old_id, &shard.frames[victim].data)?,
             }
@@ -1253,27 +1267,51 @@ mod tests {
     fn a_long_log_checkpoints_itself() {
         let (pool, _db) = durable_pool(64);
         let ids: Vec<_> = (0..32).map(|_| pool.allocate_page().unwrap()).collect();
-        let per_commit = (ids.len() * PAGE_FRAME_BYTES) as u64;
         let before = pool.snapshot();
         let mut commits = 0u64;
         while pool.snapshot().checkpoints == 0 {
+            assert!(pool.wal_bytes() < CHECKPOINT_LOG_BYTES, "no checkpoint");
+            // Every byte of every page changes: whole-image frames.
             for &id in &ids {
-                pool.with_page_mut(id, |d| d[0] = d[0].wrapping_add(1))
+                pool.with_page_mut(id, |d| d.fill(commits as u8 + 1))
                     .unwrap();
             }
             pool.commit().unwrap();
             commits += 1;
-            assert!(
-                commits * per_commit < 2 * CHECKPOINT_LOG_BYTES,
-                "no checkpoint"
-            );
         }
-        assert!(commits * per_commit >= CHECKPOINT_LOG_BYTES);
         assert_eq!(pool.wal_bytes(), 24, "the checkpoint truncated the log");
         assert_eq!(pool.pager().epoch(), pool.current_epoch());
         let io = pool.snapshot().since(&before);
+        assert!(io.wal_appended_bytes + 24 >= CHECKPOINT_LOG_BYTES);
+        assert_eq!(io.wal_appends, commits * 32);
         assert_eq!(io.physical_writes, 32, "one write per distinct page");
         assert_eq!(io.fsyncs, commits + 4);
+    }
+
+    #[test]
+    fn many_log_images_checkpoint_a_short_log() {
+        // One byte a page: the log stays tiny, the images it implies
+        // are 8 KiB each, and 1 024 of them are the same 8 MiB.
+        let cap = (CHECKPOINT_LOG_BYTES as usize / PAGE_SIZE) * 2;
+        let (pool, _db) = durable_pool(cap);
+        for n in 1..cap / 2 {
+            let id = pool.allocate_page().unwrap();
+            pool.with_page_mut(id, |d| d[n % PAGE_SIZE] = 1).unwrap();
+            if n % 100 == 0 {
+                pool.commit().unwrap();
+            }
+        }
+        pool.commit().unwrap();
+        assert_eq!(pool.snapshot().checkpoints, 0);
+        assert_eq!(pool.log_resident_pages(), cap / 2 - 1);
+        let id = pool.allocate_page().unwrap();
+        pool.with_page_mut(id, |d| d[0] = 1).unwrap();
+        pool.commit().unwrap();
+        let io = pool.snapshot();
+        assert_eq!(io.checkpoints, 1, "the image count reached its bound");
+        assert!(io.wal_appended_bytes < CHECKPOINT_LOG_BYTES / 64);
+        assert_eq!(io.physical_writes as usize, cap / 2);
+        assert_eq!((pool.wal_bytes(), pool.log_resident_pages()), (24, 0));
     }
 
     #[test]
@@ -1394,6 +1432,292 @@ mod tests {
             "restored image wins"
         );
         assert_eq!(after.with_page(b, |d| d[0]).unwrap(), 0);
+    }
+
+    /// A [`MemStore`] that ticks a shared clock on every write-class
+    /// call, so a model run can be "killed" at any write boundary.
+    struct Tap {
+        inner: MemStore,
+        clock: Arc<KillClock>,
+    }
+
+    /// Counts the writes, truncations and syncs of a database's three
+    /// stores and, just before the `kill_at`-th, keeps their bytes:
+    /// what a process killed there leaves behind.
+    struct KillClock {
+        stores: [MemStore; 3],
+        ops: AtomicU64,
+        kill_at: u64,
+        left_behind: Mutex<Option<[Vec<u8>; 3]>>,
+    }
+
+    impl Tap {
+        fn tick(&self) {
+            let c = &self.clock;
+            if c.ops.fetch_add(1, Ordering::Relaxed) == c.kill_at {
+                *c.left_behind.lock() = Some(c.stores.clone().map(|s| s.snapshot()));
+            }
+        }
+    }
+
+    impl RawStore for Tap {
+        fn len(&self) -> Result<u64> {
+            self.inner.len()
+        }
+        fn set_len(&self, len: u64) -> Result<()> {
+            self.tick();
+            self.inner.set_len(len)
+        }
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
+            self.inner.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, buf: &[u8]) -> Result<()> {
+            self.tick();
+            self.inner.write_at(offset, buf)
+        }
+        fn sync(&self) -> Result<()> {
+            self.tick();
+            self.inner.sync()
+        }
+    }
+
+    /// A byte range of a page (reduced modulo the pages allocated so
+    /// far) overwritten with one value.
+    type Fill = (u64, usize, usize, u8);
+
+    #[derive(Debug, PartialEq)]
+    enum Step {
+        Mutate(Fill),
+        Allocate,
+        Commit,
+        /// An ingest round over existing pages: committed and
+        /// published, or rolled back after its fills — five pages and
+        /// more under a 4-frame pool, so some of them have spilled.
+        Round {
+            fills: Vec<Fill>,
+            abort: bool,
+        },
+        Checkpoint,
+        /// Whole pages of noise, committed over and over until the log
+        /// reaches [`CHECKPOINT_LOG_BYTES`] and checkpoints itself.
+        Fatten,
+        /// One byte in each of 1 024 fresh pages, then a commit: a
+        /// short log whose images reach the bound instead.
+        Widen,
+    }
+
+    /// Page images shared between the live model and the copies each
+    /// commit keeps of it.
+    type Model = HashMap<PageId, Arc<[u8; PAGE_SIZE]>>;
+
+    /// Runs `steps` on a durable 4-frame pool against a flat model
+    /// until the write numbered `kill_at` has been reached, then
+    /// reopens what the kill left behind (without one: what the stores
+    /// hold at the end): it must be, byte for byte, the model as some
+    /// commit of the interrupted step — or the last one before it —
+    /// left it. Returns the writes the whole script issues.
+    fn run_durable_model(steps: &[Step], kill_at: u64) -> std::result::Result<u64, String> {
+        let stores = [MemStore::new(), MemStore::new(), MemStore::new()];
+        let clock = Arc::new(KillClock {
+            stores: stores.clone(),
+            ops: AtomicU64::new(0),
+            kill_at,
+            left_behind: Mutex::new(None),
+        });
+        let [db, sum, log] = stores.clone().map(|inner| {
+            let clock = Arc::clone(&clock);
+            Box::new(Tap { inner, clock })
+        });
+        let pager = Pager::create_durable(db, sum).unwrap();
+        let wal = Wal::create(log, pager.epoch(), pager.stats()).unwrap();
+        let pool = BufferPool::with_wal(pager, 4, wal);
+        // Set-up is not part of the script.
+        clock.ops.store(0, Ordering::Relaxed);
+        *clock.left_behind.lock() = None;
+
+        let mut ids: Vec<PageId> = Vec::new();
+        let mut model = Model::new();
+        // The model as each commit of the current step left it, by
+        // epoch, from the last commit before the step on.
+        let mut commits = BTreeMap::from([(pool.current_epoch(), Model::new())]);
+        let mut noise = 0x9E37_79B9_7F4A_7C15u64;
+
+        let fill = |model: &mut Model, ids: &[PageId], (page, at, len, v): Fill, keep: bool| {
+            let Some(&id) = ids.get((page % ids.len().max(1) as u64) as usize) else {
+                return Ok(());
+            };
+            // A round that will be rolled back leaves the model alone
+            // (and the page, until then, unlike it).
+            let want = Arc::make_mut(model.get_mut(&id).expect("allocated"));
+            let same = pool
+                .with_page_mut(id, |d| {
+                    let same = !keep || d[..] == want[..];
+                    d[at..at + len].fill(v);
+                    same
+                })
+                .unwrap();
+            if keep {
+                want[at..at + len].fill(v);
+            }
+            if same {
+                Ok(())
+            } else {
+                Err(format!("page {id} read back different from its last write"))
+            }
+        };
+        let allocate = |model: &mut Model, ids: &mut Vec<PageId>| {
+            let id = pool.allocate_page().unwrap();
+            ids.push(id);
+            model.insert(id, Arc::new([0u8; PAGE_SIZE]));
+            id
+        };
+
+        for step in steps {
+            let last = *commits.keys().next_back().expect("never empty");
+            commits = commits.split_off(&last);
+            let io = pool.snapshot();
+            let mut committed = |model: &Model| {
+                commits.insert(pool.current_epoch(), model.clone());
+            };
+            match step {
+                Step::Mutate(f) => fill(&mut model, &ids, *f, true)?,
+                Step::Allocate => {
+                    allocate(&mut model, &mut ids);
+                }
+                Step::Commit => {
+                    pool.commit().unwrap();
+                    committed(&model);
+                }
+                Step::Round { fills, abort } => {
+                    pool.begin_ingest();
+                    for f in fills {
+                        fill(&mut model, &ids, *f, !abort)?;
+                    }
+                    if *abort {
+                        pool.abort_ingest().unwrap();
+                    } else {
+                        pool.commit().unwrap();
+                        committed(&model);
+                        pool.publish_ingest();
+                    }
+                }
+                Step::Checkpoint => {
+                    pool.checkpoint().unwrap();
+                    committed(&model);
+                }
+                Step::Fatten => {
+                    if ids.is_empty() {
+                        allocate(&mut model, &mut ids);
+                    }
+                    while pool.snapshot().checkpoints == io.checkpoints {
+                        for &id in &ids {
+                            let image = Arc::make_mut(model.get_mut(&id).expect("allocated"));
+                            for word in image.chunks_exact_mut(8) {
+                                noise = noise.wrapping_mul(0x5851_F42D_4C95_7F2D).wrapping_add(1);
+                                word.copy_from_slice(&noise.to_le_bytes());
+                            }
+                            pool.with_page_mut(id, |d| d.copy_from_slice(&image[..]))
+                                .unwrap();
+                        }
+                        pool.commit().unwrap();
+                        committed(&model);
+                    }
+                    let logged = pool.snapshot().since(&io).wal_appended_bytes;
+                    if logged < CHECKPOINT_LOG_BYTES / 2 {
+                        return Err(format!("checkpoint after only {logged} log bytes"));
+                    }
+                }
+                Step::Widen => {
+                    for n in 0..CHECKPOINT_LOG_BYTES as usize / PAGE_SIZE {
+                        let id = allocate(&mut model, &mut ids);
+                        pool.with_page_mut(id, |d| d[n % PAGE_SIZE] = 1).unwrap();
+                        Arc::make_mut(model.get_mut(&id).expect("allocated"))[n % PAGE_SIZE] = 1;
+                    }
+                    pool.commit().unwrap();
+                    committed(&model);
+                    let d = pool.snapshot().since(&io);
+                    if d.checkpoints == 0 || d.wal_appended_bytes > CHECKPOINT_LOG_BYTES / 8 {
+                        return Err(format!(
+                            "{} checkpoint(s) over {} log bytes and {} images",
+                            d.checkpoints,
+                            d.wal_appended_bytes,
+                            pool.log_resident_pages()
+                        ));
+                    }
+                }
+            }
+            if clock.left_behind.lock().is_some() {
+                break;
+            }
+        }
+
+        let left_behind = clock.left_behind.lock().take();
+        let bytes = left_behind.unwrap_or_else(|| stores.clone().map(|s| s.snapshot()));
+        let (after, _) = reopen(&bytes.map(MemStore::from_bytes), 4);
+        let epoch = after.current_epoch();
+        let want = commits
+            .get(&epoch)
+            .ok_or_else(|| format!("reopened at epoch {epoch}, not one of {:?}", commits.keys()))?;
+        for (&id, image) in want {
+            if !after.with_page(id, |d| d[..] == image[..]).unwrap() {
+                return Err(format!("page {id} is not what epoch {epoch} committed"));
+            }
+        }
+        after
+            .pager()
+            .verify_checksums()
+            .map_err(|e| e.to_string())?;
+        Ok(clock.ops.load(Ordering::Relaxed))
+    }
+
+    /// The durable protocol against a flat map, killed anywhere:
+    /// byte-range mutations, allocations, commits, ingest rounds kept
+    /// and rolled back, spills from a 4-frame pool, checkpoints asked
+    /// for and self-triggered by log length and by image count.
+    #[test]
+    fn durable_pool_reopens_at_a_commit_from_any_write_boundary() {
+        use prix_testkit::{check, from_fn, Config, TestRng};
+        let fill = |rng: &mut TestRng| -> Fill {
+            let at = rng.below(PAGE_SIZE as u64) as usize;
+            let len = (rng.below(600) as usize).min(PAGE_SIZE - at);
+            (rng.next_u64(), at, len, rng.below(256) as u8)
+        };
+        let scripts = from_fn(|rng| {
+            let mut steps: Vec<Step> = (0..rng.range(1, 60))
+                .map(|_| match rng.below(16) {
+                    0..=6 => Step::Mutate(fill(rng)),
+                    7..=9 => Step::Allocate,
+                    10..=12 => Step::Commit,
+                    13..=14 => Step::Round {
+                        fills: (0..rng.range(5, 12)).map(|_| fill(rng)).collect(),
+                        abort: rng.chance(0.5),
+                    },
+                    _ => Step::Checkpoint,
+                })
+                .collect();
+            for (odds, step) in [(0.05, Step::Fatten), (0.05, Step::Widen)] {
+                if rng.chance(odds) {
+                    steps.insert(rng.below(steps.len() as u64 + 1) as usize, step);
+                }
+            }
+            (steps, rng.next_u64())
+        });
+        let (fat, wide) = (Cell::new(0), Cell::new(0));
+        check(
+            "durable_pool_reopens_at_a_commit_from_any_write_boundary",
+            &Config::cases(64),
+            &scripts,
+            |(steps, kill)| {
+                let count = |step: &Step| steps.iter().filter(|s| **s == *step).count();
+                fat.set(fat.get() + count(&Step::Fatten));
+                wide.set(wide.get() + count(&Step::Widen));
+                // Once to the end, to learn how many writes there are
+                // to be killed at; then killed at one of them.
+                let writes = run_durable_model(steps, u64::MAX)?;
+                run_durable_model(steps, kill % writes.max(1)).map(|_| ())
+            },
+        );
+        assert!(fat.get() > 0 && wide.get() > 0, "no script reached a bound");
     }
 
     #[test]

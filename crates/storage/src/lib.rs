@@ -43,4 +43,4 @@ pub use segment::{
 };
 pub use stats::{IoScope, IoSnapshot, IoStats};
 pub use store::{FileStore, MemStore, RawStore};
-pub use wal::{recover, LogRecord, RecoveryReport, Wal};
+pub use wal::{recover, RecoveryReport, Wal};

@@ -14,12 +14,12 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Declares the I/O counters: per entry the doc text, the
-/// [`IoSnapshot`] field (and `IoStats` atomic) name, the recorder's
-/// name, and whether an [`IoScope`] attributes the event to the
-/// recording thread's query (`true`) or it is durability cost that no
-/// query pays (`false`).
+/// [`IoSnapshot`] field (and `IoStats` atomic) name, the recorder —
+/// `name()` counts one event, `name(n)` adds an amount — and whether
+/// an [`IoScope`] attributes the event to the recording thread's query
+/// (`true`) or it is durability cost that no query pays (`false`).
 macro_rules! io_counters {
-    ($($(#[$doc:meta])* $field:ident, $record:ident, $scoped:literal;)*) => {
+    ($($(#[$doc:meta])* $field:ident, $record:ident($($by:ident)?), $scoped:literal;)*) => {
         /// Shared, thread-safe I/O counters. One instance is attached to
         /// each [`crate::Pager`] and observed through its
         /// [`crate::BufferPool`]. The counters are plain atomics, so
@@ -33,12 +33,13 @@ macro_rules! io_counters {
 
         impl IoStats {
             $(
-                #[doc = concat!("Counts one event into [`IoSnapshot::", stringify!($field), "`].")]
+                #[doc = concat!("Counts into [`IoSnapshot::", stringify!($field), "`]: one event, or the amount passed.")]
                 #[inline]
-                pub fn $record(&self) {
-                    self.$field.fetch_add(1, Ordering::Relaxed);
+                pub fn $record(&self $(, $by: u64)?) {
+                    let by = 1u64 $(* $by)?;
+                    self.$field.fetch_add(by, Ordering::Relaxed);
                     if $scoped {
-                        scope_record(|tally| tally.$field += 1);
+                        scope_record(|tally| tally.$field += by);
                     }
                 }
             )*
@@ -75,43 +76,54 @@ macro_rules! io_counters {
             }
         }
 
-        /// Every declared counter: name, recorder, snapshot reader,
-        /// and whether scopes tally it.
+        /// Every declared counter: name, recorder (of one event, or
+        /// of amount 1), snapshot reader, and whether scopes tally it.
         #[cfg(test)]
         #[allow(clippy::type_complexity)]
         const COUNTERS: &[(&str, fn(&IoStats), fn(&IoSnapshot) -> u64, bool)] = &[
-            $((stringify!($field), IoStats::$record, |s| s.$field, $scoped),)*
+            $((
+                stringify!($field),
+                |s| {
+                    $(let $by = 1;)?
+                    s.$record($($by)?)
+                },
+                |s| s.$field,
+                $scoped,
+            ),)*
         ];
     };
 }
 
 io_counters! {
     /// Pages requested from the buffer pool (hits and misses).
-    logical_reads, record_logical_read, true;
+    logical_reads, record_logical_read(), true;
     /// Pages read from the backing store — the paper's "Disk IO"
     /// metric.
-    physical_reads, record_physical_read, true;
+    physical_reads, record_physical_read(), true;
     /// Pages written to the backing store.
-    physical_writes, record_physical_write, true;
+    physical_writes, record_physical_write(), true;
     /// `fsync` calls against any backing store (database, checksum
     /// sidecar, write-ahead log).
-    fsyncs, record_fsync, false;
-    /// Page images appended to the write-ahead log (commit frames and
+    fsyncs, record_fsync(), false;
+    /// Page frames appended to the write-ahead log (commit frames and
     /// eviction spills).
-    wal_appends, record_wal_append, false;
+    wal_appends, record_wal_appends(frames), false;
+    /// Bytes appended to the write-ahead log: those frames and the
+    /// commit records, headers included.
+    wal_appended_bytes, record_wal_appended_bytes(bytes), false;
     /// Checkpoints completed (log-resident pages written to the page
     /// file, log truncated).
-    checkpoints, record_checkpoint, false;
+    checkpoints, record_checkpoint(), false;
     /// Checkpoint failures `BufferPool::drop` had no caller to return
     /// to (should stay 0).
-    flush_errors, record_flush_error, false;
+    flush_errors, record_flush_error(), false;
     /// Segment blocks requested through per-segment caches (hits and
     /// misses). Segments bypass the buffer pool, so their reads get
     /// their own counters.
-    seg_block_reads, record_seg_block_read, true;
+    seg_block_reads, record_seg_block_read(), true;
     /// Segment blocks fetched from disk (per-segment cache misses —
     /// the segment analogue of a physical page read).
-    seg_block_fetches, record_seg_block_fetch, true;
+    seg_block_fetches, record_seg_block_fetch(), true;
 }
 
 impl IoStats {
@@ -239,7 +251,7 @@ mod tests {
 
     #[test]
     fn every_counter_accumulates_snapshots_and_resets() {
-        assert_eq!(COUNTERS.len(), 9, "a counter was added or removed");
+        assert_eq!(COUNTERS.len(), 10, "a counter was added or removed");
         let s = IoStats::new();
         record_all(&s);
         let snap = s.snapshot();

@@ -50,6 +50,10 @@ cargo test --release -p prix-server --offline --locked
 # optimized codegen.
 cargo test --release --test crash_recovery --offline --locked
 cargo test --release --test snapshot_isolation --offline --locked
+# The write-path ledger reruns in release as well: its byte and fsync
+# counts come out of the run-length encoder and the checkpoint trigger,
+# arithmetic an optimizing build must not change.
+cargo test --release --test write_amp --offline --locked
 # The segment-lifecycle suite reruns in release for the same reasons:
 # its crash iterations sweep kill points through bulk rebuild and
 # compaction, and the byte-determinism tests compare segment files an

@@ -707,6 +707,97 @@ fn redo_log_replay_dropped_fsync_seed_5eed0013() {
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
+/// A checkpoint killed at every write and barrier while the log's last
+/// word on each page is a delta. The page file then holds an older
+/// image with some sectors of the new one torn in, and none of the
+/// frames near the log's end can repair that alone: recovery has to
+/// start from each page's first frame since the last checkpoint — a
+/// whole image — and lay the deltas over it, never over the page file.
+#[test]
+fn a_torn_checkpoint_is_repaired_from_first_frames_and_deltas() {
+    use prix::storage::{recover, PAGE_SIZE};
+    const PAGES: usize = 6;
+    // Returns the syscalls the checkpoint issued.
+    let run = |kind: FaultKind, kill_at: u64| -> Result<u64, String> {
+        let inj = FaultInjector::unarmed();
+        let [db, sum, log] = [1, 2, 3].map(|salt| FaultStore::new(&inj, salt));
+        let pager = Pager::create_durable(Box::new(db.clone()), Box::new(sum.clone())).unwrap();
+        let wal = Wal::create(Box::new(log.clone()), pager.epoch(), pager.stats()).unwrap();
+        let pool = BufferPool::with_wal(pager, 16, wal);
+        let mut rng = TestRng::from_seed(0x5EED_0019);
+        let ids: Vec<_> = (0..PAGES).map(|_| pool.allocate_page().unwrap()).collect();
+        let mut model = vec![[0u8; PAGE_SIZE]; PAGES];
+        let noise = |rng: &mut TestRng, model: &mut [[u8; PAGE_SIZE]]| {
+            for (image, &id) in model.iter_mut().zip(&ids) {
+                image.iter_mut().for_each(|b| *b = rng.below(256) as u8);
+                pool.with_page_mut(id, |d| *d = *image).unwrap();
+            }
+        };
+        // An older image of every page in the page file...
+        noise(&mut rng, &mut model);
+        pool.checkpoint().unwrap();
+        // ...a whole new one as each page's first frame in the log...
+        noise(&mut rng, &mut model);
+        pool.commit().unwrap();
+        // ...and then nothing but small deltas.
+        let first_frames = pool.snapshot().wal_appended_bytes;
+        for _ in 0..4 {
+            for (image, &id) in model.iter_mut().zip(&ids) {
+                let at = rng.below(PAGE_SIZE as u64 - 64) as usize;
+                let fill = rng.below(256) as u8;
+                image[at..at + 64].fill(fill);
+                pool.with_page_mut(id, |d| d[at..at + 64].fill(fill))
+                    .unwrap();
+            }
+            pool.commit().unwrap();
+        }
+        let deltas = pool.snapshot().wal_appended_bytes - first_frames;
+        assert!(
+            deltas < (4 * PAGES * 128) as u64,
+            "{deltas} bytes of deltas"
+        );
+
+        inj.arm(kind, kill_at, 0xC0DE ^ kill_at);
+        let ops = inj.ops_seen();
+        let killed = pool.checkpoint().is_err();
+        let ops = inj.ops_seen() - ops;
+        if killed != inj.crashed() {
+            return Err("the checkpoint failed without a crash".into());
+        }
+        drop(pool);
+
+        let [db, sum, log] =
+            [db, sum, log].map(|s| Box::new(MemStore::from_bytes(s.durable_bytes())));
+        let pager = Pager::open_durable(db, sum).map_err(|e| format!("open: {e}"))?;
+        let (wal, _) = recover(&pager, log, pager.stats()).map_err(|e| format!("recover: {e}"))?;
+        let after = BufferPool::with_wal(pager, 16, wal);
+        for (image, &id) in model.iter().zip(&ids) {
+            if !after
+                .with_page(id, |d| d == image)
+                .map_err(|e| e.to_string())?
+            {
+                return Err(format!("page {id} is not its last committed image"));
+            }
+        }
+        after
+            .pager()
+            .verify_checksums()
+            .map_err(|e| e.to_string())?;
+        Ok(ops)
+    };
+    let mut failures = Vec::new();
+    for kind in FaultKind::ALL {
+        let ops = run(kind, u64::MAX).expect("no kill");
+        assert!(ops >= 3, "{kind:?}: a checkpoint of {ops} syscall(s)");
+        for at in 0..ops {
+            if let Err(e) = run(kind, at) {
+                failures.push(format!("{kind:?} kill point {at} of {ops}: {e}"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
 /// Regression for the silently-discarded drop-flush error: a pool whose
 /// closing checkpoint fails during `Drop` must count the failure in
 /// IoStats (and log it) instead of swallowing it. The page is committed

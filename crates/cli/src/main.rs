@@ -429,13 +429,50 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
     let engine = PrixEngine::reopen(db, 2000).map_err(|e| e.to_string())?;
     print_index_stats(&engine);
     print_log_state(&engine);
+    print_file_bytes(&engine)
+}
+
+/// Bytes on disk per file class, segment files by tier, and their sum:
+/// the numerator of the benchmark's `space_amp`.
+fn print_file_bytes(engine: &PrixEngine) -> Result<(), CliError> {
+    let sizes = engine.file_sizes().map_err(|e| e.to_string())?;
+    let tier_of = |suffix: &str| {
+        engine
+            .segment_manifest()
+            .iter()
+            .find(|s| s.suffix == suffix)
+            .map(|s| (seg_kind_name(s.kind), s.doc_base, s.doc_base + s.n_docs))
+    };
+    for (suffix, bytes) in &sizes {
+        let class = match (tier_of(suffix), suffix.as_str()) {
+            (Some((kind, from, to)), _) => format!("{kind} docs {from}..{to}"),
+            (None, ".seg") => "manifest".to_string(),
+            (None, s) if s.ends_with(".wal") => "log".to_string(),
+            (None, s) if s.ends_with(".sum") => "sidecar".to_string(),
+            (None, _) => "page file".to_string(),
+        };
+        println!("bytes: {bytes:>10}  {class} ({})", display_suffix(suffix));
+    }
+    let total: u64 = sizes.iter().map(|(_, b)| b).sum();
+    println!("bytes: {total:>10}  total in {} file(s)", sizes.len());
     Ok(())
+}
+
+/// A file suffix for display (the page file of a never-compacted
+/// database has none).
+fn display_suffix(suffix: &str) -> &str {
+    if suffix.is_empty() {
+        "<db>"
+    } else {
+        suffix
+    }
 }
 
 fn seg_kind_name(kind: u8) -> &'static str {
     match kind {
         prix_core::SEG_KIND_RP => "rp",
         prix_core::SEG_KIND_EP => "ep",
+        prix_core::SEG_KIND_VX => "vx",
         _ => "?",
     }
 }
@@ -454,27 +491,62 @@ fn cmd_segments(args: &[String]) -> Result<(), CliError> {
         engine.segment_docs(),
         engine.mutable_docs()
     );
-    for s in engine.segment_manifest() {
-        println!(
-            "  segment {}: kind {}, docs {}..{}, format v{}, {} fence bytes resident",
-            s.suffix,
-            seg_kind_name(s.kind),
-            s.doc_base,
-            s.doc_base + s.n_docs,
-            prix_core::SEG_VERSION,
-            engine.segment_fence_bytes(s).map_err(|e| e.to_string())?
-        );
-    }
+    print_segment_rows(&engine)?;
     if verify {
-        for (suffix, check) in engine.verify_segments().map_err(|e| e.to_string())? {
-            println!(
-                "  verified {suffix}: {} blocks, {} tag entries, {} doc entries, {} records ok",
-                check.blocks, check.tag_entries, check.doc_entries, check.records
-            );
+        for line in verify_tier_files(&engine)? {
+            println!("  verified {line}");
         }
         println!("segments: clean");
     }
     Ok(())
+}
+
+/// One line per live segment and value run: what it covers, its format
+/// and what its reader keeps in memory.
+fn print_segment_rows(engine: &PrixEngine) -> Result<(), CliError> {
+    for s in engine.segment_manifest() {
+        let docs = format!("docs {}..{}", s.doc_base, s.doc_base + s.n_docs);
+        if s.kind == prix_core::SEG_KIND_VX {
+            let run = engine.value_run(s).map_err(|e| e.to_string())?;
+            let (nums, strs) = run.posting_counts();
+            println!(
+                "  run {}: kind vx, {docs}, format v{}, {nums} numeric + {strs} string posting(s), \
+                 {} bytes, {} fence/directory bytes resident",
+                s.suffix,
+                prix_core::VX_VERSION,
+                run.file_len(),
+                run.resident_bytes()
+            );
+        } else {
+            println!(
+                "  segment {}: kind {}, {docs}, format v{}, {} fence bytes resident",
+                s.suffix,
+                seg_kind_name(s.kind),
+                prix_core::SEG_VERSION,
+                engine.segment_fence_bytes(s).map_err(|e| e.to_string())?
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Runs the full integrity check of every segment and every value run,
+/// one report line each (`fsck`, `segments --verify`).
+fn verify_tier_files(engine: &PrixEngine) -> Result<Vec<String>, CliError> {
+    let mut lines = Vec::new();
+    for (suffix, check) in engine.verify_segments().map_err(|e| e.to_string())? {
+        lines.push(format!(
+            "{suffix}: {} blocks, {} tag entries, {} doc entries, {} records ok",
+            check.blocks, check.tag_entries, check.doc_entries, check.records
+        ));
+    }
+    for (suffix, check) in engine.verify_value_runs().map_err(|e| e.to_string())? {
+        lines.push(format!(
+            "{suffix}: {} blocks, {} numeric posting(s), {} string posting(s) ok",
+            check.blocks, check.num_postings, check.str_postings
+        ));
+    }
+    Ok(lines)
 }
 
 fn cmd_compact(args: &[String]) -> Result<(), CliError> {
@@ -513,17 +585,7 @@ fn cmd_compact(args: &[String]) -> Result<(), CliError> {
         before,
         engine.generation()
     );
-    for s in engine.segment_manifest() {
-        println!(
-            "  segment {}: kind {}, docs {}..{}, format v{}, {} fence bytes resident",
-            s.suffix,
-            seg_kind_name(s.kind),
-            s.doc_base,
-            s.doc_base + s.n_docs,
-            prix_core::SEG_VERSION,
-            engine.segment_fence_bytes(s).map_err(|e| e.to_string())?
-        );
-    }
+    print_segment_rows(&engine)?;
     Ok(())
 }
 
@@ -552,16 +614,15 @@ fn cmd_fsck(args: &[String]) -> Result<(), CliError> {
     print_log_state(&engine);
     let (verified, skipped) = engine.verify_checksums().map_err(|e| e.to_string())?;
     println!("pages: {verified} verified, {skipped} never written");
-    if engine.generation() > 0 {
-        for (suffix, check) in engine.verify_segments().map_err(|e| e.to_string())? {
-            println!(
-                "segment {suffix}: {} blocks, {} tag entries, {} doc entries, {} records ok",
-                check.blocks, check.tag_entries, check.doc_entries, check.records
-            );
-        }
+    for line in verify_tier_files(&engine)? {
+        println!("segment {line}");
     }
     let (nums, strs) = engine.valix().verify().map_err(|e| e.to_string())?;
-    println!("valix: {nums} numeric posting(s), {strs} string posting(s) ok");
+    println!(
+        "valix: delta docs {}..{}, {nums} numeric posting(s), {strs} string posting(s) ok",
+        engine.valix().delta_base(),
+        engine.valix().covered()
+    );
     for name in unknown_siblings(db) {
         println!("sibling {name}: not part of this database (ignored)");
     }
@@ -597,7 +658,7 @@ fn unknown_siblings(db: &str) -> Vec<String> {
 /// Whether `suffix` (the part after the database name) is one the
 /// engine itself writes: the page file, its WAL/checksum sidecars, the
 /// manifest, or a generation's files (`.gN`, `.gN.sum`, `.gN.wal`,
-/// `.gN.rp.seg`, `.gN.ep.seg`).
+/// `.gN.rp.seg`, `.gN.ep.seg`, `.gN.vx.seg`).
 fn known_db_suffix(suffix: &str) -> bool {
     let rest = match suffix {
         "" | ".sum" | ".wal" | ".seg" => return true,
@@ -612,7 +673,7 @@ fn known_db_suffix(suffix: &str) -> bool {
     }
     matches!(
         &rest[digits..],
-        "" | ".sum" | ".wal" | ".rp.seg" | ".ep.seg"
+        "" | ".sum" | ".wal" | ".rp.seg" | ".ep.seg" | ".vx.seg"
     )
 }
 

@@ -278,11 +278,18 @@ fn failed_add_leaves_the_database_as_it_was() {
     assert_eq!(out.status.code(), Some(0), "index: {}", stderr(&out));
 
     // The observable state: document counts and three answers (match
-    // count plus every `doc -> nodes` line; the timing lines vary).
+    // count plus every `doc -> nodes` line; the timing lines vary, and
+    // so do the `bytes:` lines — pages a failed batch allocated and
+    // never committed still lengthen the page file).
     let state = || -> Vec<String> {
         let out = prix(&["stats", db]);
         assert_eq!(out.status.code(), Some(0), "stats: {}", stderr(&out));
-        let mut lines = vec![String::from_utf8_lossy(&out.stdout).into_owned()];
+        let stats: Vec<&str> = std::str::from_utf8(&out.stdout)
+            .unwrap()
+            .lines()
+            .filter(|l| !l.starts_with("bytes:"))
+            .collect();
+        let mut lines = vec![stats.join("\n")];
         for xpath in ["//inproceedings/key", "//dblp//author", "//year"] {
             let out = prix(&["query", db, xpath, "--limit", "0"]);
             assert_eq!(out.status.code(), Some(0), "{xpath}: {}", stderr(&out));
@@ -322,6 +329,73 @@ fn failed_add_leaves_the_database_as_it_was() {
     let after = state();
     assert!(after[0].contains("RPIndex: 7 docs"), "{}", after[0]);
     assert!(after[1].starts_with("7 match(es)"), "{}", after[1]);
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A tier's value run is a file of the database like its segments:
+/// `segments` lists it with its postings, `stats` accounts for its
+/// bytes, `fsck` verifies it and does not take it for a stray sibling —
+/// after a bulk build and after the compaction that adds a second tier.
+#[test]
+fn value_runs_show_in_segments_stats_and_fsck() {
+    let dir = std::env::temp_dir().join(format!("prix-cli-runs-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let doc = |i: usize| {
+        let path = dir.join(format!("doc{i}.xml"));
+        let xml = format!("<item><name>n{i}</name><price>{}</price></item>", 10 + i);
+        std::fs::write(&path, xml).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let docs: Vec<String> = (0..4).map(doc).collect();
+    let db = dir.join("db.prix");
+    let db = db.to_str().unwrap();
+    let ok = |args: &[&str]| -> String {
+        let out = prix(args);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr(&out));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+
+    ok(&[
+        "index", "--bulk", "--alpha", "4", db, &docs[0], &docs[1], &docs[2],
+    ]);
+    ok(&["add", db, &docs[3]]);
+    let text = ok(&["query", db, "//item[price < 12]", "--limit", "0"]);
+    assert!(text.starts_with("2 match(es)"), "{text}");
+    ok(&["compact", db]);
+    let text = ok(&["query", db, "//item[price >= 12]", "--limit", "0"]);
+    assert!(text.starts_with("2 match(es)"), "{text}");
+
+    let text = ok(&["segments", db, "--verify"]);
+    for run in [
+        "run .g1.vx.seg: kind vx, docs 0..3, format v1, 3 numeric + 6 string posting(s)",
+        "run .g2.vx.seg: kind vx, docs 3..4, format v1, 1 numeric + 2 string posting(s)",
+        "verified .g2.vx.seg: 4 blocks, 1 numeric posting(s), 2 string posting(s) ok",
+    ] {
+        assert!(text.contains(run), "no `{run}` in:\n{text}");
+    }
+    assert!(text.contains("segments: clean"), "{text}");
+
+    let text = ok(&["stats", db]);
+    let bytes: Vec<u64> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("bytes:"))
+        .map(|l| l.split_whitespace().next().unwrap().parse().unwrap())
+        .collect();
+    let (total, files) = bytes.split_last().expect("stats prints bytes");
+    assert_eq!(files.len(), 10, "3 + manifest + 2 tiers of 3:\n{text}");
+    assert_eq!(*total, files.iter().sum::<u64>(), "{text}");
+    assert!(text.contains("vx docs 3..4 (.g2.vx.seg)"), "{text}");
+    assert!(
+        text.contains("total in 10 file(s)") && text.contains("page file (.g2)"),
+        "{text}"
+    );
+
+    let text = ok(&["fsck", db]);
+    assert!(text.contains("segment .g1.vx.seg: 4 blocks"), "{text}");
+    assert!(text.contains("valix: delta docs 4..4, 0 numeric"), "{text}");
+    assert!(!text.contains("sibling"), "{text}");
+    assert!(text.contains("fsck: clean"), "{text}");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

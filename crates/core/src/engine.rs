@@ -13,8 +13,8 @@ use std::sync::Arc;
 
 use prix_storage::{
     recover, BufferPool, FileSegEnv, IoStats, Manifest, ManifestSegment, MemSegEnv, Pager,
-    RecordId, RecordStore, RecoveryReport, SegmentCheck, SegmentEnv, SegmentReader, Wal, PAGE_SIZE,
-    SEG_KIND_EP, SEG_KIND_RP,
+    RecordId, RecordStore, RecoveryReport, SegmentCheck, SegmentEnv, SegmentReader, ValueRunReader,
+    VxCheck, Wal, PAGE_SIZE, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_VX,
 };
 use prix_xml::{Collection, Sym, SymbolTable};
 
@@ -23,7 +23,7 @@ use crate::index::{IndexError, IndexKind, PrixIndex, Result};
 use crate::plan::{Planner, PlannerStats};
 use crate::snapshot::EngineSnapshot;
 use crate::trie::LabelingMode;
-use crate::valix::{Valix, ValixEntry};
+use crate::valix::Valix;
 
 /// Version of the catalog-page layout written by [`PrixEngine::save`]
 /// and the only one [`PrixEngine::reopen`] reads; any other version is
@@ -84,15 +84,17 @@ fn decode_symbols(bytes: &[u8]) -> Option<SymbolTable> {
     Some(syms)
 }
 
-/// One immutable segment tier: the RP/EP segment pair covering global
-/// document ids `[doc_base, doc_base + n_docs)`. Queries descend every
-/// tier and the mutable delta; tiers never change after publication, so
-/// snapshots clone them for free (the indexes inside are segment-backed
-/// and internally shared).
+/// One immutable segment tier: the RP/EP segment pair and the value
+/// run covering global document ids `[doc_base, doc_base + n_docs)`.
+/// Queries descend every tier and the mutable delta; tiers never change
+/// after publication, so snapshots clone them for free (the indexes
+/// inside are segment-backed and internally shared, the run is behind
+/// an `Arc`).
 #[derive(Clone)]
-pub(crate) struct SegTier {
+pub struct SegTier {
     pub(crate) rp: PrixIndex,
     pub(crate) ep: PrixIndex,
+    pub(crate) vx: Arc<ValueRunReader>,
     pub(crate) doc_base: u32,
     pub(crate) n_docs: u32,
 }
@@ -441,8 +443,9 @@ impl PrixEngine {
         let (wal, report) = recover(&pager, wal, pager.stats()).map_err(IndexError::Storage)?;
         let pool = BufferPool::with_wal(pager, buffer_pages, wal);
         let mut eng = Self::reopen_over(pool, report, env)?;
-        if let Some(m) = &manifest {
-            eng.attach_manifest(m)?;
+        match &manifest {
+            Some(m) => eng.attach_manifest(m)?,
+            None => eng.valix.attach(0, eng.rp.doc_count())?,
         }
         Ok(eng)
     }
@@ -551,18 +554,20 @@ impl PrixEngine {
             .map_err(IndexError::Storage)
     }
 
-    /// Opens every segment the manifest lists and installs them as this
-    /// engine's immutable tiers, re-basing the mutable indexes to start
-    /// where the segments end. A manifest that names a missing file, a
-    /// header that disagrees with its manifest row, or a
-    /// non-contiguous tier layout is a hard error — serving a database
-    /// with silently absent documents would be worse than refusing.
+    /// Opens every segment and value run the manifest lists and installs
+    /// them as this engine's immutable tiers, re-basing the mutable
+    /// indexes and the delta valix to start where the tiers end. A
+    /// manifest that names a missing file or a kind this build does not
+    /// know, a header that disagrees with its manifest row, a tier
+    /// without one of its three files (a database compacted before
+    /// value runs existed has none) or a non-contiguous tier layout is
+    /// a hard error — serving a database with silently absent documents
+    /// would be worse than refusing.
     fn attach_manifest(&mut self, m: &Manifest) -> Result<()> {
-        // Per kind (RP, then EP): doc base -> (n_docs, index).
-        let mut by_kind = [
-            std::collections::BTreeMap::new(),
-            std::collections::BTreeMap::new(),
-        ];
+        // Per kind: doc base -> (n_docs, reader).
+        let mut rps = std::collections::BTreeMap::new();
+        let mut eps = std::collections::BTreeMap::new();
+        let mut vxs = std::collections::BTreeMap::new();
         let conflict = |doc_base: u32| {
             IndexError::Unsupported(format!(
                 "manifest generation {} lists conflicting segments at doc base {doc_base}",
@@ -570,35 +575,55 @@ impl PrixEngine {
             ))
         };
         for s in &m.segments {
+            if !matches!(s.kind, SEG_KIND_RP | SEG_KIND_EP | SEG_KIND_VX) {
+                return Err(IndexError::Unsupported(format!(
+                    "manifest generation {} lists segment '{}' of unknown kind {}",
+                    m.generation, s.suffix, s.kind
+                )));
+            }
             if !self.seg_env.exists(&s.suffix)? {
                 return Err(IndexError::Unsupported(format!(
                     "manifest generation {} references missing segment file '{}'",
                     m.generation, s.suffix
                 )));
             }
-            let reader = Arc::new(
-                SegmentReader::open(self.seg_env.open(&s.suffix)?, Arc::clone(&self.seg_stats))
-                    .map_err(IndexError::Storage)?,
-            );
-            if reader.kind() != s.kind
-                || reader.doc_base() != s.doc_base
-                || reader.n_docs() != s.n_docs
-            {
-                return Err(IndexError::Unsupported(format!(
+            let store = self.seg_env.open(&s.suffix)?;
+            let stats = Arc::clone(&self.seg_stats);
+            let row_mismatch = || {
+                IndexError::Unsupported(format!(
                     "segment '{}' header disagrees with its manifest row",
                     s.suffix
-                )));
-            }
-            let idx = PrixIndex::from_segment(reader)?;
-            let kind_slot = &mut by_kind[usize::from(s.kind != SEG_KIND_RP)];
-            if kind_slot.insert(s.doc_base, (s.n_docs, idx)).is_some() {
+                ))
+            };
+            let fresh = if s.kind == SEG_KIND_VX {
+                let run = ValueRunReader::open(store, stats).map_err(IndexError::Storage)?;
+                if (run.doc_base(), run.n_docs()) != (s.doc_base, s.n_docs) {
+                    return Err(row_mismatch());
+                }
+                vxs.insert(s.doc_base, (s.n_docs, Arc::new(run))).is_none()
+            } else {
+                let reader =
+                    Arc::new(SegmentReader::open(store, stats).map_err(IndexError::Storage)?);
+                if (reader.kind(), reader.doc_base(), reader.n_docs())
+                    != (s.kind, s.doc_base, s.n_docs)
+                {
+                    return Err(row_mismatch());
+                }
+                let idx = PrixIndex::from_segment(reader)?;
+                let slot = if s.kind == SEG_KIND_RP {
+                    &mut rps
+                } else {
+                    &mut eps
+                };
+                slot.insert(s.doc_base, (s.n_docs, idx)).is_none()
+            };
+            if !fresh {
                 return Err(conflict(s.doc_base));
             }
         }
-        let [rps, mut eps] = by_kind;
-        let lacks = |kind: &str, doc_base: u32| {
+        let lacks = |what: &str, doc_base: u32| {
             IndexError::Unsupported(format!(
-                "manifest generation {} has no {kind} segment for the tier at doc base \
+                "manifest generation {} has no {what} for the tier at doc base \
                  {doc_base}; re-index the source documents",
                 m.generation
             ))
@@ -609,7 +634,12 @@ impl PrixEngine {
             let ep = match eps.remove(&doc_base) {
                 Some((n, ep)) if n == n_docs => ep,
                 Some(_) => return Err(conflict(doc_base)),
-                None => return Err(lacks("EP", doc_base)),
+                None => return Err(lacks("EP segment", doc_base)),
+            };
+            let vx = match vxs.remove(&doc_base) {
+                Some((n, vx)) if n == n_docs => vx,
+                Some(_) => return Err(conflict(doc_base)),
+                None => return Err(lacks("value run", doc_base)),
             };
             if doc_base != next {
                 return Err(IndexError::Unsupported(
@@ -620,13 +650,16 @@ impl PrixEngine {
             tiers.push(SegTier {
                 rp,
                 ep,
+                vx,
                 doc_base,
                 n_docs,
             });
         }
-        if let Some(&doc_base) = eps.keys().next() {
-            return Err(lacks("RP", doc_base));
+        if let Some(&doc_base) = eps.keys().chain(vxs.keys()).next() {
+            return Err(lacks("RP segment", doc_base));
         }
+        // The tiers partition `[0, next)`; the delta covers the rest.
+        self.valix.attach(next, self.rp.doc_count())?;
         self.segments = tiers;
         self.manifest_segments = m.segments.clone();
         self.generation = m.generation;
@@ -666,12 +699,12 @@ impl PrixEngine {
     }
 
     /// Assembles the engine a finished bulk build publishes: an empty
-    /// mutable generation plus the just-written segments, committed by
-    /// one manifest write. Crash-ordering contract (the bulk crash
-    /// suite pins it): segments are fully written and synced *before*
-    /// this runs, the mutable generation is created and saved (unlogged
-    /// — see [`PrixEngine::save_unlogged`]) next, and the manifest write
-    /// is last — a crash anywhere earlier leaves the
+    /// mutable generation plus the just-written segments and value run,
+    /// committed by one manifest write. Crash-ordering contract (the
+    /// bulk crash suite pins it): those are fully written and synced
+    /// *before* this runs, the mutable generation is created and saved
+    /// (unlogged — see [`PrixEngine::save_unlogged`]) next, and the
+    /// manifest write is last — a crash anywhere earlier leaves the
     /// previous manifest (or no database at all) in charge.
     pub(crate) fn from_bulk(
         cfg: EngineConfig,
@@ -680,18 +713,8 @@ impl PrixEngine {
         generation: u64,
         mutable_suffix: String,
         segments: Vec<ManifestSegment>,
-        valix_entries: Vec<ValixEntry>,
     ) -> Result<Self> {
-        let n_docs: u32 = segments
-            .iter()
-            .map(|s| s.doc_base + s.n_docs)
-            .max()
-            .unwrap_or(0);
         let mut eng = Self::empty_mutable_env(syms, &cfg, &env, &mutable_suffix)?;
-        // The segments' leaf values, bulk-loaded into the fresh mutable
-        // generation's pool (the valix always lives with the mutable
-        // generation; its coverage spans the segment documents).
-        eng.valix = Valix::build_bulk(Arc::clone(&eng.pool), &valix_entries, n_docs)?;
         eng.save_unlogged()?;
         let manifest = Manifest {
             generation,
@@ -703,11 +726,13 @@ impl PrixEngine {
         Ok(eng)
     }
 
-    /// Folds the mutable delta into a new immutable segment per index
-    /// kind and swaps in a fresh, empty mutable generation. Returns
-    /// `false` (and does nothing) when the delta is empty.
+    /// Folds the mutable delta into a new immutable tier — a segment per
+    /// index kind and the value run of the same documents — and swaps in
+    /// a fresh, empty mutable generation. What it writes is proportional
+    /// to the delta, not to the collection. Returns `false` (and does
+    /// nothing) when the delta is empty.
     ///
-    /// Publish protocol, in order: (1) build and sync the new segment
+    /// Publish protocol, in order: (1) build and sync the new tier's
     /// files under the next generation's names — the live tree is
     /// untouched; (2) create the next mutable generation in *new*
     /// files and write it out unlogged, its epoch clock re-seeded past
@@ -756,9 +781,21 @@ impl PrixEngine {
                 n_docs: n,
             });
         }
+        // The delta's value postings stream out of its two trees, which
+        // hold them in key order already.
+        let suffix = format!(".g{generation}.vx.seg");
+        self.valix
+            .write_run(self.seg_env.create(&suffix)?, n as usize)?;
+        manifest_segments.push(ManifestSegment {
+            kind: SEG_KIND_VX,
+            suffix,
+            doc_base,
+            n_docs: n,
+        });
         // (2) The replacement mutable generation: empty (so the
-        // labeling mode has nothing to label), same symbol table, same
-        // pool capacity, fresh files.
+        // labeling mode has nothing to label, and its valix is a bare
+        // `Valix::create`), same symbol table, same pool capacity,
+        // fresh files.
         let cfg = EngineConfig {
             buffer_pages: self.pool.capacity(),
             ..Default::default()
@@ -767,10 +804,6 @@ impl PrixEngine {
         let mut fresh =
             Self::empty_mutable_env(self.symbols.clone(), &cfg, &self.seg_env, &new_suffix)?;
         debug_assert_eq!(fresh.dummy, self.dummy, "dummy symbol survives compaction");
-        // The valix covers *global* document ids, so it migrates
-        // page-for-page into the replacement generation's pool rather
-        // than being rebuilt from the (empty) fresh collection.
-        fresh.valix = self.valix.clone_into(Arc::clone(&fresh.pool))?;
         let epoch = self.pool.published_epoch().max(self.pool.current_epoch()) + 1;
         fresh.pool.reseed_epoch(epoch);
         fresh.save_unlogged()?;
@@ -805,8 +838,10 @@ impl PrixEngine {
         &self.seg_env
     }
 
-    /// The immutable tiers, for snapshot capture.
-    pub(crate) fn seg_tiers(&self) -> &[SegTier] {
+    /// The immutable tiers in ascending document order (what a snapshot
+    /// captures, and what [`crate::PredEval::build`] probes next to the
+    /// delta valix).
+    pub fn seg_tiers(&self) -> &[SegTier] {
         &self.segments
     }
 
@@ -839,12 +874,19 @@ impl PrixEngine {
         &self.seg_stats
     }
 
-    /// The open reader behind manifest row `s`.
-    fn segment_reader(&self, s: &ManifestSegment) -> Result<&Arc<SegmentReader>> {
+    /// The loaded tier manifest row `s` belongs to.
+    fn tier_of(&self, s: &ManifestSegment) -> Result<&SegTier> {
         self.segments
             .iter()
             .find(|t| t.doc_base == s.doc_base)
-            .and_then(|t| if s.kind == SEG_KIND_RP { &t.rp } else { &t.ep }.segment())
+            .ok_or_else(|| IndexError::Unsupported("manifest row without a loaded tier".into()))
+    }
+
+    /// The open reader behind manifest row `s` (an RP or EP row).
+    fn segment_reader(&self, s: &ManifestSegment) -> Result<&Arc<SegmentReader>> {
+        let t = self.tier_of(s)?;
+        if s.kind == SEG_KIND_RP { &t.rp } else { &t.ep }
+            .segment()
             .ok_or_else(|| IndexError::Unsupported("manifest row without a loaded tier".into()))
     }
 
@@ -854,18 +896,60 @@ impl PrixEngine {
         Ok(self.segment_reader(s)?.fence_bytes())
     }
 
-    /// Verifies every live segment file: per-block checksums, the
-    /// record index, the sorted-order invariant of both entry sections
-    /// against the resident fences, and the padding. Returns one report
-    /// per manifest row.
+    /// The open value run behind manifest row `s` (a VX row).
+    pub fn value_run(&self, s: &ManifestSegment) -> Result<&ValueRunReader> {
+        Ok(&self.tier_of(s)?.vx)
+    }
+
+    /// Verifies every live RP and EP segment file: per-block checksums,
+    /// the record index, the sorted-order invariant of both entry
+    /// sections against the resident fences, and the padding. Returns
+    /// one report per manifest row.
     pub fn verify_segments(&self) -> Result<Vec<(String, SegmentCheck)>> {
         self.manifest_segments
             .iter()
+            .filter(|s| s.kind != SEG_KIND_VX)
             .map(|s| {
                 let check = self.segment_reader(s)?.verify();
                 Ok((s.suffix.clone(), check.map_err(IndexError::Storage)?))
             })
             .collect()
+    }
+
+    /// Verifies every live value run (`ValueRunReader::verify`: block
+    /// checksums, strict posting order, every posting's document inside
+    /// its tier, counts, padding). Returns one report per manifest row.
+    pub fn verify_value_runs(&self) -> Result<Vec<(String, VxCheck)>> {
+        self.manifest_segments
+            .iter()
+            .filter(|s| s.kind == SEG_KIND_VX)
+            .map(|s| {
+                let check = self.value_run(s)?.verify();
+                Ok((s.suffix.clone(), check.map_err(IndexError::Storage)?))
+            })
+            .collect()
+    }
+
+    /// `(suffix, bytes)` of every file this database consists of right
+    /// now: the mutable generation's page file, checksum sidecar and
+    /// log, the manifest, and every segment and value run it lists
+    /// (`prix stats`). A file the environment does not hold (an
+    /// in-memory engine has no page file there) is left out.
+    pub fn file_sizes(&self) -> Result<Vec<(String, u64)>> {
+        let mut suffixes: Vec<String> = ["", ".sum", ".wal"]
+            .iter()
+            .map(|side| format!("{}{side}", self.mutable_suffix))
+            .collect();
+        suffixes.push(".seg".into());
+        suffixes.extend(self.manifest_segments.iter().map(|s| s.suffix.clone()));
+        let mut sizes = Vec::with_capacity(suffixes.len());
+        for suffix in suffixes {
+            if self.seg_env.exists(&suffix)? {
+                let len = self.seg_env.open(&suffix)?.len()?;
+                sizes.push((suffix, len));
+            }
+        }
+        Ok(sizes)
     }
 
     /// Parses `xml` and incrementally indexes it into both indexes
@@ -895,9 +979,7 @@ impl PrixEngine {
             s.merge_tree(&tree);
             s.set_trie_shape(b.trie_nodes as u64, b.trie_paths as u64, b.sequences);
         });
-        if id == self.valix.covered() {
-            self.valix.index_tree(&tree, id, &self.symbols)?;
-        }
+        self.valix.index_tree(&tree, id, &self.symbols)?;
         Ok(id)
     }
 

@@ -50,17 +50,20 @@ pub mod trie;
 pub mod valix;
 pub mod xpath;
 
-pub use engine::{EngineConfig, IngestOutcome, PrixEngine};
+pub use engine::{EngineConfig, IngestOutcome, PrixEngine, SegTier};
 pub use exec::MatchStream;
 pub use index::{ExecOpts, IndexKind, PrixIndex, QueryStats, TwigMatch};
 pub use plan::{
     canonicalize, prix_embedding_exact, AltProvider, EngineChoice, EngineId, NoAlts, PlanReport,
     Planner, PlannerStats, QueryEngine, QueryShape, Routed, Router,
 };
-pub use prix_storage::{ManifestSegment, SegmentCheck, SEG_KIND_EP, SEG_KIND_RP, SEG_VERSION};
+pub use prix_storage::{
+    ManifestSegment, SegmentCheck, ValueRunReader, VxCheck, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_VX,
+    SEG_VERSION, VX_VERSION,
+};
 pub use query::{PredOp, PredValue, TwigBuilder, TwigQuery, ValuePred};
 pub use segbuild::{BulkBuilder, DEFAULT_RUN_MEM_BYTES};
 pub use snapshot::{EngineSnapshot, IngestReport, QueryOutcome, SharedEngine};
 pub use trie::{LabelingMode, VirtualTrie};
-pub use valix::{PredEval, ProbeStats, Valix, ValixEntry};
+pub use valix::{PredEval, ProbeStats, Valix};
 pub use xpath::{parse_xpath, XPathError};

@@ -20,8 +20,10 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use prix_prufer::{ExtendedTree, MaxGapTable, PruferSeq};
+use prix_storage::segment::ExternalSorter;
 use prix_storage::{
-    env_temp_factory, ManifestSegment, SegmentBuilder, SegmentEnv, SEG_KIND_EP, SEG_KIND_RP,
+    env_temp_factory, ManifestSegment, SegmentBuilder, SegmentEnv, ValueRunBuilder, VxEntry,
+    SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_VX,
 };
 use prix_xml::{parse_document, PostNum, Sym, SymbolTable, XmlTree};
 
@@ -30,7 +32,7 @@ use crate::index::{
     encode_doc_record, encode_seg_index_meta, node_gaps, position_gaps, BuildStats, DocData,
     IndexError, IndexKind, Result,
 };
-use crate::valix::ValixEntry;
+use crate::valix::run_entries;
 
 /// Default in-memory sort budget per segment build (64 MiB, the
 /// `--run-mem-mb` default).
@@ -179,12 +181,14 @@ impl SegIndexBuilder {
 /// Streaming bulk index build (`prix index --bulk`).
 ///
 /// Documents are parsed one at a time and pushed straight into the
-/// per-kind external sorters; nothing but the symbol table, the MaxGap
-/// tables, and the bounded sort runs stays in memory. [`finish`]
-/// merges the runs into one immutable segment per kind, creates an
-/// empty mutable generation for future inserts, and writes the manifest
-/// **last** — a crash anywhere before that single write leaves the
-/// previous manifest (or, on a fresh path, nothing) in charge.
+/// per-kind external sorters (label paths for RP and EP, leaf-value
+/// postings for the value run); nothing but the symbol table, the
+/// MaxGap tables, and the bounded sort runs stays in memory. [`finish`]
+/// merges the runs into one immutable segment per kind and the tier's
+/// value run, creates an empty mutable generation for future inserts,
+/// and writes the manifest **last** — a crash anywhere before that
+/// single write leaves the previous manifest (or, on a fresh path,
+/// nothing) in charge.
 ///
 /// Rebuilding over an existing segmented database allocates the next
 /// generation's file names, so the old generation keeps serving until
@@ -202,7 +206,9 @@ pub struct BulkBuilder {
     rp_maxgap: MaxGapTable,
     ep_maxgap: MaxGapTable,
     childless: HashSet<Sym>,
-    valix: Vec<ValixEntry>,
+    /// Every leaf value's run entries, sorted under the same budget as
+    /// the label paths.
+    vx: ExternalSorter<VxEntry>,
     n_docs: u32,
 }
 
@@ -263,7 +269,6 @@ impl BulkBuilder {
         )?;
         Ok(BulkBuilder {
             cfg,
-            env,
             syms,
             generation,
             prev,
@@ -272,8 +277,9 @@ impl BulkBuilder {
             rp_maxgap: MaxGapTable::new(),
             ep_maxgap: MaxGapTable::new(),
             childless: HashSet::new(),
-            valix: Vec::new(),
+            vx: ExternalSorter::new(run_mem_bytes, env_temp_factory(&env)),
             n_docs: 0,
+            env,
         })
     }
 
@@ -309,12 +315,10 @@ impl BulkBuilder {
                 if node != tree.root() {
                     let post = tree.postorder(node);
                     let parent = tree.parent_post(post).expect("non-root leaf has a parent");
-                    self.valix.push(ValixEntry {
-                        tag: tree.label_at(parent),
-                        value: self.syms.name(tree.label(node)).to_owned(),
-                        doc: self.n_docs,
-                        post,
-                    });
+                    let (tag, value) = (tree.label_at(parent), self.syms.name(tree.label(node)));
+                    for e in run_entries(tag, value, self.n_docs, post) {
+                        self.vx.push(e)?;
+                    }
                 }
             }
         }
@@ -352,26 +356,34 @@ impl BulkBuilder {
             rp_maxgap,
             ep_maxgap,
             childless,
-            valix,
+            vx,
             n_docs,
         } = self;
         rp.finish(&rp_maxgap, &childless)?;
         ep.finish(&ep_maxgap, &childless)?;
-        let segments = Vec::from([(SEG_KIND_RP, "rp"), (SEG_KIND_EP, "ep")].map(
-            |(kind, kname)| ManifestSegment {
+        let mut run =
+            ValueRunBuilder::new(env.create(&format!(".g{generation}.vx.seg"))?, 0, n_docs);
+        vx.drain(|e| run.push(e.section, &e.key, e.doc, e.post))?;
+        run.finish()?;
+        let segments = Vec::from(
+            [
+                (SEG_KIND_RP, "rp"),
+                (SEG_KIND_EP, "ep"),
+                (SEG_KIND_VX, "vx"),
+            ]
+            .map(|(kind, kname)| ManifestSegment {
                 kind,
                 suffix: format!(".g{generation}.{kname}.seg"),
                 doc_base: 0,
                 n_docs,
-            },
-        ));
+            }),
+        );
         let mutable_suffix = if generation == 1 {
             String::new()
         } else {
             format!(".g{generation}")
         };
-        let engine =
-            PrixEngine::from_bulk(cfg, env, syms, generation, mutable_suffix, segments, valix)?;
+        let engine = PrixEngine::from_bulk(cfg, env, syms, generation, mutable_suffix, segments)?;
         // The manifest has committed; the previous generation's files
         // are dead weight now. Unlinking is safe even under live
         // readers (their open handles keep the bytes).

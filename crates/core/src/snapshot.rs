@@ -109,9 +109,10 @@ pub struct EngineSnapshot {
     /// statistics later plans read. Plans are advisory — sharing never
     /// affects result bytes.
     planner: Arc<Planner>,
-    /// The value index at capture time. A clone of the engine's handle:
-    /// shares pages through the pool, and under this snapshot's epoch
-    /// pin reads the frozen bytes of its epoch like `rp`/`ep` do.
+    /// The delta of the value index at capture time (the tiers' value
+    /// runs are in `segments`). A clone of the engine's handle: shares
+    /// pages through the pool, and under this snapshot's epoch pin
+    /// reads the frozen bytes of its epoch like `rp`/`ep` do.
     valix: Valix,
     pin: EpochPin,
 }
@@ -217,11 +218,12 @@ impl EngineSnapshot {
 
     /// Opens an execution at this epoch: installs the pin, probes the
     /// value index for `q`'s predicates, lists the tiers, and only then
-    /// starts the I/O scope and the clock (the probe's page reads are
-    /// reported as `valix_*` counters, not as query I/O).
+    /// starts the I/O scope and the clock (the probe's page and run
+    /// block reads are reported as `valix_*` counters, not as query
+    /// I/O).
     fn begin(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<(Execution<'_>, Option<PredEval>)> {
         let _pin = self.pin.guard();
-        let pred = PredEval::build(q, &self.valix, &self.syms)?;
+        let pred = PredEval::build(q, &self.segments, &self.valix, &self.syms)?;
         let exec = Execution {
             tiers: self.tiers(),
             // `stream_tiers` owns the limit, so a limited execution asks
@@ -432,7 +434,7 @@ impl EngineSnapshot {
         let idx = pick_index(rp, ep, &q, None)?;
         let mut out = format!("index: {}\n", idx.kind());
         out.push_str(&idx.explain(&q, &syms)?);
-        if let Some(pred) = PredEval::build(&q, &self.valix, &syms)? {
+        if let Some(pred) = PredEval::build(&q, &self.segments, &self.valix, &syms)? {
             out.push_str(&explain_pred(&q, &pred, &syms));
         }
         let report = self.planner.decide(&q, true, &ExecOpts::default(), None);

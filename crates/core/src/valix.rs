@@ -20,6 +20,15 @@
 //! machinery: an `EngineSnapshot` clones the [`Valix`] handle and its
 //! epoch pin serves the frozen pages.
 //!
+//! The index is **tiered** like the structural ones: every immutable
+//! segment tier carries a *value run* (`prix_storage::ValueRunReader`,
+//! a sorted, packed file holding the postings of exactly the tier's
+//! documents) and the pool-resident tree pair of [`Valix`] covers only
+//! the mutable delta. Run keys are byte for byte the tree keys, so one
+//! set of scan bounds serves both ([`Valix::probe_docs`]); tiers
+//! partition the document ids below the delta, so the per-tier answers
+//! are disjoint and their union is the probe's.
+//!
 //! Matching is **label-based**, mirroring the structural engines: a
 //! childless element and a text node with the same label are
 //! indistinguishable to Prüfer matching, so valix indexes the label of
@@ -34,9 +43,13 @@ use std::collections::HashSet;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use prix_storage::{BPlusTree, BufferPool, RecordId, RecordStore};
+use prix_storage::{
+    BPlusTree, BufferPool, RawStore, RecordId, RecordStore, ValueRunBuilder, VxEntry, VxSection,
+    VX_MAX_KEY_LEN,
+};
 use prix_xml::{DocId, PostNum, Sym, SymbolTable, XmlTree};
 
+use crate::engine::SegTier;
 use crate::index::{DocData, IndexError, Result};
 use crate::query::{PredOp, PredValue, TwigQuery, ValuePred};
 
@@ -44,6 +57,9 @@ use crate::query::{PredOp, PredValue, TwigQuery, ValuePred};
 /// sound because equal prefixes collide *toward more postings* (the
 /// probe stays a superset) and verification compares full strings.
 pub const STR_KEY_CAP: usize = 256;
+
+// A run stores what the trees store: its key bound is this one's.
+const _: () = assert!(4 + STR_KEY_CAP == VX_MAX_KEY_LEN);
 
 const META_MAGIC: &[u8; 4] = b"VLX1";
 
@@ -104,18 +120,40 @@ fn posting_doc(v: &[u8]) -> DocId {
     u32::from_le_bytes([v[0], v[1], v[2], v[3]])
 }
 
-/// One leaf occurrence destined for the valix (the bulk-build path
-/// collects these while documents stream past).
-#[derive(Debug, Clone)]
-pub struct ValixEntry {
-    /// Tag of the leaf's parent element.
-    pub tag: Sym,
-    /// The leaf's label text.
-    pub value: String,
-    /// Document id (global).
-    pub doc: DocId,
-    /// The leaf's postorder number in the original document.
-    pub post: PostNum,
+fn posting_post(v: &[u8]) -> PostNum {
+    u32::from_le_bytes([v[4], v[5], v[6], v[7]])
+}
+
+/// The keys one leaf occurrence is indexed under: always one in the
+/// string opclass, and one in the numeric opclass too when the text
+/// parses as a (non-NaN) `f64`.
+fn opclass_keys(tag: Sym, value: &str) -> (Option<[u8; 12]>, Vec<u8>) {
+    let num = value
+        .parse::<f64>()
+        .ok()
+        .filter(|v| !v.is_nan())
+        .map(|v| num_key(tag, v));
+    (num, str_key(tag, value))
+}
+
+/// The run entries of one leaf occurrence (the bulk path sorts these
+/// into the bulk tier's value run).
+pub(crate) fn run_entries(
+    tag: Sym,
+    value: &str,
+    doc: DocId,
+    post: PostNum,
+) -> impl Iterator<Item = VxEntry> {
+    let (num, strs) = opclass_keys(tag, value);
+    let entry = move |section, key| VxEntry {
+        section,
+        key,
+        doc,
+        post,
+    };
+    num.map(|k| entry(VxSection::Num, k.to_vec()))
+        .into_iter()
+        .chain([entry(VxSection::Str, strs)])
 }
 
 /// Counters from probing the valix for one query.
@@ -127,10 +165,16 @@ pub struct ProbeStats {
     pub postings: u64,
 }
 
-/// The value index proper. `Clone` snapshots the handles (tree roots,
-/// counters): clones share pages through the pool, and a clone taken
-/// under an epoch pin reads the frozen bytes of its epoch — exactly
-/// the [`crate::index::PrixIndex`] contract.
+/// The mutable delta of the value index: the opclass trees over the
+/// documents no segment tier holds yet. `Clone` snapshots the handles
+/// (tree roots, counters): clones share pages through the pool, and a
+/// clone taken under an epoch pin reads the frozen bytes of its epoch —
+/// exactly the [`crate::index::PrixIndex`] contract.
+///
+/// Coverage invariant: the tiers' runs partition `[0, delta_base)`, the
+/// trees here hold the leaves of `[delta_base, covered)`, and that is
+/// every document the engine has ([`Valix::attach`] checks it at
+/// reopen, [`Valix::write_run`] at compaction).
 #[derive(Clone)]
 pub struct Valix {
     /// Numeric opclass.
@@ -138,10 +182,11 @@ pub struct Valix {
     /// String opclass.
     strs: BPlusTree,
     store: RecordStore,
-    /// Documents `[0, covered)` have their leaves indexed. The probe is
-    /// only trusted for those; [`PredEval::allows`] admits any doc at or
-    /// past the horizon.
-    covered: DocId,
+    /// First document of the delta: where the segment tiers end. Not
+    /// persisted — the manifest says it ([`Valix::attach`]).
+    delta_base: DocId,
+    /// Documents indexed here, `[delta_base, delta_base + delta_docs)`.
+    delta_docs: DocId,
     num_postings: u64,
     str_postings: u64,
     /// Last metadata record written by [`Valix::save`] with its exact
@@ -157,28 +202,60 @@ impl Valix {
             num: BPlusTree::create(Arc::clone(&pool))?,
             strs: BPlusTree::create(Arc::clone(&pool))?,
             store: RecordStore::create(pool)?,
-            covered: 0,
+            delta_base: 0,
+            delta_docs: 0,
             num_postings: 0,
             str_postings: 0,
             saved_meta: None,
         })
     }
 
-    /// Documents whose leaves are indexed (`[0, covered)`).
+    /// The coverage horizon: documents `[0, covered)` have their leaves
+    /// indexed, in a tier's run or in the delta's trees.
     pub fn covered(&self) -> DocId {
-        self.covered
+        self.delta_base + self.delta_docs
     }
 
-    /// `(numeric postings, string postings)` indexed so far.
+    /// First document of the delta.
+    pub fn delta_base(&self) -> DocId {
+        self.delta_base
+    }
+
+    /// `(numeric postings, string postings)` in the delta.
     pub fn posting_counts(&self) -> (u64, u64) {
         (self.num_postings, self.str_postings)
     }
 
+    /// Places the delta behind the segment tiers, which end at
+    /// `delta_base`, and checks that it covers exactly the
+    /// `mutable_docs` documents the structural delta holds. Anything
+    /// else would make the probe a silently narrower (or wrong)
+    /// pre-filter, so it is refused.
+    pub(crate) fn attach(&mut self, delta_base: DocId, mutable_docs: usize) -> Result<()> {
+        self.check_delta(mutable_docs)?;
+        self.delta_base = delta_base;
+        Ok(())
+    }
+
+    fn check_delta(&self, mutable_docs: usize) -> Result<()> {
+        if self.delta_docs as usize != mutable_docs {
+            return Err(IndexError::Unsupported(format!(
+                "value index covers {} delta document(s) but the delta holds {mutable_docs}; \
+                 re-index the source documents",
+                self.delta_docs
+            )));
+        }
+        Ok(())
+    }
+
     /// Indexes every leaf of `tree` as document `doc`. Documents must
     /// arrive in id order with no gaps — the coverage horizon is what
-    /// makes partial indexes safe to probe.
+    /// makes the probe safe to trust.
     pub fn index_tree(&mut self, tree: &XmlTree, doc: DocId, syms: &SymbolTable) -> Result<()> {
-        debug_assert_eq!(doc, self.covered, "valix documents must arrive in order");
+        // `attach` established the lockstep with the structural delta
+        // and every insert path keeps it; a gap here would be a hole in
+        // the pre-filter that nothing reports.
+        assert_eq!(doc, self.covered(), "valix documents arrive in order");
         for node in tree.nodes() {
             if !tree.is_leaf(node) || node == tree.root() {
                 continue;
@@ -188,96 +265,103 @@ impl Valix {
             let tag = tree.label_at(parent);
             self.add_value(tag, syms.name(tree.label(node)), doc, post)?;
         }
-        self.covered = doc + 1;
+        self.delta_docs += 1;
         Ok(())
     }
 
-    /// Indexes one leaf occurrence: always into the string opclass, and
-    /// into the numeric one too when the text parses as a (non-NaN)
-    /// `f64`.
+    /// Indexes one leaf occurrence under its [`opclass_keys`].
     fn add_value(&mut self, tag: Sym, value: &str, doc: DocId, post: PostNum) -> Result<()> {
         let p = posting(doc, post);
-        if let Ok(v) = value.parse::<f64>() {
-            if !v.is_nan() {
-                self.num.insert(&num_key(tag, v), &p)?;
-                self.num_postings += 1;
-            }
+        let (num, strs) = opclass_keys(tag, value);
+        if let Some(k) = num {
+            self.num.insert(&k, &p)?;
+            self.num_postings += 1;
         }
-        self.strs.insert(&str_key(tag, value), &p)?;
+        self.strs.insert(&strs, &p)?;
         self.str_postings += 1;
         Ok(())
     }
 
-    /// Bulk-builds a valix from collected entries (the `prix index
-    /// --bulk` path). `n_docs` sets the coverage horizon.
-    pub fn build_bulk(
-        pool: Arc<BufferPool>,
-        entries: &[ValixEntry],
-        n_docs: DocId,
-    ) -> Result<Self> {
-        let mut nums: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut strs: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(entries.len());
-        for e in entries {
-            let p = posting(e.doc, e.post).to_vec();
-            if let Ok(v) = e.value.parse::<f64>() {
-                if !v.is_nan() {
-                    nums.push((num_key(e.tag, v).to_vec(), p.clone()));
-                }
-            }
-            strs.push((str_key(e.tag, &e.value), p));
+    fn tree(&self, section: VxSection) -> &BPlusTree {
+        match section {
+            VxSection::Num => &self.num,
+            VxSection::Str => &self.strs,
         }
-        nums.sort();
-        strs.sort();
-        let (num_postings, str_postings) = (nums.len() as u64, strs.len() as u64);
-        Ok(Valix {
-            num: BPlusTree::bulk_load(Arc::clone(&pool), nums, 0.9)?,
-            strs: BPlusTree::bulk_load(Arc::clone(&pool), strs, 0.9)?,
-            store: RecordStore::create(pool)?,
-            covered: n_docs,
-            num_postings,
-            str_postings,
-            saved_meta: None,
-        })
     }
 
-    /// Copies every posting into `pool` (compaction: the mutable
-    /// generation's pool is retired, so the valix migrates page-for-
-    /// page into the fresh one).
-    pub fn clone_into(&self, pool: Arc<BufferPool>) -> Result<Self> {
-        let mut nums: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        self.num.scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
-            nums.push((k.to_vec(), v.to_vec()));
-            true
-        })?;
-        let mut strs: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        self.strs.scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
-            strs.push((k.to_vec(), v.to_vec()));
-            true
-        })?;
-        Ok(Valix {
-            num: BPlusTree::bulk_load(Arc::clone(&pool), nums, 0.9)?,
-            strs: BPlusTree::bulk_load(Arc::clone(&pool), strs, 0.9)?,
-            store: RecordStore::create(pool)?,
-            covered: self.covered,
-            num_postings: self.num_postings,
-            str_postings: self.str_postings,
-            saved_meta: None,
-        })
+    /// Streams the delta into the value run of the tier a compaction is
+    /// folding it into: both trees, already in key order, straight into
+    /// the builder. Only the postings of one key at a time are held, to
+    /// put them in `(doc, post)` order: the trees keep equal keys in
+    /// insertion order, which is arena order within a document, and a
+    /// leaf split can file a new posting left of its earlier equals.
+    /// `mutable_docs` is what the structural delta holds; a delta that
+    /// covers anything else is refused.
+    pub(crate) fn write_run(&self, out: Box<dyn RawStore>, mutable_docs: usize) -> Result<()> {
+        self.check_delta(mutable_docs)?;
+        let mut b = ValueRunBuilder::new(out, self.delta_base, self.delta_docs);
+        for section in [VxSection::Num, VxSection::Str] {
+            let mut key: Vec<u8> = Vec::new();
+            let mut postings: Vec<(DocId, PostNum)> = Vec::new();
+            let mut flush = |key: &[u8], postings: &mut Vec<(DocId, PostNum)>| {
+                postings.sort_unstable();
+                postings
+                    .drain(..)
+                    .try_for_each(|(doc, post)| b.push(section, key, doc, post))
+            };
+            let mut pushed = Ok(());
+            self.tree(section)
+                .scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
+                    if k != key.as_slice() {
+                        pushed = flush(&key, &mut postings);
+                        key.clear();
+                        key.extend_from_slice(k);
+                    }
+                    postings.push((posting_doc(v), posting_post(v)));
+                    pushed.is_ok()
+                })?;
+            pushed?;
+            flush(&key, &mut postings)?;
+        }
+        Ok(b.finish()?)
     }
 
-    /// Probes one predicate anchored at `tag`, collecting the matching
-    /// document ids. Returns `None` when the operator has no index
-    /// strategy (`!=`: nearly everything matches, a scan would cost
-    /// more than it saves) — the caller falls back to
-    /// verification-only.
+    /// Scans one opclass over every tier's run, then the delta's tree,
+    /// with the contract of `BPlusTree::scan` per source: `f` returning
+    /// `false` ends the source it was reading, not the whole scan.
+    fn scan(
+        &self,
+        tiers: &[SegTier],
+        section: VxSection,
+        lo: Bound<&[u8]>,
+        hi: Bound<&[u8]>,
+        mut f: impl FnMut(&[u8], &[u8]) -> bool,
+    ) -> Result<()> {
+        for t in tiers {
+            t.vx.scan(section, lo, hi, &mut f)?;
+        }
+        Ok(self.tree(section).scan(lo, hi, &mut f)?)
+    }
+
+    /// Probes one predicate anchored at `tag` over the tiers' runs and
+    /// the delta, collecting the matching document ids. Returns `None`
+    /// when the operator has no index strategy (`!=`: nearly everything
+    /// matches, a scan would cost more than it saves) — the caller
+    /// falls back to verification-only.
     pub fn probe_docs(
         &self,
+        tiers: &[SegTier],
         tag: Sym,
         pred: &ValuePred,
         stats: &mut ProbeStats,
     ) -> Result<Option<HashSet<DocId>>> {
         let mut docs: HashSet<DocId> = HashSet::new();
         let mut seen = 0u64;
+        let mut collect = |_k: &[u8], v: &[u8]| {
+            seen += 1;
+            docs.insert(posting_doc(v));
+            true
+        };
         match &pred.value {
             PredValue::Num(lit) => {
                 let lit = *lit;
@@ -297,42 +381,40 @@ impl Valix {
                 } else {
                     Bound::Included(&hi[..])
                 };
-                self.num.scan(lo_b, hi_b, |_k, v| {
-                    seen += 1;
-                    docs.insert(posting_doc(v));
-                    true
-                })?;
+                self.scan(tiers, VxSection::Num, lo_b, hi_b, collect)?;
             }
-            PredValue::Str(lit) => match pred.op {
-                PredOp::Eq => {
-                    let key = str_key(tag, lit);
-                    self.strs.scan(
+            PredValue::Str(lit) => {
+                let key = str_key(tag, lit);
+                match pred.op {
+                    PredOp::Eq => self.scan(
+                        tiers,
+                        VxSection::Str,
                         Bound::Included(&key[..]),
                         Bound::Included(&key[..]),
-                        |_k, v| {
-                            seen += 1;
-                            docs.insert(posting_doc(v));
-                            true
-                        },
-                    )?;
+                        collect,
+                    )?,
+                    PredOp::StartsWith => {
+                        // A prefix is a contiguous key range: scan from
+                        // the prefix key, stop at the first key that no
+                        // longer starts with it. The next tag's first
+                        // possible key bounds the range above, which is
+                        // what lets a run that lacks the tag skip the
+                        // scan.
+                        let next_tag = tag.0.checked_add(1).map(u32::to_be_bytes);
+                        let hi_b = next_tag
+                            .as_ref()
+                            .map_or(Bound::Unbounded, |t| Bound::Excluded(&t[..]));
+                        self.scan(
+                            tiers,
+                            VxSection::Str,
+                            Bound::Included(&key[..]),
+                            hi_b,
+                            |k, v| k.starts_with(&key) && collect(k, v),
+                        )?;
+                    }
+                    _ => return Ok(None),
                 }
-                PredOp::StartsWith => {
-                    // A prefix is a contiguous key range: scan from the
-                    // prefix key and stop at the first key that no
-                    // longer starts with it.
-                    let key = str_key(tag, lit);
-                    self.strs
-                        .scan(Bound::Included(&key[..]), Bound::Unbounded, |k, v| {
-                            if !k.starts_with(&key) {
-                                return false;
-                            }
-                            seen += 1;
-                            docs.insert(posting_doc(v));
-                            true
-                        })?;
-                }
-                _ => return Ok(None),
-            },
+            }
         }
         stats.probes += 1;
         stats.postings += seen;
@@ -346,7 +428,7 @@ impl Valix {
         buf.extend_from_slice(META_MAGIC);
         buf.extend_from_slice(&self.num.root().to_le_bytes());
         buf.extend_from_slice(&self.strs.root().to_le_bytes());
-        buf.extend_from_slice(&self.covered.to_le_bytes());
+        buf.extend_from_slice(&self.delta_docs.to_le_bytes());
         buf.extend_from_slice(&self.num_postings.to_le_bytes());
         buf.extend_from_slice(&self.str_postings.to_le_bytes());
         if let Some((id, bytes)) = &self.saved_meta {
@@ -359,7 +441,8 @@ impl Valix {
         Ok(id)
     }
 
-    /// Reopens a valix from its metadata record.
+    /// Reopens a valix from its metadata record. Its place behind the
+    /// segment tiers comes from the manifest ([`Valix::attach`]).
     pub fn load(pool: Arc<BufferPool>, meta: RecordId) -> Result<Self> {
         let store = RecordStore::open(Arc::clone(&pool))?;
         let buf = store.read(meta)?;
@@ -371,75 +454,61 @@ impl Valix {
         let u64_at = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
         let num_root = u64_at(4);
         let str_root = u64_at(12);
-        let covered = u32::from_le_bytes(buf[20..24].try_into().unwrap());
+        let delta_docs = u32::from_le_bytes(buf[20..24].try_into().unwrap());
         let num_postings = u64_at(24);
         let str_postings = u64_at(32);
         Ok(Valix {
             num: BPlusTree::open(Arc::clone(&pool), num_root),
             strs: BPlusTree::open(Arc::clone(&pool), str_root),
             store,
-            covered,
+            delta_base: 0,
+            delta_docs,
             num_postings,
             str_postings,
             saved_meta: Some((meta, buf)),
         })
     }
 
-    /// Full structural walk for `prix fsck`: scans both opclass trees
-    /// in key order, checks every key/posting shape, and compares the
-    /// entry counts against the persisted counters. Returns
-    /// `(numeric, string)` posting counts.
+    /// Full structural walk of the delta for `prix fsck`: scans both
+    /// opclass trees in key order, checks every key/posting shape and
+    /// that every posting names a document of the delta
+    /// (`[delta_base, covered)`), and compares the entry counts against
+    /// the persisted counters. Returns `(numeric, string)` posting
+    /// counts. (The tiers' runs have their own
+    /// `prix_storage::ValueRunReader::verify`.)
     pub fn verify(&self) -> Result<(u64, u64)> {
-        let covered = self.covered;
-        let mut bad: Option<String> = None;
-        let mut n_num = 0u64;
-        self.num.scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
-            n_num += 1;
-            if k.len() != 12 || v.len() != 8 {
-                bad = Some(format!(
-                    "numeric entry has key len {} / posting len {}",
-                    k.len(),
-                    v.len()
-                ));
-                return false;
+        let docs = self.delta_base..self.covered();
+        let mut counts = [0u64; 2];
+        for (section, count) in [VxSection::Num, VxSection::Str]
+            .into_iter()
+            .zip(&mut counts)
+        {
+            let name = section.name();
+            let mut bad: Option<String> = None;
+            self.tree(section)
+                .scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
+                    *count += 1;
+                    if !section.key_len_ok(k.len()) || v.len() != 8 {
+                        bad = Some(format!(
+                            "{name} entry has key len {} / posting len {}",
+                            k.len(),
+                            v.len()
+                        ));
+                    } else if !docs.contains(&posting_doc(v)) {
+                        bad = Some(format!(
+                            "{name} posting names doc {} outside the delta {}..{}",
+                            posting_doc(v),
+                            docs.start,
+                            docs.end
+                        ));
+                    }
+                    bad.is_none()
+                })?;
+            if let Some(msg) = bad {
+                return Err(IndexError::Unsupported(format!("valix: {msg}")));
             }
-            if posting_doc(v) >= covered {
-                bad = Some(format!(
-                    "numeric posting names doc {} past coverage horizon {}",
-                    posting_doc(v),
-                    covered
-                ));
-                return false;
-            }
-            true
-        })?;
-        if let Some(msg) = bad {
-            return Err(IndexError::Unsupported(format!("valix: {msg}")));
         }
-        let mut n_str = 0u64;
-        self.strs.scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
-            n_str += 1;
-            if k.len() < 4 || k.len() > 4 + STR_KEY_CAP || v.len() != 8 {
-                bad = Some(format!(
-                    "string entry has key len {} / posting len {}",
-                    k.len(),
-                    v.len()
-                ));
-                return false;
-            }
-            if posting_doc(v) >= covered {
-                bad = Some(format!(
-                    "string posting names doc {} past coverage horizon {}",
-                    posting_doc(v),
-                    covered
-                ));
-                return false;
-            }
-            true
-        })?;
-        if let Some(msg) = bad {
-            return Err(IndexError::Unsupported(format!("valix: {msg}")));
-        }
+        let [n_num, n_str] = counts;
         if n_num != self.num_postings || n_str != self.str_postings {
             return Err(IndexError::Unsupported(format!(
                 "valix: posting counts diverge (numeric {n_num} vs {} recorded, \
@@ -477,10 +546,16 @@ pub struct PredEval {
 }
 
 impl PredEval {
-    /// Resolves `q`'s predicates against `syms`, probing `valix` for
-    /// the document pre-filter. `Ok(None)` when the query has no
+    /// Resolves `q`'s predicates against `syms`, probing the value
+    /// index — the runs of `tiers`, then the delta `valix` — for the
+    /// document pre-filter. `Ok(None)` when the query has no
     /// predicates.
-    pub fn build(q: &TwigQuery, valix: &Valix, syms: &SymbolTable) -> Result<Option<PredEval>> {
+    pub fn build(
+        q: &TwigQuery,
+        tiers: &[SegTier],
+        valix: &Valix,
+        syms: &SymbolTable,
+    ) -> Result<Option<PredEval>> {
         if q.preds().is_empty() {
             return Ok(None);
         }
@@ -498,7 +573,7 @@ impl PredEval {
         let mut allowed: Option<HashSet<DocId>> = None;
         for p in q.preds() {
             let tag = tree.label(p.node);
-            if let Some(docs) = valix.probe_docs(tag, p, &mut probe)? {
+            if let Some(docs) = valix.probe_docs(tiers, tag, p, &mut probe)? {
                 allowed = Some(match allowed {
                     None => docs,
                     Some(acc) => acc.intersection(&docs).copied().collect(),
@@ -651,12 +726,12 @@ mod tests {
         for (i, v) in values.iter().enumerate() {
             vx.add_value(tag, v, i as DocId, 1).unwrap();
         }
-        vx.covered = values.len() as DocId;
+        vx.delta_docs = values.len() as DocId;
         for op in [PredOp::Eq, PredOp::Lt, PredOp::Le, PredOp::Gt, PredOp::Ge] {
             for lit in [0.0, 2.5, 10.0, -1.0] {
                 let p = pred(op, PredValue::Num(lit));
                 let mut stats = ProbeStats::default();
-                let got = vx.probe_docs(tag, &p, &mut stats).unwrap().unwrap();
+                let got = vx.probe_docs(&[], tag, &p, &mut stats).unwrap().unwrap();
                 let want: HashSet<DocId> = values
                     .iter()
                     .enumerate()
@@ -669,7 +744,7 @@ mod tests {
         // != has no index strategy.
         let mut stats = ProbeStats::default();
         assert!(vx
-            .probe_docs(tag, &pred(PredOp::Ne, PredValue::Num(1.0)), &mut stats)
+            .probe_docs(&[], tag, &pred(PredOp::Ne, PredValue::Num(1.0)), &mut stats)
             .unwrap()
             .is_none());
     }
@@ -683,7 +758,7 @@ mod tests {
         for (i, v) in values.iter().enumerate() {
             vx.add_value(tag, v, i as DocId, 1).unwrap();
         }
-        vx.covered = values.len() as DocId;
+        vx.delta_docs = values.len() as DocId;
         for p in [
             pred(PredOp::Eq, PredValue::Str("x7".into())),
             pred(PredOp::Eq, PredValue::Str("10".into())),
@@ -692,7 +767,7 @@ mod tests {
             pred(PredOp::StartsWith, PredValue::Str("".into())),
         ] {
             let mut stats = ProbeStats::default();
-            let got = vx.probe_docs(tag, &p, &mut stats).unwrap().unwrap();
+            let got = vx.probe_docs(&[], tag, &p, &mut stats).unwrap().unwrap();
             let want: HashSet<DocId> = values
                 .iter()
                 .enumerate()
@@ -709,10 +784,10 @@ mod tests {
         let mut vx = Valix::create(pool).unwrap();
         vx.add_value(Sym(1), "5", 0, 1).unwrap();
         vx.add_value(Sym(2), "5", 1, 1).unwrap();
-        vx.covered = 2;
+        vx.delta_docs = 2;
         let p = pred(PredOp::Eq, PredValue::Num(5.0));
         let mut stats = ProbeStats::default();
-        let got = vx.probe_docs(Sym(1), &p, &mut stats).unwrap().unwrap();
+        let got = vx.probe_docs(&[], Sym(1), &p, &mut stats).unwrap().unwrap();
         assert_eq!(got, HashSet::from([0]));
     }
 
@@ -722,7 +797,7 @@ mod tests {
         let mut vx = Valix::create(Arc::clone(&pool)).unwrap();
         vx.add_value(Sym(1), "42", 0, 2).unwrap();
         vx.add_value(Sym(1), "hello", 0, 4).unwrap();
-        vx.covered = 1;
+        vx.delta_docs = 1;
         let meta = vx.save().unwrap();
         // Unchanged valix reuses the record.
         assert_eq!(vx.save().unwrap().raw(), meta.raw());
@@ -737,26 +812,68 @@ mod tests {
         let pool = mem_pool();
         let mut vx = Valix::create(pool).unwrap();
         vx.add_value(Sym(1), "1", 5, 1).unwrap();
-        vx.covered = 1; // posting names doc 5: corrupt
+        vx.delta_docs = 1; // posting names doc 5: corrupt
+        assert!(vx.verify().is_err());
+        // A posting below the delta belongs to a tier's run.
+        vx.delta_docs = 6;
+        vx.verify().unwrap();
+        vx.delta_base = 6;
         assert!(vx.verify().is_err());
     }
 
     #[test]
-    fn clone_into_migrates_postings() {
+    fn write_run_streams_the_delta_in_run_order() {
+        use prix_storage::{IoStats, MemStore, ValueRunReader};
         let pool = mem_pool();
         let mut vx = Valix::create(pool).unwrap();
-        for i in 0..50u32 {
-            vx.add_value(Sym(1), &format!("{i}"), i, 1).unwrap();
+        vx.delta_base = 100;
+        // Equal keys across documents (enough of them to split leaves
+        // between equals), and within one in arena order (the later
+        // leaf first): the run sorts each key's postings.
+        for i in 0..3000u32 {
+            vx.add_value(Sym(1), &format!("{}", i % 7), 100 + i, 3)
+                .unwrap();
+            vx.add_value(Sym(1), &format!("{}", i % 7), 100 + i, 1)
+                .unwrap();
+            vx.add_value(Sym(2), "word", 100 + i, 5).unwrap();
         }
-        vx.covered = 50;
-        let fresh = mem_pool();
-        let moved = vx.clone_into(fresh).unwrap();
-        assert_eq!(moved.covered(), 50);
-        assert_eq!(moved.posting_counts(), vx.posting_counts());
-        let p = pred(PredOp::Lt, PredValue::Num(10.0));
-        let mut stats = ProbeStats::default();
-        let got = moved.probe_docs(Sym(1), &p, &mut stats).unwrap().unwrap();
-        assert_eq!(got.len(), 10);
-        moved.verify().unwrap();
+        vx.delta_docs = 3000;
+        let store = MemStore::new();
+        assert!(
+            vx.write_run(Box::new(store.clone()), 2999).is_err(),
+            "a delta that covers other documents than the structural one is refused"
+        );
+        vx.write_run(Box::new(store.clone()), 3000).unwrap();
+        let run = ValueRunReader::open(Box::new(store), Arc::new(IoStats::new())).unwrap();
+        assert_eq!((run.doc_base(), run.n_docs()), (100, 3000));
+        assert_eq!(run.posting_counts(), vx.posting_counts());
+        let check = run.verify().unwrap();
+        assert_eq!((check.num_postings, check.str_postings), (6000, 9000));
+        for section in [VxSection::Num, VxSection::Str] {
+            let mut from_tree = Vec::new();
+            vx.tree(section)
+                .scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
+                    from_tree.push((k.to_vec(), v.to_vec()));
+                    true
+                })
+                .unwrap();
+            let mut from_run = Vec::new();
+            run.scan(section, Bound::Unbounded, Bound::Unbounded, |k, v| {
+                from_run.push((k.to_vec(), v.to_vec()));
+                true
+            })
+            .unwrap();
+            let in_run_order =
+                |e: &(Vec<u8>, Vec<u8>)| (e.0.clone(), posting_doc(&e.1), posting_post(&e.1));
+            assert!(
+                section == VxSection::Str
+                    || !from_tree
+                        .windows(2)
+                        .all(|w| in_run_order(&w[0]) < in_run_order(&w[1])),
+                "the numeric tree was meant to hold equals out of (doc, post) order"
+            );
+            from_tree.sort_by_key(in_run_order);
+            assert_eq!(from_run, from_tree, "{section:?}");
+        }
     }
 }

@@ -54,10 +54,16 @@
 //! open: re-index.
 //!
 //! Readers bypass the buffer pool entirely: direct [`RawStore`] reads
-//! through a per-segment block cache of [`CACHE_BLOCKS`] blocks,
+//! through a per-file block cache of [`CACHE_BLOCKS`] blocks,
 //! counted separately in [`IoStats`] (`seg_block_reads` /
 //! `seg_block_fetches`) so benchmarks can compare segment I/O against
 //! buffer-pool I/O.
+//!
+//! A segment tier has a third file next to its RP and EP segments: the
+//! **value run** ([`ValueRunBuilder`] / [`ValueRunReader`]), the sorted
+//! leaf-value postings of the tier's documents. Its format is described
+//! where it is implemented, further down; it shares the block cache,
+//! the counters and the CRC table with the segments.
 //!
 //! The [`Manifest`] (double-slot, generation-stamped, CRC'd) is the
 //! atomic commit point for the whole index lifecycle: a crash anywhere
@@ -67,6 +73,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::collections::HashMap;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -760,6 +767,51 @@ impl<'a> SectionWriter<'a> {
     }
 }
 
+/// Finishes an immutable file whose content ends at `crc_off`: one
+/// sequential pass appends the CRC table (one CRC-32 per [`SEG_BLOCK`]
+/// of everything before it, the header included), then the file is cut
+/// to `file_len` and synced.
+fn seal(out: &dyn RawStore, crc_off: u64, file_len: u64) -> Result<()> {
+    let mut w = SectionWriter::new(out, crc_off);
+    let mut pos = 0u64;
+    let mut chunk = vec![0u8; 64 * SEG_BLOCK];
+    while pos < crc_off {
+        let want = (crc_off - pos).min(chunk.len() as u64) as usize;
+        out.read_at(pos, &mut chunk[..want])?;
+        for block in chunk[..want].chunks(SEG_BLOCK) {
+            w.push(&crc32(block).to_le_bytes())?;
+        }
+        pos += want as u64;
+    }
+    w.finish()?;
+    out.set_len(file_len)?;
+    out.sync()
+}
+
+/// Checks every content block of a [`seal`]ed file against its CRC
+/// table, reading `chunk.len()` bytes at a time (no cache). Returns the
+/// number of blocks verified.
+fn check_crc_table(store: &dyn RawStore, crc_off: u64, chunk: &mut [u8]) -> Result<u64> {
+    let n_blocks = div_ceil(crc_off, SEG_BLOCK as u64);
+    let mut table = vec![0u8; (n_blocks * 4) as usize];
+    store.read_at(crc_off, &mut table)?;
+    let mut pos = 0u64;
+    let mut b = 0usize;
+    while pos < crc_off {
+        let want = (crc_off - pos).min(chunk.len() as u64) as usize;
+        store.read_at(pos, &mut chunk[..want])?;
+        for block in chunk[..want].chunks(SEG_BLOCK) {
+            let stored = u32::from_le_bytes(table[b * 4..b * 4 + 4].try_into().unwrap());
+            if crc32(block) != stored {
+                return Err(corrupt(format!("segment block {b} CRC mismatch")));
+            }
+            b += 1;
+        }
+        pos += want as u64;
+    }
+    Ok(b as u64)
+}
+
 /// Writes one immutable segment: stream documents in (records go
 /// straight to the output file, label paths to the external sorter),
 /// then [`SegmentBuilder::finish`] merges the runs through the
@@ -931,22 +983,7 @@ impl SegmentBuilder {
         let file_len = header.file_len;
         self.out.write_at(0, &header.encode())?;
 
-        // Sequential CRC pass over everything written so far (the
-        // header included), one CRC-32 per SEG_BLOCK.
-        let mut w = SectionWriter::new(&*self.out, crc_off);
-        let mut pos = 0u64;
-        let mut chunk = vec![0u8; 64 * SEG_BLOCK];
-        while pos < crc_off {
-            let want = (crc_off - pos).min(chunk.len() as u64) as usize;
-            self.out.read_at(pos, &mut chunk[..want])?;
-            for block in chunk[..want].chunks(SEG_BLOCK) {
-                w.push(&crc32(block).to_le_bytes())?;
-            }
-            pos += want as u64;
-        }
-        w.finish()?;
-        self.out.set_len(file_len)?;
-        self.out.sync()?;
+        seal(&*self.out, crc_off, file_len)?;
         Ok(stats)
     }
 }
@@ -958,6 +995,80 @@ impl SegmentBuilder {
 struct Cache {
     blocks: HashMap<u64, (u64, Arc<Vec<u8>>)>,
     tick: u64,
+}
+
+/// An immutable file read in [`SEG_BLOCK`] units through a cache of
+/// [`CACHE_BLOCKS`] blocks, never touching the buffer pool. Every block
+/// asked for is one `seg_block_read` in `stats`, every miss one
+/// `seg_block_fetch`: the one place both [`SegmentReader`] and
+/// [`ValueRunReader`] count their I/O.
+struct BlockFile {
+    store: Box<dyn RawStore>,
+    stats: Arc<IoStats>,
+    len: u64,
+    cache: Mutex<Cache>,
+}
+
+impl BlockFile {
+    fn new(store: Box<dyn RawStore>, stats: Arc<IoStats>, len: u64) -> Self {
+        BlockFile {
+            store,
+            stats,
+            len,
+            cache: Mutex::new(Cache {
+                blocks: HashMap::new(),
+                tick: 0,
+            }),
+        }
+    }
+
+    /// Copies `dst.len()` bytes at `off` out of the block cache,
+    /// counting one logical segment read per block touched and one
+    /// fetch per miss.
+    fn read_into(&self, mut off: u64, mut dst: &mut [u8]) -> Result<()> {
+        while !dst.is_empty() {
+            let block = self.block(off / SEG_BLOCK as u64)?;
+            let lo = (off % SEG_BLOCK as u64) as usize;
+            let n = dst.len().min(block.len().saturating_sub(lo));
+            if n == 0 {
+                return Err(corrupt(format!("segment read past end at {off}")));
+            }
+            let (head, tail) = dst.split_at_mut(n);
+            head.copy_from_slice(&block[lo..lo + n]);
+            dst = tail;
+            off += n as u64;
+        }
+        Ok(())
+    }
+
+    fn block(&self, idx: u64) -> Result<Arc<Vec<u8>>> {
+        self.stats.record_seg_block_read();
+        let mut c = self.cache.lock();
+        c.tick += 1;
+        let tick = c.tick;
+        if let Some((t, block)) = c.blocks.get_mut(&idx) {
+            *t = tick;
+            return Ok(Arc::clone(block));
+        }
+        drop(c);
+        self.stats.record_seg_block_fetch();
+        let start = idx.saturating_mul(SEG_BLOCK as u64);
+        let len = (SEG_BLOCK as u64).min(self.len.saturating_sub(start)) as usize;
+        if len == 0 {
+            return Err(corrupt(format!("segment block {idx} out of range")));
+        }
+        let mut buf = vec![0u8; len];
+        self.store.read_at(start, &mut buf)?;
+        let block = Arc::new(buf);
+        let mut c = self.cache.lock();
+        if c.blocks.len() >= CACHE_BLOCKS {
+            if let Some((&victim, _)) = c.blocks.iter().min_by_key(|(_, (t, _))| *t) {
+                c.blocks.remove(&victim);
+            }
+        }
+        c.blocks.insert(idx, (tick, Arc::clone(&block)));
+        Ok(block)
+    }
 }
 
 /// Summary returned by [`SegmentReader::verify`].
@@ -1014,10 +1125,8 @@ impl<K> Section<K> {
 /// in-memory binary search plus one binary search over the encoded
 /// rows of one cached block.
 pub struct SegmentReader {
-    store: Box<dyn RawStore>,
-    stats: Arc<IoStats>,
+    file: BlockFile,
     hdr: Header,
-    cache: Mutex<Cache>,
     tags: Section<(u32, u64)>,
     docs: Section<u64>,
 }
@@ -1069,13 +1178,8 @@ impl SegmentReader {
             key: doc_key,
         };
         Ok(SegmentReader {
-            store,
-            stats,
+            file: BlockFile::new(store, stats, len),
             hdr,
-            cache: Mutex::new(Cache {
-                blocks: HashMap::new(),
-                tick: 0,
-            }),
             tags,
             docs,
         })
@@ -1117,54 +1221,6 @@ impl SegmentReader {
             + std::mem::size_of_val(&self.docs.fences[..])) as u64
     }
 
-    /// Copies `dst.len()` bytes at `off` out of the block cache,
-    /// counting one logical segment read per block touched and one
-    /// fetch per miss.
-    fn read_into(&self, mut off: u64, mut dst: &mut [u8]) -> Result<()> {
-        while !dst.is_empty() {
-            let block = self.block(off / SEG_BLOCK as u64)?;
-            let lo = (off % SEG_BLOCK as u64) as usize;
-            let n = dst.len().min(block.len().saturating_sub(lo));
-            if n == 0 {
-                return Err(corrupt(format!("segment read past end at {off}")));
-            }
-            let (head, tail) = dst.split_at_mut(n);
-            head.copy_from_slice(&block[lo..lo + n]);
-            dst = tail;
-            off += n as u64;
-        }
-        Ok(())
-    }
-
-    fn block(&self, idx: u64) -> Result<Arc<Vec<u8>>> {
-        self.stats.record_seg_block_read();
-        let mut c = self.cache.lock();
-        c.tick += 1;
-        let tick = c.tick;
-        if let Some((t, block)) = c.blocks.get_mut(&idx) {
-            *t = tick;
-            return Ok(Arc::clone(block));
-        }
-        drop(c);
-        self.stats.record_seg_block_fetch();
-        let start = idx * SEG_BLOCK as u64;
-        let len = (SEG_BLOCK as u64).min(self.hdr.file_len.saturating_sub(start)) as usize;
-        if len == 0 {
-            return Err(corrupt(format!("segment block {idx} out of range")));
-        }
-        let mut buf = vec![0u8; len];
-        self.store.read_at(start, &mut buf)?;
-        let block = Arc::new(buf);
-        let mut c = self.cache.lock();
-        if c.blocks.len() >= CACHE_BLOCKS {
-            if let Some((&victim, _)) = c.blocks.iter().min_by_key(|(_, (t, _))| *t) {
-                c.blocks.remove(&victim);
-            }
-        }
-        c.blocks.insert(idx, (tick, Arc::clone(&block)));
-        Ok(block)
-    }
-
     /// The one lookup both scans share. Keys ascend through the
     /// section, `before` holds on a prefix of them (the rows below the
     /// range) and `past` on a suffix (the rows above it); every row in
@@ -1184,7 +1240,7 @@ impl SegmentReader {
             if past(sec.fences[g]) {
                 break;
             }
-            let block = self.block(sec.first_block + g as u64)?;
+            let block = self.file.block(sec.first_block + g as u64)?;
             let n = sec.rows_in(g);
             let row = |i: usize| &block[i * sec.row_len..(i + 1) * sec.row_len];
             // Later groups start inside the range: their fence is
@@ -1245,21 +1301,22 @@ impl SegmentReader {
             )));
         }
         let mut idx = [0u8; 16];
-        self.read_into(self.hdr.rec_idx_off + u64::from(doc) * 8, &mut idx)?;
+        self.file
+            .read_into(self.hdr.rec_idx_off + u64::from(doc) * 8, &mut idx)?;
         let a = u64::from_le_bytes(idx[0..8].try_into().unwrap());
         let b = u64::from_le_bytes(idx[8..16].try_into().unwrap());
         if b < a || b > self.hdr.rec_idx_off - self.hdr.rec_data_off {
             return Err(corrupt(format!("record {doc} has corrupt offsets")));
         }
         let mut rec = vec![0u8; (b - a) as usize];
-        self.read_into(self.hdr.rec_data_off + a, &mut rec)?;
+        self.file.read_into(self.hdr.rec_data_off + a, &mut rec)?;
         Ok(rec)
     }
 
     /// The opaque meta blob.
     pub fn meta(&self) -> Result<Vec<u8>> {
         let mut meta = vec![0u8; self.hdr.meta_len as usize];
-        self.read_into(self.hdr.meta_off, &mut meta)?;
+        self.file.read_into(self.hdr.meta_off, &mut meta)?;
         Ok(meta)
     }
 
@@ -1271,30 +1328,13 @@ impl SegmentReader {
     /// bypass the cache (sequential, one pass).
     pub fn verify(&self) -> Result<SegmentCheck> {
         let mut check = SegmentCheck::default();
-        // CRC table.
-        let n_blocks = div_ceil(self.hdr.crc_off, SEG_BLOCK as u64);
-        let mut table = vec![0u8; (n_blocks * 4) as usize];
-        self.store.read_at(self.hdr.crc_off, &mut table)?;
+        let store = &*self.file.store;
         let mut chunk = vec![0u8; 64 * SEG_BLOCK];
-        let mut pos = 0u64;
-        let mut b = 0usize;
-        while pos < self.hdr.crc_off {
-            let want = (self.hdr.crc_off - pos).min(chunk.len() as u64) as usize;
-            self.store.read_at(pos, &mut chunk[..want])?;
-            for block in chunk[..want].chunks(SEG_BLOCK) {
-                let stored = u32::from_le_bytes(table[b * 4..b * 4 + 4].try_into().unwrap());
-                if crc32(block) != stored {
-                    return Err(corrupt(format!("segment block {b} CRC mismatch")));
-                }
-                b += 1;
-            }
-            pos += want as u64;
-        }
-        check.blocks = b as u64;
+        check.blocks = check_crc_table(store, self.hdr.crc_off, &mut chunk)?;
         // Record index monotone and bounded.
         let rec_len = self.hdr.rec_idx_off - self.hdr.rec_data_off;
         let mut idx_bytes = vec![0u8; (self.hdr.n_docs as usize + 1) * 8];
-        self.store.read_at(self.hdr.rec_idx_off, &mut idx_bytes)?;
+        store.read_at(self.hdr.rec_idx_off, &mut idx_bytes)?;
         let mut prev = 0u64;
         for (i, c) in idx_bytes.chunks_exact(8).enumerate() {
             let o = u64::from_le_bytes(c.try_into().unwrap());
@@ -1314,7 +1354,7 @@ impl SegmentReader {
         let fence_end = self.hdr.tag_fence_off + self.tags.fences.len() as u64 * TAG_FENCE_LEN;
         for (from, to) in [(idx_end, self.hdr.tag_off), (fence_end, self.hdr.doc_off)] {
             let gap = &mut chunk[..(to - from) as usize];
-            self.store.read_at(from, gap)?;
+            store.read_at(from, gap)?;
             if gap.iter().any(|&b| b != 0) {
                 return Err(corrupt(format!("alignment padding at {from} is not zero")));
             }
@@ -1362,7 +1402,8 @@ impl SegmentReader {
         for (c, fences) in sec.fences.chunks(per_read).enumerate() {
             let g0 = c * per_read;
             let bytes = &mut chunk[..fences.len() * SEG_BLOCK];
-            self.store
+            self.file
+                .store
                 .read_at((sec.first_block + g0 as u64) * SEG_BLOCK as u64, bytes)?;
             for (j, (block, &fence)) in bytes.chunks_exact(SEG_BLOCK).zip(fences).enumerate() {
                 let g = g0 + j;
@@ -1379,6 +1420,829 @@ impl SegmentReader {
             }
         }
         Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Value runs
+// ---------------------------------------------------------------------------
+//
+// The value index of one segment tier: every `(opclass key, posting)` of
+// exactly the tier's documents, sorted and packed, in a file next to the
+// tier's RP and EP segments.
+//
+// ```text
+// +---------+------------+------------+------------+------------+----------+----------+-----------+
+// | block 0 | num blocks | str blocks | num fences | str fences | num tags | str tags | CRC table |
+// +---------+------------+------------+------------+------------+----------+----------+-----------+
+// ```
+//
+// * **block 0** — the 128-byte header (magic `PRIXVXR\0`, version,
+//   kind, document range, per-section counts, the derived offsets, its
+//   CRC-32), zero-padded to one block. `VxHeader::lay_out` derives every
+//   offset from the counts; a header that disagrees is refused at open.
+// * **num / str blocks** — one section per opclass. A block is
+//   `n: u16`, then `n` entries `klen: u16 | key | doc: u32 | post: u32`
+//   in ascending `(key, doc, post)` order, then zeros. An entry never
+//   spans a block. Keys are opaque here but for their 4-byte big-endian
+//   tag prefix; the core layer writes the bytes its B⁺-trees use.
+// * **fences** — `klen | key` of every block's first entry, resident
+//   after open: one binary search picks the block a scan starts in.
+// * **tags** — the sorted distinct tag prefixes of each section,
+//   resident after open: a scan for a tag the run does not hold returns
+//   before touching a block.
+// * **CRC table** — as in a segment (`seal`).
+
+/// `kind` byte of a value run (its header and its manifest row).
+pub const SEG_KIND_VX: u8 = 2;
+/// Value-run file magic (first 8 bytes).
+pub const VX_MAGIC: [u8; 8] = *b"PRIXVXR\0";
+/// Value-run format version.
+pub const VX_VERSION: u32 = 1;
+/// Key length of the numeric section: tag(4) ++ encoded value(8).
+pub const VX_NUM_KEY_LEN: usize = 12;
+/// Longest key a run stores: tag(4) ++ 256 value bytes.
+pub const VX_MAX_KEY_LEN: usize = 260;
+/// Shortest key: the tag prefix alone.
+const VX_MIN_KEY_LEN: usize = 4;
+/// Bytes of an entry besides its key: klen(2) doc(4) post(4).
+const VX_ENTRY_OVERHEAD: usize = 10;
+/// The most entries one block holds (minimal keys).
+const VX_MAX_PER_BLOCK: u64 = ((SEG_BLOCK - 2) / (VX_MIN_KEY_LEN + VX_ENTRY_OVERHEAD)) as u64;
+
+/// The two sorted sections of a value run, one per opclass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum VxSection {
+    /// Order-preserving numeric keys, all [`VX_NUM_KEY_LEN`] long.
+    Num = 0,
+    /// Raw string keys.
+    Str = 1,
+}
+
+impl VxSection {
+    /// Whether a key of `len` bytes can belong to this section.
+    pub fn key_len_ok(self, len: usize) -> bool {
+        match self {
+            VxSection::Num => len == VX_NUM_KEY_LEN,
+            VxSection::Str => (VX_MIN_KEY_LEN..=VX_MAX_KEY_LEN).contains(&len),
+        }
+    }
+
+    /// The section's name in error messages.
+    pub fn name(self) -> &'static str {
+        match self {
+            VxSection::Num => "numeric",
+            VxSection::Str => "string",
+        }
+    }
+}
+
+/// The last entry of a section seen so far, for the strict
+/// `(key, doc, post)` order both the builder and `verify` insist on.
+#[derive(Default)]
+struct VxLast {
+    key: Vec<u8>,
+    at: Option<(u32, u32)>,
+}
+
+impl VxLast {
+    /// Moves on to `(key, doc, post)`; `false` (and no move) when that
+    /// entry does not sort strictly after the last one.
+    fn advance(&mut self, key: &[u8], doc: u32, post: u32) -> bool {
+        if let Some(at) = self.at {
+            if (self.key.as_slice(), at) >= (key, (doc, post)) {
+                return false;
+            }
+        }
+        self.key.clear();
+        self.key.extend_from_slice(key);
+        self.at = Some((doc, post));
+        true
+    }
+}
+
+/// Big-endian tag prefix of a key (or of a bound shorter than one,
+/// zero-extended: it then sorts before every key of that tag).
+fn vx_tag(key: &[u8]) -> u32 {
+    let mut t = [0u8; 4];
+    let n = key.len().min(4);
+    t[..n].copy_from_slice(&key[..n]);
+    u32::from_be_bytes(t)
+}
+
+/// One posting headed for a value run, ordered the way the run stores
+/// them: by section, then key bytes, then `(doc, post)`.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct VxEntry {
+    /// Which opclass section the posting belongs to.
+    pub section: VxSection,
+    /// Tag-prefixed opclass key.
+    pub key: Vec<u8>,
+    /// Global document id.
+    pub doc: u32,
+    /// The leaf's postorder number in its document.
+    pub post: u32,
+}
+
+impl SortItem for VxEntry {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(self.section as u8);
+        out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
+        out.extend_from_slice(&self.key);
+        out.extend_from_slice(&self.doc.to_le_bytes());
+        out.extend_from_slice(&self.post.to_le_bytes());
+    }
+
+    fn decode(r: &mut RunBuf) -> Result<Self> {
+        let mut head = [0u8; 3];
+        r.take(&mut head)?;
+        let section = match head[0] {
+            0 => VxSection::Num,
+            _ => VxSection::Str,
+        };
+        let mut key = vec![0u8; usize::from(u16::from_le_bytes([head[1], head[2]]))];
+        r.take(&mut key)?;
+        Ok(VxEntry {
+            section,
+            key,
+            doc: r.u32()?,
+            post: r.u32()?,
+        })
+    }
+
+    fn mem_size(&self) -> usize {
+        std::mem::size_of::<VxEntry>() + self.key.len()
+    }
+}
+
+/// Counts of one section, from which its place in the file follows.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct VxGeom {
+    postings: u64,
+    blocks: u64,
+    fence_len: u64,
+    tags: u64,
+}
+
+#[derive(Debug, PartialEq, Eq)]
+struct VxHeader {
+    doc_base: u32,
+    n_docs: u32,
+    secs: [VxGeom; 2],
+    fence_off: u64,
+    crc_off: u64,
+    file_len: u64,
+}
+
+impl VxHeader {
+    /// The run geometry, in one place (the [`Header::lay_out`] rule):
+    /// data blocks from block 1, both fence sections, both tag
+    /// directories, the CRC table. `None` when the sizes overflow.
+    fn lay_out(doc_base: u32, n_docs: u32, secs: [VxGeom; 2]) -> Option<VxHeader> {
+        let block = SEG_BLOCK as u64;
+        let data_blocks = secs[0].blocks.checked_add(secs[1].blocks)?;
+        let fence_off = data_blocks.checked_add(1)?.checked_mul(block)?;
+        let mut crc_off = fence_off;
+        for s in &secs {
+            crc_off = crc_off
+                .checked_add(s.fence_len)?
+                .checked_add(s.tags.checked_mul(4)?)?;
+        }
+        let file_len = crc_off.checked_add(div_ceil(crc_off, block).checked_mul(4)?)?;
+        Some(VxHeader {
+            doc_base,
+            n_docs,
+            secs,
+            fence_off,
+            crc_off,
+            file_len,
+        })
+    }
+
+    fn encode(&self) -> [u8; SEG_HEADER_LEN as usize] {
+        let mut h = [0u8; SEG_HEADER_LEN as usize];
+        h[0..8].copy_from_slice(&VX_MAGIC);
+        h[8..12].copy_from_slice(&VX_VERSION.to_le_bytes());
+        h[12] = SEG_KIND_VX;
+        h[16..20].copy_from_slice(&self.doc_base.to_le_bytes());
+        h[20..24].copy_from_slice(&self.n_docs.to_le_bytes());
+        let words = self
+            .secs
+            .iter()
+            .flat_map(|s| [s.postings, s.blocks, s.fence_len, s.tags])
+            .chain([self.fence_off, self.crc_off, self.file_len]);
+        for (i, w) in words.enumerate() {
+            h[24 + i * 8..32 + i * 8].copy_from_slice(&w.to_le_bytes());
+        }
+        let crc = crc32(&h[..120]);
+        h[120..124].copy_from_slice(&crc.to_le_bytes());
+        h
+    }
+
+    /// Decodes and validates a header: magic, version, kind, CRC, then
+    /// the arithmetic — the stored offsets must be what
+    /// [`VxHeader::lay_out`] derives from the stored counts, and the
+    /// counts must be ones a builder can produce (every block holds at
+    /// least one entry and at most [`VX_MAX_PER_BLOCK`], every fence is
+    /// one key, a section with postings has a tag).
+    fn decode(h: &[u8]) -> Result<VxHeader> {
+        if h[0..8] != VX_MAGIC {
+            return Err(corrupt("bad value-run magic".into()));
+        }
+        let version = u32::from_le_bytes(h[8..12].try_into().unwrap());
+        if version != VX_VERSION || h[12] != SEG_KIND_VX {
+            return Err(corrupt(format!(
+                "value-run format version {version} (kind {}) is not supported; \
+                 re-index the source documents",
+                h[12]
+            )));
+        }
+        let stored = u32::from_le_bytes(h[120..124].try_into().unwrap());
+        if crc32(&h[..120]) != stored {
+            return Err(corrupt("value-run header CRC mismatch".into()));
+        }
+        let u32_at = |i: usize| u32::from_le_bytes(h[i..i + 4].try_into().unwrap());
+        let word = |i: usize| u64::from_le_bytes(h[24 + i * 8..32 + i * 8].try_into().unwrap());
+        let sec = |i: usize| VxGeom {
+            postings: word(i),
+            blocks: word(i + 1),
+            fence_len: word(i + 2),
+            tags: word(i + 3),
+        };
+        let hdr = VxHeader {
+            doc_base: u32_at(16),
+            n_docs: u32_at(20),
+            secs: [sec(0), sec(4)],
+            fence_off: word(8),
+            crc_off: word(9),
+            file_len: word(10),
+        };
+        let plausible = |s: &VxGeom| {
+            let fence = |key: usize| s.blocks.checked_mul((2 + key) as u64);
+            s.blocks <= s.postings
+                && Some(s.postings) <= s.blocks.checked_mul(VX_MAX_PER_BLOCK)
+                && fence(VX_MIN_KEY_LEN) <= Some(s.fence_len)
+                && Some(s.fence_len) <= fence(VX_MAX_KEY_LEN)
+                && s.tags <= s.postings
+                && (s.tags == 0) == (s.postings == 0)
+        };
+        let want = VxHeader::lay_out(hdr.doc_base, hdr.n_docs, hdr.secs);
+        if want.as_ref() != Some(&hdr) || !hdr.secs.iter().all(plausible) {
+            return Err(corrupt(
+                "value-run header geometry is inconsistent with its counts".into(),
+            ));
+        }
+        Ok(hdr)
+    }
+}
+
+/// The entries of one value-run block, still encoded: `(key, posting)`
+/// with the posting's eight bytes as the B⁺-tree stores them. A count
+/// or key length that leads past the block is an error, not a panic.
+struct VxEntries<'a> {
+    block: &'a [u8],
+    at: usize,
+    left: usize,
+}
+
+impl<'a> VxEntries<'a> {
+    fn new(block: &'a [u8]) -> Result<Self> {
+        if block.len() != SEG_BLOCK {
+            return Err(corrupt("value-run block is cut short".into()));
+        }
+        Ok(VxEntries {
+            block,
+            at: 2,
+            left: usize::from(u16::from_le_bytes([block[0], block[1]])),
+        })
+    }
+
+    /// What follows the entries read so far (the padding, once the
+    /// iterator is drained).
+    fn rest(&self) -> &'a [u8] {
+        &self.block[self.at..]
+    }
+}
+
+impl<'a> Iterator for VxEntries<'a> {
+    type Item = Result<(&'a [u8], &'a [u8])>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        let b = self.block;
+        let entry = b.get(self.at..self.at + 2).and_then(|l| {
+            let key_end = self.at + 2 + usize::from(u16::from_le_bytes([l[0], l[1]]));
+            Some((b.get(self.at + 2..key_end)?, b.get(key_end..key_end + 8)?))
+        });
+        match entry {
+            Some((key, posting)) if key.len() >= VX_MIN_KEY_LEN => {
+                self.at += 2 + key.len() + 8;
+                Some(Ok((key, posting)))
+            }
+            _ => {
+                self.left = 0;
+                Some(Err(corrupt("value-run entry runs past its block".into())))
+            }
+        }
+    }
+}
+
+/// One section while a [`ValueRunBuilder`] fills it.
+#[derive(Default)]
+struct VxSecBuild {
+    postings: u64,
+    blocks: u64,
+    fences: Vec<u8>,
+    tags: Vec<u32>,
+}
+
+/// Writes one value run. Entries must arrive in the order the run
+/// stores them — the numeric section, then the string section, each in
+/// ascending `(key, doc, post)` order — so blocks stream straight to
+/// the output and nothing but the fences and the tag directories (what
+/// a reader keeps resident anyway) stays in memory.
+pub struct ValueRunBuilder {
+    out: Box<dyn RawStore>,
+    doc_base: u32,
+    n_docs: u32,
+    /// Finished blocks not yet written, then the block being filled.
+    pending: Vec<u8>,
+    /// File offset of `pending[0]`.
+    off: u64,
+    /// Where the block being filled starts in `pending`.
+    open: Option<usize>,
+    in_block: u16,
+    section: VxSection,
+    secs: [VxSecBuild; 2],
+    /// The last entry pushed into the current section.
+    last: VxLast,
+}
+
+impl ValueRunBuilder {
+    /// A builder writing the run of documents
+    /// `[doc_base, doc_base + n_docs)` to `out`.
+    pub fn new(out: Box<dyn RawStore>, doc_base: u32, n_docs: u32) -> Self {
+        ValueRunBuilder {
+            out,
+            doc_base,
+            n_docs,
+            pending: Vec::with_capacity(256 * 1024 + SEG_BLOCK),
+            off: SEG_BLOCK as u64,
+            open: None,
+            in_block: 0,
+            section: VxSection::Num,
+            secs: Default::default(),
+            last: VxLast::default(),
+        }
+    }
+
+    /// Appends one posting. An entry out of order, a key of the wrong
+    /// shape or a document outside the run's range is refused: the
+    /// reader's searches rely on all three.
+    pub fn push(&mut self, section: VxSection, key: &[u8], doc: u32, post: u32) -> Result<()> {
+        if section != self.section {
+            if section < self.section {
+                return Err(corrupt("value-run sections out of order".into()));
+            }
+            self.close_block()?;
+            self.section = section;
+            self.last = VxLast::default();
+        }
+        if !section.key_len_ok(key.len()) {
+            return Err(StorageError::TooLarge {
+                size: key.len(),
+                max: VX_MAX_KEY_LEN,
+            });
+        }
+        if doc < self.doc_base || doc - self.doc_base >= self.n_docs {
+            return Err(corrupt(format!(
+                "value-run posting names document {doc} outside {}..{}",
+                self.doc_base,
+                u64::from(self.doc_base) + u64::from(self.n_docs)
+            )));
+        }
+        if !self.last.advance(key, doc, post) {
+            return Err(corrupt("value-run entries out of order".into()));
+        }
+        let need = key.len() + VX_ENTRY_OVERHEAD;
+        if self
+            .open
+            .map_or(false, |start| self.pending.len() - start + need > SEG_BLOCK)
+        {
+            self.close_block()?;
+        }
+        let sec = &mut self.secs[section as usize];
+        let klen = (key.len() as u16).to_le_bytes();
+        if self.open.is_none() {
+            self.open = Some(self.pending.len());
+            self.pending.extend_from_slice(&[0, 0]);
+            sec.blocks += 1;
+            sec.fences.extend_from_slice(&klen);
+            sec.fences.extend_from_slice(key);
+        }
+        self.pending.extend_from_slice(&klen);
+        self.pending.extend_from_slice(key);
+        self.pending.extend_from_slice(&doc.to_le_bytes());
+        self.pending.extend_from_slice(&post.to_le_bytes());
+        self.in_block += 1;
+        sec.postings += 1;
+        let tag = vx_tag(key);
+        if sec.tags.last() != Some(&tag) {
+            sec.tags.push(tag);
+        }
+        Ok(())
+    }
+
+    /// Stamps the entry count into the block being filled, pads it to
+    /// [`SEG_BLOCK`] and writes `pending` out once it is large.
+    fn close_block(&mut self) -> Result<()> {
+        if let Some(start) = self.open.take() {
+            self.pending[start..start + 2].copy_from_slice(&self.in_block.to_le_bytes());
+            self.pending.resize(start + SEG_BLOCK, 0);
+            self.in_block = 0;
+        }
+        if self.pending.len() >= 256 * 1024 {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<()> {
+        self.out.write_at(self.off, &self.pending)?;
+        self.off += self.pending.len() as u64;
+        self.pending.clear();
+        Ok(())
+    }
+
+    /// Writes the last block, the fences, the tag directories, the
+    /// header and the CRC table, then syncs.
+    pub fn finish(mut self) -> Result<()> {
+        self.close_block()?;
+        self.flush()?;
+        let geom = |s: &VxSecBuild| VxGeom {
+            postings: s.postings,
+            blocks: s.blocks,
+            fence_len: s.fences.len() as u64,
+            tags: s.tags.len() as u64,
+        };
+        let header = VxHeader::lay_out(
+            self.doc_base,
+            self.n_docs,
+            [geom(&self.secs[0]), geom(&self.secs[1])],
+        )
+        .ok_or_else(|| corrupt("value run too large".into()))?;
+        assert_eq!(
+            header.fence_off, self.off,
+            "value-run writer left its layout"
+        );
+        let mut w = SectionWriter::new(&*self.out, self.off);
+        for s in &self.secs {
+            w.push(&s.fences)?;
+        }
+        for s in &self.secs {
+            for t in &s.tags {
+                w.push(&t.to_le_bytes())?;
+            }
+        }
+        let crc_off = w.finish()?;
+        assert_eq!(header.crc_off, crc_off, "value-run writer left its layout");
+        let mut block0 = vec![0u8; SEG_BLOCK];
+        block0[..SEG_HEADER_LEN as usize].copy_from_slice(&header.encode());
+        self.out.write_at(0, &block0)?;
+        seal(&*self.out, crc_off, header.file_len)
+    }
+}
+
+/// Summary returned by [`ValueRunReader::verify`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VxCheck {
+    /// Content blocks whose CRC was verified.
+    pub blocks: u64,
+    /// Numeric postings checked for order, shape and document range.
+    pub num_postings: u64,
+    /// String postings checked likewise.
+    pub str_postings: u64,
+}
+
+/// What a [`ValueRunReader`] keeps of one section after `open`.
+struct VxSec {
+    section: VxSection,
+    first_block: u64,
+    postings: u64,
+    /// The raw fence section: `klen | key` per block.
+    fence_bytes: Vec<u8>,
+    /// Start and length of each block's fence key in `fence_bytes`.
+    fence_at: Vec<(u32, u16)>,
+    /// Sorted distinct tag prefixes.
+    tags: Vec<u32>,
+}
+
+impl VxSec {
+    fn fence(&self, g: usize) -> &[u8] {
+        self.fence_key(self.fence_at[g])
+    }
+
+    fn fence_key(&self, (at, len): (u32, u16)) -> &[u8] {
+        &self.fence_bytes[at as usize..at as usize + usize::from(len)]
+    }
+
+    /// Parses and checks what `open` read for this section: one
+    /// well-formed key per block filling the fence bytes exactly, in
+    /// non-descending order (a key's postings can fill several blocks),
+    /// and strictly ascending tags.
+    fn parse(
+        section: VxSection,
+        first_block: u64,
+        geom: &VxGeom,
+        fence_bytes: &[u8],
+        tag_bytes: &[u8],
+    ) -> Result<VxSec> {
+        let mut fence_at: Vec<(u32, u16)> = Vec::with_capacity(geom.blocks as usize);
+        let mut at = 0usize;
+        while at < fence_bytes.len() {
+            let key = fence_bytes.get(at..at + 2).and_then(|l| {
+                let len = u16::from_le_bytes([l[0], l[1]]);
+                fence_bytes
+                    .get(at + 2..at + 2 + usize::from(len))
+                    .filter(|k| section.key_len_ok(k.len()))
+            });
+            let Some(key) = key else {
+                return Err(corrupt("value-run fence runs past its section".into()));
+            };
+            fence_at.push(((at + 2) as u32, key.len() as u16));
+            at += 2 + key.len();
+        }
+        let sec = VxSec {
+            section,
+            first_block,
+            postings: geom.postings,
+            fence_bytes: fence_bytes.to_vec(),
+            fence_at,
+            tags: tag_bytes
+                .chunks_exact(4)
+                .map(|t| u32::from_le_bytes(t.try_into().unwrap()))
+                .collect(),
+        };
+        if sec.fence_at.len() as u64 != geom.blocks {
+            return Err(corrupt(
+                "value-run fence count disagrees with its blocks".into(),
+            ));
+        }
+        if (1..sec.fence_at.len()).any(|g| sec.fence(g - 1) > sec.fence(g)) {
+            return Err(corrupt("value-run fences are not sorted".into()));
+        }
+        if sec.tags.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(corrupt("value-run tag directory is not sorted".into()));
+        }
+        Ok(sec)
+    }
+}
+
+/// `true` when `key` lies before the range starting at `lo`.
+fn below(lo: Bound<&[u8]>, key: &[u8]) -> bool {
+    match lo {
+        Bound::Unbounded => false,
+        Bound::Included(l) => key < l,
+        Bound::Excluded(l) => key <= l,
+    }
+}
+
+/// `true` when `key` lies after the range ending at `hi`.
+fn above(hi: Bound<&[u8]>, key: &[u8]) -> bool {
+    match hi {
+        Bound::Unbounded => false,
+        Bound::Included(h) => key > h,
+        Bound::Excluded(h) => key >= h,
+    }
+}
+
+/// Read handle over one value run: direct [`RawStore`] reads through
+/// the same block cache and counters as a [`SegmentReader`]. Fences and
+/// tag directories are resident, so a probe is one in-memory binary
+/// search plus the blocks that hold its answer — none at all for a tag
+/// the run does not hold.
+pub struct ValueRunReader {
+    file: BlockFile,
+    hdr: VxHeader,
+    secs: [VxSec; 2],
+}
+
+impl ValueRunReader {
+    /// Opens a run: validates the header against the file, then loads
+    /// and checks both fence sections and both tag directories (their
+    /// sizes were just checked against the file's). Block reads are
+    /// recorded into `stats`.
+    pub fn open(store: Box<dyn RawStore>, stats: Arc<IoStats>) -> Result<ValueRunReader> {
+        let len = store.len()?;
+        if len < SEG_HEADER_LEN {
+            return Err(corrupt(format!("value-run file too short ({len} bytes)")));
+        }
+        let mut h = [0u8; SEG_HEADER_LEN as usize];
+        store.read_at(0, &mut h)?;
+        let hdr = VxHeader::decode(&h)?;
+        if hdr.file_len != len {
+            return Err(corrupt(format!(
+                "value-run length mismatch: header says {}, file has {len}",
+                hdr.file_len
+            )));
+        }
+        let mut resident = vec![0u8; (hdr.crc_off - hdr.fence_off) as usize];
+        store.read_at(hdr.fence_off, &mut resident)?;
+        let [num, strs] = &hdr.secs;
+        let (num_fences, rest) = resident.split_at(num.fence_len as usize);
+        let (str_fences, rest) = rest.split_at(strs.fence_len as usize);
+        let (num_tags, str_tags) = rest.split_at(num.tags as usize * 4);
+        let secs = [
+            VxSec::parse(VxSection::Num, 1, num, num_fences, num_tags)?,
+            VxSec::parse(VxSection::Str, 1 + num.blocks, strs, str_fences, str_tags)?,
+        ];
+        Ok(ValueRunReader {
+            file: BlockFile::new(store, stats, len),
+            hdr,
+            secs,
+        })
+    }
+
+    /// First global document id covered by this run.
+    pub fn doc_base(&self) -> u32 {
+        self.hdr.doc_base
+    }
+
+    /// Number of documents whose postings this run holds.
+    pub fn n_docs(&self) -> u32 {
+        self.hdr.n_docs
+    }
+
+    /// `(numeric, string)` postings stored.
+    pub fn posting_counts(&self) -> (u64, u64) {
+        (self.secs[0].postings, self.secs[1].postings)
+    }
+
+    /// Total file length in bytes.
+    pub fn file_len(&self) -> u64 {
+        self.hdr.file_len
+    }
+
+    /// Bytes of memory the resident fences and tag directories occupy.
+    pub fn resident_bytes(&self) -> u64 {
+        self.secs
+            .iter()
+            .map(|s| {
+                s.fence_bytes.len()
+                    + std::mem::size_of_val(&s.fence_at[..])
+                    + std::mem::size_of_val(&s.tags[..])
+            })
+            .sum::<usize>() as u64
+    }
+
+    /// Range scan of one section in `(key, doc, post)` order, with the
+    /// contract of `BPlusTree::scan`: `f(key, posting)` returns `false`
+    /// to stop early. A range no resident tag can fall into touches no
+    /// block; otherwise the scan starts in the one block the fences
+    /// point at and enters a following block only while its fence is
+    /// still inside the range.
+    pub fn scan(
+        &self,
+        section: VxSection,
+        lo: Bound<&[u8]>,
+        hi: Bound<&[u8]>,
+        mut f: impl FnMut(&[u8], &[u8]) -> bool,
+    ) -> Result<()> {
+        let sec = &self.secs[section as usize];
+        let lo_tag = match lo {
+            Bound::Unbounded => 0,
+            Bound::Included(k) | Bound::Excluded(k) => vx_tag(k),
+        };
+        // The smallest key the first tag at or after the range's could
+        // have: past `hi` means no stored key is inside the range.
+        match sec.tags.get(sec.tags.partition_point(|&t| t < lo_tag)) {
+            Some(t) if !above(hi, &t.to_be_bytes()) => {}
+            _ => return Ok(()),
+        }
+        // Keys equal to `lo` can end the block before the first fence
+        // that is not below it.
+        let first = sec
+            .fence_at
+            .partition_point(|&at| below(lo, sec.fence_key(at)))
+            .saturating_sub(1);
+        for g in first..sec.fence_at.len() {
+            if above(hi, sec.fence(g)) {
+                break;
+            }
+            let block = self.file.block(sec.first_block + g as u64)?;
+            for entry in VxEntries::new(&block)? {
+                let (key, posting) = entry?;
+                if below(lo, key) {
+                    continue;
+                }
+                if above(hi, key) || !f(key, posting) {
+                    return Ok(());
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Full integrity check: every block against the CRC table, the
+    /// header block's padding, and per section every block's first key
+    /// against its resident fence, every key's shape, strict
+    /// `(key, doc, post)` order across blocks, every document inside
+    /// the run's range, the tags met against the resident directory,
+    /// every pad byte zero and the posting count against the header.
+    /// Reads bypass the cache (sequential, one pass).
+    pub fn verify(&self) -> Result<VxCheck> {
+        let store = &*self.file.store;
+        let mut chunk = vec![0u8; 64 * SEG_BLOCK];
+        let blocks = check_crc_table(store, self.hdr.crc_off, &mut chunk)?;
+        store.read_at(0, &mut chunk[..SEG_BLOCK])?;
+        if chunk[SEG_HEADER_LEN as usize..SEG_BLOCK]
+            .iter()
+            .any(|&b| b != 0)
+        {
+            return Err(corrupt("value-run header padding is not zero".into()));
+        }
+        let mut counts = [0u64; 2];
+        for (sec, count) in self.secs.iter().zip(&mut counts) {
+            *count = self.verify_section(sec, &mut chunk)?;
+        }
+        Ok(VxCheck {
+            blocks,
+            num_postings: counts[0],
+            str_postings: counts[1],
+        })
+    }
+
+    fn verify_section(&self, sec: &VxSec, chunk: &mut [u8]) -> Result<u64> {
+        let name = sec.section.name();
+        let (lo, hi) = (
+            u64::from(self.hdr.doc_base),
+            u64::from(self.hdr.doc_base) + u64::from(self.hdr.n_docs),
+        );
+        let mut postings = 0u64;
+        let mut last = VxLast::default();
+        let mut tags: Vec<u32> = Vec::with_capacity(sec.tags.len());
+        let per_read = chunk.len() / SEG_BLOCK;
+        for g0 in (0..sec.fence_at.len()).step_by(per_read) {
+            let n = per_read.min(sec.fence_at.len() - g0);
+            let bytes = &mut chunk[..n * SEG_BLOCK];
+            self.file
+                .store
+                .read_at((sec.first_block + g0 as u64) * SEG_BLOCK as u64, bytes)?;
+            for (j, block) in bytes.chunks_exact(SEG_BLOCK).enumerate() {
+                let g = g0 + j;
+                let mut entries = VxEntries::new(block)?;
+                let mut first = true;
+                for entry in entries.by_ref() {
+                    let (key, posting) = entry?;
+                    let doc = u32::from_le_bytes(posting[..4].try_into().unwrap());
+                    let post = u32::from_le_bytes(posting[4..].try_into().unwrap());
+                    if first && key != sec.fence(g) {
+                        return Err(corrupt(format!("{name} fence {g} disagrees")));
+                    }
+                    first = false;
+                    if !sec.section.key_len_ok(key.len()) {
+                        return Err(corrupt(format!(
+                            "{name} entry {postings} has key length {}",
+                            key.len()
+                        )));
+                    }
+                    if !(lo..hi).contains(&u64::from(doc)) {
+                        return Err(corrupt(format!(
+                            "{name} entry {postings} names document {doc} outside {lo}..{hi}"
+                        )));
+                    }
+                    if !last.advance(key, doc, post) {
+                        return Err(corrupt(format!("{name} entry {postings} out of order")));
+                    }
+                    let tag = vx_tag(key);
+                    if tags.last() != Some(&tag) {
+                        tags.push(tag);
+                    }
+                    postings += 1;
+                }
+                if first {
+                    return Err(corrupt(format!("{name} block {g} is empty")));
+                }
+                if entries.rest().iter().any(|&b| b != 0) {
+                    return Err(corrupt(format!("{name} block {g} padding is not zero")));
+                }
+            }
+        }
+        if tags != sec.tags {
+            return Err(corrupt(format!(
+                "{name} tag directory disagrees with the keys stored"
+            )));
+        }
+        if postings != sec.postings {
+            return Err(corrupt(format!(
+                "{name} section holds {postings} posting(s), header says {}",
+                sec.postings
+            )));
+        }
+        Ok(postings)
     }
 }
 
@@ -2236,5 +3100,490 @@ mod tests {
         assert_eq!(r.n_docs(), 0);
         assert_eq!(r.scan_tag_range(0, 0, u64::MAX).unwrap(), vec![]);
         r.verify().unwrap();
+    }
+
+    // -----------------------------------------------------------------
+    // Value runs
+    // -----------------------------------------------------------------
+
+    fn num_key(tag: u32, v: u64) -> Vec<u8> {
+        let mut k = tag.to_be_bytes().to_vec();
+        k.extend_from_slice(&v.to_be_bytes());
+        k
+    }
+
+    fn str_key(tag: u32, s: &str) -> Vec<u8> {
+        let mut k = tag.to_be_bytes().to_vec();
+        k.extend_from_slice(s.as_bytes());
+        k
+    }
+
+    /// A sorted run's worth of entries over documents `100..100 + n_docs`
+    /// and tags 3, 5 and 9: per document a few numeric and string
+    /// values from a small vocabulary (so keys repeat across documents),
+    /// one long string, and — under tag 5 — one string every document
+    /// shares, whose postings fill several blocks on their own.
+    fn sample_entries(n_docs: u32, seed: u64) -> Vec<VxEntry> {
+        let mut s = seed;
+        let mut out = Vec::new();
+        for doc in 100..100 + n_docs {
+            for post in 1..=3u32 {
+                let tag = [3, 5, 9][(lcg(&mut s) % 3) as usize];
+                let v = lcg(&mut s) % 40;
+                out.push(VxEntry {
+                    section: VxSection::Num,
+                    key: num_key(tag, v),
+                    doc,
+                    post,
+                });
+                out.push(VxEntry {
+                    section: VxSection::Str,
+                    key: str_key(tag, &format!("v{v}")),
+                    doc,
+                    post,
+                });
+            }
+            out.push(VxEntry {
+                section: VxSection::Str,
+                key: str_key(9, &"long".repeat(1 + (lcg(&mut s) % 60) as usize)),
+                doc,
+                post: 4,
+            });
+            out.push(VxEntry {
+                section: VxSection::Str,
+                key: str_key(5, "shared"),
+                doc,
+                post: 5,
+            });
+        }
+        out.sort();
+        out
+    }
+
+    fn build_run(entries: &[VxEntry], doc_base: u32, n_docs: u32) -> MemStore {
+        let store = MemStore::new();
+        let mut b = ValueRunBuilder::new(Box::new(store.clone()), doc_base, n_docs);
+        for e in entries {
+            b.push(e.section, &e.key, e.doc, e.post).unwrap();
+        }
+        b.finish().unwrap();
+        store
+    }
+
+    fn open_run(store: &MemStore, stats: &Arc<IoStats>) -> Result<ValueRunReader> {
+        ValueRunReader::open(Box::new(store.clone()), Arc::clone(stats))
+    }
+
+    /// What a scan of `[lo, hi]` visits, as entries.
+    fn scan_run(
+        r: &ValueRunReader,
+        section: VxSection,
+        lo: Bound<&[u8]>,
+        hi: Bound<&[u8]>,
+    ) -> Result<Vec<VxEntry>> {
+        let mut got = Vec::new();
+        r.scan(section, lo, hi, |k, v| {
+            got.push(VxEntry {
+                section,
+                key: k.to_vec(),
+                doc: u32::from_le_bytes(v[..4].try_into().unwrap()),
+                post: u32::from_le_bytes(v[4..].try_into().unwrap()),
+            });
+            true
+        })?;
+        Ok(got)
+    }
+
+    #[test]
+    fn value_run_scans_match_filtered_oracle() {
+        let entries = sample_entries(400, 31);
+        let store = build_run(&entries, 100, 400);
+        let r = open_run(&store, &Arc::new(IoStats::default())).unwrap();
+        let check = r.verify().unwrap();
+        let count = |s| entries.iter().filter(|e| e.section == s).count() as u64;
+        assert_eq!(
+            (check.num_postings, check.str_postings),
+            (count(VxSection::Num), count(VxSection::Str))
+        );
+        assert_eq!(r.posting_counts(), (check.num_postings, check.str_postings));
+        assert!(
+            r.secs.iter().all(|s| s.fence_at.len() > 4),
+            "several blocks"
+        );
+        assert!(
+            (1..r.secs[1].fence_at.len()).any(|g| r.secs[1].fence(g - 1) == r.secs[1].fence(g)),
+            "one key's postings span whole blocks"
+        );
+        for section in [VxSection::Num, VxSection::Str] {
+            let of: Vec<&VxEntry> = entries.iter().filter(|e| e.section == section).collect();
+            // Bounds: every fence and its neighbours in key order, keys
+            // of absent tags, the shortest and longest possible keys.
+            let sec = &r.secs[section as usize];
+            let mut keys: Vec<Vec<u8>> =
+                vec![vec![], vec![0, 0, 0, 4], vec![0, 0, 0, 6], vec![0xFF; 12]];
+            for g in 0..sec.fence_at.len() {
+                let at = of.partition_point(|e| e.key.as_slice() < sec.fence(g));
+                for i in at.saturating_sub(1)..(at + 2).min(of.len()) {
+                    keys.push(of[i].key.clone());
+                }
+            }
+            keys.sort();
+            keys.dedup();
+            let mut all: Vec<Bound<&[u8]>> = vec![Bound::Unbounded];
+            for k in &keys {
+                all.extend([Bound::Included(&k[..]), Bound::Excluded(&k[..])]);
+            }
+            for &lo in &all {
+                for &hi in &all {
+                    let from = of.partition_point(|e| below(lo, &e.key));
+                    let to = of.partition_point(|e| !above(hi, &e.key)).max(from);
+                    let want = &of[from..to];
+                    let got = scan_run(&r, section, lo, hi).unwrap();
+                    assert!(
+                        got.iter().eq(want.iter().copied()),
+                        "{section:?} {lo:?}..{hi:?}"
+                    );
+                }
+            }
+            // Stopping early ends the scan after the entry refused.
+            let mut seen = 0;
+            r.scan(section, Bound::Unbounded, Bound::Unbounded, |_, _| {
+                seen += 1;
+                seen < 3
+            })
+            .unwrap();
+            assert_eq!(seen, 3);
+        }
+        // The empty run answers every range with nothing, from 4 KiB.
+        let empty = build_run(&[], 7, 0);
+        let r = open_run(&empty, &Arc::new(IoStats::default())).unwrap();
+        assert_eq!(r.file_len(), SEG_BLOCK as u64 + 4);
+        assert_eq!(
+            scan_run(&r, VxSection::Str, Bound::Unbounded, Bound::Unbounded).unwrap(),
+            vec![]
+        );
+        assert_eq!(r.verify().unwrap().blocks, 1);
+    }
+
+    #[test]
+    fn value_run_probes_cost_the_blocks_that_hold_the_answer() {
+        let entries = sample_entries(700, 37);
+        let store = build_run(&entries, 100, 700);
+        let stats = Arc::new(IoStats::default());
+        let r = open_run(&store, &stats).unwrap();
+        assert_eq!(stats.snapshot().seg_block_reads, 0, "open touches no block");
+        let cost = |section, lo: Bound<&[u8]>, hi: Bound<&[u8]>| {
+            let before = stats.snapshot();
+            let n = scan_run(&r, section, lo, hi).unwrap().len();
+            let after = stats.snapshot();
+            (
+                n,
+                after.seg_block_reads - before.seg_block_reads,
+                after.seg_block_fetches - before.seg_block_fetches,
+            )
+        };
+        // A point probe inside one block: one read, fetched the first
+        // time and cached after.
+        let sec = &r.secs[0];
+        let of: Vec<&VxEntry> = entries
+            .iter()
+            .filter(|e| e.section == VxSection::Num)
+            .collect();
+        let key = of
+            .iter()
+            .map(|e| &e.key)
+            .find(|k| {
+                let g = sec
+                    .fence_at
+                    .partition_point(|&at| sec.fence_key(at) < k.as_slice());
+                // Not a fence, and the block after starts past it.
+                g < sec.fence_at.len() && sec.fence(g) > k.as_slice()
+            })
+            .expect("a key strictly inside a block");
+        let hits = of.iter().filter(|e| &e.key == key).count();
+        let point = (Bound::Included(&key[..]), Bound::Included(&key[..]));
+        assert_eq!(cost(VxSection::Num, point.0, point.1), (hits, 1, 1));
+        assert_eq!(cost(VxSection::Num, point.0, point.1), (hits, 1, 0));
+        // A tag the section does not hold — below, between and above
+        // the stored ones, as a point, a range and a prefix scan —
+        // touches nothing.
+        for tag in [0u32, 4, 6, 8, 10, u32::MAX] {
+            let (lo, hi) = (num_key(tag, 0), num_key(tag, u64::MAX));
+            assert_eq!(
+                cost(
+                    VxSection::Num,
+                    Bound::Included(&lo[..]),
+                    Bound::Included(&hi[..])
+                ),
+                (0, 0, 0),
+                "tag {tag}"
+            );
+            let next = tag.checked_add(1).map(u32::to_be_bytes);
+            let hi = next
+                .as_ref()
+                .map_or(Bound::Unbounded, |t| Bound::Excluded(&t[..]));
+            let prefix = str_key(tag, "v");
+            assert_eq!(
+                cost(VxSection::Str, Bound::Included(&prefix[..]), hi),
+                (0, 0, 0)
+            );
+        }
+        // A range crossing block boundaries touches the block it starts
+        // in and exactly the blocks whose fences are inside it.
+        let sec = &r.secs[1];
+        let (lo, hi) = (sec.fence(2).to_vec(), sec.fence(5).to_vec());
+        let lo = {
+            // Just past fence 2's key: the scan starts inside block 2 or
+            // a later block with the same fence.
+            let mut k = lo;
+            k.push(0);
+            k
+        };
+        let start = sec
+            .fence_at
+            .partition_point(|&at| sec.fence_key(at) < lo.as_slice())
+            - 1;
+        let inside = (0..sec.fence_at.len())
+            .filter(|&g| g > start && sec.fence(g) <= hi.as_slice())
+            .count() as u64;
+        assert!(inside >= 2, "the range spans several fences");
+        let (_, reads, fetches) = cost(
+            VxSection::Str,
+            Bound::Included(&lo[..]),
+            Bound::Included(&hi[..]),
+        );
+        assert_eq!((reads, fetches), (1 + inside, 1 + inside));
+    }
+
+    #[test]
+    fn value_run_builder_refuses_what_a_reader_could_not_search() {
+        let push_all = |entries: &[(VxSection, Vec<u8>, u32, u32)]| {
+            let mut b = ValueRunBuilder::new(Box::new(MemStore::new()), 10, 5);
+            entries
+                .iter()
+                .try_for_each(|(s, k, d, p)| b.push(*s, k, *d, *p))
+        };
+        let n = |v| (VxSection::Num, num_key(1, v), 10, 1);
+        let s = |v: &str, doc, post| (VxSection::Str, str_key(1, v), doc, post);
+        push_all(&[
+            n(1),
+            n(2),
+            s("a", 10, 1),
+            s("a", 10, 2),
+            s("a", 11, 1),
+            s("b", 10, 1),
+        ])
+        .unwrap();
+        for (bad, why) in [
+            (vec![n(2), n(1)], "keys descend"),
+            (vec![n(1), n(1)], "an entry repeats"),
+            (
+                vec![s("a", 11, 1), s("a", 10, 2)],
+                "postings of a key descend",
+            ),
+            (vec![s("a", 10, 1), n(1)], "sections descend"),
+            (vec![s("a", 9, 1)], "a document below the run"),
+            (vec![s("a", 15, 1)], "a document past the run"),
+            (
+                vec![(VxSection::Num, str_key(1, "short"), 10, 1)],
+                "a numeric key of the wrong length",
+            ),
+            (
+                vec![(VxSection::Str, vec![0, 0, 1], 10, 1)],
+                "a key shorter than its tag",
+            ),
+            (
+                vec![s(&"x".repeat(257), 10, 1)],
+                "a key longer than a run stores",
+            ),
+        ] {
+            assert!(push_all(&bad).is_err(), "{why}");
+        }
+    }
+
+    /// `good` with header word `at..at + width` replaced by `f(old)`
+    /// and the header CRC recomputed.
+    fn open_patched_run(
+        good: &[u8],
+        at: usize,
+        width: usize,
+        f: impl Fn(u64) -> u64,
+    ) -> Result<ValueRunReader> {
+        let store = MemStore::new();
+        store
+            .write_at(0, &patch_header(good, at, width, f))
+            .unwrap();
+        open_run(&store, &Arc::new(IoStats::default()))
+    }
+
+    #[test]
+    fn value_run_open_rejects_inconsistent_geometry_and_unsorted_residents() {
+        let entries = sample_entries(300, 41);
+        let good = build_run(&entries, 100, 300).snapshot();
+        open_patched_run(&good, 24, 8, |v| v).unwrap();
+        // The eight counts and the three derived offsets: none can
+        // change alone — by one, by a block, or to something huge.
+        for at in (24..112).step_by(8) {
+            let perturb: [fn(u64) -> u64; 5] = [
+                |v| v + 1,
+                |v| v.wrapping_sub(1),
+                |v| v + SEG_BLOCK as u64,
+                |_| 0,
+                |_| u64::MAX / 2,
+            ];
+            for f in perturb {
+                match open_patched_run(&good, at, 8, f) {
+                    Err(StorageError::Corrupt { .. }) => {}
+                    Err(e) => panic!("word at {at}: wrong error {e}"),
+                    // A posting count can move by one without moving a
+                    // section; verify counts the postings.
+                    Ok(r) => assert!(
+                        (at == 24 || at == 56)
+                            && matches!(r.verify(), Err(StorageError::Corrupt { .. })),
+                        "word at {at}: inconsistent header accepted"
+                    ),
+                }
+            }
+        }
+        // Magic, version, kind, truncation.
+        for (at, byte) in [(0, b'X'), (8, 2), (12, SEG_KIND_RP)] {
+            let mut bad = good.clone();
+            bad[at] = byte;
+            let crc = crc32(&bad[..120]);
+            bad[120..124].copy_from_slice(&crc.to_le_bytes());
+            assert!(matches!(
+                ValueRunReader::open(
+                    Box::new(MemStore::from_bytes(bad)),
+                    Arc::new(IoStats::default())
+                ),
+                Err(StorageError::Corrupt { .. })
+            ));
+        }
+        for cut in [0, 100, good.len() - 1] {
+            assert!(ValueRunReader::open(
+                Box::new(MemStore::from_bytes(good[..cut].to_vec())),
+                Arc::new(IoStats::default())
+            )
+            .is_err());
+        }
+        // The resident sections are checked as they are loaded: a fence
+        // length leading past its section, fences out of order, a tag
+        // directory out of order.
+        let hdr = VxHeader::decode(&good[..SEG_HEADER_LEN as usize]).unwrap();
+        let fences = hdr.fence_off as usize;
+        let tags = fences + (hdr.secs[0].fence_len + hdr.secs[1].fence_len) as usize;
+        let damage: [(&str, fn(&mut [u8], usize, usize)); 4] = [
+            ("fence length past its section", |b, fences, _| {
+                b[fences + 1] = 0x7F
+            }),
+            ("fence shorter than a tag", |b, fences, _| b[fences] = 3),
+            ("fences out of order", |b, fences, _| {
+                b[fences + 2..fences + 6].fill(0xFF)
+            }),
+            ("tags out of order", |b, _, tags| {
+                b[tags..tags + 4].fill(0xFF)
+            }),
+        ];
+        for (why, f) in damage {
+            let mut bad = good.clone();
+            f(&mut bad, fences, tags);
+            match ValueRunReader::open(
+                Box::new(MemStore::from_bytes(bad)),
+                Arc::new(IoStats::default()),
+            ) {
+                Err(StorageError::Corrupt { .. }) => {}
+                Err(e) => panic!("{why}: wrong error {e}"),
+                Ok(_) => panic!("{why}: accepted"),
+            }
+        }
+    }
+
+    /// One way to damage a file.
+    #[derive(Debug, Clone)]
+    enum Damage {
+        Flip { at: u64, mask: u8 },
+        Truncate { len: u64 },
+        Splice { from: u64, to: u64, len: u64 },
+    }
+
+    #[test]
+    fn hostile_value_run_is_an_error_never_a_panic() {
+        use prix_testkit::{check, from_fn, Config};
+        let entries = sample_entries(200, 43);
+        let good = build_run(&entries, 100, 200).snapshot();
+        let len = good.len() as u64;
+        let resident = VxHeader::decode(&good[..SEG_HEADER_LEN as usize])
+            .unwrap()
+            .fence_off;
+        let damage = from_fn(move |rng| {
+            // Half the damage lands on the header and the resident
+            // sections, which `open` parses; the rest anywhere.
+            let at = |rng: &mut prix_testkit::TestRng| {
+                if rng.chance(0.25) {
+                    rng.below(SEG_HEADER_LEN)
+                } else if rng.chance(0.33) {
+                    rng.range(resident, len - 1)
+                } else {
+                    rng.below(len)
+                }
+            };
+            match rng.below(4) {
+                0 => Damage::Truncate {
+                    len: rng.below(len),
+                },
+                1 => Damage::Splice {
+                    from: at(rng),
+                    to: at(rng),
+                    len: 1 + rng.below(600),
+                },
+                _ => Damage::Flip {
+                    at: at(rng),
+                    mask: 1 << rng.below(8),
+                },
+            }
+        });
+        let cfg = Config {
+            cases: 600,
+            max_shrink_iters: 100,
+            ..Default::default()
+        };
+        check("hostile_value_run", &cfg, &damage, |d| {
+            let mut bytes = good.clone();
+            match *d {
+                Damage::Flip { at, mask } => bytes[at as usize] ^= mask,
+                Damage::Truncate { len } => bytes.truncate(len as usize),
+                Damage::Splice { from, to, len } => {
+                    let n = (len.min(bytes.len() as u64 - from.max(to))) as usize;
+                    bytes.copy_within(from as usize..from as usize + n, to as usize);
+                }
+            }
+            // Whatever the damage: an error somewhere, or the answer.
+            let Ok(r) = ValueRunReader::open(
+                Box::new(MemStore::from_bytes(bytes)),
+                Arc::new(IoStats::default()),
+            ) else {
+                return Ok(());
+            };
+            if r.verify().is_err() {
+                // Scans of a run that fails verification may answer
+                // anything, but must not panic.
+                for section in [VxSection::Num, VxSection::Str] {
+                    let _ = scan_run(&r, section, Bound::Unbounded, Bound::Unbounded);
+                }
+                return Ok(());
+            }
+            let mut got = Vec::new();
+            for section in [VxSection::Num, VxSection::Str] {
+                match scan_run(&r, section, Bound::Unbounded, Bound::Unbounded) {
+                    Ok(part) => got.extend(part),
+                    Err(_) => return Ok(()),
+                }
+            }
+            if got == entries {
+                Ok(())
+            } else {
+                Err(format!("{d:?} went unnoticed and changed the postings"))
+            }
+        });
     }
 }

@@ -59,6 +59,10 @@ cargo test --release --test write_amp --offline --locked
 # compaction, and the byte-determinism tests compare segment files an
 # optimizing build must still produce identically.
 cargo test --release --test segments --offline --locked
+# So does the value-predicate suite: its lifecycle property takes the
+# value index through bulk build, ingest, compaction and reopen, and
+# the run encoder's block arithmetic must not depend on the build.
+cargo test --release --test value_predicates --offline --locked
 
 # End-to-end smoke: index a tiny corpus, start `prix serve` on an
 # ephemeral port, hit /healthz and /metrics over plain bash /dev/tcp,
@@ -236,9 +240,9 @@ grep -q 'generation 1' "$SMOKE/bulk.log" || { echo "bulk index did not report ge
 "$PRIX" segments "$SMOKE/seg.prix" --verify >"$SMOKE/segments.log"
 grep -q 'segments: clean' "$SMOKE/segments.log" || { echo "segments --verify not clean after bulk index" >&2; cat "$SMOKE/segments.log" >&2; exit 1; }
 # Determinism outside `cargo test`: a second bulk build of the same
-# corpus must produce byte-identical segment files.
+# corpus must produce byte-identical segment files and value run.
 "$PRIX" index --bulk --alpha 4 "$SMOKE/seg2.prix" "$SMOKE"/corpus/*.xml >/dev/null
-for KIND in rp ep; do
+for KIND in rp ep vx; do
   cmp "$SMOKE/seg.prix.g1.$KIND.seg" "$SMOKE/seg2.prix.g1.$KIND.seg" || { echo "two bulk builds of one corpus wrote different $KIND segments" >&2; exit 1; }
 done
 
@@ -267,20 +271,28 @@ wait "$SERVE_PID" || { echo "segment serve exited non-zero" >&2; cat "$SMOKE/seg
 match_payload() { # match_payload <out-file>
   { head -1 "$1" | sed 's/ in .*//'; grep '^  doc ' "$1" || true; }
 }
-"$PRIX" query "$SMOKE/seg.prix" "//www/url" --limit 0 >"$SMOKE/q-before.txt"
+# The predicate query's pre-filter is probed from the bulk tier's value
+# run plus the delta's trees before, from two runs after.
+SEG_QUERIES=("//www/url" "//inproceedings[year < 1985]")
+for i in 0 1; do
+  "$PRIX" query "$SMOKE/seg.prix" "${SEG_QUERIES[$i]}" --limit 0 >"$SMOKE/q-before-$i.txt"
+done
+grep -q '^[1-9][0-9]* match(es)' "$SMOKE/q-before-1.txt" || { echo "predicate query matched nothing before compaction" >&2; cat "$SMOKE/q-before-1.txt" >&2; exit 1; }
 "$PRIX" compact "$SMOKE/seg.prix" >"$SMOKE/compact.log"
 grep -q 'into generation 2' "$SMOKE/compact.log" || { echo "compact did not produce generation 2" >&2; cat "$SMOKE/compact.log" >&2; exit 1; }
-"$PRIX" query "$SMOKE/seg.prix" "//www/url" --limit 0 >"$SMOKE/q-after.txt"
-match_payload "$SMOKE/q-before.txt" >"$SMOKE/m-before.txt"
-match_payload "$SMOKE/q-after.txt" >"$SMOKE/m-after.txt"
-cmp -s "$SMOKE/m-before.txt" "$SMOKE/m-after.txt" || {
-  echo "query answer changed across compaction" >&2
-  diff "$SMOKE/m-before.txt" "$SMOKE/m-after.txt" >&2 || true
-  exit 1
-}
+for i in 0 1; do
+  "$PRIX" query "$SMOKE/seg.prix" "${SEG_QUERIES[$i]}" --limit 0 >"$SMOKE/q-after-$i.txt"
+  match_payload "$SMOKE/q-before-$i.txt" >"$SMOKE/m-before.txt"
+  match_payload "$SMOKE/q-after-$i.txt" >"$SMOKE/m-after.txt"
+  cmp -s "$SMOKE/m-before.txt" "$SMOKE/m-after.txt" || {
+    echo "answer to ${SEG_QUERIES[$i]} changed across compaction" >&2
+    diff "$SMOKE/m-before.txt" "$SMOKE/m-after.txt" >&2 || true
+    exit 1
+  }
+done
 "$PRIX" fsck "$SMOKE/seg.prix" >"$SMOKE/fsck.log" || { echo "fsck failed after compaction" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
 grep -q 'fsck: clean' "$SMOKE/fsck.log" || { echo "fsck not clean after compaction" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
-echo "segment smoke OK (two bulk builds byte-identical, bulk -> add -> compact bit-identical, fsck clean)"
+echo "segment smoke OK (two bulk builds byte-identical incl. the value run, bulk -> add -> compact bit-identical for a path and a predicate query, fsck clean)"
 
 # Value-predicate smoke: generate the shop scenario, index it (the
 # value index is built alongside the structural ones), and require the

@@ -33,8 +33,8 @@ use prix_testkit::{FaultInjector, FaultKind, FaultSegEnv, FaultStore, TestRng};
 const BUFFER_PAGES: usize = 8;
 
 /// Queries the model comparison runs after recovery: structural,
-/// descendant, predicate, and value (EPIndex) shapes over the
-/// generator's vocabulary.
+/// descendant, branch, value (EPIndex) and value-predicate shapes over
+/// the generator's vocabulary.
 const QUERIES: &[&str] = &[
     "//a//x",
     "//a/b/y",
@@ -42,6 +42,10 @@ const QUERIES: &[&str] = &[
     "//c/z",
     r#"//x[text()="v3"]"#,
     r#"//a[./b="v1"]"#,
+    // Value predicates: the pre-filter comes from the tiers' value runs
+    // and the delta's trees.
+    r#"//b[x = "v3"]"#,
+    r#"//a/c[starts-with(y, "v")]"#,
 ];
 
 fn labeling() -> LabelingMode {
@@ -597,6 +601,13 @@ fn redo_log_iteration(
     after
         .verify_segments()
         .map_err(|e| format!("segment verification after recovery: {e}"))?;
+    after
+        .verify_value_runs()
+        .map_err(|e| format!("value-run verification after recovery: {e}"))?;
+    after
+        .valix()
+        .verify()
+        .map_err(|e| format!("valix verification after recovery: {e}"))?;
     let n = after.segment_docs() as usize + after.mutable_docs();
     let state = acceptable
         .into_iter()

@@ -4,7 +4,7 @@
 
 use std::path::Path;
 
-use prix::core::{BulkBuilder, EngineConfig, PrixEngine, SEG_KIND_EP, SEG_KIND_RP};
+use prix::core::{BulkBuilder, EngineConfig, PrixEngine, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_VX};
 use prix::datagen::{generate, queries::queries_for, Dataset};
 use prix::storage::{FileStore, Manifest, Pager, PAGE_SIZE};
 
@@ -208,32 +208,50 @@ fn catalog_without_an_index_is_refused() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A manifest tier with only one of its two segments is the same half
-/// engine one level up.
-#[test]
-fn manifest_tier_missing_a_kind_is_refused() {
-    let dir = std::env::temp_dir().join(format!("prix-persist-kind-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("db.prix");
+/// A two-document bulk-built database at `path`: one tier, no delta.
+fn bulk_small_db(path: &Path) {
     let mut bulk = BulkBuilder::new(EngineConfig {
-        path: Some(path.clone()),
+        path: Some(path.to_path_buf()),
         ..Default::default()
     })
     .unwrap();
     bulk.add_xml("<a><b>v</b></a>").unwrap();
     bulk.add_xml("<a><c/></a>").unwrap();
     drop(bulk.finish().unwrap());
+}
+
+/// A manifest tier without one of its three files is the same half
+/// engine one level up. The tier without its value run is also what a
+/// database compacted or bulk-built before value runs existed looks
+/// like (its postings sat in the pool-resident trees): one format, and
+/// the same way out.
+#[test]
+fn manifest_tier_missing_a_kind_is_refused() {
+    let dir = std::env::temp_dir().join(format!("prix-persist-kind-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.prix");
+    bulk_small_db(&path);
     let store = FileStore::open(dir.join("db.prix.seg")).unwrap();
     let full = Manifest::read_from(&store).unwrap().unwrap();
-    assert_eq!(full.segments.len(), 2, "one tier: an RP and an EP segment");
-    for (kind, name) in [(SEG_KIND_RP, "RP"), (SEG_KIND_EP, "EP")] {
+    assert_eq!(
+        full.segments.len(),
+        3,
+        "one tier: an RP segment, an EP segment, a value run"
+    );
+    for (kind, what) in [
+        (SEG_KIND_RP, "no RP segment"),
+        (SEG_KIND_EP, "no EP segment"),
+        (SEG_KIND_VX, "no value run"),
+    ] {
         let mut m = full.clone();
         m.segments.retain(|s| s.kind != kind);
         m.write_to(&store).unwrap();
         let msg = reopen_error(&path);
         assert!(
-            msg.contains(&format!("no {name} segment")) && msg.contains("re-index"),
-            "tier without its {name} segment: {msg}"
+            msg.contains(what)
+                && msg.contains("for the tier at doc base 0")
+                && msg.contains("re-index"),
+            "tier with {what}: {msg}"
         );
     }
     full.write_to(&store).unwrap();
@@ -241,6 +259,91 @@ fn manifest_tier_missing_a_kind_is_refused() {
         PrixEngine::reopen(&path, 64).is_ok(),
         "restored manifest opens"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A manifest row is filed by its kind byte; one this build does not
+/// know is named, not guessed at.
+#[test]
+fn manifest_row_of_unknown_kind_is_refused() {
+    let dir = std::env::temp_dir().join(format!("prix-persist-row-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.prix");
+    bulk_small_db(&path);
+    let store = FileStore::open(dir.join("db.prix.seg")).unwrap();
+    let full = Manifest::read_from(&store).unwrap().unwrap();
+    for row in 0..full.segments.len() {
+        let mut m = full.clone();
+        m.segments[row].kind = 7;
+        m.write_to(&store).unwrap();
+        let msg = reopen_error(&path);
+        assert!(
+            msg.contains("unknown kind 7") && msg.contains(&full.segments[row].suffix),
+            "row {row} with kind 7: {msg}"
+        );
+    }
+    // A known kind on the wrong file is the header check's to catch.
+    let mut m = full.clone();
+    m.segments.swap(0, 2);
+    let (a, b) = (m.segments[0].kind, m.segments[2].kind);
+    (m.segments[0].kind, m.segments[2].kind) = (b, a);
+    m.write_to(&store).unwrap();
+    assert!(PrixEngine::reopen(&path, 64).is_err());
+    full.write_to(&store).unwrap();
+    assert!(PrixEngine::reopen(&path, 64).is_ok());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The delta valix covers exactly the documents of the structural
+/// delta. One that says otherwise would make the probe a narrower (or
+/// wrong) pre-filter without anyone noticing, so reopen refuses it —
+/// with or without segment tiers below the delta.
+#[test]
+fn delta_valix_that_disagrees_with_the_delta_is_refused() {
+    let dir = std::env::temp_dir().join(format!("prix-persist-delta-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for tiered in [false, true] {
+        let path = dir.join(format!("db{}.prix", u8::from(tiered)));
+        if tiered {
+            bulk_small_db(&path);
+        } else {
+            save_small_db(&path);
+        }
+        let mut engine = PrixEngine::reopen(&path, 64).unwrap();
+        engine.insert_document("<a><b>w</b></a>").unwrap();
+        engine.save().unwrap();
+        let delta_docs = engine.mutable_docs() as u32;
+        drop(engine);
+        // The clean close checkpointed: the page file is current. The
+        // count is the u32 at byte 20 of every `VLX1` record.
+        let pager = durable_pager(&path);
+        let mut patched = 0;
+        for id in 0..pager.num_pages() {
+            let mut page = [0u8; PAGE_SIZE];
+            pager.read_page(id, &mut page).unwrap();
+            let records: Vec<usize> = (0..PAGE_SIZE - 24)
+                .filter(|&at| &page[at..at + 4] == b"VLX1")
+                .filter(|&at| page[at + 20..at + 24] == delta_docs.to_le_bytes())
+                .collect();
+            for &at in &records {
+                page[at + 20..at + 24].copy_from_slice(&(delta_docs + 1).to_le_bytes());
+            }
+            if !records.is_empty() {
+                pager.write_page(id, &page).unwrap();
+                patched += records.len();
+            }
+        }
+        assert!(
+            patched > 0,
+            "no current valix record found (tiered {tiered})"
+        );
+        drop(pager);
+        let msg = reopen_error(&path);
+        assert!(
+            msg.contains("value index covers") && msg.contains("re-index"),
+            "tiered {tiered}: {msg}"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -28,8 +28,8 @@ use prix_testkit::{
 
 const BUFFER_PAGES: usize = 8;
 
-/// Queries the equivalence checks run: structural, descendant,
-/// predicate, and value (EPIndex) shapes over the generator's
+/// Queries the equivalence checks run: structural, descendant, branch,
+/// value (EPIndex) and value-predicate shapes over the generator's
 /// vocabulary — the same workload tests/crash_recovery.rs replays.
 const QUERIES: &[&str] = &[
     "//a//x",
@@ -38,6 +38,10 @@ const QUERIES: &[&str] = &[
     "//c/z",
     r#"//x[text()="v3"]"#,
     r#"//a[./b="v1"]"#,
+    // Value predicates: the pre-filter comes from the tiers' value runs
+    // and the delta's trees.
+    r#"//b[x = "v3"]"#,
+    r#"//a/c[starts-with(y, "v")]"#,
 ];
 
 fn labeling() -> LabelingMode {
@@ -425,7 +429,7 @@ fn bulk_build_is_deterministic_and_rebuild_reproduces_segments() {
     let env_b = Arc::new(MemSegEnv::new());
     let eng_a = bulk_over(env_a.clone(), &docs).unwrap();
     let _eng_b = bulk_over(env_b.clone(), &docs).unwrap();
-    for kind in ["rp", "ep"] {
+    for kind in ["rp", "ep", "vx"] {
         let suffix = format!(".g1.{kind}.seg");
         assert_eq!(
             read_file(&env_a, &suffix),
@@ -433,8 +437,7 @@ fn bulk_build_is_deterministic_and_rebuild_reproduces_segments() {
             "independent bulk builds diverge for {suffix}"
         );
     }
-    let g1_rp = read_file(&env_a, ".g1.rp.seg");
-    let g1_ep = read_file(&env_a, ".g1.ep.seg");
+    let g1 = ["rp", "ep", "vx"].map(|kind| read_file(&env_a, &format!(".g1.{kind}.seg")));
     let before = full_results(&eng_a).unwrap();
     drop(eng_a);
 
@@ -444,12 +447,13 @@ fn bulk_build_is_deterministic_and_rebuild_reproduces_segments() {
     // retire the superseded generation's files.
     let eng = bulk_over(env_a.clone(), &docs).unwrap();
     assert_eq!(eng.generation(), 2);
-    assert_eq!(read_file(&env_a, ".g2.rp.seg"), g1_rp);
-    assert_eq!(read_file(&env_a, ".g2.ep.seg"), g1_ep);
-    assert!(
-        env_a.store(".g1.rp.seg").is_none() && env_a.store(".g1.ep.seg").is_none(),
-        "superseded generation 1 segments were not retired"
-    );
+    for (kind, g1_bytes) in ["rp", "ep", "vx"].iter().zip(&g1) {
+        assert_eq!(&read_file(&env_a, &format!(".g2.{kind}.seg")), g1_bytes);
+        assert!(
+            env_a.store(&format!(".g1.{kind}.seg")).is_none(),
+            "superseded generation 1 {kind} file was not retired"
+        );
+    }
     assert_eq!(full_results(&eng).unwrap(), before);
 }
 
@@ -478,7 +482,7 @@ fn compaction_is_deterministic_across_instances() {
 
     assert!(eng_a.compact().unwrap());
     assert!(eng_b.compact().unwrap());
-    for kind in ["rp", "ep"] {
+    for kind in ["rp", "ep", "vx"] {
         let suffix = format!(".g2.{kind}.seg");
         assert_eq!(
             read_file(&env_a, &suffix),
@@ -498,6 +502,69 @@ fn compaction_is_deterministic_across_instances() {
             "old mutable file {side:?} survived compaction"
         );
     }
+}
+
+/// A [`MemSegEnv`] that counts the scratch stores sort spills ask for.
+#[derive(Default)]
+struct SpillCountingEnv {
+    inner: MemSegEnv,
+    temps: std::sync::atomic::AtomicUsize,
+}
+
+impl SegmentEnv for SpillCountingEnv {
+    fn create(&self, suffix: &str) -> prix::storage::Result<Box<dyn RawStore>> {
+        self.inner.create(suffix)
+    }
+    fn open(&self, suffix: &str) -> prix::storage::Result<Box<dyn RawStore>> {
+        self.inner.open(suffix)
+    }
+    fn exists(&self, suffix: &str) -> prix::storage::Result<bool> {
+        self.inner.exists(suffix)
+    }
+    fn remove(&self, suffix: &str) -> prix::storage::Result<()> {
+        self.inner.remove(suffix)
+    }
+    fn temp(&self) -> prix::storage::Result<Box<dyn RawStore>> {
+        self.temps
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.temp()
+    }
+}
+
+/// The bulk path holds no more of the collection's leaf values than its
+/// sort budget: they go through the external sorter like the label
+/// paths do. A budget the values outgrow spills runs to scratch stores
+/// and still produces the files an in-memory sort produces, byte for
+/// byte.
+#[test]
+fn tiny_run_budget_spills_leaf_values_and_produces_an_identical_value_run() {
+    let mut rng = TestRng::from_seed(0x5EED_0063);
+    let docs: Vec<String> = (0..6000).map(|_| doc_xml(&mut rng)).collect();
+    let build = |run_mem_bytes: usize| {
+        let env = Arc::new(SpillCountingEnv::default());
+        let mut b = BulkBuilder::with_env_mem(cfg(), env.clone(), run_mem_bytes).unwrap();
+        for d in &docs {
+            b.add_xml(d).unwrap();
+        }
+        let engine = b.finish().unwrap();
+        engine.verify_value_runs().unwrap();
+        let files =
+            ["rp", "ep", "vx"].map(|kind| read_file(&env.inner, &format!(".g1.{kind}.seg")));
+        let temps = env.temps.load(std::sync::atomic::Ordering::Relaxed);
+        (files, temps)
+    };
+    let (roomy, no_spills) = build(64 << 20);
+    let (tight, spills) = build(1); // clamped to 64 KiB a sorter
+    assert_eq!(no_spills, 0, "64 MiB holds 6000 small documents");
+    // The two path sorters and each segment's tag-row sort spill as
+    // well; what the value sorter adds is at least two runs of its own
+    // (12 000 entries of ~50 bytes against 64 KiB).
+    assert!(
+        spills >= 6,
+        "only {spills} scratch stores under a 64 KiB budget"
+    );
+    assert_eq!(roomy[2].len(), tight[2].len());
+    assert!(roomy == tight, "spilled and in-memory bulk builds differ");
 }
 
 // ---------------------------------------------------------------------------
@@ -617,6 +684,13 @@ fn reopen_and_verify(fenv: &FaultSegEnv) -> Result<PrixEngine, String> {
     engine
         .verify_segments()
         .map_err(|e| format!("post-crash segment verify: {e}"))?;
+    engine
+        .verify_value_runs()
+        .map_err(|e| format!("post-crash value-run verify: {e}"))?;
+    engine
+        .valix()
+        .verify()
+        .map_err(|e| format!("post-crash valix verify: {e}"))?;
     Ok(engine)
 }
 
@@ -734,6 +808,24 @@ fn compaction_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> 
              (reopened at generation {})",
             eng.generation()
         ));
+    }
+    // A crash before the manifest write leaves the new tier's files —
+    // segments and value run, whole or torn — as orphans under the next
+    // generation's names. The retry writes over them.
+    let mut eng = eng;
+    if eng.mutable_docs() > 0 {
+        eng.compact()
+            .map_err(|e| format!("compaction over a crashed one's debris: {e}"))?;
+        eng.verify_segments()
+            .map_err(|e| format!("segment verify after the retried compaction: {e}"))?;
+        eng.verify_value_runs()
+            .map_err(|e| format!("value-run verify after the retried compaction: {e}"))?;
+        if full_results(&eng)? != expected {
+            return Err(format!(
+                "answers changed when a compaction was retried after a {kind:?} crash \
+                 at kill point {kill_after}"
+            ));
+        }
     }
     Ok(())
 }

@@ -9,10 +9,16 @@
 //! the random sweep (`check`) and the pinned replay seeds at the
 //! bottom.
 
+use std::sync::Arc;
+
 use prix::core::index::{ExecOpts, IndexKind};
 use prix::core::query::{PredOp, PredValue, TwigQuery, ValuePred};
-use prix::core::{EngineConfig, LabelingMode, PredEval, PrixEngine, QueryStats, TwigMatch};
+use prix::core::{
+    BulkBuilder, EngineConfig, LabelingMode, PredEval, PrixEngine, QueryStats, SharedEngine,
+    TwigMatch,
+};
 use prix::prufer::EdgeKind;
+use prix::storage::{MemSegEnv, SegmentEnv};
 use prix::xml::{Collection, NodeKind, PostNum, SymbolTable, XmlTree};
 use prix_testkit::{check, from_fn, replay, Config, Generator, TestRng};
 
@@ -235,7 +241,8 @@ fn prop_filtered_equals_postfiltered(input: &PredInput) -> Result<(), String> {
             Some(IndexKind::Regular) => engine.rp_index(),
             Some(IndexKind::Extended) => engine.ep_index(),
         };
-        let pred = PredEval::build(query, engine.valix(), snap.symbols()).unwrap();
+        let pred =
+            PredEval::build(query, engine.seg_tiers(), engine.valix(), snap.symbols()).unwrap();
         let mut stream = idx.stream(query, &opts, pred.as_ref()).unwrap();
         let mut matches = Vec::new();
         while let Some(m) = stream.next_match().unwrap() {
@@ -398,6 +405,198 @@ fn insert_maintains_valix() {
         &Config::cases(24),
         &gen_pred_input(),
         prop_insert_maintains_valix,
+    );
+}
+
+// ---------------------------------------------------------------------
+// The tiered value index: runs below, trees on top, one answer.
+// ---------------------------------------------------------------------
+
+type QuerySpec = (u8, Vec<Step>, Vec<u8>, Vec<PredSpec>);
+
+/// Checks a tiered engine against the single-tree oracle — an engine
+/// built in one piece over the same documents, whose value index is
+/// one tree pair — and that one against the naive post-filter: the
+/// probe's pre-filter document by document, its counters (one probe
+/// per probeable predicate, every matching posting seen exactly once
+/// however the postings are split over runs and delta), the matches.
+fn check_against_single_tree(
+    engine: &PrixEngine,
+    docs: &[String],
+    spec: &QuerySpec,
+    step: &str,
+) -> Result<(), String> {
+    let mut collection = Collection::new();
+    for xml in docs {
+        collection
+            .add_xml(xml)
+            .map_err(|e| format!("{step}: {e}"))?;
+    }
+    let oracle = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
+    let (root, steps, edges, preds) = spec;
+    let q_tiered = build_query(*root, steps, edges, preds, &mut engine.symbols().clone());
+    let q_oracle = build_query(*root, steps, edges, preds, &mut oracle.symbols().clone());
+
+    let pe = |e: &PrixEngine, q: &TwigQuery| {
+        PredEval::build(q, e.seg_tiers(), e.valix(), e.symbols())
+            .unwrap()
+            .expect("the generator plants a predicate")
+    };
+    let (pe_tiered, pe_oracle) = (pe(engine, &q_tiered), pe(&oracle, &q_oracle));
+    let allowed =
+        |p: &PredEval| -> Vec<bool> { (0..docs.len() as u32 + 2).map(|d| p.allows(d)).collect() };
+    if allowed(&pe_tiered) != allowed(&pe_oracle) || pe_tiered.estimate() != pe_oracle.estimate() {
+        return Err(format!(
+            "{step}: pre-filter {:?} {:?}, single tree {:?} {:?}",
+            pe_tiered.estimate(),
+            allowed(&pe_tiered),
+            pe_oracle.estimate(),
+            allowed(&pe_oracle)
+        ));
+    }
+
+    let out = engine.snapshot().query(&q_tiered).unwrap();
+    let want = oracle.snapshot().query(&q_oracle).unwrap();
+    let probe = |s: &QueryStats| (s.valix_probes, s.valix_postings);
+    if out.matches != want.matches || probe(&out.stats) != probe(&want.stats) {
+        return Err(format!(
+            "{step}: {} match(es), probe {:?}; single tree {} match(es), probe {:?}",
+            out.matches.len(),
+            probe(&out.stats),
+            want.matches.len(),
+            probe(&want.stats)
+        ));
+    }
+    let unfiltered = oracle.snapshot().query(&q_oracle.without_preds()).unwrap();
+    let naive = oracle_filter(
+        &collection,
+        oracle.symbols(),
+        &q_oracle,
+        &unfiltered.matches,
+    );
+    if out.matches != naive {
+        return Err(format!("{step}: answer differs from the naive post-filter"));
+    }
+    Ok(())
+}
+
+/// Ingests `batch`, commits, and appends what was accepted to `docs`
+/// (dynamic labeling may refuse a shape; the oracle gets what went in).
+fn ingest_accepted(engine: &mut PrixEngine, batch: &[String], docs: &mut Vec<String>) {
+    let out = engine.ingest_batch(batch).unwrap();
+    let rejected: Vec<usize> = out.rejected.iter().map(|(i, _)| *i).collect();
+    docs.extend(
+        batch
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !rejected.contains(i))
+            .map(|(_, d)| d.clone()),
+    );
+    engine.save().unwrap();
+}
+
+/// The value index through a database's whole life: a first tier (a
+/// bulk build's run, or a pool-tier delta when `bulk` is off), an
+/// ingested delta on top, a compaction (the delta's trees become a
+/// run), more delta, a second compaction under a pinned reader, and a
+/// reopen from the files — the single-tree oracle after every step.
+fn prop_tiered_valix_equals_single_tree(
+    input: &(Vec<(u8, Vec<Step>)>, QuerySpec, bool),
+) -> Result<(), String> {
+    let (scripts, spec, bulk) = input;
+    let mut syms = SymbolTable::new();
+    let xml: Vec<String> = scripts
+        .iter()
+        .map(|(root, steps)| prix::xml::write_document(&build_tree(*root, steps, &mut syms), &syms))
+        .collect();
+    let third = (xml.len() / 3).max(1);
+    let (first, rest) = xml.split_at(third.min(xml.len()));
+    let (second, last) = rest.split_at(third.min(rest.len()));
+
+    let cfg = EngineConfig {
+        buffer_pages: 64,
+        labeling: LabelingMode::Dynamic { alpha: 4 },
+        ..Default::default()
+    };
+    let env: Arc<dyn SegmentEnv> = Arc::new(MemSegEnv::new());
+    let mut docs: Vec<String> = first.to_vec();
+    let mut engine = if *bulk {
+        let mut b = BulkBuilder::with_env(cfg.clone(), Arc::clone(&env)).unwrap();
+        for d in first {
+            b.add_xml(d).unwrap();
+        }
+        b.finish().unwrap()
+    } else {
+        let mut c = Collection::new();
+        for d in first {
+            c.add_xml(d).unwrap();
+        }
+        let mut e = PrixEngine::build_env(c, cfg, Arc::clone(&env)).unwrap();
+        e.save().unwrap();
+        e
+    };
+    check_against_single_tree(&engine, &docs, spec, "first tier")?;
+    ingest_accepted(&mut engine, second, &mut docs);
+    check_against_single_tree(&engine, &docs, spec, "first ingest")?;
+    engine.compact().unwrap();
+    if engine.mutable_docs() != 0 || engine.valix().posting_counts() != (0, 0) {
+        return Err("a compaction leaves postings in the delta".into());
+    }
+    check_against_single_tree(&engine, &docs, spec, "first compaction")?;
+    ingest_accepted(&mut engine, last, &mut docs);
+    check_against_single_tree(&engine, &docs, spec, "second ingest")?;
+
+    // A reader pinned before the second compaction answers the same
+    // after it: its tiers and its delta trees are the old ones.
+    let (root, steps, edges, preds) = spec;
+    let q = build_query(*root, steps, edges, preds, &mut engine.symbols().clone());
+    let shared = SharedEngine::new(engine);
+    let pinned = shared.snapshot();
+    let answer =
+        |o: prix::core::QueryOutcome| (o.matches, o.stats.valix_probes, o.stats.valix_postings);
+    let before = answer(pinned.query(&q).unwrap());
+    shared.compact().unwrap();
+    if answer(pinned.query(&q).unwrap()) != before {
+        return Err("a pinned reader's answer changed across a compaction".into());
+    }
+    if answer(shared.snapshot().query(&q).unwrap()) != before {
+        return Err("a fresh reader's answer changed across a compaction".into());
+    }
+    drop(pinned);
+    drop(shared);
+
+    let engine = PrixEngine::reopen_env(env, 64).map_err(|e| format!("reopen: {e}"))?;
+    if engine.segment_docs() != docs.len() as u64 {
+        return Err(format!(
+            "reopened {} segment documents of {}",
+            engine.segment_docs(),
+            docs.len()
+        ));
+    }
+    engine.verify_value_runs().map_err(|e| e.to_string())?;
+    engine.valix().verify().map_err(|e| e.to_string())?;
+    check_against_single_tree(&engine, &docs, spec, "reopen")
+}
+
+fn gen_lifecycle_input() -> impl Generator<Value = (Vec<(u8, Vec<Step>)>, QuerySpec, bool)> {
+    from_fn(|rng| {
+        let mut scripts = gen_doc_scripts(rng, 12, 9);
+        scripts.extend(gen_doc_scripts(rng, 3, 9));
+        (scripts, gen_query_spec(rng, 4), rng.chance(0.5))
+    })
+}
+
+#[test]
+fn tiered_valix_equals_single_tree_through_the_lifecycle() {
+    check(
+        "tiered_valix_equals_single_tree",
+        &Config {
+            cases: 40,
+            max_shrink_iters: 100,
+            ..Default::default()
+        },
+        &gen_lifecycle_input(),
+        prop_tiered_valix_equals_single_tree,
     );
 }
 

@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use prix_core::plan::EngineChoice;
-use prix_core::{EngineConfig, ExecOpts, LabelingMode, PrixEngine};
+use prix_core::{EngineConfig, ExecOpts, LabelingMode, PrixEngine, TierCheck};
 use prix_server::{AltCache, Server, ServerConfig, SnapshotAlts};
 use prix_xml::{write_document, Collection};
 
@@ -533,20 +533,18 @@ fn print_segment_rows(engine: &PrixEngine) -> Result<(), CliError> {
 /// Runs the full integrity check of every segment and every value run,
 /// one report line each (`fsck`, `segments --verify`).
 fn verify_tier_files(engine: &PrixEngine) -> Result<Vec<String>, CliError> {
-    let mut lines = Vec::new();
-    for (suffix, check) in engine.verify_segments().map_err(|e| e.to_string())? {
-        lines.push(format!(
+    let checks = engine.verify_tiers().map_err(|e| e.to_string())?;
+    let lines = checks.into_iter().map(|(suffix, check)| match check {
+        TierCheck::Segment(c) => format!(
             "{suffix}: {} blocks, {} tag entries, {} doc entries, {} records ok",
-            check.blocks, check.tag_entries, check.doc_entries, check.records
-        ));
-    }
-    for (suffix, check) in engine.verify_value_runs().map_err(|e| e.to_string())? {
-        lines.push(format!(
+            c.blocks, c.tag_entries, c.doc_entries, c.records
+        ),
+        TierCheck::ValueRun(c) => format!(
             "{suffix}: {} blocks, {} numeric posting(s), {} string posting(s) ok",
-            check.blocks, check.num_postings, check.str_postings
-        ));
-    }
-    Ok(lines)
+            c.blocks, c.num_postings, c.str_postings
+        ),
+    });
+    Ok(lines.collect())
 }
 
 fn cmd_compact(args: &[String]) -> Result<(), CliError> {

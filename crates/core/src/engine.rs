@@ -99,6 +99,16 @@ pub struct SegTier {
     pub(crate) n_docs: u32,
 }
 
+/// What the full integrity check of one tier file covered
+/// ([`PrixEngine::verify_tiers`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TierCheck {
+    /// An RP or EP segment.
+    Segment(SegmentCheck),
+    /// A value run.
+    ValueRun(VxCheck),
+}
+
 /// An indexed XML database: its symbol table, its RP/EP indexes and
 /// value index, and the buffer pool they share. The document trees are
 /// not kept: everything query processing needs is in the indexes.
@@ -589,26 +599,25 @@ impl PrixEngine {
             }
             let store = self.seg_env.open(&s.suffix)?;
             let stats = Arc::clone(&self.seg_stats);
-            let row_mismatch = || {
-                IndexError::Unsupported(format!(
+            // What the file's own header says it is must be what the
+            // row says: one comparison, whichever reader opened it.
+            let check_row = |found: (u8, u32, u32)| {
+                if found == (s.kind, s.doc_base, s.n_docs) {
+                    return Ok(());
+                }
+                Err(IndexError::Unsupported(format!(
                     "segment '{}' header disagrees with its manifest row",
                     s.suffix
-                ))
+                )))
             };
             let fresh = if s.kind == SEG_KIND_VX {
                 let run = ValueRunReader::open(store, stats).map_err(IndexError::Storage)?;
-                if (run.doc_base(), run.n_docs()) != (s.doc_base, s.n_docs) {
-                    return Err(row_mismatch());
-                }
+                check_row((SEG_KIND_VX, run.doc_base(), run.n_docs()))?;
                 vxs.insert(s.doc_base, (s.n_docs, Arc::new(run))).is_none()
             } else {
                 let reader =
                     Arc::new(SegmentReader::open(store, stats).map_err(IndexError::Storage)?);
-                if (reader.kind(), reader.doc_base(), reader.n_docs())
-                    != (s.kind, s.doc_base, s.n_docs)
-                {
-                    return Err(row_mismatch());
-                }
+                check_row((reader.kind(), reader.doc_base(), reader.n_docs()))?;
                 let idx = PrixIndex::from_segment(reader)?;
                 let slot = if s.kind == SEG_KIND_RP {
                     &mut rps
@@ -901,30 +910,21 @@ impl PrixEngine {
         Ok(&self.tier_of(s)?.vx)
     }
 
-    /// Verifies every live RP and EP segment file: per-block checksums,
-    /// the record index, the sorted-order invariant of both entry
-    /// sections against the resident fences, and the padding. Returns
-    /// one report per manifest row.
-    pub fn verify_segments(&self) -> Result<Vec<(String, SegmentCheck)>> {
+    /// Verifies every file of every tier, in manifest order. A segment:
+    /// per-block checksums, the record index, the sorted-order invariant
+    /// of both entry sections against the resident fences, the padding.
+    /// A value run: block checksums, strict posting order, every
+    /// posting's document inside its tier, counts, padding. Returns one
+    /// report per manifest row.
+    pub fn verify_tiers(&self) -> Result<Vec<(String, TierCheck)>> {
         self.manifest_segments
             .iter()
-            .filter(|s| s.kind != SEG_KIND_VX)
             .map(|s| {
-                let check = self.segment_reader(s)?.verify();
-                Ok((s.suffix.clone(), check.map_err(IndexError::Storage)?))
-            })
-            .collect()
-    }
-
-    /// Verifies every live value run (`ValueRunReader::verify`: block
-    /// checksums, strict posting order, every posting's document inside
-    /// its tier, counts, padding). Returns one report per manifest row.
-    pub fn verify_value_runs(&self) -> Result<Vec<(String, VxCheck)>> {
-        self.manifest_segments
-            .iter()
-            .filter(|s| s.kind == SEG_KIND_VX)
-            .map(|s| {
-                let check = self.value_run(s)?.verify();
+                let check = if s.kind == SEG_KIND_VX {
+                    self.value_run(s)?.verify().map(TierCheck::ValueRun)
+                } else {
+                    self.segment_reader(s)?.verify().map(TierCheck::Segment)
+                };
                 Ok((s.suffix.clone(), check.map_err(IndexError::Storage)?))
             })
             .collect()

@@ -135,7 +135,7 @@ impl<'a> CandidateCursor<'a> {
     /// The next pending document the predicate pre-filter lets through.
     fn pop_pending(&mut self) -> Option<DocId> {
         while let Some(doc) = self.pending.pop_front() {
-            if self.pred.map_or(true, |p| p.allows(doc)) {
+            if self.pred.is_none_or(|p| p.allows(doc)) {
                 return Some(doc);
             }
             self.stats.pred_skipped += 1;
@@ -374,7 +374,7 @@ impl<'a> MatchStream<'a> {
             }
             self.sorted.sort_unstable_by(|a, b| b.cmp(a));
         }
-        while self.limit.map_or(true, |k| (self.emitted as usize) < k) {
+        while self.limit.is_none_or(|k| (self.emitted as usize) < k) {
             let popped;
             let candidate = match self.limit {
                 Some(_) => self.cursor.next()?,

@@ -50,7 +50,7 @@ pub mod trie;
 pub mod valix;
 pub mod xpath;
 
-pub use engine::{EngineConfig, IngestOutcome, PrixEngine, SegTier};
+pub use engine::{EngineConfig, IngestOutcome, PrixEngine, SegTier, TierCheck};
 pub use exec::MatchStream;
 pub use index::{ExecOpts, IndexKind, PrixIndex, QueryStats, TwigMatch};
 pub use plan::{

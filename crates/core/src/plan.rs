@@ -1158,7 +1158,6 @@ mod tests {
     #[test]
     fn arrangement_ranking_puts_rare_roots_first() {
         let mut s = PlannerStats::default();
-        let planner;
         let mut syms = SymbolTable::new();
         syms.intern("pad");
         let a = syms.intern("a");
@@ -1166,7 +1165,7 @@ mod tests {
         s.tag_freq.insert(a, 10_000);
         s.tag_freq.insert(b, 10);
         s.total_nodes = 10_010;
-        planner = Planner::new(s);
+        let planner = Planner::new(s);
         let qa = parse_xpath("/a/b", &mut syms).unwrap(); // root a (frequent)
         let qb = parse_xpath("/b/a", &mut syms).unwrap(); // root b (rare)
         let order = planner.rank_arrangements(&[qa, qb]);

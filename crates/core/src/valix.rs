@@ -292,9 +292,9 @@ impl Valix {
     /// Streams the delta into the value run of the tier a compaction is
     /// folding it into: both trees, already in key order, straight into
     /// the builder. Only the postings of one key at a time are held, to
-    /// put them in `(doc, post)` order: the trees keep equal keys in
-    /// insertion order, which is arena order within a document, and a
-    /// leaf split can file a new posting left of its earlier equals.
+    /// put them in `(doc, post)` order: `BPlusTree::insert` leaves the
+    /// order among equal keys unspecified (and insertion order would be
+    /// arena order within a document, not postorder).
     /// `mutable_docs` is what the structural delta holds; a delta that
     /// covers anything else is refused.
     pub(crate) fn write_run(&self, out: Box<dyn RawStore>, mutable_docs: usize) -> Result<()> {
@@ -645,7 +645,7 @@ impl PredEval {
                         && data
                             .nps
                             .get(pos as usize - 1)
-                            .map_or(false, |&parent| parent == img)
+                            .is_some_and(|&parent| parent == img)
                         && set.contains(&sym)
                 }),
                 Some(orig) => data.leaves.iter().any(|&(_, pos)| {
@@ -659,7 +659,7 @@ impl PredEval {
                         && data
                             .lps
                             .get(pos.wrapping_sub(1) as usize)
-                            .map_or(false, |s| set.contains(s))
+                            .is_some_and(|s| set.contains(s))
                 }),
             }
         })

@@ -523,7 +523,7 @@ mod tests {
     #[test]
     fn oversized_request_line_is_431() {
         let mut raw = b"GET /".to_vec();
-        raw.extend(std::iter::repeat(b'a').take(MAX_REQUEST_LINE + 10));
+        raw.extend(std::iter::repeat_n(b'a', MAX_REQUEST_LINE + 10));
         raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
         assert_eq!(parse(&raw).unwrap_err().status(), 431);
     }

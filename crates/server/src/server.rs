@@ -309,7 +309,7 @@ impl ServerHandle {
             .engine
             .pool()
             .checkpoint()
-            .map_err(|e| io::Error::new(io::ErrorKind::Other, e.to_string()))
+            .map_err(|e| io::Error::other(e.to_string()))
     }
 }
 

@@ -364,8 +364,11 @@ impl BPlusTree {
         Ok(())
     }
 
-    /// Inserts `(key, value)`. Duplicate keys are kept (insertion order
-    /// among equal keys is preserved).
+    /// Inserts `(key, value)`. Duplicate keys are all kept and all
+    /// returned by `get_all`/`scan`; their order among themselves is
+    /// unspecified (a leaf split can file a new entry left of its
+    /// earlier equals), which is the contract `tests/bptree_model.rs`
+    /// checks. A caller that needs equal keys in an order sorts them.
     pub fn insert(&mut self, key: &[u8], val: &[u8]) -> Result<()> {
         Self::check_entry(key, val)?;
         if let Some((sep, right)) = self.insert_rec(self.root, key, val)? {
@@ -645,7 +648,7 @@ impl BPlusTree {
                         return Step::Done;
                     }
                     debug_assert_eq!(k, key);
-                    let matches = val.map_or(true, |v| node::leaf_val(p, i) == v);
+                    let matches = val.is_none_or(|v| node::leaf_val(p, i) == v);
                     if matches {
                         node::remove_slot(p, i);
                         removed += 1;

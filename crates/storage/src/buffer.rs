@@ -508,8 +508,8 @@ impl BufferPool {
         let mut dropped = 0usize;
         vs.chains.retain(|_, chain| {
             chain.retain(|v| {
-                let keep = min_pin.map_or(false, |m| v.valid_through >= m)
-                    || floor.map_or(false, |f| v.valid_through >= f);
+                let keep = min_pin.is_some_and(|m| v.valid_through >= m)
+                    || floor.is_some_and(|f| v.valid_through >= f);
                 if !keep {
                     dropped += 1;
                 }
@@ -564,7 +564,7 @@ impl BufferPool {
             let vs = self.vstate.lock();
             vs.chains
                 .iter()
-                .filter(|(_, c)| c.last().map_or(false, |v| v.valid_through == published))
+                .filter(|(_, c)| c.last().is_some_and(|v| v.valid_through == published))
                 .map(|(&id, _)| id)
                 .collect()
         };
@@ -573,7 +573,7 @@ impl BufferPool {
             let idx = self.fetch(&mut shard, id)?;
             let mut vs = self.vstate.lock();
             let restored = match vs.chains.get_mut(&id) {
-                Some(chain) if chain.last().map_or(false, |v| v.valid_through == published) => {
+                Some(chain) if chain.last().is_some_and(|v| v.valid_through == published) => {
                     let v = chain.pop().expect("checked non-empty");
                     shard.frames[idx].data.copy_from_slice(&v.image[..]);
                     // The round's image may have left the pool: stolen
@@ -658,7 +658,7 @@ impl BufferPool {
             let published = self.published.load(Ordering::Relaxed);
             if !vs.new_pages.contains(&id) {
                 let chain = vs.chains.entry(id).or_default();
-                if chain.last().map_or(true, |v| v.valid_through != published) {
+                if chain.last().is_none_or(|v| v.valid_through != published) {
                     chain.push(Version {
                         valid_through: published,
                         image: shard.frames[idx].data.clone(),

@@ -1,0 +1,66 @@
+//! Immutable index segments: external-merge-sort bulk loading into
+//! implicit B⁺-tree files (the LSM-flavored half of the index
+//! lifecycle).
+//!
+//! The incremental path indexes one document at a time through the
+//! WAL'd buffer pool — the right shape for trickle inserts, the wrong
+//! one for loading millions of documents: every trie node becomes a
+//! B⁺-tree insert, and cold scans churn the pool because pages carry no
+//! key locality. A *segment* is the bulk alternative, following the
+//! read-only bstree design (cds-bstree-file-readonly): sort everything
+//! once with bounded memory, then write an **implicit** tree — entries
+//! packed in key order with no per-node pointers, cut into blocks of
+//! 4 KiB, plus a fence array (the first key of every block) that the
+//! reader holds in memory.
+//!
+//! A segment tier is three such files, all of one make — a 128-byte
+//! frame, sorted sections of whole blocks with resident fences, a CRC
+//! table at the end:
+//!
+//! ```text
+//!                 +-------+----------------------+---------------------+-----------+
+//!   any of them:  | frame | format's own content | fences of its       | CRC table |
+//!                 |       | and sorted sections  | sections (resident) |           |
+//!                 +-------+----------------------+---------------------+-----------+
+//!   <db>.gN.rp.seg   Trie-Symbol rows, Docid rows, records, meta   (structural)
+//!   <db>.gN.ep.seg   the same for the extended sequences           (structural)
+//!   <db>.gN.vx.seg   numeric and string leaf-value postings        (value run)
+//!   <db>.seg         the manifest naming the live files of every tier
+//! ```
+//!
+//! The modules, bottom up:
+//!
+//! * `sort` — bounded-memory external merge sort ([`ExternalSorter`]).
+//! * `blockfile` — what the two formats share, written once: the frame,
+//!   the buffered sequential writer, the CRC table, the block cache and
+//!   its counters, and the sorted section with its fence-guided scan
+//!   and its verification pass, generic over how a block is encoded.
+//! * `structural` — RP and EP segments ([`SegmentBuilder`],
+//!   [`SegmentReader`]): fixed-width rows, the streaming trie labeler
+//!   that produces them, per-document records.
+//! * `valuerun` — a tier's value index ([`ValueRunBuilder`],
+//!   [`ValueRunReader`]): variable-length `key | posting` entries and
+//!   a resident tag directory.
+//! * `manifest` — the [`Manifest`]: the atomic commit point of every
+//!   bulk build and compaction.
+//! * `env` — where the files live ([`SegmentEnv`]): real files, or
+//!   memory in tests.
+
+mod blockfile;
+mod env;
+mod manifest;
+mod sort;
+mod structural;
+mod valuerun;
+
+pub use env::{env_temp_factory, FileSegEnv, MemSegEnv, SegmentEnv};
+pub use manifest::{Manifest, ManifestSegment};
+pub use sort::{ExternalSorter, SortItem, TempFactory};
+pub use structural::{
+    SegTrieStats, SegmentBuilder, SegmentCheck, SegmentReader, SEG_KIND_EP, SEG_KIND_RP,
+    SEG_VERSION,
+};
+pub use valuerun::{
+    ValueRunBuilder, ValueRunReader, VxCheck, VxEntry, VxSection, SEG_KIND_VX, VX_MAX_KEY_LEN,
+    VX_VERSION,
+};

@@ -166,10 +166,7 @@ impl FaultInjector {
 }
 
 fn killed() -> StorageError {
-    StorageError::Io(io::Error::new(
-        io::ErrorKind::Other,
-        "injected crash: process is dead",
-    ))
+    StorageError::Io(io::Error::other("injected crash: process is dead"))
 }
 
 enum PendingOp {

@@ -271,7 +271,7 @@ impl<'a> TwigJoin<'a> {
             if let Some(p) = parent {
                 clean_stack(&mut stacks[p], act_l);
             }
-            let push_ok = parent.map_or(true, |p| !stacks[p].is_empty());
+            let push_ok = parent.is_none_or(|p| !stacks[p].is_empty());
             if !inputs[q_act].is_exact() {
                 // Internal XB entry: skip it only when provably useless —
                 // no current ancestor on the parent stack AND every

@@ -78,7 +78,7 @@ fn run(streams: &StreamStore, q: &TwigQuery) -> Result<TwigResult> {
 
         // Clean every stack: entries ending before min_l are dead.
         for s in &mut stacks {
-            while s.last().map_or(false, |(e, _)| e.right < min_l) {
+            while s.last().is_some_and(|(e, _)| e.right < min_l) {
                 s.pop();
             }
         }

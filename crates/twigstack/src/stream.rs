@@ -39,7 +39,7 @@ impl StreamStore {
         let mut metas = HashMap::with_capacity(streams.len());
         for (&sym, elems) in streams {
             let mut meta = StreamMeta {
-                chunks: Vec::with_capacity((elems.len() + CHUNK - 1) / CHUNK),
+                chunks: Vec::with_capacity(elems.len().div_ceil(CHUNK)),
                 len: elems.len(),
             };
             for chunk in elems.chunks(CHUNK) {

@@ -7,7 +7,8 @@
 # Per file under crates/{core,storage,server,cli}/src, base vs working
 # tree: lines that are neither blank nor a `//` comment and sit above
 # the file's `#[cfg(test)]` module (every such module in these crates
-# closes its file). Then the option counts: `pub` fields of
+# closes its file), with one subtotal: `segment.rs` and the modules
+# under `segment/` that succeeded it. Then the option counts: `pub` fields of
 # EngineConfig, ExecOpts and ServerConfig, and CLI flag match sites
 # (`== "--x"`, `"--x" =>`, `Some("--x")` in crates/cli/src/main.rs).
 # Then the entry points: `pub fn`s of PrixIndex named execute*/stream*
@@ -51,7 +52,7 @@ cli_flags() {
 }
 
 echo "code lines outside #[cfg(test)], $BASE -> working tree"
-total_b=0 total_w=0
+total_b=0 total_w=0 seg_b=0 seg_w=0
 for c in "${CRATES[@]}"; do
   dir="crates/$c/src"
   crate_b=0 crate_w=0
@@ -59,27 +60,31 @@ for c in "${CRATES[@]}"; do
     b=$(at_base "$f" | code_lines)
     w=$(at_work "$f" | code_lines)
     crate_b=$((crate_b + b)) crate_w=$((crate_w + w))
+    case "$f" in crates/storage/src/segment.rs | crates/storage/src/segment/*)
+      seg_b=$((seg_b + b)) seg_w=$((seg_w + w)) ;;
+    esac
     if [ "$b" != "$w" ]; then
-      printf '  %-34s %6d -> %6d  (%+d)\n' "$f" "$b" "$w" $((w - b))
+      printf '  %-41s %6d -> %6d  (%+d)\n' "$f" "$b" "$w" $((w - b))
     else
-      printf '  %-34s %6d\n' "$f" "$w"
+      printf '  %-41s %6d\n' "$f" "$w"
     fi
   done < <({ git ls-tree -r --name-only "$BASE" -- "$dir"; find "$dir" -name '*.rs'; } | sort -u)
-  printf '  %-34s %6d -> %6d  (%+d)\n' "crates/$c/src total" "$crate_b" "$crate_w" $((crate_w - crate_b))
+  printf '  %-41s %6d -> %6d  (%+d)\n' "crates/$c/src total" "$crate_b" "$crate_w" $((crate_w - crate_b))
   total_b=$((total_b + crate_b)) total_w=$((total_w + crate_w))
 done
-printf '  %-34s %6d -> %6d  (%+d)\n' "all four crates" "$total_b" "$total_w" $((total_w - total_b))
+printf '  %-41s %6d -> %6d  (%+d)\n' "all four crates" "$total_b" "$total_w" $((total_w - total_b))
+printf '  %-41s %6d -> %6d  (%+d)\n' "segment.rs and successors" "$seg_b" "$seg_w" $((seg_w - seg_b))
 
 echo "options, $BASE -> working tree"
 while read -r name file; do
-  printf '  %-34s %6d -> %6d\n' "$name pub fields" \
+  printf '  %-41s %6d -> %6d\n' "$name pub fields" \
     "$(at_base "$file" | pub_fields "$name")" "$(at_work "$file" | pub_fields "$name")"
 done <<'EOF'
 EngineConfig crates/core/src/engine.rs
 ExecOpts crates/core/src/index.rs
 ServerConfig crates/server/src/server.rs
 EOF
-printf '  %-34s %6d -> %6d\n' "CLI flag sites" \
+printf '  %-41s %6d -> %6d\n' "CLI flag sites" \
   "$(at_base crates/cli/src/main.rs | cli_flags)" "$(at_work crates/cli/src/main.rs | cli_flags)"
 
 echo "entry points, $BASE -> working tree"
@@ -90,7 +95,7 @@ pub_fns() {
     { grep -cE "^ +pub fn ($1)[a-z_]*[(<]" || true; }
 }
 while read -r name file prefixes; do
-  printf '  %-34s %6d -> %6d\n' "$name" \
+  printf '  %-41s %6d -> %6d\n' "$name" \
     "$(at_base "$file" | pub_fns "$prefixes")" "$(at_work "$file" | pub_fns "$prefixes")"
 done <<'ENTRY_POINTS'
 PrixIndex::{execute*,stream*} crates/core/src/index.rs execute|stream
@@ -101,7 +106,7 @@ ENTRY_POINTS
 echo "/metrics registry, $BASE -> working tree"
 series() { grep -cE '^ +Series \{ name: "prix_' || true; }
 readme_rows() { grep -cE '^\| `prix_[a-z0-9_]+` \| (counter|gauge|histogram) \|' || true; }
-printf '  %-34s %6d -> %6d\n' "SERIES entries" \
+printf '  %-41s %6d -> %6d\n' "SERIES entries" \
   "$(at_base crates/server/src/metrics.rs | series)" "$(at_work crates/server/src/metrics.rs | series)"
-printf '  %-34s %6d -> %6d\n' "README /metrics rows" \
+printf '  %-41s %6d -> %6d\n' "README /metrics rows" \
   "$(at_base README.md | readme_rows)" "$(at_work README.md | readme_rows)"

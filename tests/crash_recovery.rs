@@ -599,11 +599,8 @@ fn redo_log_iteration(
         .verify_checksums()
         .map_err(|e| format!("checksum verification after recovery: {e}"))?;
     after
-        .verify_segments()
-        .map_err(|e| format!("segment verification after recovery: {e}"))?;
-    after
-        .verify_value_runs()
-        .map_err(|e| format!("value-run verification after recovery: {e}"))?;
+        .verify_tiers()
+        .map_err(|e| format!("segment and value-run verification after recovery: {e}"))?;
     after
         .valix()
         .verify()

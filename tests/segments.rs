@@ -547,7 +547,7 @@ fn tiny_run_budget_spills_leaf_values_and_produces_an_identical_value_run() {
             b.add_xml(d).unwrap();
         }
         let engine = b.finish().unwrap();
-        engine.verify_value_runs().unwrap();
+        engine.verify_tiers().unwrap();
         let files =
             ["rp", "ep", "vx"].map(|kind| read_file(&env.inner, &format!(".g1.{kind}.seg")));
         let temps = env.temps.load(std::sync::atomic::Ordering::Relaxed);
@@ -571,7 +571,7 @@ fn tiny_run_budget_spills_leaf_values_and_produces_an_identical_value_run() {
 // Corrupt segment bytes: an error from the decoder, not a panic
 // ---------------------------------------------------------------------------
 
-/// Segment blocks are CRC-checked by `verify_segments`, not on the open
+/// Segment blocks are CRC-checked by `verify_tiers`, not on the open
 /// or query path, so the decoders see whatever the file holds. A
 /// two-document database whose RP segment the tests below damage.
 fn small_segmented_env() -> Arc<MemSegEnv> {
@@ -682,11 +682,8 @@ fn reopen_and_verify(fenv: &FaultSegEnv) -> Result<PrixEngine, String> {
         .verify_checksums()
         .map_err(|e| format!("post-crash checksum verify: {e}"))?;
     engine
-        .verify_segments()
-        .map_err(|e| format!("post-crash segment verify: {e}"))?;
-    engine
-        .verify_value_runs()
-        .map_err(|e| format!("post-crash value-run verify: {e}"))?;
+        .verify_tiers()
+        .map_err(|e| format!("post-crash segment and value-run verify: {e}"))?;
     engine
         .valix()
         .verify()
@@ -816,10 +813,8 @@ fn compaction_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> 
     if eng.mutable_docs() > 0 {
         eng.compact()
             .map_err(|e| format!("compaction over a crashed one's debris: {e}"))?;
-        eng.verify_segments()
-            .map_err(|e| format!("segment verify after the retried compaction: {e}"))?;
-        eng.verify_value_runs()
-            .map_err(|e| format!("value-run verify after the retried compaction: {e}"))?;
+        eng.verify_tiers()
+            .map_err(|e| format!("tier verify after the retried compaction: {e}"))?;
         if full_results(&eng)? != expected {
             return Err(format!(
                 "answers changed when a compaction was retried after a {kind:?} crash \

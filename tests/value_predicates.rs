@@ -184,7 +184,7 @@ fn oracle_holds(tree: &XmlTree, syms: &SymbolTable, q: &TwigQuery, emb: &[PostNu
         let img = emb[(q.tree().postorder(p.node) - 1) as usize];
         tree.nodes()
             .find(|&n| tree.postorder(n) == img)
-            .map_or(false, |n| {
+            .is_some_and(|n| {
                 tree.children(n)
                     .iter()
                     .any(|&c| tree.is_leaf(c) && p.accepts(syms.name(tree.label(c))))
@@ -573,7 +573,7 @@ fn prop_tiered_valix_equals_single_tree(
             docs.len()
         ));
     }
-    engine.verify_value_runs().map_err(|e| e.to_string())?;
+    engine.verify_tiers().map_err(|e| e.to_string())?;
     engine.valix().verify().map_err(|e| e.to_string())?;
     check_against_single_tree(&engine, &docs, spec, "reopen")
 }

@@ -195,8 +195,7 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
         "indexed {} documents ({} elements, {} values) into {out}",
         stats.sequences, stats.elements, stats.values
     );
-    print_index_stats(&engine);
-    Ok(())
+    print_index_stats(&engine)
 }
 
 fn cmd_query(args: &[String]) -> Result<(), CliError> {
@@ -427,7 +426,7 @@ fn cmd_stats(args: &[String]) -> Result<(), CliError> {
         return Err(usage_err("stats needs <db.prix>"));
     };
     let engine = PrixEngine::reopen(db, 2000).map_err(|e| e.to_string())?;
-    print_index_stats(&engine);
+    print_index_stats(&engine)?;
     print_log_state(&engine);
     print_file_bytes(&engine)
 }
@@ -518,12 +517,38 @@ fn print_segment_rows(engine: &PrixEngine) -> Result<(), CliError> {
                 run.resident_bytes()
             );
         } else {
+            let reader = engine.segment_reader(s).map_err(|e| e.to_string())?;
             println!(
                 "  segment {}: kind {}, {docs}, format v{}, {} fence bytes resident",
                 s.suffix,
                 seg_kind_name(s.kind),
                 prix_core::SEG_VERSION,
-                engine.segment_fence_bytes(s).map_err(|e| e.to_string())?
+                reader.fence_bytes()
+            );
+            let l = reader.layout();
+            let packed = |bytes: u64, rows: u64, blocks: u64| {
+                let per_block = rows.checked_div(blocks).unwrap_or(0);
+                format!("{bytes} ({rows} rows in {blocks} blocks, {per_block} a block)")
+            };
+            let sections = l.record_bytes
+                + l.record_index_bytes
+                + l.tag_bytes
+                + l.doc_bytes
+                + l.fence_bytes
+                + l.meta_bytes
+                + l.crc_bytes;
+            println!(
+                "    {} bytes: records {}, record index {}, tag rows {}, doc ends {}, \
+                 fences {}, meta {}, CRC table {}, frame and alignment {}",
+                l.file_bytes,
+                l.record_bytes,
+                l.record_index_bytes,
+                packed(l.tag_bytes, l.tag_rows, l.tag_blocks),
+                packed(l.doc_bytes, l.doc_rows, l.doc_blocks),
+                l.fence_bytes,
+                l.meta_bytes,
+                l.crc_bytes,
+                l.file_bytes - sections
             );
         }
     }
@@ -675,11 +700,11 @@ fn known_db_suffix(suffix: &str) -> bool {
     )
 }
 
-fn print_index_stats(engine: &PrixEngine) {
-    for (name, idx) in [
-        ("RPIndex", engine.rp_index()),
-        ("EPIndex", engine.ep_index()),
-    ] {
+/// One line per index of the mutable delta (what `prix add` and the
+/// server's ingest grow until the next compaction), then one per
+/// segment of every tier, from the build statistics in its meta blob.
+fn print_index_stats(engine: &PrixEngine) -> Result<(), CliError> {
+    let line = |name: String, idx: &prix_core::PrixIndex| {
         let b = idx.build_stats();
         println!(
             "{name}: {} docs, {} trie nodes, {} paths (best shared by {}), total seq len {}",
@@ -689,7 +714,17 @@ fn print_index_stats(engine: &PrixEngine) {
             b.max_path_sharing,
             b.total_seq_len
         );
+    };
+    line("RPIndex delta".into(), engine.rp_index());
+    line("EPIndex delta".into(), engine.ep_index());
+    for s in engine.segment_manifest() {
+        if s.kind != prix_core::SEG_KIND_VX {
+            let idx = engine.segment_index(s).map_err(|e| e.to_string())?;
+            let kind = seg_kind_name(s.kind).to_uppercase();
+            line(format!("{kind}Index segment {}", s.suffix), idx);
+        }
     }
+    Ok(())
 }
 
 /// The write-ahead log as this process holds it: its length, the page

@@ -305,7 +305,7 @@ fn failed_add_leaves_the_database_as_it_was() {
         lines
     };
     let before = state();
-    assert!(before[0].contains("RPIndex: 6 docs"), "{}", before[0]);
+    assert!(before[0].contains("RPIndex delta: 6 docs"), "{}", before[0]);
     assert!(before[1].starts_with("6 match(es)"), "{}", before[1]);
 
     let out = prix(&["add", db, &good1, &good2, &broken]);
@@ -327,7 +327,7 @@ fn failed_add_leaves_the_database_as_it_was() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("good1.xml as doc 6"), "{text}");
     let after = state();
-    assert!(after[0].contains("RPIndex: 7 docs"), "{}", after[0]);
+    assert!(after[0].contains("RPIndex delta: 7 docs"), "{}", after[0]);
     assert!(after[1].starts_with("7 match(es)"), "{}", after[1]);
 
     std::fs::remove_dir_all(&dir).unwrap();
@@ -375,8 +375,33 @@ fn value_runs_show_in_segments_stats_and_fsck() {
         assert!(text.contains(run), "no `{run}` in:\n{text}");
     }
     assert!(text.contains("segments: clean"), "{text}");
+    // Every structural segment says where its bytes are, to the byte.
+    let layouts: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains(" bytes: records "))
+        .collect();
+    assert_eq!(layouts.len(), 4, "{text}");
+    for line in layouts {
+        let numbers = |s: &str| -> Vec<u64> {
+            let words = s.split(|c: char| !c.is_ascii_digit());
+            words.filter_map(|w| w.parse().ok()).collect()
+        };
+        // Drop the (rows, blocks, rows a block) of the two row sections.
+        let n = numbers(line);
+        let sections = [&n[1..4], &n[7..8], &n[11..]].concat();
+        assert_eq!(n[0], sections.iter().sum::<u64>(), "{line}");
+    }
 
     let text = ok(&["stats", db]);
+    // The delta is empty after the compaction; the tiers hold the
+    // documents.
+    for line in [
+        "RPIndex delta: 0 docs, 0 trie nodes",
+        "RPIndex segment .g1.rp.seg: 3 docs, 4 trie nodes",
+        "EPIndex segment .g2.ep.seg: 1 docs, ",
+    ] {
+        assert!(text.contains(line), "no `{line}` in:\n{text}");
+    }
     let bytes: Vec<u64> = text
         .lines()
         .filter_map(|l| l.strip_prefix("bytes:"))

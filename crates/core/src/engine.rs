@@ -891,18 +891,21 @@ impl PrixEngine {
             .ok_or_else(|| IndexError::Unsupported("manifest row without a loaded tier".into()))
     }
 
-    /// The open reader behind manifest row `s` (an RP or EP row).
-    fn segment_reader(&self, s: &ManifestSegment) -> Result<&Arc<SegmentReader>> {
+    /// The tier index behind manifest row `s` (an RP or EP row): its
+    /// `build_stats()` are what the segment's meta blob recorded
+    /// (`prix stats`).
+    pub fn segment_index(&self, s: &ManifestSegment) -> Result<&PrixIndex> {
         let t = self.tier_of(s)?;
-        if s.kind == SEG_KIND_RP { &t.rp } else { &t.ep }
-            .segment()
-            .ok_or_else(|| IndexError::Unsupported("manifest row without a loaded tier".into()))
+        Ok(if s.kind == SEG_KIND_RP { &t.rp } else { &t.ep })
     }
 
-    /// Bytes of fence arrays the reader of manifest row `s` holds in
-    /// memory (`prix segments`).
-    pub fn segment_fence_bytes(&self, s: &ManifestSegment) -> Result<u64> {
-        Ok(self.segment_reader(s)?.fence_bytes())
+    /// The open reader behind manifest row `s` (an RP or EP row;
+    /// `prix segments`).
+    pub fn segment_reader(&self, s: &ManifestSegment) -> Result<&SegmentReader> {
+        let reader = self.segment_index(s)?.segment();
+        reader
+            .map(|r| &**r)
+            .ok_or_else(|| IndexError::Unsupported("manifest row without a loaded tier".into()))
     }
 
     /// The open value run behind manifest row `s` (a VX row).

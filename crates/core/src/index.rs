@@ -1139,6 +1139,11 @@ mod codec {
         pub fn u64(&mut self, v: u64) {
             self.0.extend_from_slice(&v.to_le_bytes());
         }
+        /// A LEB128 varint: what a segment's records and meta blob
+        /// are made of.
+        pub fn var(&mut self, v: u64) {
+            prix_storage::segment::put_varint(&mut self.0, v);
+        }
     }
     /// Bounds-checked: the bytes come from disk, and neither a page
     /// checksum nor the unverified-on-read segment blocks vouch for
@@ -1162,6 +1167,25 @@ mod codec {
         pub fn u64(&mut self) -> Option<u64> {
             Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
         }
+        pub fn var(&mut self) -> Option<u64> {
+            prix_storage::segment::take_varint(&mut self.0)
+        }
+        pub fn var32(&mut self) -> Option<u32> {
+            self.var().and_then(|v| u32::try_from(v).ok())
+        }
+        /// `n` consecutive 32-bit varints, `n` itself read from the
+        /// input: a varint is at least a byte, so a count above what is
+        /// left is refused before anything is allocated for it.
+        pub fn var32s(&mut self, n: u64) -> Option<Vec<u32>> {
+            if n > self.0.len() as u64 {
+                return None;
+            }
+            let mut out = Vec::with_capacity(n as usize);
+            for _ in 0..n {
+                out.push(self.var32()?);
+            }
+            Some(out)
+        }
         /// `n` consecutive u32s, `n` itself read from the input: the
         /// length is checked against what is left before anything is
         /// allocated for it.
@@ -1173,8 +1197,8 @@ mod codec {
 }
 
 /// Decodes the MaxGap table, childless set and build statistics that
-/// close both the pool index's and a segment's metadata, and requires
-/// the input to end there.
+/// close the pool index's metadata, and requires the input to end
+/// there.
 fn decode_meta_tail(
     r: &mut codec::Reader,
 ) -> Option<(MaxGapTable, std::collections::HashSet<Sym>, BuildStats)> {
@@ -1317,9 +1341,9 @@ impl PrixIndex {
                 0 => IndexKind::Regular,
                 _ => IndexKind::Extended,
             };
-            Some((kind, Sym(r.u32()?), decode_meta_tail(&mut r)?))
+            Some((kind, decode_seg_index_meta(&mut r)?))
         };
-        let (kind, dummy, (maxgap, childless, build_stats)) =
+        let (kind, (dummy, maxgap, childless, build_stats)) =
             decode().ok_or_else(|| IndexError::Unsupported("corrupt segment metadata".into()))?;
         if (reader.kind() == SEG_KIND_RP) != matches!(kind, IndexKind::Regular) {
             return Err(IndexError::Unsupported(
@@ -1350,62 +1374,64 @@ pub(crate) fn encode_doc_record(
     n_orig: u32,
 ) -> Vec<u8> {
     debug_assert_eq!(nps.len(), lps.len());
-    let mut w = codec::Writer::new();
-    w.u32(nps.len() as u32);
-    for &v in nps {
-        w.u32(v);
-    }
+    let mut leaf_part = codec::Writer::new();
     for &s in lps {
-        w.u32(s.0);
+        leaf_part.var(u64::from(s.0));
     }
-    w.u32(leaves.len() as u32);
+    leaf_part.var(leaves.len() as u64);
     for &(s, p) in leaves {
-        w.u32(s.0);
-        w.u32(p);
+        leaf_part.var(u64::from(s.0));
+        leaf_part.var(u64::from(p));
     }
-    match orig_map {
-        Some(m) => {
-            w.u32(m.len() as u32);
-            for &v in m {
-                w.u32(v);
-            }
-        }
-        None => w.u32(0),
+    let mut w = codec::Writer::new();
+    w.var(nps.len() as u64);
+    for &v in nps {
+        w.var(u64::from(v));
     }
-    w.u32(n_orig);
+    w.var(leaf_part.0.len() as u64);
+    w.0.extend_from_slice(&leaf_part.0);
+    let orig_map = orig_map.unwrap_or(&[]);
+    w.var(orig_map.len() as u64);
+    for &v in orig_map {
+        w.var(u64::from(v));
+    }
+    w.var(u64::from(n_orig));
     w.0
 }
 
-/// Inverse of [`encode_doc_record`]. With `need_leaf_data` unset the
-/// LPS and leaf list are skipped without allocating, mirroring the
-/// record-store fast path. `None` when the bytes are not one whole
+/// Inverse of [`encode_doc_record`]: every field a varint, the byte
+/// length of the LPS + leaf-list part ahead of it, so that with
+/// `need_leaf_data` unset the part is stepped over undecoded, mirroring
+/// the record-store fast path. `None` when the bytes are not one whole
 /// record: segment blocks are not checksummed on the query path.
 fn decode_doc_record(bytes: &[u8], need_leaf_data: bool) -> Option<DocData> {
     let mut r = codec::Reader(bytes);
-    let n = r.u32()? as usize;
-    let nps: Vec<PostNum> = r.u32s(n)?.collect();
-    let lps = r.u32s(n)?;
-    let nl = r.u32()? as usize;
-    let mut leaf_words = r.u32s(nl.checked_mul(2)?)?;
+    let n = r.var()?;
+    let nps = r.var32s(n)?;
+    let leaf_len = usize::try_from(r.var()?).ok()?;
+    let (leaf_part, rest) = r.0.split_at_checked(leaf_len)?;
+    r.0 = rest;
     let (lps, leaves) = if need_leaf_data {
-        // `u32s` vouched for the length, so reserving it is safe.
-        let mut leaves = Vec::with_capacity(nl);
-        while let (Some(s), Some(p)) = (leaf_words.next(), leaf_words.next()) {
-            leaves.push((Sym(s), p));
+        let mut part = codec::Reader(leaf_part);
+        let lps = part.var32s(n)?.into_iter().map(Sym).collect();
+        let nl = part.var()?;
+        let leaf_words = part.var32s(nl.checked_mul(2)?)?;
+        if !part.0.is_empty() {
+            return None;
         }
-        (lps.map(Sym).collect(), leaves)
+        let leaves = leaf_words.chunks_exact(2).map(|c| (Sym(c[0]), c[1]));
+        (lps, leaves.collect())
     } else {
         (Vec::new(), Vec::new())
     };
-    let n_map = r.u32()? as usize;
-    let orig_map = r.u32s(n_map)?;
-    let orig_map = (n_map != 0).then(|| orig_map.collect());
-    let n_orig = r.u32()?;
+    let n_map = r.var()?;
+    let orig_map = r.var32s(n_map)?;
+    let n_orig = r.var32()?;
     r.0.is_empty().then_some(DocData {
         nps,
         lps,
         leaves,
-        orig_map,
+        orig_map: (n_map != 0).then_some(orig_map),
         n_orig,
     })
 }
@@ -1428,27 +1454,69 @@ pub(crate) fn encode_seg_index_meta(
         IndexKind::Regular => 0,
         IndexKind::Extended => 1,
     });
-    w.u32(dummy.0);
+    w.var(u64::from(dummy.0));
     let mut gaps: Vec<(Sym, PostNum)> = maxgap.entries().collect();
     gaps.sort_by_key(|&(s, _)| s.0);
-    w.u32(gaps.len() as u32);
+    w.var(gaps.len() as u64);
+    let mut prev = 0;
     for (sym, gap) in gaps {
-        w.u32(sym.0);
-        w.u32(gap);
+        w.var(u64::from(sym.0 - prev));
+        w.var(u64::from(gap));
+        prev = sym.0;
     }
     let mut cl: Vec<u32> = childless.iter().map(|s| s.0).collect();
     cl.sort_unstable();
-    w.u32(cl.len() as u32);
+    w.var(cl.len() as u64);
+    let mut prev = 0;
     for s in cl {
-        w.u32(s);
+        w.var(u64::from(s - prev));
+        prev = s;
     }
-    w.u64(stats.trie_nodes as u64);
-    w.u64(stats.trie_paths as u64);
-    w.u64(stats.sequences);
-    w.u64(stats.max_path_sharing);
-    w.u64(stats.underflows);
-    w.u64(stats.total_seq_len);
+    for stat in [
+        stats.trie_nodes as u64,
+        stats.trie_paths as u64,
+        stats.sequences,
+        stats.max_path_sharing,
+        stats.underflows,
+        stats.total_seq_len,
+    ] {
+        w.var(stat);
+    }
     w.0
+}
+
+/// Inverse of [`encode_seg_index_meta`] past the kind byte, requiring
+/// the input to end where the blob does.
+fn decode_seg_index_meta(
+    r: &mut codec::Reader,
+) -> Option<(Sym, MaxGapTable, std::collections::HashSet<Sym>, BuildStats)> {
+    /// The ascending symbols `deltas` are the successive distances of.
+    fn ascending(deltas: impl Iterator<Item = u32>) -> Option<Vec<Sym>> {
+        let mut sym = 0u32;
+        let mut next = |d| {
+            sym = sym.checked_add(d)?;
+            Some(Sym(sym))
+        };
+        deltas.map(&mut next).collect()
+    }
+    let dummy = Sym(r.var32()?);
+    let n_gaps = r.var()?;
+    let words = r.var32s(n_gaps.checked_mul(2)?)?;
+    let syms = ascending(words.iter().step_by(2).copied())?;
+    let gaps = words.iter().skip(1).step_by(2).copied();
+    let maxgap = MaxGapTable::from_entries(syms.into_iter().zip(gaps));
+    let n_childless = r.var()?;
+    let childless = ascending(r.var32s(n_childless)?.into_iter())?;
+    let stats = BuildStats {
+        trie_nodes: r.var()? as usize,
+        trie_paths: r.var()? as usize,
+        sequences: r.var()?,
+        max_path_sharing: r.var()?,
+        underflows: r.var()?,
+        total_seq_len: r.var()?,
+    };
+    r.0.is_empty()
+        .then(|| (dummy, maxgap, childless.into_iter().collect(), stats))
 }
 
 pub(crate) struct QueryPlan {
@@ -1763,5 +1831,120 @@ mod tests {
             fine.1.maxgap_pruned,
             coarse.1.maxgap_pruned
         );
+    }
+
+    type RecordFields = (
+        Vec<PostNum>,
+        Vec<Sym>,
+        Vec<(Sym, PostNum)>,
+        Option<Vec<PostNum>>,
+        u32,
+    );
+
+    fn fields(d: DocData) -> RecordFields {
+        (d.nps, d.lps, d.leaves, d.orig_map, d.n_orig)
+    }
+
+    /// A segment's document record round-trips, with and without its
+    /// leaf part; cut short, overwritten with a varint that never ends,
+    /// or claiming more than it holds, it decodes to `None` (which
+    /// `load_doc` reports as "corrupt document record") — never a
+    /// panic, never an allocation sized by a count it does not back.
+    #[test]
+    fn doc_record_roundtrips_and_damaged_ones_are_refused() {
+        use prix_testkit::{check, from_fn, Config};
+        // Values of one, two and three varint bytes.
+        let nps: Vec<PostNum> = (0..300).map(|i| i * 71 % 20_000 + 1).collect();
+        let lps: Vec<Sym> = (0..300).map(|i| Sym(i * 7 % 400)).collect();
+        let leaves: Vec<(Sym, PostNum)> = (0..40).map(|i| (Sym(i * 11 % 300), i * 3 + 1)).collect();
+        let map: Vec<PostNum> = (0..350).map(|i| if i % 5 == 0 { 0 } else { i }).collect();
+        let good = encode_doc_record(&nps, &lps, &leaves, Some(&map), 281);
+        let whole = (nps.clone(), lps, leaves, Some(map), 281);
+        let bare = (nps, vec![], vec![], whole.3.clone(), 281);
+        assert_eq!(decode_doc_record(&good, true).map(fields), Some(whole));
+        assert_eq!(
+            decode_doc_record(&good, false).map(fields).as_ref(),
+            Some(&bare)
+        );
+        let empty = encode_doc_record(&[], &[], &[], None, 1);
+        let none = (vec![], vec![], vec![], None, 1);
+        assert_eq!(decode_doc_record(&empty, true).map(fields), Some(none));
+
+        // Counts and lengths the bytes do not back.
+        let record = |words: &[u64]| {
+            let mut w = codec::Writer::new();
+            words.iter().for_each(|&v| w.var(v));
+            w.0
+        };
+        for bad in [
+            record(&[u64::MAX]),
+            record(&[3, 1, 2]),
+            record(&[1, 7, 1 << 40, 0, 0, 0, 1]),
+            record(&[1, 7, 11, 5, u64::MAX, 0, 1]),
+            record(&[0, 1, 0, 1 << 33, 1]),
+            record(&[0, 1, 0, 0, 1 << 32]),
+            record(&[0, 1, 0, 0, 1, 0]),
+        ] {
+            assert!(decode_doc_record(&bad, true).is_none(), "{bad:?}");
+        }
+
+        #[derive(Debug, Clone)]
+        enum Damage {
+            Truncate(usize),
+            Endless(usize),
+            Flip(usize, u8),
+        }
+        let len = good.len();
+        // The leaf part: after `n`, the NPS and the part's own length.
+        let leaf_part = {
+            let mut r = codec::Reader(&good);
+            let n = r.var().unwrap();
+            r.var32s(n).unwrap();
+            let part_len = r.var().unwrap() as usize;
+            let at = len - r.0.len();
+            at..at + part_len
+        };
+        let damage = from_fn(move |rng| match rng.below(3) {
+            0 => Damage::Truncate(rng.below(len as u64) as usize),
+            1 => Damage::Endless(rng.below(len as u64) as usize),
+            _ => Damage::Flip(rng.below(len as u64) as usize, 1 << rng.below(8)),
+        });
+        let cfg = Config {
+            cases: 600,
+            max_shrink_iters: 100,
+            ..Default::default()
+        };
+        check("hostile_doc_record", &cfg, &damage, |d| {
+            let mut bytes = good.clone();
+            // Whether each of the two decodes must refuse the damage
+            // (a flipped bit may leave a different, whole record).
+            let refused = match *d {
+                Damage::Truncate(at) => {
+                    bytes.truncate(at);
+                    Some([true, true])
+                }
+                Damage::Endless(at) => {
+                    let end = len.min(at + 11);
+                    bytes[at..end].fill(0xff);
+                    Some([true, at < leaf_part.start || end > leaf_part.end])
+                }
+                Damage::Flip(at, mask) => {
+                    bytes[at] ^= mask;
+                    None
+                }
+            };
+            let got = [true, false].map(|leaf| decode_doc_record(&bytes, leaf).map(fields));
+            match refused {
+                None => Ok(()),
+                Some(refused) if refused == got.each_ref().map(Option::is_none) => {
+                    // Damage inside a leaf part stepped over undecoded.
+                    match &got[1] {
+                        Some(rec) if *rec != bare => Err(format!("{d:?} changed the record")),
+                        _ => Ok(()),
+                    }
+                }
+                Some(_) => Err(format!("{d:?} decoded to {got:?}")),
+            }
+        });
     }
 }

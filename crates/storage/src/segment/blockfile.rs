@@ -27,10 +27,13 @@
 //!   `open`. A lookup is one binary search over the fences and a search
 //!   inside one cached block; a range scan enters a following block
 //!   only while its fence is still inside the range. How a block and a
-//!   fence are encoded is the section's [`BlockCodec`]: fixed-width
-//!   rows ([`FixedRows`], binary search inside the block) or
-//!   count-prefixed `klen | key | posting` entries ([`KeyedEntries`],
-//!   linear inside the block).
+//!   fence are encoded is the section's [`BlockCodec`]: delta-coded
+//!   varint rows with restarts ([`PackedRows`], binary search over the
+//!   restarts of the block) or count-prefixed `klen | key | posting`
+//!   entries ([`KeyedEntries`], linear inside the block).
+//! * **Varints** ([`put_varint`], [`take_varint`]) — the LEB128 coding
+//!   of packed rows, and of the records and meta blob the core layer
+//!   stores in a segment.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -349,10 +352,12 @@ impl BlockFile {
 }
 
 /// How the blocks and the resident fences of one [`Section`] are
-/// encoded. An entry reaches a caller still encoded, next to its key.
+/// encoded.
 pub(crate) trait BlockCodec {
     /// What the section is sorted by.
     type Key: ?Sized + PartialEq;
+    /// What a caller is handed of an entry, next to its key.
+    type Entry: ?Sized;
     /// What stays resident of every block: its first key, one way or
     /// another.
     type Fence;
@@ -371,7 +376,7 @@ pub(crate) trait BlockCodec {
         block: &'b [u8],
         g: usize,
         skip: Option<&impl Fn(&Self::Key) -> bool>,
-        each: impl FnMut(&Self::Key, &[u8]) -> Result<bool>,
+        each: impl FnMut(&Self::Key, &Self::Entry) -> Result<bool>,
     ) -> Result<Option<&'b [u8]>>;
 }
 
@@ -393,7 +398,7 @@ impl<C: BlockCodec> Section<C> {
     /// The one fence-guided range scan. Keys ascend through the
     /// section, `before` holds on a prefix of them (the entries below
     /// the range) and `past` on a suffix (the entries above it); every
-    /// entry in between goes to `visit` still encoded, in key order,
+    /// entry in between goes to `visit`, in key order,
     /// until `visit` returns `false`. One binary search over the
     /// resident fences finds the block holding the first such entry
     /// (entries equal to the range's start can end the block before the
@@ -405,7 +410,7 @@ impl<C: BlockCodec> Section<C> {
         file: &BlockFile,
         before: impl Fn(&C::Key) -> bool,
         past: impl Fn(&C::Key) -> bool,
-        mut visit: impl FnMut(&C::Key, &[u8]) -> bool,
+        mut visit: impl FnMut(&C::Key, &C::Entry) -> bool,
     ) -> Result<()> {
         let not_before = self.fences.partition_point(|f| before(self.codec.key(f)));
         let first = not_before.saturating_sub(1);
@@ -417,7 +422,7 @@ impl<C: BlockCodec> Section<C> {
             // Later blocks start inside the range: their fence is
             // neither `before` nor `past`.
             let skip = (g == first).then_some(&before);
-            let each = |key: &C::Key, entry: &[u8]| Ok(!past(key) && visit(key, entry));
+            let each = |key: &C::Key, entry: &C::Entry| Ok(!past(key) && visit(key, entry));
             if self.codec.walk(&block, g, skip, each)?.is_none() {
                 break;
             }
@@ -433,7 +438,7 @@ impl<C: BlockCodec> Section<C> {
         &self,
         store: &dyn RawStore,
         name: &str,
-        mut check: impl FnMut(u64, &C::Key, &[u8]) -> Result<()>,
+        mut check: impl FnMut(u64, &C::Key, &C::Entry) -> Result<()>,
     ) -> Result<u64> {
         let mut chunk = vec![0u8; 64 * SEG_BLOCK];
         let mut seen = 0u64;
@@ -465,58 +470,137 @@ impl<C: BlockCodec> Section<C> {
     }
 }
 
-/// The key of a fixed-width row, and with it the geometry of a section
-/// of such rows: a block holds [`RowKey::GROUP`] rows of
-/// [`RowKey::ROW_LEN`] bytes from offset 0 (the last block of a section
-/// possibly fewer), then zeros; a fence is the first
-/// [`RowKey::FENCE_LEN`] bytes of its block's first row.
-pub(crate) trait RowKey: Copy + PartialEq {
-    const ROW_LEN: usize;
+/// Appends `v` as a LEB128 varint: seven bits a byte, low bits first,
+/// the high bit set on every byte but the last.
+pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Takes one varint off the front of `bytes`. `None` when the bytes end
+/// inside it or it does not fit 64 bits (more than ten bytes, or a
+/// tenth byte above 1); `bytes` is then left where it was.
+#[inline]
+pub fn take_varint(bytes: &mut &[u8]) -> Option<u64> {
+    // Nearly every stored value is below 128: one byte, one branch.
+    let (&first, rest) = bytes.split_first()?;
+    if first < 0x80 {
+        *bytes = rest;
+        return Some(u64::from(first));
+    }
+    let mut v = u64::from(first & 0x7f);
+    for (i, &b) in rest.iter().take(9).enumerate() {
+        if i == 8 && b > 1 {
+            return None;
+        }
+        v |= u64::from(b & 0x7f) << (7 * (i + 1));
+        if b < 0x80 {
+            *bytes = &rest[i + 1..];
+            return Some(v);
+        }
+    }
+    None
+}
+
+/// [`take_varint`] for a field 32 bits wide.
+#[inline]
+pub(crate) fn take_varint32(bytes: &mut &[u8]) -> Option<u32> {
+    take_varint(bytes).and_then(|v| u32::try_from(v).ok())
+}
+
+/// Rows between two restarts of a [`PackedRows`] block, at most: what
+/// a search decodes after its binary searches is at most this many
+/// rows. A restart costs 7 bytes or more where a row coded against its
+/// predecessor costs about 4; on the benchmark's EP segment (where most
+/// restarts are changes of symbol anyway) a restart every 8 rows makes
+/// the tag section 6 % larger than every 16, every 32 makes it 2.6 %
+/// smaller (DESIGN.md §12).
+pub(crate) const RESTART_EVERY: usize = 16;
+
+/// Bytes of a [`PackedRows`] block before its restart table: `n_rows`
+/// and `n_restarts`, both `u16`.
+const PACKED_HEAD: usize = 4;
+
+/// A row of a [`PackedRows`] section: how it is coded in full, how as
+/// the difference from the row before it, and what of it a fence keeps.
+pub(crate) trait PackedRow: Copy {
+    /// What the section is searched by.
+    type Key: Copy + PartialEq;
+    /// Bytes of a stored fence.
     const FENCE_LEN: usize;
-    /// The most rows that fit one block.
-    const GROUP: u64;
+    /// Fewest bytes a row takes in a block.
+    const MIN_LEN: usize;
+    /// What error messages call the section.
+    const NAME: &'static str;
 
-    /// Decodes the key from a row, or from a fence.
-    fn decode(bytes: &[u8]) -> Self;
+    fn key(&self) -> Self::Key;
+    fn put_fence(&self, out: &mut Vec<u8>);
+    fn fence(bytes: &[u8]) -> Self::Key;
+    /// Whether the row cannot be coded as a difference from `prev`.
+    fn breaks_run(&self, prev: &Self) -> bool;
+    /// Appends the row as varints: in full, or as what it adds to
+    /// `prev`.
+    fn encode(&self, prev: Option<&Self>, out: &mut Vec<u8>);
+    /// Takes one row off the front of `bytes`. `None` when the bytes
+    /// end inside it, a field overflows, or the row does not sort
+    /// strictly after `prev`.
+    fn decode(bytes: &mut &[u8], prev: Option<&Self>) -> Option<Self>;
+    /// The key of the fully coded row `bytes` start with: all a search
+    /// over the restarts needs of it.
+    fn decode_key(bytes: &[u8]) -> Option<Self::Key>;
 }
 
-/// [`BlockCodec`] of `n_rows` fixed-width rows: fences resident as
-/// decoded keys, binary search inside a block.
-pub(crate) struct FixedRows<K> {
-    n_rows: u64,
-    key: std::marker::PhantomData<K>,
-}
+/// [`BlockCodec`] of varint rows, each coded against the row before it:
+///
+/// ```text
+/// n_rows u16 | n_restarts u16 | restart offsets u16 × n_restarts | end u16 | rows | zeros
+/// ```
+///
+/// A *restart* is a fully coded row; its offset in the block is in the
+/// table, and the rows up to the next restart (or `end`) are
+/// differences. The first row of a block, every row that
+/// [`PackedRow::breaks_run`] and every [`RESTART_EVERY`]th row in a run
+/// are restarts, so a search is a binary search over the restarts and a
+/// decode of at most [`RESTART_EVERY`] rows. A block holds the rows
+/// that fit ([`RowPacker`]); rows never span blocks. Fences are
+/// resident as decoded keys. Every offset, count and varint is checked
+/// against the block before it is followed.
+pub(crate) struct PackedRows<R>(std::marker::PhantomData<R>);
 
-impl<K: RowKey> FixedRows<K> {
-    /// Opens the section of `n_rows` rows at `off`, reading its fences
-    /// in one sequential read at `fence_off`. The header was validated
-    /// against the file length, so the array lies inside the file and
-    /// is bounded by its size.
+impl<R: PackedRow> PackedRows<R> {
+    /// The most rows one block can hold.
+    pub(crate) const MAX_PER_BLOCK: u64 = ((SEG_BLOCK - PACKED_HEAD) / R::MIN_LEN) as u64;
+
+    /// Opens the section of `n_blocks` blocks at `off`, reading its
+    /// fences in one sequential read at `fence_off`. The header was
+    /// validated against the file length, so the array lies inside the
+    /// file and is bounded by its size.
     pub(crate) fn open(
         store: &dyn RawStore,
         off: u64,
         fence_off: u64,
-        n_rows: u64,
+        n_blocks: u64,
     ) -> Result<Section<Self>> {
-        let mut raw = vec![0u8; n_rows.div_ceil(K::GROUP) as usize * K::FENCE_LEN];
+        let mut raw = vec![0u8; n_blocks as usize * R::FENCE_LEN];
         store.read_at(fence_off, &mut raw)?;
         Ok(Section {
-            codec: FixedRows {
-                n_rows,
-                key: std::marker::PhantomData,
-            },
-            fences: raw.chunks_exact(K::FENCE_LEN).map(K::decode).collect(),
+            codec: PackedRows(std::marker::PhantomData),
+            fences: raw.chunks_exact(R::FENCE_LEN).map(R::fence).collect(),
             first_block: off / SEG_BLOCK as u64,
         })
     }
 }
 
-impl<K: RowKey> BlockCodec for FixedRows<K> {
-    type Key = K;
-    type Fence = K;
-    const UNIT: &'static str = "group";
+impl<R: PackedRow> BlockCodec for PackedRows<R> {
+    type Key = R::Key;
+    type Entry = R;
+    type Fence = R::Key;
+    const UNIT: &'static str = "block";
 
-    fn key<'a>(&'a self, fence: &'a K) -> &'a K {
+    fn key<'a>(&'a self, fence: &'a R::Key) -> &'a R::Key {
         fence
     }
 
@@ -524,30 +608,160 @@ impl<K: RowKey> BlockCodec for FixedRows<K> {
         &self,
         block: &'b [u8],
         g: usize,
-        skip: Option<&impl Fn(&K) -> bool>,
-        mut each: impl FnMut(&K, &[u8]) -> Result<bool>,
+        skip: Option<&impl Fn(&R::Key) -> bool>,
+        mut each: impl FnMut(&R::Key, &R) -> Result<bool>,
     ) -> Result<Option<&'b [u8]>> {
-        let n = (self.n_rows - g as u64 * K::GROUP).min(K::GROUP) as usize;
-        let (rows, pad) = block.split_at(n * K::ROW_LEN);
-        let row = |i: usize| &rows[i * K::ROW_LEN..(i + 1) * K::ROW_LEN];
-        let mut lo = 0;
+        let bad = |what: &str| corrupt(format!("{} block {g}: {what}", R::NAME));
+        let u16_of = |b: &[u8]| usize::from(u16::from_le_bytes([b[0], b[1]]));
+        let Some((n_rows, n_restarts)) = block
+            .get(..PACKED_HEAD)
+            .map(|h| (u16_of(h), u16_of(&h[2..])))
+        else {
+            return Err(bad("cut short"));
+        };
+        let rows_at = PACKED_HEAD + 2 * (n_restarts + 1);
+        // The table's last entry is where the rows end.
+        let table = block.get(PACKED_HEAD..rows_at);
+        let table = table.ok_or_else(|| bad("restart table runs past the block"))?;
+        let offset = |r: usize| u16_of(&table[2 * r..]);
+        if n_restarts == 0 || n_restarts > n_rows || offset(0) != rows_at {
+            return Err(bad("restart table disagrees with its counts"));
+        }
+        let restart_key = |r: usize| {
+            let row = block.get(offset(r)..).and_then(R::decode_key);
+            row.ok_or_else(|| bad("restart is not a whole row inside the block"))
+        };
+        let mut first = 0;
         if let Some(before) = skip {
-            let mut hi = n;
+            // The last restart still below the range: the range's
+            // first row is in its run, or opens the next.
+            let (mut lo, mut hi) = (0, n_restarts);
             while lo < hi {
                 let mid = (lo + hi) / 2;
-                if before(&K::decode(row(mid))) {
+                if before(&restart_key(mid)?) {
                     lo = mid + 1;
                 } else {
                     hi = mid;
                 }
             }
+            first = lo.saturating_sub(1);
         }
-        for i in lo..n {
-            if !each(&K::decode(row(i)), row(i))? {
-                return Ok(None);
+        let mut skipping = skip;
+        let mut seen = 0;
+        for r in first..n_restarts {
+            let run = block.get(offset(r)..offset(r + 1));
+            let mut rest = run.ok_or_else(|| bad("restart offsets out of order"))?;
+            let (mut prev, mut in_run) = (None, 0);
+            while !rest.is_empty() || in_run == 0 {
+                let row = R::decode(&mut rest, prev.as_ref());
+                let row = row.filter(|_| in_run < RESTART_EVERY).ok_or_else(|| {
+                    bad("a row overflows, is out of order or runs past its restart")
+                })?;
+                (prev, in_run) = (Some(row), in_run + 1);
+                let key = row.key();
+                if skipping.is_some_and(|before| before(&key)) {
+                    continue;
+                }
+                skipping = None;
+                if !each(&key, &row)? {
+                    return Ok(None);
+                }
             }
+            seen += in_run;
         }
-        Ok(Some(pad))
+        if first == 0 && seen != n_rows {
+            return Err(bad("row count disagrees with its rows"));
+        }
+        Ok(Some(&block[offset(n_restarts)..]))
+    }
+}
+
+/// The writing half of [`PackedRows`]: packs rows arriving in key order
+/// into blocks, starting a new block when the next row no longer fits,
+/// and collects the fences.
+pub(crate) struct RowPacker<R> {
+    /// The rows of the block being filled, and where in them its
+    /// restarts are.
+    rows: Vec<u8>,
+    restarts: Vec<u16>,
+    n_rows: usize,
+    since_restart: usize,
+    prev: Option<R>,
+    scratch: Vec<u8>,
+    /// The stored fence of every block begun.
+    pub fences: Vec<u8>,
+}
+
+impl<R: PackedRow> RowPacker<R> {
+    pub(crate) fn new() -> Self {
+        RowPacker {
+            rows: Vec::with_capacity(SEG_BLOCK),
+            restarts: Vec::new(),
+            n_rows: 0,
+            since_restart: 0,
+            prev: None,
+            scratch: Vec::new(),
+            fences: Vec::new(),
+        }
+    }
+
+    /// Blocks begun so far.
+    pub(crate) fn blocks(&self) -> u64 {
+        (self.fences.len() / R::FENCE_LEN) as u64
+    }
+
+    /// Adds `row` to the block being filled, or to a new one when it
+    /// does not fit. `w` must stand on a block boundary when the first
+    /// row arrives.
+    pub(crate) fn push(&mut self, w: &mut SeqWriter, row: &R) -> Result<()> {
+        let mut prev = self
+            .prev
+            .filter(|p| self.since_restart < RESTART_EVERY && !row.breaks_run(p));
+        self.scratch.clear();
+        row.encode(prev.as_ref(), &mut self.scratch);
+        let table = 2 * (self.restarts.len() + 1 + usize::from(prev.is_none()));
+        if PACKED_HEAD + table + self.rows.len() + self.scratch.len() > SEG_BLOCK {
+            self.flush(w)?;
+            prev = None;
+            self.scratch.clear();
+            row.encode(None, &mut self.scratch);
+        }
+        if self.n_rows == 0 {
+            row.put_fence(&mut self.fences);
+        }
+        if prev.is_none() {
+            self.restarts.push(self.rows.len() as u16);
+            self.since_restart = 0;
+        }
+        self.rows.extend_from_slice(&self.scratch);
+        self.n_rows += 1;
+        self.since_restart += 1;
+        self.prev = Some(*row);
+        Ok(())
+    }
+
+    /// Writes the block being filled, if it holds a row, zero-padded.
+    pub(crate) fn flush(&mut self, w: &mut SeqWriter) -> Result<()> {
+        if self.n_rows == 0 {
+            return Ok(());
+        }
+        debug_assert_eq!(w.pos() % SEG_BLOCK as u64, 0);
+        let rows_at = PACKED_HEAD + 2 * (self.restarts.len() + 1);
+        let u16_of = |v: usize| (v as u16).to_le_bytes();
+        w.push_with(|buf| {
+            buf.extend_from_slice(&u16_of(self.n_rows));
+            buf.extend_from_slice(&u16_of(self.restarts.len()));
+            for &at in &self.restarts {
+                buf.extend_from_slice(&u16_of(rows_at + usize::from(at)));
+            }
+            buf.extend_from_slice(&u16_of(rows_at + self.rows.len()));
+            buf.extend_from_slice(&self.rows);
+        })?;
+        w.pad_to_block();
+        self.rows.clear();
+        self.restarts.clear();
+        (self.n_rows, self.prev) = (0, None);
+        Ok(())
     }
 }
 
@@ -615,6 +829,7 @@ impl KeyedEntries {
 
 impl BlockCodec for KeyedEntries {
     type Key = [u8];
+    type Entry = [u8];
     type Fence = (u32, u16);
     const UNIT: &'static str = "block";
 
@@ -667,16 +882,19 @@ pub(crate) mod tests {
         })
     }
 
-    /// The files these builders write, pinned as `(length, FNV-1a)` by
-    /// the last commit that had `segment.rs` in one piece (d996c7f):
-    /// the on-disk formats did not move when the file was split, and a
-    /// change that moves them must say so by editing these constants.
+    /// The files these builders write, pinned as `(length, FNV-1a)`: an
+    /// on-disk format does not move by accident, and a change that
+    /// moves one must say so by editing these constants. The value run
+    /// is as the last commit with `segment.rs` in one piece (d996c7f)
+    /// wrote it; the two structural files were re-pinned when segment
+    /// format 3 packed their rows and records into varints (at format
+    /// 2 both were 151 761 bytes).
     #[test]
     fn files_are_byte_for_byte_what_the_parent_commit_wrote() {
         let paths = seg::sample_paths(2000, 11);
         for (kind, doc_base, want) in [
-            (SEG_KIND_RP, 0, (151_761, 11_671_113_921_153_442_829)),
-            (SEG_KIND_EP, 77, (151_761, 3_226_692_531_111_219_318)),
+            (SEG_KIND_RP, 0, (65_629, 12_053_939_134_499_915_117)),
+            (SEG_KIND_EP, 77, (65_629, 8_529_951_862_867_448_902)),
         ] {
             // The default budget (nothing spills) and a tiny one.
             for run_mem in [16 << 20, 1] {
@@ -700,6 +918,108 @@ pub(crate) mod tests {
             (empty.len(), fnv64(&empty)),
             (4_100, 14_123_304_805_239_316_082),
             "empty value run"
+        );
+    }
+
+    /// One packed block damaged a field at a time: every walk of it is
+    /// `Corrupt` (a search into it may also come back clean when what
+    /// it decodes is intact), none panics.
+    #[test]
+    fn hostile_packed_block_is_corrupt_never_a_panic() {
+        use super::super::structural::TagEntry;
+        use crate::store::MemStore;
+        // 40 rows of symbol 3 and 5 of symbol 4: restarts at rows 0,
+        // 16, 32 and 40, one-byte varints throughout.
+        let rows: Vec<TagEntry> = (0..45u32)
+            .map(|i| TagEntry {
+                sym: if i < 40 { 3 } else { 4 },
+                left: 10 + 2 * u64::from(i),
+                right: 11 + 2 * u64::from(i),
+                level: 1 + i,
+                fine_gap: i % 7,
+            })
+            .collect();
+        let mut w = SeqWriter::new(Box::new(MemStore::new()), 0);
+        let mut packer = RowPacker::new();
+        for row in &rows {
+            packer.push(&mut w, row).unwrap();
+        }
+        packer.flush(&mut w).unwrap();
+        assert_eq!(packer.blocks(), 1);
+        let (store, len) = w.finish().unwrap();
+        let mut good = vec![0u8; len as usize];
+        store.read_at(0, &mut good).unwrap();
+        assert_eq!(good.len(), SEG_BLOCK);
+
+        let codec = PackedRows::<TagEntry>(std::marker::PhantomData);
+        let walk = |block: &[u8], from: Option<(u32, u64)>| {
+            let mut got = Vec::new();
+            let before = |k: &(u32, u64)| Some(*k) < from;
+            let skip = from.is_some().then_some(&before);
+            let pad = codec.walk(block, 0, skip, |_, row| {
+                got.push(*row);
+                Ok(true)
+            })?;
+            assert!(pad.is_some_and(|pad| pad.iter().all(|&b| b == 0)));
+            Ok::<_, StorageError>(got)
+        };
+        assert_eq!(walk(&good, None).unwrap(), rows);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(walk(&good, Some(row.key())).unwrap(), rows[i..]);
+        }
+
+        // Header 4, five table entries, then row 0 (5 bytes) and its
+        // fifteen differences (4 bytes each).
+        let (table, rows_at) = (PACKED_HEAD, PACKED_HEAD + 2 * 5);
+        let second_run = rows_at + 5 + 15 * 4;
+        assert_eq!(
+            good[table + 2..table + 4],
+            (second_run as u16).to_le_bytes()
+        );
+        type Damage<'a> = (&'a str, &'a dyn Fn(&mut Vec<u8>));
+        let damages: [Damage; 10] = [
+            ("a count above its rows", &|b| b[0] += 1),
+            ("no restarts", &|b| b[2] = 0),
+            ("more restarts than rows", &|b| b[2] = 46),
+            ("a restart outside the block", &|b| b[table + 3] = 0x20),
+            ("restarts out of order", &|b| {
+                b[table + 4] = b[table + 2] - 1
+            }),
+            ("rows not right after the table", &|b| b[table] += 1),
+            ("a varint of eleven bytes", &|b| {
+                b[rows_at + 5..][..11].fill(0xff)
+            }),
+            ("a varint past its run", &|b| b[second_run - 1] |= 0x80),
+            ("a duplicate key", &|b| b[rows_at + 5] = 0),
+            ("a block cut short", &|b| b.truncate(3)),
+        ];
+        for (what, damage) in damages {
+            let mut bad = good.clone();
+            damage(&mut bad);
+            assert!(
+                matches!(walk(&bad, None), Err(StorageError::Corrupt { .. })),
+                "{what} went unnoticed"
+            );
+            for row in &rows {
+                match walk(&bad, Some(row.key())) {
+                    Ok(_) | Err(StorageError::Corrupt { .. }) => {}
+                    Err(e) => panic!("{what}: wrong error {e}"),
+                }
+            }
+        }
+        // A run of seventeen rows: the second restart dropped from the
+        // table of a block rebuilt by hand.
+        let mut long = good.clone();
+        long[2] = 3;
+        long.copy_within(table + 4..second_run, table + 2);
+        long.copy_within(second_run.., second_run - 2);
+        for at in [table, table + 2, table + 4, table + 6] {
+            let off = u16::from_le_bytes([long[at], long[at + 1]]) - 2;
+            long[at..at + 2].copy_from_slice(&off.to_le_bytes());
+        }
+        assert!(
+            walk(&long, None).is_err(),
+            "a run of 32 rows went unnoticed"
         );
     }
 

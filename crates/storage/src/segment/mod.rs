@@ -22,10 +22,16 @@
 //!   any of them:  | frame | format's own content | fences of its       | CRC table |
 //!                 |       | and sorted sections  | sections (resident) |           |
 //!                 +-------+----------------------+---------------------+-----------+
-//!   <db>.gN.rp.seg   Trie-Symbol rows, Docid rows, records, meta   (structural)
-//!   <db>.gN.ep.seg   the same for the extended sequences           (structural)
-//!   <db>.gN.vx.seg   numeric and string leaf-value postings        (value run)
+//!   <db>.gN.rp.seg   Trie-Symbol rows, Docid rows, records, meta   (structural, format 3)
+//!   <db>.gN.ep.seg   the same for the extended sequences           (structural, format 3)
+//!   <db>.gN.vx.seg   numeric and string leaf-value postings        (value run, format 1)
 //!   <db>.seg         the manifest naming the live files of every tier
+//!
+//!   a block of structural rows (varints; a restart is a row coded in full,
+//!   every other row what it adds to the row before it):
+//!                 +--------+------------+-----------------+-----+------+-----+------+---+-------+
+//!                 | n_rows | n_restarts | restart offsets | row | Δrow… | row | Δrow… | … | zeros |
+//!                 +--------+------------+-----------------+-----+------+-----+------+---+-------+
 //! ```
 //!
 //! The modules, bottom up:
@@ -34,10 +40,13 @@
 //! * `blockfile` — what the two formats share, written once: the frame,
 //!   the buffered sequential writer, the CRC table, the block cache and
 //!   its counters, and the sorted section with its fence-guided scan
-//!   and its verification pass, generic over how a block is encoded.
+//!   and its verification pass, generic over how a block is encoded;
+//!   the two block codecs (packed varint rows with restarts, keyed
+//!   entries) and the varint coding itself.
 //! * `structural` — RP and EP segments ([`SegmentBuilder`],
-//!   [`SegmentReader`]): fixed-width rows, the streaming trie labeler
-//!   that produces them, per-document records.
+//!   [`SegmentReader`]): delta-coded varint rows, a restart every 16
+//!   and at every change of symbol, the streaming trie labeler that
+//!   produces them, per-document records.
 //! * `valuerun` — a tier's value index ([`ValueRunBuilder`],
 //!   [`ValueRunReader`]): variable-length `key | posting` entries and
 //!   a resident tag directory.
@@ -53,12 +62,13 @@ mod sort;
 mod structural;
 mod valuerun;
 
+pub use blockfile::{put_varint, take_varint};
 pub use env::{env_temp_factory, FileSegEnv, MemSegEnv, SegmentEnv};
 pub use manifest::{Manifest, ManifestSegment};
 pub use sort::{ExternalSorter, SortItem, TempFactory};
 pub use structural::{
-    SegTrieStats, SegmentBuilder, SegmentCheck, SegmentReader, SEG_KIND_EP, SEG_KIND_RP,
-    SEG_VERSION,
+    SegTrieStats, SegmentBuilder, SegmentCheck, SegmentLayout, SegmentReader, SEG_KIND_EP,
+    SEG_KIND_RP, SEG_VERSION,
 };
 pub use valuerun::{
     ValueRunBuilder, ValueRunReader, VxCheck, VxEntry, VxSection, SEG_KIND_VX, VX_MAX_KEY_LEN,

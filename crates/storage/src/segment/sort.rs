@@ -211,12 +211,12 @@ mod tests {
         }
         assert!(sorter.spilled_runs() >= 2, "tiny budget must spill runs");
         assert_eq!(sorter.len(), n);
-        let mut prev: Option<(u32, u64)> = None;
+        let mut prev: Option<TagEntry> = None;
         let mut count = 0u64;
         sorter
             .drain(|t| {
-                assert!(prev.is_none_or(|p| p <= t.key()), "merge out of order");
-                prev = Some(t.key());
+                assert!(prev.is_none_or(|p| p <= t), "merge out of order");
+                prev = Some(t);
                 count += 1;
                 Ok(())
             })

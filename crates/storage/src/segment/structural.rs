@@ -1,38 +1,54 @@
 //! Structural segments: one index flavor (RP or EP) for a contiguous
 //! range of document ids (`doc_base .. doc_base + n_docs`), bulk-loaded
-//! into an implicit B⁺-tree file. Format version 2, on the frame, CRC
+//! into an implicit B⁺-tree file. Format version 3, on the frame, CRC
 //! table and sections of [`super::blockfile`]:
 //!
 //! ```text
-//! +--------+----------+---------+-----+-------------+------------+-----+----------+------------+------+-----------+
-//! | header | rec data | rec idx | pad | tag entries | tag fences | pad | doc ends | doc fences | meta | CRC table |
-//! +--------+----------+---------+-----+-------------+------------+-----+----------+------------+------+-----------+
-//!                                     ^ block-aligned                  ^ block-aligned
+//! +--------+----------+---------+-----+------------+------------+-----+------------+------------+------+-----------+
+//! | header | rec data | rec idx | pad | tag blocks | tag fences | pad | doc blocks | doc fences | meta | CRC table |
+//! +--------+----------+---------+-----+------------+------------+-----+------------+------------+------+-----------+
+//!                                     ^ block-aligned                 ^ block-aligned
+//!
+//!   one tag or doc block (4 KiB, rows never span blocks):
+//! +--------+------------+---------------------------+-----+----------------------------------------+-------+
+//! | n_rows | n_restarts | restart offsets × n, end  | row | Δrow … (≤ 15) | row | Δrow … | row | … | zeros |
+//! +--------+------------+---------------------------+-----+----------------------------------------+-------+
+//!   u16      u16          u16 each                    ^ every restart offset points at a fully coded row
 //! ```
 //!
 //! * **header** — the 128-byte frame, magic `PRIXSEG\0`; its twelve
 //!   words are the two row counts, then the section offsets, the meta
-//!   length and the file length. Every offset follows from the counts
-//!   (`Header::lay_out`); a header that disagrees with that arithmetic
-//!   is refused at open.
+//!   length and the file length. Every offset follows from the document
+//!   count, the end of the record data and the number of blocks each
+//!   row section packed into — which the header stores as the distance
+//!   from a section's offset to its fences' (`Header::lay_out`); a
+//!   header that disagrees with that arithmetic, or whose row counts
+//!   its blocks could not hold, is refused at open.
 //! * **rec data / rec idx** — per-document refinement records (opaque
-//!   blobs) and their `n_docs + 1` offsets.
-//! * **tag entries** — the Trie-Symbol index: 28-byte
-//!   `(sym, left, right, level, fine_gap)` rows sorted by `(sym, left)`.
-//!   The section starts on a block boundary and every group of 146
-//!   rows is zero-padded (8 bytes) to one block, so group *g* is block
-//!   *g* of the section.
-//! * **doc ends** — the Docid index: 12-byte `(left, doc)` rows sorted
-//!   by `(left, doc)`, laid out the same way (341 rows and 4 pad bytes
-//!   per block).
-//! * **tag / doc fences** — the first key of every group (12 and 8
-//!   bytes each), read once at open: 16 bytes of memory per 4 KiB of
-//!   entries.
+//!   blobs; the core layer writes varints) and their `n_docs + 1`
+//!   offsets.
+//! * **tag blocks** — the Trie-Symbol index: `(sym, left, right, level,
+//!   fine_gap)` rows sorted by `(sym, left)`, as LEB128 varints. A row
+//!   is coded against the one before it — `left − previous left`,
+//!   `right − left`, `level`, `fine_gap`: four bytes for nearly every
+//!   row, where format 2 spent 28 — except at a *restart*, where `sym`
+//!   and `left` are written in full: the first row of a block, every
+//!   change of symbol, and every 16th row of a run. A block holds the
+//!   rows that fit (about 780 on the benchmark's collection, where
+//!   format 2 held 146) and says how many.
+//! * **doc blocks** — the Docid index: `(left, doc)` rows sorted by
+//!   `(left, doc)`, packed the same way (`left − previous left`, `doc`).
+//! * **tag / doc fences** — the first key of every block (12 and 8
+//!   bytes each), read once at open: 16 bytes of memory per block.
 //! * **meta** — an opaque blob (the core layer stores MaxGap table,
-//!   childless set, build stats).
+//!   childless set, build stats, as varints).
 //! * **CRC table** — one CRC-32 per block of everything before it.
 //!
-//! Version 1 (unpadded groups, fences searched on disk) is refused at
+//! A lookup is one binary search over the resident fences, one over the
+//! restarts of one block and a decode of at most 16 rows.
+//!
+//! Versions 1 (unpadded groups, fences searched on disk) and 2
+//! (fixed-width rows, 146 to a block, raw `u32` records) are refused at
 //! open: re-index.
 //!
 //! The builder sorts label paths once with bounded memory
@@ -43,8 +59,8 @@
 use std::sync::Arc;
 
 use super::blockfile::{
-    check_crc_table, corrupt, seal, BlockFile, FixedRows, Format, Frame, RowKey, Section,
-    SeqWriter, SEG_BLOCK, SEG_HEADER_LEN,
+    check_crc_table, corrupt, put_varint, seal, take_varint, take_varint32, BlockFile, Format,
+    Frame, PackedRow, PackedRows, RowPacker, Section, SeqWriter, SEG_BLOCK, SEG_HEADER_LEN,
 };
 use super::sort::{ExternalSorter, RunBuf, SortItem, TempFactory};
 use crate::error::Result;
@@ -52,8 +68,9 @@ use crate::stats::IoStats;
 use crate::store::RawStore;
 use crate::sync::Mutex;
 
-/// Segment format version (2: block-aligned, padded fence groups).
-pub const SEG_VERSION: u32 = 2;
+/// Segment format version (3: packed varint rows in self-contained
+/// blocks).
+pub const SEG_VERSION: u32 = 3;
 /// `kind` byte for a Regular-Prüfer segment.
 pub const SEG_KIND_RP: u8 = 0;
 /// `kind` byte for an Extended-Prüfer segment.
@@ -67,42 +84,6 @@ const SEG_FORMAT: Format = Format {
     kind: None,
     words: 12,
 };
-
-/// `(sym, left)`: what the Trie-Symbol section is sorted by.
-pub(crate) type TagKey = (u32, u64);
-/// `left`: what the Docid section is searched by.
-pub(crate) type DocKey = u64;
-
-/// Tag rows are sym(4) left(8) right(8) level(4) fine(4); 146 fill 4088
-/// of a block's 4096 bytes.
-impl RowKey for TagKey {
-    const ROW_LEN: usize = 28;
-    const FENCE_LEN: usize = 12;
-    const GROUP: u64 = 146;
-
-    fn decode(b: &[u8]) -> Self {
-        (
-            u32::from_le_bytes(b[0..4].try_into().unwrap()),
-            u64::from_le_bytes(b[4..12].try_into().unwrap()),
-        )
-    }
-}
-
-/// Doc-end rows are left(8) doc(4); 341 fill 4092 bytes of a block.
-impl RowKey for DocKey {
-    const ROW_LEN: usize = 12;
-    const FENCE_LEN: usize = 8;
-    const GROUP: u64 = 341;
-
-    fn decode(b: &[u8]) -> Self {
-        u64::from_le_bytes(b[0..8].try_into().unwrap())
-    }
-}
-
-/// The document of an encoded doc-end row.
-fn doc_of(row: &[u8]) -> u32 {
-    u32::from_le_bytes(row[8..12].try_into().unwrap())
-}
 
 /// One Prüfer sequence headed for a segment: its label path through the
 /// virtual trie, the per-position fine gaps, and the (local) document
@@ -175,8 +156,90 @@ pub(crate) struct TagEntry {
     pub fine_gap: u32,
 }
 
-impl TagEntry {
-    fn write(&self, out: &mut Vec<u8>) {
+/// In a block: `sym, left` in full at a restart, `left − previous left`
+/// (never 0: keys are distinct) within a symbol's run; then
+/// `right − left`, `level`, `fine_gap`. A fence is `sym u32 | left u64`.
+impl PackedRow for TagEntry {
+    type Key = (u32, u64);
+    const FENCE_LEN: usize = 12;
+    const MIN_LEN: usize = 4;
+    const NAME: &'static str = "tag";
+
+    fn key(&self) -> (u32, u64) {
+        (self.sym, self.left)
+    }
+
+    fn put_fence(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.sym.to_le_bytes());
+        out.extend_from_slice(&self.left.to_le_bytes());
+    }
+
+    fn fence(b: &[u8]) -> (u32, u64) {
+        (
+            u32::from_le_bytes(b[0..4].try_into().unwrap()),
+            u64::from_le_bytes(b[4..12].try_into().unwrap()),
+        )
+    }
+
+    fn breaks_run(&self, prev: &Self) -> bool {
+        self.sym != prev.sym
+    }
+
+    fn encode(&self, prev: Option<&Self>, out: &mut Vec<u8>) {
+        let ascends = "tag rows arrive in key order, each range ending at or after its start";
+        match prev {
+            Some(p) => put_varint(out, self.left.checked_sub(p.left).expect(ascends)),
+            None => {
+                put_varint(out, u64::from(self.sym));
+                put_varint(out, self.left);
+            }
+        }
+        put_varint(out, self.right.checked_sub(self.left).expect(ascends));
+        put_varint(out, u64::from(self.level));
+        put_varint(out, u64::from(self.fine_gap));
+    }
+
+    #[inline]
+    fn decode(b: &mut &[u8], prev: Option<&Self>) -> Option<Self> {
+        // Inside a run nearly every row is four one-byte varints: one
+        // test for all of them.
+        if let (Some(p), Some(&[delta, width, level, fine_gap])) = (prev, b.first_chunk()) {
+            if (delta | width | level | fine_gap) < 0x80 && delta != 0 {
+                *b = &b[4..];
+                let left = p.left.checked_add(u64::from(delta))?;
+                return Some(TagEntry {
+                    sym: p.sym,
+                    left,
+                    right: left.checked_add(u64::from(width))?,
+                    level: u32::from(level),
+                    fine_gap: u32::from(fine_gap),
+                });
+            }
+        }
+        let (sym, left) = match prev {
+            Some(p) => (
+                p.sym,
+                p.left.checked_add(take_varint(b).filter(|&d| d != 0)?)?,
+            ),
+            None => (take_varint32(b)?, take_varint(b)?),
+        };
+        Some(TagEntry {
+            sym,
+            left,
+            right: left.checked_add(take_varint(b)?)?,
+            level: take_varint32(b)?,
+            fine_gap: take_varint32(b)?,
+        })
+    }
+
+    fn decode_key(mut b: &[u8]) -> Option<(u32, u64)> {
+        Some((take_varint32(&mut b)?, take_varint(&mut b)?))
+    }
+}
+
+/// In a sort run: the five fields at their full width.
+impl SortItem for TagEntry {
+    fn encode(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.sym.to_le_bytes());
         out.extend_from_slice(&self.left.to_le_bytes());
         out.extend_from_slice(&self.right.to_le_bytes());
@@ -184,30 +247,16 @@ impl TagEntry {
         out.extend_from_slice(&self.fine_gap.to_le_bytes());
     }
 
-    fn read(b: &[u8]) -> TagEntry {
-        TagEntry {
+    fn decode(r: &mut RunBuf) -> Result<Self> {
+        let mut b = [0u8; 28];
+        r.take(&mut b)?;
+        Ok(TagEntry {
             sym: u32::from_le_bytes(b[0..4].try_into().unwrap()),
             left: u64::from_le_bytes(b[4..12].try_into().unwrap()),
             right: u64::from_le_bytes(b[12..20].try_into().unwrap()),
             level: u32::from_le_bytes(b[20..24].try_into().unwrap()),
             fine_gap: u32::from_le_bytes(b[24..28].try_into().unwrap()),
-        }
-    }
-
-    pub(crate) fn key(&self) -> (u32, u64) {
-        (self.sym, self.left)
-    }
-}
-
-impl SortItem for TagEntry {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.write(out);
-    }
-
-    fn decode(r: &mut RunBuf) -> Result<Self> {
-        let mut b = [0u8; TagKey::ROW_LEN];
-        r.take(&mut b)?;
-        Ok(TagEntry::read(&b))
+        })
     }
 
     fn mem_size(&self) -> usize {
@@ -222,6 +271,51 @@ pub(crate) struct DocEnd {
     pub left: u64,
     /// Local document id.
     pub doc: u32,
+}
+
+/// In a block: `left` in full at a restart, else `left − previous left`
+/// (0 among the documents that end on one node, in ascending order);
+/// then `doc`. A fence is `left u64`.
+impl PackedRow for DocEnd {
+    type Key = u64;
+    const FENCE_LEN: usize = 8;
+    const MIN_LEN: usize = 2;
+    const NAME: &'static str = "doc";
+
+    fn key(&self) -> u64 {
+        self.left
+    }
+
+    fn put_fence(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.left.to_le_bytes());
+    }
+
+    fn fence(b: &[u8]) -> u64 {
+        u64::from_le_bytes(b[0..8].try_into().unwrap())
+    }
+
+    fn breaks_run(&self, _: &Self) -> bool {
+        false
+    }
+
+    fn encode(&self, prev: Option<&Self>, out: &mut Vec<u8>) {
+        let delta = self.left.checked_sub(prev.map_or(0, |p| p.left));
+        put_varint(out, delta.expect("doc-end rows arrive in key order"));
+        put_varint(out, u64::from(self.doc));
+    }
+
+    fn decode(b: &mut &[u8], prev: Option<&Self>) -> Option<Self> {
+        let left = prev.map_or(0, |p| p.left).checked_add(take_varint(b)?)?;
+        let end = DocEnd {
+            left,
+            doc: take_varint32(b)?,
+        };
+        prev.is_none_or(|p| *p < end).then_some(end)
+    }
+
+    fn decode_key(mut b: &[u8]) -> Option<u64> {
+        take_varint(&mut b)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -366,13 +460,17 @@ impl StreamTrie {
 // Segment writer
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct Header {
     kind: u8,
     doc_base: u32,
     n_docs: u32,
     n_tag: u64,
     n_doc: u64,
+    /// Blocks of the two row sections: not stored, but what separates
+    /// each section's offset from its fences'.
+    tag_blocks: u64,
+    doc_blocks: u64,
     rec_data_off: u64,
     rec_idx_off: u64,
     tag_off: u64,
@@ -386,47 +484,37 @@ struct Header {
 }
 
 impl Header {
-    /// The version-2 geometry, in one place: every section offset
-    /// follows from the three counts, where the record data ends and
-    /// how long the meta blob is. The builder writes the header this
-    /// returns; [`Header::from_frame`] refuses one that differs from
-    /// it. `None` when the sizes overflow.
-    fn lay_out(
-        kind: u8,
-        doc_base: u32,
-        n_docs: u32,
-        n_tag: u64,
-        n_doc: u64,
-        rec_idx_off: u64,
-        meta_len: u64,
-    ) -> Option<Header> {
+    /// The version-3 geometry, in one place: every section offset
+    /// follows from the document count, where the record data ends, how
+    /// many blocks each row section packed into and how long the meta
+    /// blob is — the fields `self` must hold. The builder writes the
+    /// header this returns; [`Header::from_frame`] refuses one that
+    /// differs from it. `None` when the sizes overflow.
+    fn lay_out(self) -> Option<Header> {
         let block = SEG_BLOCK as u64;
         let align = |x: u64| x.div_ceil(block).checked_mul(block);
-        let (tag_groups, doc_groups) =
-            (n_tag.div_ceil(TagKey::GROUP), n_doc.div_ceil(DocKey::GROUP));
-        let tag_off = align(rec_idx_off.checked_add((u64::from(n_docs) + 1) * 8)?)?;
-        let tag_fence_off = tag_off.checked_add(tag_groups.checked_mul(block)?)?;
-        let doc_off = align(tag_fence_off.checked_add(tag_groups * TagKey::FENCE_LEN as u64)?)?;
-        let doc_fence_off = doc_off.checked_add(doc_groups.checked_mul(block)?)?;
-        let meta_off = doc_fence_off.checked_add(doc_groups * DocKey::FENCE_LEN as u64)?;
-        let crc_off = meta_off.checked_add(meta_len)?;
+        let fences = |blocks: u64, len: usize| blocks.checked_mul(len as u64);
+        let tag_off = align(
+            self.rec_idx_off
+                .checked_add((u64::from(self.n_docs) + 1) * 8)?,
+        )?;
+        let tag_fence_off = tag_off.checked_add(self.tag_blocks.checked_mul(block)?)?;
+        let doc_off =
+            align(tag_fence_off.checked_add(fences(self.tag_blocks, TagEntry::FENCE_LEN)?)?)?;
+        let doc_fence_off = doc_off.checked_add(self.doc_blocks.checked_mul(block)?)?;
+        let meta_off = doc_fence_off.checked_add(fences(self.doc_blocks, DocEnd::FENCE_LEN)?)?;
+        let crc_off = meta_off.checked_add(self.meta_len)?;
         let file_len = crc_off.checked_add(crc_off.div_ceil(block).checked_mul(4)?)?;
         Some(Header {
-            kind,
-            doc_base,
-            n_docs,
-            n_tag,
-            n_doc,
             rec_data_off: SEG_HEADER_LEN,
-            rec_idx_off,
             tag_off,
             tag_fence_off,
             doc_off,
             doc_fence_off,
             meta_off,
-            meta_len,
             crc_off,
             file_len,
+            ..self
         })
     }
 
@@ -454,25 +542,39 @@ impl Header {
     }
 
     /// The header a frame stores, if the frame is exactly what
-    /// [`Header::lay_out`] derives from the counts it stores — which
-    /// rules out sections out of order, overlapping, misaligned, past
-    /// the end of the file, or sized differently from their counts. (A
-    /// count or `rec_idx_off` can still move within the padding before
-    /// the next aligned section without moving it; no read leaves the
-    /// file then, and [`SegmentReader::verify`] reports the rows that
-    /// disagree.)
+    /// [`Header::lay_out`] derives from the counts and block counts it
+    /// stores — which rules out sections out of order, overlapping,
+    /// misaligned or past the end of the file — and each row count is
+    /// one its section's blocks can hold. (A row count can still be
+    /// wrong within that bound, and `rec_idx_off` can move within the
+    /// padding before the tag section; no read leaves the file then,
+    /// and [`SegmentReader::verify`] reports the rows that disagree.)
     fn from_frame(f: &Frame) -> Option<Header> {
-        let [n_tag, n_doc, rec_idx_off, .., meta_len, _, _] = f.words;
-        let hdr = Header::lay_out(
-            f.kind,
-            f.doc_base,
-            f.n_docs,
+        let [n_tag, n_doc, rec_idx_off, _, tag_off, tag_fence_off, doc_off, doc_fence_off, _, meta_len, _, _] =
+            f.words;
+        let blocks =
+            |off: u64, fence_off: u64| Some(fence_off.checked_sub(off)? / SEG_BLOCK as u64);
+        let hdr = Header {
+            kind: f.kind,
+            doc_base: f.doc_base,
+            n_docs: f.n_docs,
             n_tag,
             n_doc,
+            tag_blocks: blocks(tag_off, tag_fence_off)?,
+            doc_blocks: blocks(doc_off, doc_fence_off)?,
             rec_idx_off,
             meta_len,
-        )?;
-        (rec_idx_off >= SEG_HEADER_LEN && hdr.frame() == *f).then_some(hdr)
+            ..Header::default()
+        }
+        .lay_out()?;
+        let holds = |blocks: u64, rows: u64, most: u64| {
+            blocks <= rows && rows <= blocks.saturating_mul(most)
+        };
+        (rec_idx_off >= SEG_HEADER_LEN
+            && hdr.frame() == *f
+            && holds(hdr.tag_blocks, n_tag, PackedRows::<TagEntry>::MAX_PER_BLOCK)
+            && holds(hdr.doc_blocks, n_doc, PackedRows::<DocEnd>::MAX_PER_BLOCK))
+        .then_some(hdr)
     }
 }
 
@@ -558,57 +660,44 @@ impl SegmentBuilder {
         self.sorter.drain(|e| trie.insert(&e))?;
         let (stats, tag_sorter, doc_ends) = trie.finish()?;
 
-        // Tag entries, one zero-padded block per fence group, then the
-        // fences (the first key of every group).
+        // Tag rows packed into blocks, then their fences (the first key
+        // of every block).
         let n_tag = tag_sorter.len();
-        let mut fences: Vec<u8> = Vec::new();
-        let mut i = 0u64;
-        let mut row = Vec::with_capacity(TagKey::ROW_LEN);
+        let mut tags = RowPacker::new();
         let mut prev_key: Option<(u32, u64)> = None;
         tag_sorter.drain(|t| {
             debug_assert!(prev_key.is_none_or(|p| p < t.key()), "duplicate tag key");
             prev_key = Some(t.key());
-            row.clear();
-            t.write(&mut row);
-            if i % TagKey::GROUP == 0 {
-                w.pad_to_block();
-                fences.extend_from_slice(&row[..TagKey::FENCE_LEN]);
-            }
-            i += 1;
-            w.push(&row)
+            tags.push(&mut w, &t)
         })?;
-        w.pad_to_block();
-        w.push(&fences)?;
+        tags.flush(&mut w)?;
+        w.push(&tags.fences)?;
         w.pad_to_block();
 
         // Doc ends + fences, laid out the same way.
-        let n_doc = doc_ends.len() as u64;
-        fences.clear();
-        for (i, d) in doc_ends.iter().enumerate() {
-            let mut row = [0u8; DocKey::ROW_LEN];
-            row[0..8].copy_from_slice(&d.left.to_le_bytes());
-            row[8..12].copy_from_slice(&d.doc.to_le_bytes());
-            if i as u64 % DocKey::GROUP == 0 {
-                w.pad_to_block();
-                fences.extend_from_slice(&row[..DocKey::FENCE_LEN]);
-            }
-            w.push(&row)?;
+        let mut docs = RowPacker::new();
+        for d in &doc_ends {
+            docs.push(&mut w, d)?;
         }
-        w.pad_to_block();
-        w.push(&fences)?;
+        docs.flush(&mut w)?;
+        w.push(&docs.fences)?;
 
         // Meta, header, CRC table.
         let meta = make_meta(&stats);
         w.push(&meta)?;
-        let header = Header::lay_out(
-            self.kind,
-            self.doc_base,
+        let header = Header {
+            kind: self.kind,
+            doc_base: self.doc_base,
             n_docs,
             n_tag,
-            n_doc,
+            n_doc: doc_ends.len() as u64,
+            tag_blocks: tags.blocks(),
+            doc_blocks: docs.blocks(),
             rec_idx_off,
-            meta.len() as u64,
-        )
+            meta_len: meta.len() as u64,
+            ..Header::default()
+        }
+        .lay_out()
         .ok_or_else(|| corrupt("segment too large".into()))?;
         let frame = header.frame().encode(&SEG_FORMAT);
         seal(w, &frame, header.crc_off, header.file_len)?;
@@ -633,26 +722,58 @@ pub struct SegmentCheck {
     pub records: u64,
 }
 
+/// Where the bytes of one segment file are ([`SegmentReader::layout`]):
+/// the sections' lengths, and the rows and blocks of the two packed
+/// sections. What is left of `file_bytes` is the frame and the zeros
+/// that align the two row sections.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegmentLayout {
+    /// Per-document refinement records.
+    pub record_bytes: u64,
+    /// Their `n_docs + 1` offsets.
+    pub record_index_bytes: u64,
+    /// The Trie-Symbol section (whole blocks).
+    pub tag_bytes: u64,
+    /// Its rows.
+    pub tag_rows: u64,
+    /// Its blocks.
+    pub tag_blocks: u64,
+    /// The Docid section (whole blocks).
+    pub doc_bytes: u64,
+    /// Its rows.
+    pub doc_rows: u64,
+    /// Its blocks.
+    pub doc_blocks: u64,
+    /// Both sections' stored fences.
+    pub fence_bytes: u64,
+    /// The meta blob.
+    pub meta_bytes: u64,
+    /// The CRC table.
+    pub crc_bytes: u64,
+    /// The whole file.
+    pub file_bytes: u64,
+}
+
 /// Read handle over one immutable segment file: direct [`RawStore`]
 /// reads through a tiny per-segment block cache, never touching the
 /// buffer pool. Both fence arrays are resident, so a lookup is one
-/// in-memory binary search plus one binary search over the encoded
-/// rows of one cached block.
+/// in-memory binary search, one binary search over the restarts of one
+/// cached block and a decode of at most 16 rows.
 pub struct SegmentReader {
     file: BlockFile,
     hdr: Header,
-    tags: Section<FixedRows<TagKey>>,
-    docs: Section<FixedRows<DocKey>>,
+    tags: Section<PackedRows<TagEntry>>,
+    docs: Section<PackedRows<DocEnd>>,
 }
 
 impl SegmentReader {
     /// Opens a segment: validates the header against the file and
-    /// loads both fence arrays (16 bytes of memory per 4 KiB of
-    /// entries). Segment block reads are recorded into `stats`.
+    /// loads both fence arrays (16 bytes of memory per 4 KiB block of
+    /// rows). Segment block reads are recorded into `stats`.
     pub fn open(store: Box<dyn RawStore>, stats: Arc<IoStats>) -> Result<SegmentReader> {
         let hdr = Frame::open(&*store, &SEG_FORMAT, Header::from_frame)?;
-        let tags = FixedRows::open(&*store, hdr.tag_off, hdr.tag_fence_off, hdr.n_tag)?;
-        let docs = FixedRows::open(&*store, hdr.doc_off, hdr.doc_fence_off, hdr.n_doc)?;
+        let tags = PackedRows::open(&*store, hdr.tag_off, hdr.tag_fence_off, hdr.tag_blocks)?;
+        let docs = PackedRows::open(&*store, hdr.doc_off, hdr.doc_fence_off, hdr.doc_blocks)?;
         Ok(SegmentReader {
             file: BlockFile::new(store, stats, hdr.file_len),
             hdr,
@@ -682,6 +803,26 @@ impl SegmentReader {
             + std::mem::size_of_val(&self.docs.fences[..])) as u64
     }
 
+    /// Where the file's bytes are, from its header.
+    pub fn layout(&self) -> SegmentLayout {
+        let h = &self.hdr;
+        SegmentLayout {
+            record_bytes: h.rec_idx_off - h.rec_data_off,
+            record_index_bytes: (u64::from(h.n_docs) + 1) * 8,
+            tag_bytes: h.tag_fence_off - h.tag_off,
+            tag_rows: h.n_tag,
+            tag_blocks: h.tag_blocks,
+            doc_bytes: h.doc_fence_off - h.doc_off,
+            doc_rows: h.n_doc,
+            doc_blocks: h.doc_blocks,
+            fence_bytes: h.tag_blocks * TagEntry::FENCE_LEN as u64
+                + h.doc_blocks * DocEnd::FENCE_LEN as u64,
+            meta_bytes: h.meta_len,
+            crc_bytes: h.file_len - h.crc_off,
+            file_bytes: h.file_len,
+        }
+    }
+
     /// Range query on the Trie-Symbol section: rows with this `sym` and
     /// `left` in `(ql, qr]`, in key order — the segment-side mirror of
     /// the B⁺-tree `scan_tag_range`.
@@ -691,8 +832,7 @@ impl SegmentReader {
             &self.file,
             |&k| k <= (sym, ql),
             |&k| k > (sym, qr),
-            |_, row| {
-                let e = TagEntry::read(row);
+            |_, e| {
                 hits.push((e.left, e.right, e.level, e.fine_gap));
                 true
             },
@@ -707,8 +847,8 @@ impl SegmentReader {
             &self.file,
             |&k| k < left,
             |&k| k > right,
-            |_, row| {
-                out(doc_of(row));
+            |_, e| {
+                out(e.doc);
                 true
             },
         )
@@ -772,8 +912,7 @@ impl SegmentReader {
         check.records = self.hdr.n_docs as u64;
         // The two alignment gaps.
         let idx_end = self.hdr.rec_idx_off + idx_bytes.len() as u64;
-        let fence_end =
-            self.hdr.tag_fence_off + (self.tags.fences.len() * TagKey::FENCE_LEN) as u64;
+        let fence_end = self.hdr.tag_fence_off + self.hdr.tag_blocks * TagEntry::FENCE_LEN as u64;
         for (from, to) in [(idx_end, self.hdr.tag_off), (fence_end, self.hdr.doc_off)] {
             let mut gap = vec![0u8; (to - from) as usize];
             store.read_at(from, &mut gap)?;
@@ -781,30 +920,42 @@ impl SegmentReader {
                 return Err(corrupt(format!("alignment padding at {from} is not zero")));
             }
         }
+        // Both row sections: the block codec vouches for each block
+        // (restart table, whole rows, order inside a run, count, fence,
+        // padding); what is left is the order across restarts and
+        // blocks, and the header's count.
+        let counted = |name: &str, seen: u64, want: u64| {
+            if seen == want {
+                return Ok(seen);
+            }
+            Err(corrupt(format!(
+                "{name} section holds {seen} rows, its header says {want}"
+            )))
+        };
         // Tag section: strict (sym, left) ascending.
-        let mut prev_key: Option<TagKey> = None;
-        self.tags.verify(store, "tag", |n, &key, _| {
+        let mut prev_key: Option<(u32, u64)> = None;
+        let seen = self.tags.verify(store, "tag", |n, &key, _| {
             if prev_key.is_some_and(|p| key <= p) {
                 return Err(corrupt(format!("tag entry {n} out of order")));
             }
             prev_key = Some(key);
             Ok(())
         })?;
-        check.tag_entries = self.hdr.n_tag;
+        check.tag_entries = counted("tag", seen, self.hdr.n_tag)?;
         // Doc section: strict (left, doc) ascending, docs in range.
-        let mut prev_doc: Option<(u64, u32)> = None;
-        self.docs.verify(store, "doc", |n, &left, row| {
-            let doc = doc_of(row);
-            if prev_doc.is_some_and(|p| (left, doc) <= p) {
+        let mut prev_doc: Option<DocEnd> = None;
+        let seen = self.docs.verify(store, "doc", |n, _, end| {
+            if prev_doc.is_some_and(|p| *end <= p) {
                 return Err(corrupt(format!("doc entry {n} out of order")));
             }
-            if doc >= self.hdr.n_docs {
+            if end.doc >= self.hdr.n_docs {
+                let doc = end.doc;
                 return Err(corrupt(format!("doc entry {n} references document {doc}")));
             }
-            prev_doc = Some((left, doc));
+            prev_doc = Some(*end);
             Ok(())
         })?;
-        check.doc_entries = self.hdr.n_doc;
+        check.doc_entries = counted("doc", seen, self.hdr.n_doc)?;
         Ok(check)
     }
 }
@@ -812,6 +963,7 @@ impl SegmentReader {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::super::blockfile::tests::{patch_header, FileKind};
+    use super::super::blockfile::RESTART_EVERY;
     use super::super::env::{env_temp_factory, MemSegEnv, SegmentEnv};
     use super::*;
     use crate::error::StorageError;
@@ -979,25 +1131,45 @@ pub(crate) mod tests {
         oracle.label()
     }
 
-    /// A collection whose segment has exactly `n_tag` tag rows and
-    /// `n_doc` doc-end rows: 60 random paths over symbols 2..=7, one
-    /// chain of symbol 9 long enough to reach `n_tag` (so one symbol's
-    /// rows span several groups), and copies of the first path up to
-    /// `n_doc` (so one `left` spans several doc groups).
-    fn sized_paths(n_tag: u64, n_doc: u64, seed: u64) -> Vec<(Vec<u32>, Vec<u32>)> {
+    /// 60 random paths over symbols 2..=7, one chain of `chain` nodes of
+    /// symbol 9 (so one symbol's rows fill several blocks), and copies
+    /// of the first path up to `n_doc` documents (so one `left` fills
+    /// several doc blocks).
+    fn sized_paths(chain: usize, n_doc: usize, seed: u64) -> Vec<(Vec<u32>, Vec<u32>)> {
         let mut paths = sample_paths(60, seed);
         for (p, _) in &mut paths {
             p.iter_mut().for_each(|s| *s += 2);
         }
-        let chain = n_tag as usize - oracle_rows(&paths).0.len();
-        assert!(
-            chain as u64 >= 3 * TagKey::GROUP,
-            "chain must span 3 groups"
-        );
         paths.push((vec![9; chain], (0..chain as u32).map(|g| g % 50).collect()));
         let filler = paths[0].clone();
-        paths.resize(n_doc as usize, filler);
+        paths.resize(n_doc, filler);
         paths
+    }
+
+    /// The indexes, in a section's sorted rows, of every row that opens
+    /// a block (from the blocks' own counts in `file`) and of every
+    /// restart (the packer's rule replayed over the oracle rows).
+    fn block_starts_and_restarts<R: PackedRow>(
+        rows: &[R],
+        file: &[u8],
+        sec: &Section<PackedRows<R>>,
+    ) -> [Vec<usize>; 2] {
+        let mut starts = vec![0];
+        for g in 0..sec.fences.len() {
+            let at = (sec.first_block as usize + g) * SEG_BLOCK;
+            let n_rows = u16::from_le_bytes([file[at], file[at + 1]]);
+            starts.push(starts[g] + usize::from(n_rows));
+        }
+        assert_eq!(starts.pop(), Some(rows.len()), "the blocks hold every row");
+        let (mut restarts, mut run) = (Vec::new(), 0);
+        for (i, row) in rows.iter().enumerate() {
+            if starts.contains(&i) || run == RESTART_EVERY || row.breaks_run(&rows[i - 1]) {
+                restarts.push(i);
+                run = 0;
+            }
+            run += 1;
+        }
+        [starts, restarts]
     }
 
     /// Both scans of `r` against the brute-force filter over the
@@ -1082,53 +1254,49 @@ pub(crate) mod tests {
                 &[a, b],
             );
         }
-        // Row counts of exactly k groups and one either side: every
-        // bound that is the key of a row next to a group boundary (and
-        // its neighbours), the extremes, inverted ranges (each pair is
-        // tried both ways round), and symbols below, between and above
-        // the stored ones.
+        // Several blocks of one symbol and of one `left`: every bound
+        // that is the key of a row next to a block boundary or next to
+        // a restart (and its neighbours), the extremes, inverted ranges
+        // (each pair is tried both ways round), and symbols below,
+        // between and above the stored ones.
         let syms = [0, 1, 2, 5, 7, 8, 9, 10, u32::MAX];
-        for d in [-1i64, 0, 1] {
-            let (n_tag, n_doc) = (
-                (6 * TagKey::GROUP as i64 + d) as u64,
-                (4 * DocKey::GROUP as i64 + d) as u64,
-            );
-            let paths = sized_paths(n_tag, n_doc, 21);
-            let (exp_tags, exp_ends) = oracle_rows(&paths);
-            let (env, _) = build_segment(&paths, 1 << 20);
-            let r = open_reader(&env);
-            assert_eq!((r.hdr.n_tag, r.hdr.n_doc), (n_tag, n_doc));
-            let chain: Vec<u64> = exp_tags
-                .iter()
-                .filter(|t| t.sym == 9)
-                .map(|t| t.left)
-                .collect();
-            assert!(chain.len() as u64 >= 3 * TagKey::GROUP);
-            let mut bounds = vec![
-                0,
-                1,
-                u64::MAX - 1,
-                u64::MAX,
-                chain[0],
-                *chain.last().unwrap(),
-            ];
-            for k in 1..=6 {
-                for i in [k * TagKey::GROUP - 1, k * TagKey::GROUP] {
-                    let left = exp_tags.get(i as usize).map_or(0, |t| t.left);
-                    bounds.extend([left.saturating_sub(1), left, left + 1]);
+        let paths = sized_paths(3000, 4500, 21);
+        let (exp_tags, exp_ends) = oracle_rows(&paths);
+        let (env, _) = build_segment(&paths, 1 << 20);
+        let r = open_reader(&env);
+        let file = env.store(".t.seg").unwrap().snapshot();
+        let [tag_starts, tag_restarts] = block_starts_and_restarts(&exp_tags, &file, &r.tags);
+        let [doc_starts, doc_restarts] = block_starts_and_restarts(&exp_ends, &file, &r.docs);
+        let of_chain = |starts: &[usize]| starts.iter().filter(|&&i| exp_tags[i].sym == 9).count();
+        assert!(of_chain(&tag_starts) >= 3, "the chain must open 3 blocks");
+        assert!(doc_starts.len() >= 3, "one left must fill 3 doc blocks");
+        let mut bounds = vec![0, 1, u64::MAX - 1, u64::MAX];
+        // The rows either side of every block boundary, of the first
+        // two restarts inside every block and of the last.
+        let mut next_to = |lefts: &[u64], starts: &[usize], restarts: &[usize]| {
+            for (g, &at) in starts.iter().enumerate() {
+                let end = starts.get(g + 1).map_or(lefts.len(), |&e| e);
+                let inside: Vec<usize> = restarts
+                    .iter()
+                    .copied()
+                    .filter(|&i| at < i && i < end)
+                    .collect();
+                let picked = inside.iter().take(2).chain(inside.last());
+                for &i in picked.chain([&at]) {
+                    for left in [lefts[i.saturating_sub(1)], lefts[i]] {
+                        bounds.extend([left.saturating_sub(1), left, left + 1]);
+                    }
                 }
             }
-            for k in 1..=4 {
-                for i in [k * DocKey::GROUP - 1, k * DocKey::GROUP] {
-                    let left = exp_ends.get(i as usize).map_or(0, |e| e.left);
-                    bounds.extend([left.saturating_sub(1), left, left + 1]);
-                }
-            }
-            bounds.sort_unstable();
-            bounds.dedup();
-            check_scans(&r, &exp_tags, &exp_ends, &syms, &bounds);
-            r.verify().unwrap();
-        }
+        };
+        let lefts: Vec<u64> = exp_tags.iter().map(|t| t.left).collect();
+        next_to(&lefts, &tag_starts, &tag_restarts);
+        let lefts: Vec<u64> = exp_ends.iter().map(|e| e.left).collect();
+        next_to(&lefts, &doc_starts, &doc_restarts);
+        bounds.sort_unstable();
+        bounds.dedup();
+        check_scans(&r, &exp_tags, &exp_ends, &syms, &bounds);
+        r.verify().unwrap();
         // The empty segment answers every range with nothing.
         let (env, _) = build_segment(&[], 1 << 20);
         check_scans(&open_reader(&env), &[], &[], &syms, &[0, 1, u64::MAX]);
@@ -1195,7 +1363,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn open_rejects_bad_magic_truncation_and_version_1() {
+    fn open_rejects_bad_magic_truncation_and_version_2() {
         let paths = sample_paths(20, 9);
         let (env, _) = build_segment(&paths, 1 << 20);
         let good = env.store(".t.seg").unwrap().snapshot();
@@ -1207,12 +1375,12 @@ pub(crate) mod tests {
             try_open(&good[..good.len() - 10]).is_err(),
             "length mismatch must be rejected"
         );
-        let err = match try_open(&patch_header(&good, 8, 4, |_| 1)) {
+        let err = match try_open(&patch_header(&good, 8, 4, |_| 2)) {
             Err(e) => e.to_string(),
-            Ok(_) => panic!("a version-1 segment must be refused"),
+            Ok(_) => panic!("a version-2 segment must be refused"),
         };
         assert!(
-            err.contains("version 1") && err.contains("re-index"),
+            err.contains("version 2") && err.contains("re-index the source documents"),
             "unhelpful refusal: {err}"
         );
     }
@@ -1224,8 +1392,8 @@ pub(crate) mod tests {
         let good = env.store(".t.seg").unwrap().snapshot();
         // (offset, width) of n_docs, n_tag, n_doc, then the ten section
         // offsets and lengths: none of them can change alone, by one, by
-        // a whole block (alignment kept), by whole groups, or to
-        // something huge.
+        // a whole block (alignment kept), by a thousand, or to something
+        // huge.
         let fields = [(20, 4), (24, 8), (32, 8)]
             .into_iter()
             .chain((40..120).step_by(8).map(|at| (at, 8)));
@@ -1234,17 +1402,17 @@ pub(crate) mod tests {
                 |v| v + 1,
                 |v| v.wrapping_sub(1),
                 |v| v + SEG_BLOCK as u64,
-                |v| v + TagKey::GROUP * DocKey::GROUP,
+                |v| v + 1000,
                 |_| u64::MAX / 2,
             ];
             for f in perturb {
                 match try_open(&patch_header(&good, at, width, f)) {
                     Err(StorageError::Corrupt { .. }) => {}
                     Err(e) => panic!("field at {at}: wrong error {e}"),
-                    // A count, or the end of the record data, can move
-                    // by one inside the padding before the next aligned
-                    // section without moving it: the rows then disagree
-                    // with the header, and verify says so.
+                    // A row count can move within what its blocks could
+                    // hold, and the end of the record data inside the
+                    // padding before the next aligned section: the rows
+                    // then disagree with the header, and verify says so.
                     Ok(r) => assert!(
                         at <= 40 && matches!(r.verify(), Err(StorageError::Corrupt { .. })),
                         "field at {at}: inconsistent header accepted"
@@ -1256,26 +1424,30 @@ pub(crate) mod tests {
 
     #[test]
     fn block_cache_counts_logical_reads_and_fetches() {
-        let paths = sample_paths(400, 13);
-        let (env, _) = build_segment(&paths, 1 << 20);
+        // The cost model: a lookup whose hits lie inside one block is
+        // one block read, fetched the first time and cached after, and
+        // nothing before it (open included) touched the cache. 500 rows
+        // of one symbol fit one block (format 2 spread them over four).
+        let (env, _) = build_segment(&sized_paths(3000, 70, 13), 1 << 20);
         let stats = Arc::new(IoStats::default());
         let r = SegmentReader::open(env.open(".t.seg").unwrap(), Arc::clone(&stats)).unwrap();
-        // The cost model: a lookup whose hits lie inside one group is
-        // one block read, fetched the first time and cached after, and
-        // nothing before it (open included) touched the cache.
-        let (exp_tags, _) = oracle_rows(&paths);
-        let g = TagKey::GROUP as usize;
-        let i = (g + 1..2 * g - 4)
-            .find(|&i| exp_tags[i - 1].sym == exp_tags[i + 3].sym)
-            .expect("four rows of one symbol inside group 1");
-        let (sym, ql, qr) = (exp_tags[i].sym, exp_tags[i - 1].left, exp_tags[i + 3].left);
+        let fences = &r.tags.fences;
+        let g = (0..fences.len() - 1)
+            .find(|&g| fences[g].0 == 9 && fences[g + 1].0 == 9)
+            .expect("a block of nothing but the chain");
+        let ql = fences[g].1;
+        assert!(ql + 500 < fences[g + 1].1, "500 rows inside block {g}");
         for fetches in [1, 0] {
             let before = stats.snapshot();
-            assert_eq!(r.scan_tag_range(sym, ql, qr).unwrap().len(), 4);
+            assert_eq!(r.scan_tag_range(9, ql, ql + 500).unwrap().len(), 500);
             let after = stats.snapshot();
             assert_eq!(after.seg_block_reads - before.seg_block_reads, 1);
             assert_eq!(after.seg_block_fetches - before.seg_block_fetches, fetches);
         }
+        let paths = sample_paths(400, 13);
+        let (env, _) = build_segment(&paths, 1 << 20);
+        let stats = Arc::new(IoStats::default());
+        let r = SegmentReader::open(env.open(".t.seg").unwrap(), Arc::clone(&stats)).unwrap();
         let before = stats.snapshot();
         for sym in 0..6u32 {
             r.scan_tag_range(sym, 0, u64::MAX).unwrap();

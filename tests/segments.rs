@@ -589,37 +589,51 @@ fn rp_segment_bytes<const N: usize>(env: &MemSegEnv, off: u64) -> [u8; N] {
     buf
 }
 
-/// Overwrites the u32 at `off` of `.g1.rp.seg`, returning what it held.
-fn poke_rp_segment(env: &MemSegEnv, off: u64, word: u32) -> u32 {
-    let old = u32::from_le_bytes(rp_segment_bytes(env, off));
+/// Overwrites the byte at `off` of `.g1.rp.seg`, returning what it held.
+fn poke_rp_segment(env: &MemSegEnv, off: u64, byte: u8) -> u8 {
+    let [old] = rp_segment_bytes(env, off);
     let store = env.store(".g1.rp.seg").unwrap();
-    store.write_at(off, &word.to_le_bytes()).unwrap();
+    store.write_at(off, &[byte]).unwrap();
     old
+}
+
+/// The offsets, from `off` on in `.g1.rp.seg`, of the varints that
+/// start there (this database's counts all fit one byte).
+fn rp_varint_offsets(env: &MemSegEnv, off: u64) -> Vec<u64> {
+    let bytes: [u8; 24] = rp_segment_bytes(env, off);
+    let mut rest = &bytes[..];
+    let mut at = vec![off];
+    while prix::storage::segment::take_varint(&mut rest).is_some() {
+        at.push(off + (bytes.len() - rest.len()) as u64);
+    }
+    at
 }
 
 #[test]
 fn garbled_segment_meta_is_refused_at_reopen() {
     let env = small_segmented_env();
     let meta_off = u64::from_le_bytes(rp_segment_bytes(&env, 88)); // header field
-                                                                   // The blob: kind u8, dummy u32, then the MaxGap count and, after
-                                                                   // its 8-byte entries, the childless count.
-    let n_gaps_off = meta_off + 5;
-    let n_gaps = u32::from_le_bytes(rp_segment_bytes(&env, n_gaps_off));
-    let n_childless_off = n_gaps_off + 4 + 8 * u64::from(n_gaps);
-    for (off, word) in [
-        (n_gaps_off, u32::MAX),
+                                                                   // The blob: the kind byte, then varints — the dummy symbol, the
+                                                                   // MaxGap count and, after its (symbol, gap) pairs, the childless
+                                                                   // count.
+    let varints = rp_varint_offsets(&env, meta_off + 1);
+    let n_gaps_off = varints[1];
+    let [n_gaps] = rp_segment_bytes(&env, n_gaps_off);
+    let n_childless_off = varints[2 + 2 * usize::from(n_gaps)];
+    for (off, count) in [
+        (n_gaps_off, 0x7f),
         (n_gaps_off, n_gaps + 1),
-        (n_childless_off, u32::MAX),
+        (n_childless_off, 0x7f),
         (n_childless_off, 0),
     ] {
-        let good = poke_rp_segment(&env, off, word);
+        let good = poke_rp_segment(&env, off, count);
         let err = match PrixEngine::reopen_env(env.clone(), BUFFER_PAGES) {
             Err(e) => e.to_string(),
-            Ok(_) => panic!("count word at {off} = {word} was accepted"),
+            Ok(_) => panic!("count at {off} = {count} was accepted"),
         };
         assert!(
             err.contains("corrupt segment metadata"),
-            "{off}/{word}: {err}"
+            "{off}/{count}: {err}"
         );
         poke_rp_segment(&env, off, good);
     }
@@ -629,13 +643,14 @@ fn garbled_segment_meta_is_refused_at_reopen() {
 #[test]
 fn garbled_document_record_fails_the_query() {
     let env = small_segmented_env();
-    // Record 0 opens the record section: the sequence length `n`, 2n
-    // words of NPS and LPS, then the leaf count.
+    // Record 0 opens the record section: the sequence length `n`, the
+    // `n` varints of the NPS, then the byte length of the LPS and leaf
+    // part.
     let n_off = u64::from_le_bytes(rp_segment_bytes(&env, 48)); // header field
-    let n = u32::from_le_bytes(rp_segment_bytes(&env, n_off));
-    let n_leaves_off = n_off + 4 + 8 * u64::from(n);
-    for (off, word) in [(n_off, u32::MAX), (n_off, n - 1), (n_leaves_off, u32::MAX)] {
-        let good = poke_rp_segment(&env, off, word);
+    let [n] = rp_segment_bytes(&env, n_off);
+    let leaf_len_off = rp_varint_offsets(&env, n_off)[1 + usize::from(n)];
+    for (off, count) in [(n_off, 0x7f), (n_off, n - 1), (leaf_len_off, 0x7f)] {
+        let good = poke_rp_segment(&env, off, count);
         // A fresh reader: nothing of the record is cached yet.
         let engine = PrixEngine::reopen_env(env.clone(), BUFFER_PAGES).unwrap();
         let snap = engine.snapshot();
@@ -643,7 +658,7 @@ fn garbled_document_record_fails_the_query() {
         let err = snap.query(&q).unwrap_err().to_string();
         assert!(
             err.contains("corrupt document record"),
-            "{off}/{word}: {err}"
+            "{off}/{count}: {err}"
         );
         poke_rp_segment(&env, off, good);
     }
@@ -660,7 +675,7 @@ fn garbled_document_record_fails_the_query() {
 fn query_batch_surfaces_errors() {
     let env = small_segmented_env();
     let record_0 = u64::from_le_bytes(rp_segment_bytes(&env, 48)); // header field
-    poke_rp_segment(&env, record_0, u32::MAX);
+    poke_rp_segment(&env, record_0, 0x7f);
     let engine = PrixEngine::reopen_env(env, BUFFER_PAGES).unwrap();
     let snap = engine.snapshot();
     let good = snap.parse_query("//a/nothing").unwrap();

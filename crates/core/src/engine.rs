@@ -33,8 +33,11 @@ use crate::valix::Valix;
 /// record id, dummy symbol, arrangement limit (written for layout
 /// compatibility, never read back), the length-prefixed planner
 /// statistics blob, then the valix metadata record id. A zero RP, EP or
-/// valix record id is refused at reopen.
-const CATALOG_VERSION: u32 = 4;
+/// valix record id is refused at reopen. Version 5 changed nothing on
+/// this page: it says what the RP/EP records name — one record per
+/// document in a segment's encoding, found through a directory tree
+/// (see [`PrixIndex::save`]) — which a version-4 reader would misread.
+const CATALOG_VERSION: u32 = 5;
 
 /// Byte offset of the planner-stats blob (u32 length + payload) in the
 /// catalog page, right after the fixed fields.
@@ -124,9 +127,10 @@ pub struct PrixEngine {
     /// table); kept open across saves so repeated saves append into the
     /// same data page instead of allocating a fresh one each time.
     catalog_store: Option<RecordStore>,
-    /// Last symbol-table record written, with its exact serialized
-    /// bytes: an unchanged table is not re-appended on the next save.
-    saved_syms: Option<(RecordId, Vec<u8>)>,
+    /// Last symbol-table record written and the number of symbols it
+    /// holds: the table only ever grows, so one of the same length is
+    /// the same table and is not serialized again on the next save.
+    saved_syms: Option<(RecordId, usize)>,
     /// What crash recovery did when this engine was reopened; `None`
     /// for freshly built engines.
     recovery: Option<RecoveryReport>,
@@ -227,23 +231,25 @@ impl PrixEngine {
         let pool = Arc::new(pool);
         let dummy = collection.intern("\u{1}prix-dummy");
         // Both indexes read the same immutable collection and write
-        // through the internally synchronized buffer pool, so they can
-        // be built concurrently.
-        let (rp, ep) = std::thread::scope(|s| {
-            let rp_pool = Arc::clone(&pool);
-            let ep_pool = Arc::clone(&pool);
-            let coll = &collection;
-            let rp = s.spawn(move || {
-                PrixIndex::build(rp_pool, coll, IndexKind::Regular, cfg.labeling, dummy)
-            });
-            let ep = s.spawn(move || {
-                PrixIndex::build(ep_pool, coll, IndexKind::Extended, cfg.labeling, dummy)
-            });
-            (
-                rp.join().expect("rp build thread"),
-                ep.join().expect("ep build thread"),
-            )
-        });
+        // through the internally synchronized buffer pool, so they are
+        // built concurrently — except over no documents (the empty
+        // generation of a bulk build or a compaction), where there is
+        // nothing to overlap and one thread lays the page file out the
+        // same way every time.
+        let build =
+            |kind| PrixIndex::build(Arc::clone(&pool), &collection, kind, cfg.labeling, dummy);
+        let (rp, ep) = if collection.is_empty() {
+            (build(IndexKind::Regular), build(IndexKind::Extended))
+        } else {
+            std::thread::scope(|s| {
+                let rp = s.spawn(|| build(IndexKind::Regular));
+                let ep = s.spawn(|| build(IndexKind::Extended));
+                (
+                    rp.join().expect("rp build thread"),
+                    ep.join().expect("ep build thread"),
+                )
+            })
+        };
         let (rp, ep) = (rp?, ep?);
         // Seed the planner from what the build just saw: label counts
         // from the collection, trie fanout from the RP build.
@@ -311,7 +317,7 @@ impl PrixEngine {
     /// outlived an insert or a compaction would read half-new pages
     /// through its frozen index handles.
     pub fn snapshot(&self) -> impl std::ops::Deref<Target = EngineSnapshot> + '_ {
-        Box::new(EngineSnapshot::capture(self))
+        Box::new(EngineSnapshot::capture(self, None))
     }
 
     /// Flushes and empties the buffer pool so the next query measures
@@ -349,20 +355,19 @@ impl PrixEngine {
     fn write_catalog(&mut self) -> Result<()> {
         let rp_meta = self.rp.save()?.raw();
         let ep_meta = self.ep.save()?.raw();
-        // Serialize the symbol table (needed to parse queries after
-        // reopen).
-        let mut buf: Vec<u8> = Vec::new();
-        buf.extend_from_slice(&(self.symbols.len() as u32).to_le_bytes());
-        for (_, name) in self.symbols.iter() {
-            buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            buf.extend_from_slice(name.as_bytes());
-        }
-        // Reuse the previously written record when the table is
-        // unchanged — saving an unchanged engine N times must not grow
-        // the store by N symbol-table copies.
-        let syms_rec = match &self.saved_syms {
-            Some((id, bytes)) if *bytes == buf => *id,
+        // The symbol table (needed to parse queries after reopen) is
+        // serialized only when it has grown — saving an unchanged engine
+        // N times must not grow the store by N copies of it, nor build
+        // N copies to find that out.
+        let syms_rec = match self.saved_syms {
+            Some((id, len)) if len == self.symbols.len() => id,
             _ => {
+                let mut buf: Vec<u8> = Vec::new();
+                buf.extend_from_slice(&(self.symbols.len() as u32).to_le_bytes());
+                for (_, name) in self.symbols.iter() {
+                    buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
+                    buf.extend_from_slice(name.as_bytes());
+                }
                 if self.catalog_store.is_none() {
                     self.catalog_store = Some(
                         RecordStore::open(Arc::clone(&self.pool)).map_err(IndexError::Storage)?,
@@ -370,7 +375,7 @@ impl PrixEngine {
                 }
                 let store = self.catalog_store.as_mut().expect("created above");
                 let id = store.append(&buf).map_err(IndexError::Storage)?;
-                self.saved_syms = Some((id, buf));
+                self.saved_syms = Some((id, self.symbols.len()));
                 id
             }
         };
@@ -477,7 +482,7 @@ impl PrixEngine {
                 if version != CATALOG_VERSION {
                     return Err(IndexError::Unsupported(format!(
                         "unsupported PRIX database version {version} (this build reads \
-                         version {CATALOG_VERSION}); refusing to guess at its layout"
+                         version {CATALOG_VERSION}); re-index the source documents"
                     )));
                 }
                 let corrupt_stats =
@@ -522,6 +527,7 @@ impl PrixEngine {
         let rp = PrixIndex::load(Arc::clone(&pool), RecordId::from_raw(rp_meta))?;
         let ep = PrixIndex::load(Arc::clone(&pool), RecordId::from_raw(ep_meta))?;
         let valix = Valix::load(Arc::clone(&pool), RecordId::from_raw(valix_meta))?;
+        let saved_syms = Some((RecordId::from_raw(syms_rec), symbols.len()));
         Ok(PrixEngine {
             symbols,
             pool,
@@ -529,7 +535,7 @@ impl PrixEngine {
             ep,
             dummy,
             catalog_store: None,
-            saved_syms: Some((RecordId::from_raw(syms_rec), bytes)),
+            saved_syms,
             recovery: Some(recovery),
             segments: Vec::new(),
             manifest_segments: Vec::new(),
@@ -764,9 +770,9 @@ impl PrixEngine {
             return Ok(false);
         }
         let generation = self.generation + 1;
-        // (1) The delta's documents replay from their stored refinement
-        // records through the same encoder the bulk path uses, so the
-        // segment bytes come out identical to a bulk build's.
+        // (1) The delta's documents go over as their stored records,
+        // which are what the bulk path's encoder makes of a document, so
+        // the segment bytes come out identical to a bulk build's.
         let mut manifest_segments = self.manifest_segments.clone();
         for (idx, kname, seg_kind) in [(&self.rp, "rp", SEG_KIND_RP), (&self.ep, "ep", SEG_KIND_EP)]
         {
@@ -780,7 +786,7 @@ impl PrixEngine {
                 run_mem_bytes,
             )?;
             for local in 0..n {
-                b.add_doc_data(&idx.load_doc(doc_base + local, true)?)?;
+                b.add_doc_data(&idx.doc_record(doc_base + local)?)?;
             }
             b.finish(idx.maxgap(), idx.childless_set())?;
             manifest_segments.push(ManifestSegment {
@@ -969,13 +975,12 @@ impl PrixEngine {
     /// [`PrixEngine::insert_document`] for an already-parsed tree
     /// (which must use this engine's symbol table).
     pub fn insert_tree(&mut self, tree: prix_xml::XmlTree) -> Result<prix_xml::DocId> {
-        // Validate against *both* indexes before mutating either: if RP
+        // Prepare against *both* indexes before mutating either: if RP
         // accepted the document but EP then ran out of trie scope, the
         // two indexes would disagree on document ids forever after.
-        self.rp.check_insert(&tree)?;
-        self.ep.check_insert(&tree)?;
-        let id = self.rp.insert_document(&tree)?;
-        let ep_id = self.ep.insert_document(&tree)?;
+        let (rp_doc, ep_doc) = (self.rp.prepare(&tree)?, self.ep.prepare(&tree)?);
+        let id = self.rp.insert(rp_doc)?;
+        let ep_id = self.ep.insert(ep_doc)?;
         debug_assert_eq!(id, ep_id, "indexes assign ids in lockstep");
         let b = self.rp.build_stats();
         self.planner.update(|s| {
@@ -1005,9 +1010,9 @@ impl PrixEngine {
     }
 
     /// Batch ingest through the snapshot-isolation write path: every
-    /// document is dry-run-validated against *both* indexes (the same
-    /// lockstep rule as [`PrixEngine::insert_document`]) and accepted
-    /// documents are inserted. Nothing is committed: the caller looks
+    /// document is prepared against *both* indexes (the same lockstep
+    /// rule as [`PrixEngine::insert_document`]) and accepted documents
+    /// are inserted. Nothing is committed: the caller looks
     /// at the outcome and then makes **one** [`PrixEngine::save`] for
     /// the batch (one WAL group commit, one epoch advance) — or, when
     /// it wants all of `docs` or none (`prix add`), drops the engine
@@ -1049,7 +1054,7 @@ impl PrixEngine {
         self.insert_each(subtrees, Self::insert_tree)
     }
 
-    /// The one accept/reject loop: `insert` validates against both
+    /// The one accept/reject loop: `insert` prepares against both
     /// indexes before mutating either, so an `Unsupported` error means
     /// the document was refused cleanly; anything else aborts.
     fn insert_each<T>(
@@ -1190,7 +1195,7 @@ mod tests {
         let mut e = PrixEngine::build(c, EngineConfig::default()).unwrap();
         assert!(
             e.rp_index()
-                .check_insert(
+                .prepare(
                     &prix_xml::parse_document("<a><c>v</c></a>", &mut e.symbols().clone()).unwrap()
                 )
                 .is_ok(),

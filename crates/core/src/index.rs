@@ -9,8 +9,9 @@
 //!   stored as a composite key so sparsely-used tags share pages),
 //! * the **Docid index** — document ids keyed by the LeftPos of the trie
 //!   node where each LPS ends,
-//! * per-document records (NPS, LPS, leaf list, and for EPIndex the
-//!   extended→original postorder map) in a [`RecordStore`],
+//! * one record per document (NPS, LPS, leaf list, and for EPIndex the
+//!   extended→original postorder map: [`encode_doc_record`]) in a
+//!   [`RecordStore`], found through a directory B⁺-tree,
 //! * the per-label [`MaxGapTable`] (§5.4).
 //!
 //! Query execution is Algorithm 1 (`FindSubsequence` by range queries,
@@ -18,6 +19,7 @@
 //! refinement phases), producing the set of twig matches with their
 //! embeddings.
 
+use std::collections::HashSet;
 use std::fmt;
 use std::ops::Bound;
 use std::sync::Arc;
@@ -30,7 +32,7 @@ use prix_storage::{
 use prix_xml::{Collection, DocId, PostNum, Sym, XmlTree};
 
 use crate::query::TwigQuery;
-use crate::trie::{LabelingMode, VirtualTrie};
+use crate::trie::{LabeledNode, LabelingMode, VirtualTrie};
 
 /// Which sequence flavor an index stores (§5.6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,21 +222,10 @@ pub struct BuildStats {
     pub total_seq_len: u64,
 }
 
-#[derive(Clone)]
-struct DocRecords {
-    nps: RecordId,
-    lps: RecordId,
-    leaves: RecordId,
-    /// Extended→original postorder map (EPIndex only).
-    orig_map: Option<RecordId>,
-    /// Node count of the original document.
-    n_orig: u32,
-}
-
 /// A PRIX index over one collection *tier*.
 ///
-/// `Clone` snapshots the *handles* (tree roots, record ids, per-doc
-/// table, MaxGap): clones share the underlying pages. The engine's
+/// `Clone` snapshots the *handles* (tree roots, the documents' record
+/// ids, MaxGap): clones share the underlying pages. The engine's
 /// snapshot publication clones the index once per commit to give
 /// readers a frozen catalog while the writer's copy keeps mutating;
 /// the two stay consistent through the pool's epoch-pinned page views.
@@ -260,7 +251,7 @@ pub struct PrixIndex {
     /// (values, empty elements). A query leaf with such a label cannot
     /// use the leaf-extended plan soundly (§4.4): its image might be a
     /// childless node, which a dummy-extended query would miss.
-    childless: std::collections::HashSet<Sym>,
+    childless: HashSet<Sym>,
     backing: Backing,
 }
 
@@ -274,16 +265,19 @@ enum Backing {
 /// The mutable tier: everything lives in buffer-pool pages.
 #[derive(Clone)]
 struct TreeBacking {
-    /// Trie-Symbol index: key = sym(4, BE) ++ left(8, BE),
-    /// value = right(8, LE) ++ level(4, LE) ++ fine_gap(4, LE).
+    /// Trie-Symbol index: [`tag_key`] → [`tag_val`].
     tag_index: BPlusTree,
     /// Docid index: key = left(8, BE), value = doc(4, LE).
     docid_index: BPlusTree,
-    /// Trie-node table for incremental inserts: key = left(8, BE),
-    /// value = right(8, LE) ++ frontier(8, LE) ++ level(4, LE) ++
-    /// sym(4, LE). Entry 0 is the virtual root.
+    /// Trie-node table for incremental inserts: left(8, BE) →
+    /// [`node_val`]. Entry 0 is the virtual root.
     trie_nodes: BPlusTree,
-    docs: Vec<DocRecords>,
+    /// The record directory: local doc(4, BE) → record id(8, LE). A
+    /// tree, so that a commit logs the entries it added at the right
+    /// edge and not the directory; no query reads it — `docs` is.
+    directory: BPlusTree,
+    /// `directory`, resident: filled by one scan in [`PrixIndex::load`].
+    docs: Vec<RecordId>,
     store: RecordStore,
     /// Last metadata record written by [`PrixIndex::save`], with the
     /// exact bytes it serialized: an unchanged index reuses the record
@@ -291,6 +285,7 @@ struct TreeBacking {
     saved_meta: Option<(RecordId, Vec<u8>)>,
 }
 
+/// Trie-Symbol index key: sym(4, BE) ++ left(8, BE).
 fn tag_key(sym: Sym, left: u64) -> [u8; 12] {
     let mut k = [0u8; 12];
     k[..4].copy_from_slice(&sym.0.to_be_bytes());
@@ -298,32 +293,107 @@ fn tag_key(sym: Sym, left: u64) -> [u8; 12] {
     k
 }
 
-fn encode_u32s(vals: impl Iterator<Item = u32>) -> Vec<u8> {
-    let mut out = Vec::new();
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Trie-Symbol index value: right(8, LE) ++ level(4, LE) ++
+/// fine_gap(4, LE).
+fn tag_val(right: u64, level: u32, fine_gap: u32) -> [u8; 16] {
+    let mut v = [0u8; 16];
+    v[..8].copy_from_slice(&right.to_le_bytes());
+    v[8..12].copy_from_slice(&level.to_le_bytes());
+    v[12..].copy_from_slice(&fine_gap.to_le_bytes());
+    v
+}
+
+/// A Trie-Symbol entry as `(left, right, level, fine_gap)`: the inverse
+/// of [`tag_key`] and [`tag_val`].
+fn tag_row(k: &[u8], v: &[u8]) -> (u64, u64, u32, u32) {
+    (
+        u64::from_be_bytes(k[4..12].try_into().unwrap()),
+        u64::from_le_bytes(v[..8].try_into().unwrap()),
+        u32::from_le_bytes(v[8..12].try_into().unwrap()),
+        u32::from_le_bytes(v[12..16].try_into().unwrap()),
+    )
+}
+
+/// Trie-node table value: right(8, LE) ++ frontier(8, LE) ++
+/// level(4, LE) ++ sym(4, LE), under the key left(8, BE).
+fn node_val(n: &LabeledNode) -> [u8; 24] {
+    let mut v = [0u8; 24];
+    v[..8].copy_from_slice(&n.right.to_le_bytes());
+    v[8..16].copy_from_slice(&n.frontier.to_le_bytes());
+    v[16..20].copy_from_slice(&n.level.to_le_bytes());
+    v[20..].copy_from_slice(&n.sym.0.to_le_bytes());
+    v
+}
+
+/// The trie-node table's row at `left`: the inverse of [`node_val`].
+/// The table does not hold fine gaps (the Trie-Symbol index does).
+fn node_row(left: u64, v: &[u8]) -> LabeledNode {
+    LabeledNode {
+        left,
+        right: u64::from_le_bytes(v[..8].try_into().unwrap()),
+        frontier: u64::from_le_bytes(v[8..16].try_into().unwrap()),
+        level: u32::from_le_bytes(v[16..20].try_into().unwrap()),
+        sym: Sym(u32::from_le_bytes(v[20..24].try_into().unwrap())),
+        fine_gap: u32::MAX,
     }
-    out
 }
 
-fn decode_u32s(bytes: &[u8]) -> Vec<u32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+/// Everything indexing derives from one document, computed in one place
+/// and once per index: the only code that knows a Regular sequence from
+/// an Extended one.
+pub(crate) struct DocArtifacts {
+    /// What the document's record holds ([`encode_doc_record`]).
+    pub(crate) data: DocData,
+    /// Per-position gaps feeding the fine-grained MaxGap.
+    pub(crate) gaps: Vec<u32>,
+    /// Labels of the document's childless nodes (§4.4 gate).
+    pub(crate) childless: Vec<Sym>,
 }
 
-/// Per-document artifacts produced while indexing one tree: its
-/// sequences, the ext→orig map (extended kind only), the leaf list, and
-/// the per-position gaps feeding the fine-grained MaxGap.
-type DocArtifacts = (
-    PruferSeq,
-    Option<Vec<PostNum>>,
-    Vec<(Sym, PostNum)>,
-    Vec<u32>,
-);
+impl DocArtifacts {
+    /// The artifacts of `tree` for an index of `kind`, folding the tree
+    /// (extended with `dummy` leaves for [`IndexKind::Extended`]) into
+    /// `maxgap`.
+    pub(crate) fn of(
+        tree: &XmlTree,
+        kind: IndexKind,
+        dummy: Sym,
+        maxgap: &mut MaxGapTable,
+    ) -> Self {
+        let ext = match kind {
+            IndexKind::Regular => None,
+            IndexKind::Extended => Some(ExtendedTree::build(tree, dummy)),
+        };
+        let indexed = ext.as_ref().map_or(tree, |e| &e.tree);
+        maxgap.add_tree(indexed);
+        let PruferSeq { lps, nps } = PruferSeq::regular(indexed);
+        let childless = tree.nodes().filter(|&n| tree.is_leaf(n));
+        DocArtifacts {
+            gaps: position_gaps(&nps, &node_gaps(indexed)),
+            childless: childless.map(|n| tree.label(n)).collect(),
+            data: DocData {
+                nps,
+                lps,
+                leaves: indexed.leaves(),
+                orig_map: ext.map(|e| e.orig_post),
+                n_orig: tree.len() as u32,
+            },
+        }
+    }
+}
 
-/// Cached per-document data used by refinement.
+/// A document [`PrixIndex::prepare`] has encoded and found room for in
+/// the virtual trie: the only thing [`PrixIndex::insert`] takes.
+pub struct Prepared {
+    art: DocArtifacts,
+    /// The document's own MaxGap table, folded into the index's by the
+    /// insert (preparing mutates nothing).
+    maxgap: MaxGapTable,
+}
+
+/// Per-document data used by refinement: what a document's record
+/// encodes.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DocData {
     pub(crate) nps: Vec<PostNum>,
     pub(crate) lps: Vec<Sym>,
@@ -349,47 +419,14 @@ impl PrixIndex {
         let mut maxgap = MaxGapTable::new();
         let mut docs = Vec::with_capacity(collection.len());
         let mut total_seq_len = 0u64;
-        let mut childless: std::collections::HashSet<Sym> = std::collections::HashSet::new();
+        let mut childless = HashSet::new();
 
         for (doc_id, tree) in collection.iter() {
-            for node in tree.nodes() {
-                if tree.is_leaf(node) {
-                    childless.insert(tree.label(node));
-                }
-            }
-            let (seq, orig_map, leaves_tree, gaps): DocArtifacts = match kind {
-                IndexKind::Regular => {
-                    maxgap.add_tree(tree);
-                    let seq = PruferSeq::regular(tree);
-                    let gaps = position_gaps(&seq.nps, &node_gaps(tree));
-                    (seq, None, tree.leaves(), gaps)
-                }
-                IndexKind::Extended => {
-                    let ext = ExtendedTree::build(tree, dummy);
-                    maxgap.add_tree(&ext.tree);
-                    let seq = PruferSeq::regular(&ext.tree);
-                    let gaps = position_gaps(&seq.nps, &node_gaps(&ext.tree));
-                    (seq, Some(ext.orig_post), ext.tree.leaves(), gaps)
-                }
-            };
-            total_seq_len += seq.len() as u64;
-            trie.insert_with_gaps(&seq.lps, doc_id, Some(&gaps));
-            let nps_rec = store.append(&encode_u32s(seq.nps.iter().copied()))?;
-            let lps_rec = store.append(&encode_u32s(seq.lps.iter().map(|s| s.0)))?;
-            let leaves_rec = store.append(&encode_u32s(
-                leaves_tree.iter().flat_map(|&(s, p)| [s.0, p]),
-            ))?;
-            let orig_rec = match &orig_map {
-                Some(m) => Some(store.append(&encode_u32s(m.iter().copied()))?),
-                None => None,
-            };
-            docs.push(DocRecords {
-                nps: nps_rec,
-                lps: lps_rec,
-                leaves: leaves_rec,
-                orig_map: orig_rec,
-                n_orig: tree.len() as u32,
-            });
+            let art = DocArtifacts::of(tree, kind, dummy, &mut maxgap);
+            childless.extend(&art.childless);
+            total_seq_len += art.data.lps.len() as u64;
+            trie.insert_with_gaps(&art.data.lps, doc_id, Some(&art.gaps));
+            docs.push(store.append(&encode_doc_record(&art.data))?);
         }
 
         trie.assign_ranges(mode);
@@ -405,11 +442,8 @@ impl PrixIndex {
         // Bulk-load the Trie-Symbol index sorted by (sym, left).
         let mut tag_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(trie.node_count());
         trie.for_each_node(|n| {
-            let mut val = Vec::with_capacity(16);
-            val.extend_from_slice(&n.right.to_le_bytes());
-            val.extend_from_slice(&n.level.to_le_bytes());
-            val.extend_from_slice(&n.fine_gap.to_le_bytes());
-            tag_entries.push((tag_key(n.sym, n.left).to_vec(), val));
+            let val = tag_val(n.right, n.level, n.fine_gap);
+            tag_entries.push((tag_key(n.sym, n.left).to_vec(), val.to_vec()));
         });
         tag_entries.sort();
         let tag_index = BPlusTree::bulk_load(Arc::clone(&pool), tag_entries, 0.9)?;
@@ -424,18 +458,20 @@ impl PrixIndex {
 
         // Trie-node table (allocation state for incremental inserts).
         let mut node_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(trie.node_count() + 1);
-        let encode_node = |n: &crate::trie::LabeledNode| -> (Vec<u8>, Vec<u8>) {
-            let mut v = Vec::with_capacity(24);
-            v.extend_from_slice(&n.right.to_le_bytes());
-            v.extend_from_slice(&n.frontier.to_le_bytes());
-            v.extend_from_slice(&n.level.to_le_bytes());
-            v.extend_from_slice(&n.sym.0.to_le_bytes());
-            (n.left.to_be_bytes().to_vec(), v)
+        let mut push_node = |n: LabeledNode| {
+            node_entries.push((n.left.to_be_bytes().to_vec(), node_val(&n).to_vec()))
         };
-        node_entries.push(encode_node(&trie.root_node()));
-        trie.for_each_node(|n| node_entries.push(encode_node(&n)));
+        push_node(trie.root_node());
+        trie.for_each_node(push_node);
         node_entries.sort();
         let trie_nodes = BPlusTree::bulk_load(Arc::clone(&pool), node_entries, 0.8)?;
+
+        // The record directory, already in local-id order.
+        let dir_entries = (0u32..).zip(&docs).map(|(local, rec)| {
+            let val = rec.raw().to_le_bytes();
+            (local.to_be_bytes().to_vec(), val.to_vec())
+        });
+        let directory = BPlusTree::bulk_load(Arc::clone(&pool), dir_entries, 0.9)?;
 
         Ok(PrixIndex {
             kind,
@@ -448,6 +484,7 @@ impl PrixIndex {
                 tag_index,
                 docid_index,
                 trie_nodes,
+                directory,
                 docs,
                 store,
                 saved_meta: None,
@@ -474,40 +511,37 @@ impl PrixIndex {
         }
     }
 
-    /// Checks that [`PrixIndex::insert_document`] would succeed for
-    /// `tree` without mutating anything: a read-only descent of the
-    /// virtual trie that verifies the parent scope at the first
-    /// divergence point has room for the remaining suffix. (Once a
-    /// fresh child is carved out it receives at least `need` positions,
-    /// so every deeper level fits by induction — the first divergence
-    /// is the only place an insert can fail.)
+    /// Encodes `tree` for this index and checks, without mutating
+    /// anything, that [`PrixIndex::insert`] has room for it: a read-only
+    /// descent of the virtual trie that verifies the parent scope at the
+    /// first divergence point fits the remaining suffix. (Once a fresh
+    /// child is carved out it receives at least `need` positions, so
+    /// every deeper level fits by induction — the first divergence is
+    /// the only place an insert can fail.) Fails with
+    /// [`IndexError::Unsupported`] on scope underflow — build the index
+    /// with [`LabelingMode::Dynamic`] to leave headroom (the bulk-exact
+    /// labeling packs scopes densely, so only already-present paths and
+    /// fresh top-level branches can be added to it).
     ///
-    /// [`crate::PrixEngine::insert_document`] runs this against *both*
+    /// [`crate::PrixEngine::insert_tree`] prepares against *both*
     /// indexes before inserting into either, so a rejected document
     /// cannot leave RP and EP with different document counts.
-    pub fn check_insert(&self, tree: &XmlTree) -> Result<()> {
-        let lps: Vec<Sym> = match self.kind {
-            IndexKind::Regular => PruferSeq::regular(tree).lps,
-            IndexKind::Extended => {
-                PruferSeq::regular(&ExtendedTree::build(tree, self.dummy).tree).lps
-            }
-        };
+    pub fn prepare(&self, tree: &XmlTree) -> Result<Prepared> {
+        let mut maxgap = MaxGapTable::new();
+        let art = DocArtifacts::of(tree, self.kind, self.dummy, &mut maxgap);
+        let lps = &art.data.lps;
         let mut cur = self.read_trie_node(0)?;
         for (i, &sym) in lps.iter().enumerate() {
             let level = (i + 1) as u32;
             match self.find_child(&cur, sym, level)? {
                 Some(child) => cur = child,
                 None => {
-                    let available = cur.right.saturating_sub(cur.frontier);
-                    let need = (lps.len() - i) as u64;
-                    if available < need {
-                        return Err(scope_underflow(level, available, need));
-                    }
-                    return Ok(());
+                    scope_left(&cur, level, (lps.len() - i) as u64)?;
+                    break;
                 }
             }
         }
-        Ok(())
+        Ok(Prepared { art, maxgap })
     }
 
     /// Incrementally indexes one more document — the use case the
@@ -516,58 +550,31 @@ impl PrixIndex {
     ///
     /// Descends the virtual trie through the node table; existing path
     /// prefixes are shared, new trie nodes take half of their parent's
-    /// remaining scope (the paper's policy). Fails with
-    /// [`IndexError::Unsupported`] on scope underflow — build the index
-    /// with [`LabelingMode::Dynamic`] to leave headroom (the bulk-exact
-    /// labeling packs scopes densely, so only already-present paths and
-    /// fresh top-level branches can be added to it).
-    pub fn insert_document(&mut self, tree: &XmlTree) -> Result<DocId> {
-        // Validate first: a scope underflow discovered mid-descent must
-        // not leave the MaxGap table, childless set, or trie mutated
-        // for a document that was never indexed.
-        self.check_insert(tree)?;
-        let local = self.tree()?.docs.len() as u32;
-        for node in tree.nodes() {
-            if tree.is_leaf(node) {
-                self.childless.insert(tree.label(node));
-            }
-        }
-        let (seq, orig_map, leaves_tree, gaps): DocArtifacts = match self.kind {
-            IndexKind::Regular => {
-                self.maxgap.add_tree(tree);
-                let seq = PruferSeq::regular(tree);
-                let gaps = position_gaps(&seq.nps, &node_gaps(tree));
-                (seq, None, tree.leaves(), gaps)
-            }
-            IndexKind::Extended => {
-                let ext = ExtendedTree::build(tree, self.dummy);
-                self.maxgap.add_tree(&ext.tree);
-                let seq = PruferSeq::regular(&ext.tree);
-                let gaps = position_gaps(&seq.nps, &node_gaps(&ext.tree));
-                (seq, Some(ext.orig_post), ext.tree.leaves(), gaps)
-            }
-        };
-
-        // Descend / extend the virtual trie.
+    /// remaining scope (the paper's policy). The document's record is
+    /// the bytes a segment would hold for it, appended once.
+    pub fn insert(&mut self, doc: Prepared) -> Result<DocId> {
+        let Prepared { art, maxgap } = doc;
+        let (lps, gaps) = (&art.data.lps, &art.gaps);
         let mut cur = self.read_trie_node(0)?;
-        for (i, &sym) in seq.lps.iter().enumerate() {
+        for (i, &sym) in lps.iter().enumerate() {
             let level = (i + 1) as u32;
             match self.find_child(&cur, sym, level)? {
                 Some(child) => {
                     // Shared prefix: refresh the per-node fine gap.
                     if child.fine_gap != u32::MAX && gaps[i] > child.fine_gap {
-                        self.rewrite_tag_value(sym, child.left, child.right, level, gaps[i])?;
+                        let key = tag_key(sym, child.left);
+                        let t = self.tree_mut()?;
+                        t.tag_index.delete(&key, None)?;
+                        t.tag_index
+                            .insert(&key, &tag_val(child.right, level, gaps[i]))?;
                     }
                     cur = child;
                 }
                 None => {
-                    let available = cur.right.saturating_sub(cur.frontier);
-                    let need = (seq.lps.len() - i) as u64;
-                    if available < need {
-                        return Err(scope_underflow(level, available, need));
-                    }
+                    let need = (lps.len() - i) as u64;
+                    let available = scope_left(&cur, level, need)?;
                     let share = (available / 2).max(need).min(available);
-                    let child = TrieNodeEntry {
+                    let child = LabeledNode {
                         left: cur.frontier + 1,
                         right: cur.frontier + share,
                         frontier: cur.frontier + 1,
@@ -575,135 +582,72 @@ impl PrixIndex {
                         sym,
                         fine_gap: gaps[i],
                     };
-                    // Tag index entry.
-                    let mut val = Vec::with_capacity(16);
-                    val.extend_from_slice(&child.right.to_le_bytes());
-                    val.extend_from_slice(&child.level.to_le_bytes());
-                    val.extend_from_slice(&child.fine_gap.to_le_bytes());
-                    self.tree_mut()?
-                        .tag_index
-                        .insert(&tag_key(sym, child.left), &val)?;
-                    // Node-table entries: the child, and the parent's
-                    // advanced frontier.
-                    self.write_trie_node(&child, true)?;
+                    // The child's two entries, and the parent's advanced
+                    // frontier.
                     cur.frontier = child.right;
-                    self.write_trie_node(&cur, false)?;
+                    let t = self.tree_mut()?;
+                    t.tag_index.insert(
+                        &tag_key(sym, child.left),
+                        &tag_val(child.right, level, child.fine_gap),
+                    )?;
+                    t.trie_nodes
+                        .insert(&child.left.to_be_bytes(), &node_val(&child))?;
+                    t.trie_nodes.delete(&cur.left.to_be_bytes(), None)?;
+                    t.trie_nodes
+                        .insert(&cur.left.to_be_bytes(), &node_val(&cur))?;
                     self.build_stats.trie_nodes += 1;
                     cur = child;
                 }
             }
         }
-        // Document endpoint + per-document records.
+        // Document endpoint, record, directory entry.
         let t = self.tree_mut()?;
+        let local = t.docs.len() as u32;
         t.docid_index
             .insert(&cur.left.to_be_bytes(), &local.to_le_bytes())?;
-        let nps_rec = t.store.append(&encode_u32s(seq.nps.iter().copied()))?;
-        let lps_rec = t.store.append(&encode_u32s(seq.lps.iter().map(|s| s.0)))?;
-        let leaves_rec = t.store.append(&encode_u32s(
-            leaves_tree.iter().flat_map(|&(s, p)| [s.0, p]),
-        ))?;
-        let orig_rec = match &orig_map {
-            Some(m) => Some(t.store.append(&encode_u32s(m.iter().copied()))?),
-            None => None,
-        };
-        t.docs.push(DocRecords {
-            nps: nps_rec,
-            lps: lps_rec,
-            leaves: leaves_rec,
-            orig_map: orig_rec,
-            n_orig: tree.len() as u32,
-        });
+        let rec = t.store.append(&encode_doc_record(&art.data))?;
+        t.directory
+            .insert(&local.to_be_bytes(), &rec.raw().to_le_bytes())?;
+        t.docs.push(rec);
+        self.maxgap.merge(&maxgap);
+        self.childless.extend(&art.childless);
         self.build_stats.sequences += 1;
-        self.build_stats.total_seq_len += seq.len() as u64;
+        self.build_stats.total_seq_len += lps.len() as u64;
         Ok(self.doc_base + local)
     }
 
-    fn read_trie_node(&self, left: u64) -> Result<TrieNodeEntry> {
+    fn read_trie_node(&self, left: u64) -> Result<LabeledNode> {
         let v = self
             .tree()?
             .trie_nodes
             .get(&left.to_be_bytes())?
             .ok_or_else(|| IndexError::Unsupported(format!("trie node {left} missing")))?;
-        Ok(TrieNodeEntry {
-            left,
-            right: u64::from_le_bytes(v[..8].try_into().unwrap()),
-            frontier: u64::from_le_bytes(v[8..16].try_into().unwrap()),
-            level: u32::from_le_bytes(v[16..20].try_into().unwrap()),
-            sym: Sym(u32::from_le_bytes(v[20..24].try_into().unwrap())),
-            fine_gap: u32::MAX,
-        })
-    }
-
-    fn write_trie_node(&mut self, n: &TrieNodeEntry, fresh: bool) -> Result<()> {
-        let t = self.tree_mut()?;
-        if !fresh {
-            t.trie_nodes.delete(&n.left.to_be_bytes(), None)?;
-        }
-        let mut v = Vec::with_capacity(24);
-        v.extend_from_slice(&n.right.to_le_bytes());
-        v.extend_from_slice(&n.frontier.to_le_bytes());
-        v.extend_from_slice(&n.level.to_le_bytes());
-        v.extend_from_slice(&n.sym.0.to_le_bytes());
-        t.trie_nodes.insert(&n.left.to_be_bytes(), &v)?;
-        Ok(())
+        Ok(node_row(left, &v))
     }
 
     /// The direct child of `cur` labeled `sym` (a trie node at exactly
     /// `level` inside `cur`'s scope), if present.
-    fn find_child(
-        &self,
-        cur: &TrieNodeEntry,
-        sym: Sym,
-        level: u32,
-    ) -> Result<Option<TrieNodeEntry>> {
+    fn find_child(&self, cur: &LabeledNode, sym: Sym, level: u32) -> Result<Option<LabeledNode>> {
         let lo = tag_key(sym, cur.left);
         let hi = tag_key(sym, cur.right);
         let mut found = None;
         self.tree()?
             .tag_index
             .scan(Bound::Excluded(&lo), Bound::Included(&hi), |k, v| {
-                let l = u32::from_le_bytes(v[8..12].try_into().unwrap());
-                if l != level {
-                    return true;
+                let (left, _, l, fine_gap) = tag_row(k, v);
+                if l == level {
+                    found = Some((left, fine_gap));
                 }
-                found = Some(TrieNodeEntry {
-                    left: u64::from_be_bytes(k[4..12].try_into().unwrap()),
-                    right: u64::from_le_bytes(v[..8].try_into().unwrap()),
-                    frontier: 0, // filled below
-                    level,
-                    sym,
-                    fine_gap: u32::from_le_bytes(v[12..16].try_into().unwrap()),
-                });
-                false
+                found.is_none()
             })?;
-        match found {
-            None => Ok(None),
-            Some(mut n) => {
-                let stored = self.read_trie_node(n.left)?;
-                n.frontier = stored.frontier;
-                Ok(Some(n))
-            }
-        }
-    }
-
-    /// Replaces a tag-index entry's value (fine-gap refresh).
-    fn rewrite_tag_value(
-        &mut self,
-        sym: Sym,
-        left: u64,
-        right: u64,
-        level: u32,
-        fine: u32,
-    ) -> Result<()> {
-        let key = tag_key(sym, left);
-        let t = self.tree_mut()?;
-        t.tag_index.delete(&key, None)?;
-        let mut val = Vec::with_capacity(16);
-        val.extend_from_slice(&right.to_le_bytes());
-        val.extend_from_slice(&level.to_le_bytes());
-        val.extend_from_slice(&fine.to_le_bytes());
-        t.tag_index.insert(&key, &val)?;
-        Ok(())
+        // The node table has the rest of the row (the frontier).
+        let Some((left, fine_gap)) = found else {
+            return Ok(None);
+        };
+        Ok(Some(LabeledNode {
+            fine_gap,
+            ..self.read_trie_node(left)?
+        }))
     }
 
     /// This index's sequence flavor.
@@ -746,7 +690,7 @@ impl PrixIndex {
     }
 
     /// The childless-label set (§4.4 leaf-extended-plan gate).
-    pub(crate) fn childless_set(&self) -> &std::collections::HashSet<Sym> {
+    pub(crate) fn childless_set(&self) -> &HashSet<Sym> {
         &self.childless
     }
 
@@ -982,11 +926,7 @@ impl PrixIndex {
                 let mut hits: Vec<(u64, u64, u32, u32)> = Vec::new();
                 t.tag_index
                     .scan(Bound::Excluded(&lo), Bound::Included(&hi), |k, v| {
-                        let left = u64::from_be_bytes(k[4..12].try_into().unwrap());
-                        let right = u64::from_le_bytes(v[..8].try_into().unwrap());
-                        let level = u32::from_le_bytes(v[8..12].try_into().unwrap());
-                        let fine = u32::from_le_bytes(v[12..16].try_into().unwrap());
-                        hits.push((left, right, level, fine));
+                        hits.push(tag_row(k, v));
                         true
                     })?;
                 Ok(hits)
@@ -1022,10 +962,9 @@ impl PrixIndex {
         Ok(())
     }
 
-    /// Reads a document's refinement data. The LPS and leaf list are
-    /// only needed by the leaf-matching phase; extended-query plans skip
-    /// it, so those records (and their pages) are never touched.
-    pub(crate) fn load_doc(&self, doc: DocId, need_leaf_data: bool) -> Result<DocData> {
+    /// A document's stored record: [`encode_doc_record`]'s bytes,
+    /// whichever backing holds them.
+    pub(crate) fn doc_record(&self, doc: DocId) -> Result<Vec<u8>> {
         // A docid scan or a value posting can name a document this tier
         // does not hold only if the database is corrupt (a torn ingest,
         // say); that is the caller's error to report, not a panic.
@@ -1037,52 +976,22 @@ impl PrixIndex {
             ))
         };
         let local = doc.checked_sub(self.doc_base).ok_or_else(unknown)?;
-        match &self.backing {
+        Ok(match &self.backing {
             Backing::Tree(t) => {
                 let rec = t.docs.get(local as usize).ok_or_else(unknown)?;
-                let nps = decode_u32s(&t.store.read(rec.nps)?);
-                let (lps, leaves) = if need_leaf_data {
-                    let lps = decode_u32s(&t.store.read(rec.lps)?)
-                        .into_iter()
-                        .map(Sym)
-                        .collect();
-                    let leaves_raw = decode_u32s(&t.store.read(rec.leaves)?);
-                    let leaves = leaves_raw
-                        .chunks_exact(2)
-                        .map(|c| (Sym(c[0]), c[1]))
-                        .collect();
-                    (lps, leaves)
-                } else {
-                    (Vec::new(), Vec::new())
-                };
-                let orig_map = match rec.orig_map {
-                    Some(r) => Some(decode_u32s(&t.store.read(r)?)),
-                    None => None,
-                };
-                Ok(DocData {
-                    nps,
-                    lps,
-                    leaves,
-                    orig_map,
-                    n_orig: rec.n_orig,
-                })
+                t.store.read(*rec)?
             }
-            Backing::Seg(r) => decode_doc_record(&r.record(local)?, need_leaf_data)
-                .ok_or_else(|| IndexError::Unsupported("corrupt document record".into())),
-        }
+            Backing::Seg(r) => r.record(local)?,
+        })
     }
-}
 
-/// A row of the trie-node table (allocation state for incremental
-/// inserts).
-#[derive(Debug, Clone, Copy)]
-struct TrieNodeEntry {
-    left: u64,
-    right: u64,
-    frontier: u64,
-    level: u32,
-    sym: Sym,
-    fine_gap: u32,
+    /// Reads a document's refinement data. The LPS and leaf list are
+    /// only needed by the leaf-matching phase; extended-query plans skip
+    /// it, so that part of the record is stepped over undecoded.
+    pub(crate) fn load_doc(&self, doc: DocId, need_leaf_data: bool) -> Result<DocData> {
+        decode_doc_record(&self.doc_record(doc)?, need_leaf_data)
+            .ok_or_else(|| IndexError::Unsupported("corrupt document record".into()))
+    }
 }
 
 /// One Theorem 4 pruning rule between adjacent LPS positions: allowed
@@ -1093,18 +1002,23 @@ pub(crate) struct GapRule {
     pub(crate) extra: u64,
 }
 
-/// The error for a virtual-trie scope that cannot fit a new suffix.
-fn scope_underflow(level: u32, available: u64, need: u64) -> IndexError {
-    IndexError::Unsupported(format!(
-        "virtual-trie scope underflow at level {level}: {available} positions left \
-         for a suffix of {need}; rebuild with dynamic labeling"
-    ))
+/// The positions `cur` can still hand to a fresh child at `level`, or
+/// the error when a suffix of `need` labels does not fit in them.
+fn scope_left(cur: &LabeledNode, level: u32, need: u64) -> Result<u64> {
+    let available = cur.right.saturating_sub(cur.frontier);
+    if available < need {
+        return Err(IndexError::Unsupported(format!(
+            "virtual-trie scope underflow at level {level}: {available} positions left \
+             for a suffix of {need}; rebuild with dynamic labeling"
+        )));
+    }
+    Ok(available)
 }
 
 /// Postorder gap between the first and last children per node
 /// (`out[post - 1]`; 0 for nodes with ≤ 1 child) — Definition 5 at
 /// single-node granularity.
-pub(crate) fn node_gaps(tree: &XmlTree) -> Vec<u32> {
+fn node_gaps(tree: &XmlTree) -> Vec<u32> {
     let mut out = vec![0u32; tree.len()];
     for node in tree.nodes() {
         let kids = tree.children(node);
@@ -1119,7 +1033,7 @@ pub(crate) fn node_gaps(tree: &XmlTree) -> Vec<u32> {
 
 /// Per-LPS-position gaps: `gaps[i]` = gap of the parent node recorded
 /// at position `i`.
-pub(crate) fn position_gaps(nps: &[PostNum], node_gaps: &[u32]) -> Vec<u32> {
+fn position_gaps(nps: &[PostNum], node_gaps: &[u32]) -> Vec<u32> {
     nps.iter().map(|&p| node_gaps[(p - 1) as usize]).collect()
 }
 
@@ -1186,87 +1100,36 @@ mod codec {
             }
             Some(out)
         }
-        /// `n` consecutive u32s, `n` itself read from the input: the
-        /// length is checked against what is left before anything is
-        /// allocated for it.
-        pub fn u32s(&mut self, n: usize) -> Option<impl Iterator<Item = u32> + 'a> {
-            let words = self.bytes(n.checked_mul(4)?)?.chunks_exact(4);
-            Some(words.map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk"))))
-        }
     }
 }
 
-/// Decodes the MaxGap table, childless set and build statistics that
-/// close the pool index's metadata, and requires the input to end
-/// there.
-fn decode_meta_tail(
-    r: &mut codec::Reader,
-) -> Option<(MaxGapTable, std::collections::HashSet<Sym>, BuildStats)> {
-    let n_gaps = r.u32()? as usize;
-    let mut gaps = r.u32s(n_gaps.checked_mul(2)?)?;
-    let maxgap = MaxGapTable::from_entries(std::iter::from_fn(|| {
-        Some((Sym(gaps.next()?), gaps.next()?))
-    }));
-    let n_childless = r.u32()? as usize;
-    let childless = r.u32s(n_childless)?.map(Sym).collect();
-    let stats = BuildStats {
-        trie_nodes: r.u64()? as usize,
-        trie_paths: r.u64()? as usize,
-        sequences: r.u64()?,
-        max_path_sharing: r.u64()?,
-        underflows: r.u64()?,
-        total_seq_len: r.u64()?,
-    };
-    r.0.is_empty().then_some((maxgap, childless, stats))
-}
-
 impl PrixIndex {
-    /// Serializes the index metadata (roots, per-document record ids,
-    /// MaxGap table, childless-label set) into the record store and
-    /// returns the metadata record's id. Together with a flushed buffer
-    /// pool this makes the index reopenable via [`PrixIndex::load`].
+    /// Serializes the mutable tier's metadata into the record store and
+    /// returns the metadata record's id: the four tree roots (Trie-Symbol,
+    /// Docid, trie-node table, record directory) and the document count
+    /// the directory must hold, then the blob a segment describes itself
+    /// with ([`encode_seg_index_meta`]). Together with a flushed buffer
+    /// pool this makes the index reopenable via [`PrixIndex::load`]. The
+    /// record does not grow with the tier: the per-document directory is
+    /// a tree of its own, appended to by every insert.
     ///
     /// Saving an index whose metadata has not changed since the last
     /// save returns the previous record id instead of appending a
     /// duplicate, so repeated saves do not leak store space.
     pub fn save(&mut self) -> Result<RecordId> {
-        use codec::Writer;
-        let mut w = Writer::new();
-        w.u8(match self.kind {
-            IndexKind::Regular => 0,
-            IndexKind::Extended => 1,
-        });
-        w.u32(self.dummy.0);
-        {
-            let t = self.tree()?;
-            w.u64(t.tag_index.root());
-            w.u64(t.docid_index.root());
-            w.u64(t.trie_nodes.root());
-            w.u32(t.docs.len() as u32);
-            for d in &t.docs {
-                w.u64(d.nps.raw());
-                w.u64(d.lps.raw());
-                w.u64(d.leaves.raw());
-                w.u64(d.orig_map.map_or(0, |r| r.raw()));
-                w.u32(d.n_orig);
-            }
+        let mut w = codec::Writer::new();
+        let t = self.tree()?;
+        for tree in [&t.tag_index, &t.docid_index, &t.trie_nodes, &t.directory] {
+            w.u64(tree.root());
         }
-        let gaps: Vec<(Sym, PostNum)> = self.maxgap.entries().collect();
-        w.u32(gaps.len() as u32);
-        for (sym, gap) in gaps {
-            w.u32(sym.0);
-            w.u32(gap);
-        }
-        w.u32(self.childless.len() as u32);
-        for s in &self.childless {
-            w.u32(s.0);
-        }
-        w.u64(self.build_stats.trie_nodes as u64);
-        w.u64(self.build_stats.trie_paths as u64);
-        w.u64(self.build_stats.sequences);
-        w.u64(self.build_stats.max_path_sharing);
-        w.u64(self.build_stats.underflows);
-        w.u64(self.build_stats.total_seq_len);
+        w.u32(t.docs.len() as u32);
+        w.0.extend_from_slice(&encode_seg_index_meta(
+            self.kind,
+            self.dummy,
+            &self.maxgap,
+            &self.childless,
+            &self.build_stats,
+        ));
         let t = self.tree_mut()?;
         if let Some((id, bytes)) = &t.saved_meta {
             if *bytes == w.0 {
@@ -1278,39 +1141,34 @@ impl PrixIndex {
         Ok(id)
     }
 
-    /// Reopens an index previously described by [`PrixIndex::save`].
+    /// Reopens an index previously described by [`PrixIndex::save`],
+    /// reading the record directory into memory with one scan. A
+    /// directory that does not list exactly the documents the metadata
+    /// counts, in order, is refused.
     pub fn load(pool: Arc<BufferPool>, meta: RecordId) -> Result<Self> {
+        let corrupt = |what| IndexError::Unsupported(format!("corrupt index metadata: {what}"));
         let store = RecordStore::open(Arc::clone(&pool))?;
         let bytes = store.read(meta)?;
-        let decode = || {
-            let mut r = codec::Reader(&bytes);
-            let kind = match r.u8()? {
-                0 => IndexKind::Regular,
-                _ => IndexKind::Extended,
-            };
-            let dummy = Sym(r.u32()?);
-            let roots = [r.u64()?, r.u64()?, r.u64()?];
-            let n_docs = r.u32()? as usize;
-            let docs = (0..n_docs)
-                .map(|_| {
-                    let nps = RecordId::from_raw(r.u64()?);
-                    let lps = RecordId::from_raw(r.u64()?);
-                    let leaves = RecordId::from_raw(r.u64()?);
-                    let om = r.u64()?;
-                    Some(DocRecords {
-                        nps,
-                        lps,
-                        leaves,
-                        orig_map: (om != 0).then(|| RecordId::from_raw(om)),
-                        n_orig: r.u32()?,
-                    })
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Some((kind, dummy, roots, docs, decode_meta_tail(&mut r)?))
-        };
-        let (kind, dummy, roots, docs, (maxgap, childless, build_stats)) =
-            decode().ok_or_else(|| IndexError::Unsupported("corrupt index metadata".into()))?;
-        let [tag_root, docid_root, trie_nodes_root] = roots;
+        let mut r = codec::Reader(&bytes);
+        let mut header = || Some(([r.u64()?, r.u64()?, r.u64()?, r.u64()?], r.u32()?));
+        let (roots, n_docs) = header().ok_or_else(|| corrupt("the record ends early"))?;
+        let (kind, dummy, maxgap, childless, build_stats) = decode_seg_index_meta(&mut r)
+            .ok_or_else(|| corrupt("the record is not one whole metadata blob"))?;
+        let [tag_index, docid_index, trie_nodes, directory] =
+            roots.map(|root| BPlusTree::open(Arc::clone(&pool), root));
+        let mut docs = Vec::new();
+        let mut listed = true;
+        directory.scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
+            let next = (docs.len() as u32).to_be_bytes();
+            match <[u8; 8]>::try_from(v) {
+                Ok(raw) if k == next => docs.push(RecordId::from_raw(u64::from_le_bytes(raw))),
+                _ => listed = false,
+            }
+            listed
+        })?;
+        if !listed || docs.len() != n_docs as usize {
+            return Err(corrupt("the record directory does not list its documents"));
+        }
         Ok(PrixIndex {
             kind,
             maxgap,
@@ -1319,9 +1177,10 @@ impl PrixIndex {
             doc_base: 0,
             childless,
             backing: Backing::Tree(TreeBacking {
-                tag_index: BPlusTree::open(Arc::clone(&pool), tag_root),
-                docid_index: BPlusTree::open(Arc::clone(&pool), docid_root),
-                trie_nodes: BPlusTree::open(Arc::clone(&pool), trie_nodes_root),
+                tag_index,
+                docid_index,
+                trie_nodes,
+                directory,
                 docs,
                 store,
                 saved_meta: Some((meta, bytes)),
@@ -1334,17 +1193,9 @@ impl PrixIndex {
     /// childless set, and build stats come from the segment's metadata
     /// blob (see [`encode_seg_index_meta`]).
     pub fn from_segment(reader: Arc<SegmentReader>) -> Result<Self> {
-        let bytes = reader.meta()?;
-        let decode = || {
-            let mut r = codec::Reader(&bytes);
-            let kind = match r.u8()? {
-                0 => IndexKind::Regular,
-                _ => IndexKind::Extended,
-            };
-            Some((kind, decode_seg_index_meta(&mut r)?))
-        };
-        let (kind, (dummy, maxgap, childless, build_stats)) =
-            decode().ok_or_else(|| IndexError::Unsupported("corrupt segment metadata".into()))?;
+        let (kind, dummy, maxgap, childless, build_stats) =
+            decode_seg_index_meta(&mut codec::Reader(&reader.meta()?))
+                .ok_or_else(|| IndexError::Unsupported("corrupt segment metadata".into()))?;
         if (reader.kind() == SEG_KIND_RP) != matches!(kind, IndexKind::Regular) {
             return Err(IndexError::Unsupported(
                 "segment header kind disagrees with its index metadata".into(),
@@ -1362,49 +1213,44 @@ impl PrixIndex {
     }
 }
 
-/// Encodes one document's refinement record for an immutable segment:
-/// everything [`PrixIndex::load_doc`] serves (NPS, LPS, leaf list, the
-/// ext→orig map for EPIndex tiers, and the original node count), in one
-/// contiguous blob the segment's record section stores verbatim.
-pub(crate) fn encode_doc_record(
-    nps: &[PostNum],
-    lps: &[Sym],
-    leaves: &[(Sym, PostNum)],
-    orig_map: Option<&[PostNum]>,
-    n_orig: u32,
-) -> Vec<u8> {
-    debug_assert_eq!(nps.len(), lps.len());
+/// Encodes one document's refinement record: everything
+/// [`PrixIndex::load_doc`] serves (NPS, LPS, leaf list, the ext→orig
+/// map for EPIndex tiers, and the original node count), in one
+/// contiguous blob. A segment's record section and the mutable tier's
+/// record store hold it verbatim, so a compaction moves it unread.
+pub(crate) fn encode_doc_record(d: &DocData) -> Vec<u8> {
+    debug_assert_eq!(d.nps.len(), d.lps.len());
     let mut leaf_part = codec::Writer::new();
-    for &s in lps {
+    for &s in &d.lps {
         leaf_part.var(u64::from(s.0));
     }
-    leaf_part.var(leaves.len() as u64);
-    for &(s, p) in leaves {
+    leaf_part.var(d.leaves.len() as u64);
+    for &(s, p) in &d.leaves {
         leaf_part.var(u64::from(s.0));
         leaf_part.var(u64::from(p));
     }
     let mut w = codec::Writer::new();
-    w.var(nps.len() as u64);
-    for &v in nps {
+    w.var(d.nps.len() as u64);
+    for &v in &d.nps {
         w.var(u64::from(v));
     }
     w.var(leaf_part.0.len() as u64);
     w.0.extend_from_slice(&leaf_part.0);
-    let orig_map = orig_map.unwrap_or(&[]);
+    let orig_map = d.orig_map.as_deref().unwrap_or(&[]);
     w.var(orig_map.len() as u64);
     for &v in orig_map {
         w.var(u64::from(v));
     }
-    w.var(u64::from(n_orig));
+    w.var(u64::from(d.n_orig));
     w.0
 }
 
 /// Inverse of [`encode_doc_record`]: every field a varint, the byte
 /// length of the LPS + leaf-list part ahead of it, so that with
-/// `need_leaf_data` unset the part is stepped over undecoded, mirroring
-/// the record-store fast path. `None` when the bytes are not one whole
-/// record: segment blocks are not checksummed on the query path.
-fn decode_doc_record(bytes: &[u8], need_leaf_data: bool) -> Option<DocData> {
+/// `need_leaf_data` unset the part is stepped over undecoded. `None`
+/// when the bytes are not one whole record: segment blocks are not
+/// checksummed on the query path.
+pub(crate) fn decode_doc_record(bytes: &[u8], need_leaf_data: bool) -> Option<DocData> {
     let mut r = codec::Reader(bytes);
     let n = r.var()?;
     let nps = r.var32s(n)?;
@@ -1436,9 +1282,10 @@ fn decode_doc_record(bytes: &[u8], need_leaf_data: bool) -> Option<DocData> {
     })
 }
 
-/// Encodes the per-tier index metadata a segment carries in its meta
-/// blob: kind, dummy symbol, MaxGap table, childless-label set, and
-/// build statistics. Map-shaped fields are **sorted** so the blob — and
+/// Encodes the metadata a tier describes itself with — a segment in
+/// its meta blob, the mutable tier at the end of its metadata record:
+/// kind, dummy symbol, MaxGap table, childless-label set, and build
+/// statistics. Map-shaped fields are **sorted** so the blob — and
 /// therefore the whole segment file — is byte-deterministic: bulk
 /// loading a collection and compacting the same documents out of the
 /// mutable tier produce identical files.
@@ -1446,7 +1293,7 @@ pub(crate) fn encode_seg_index_meta(
     kind: IndexKind,
     dummy: Sym,
     maxgap: &MaxGapTable,
-    childless: &std::collections::HashSet<Sym>,
+    childless: &HashSet<Sym>,
     stats: &BuildStats,
 ) -> Vec<u8> {
     let mut w = codec::Writer::new();
@@ -1485,11 +1332,11 @@ pub(crate) fn encode_seg_index_meta(
     w.0
 }
 
-/// Inverse of [`encode_seg_index_meta`] past the kind byte, requiring
-/// the input to end where the blob does.
+/// Inverse of [`encode_seg_index_meta`], requiring the input to end
+/// where the blob does.
 fn decode_seg_index_meta(
     r: &mut codec::Reader,
-) -> Option<(Sym, MaxGapTable, std::collections::HashSet<Sym>, BuildStats)> {
+) -> Option<(IndexKind, Sym, MaxGapTable, HashSet<Sym>, BuildStats)> {
     /// The ascending symbols `deltas` are the successive distances of.
     fn ascending(deltas: impl Iterator<Item = u32>) -> Option<Vec<Sym>> {
         let mut sym = 0u32;
@@ -1499,6 +1346,11 @@ fn decode_seg_index_meta(
         };
         deltas.map(&mut next).collect()
     }
+    let kind = match r.u8()? {
+        0 => IndexKind::Regular,
+        1 => IndexKind::Extended,
+        _ => return None,
+    };
     let dummy = Sym(r.var32()?);
     let n_gaps = r.var()?;
     let words = r.var32s(n_gaps.checked_mul(2)?)?;
@@ -1516,7 +1368,7 @@ fn decode_seg_index_meta(
         total_seq_len: r.var()?,
     };
     r.0.is_empty()
-        .then(|| (dummy, maxgap, childless.into_iter().collect(), stats))
+        .then(|| (kind, dummy, maxgap, childless.into_iter().collect(), stats))
 }
 
 pub(crate) struct QueryPlan {
@@ -1833,19 +1685,7 @@ mod tests {
         );
     }
 
-    type RecordFields = (
-        Vec<PostNum>,
-        Vec<Sym>,
-        Vec<(Sym, PostNum)>,
-        Option<Vec<PostNum>>,
-        u32,
-    );
-
-    fn fields(d: DocData) -> RecordFields {
-        (d.nps, d.lps, d.leaves, d.orig_map, d.n_orig)
-    }
-
-    /// A segment's document record round-trips, with and without its
+    /// A document record round-trips, with and without its
     /// leaf part; cut short, overwritten with a varint that never ends,
     /// or claiming more than it holds, it decodes to `None` (which
     /// `load_doc` reports as "corrupt document record") — never a
@@ -1858,17 +1698,31 @@ mod tests {
         let lps: Vec<Sym> = (0..300).map(|i| Sym(i * 7 % 400)).collect();
         let leaves: Vec<(Sym, PostNum)> = (0..40).map(|i| (Sym(i * 11 % 300), i * 3 + 1)).collect();
         let map: Vec<PostNum> = (0..350).map(|i| if i % 5 == 0 { 0 } else { i }).collect();
-        let good = encode_doc_record(&nps, &lps, &leaves, Some(&map), 281);
-        let whole = (nps.clone(), lps, leaves, Some(map), 281);
-        let bare = (nps, vec![], vec![], whole.3.clone(), 281);
-        assert_eq!(decode_doc_record(&good, true).map(fields), Some(whole));
+        let whole = DocData {
+            nps,
+            lps,
+            leaves,
+            orig_map: Some(map),
+            n_orig: 281,
+        };
+        let good = encode_doc_record(&whole);
+        let bare = DocData {
+            lps: vec![],
+            leaves: vec![],
+            ..whole.clone()
+        };
+        assert_eq!(decode_doc_record(&good, true), Some(whole));
+        assert_eq!(decode_doc_record(&good, false).as_ref(), Some(&bare));
+        let none = DocData {
+            nps: vec![],
+            orig_map: None,
+            n_orig: 1,
+            ..bare.clone()
+        };
         assert_eq!(
-            decode_doc_record(&good, false).map(fields).as_ref(),
-            Some(&bare)
+            decode_doc_record(&encode_doc_record(&none), true),
+            Some(none)
         );
-        let empty = encode_doc_record(&[], &[], &[], None, 1);
-        let none = (vec![], vec![], vec![], None, 1);
-        assert_eq!(decode_doc_record(&empty, true).map(fields), Some(none));
 
         // Counts and lengths the bytes do not back.
         let record = |words: &[u64]| {
@@ -1933,7 +1787,7 @@ mod tests {
                     None
                 }
             };
-            let got = [true, false].map(|leaf| decode_doc_record(&bytes, leaf).map(fields));
+            let got = [true, false].map(|leaf| decode_doc_record(&bytes, leaf));
             match refused {
                 None => Ok(()),
                 Some(refused) if refused == got.each_ref().map(Option::is_none) => {
@@ -1946,5 +1800,72 @@ mod tests {
                 Some(_) => Err(format!("{d:?} decoded to {got:?}")),
             }
         });
+        hostile_delta_metadata();
+    }
+
+    /// The mutable tier's metadata, damaged: a directory that lists
+    /// fewer or more documents than the record counts, or not from
+    /// zero; a metadata record cut short or with a byte to spare; a
+    /// directory entry (or the metadata id itself) naming a page that
+    /// holds no records, or a slot past the page's count. `load` or the
+    /// first `load_doc` answers `IndexError`, never a panic.
+    fn hostile_delta_metadata() {
+        let mut c = small_collection();
+        let mut idx = build_index(&mut c, IndexKind::Extended);
+        let meta = idx.save().unwrap();
+        let Backing::Tree(t) = idx.backing.clone() else {
+            unreachable!("a built index is pool-backed")
+        };
+        let pool = || Arc::clone(t.tag_index.pool());
+        let load = |meta| PrixIndex::load(pool(), meta);
+        let refusal = |meta| match load(meta) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("damaged metadata was accepted"),
+        };
+        let n = t.docs.len() as u32;
+        assert_eq!(load(meta).unwrap().doc_count(), 4, "undamaged");
+
+        // The directory against `n_docs`.
+        let entry = |local: u32, rec: RecordId| (local.to_be_bytes(), rec.raw().to_le_bytes());
+        let mut dir = t.directory.clone();
+        let (k, v) = entry(n, t.docs[0]);
+        dir.insert(&k, &v).unwrap();
+        assert!(refusal(meta).contains("record directory"), "one too many");
+        dir.delete(&k, None).unwrap();
+        dir.delete(&entry(n - 1, t.docs[0]).0, None).unwrap();
+        assert!(refusal(meta).contains("record directory"), "one too few");
+        dir.insert(&k, &v).unwrap();
+        assert!(refusal(meta).contains("record directory"), "a gap");
+        dir.delete(&k, None).unwrap();
+        dir.insert(&entry(n - 1, t.docs[0]).0, &[0; 7]).unwrap();
+        assert!(refusal(meta).contains("record directory"), "a short id");
+        dir.delete(&entry(n - 1, t.docs[0]).0, None).unwrap();
+
+        // Record ids that name no record: `page << 16 | slot`.
+        let tree_page = RecordId::from_raw(t.tag_index.root() << 16);
+        let no_slot = RecordId::from_raw(t.docs[0].raw() | 0xFFF0);
+        for bad in [tree_page, no_slot] {
+            assert!(matches!(load(bad), Err(IndexError::Storage(_))), "{bad:?}");
+            let (k, v) = entry(n - 1, bad);
+            dir.insert(&k, &v).unwrap();
+            let loaded = load(meta).unwrap();
+            assert!(loaded.load_doc(0, true).is_ok());
+            let err = loaded.load_doc(n - 1, true).err().expect("no such record");
+            assert!(matches!(err, IndexError::Storage(_)), "{bad:?}: {err}");
+            dir.delete(&k, None).unwrap();
+        }
+
+        // The metadata record itself.
+        let bytes = t.saved_meta.as_ref().unwrap().1.clone();
+        let mut store = t.store.clone();
+        let mut damaged = |bytes: &[u8]| refusal(store.append(bytes).unwrap());
+        for cut in [0, 8, 35, 36, 37, bytes.len() - 1] {
+            assert!(damaged(&bytes[..cut]).contains("corrupt index metadata"));
+        }
+        let trailing = [&bytes[..], &[0]].concat();
+        assert!(damaged(&trailing).contains("corrupt index metadata"));
+        let mut other_kind = bytes.clone();
+        other_kind[36] = 2;
+        assert!(damaged(&other_kind).contains("corrupt index metadata"));
     }
 }

@@ -7,11 +7,11 @@
 //!   from the parser into the external sorter, never materializing the
 //!   whole collection's B⁺-trees. Memory is bounded by the sort-run
 //!   budget; everything else spills to scratch files.
-//! * Compaction (`PrixEngine::compact`) — replays the mutable tier's
-//!   stored records through the same encoder, so a compacted segment is
-//!   **byte-identical** to what a bulk build of the same documents would
-//!   have produced (the property the `bulk_equals_incremental` suite
-//!   pins).
+//! * Compaction (`PrixEngine::compact`) — hands over the mutable tier's
+//!   stored records, which the same encoder wrote at insert, so a
+//!   compacted segment is **byte-identical** to what a bulk build of
+//!   the same documents would have produced (the property the
+//!   `bulk_equals_incremental` suite pins).
 //!
 //! Both paths end at [`SegIndexBuilder`], a thin adapter that turns one
 //! document into the segment builder's `(record, path, gaps)` triple.
@@ -19,7 +19,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use prix_prufer::{ExtendedTree, MaxGapTable, PruferSeq};
+use prix_prufer::MaxGapTable;
 use prix_storage::segment::ExternalSorter;
 use prix_storage::{
     env_temp_factory, ManifestSegment, SegmentBuilder, SegmentEnv, ValueRunBuilder, VxEntry,
@@ -29,7 +29,7 @@ use prix_xml::{parse_document, PostNum, Sym, SymbolTable, XmlTree};
 
 use crate::engine::{EngineConfig, PrixEngine};
 use crate::index::{
-    encode_doc_record, encode_seg_index_meta, node_gaps, position_gaps, BuildStats, DocData,
+    decode_doc_record, encode_doc_record, encode_seg_index_meta, BuildStats, DocArtifacts,
     IndexError, IndexKind, Result,
 };
 use crate::valix::run_entries;
@@ -43,8 +43,8 @@ pub const DEFAULT_RUN_MEM_BYTES: usize = 64 << 20;
 /// tree: the children of the node with postorder `p` are exactly the
 /// positions `i` with `nps[i] == p` (child postorder `i + 1`, already
 /// ascending), so the node's gap is `last - first` when it has two or
-/// more children. Compaction uses this to replay stored records through
-/// the segment encoder bit-identically to the original bulk path.
+/// more children. Compaction uses this to label a stored record's path
+/// bit-identically to the original bulk path.
 pub(crate) fn gaps_from_nps(nps: &[PostNum]) -> Vec<u32> {
     let hi = nps.len() + 2; // postorders run 1..=len+1
     let mut first = vec![0u32; hi];
@@ -106,45 +106,30 @@ impl SegIndexBuilder {
     }
 
     /// Streams one parsed document in, folding its gaps into `maxgap`
-    /// (the caller owns the table because it spans the whole segment).
-    pub(crate) fn add_tree(&mut self, tree: &XmlTree, maxgap: &mut MaxGapTable) -> Result<()> {
-        let n_orig = tree.len() as u32;
-        let (record, path, gaps) = match self.kind {
-            IndexKind::Regular => {
-                maxgap.add_tree(tree);
-                let seq = PruferSeq::regular(tree);
-                let gaps = position_gaps(&seq.nps, &node_gaps(tree));
-                let record = encode_doc_record(&seq.nps, &seq.lps, &tree.leaves(), None, n_orig);
-                let path = seq.lps.iter().map(|s| s.0).collect();
-                (record, path, gaps)
-            }
-            IndexKind::Extended => {
-                let ext = ExtendedTree::build(tree, self.dummy);
-                maxgap.add_tree(&ext.tree);
-                let seq = PruferSeq::regular(&ext.tree);
-                let gaps = position_gaps(&seq.nps, &node_gaps(&ext.tree));
-                let record = encode_doc_record(
-                    &seq.nps,
-                    &seq.lps,
-                    &ext.tree.leaves(),
-                    Some(&ext.orig_post),
-                    n_orig,
-                );
-                let path = seq.lps.iter().map(|s| s.0).collect();
-                (record, path, gaps)
-            }
-        };
-        self.inner.add_doc(&record, path, gaps)?;
+    /// and its childless labels into `childless` (the caller owns both
+    /// because they span the whole segment).
+    pub(crate) fn add_tree(
+        &mut self,
+        tree: &XmlTree,
+        maxgap: &mut MaxGapTable,
+        childless: &mut HashSet<Sym>,
+    ) -> Result<()> {
+        let art = DocArtifacts::of(tree, self.kind, self.dummy, maxgap);
+        childless.extend(&art.childless);
+        let path = art.data.lps.iter().map(|s| s.0).collect();
+        self.inner
+            .add_doc(&encode_doc_record(&art.data), path, art.gaps)?;
         Ok(())
     }
 
-    /// Streams one already-indexed document in from its stored
-    /// refinement data (the compaction path).
-    pub(crate) fn add_doc_data(&mut self, d: &DocData) -> Result<()> {
-        let gaps = gaps_from_nps(&d.nps);
-        let record = encode_doc_record(&d.nps, &d.lps, &d.leaves, d.orig_map.as_deref(), d.n_orig);
+    /// Streams one already-indexed document in as its stored record
+    /// (the compaction path): the bytes go into the segment as they
+    /// are, decoded only for the label path and the gaps.
+    pub(crate) fn add_doc_data(&mut self, record: &[u8]) -> Result<()> {
+        let d = decode_doc_record(record, true)
+            .ok_or_else(|| IndexError::Unsupported("corrupt document record".into()))?;
         let path = d.lps.iter().map(|s| s.0).collect();
-        self.inner.add_doc(&record, path, gaps)?;
+        self.inner.add_doc(record, path, gaps_from_nps(&d.nps))?;
         Ok(())
     }
 
@@ -310,20 +295,19 @@ impl BulkBuilder {
     /// Streams one parsed tree (must use this builder's symbol table).
     pub fn add_tree(&mut self, tree: &XmlTree) -> Result<u32> {
         for node in tree.nodes() {
-            if tree.is_leaf(node) {
-                self.childless.insert(tree.label(node));
-                if node != tree.root() {
-                    let post = tree.postorder(node);
-                    let parent = tree.parent_post(post).expect("non-root leaf has a parent");
-                    let (tag, value) = (tree.label_at(parent), self.syms.name(tree.label(node)));
-                    for e in run_entries(tag, value, self.n_docs, post) {
-                        self.vx.push(e)?;
-                    }
+            if tree.is_leaf(node) && node != tree.root() {
+                let post = tree.postorder(node);
+                let parent = tree.parent_post(post).expect("non-root leaf has a parent");
+                let (tag, value) = (tree.label_at(parent), self.syms.name(tree.label(node)));
+                for e in run_entries(tag, value, self.n_docs, post) {
+                    self.vx.push(e)?;
                 }
             }
         }
-        self.rp.add_tree(tree, &mut self.rp_maxgap)?;
-        self.ep.add_tree(tree, &mut self.ep_maxgap)?;
+        self.rp
+            .add_tree(tree, &mut self.rp_maxgap, &mut self.childless)?;
+        self.ep
+            .add_tree(tree, &mut self.ep_maxgap, &mut self.childless)?;
         let id = self.n_docs;
         self.n_docs += 1;
         Ok(id)
@@ -415,14 +399,11 @@ mod tests {
             "<one/>",
         ] {
             let tree = parse_document(xml, &mut syms).unwrap();
-            let seq = PruferSeq::regular(&tree);
-            let expect = position_gaps(&seq.nps, &node_gaps(&tree));
-            assert_eq!(gaps_from_nps(&seq.nps), expect, "{xml}");
             let dummy = syms.intern("\u{1}d");
-            let ext = ExtendedTree::build(&tree, dummy);
-            let eseq = PruferSeq::regular(&ext.tree);
-            let expect = position_gaps(&eseq.nps, &node_gaps(&ext.tree));
-            assert_eq!(gaps_from_nps(&eseq.nps), expect, "ext {xml}");
+            for kind in [IndexKind::Regular, IndexKind::Extended] {
+                let art = DocArtifacts::of(&tree, kind, dummy, &mut MaxGapTable::new());
+                assert_eq!(gaps_from_nps(&art.data.nps), art.gaps, "{kind} {xml}");
+            }
         }
     }
 }

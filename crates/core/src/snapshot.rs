@@ -118,11 +118,19 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    pub(crate) fn capture(engine: &PrixEngine) -> Self {
+    /// The engine as it stands, pinned. `prev` is the snapshot this
+    /// one supersedes, if any: the symbol table only grows, so when
+    /// `prev` froze one of the same length it is the same table and is
+    /// shared instead of copied.
+    pub(crate) fn capture(engine: &PrixEngine, prev: Option<&EngineSnapshot>) -> Self {
         let pin = engine.pool().pin_epoch();
+        let syms = match prev {
+            Some(prev) if prev.syms.len() == engine.symbols().len() => Arc::clone(&prev.syms),
+            _ => Arc::new(engine.symbols().clone()),
+        };
         EngineSnapshot {
             epoch: pin.epoch(),
-            syms: Arc::new(engine.symbols().clone()),
+            syms,
             rp: engine.rp_index().clone(),
             ep: engine.ep_index().clone(),
             segments: engine.seg_tiers().to_vec(),
@@ -639,7 +647,7 @@ impl SharedEngine {
     /// Wraps an engine, publishing its current state as epoch-pinned
     /// snapshot number one.
     pub fn new(engine: PrixEngine) -> Self {
-        let current = Arc::new(EngineSnapshot::capture(&engine));
+        let current = Arc::new(EngineSnapshot::capture(&engine, None));
         let pool = Arc::clone(engine.pool());
         let seg_io = Arc::clone(engine.seg_io());
         let recovery = engine.recovery();
@@ -747,7 +755,7 @@ impl SharedEngine {
     /// publish hook; returns the epoch readers now see. The caller
     /// holds the writer lock.
     fn publish(&self, engine: &PrixEngine) -> u64 {
-        let snap = Arc::new(EngineSnapshot::capture(engine));
+        let snap = Arc::new(EngineSnapshot::capture(engine, Some(&self.snapshot())));
         let epoch = snap.epoch();
         *self.current.lock().unwrap_or_else(|e| e.into_inner()) = snap;
         if let Some(hook) = self

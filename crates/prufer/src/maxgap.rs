@@ -34,9 +34,21 @@ impl MaxGapTable {
             let first = tree.postorder(kids[0]);
             let last = tree.postorder(kids[kids.len() - 1]);
             debug_assert!(last >= first);
-            let gap = last - first;
-            let e = self.gaps.entry(tree.label(node)).or_insert(0);
-            *e = (*e).max(gap);
+            self.raise(tree.label(node), last - first);
+        }
+    }
+
+    /// Records that some node labeled `label` has a gap of `gap`.
+    fn raise(&mut self, label: Sym, gap: PostNum) {
+        let e = self.gaps.entry(label).or_insert(0);
+        *e = (*e).max(gap);
+    }
+
+    /// Folds in every label `other` has recorded: the table of two
+    /// collections' union.
+    pub fn merge(&mut self, other: &MaxGapTable) {
+        for (label, gap) in other.entries() {
+            self.raise(label, gap);
         }
     }
 
@@ -110,6 +122,11 @@ mod tests {
         let a = syms.lookup("a").unwrap();
         let table = MaxGapTable::build([&t1, &t2]);
         assert_eq!(table.get(a), 3);
+        // Folding the documents' own tables together is the same table.
+        let mut merged = MaxGapTable::build([&t2]);
+        merged.merge(&MaxGapTable::build([&t1]));
+        assert_eq!(merged.get(a), 3);
+        assert_eq!(merged.len(), table.len());
     }
 
     #[test]

@@ -506,7 +506,8 @@ impl Metrics {
     }
 
     /// Inverse of [`Metrics::connection_opened`].
-    pub fn connection_closed(&self) {
+    #[cfg(test)]
+    fn connection_closed(&self) {
         self.active.fetch_sub(1, Ordering::Relaxed);
     }
 

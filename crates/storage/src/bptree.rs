@@ -41,8 +41,8 @@ pub fn encode_u64_be(v: u64) -> [u8; 8] {
 ///
 /// # Panics
 /// Panics if `b` is not exactly 8 bytes.
-#[inline]
-pub fn decode_u64_be(b: &[u8]) -> u64 {
+#[cfg(test)]
+fn decode_u64_be(b: &[u8]) -> u64 {
     u64::from_be_bytes(b.try_into().expect("u64 key must be 8 bytes"))
 }
 
@@ -687,7 +687,8 @@ impl BPlusTree {
     }
 
     /// Height of the tree (1 = root is a leaf).
-    pub fn height(&self) -> Result<usize> {
+    #[cfg(test)]
+    fn height(&self) -> Result<usize> {
         let mut h = 1;
         let mut page = self.root;
         loop {

@@ -329,11 +329,6 @@ impl BufferPool {
         }
     }
 
-    /// Pool with the paper's default 2000-page capacity.
-    pub fn with_default_capacity(pager: Pager) -> Self {
-        Self::new(pager, DEFAULT_CAPACITY)
-    }
-
     /// Creates a **durable** pool: page images reach the pager only
     /// in a checkpoint, after the log holding them is durable. Evicted
     /// dirty pages spill into `wal` instead of being stolen into the
@@ -370,7 +365,8 @@ impl BufferPool {
     }
 
     /// Number of independently locked shards.
-    pub fn shard_count(&self) -> usize {
+    #[cfg(test)]
+    fn shard_count(&self) -> usize {
         self.shards.len()
     }
 
@@ -380,11 +376,6 @@ impl BufferPool {
     #[inline]
     fn shard_of(&self, id: PageId) -> &Mutex<Shard> {
         &self.shards[(id as usize) & (self.shards.len() - 1)]
-    }
-
-    /// The shared I/O counters.
-    pub fn io_stats(&self) -> &IoStats {
-        &self.stats
     }
 
     /// Convenience snapshot of the I/O counters.

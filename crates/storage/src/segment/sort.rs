@@ -114,8 +114,9 @@ impl<T: SortItem> ExternalSorter<T> {
         self.count == 0
     }
 
-    /// Number of runs spilled so far (observability / tests).
-    pub fn spilled_runs(&self) -> usize {
+    /// Number of runs spilled so far.
+    #[cfg(test)]
+    fn spilled_runs(&self) -> usize {
         self.runs.len()
     }
 

@@ -6,14 +6,16 @@
 #
 # Per file under crates/{core,storage,server,cli}/src, base vs working
 # tree: lines that are neither blank nor a `//` comment and sit above
-# the file's `#[cfg(test)]` module (every such module in these crates
-# closes its file), with one subtotal: `segment.rs` and the modules
+# the file's `#[cfg(test)] mod` (every such module in these crates
+# closes its file; a `#[cfg(test)]` on a lone item above it is counted
+# like any other line), with one subtotal: `segment.rs` and the modules
 # under `segment/` that succeeded it. Then the option counts: `pub` fields of
 # EngineConfig, ExecOpts and ServerConfig, and CLI flag match sites
 # (`== "--x"`, `"--x" =>`, `Some("--x")` in crates/cli/src/main.rs).
 # Then the entry points: `pub fn`s of PrixIndex named execute*/stream*
-# (ways to run a query) and of PrixEngine named build*/reopen* (ways to
-# make an engine), counted above each file's test module.
+# (ways to run a query) and check_insert/insert*/prepare (ways to add a
+# document), and of PrixEngine named build*/reopen* (ways to make an
+# engine), counted above each file's test module.
 # Last, the `/metrics` registry: entries of `SERIES` in
 # crates/server/src/metrics.rs and rows of README.md's table (a
 # `cargo test` keeps the two lists equal; this prints their sizes).
@@ -29,11 +31,19 @@ CRATES=(core storage server cli)
 at_base() { git show "$BASE:$1" 2>/dev/null || true; }
 at_work() { cat "$1" 2>/dev/null || true; }
 
+# Reads a source file, prints what is above its test module: an
+# unindented `#[cfg(test)]` ends the file only when `mod` follows it.
+above_tests() {
+  awk 'held { if (/^(pub\(crate\) )?mod /) exit; print "#[cfg(test)]"; held = 0 }
+       /^#\[cfg\(test\)\]/ { held = 1; next }
+       { print }'
+}
+
 code_lines() {
-  awk '/^#\[cfg\(test\)\]/ { exit }
-       { sub(/^[ \t]+/, "") }
-       $0 != "" && $0 !~ /^\/\// { n++ }
-       END { print n + 0 }'
+  above_tests |
+    awk '{ sub(/^[ \t]+/, "") }
+         $0 != "" && $0 !~ /^\/\// { n++ }
+         END { print n + 0 }'
 }
 
 # pub_fields <struct>: reads a source file, counts the struct's `pub` fields.
@@ -46,7 +56,7 @@ pub_fields() {
 }
 
 cli_flags() {
-  awk '/^#\[cfg\(test\)\]/ { exit } { print }' |
+  above_tests |
     { grep -oE '== "--[a-z][a-z0-9-]*"|"--[a-z][a-z0-9-]*" =>|Some\("--[a-z][a-z0-9-]*"\)' || true; } |
     wc -l | tr -d ' '
 }
@@ -91,7 +101,7 @@ echo "entry points, $BASE -> working tree"
 # pub_fns <prefixes>: reads a source file, counts its `pub fn`s whose
 # name starts with one of the `|`-separated prefixes.
 pub_fns() {
-  awk '/^#\[cfg\(test\)\]/ { exit } { print }' |
+  above_tests |
     { grep -cE "^ +pub fn ($1)[a-z_]*[(<]" || true; }
 }
 while read -r name file prefixes; do
@@ -99,6 +109,7 @@ while read -r name file prefixes; do
     "$(at_base "$file" | pub_fns "$prefixes")" "$(at_work "$file" | pub_fns "$prefixes")"
 done <<'ENTRY_POINTS'
 PrixIndex::{execute*,stream*} crates/core/src/index.rs execute|stream
+PrixIndex::{check_insert,insert*,prepare} crates/core/src/index.rs check_insert|insert|prepare
 PrixEngine::build* crates/core/src/engine.rs build
 PrixEngine::reopen* crates/core/src/engine.rs reopen
 ENTRY_POINTS

@@ -171,7 +171,34 @@ fn doctored_catalog_version_is_rejected() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Catalog v4 can spell "this engine has no RPIndex / EPIndex / value
+/// Catalog version 4 — the build before this one: four raw-`u32`
+/// records a document, the record directory inside the index metadata
+/// — is refused by its number, with the version this build reads and
+/// the way out. There is no second reader.
+#[test]
+fn catalog_version_4_is_refused_by_name() {
+    let dir = std::env::temp_dir().join(format!("prix-persist-v4-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.prix");
+    save_small_db(&path);
+    let pager = durable_pager(&path);
+    let mut catalog = [0u8; PAGE_SIZE];
+    pager.read_page(0, &mut catalog).unwrap();
+    assert_eq!(catalog[4..8], 5u32.to_le_bytes(), "this build writes 5");
+    catalog[4..8].copy_from_slice(&4u32.to_le_bytes());
+    pager.write_page(0, &catalog).unwrap();
+    drop(pager);
+    let msg = reopen_error(&path);
+    assert!(
+        msg.contains("version 4")
+            && msg.contains("reads version 5")
+            && msg.contains("re-index the source documents"),
+        "{msg}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The catalog can spell "this engine has no RPIndex / EPIndex / value
 /// index" as a zero record id. This build never writes one, and opening
 /// half an engine is refused with the way out.
 #[test]

@@ -166,11 +166,10 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
         );
         for s in engine.segment_manifest() {
             println!(
-                "  segment {}: kind {}, docs {}..{}",
+                "  segment {}: kind {}, {}",
                 s.suffix,
                 seg_kind_name(s.kind),
-                s.doc_base,
-                s.doc_base + s.n_docs
+                row_range(s)
             );
         }
         return Ok(());
@@ -440,11 +439,11 @@ fn print_file_bytes(engine: &PrixEngine) -> Result<(), CliError> {
             .segment_manifest()
             .iter()
             .find(|s| s.suffix == suffix)
-            .map(|s| (seg_kind_name(s.kind), s.doc_base, s.doc_base + s.n_docs))
+            .map(|s| format!("{} {}", seg_kind_name(s.kind), row_range(s)))
     };
     for (suffix, bytes) in &sizes {
         let class = match (tier_of(suffix), suffix.as_str()) {
-            (Some((kind, from, to)), _) => format!("{kind} docs {from}..{to}"),
+            (Some(row), _) => row,
             (None, ".seg") => "manifest".to_string(),
             (None, s) if s.ends_with(".wal") => "log".to_string(),
             (None, s) if s.ends_with(".sum") => "sidecar".to_string(),
@@ -472,8 +471,20 @@ fn seg_kind_name(kind: u8) -> &'static str {
         prix_core::SEG_KIND_RP => "rp",
         prix_core::SEG_KIND_EP => "ep",
         prix_core::SEG_KIND_VX => "vx",
+        prix_core::SEG_KIND_SYM => "sym",
         _ => "?",
     }
+}
+
+/// What a manifest row covers: documents, or — a symbol run — names of
+/// the dictionary.
+fn row_range(s: &prix_core::ManifestSegment) -> String {
+    let what = if s.kind == prix_core::SEG_KIND_SYM {
+        "names"
+    } else {
+        "docs"
+    };
+    format!("{what} {}..{}", s.doc_base, s.doc_base + s.n_docs)
 }
 
 fn cmd_segments(args: &[String]) -> Result<(), CliError> {
@@ -500,12 +511,18 @@ fn cmd_segments(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// One line per live segment and value run: what it covers, its format
-/// and what its reader keeps in memory.
+/// One line per live segment, value run and symbol run: what it covers,
+/// its format and what its reader keeps in memory.
 fn print_segment_rows(engine: &PrixEngine) -> Result<(), CliError> {
     for s in engine.segment_manifest() {
-        let docs = format!("docs {}..{}", s.doc_base, s.doc_base + s.n_docs);
-        if s.kind == prix_core::SEG_KIND_VX {
+        let docs = row_range(s);
+        if s.kind == prix_core::SEG_KIND_SYM {
+            println!(
+                "  symbols {}: kind sym, {docs}, format v{}",
+                s.suffix,
+                prix_core::SYM_VERSION
+            );
+        } else if s.kind == prix_core::SEG_KIND_VX {
             let run = engine.value_run(s).map_err(|e| e.to_string())?;
             let (nums, strs) = run.posting_counts();
             println!(
@@ -555,8 +572,8 @@ fn print_segment_rows(engine: &PrixEngine) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Runs the full integrity check of every segment and every value run,
-/// one report line each (`fsck`, `segments --verify`).
+/// Runs the full integrity check of every segment, value run and symbol
+/// run, one report line each (`fsck`, `segments --verify`).
 fn verify_tier_files(engine: &PrixEngine) -> Result<Vec<String>, CliError> {
     let checks = engine.verify_tiers().map_err(|e| e.to_string())?;
     let lines = checks.into_iter().map(|(suffix, check)| match check {
@@ -568,6 +585,7 @@ fn verify_tier_files(engine: &PrixEngine) -> Result<Vec<String>, CliError> {
             "{suffix}: {} blocks, {} numeric posting(s), {} string posting(s) ok",
             c.blocks, c.num_postings, c.str_postings
         ),
+        TierCheck::SymbolRun(names) => format!("{suffix}: {names} name(s) ok"),
     });
     Ok(lines.collect())
 }
@@ -681,7 +699,7 @@ fn unknown_siblings(db: &str) -> Vec<String> {
 /// Whether `suffix` (the part after the database name) is one the
 /// engine itself writes: the page file, its WAL/checksum sidecars, the
 /// manifest, or a generation's files (`.gN`, `.gN.sum`, `.gN.wal`,
-/// `.gN.rp.seg`, `.gN.ep.seg`, `.gN.vx.seg`).
+/// `.gN.rp.seg`, `.gN.ep.seg`, `.gN.vx.seg`, `.gN.sym`).
 fn known_db_suffix(suffix: &str) -> bool {
     let rest = match suffix {
         "" | ".sum" | ".wal" | ".seg" => return true,
@@ -696,7 +714,7 @@ fn known_db_suffix(suffix: &str) -> bool {
     }
     matches!(
         &rest[digits..],
-        "" | ".sum" | ".wal" | ".rp.seg" | ".ep.seg" | ".vx.seg"
+        "" | ".sum" | ".wal" | ".rp.seg" | ".ep.seg" | ".vx.seg" | ".sym"
     )
 }
 
@@ -718,12 +736,23 @@ fn print_index_stats(engine: &PrixEngine) -> Result<(), CliError> {
     line("RPIndex delta".into(), engine.rp_index());
     line("EPIndex delta".into(), engine.ep_index());
     for s in engine.segment_manifest() {
-        if s.kind != prix_core::SEG_KIND_VX {
+        if matches!(s.kind, prix_core::SEG_KIND_RP | prix_core::SEG_KIND_EP) {
             let idx = engine.segment_index(s).map_err(|e| e.to_string())?;
             let kind = seg_kind_name(s.kind).to_uppercase();
             line(format!("{kind}Index segment {}", s.suffix), idx);
         }
     }
+    // The dictionary is tiered like the indexes: names in the tiers'
+    // symbol runs, the rest in the delta's chain.
+    let runs = engine.segment_manifest().iter();
+    let runs: Vec<_> = runs.filter(|s| s.kind == prix_core::SEG_KIND_SYM).collect();
+    let tiered: usize = runs.iter().map(|s| s.n_docs as usize).sum();
+    println!(
+        "symbols: {} name(s), {tiered} in {} symbol run(s), {} in the delta",
+        engine.symbols().len(),
+        runs.len(),
+        engine.symbols().len() - tiered
+    );
     Ok(())
 }
 

@@ -333,10 +333,12 @@ fn failed_add_leaves_the_database_as_it_was() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A tier's value run is a file of the database like its segments:
-/// `segments` lists it with its postings, `stats` accounts for its
-/// bytes, `fsck` verifies it and does not take it for a stray sibling —
-/// after a bulk build and after the compaction that adds a second tier.
+/// A tier's value run, and the symbol run of the names it interned, are
+/// files of the database like its segments: `segments` lists them (the
+/// run with its postings, the names with their ids), `stats` accounts
+/// for their bytes, `fsck` verifies them and does not take them for
+/// stray siblings — after a bulk build and after the compaction that
+/// adds a second tier.
 #[test]
 fn value_runs_show_in_segments_stats_and_fsck() {
     let dir = std::env::temp_dir().join(format!("prix-cli-runs-{}", std::process::id()));
@@ -371,6 +373,11 @@ fn value_runs_show_in_segments_stats_and_fsck() {
         "run .g1.vx.seg: kind vx, docs 0..3, format v1, 3 numeric + 6 string posting(s)",
         "run .g2.vx.seg: kind vx, docs 3..4, format v1, 1 numeric + 2 string posting(s)",
         "verified .g2.vx.seg: 4 blocks, 1 numeric posting(s), 2 string posting(s) ok",
+        // The bulk build's names (the dummy, three tags, three names and
+        // three prices), then the two the added document brought.
+        "symbols .g1.sym: kind sym, names 0..10, format v1",
+        "symbols .g2.sym: kind sym, names 10..12, format v1",
+        "verified .g2.sym: 2 name(s) ok",
     ] {
         assert!(text.contains(run), "no `{run}` in:\n{text}");
     }
@@ -399,6 +406,7 @@ fn value_runs_show_in_segments_stats_and_fsck() {
         "RPIndex delta: 0 docs, 0 trie nodes",
         "RPIndex segment .g1.rp.seg: 3 docs, 4 trie nodes",
         "EPIndex segment .g2.ep.seg: 1 docs, ",
+        "symbols: 12 name(s), 12 in 2 symbol run(s), 0 in the delta",
     ] {
         assert!(text.contains(line), "no `{line}` in:\n{text}");
     }
@@ -408,16 +416,18 @@ fn value_runs_show_in_segments_stats_and_fsck() {
         .map(|l| l.split_whitespace().next().unwrap().parse().unwrap())
         .collect();
     let (total, files) = bytes.split_last().expect("stats prints bytes");
-    assert_eq!(files.len(), 10, "3 + manifest + 2 tiers of 3:\n{text}");
+    assert_eq!(files.len(), 12, "3 + manifest + 2 tiers of 4:\n{text}");
     assert_eq!(*total, files.iter().sum::<u64>(), "{text}");
     assert!(text.contains("vx docs 3..4 (.g2.vx.seg)"), "{text}");
+    assert!(text.contains("sym names 10..12 (.g2.sym)"), "{text}");
     assert!(
-        text.contains("total in 10 file(s)") && text.contains("page file (.g2)"),
+        text.contains("total in 12 file(s)") && text.contains("page file (.g2)"),
         "{text}"
     );
 
     let text = ok(&["fsck", db]);
     assert!(text.contains("segment .g1.vx.seg: 4 blocks"), "{text}");
+    assert!(text.contains("segment .g1.sym: 10 name(s) ok"), "{text}");
     assert!(text.contains("valix: delta docs 4..4, 0 numeric"), "{text}");
     assert!(!text.contains("sibling"), "{text}");
     assert!(text.contains("fsck: clean"), "{text}");

@@ -11,14 +11,14 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use prix_storage::segment::{put_varint, take_varint};
 use prix_storage::{
     recover, BufferPool, FileSegEnv, IoStats, Manifest, ManifestSegment, MemSegEnv, Pager,
-    RecordId, RecordStore, RecoveryReport, SegmentCheck, SegmentEnv, SegmentReader, ValueRunReader,
-    VxCheck, Wal, PAGE_SIZE, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_VX,
+    RecordId, RecordStore, RecoveryReport, SegmentCheck, SegmentEnv, SegmentReader, SymbolRun,
+    ValueRunReader, VxCheck, Wal, PAGE_SIZE, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_SYM, SEG_KIND_VX,
 };
 use prix_xml::{Collection, Sym, SymbolTable};
 
-use crate::arrange::ARRANGEMENT_LIMIT;
 use crate::index::{IndexError, IndexKind, PrixIndex, Result};
 use crate::plan::{Planner, PlannerStats};
 use crate::snapshot::EngineSnapshot;
@@ -29,15 +29,21 @@ use crate::valix::Valix;
 /// and the only one [`PrixEngine::reopen`] reads; any other version is
 /// refused rather than misread.
 ///
-/// Layout: magic, version, RP/EP metadata record ids, symbol-table
-/// record id, dummy symbol, arrangement limit (written for layout
-/// compatibility, never read back), the length-prefixed planner
-/// statistics blob, then the valix metadata record id. A zero RP, EP or
-/// valix record id is refused at reopen. Version 5 changed nothing on
-/// this page: it says what the RP/EP records name — one record per
-/// document in a segment's encoding, found through a directory tree
-/// (see [`PrixIndex::save`]) — which a version-4 reader would misread.
-const CATALOG_VERSION: u32 = 5;
+/// Layout: magic, version, RP/EP metadata record ids, the head of the
+/// names chain (0 = no names), dummy symbol, the number of symbols (what
+/// the manifest's symbol runs and the chain must add up to), the
+/// length-prefixed planner statistics blob, then the valix metadata
+/// record id. A zero RP, EP or valix record id is refused at reopen.
+/// Version 6 changed what the third id names: no longer one record
+/// holding the whole symbol table, but the newest record of a chain (see
+/// [`PrixEngine::save`]) that holds only the names the manifest's
+/// symbol runs do not — which a version-5 reader would take for the
+/// table. (The count replaced a constant no reader looked at.)
+const CATALOG_VERSION: u32 = 6;
+
+/// The label of the dummy child extended sequences give every leaf; no
+/// document can spell it.
+pub(crate) const DUMMY_LABEL: &str = "\u{1}prix-dummy";
 
 /// Byte offset of the planner-stats blob (u32 length + payload) in the
 /// catalog page, right after the fixed fields.
@@ -64,27 +70,78 @@ impl Default for EngineConfig {
     }
 }
 
-/// Decodes the symbol-table record [`PrixEngine::save`] writes (u32
-/// count, then one u32-length-prefixed UTF-8 name per symbol). `None`
-/// for a record that ends early or holds a non-UTF-8 name: the page
-/// checksum vouches for the bytes as last written, not for their shape.
-fn decode_symbols(bytes: &[u8]) -> Option<SymbolTable> {
-    let mut r = bytes;
-    let mut take = |n: usize| -> Option<&[u8]> {
-        if r.len() < n {
-            return None;
-        }
-        let (head, tail) = r.split_at(n);
-        r = tail;
-        Some(head)
-    };
-    let mut syms = SymbolTable::new();
-    let count = u32::from_le_bytes(take(4)?.try_into().ok()?);
-    for _ in 0..count {
-        let len = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
-        syms.intern(std::str::from_utf8(take(len)?).ok()?);
+/// Bytes of a names-chain record before its name list: the previous
+/// record's id (`u64`, 0 = none) and the id of the first name (`u32`).
+const CHAIN_HEAD: usize = 12;
+
+/// The one encoder of a name list — a symbol run's payload, a
+/// names-chain record's tail: the count, then `len | utf8` per name,
+/// counts and lengths as varints.
+fn encode_symbols(names: &[String]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(names.iter().map(|n| n.len() + 2).sum());
+    put_varint(&mut out, names.len() as u64);
+    for name in names {
+        put_varint(&mut out, name.len() as u64);
+        out.extend_from_slice(name.as_bytes());
     }
-    Some(syms)
+    out
+}
+
+/// The one decoder of a name list: appends its names to `syms` as the
+/// symbols from id `first` on. `None` — with `syms` no longer to be
+/// used — unless `syms` ends at `first`, the list is exactly `count`
+/// names of UTF-8 with nothing after them, and every one of them is new
+/// to the table (interning is idempotent: a repeated name would leave
+/// every later symbol one id short, and queries answering from the
+/// wrong labels). A checksum vouches for the bytes as last written, not
+/// for their shape.
+fn decode_symbols(bytes: &[u8], first: u32, syms: &mut SymbolTable) -> Option<()> {
+    let mut r = bytes;
+    let count = take_varint(&mut r)?;
+    // A name takes a byte or more: a count the bytes could not hold is
+    // refused before anything is done that many times.
+    if syms.len() != first as usize || count > r.len() as u64 {
+        return None;
+    }
+    for _ in 0..count {
+        let len = usize::try_from(take_varint(&mut r)?).ok()?;
+        let name = r.get(..len)?;
+        syms.intern(std::str::from_utf8(name).ok()?);
+        r = &r[len..];
+    }
+    (r.is_empty() && syms.len() as u64 == u64::from(first) + count).then_some(())
+}
+
+/// Writes the names of `symbols` that `rows`' symbol runs do not cover —
+/// and only them — as the symbol run of `generation`, synced, and lists
+/// it in `rows`. No such names: no file, no row.
+pub(crate) fn write_symbol_run(
+    env: &dyn SegmentEnv,
+    symbols: &SymbolTable,
+    generation: u64,
+    rows: &mut Vec<ManifestSegment>,
+) -> Result<()> {
+    let runs = rows.iter().filter(|s| s.kind == SEG_KIND_SYM);
+    let first: usize = runs.map(|s| s.n_docs as usize).sum();
+    let names = symbols.names_from(first);
+    let suffix = format!(".g{generation}.sym");
+    if names.is_empty() {
+        // What a compaction that died before its manifest write left.
+        return Ok(env.remove(&suffix)?);
+    }
+    let run = SymbolRun {
+        first: first as u32,
+        count: names.len() as u32,
+        names: encode_symbols(names),
+    };
+    run.write(env.create(&suffix)?)?;
+    rows.push(ManifestSegment {
+        kind: SEG_KIND_SYM,
+        suffix,
+        doc_base: run.first,
+        n_docs: run.count,
+    });
+    Ok(())
 }
 
 /// One immutable segment tier: the RP/EP segment pair and the value
@@ -110,27 +167,34 @@ pub enum TierCheck {
     Segment(SegmentCheck),
     /// A value run.
     ValueRun(VxCheck),
+    /// A symbol run: how many names it holds, each checked against the
+    /// dictionary in memory.
+    SymbolRun(u32),
 }
 
 /// An indexed XML database: its symbol table, its RP/EP indexes and
 /// value index, and the buffer pool they share. The document trees are
 /// not kept: everything query processing needs is in the indexes.
 pub struct PrixEngine {
-    /// Every label the indexed documents (and the dummy) use; persisted
-    /// by [`PrixEngine::save`] so queries parse after a reopen.
+    /// Every label the indexed documents (and the dummy) use, ids dense
+    /// in interning order. On disk it is tiered like the indexes: the
+    /// manifest's symbol runs in order, then the names chain of the
+    /// mutable generation ([`PrixEngine::save`]).
     symbols: SymbolTable,
     pool: Arc<BufferPool>,
     rp: PrixIndex,
     ep: PrixIndex,
     dummy: Sym,
-    /// Record store holding engine-level catalog records (the symbol
-    /// table); kept open across saves so repeated saves append into the
+    /// Record store holding engine-level catalog records (the names
+    /// chain); kept open across saves so repeated saves append into the
     /// same data page instead of allocating a fresh one each time.
-    catalog_store: Option<RecordStore>,
-    /// Last symbol-table record written and the number of symbols it
-    /// holds: the table only ever grows, so one of the same length is
-    /// the same table and is not serialized again on the next save.
-    saved_syms: Option<(RecordId, usize)>,
+    /// (Opening one allocates nothing: its first append does.)
+    catalog_store: RecordStore,
+    /// Raw id of the newest names-chain record (0 = the chain is empty)
+    /// and the number of symbols the symbol runs and the chain cover
+    /// between them: the table only ever grows, so a save owes the
+    /// names past that and nothing when there are none.
+    saved_syms: (u64, usize),
     /// What crash recovery did when this engine was reopened; `None`
     /// for freshly built engines.
     recovery: Option<RecoveryReport>,
@@ -173,7 +237,7 @@ impl PrixEngine {
     /// page file catches up at checkpoints), so a crash at any instant
     /// leaves either the previous save or the new one — never a torn
     /// mixture. Without a path the engine lives in memory.
-    pub fn build(collection: Collection, cfg: EngineConfig) -> Result<Self> {
+    pub fn build(mut collection: Collection, cfg: EngineConfig) -> Result<Self> {
         match &cfg.path {
             Some(p) => {
                 let env = Arc::new(FileSegEnv::new(p.clone()));
@@ -181,7 +245,8 @@ impl PrixEngine {
             }
             None => {
                 let pool = BufferPool::new(Pager::in_memory(), cfg.buffer_pages);
-                Self::build_over(collection, &cfg, pool, Arc::new(MemSegEnv::new()))
+                let dummy = collection.intern(DUMMY_LABEL);
+                Self::build_over(collection, dummy, &cfg, pool, Arc::new(MemSegEnv::new()))
             }
         }
     }
@@ -193,11 +258,12 @@ impl PrixEngine {
     /// fault-injecting environments in here and reopens what survived
     /// through [`PrixEngine::reopen_env`].
     pub fn build_env(
-        collection: Collection,
+        mut collection: Collection,
         cfg: EngineConfig,
         env: Arc<dyn SegmentEnv>,
     ) -> Result<Self> {
-        Self::build_at(collection, &cfg, env, "")
+        let dummy = collection.intern(DUMMY_LABEL);
+        Self::build_at(collection, dummy, &cfg, env, "")
     }
 
     /// Builds a mutable-generation engine whose stores live in `env` at
@@ -205,6 +271,7 @@ impl PrixEngine {
     /// at their generation's name.
     fn build_at(
         collection: Collection,
+        dummy: Sym,
         cfg: &EngineConfig,
         env: Arc<dyn SegmentEnv>,
         suffix: &str,
@@ -219,17 +286,19 @@ impl PrixEngine {
         )
         .map_err(IndexError::Storage)?;
         let pool = BufferPool::with_wal(pager, cfg.buffer_pages, wal);
-        Self::build_over(collection, cfg, pool, env)
+        Self::build_over(collection, dummy, cfg, pool, env)
     }
 
+    /// The engine over `collection`, whose symbol table it keeps;
+    /// `dummy` is the label extended sequences hang under every leaf.
     fn build_over(
         mut collection: Collection,
+        dummy: Sym,
         cfg: &EngineConfig,
         pool: BufferPool,
         seg_env: Arc<dyn SegmentEnv>,
     ) -> Result<Self> {
         let pool = Arc::new(pool);
-        let dummy = collection.intern("\u{1}prix-dummy");
         // Both indexes read the same immutable collection and write
         // through the internally synchronized buffer pool, so they are
         // built concurrently — except over no documents (the empty
@@ -263,14 +332,15 @@ impl PrixEngine {
         for (doc, tree) in collection.iter() {
             valix.index_tree(tree, doc, collection.symbols())?;
         }
+        let catalog_store = RecordStore::open(Arc::clone(&pool)).map_err(IndexError::Storage)?;
         Ok(PrixEngine {
             symbols: std::mem::take(collection.symbols_mut()),
             pool,
             rp,
             ep,
             dummy,
-            catalog_store: None,
-            saved_syms: None,
+            catalog_store,
+            saved_syms: (0, 0),
             recovery: None,
             segments: Vec::new(),
             manifest_segments: Vec::new(),
@@ -327,10 +397,13 @@ impl PrixEngine {
     }
 
     /// Persists the engine so [`PrixEngine::reopen`] can load it from
-    /// the backing file: index metadata and the symbol table go into
-    /// the shared store, their locations into the reserved catalog page
-    /// (page 0), and the buffer pool is flushed — for a durable engine
-    /// one WAL group commit.
+    /// the backing file: index metadata goes into the shared store, the
+    /// names interned since the last save are appended to it as one
+    /// record chained to the one before (`prev record id | first id |
+    /// count | names`; a save that interned none appends nothing),
+    /// their locations go into the reserved catalog page (page 0), and
+    /// the buffer pool is flushed — for a durable engine one WAL group
+    /// commit.
     ///
     /// Only works for file-backed engines (`EngineConfig::path`);
     /// in-memory engines have nowhere to persist to.
@@ -351,34 +424,22 @@ impl PrixEngine {
     }
 
     /// Writes what [`PrixEngine::reopen`] starts from into the pool:
-    /// index metadata, the symbol table, the catalog page.
+    /// index metadata, the names this save owes, the catalog page.
     fn write_catalog(&mut self) -> Result<()> {
         let rp_meta = self.rp.save()?.raw();
         let ep_meta = self.ep.save()?.raw();
-        // The symbol table (needed to parse queries after reopen) is
-        // serialized only when it has grown — saving an unchanged engine
-        // N times must not grow the store by N copies of it, nor build
-        // N copies to find that out.
-        let syms_rec = match self.saved_syms {
-            Some((id, len)) if len == self.symbols.len() => id,
-            _ => {
-                let mut buf: Vec<u8> = Vec::new();
-                buf.extend_from_slice(&(self.symbols.len() as u32).to_le_bytes());
-                for (_, name) in self.symbols.iter() {
-                    buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(name.as_bytes());
-                }
-                if self.catalog_store.is_none() {
-                    self.catalog_store = Some(
-                        RecordStore::open(Arc::clone(&self.pool)).map_err(IndexError::Storage)?,
-                    );
-                }
-                let store = self.catalog_store.as_mut().expect("created above");
-                let id = store.append(&buf).map_err(IndexError::Storage)?;
-                self.saved_syms = Some((id, self.symbols.len()));
-                id
-            }
-        };
+        let (head, saved) = self.saved_syms;
+        if self.symbols.len() > saved {
+            let mut rec = head.to_le_bytes().to_vec();
+            rec.extend_from_slice(&(saved as u32).to_le_bytes());
+            rec.extend_from_slice(&encode_symbols(self.symbols.names_from(saved)));
+            let id = self
+                .catalog_store
+                .append(&rec)
+                .map_err(IndexError::Storage)?;
+            self.saved_syms = (id.raw(), self.symbols.len());
+        }
+        let (syms_head, n_symbols) = self.saved_syms;
         let valix_meta = self.valix.save()?.raw();
         // Catalog page. The planner-stats blob is capped by its encoder
         // to fit the remainder of the page (minus the trailing valix
@@ -396,9 +457,9 @@ impl PrixEngine {
                 p[4..8].copy_from_slice(&CATALOG_VERSION.to_le_bytes());
                 p[8..16].copy_from_slice(&rp_meta.to_le_bytes());
                 p[16..24].copy_from_slice(&ep_meta.to_le_bytes());
-                p[24..32].copy_from_slice(&syms_rec.raw().to_le_bytes());
+                p[24..32].copy_from_slice(&syms_head.to_le_bytes());
                 p[32..36].copy_from_slice(&self.dummy.0.to_le_bytes());
-                p[36..44].copy_from_slice(&(ARRANGEMENT_LIMIT as u64).to_le_bytes());
+                p[36..44].copy_from_slice(&(n_symbols as u64).to_le_bytes());
                 let off = CATALOG_STATS_OFF;
                 p[off..off + 4].copy_from_slice(&(stats_blob.len() as u32).to_le_bytes());
                 p[off + 4..off + 4 + stats_blob.len()].copy_from_slice(&stats_blob);
@@ -457,7 +518,11 @@ impl PrixEngine {
         let pager = Pager::open_durable(db, env.open(&sum_suffix)?).map_err(IndexError::Storage)?;
         let (wal, report) = recover(&pager, wal, pager.stats()).map_err(IndexError::Storage)?;
         let pool = BufferPool::with_wal(pager, buffer_pages, wal);
-        let mut eng = Self::reopen_over(pool, report, env)?;
+        let tiered = match &manifest {
+            Some(m) => Self::read_symbol_runs(&*env, m.generation, &m.segments)?,
+            None => SymbolTable::new(),
+        };
+        let mut eng = Self::reopen_over(pool, report, env, tiered)?;
         match &manifest {
             Some(m) => eng.attach_manifest(m)?,
             None => eng.valix.attach(0, eng.rp.doc_count())?,
@@ -465,13 +530,57 @@ impl PrixEngine {
         Ok(eng)
     }
 
+    /// The first walk over the rows of manifest `generation`: every row
+    /// of a kind this build knows, every file there, and the names the
+    /// tiers interned — the symbol runs, in manifest order, each the
+    /// file its row describes and starting at the id the one before
+    /// ended on.
+    fn read_symbol_runs(
+        env: &dyn SegmentEnv,
+        generation: u64,
+        rows: &[ManifestSegment],
+    ) -> Result<SymbolTable> {
+        let mut symbols = SymbolTable::new();
+        for s in rows {
+            if ![SEG_KIND_RP, SEG_KIND_EP, SEG_KIND_VX, SEG_KIND_SYM].contains(&s.kind) {
+                return Err(IndexError::Unsupported(format!(
+                    "manifest generation {generation} lists segment '{}' of unknown kind {}",
+                    s.suffix, s.kind
+                )));
+            }
+            if !env.exists(&s.suffix)? {
+                return Err(IndexError::Unsupported(format!(
+                    "manifest generation {generation} references missing segment file '{}'",
+                    s.suffix
+                )));
+            }
+            if s.kind != SEG_KIND_SYM {
+                continue;
+            }
+            let run = SymbolRun::read(&*env.open(&s.suffix)?)?;
+            if (run.first, run.count) != (s.doc_base, s.n_docs)
+                || decode_symbols(&run.names, run.first, &mut symbols).is_none()
+                || symbols.len() != run.first as usize + run.count as usize
+            {
+                return Err(IndexError::Unsupported(format!(
+                    "corrupt symbol table: run '{}' is not the names its manifest row lists",
+                    s.suffix
+                )));
+            }
+        }
+        Ok(symbols)
+    }
+
+    /// The engine in `pool`, its symbol table `symbols` (what the tiers
+    /// interned) and then the names chain of the catalog.
     fn reopen_over(
         pool: BufferPool,
         recovery: RecoveryReport,
         seg_env: Arc<dyn SegmentEnv>,
+        mut symbols: SymbolTable,
     ) -> Result<Self> {
         let pool = Arc::new(pool);
-        let (rp_meta, ep_meta, syms_rec, dummy, pstats, valix_meta) = pool
+        let (rp_meta, ep_meta, syms_head, dummy, n_symbols, pstats, valix_meta) = pool
             .with_page(0, |p: &[u8; PAGE_SIZE]| {
                 if &p[..4] != b"PRIX" {
                     return Err(IndexError::Unsupported(
@@ -499,17 +608,44 @@ impl PrixEngine {
                     u64::from_le_bytes(p[16..24].try_into().unwrap()),
                     u64::from_le_bytes(p[24..32].try_into().unwrap()),
                     Sym(u32::from_le_bytes(p[32..36].try_into().unwrap())),
+                    u64::from_le_bytes(p[36..44].try_into().unwrap()),
                     pstats,
                     valix_meta,
                 ))
             })
             .map_err(IndexError::Storage)??;
+        // The chain runs from the newest record back: every hop starts
+        // strictly below the one after it and not below what the tiers
+        // cover (so a cycle ends the walk, it does not hang it), the
+        // hops decoded oldest first must each start where the table
+        // stands, and the table must end on the catalog's count — which
+        // is what notices a manifest that lost a symbol row.
+        let corrupt_syms = || {
+            let what = "corrupt symbol table; re-index the source documents";
+            IndexError::Unsupported(what.into())
+        };
         let store = RecordStore::open(Arc::clone(&pool)).map_err(IndexError::Storage)?;
-        let bytes = store
-            .read(RecordId::from_raw(syms_rec))
-            .map_err(IndexError::Storage)?;
-        let symbols = decode_symbols(&bytes)
-            .ok_or_else(|| IndexError::Unsupported("corrupt symbol table".into()))?;
+        let mut hops: Vec<(u32, Vec<u8>)> = Vec::new();
+        let mut at = syms_head;
+        while at != 0 {
+            let rec = store
+                .read(RecordId::from_raw(at))
+                .map_err(IndexError::Storage)?;
+            let head = rec.get(..CHAIN_HEAD).ok_or_else(corrupt_syms)?;
+            let first = u32::from_le_bytes(head[8..].try_into().unwrap());
+            let newer = hops.last().map_or(u32::MAX, |(first, _)| *first);
+            if first >= newer || (first as usize) < symbols.len() {
+                return Err(corrupt_syms());
+            }
+            at = u64::from_le_bytes(head[..8].try_into().unwrap());
+            hops.push((first, rec));
+        }
+        for (first, rec) in hops.iter().rev() {
+            decode_symbols(&rec[CHAIN_HEAD..], *first, &mut symbols).ok_or_else(corrupt_syms)?;
+        }
+        if symbols.len() as u64 != n_symbols {
+            return Err(corrupt_syms());
+        }
         // Every engine this build writes carries all three; a zero id
         // is a database from a build that could leave one out.
         for (what, id) in [
@@ -527,14 +663,14 @@ impl PrixEngine {
         let rp = PrixIndex::load(Arc::clone(&pool), RecordId::from_raw(rp_meta))?;
         let ep = PrixIndex::load(Arc::clone(&pool), RecordId::from_raw(ep_meta))?;
         let valix = Valix::load(Arc::clone(&pool), RecordId::from_raw(valix_meta))?;
-        let saved_syms = Some((RecordId::from_raw(syms_rec), symbols.len()));
+        let saved_syms = (syms_head, symbols.len());
         Ok(PrixEngine {
             symbols,
             pool,
             rp,
             ep,
             dummy,
-            catalog_store: None,
+            catalog_store: store,
             saved_syms,
             recovery: Some(recovery),
             segments: Vec::new(),
@@ -572,9 +708,11 @@ impl PrixEngine {
 
     /// Opens every segment and value run the manifest lists and installs
     /// them as this engine's immutable tiers, re-basing the mutable
-    /// indexes and the delta valix to start where the tiers end. A
-    /// manifest that names a missing file or a kind this build does not
-    /// know, a header that disagrees with its manifest row, a tier
+    /// indexes and the delta valix to start where the tiers end. (Its
+    /// symbol runs are in the table already, its kinds known and its
+    /// files there: [`PrixEngine::reopen_env`] walked its rows before
+    /// anything else, or they were written a moment ago.) A header that
+    /// disagrees with its manifest row, a tier
     /// without one of its three files (a database compacted before
     /// value runs existed has none) or a non-contiguous tier layout is
     /// a hard error — serving a database with silently absent documents
@@ -590,19 +728,7 @@ impl PrixEngine {
                 m.generation
             ))
         };
-        for s in &m.segments {
-            if !matches!(s.kind, SEG_KIND_RP | SEG_KIND_EP | SEG_KIND_VX) {
-                return Err(IndexError::Unsupported(format!(
-                    "manifest generation {} lists segment '{}' of unknown kind {}",
-                    m.generation, s.suffix, s.kind
-                )));
-            }
-            if !self.seg_env.exists(&s.suffix)? {
-                return Err(IndexError::Unsupported(format!(
-                    "manifest generation {} references missing segment file '{}'",
-                    m.generation, s.suffix
-                )));
-            }
+        for s in m.segments.iter().filter(|s| s.kind != SEG_KIND_SYM) {
             let store = self.seg_env.open(&s.suffix)?;
             let stats = Arc::clone(&self.seg_stats);
             // What the file's own header says it is must be what the
@@ -699,24 +825,12 @@ impl PrixEngine {
         Ok(())
     }
 
-    /// An empty mutable generation over `symbols`, in fresh stores at
-    /// `suffix` (what a bulk build and a compaction publish next to
-    /// their segments).
-    fn empty_mutable_env(
-        symbols: SymbolTable,
-        cfg: &EngineConfig,
-        env: &Arc<dyn SegmentEnv>,
-        suffix: &str,
-    ) -> Result<Self> {
-        let mut collection = Collection::new();
-        *collection.symbols_mut() = symbols;
-        Self::build_at(collection, cfg, Arc::clone(env), suffix)
-    }
-
     /// Assembles the engine a finished bulk build publishes: an empty
-    /// mutable generation plus the just-written segments and value run,
-    /// committed by one manifest write. Crash-ordering contract (the
-    /// bulk crash suite pins it): those are fully written and synced
+    /// mutable generation (its names chain empty: every name of `syms`
+    /// is in the symbol run) plus the just-written segments, value run
+    /// and symbol run, committed by one manifest write. Crash-ordering
+    /// contract (the bulk crash suite pins it): those are fully written
+    /// and synced
     /// *before* this runs, the mutable generation is created and saved
     /// (unlogged — see [`PrixEngine::save_unlogged`]) next, and the
     /// manifest write is last — a crash anywhere earlier leaves the
@@ -725,11 +839,14 @@ impl PrixEngine {
         cfg: EngineConfig,
         env: Arc<dyn SegmentEnv>,
         syms: SymbolTable,
+        dummy: Sym,
         generation: u64,
         mutable_suffix: String,
         segments: Vec<ManifestSegment>,
     ) -> Result<Self> {
-        let mut eng = Self::empty_mutable_env(syms, &cfg, &env, &mutable_suffix)?;
+        let mut eng = Self::build_at(Collection::new(), dummy, &cfg, env, &mutable_suffix)?;
+        eng.saved_syms = (0, syms.len());
+        eng.symbols = syms;
         eng.save_unlogged()?;
         let manifest = Manifest {
             generation,
@@ -742,15 +859,17 @@ impl PrixEngine {
     }
 
     /// Folds the mutable delta into a new immutable tier — a segment per
-    /// index kind and the value run of the same documents — and swaps in
+    /// index kind, the value run of the same documents and, when no
+    /// symbol run holds them yet, the names they brought — and swaps in
     /// a fresh, empty mutable generation. What it writes is proportional
-    /// to the delta, not to the collection. Returns `false` (and does
-    /// nothing) when the delta is empty.
+    /// to the delta, not to the collection or its dictionary. Returns
+    /// `false` (and does nothing) when the delta is empty.
     ///
     /// Publish protocol, in order: (1) build and sync the new tier's
     /// files under the next generation's names — the live tree is
     /// untouched; (2) create the next mutable generation in *new*
-    /// files and write it out unlogged, its epoch clock re-seeded past
+    /// files, its names chain empty (the symbol runs now cover every
+    /// name), and write it out unlogged, its epoch clock re-seeded past
     /// the old pool's so epoch-keyed caches and snapshots stay
     /// monotone; (3) write the manifest — the single commit point;
     /// (4) swap the in-memory state, retire the old pool and unlink
@@ -807,18 +926,27 @@ impl PrixEngine {
             doc_base,
             n_docs: n,
         });
+        // The names no symbol run holds yet: the delta's chain, and
+        // whatever a rejected ingest interned since the last save.
+        write_symbol_run(
+            &*self.seg_env,
+            &self.symbols,
+            generation,
+            &mut manifest_segments,
+        )?;
         // (2) The replacement mutable generation: empty (so the
         // labeling mode has nothing to label, and its valix is a bare
-        // `Valix::create`), same symbol table, same pool capacity,
-        // fresh files.
+        // `Valix::create`), same pool capacity, fresh files. It carries
+        // no name — the symbol runs hold them all now, and the table
+        // stays where it is.
         let cfg = EngineConfig {
             buffer_pages: self.pool.capacity(),
             ..Default::default()
         };
         let new_suffix = format!(".g{generation}");
-        let mut fresh =
-            Self::empty_mutable_env(self.symbols.clone(), &cfg, &self.seg_env, &new_suffix)?;
-        debug_assert_eq!(fresh.dummy, self.dummy, "dummy symbol survives compaction");
+        let env = Arc::clone(&self.seg_env);
+        let mut fresh = Self::build_at(Collection::new(), self.dummy, &cfg, env, &new_suffix)?;
+        fresh.saved_syms = (0, self.symbols.len());
         let epoch = self.pool.published_epoch().max(self.pool.current_epoch()) + 1;
         fresh.pool.reseed_epoch(epoch);
         fresh.save_unlogged()?;
@@ -923,16 +1051,26 @@ impl PrixEngine {
     /// per-block checksums, the record index, the sorted-order invariant
     /// of both entry sections against the resident fences, the padding.
     /// A value run: block checksums, strict posting order, every
-    /// posting's document inside its tier, counts, padding. Returns one
-    /// report per manifest row.
+    /// posting's document inside its tier, counts, padding. The symbol
+    /// runs: read again the way a reopen reads them (block checksums,
+    /// header against row, each starting where the one before ended,
+    /// no name twice), they must spell the head of the table in memory.
+    /// Returns one report per manifest row.
     pub fn verify_tiers(&self) -> Result<Vec<(String, TierCheck)>> {
-        self.manifest_segments
-            .iter()
+        let rows = &self.manifest_segments;
+        let tiered = Self::read_symbol_runs(&*self.seg_env, self.generation, rows)?;
+        if !tiered.iter().eq(self.symbols.iter().take(tiered.len())) {
+            return Err(IndexError::Unsupported(format!(
+                "the symbol runs are not the first {} names of the dictionary",
+                tiered.len()
+            )));
+        }
+        rows.iter()
             .map(|s| {
-                let check = if s.kind == SEG_KIND_VX {
-                    self.value_run(s)?.verify().map(TierCheck::ValueRun)
-                } else {
-                    self.segment_reader(s)?.verify().map(TierCheck::Segment)
+                let check = match s.kind {
+                    SEG_KIND_SYM => Ok(TierCheck::SymbolRun(s.n_docs)),
+                    SEG_KIND_VX => self.value_run(s)?.verify().map(TierCheck::ValueRun),
+                    _ => self.segment_reader(s)?.verify().map(TierCheck::Segment),
                 };
                 Ok((s.suffix.clone(), check.map_err(IndexError::Storage)?))
             })
@@ -941,8 +1079,8 @@ impl PrixEngine {
 
     /// `(suffix, bytes)` of every file this database consists of right
     /// now: the mutable generation's page file, checksum sidecar and
-    /// log, the manifest, and every segment and value run it lists
-    /// (`prix stats`). A file the environment does not hold (an
+    /// log, the manifest, and every segment, value run and symbol run
+    /// it lists (`prix stats`). A file the environment does not hold (an
     /// in-memory engine has no page file there) is left out.
     pub fn file_sizes(&self) -> Result<Vec<(String, u64)>> {
         let mut suffixes: Vec<String> = ["", ".sum", ".wal"]
@@ -1093,6 +1231,66 @@ mod tests {
         let view = e.snapshot();
         let q = view.parse_query(xpath).unwrap();
         view.query(&q).unwrap().matches.len()
+    }
+
+    /// The name-list codec, both ways, and every list the decoder must
+    /// refuse: whatever is wrong with one, the table it would build is
+    /// not the table that was saved.
+    #[test]
+    fn name_lists_round_trip_and_damaged_ones_are_refused() {
+        let mut table = SymbolTable::new();
+        // An attribute can have the empty value: `<a x=""/>`.
+        for name in ["a", "", "é — ü", &"long".repeat(40), "\u{1}prix-dummy"] {
+            table.intern(name);
+        }
+        // Decodes `bytes` as the names from `first` on, onto a table
+        // that holds the first `have`.
+        let decode_onto = |have: usize, bytes: &[u8], first: u32| {
+            let mut syms = SymbolTable::new();
+            for name in &table.names_from(0)[..have] {
+                syms.intern(name);
+            }
+            decode_symbols(bytes, first, &mut syms).map(|()| syms)
+        };
+        let decode = |bytes: &[u8], first: u32| decode_onto(first as usize, bytes, first);
+        for first in 0..=table.len() {
+            let list = encode_symbols(table.names_from(first));
+            let back = decode(&list, first as u32).expect("what the encoder wrote");
+            assert!(back.iter().eq(table.iter()), "names from {first}");
+            // The table must stand where the list starts.
+            for have in (0..=table.len()).filter(|&have| have != first) {
+                assert!(decode_onto(have, &list, first as u32).is_none());
+            }
+        }
+        assert_eq!(encode_symbols(&[]), [0], "no names: a count of zero");
+
+        let good = encode_symbols(&table.names_from(0)[..2]);
+        assert_eq!(good, [2, 1, b'a', 0]);
+        let refused: [(&str, Vec<u8>, u32); 11] = [
+            ("no count", vec![], 0),
+            ("a name repeated in the list", vec![2, 1, b'a', 1, b'a'], 0),
+            ("a name the table already holds", vec![1, 1, b'a'], 2),
+            ("bytes that are not UTF-8", vec![1, 2, 0xC3, 0x28], 0),
+            ("a count above its names", vec![3, 1, b'a', 0], 0),
+            ("a count below its names", vec![1, 1, b'a', 0], 0),
+            (
+                "a count no list this long could hold",
+                vec![200, 1, 1, b'a'],
+                0,
+            ),
+            ("a name cut short", vec![1, 3, b'a', b'b'], 0),
+            ("a length cut short", vec![1, 0x80], 0),
+            (
+                "a length of eleven bytes",
+                [vec![1], vec![0xFF; 11]].concat(),
+                0,
+            ),
+            ("a list that starts past the table", good.clone(), 1),
+        ];
+        assert!(decode(&good, 0).is_some());
+        for (what, bytes, first) in refused {
+            assert!(decode(&bytes, first).is_none(), "{what} was accepted");
+        }
     }
 
     #[test]

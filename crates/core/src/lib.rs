@@ -58,8 +58,8 @@ pub use plan::{
     Planner, PlannerStats, QueryEngine, QueryShape, Routed, Router,
 };
 pub use prix_storage::{
-    ManifestSegment, SegmentCheck, ValueRunReader, VxCheck, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_VX,
-    SEG_VERSION, VX_VERSION,
+    ManifestSegment, SegmentCheck, ValueRunReader, VxCheck, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_SYM,
+    SEG_KIND_VX, SEG_VERSION, SYM_VERSION, VX_VERSION,
 };
 pub use query::{PredOp, PredValue, TwigBuilder, TwigQuery, ValuePred};
 pub use segbuild::{BulkBuilder, DEFAULT_RUN_MEM_BYTES};

@@ -27,7 +27,7 @@ use prix_storage::{
 };
 use prix_xml::{parse_document, PostNum, Sym, SymbolTable, XmlTree};
 
-use crate::engine::{EngineConfig, PrixEngine};
+use crate::engine::{write_symbol_run, EngineConfig, PrixEngine, DUMMY_LABEL};
 use crate::index::{
     decode_doc_record, encode_doc_record, encode_seg_index_meta, BuildStats, DocArtifacts,
     IndexError, IndexKind, Result,
@@ -170,7 +170,8 @@ impl SegIndexBuilder {
 /// postings for the value run); nothing but the symbol table, the
 /// MaxGap tables, and the bounded sort runs stays in memory. [`finish`]
 /// merges the runs into one immutable segment per kind and the tier's
-/// value run, creates an empty mutable generation for future inserts,
+/// value run, writes the symbol table as the tier's symbol run, creates
+/// an empty mutable generation for future inserts,
 /// and writes the manifest **last** — a crash anywhere before that
 /// single write leaves the previous manifest (or, on a fresh path,
 /// nothing) in charge.
@@ -235,7 +236,7 @@ impl BulkBuilder {
         };
         let generation = prev.as_ref().map_or(1, |m| m.generation + 1);
         let mut syms = SymbolTable::new();
-        let dummy = syms.intern("\u{1}prix-dummy");
+        let dummy = syms.intern(DUMMY_LABEL);
         let rp = SegIndexBuilder::new(
             &env,
             &format!(".g{generation}.rp.seg"),
@@ -343,13 +344,14 @@ impl BulkBuilder {
             vx,
             n_docs,
         } = self;
+        let dummy = rp.dummy;
         rp.finish(&rp_maxgap, &childless)?;
         ep.finish(&ep_maxgap, &childless)?;
         let mut run =
             ValueRunBuilder::new(env.create(&format!(".g{generation}.vx.seg"))?, 0, n_docs);
         vx.drain(|e| run.push(e.section, &e.key, e.doc, e.post))?;
         run.finish()?;
-        let segments = Vec::from(
+        let mut segments = Vec::from(
             [
                 (SEG_KIND_RP, "rp"),
                 (SEG_KIND_EP, "ep"),
@@ -362,12 +364,15 @@ impl BulkBuilder {
                 n_docs,
             }),
         );
+        // No run precedes this one: it holds the whole table.
+        write_symbol_run(&*env, &syms, generation, &mut segments)?;
         let mutable_suffix = if generation == 1 {
             String::new()
         } else {
             format!(".g{generation}")
         };
-        let engine = PrixEngine::from_bulk(cfg, env, syms, generation, mutable_suffix, segments)?;
+        let engine =
+            PrixEngine::from_bulk(cfg, env, syms, dummy, generation, mutable_suffix, segments)?;
         // The manifest has committed; the previous generation's files
         // are dead weight now. Unlinking is safe even under live
         // readers (their open handles keep the bytes).

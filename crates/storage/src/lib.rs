@@ -39,9 +39,9 @@ pub use pager::{PageId, Pager, NIL_PAGE, PAGE_SIZE};
 pub use record::{RecordId, RecordStore};
 pub use segment::{
     env_temp_factory, FileSegEnv, Manifest, ManifestSegment, MemSegEnv, SegTrieStats,
-    SegmentBuilder, SegmentCheck, SegmentEnv, SegmentLayout, SegmentReader, ValueRunBuilder,
-    ValueRunReader, VxCheck, VxEntry, VxSection, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_VX,
-    SEG_VERSION, VX_MAX_KEY_LEN, VX_VERSION,
+    SegmentBuilder, SegmentCheck, SegmentEnv, SegmentLayout, SegmentReader, SymbolRun,
+    ValueRunBuilder, ValueRunReader, VxCheck, VxEntry, VxSection, SEG_KIND_EP, SEG_KIND_RP,
+    SEG_KIND_SYM, SEG_KIND_VX, SEG_VERSION, SYM_VERSION, VX_MAX_KEY_LEN, VX_VERSION,
 };
 pub use stats::{IoScope, IoSnapshot, IoStats};
 pub use store::{FileStore, MemStore, RawStore};

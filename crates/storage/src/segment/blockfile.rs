@@ -870,6 +870,7 @@ impl BlockCodec for KeyedEntries {
 pub(crate) mod tests {
     use super::super::structural::tests as seg;
     use super::super::structural::{SEG_KIND_EP, SEG_KIND_RP};
+    use super::super::symrun::tests as sym;
     use super::super::valuerun::tests as run;
     use super::*;
 
@@ -1069,7 +1070,11 @@ pub(crate) mod tests {
     #[test]
     fn hostile_segment_or_value_run_is_an_error_never_a_panic() {
         use prix_testkit::{check, from_fn, Config};
-        for kind in [seg::hostile_kind(), run::hostile_kind()] {
+        for kind in [
+            seg::hostile_kind(),
+            run::hostile_kind(),
+            sym::hostile_kind(),
+        ] {
             assert_eq!(
                 (kind.read_all)(kind.good.clone()).as_ref(),
                 Some(&kind.oracle),

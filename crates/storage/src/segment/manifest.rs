@@ -8,18 +8,19 @@ use crate::crc::crc32;
 use crate::error::Result;
 use crate::store::RawStore;
 
-/// One segment or value run referenced by a [`Manifest`].
+/// One segment, value run or symbol run referenced by a [`Manifest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestSegment {
     /// Kind byte: [`super::SEG_KIND_RP`] or [`super::SEG_KIND_EP`] for a
     /// structural segment, [`super::SEG_KIND_VX`] for a tier's value
-    /// run.
+    /// run, [`super::SEG_KIND_SYM`] for the names a tier interned.
     pub kind: u8,
     /// File suffix relative to the database path (e.g. `.g1.rp.seg`).
     pub suffix: String,
-    /// First global document id in the segment.
+    /// First global document id in the segment (a symbol run: the id of
+    /// its first name).
     pub doc_base: u32,
-    /// Number of documents in the segment.
+    /// Number of documents in the segment (a symbol run: of names).
     pub n_docs: u32,
 }
 
@@ -35,7 +36,7 @@ pub struct Manifest {
     /// Suffix of the current mutable engine's files (`""` = the plain
     /// database path, `.g2` = sibling files of generation 2, ...).
     pub mutable_suffix: String,
-    /// Live segments, ascending by `doc_base` within each kind.
+    /// Live files, ascending by `doc_base` within each kind.
     pub segments: Vec<ManifestSegment>,
 }
 

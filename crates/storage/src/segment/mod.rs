@@ -15,7 +15,9 @@
 //!
 //! A segment tier is three such files, all of one make — a 128-byte
 //! frame, sorted sections of whole blocks with resident fences, a CRC
-//! table at the end:
+//! table at the end — plus, when the tier's documents brought names the
+//! symbol dictionary did not hold, a symbol run on the same frame and
+//! CRC table:
 //!
 //! ```text
 //!                 +-------+----------------------+---------------------+-----------+
@@ -25,6 +27,7 @@
 //!   <db>.gN.rp.seg   Trie-Symbol rows, Docid rows, records, meta   (structural, format 3)
 //!   <db>.gN.ep.seg   the same for the extended sequences           (structural, format 3)
 //!   <db>.gN.vx.seg   numeric and string leaf-value postings        (value run, format 1)
+//!   <db>.gN.sym      the names generation N added to the dictionary (symbol run, format 1)
 //!   <db>.seg         the manifest naming the live files of every tier
 //!
 //!   a block of structural rows (varints; a restart is a row coded in full,
@@ -50,6 +53,8 @@
 //! * `valuerun` — a tier's value index ([`ValueRunBuilder`],
 //!   [`ValueRunReader`]): variable-length `key | posting` entries and
 //!   a resident tag directory.
+//! * `symrun` — the names a tier interned ([`SymbolRun`]): a frame, an
+//!   opaque name list read whole, a CRC table.
 //! * `manifest` — the [`Manifest`]: the atomic commit point of every
 //!   bulk build and compaction.
 //! * `env` — where the files live ([`SegmentEnv`]): real files, or
@@ -60,6 +65,7 @@ mod env;
 mod manifest;
 mod sort;
 mod structural;
+mod symrun;
 mod valuerun;
 
 pub use blockfile::{put_varint, take_varint};
@@ -70,6 +76,7 @@ pub use structural::{
     SegTrieStats, SegmentBuilder, SegmentCheck, SegmentLayout, SegmentReader, SEG_KIND_EP,
     SEG_KIND_RP, SEG_VERSION,
 };
+pub use symrun::{SymbolRun, SEG_KIND_SYM, SYM_VERSION};
 pub use valuerun::{
     ValueRunBuilder, ValueRunReader, VxCheck, VxEntry, VxSection, SEG_KIND_VX, VX_MAX_KEY_LEN,
     VX_VERSION,

@@ -80,6 +80,15 @@ impl SymbolTable {
         self.names.is_empty()
     }
 
+    /// The names of the symbols from id `first` on, in interning order
+    /// (what a writer that has persisted the first `first` still owes).
+    ///
+    /// # Panics
+    /// Panics if `first` is past the end of the table.
+    pub fn names_from(&self, first: usize) -> &[String] {
+        &self.names[first..]
+    }
+
     /// Iterates over `(Sym, name)` pairs in interning order.
     pub fn iter(&self) -> impl Iterator<Item = (Sym, &str)> {
         self.names

@@ -14,6 +14,8 @@
 //! * a save interrupted by the crash is fully present or fully absent;
 //! * inserts after the last save (never acknowledged) are fully absent;
 //! * no page fails its checksum after recovery;
+//! * the symbol dictionary is, id for id, the one the surviving save
+//!   held — after recovery and again after a second, clean reopen;
 //! * query results are bit-identical to a fresh in-memory engine built
 //!   over the surviving document prefix.
 //!
@@ -52,23 +54,62 @@ fn labeling() -> LabelingMode {
     LabelingMode::Dynamic { alpha: 4 }
 }
 
-/// A small random document over a fixed vocabulary. Shapes are kept
-/// few so most inserts fit the dynamic trie scopes of the base build;
-/// the occasional legitimate rejection is tolerated by the harness.
+/// A small random document over a fixed vocabulary, but for one leaf:
+/// the value under `d` is the document's own (one in a million), so
+/// most commits intern a name and the dictionary's bytes are under
+/// every kill point. Shapes are kept few so most inserts fit the dynamic
+/// trie scopes of the base build; the occasional legitimate rejection
+/// is tolerated by the harness.
 fn doc_xml(rng: &mut TestRng) -> String {
     let mid = *rng.pick(&["b", "c"]);
     let leaf = *rng.pick(&["x", "y", "z"]);
     let val = rng.below(6);
+    let own = rng.below(1_000_000);
     match rng.below(3) {
         0 => format!("<a><{mid}><{leaf}>v{val}</{leaf}></{mid}></a>"),
-        1 => format!("<a><{mid}><{leaf}>v{val}</{leaf}></{mid}><d/></a>"),
-        _ => format!("<a><d/><{mid}><{leaf}>v{val}</{leaf}></{mid}></a>"),
+        1 => format!("<a><{mid}><{leaf}>v{val}</{leaf}></{mid}><d>u{own}</d></a>"),
+        _ => format!("<a><d>u{own}</d><{mid}><{leaf}>v{val}</{leaf}></{mid}></a>"),
     }
+}
+
+/// The dictionary of `engine`: every name, in id order.
+fn names_of(engine: &PrixEngine) -> Vec<String> {
+    let names = engine.symbols().iter();
+    names.map(|(_, name)| name.to_string()).collect()
+}
+
+/// `recovered`, reopened from `env`, must hold the dictionary `names`
+/// id for id — and hold it still after a clean close and a second
+/// reopen — and answer every query of [`QUERIES`] bit-identically to a
+/// fresh in-memory engine built over `docs`.
+fn same_answers(
+    recovered: PrixEngine,
+    env: Arc<MemSegEnv>,
+    docs: &[String],
+    names: &[String],
+) -> Result<(), String> {
+    let check = |engine: &PrixEngine, pass: &str| {
+        let got = names_of(engine);
+        if got != names {
+            let at = got.iter().zip(names).take_while(|(a, b)| a == b).count();
+            return Err(format!(
+                "after {pass} the dictionary holds {} name(s), the surviving save held {}; \
+                 they part at id {at}",
+                got.len(),
+                names.len()
+            ));
+        }
+        same_matches(engine, docs).map_err(|e| format!("after {pass}: {e}"))
+    };
+    check(&recovered, "recovery")?;
+    drop(recovered); // a clean close: the log is checkpointed away
+    let again = PrixEngine::reopen_env(env, 64).map_err(|e| format!("second reopen: {e}"))?;
+    check(&again, "a second reopen")
 }
 
 /// `recovered` must answer every query of [`QUERIES`] bit-identically
 /// to a fresh in-memory engine built over `docs`.
-fn same_answers(recovered: &PrixEngine, docs: &[String]) -> Result<(), String> {
+fn same_matches(recovered: &PrixEngine, docs: &[String]) -> Result<(), String> {
     let mut reference_coll = Collection::new();
     for d in docs {
         reference_coll
@@ -131,7 +172,8 @@ fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
     let mut engine =
         PrixEngine::build_env(base, cfg, fenv.clone()).map_err(|e| format!("base build: {e}"))?;
     engine.save().map_err(|e| format!("base save: {e}"))?;
-    let mut acked = docs.len();
+    // The last acknowledged state: its documents and its dictionary.
+    let mut acked = (docs.len(), names_of(&engine));
 
     // Arm the kill point and run the workload until the lights go out.
     let kill_after = match kind {
@@ -146,7 +188,7 @@ fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
         }
         if rng.chance(0.35) {
             match engine.save() {
-                Ok(()) => acked = docs.len(),
+                Ok(()) => acked = (docs.len(), names_of(&engine)),
                 Err(_) => {
                     crashed_during_save = inj.crashed();
                     break;
@@ -168,17 +210,21 @@ fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
         // verifies recovery of the final state. The remaining budget
         // may still kill this save — same rules as any other.
         match engine.save() {
-            Ok(()) => acked = docs.len(),
+            Ok(()) => acked = (docs.len(), names_of(&engine)),
             Err(_) if inj.crashed() => crashed_during_save = true,
             Err(e) => return Err(format!("final save failed without a crash: {e}")),
         }
     }
     let crashed = inj.crashed();
+    // What the interrupted save was writing (nothing was inserted after
+    // it).
+    let attempted = (docs.len(), names_of(&engine));
     drop(engine); // post-crash the drop-flush fails; counted, not fatal
 
     // Reconstruct what the platter holds and reopen through recovery.
-    let after = PrixEngine::reopen_env(fenv.durable_env(), 64)
-        .map_err(|e| format!("reopen after crash: {e}"))?;
+    let env = fenv.durable_env();
+    let after =
+        PrixEngine::reopen_env(env.clone(), 64).map_err(|e| format!("reopen after crash: {e}"))?;
     after
         .recovery()
         .ok_or("durable reopen must produce a recovery report")?;
@@ -189,25 +235,30 @@ fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
         return Err("no page carried a checksum".into());
     }
 
-    // The recovered document count must be an acknowledged state: the
-    // last acked save, or — only if the crash hit a save — that save's
-    // full contents (WAL-committed before the error surfaced).
+    // The recovered state must be an acknowledged one, documents and
+    // dictionary both: the last acked save, or — only if the crash hit a
+    // save — that save's full contents (WAL-committed before the error
+    // surfaced).
     let n = after.rp_index().doc_count();
-    let acceptable = if crashed_during_save && acked != docs.len() {
-        vec![acked, docs.len()]
-    } else {
-        vec![acked]
-    };
-    if !acceptable.contains(&n) {
+    let mut acceptable = vec![acked];
+    if crashed_during_save {
+        acceptable.push(attempted);
+    }
+    let recovered_names = after.symbols().len();
+    let Some((_, names)) = acceptable
+        .iter()
+        .find(|(docs, names)| (*docs, names.len()) == (n, recovered_names))
+    else {
+        let acceptable: Vec<_> = acceptable.iter().map(|(d, s)| (d, s.len())).collect();
         return Err(format!(
-            "recovered {n} docs; acceptable states {acceptable:?} \
+            "recovered {n} docs and {recovered_names} names; acceptable states {acceptable:?} \
              (crashed={crashed}, during_save={crashed_during_save})"
         ));
-    }
+    };
 
-    // Bit-identical query results against a fresh in-memory engine over
-    // the surviving prefix.
-    same_answers(&after, &docs[..n]).map_err(|e| format!("{e} ({n} docs survived)"))
+    // The dictionary id for id, and bit-identical query results against
+    // a fresh in-memory engine over the surviving prefix.
+    same_answers(after, env, &docs[..n], names).map_err(|e| format!("{e} ({n} docs survived)"))
 }
 
 /// Kill-during-publish: the online ingest path. A [`SharedEngine`]
@@ -252,7 +303,9 @@ fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
     // Model run: replay the batches on a clean in-memory engine to
     // learn which documents each batch accepts. `states[k]` is the
     // cumulative accepted document list after batch k; `states[0]` is
-    // the base. These are the only legal recovery targets.
+    // the base, `state_names[k]` the dictionary at that point (every
+    // document parsed so far interned its names, accepted or not).
+    // These are the only legal recovery targets.
     let mut model = {
         let mut coll = Collection::new();
         for d in &base_docs {
@@ -268,6 +321,7 @@ fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
         .map_err(|e| format!("model build: {e}"))?
     };
     let mut states: Vec<Vec<String>> = vec![base_docs.clone()];
+    let mut state_names = vec![names_of(&model)];
     for batch in &batches {
         let mut cumulative = states.last().unwrap().clone();
         for d in batch {
@@ -276,6 +330,7 @@ fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
             }
         }
         states.push(cumulative);
+        state_names.push(names_of(&model));
     }
 
     // Arm the kill point and drive the batches through the shared
@@ -312,8 +367,9 @@ fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
     drop(shared); // post-crash the drop-flush fails; counted, not fatal
 
     // Reconstruct the platter and reopen through recovery.
-    let after = PrixEngine::reopen_env(fenv.durable_env(), 64)
-        .map_err(|e| format!("reopen after crash: {e}"))?;
+    let env = fenv.durable_env();
+    let after =
+        PrixEngine::reopen_env(env.clone(), 64).map_err(|e| format!("reopen after crash: {e}"))?;
     after
         .recovery()
         .ok_or("durable reopen must produce a recovery report")?;
@@ -348,9 +404,9 @@ fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
             )
         })?;
 
-    // Bit-identical query results against a fresh engine over exactly
-    // that boundary's document list.
-    same_answers(&after, &states[state])
+    // That boundary's dictionary, and bit-identical query results
+    // against a fresh engine over exactly its document list.
+    same_answers(after, env, &states[state], &state_names[state])
         .map_err(|e| format!("{e} — the recovered state mixes epochs (expected epoch {state})"))
 }
 
@@ -482,6 +538,8 @@ struct Script {
     /// scopes the earlier ones took, so a twin on clean stores runs
     /// the script once to find out.
     states: Vec<Vec<String>>,
+    /// `names[i]`: the dictionary after batch `i`, in id order.
+    names: Vec<Vec<String>>,
     crash_seed: u64,
 }
 
@@ -498,16 +556,19 @@ impl Script {
             k,
             batches,
             states: Vec::new(),
+            names: Vec::new(),
             crash_seed: rng.next_u64(),
         };
         let mut twin = script.bulk_base(Arc::new(MemSegEnv::new()))?;
         let mut states = vec![script.base.clone()];
+        let mut names = vec![names_of(&twin)];
         for batch in &script.batches {
             let mut docs = states.last().expect("starts non-empty").clone();
             docs.extend(ingest_round(&mut twin, batch).map_err(|e| format!("twin: {e}"))?);
             states.push(docs);
+            names.push(names_of(&twin));
         }
-        script.states = states;
+        (script.states, script.names) = (states, names);
         Ok(script)
     }
 
@@ -539,7 +600,11 @@ fn redo_log_iteration(
     kill_at: u64,
 ) -> Result<u64, String> {
     let Script {
-        k, batches, states, ..
+        k,
+        batches,
+        states,
+        names,
+        ..
     } = script;
     let k = *k;
     let inj = FaultInjector::unarmed();
@@ -593,24 +658,49 @@ fn redo_log_iteration(
     drop(pool);
     drop(engine); // post-crash the drop-checkpoint fails; counted, not fatal
 
-    let after = PrixEngine::reopen_env(fenv.durable_env(), 64)
-        .map_err(|e| format!("reopen after crash: {e}"))?;
+    let env = fenv.durable_env();
+    let after =
+        PrixEngine::reopen_env(env.clone(), 64).map_err(|e| format!("reopen after crash: {e}"))?;
     after
         .verify_checksums()
         .map_err(|e| format!("checksum verification after recovery: {e}"))?;
     after
         .verify_tiers()
-        .map_err(|e| format!("segment and value-run verification after recovery: {e}"))?;
+        .map_err(|e| format!("tier file verification after recovery: {e}"))?;
     after
         .valix()
         .verify()
         .map_err(|e| format!("valix verification after recovery: {e}"))?;
+    // The dictionary's halves go together. A compaction moves the names
+    // the delta interned from the old generation's chain into a symbol
+    // run: the old manifest with the old chain, or the new manifest
+    // with the run and an empty delta — never one's rows with the
+    // other's pages.
+    let runs = after.segment_manifest().iter();
+    let runs: Vec<_> = runs.filter(|s| s.suffix.ends_with(".sym")).collect();
+    let tiered: usize = runs.iter().map(|s| s.n_docs as usize).sum();
+    let chained = after.symbols().len() - tiered;
+    let interned = names[k].len() - names[0].len();
+    let compacted = after.generation() == 2;
+    let layout = (after.mutable_docs() == 0, runs.len(), chained == 0);
+    if matches!(kill_in, KillIn::Compaction)
+        && interned > 0
+        && layout != (compacted, 1 + usize::from(compacted), compacted)
+    {
+        return Err(format!(
+            "generation {}: {} doc(s) in the delta, {} symbol run(s) holding {tiered} name(s), \
+             {chained} name(s) in the chain",
+            after.generation(),
+            after.mutable_docs(),
+            runs.len()
+        ));
+    }
     let n = after.segment_docs() as usize + after.mutable_docs();
     let state = acceptable
         .into_iter()
         .find(|&i| states[i].len() == n)
         .ok_or_else(|| format!("recovered {n} docs, {k} batches were acknowledged"))?;
-    same_answers(&after, &states[state])?;
+    same_answers(after, env, &states[state], &names[state])?;
     Ok(ops)
 }
 
@@ -713,6 +803,53 @@ fn redo_log_replay_dropped_fsync_seed_5eed0013() {
         None,
     );
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// A compaction that writes a symbol run — the delta's documents each
+/// brought a value of their own — killed at every syscall, under every
+/// fault kind: the run's write and barrier, the fresh generation, the
+/// manifest write, the unlinks. Whatever the kill hits, reopening finds
+/// the old manifest and the old generation's chain or the new manifest
+/// and the run ([`redo_log_iteration`] checks which, and the dictionary
+/// id for id). And where nothing is killed, a reader pinned before the
+/// compaction answers, and spells its symbols, bit-identically after it.
+#[test]
+fn compaction_with_a_symbol_run_survives_a_kill_at_every_syscall() {
+    use prix::core::SharedEngine;
+    const SEED: u64 = 0x5EED_0014;
+    let script = Script::new(SEED).unwrap();
+    let interned = script.names[script.k].len() - script.names[0].len();
+    assert!(interned >= 3, "the delta interned {interned} name(s)");
+    let mut failures = Vec::new();
+    for kind in FaultKind::ALL {
+        failures.extend(redo_log_sweep(SEED, kind, &[KillIn::Compaction], None));
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+
+    let shared = SharedEngine::new(script.bulk_base(Arc::new(MemSegEnv::new())).unwrap());
+    for batch in &script.batches[..script.k] {
+        shared.ingest(batch).unwrap();
+    }
+    let pinned = shared.snapshot();
+    let answers = |snap: &prix::core::EngineSnapshot| -> Vec<_> {
+        let run = |xp: &&str| snap.query(&snap.parse_query(xp).unwrap()).unwrap().matches;
+        QUERIES.iter().map(run).collect()
+    };
+    let names = |snap: &prix::core::EngineSnapshot| -> Vec<String> {
+        let names = snap.symbols().iter();
+        names.map(|(_, name)| name.to_string()).collect()
+    };
+    let before = (answers(&pinned), names(&pinned));
+    assert_eq!(before.1, script.names[script.k]);
+    shared
+        .compact()
+        .unwrap()
+        .expect("the delta holds documents");
+    let fresh = shared.snapshot();
+    assert_eq!((fresh.generation(), fresh.mutable_docs()), (2, 0));
+    assert_eq!((pinned.generation(), answers(&pinned)), (1, before.0));
+    assert_eq!(names(&pinned), before.1);
+    assert_eq!(names(&fresh), before.1, "a compaction interns nothing");
 }
 
 /// A checkpoint killed at every write and barrier while the log's last

@@ -4,7 +4,9 @@
 
 use std::path::Path;
 
-use prix::core::{BulkBuilder, EngineConfig, PrixEngine, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_VX};
+use prix::core::{
+    BulkBuilder, EngineConfig, PrixEngine, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_SYM, SEG_KIND_VX,
+};
 use prix::datagen::{generate, queries::queries_for, Dataset};
 use prix::storage::{FileStore, Manifest, Pager, PAGE_SIZE};
 
@@ -171,27 +173,28 @@ fn doctored_catalog_version_is_rejected() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Catalog version 4 — the build before this one: four raw-`u32`
-/// records a document, the record directory inside the index metadata
-/// — is refused by its number, with the version this build reads and
-/// the way out. There is no second reader.
+/// Catalog version 5 — the build before this one: the whole symbol
+/// table as one record in every generation, where this build keeps a
+/// chain of the names the symbol runs do not hold — is refused by its
+/// number, with the version this build reads and the way out. There is
+/// no second reader.
 #[test]
-fn catalog_version_4_is_refused_by_name() {
-    let dir = std::env::temp_dir().join(format!("prix-persist-v4-{}", std::process::id()));
+fn catalog_version_5_is_refused_by_name() {
+    let dir = std::env::temp_dir().join(format!("prix-persist-v5-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("db.prix");
     save_small_db(&path);
     let pager = durable_pager(&path);
     let mut catalog = [0u8; PAGE_SIZE];
     pager.read_page(0, &mut catalog).unwrap();
-    assert_eq!(catalog[4..8], 5u32.to_le_bytes(), "this build writes 5");
-    catalog[4..8].copy_from_slice(&4u32.to_le_bytes());
+    assert_eq!(catalog[4..8], 6u32.to_le_bytes(), "this build writes 6");
+    catalog[4..8].copy_from_slice(&5u32.to_le_bytes());
     pager.write_page(0, &catalog).unwrap();
     drop(pager);
     let msg = reopen_error(&path);
     assert!(
-        msg.contains("version 4")
-            && msg.contains("reads version 5")
+        msg.contains("version 5")
+            && msg.contains("reads version 6")
             && msg.contains("re-index the source documents"),
         "{msg}"
     );
@@ -247,11 +250,13 @@ fn bulk_small_db(path: &Path) {
     drop(bulk.finish().unwrap());
 }
 
-/// A manifest tier without one of its three files is the same half
-/// engine one level up. The tier without its value run is also what a
-/// database compacted or bulk-built before value runs existed looks
-/// like (its postings sat in the pool-resident trees): one format, and
-/// the same way out.
+/// A manifest tier without one of its files is the same half engine one
+/// level up. The tier without its value run is also what a database
+/// compacted or bulk-built before value runs existed looks like (its
+/// postings sat in the pool-resident trees): one format, and the same
+/// way out. Without its symbol run the dictionary comes up short of the
+/// catalog's count — every label of every query would otherwise resolve
+/// to a symbol no document holds.
 #[test]
 fn manifest_tier_missing_a_kind_is_refused() {
     let dir = std::env::temp_dir().join(format!("prix-persist-kind-{}", std::process::id()));
@@ -262,8 +267,8 @@ fn manifest_tier_missing_a_kind_is_refused() {
     let full = Manifest::read_from(&store).unwrap().unwrap();
     assert_eq!(
         full.segments.len(),
-        3,
-        "one tier: an RP segment, an EP segment, a value run"
+        4,
+        "one tier: an RP segment, an EP segment, a value run, a symbol run"
     );
     for (kind, what) in [
         (SEG_KIND_RP, "no RP segment"),
@@ -281,6 +286,14 @@ fn manifest_tier_missing_a_kind_is_refused() {
             "tier with {what}: {msg}"
         );
     }
+    let mut m = full.clone();
+    m.segments.retain(|s| s.kind != SEG_KIND_SYM);
+    m.write_to(&store).unwrap();
+    let msg = reopen_error(&path);
+    assert!(
+        msg.contains("corrupt symbol table") && msg.contains("re-index"),
+        "tier with no symbol run: {msg}"
+    );
     full.write_to(&store).unwrap();
     assert!(
         PrixEngine::reopen(&path, 64).is_ok(),
@@ -392,38 +405,87 @@ fn database_without_its_sidecar_is_refused() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A symbol-table record cut short — its page rewritten through the
-/// pager, so the checksum layer has nothing to object to — is an error
-/// from the decoder, not a slice-index panic.
+/// A names-chain record cut short, or chained wrongly — its page
+/// rewritten through the pager, so the checksum layer has nothing to
+/// object to — is an error from the decoder, not a slice-index panic or
+/// a walk that never ends.
 #[test]
 fn truncated_symbol_table_record_is_refused() {
     let dir = std::env::temp_dir().join(format!("prix-persist-syms-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("db.prix");
     save_small_db(&path);
+    // A second save that interned a name: a chain of two records.
+    let mut engine = PrixEngine::reopen(&path, 64).unwrap();
+    engine.insert_document("<a><b>fresh</b></a>").unwrap();
+    engine.save().unwrap();
+    let names: Vec<String> = engine.symbols().iter().map(|(_, n)| n.into()).collect();
+    drop(engine);
     let pager = durable_pager(&path);
     let mut page = [0u8; PAGE_SIZE];
     pager.read_page(0, &mut page).unwrap();
-    // Catalog bytes 24..32: the record id, `page << 16 | slot`.
+    // Catalog bytes 24..32: the id of the chain's newest record,
+    // `page << 16 | slot`.
     let rec = u64::from_le_bytes(page[24..32].try_into().unwrap());
     let (data_page, slot) = (rec >> 16, (rec & 0xFFFF) as usize);
-    assert_ne!(slot, 0xFFFF, "a small table lives in a slotted data page");
+    assert_ne!(slot, 0xFFFF, "a few names live in a slotted data page");
     pager.read_page(data_page, &mut page).unwrap();
+    let good = page;
     // Slotted page: u16 cell offsets from byte 5; a cell is a u16
-    // length and then the record.
+    // length and then the record: `prev id u64 | first id u32 | count |
+    // len | utf8 ...`.
     let cell = u16::from_le_bytes([page[5 + 2 * slot], page[6 + 2 * slot]]) as usize;
     let full = u16::from_le_bytes([page[cell], page[cell + 1]]);
-    // No count; half a count; a count and half a name length; a name
-    // one byte short.
-    for len in [0, 3, 6, full - 1] {
-        page[cell..cell + 2].copy_from_slice(&len.to_le_bytes());
-        pager.write_page(data_page, &page).unwrap();
+    let at = cell + 2;
+    assert_ne!(
+        page[at..at + 8],
+        [0u8; 8],
+        "the newest record has one before it"
+    );
+    assert_eq!(
+        page[at + 8..at + 13],
+        [3, 0, 0, 0, 1],
+        "one name, from id 3"
+    );
+    let refused = |page: &[u8; PAGE_SIZE], what: &str| {
+        pager.write_page(data_page, page).unwrap();
         let msg = reopen_error(&path);
-        assert!(
-            msg.contains("corrupt symbol table"),
-            "record cut to {len} of {full} bytes: {msg}"
-        );
+        assert!(msg.contains("corrupt symbol table"), "{what}: {msg}");
+    };
+    // Nothing; half an id; an id and no first; no count; a count and no
+    // name; a name one byte short.
+    for len in [0, 7, 11, 12, 13, full - 1] {
+        page[cell..cell + 2].copy_from_slice(&len.to_le_bytes());
+        refused(&page, &format!("record cut to {len} of {full} bytes"));
     }
+    type Damage = fn(&mut [u8], u64);
+    let damages: [(&str, Damage); 6] = [
+        ("a record chained to itself", |r, rec| {
+            r[..8].copy_from_slice(&rec.to_le_bytes())
+        }),
+        ("a gap before the record", |r, _| r[8] = 4),
+        ("an overlap with the record before", |r, _| r[8] = 2),
+        ("a chain that stops short", |r, _| r[..8].fill(0)),
+        ("a count above the names", |r, _| r[12] = 2),
+        ("a name the table already holds", |r, _| {
+            r[14..19].copy_from_slice(b"a\0\0\0\0");
+            r[13] = 1;
+        }),
+    ];
+    for (what, damage) in damages {
+        let mut page = good;
+        damage(&mut page[at..], rec);
+        if what.starts_with("a name") {
+            // One byte of name, four of padding the list must not have.
+            page[cell..cell + 2].copy_from_slice(&(full - 4).to_le_bytes());
+        }
+        refused(&page, what);
+    }
+    pager.write_page(data_page, &good).unwrap();
+    drop(pager);
+    let engine = PrixEngine::reopen(&path, 64).unwrap();
+    let back: Vec<String> = engine.symbols().iter().map(|(_, n)| n.into()).collect();
+    assert_eq!(back, names, "the restored chain reads back name for name");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

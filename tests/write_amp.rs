@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use prix::core::{BulkBuilder, EngineConfig, LabelingMode, PrixEngine};
-use prix::storage::{MemSegEnv, RawStore, SegmentEnv, StorageError};
+use prix::storage::{MemSegEnv, RawStore, SegmentEnv, StorageError, PAGE_SIZE};
 use prix_testkit::TestRng;
 
 type Result<T> = std::result::Result<T, StorageError>;
@@ -34,6 +34,8 @@ fn class_of(suffix: &str) -> &'static str {
         "manifest"
     } else if suffix.ends_with(".seg") {
         "segment"
+    } else if suffix.ends_with(".sym") {
+        "symbols"
     } else if suffix.ends_with(".wal") {
         "log"
     } else if suffix.ends_with(".sum") {
@@ -133,10 +135,12 @@ const BATCHES: u64 = 32;
 const BATCH_DOCS: usize = 32;
 
 /// Bytes written per byte of XML over the ingest and the compaction.
-/// Measured at 37.0 when this was pinned: 2.12 MB of log (1 400 bytes a
-/// frame), the fresh generation's catalog, symbols and empty trees, the
-/// two segments and the value run; no checkpoint before the compaction
-/// retires the pool. It was 55.1 (3.34 MB of log) while every commit
+/// Measured at 36.9 when this was pinned: 2.12 MB of log (1 400 bytes a
+/// frame), the fresh generation's catalog and empty trees, the two
+/// segments and the value run; no checkpoint before the compaction
+/// retires the pool. It was 37.0 while the fresh generation also held
+/// the symbol table (37 names here: the test below is the one that
+/// grows a dictionary under it), 55.1 (3.34 MB of log) while every commit
 /// re-appended the delta's whole record directory inside its metadata
 /// record and a document was four raw-`u32` records, 60.6 while
 /// segments held 28-byte tag rows and raw `u32` records (format 2), and
@@ -146,7 +150,7 @@ const BATCH_DOCS: usize = 32;
 /// one that grows a collection under it. Full-page frames made the
 /// same script 244.3 (13.8 MB of log, which also forced a 212-page
 /// checkpoint), and the five-step commit before them 428.
-const WRITE_AMP_CEILING: f64 = 38.8;
+const WRITE_AMP_CEILING: f64 = 38.7;
 
 /// What one page frame cost in the log when every frame was a whole
 /// page image.
@@ -387,5 +391,132 @@ fn commit_bytes_do_not_depend_on_the_delta_size() {
     assert!(
         pages.abs_diff(pages_at_once) <= 16,
         "{pages} pages allocated after 32 commits, {pages_at_once} after one"
+    );
+}
+
+/// Bulk-builds 64 feed documents (every name the feed uses) and 4 000
+/// items of five leaf values each, drawn from `distinct` values: the
+/// same documents but for what their leaves say, and a dictionary of
+/// about `distinct` names. Then one commit that interns exactly one
+/// name, 31 that intern none, and a compaction. Returns the log bytes
+/// of the interning commit and the bytes the compaction wrote, to files
+/// of every class.
+fn priced_by_the_dictionary(distinct: usize) -> (u64, u64) {
+    let mut rng = TestRng::from_seed(0x5EED_0024);
+    let env = Arc::new(CountingEnv::default());
+    let cfg = EngineConfig {
+        buffer_pages: 2000,
+        labeling: LabelingMode::Dynamic { alpha: 4 },
+        ..Default::default()
+    };
+    let mut b = BulkBuilder::with_env(cfg, env.clone()).unwrap();
+    for _ in 0..64 {
+        b.add_xml(&feed_doc(&mut rng)).unwrap();
+    }
+    for i in 0..4000 {
+        let leaf = |k: usize| format!("<f{k}>x{:05}</f{k}>", (5 * i + k) % distinct);
+        let leaves: String = (0..5).map(leaf).collect();
+        b.add_xml(&format!("<item>{leaves}</item>")).unwrap();
+    }
+    let mut engine = b.finish().unwrap();
+    let names = engine.symbols().len();
+    assert!(names.abs_diff(distinct) < 64, "{names} names");
+    let runs = |engine: &PrixEngine| {
+        let rows = engine.segment_manifest().iter();
+        rows.filter(|s| s.suffix.ends_with(".sym")).count()
+    };
+    assert_eq!(runs(&engine), 1, "the bulk build's names are one run");
+    // Catalog bytes 24..32: the newest record of the names chain.
+    let chain_head = |engine: &PrixEngine| {
+        let head = |p: &[u8; PAGE_SIZE]| u64::from_le_bytes(p[24..32].try_into().unwrap());
+        engine.pool().with_page(0, head).unwrap()
+    };
+    assert_eq!(chain_head(&engine), 0, "a fresh generation holds no name");
+
+    let pool = Arc::clone(engine.pool());
+    let io0 = pool.snapshot();
+    let commit = |engine: &mut PrixEngine, batch: &[String]| {
+        let before = pool.snapshot();
+        pool.begin_ingest();
+        let out = engine.ingest_batch(batch).unwrap();
+        assert!(out.rejected.is_empty(), "{:?}", out.rejected.first());
+        engine.save().unwrap();
+        pool.publish_ingest();
+        pool.snapshot().since(&before).wal_appended_bytes
+    };
+    let mut batch: Vec<String> = (0..BATCH_DOCS).map(|_| feed_doc(&mut rng)).collect();
+    batch[0] = batch[0].replace("<src>", "<src>never-seen-");
+    let interning = commit(&mut engine, &batch);
+    assert_eq!(engine.symbols().len(), names + 1, "exactly one new name");
+    let head = chain_head(&engine);
+    assert_ne!(head, 0, "the commit appended its name");
+    for _ in 1..BATCHES {
+        let batch: Vec<String> = (0..BATCH_DOCS).map(|_| feed_doc(&mut rng)).collect();
+        commit(&mut engine, &batch);
+    }
+    assert_eq!(
+        engine.symbols().len(),
+        names + 1,
+        "the feed's names are old"
+    );
+    assert_eq!(chain_head(&engine), head, "no new name, no names record");
+    assert_eq!(
+        pool.snapshot().since(&io0).fsyncs,
+        BATCHES,
+        "one barrier per commit, interning or not"
+    );
+    drop(pool);
+
+    let before = env.bytes();
+    assert!(engine.compact().unwrap());
+    let compaction = env.bytes() - before;
+    assert_eq!(runs(&engine), 2, "the delta's one name is the second run");
+    assert_eq!(chain_head(&engine), 0);
+
+    // A delta that interned nothing leaves the dictionary's files alone.
+    let rows = engine.segment_manifest().len();
+    let symbol_bytes = env.class_bytes("symbols");
+    engine.insert_document(&feed_doc(&mut rng)).unwrap();
+    engine.save().unwrap();
+    assert!(engine.compact().unwrap());
+    assert_eq!(
+        engine.segment_manifest().len(),
+        rows + 3,
+        "RP, EP, value run"
+    );
+    assert_eq!(env.class_bytes("symbols"), symbol_bytes);
+    assert!(!env.exists(".g3.sym").unwrap());
+    (interning, compaction)
+}
+
+/// A commit and a compaction write the names they added, not the
+/// dictionary: the complement of the test above, which gives both its
+/// collections the same symbols. Two collections that differ only in
+/// how many distinct leaf values they hold — some 560 names against
+/// some 20 060 — run the same script, and neither the commit that
+/// interns one name nor the compaction differs between them by more than
+/// a block: 35 378 bytes of log against 35 383, 332 845 bytes of
+/// compaction against 332 848. (While a generation held the symbol
+/// table as one record the interning commit logged 40 652 bytes over
+/// the small dictionary and 236 605 over the large one, and the
+/// compaction wrote 340 854 against 537 561: the dictionary each time,
+/// as whole-page first frames and in the fresh generation.)
+#[test]
+fn dictionary_size_does_not_price_a_commit_or_a_compaction() {
+    let (small, large) = (
+        priced_by_the_dictionary(500),
+        priced_by_the_dictionary(20_000),
+    );
+    assert!(
+        small.0.abs_diff(large.0) <= 4096,
+        "the commit that interned one name logged {} bytes over 500 names, {} over 20 000",
+        small.0,
+        large.0
+    );
+    assert!(
+        small.1.abs_diff(large.1) <= 4096,
+        "the compaction wrote {} bytes over 500 names, {} over 20 000",
+        small.1,
+        large.1
     );
 }

@@ -1,13 +1,13 @@
 //! `prix` — command-line interface for the PRIX XML index.
 //!
 //! ```text
-//! prix index  <out.prix> <file.xml>...    build a database from XML files
+//! prix index  <out.prix> <file.xml>...    bulk-build a database from XML files
 //! prix query  <db.prix>  "<xpath>"        run a twig query
 //! prix serve  <db.prix>  [--addr H:P] [--ingest]
 //!                                         serve queries over HTTP; with
 //!                                         --ingest, POST /documents too
 //! prix stats  <db.prix>                   show index statistics
-//! prix fsck   <db.prix>                   verify checksums + recovery state
+//! prix fsck   <db.prix>                   verify the log and the tier files
 //! prix gen    <dataset> <dir> [--scale S] [--seed N]
 //!                                         write a synthetic corpus as XML
 //! ```
@@ -25,11 +25,11 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use prix_core::plan::EngineChoice;
-use prix_core::{EngineConfig, ExecOpts, LabelingMode, PrixEngine, TierCheck};
+use prix_core::{EngineConfig, ExecOpts, PrixEngine, TierCheck};
 use prix_server::{AltCache, Server, ServerConfig, SnapshotAlts};
-use prix_xml::{write_document, Collection};
+use prix_xml::write_document;
 
-const USAGE: &str = "usage:\n  prix index [--bulk] [--run-mem-mb N] [--split] [--alpha N] <out.prix> <file.xml>...\n  prix query <db.prix> \"<xpath>\" [--unordered] [--limit N] [--engine prix|prix_rp|prix_ep|vist|twigstack|twigstackxb]\n  prix serve <db.prix> [--addr HOST:PORT] [--ingest] [--threads N] [--queue N] [--buffer-pages N] [--batch-threads N] [--max-conns N] [--result-cache-entries N] [--idle-timeout-ms N] [--compact-after N]\n  prix stats <db.prix>\n  prix segments <db.prix> [--verify]\n  prix compact <db.prix> [--run-mem-mb N]\n  prix fsck <db.prix>\n  prix explain <db.prix> \"<xpath>\"\n  prix add <db.prix> <file.xml>...\n  prix gen <dblp|swissprot|treebank|shop> <dir> [--scale S] [--seed N]";
+const USAGE: &str = "usage:\n  prix index [--run-mem-mb N] [--split] <out.prix> <file.xml>...\n  prix query <db.prix> \"<xpath>\" [--unordered] [--limit N] [--engine prix|prix_rp|prix_ep|vist|twigstack|twigstackxb]\n  prix serve <db.prix> [--addr HOST:PORT] [--ingest] [--threads N] [--queue N] [--buffer-pages N] [--batch-threads N] [--max-conns N] [--result-cache-entries N] [--idle-timeout-ms N] [--compact-after N]\n  prix stats <db.prix>\n  prix segments <db.prix> [--verify]\n  prix compact <db.prix> [--run-mem-mb N]\n  prix fsck <db.prix>\n  prix explain <db.prix> \"<xpath>\"\n  prix add <db.prix> <file.xml>...\n  prix gen <dblp|swissprot|treebank|shop> <dir> [--scale S] [--seed N]";
 
 /// A CLI failure: usage errors exit 2 (with the usage text on stderr),
 /// runtime errors exit 1.
@@ -84,18 +84,12 @@ fn main() -> ExitCode {
 
 fn cmd_index(args: &[String]) -> Result<(), CliError> {
     let mut split = false;
-    let mut bulk = false;
     let mut run_mem_bytes = prix_core::DEFAULT_RUN_MEM_BYTES;
-    let mut labeling = LabelingMode::Exact;
     let mut args = args;
     loop {
         match args {
             [flag, rest @ ..] if flag == "--split" => {
                 split = true;
-                args = rest;
-            }
-            [flag, rest @ ..] if flag == "--bulk" => {
-                bulk = true;
                 args = rest;
             }
             [flag, n, rest @ ..] if flag == "--run-mem-mb" => {
@@ -106,20 +100,6 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
                     return Err(usage_err("--run-mem-mb needs a positive integer"));
                 }
                 run_mem_bytes = mb << 20;
-                args = rest;
-            }
-            // Dynamic labeling leaves trie-scope headroom so `prix add`
-            // and `serve --ingest` can accept documents later; exact
-            // labeling (the default) packs scopes tight and rejects
-            // most inserts.
-            [flag, n, rest @ ..] if flag == "--alpha" => {
-                let alpha: usize = n
-                    .parse()
-                    .map_err(|_| usage_err("--alpha needs a positive integer"))?;
-                if alpha == 0 {
-                    return Err(usage_err("--alpha needs a positive integer"));
-                }
-                labeling = LabelingMode::Dynamic { alpha };
                 args = rest;
             }
             _ => break,
@@ -138,63 +118,40 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
     }
     let cfg = EngineConfig {
         path: Some(PathBuf::from(out)),
-        labeling,
         ..Default::default()
     };
-    if bulk {
-        // Streaming path: each document goes straight through the
-        // external-merge-sort segment builder; the collection is never
-        // materialized in memory.
-        let mut builder =
-            prix_core::BulkBuilder::new_mem(cfg, run_mem_bytes).map_err(|e| e.to_string())?;
-        for f in files {
-            let text = std::fs::read_to_string(f).map_err(|e| format!("cannot read {f}: {e}"))?;
-            if split {
-                builder
-                    .add_xml_split(&text)
-                    .map_err(|e| format!("{f}: {e}"))?;
-            } else {
-                builder.add_xml(&text).map_err(|e| format!("{f}: {e}"))?;
-            }
-        }
-        let docs = builder.doc_count();
-        let engine = builder.finish().map_err(|e| e.to_string())?;
-        println!(
-            "bulk-indexed {} documents into {out} (generation {})",
-            docs,
-            engine.generation()
-        );
-        for s in engine.segment_manifest() {
-            println!(
-                "  segment {}: kind {}, {}",
-                s.suffix,
-                seg_kind_name(s.kind),
-                row_range(s)
-            );
-        }
-        return Ok(());
-    }
-    let mut collection = Collection::new();
+    // Streaming: each document goes straight through the
+    // external-merge-sort segment builder; the collection is never
+    // materialized in memory. With `--split`, one monolithic export
+    // (like the real DBLP file): each child of the root becomes its own
+    // document.
+    let mut builder =
+        prix_core::BulkBuilder::new_mem(cfg, run_mem_bytes).map_err(|e| e.to_string())?;
     for f in files {
         let text = std::fs::read_to_string(f).map_err(|e| format!("cannot read {f}: {e}"))?;
         if split {
-            // One monolithic export (like the real DBLP file): each
-            // child of the root becomes its own document.
-            collection
+            builder
                 .add_xml_split(&text)
                 .map_err(|e| format!("{f}: {e}"))?;
         } else {
-            collection.add_xml(&text).map_err(|e| format!("{f}: {e}"))?;
+            builder.add_xml(&text).map_err(|e| format!("{f}: {e}"))?;
         }
     }
-    let stats = collection.stats();
-    let mut engine = PrixEngine::build(collection, cfg).map_err(|e| e.to_string())?;
-    engine.save().map_err(|e| e.to_string())?;
+    let docs = builder.doc_count();
+    let engine = builder.finish().map_err(|e| e.to_string())?;
     println!(
-        "indexed {} documents ({} elements, {} values) into {out}",
-        stats.sequences, stats.elements, stats.values
+        "indexed {docs} documents into {out} (generation {})",
+        engine.generation()
     );
-    print_index_stats(&engine)
+    for s in engine.segment_manifest() {
+        println!(
+            "  segment {}: kind {}, {}",
+            s.suffix,
+            seg_kind_name(s.kind),
+            row_range(s)
+        );
+    }
+    Ok(())
 }
 
 fn cmd_query(args: &[String]) -> Result<(), CliError> {
@@ -402,7 +359,7 @@ fn cmd_add(args: &[String]) -> Result<(), CliError> {
     }
     // All of the files or none: read them all, insert them as one
     // batch, and save only when every one was accepted. On a rejection
-    // the engine is dropped unsaved, which commits nothing.
+    // the engine is dropped unsaved, which logs nothing.
     let texts = files
         .iter()
         .map(|f| std::fs::read_to_string(f).map_err(|e| format!("cannot read {f}: {e}")))
@@ -417,6 +374,13 @@ fn cmd_add(args: &[String]) -> Result<(), CliError> {
     }
     engine.save().map_err(|e| e.to_string())?;
     println!("committed at epoch {}", engine.epoch());
+    // Past its bound the log is folded into a tier, as a server would.
+    if engine.log_full() && engine.compact().map_err(|e| e.to_string())? {
+        println!(
+            "the log reached its bound: compacted into generation {}",
+            engine.generation()
+        );
+    }
     Ok(())
 }
 
@@ -445,25 +409,13 @@ fn print_file_bytes(engine: &PrixEngine) -> Result<(), CliError> {
         let class = match (tier_of(suffix), suffix.as_str()) {
             (Some(row), _) => row,
             (None, ".seg") => "manifest".to_string(),
-            (None, s) if s.ends_with(".wal") => "log".to_string(),
-            (None, s) if s.ends_with(".sum") => "sidecar".to_string(),
-            (None, _) => "page file".to_string(),
+            (None, _) => "log".to_string(),
         };
-        println!("bytes: {bytes:>10}  {class} ({})", display_suffix(suffix));
+        println!("bytes: {bytes:>10}  {class} ({suffix})");
     }
     let total: u64 = sizes.iter().map(|(_, b)| b).sum();
     println!("bytes: {total:>10}  total in {} file(s)", sizes.len());
     Ok(())
-}
-
-/// A file suffix for display (the page file of a never-compacted
-/// database has none).
-fn display_suffix(suffix: &str) -> &str {
-    if suffix.is_empty() {
-        "<db>"
-    } else {
-        suffix
-    }
 }
 
 fn seg_kind_name(kind: u8) -> &'static str {
@@ -502,6 +454,7 @@ fn cmd_segments(args: &[String]) -> Result<(), CliError> {
         engine.mutable_docs()
     );
     print_segment_rows(&engine)?;
+    print_log_state(&engine);
     if verify {
         for line in verify_tier_files(&engine)? {
             println!("  verified {line}");
@@ -634,27 +587,30 @@ fn cmd_fsck(args: &[String]) -> Result<(), CliError> {
     let [db] = args else {
         return Err(usage_err("fsck needs <db.prix>"));
     };
-    // A manifest that references a missing or corrupt segment file makes
-    // this reopen fail — fsck refuses such databases outright.
+    // A manifest that references a missing or corrupt tier file, or a
+    // log record that is whole but does not decode, makes this reopen
+    // fail — fsck refuses such databases outright.
     let engine = PrixEngine::reopen(db, 256).map_err(|e| e.to_string())?;
     let rep = engine
         .recovery()
         .expect("a reopened engine reports recovery");
-    if rep.unclean_shutdown {
-        println!(
-            "recovery: unclean shutdown; replayed {} frame(s) to {} page(s) from {} WAL byte(s)",
-            rep.replayed_frames, rep.replayed_pages, rep.wal_bytes
-        );
-    } else {
-        println!("recovery: clean shutdown, nothing to replay");
-    }
     println!(
-        "log: {} byte(s) found, {} frame(s) replayed",
-        rep.log_len, rep.replayed_frames
+        "recovery: replayed {} record(s), {} document(s), from {} log byte(s){}",
+        rep.replayed_frames,
+        rep.replayed_documents,
+        rep.wal_bytes,
+        if rep.unclean_shutdown {
+            "; the log ends in a torn record (a crash mid-commit), cut off by the next commit"
+        } else {
+            ""
+        }
     );
-    print_log_state(&engine);
-    let (verified, skipped) = engine.verify_checksums().map_err(|e| e.to_string())?;
-    println!("pages: {verified} verified, {skipped} never written");
+    println!(
+        "log: {} byte(s) found, {} record(s) replayed, {} byte(s) of torn tail",
+        rep.log_len,
+        rep.replayed_frames,
+        rep.log_len - rep.wal_bytes
+    );
     for line in verify_tier_files(&engine)? {
         println!("segment {line}");
     }
@@ -697,12 +653,11 @@ fn unknown_siblings(db: &str) -> Vec<String> {
 }
 
 /// Whether `suffix` (the part after the database name) is one the
-/// engine itself writes: the page file, its WAL/checksum sidecars, the
-/// manifest, or a generation's files (`.gN`, `.gN.sum`, `.gN.wal`,
-/// `.gN.rp.seg`, `.gN.ep.seg`, `.gN.vx.seg`, `.gN.sym`).
+/// engine itself writes: the manifest, or a generation's files
+/// (`.gN.log`, `.gN.rp.seg`, `.gN.ep.seg`, `.gN.vx.seg`, `.gN.sym`).
 fn known_db_suffix(suffix: &str) -> bool {
     let rest = match suffix {
-        "" | ".sum" | ".wal" | ".seg" => return true,
+        ".seg" => return true,
         s => match s.strip_prefix(".g") {
             Some(r) => r,
             None => return false,
@@ -714,7 +669,7 @@ fn known_db_suffix(suffix: &str) -> bool {
     }
     matches!(
         &rest[digits..],
-        "" | ".sum" | ".wal" | ".rp.seg" | ".ep.seg" | ".vx.seg" | ".sym"
+        ".log" | ".rp.seg" | ".ep.seg" | ".vx.seg" | ".sym"
     )
 }
 
@@ -743,7 +698,7 @@ fn print_index_stats(engine: &PrixEngine) -> Result<(), CliError> {
         }
     }
     // The dictionary is tiered like the indexes: names in the tiers'
-    // symbol runs, the rest in the delta's chain.
+    // symbol runs, the rest interned by the log's batches.
     let runs = engine.segment_manifest().iter();
     let runs: Vec<_> = runs.filter(|s| s.kind == prix_core::SEG_KIND_SYM).collect();
     let tiered: usize = runs.iter().map(|s| s.n_docs as usize).sum();
@@ -756,19 +711,21 @@ fn print_index_stats(engine: &PrixEngine) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The write-ahead log as this process holds it: its length, the page
-/// images it implies (held in memory until the next checkpoint), and
-/// what this process has appended to it.
+/// The batch log as this process holds it: its length and records (what
+/// a reopen replays), the epoch the last one established, and the bound
+/// at which the writer folds it into a tier.
 fn print_log_state(engine: &PrixEngine) {
-    let pool = engine.pool();
-    let io = pool.snapshot();
-    println!(
-        "log: {} byte(s) now, {} page image(s) held, {} byte(s) in {} frame(s) appended since open",
-        pool.wal_bytes(),
-        pool.log_resident_pages(),
-        io.wal_appended_bytes,
-        io.wal_appends
-    );
+    if let Some(log) = engine.log() {
+        println!(
+            "log: {} byte(s), {} record(s) since generation {} began, at epoch {}; \
+             compacted at {} byte(s)",
+            log.len(),
+            log.records(),
+            engine.generation(),
+            log.epoch(),
+            prix_core::CHECKPOINT_LOG_BYTES
+        );
+    }
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), CliError> {

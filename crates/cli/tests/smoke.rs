@@ -40,7 +40,10 @@ fn usage_errors_are_consistent_across_subcommands() {
     // Missing required arguments, every subcommand.
     assert_usage_error(&["index"]);
     assert_usage_error(&["index", "out.prix"]); // no input files
-    assert_usage_error(&["index", "--no-wal", "out.prix", "doc.xml"]); // retired flag, not a path
+                                                // Retired flags, not paths: every file database is bulk-built.
+    assert_usage_error(&["index", "--no-wal", "out.prix", "doc.xml"]);
+    assert_usage_error(&["index", "--bulk", "out.prix", "doc.xml"]);
+    assert_usage_error(&["index", "--alpha", "4", "out.prix", "doc.xml"]);
     assert_usage_error(&["query", "db.prix"]); // no xpath
     assert_usage_error(&["query", "db.prix", "//a", "--limit"]); // flag missing value
     assert_usage_error(&["query", "db.prix", "//a", "--limit", "x"]); // non-integer
@@ -150,20 +153,20 @@ fn index_query_roundtrip_works() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("1 match(es)"), "{text}");
 
-    // fsck on a cleanly saved durable database reports clean, verifies
-    // the value index, and reports (without failing on) stray sibling
-    // files that merely share the database's name prefix.
+    // fsck on a bulk-built database reports its log, verifies the tier
+    // files and the value index, and reports (without failing on) stray
+    // sibling files that merely share the database's name prefix.
     std::fs::write(dir.join("db.prix.stray"), b"not ours").unwrap();
     let out = prix(&["fsck", db.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "fsck: {}", stderr(&out));
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("recovery: clean shutdown"), "{text}");
-    // Every command above closed the database cleanly: checkpointed,
-    // the log back at its bare header.
+    assert!(text.contains("recovery: replayed 0 record(s)"), "{text}");
+    // Nothing was ingested: the log is its header, and whole.
     assert!(
-        text.contains("log: 24 byte(s) found, 0 frame(s) replayed"),
+        text.contains(", 0 record(s) replayed, 0 byte(s) of torn tail"),
         "{text}"
     );
+    assert!(text.contains("segment .g1.rp.seg: "), "{text}");
     assert!(text.contains("valix:"), "{text}");
     assert!(
         text.contains("sibling db.prix.stray: not part of this database"),
@@ -174,12 +177,12 @@ fn index_query_roundtrip_works() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// `index --alpha N` (dynamic labeling) leaves trie-scope headroom, so
-/// a later `prix add` actually accepts the document, reports its commit
-/// epoch, and the next query both sees the document and names a later
-/// epoch.
+/// A bulk-built database's delta starts empty — every trie scope is
+/// headroom — so a later `prix add` accepts the document, reports its
+/// commit epoch, and the next query both sees the document and names a
+/// later epoch.
 #[test]
-fn alpha_index_then_add_advances_the_epoch() {
+fn index_then_add_advances_the_epoch() {
     let dir = std::env::temp_dir().join(format!("prix-cli-alpha-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let xml = dir.join("doc.xml");
@@ -196,13 +199,7 @@ fn alpha_index_then_add_advances_the_epoch() {
     .unwrap();
     let db = dir.join("db.prix");
 
-    let out = prix(&[
-        "index",
-        "--alpha",
-        "4",
-        db.to_str().unwrap(),
-        xml.to_str().unwrap(),
-    ]);
+    let out = prix(&["index", db.to_str().unwrap(), xml.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(0), "index: {}", stderr(&out));
 
     let epoch_of = |text: &str, key: &str| -> u64 {
@@ -245,8 +242,8 @@ fn alpha_index_then_add_advances_the_epoch() {
 /// parse error skipped the save, but closing the buffer pool committed
 /// the half-ingested pages (fsck: `posting names doc N past coverage
 /// horizon`, a panic in `load_doc`, reused document ids). `add` is all
-/// or nothing, and closing a database never commits: after the failure
-/// the database is exactly what it was.
+/// or nothing, and closing a database writes nothing: after the failure
+/// the database is exactly what it was, byte for byte.
 #[test]
 fn failed_add_leaves_the_database_as_it_was() {
     let dir = std::env::temp_dir().join(format!("prix-cli-failed-add-{}", std::process::id()));
@@ -272,24 +269,18 @@ fn failed_add_leaves_the_database_as_it_was() {
     let db = dir.join("db.prix");
     let db = db.to_str().unwrap();
 
-    let mut index = vec!["index", "--alpha", "4", db];
+    let mut index = vec!["index", db];
     index.extend(corpus.iter().map(String::as_str));
     let out = prix(&index);
     assert_eq!(out.status.code(), Some(0), "index: {}", stderr(&out));
 
-    // The observable state: document counts and three answers (match
-    // count plus every `doc -> nodes` line; the timing lines vary, and
-    // so do the `bytes:` lines — pages a failed batch allocated and
-    // never committed still lengthen the page file).
+    // The observable state: `stats` (document counts, the log, the
+    // bytes of every file) and three answers (match count plus every
+    // `doc -> nodes` line; the timing lines vary).
     let state = || -> Vec<String> {
         let out = prix(&["stats", db]);
         assert_eq!(out.status.code(), Some(0), "stats: {}", stderr(&out));
-        let stats: Vec<&str> = std::str::from_utf8(&out.stdout)
-            .unwrap()
-            .lines()
-            .filter(|l| !l.starts_with("bytes:"))
-            .collect();
-        let mut lines = vec![stats.join("\n")];
+        let mut lines = vec![String::from_utf8(out.stdout).unwrap()];
         for xpath in ["//inproceedings/key", "//dblp//author", "//year"] {
             let out = prix(&["query", db, xpath, "--limit", "0"]);
             assert_eq!(out.status.code(), Some(0), "{xpath}: {}", stderr(&out));
@@ -305,7 +296,8 @@ fn failed_add_leaves_the_database_as_it_was() {
         lines
     };
     let before = state();
-    assert!(before[0].contains("RPIndex delta: 6 docs"), "{}", before[0]);
+    assert!(before[0].contains("RPIndex delta: 0 docs"), "{}", before[0]);
+    assert!(before[0].contains(".g1.rp.seg: 6 docs"), "{}", before[0]);
     assert!(before[1].starts_with("6 match(es)"), "{}", before[1]);
 
     let out = prix(&["add", db, &good1, &good2, &broken]);
@@ -327,7 +319,7 @@ fn failed_add_leaves_the_database_as_it_was() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("good1.xml as doc 6"), "{text}");
     let after = state();
-    assert!(after[0].contains("RPIndex delta: 7 docs"), "{}", after[0]);
+    assert!(after[0].contains("RPIndex delta: 1 docs"), "{}", after[0]);
     assert!(after[1].starts_with("7 match(es)"), "{}", after[1]);
 
     std::fs::remove_dir_all(&dir).unwrap();
@@ -358,9 +350,7 @@ fn value_runs_show_in_segments_stats_and_fsck() {
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
 
-    ok(&[
-        "index", "--bulk", "--alpha", "4", db, &docs[0], &docs[1], &docs[2],
-    ]);
+    ok(&["index", db, &docs[0], &docs[1], &docs[2]]);
     ok(&["add", db, &docs[3]]);
     let text = ok(&["query", db, "//item[price < 12]", "--limit", "0"]);
     assert!(text.starts_with("2 match(es)"), "{text}");
@@ -382,6 +372,11 @@ fn value_runs_show_in_segments_stats_and_fsck() {
         assert!(text.contains(run), "no `{run}` in:\n{text}");
     }
     assert!(text.contains("segments: clean"), "{text}");
+    // The live log: empty since the compaction began generation 2.
+    assert!(
+        text.contains(", 0 record(s) since generation 2 began"),
+        "{text}"
+    );
     // Every structural segment says where its bytes are, to the byte.
     let layouts: Vec<&str> = text
         .lines()
@@ -416,12 +411,12 @@ fn value_runs_show_in_segments_stats_and_fsck() {
         .map(|l| l.split_whitespace().next().unwrap().parse().unwrap())
         .collect();
     let (total, files) = bytes.split_last().expect("stats prints bytes");
-    assert_eq!(files.len(), 12, "3 + manifest + 2 tiers of 4:\n{text}");
+    assert_eq!(files.len(), 10, "manifest + log + 2 tiers of 4:\n{text}");
     assert_eq!(*total, files.iter().sum::<u64>(), "{text}");
     assert!(text.contains("vx docs 3..4 (.g2.vx.seg)"), "{text}");
     assert!(text.contains("sym names 10..12 (.g2.sym)"), "{text}");
     assert!(
-        text.contains("total in 12 file(s)") && text.contains("page file (.g2)"),
+        text.contains("total in 10 file(s)") && text.contains("log (.g2.log)"),
         "{text}"
     );
 

@@ -1,4 +1,4 @@
-//! The PRIX engine's write side: build, reopen, insert, ingest, save,
+//! The PRIX engine's write side: build, reopen, insert, ingest, commit,
 //! compact, verify.
 //!
 //! "In the PRIX system, both RPIndex and EPIndex can coexist." A
@@ -7,15 +7,23 @@
 //! every read goes through an [`EngineSnapshot`] (see
 //! [`PrixEngine::snapshot`] and [`crate::snapshot::SharedEngine`]),
 //! which carries the §5.6 optimizer rule and the §5.7 arrangement loop.
+//!
+//! On disk a database is a manifest, immutable tiers and one batch log
+//! (`prix_storage::wal`): the tiers hold what a bulk build or a
+//! compaction wrote, the log the batches the live generation accepted
+//! since, as they arrived. The mutable delta — both indexes' trees and
+//! records, the delta valix — lives in an in-memory buffer pool and is
+//! rebuilt on reopen by replaying the log through the same ingest
+//! calls that built it.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use prix_storage::segment::{put_varint, take_varint};
 use prix_storage::{
-    recover, BufferPool, FileSegEnv, IoStats, Manifest, ManifestSegment, MemSegEnv, Pager,
-    RecordId, RecordStore, RecoveryReport, SegmentCheck, SegmentEnv, SegmentReader, SymbolRun,
-    ValueRunReader, VxCheck, Wal, PAGE_SIZE, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_SYM, SEG_KIND_VX,
+    BatchLog, BatchMode, BufferPool, FileSegEnv, IoStats, Manifest, ManifestSegment, MemSegEnv,
+    Pager, RecoveryReport, SegmentCheck, SegmentEnv, SegmentReader, SymbolRun, ValueRunReader,
+    VxCheck, CHECKPOINT_LOG_BYTES, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_SYM, SEG_KIND_VX,
 };
 use prix_xml::{Collection, Sym, SymbolTable};
 
@@ -25,38 +33,20 @@ use crate::snapshot::EngineSnapshot;
 use crate::trie::LabelingMode;
 use crate::valix::Valix;
 
-/// Version of the catalog-page layout written by [`PrixEngine::save`]
-/// and the only one [`PrixEngine::reopen`] reads; any other version is
-/// refused rather than misread.
-///
-/// Layout: magic, version, RP/EP metadata record ids, the head of the
-/// names chain (0 = no names), dummy symbol, the number of symbols (what
-/// the manifest's symbol runs and the chain must add up to), the
-/// length-prefixed planner statistics blob, then the valix metadata
-/// record id. A zero RP, EP or valix record id is refused at reopen.
-/// Version 6 changed what the third id names: no longer one record
-/// holding the whole symbol table, but the newest record of a chain (see
-/// [`PrixEngine::save`]) that holds only the names the manifest's
-/// symbol runs do not — which a version-5 reader would take for the
-/// table. (The count replaced a constant no reader looked at.)
-const CATALOG_VERSION: u32 = 6;
-
 /// The label of the dummy child extended sequences give every leaf; no
 /// document can spell it.
 pub(crate) const DUMMY_LABEL: &str = "\u{1}prix-dummy";
-
-/// Byte offset of the planner-stats blob (u32 length + payload) in the
-/// catalog page, right after the fixed fields.
-const CATALOG_STATS_OFF: usize = 44;
 
 /// Engine construction options.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Buffer-pool capacity in pages (paper default: 2000, §6.1).
     pub buffer_pages: usize,
-    /// Virtual-trie labeling mode.
+    /// Virtual-trie labeling mode of an in-memory build. (A database
+    /// with a path is bulk-built: its delta starts empty, where both
+    /// modes label alike.)
     pub labeling: LabelingMode,
-    /// Backing file; `None` = in-memory pager.
+    /// Database path; `None` = in memory.
     pub path: Option<PathBuf>,
 }
 
@@ -70,13 +60,13 @@ impl Default for EngineConfig {
     }
 }
 
-/// Bytes of a names-chain record before its name list: the previous
-/// record's id (`u64`, 0 = none) and the id of the first name (`u32`).
-const CHAIN_HEAD: usize = 12;
+/// The file of generation `generation`'s batch log.
+fn log_suffix(generation: u64) -> String {
+    format!(".g{generation}.log")
+}
 
-/// The one encoder of a name list — a symbol run's payload, a
-/// names-chain record's tail: the count, then `len | utf8` per name,
-/// counts and lengths as varints.
+/// The one encoder of a name list — a symbol run's payload: the count,
+/// then `len | utf8` per name, counts and lengths as varints.
 fn encode_symbols(names: &[String]) -> Vec<u8> {
     let mut out = Vec::with_capacity(names.iter().map(|n| n.len() + 2).sum());
     put_varint(&mut out, names.len() as u64);
@@ -144,6 +134,37 @@ pub(crate) fn write_symbol_run(
     Ok(())
 }
 
+/// The refusal of what is at `suffix` when no manifest names a log: a
+/// database an older build wrote keeps its delta in a page file whose
+/// first page names a catalog version; anything else is not a database.
+fn refuse_unlogged(env: &dyn SegmentEnv, suffix: &str) -> Result<IndexError> {
+    let what = if suffix.is_empty() {
+        "the database file".to_string()
+    } else {
+        format!("'{suffix}'")
+    };
+    if !env.exists(suffix)? {
+        return Ok(IndexError::Unsupported(format!(
+            "not a PRIX database: {what} does not exist and no manifest names a batch log"
+        )));
+    }
+    let store = env.open(suffix)?;
+    let mut head = [0u8; 8];
+    if store.len()? >= 8 {
+        store.read_at(0, &mut head)?;
+    }
+    Ok(IndexError::Unsupported(if &head[..4] == b"PRIX" {
+        let version = u32::from_le_bytes(head[4..].try_into().unwrap());
+        format!(
+            "unsupported PRIX database: {what} is a page file with a catalog of version \
+             {version}, written by an older build (this build reads manifests, tiers and a \
+             batch log); re-index the source documents"
+        )
+    } else {
+        format!("not a PRIX database: {what} has no manifest and is not a page file")
+    }))
+}
+
 /// One immutable segment tier: the RP/EP segment pair and the value
 /// run covering global document ids `[doc_base, doc_base + n_docs)`.
 /// Queries descend every tier and the mutable delta; tiers never change
@@ -178,35 +199,32 @@ pub enum TierCheck {
 pub struct PrixEngine {
     /// Every label the indexed documents (and the dummy) use, ids dense
     /// in interning order. On disk it is tiered like the indexes: the
-    /// manifest's symbol runs in order, then the names chain of the
-    /// mutable generation ([`PrixEngine::save`]).
+    /// manifest's symbol runs in order, then the names the log's
+    /// batches intern again when they are replayed.
     symbols: SymbolTable,
     pool: Arc<BufferPool>,
     rp: PrixIndex,
     ep: PrixIndex,
     dummy: Sym,
-    /// Record store holding engine-level catalog records (the names
-    /// chain); kept open across saves so repeated saves append into the
-    /// same data page instead of allocating a fresh one each time.
-    /// (Opening one allocates nothing: its first append does.)
-    catalog_store: RecordStore,
-    /// Raw id of the newest names-chain record (0 = the chain is empty)
-    /// and the number of symbols the symbol runs and the chain cover
-    /// between them: the table only ever grows, so a save owes the
-    /// names past that and nothing when there are none.
-    saved_syms: (u64, usize),
-    /// What crash recovery did when this engine was reopened; `None`
-    /// for freshly built engines.
+    /// The live generation's batch log; `None` for an in-memory engine
+    /// no compaction has given one yet.
+    log: Option<BatchLog>,
+    /// The bodies ingested since the last commit — accepted or refused:
+    /// a refused document interned its names too — which the next
+    /// [`PrixEngine::save`] appends to the log as one record.
+    pending: Vec<(BatchMode, String)>,
+    /// What replaying the log did when this engine was reopened;
+    /// `None` for engines built or compacted in this process.
     recovery: Option<RecoveryReport>,
     /// Immutable segment tiers in ascending `doc_base` order (empty for
-    /// a never-segmented engine).
+    /// an in-memory engine never compacted).
     segments: Vec<SegTier>,
     /// The manifest rows behind `segments`, kept verbatim for
     /// compaction (which appends to them) and `prix segments`.
     manifest_segments: Vec<ManifestSegment>,
-    /// Where segment/manifest/mutable-generation files live. File
-    /// engines resolve suffixes against the database path; in-memory
-    /// and harness engines use an in-memory map.
+    /// Where the manifest, tier and log files live. File engines
+    /// resolve suffixes against the database path; in-memory and
+    /// harness engines use an in-memory map.
     seg_env: Arc<dyn SegmentEnv>,
     /// Segment-block I/O counters. One instance for the engine's whole
     /// life: compaction swaps buffer pools (and their page counters)
@@ -214,12 +232,9 @@ pub struct PrixEngine {
     seg_stats: Arc<IoStats>,
     /// Manifest generation; 0 = no manifest has ever been written.
     generation: u64,
-    /// File-name suffix of the live mutable generation (`""` = the
-    /// base database file; compaction moves to `".g{N}"`).
-    mutable_suffix: String,
     /// The cost-based planner's statistics, shared (via `Arc`) with
     /// every snapshot so observations from served queries feed back
-    /// into later plans. Persisted in the catalog.
+    /// into later plans. Persisted in the header of each log.
     planner: Arc<Planner>,
     /// The value-predicate secondary index over leaf values
     /// ([`crate::valix`]), living in the same buffer pool as the
@@ -229,14 +244,12 @@ pub struct PrixEngine {
 
 impl PrixEngine {
     /// Builds the engine over `collection`, keeping its symbol table
-    /// and none of its trees. A file-backed engine
-    /// ([`EngineConfig::path`]) gets the `<path>.sum` checksum sidecar
-    /// and the `<path>.wal` write-ahead log next to the database file:
-    /// pages evicted before a [`PrixEngine::save`] spill to the log,
-    /// and every save is a group commit (one WAL append, one fsync; the
-    /// page file catches up at checkpoints), so a crash at any instant
-    /// leaves either the previous save or the new one — never a torn
-    /// mixture. Without a path the engine lives in memory.
+    /// and none of its trees. With a path ([`EngineConfig::path`]) this
+    /// is the bulk build ([`crate::BulkBuilder`]): one tier of the
+    /// documents, an empty delta, a fresh batch log and the manifest
+    /// naming them. Without one the engine lives in memory, its indexes
+    /// built over the collection in the buffer pool with
+    /// [`EngineConfig::labeling`].
     pub fn build(mut collection: Collection, cfg: EngineConfig) -> Result<Self> {
         match &cfg.path {
             Some(p) => {
@@ -244,66 +257,46 @@ impl PrixEngine {
                 Self::build_env(collection, cfg, env)
             }
             None => {
-                let pool = BufferPool::new(Pager::in_memory(), cfg.buffer_pages);
                 let dummy = collection.intern(DUMMY_LABEL);
-                Self::build_over(collection, dummy, &cfg, pool, Arc::new(MemSegEnv::new()))
+                Self::build_over(collection, dummy, &cfg, Arc::new(MemSegEnv::new()))
             }
         }
     }
 
-    /// [`PrixEngine::build`] with the database's stores — page file,
-    /// `.sum`, `.wal`, and later its segments and manifest — living in
-    /// `env` instead of at [`EngineConfig::path`] (which is ignored);
-    /// durable exactly as if file-backed. The crash harness hands
-    /// fault-injecting environments in here and reopens what survived
-    /// through [`PrixEngine::reopen_env`].
+    /// The bulk build of [`PrixEngine::build`] with the database's files
+    /// living in `env` instead of at [`EngineConfig::path`] (which is
+    /// ignored). The crash harness hands fault-injecting environments
+    /// in here and reopens what survived through
+    /// [`PrixEngine::reopen_env`].
     pub fn build_env(
         mut collection: Collection,
         cfg: EngineConfig,
         env: Arc<dyn SegmentEnv>,
     ) -> Result<Self> {
-        let dummy = collection.intern(DUMMY_LABEL);
-        Self::build_at(collection, dummy, &cfg, env, "")
+        let syms = std::mem::take(collection.symbols_mut());
+        let run_mem = crate::segbuild::DEFAULT_RUN_MEM_BYTES;
+        let mut b = crate::segbuild::BulkBuilder::over(cfg, env, run_mem, syms)?;
+        for (_, tree) in collection.iter() {
+            b.add_tree(tree)?;
+        }
+        b.finish()
     }
 
-    /// Builds a mutable-generation engine whose stores live in `env` at
-    /// `suffix`: the base database at `""`, bulk builds and compaction
-    /// at their generation's name.
-    fn build_at(
-        collection: Collection,
-        dummy: Sym,
-        cfg: &EngineConfig,
-        env: Arc<dyn SegmentEnv>,
-        suffix: &str,
-    ) -> Result<Self> {
-        let pager =
-            Pager::create_durable(env.create(suffix)?, env.create(&format!("{suffix}.sum"))?)
-                .map_err(IndexError::Storage)?;
-        let wal = Wal::create(
-            env.create(&format!("{suffix}.wal"))?,
-            pager.epoch(),
-            pager.stats(),
-        )
-        .map_err(IndexError::Storage)?;
-        let pool = BufferPool::with_wal(pager, cfg.buffer_pages, wal);
-        Self::build_over(collection, dummy, cfg, pool, env)
-    }
-
-    /// The engine over `collection`, whose symbol table it keeps;
-    /// `dummy` is the label extended sequences hang under every leaf.
+    /// The engine over `collection`, whose symbol table it keeps, in a
+    /// fresh in-memory pool; `dummy` is the label extended sequences
+    /// hang under every leaf.
     fn build_over(
         mut collection: Collection,
         dummy: Sym,
         cfg: &EngineConfig,
-        pool: BufferPool,
         seg_env: Arc<dyn SegmentEnv>,
     ) -> Result<Self> {
-        let pool = Arc::new(pool);
+        let pool = Arc::new(BufferPool::new(Pager::in_memory(), cfg.buffer_pages));
         // Both indexes read the same immutable collection and write
         // through the internally synchronized buffer pool, so they are
         // built concurrently — except over no documents (the empty
-        // generation of a bulk build or a compaction), where there is
-        // nothing to overlap and one thread lays the page file out the
+        // delta of a bulk build, a compaction or a reopen), where there
+        // is nothing to overlap and one thread lays the pages out the
         // same way every time.
         let build =
             |kind| PrixIndex::build(Arc::clone(&pool), &collection, kind, cfg.labeling, dummy);
@@ -332,22 +325,20 @@ impl PrixEngine {
         for (doc, tree) in collection.iter() {
             valix.index_tree(tree, doc, collection.symbols())?;
         }
-        let catalog_store = RecordStore::open(Arc::clone(&pool)).map_err(IndexError::Storage)?;
         Ok(PrixEngine {
             symbols: std::mem::take(collection.symbols_mut()),
             pool,
             rp,
             ep,
             dummy,
-            catalog_store,
-            saved_syms: (0, 0),
+            log: None,
+            pending: Vec::new(),
             recovery: None,
             segments: Vec::new(),
             manifest_segments: Vec::new(),
             seg_env,
             seg_stats: Arc::new(IoStats::new()),
             generation: 0,
-            mutable_suffix: String::new(),
             planner: Arc::new(Planner::new(pstats)),
             valix,
         })
@@ -396,137 +387,114 @@ impl PrixEngine {
         self.pool.clear().map_err(IndexError::Storage)
     }
 
-    /// Persists the engine so [`PrixEngine::reopen`] can load it from
-    /// the backing file: index metadata goes into the shared store, the
-    /// names interned since the last save are appended to it as one
-    /// record chained to the one before (`prev record id | first id |
-    /// count | names`; a save that interned none appends nothing),
-    /// their locations go into the reserved catalog page (page 0), and
-    /// the buffer pool is flushed — for a durable engine one WAL group
-    /// commit.
-    ///
-    /// Only works for file-backed engines (`EngineConfig::path`);
-    /// in-memory engines have nowhere to persist to.
+    /// Commits what was ingested since the last commit: the bodies, as
+    /// received, become one record of the batch log — one append, one
+    /// `fsync` — and the epoch it establishes the pool's committed
+    /// epoch. A crash before the `fsync` returns loses the batch whole,
+    /// one after it replays it whole. Nothing ingested, nothing
+    /// written; an engine without a log (in memory, never compacted)
+    /// only counts the epoch up.
     pub fn save(&mut self) -> Result<()> {
-        self.write_catalog()?;
-        self.pool.flush().map_err(IndexError::Storage)
-    }
-
-    /// [`PrixEngine::save`] for the fresh mutable generation a bulk
-    /// build or a compaction has just filled: its pages go straight to
-    /// their files, unlogged. Nothing durable names those files until
-    /// the manifest write that follows, so a crash in here leaves
-    /// debris no reopen looks at, and logging the pages first would
-    /// only write every one of them twice.
-    fn save_unlogged(&mut self) -> Result<()> {
-        self.write_catalog()?;
-        self.pool.checkpoint_unlogged().map_err(IndexError::Storage)
-    }
-
-    /// Writes what [`PrixEngine::reopen`] starts from into the pool:
-    /// index metadata, the names this save owes, the catalog page.
-    fn write_catalog(&mut self) -> Result<()> {
-        let rp_meta = self.rp.save()?.raw();
-        let ep_meta = self.ep.save()?.raw();
-        let (head, saved) = self.saved_syms;
-        if self.symbols.len() > saved {
-            let mut rec = head.to_le_bytes().to_vec();
-            rec.extend_from_slice(&(saved as u32).to_le_bytes());
-            rec.extend_from_slice(&encode_symbols(self.symbols.names_from(saved)));
-            let id = self
-                .catalog_store
-                .append(&rec)
-                .map_err(IndexError::Storage)?;
-            self.saved_syms = (id.raw(), self.symbols.len());
+        if self.pending.is_empty() {
+            return Ok(());
         }
-        let (syms_head, n_symbols) = self.saved_syms;
-        let valix_meta = self.valix.save()?.raw();
-        // Catalog page. The planner-stats blob is capped by its encoder
-        // to fit the remainder of the page (minus the trailing valix
-        // record id); an oversized blob would be a bug in that cap, so
-        // refuse rather than corrupt the page.
-        let stats_blob = self.planner.encode();
-        if CATALOG_STATS_OFF + 4 + stats_blob.len() + 8 > PAGE_SIZE {
-            return Err(IndexError::Unsupported(
-                "planner statistics overflow the catalog page".into(),
-            ));
-        }
-        self.pool
-            .with_page_mut(0, |p: &mut [u8; PAGE_SIZE]| {
-                p[..4].copy_from_slice(b"PRIX");
-                p[4..8].copy_from_slice(&CATALOG_VERSION.to_le_bytes());
-                p[8..16].copy_from_slice(&rp_meta.to_le_bytes());
-                p[16..24].copy_from_slice(&ep_meta.to_le_bytes());
-                p[24..32].copy_from_slice(&syms_head.to_le_bytes());
-                p[32..36].copy_from_slice(&self.dummy.0.to_le_bytes());
-                p[36..44].copy_from_slice(&(n_symbols as u64).to_le_bytes());
-                let off = CATALOG_STATS_OFF;
-                p[off..off + 4].copy_from_slice(&(stats_blob.len() as u32).to_le_bytes());
-                p[off + 4..off + 4 + stats_blob.len()].copy_from_slice(&stats_blob);
-                // v4: the valix metadata record id trails the blob.
-                let voff = off + 4 + stats_blob.len();
-                p[voff..voff + 8].copy_from_slice(&valix_meta.to_le_bytes());
-            })
-            .map_err(IndexError::Storage)
+        let epoch = match &mut self.log {
+            Some(log) => log.append(&self.pending)?,
+            None => self.pool.current_epoch() + 1,
+        };
+        self.pending.clear();
+        self.pool.commit_epoch(epoch);
+        Ok(())
     }
 
-    /// Reopens a previously [`PrixEngine::save`]d database: page
-    /// checksums are verified on cold reads and every commit left in
-    /// `<path>.wal` (an unclean shutdown's, not yet checkpointed) is
-    /// replayed first (see [`PrixEngine::recovery`]).
-    ///
-    /// The document trees themselves are not persisted — only what
-    /// query processing needs (sequences, leaf lists, indexes, symbol
-    /// table). Queries, embeddings, and statistics work as before.
+    /// The live generation's batch log (`None` in memory until a
+    /// compaction).
+    pub fn log(&self) -> Option<&BatchLog> {
+        self.log.as_ref()
+    }
+
+    /// Whether the log has reached `CHECKPOINT_LOG_BYTES`: the writer
+    /// then compacts, which starts a fresh log and bounds what a reopen
+    /// replays.
+    pub fn log_full(&self) -> bool {
+        self.log
+            .as_ref()
+            .is_some_and(|l| l.len() >= CHECKPOINT_LOG_BYTES)
+    }
+
+    /// Reopens the database at `path`: its manifest, its tiers, and the
+    /// delta rebuilt by replaying its batch log (see
+    /// [`PrixEngine::recovery`]).
     pub fn reopen<P: AsRef<Path>>(path: P, buffer_pages: usize) -> Result<Self> {
         let env: Arc<dyn SegmentEnv> = Arc::new(FileSegEnv::new(path.as_ref().to_path_buf()));
         Self::reopen_env(env, buffer_pages)
     }
 
-    /// [`PrixEngine::reopen`] over a segment environment. The manifest
-    /// (suffix `".seg"`) is consulted *first*: it names the live
-    /// mutable generation and every immutable segment; without one the
-    /// base store is the whole database. The crash harness hands
-    /// fault-injecting environments in here.
+    /// [`PrixEngine::reopen`] over a segment environment (the crash
+    /// harness hands fault-injecting ones in here). The manifest names
+    /// the tiers and the log; the tiers' symbol runs give the
+    /// dictionary, the log's header the planner's statistics and the
+    /// epoch the generation began at, and its records — every commit of
+    /// its valid prefix, in order — are replayed into an empty delta
+    /// through the ingest calls that accepted them. Replay is
+    /// deterministic: the same documents are refused, the same names
+    /// interned in the same order, the same ids assigned. A torn tail
+    /// is left where it is until the next commit cuts it off.
     pub fn reopen_env(env: Arc<dyn SegmentEnv>, buffer_pages: usize) -> Result<Self> {
         let manifest = if env.exists(".seg")? {
             Manifest::read_from(&*env.open(".seg")?)?
         } else {
             None
         };
-        let msuffix = manifest
-            .as_ref()
-            .map_or_else(String::new, |m| m.mutable_suffix.clone());
-        let db = env.open(&msuffix)?;
-        let sum_suffix = format!("{msuffix}.sum");
-        if !env.exists(&sum_suffix)? {
-            // Opening the page file alone would mean serving it with
-            // checksum verification off; refuse instead.
+        let m = match manifest {
+            Some(m) if m.log_suffix == log_suffix(m.generation) => m,
+            Some(m) => return Err(refuse_unlogged(&*env, &m.log_suffix)?),
+            None => return Err(refuse_unlogged(&*env, "")?),
+        };
+        let symbols = Self::read_symbol_runs(&*env, m.generation, &m.segments)?;
+        let dummy = symbols.lookup(DUMMY_LABEL).ok_or_else(|| {
+            IndexError::Unsupported("corrupt symbol table; re-index the source documents".into())
+        })?;
+        if !env.exists(&m.log_suffix)? {
             return Err(IndexError::Unsupported(format!(
-                "database has no checksum sidecar ('{sum_suffix}' is missing); \
-                 re-index the source documents to rebuild it"
+                "manifest generation {} names the batch log '{}', which is missing; \
+                 re-index the source documents",
+                m.generation, m.log_suffix
             )));
         }
-        let wal_suffix = format!("{msuffix}.wal");
-        let wal = if env.exists(&wal_suffix)? {
-            env.open(&wal_suffix)?
-        } else {
-            // Sidecar present but the log is missing (deleted by
-            // hand): nothing to replay; recreate it empty.
-            env.create(&wal_suffix)?
+        let store = env.open(&m.log_suffix)?;
+        let contents = BatchLog::read(&*store)?;
+        let stats = PlannerStats::decode(&contents.blob).ok_or_else(|| {
+            IndexError::Unsupported("corrupt planner statistics in the batch log".into())
+        })?;
+        let cfg = EngineConfig {
+            buffer_pages,
+            ..Default::default()
         };
-        let pager = Pager::open_durable(db, env.open(&sum_suffix)?).map_err(IndexError::Storage)?;
-        let (wal, report) = recover(&pager, wal, pager.stats()).map_err(IndexError::Storage)?;
-        let pool = BufferPool::with_wal(pager, buffer_pages, wal);
-        let tiered = match &manifest {
-            Some(m) => Self::read_symbol_runs(&*env, m.generation, &m.segments)?,
-            None => SymbolTable::new(),
-        };
-        let mut eng = Self::reopen_over(pool, report, env, tiered)?;
-        match &manifest {
-            Some(m) => eng.attach_manifest(m)?,
-            None => eng.valix.attach(0, eng.rp.doc_count())?,
+        let mut eng = Self::build_over(Collection::new(), dummy, &cfg, env)?;
+        eng.symbols = symbols;
+        eng.planner = Arc::new(Planner::new(stats));
+        eng.attach_manifest(&m)?;
+        for (lsn, record) in (1..).zip(&contents.records) {
+            for (mode, body) in &record.bodies {
+                eng.index_body(*mode, body).map_err(|e| {
+                    IndexError::Unsupported(format!("replaying batch log record {lsn}: {e}"))
+                })?;
+            }
         }
+        // A reopened engine starts cold, as one over files did: the
+        // replay's pages are in the pool's page file, none in its frames.
+        eng.pool.clear()?;
+        let log = BatchLog::resume(store, &contents, eng.pool.pager().stats());
+        eng.pool.reseed_epoch(log.epoch());
+        eng.recovery = Some(RecoveryReport {
+            unclean_shutdown: contents.file_len > contents.valid_len,
+            replayed_frames: contents.records.len() as u64,
+            replayed_documents: eng.rp.doc_count() as u64,
+            wal_bytes: contents.valid_len,
+            log_len: contents.file_len,
+        });
+        eng.log = Some(log);
         Ok(eng)
     }
 
@@ -571,152 +539,23 @@ impl PrixEngine {
         Ok(symbols)
     }
 
-    /// The engine in `pool`, its symbol table `symbols` (what the tiers
-    /// interned) and then the names chain of the catalog.
-    fn reopen_over(
-        pool: BufferPool,
-        recovery: RecoveryReport,
-        seg_env: Arc<dyn SegmentEnv>,
-        mut symbols: SymbolTable,
-    ) -> Result<Self> {
-        let pool = Arc::new(pool);
-        let (rp_meta, ep_meta, syms_head, dummy, n_symbols, pstats, valix_meta) = pool
-            .with_page(0, |p: &[u8; PAGE_SIZE]| {
-                if &p[..4] != b"PRIX" {
-                    return Err(IndexError::Unsupported(
-                        "file is not a PRIX database (bad magic)".into(),
-                    ));
-                }
-                let version = u32::from_le_bytes(p[4..8].try_into().unwrap());
-                if version != CATALOG_VERSION {
-                    return Err(IndexError::Unsupported(format!(
-                        "unsupported PRIX database version {version} (this build reads \
-                         version {CATALOG_VERSION}); re-index the source documents"
-                    )));
-                }
-                let corrupt_stats =
-                    || IndexError::Unsupported("corrupt planner statistics in catalog".into());
-                let off = CATALOG_STATS_OFF + 4;
-                let len = u32::from_le_bytes(p[off - 4..off].try_into().unwrap()) as usize;
-                // The valix record id trails the blob; both must fit.
-                let blob = p.get(off..off + len).ok_or_else(corrupt_stats)?;
-                let valix_rec = p.get(off + len..off + len + 8).ok_or_else(corrupt_stats)?;
-                let pstats = PlannerStats::decode(blob).ok_or_else(corrupt_stats)?;
-                let valix_meta = u64::from_le_bytes(valix_rec.try_into().unwrap());
-                Ok((
-                    u64::from_le_bytes(p[8..16].try_into().unwrap()),
-                    u64::from_le_bytes(p[16..24].try_into().unwrap()),
-                    u64::from_le_bytes(p[24..32].try_into().unwrap()),
-                    Sym(u32::from_le_bytes(p[32..36].try_into().unwrap())),
-                    u64::from_le_bytes(p[36..44].try_into().unwrap()),
-                    pstats,
-                    valix_meta,
-                ))
-            })
-            .map_err(IndexError::Storage)??;
-        // The chain runs from the newest record back: every hop starts
-        // strictly below the one after it and not below what the tiers
-        // cover (so a cycle ends the walk, it does not hang it), the
-        // hops decoded oldest first must each start where the table
-        // stands, and the table must end on the catalog's count — which
-        // is what notices a manifest that lost a symbol row.
-        let corrupt_syms = || {
-            let what = "corrupt symbol table; re-index the source documents";
-            IndexError::Unsupported(what.into())
-        };
-        let store = RecordStore::open(Arc::clone(&pool)).map_err(IndexError::Storage)?;
-        let mut hops: Vec<(u32, Vec<u8>)> = Vec::new();
-        let mut at = syms_head;
-        while at != 0 {
-            let rec = store
-                .read(RecordId::from_raw(at))
-                .map_err(IndexError::Storage)?;
-            let head = rec.get(..CHAIN_HEAD).ok_or_else(corrupt_syms)?;
-            let first = u32::from_le_bytes(head[8..].try_into().unwrap());
-            let newer = hops.last().map_or(u32::MAX, |(first, _)| *first);
-            if first >= newer || (first as usize) < symbols.len() {
-                return Err(corrupt_syms());
-            }
-            at = u64::from_le_bytes(head[..8].try_into().unwrap());
-            hops.push((first, rec));
-        }
-        for (first, rec) in hops.iter().rev() {
-            decode_symbols(&rec[CHAIN_HEAD..], *first, &mut symbols).ok_or_else(corrupt_syms)?;
-        }
-        if symbols.len() as u64 != n_symbols {
-            return Err(corrupt_syms());
-        }
-        // Every engine this build writes carries all three; a zero id
-        // is a database from a build that could leave one out.
-        for (what, id) in [
-            ("RPIndex", rp_meta),
-            ("EPIndex", ep_meta),
-            ("value index", valix_meta),
-        ] {
-            if id == 0 {
-                return Err(IndexError::Unsupported(format!(
-                    "database was written without its {what}; \
-                     re-index the source documents"
-                )));
-            }
-        }
-        let rp = PrixIndex::load(Arc::clone(&pool), RecordId::from_raw(rp_meta))?;
-        let ep = PrixIndex::load(Arc::clone(&pool), RecordId::from_raw(ep_meta))?;
-        let valix = Valix::load(Arc::clone(&pool), RecordId::from_raw(valix_meta))?;
-        let saved_syms = (syms_head, symbols.len());
-        Ok(PrixEngine {
-            symbols,
-            pool,
-            rp,
-            ep,
-            dummy,
-            catalog_store: store,
-            saved_syms,
-            recovery: Some(recovery),
-            segments: Vec::new(),
-            manifest_segments: Vec::new(),
-            seg_env,
-            seg_stats: Arc::new(IoStats::new()),
-            generation: 0,
-            mutable_suffix: String::new(),
-            planner: Arc::new(Planner::new(pstats)),
-            valix,
-        })
-    }
-
-    /// What crash recovery did when this engine was reopened: `None`
-    /// for freshly built engines, `Some` (possibly a clean no-op
-    /// report) for reopened ones.
+    /// What replaying the log did when this engine was reopened: `None`
+    /// for engines built or compacted in this process.
     pub fn recovery(&self) -> Option<RecoveryReport> {
         self.recovery
     }
 
-    /// Verifies every page of the backing store against its recorded
-    /// checksum, returning `(verified, skipped)` counts. An in-memory
-    /// engine has no sidecar and reports `Unsupported`.
-    pub fn verify_checksums(&self) -> Result<(u64, u64)> {
-        if !self.pool.pager().has_checksums() {
-            return Err(IndexError::Unsupported(
-                "in-memory engine has no checksum sidecar".into(),
-            ));
-        }
-        self.pool
-            .pager()
-            .verify_checksums()
-            .map_err(IndexError::Storage)
-    }
-
     /// Opens every segment and value run the manifest lists and installs
-    /// them as this engine's immutable tiers, re-basing the mutable
-    /// indexes and the delta valix to start where the tiers end. (Its
-    /// symbol runs are in the table already, its kinds known and its
-    /// files there: [`PrixEngine::reopen_env`] walked its rows before
-    /// anything else, or they were written a moment ago.) A header that
-    /// disagrees with its manifest row, a tier
-    /// without one of its three files (a database compacted before
-    /// value runs existed has none) or a non-contiguous tier layout is
-    /// a hard error — serving a database with silently absent documents
-    /// would be worse than refusing.
+    /// them as this engine's immutable tiers, placing the (empty)
+    /// mutable indexes and delta valix where the tiers end. (Its symbol
+    /// runs are in the table already, its kinds known and its files
+    /// there: [`PrixEngine::reopen_env`] walked its rows before anything
+    /// else, or they were written a moment ago.) A header that
+    /// disagrees with its manifest row, a tier without one of its three
+    /// files (a database compacted before value runs existed has none)
+    /// or a non-contiguous tier layout is a hard error — serving a
+    /// database with silently absent documents would be worse than
+    /// refusing.
     fn attach_manifest(&mut self, m: &Manifest) -> Result<()> {
         // Per kind: doc base -> (n_docs, reader).
         let mut rps = std::collections::BTreeMap::new();
@@ -800,13 +639,12 @@ impl PrixEngine {
             return Err(lacks("RP segment", doc_base));
         }
         // The tiers partition `[0, next)`; the delta covers the rest.
-        self.valix.attach(next, self.rp.doc_count())?;
         self.segments = tiers;
         self.manifest_segments = m.segments.clone();
         self.generation = m.generation;
-        self.mutable_suffix = m.mutable_suffix.clone();
         self.rp.set_doc_base(next);
         self.ep.set_doc_base(next);
+        self.valix.set_delta_base(next);
         Ok(())
     }
 
@@ -825,32 +663,43 @@ impl PrixEngine {
         Ok(())
     }
 
+    /// The log of manifest generation `generation`, for a delta in
+    /// `pool`: created (and synced) empty at `epoch`, the planner's
+    /// statistics in its header — which the live planner is reset to,
+    /// so that what a reopen decodes from the header and replays over
+    /// it is what the engine holds.
+    fn start_log(&self, generation: u64, epoch: u64, pool: &BufferPool) -> Result<BatchLog> {
+        let blob = self.planner.encode();
+        let stats = PlannerStats::decode(&blob).expect("the planner decodes what it encodes");
+        self.planner.update(|s| *s = stats);
+        let store = self.seg_env.create(&log_suffix(generation))?;
+        Ok(BatchLog::create(store, epoch, &blob, pool.pager().stats())?)
+    }
+
     /// Assembles the engine a finished bulk build publishes: an empty
-    /// mutable generation (its names chain empty: every name of `syms`
-    /// is in the symbol run) plus the just-written segments, value run
-    /// and symbol run, committed by one manifest write. Crash-ordering
-    /// contract (the bulk crash suite pins it): those are fully written
-    /// and synced
-    /// *before* this runs, the mutable generation is created and saved
-    /// (unlogged — see [`PrixEngine::save_unlogged`]) next, and the
-    /// manifest write is last — a crash anywhere earlier leaves the
-    /// previous manifest (or no database at all) in charge.
+    /// delta and the just-written segments, value run and symbol run
+    /// (every name of `syms`), with a fresh batch log, committed by one
+    /// manifest write. Crash-ordering contract (the bulk crash suite
+    /// pins it): the tier files are fully written and synced *before*
+    /// this runs, the log's header is synced next, and the manifest
+    /// write is last — a crash anywhere earlier leaves the previous
+    /// manifest (or no database at all) in charge.
     pub(crate) fn from_bulk(
         cfg: EngineConfig,
         env: Arc<dyn SegmentEnv>,
         syms: SymbolTable,
         dummy: Sym,
         generation: u64,
-        mutable_suffix: String,
         segments: Vec<ManifestSegment>,
     ) -> Result<Self> {
-        let mut eng = Self::build_at(Collection::new(), dummy, &cfg, env, &mutable_suffix)?;
-        eng.saved_syms = (0, syms.len());
+        let mut eng = Self::build_over(Collection::new(), dummy, &cfg, env)?;
         eng.symbols = syms;
-        eng.save_unlogged()?;
+        let log = eng.start_log(generation, 1, &eng.pool)?;
+        eng.log = Some(log);
+        eng.pool.reseed_epoch(1);
         let manifest = Manifest {
             generation,
-            mutable_suffix,
+            log_suffix: log_suffix(generation),
             segments,
         };
         eng.write_manifest(&manifest)?;
@@ -861,22 +710,20 @@ impl PrixEngine {
     /// Folds the mutable delta into a new immutable tier — a segment per
     /// index kind, the value run of the same documents and, when no
     /// symbol run holds them yet, the names they brought — and swaps in
-    /// a fresh, empty mutable generation. What it writes is proportional
-    /// to the delta, not to the collection or its dictionary. Returns
-    /// `false` (and does nothing) when the delta is empty.
+    /// a fresh, empty delta with a fresh log. What it writes is
+    /// proportional to the delta, not to the collection or its
+    /// dictionary. Returns `false` (and does nothing) when the delta is
+    /// empty. Documents ingested and not yet committed are folded in
+    /// with the rest: the new tier makes them durable.
     ///
     /// Publish protocol, in order: (1) build and sync the new tier's
-    /// files under the next generation's names — the live tree is
-    /// untouched; (2) create the next mutable generation in *new*
-    /// files, its names chain empty (the symbol runs now cover every
-    /// name), and write it out unlogged, its epoch clock re-seeded past
-    /// the old pool's so epoch-keyed caches and snapshots stay
-    /// monotone; (3) write the manifest — the single commit point;
-    /// (4) swap the in-memory state, retire the old pool and unlink
-    /// the old mutable generation's files. Readers pinned on the old
-    /// pool keep reading through their open handles (the files are
-    /// unlinked, never truncated), so a snapshot taken before a
-    /// compaction answers bit-identically after it.
+    /// files under the next generation's names — the live generation is
+    /// untouched; (2) build the next delta, empty, in a fresh pool whose
+    /// epoch clock is re-seeded past the old pool's (so epoch-keyed
+    /// caches and snapshots stay monotone), and create and sync its log;
+    /// (3) write the manifest — the single commit point; (4) swap the
+    /// in-memory state and unlink the old log. Readers pinned on the old
+    /// pool keep reading it: it lives as long as they do.
     pub fn compact(&mut self) -> Result<bool> {
         self.compact_with(crate::segbuild::DEFAULT_RUN_MEM_BYTES)
     }
@@ -926,51 +773,43 @@ impl PrixEngine {
             doc_base,
             n_docs: n,
         });
-        // The names no symbol run holds yet: the delta's chain, and
-        // whatever a rejected ingest interned since the last save.
+        // The names no symbol run holds yet: the ones the log's batches
+        // interned, refused documents' included.
         write_symbol_run(
             &*self.seg_env,
             &self.symbols,
             generation,
             &mut manifest_segments,
         )?;
-        // (2) The replacement mutable generation: empty (so the
-        // labeling mode has nothing to label, and its valix is a bare
-        // `Valix::create`), same pool capacity, fresh files. It carries
-        // no name — the symbol runs hold them all now, and the table
-        // stays where it is.
+        // (2) The replacement delta: empty (so the labeling mode has
+        // nothing to label), same pool capacity; and its log.
         let cfg = EngineConfig {
             buffer_pages: self.pool.capacity(),
             ..Default::default()
         };
-        let new_suffix = format!(".g{generation}");
         let env = Arc::clone(&self.seg_env);
-        let mut fresh = Self::build_at(Collection::new(), self.dummy, &cfg, env, &new_suffix)?;
-        fresh.saved_syms = (0, self.symbols.len());
+        let fresh = Self::build_over(Collection::new(), self.dummy, &cfg, env)?;
         let epoch = self.pool.published_epoch().max(self.pool.current_epoch()) + 1;
         fresh.pool.reseed_epoch(epoch);
-        fresh.save_unlogged()?;
+        let log = self.start_log(generation, epoch, &fresh.pool)?;
         // (3) Commit.
         let manifest = Manifest {
             generation,
-            mutable_suffix: new_suffix,
+            log_suffix: log_suffix(generation),
             segments: manifest_segments,
         };
         self.write_manifest(&manifest)?;
-        // (4) Publish in memory and retire the old generation's files.
-        let old_suffix = std::mem::take(&mut self.mutable_suffix);
-        // Whatever the old pool still holds un-checkpointed has been
-        // folded into the new generation; its files are about to go.
-        std::mem::replace(&mut self.pool, fresh.pool).retire();
+        // (4) Publish in memory and retire the old log.
+        let old_log = self.log.replace(log).map(|_| log_suffix(self.generation));
+        self.pool = fresh.pool;
         self.rp = fresh.rp;
         self.ep = fresh.ep;
-        self.catalog_store = fresh.catalog_store;
-        self.saved_syms = fresh.saved_syms;
         self.valix = fresh.valix;
+        self.pending.clear();
         self.recovery = None;
         self.attach_manifest(&manifest)?;
-        for side in ["", ".sum", ".wal"] {
-            let _ = self.seg_env.remove(&format!("{old_suffix}{side}"));
+        if let Some(old_log) = old_log {
+            let _ = self.seg_env.remove(&old_log);
         }
         Ok(true)
     }
@@ -1078,16 +917,12 @@ impl PrixEngine {
     }
 
     /// `(suffix, bytes)` of every file this database consists of right
-    /// now: the mutable generation's page file, checksum sidecar and
-    /// log, the manifest, and every segment, value run and symbol run
-    /// it lists (`prix stats`). A file the environment does not hold (an
-    /// in-memory engine has no page file there) is left out.
+    /// now: the manifest, the live batch log, and every segment, value
+    /// run and symbol run the manifest lists (`prix stats`). A file the
+    /// environment does not hold (an in-memory engine has no manifest
+    /// until a compaction writes one) is left out.
     pub fn file_sizes(&self) -> Result<Vec<(String, u64)>> {
-        let mut suffixes: Vec<String> = ["", ".sum", ".wal"]
-            .iter()
-            .map(|side| format!("{}{side}", self.mutable_suffix))
-            .collect();
-        suffixes.push(".seg".into());
+        let mut suffixes = vec![".seg".to_string(), log_suffix(self.generation)];
         suffixes.extend(self.manifest_segments.iter().map(|s| s.suffix.clone()));
         let mut sizes = Vec::with_capacity(suffixes.len());
         for suffix in suffixes {
@@ -1100,19 +935,41 @@ impl PrixEngine {
     }
 
     /// Parses `xml` and incrementally indexes it into both indexes
-    /// and the value index (§5.2.1 dynamic labeling in action). Use
-    /// [`LabelingMode::Dynamic`] at build time to leave scope headroom;
-    /// a bulk-exact index only accepts documents whose trie paths
-    /// already exist or branch at the root.
+    /// and the value index (§5.2.1 dynamic labeling in action), to be
+    /// logged by the next [`PrixEngine::save`]. Use
+    /// [`LabelingMode::Dynamic`] for an in-memory build that should
+    /// leave scope headroom; a bulk-exact index only accepts documents
+    /// whose trie paths already exist or branch at the root. (A bulk
+    /// build's delta starts empty: every scope is headroom.)
     pub fn insert_document(&mut self, xml: &str) -> Result<prix_xml::DocId> {
+        self.log_body(BatchMode::Doc, xml);
+        self.index_xml(xml)
+    }
+
+    /// Queues `body` for the next commit's record.
+    fn log_body(&mut self, mode: BatchMode, body: &str) {
+        self.pending.push((mode, body.to_string()));
+    }
+
+    /// What replay does with one logged body: what the call that logged
+    /// it did, without logging it again.
+    fn index_body(&mut self, mode: BatchMode, body: &str) -> Result<IngestOutcome> {
+        match mode {
+            BatchMode::Doc => self.insert_each([body], Self::index_xml),
+            BatchMode::Split => self.index_split(body),
+        }
+    }
+
+    /// Parses and indexes one document.
+    fn index_xml(&mut self, xml: &str) -> Result<prix_xml::DocId> {
         let tree = prix_xml::parse_document(xml, &mut self.symbols)
             .map_err(|e| IndexError::Unsupported(format!("parse error: {e}")))?;
         self.insert_tree(tree)
     }
 
-    /// [`PrixEngine::insert_document`] for an already-parsed tree
-    /// (which must use this engine's symbol table).
-    pub fn insert_tree(&mut self, tree: prix_xml::XmlTree) -> Result<prix_xml::DocId> {
+    /// Indexes an already-parsed tree (which must use this engine's
+    /// symbol table).
+    fn insert_tree(&mut self, tree: prix_xml::XmlTree) -> Result<prix_xml::DocId> {
         // Prepare against *both* indexes before mutating either: if RP
         // accepted the document but EP then ran out of trie scope, the
         // two indexes would disagree on document ids forever after.
@@ -1140,9 +997,8 @@ impl PrixEngine {
         &self.valix
     }
 
-    /// The commit epoch this engine's durable state is at: the last
-    /// committed epoch for durable engines (what the next save will
-    /// supersede), the pool's publish counter otherwise.
+    /// The last committed epoch: what a reopen would come back at, and
+    /// what the next publish makes visible.
     pub fn epoch(&self) -> u64 {
         self.pool.current_epoch()
     }
@@ -1150,24 +1006,29 @@ impl PrixEngine {
     /// Batch ingest through the snapshot-isolation write path: every
     /// document is prepared against *both* indexes (the same lockstep
     /// rule as [`PrixEngine::insert_document`]) and accepted documents
-    /// are inserted. Nothing is committed: the caller looks
-    /// at the outcome and then makes **one** [`PrixEngine::save`] for
-    /// the batch (one WAL group commit, one epoch advance) — or, when
-    /// it wants all of `docs` or none (`prix add`), drops the engine
-    /// unsaved, which commits nothing.
+    /// are inserted. Nothing is committed: the caller looks at the
+    /// outcome and then makes **one** [`PrixEngine::save`] for the batch
+    /// (one log record, one `fsync`, one epoch) — or, when it wants all
+    /// of `docs` or none (`prix add`), drops the engine unsaved, which
+    /// commits nothing.
     ///
     /// Rejected documents (trie scope exhausted, parse errors) are
-    /// reported per-document and never touch either index. Any error
-    /// *after* a document passed validation aborts the whole batch and
-    /// is returned as `Err` — the caller must treat the engine as
-    /// broken (see [`crate::snapshot::SharedEngine`], which rolls the
-    /// pool back and poisons itself).
+    /// reported per-document and never touch either index — but they
+    /// are logged with the batch: parsing interned their names, and
+    /// replay must intern them again. Any error *after* a document
+    /// passed validation aborts the whole batch and is returned as
+    /// `Err` — the caller must treat the engine as broken (see
+    /// [`crate::snapshot::SharedEngine`], which rolls the pool back and
+    /// poisons itself).
     ///
     /// The caller is also responsible for the pool-level ingest
     /// protocol (`begin_ingest` / `publish_ingest`); this method only
     /// parses, validates and inserts.
     pub fn ingest_batch(&mut self, docs: &[String]) -> Result<IngestOutcome> {
-        self.insert_each(docs, |engine, xml| engine.insert_document(xml))
+        for doc in docs {
+            self.log_body(BatchMode::Doc, doc);
+        }
+        self.insert_each(docs.iter().map(String::as_str), Self::index_xml)
     }
 
     /// [`PrixEngine::ingest_batch`] over a *wrapper* document: the
@@ -1177,6 +1038,11 @@ impl PrixEngine {
     /// export turns into one sequence per record). A malformed wrapper
     /// is a clean whole-batch rejection, not an error.
     pub fn ingest_batch_split(&mut self, wrapper: &str) -> Result<IngestOutcome> {
+        self.log_body(BatchMode::Split, wrapper);
+        self.index_split(wrapper)
+    }
+
+    fn index_split(&mut self, wrapper: &str) -> Result<IngestOutcome> {
         let reject = |reason: String| IngestOutcome {
             accepted: Vec::new(),
             rejected: vec![(0, reason)],
@@ -1417,32 +1283,46 @@ mod tests {
     }
 
     #[test]
-    fn durable_engine_writes_sidecars_and_reopens_clean() {
+    fn durable_engine_writes_its_manifest_tiers_and_log_and_reopens() {
         let dir = std::env::temp_dir().join(format!("prix-durable-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("db.prix");
         let mut c = Collection::new();
         c.add_xml("<a><b>v</b></a>").unwrap();
-        let mut e = PrixEngine::build(
+        let e = PrixEngine::build(
             c,
             EngineConfig {
                 path: Some(path.clone()),
-                labeling: LabelingMode::Dynamic { alpha: 1 },
                 ..Default::default()
             },
         )
         .unwrap();
-        e.save().unwrap();
+        assert_eq!(
+            (e.generation(), e.segment_docs(), e.mutable_docs()),
+            (1, 1, 0)
+        );
         drop(e);
-        assert!(dir.join("db.prix.sum").exists(), "checksum sidecar created");
-        let wal = std::fs::metadata(dir.join("db.prix.wal")).expect("write-ahead log created");
-        assert_eq!(wal.len(), 24, "a clean close checkpoints: header only");
+        let mut files: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|f| f.unwrap().file_name().into_string().unwrap())
+            .collect();
+        files.sort();
+        assert_eq!(
+            files,
+            [
+                "db.prix.g1.ep.seg",
+                "db.prix.g1.log",
+                "db.prix.g1.rp.seg",
+                "db.prix.g1.sym",
+                "db.prix.g1.vx.seg",
+                "db.prix.seg"
+            ],
+            "a manifest, the tier's files and one log: nothing else"
+        );
         let r = PrixEngine::reopen(&path, 64).unwrap();
-        let rep = r.recovery().expect("reopen reports recovery");
-        assert!(!rep.unclean_shutdown, "clean shutdown: nothing to replay");
-        assert_eq!(rep.replayed_frames, 0);
-        let (verified, _) = r.verify_checksums().unwrap();
-        assert!(verified > 0, "pages have checksums");
+        let rep = r.recovery().expect("reopen reports what it replayed");
+        assert!(!rep.unclean_shutdown);
+        assert_eq!((rep.replayed_frames, rep.replayed_documents), (0, 0));
         assert_eq!(count(&r, "//a/b"), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -11,7 +11,7 @@
 //!   node where each LPS ends,
 //! * one record per document (NPS, LPS, leaf list, and for EPIndex the
 //!   extended→original postorder map: [`encode_doc_record`]) in a
-//!   [`RecordStore`], found through a directory B⁺-tree,
+//!   [`RecordStore`],
 //! * the per-label [`MaxGapTable`] (§5.4).
 //!
 //! Query execution is Algorithm 1 (`FindSubsequence` by range queries,
@@ -272,17 +272,9 @@ struct TreeBacking {
     /// Trie-node table for incremental inserts: left(8, BE) →
     /// [`node_val`]. Entry 0 is the virtual root.
     trie_nodes: BPlusTree,
-    /// The record directory: local doc(4, BE) → record id(8, LE). A
-    /// tree, so that a commit logs the entries it added at the right
-    /// edge and not the directory; no query reads it — `docs` is.
-    directory: BPlusTree,
-    /// `directory`, resident: filled by one scan in [`PrixIndex::load`].
+    /// Each document's record, by local id.
     docs: Vec<RecordId>,
     store: RecordStore,
-    /// Last metadata record written by [`PrixIndex::save`], with the
-    /// exact bytes it serialized: an unchanged index reuses the record
-    /// instead of appending a fresh copy on every save.
-    saved_meta: Option<(RecordId, Vec<u8>)>,
 }
 
 /// Trie-Symbol index key: sym(4, BE) ++ left(8, BE).
@@ -466,13 +458,6 @@ impl PrixIndex {
         node_entries.sort();
         let trie_nodes = BPlusTree::bulk_load(Arc::clone(&pool), node_entries, 0.8)?;
 
-        // The record directory, already in local-id order.
-        let dir_entries = (0u32..).zip(&docs).map(|(local, rec)| {
-            let val = rec.raw().to_le_bytes();
-            (local.to_be_bytes().to_vec(), val.to_vec())
-        });
-        let directory = BPlusTree::bulk_load(Arc::clone(&pool), dir_entries, 0.9)?;
-
         Ok(PrixIndex {
             kind,
             maxgap,
@@ -484,10 +469,8 @@ impl PrixIndex {
                 tag_index,
                 docid_index,
                 trie_nodes,
-                directory,
                 docs,
                 store,
-                saved_meta: None,
             }),
         })
     }
@@ -600,14 +583,12 @@ impl PrixIndex {
                 }
             }
         }
-        // Document endpoint, record, directory entry.
+        // Document endpoint and record.
         let t = self.tree_mut()?;
         let local = t.docs.len() as u32;
         t.docid_index
             .insert(&cur.left.to_be_bytes(), &local.to_le_bytes())?;
         let rec = t.store.append(&encode_doc_record(&art.data))?;
-        t.directory
-            .insert(&local.to_be_bytes(), &rec.raw().to_le_bytes())?;
         t.docs.push(rec);
         self.maxgap.merge(&maxgap);
         self.childless.extend(&art.childless);
@@ -1037,7 +1018,7 @@ fn position_gaps(nps: &[PostNum], node_gaps: &[u32]) -> Vec<u32> {
     nps.iter().map(|&p| node_gaps[(p - 1) as usize]).collect()
 }
 
-/// Tiny byte codec for index metadata persistence.
+/// Tiny byte codec for document records and tier metadata.
 mod codec {
     pub struct Writer(pub Vec<u8>);
     impl Writer {
@@ -1047,21 +1028,15 @@ mod codec {
         pub fn u8(&mut self, v: u8) {
             self.0.push(v);
         }
-        pub fn u32(&mut self, v: u32) {
-            self.0.extend_from_slice(&v.to_le_bytes());
-        }
-        pub fn u64(&mut self, v: u64) {
-            self.0.extend_from_slice(&v.to_le_bytes());
-        }
         /// A LEB128 varint: what a segment's records and meta blob
         /// are made of.
         pub fn var(&mut self, v: u64) {
             prix_storage::segment::put_varint(&mut self.0, v);
         }
     }
-    /// Bounds-checked: the bytes come from disk, and neither a page
-    /// checksum nor the unverified-on-read segment blocks vouch for
-    /// their shape. `None` = the input ended early.
+    /// Bounds-checked: the bytes come from disk, and the
+    /// unverified-on-read segment blocks vouch for nothing about their
+    /// shape. `None` = the input ended early.
     pub struct Reader<'a>(pub &'a [u8]);
     impl<'a> Reader<'a> {
         fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
@@ -1074,12 +1049,6 @@ mod codec {
         }
         pub fn u8(&mut self) -> Option<u8> {
             self.bytes(1).map(|b| b[0])
-        }
-        pub fn u32(&mut self) -> Option<u32> {
-            Some(u32::from_le_bytes(self.bytes(4)?.try_into().ok()?))
-        }
-        pub fn u64(&mut self) -> Option<u64> {
-            Some(u64::from_le_bytes(self.bytes(8)?.try_into().ok()?))
         }
         pub fn var(&mut self) -> Option<u64> {
             prix_storage::segment::take_varint(&mut self.0)
@@ -1104,90 +1073,6 @@ mod codec {
 }
 
 impl PrixIndex {
-    /// Serializes the mutable tier's metadata into the record store and
-    /// returns the metadata record's id: the four tree roots (Trie-Symbol,
-    /// Docid, trie-node table, record directory) and the document count
-    /// the directory must hold, then the blob a segment describes itself
-    /// with ([`encode_seg_index_meta`]). Together with a flushed buffer
-    /// pool this makes the index reopenable via [`PrixIndex::load`]. The
-    /// record does not grow with the tier: the per-document directory is
-    /// a tree of its own, appended to by every insert.
-    ///
-    /// Saving an index whose metadata has not changed since the last
-    /// save returns the previous record id instead of appending a
-    /// duplicate, so repeated saves do not leak store space.
-    pub fn save(&mut self) -> Result<RecordId> {
-        let mut w = codec::Writer::new();
-        let t = self.tree()?;
-        for tree in [&t.tag_index, &t.docid_index, &t.trie_nodes, &t.directory] {
-            w.u64(tree.root());
-        }
-        w.u32(t.docs.len() as u32);
-        w.0.extend_from_slice(&encode_seg_index_meta(
-            self.kind,
-            self.dummy,
-            &self.maxgap,
-            &self.childless,
-            &self.build_stats,
-        ));
-        let t = self.tree_mut()?;
-        if let Some((id, bytes)) = &t.saved_meta {
-            if *bytes == w.0 {
-                return Ok(*id);
-            }
-        }
-        let id = t.store.append(&w.0)?;
-        t.saved_meta = Some((id, w.0));
-        Ok(id)
-    }
-
-    /// Reopens an index previously described by [`PrixIndex::save`],
-    /// reading the record directory into memory with one scan. A
-    /// directory that does not list exactly the documents the metadata
-    /// counts, in order, is refused.
-    pub fn load(pool: Arc<BufferPool>, meta: RecordId) -> Result<Self> {
-        let corrupt = |what| IndexError::Unsupported(format!("corrupt index metadata: {what}"));
-        let store = RecordStore::open(Arc::clone(&pool))?;
-        let bytes = store.read(meta)?;
-        let mut r = codec::Reader(&bytes);
-        let mut header = || Some(([r.u64()?, r.u64()?, r.u64()?, r.u64()?], r.u32()?));
-        let (roots, n_docs) = header().ok_or_else(|| corrupt("the record ends early"))?;
-        let (kind, dummy, maxgap, childless, build_stats) = decode_seg_index_meta(&mut r)
-            .ok_or_else(|| corrupt("the record is not one whole metadata blob"))?;
-        let [tag_index, docid_index, trie_nodes, directory] =
-            roots.map(|root| BPlusTree::open(Arc::clone(&pool), root));
-        let mut docs = Vec::new();
-        let mut listed = true;
-        directory.scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
-            let next = (docs.len() as u32).to_be_bytes();
-            match <[u8; 8]>::try_from(v) {
-                Ok(raw) if k == next => docs.push(RecordId::from_raw(u64::from_le_bytes(raw))),
-                _ => listed = false,
-            }
-            listed
-        })?;
-        if !listed || docs.len() != n_docs as usize {
-            return Err(corrupt("the record directory does not list its documents"));
-        }
-        Ok(PrixIndex {
-            kind,
-            maxgap,
-            dummy,
-            build_stats,
-            doc_base: 0,
-            childless,
-            backing: Backing::Tree(TreeBacking {
-                tag_index,
-                docid_index,
-                trie_nodes,
-                directory,
-                docs,
-                store,
-                saved_meta: Some((meta, bytes)),
-            }),
-        })
-    }
-
     /// Opens an immutable segment as an index tier. The tier's
     /// `doc_base` comes from the segment header; MaxGap table,
     /// childless set, and build stats come from the segment's metadata
@@ -1282,9 +1167,8 @@ pub(crate) fn decode_doc_record(bytes: &[u8], need_leaf_data: bool) -> Option<Do
     })
 }
 
-/// Encodes the metadata a tier describes itself with — a segment in
-/// its meta blob, the mutable tier at the end of its metadata record:
-/// kind, dummy symbol, MaxGap table, childless-label set, and build
+/// Encodes the metadata a segment describes itself with, in its meta
+/// blob: kind, dummy symbol, MaxGap table, childless-label set, and build
 /// statistics. Map-shaped fields are **sorted** so the blob — and
 /// therefore the whole segment file — is byte-deterministic: bulk
 /// loading a collection and compacting the same documents out of the
@@ -1800,72 +1684,5 @@ mod tests {
                 Some(_) => Err(format!("{d:?} decoded to {got:?}")),
             }
         });
-        hostile_delta_metadata();
-    }
-
-    /// The mutable tier's metadata, damaged: a directory that lists
-    /// fewer or more documents than the record counts, or not from
-    /// zero; a metadata record cut short or with a byte to spare; a
-    /// directory entry (or the metadata id itself) naming a page that
-    /// holds no records, or a slot past the page's count. `load` or the
-    /// first `load_doc` answers `IndexError`, never a panic.
-    fn hostile_delta_metadata() {
-        let mut c = small_collection();
-        let mut idx = build_index(&mut c, IndexKind::Extended);
-        let meta = idx.save().unwrap();
-        let Backing::Tree(t) = idx.backing.clone() else {
-            unreachable!("a built index is pool-backed")
-        };
-        let pool = || Arc::clone(t.tag_index.pool());
-        let load = |meta| PrixIndex::load(pool(), meta);
-        let refusal = |meta| match load(meta) {
-            Err(e) => e.to_string(),
-            Ok(_) => panic!("damaged metadata was accepted"),
-        };
-        let n = t.docs.len() as u32;
-        assert_eq!(load(meta).unwrap().doc_count(), 4, "undamaged");
-
-        // The directory against `n_docs`.
-        let entry = |local: u32, rec: RecordId| (local.to_be_bytes(), rec.raw().to_le_bytes());
-        let mut dir = t.directory.clone();
-        let (k, v) = entry(n, t.docs[0]);
-        dir.insert(&k, &v).unwrap();
-        assert!(refusal(meta).contains("record directory"), "one too many");
-        dir.delete(&k, None).unwrap();
-        dir.delete(&entry(n - 1, t.docs[0]).0, None).unwrap();
-        assert!(refusal(meta).contains("record directory"), "one too few");
-        dir.insert(&k, &v).unwrap();
-        assert!(refusal(meta).contains("record directory"), "a gap");
-        dir.delete(&k, None).unwrap();
-        dir.insert(&entry(n - 1, t.docs[0]).0, &[0; 7]).unwrap();
-        assert!(refusal(meta).contains("record directory"), "a short id");
-        dir.delete(&entry(n - 1, t.docs[0]).0, None).unwrap();
-
-        // Record ids that name no record: `page << 16 | slot`.
-        let tree_page = RecordId::from_raw(t.tag_index.root() << 16);
-        let no_slot = RecordId::from_raw(t.docs[0].raw() | 0xFFF0);
-        for bad in [tree_page, no_slot] {
-            assert!(matches!(load(bad), Err(IndexError::Storage(_))), "{bad:?}");
-            let (k, v) = entry(n - 1, bad);
-            dir.insert(&k, &v).unwrap();
-            let loaded = load(meta).unwrap();
-            assert!(loaded.load_doc(0, true).is_ok());
-            let err = loaded.load_doc(n - 1, true).err().expect("no such record");
-            assert!(matches!(err, IndexError::Storage(_)), "{bad:?}: {err}");
-            dir.delete(&k, None).unwrap();
-        }
-
-        // The metadata record itself.
-        let bytes = t.saved_meta.as_ref().unwrap().1.clone();
-        let mut store = t.store.clone();
-        let mut damaged = |bytes: &[u8]| refusal(store.append(bytes).unwrap());
-        for cut in [0, 8, 35, 36, 37, bytes.len() - 1] {
-            assert!(damaged(&bytes[..cut]).contains("corrupt index metadata"));
-        }
-        let trailing = [&bytes[..], &[0]].concat();
-        assert!(damaged(&trailing).contains("corrupt index metadata"));
-        let mut other_kind = bytes.clone();
-        other_kind[36] = 2;
-        assert!(damaged(&other_kind).contains("corrupt index metadata"));
     }
 }

@@ -26,7 +26,7 @@
 //! * [`PrixIndex`] — a disk-resident index (RPIndex or EPIndex, §5.6)
 //!   over one collection,
 //! * [`PrixEngine`] — owns both indexes and everything that changes
-//!   them: build, reopen, insert, ingest, save, compact, verify,
+//!   them: build, reopen, insert, ingest, commit, compact, verify,
 //! * [`EngineSnapshot`] — an epoch-pinned view of an engine and the one
 //!   place queries run; routes each to the right index like the paper's
 //!   query optimizer (§5.6). [`PrixEngine::snapshot`] hands one out for
@@ -58,8 +58,8 @@ pub use plan::{
     Planner, PlannerStats, QueryEngine, QueryShape, Routed, Router,
 };
 pub use prix_storage::{
-    ManifestSegment, SegmentCheck, ValueRunReader, VxCheck, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_SYM,
-    SEG_KIND_VX, SEG_VERSION, SYM_VERSION, VX_VERSION,
+    ManifestSegment, SegmentCheck, ValueRunReader, VxCheck, CHECKPOINT_LOG_BYTES, SEG_KIND_EP,
+    SEG_KIND_RP, SEG_KIND_SYM, SEG_KIND_VX, SEG_VERSION, SYM_VERSION, VX_VERSION,
 };
 pub use query::{PredOp, PredValue, TwigBuilder, TwigQuery, ValuePred};
 pub use segbuild::{BulkBuilder, DEFAULT_RUN_MEM_BYTES};

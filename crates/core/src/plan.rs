@@ -19,9 +19,11 @@
 //!   by query *shape* (node/leaf/value/descendant-edge counts),
 //!   blended into the analytic model once samples exist.
 //!
-//! Stats are persisted in the engine catalog and rebuilt from it on
-//! reopen, so a reopened database plans like the one that
-//! was saved.
+//! Stats are persisted in the header of the batch log each bulk build
+//! or compaction starts, and the log's batches update them again when
+//! they are replayed, so a reopened database plans like the one that
+//! was closed (up to the observations of queries run since its
+//! generation began).
 //!
 //! ## Result compatibility
 //!
@@ -279,8 +281,9 @@ pub fn canonicalize(outcome: &mut QueryOutcome) {
 // Statistics
 // ---------------------------------------------------------------------------
 
-/// Caps keeping the persistent encoding inside the 4 KiB catalog page:
-/// the `TAG_CAP` most frequent tags and `EWMA_CAP` most recent shapes.
+/// Caps keeping the persistent encoding small (it heads every batch
+/// log): the `TAG_CAP` most frequent tags and `EWMA_CAP` most recent
+/// shapes.
 const TAG_CAP: usize = 128;
 const EWMA_CAP: usize = 64;
 const STATS_MAGIC: &[u8; 4] = b"PLN1";
@@ -292,8 +295,8 @@ const MISPREDICT_FACTOR: f64 = 4.0;
 
 /// The planner's statistics: collection-level tag frequencies, trie
 /// shape from the RP index build, and the per-shape observed-time
-/// EWMA table. Everything here survives a save/reopen cycle via the
-/// catalog (version 4).
+/// EWMA table. Everything here survives a close/reopen cycle via the
+/// header of the batch log.
 #[derive(Debug, Clone, Default)]
 pub struct PlannerStats {
     /// Per-label node counts across the collection.
@@ -385,7 +388,7 @@ impl PlannerStats {
         };
     }
 
-    /// Serializes into the bounded catalog representation: top-frequency
+    /// Serializes into the bounded persistent representation: top-frequency
     /// tags and the EWMA table, both capped.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(256);
@@ -605,7 +608,7 @@ pub struct Planner {
 
 impl Planner {
     /// A planner starting from the given statistics (decoded from a
-    /// catalog, or freshly collected at build time).
+    /// log header, or freshly collected at build time).
     pub fn new(stats: PlannerStats) -> Planner {
         Planner {
             stats: Mutex::new(stats),
@@ -1011,9 +1014,7 @@ mod tests {
             );
         }
         let bytes = s.encode();
-        // Must leave room for the fixed catalog header (44 bytes), the
-        // length prefix, and the trailing valix record id inside one
-        // 4 KiB page.
+        // The caps bound the blob every log header carries.
         assert!(bytes.len() + 56 <= 4096, "{} bytes", bytes.len());
         let d = PlannerStats::decode(&bytes).unwrap();
         assert_eq!(d.tag_freq.len(), TAG_CAP);
@@ -1022,9 +1023,9 @@ mod tests {
 
     #[test]
     fn ewma_eviction_is_lru_and_pinned_at_64_shapes() {
-        // The cap is part of the persisted PLN1 format (the blob must
-        // fit the catalog page); changing it is a format decision, not
-        // a tuning knob.
+        // The cap is part of the persisted PLN1 format (the blob heads
+        // every batch log); changing it is a format decision, not a
+        // tuning knob.
         assert_eq!(EWMA_CAP, 64);
         let shape = |i: u32| QueryShape {
             nodes: i % 60,

@@ -3,7 +3,7 @@
 //!
 //! Two producers feed a segment:
 //!
-//! * [`BulkBuilder`] — `prix index --bulk`: documents stream straight
+//! * [`BulkBuilder`] — `prix index`: documents stream straight
 //!   from the parser into the external sorter, never materializing the
 //!   whole collection's B⁺-trees. Memory is bounded by the sort-run
 //!   budget; everything else spills to scratch files.
@@ -163,18 +163,18 @@ impl SegIndexBuilder {
     }
 }
 
-/// Streaming bulk index build (`prix index --bulk`).
+/// Streaming bulk index build (`prix index`, and
+/// [`PrixEngine::build`] with a path): how every file database begins.
 ///
 /// Documents are parsed one at a time and pushed straight into the
 /// per-kind external sorters (label paths for RP and EP, leaf-value
 /// postings for the value run); nothing but the symbol table, the
 /// MaxGap tables, and the bounded sort runs stays in memory. [`finish`]
 /// merges the runs into one immutable segment per kind and the tier's
-/// value run, writes the symbol table as the tier's symbol run, creates
-/// an empty mutable generation for future inserts,
-/// and writes the manifest **last** — a crash anywhere before that
-/// single write leaves the previous manifest (or, on a fresh path,
-/// nothing) in charge.
+/// value run, writes the symbol table as the tier's symbol run, starts
+/// an empty delta and its batch log for future inserts, and writes the
+/// manifest **last** — a crash anywhere before that single write leaves
+/// the previous manifest (or, on a fresh path, nothing) in charge.
 ///
 /// Rebuilding over an existing segmented database allocates the next
 /// generation's file names, so the old generation keeps serving until
@@ -205,7 +205,7 @@ impl BulkBuilder {
     }
 
     /// [`BulkBuilder::new`] with an explicit sort-run budget in bytes
-    /// (`prix index --bulk --run-mem-mb N`).
+    /// (`prix index --run-mem-mb N`).
     pub fn new_mem(cfg: EngineConfig, run_mem_bytes: usize) -> Result<Self> {
         let env: Arc<dyn SegmentEnv> = match &cfg.path {
             Some(p) => Arc::new(prix_storage::FileSegEnv::new(p.clone())),
@@ -221,11 +221,22 @@ impl BulkBuilder {
     }
 
     /// [`BulkBuilder::with_env`] with an explicit sort-run budget in
-    /// bytes (`prix index --bulk --run-mem-mb N`).
+    /// bytes (`prix index --run-mem-mb N`).
     pub fn with_env_mem(
         cfg: EngineConfig,
         env: Arc<dyn SegmentEnv>,
         run_mem_bytes: usize,
+    ) -> Result<Self> {
+        Self::over(cfg, env, run_mem_bytes, SymbolTable::new())
+    }
+
+    /// A bulk build whose documents use `syms` (an already-parsed
+    /// collection's table; the dummy label is interned into it).
+    pub(crate) fn over(
+        cfg: EngineConfig,
+        env: Arc<dyn SegmentEnv>,
+        run_mem_bytes: usize,
+        mut syms: SymbolTable,
     ) -> Result<Self> {
         // A rebuild over a live segmented database takes the next
         // generation's names; a fresh path starts at generation 1.
@@ -235,7 +246,6 @@ impl BulkBuilder {
             None
         };
         let generation = prev.as_ref().map_or(1, |m| m.generation + 1);
-        let mut syms = SymbolTable::new();
         let dummy = syms.intern(DUMMY_LABEL);
         let rp = SegIndexBuilder::new(
             &env,
@@ -325,10 +335,10 @@ impl BulkBuilder {
         &mut self.syms
     }
 
-    /// Merges the sort runs into the segment files, creates the empty
-    /// mutable generation, commits the manifest (the single atomic
-    /// publish point), unlinks any previous generation, and opens the
-    /// finished engine.
+    /// Merges the sort runs into the segment files, starts the empty
+    /// delta's log, commits the manifest (the single atomic publish
+    /// point), unlinks any previous generation, and opens the finished
+    /// engine.
     pub fn finish(self) -> Result<PrixEngine> {
         let BulkBuilder {
             cfg,
@@ -366,25 +376,15 @@ impl BulkBuilder {
         );
         // No run precedes this one: it holds the whole table.
         write_symbol_run(&*env, &syms, generation, &mut segments)?;
-        let mutable_suffix = if generation == 1 {
-            String::new()
-        } else {
-            format!(".g{generation}")
-        };
-        let engine =
-            PrixEngine::from_bulk(cfg, env, syms, dummy, generation, mutable_suffix, segments)?;
+        let engine = PrixEngine::from_bulk(cfg, env, syms, dummy, generation, segments)?;
         // The manifest has committed; the previous generation's files
         // are dead weight now. Unlinking is safe even under live
         // readers (their open handles keep the bytes).
         if let Some(prev) = prev {
-            for s in &prev.segments {
-                let _ = engine.seg_env().remove(&s.suffix);
+            for s in prev.segments.iter().map(|s| &s.suffix) {
+                let _ = engine.seg_env().remove(s);
             }
-            for side in ["", ".sum", ".wal"] {
-                let _ = engine
-                    .seg_env()
-                    .remove(&format!("{}{side}", prev.mutable_suffix));
-            }
+            let _ = engine.seg_env().remove(&prev.log_suffix);
         }
         Ok(engine)
     }

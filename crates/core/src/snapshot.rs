@@ -25,14 +25,16 @@
 //!   exact bytes of their epoch.
 //!
 //! [`SharedEngine`] is the concurrency wrapper: a single-writer
-//! [`SharedEngine::ingest`] path that batches documents through one
-//! save (one WAL group commit), and a wait-free-for-readers
+//! [`SharedEngine::ingest`] path that commits each batch with one save
+//! (one batch-log record), and a wait-free-for-readers
 //! [`SharedEngine::snapshot`] that hands out the current epoch's view.
-//! Publication is atomic — the WAL commit (one append, one fsync) inside
-//! `PrixEngine::save` *is* the durability point, and swapping the
+//! Publication is atomic — the log append and its `fsync` inside
+//! `PrixEngine::save` *are* the durability point, and swapping the
 //! current snapshot afterwards is the visibility point. A crash between
-//! the two recovers to exactly the new epoch (the commit landed); a
-//! crash before the commit barrier recovers to exactly the old one.
+//! the two recovers to exactly the new epoch (the record landed); a
+//! crash before the `fsync` returns recovers to exactly the old one.
+//! Once the log reaches its bound the writer compacts, which starts a
+//! fresh one.
 //!
 //! Query parsing against a snapshot never mutates the frozen symbol
 //! table: unknown labels are parked in a [`ScratchSyms`] overlay past
@@ -41,7 +43,7 @@
 //! epoch has never seen.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -114,6 +116,8 @@ pub struct EngineSnapshot {
     /// pages through the pool, and under this snapshot's epoch pin
     /// reads the frozen bytes of its epoch like `rp`/`ep` do.
     valix: Valix,
+    /// `(bytes, records)` of the batch log at capture time.
+    log: (u64, u64),
     pin: EpochPin,
 }
 
@@ -137,6 +141,7 @@ impl EngineSnapshot {
             generation: engine.generation(),
             planner: Arc::clone(engine.planner()),
             valix: engine.valix().clone(),
+            log: engine.log().map_or((0, 0), |l| (l.len(), l.records())),
             pin,
         }
     }
@@ -177,6 +182,17 @@ impl EngineSnapshot {
     /// Documents living in the mutable delta at this epoch.
     pub fn mutable_docs(&self) -> usize {
         self.rp.doc_count()
+    }
+
+    /// Bytes of the batch log at this epoch: what a reopen would read.
+    pub fn log_bytes(&self) -> u64 {
+        self.log.0
+    }
+
+    /// Records in the batch log at this epoch: what a reopen would
+    /// replay.
+    pub fn log_records(&self) -> u64 {
+        self.log.1
     }
 
     /// The published epoch this view is pinned at.
@@ -619,8 +635,8 @@ type PublishHook = Box<dyn Fn(u64) + Send + Sync>;
 /// the returned view for as long as they like; the view never changes
 /// underneath them. The writer calls [`SharedEngine::ingest`], which
 /// serializes on an internal lock, validates and inserts a batch,
-/// commits it durably with one save, and atomically publishes a new
-/// snapshot.
+/// commits it durably with one save, atomically publishes a new
+/// snapshot — and, once the batch log has reached its bound, compacts.
 pub struct SharedEngine {
     writer: Mutex<PrixEngine>,
     current: Mutex<Arc<EngineSnapshot>>,
@@ -638,6 +654,9 @@ pub struct SharedEngine {
     /// compaction never resets them).
     seg_io: Arc<prix_storage::IoStats>,
     recovery: Option<prix_storage::RecoveryReport>,
+    /// Compactions the log's bound forced (see
+    /// [`prix_storage::CHECKPOINT_LOG_BYTES`]).
+    log_compactions: AtomicU64,
     /// Called with the new epoch right after each publish becomes
     /// visible (serving layers hang cache invalidation off this).
     on_publish: Mutex<Option<PublishHook>>,
@@ -659,6 +678,7 @@ impl SharedEngine {
             retired_pools: Mutex::new(Vec::new()),
             seg_io,
             recovery,
+            log_compactions: AtomicU64::new(0),
             on_publish: Mutex::new(None),
         }
     }
@@ -724,6 +744,17 @@ impl SharedEngine {
                 "engine poisoned by an earlier failed ingest; reopen the database".into(),
             ));
         }
+        self.compact_locked(&mut engine)
+    }
+
+    /// Compactions the batch log's bound forced since this engine was
+    /// wrapped.
+    pub fn log_compactions(&self) -> u64 {
+        self.log_compactions.load(Ordering::Relaxed)
+    }
+
+    /// [`SharedEngine::compact`] under the writer lock the caller holds.
+    fn compact_locked(&self, engine: &mut PrixEngine) -> Result<Option<u64>> {
         match engine.compact() {
             Ok(false) => Ok(None),
             Ok(true) => {
@@ -739,7 +770,7 @@ impl SharedEngine {
                         .unwrap_or_else(|e| e.into_inner())
                         .push(Arc::downgrade(&old));
                 }
-                Ok(Some(self.publish(&engine)))
+                Ok(Some(self.publish(engine)))
             }
             Err(e) => {
                 // Compaction failed at an unknown point; the in-memory
@@ -871,6 +902,12 @@ impl SharedEngine {
                 let epoch = engine.pool().publish_ingest();
                 let published = self.publish(&engine);
                 debug_assert_eq!(published, epoch);
+                // The batch is durable and visible whatever happens
+                // next: a compaction that fails poisons the writer, and
+                // later ingests report that.
+                if engine.log_full() && self.compact_locked(&mut engine).is_ok() {
+                    self.log_compactions.fetch_add(1, Ordering::Relaxed);
+                }
                 Ok(IngestReport {
                     accepted: outcome.accepted,
                     rejected: outcome.rejected,

@@ -14,11 +14,12 @@
 //!
 //! Keys are prefixed with the *parent element tag*, so a predicate
 //! `[price < 10]` only scans `price` values. Every key maps to a
-//! `(doc, leaf postorder)` posting. The trees live in the same WAL'd
-//! buffer pool as the structural B⁺-trees, so the index inherits crash
-//! safety and epoch-pinned snapshot isolation with zero extra
-//! machinery: an `EngineSnapshot` clones the [`Valix`] handle and its
-//! epoch pin serves the frozen pages.
+//! `(doc, leaf postorder)` posting. The trees live in the same buffer
+//! pool as the structural B⁺-trees, so the index inherits epoch-pinned
+//! snapshot isolation with zero extra machinery: an `EngineSnapshot`
+//! clones the [`Valix`] handle and its epoch pin serves the frozen
+//! pages — and, like the structural delta, it is rebuilt on reopen by
+//! replaying the batch log.
 //!
 //! The index is **tiered** like the structural ones: every immutable
 //! segment tier carries a *value run* (`prix_storage::ValueRunReader`,
@@ -44,8 +45,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use prix_storage::{
-    BPlusTree, BufferPool, RawStore, RecordId, RecordStore, ValueRunBuilder, VxEntry, VxSection,
-    VX_MAX_KEY_LEN,
+    BPlusTree, BufferPool, RawStore, ValueRunBuilder, VxEntry, VxSection, VX_MAX_KEY_LEN,
 };
 use prix_xml::{DocId, PostNum, Sym, SymbolTable, XmlTree};
 
@@ -60,8 +60,6 @@ pub const STR_KEY_CAP: usize = 256;
 
 // A run stores what the trees store: its key bound is this one's.
 const _: () = assert!(4 + STR_KEY_CAP == VX_MAX_KEY_LEN);
-
-const META_MAGIC: &[u8; 4] = b"VLX1";
 
 /// Order-preserving `f64` → `u64` transform (sign bit flipped for
 /// positives, all bits flipped for negatives), `-0.0` collapsed onto
@@ -173,26 +171,20 @@ pub struct ProbeStats {
 ///
 /// Coverage invariant: the tiers' runs partition `[0, delta_base)`, the
 /// trees here hold the leaves of `[delta_base, covered)`, and that is
-/// every document the engine has ([`Valix::attach`] checks it at
-/// reopen, [`Valix::write_run`] at compaction).
+/// every document the engine has ([`Valix::write_run`] checks it at
+/// compaction).
 #[derive(Clone)]
 pub struct Valix {
     /// Numeric opclass.
     num: BPlusTree,
     /// String opclass.
     strs: BPlusTree,
-    store: RecordStore,
-    /// First document of the delta: where the segment tiers end. Not
-    /// persisted — the manifest says it ([`Valix::attach`]).
+    /// First document of the delta: where the segment tiers end.
     delta_base: DocId,
     /// Documents indexed here, `[delta_base, delta_base + delta_docs)`.
     delta_docs: DocId,
     num_postings: u64,
     str_postings: u64,
-    /// Last metadata record written by [`Valix::save`] with its exact
-    /// bytes, so an unchanged valix reuses the record (the
-    /// `PrixIndex::save` idiom).
-    saved_meta: Option<(RecordId, Vec<u8>)>,
 }
 
 impl Valix {
@@ -200,13 +192,11 @@ impl Valix {
     pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
         Ok(Valix {
             num: BPlusTree::create(Arc::clone(&pool))?,
-            strs: BPlusTree::create(Arc::clone(&pool))?,
-            store: RecordStore::create(pool)?,
+            strs: BPlusTree::create(pool)?,
             delta_base: 0,
             delta_docs: 0,
             num_postings: 0,
             str_postings: 0,
-            saved_meta: None,
         })
     }
 
@@ -226,35 +216,20 @@ impl Valix {
         (self.num_postings, self.str_postings)
     }
 
-    /// Places the delta behind the segment tiers, which end at
-    /// `delta_base`, and checks that it covers exactly the
-    /// `mutable_docs` documents the structural delta holds. Anything
-    /// else would make the probe a silently narrower (or wrong)
-    /// pre-filter, so it is refused.
-    pub(crate) fn attach(&mut self, delta_base: DocId, mutable_docs: usize) -> Result<()> {
-        self.check_delta(mutable_docs)?;
+    /// Places the empty delta behind the segment tiers, which end at
+    /// `delta_base` (the structural indexes' `set_doc_base`).
+    pub(crate) fn set_delta_base(&mut self, delta_base: DocId) {
+        debug_assert_eq!(self.delta_docs, 0, "only an empty delta moves");
         self.delta_base = delta_base;
-        Ok(())
-    }
-
-    fn check_delta(&self, mutable_docs: usize) -> Result<()> {
-        if self.delta_docs as usize != mutable_docs {
-            return Err(IndexError::Unsupported(format!(
-                "value index covers {} delta document(s) but the delta holds {mutable_docs}; \
-                 re-index the source documents",
-                self.delta_docs
-            )));
-        }
-        Ok(())
     }
 
     /// Indexes every leaf of `tree` as document `doc`. Documents must
     /// arrive in id order with no gaps — the coverage horizon is what
     /// makes the probe safe to trust.
     pub fn index_tree(&mut self, tree: &XmlTree, doc: DocId, syms: &SymbolTable) -> Result<()> {
-        // `attach` established the lockstep with the structural delta
-        // and every insert path keeps it; a gap here would be a hole in
-        // the pre-filter that nothing reports.
+        // Every insert path keeps the lockstep with the structural
+        // delta; a gap here would be a hole in the pre-filter that
+        // nothing reports.
         assert_eq!(doc, self.covered(), "valix documents arrive in order");
         for node in tree.nodes() {
             if !tree.is_leaf(node) || node == tree.root() {
@@ -298,7 +273,12 @@ impl Valix {
     /// `mutable_docs` is what the structural delta holds; a delta that
     /// covers anything else is refused.
     pub(crate) fn write_run(&self, out: Box<dyn RawStore>, mutable_docs: usize) -> Result<()> {
-        self.check_delta(mutable_docs)?;
+        if self.delta_docs as usize != mutable_docs {
+            return Err(IndexError::Unsupported(format!(
+                "value index covers {} delta document(s) but the delta holds {mutable_docs}",
+                self.delta_docs
+            )));
+        }
         let mut b = ValueRunBuilder::new(out, self.delta_base, self.delta_docs);
         for section in [VxSection::Num, VxSection::Str] {
             let mut key: Vec<u8> = Vec::new();
@@ -421,59 +401,11 @@ impl Valix {
         Ok(Some(docs))
     }
 
-    /// Persists the valix metadata, returning its record id. Byte-
-    /// identical metadata reuses the previous record.
-    pub fn save(&mut self) -> Result<RecordId> {
-        let mut buf = Vec::with_capacity(40);
-        buf.extend_from_slice(META_MAGIC);
-        buf.extend_from_slice(&self.num.root().to_le_bytes());
-        buf.extend_from_slice(&self.strs.root().to_le_bytes());
-        buf.extend_from_slice(&self.delta_docs.to_le_bytes());
-        buf.extend_from_slice(&self.num_postings.to_le_bytes());
-        buf.extend_from_slice(&self.str_postings.to_le_bytes());
-        if let Some((id, bytes)) = &self.saved_meta {
-            if *bytes == buf {
-                return Ok(*id);
-            }
-        }
-        let id = self.store.append(&buf)?;
-        self.saved_meta = Some((id, buf));
-        Ok(id)
-    }
-
-    /// Reopens a valix from its metadata record. Its place behind the
-    /// segment tiers comes from the manifest ([`Valix::attach`]).
-    pub fn load(pool: Arc<BufferPool>, meta: RecordId) -> Result<Self> {
-        let store = RecordStore::open(Arc::clone(&pool))?;
-        let buf = store.read(meta)?;
-        if buf.len() < 40 || &buf[..4] != META_MAGIC {
-            return Err(IndexError::Unsupported(
-                "corrupt valix metadata record".into(),
-            ));
-        }
-        let u64_at = |o: usize| u64::from_le_bytes(buf[o..o + 8].try_into().unwrap());
-        let num_root = u64_at(4);
-        let str_root = u64_at(12);
-        let delta_docs = u32::from_le_bytes(buf[20..24].try_into().unwrap());
-        let num_postings = u64_at(24);
-        let str_postings = u64_at(32);
-        Ok(Valix {
-            num: BPlusTree::open(Arc::clone(&pool), num_root),
-            strs: BPlusTree::open(Arc::clone(&pool), str_root),
-            store,
-            delta_base: 0,
-            delta_docs,
-            num_postings,
-            str_postings,
-            saved_meta: Some((meta, buf)),
-        })
-    }
-
     /// Full structural walk of the delta for `prix fsck`: scans both
     /// opclass trees in key order, checks every key/posting shape and
     /// that every posting names a document of the delta
     /// (`[delta_base, covered)`), and compares the entry counts against
-    /// the persisted counters. Returns `(numeric, string)` posting
+    /// the counters kept on insert. Returns `(numeric, string)` posting
     /// counts. (The tiers' runs have their own
     /// `prix_storage::ValueRunReader::verify`.)
     pub fn verify(&self) -> Result<(u64, u64)> {
@@ -792,19 +724,20 @@ mod tests {
     }
 
     #[test]
-    fn save_load_roundtrip_and_verify() {
+    fn verify_counts_what_the_inserts_counted() {
         let pool = mem_pool();
-        let mut vx = Valix::create(Arc::clone(&pool)).unwrap();
+        let mut vx = Valix::create(pool).unwrap();
         vx.add_value(Sym(1), "42", 0, 2).unwrap();
         vx.add_value(Sym(1), "hello", 0, 4).unwrap();
         vx.delta_docs = 1;
-        let meta = vx.save().unwrap();
-        // Unchanged valix reuses the record.
-        assert_eq!(vx.save().unwrap().raw(), meta.raw());
-        let re = Valix::load(pool, meta).unwrap();
-        assert_eq!(re.covered(), 1);
-        assert_eq!(re.posting_counts(), (1, 2));
-        assert_eq!(re.verify().unwrap(), (1, 2));
+        assert_eq!(vx.covered(), 1);
+        assert_eq!(vx.posting_counts(), (1, 2));
+        assert_eq!(vx.verify().unwrap(), (1, 2));
+        vx.str_postings += 1;
+        assert!(
+            vx.verify().is_err(),
+            "a count that disagrees with the trees"
+        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use prix_core::plan::EngineId;
-use prix_storage::{IoSnapshot, RecoveryReport};
+use prix_storage::{IoSnapshot, RecoveryReport, CHECKPOINT_LOG_BYTES};
 
 use crate::cache::CacheSnapshot;
 
@@ -175,9 +175,9 @@ pub struct Sample {
     pub capacity: u64,
     /// Connections waiting in the HTTP work queue.
     pub queue_depth: u64,
-    /// What crash recovery did when the database was opened. All zeros
-    /// for an engine built in this process: the series still render, so
-    /// dashboards never see a metric vanish.
+    /// What replaying the batch log did when the database was opened.
+    /// All zeros for an engine built in this process: the series still
+    /// render, so dashboards never see a metric vanish.
     pub recovery: RecoveryReport,
     /// The currently published snapshot epoch.
     pub epoch: u64,
@@ -204,11 +204,12 @@ pub struct Sample {
     pub seg_block_reads: u64,
     /// Segment blocks actually read from disk, engine lifetime.
     pub seg_block_fetches: u64,
-    /// Current length of the write-ahead log in bytes.
+    /// Current length of the batch log in bytes.
     pub wal_bytes: u64,
-    /// Pages whose latest image is in the log, not the page file (and
-    /// so the number of log images the pool holds).
-    pub log_resident_pages: u64,
+    /// Records in the batch log (what a reopen now would replay).
+    pub log_records: u64,
+    /// Compactions the batch log's bound forced.
+    pub log_compactions: u64,
 }
 
 /// The Prometheus type of a series family.
@@ -356,27 +357,27 @@ pub const SERIES: &[Series] = &[
     Series { name: "prix_bufferpool_physical_writes_total", kind: Counter, read: One(|_, s| s.io.physical_writes.to_string()),
         help: "Pages written back to disk." },
     Series { name: "prix_bufferpool_fsyncs_total", kind: Counter, read: One(|_, s| s.io.fsyncs.to_string()),
-        help: "fsync barriers issued: one per WAL group commit, four per checkpoint (page file, sidecar, epoch advance, log truncation)." },
+        help: "fsync barriers issued on the batch log: one per commit, one per log a compaction starts." },
     Series { name: "prix_bufferpool_wal_appends_total", kind: Counter, read: One(|_, s| s.io.wal_appends.to_string()),
-        help: "Page frames appended to the write-ahead log (spills + commits)." },
+        help: "Records appended to the batch log: one per commit." },
     Series { name: "prix_bufferpool_wal_appended_bytes_total", kind: Counter, read: One(|_, s| s.io.wal_appended_bytes.to_string()),
-        help: "Bytes appended to the write-ahead log: page frames (what changed in each page) and commit records, headers included." },
-    Series { name: "prix_checkpoints_total", kind: Counter, read: One(|_, s| s.io.checkpoints.to_string()),
-        help: "Checkpoints completed (log-resident pages written to the page file, log truncated)." },
+        help: "Bytes appended to the batch log: the ingested batches as received plus framing." },
+    Series { name: "prix_log_compactions_total", kind: Counter, read: One(|_, s| s.log_compactions.to_string()),
+        help: "Compactions forced by the batch log reaching its bound." },
     Series { name: "prix_wal_bytes", kind: Gauge, read: One(|_, s| s.wal_bytes.to_string()),
-        help: "Current length of the write-ahead log in bytes (what a crash now would replay)." },
-    Series { name: "prix_bufferpool_log_resident_pages", kind: Gauge, read: One(|_, s| s.log_resident_pages.to_string()),
-        help: "Pages whose latest image is in the write-ahead log, awaiting the next checkpoint; each is held in memory as one 8 KiB log image." },
-    Series { name: "prix_bufferpool_flush_errors_total", kind: Counter, read: One(|_, s| s.io.flush_errors.to_string()),
-        help: "Buffer-pool flushes that failed (including during drop)." },
+        help: "Current length of the batch log in bytes (what a reopen now would read)." },
+    Series { name: "prix_log_records", kind: Gauge, read: One(|_, s| s.log_records.to_string()),
+        help: "Records in the batch log (what a reopen now would replay)." },
+    Series { name: "prix_log_bound_bytes", kind: Gauge, read: One(|_, _| CHECKPOINT_LOG_BYTES.to_string()),
+        help: "Length at which the batch log is folded into a tier by a compaction." },
     Series { name: "prix_recovery_unclean_shutdown", kind: Gauge, read: One(|_, s| u64::from(s.recovery.unclean_shutdown).to_string()),
-        help: "1 if the database was opened after an unclean shutdown." },
+        help: "1 if the batch log ended in a torn record when the database was opened." },
     Series { name: "prix_recovery_replayed_frames", kind: Gauge, read: One(|_, s| s.recovery.replayed_frames.to_string()),
-        help: "WAL frames replayed when the database was opened." },
-    Series { name: "prix_recovery_replayed_pages", kind: Gauge, read: One(|_, s| s.recovery.replayed_pages.to_string()),
-        help: "Distinct pages restored by recovery when the database was opened." },
+        help: "Batch-log records replayed when the database was opened." },
+    Series { name: "prix_recovery_replayed_documents", kind: Gauge, read: One(|_, s| s.recovery.replayed_documents.to_string()),
+        help: "Documents the replay indexed when the database was opened." },
     Series { name: "prix_recovery_wal_bytes", kind: Gauge, read: One(|_, s| s.recovery.wal_bytes.to_string()),
-        help: "Write-ahead-log bytes scanned by recovery when the database was opened." },
+        help: "Batch-log bytes read by the replay when the database was opened." },
     Series { name: "prix_bufferpool_hit_ratio", kind: Gauge, read: One(|_, s| s.io.hit_ratio().to_string()),
         help: "Lifetime buffer-pool hit ratio in [0,1]." },
     Series { name: "prix_bufferpool_resident_pages", kind: Gauge, read: One(|_, s| s.resident.to_string()),
@@ -627,8 +628,6 @@ mod tests {
                 fsyncs: 7,
                 wal_appends: 55,
                 wal_appended_bytes: 45100,
-                checkpoints: 2,
-                flush_errors: 1,
                 seg_block_reads: 11,
                 seg_block_fetches: 13,
             },
@@ -638,7 +637,7 @@ mod tests {
             recovery: RecoveryReport {
                 unclean_shutdown: true,
                 replayed_frames: 12,
-                replayed_pages: 9,
+                replayed_documents: 9,
                 wal_bytes: 4096,
                 log_len: 4120,
             },
@@ -664,7 +663,8 @@ mod tests {
             seg_block_reads: 100,
             seg_block_fetches: 25,
             wal_bytes: 8240,
-            log_resident_pages: 31,
+            log_records: 31,
+            log_compactions: 2,
         };
         (m, sample)
     }

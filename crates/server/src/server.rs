@@ -34,7 +34,7 @@
 //! and parses *and* executes against that frozen, epoch-pinned view —
 //! no symbol-table lock, no torn reads while an ingest is in flight.
 //! `POST /documents` goes through the shared writer: it validates the
-//! batch, commits it with one WAL group commit, and atomically
+//! batch, commits it with one batch-log record, and atomically
 //! publishes the next epoch; a second concurrent ingest is shed with
 //! `503` instead of queueing. Responses report the `epoch` they
 //! executed at so clients can reason about staleness.
@@ -277,9 +277,9 @@ impl ServerHandle {
 
     /// Blocks until shutdown is requested (by `POST /shutdown` or
     /// [`ServerHandle::request_shutdown`]), then tears down gracefully:
-    /// stops accepting, drains queued and in-flight requests,
-    /// checkpoints the engine's buffer pool (the database is left with
-    /// an empty write-ahead log).
+    /// stops accepting and drains queued and in-flight requests. (Every
+    /// acknowledged ingest is in the batch log already: there is nothing
+    /// left to write.)
     pub fn wait(mut self) -> io::Result<()> {
         self.shared.shutdown.wait();
         self.finish()
@@ -305,11 +305,7 @@ impl ServerHandle {
             let _ = t.join();
         }
         self.pool.shutdown();
-        self.shared
-            .engine
-            .pool()
-            .checkpoint()
-            .map_err(|e| io::Error::other(e.to_string()))
+        Ok(())
     }
 }
 
@@ -562,8 +558,9 @@ fn handle_metrics(shared: &Arc<Shared>) -> Response {
         pinned_oldest_lag: oldest.map_or(0, |o| snap.epoch().saturating_sub(o)),
         seg_block_reads: seg_io.seg_block_reads,
         seg_block_fetches: seg_io.seg_block_fetches,
-        wal_bytes: pool.wal_bytes(),
-        log_resident_pages: pool.log_resident_pages() as u64,
+        wal_bytes: snap.log_bytes(),
+        log_records: snap.log_records(),
+        log_compactions: shared.engine.log_compactions(),
     });
     Response::new(200).body(
         "text/plain; version=0.0.4; charset=utf-8",
@@ -844,7 +841,7 @@ fn handle_batch(req: &Request, shared: &Arc<Shared>) -> Response {
 ///
 /// The body is one XML document, or — with `?split=1` — a wrapper
 /// whose root's element children each become one document (the
-/// batched form; one WAL group commit for the whole body). Disabled
+/// batched form; one batch-log record for the whole body). Disabled
 /// servers answer `403`; a body arriving while another ingest holds
 /// the writer is shed with `503` + `Retry-After` instead of queueing.
 /// The response reports the published `epoch`, the accepted document

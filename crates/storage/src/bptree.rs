@@ -339,21 +339,6 @@ impl BPlusTree {
         Ok(BPlusTree { pool, root })
     }
 
-    /// Reopens a tree from a previously obtained [`Self::root`].
-    pub fn open(pool: Arc<BufferPool>, root: PageId) -> Self {
-        BPlusTree { pool, root }
-    }
-
-    /// The current root page (persist this to reopen the tree).
-    pub fn root(&self) -> PageId {
-        self.root
-    }
-
-    /// The buffer pool this tree reads through.
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
-    }
-
     fn check_entry(key: &[u8], val: &[u8]) -> Result<()> {
         if key.len() > MAX_KEY || key.len() + val.len() > MAX_ENTRY {
             return Err(StorageError::TooLarge {
@@ -1059,17 +1044,6 @@ mod tests {
             t.insert(&k(i * 2 + 1), &[]).unwrap();
         }
         assert_eq!(t.len().unwrap(), 2000);
-    }
-
-    #[test]
-    fn reopen_by_root_page() {
-        let pool = Arc::new(BufferPool::new(Pager::in_memory(), 64));
-        let mut t = BPlusTree::create(Arc::clone(&pool)).unwrap();
-        t.insert(&k(11), b"x").unwrap();
-        let root = t.root();
-        drop(t);
-        let t2 = BPlusTree::open(pool, root);
-        assert_eq!(t2.get(&k(11)).unwrap().unwrap(), b"x");
     }
 
     #[test]

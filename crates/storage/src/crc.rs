@@ -1,21 +1,22 @@
 //! CRC-32 (IEEE 802.3), implemented in-repo to keep the workspace
 //! hermetic.
 //!
-//! Used by the durability layer for two independent jobs:
+//! Every durable byte is covered by one:
 //!
-//! * **WAL frames** — a torn tail (partial append at the crash point)
-//!   must be distinguishable from a complete record, so every frame
-//!   carries a CRC over its header fields and payload.
-//! * **Page checksums** — every page write records a CRC in the
-//!   checksum sidecar; cold reads verify it, turning a torn 512-byte
-//!   sector into a hard [`crate::StorageError::Corrupt`] instead of a
-//!   silently wrong query answer.
+//! * **Batch-log records** — a torn tail (partial append at the crash
+//!   point) must be distinguishable from a complete record, so every
+//!   record carries a CRC over its payload.
+//! * **Tier files** — every 4 KiB block of a segment, value run or
+//!   symbol run has a CRC in the file's table; verification turns a
+//!   torn sector into a hard [`crate::StorageError::Corrupt`] instead
+//!   of a silently wrong query answer.
+//! * **Manifest slots and the log header** — one CRC each.
 //!
 //! Standard reflected CRC-32 with polynomial `0xEDB88320` (the
 //! zlib/Ethernet one), byte-at-a-time with a 256-entry table built at
-//! compile time. Throughput is a non-issue here: the hot path hashes 8 KiB
-//! pages, and table lookup runs at roughly a byte per cycle — far below
-//! the cost of the `fsync` that accompanies every durable write.
+//! compile time. Throughput is a non-issue here: table lookup runs at
+//! roughly a byte per cycle — far below the cost of the `fsync` that
+//! accompanies every durable write.
 
 const TABLE: [u32; 256] = {
     let mut t = [0u32; 256];

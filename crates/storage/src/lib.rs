@@ -4,7 +4,7 @@
 //! 8 KiB pages with a 2000-page buffer pool and direct I/O, and reports
 //! cost as *pages read from disk*. This crate rebuilds that substrate:
 //!
-//! * [`Pager`] — a page-granular backing store (file or in-memory),
+//! * [`Pager`] — a page-granular in-memory backing store,
 //! * [`BufferPool`] — a fixed-capacity *sharded* LRU cache over a pager
 //!   (one lock per shard, so concurrent queries don't serialize on a
 //!   global mutex) that counts logical and physical page accesses
@@ -13,7 +13,10 @@
 //! * [`BPlusTree`] — a B⁺-tree over byte-string keys (memcmp order) with
 //!   duplicate-key support, point/range scans, and sorted bulk loading,
 //! * [`RecordStore`] — a heap file for variable-length records (NPS
-//!   arrays, leaf-node lists, positional streams) with overflow chains.
+//!   arrays, leaf-node lists, positional streams) with overflow chains,
+//! * [`segment`] — the immutable tier files and the manifest naming
+//!   them, and [`wal`] — the batch log: together, what a file-backed
+//!   database holds on disk.
 //!
 //! All components of one database share a single buffer pool, so the
 //! "Disk IO (pages)" columns of Tables 4–9 fall out of
@@ -45,4 +48,4 @@ pub use segment::{
 };
 pub use stats::{IoScope, IoSnapshot, IoStats};
 pub use store::{FileStore, MemStore, RawStore};
-pub use wal::{recover, RecoveryReport, Wal};
+pub use wal::{BatchLog, BatchMode, LogContents, LogRecord, RecoveryReport, CHECKPOINT_LOG_BYTES};

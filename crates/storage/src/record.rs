@@ -33,16 +33,6 @@ impl RecordId {
     fn slot(self) -> u16 {
         (self.0 & 0xFFFF) as u16
     }
-
-    /// Raw value, for embedding into index payloads.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds a `RecordId` from [`Self::raw`].
-    pub fn from_raw(v: u64) -> Self {
-        RecordId(v)
-    }
 }
 
 const TYPE_DATA: u8 = 3;
@@ -71,9 +61,8 @@ pub const OVERFLOW_THRESHOLD: usize = PAGE_SIZE / 2;
 #[derive(Clone)]
 pub struct RecordStore {
     pool: Arc<BufferPool>,
-    /// Data page currently being filled; `None` until a reopened store
-    /// appends for the first time.
-    current: Option<PageId>,
+    /// Data page currently being filled.
+    current: PageId,
 }
 
 impl RecordStore {
@@ -81,21 +70,7 @@ impl RecordStore {
     pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
         let current = pool.allocate_page()?;
         pool.with_page_mut(current, init_data_page)?;
-        Ok(RecordStore {
-            pool,
-            current: Some(current),
-        })
-    }
-
-    /// Re-attaches to a pool whose pages already contain records
-    /// (reopening a database). Existing records stay readable by id;
-    /// appends go to a fresh page, allocated by the first one — a
-    /// database that is only read must not grow by a page per open.
-    pub fn open(pool: Arc<BufferPool>) -> Result<Self> {
-        Ok(RecordStore {
-            pool,
-            current: None,
-        })
+        Ok(RecordStore { pool, current })
     }
 
     /// Appends `data`, returning its id.
@@ -104,15 +79,11 @@ impl RecordStore {
             return self.append_overflow(data);
         }
         let need = 2 + data.len() + 2; // cell + slot entry
-        let page = match self.current {
-            Some(page) if self.pool.with_page(page, |p| data_free(p) >= need)? => page,
-            _ => {
-                let page = self.pool.allocate_page()?;
-                self.pool.with_page_mut(page, init_data_page)?;
-                self.current = Some(page);
-                page
-            }
-        };
+        if self.pool.with_page(self.current, |p| data_free(p) < need)? {
+            self.current = self.pool.allocate_page()?;
+            self.pool.with_page_mut(self.current, init_data_page)?;
+        }
+        let page = self.current;
         let slot = self.pool.with_page_mut(page, |p| {
             let n = u16::from_le_bytes([p[1], p[2]]) as usize;
             let cell_start = u16::from_le_bytes([p[3], p[4]]) as usize;
@@ -216,21 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn open_allocates_its_append_page_on_the_first_append() {
-        let pool = Arc::new(BufferPool::new(Pager::in_memory(), 32));
-        let mut s = RecordStore::create(Arc::clone(&pool)).unwrap();
-        let kept = s.append(b"kept").unwrap();
-        let pages = pool.pager().num_pages();
-        let mut reopened = RecordStore::open(Arc::clone(&pool)).unwrap();
-        assert_eq!(reopened.read(kept).unwrap(), b"kept");
-        assert_eq!(pool.pager().num_pages(), pages, "open allocates nothing");
-        let more = reopened.append(b"more").unwrap();
-        assert_eq!(pool.pager().num_pages(), pages + 1);
-        assert_ne!(more.page(), kept.page(), "appends go to a fresh page");
-        assert_eq!(reopened.read(more).unwrap(), b"more");
-    }
-
-    #[test]
     fn small_records_roundtrip() {
         let mut s = store();
         let a = s.append(b"hello").unwrap();
@@ -279,13 +235,6 @@ mod tests {
             let id = s.append(&data).unwrap();
             assert_eq!(s.read(id).unwrap(), data, "size {sz}");
         }
-    }
-
-    #[test]
-    fn raw_roundtrip() {
-        let mut s = store();
-        let id = s.append(b"x").unwrap();
-        assert_eq!(RecordId::from_raw(id.raw()), id);
     }
 
     #[test]

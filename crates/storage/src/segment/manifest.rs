@@ -24,8 +24,8 @@ pub struct ManifestSegment {
     pub n_docs: u32,
 }
 
-/// The atomic commit point of the segmented index: names the current
-/// mutable generation and every live segment file. Two fixed slots;
+/// The atomic commit point of a database: names the live generation's
+/// batch log and every live tier file. Two fixed slots;
 /// a write goes to slot `generation % 2` and a torn write leaves the
 /// other slot's older-but-valid manifest in charge, so publishing a
 /// bulk build or compaction is a single `write + fsync`.
@@ -33,9 +33,9 @@ pub struct ManifestSegment {
 pub struct Manifest {
     /// Monotone generation counter (slot selector).
     pub generation: u64,
-    /// Suffix of the current mutable engine's files (`""` = the plain
-    /// database path, `.g2` = sibling files of generation 2, ...).
-    pub mutable_suffix: String,
+    /// Suffix of the live generation's batch log (`.g2.log` for
+    /// generation 2; see `crate::wal`).
+    pub log_suffix: String,
     /// Live files, ascending by `doc_base` within each kind.
     pub segments: Vec<ManifestSegment>,
 }
@@ -74,8 +74,8 @@ impl Manifest {
     fn payload(&self) -> Vec<u8> {
         let mut p = Vec::new();
         p.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
-        p.extend_from_slice(&(self.mutable_suffix.len() as u32).to_le_bytes());
-        p.extend_from_slice(self.mutable_suffix.as_bytes());
+        p.extend_from_slice(&(self.log_suffix.len() as u32).to_le_bytes());
+        p.extend_from_slice(self.log_suffix.as_bytes());
         p.extend_from_slice(&(self.segments.len() as u32).to_le_bytes());
         for s in &self.segments {
             p.push(s.kind);
@@ -139,7 +139,7 @@ impl Manifest {
         if take_u32(&mut r)? != MANIFEST_MAGIC {
             return None;
         }
-        let mutable_suffix = take_str(&mut r)?;
+        let log_suffix = take_str(&mut r)?;
         // The count is the file's word: size nothing by it beyond what
         // the rest of the payload could hold.
         let n = take_u32(&mut r)? as usize;
@@ -157,7 +157,7 @@ impl Manifest {
         }
         r.is_empty().then_some(Manifest {
             generation,
-            mutable_suffix,
+            log_suffix,
             segments,
         })
     }
@@ -197,14 +197,14 @@ mod tests {
         assert!(Manifest::read_from(&store).unwrap().is_none());
         let m1 = Manifest {
             generation: 1,
-            mutable_suffix: "".into(),
+            log_suffix: ".g1.log".into(),
             segments: vec![row(SEG_KIND_RP, ".g1.rp.seg", 0, 10)],
         };
         m1.write_to(&store).unwrap();
         assert_eq!(Manifest::read_from(&store).unwrap().unwrap(), m1);
         let mut m2 = m1.clone();
         m2.generation = 2;
-        m2.mutable_suffix = ".g2".into();
+        m2.log_suffix = ".g2.log".into();
         m2.write_to(&store).unwrap();
         assert_eq!(Manifest::read_from(&store).unwrap().unwrap(), m2);
         // Tear generation 2's slot (slot 0): generation 1 takes over.
@@ -226,7 +226,7 @@ mod tests {
         let store = MemStore::new();
         let m2 = Manifest {
             generation: 2,
-            mutable_suffix: ".g2".into(),
+            log_suffix: ".g2.log".into(),
             segments: vec![
                 row(SEG_KIND_RP, ".g2.rp.seg", 0, 4),
                 row(SEG_KIND_EP, ".g2.ep.seg", 0, 4),
@@ -241,7 +241,7 @@ mod tests {
         // ...unless its row count is more than its bytes could hold —
         // which must cost no allocation (0xFFFF_FFFF rows would be
         // ~170 GB), however the rest reads —
-        let count_at = 4 + 4 + m2.mutable_suffix.len();
+        let count_at = 4 + 4 + m2.log_suffix.len();
         for n in [4u32, 1 << 20, u32::MAX] {
             let mut bad = good.clone();
             bad[count_at..count_at + 4].copy_from_slice(&n.to_le_bytes());
@@ -268,7 +268,7 @@ mod tests {
     fn manifest_over_its_slot_is_an_error_and_writes_nothing() {
         let tiers = |n: u32| Manifest {
             generation: 1 + u64::from(n),
-            mutable_suffix: format!(".g{n}"),
+            log_suffix: format!(".g{n}.log"),
             segments: (1..=n)
                 .flat_map(|g| {
                     [

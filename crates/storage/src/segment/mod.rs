@@ -3,7 +3,7 @@
 //! lifecycle).
 //!
 //! The incremental path indexes one document at a time through the
-//! WAL'd buffer pool — the right shape for trickle inserts, the wrong
+//! in-memory buffer pool — the right shape for trickle inserts, the wrong
 //! one for loading millions of documents: every trie node becomes a
 //! B⁺-tree insert, and cold scans churn the pool because pages carry no
 //! key locality. A *segment* is the bulk alternative, following the
@@ -28,7 +28,8 @@
 //!   <db>.gN.ep.seg   the same for the extended sequences           (structural, format 3)
 //!   <db>.gN.vx.seg   numeric and string leaf-value postings        (value run, format 1)
 //!   <db>.gN.sym      the names generation N added to the dictionary (symbol run, format 1)
-//!   <db>.seg         the manifest naming the live files of every tier
+//!   <db>.gN.log      the batches generation N accepted since  (batch log, `crate::wal`)
+//!   <db>.seg         the manifest naming the live files of every tier and the log
 //!
 //!   a block of structural rows (varints; a restart is a row coded in full,
 //!   every other row what it adds to the row before it):
@@ -56,11 +57,11 @@
 //! * `symrun` — the names a tier interned ([`SymbolRun`]): a frame, an
 //!   opaque name list read whole, a CRC table.
 //! * `manifest` — the [`Manifest`]: the atomic commit point of every
-//!   bulk build and compaction.
+//!   bulk build and compaction, naming the tiers and the live log.
 //! * `env` — where the files live ([`SegmentEnv`]): real files, or
 //!   memory in tests.
 
-mod blockfile;
+pub(crate) mod blockfile;
 mod env;
 mod manifest;
 mod sort;

@@ -1530,6 +1530,7 @@ pub(crate) mod tests {
             good,
             oracle: format!("{:?}", (tags, docs, records, meta)),
             read_all,
+            prefixes: false,
         }
     }
 }

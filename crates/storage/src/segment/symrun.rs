@@ -178,6 +178,7 @@ pub(crate) mod tests {
             resident: SEG_HEADER_LEN,
             oracle: format!("{run:?}"),
             read_all,
+            prefixes: false,
         }
     }
 }

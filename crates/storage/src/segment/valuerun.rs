@@ -1059,6 +1059,7 @@ pub(crate) mod tests {
             good,
             oracle: format!("{entries:?}"),
             read_all,
+            prefixes: false,
         }
     }
 }

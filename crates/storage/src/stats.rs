@@ -102,21 +102,14 @@ io_counters! {
     physical_reads, record_physical_read(), true;
     /// Pages written to the backing store.
     physical_writes, record_physical_write(), true;
-    /// `fsync` calls against any backing store (database, checksum
-    /// sidecar, write-ahead log).
+    /// `fsync` calls against the batch log: one per commit, and one
+    /// for the header of each log a compaction or bulk build starts.
     fsyncs, record_fsync(), false;
-    /// Page frames appended to the write-ahead log (commit frames and
-    /// eviction spills).
-    wal_appends, record_wal_appends(frames), false;
-    /// Bytes appended to the write-ahead log: those frames and the
-    /// commit records, headers included.
+    /// Records appended to the batch log: one per commit.
+    wal_appends, record_wal_appends(records), false;
+    /// Bytes appended to the batch log: the batches as received plus
+    /// their framing.
     wal_appended_bytes, record_wal_appended_bytes(bytes), false;
-    /// Checkpoints completed (log-resident pages written to the page
-    /// file, log truncated).
-    checkpoints, record_checkpoint(), false;
-    /// Checkpoint failures `BufferPool::drop` had no caller to return
-    /// to (should stay 0).
-    flush_errors, record_flush_error(), false;
     /// Segment blocks requested through per-segment caches (hits and
     /// misses). Segments bypass the buffer pool, so their reads get
     /// their own counters.
@@ -181,8 +174,8 @@ fn scope_record(bump: impl FnOnce(&mut IoSnapshot)) {
 /// bumps the same atomics, so a before/after delta silently includes
 /// other queries' pages. `IoScope` fixes attribution by tallying the
 /// accesses made *by the current thread* between `begin` and `end`.
-/// Durability counters (fsyncs, log appends, checkpoints) are not
-/// tallied: queries never sync.
+/// Durability counters (fsyncs, log appends) are not tallied: queries
+/// never sync.
 ///
 /// Scopes nest: an inner scope's accesses are folded back into the
 /// enclosing scope when it ends, so wrapping a sub-operation does not
@@ -251,7 +244,7 @@ mod tests {
 
     #[test]
     fn every_counter_accumulates_snapshots_and_resets() {
-        assert_eq!(COUNTERS.len(), 10, "a counter was added or removed");
+        assert_eq!(COUNTERS.len(), 8, "a counter was added or removed");
         let s = IoStats::new();
         record_all(&s);
         let snap = s.snapshot();

@@ -1,12 +1,11 @@
-//! Raw byte-store abstraction under the pager and the WAL.
+//! Raw byte-store abstraction under every file of a database.
 //!
-//! The durability layer needs three backing "files" per database — the
-//! page file, the checksum sidecar, and the write-ahead log — and the
-//! crash-consistency harness needs to substitute all three with
-//! fault-injecting fakes that can lose or tear un-synced writes at a
-//! seeded syscall. [`RawStore`] is the narrow waist that makes both
-//! work: five operations with POSIX `pread`/`pwrite` semantics plus an
-//! explicit durability barrier ([`RawStore::sync`]).
+//! A database's files — the manifest, the tier files, the batch log —
+//! are written through [`RawStore`]s, and the crash-consistency harness
+//! substitutes fault-injecting fakes that can lose or tear un-synced
+//! writes at a seeded syscall. [`RawStore`] is the narrow waist that
+//! makes both work: five operations with POSIX `pread`/`pwrite`
+//! semantics plus an explicit durability barrier ([`RawStore::sync`]).
 //!
 //! Two implementations live here: [`FileStore`] (a real file) and
 //! [`MemStore`] (a shared in-memory buffer, used by tests and by
@@ -104,7 +103,7 @@ impl RawStore for FileStore {
 /// [`RawStore`] over a shared in-memory buffer.
 ///
 /// Clones share the same bytes, so a test can keep a handle, hand a
-/// clone to a pager or WAL, and inspect (or corrupt) the contents from
+/// clone to a writer, and inspect (or corrupt) the contents from
 /// outside — including "reopening" the same bytes after dropping the
 /// original owner, which is how the crash harness models a restart.
 #[derive(Clone, Default)]

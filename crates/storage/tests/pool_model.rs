@@ -3,15 +3,12 @@
 //! across random shard counts and capacities — the pool behaves exactly
 //! like a flat `HashMap<page, byte>` (every read returns the
 //! last-written byte) and never holds more frames than its configured
-//! capacity. Half the workloads run on a durable pool, where a flush
-//! is a log-only commit: committed pages evicted from a tiny pool must
-//! come back from the log, and a process killed at the end must reopen
-//! to exactly the last commit.
+//! capacity.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use prix_storage::{recover, BufferPool, MemStore, Pager, Wal};
+use prix_storage::{BufferPool, Pager};
 use prix_testkit::{check, from_fn, replay, Config, Generator};
 
 const PAGES: usize = 40;
@@ -29,8 +26,6 @@ struct Workload {
     capacity: usize,
     shards: usize,
     ops: Vec<Op>,
-    /// Run on a durable (WAL) pool instead of an in-memory one.
-    durable: bool,
 }
 
 /// Random capacity in 1..=24 and a power-of-two shard count clamped to
@@ -55,37 +50,23 @@ fn arb_workload() -> impl Generator<Value = Workload> {
                 }
             })
             .collect();
-        // Drawn last, so the tapes of seeds pinned before this field
-        // existed still generate the workloads they always did.
-        let durable = rng.below(2) == 1;
         Workload {
             capacity,
             shards,
             ops,
-            durable,
         }
     })
 }
 
 fn run_workload(w: &Workload) -> Result<(), String> {
-    // Page file, checksum sidecar, log: kept so the bytes a kill would
-    // leave behind can be reopened.
-    let stores = [MemStore::new(), MemStore::new(), MemStore::new()];
-    let pool = if w.durable {
-        let [db, sum, log] = stores.clone().map(Box::new);
-        let pager = Pager::create_durable(db, sum).unwrap();
-        let wal = Wal::create(log, pager.epoch(), pager.stats()).unwrap();
-        // Durable pools pick their own shard count.
-        BufferPool::with_wal(pager, w.capacity, wal)
-    } else {
-        BufferPool::with_shards(Pager::in_memory(), w.capacity, w.shards)
-    };
-    let pool = Arc::new(pool);
+    let pool = Arc::new(BufferPool::with_shards(
+        Pager::in_memory(),
+        w.capacity,
+        w.shards,
+    ));
     let ids: Vec<_> = (0..PAGES).map(|_| pool.allocate_page().unwrap()).collect();
     // Freshly allocated pages are zero-filled.
     let mut model: HashMap<usize, u8> = (0..PAGES).map(|p| (p, 0)).collect();
-    // What the last commit made durable (a clear commits too).
-    let mut committed: Option<HashMap<usize, u8>> = None;
 
     for op in &w.ops {
         match *op {
@@ -100,14 +81,8 @@ fn run_workload(w: &Workload) -> Result<(), String> {
                     return Err(format!("page {p}: read {got}, last write was {want}"));
                 }
             }
-            Op::Clear => {
-                pool.clear().unwrap();
-                committed = Some(model.clone());
-            }
-            Op::Flush => {
-                pool.flush().unwrap();
-                committed = Some(model.clone());
-            }
+            Op::Clear => pool.clear().unwrap(),
+            Op::Flush => pool.flush().unwrap(),
         }
         let resident = pool.resident();
         if resident > w.capacity {
@@ -115,22 +90,6 @@ fn run_workload(w: &Workload) -> Result<(), String> {
                 "{resident} resident frames exceed capacity {} ({} shards)",
                 w.capacity, w.shards
             ));
-        }
-    }
-    // Killed now, a durable pool reopens to its last commit: the page
-    // file as of the last checkpoint plus the replayed log.
-    if let (true, Some(committed)) = (w.durable, &committed) {
-        let [db, sum, log] = stores
-            .clone()
-            .map(|s| Box::new(MemStore::from_bytes(s.snapshot())));
-        let pager = Pager::open_durable(db, sum).unwrap();
-        let (wal, _) = recover(&pager, log, pager.stats()).unwrap();
-        let reopened = BufferPool::with_wal(pager, w.capacity, wal);
-        for (p, &want) in committed {
-            let got = reopened.with_page(ids[*p], |d| d[11]).unwrap();
-            if got != want {
-                return Err(format!("page {p} after a kill: {got}, committed {want}"));
-            }
         }
     }
     // Whatever the interleaving did, the full image must survive a final

@@ -7,7 +7,7 @@
 //! * writes land in a **pending** set until [`RawStore::sync`] — only a
 //!   sync moves them to the durable image;
 //! * a shared [`FaultInjector`] counts syscalls across *all* stores of
-//!   a database (page file, checksum sidecar, WAL) and kills the
+//!   a database (manifest, tier files, batch log) and kills the
 //!   process model at a seeded point: every later operation fails like
 //!   a killed process's would;
 //! * at the crash, each pending (un-synced) write survives with
@@ -201,8 +201,8 @@ impl FileState {
 }
 
 /// A fault-injectable [`RawStore`]. Clones share the same file, so a
-/// test keeps one handle for post-crash inspection while the pager or
-/// WAL owns another.
+/// test keeps one handle for post-crash inspection while a writer owns
+/// another.
 #[derive(Clone)]
 pub struct FaultStore {
     state: Arc<Mutex<FileState>>,
@@ -368,7 +368,7 @@ impl RawStore for FaultStore {
 
 /// A [`SegmentEnv`] over [`FaultStore`]s sharing one injector, so a
 /// kill point lands anywhere in the segment lifecycle's syscall
-/// stream — run spills, segment writes, mutable saves, manifest
+/// stream — run spills, segment writes, log appends, manifest
 /// slots. Unlinks are modeled as immediately durable; every `remove`
 /// the engine issues happens after its manifest commit point, so the
 /// simplification cannot hide an inconsistent window.

@@ -44,14 +44,14 @@ cargo test --release -p prix-server --offline --locked
 # The crash-consistency harness reruns in release too: its ~330 seeded
 # kill-point iterations (including kills inside the online-ingest
 # publish path) cover far more syscall interleavings per second there,
-# and optimized codegen must not perturb the recovery protocol. The
+# and optimized codegen must not perturb the log's replay. The
 # snapshot-isolation property suite reruns for the same reason: reader
 # threads race a publishing writer, and the races only get tight under
 # optimized codegen.
 cargo test --release --test crash_recovery --offline --locked
 cargo test --release --test snapshot_isolation --offline --locked
 # The write-path ledger reruns in release as well: its byte and fsync
-# counts come out of the run-length encoder and the checkpoint trigger,
+# counts come out of the log's framing and the compaction's files,
 # arithmetic an optimizing build must not change.
 cargo test --release --test write_amp --offline --locked
 # The segment-lifecycle suite reruns in release for the same reasons:
@@ -73,9 +73,10 @@ SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 
 "$PRIX" gen dblp "$SMOKE/corpus" --scale 0.01 >/dev/null
-# --alpha 4: dynamic labeling, so the later `prix add` and live-ingest
-# smokes have trie-scope headroom to actually accept documents.
-"$PRIX" index --alpha 4 "$SMOKE/db.prix" "$SMOKE"/corpus/*.xml >/dev/null
+# A bulk build: the corpus in one tier, an empty delta (whose trie
+# scopes are all headroom for the later `prix add` and live-ingest
+# smokes) and its batch log.
+"$PRIX" index "$SMOKE/db.prix" "$SMOKE"/corpus/*.xml >/dev/null
 
 "$PRIX" serve "$SMOKE/db.prix" --addr 127.0.0.1:0 >"$SMOKE/serve.log" 2>&1 &
 SERVE_PID=$!
@@ -153,8 +154,8 @@ echo "serve smoke OK (port $PORT)"
 # Crash-safety smoke with a real SIGKILL: start an ingest (`prix add`)
 # into the durable database, kill the process mid-flight, and require
 # that fsck recovers to a clean state and queries still answer. The
-# kill races the ingest — landing before, during, or after the save are
-# all valid outcomes the WAL must absorb.
+# kill races the ingest — landing before, during, or after the commit
+# are all valid outcomes the batch log must absorb.
 for i in 1 2 3; do
   "$PRIX" add "$SMOKE/db.prix" "$SMOKE"/corpus/*.xml >/dev/null 2>&1 &
   ADD_PID=$!
@@ -200,11 +201,11 @@ grep -q 'shutdown complete' "$SMOKE/ingest.log" || { echo "no clean shutdown aft
 grep -q 'fsck: clean' "$SMOKE/fsck.log" || { echo "fsck not clean after live ingest" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
 echo "live-ingest smoke OK (count $BEFORE -> $AFTER on port $PORT)"
 
-# Redo-log smoke with a real SIGKILL: a serving writer acknowledges
-# several POSTs — each one log append and one fsync, nothing in the
-# page file yet — and is then killed outright. fsck must find those
-# commits in the log and replay them, come out clean, and a count query
-# must see every acknowledged document.
+# Batch-log smoke with a real SIGKILL: a serving writer acknowledges
+# several POSTs — each one log record and one fsync, nothing else
+# written — and is then killed outright. fsck must find those commits
+# in the log and replay them, come out clean, and a count query must
+# see every acknowledged document.
 "$PRIX" serve "$SMOKE/db.prix" --addr 127.0.0.1:0 --ingest >"$SMOKE/kill.log" 2>&1 &
 SERVE_PID=$!
 PORT=
@@ -213,21 +214,21 @@ for _ in $(seq 1 100); do
   [ -n "$PORT" ] && break
   sleep 0.1
 done
-[ -n "$PORT" ] || { echo "redo-log smoke: serve never reported its port" >&2; cat "$SMOKE/kill.log" >&2; exit 1; }
+[ -n "$PORT" ] || { echo "batch-log smoke: serve never reported its port" >&2; cat "$SMOKE/kill.log" >&2; exit 1; }
 BEFORE=$(count_of "$(http "$Q")")
 ACKED=4
 for i in $(seq 1 "$ACKED"); do
   RESP=$(http /documents POST "<www><key>smoke/kill$i</key><editor>Kill Smoke</editor><url>http://example.org/kill$i</url></www>")
-  grep -q '200 OK' <<<"$RESP" || { echo "redo-log smoke: POST #$i failed" >&2; echo "$RESP" >&2; exit 1; }
+  grep -q '200 OK' <<<"$RESP" || { echo "batch-log smoke: POST #$i failed" >&2; echo "$RESP" >&2; exit 1; }
 done
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 "$PRIX" fsck "$SMOKE/db.prix" >"$SMOKE/fsck.log" || { echo "fsck failed after killing the writer" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
-grep -Eq '^log: [0-9]+ byte\(s\) found, [1-9][0-9]* frame\(s\) replayed$' "$SMOKE/fsck.log" || { echo "redo-log smoke: fsck replayed no frames" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
+grep -Eq '^log: [0-9]+ byte\(s\) found, [1-9][0-9]* record\(s\) replayed, [0-9]+ byte\(s\) of torn tail$' "$SMOKE/fsck.log" || { echo "batch-log smoke: fsck replayed no records" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
 grep -q 'fsck: clean' "$SMOKE/fsck.log" || { echo "fsck not clean after killing the writer" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
 AFTER=$("$PRIX" query "$SMOKE/db.prix" "//www/url" --limit 0 | sed -n 's/^\([0-9]*\) match(es).*/\1/p')
-[ "$AFTER" = "$((BEFORE + ACKED))" ] || { echo "redo-log smoke: //www/url count $BEFORE -> $AFTER, $ACKED documents were acknowledged" >&2; exit 1; }
-echo "redo-log smoke OK ($ACKED acknowledged POSTs survived kill -9: $(grep '^log:' "$SMOKE/fsck.log"))"
+[ "$AFTER" = "$((BEFORE + ACKED))" ] || { echo "batch-log smoke: //www/url count $BEFORE -> $AFTER, $ACKED documents were acknowledged" >&2; exit 1; }
+echo "batch-log smoke OK ($ACKED acknowledged POSTs survived kill -9: $(grep '^log:' "$SMOKE/fsck.log"))"
 
 # Segment lifecycle smoke: bulk-index the corpus into a fresh database,
 # verify the segments, rebuild and compare them, grow a mutable delta
@@ -235,13 +236,13 @@ echo "redo-log smoke OK ($ACKED acknowledged POSTs survived kill -9: $(grep '^lo
 # /dev/tcp, then compact and
 # require the answer bit-identical — same matches before and after the
 # delta folds into generation 2 — and a clean fsck at the end.
-"$PRIX" index --bulk --alpha 4 "$SMOKE/seg.prix" "$SMOKE"/corpus/*.xml >"$SMOKE/bulk.log"
+"$PRIX" index "$SMOKE/seg.prix" "$SMOKE"/corpus/*.xml >"$SMOKE/bulk.log"
 grep -q 'generation 1' "$SMOKE/bulk.log" || { echo "bulk index did not report generation 1" >&2; cat "$SMOKE/bulk.log" >&2; exit 1; }
 "$PRIX" segments "$SMOKE/seg.prix" --verify >"$SMOKE/segments.log"
 grep -q 'segments: clean' "$SMOKE/segments.log" || { echo "segments --verify not clean after bulk index" >&2; cat "$SMOKE/segments.log" >&2; exit 1; }
 # Determinism outside `cargo test`: a second bulk build of the same
 # corpus must produce byte-identical segment files and value run.
-"$PRIX" index --bulk --alpha 4 "$SMOKE/seg2.prix" "$SMOKE"/corpus/*.xml >/dev/null
+"$PRIX" index "$SMOKE/seg2.prix" "$SMOKE"/corpus/*.xml >/dev/null
 for KIND in rp ep vx; do
   cmp "$SMOKE/seg.prix.g1.$KIND.seg" "$SMOKE/seg2.prix.g1.$KIND.seg" || { echo "two bulk builds of one corpus wrote different $KIND segments" >&2; exit 1; }
 done
@@ -298,7 +299,7 @@ echo "segment smoke OK (two bulk builds byte-identical incl. the value run, bulk
 # value index is built alongside the structural ones), and require the
 # same predicate answer from the CLI and from /query on a fresh server
 # — bit-identical match lists — then an fsck, which also verifies the
-# valix pages.
+# value run and the delta's valix.
 "$PRIX" gen shop "$SMOKE/shop" --scale 0.05 >/dev/null
 "$PRIX" index "$SMOKE/shop.prix" "$SMOKE"/shop/*.xml >/dev/null
 CLI_PRED=$("$PRIX" query "$SMOKE/shop.prix" '//item[price < 10]' --limit 0)

@@ -1,21 +1,21 @@
 //! Crash-consistency harness: random workloads killed at seeded
 //! syscall points, recovered, and verified against an in-memory model.
 //!
-//! Each iteration builds a durable engine in a fault-injecting
-//! environment (`prix_testkit::FaultSegEnv`), saves a known-good base, then arms the
-//! injector and runs random inserts and saves until the simulated
-//! process dies mid-syscall. The post-crash disk images — durable bytes
-//! plus a seed-chosen subset of un-synced writes, with the in-flight
-//! operation cut short, torn at sector granularity, or robbed of its
-//! fsync — are reopened through real recovery, and the result must be
-//! exactly one of the states the WAL protocol promises:
+//! Each iteration bulk-builds a database in a fault-injecting
+//! environment (`prix_testkit::FaultSegEnv`), then arms the injector and
+//! runs random inserts and commits until the simulated process dies
+//! mid-syscall. The post-crash disk images — durable bytes plus a
+//! seed-chosen subset of un-synced writes, with the in-flight operation
+//! cut short, torn at sector granularity, or robbed of its fsync — are
+//! reopened, which replays the batch log, and the result must be
+//! exactly one of the states the log's protocol promises:
 //!
-//! * every save that returned `Ok` is fully present;
-//! * a save interrupted by the crash is fully present or fully absent;
-//! * inserts after the last save (never acknowledged) are fully absent;
-//! * no page fails its checksum after recovery;
-//! * the symbol dictionary is, id for id, the one the surviving save
-//!   held — after recovery and again after a second, clean reopen;
+//! * every commit that returned `Ok` is fully present;
+//! * a commit interrupted by the crash is fully present or fully absent;
+//! * inserts after the last commit (never acknowledged) are fully absent;
+//! * every tier file verifies;
+//! * the symbol dictionary is, id for id, the one the surviving commit
+//!   held — after recovery and again after a second reopen;
 //! * query results are bit-identical to a fresh in-memory engine built
 //!   over the surviving document prefix.
 //!
@@ -26,12 +26,12 @@
 use std::sync::Arc;
 
 use prix::core::{BulkBuilder, EngineConfig, LabelingMode, PrixEngine};
-use prix::storage::{BufferPool, MemSegEnv, MemStore, Pager, RawStore, SegmentEnv, Wal};
+use prix::storage::{MemSegEnv, RawStore, SegmentEnv};
 use prix::xml::Collection;
-use prix_testkit::{FaultInjector, FaultKind, FaultSegEnv, FaultStore, TestRng};
+use prix_testkit::{FaultInjector, FaultKind, FaultSegEnv, TestRng};
 
-/// Tiny pool: forces dirty evictions, so the WAL spill path is
-/// exercised constantly, not just the commit path.
+/// Tiny pool: forces dirty evictions, so the delta's pages move between
+/// the pool and its page file constantly, not just at clears.
 const BUFFER_PAGES: usize = 8;
 
 /// Queries the model comparison runs after recovery: structural,
@@ -54,12 +54,20 @@ fn labeling() -> LabelingMode {
     LabelingMode::Dynamic { alpha: 4 }
 }
 
+fn cfg() -> EngineConfig {
+    EngineConfig {
+        buffer_pages: BUFFER_PAGES,
+        labeling: labeling(),
+        ..Default::default()
+    }
+}
+
 /// A small random document over a fixed vocabulary, but for one leaf:
 /// the value under `d` is the document's own (one in a million), so
-/// most commits intern a name and the dictionary's bytes are under
-/// every kill point. Shapes are kept few so most inserts fit the dynamic
-/// trie scopes of the base build; the occasional legitimate rejection
-/// is tolerated by the harness.
+/// most commits intern a name and the dictionary is under every kill
+/// point. Shapes are kept few so most inserts fit the trie scopes of an
+/// empty delta; the occasional legitimate rejection is tolerated by the
+/// harness.
 fn doc_xml(rng: &mut TestRng) -> String {
     let mid = *rng.pick(&["b", "c"]);
     let leaf = *rng.pick(&["x", "y", "z"]);
@@ -72,16 +80,55 @@ fn doc_xml(rng: &mut TestRng) -> String {
     }
 }
 
+/// A document the engine refuses, whose parse interns a name of its own
+/// before it fails.
+fn refused_xml(rng: &mut TestRng) -> String {
+    format!("<a><d>r{}</d><b>", rng.below(1_000_000))
+}
+
 /// The dictionary of `engine`: every name, in id order.
 fn names_of(engine: &PrixEngine) -> Vec<String> {
     let names = engine.symbols().iter();
     names.map(|(_, name)| name.to_string()).collect()
 }
 
+/// Every document `engine` holds, tiers and delta.
+fn docs_of(engine: &PrixEngine) -> usize {
+    engine.segment_docs() as usize + engine.mutable_docs()
+}
+
+/// Bulk-builds `docs` into `env`.
+fn bulk_base(env: Arc<dyn SegmentEnv>, docs: &[String]) -> Result<PrixEngine, String> {
+    let mut b = BulkBuilder::with_env(cfg(), env).map_err(|e| format!("bulk open: {e}"))?;
+    for d in docs {
+        b.add_xml(d).map_err(|e| format!("bulk add: {e}"))?;
+    }
+    b.finish().map_err(|e| format!("bulk finish: {e}"))
+}
+
+/// Reopens what a crash left in `fenv`; the tier files and the delta's
+/// value index must verify.
+fn reopen_after_crash(fenv: &FaultSegEnv) -> Result<(PrixEngine, Arc<MemSegEnv>), String> {
+    let env = fenv.durable_env();
+    let after =
+        PrixEngine::reopen_env(env.clone(), 64).map_err(|e| format!("reopen after crash: {e}"))?;
+    after
+        .recovery()
+        .ok_or("a reopen must report what it replayed")?;
+    after
+        .verify_tiers()
+        .map_err(|e| format!("tier file verification after recovery: {e}"))?;
+    after
+        .valix()
+        .verify()
+        .map_err(|e| format!("valix verification after recovery: {e}"))?;
+    Ok((after, env))
+}
+
 /// `recovered`, reopened from `env`, must hold the dictionary `names`
-/// id for id — and hold it still after a clean close and a second
-/// reopen — and answer every query of [`QUERIES`] bit-identically to a
-/// fresh in-memory engine built over `docs`.
+/// id for id — and hold it still after a second reopen — and answer
+/// every query of [`QUERIES`] bit-identically to a fresh in-memory
+/// engine built over `docs`.
 fn same_answers(
     recovered: PrixEngine,
     env: Arc<MemSegEnv>,
@@ -93,7 +140,7 @@ fn same_answers(
         if got != names {
             let at = got.iter().zip(names).take_while(|(a, b)| a == b).count();
             return Err(format!(
-                "after {pass} the dictionary holds {} name(s), the surviving save held {}; \
+                "after {pass} the dictionary holds {} name(s), the surviving commit held {}; \
                  they part at id {at}",
                 got.len(),
                 names.len()
@@ -102,7 +149,7 @@ fn same_answers(
         same_matches(engine, docs).map_err(|e| format!("after {pass}: {e}"))
     };
     check(&recovered, "recovery")?;
-    drop(recovered); // a clean close: the log is checkpointed away
+    drop(recovered); // closing writes nothing
     let again = PrixEngine::reopen_env(env, 64).map_err(|e| format!("second reopen: {e}"))?;
     check(&again, "a second reopen")
 }
@@ -149,38 +196,27 @@ fn same_matches(recovered: &PrixEngine, docs: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// One full crash-recovery round. Returns `Err` with a diagnosis when
-/// any durability promise is broken.
+/// One full crash-recovery round on a bare engine. Returns `Err` with a
+/// diagnosis when any durability promise is broken.
 fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
     let mut rng = TestRng::from_seed(seed);
     let inj = FaultInjector::unarmed();
     let fenv = Arc::new(FaultSegEnv::new(&inj));
 
-    // Known-good base, built and saved before the injector is armed.
-    let mut docs: Vec<String> = Vec::new();
+    // Known-good base, bulk-built before the injector is armed.
+    let mut docs: Vec<String> = (0..4).map(|_| doc_xml(&mut rng)).collect();
     let mut base = Collection::new();
-    for _ in 0..4 {
-        let d = doc_xml(&mut rng);
-        base.add_xml(&d).map_err(|e| format!("base doc: {e}"))?;
-        docs.push(d);
+    for d in &docs {
+        base.add_xml(d).map_err(|e| format!("base doc: {e}"))?;
     }
-    let cfg = EngineConfig {
-        buffer_pages: BUFFER_PAGES,
-        labeling: labeling(),
-        ..Default::default()
-    };
     let mut engine =
-        PrixEngine::build_env(base, cfg, fenv.clone()).map_err(|e| format!("base build: {e}"))?;
-    engine.save().map_err(|e| format!("base save: {e}"))?;
+        PrixEngine::build_env(base, cfg(), fenv.clone()).map_err(|e| format!("base build: {e}"))?;
     // The last acknowledged state: its documents and its dictionary.
     let mut acked = (docs.len(), names_of(&engine));
 
     // Arm the kill point and run the workload until the lights go out.
-    let kill_after = match kind {
-        FaultKind::DroppedFsync => rng.below(30),
-        _ => rng.below(300),
-    };
-    inj.arm(kind, kill_after, rng.next_u64());
+    // A commit is one or two writes and one sync.
+    inj.arm(kind, rng.below(10), rng.next_u64());
     let mut crashed_during_save = false;
     for _ in 0..24 {
         if inj.crashed() {
@@ -206,40 +242,27 @@ fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
         }
     }
     if !inj.crashed() {
-        // Budget never ran out: end with a save so the iteration still
+        // Budget never ran out: end with a commit so the iteration still
         // verifies recovery of the final state. The remaining budget
-        // may still kill this save — same rules as any other.
+        // may still kill this one — same rules as any other.
         match engine.save() {
             Ok(()) => acked = (docs.len(), names_of(&engine)),
             Err(_) if inj.crashed() => crashed_during_save = true,
-            Err(e) => return Err(format!("final save failed without a crash: {e}")),
+            Err(e) => return Err(format!("final commit failed without a crash: {e}")),
         }
     }
     let crashed = inj.crashed();
-    // What the interrupted save was writing (nothing was inserted after
-    // it).
+    // What the interrupted commit was writing (nothing was inserted
+    // after it).
     let attempted = (docs.len(), names_of(&engine));
-    drop(engine); // post-crash the drop-flush fails; counted, not fatal
+    drop(engine);
 
-    // Reconstruct what the platter holds and reopen through recovery.
-    let env = fenv.durable_env();
-    let after =
-        PrixEngine::reopen_env(env.clone(), 64).map_err(|e| format!("reopen after crash: {e}"))?;
-    after
-        .recovery()
-        .ok_or("durable reopen must produce a recovery report")?;
-    let (verified, _) = after
-        .verify_checksums()
-        .map_err(|e| format!("checksum verification after recovery: {e}"))?;
-    if verified == 0 {
-        return Err("no page carried a checksum".into());
-    }
-
+    let (after, env) = reopen_after_crash(&fenv)?;
     // The recovered state must be an acknowledged one, documents and
-    // dictionary both: the last acked save, or — only if the crash hit a
-    // save — that save's full contents (WAL-committed before the error
-    // surfaced).
-    let n = after.rp_index().doc_count();
+    // dictionary both: the last acked commit, or — only if the crash hit
+    // a commit — that commit's full contents (its record may have
+    // landed before the error surfaced).
+    let n = docs_of(&after);
     let mut acceptable = vec![acked];
     if crashed_during_save {
         acceptable.push(attempted);
@@ -255,91 +278,53 @@ fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
              (crashed={crashed}, during_save={crashed_during_save})"
         ));
     };
-
-    // The dictionary id for id, and bit-identical query results against
-    // a fresh in-memory engine over the surviving prefix.
     same_answers(after, env, &docs[..n], names).map_err(|e| format!("{e} ({n} docs survived)"))
 }
 
 /// Kill-during-publish: the online ingest path. A [`SharedEngine`]
-/// ingests batches through the single-writer protocol (dry-run insert,
-/// WAL group commit inside `save`, epoch publish) while the injector
+/// ingests batches through the single-writer protocol (validation,
+/// one log record inside `save`, epoch publish) while the injector
 /// counts down to a kill. The recovered database must sit at **exactly
 /// one epoch boundary** — the state after some fully-published batch —
 /// never a torn mix of two batches.
 ///
-/// Acceptance of each document is deterministic for a given `(config,
-/// history)`, so a clean in-memory model replays the batches first and
-/// records the cumulative document list at every epoch boundary; the
-/// crashed run must recover to one of those lists, bit-identically.
+/// Acceptance of each document is deterministic for a given history, so
+/// a twin on clean stores replays the batches first and records the
+/// cumulative document list and dictionary at every epoch boundary; the
+/// crashed run must recover to one of those, bit-identically.
 fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
     use prix::core::SharedEngine;
 
     let mut rng = TestRng::from_seed(seed);
     let inj = FaultInjector::unarmed();
     let fenv = Arc::new(FaultSegEnv::new(&inj));
-
-    // Known-good base, saved before the injector is armed.
-    let mut base_docs: Vec<String> = Vec::new();
-    let mut base = Collection::new();
-    for _ in 0..3 {
-        let d = doc_xml(&mut rng);
-        base.add_xml(&d).map_err(|e| format!("base doc: {e}"))?;
-        base_docs.push(d);
-    }
-    let cfg = EngineConfig {
-        buffer_pages: BUFFER_PAGES,
-        labeling: labeling(),
-        ..Default::default()
-    };
-    let mut engine =
-        PrixEngine::build_env(base, cfg, fenv.clone()).map_err(|e| format!("base build: {e}"))?;
-    engine.save().map_err(|e| format!("base save: {e}"))?;
-
+    let base_docs: Vec<String> = (0..3).map(|_| doc_xml(&mut rng)).collect();
+    let engine = bulk_base(fenv.clone(), &base_docs)?;
     let batches: Vec<Vec<String>> = (0..rng.range(2, 5))
         .map(|_| (0..rng.range(1, 4)).map(|_| doc_xml(&mut rng)).collect())
         .collect();
 
-    // Model run: replay the batches on a clean in-memory engine to
-    // learn which documents each batch accepts. `states[k]` is the
-    // cumulative accepted document list after batch k; `states[0]` is
-    // the base, `state_names[k]` the dictionary at that point (every
-    // document parsed so far interned its names, accepted or not).
-    // These are the only legal recovery targets.
-    let mut model = {
-        let mut coll = Collection::new();
-        for d in &base_docs {
-            coll.add_xml(d).map_err(|e| format!("model doc: {e}"))?;
-        }
-        PrixEngine::build(
-            coll,
-            EngineConfig {
-                labeling: labeling(),
-                ..Default::default()
-            },
-        )
-        .map_err(|e| format!("model build: {e}"))?
-    };
+    // The twin: `states[k]` is the cumulative accepted document list
+    // after batch k (`states[0]` the base), `state_names[k]` the
+    // dictionary then (every document parsed so far interned its names,
+    // accepted or not). These are the only legal recovery targets.
+    let mut twin = bulk_base(Arc::new(MemSegEnv::new()), &base_docs)?;
     let mut states: Vec<Vec<String>> = vec![base_docs.clone()];
-    let mut state_names = vec![names_of(&model)];
+    let mut state_names = vec![names_of(&twin)];
     for batch in &batches {
         let mut cumulative = states.last().unwrap().clone();
         for d in batch {
-            if model.insert_document(d).is_ok() {
+            if twin.insert_document(d).is_ok() {
                 cumulative.push(d.clone());
             }
         }
         states.push(cumulative);
-        state_names.push(names_of(&model));
+        state_names.push(names_of(&twin));
     }
 
     // Arm the kill point and drive the batches through the shared
     // (snapshot-publishing) ingest path until the lights go out.
-    let kill_after = match kind {
-        FaultKind::DroppedFsync => rng.below(30),
-        _ => rng.below(300),
-    };
-    inj.arm(kind, kill_after, rng.next_u64());
+    inj.arm(kind, rng.below(8), rng.next_u64());
     let shared = SharedEngine::new(engine);
     let mut last_acked = 0usize; // index into `states`
     let mut crashed_in_batch: Option<usize> = None;
@@ -364,48 +349,30 @@ fn ingest_crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
             Err(e) => return Err(format!("ingest failed without a crash: {e}")),
         }
     }
-    drop(shared); // post-crash the drop-flush fails; counted, not fatal
+    drop(shared);
 
-    // Reconstruct the platter and reopen through recovery.
-    let env = fenv.durable_env();
-    let after =
-        PrixEngine::reopen_env(env.clone(), 64).map_err(|e| format!("reopen after crash: {e}"))?;
-    after
-        .recovery()
-        .ok_or("durable reopen must produce a recovery report")?;
-    after
-        .verify_checksums()
-        .map_err(|e| format!("checksum verification after recovery: {e}"))?;
-
+    let (after, env) = reopen_after_crash(&fenv)?;
     // Exactly one epoch: the recovered document count must equal the
     // last acked boundary, or — only if the crash interrupted a batch —
-    // that batch's boundary (its WAL commit may have landed before the
+    // that batch's boundary (its record may have landed before the
     // error surfaced). Nothing in between, nothing beyond.
-    let n = after.rp_index().doc_count();
-    let mut acceptable = vec![states[last_acked].len()];
-    if let Some(k) = crashed_in_batch {
-        acceptable.push(states[k].len());
-    }
+    let n = docs_of(&after);
+    let mut acceptable = vec![last_acked];
+    acceptable.extend(crashed_in_batch);
     let state = acceptable
         .iter()
-        .position(|&c| c == n)
-        .map(|i| {
-            if i == 0 {
-                last_acked
-            } else {
-                crashed_in_batch.unwrap()
-            }
-        })
+        .copied()
+        .find(|&k| states[k].len() == n && state_names[k].len() == after.symbols().len())
         .ok_or_else(|| {
             format!(
-                "recovered {n} docs; acceptable epoch boundaries hold \
-                 {acceptable:?} (acked batch {last_acked}, crashed in \
-                 {crashed_in_batch:?})"
+                "recovered {n} docs; acceptable epoch boundaries hold {:?} (acked batch \
+                 {last_acked}, crashed in {crashed_in_batch:?})",
+                acceptable
+                    .iter()
+                    .map(|&k| states[k].len())
+                    .collect::<Vec<_>>()
             )
         })?;
-
-    // That boundary's dictionary, and bit-identical query results
-    // against a fresh engine over exactly its document list.
     same_answers(after, env, &states[state], &state_names[state])
         .map_err(|e| format!("{e} — the recovered state mixes epochs (expected epoch {state})"))
 }
@@ -482,31 +449,32 @@ fn ingest_crash_replay_dropped_fsync_seed_5eed0006() {
 }
 
 // ---------------------------------------------------------------------------
-// The redo log between checkpoints
+// The log between compactions
 // ---------------------------------------------------------------------------
 
 /// Where the kill lands while K ≥ 3 acknowledged commits sit in the
-/// log, none of them checkpointed.
+/// log.
 #[derive(Debug, Clone, Copy)]
 enum KillIn {
     /// Inside commit K+1.
     Commit,
-    /// Inside the checkpoint that moves the K commits to the page file.
-    Checkpoint,
-    /// Inside a compaction: the segment build, the unlogged build of
-    /// the fresh generation, the manifest write, the unlinks.
+    /// Inside a compaction: the segment build, the fresh log's header,
+    /// the manifest write, the unlink of the old log.
     Compaction,
-    /// Inside the commit + checkpoint of a server shutdown, after an
-    /// aborted ingest round left its spills in the log.
-    AfterAbort,
+    /// Inside commit K+1, after a round whose only document was refused
+    /// (its parse interned a name, which rides in K+1's record).
+    AfterRefusal,
+    /// Inside commit K+1 of an engine reopened over a log whose last
+    /// append was torn: the commit cuts the tail off, then appends.
+    AfterTornTail,
 }
 
 impl KillIn {
     const ALL: [KillIn; 4] = [
         KillIn::Commit,
-        KillIn::Checkpoint,
         KillIn::Compaction,
-        KillIn::AfterAbort,
+        KillIn::AfterRefusal,
+        KillIn::AfterTornTail,
     ];
 }
 
@@ -527,12 +495,13 @@ fn ingest_round(engine: &mut PrixEngine, batch: &[String]) -> Result<Vec<String>
         .collect())
 }
 
-/// What one seed of the redo-log harness does: a bulk-built base and
-/// K + 1 ingest batches.
+/// What one seed of the log harness does: a bulk-built base and K + 1
+/// ingest batches, and a refused document for [`KillIn::AfterRefusal`].
 struct Script {
     base: Vec<String>,
     k: usize,
     batches: Vec<Vec<String>>,
+    refused: String,
     /// `states[i]`: the documents a database holds after batch `i`.
     /// Which documents a batch gets accepted depends on the label
     /// scopes the earlier ones took, so a twin on clean stores runs
@@ -540,6 +509,9 @@ struct Script {
     states: Vec<Vec<String>>,
     /// `names[i]`: the dictionary after batch `i`, in id order.
     names: Vec<Vec<String>>,
+    /// The dictionary after batch K + 1 when the refused round came
+    /// before it.
+    names_after_refusal: Vec<String>,
     crash_seed: u64,
 }
 
@@ -555,11 +527,13 @@ impl Script {
             base,
             k,
             batches,
+            refused: refused_xml(&mut rng),
             states: Vec::new(),
             names: Vec::new(),
+            names_after_refusal: Vec::new(),
             crash_seed: rng.next_u64(),
         };
-        let mut twin = script.bulk_base(Arc::new(MemSegEnv::new()))?;
+        let mut twin = bulk_base(Arc::new(MemSegEnv::new()), &script.base)?;
         let mut states = vec![script.base.clone()];
         let mut names = vec![names_of(&twin)];
         for batch in &script.batches {
@@ -568,31 +542,26 @@ impl Script {
             states.push(docs);
             names.push(names_of(&twin));
         }
+        let mut twin = bulk_base(Arc::new(MemSegEnv::new()), &script.base)?;
+        for batch in &script.batches[..k] {
+            ingest_round(&mut twin, batch).map_err(|e| format!("twin: {e}"))?;
+        }
+        let refused = ingest_round(&mut twin, std::slice::from_ref(&script.refused))?;
+        assert!(refused.is_empty(), "the refused document was accepted");
+        ingest_round(&mut twin, &script.batches[k])?;
+        script.names_after_refusal = names_of(&twin);
         (script.states, script.names) = (states, names);
         Ok(script)
     }
-
-    fn bulk_base(&self, env: Arc<dyn SegmentEnv>) -> Result<PrixEngine, String> {
-        let cfg = EngineConfig {
-            buffer_pages: BUFFER_PAGES,
-            labeling: labeling(),
-            ..Default::default()
-        };
-        let mut b = BulkBuilder::with_env(cfg, env).map_err(|e| format!("bulk open: {e}"))?;
-        for d in &self.base {
-            b.add_xml(d).map_err(|e| format!("bulk add: {e}"))?;
-        }
-        b.finish().map_err(|e| format!("bulk finish: {e}"))
-    }
 }
 
-/// One round of the redo-log harness: the script's base, K
-/// acknowledged ingest commits that stay in the log, then a kill at
-/// the `kill_at`-th matching syscall of the phase `kill_in` names.
-/// Whatever the kill hits, reopening must find all K batches (and
-/// batch K+1 whole or not at all), clean checksums and segments, and
-/// the answers of a fresh in-memory engine. Returns how many matching
-/// syscalls the phase issued, so a caller can sweep every one of them.
+/// One round of the log harness: the script's base, K acknowledged
+/// ingest commits, then a kill at the `kill_at`-th matching syscall of
+/// the phase `kill_in` names. Whatever the kill hits, reopening must
+/// find all K batches (and batch K+1 whole or not at all), clean tier
+/// files, the dictionary id for id and the answers of a fresh in-memory
+/// engine. Returns how many matching syscalls the phase issued, so a
+/// caller can sweep every one of them.
 fn redo_log_iteration(
     script: &Script,
     kind: FaultKind,
@@ -609,45 +578,52 @@ fn redo_log_iteration(
     let k = *k;
     let inj = FaultInjector::unarmed();
     let fenv = Arc::new(FaultSegEnv::new(&inj));
-    let mut engine = script.bulk_base(fenv.clone())?;
-    let pool = Arc::clone(engine.pool());
-    let checkpointed = pool.pager().epoch();
+    let mut engine = bulk_base(fenv.clone(), &script.base)?;
     for batch in &batches[..k] {
         ingest_round(&mut engine, batch).map_err(|e| format!("unarmed ingest: {e}"))?;
     }
-    if pool.pager().epoch() != checkpointed || pool.log_resident_pages() == 0 {
-        return Err("the K commits did not stay in the log".into());
+    let logged = engine.log().map_or(0, |l| l.records());
+    if logged == 0 || logged > k as u64 {
+        return Err(format!("{logged} record(s) in the log after {k} commits"));
     }
-    if matches!(kill_in, KillIn::AfterAbort) {
-        // A round that dirties pages, spills some of them and is then
-        // rolled back. The engine's in-memory counters are stale from
-        // here on; only its pool is used again.
-        let mut rng = TestRng::from_seed(script.crash_seed);
-        let spilled = pool.snapshot().wal_appends;
-        pool.begin_ingest();
-        while pool.snapshot().wal_appends == spilled {
-            let _ = engine.insert_document(&doc_xml(&mut rng));
+    let mut after_k1 = names[k + 1].clone();
+    match kill_in {
+        KillIn::AfterRefusal => {
+            ingest_round(&mut engine, std::slice::from_ref(&script.refused))?;
+            after_k1 = script.names_after_refusal.clone();
         }
-        pool.abort_ingest().map_err(|e| format!("abort: {e}"))?;
+        KillIn::AfterTornTail => {
+            // A commit cut short by a crash: half a record, durable.
+            let log = fenv.open(".g1.log").map_err(|e| e.to_string())?;
+            let end = log.len().map_err(|e| e.to_string())?;
+            let torn = [0x40, 0, 0, 0, 0xAB, 0xCD, 0xEF, 0x01, 9, 9, 9];
+            log.write_at(end, &torn).map_err(|e| e.to_string())?;
+            log.sync().map_err(|e| e.to_string())?;
+            drop(engine);
+            engine = PrixEngine::reopen_env(fenv.clone(), BUFFER_PAGES)
+                .map_err(|e| format!("reopen over a torn tail: {e}"))?;
+            if !engine.recovery().is_some_and(|r| r.unclean_shutdown) {
+                return Err("the torn tail went unnoticed".into());
+            }
+        }
+        KillIn::Commit | KillIn::Compaction => {}
     }
 
     inj.arm(kind, kill_at, script.crash_seed ^ kill_at);
     let ops = inj.ops_seen();
-    let mut acceptable = vec![k];
+    let mut acceptable = vec![(k, names[k].clone())];
     let phase = match kill_in {
-        KillIn::Commit => {
+        KillIn::Compaction => engine.compact().map(|_| ()).map_err(|e| e.to_string()),
+        _ => {
             let r = ingest_round(&mut engine, &batches[k]).map(|_| ());
-            acceptable = if r.is_ok() {
-                vec![k + 1]
+            let k1 = (k + 1, after_k1);
+            if r.is_ok() {
+                acceptable = vec![k1];
             } else {
-                vec![k, k + 1]
-            };
+                acceptable.push(k1);
+            }
             r
         }
-        // What server shutdown runs; `Drop` runs its write-back half,
-        // and only over all-committed state.
-        KillIn::Checkpoint | KillIn::AfterAbort => pool.checkpoint().map_err(|e| e.to_string()),
-        KillIn::Compaction => engine.compact().map(|_| ()).map_err(|e| e.to_string()),
     };
     let ops = inj.ops_seen() - ops;
     if let Err(e) = phase {
@@ -655,52 +631,38 @@ fn redo_log_iteration(
             return Err(format!("{kill_in:?} failed without a crash: {e}"));
         }
     }
-    drop(pool);
-    drop(engine); // post-crash the drop-checkpoint fails; counted, not fatal
+    drop(engine);
 
-    let env = fenv.durable_env();
-    let after =
-        PrixEngine::reopen_env(env.clone(), 64).map_err(|e| format!("reopen after crash: {e}"))?;
-    after
-        .verify_checksums()
-        .map_err(|e| format!("checksum verification after recovery: {e}"))?;
-    after
-        .verify_tiers()
-        .map_err(|e| format!("tier file verification after recovery: {e}"))?;
-    after
-        .valix()
-        .verify()
-        .map_err(|e| format!("valix verification after recovery: {e}"))?;
+    let (after, env) = reopen_after_crash(&fenv)?;
     // The dictionary's halves go together. A compaction moves the names
-    // the delta interned from the old generation's chain into a symbol
-    // run: the old manifest with the old chain, or the new manifest
-    // with the run and an empty delta — never one's rows with the
-    // other's pages.
+    // the delta's batches interned into a symbol run: the old manifest
+    // with the log that interns them again, or the new manifest with the
+    // run and an empty delta — never one's rows with the other's log.
     let runs = after.segment_manifest().iter();
     let runs: Vec<_> = runs.filter(|s| s.suffix.ends_with(".sym")).collect();
     let tiered: usize = runs.iter().map(|s| s.n_docs as usize).sum();
-    let chained = after.symbols().len() - tiered;
+    let replayed = after.symbols().len() - tiered;
     let interned = names[k].len() - names[0].len();
     let compacted = after.generation() == 2;
-    let layout = (after.mutable_docs() == 0, runs.len(), chained == 0);
+    let layout = (after.mutable_docs() == 0, runs.len(), replayed == 0);
     if matches!(kill_in, KillIn::Compaction)
         && interned > 0
         && layout != (compacted, 1 + usize::from(compacted), compacted)
     {
         return Err(format!(
             "generation {}: {} doc(s) in the delta, {} symbol run(s) holding {tiered} name(s), \
-             {chained} name(s) in the chain",
+             {replayed} name(s) interned by the replay",
             after.generation(),
             after.mutable_docs(),
             runs.len()
         ));
     }
-    let n = after.segment_docs() as usize + after.mutable_docs();
-    let state = acceptable
+    let n = docs_of(&after);
+    let (state, names) = acceptable
         .into_iter()
-        .find(|&i| states[i].len() == n)
+        .find(|(i, _)| states[*i].len() == n)
         .ok_or_else(|| format!("recovered {n} docs, {k} batches were acknowledged"))?;
-    same_answers(after, env, &states[state], &names[state])?;
+    same_answers(after, env, &states[state], &names)?;
     Ok(ops)
 }
 
@@ -752,14 +714,17 @@ fn redo_log_survives_random_crashes() {
     }
     assert!(
         failures.is_empty(),
-        "{} redo-log crash iteration(s) lost an acknowledged commit:\n{}",
+        "{} log crash iteration(s) lost an acknowledged commit:\n{}",
         failures.len(),
         failures.join("\n")
     );
 }
 
-/// A kill at every single syscall of a checkpoint: the page writes,
-/// the two page-file barriers, the epoch advance, the log truncation.
+/// A kill at every single syscall of a compaction — which is what a
+/// checkpoint was: the step that moves what the log holds into the
+/// files the next open starts from, and lets the log start over. Its
+/// segment and value-run writes and barriers, the fresh log's header,
+/// the manifest write, the old log's unlink.
 #[test]
 fn checkpoint_survives_a_kill_at_every_syscall() {
     let mut failures = Vec::new();
@@ -767,7 +732,25 @@ fn checkpoint_survives_a_kill_at_every_syscall() {
         failures.extend(redo_log_sweep(
             0x5EED_0010,
             kind,
-            &[KillIn::Checkpoint],
+            &[KillIn::Compaction],
+            None,
+        ));
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// A kill at every syscall of the commit that follows a torn tail —
+/// the tail's truncation, the append, the barrier — under every fault
+/// kind: the reopened log never replays a record past a torn one, and
+/// never loses one that was acknowledged.
+#[test]
+fn a_commit_after_a_torn_tail_survives_a_kill_at_every_syscall() {
+    let mut failures = Vec::new();
+    for kind in FaultKind::ALL {
+        failures.extend(redo_log_sweep(
+            0x5EED_0015,
+            kind,
+            &[KillIn::AfterTornTail],
             None,
         ));
     }
@@ -799,7 +782,7 @@ fn redo_log_replay_dropped_fsync_seed_5eed0013() {
     let failures = redo_log_sweep(
         0x5EED_0013,
         FaultKind::DroppedFsync,
-        &[KillIn::AfterAbort],
+        &[KillIn::AfterRefusal],
         None,
     );
     assert!(failures.is_empty(), "{}", failures.join("\n"));
@@ -807,12 +790,13 @@ fn redo_log_replay_dropped_fsync_seed_5eed0013() {
 
 /// A compaction that writes a symbol run — the delta's documents each
 /// brought a value of their own — killed at every syscall, under every
-/// fault kind: the run's write and barrier, the fresh generation, the
-/// manifest write, the unlinks. Whatever the kill hits, reopening finds
-/// the old manifest and the old generation's chain or the new manifest
-/// and the run ([`redo_log_iteration`] checks which, and the dictionary
-/// id for id). And where nothing is killed, a reader pinned before the
-/// compaction answers, and spells its symbols, bit-identically after it.
+/// fault kind: the run's write and barrier, the fresh log, the manifest
+/// write, the unlink. Whatever the kill hits, reopening finds the old
+/// manifest and the log that interns the names again, or the new
+/// manifest and the run ([`redo_log_iteration`] checks which, and the
+/// dictionary id for id). And where nothing is killed, a reader pinned
+/// before the compaction answers, and spells its symbols,
+/// bit-identically after it.
 #[test]
 fn compaction_with_a_symbol_run_survives_a_kill_at_every_syscall() {
     use prix::core::SharedEngine;
@@ -826,7 +810,8 @@ fn compaction_with_a_symbol_run_survives_a_kill_at_every_syscall() {
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 
-    let shared = SharedEngine::new(script.bulk_base(Arc::new(MemSegEnv::new())).unwrap());
+    let base = bulk_base(Arc::new(MemSegEnv::new()), &script.base).unwrap();
+    let shared = SharedEngine::new(base);
     for batch in &script.batches[..script.k] {
         shared.ingest(batch).unwrap();
     }
@@ -852,152 +837,30 @@ fn compaction_with_a_symbol_run_survives_a_kill_at_every_syscall() {
     assert_eq!(names(&fresh), before.1, "a compaction interns nothing");
 }
 
-/// A checkpoint killed at every write and barrier while the log's last
-/// word on each page is a delta. The page file then holds an older
-/// image with some sectors of the new one torn in, and none of the
-/// frames near the log's end can repair that alone: recovery has to
-/// start from each page's first frame since the last checkpoint — a
-/// whole image — and lay the deltas over it, never over the page file.
-#[test]
-fn a_torn_checkpoint_is_repaired_from_first_frames_and_deltas() {
-    use prix::storage::{recover, PAGE_SIZE};
-    const PAGES: usize = 6;
-    // Returns the syscalls the checkpoint issued.
-    let run = |kind: FaultKind, kill_at: u64| -> Result<u64, String> {
-        let inj = FaultInjector::unarmed();
-        let [db, sum, log] = [1, 2, 3].map(|salt| FaultStore::new(&inj, salt));
-        let pager = Pager::create_durable(Box::new(db.clone()), Box::new(sum.clone())).unwrap();
-        let wal = Wal::create(Box::new(log.clone()), pager.epoch(), pager.stats()).unwrap();
-        let pool = BufferPool::with_wal(pager, 16, wal);
-        let mut rng = TestRng::from_seed(0x5EED_0019);
-        let ids: Vec<_> = (0..PAGES).map(|_| pool.allocate_page().unwrap()).collect();
-        let mut model = vec![[0u8; PAGE_SIZE]; PAGES];
-        let noise = |rng: &mut TestRng, model: &mut [[u8; PAGE_SIZE]]| {
-            for (image, &id) in model.iter_mut().zip(&ids) {
-                image.iter_mut().for_each(|b| *b = rng.below(256) as u8);
-                pool.with_page_mut(id, |d| *d = *image).unwrap();
-            }
-        };
-        // An older image of every page in the page file...
-        noise(&mut rng, &mut model);
-        pool.checkpoint().unwrap();
-        // ...a whole new one as each page's first frame in the log...
-        noise(&mut rng, &mut model);
-        pool.commit().unwrap();
-        // ...and then nothing but small deltas.
-        let first_frames = pool.snapshot().wal_appended_bytes;
-        for _ in 0..4 {
-            for (image, &id) in model.iter_mut().zip(&ids) {
-                let at = rng.below(PAGE_SIZE as u64 - 64) as usize;
-                let fill = rng.below(256) as u8;
-                image[at..at + 64].fill(fill);
-                pool.with_page_mut(id, |d| d[at..at + 64].fill(fill))
-                    .unwrap();
-            }
-            pool.commit().unwrap();
-        }
-        let deltas = pool.snapshot().wal_appended_bytes - first_frames;
-        assert!(
-            deltas < (4 * PAGES * 128) as u64,
-            "{deltas} bytes of deltas"
-        );
-
-        inj.arm(kind, kill_at, 0xC0DE ^ kill_at);
-        let ops = inj.ops_seen();
-        let killed = pool.checkpoint().is_err();
-        let ops = inj.ops_seen() - ops;
-        if killed != inj.crashed() {
-            return Err("the checkpoint failed without a crash".into());
-        }
-        drop(pool);
-
-        let [db, sum, log] =
-            [db, sum, log].map(|s| Box::new(MemStore::from_bytes(s.durable_bytes())));
-        let pager = Pager::open_durable(db, sum).map_err(|e| format!("open: {e}"))?;
-        let (wal, _) = recover(&pager, log, pager.stats()).map_err(|e| format!("recover: {e}"))?;
-        let after = BufferPool::with_wal(pager, 16, wal);
-        for (image, &id) in model.iter().zip(&ids) {
-            if !after
-                .with_page(id, |d| d == image)
-                .map_err(|e| e.to_string())?
-            {
-                return Err(format!("page {id} is not its last committed image"));
-            }
-        }
-        after
-            .pager()
-            .verify_checksums()
-            .map_err(|e| e.to_string())?;
-        Ok(ops)
-    };
-    let mut failures = Vec::new();
-    for kind in FaultKind::ALL {
-        let ops = run(kind, u64::MAX).expect("no kill");
-        assert!(ops >= 3, "{kind:?}: a checkpoint of {ops} syscall(s)");
-        for at in 0..ops {
-            if let Err(e) = run(kind, at) {
-                failures.push(format!("{kind:?} kill point {at} of {ops}: {e}"));
-            }
-        }
-    }
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
-}
-
-/// Regression for the silently-discarded drop-flush error: a pool whose
-/// closing checkpoint fails during `Drop` must count the failure in
-/// IoStats (and log it) instead of swallowing it. The page is committed
-/// first: `Drop` checkpoints committed state only.
-#[test]
-fn drop_flush_error_is_counted_not_swallowed() {
-    let inj = FaultInjector::unarmed();
-    let store = FaultStore::new(&inj, 9);
-    let pager = Pager::create_durable(Box::new(store), Box::new(MemStore::new())).unwrap();
-    let stats = pager.stats();
-    let wal = Wal::create(Box::new(MemStore::new()), pager.epoch(), pager.stats()).unwrap();
-    let pool = BufferPool::with_wal(pager, 4, wal);
-    let id = pool.allocate_page().unwrap();
-    pool.with_page_mut(id, |d| d[0] = 7).unwrap();
-    pool.commit().unwrap();
-    assert_eq!(stats.snapshot().flush_errors, 0);
-    inj.arm(FaultKind::ShortWrite, 0, 1); // the next write dies
-    drop(pool);
-    assert_eq!(
-        stats.snapshot().flush_errors,
-        1,
-        "drop must record the failed flush"
-    );
-}
-
-/// Bit rot after a clean shutdown: recovery has nothing to replay, but
-/// checksum verification still refuses the corrupted page.
+/// Bit rot in a tier file after it was written: a reopen reads the
+/// header and the resident sections only, but the full verification
+/// (`prix fsck`) checks every block against its CRC and refuses the
+/// corrupted one.
 #[test]
 fn silent_corruption_is_caught_by_verify_checksums() {
     let env = Arc::new(MemSegEnv::new());
     let mut c = Collection::new();
-    c.add_xml("<a><b>v0</b></a>").unwrap();
-    let cfg = EngineConfig {
-        buffer_pages: BUFFER_PAGES,
-        labeling: labeling(),
-        ..Default::default()
-    };
-    let mut e = PrixEngine::build_env(c, cfg, env.clone()).unwrap();
-    e.save().unwrap();
-    drop(e);
-    // Flip one byte in the middle of page 1.
-    let db = env.store("").expect("the page file");
-    let victim = prix::storage::PAGE_SIZE + prix::storage::PAGE_SIZE / 2;
-    let flipped = db.snapshot()[victim] ^ 0x40;
-    db.write_at(victim as u64, &[flipped]).unwrap();
-    // The corruption surfaces at the first checksum-verified cold read
-    // of the page — during reopen if the catalog walk touches it, or at
-    // the explicit verification sweep otherwise. Either way it must
-    // never pass silently.
+    for i in 0..40 {
+        c.add_xml(&format!("<a><b>v{i}</b><c>w{i}</c></a>"))
+            .unwrap();
+    }
+    drop(PrixEngine::build_env(c, cfg(), env.clone()).unwrap());
+    // Flip one byte in the first block of records, past the header.
+    let seg = env.store(".g1.ep.seg").expect("the EP segment");
+    let victim = 128 + 16;
+    let flipped = seg.snapshot()[victim] ^ 0x40;
+    seg.write_at(victim as u64, &[flipped]).unwrap();
     let err = match PrixEngine::reopen_env(env, 64) {
         Err(e) => e.to_string(),
-        Ok(reopened) => reopened.verify_checksums().unwrap_err().to_string(),
+        Ok(reopened) => reopened.verify_tiers().unwrap_err().to_string(),
     };
     assert!(
-        err.contains("checksum"),
+        err.contains("CRC mismatch"),
         "flipped bit must surface as a checksum error, got: {err}"
     );
 }

@@ -9,14 +9,15 @@
 //!   forced onto each index, unlimited and with limits 1 and 10, every
 //!   row pins the match vector in order, `truncated`, the ten
 //!   deterministic counters and the cold I/O counters. The one executor
-//!   must reproduce every row. (The I/O columns were re-pinned three
+//!   must reproduce every row. (The I/O columns were re-pinned four
 //!   times, by `repin_golden_io_columns` below, which first proves that
 //!   nothing else in any row moved: the segment shapes' two block
 //!   counters when segment format 3 packed five times the rows into a
 //!   block, the pool tier's `physical_reads` when catalog version 5
 //!   made a document one varint record, and the three-tier shape's when
 //!   catalog version 6 took the symbol table out of the generation a
-//!   compaction creates, which renumbered the pages of its tail.)
+//!   compaction creates and again when the delta stopped being a page
+//!   file — both times renumbering the pages of its tail.)
 //! * **Limit pushdown** — on a high-fanout collection, `limit = 10`
 //!   performs strictly fewer range queries, scans strictly fewer trie
 //!   nodes, and reads strictly fewer buffer-pool pages than the
@@ -264,19 +265,20 @@ fn split_io(row: &str) -> Option<([u64; 3], String)> {
 /// written, every recomputed row must equal the committed one in its
 /// match vector, `truncated` and all ten counters (the answers did not
 /// move). What else must hold depends on which format moved, and is
-/// asserted for the last one that did. Catalog version 6 took the
-/// symbol table out of the pool (catalog version 5, before it, changed
-/// the pool tier's document records: `physical_reads` free to move on
-/// the pool shape too; segment format 3, before that, had the
-/// mirror-image rules: pool rows equal outright, `physical_reads` equal
-/// everywhere, neither segment counter up): no query reads a name, so no
-/// row's segment counters may move and the pool and bulk shapes — one
-/// never saved, the other with an empty delta — must be equal outright;
-/// the tiers shape's tail lives in a generation a compaction created,
-/// shorter now by the table's pages, so its records sit on other page
+/// asserted for the last one that did. The delta stopped being a page
+/// file (catalog version 6, before it, took the symbol table out of the
+/// pool under the same rules; catalog version 5 changed the pool tier's
+/// document records, so `physical_reads` was free to move on the pool
+/// shape too; segment format 3 had the mirror-image rules: pool rows
+/// equal outright, `physical_reads` equal everywhere, neither segment
+/// counter up): no segment byte moved, so no row's segment counters may
+/// move, and the pool and bulk shapes — one in memory, the other with
+/// an empty delta — must be equal outright; the tiers shape's tail is
+/// now rebuilt by replaying its log into an empty in-memory delta —
+/// without the catalog page, the record directory and the valix
+/// metadata store the page file had — so its records sit on other page
 /// ids (and other shards of a 16-page pool) and `physical_reads` may
-/// move there, direction printed per workload (one TREEBANK row, 12 to
-/// 11).
+/// move there, direction printed per workload.
 #[test]
 #[ignore = "rewrites tests/executor_golden.txt; run by hand after an on-disk format change"]
 fn repin_golden_io_columns() {

@@ -541,13 +541,17 @@ fn metrics_expose_traffic_and_bufferpool_state() {
         body.contains("prix_bufferpool_wal_appends_total "),
         "{body}"
     );
-    assert!(
-        body.contains("prix_bufferpool_flush_errors_total 0"),
-        "{body}"
-    );
+    for log in [
+        "prix_wal_bytes ",
+        "prix_log_records ",
+        "prix_log_compactions_total 0",
+    ] {
+        assert!(body.contains(log), "{body}");
+    }
+    assert!(body.contains("prix_log_bound_bytes 8388608"), "{body}");
     assert!(body.contains("prix_recovery_unclean_shutdown "), "{body}");
     assert!(body.contains("prix_recovery_replayed_frames "), "{body}");
-    assert!(body.contains("prix_recovery_replayed_pages "), "{body}");
+    assert!(body.contains("prix_recovery_replayed_documents "), "{body}");
     assert!(body.contains("prix_recovery_wal_bytes "), "{body}");
     // The executor's per-stage histograms: one observation per stage
     // per successful query (the 400 never reached the executor).

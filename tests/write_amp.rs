@@ -4,19 +4,21 @@
 //! `/proc/self/io`.
 //!
 //! The numbers pin the write path's shape — a commit is one log append
-//! and one barrier, a log frame carries what changed in its page and
-//! not the page, the page file only sees a page when a checkpoint comes
-//! round, a compaction's fresh generation is written once — so a change
-//! that quietly reintroduces a second copy of every page, or whole
-//! pages in the log, fails here, in `cargo test`, not in a 25-second
-//! benchmark run.
+//! and one barrier, and what it appends is the batch it accepted plus
+//! fixed framing; a compaction writes the delta's tier once and starts
+//! an empty log; no page of the delta is ever written to a file — so a
+//! change that quietly reintroduces a copy of the delta's pages, or
+//! anything else that grows with the delta, fails here, in `cargo
+//! test`, not in a 25-second benchmark run.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use prix::core::{BulkBuilder, EngineConfig, LabelingMode, PrixEngine};
-use prix::storage::{MemSegEnv, RawStore, SegmentEnv, StorageError, PAGE_SIZE};
+use prix::core::{BulkBuilder, EngineConfig, LabelingMode, PrixEngine, SharedEngine};
+use prix::storage::{
+    BatchLog, MemSegEnv, RawStore, SegmentEnv, StorageError, CHECKPOINT_LOG_BYTES,
+};
 use prix_testkit::TestRng;
 
 type Result<T> = std::result::Result<T, StorageError>;
@@ -28,7 +30,8 @@ struct Tally {
     syncs: AtomicU64,
 }
 
-/// What kind of file a suffix names, for the tallies.
+/// What kind of file a suffix names, for the tallies: the manifest, a
+/// tier's segment or value run, its symbol run, the batch log.
 fn class_of(suffix: &str) -> &'static str {
     if suffix == ".seg" {
         "manifest"
@@ -36,12 +39,12 @@ fn class_of(suffix: &str) -> &'static str {
         "segment"
     } else if suffix.ends_with(".sym") {
         "symbols"
-    } else if suffix.ends_with(".wal") {
-        "log"
-    } else if suffix.ends_with(".sum") {
-        "sidecar"
     } else {
-        "pages"
+        assert!(
+            suffix.ends_with(".log"),
+            "a file of no known kind: {suffix}"
+        );
+        "log"
     }
 }
 
@@ -135,26 +138,31 @@ const BATCHES: u64 = 32;
 const BATCH_DOCS: usize = 32;
 
 /// Bytes written per byte of XML over the ingest and the compaction.
-/// Measured at 36.9 when this was pinned: 2.12 MB of log (1 400 bytes a
-/// frame), the fresh generation's catalog and empty trees, the two
-/// segments and the value run; no checkpoint before the compaction
-/// retires the pool. It was 37.0 while the fresh generation also held
-/// the symbol table (37 names here: the test below is the one that
-/// grows a dictionary under it), 55.1 (3.34 MB of log) while every commit
-/// re-appended the delta's whole record directory inside its metadata
-/// record and a document was four raw-`u32` records, 60.6 while
-/// segments held 28-byte tag rows and raw `u32` records (format 2), and
-/// 61.6 while a compaction copied
-/// the value index into the fresh generation — on this script's 64
-/// bulk-built documents the copy was small; the third test below is the
-/// one that grows a collection under it. Full-page frames made the
-/// same script 244.3 (13.8 MB of log, which also forced a 212-page
-/// checkpoint), and the five-step commit before them 428.
-const WRITE_AMP_CEILING: f64 = 38.7;
+/// Measured at 4.37 when this was pinned: 1.08 bytes of log per byte of
+/// XML (the batches as received, 20 bytes a record and 5 a document of
+/// framing), then the compaction's two segments, value run and the
+/// fresh log's header. It was 36.9 while the delta lived in a
+/// page file whose changed byte runs the log carried (2.12 MB of log,
+/// 1 400 bytes a frame, and the fresh generation's catalog and empty
+/// trees), 55.1 while every commit re-appended the delta's whole record
+/// directory, 60.6 with format-2 segments, 244.3 with full-page frames
+/// and 428 with the five-step commit before them.
+const WRITE_AMP_CEILING: f64 = 4.6;
 
-/// What one page frame cost in the log when every frame was a whole
-/// page image.
-const FULL_PAGE_FRAME: u64 = 8216;
+/// Bytes a record adds to its batch: length and CRC, epoch, body count.
+const RECORD_FRAMING: u64 = 20;
+/// Bytes a body adds: mode and length.
+const BODY_FRAMING: u64 = 5;
+
+/// Ingests `batch` through the four steps `SharedEngine::ingest`
+/// takes, all of it accepted.
+fn commit(engine: &mut PrixEngine, batch: &[String]) {
+    engine.pool().begin_ingest();
+    let out = engine.ingest_batch(batch).unwrap();
+    assert!(out.rejected.is_empty(), "{:?}", out.rejected.first());
+    engine.save().unwrap();
+    engine.pool().publish_ingest();
+}
 
 #[test]
 fn ingest_and_compaction_write_each_page_once() {
@@ -173,10 +181,7 @@ fn ingest_and_compaction_write_each_page_once() {
 
     // From here on everything is counted.
     let bytes0 = env.bytes();
-    let syncs0: u64 = ["pages", "sidecar", "log"]
-        .map(|c| env.syncs(c))
-        .iter()
-        .sum();
+    let log_syncs0 = env.syncs("log");
     let manifest0 = env.syncs("manifest");
     let log0 = env.class_bytes("log");
     let old_pool = Arc::clone(engine.pool());
@@ -186,54 +191,41 @@ fn ingest_and_compaction_write_each_page_once() {
     for _ in 0..BATCHES {
         let batch: Vec<String> = (0..BATCH_DOCS).map(|_| feed_doc(&mut rng)).collect();
         xml_bytes += batch.iter().map(|d| d.len() as u64).sum::<u64>();
-        engine.pool().begin_ingest();
-        let out = engine.ingest_batch(&batch).unwrap();
-        assert!(out.rejected.is_empty(), "{:?}", out.rejected.first());
-        engine.save().unwrap();
-        engine.pool().publish_ingest();
+        commit(&mut engine, &batch);
     }
     let ingest = old_pool.snapshot().since(&io0);
-    // 2.1 MB of log over a few hundred distinct pages: neither
-    // checkpoint bound (8 MiB of log, 1 024 log images) is reached
-    // before the compaction, so the page file sees nothing at all.
     assert_eq!(
-        (ingest.checkpoints, ingest.physical_writes),
-        (0, 0),
-        "the log and its images stay under their bound"
+        (ingest.physical_writes, ingest.wal_appends, ingest.fsyncs),
+        (0, BATCHES, BATCHES),
+        "one record and one barrier per commit, and not a page written"
     );
-    assert_eq!(ingest.fsyncs, BATCHES, "one barrier per commit");
     let logged = env.class_bytes("log") - log0;
     assert_eq!(logged, ingest.wal_appended_bytes);
-    assert!(
-        3 * logged < ingest.wal_appends * FULL_PAGE_FRAME,
-        "{logged} log bytes in {} frames: more than a third of a page each",
-        ingest.wal_appends
+    assert_eq!(
+        logged,
+        xml_bytes + BATCHES * RECORD_FRAMING + BATCHES * BATCH_DOCS as u64 * BODY_FRAMING,
+        "the log holds the batches and their framing, nothing else"
     );
 
     assert!(engine.compact().unwrap());
     let fresh = engine.pool().snapshot();
     assert_eq!(
-        (fresh.wal_appends, fresh.checkpoints),
-        (0, 1),
-        "the fresh generation is written unlogged, once"
+        (fresh.wal_appends, fresh.fsyncs, fresh.physical_writes),
+        (0, 1, 0),
+        "the fresh generation is an empty log: its header, synced once"
     );
+    let old = old_pool.snapshot().since(&io0);
     assert_eq!(
-        old_pool.snapshot().since(&io0).physical_writes,
-        ingest.physical_writes,
-        "a retired pool is not checkpointed"
+        (old.physical_writes, old.fsyncs, old.wal_appends),
+        (0, BATCHES, BATCHES),
+        "the compaction read the old pool and wrote nothing through it"
     );
     drop(old_pool);
     drop(engine);
 
-    // Every barrier on a page file, a sidecar or a log is accounted
-    // for: the commits, the one checkpoint (the fresh generation's),
-    // and the three that create the fresh generation (its empty page
-    // file and sidecar, its log header). The manifest adds its own.
-    let syncs: u64 = ["pages", "sidecar", "log"]
-        .map(|c| env.syncs(c))
-        .iter()
-        .sum();
-    assert_eq!(syncs - syncs0, BATCHES + 4 * fresh.checkpoints + 3);
+    // Every barrier on a log is accounted for: the commits and the
+    // fresh log's header. The manifest adds its own.
+    assert_eq!(env.syncs("log") - log_syncs0, BATCHES + 1);
     assert!(
         env.syncs("manifest") > manifest0,
         "the manifest write is the commit point"
@@ -242,8 +234,102 @@ fn ingest_and_compaction_write_each_page_once() {
     let write_amp = (env.bytes() - bytes0) as f64 / xml_bytes as f64;
     assert!(
         write_amp <= WRITE_AMP_CEILING,
-        "{write_amp:.1} bytes written per XML byte, ceiling {WRITE_AMP_CEILING}"
+        "{write_amp:.2} bytes written per XML byte, ceiling {WRITE_AMP_CEILING}"
     );
+}
+
+/// A commit's log bytes are the batch's bytes plus fixed framing —
+/// 20 bytes a record, 5 a body — whatever the batch holds: one
+/// document, many, a wrapper split into its children, or a document the
+/// engine refused (which rides along with the next commit: it interned
+/// names, and replay must intern them again). And the log reads back
+/// as exactly those records.
+#[test]
+fn a_commit_logs_its_batch() {
+    let mut rng = TestRng::from_seed(0x5EED_0025);
+    let env = Arc::new(CountingEnv::default());
+    let mut b = BulkBuilder::with_env(EngineConfig::default(), env.clone()).unwrap();
+    for _ in 0..8 {
+        b.add_xml(&feed_doc(&mut rng)).unwrap();
+    }
+    let mut engine = b.finish().unwrap();
+    let wrapper = format!(
+        "<batch>{}{}</batch>",
+        feed_doc(&mut rng),
+        feed_doc(&mut rng)
+    );
+    let refused = "<ev><src>never-closed</ev>".to_string();
+    let one = vec![feed_doc(&mut rng)];
+    let many: Vec<String> = (0..17).map(|_| feed_doc(&mut rng)).collect();
+    let mut bodies = 0u64;
+    let mut expect = |engine: &mut PrixEngine, batch: &[&String]| {
+        let before = env.class_bytes("log");
+        engine.save().unwrap();
+        let body: u64 = batch.iter().map(|d| d.len() as u64).sum();
+        let n = batch.len() as u64;
+        bodies += n;
+        assert_eq!(
+            env.class_bytes("log") - before,
+            body + RECORD_FRAMING + n * BODY_FRAMING,
+            "{n} bod(ies) of {body} bytes"
+        );
+    };
+    engine.ingest_batch(&one).unwrap();
+    expect(&mut engine, &[&one[0]]);
+    engine.ingest_batch(&many).unwrap();
+    expect(&mut engine, &many.iter().collect::<Vec<_>>());
+    let out = engine.ingest_batch_split(&wrapper).unwrap();
+    assert_eq!(out.accepted.len(), 2);
+    expect(&mut engine, &[&wrapper]);
+    let out = engine.ingest_batch(std::slice::from_ref(&refused)).unwrap();
+    assert_eq!(out.rejected.len(), 1);
+    engine.ingest_batch(&one).unwrap();
+    expect(&mut engine, &[&refused, &one[0]]);
+    let (names, docs) = (engine.symbols().len(), engine.mutable_docs());
+    drop(engine);
+
+    let contents = BatchLog::read(&*env.open(".g1.log").unwrap()).unwrap();
+    let logged: u64 = contents.records.iter().map(|r| r.bodies.len() as u64).sum();
+    assert_eq!((contents.records.len(), logged), (4, bodies));
+    let back = PrixEngine::reopen_env(env, 64).unwrap();
+    assert_eq!((back.symbols().len(), back.mutable_docs()), (names, docs));
+}
+
+/// A writer left to itself — no `compact_after`, no `prix compact` —
+/// still folds its log into a tier once the log reaches its bound, so a
+/// reopen never replays more than that. Documents heavy with comments
+/// (logged as received, cheap to index) get it there in a few hundred
+/// commits.
+#[test]
+fn a_full_log_is_compacted_by_the_writer() {
+    let mut rng = TestRng::from_seed(0x5EED_0026);
+    let env: Arc<dyn SegmentEnv> = Arc::new(MemSegEnv::new());
+    let mut b = BulkBuilder::with_env(EngineConfig::default(), Arc::clone(&env)).unwrap();
+    for _ in 0..8 {
+        b.add_xml(&feed_doc(&mut rng)).unwrap();
+    }
+    let shared = SharedEngine::new(b.finish().unwrap());
+    let padding = format!("<!--{}-->", "x".repeat(60 << 10));
+    let mut docs = 8u64;
+    while shared.log_compactions() == 0 {
+        let snap = shared.snapshot();
+        assert!(snap.log_bytes() < 2 * CHECKPOINT_LOG_BYTES, "no compaction");
+        let batch: Vec<String> = (0..4)
+            .map(|_| feed_doc(&mut rng).replace("</ev>", &format!("{padding}</ev>")))
+            .collect();
+        let report = shared.ingest(&batch).unwrap();
+        assert_eq!(report.accepted.len(), 4);
+        docs += 4;
+    }
+    let snap = shared.snapshot();
+    assert_eq!(snap.generation(), 2, "the bound forced one compaction");
+    assert!(snap.log_bytes() < CHECKPOINT_LOG_BYTES);
+    assert_eq!(snap.segment_docs() + snap.mutable_docs() as u64, docs);
+    drop(snap);
+    drop(shared);
+    let back = PrixEngine::reopen_env(env, 64).unwrap();
+    assert_eq!(back.generation(), 2);
+    assert_eq!(back.segment_docs() + back.mutable_docs() as u64, docs);
 }
 
 /// Bulk-builds `n_bulk` value-heavy documents; returns the engine, its
@@ -276,11 +362,13 @@ fn bulk_items(n_bulk: usize) -> (PrixEngine, Arc<CountingEnv>, u64) {
 
 /// Bytes on disk per byte of XML right after a bulk build, every file
 /// counted (prixbench's `space_amp`, on a collection small enough for
-/// `cargo test`). Measured at 4.10 with segment format 3 (604 163 bytes
-/// over 147 270 of XML); format 2 — 28-byte tag rows, records and meta
-/// blob in raw `u32`s — measured 8.15 on the same documents
-/// (1 200 933 bytes). The ceiling is 5 % above the reading.
-const SPACE_PER_XML_BYTE_CEILING: f64 = 4.3;
+/// `cargo test`). Measured at 3.38 (498 406 bytes over 147 270 of XML)
+/// once the empty delta was no longer a page file, its checksum sidecar
+/// and a log, but a log header; 4.10 (604 163 bytes) before, with
+/// segment format 3; format 2 — 28-byte tag rows, records and meta blob
+/// in raw `u32`s — measured 8.15 on the same documents (1 200 933
+/// bytes). The ceiling is 5 % above the reading.
+const SPACE_PER_XML_BYTE_CEILING: f64 = 3.6;
 
 #[test]
 fn space_per_xml_byte() {
@@ -302,11 +390,7 @@ fn compaction_bytes(n_bulk: usize) -> u64 {
     let mut rng = TestRng::from_seed(0x5EED_0022);
     for _ in 0..BATCHES {
         let batch: Vec<String> = (0..BATCH_DOCS).map(|_| feed_doc(&mut rng)).collect();
-        engine.pool().begin_ingest();
-        let out = engine.ingest_batch(&batch).unwrap();
-        assert!(out.rejected.is_empty(), "{:?}", out.rejected.first());
-        engine.save().unwrap();
-        engine.pool().publish_ingest();
+        commit(&mut engine, &batch);
     }
     let before = env.bytes();
     assert!(engine.compact().unwrap());
@@ -335,7 +419,7 @@ fn compaction_bytes_do_not_depend_on_the_collection_size() {
 /// Bulk-builds 64 feed documents (which intern every symbol the feed
 /// uses), then ingests the same 1 024 more in commits of `batch_docs`;
 /// returns the log bytes each commit appended and the pages the delta's
-/// page file has allocated at the end.
+/// pool has allocated at the end.
 fn feed_commits(batch_docs: usize) -> (Vec<u64>, u64) {
     let mut rng = TestRng::from_seed(0x5EED_0023);
     let cfg = EngineConfig {
@@ -354,42 +438,34 @@ fn feed_commits(batch_docs: usize) -> (Vec<u64>, u64) {
     let mut logged = Vec::new();
     for batch in docs.chunks(batch_docs) {
         let before = engine.pool().snapshot();
-        engine.pool().begin_ingest();
-        let out = engine.ingest_batch(batch).unwrap();
-        assert!(out.rejected.is_empty(), "{:?}", out.rejected.first());
-        engine.save().unwrap();
-        engine.pool().publish_ingest();
+        commit(&mut engine, batch);
         logged.push(engine.pool().snapshot().since(&before).wal_appended_bytes);
     }
     (logged, engine.pool().pager().num_pages())
 }
 
-/// A commit logs what it added, whatever the delta already holds: the
-/// per-document directory is a tree that a commit appends to, not a
-/// list inside the metadata record that every commit rewrites. One
+/// A commit logs what it added, whatever the delta already holds. One
 /// delta, 32 commits of 32 same-shaped documents: the second sixteen
-/// log 1.09 × the first sixteen's bytes (1.12 MB against 1.03 MB; what
-/// growth is left is the trees' — a batch's inserts land on more
-/// leaves as the trees spread). While `save` listed 36 bytes for every
-/// document of the delta the ratio was 1.43 (1.99 MB against 1.39 MB),
-/// each commit logging ~2.3 KB (2 indexes × 36 bytes × 32 documents)
-/// more than the one before. The bound is one-sided: later commits
-/// share more trie paths and may log less. And the superseded
-/// directories were never reclaimed: the page file had allocated 315
-/// pages after the 32 commits against 143 for the same documents in
-/// one commit; it is 117 against 116 now.
+/// log exactly the first sixteen's bytes (36 160 each: the documents
+/// and their framing). While a commit logged the pages it changed, the
+/// second sixteen logged 1.09 × the first's (the trees' inserts landing
+/// on more leaves as they spread), and 1.43 × while `save` also listed
+/// 36 bytes for every document of the delta. And the delta's pool
+/// allocates the same pages whether the documents come in 32 commits or
+/// one: 104 against 104 (the superseded directories that made it 315
+/// against 143 are gone with the page file).
 #[test]
 fn commit_bytes_do_not_depend_on_the_delta_size() {
     let (logged, pages) = feed_commits(BATCH_DOCS);
     assert_eq!(logged.len() as u64, BATCHES);
     let (early, late): (u64, u64) = (logged[..16].iter().sum(), logged[16..].iter().sum());
     assert!(
-        late as f64 <= 1.15 * early as f64,
+        late <= early,
         "commits 17-32 logged {late} bytes, commits 1-16 {early}"
     );
     let (_, pages_at_once) = feed_commits(BATCHES as usize * BATCH_DOCS);
     assert!(
-        pages.abs_diff(pages_at_once) <= 16,
+        pages.abs_diff(pages_at_once) <= 4,
         "{pages} pages allocated after 32 commits, {pages_at_once} after one"
     );
 }
@@ -426,40 +502,27 @@ fn priced_by_the_dictionary(distinct: usize) -> (u64, u64) {
         rows.filter(|s| s.suffix.ends_with(".sym")).count()
     };
     assert_eq!(runs(&engine), 1, "the bulk build's names are one run");
-    // Catalog bytes 24..32: the newest record of the names chain.
-    let chain_head = |engine: &PrixEngine| {
-        let head = |p: &[u8; PAGE_SIZE]| u64::from_le_bytes(p[24..32].try_into().unwrap());
-        engine.pool().with_page(0, head).unwrap()
-    };
-    assert_eq!(chain_head(&engine), 0, "a fresh generation holds no name");
 
     let pool = Arc::clone(engine.pool());
     let io0 = pool.snapshot();
-    let commit = |engine: &mut PrixEngine, batch: &[String]| {
+    let logged = |engine: &mut PrixEngine, batch: &[String]| {
         let before = pool.snapshot();
-        pool.begin_ingest();
-        let out = engine.ingest_batch(batch).unwrap();
-        assert!(out.rejected.is_empty(), "{:?}", out.rejected.first());
-        engine.save().unwrap();
-        pool.publish_ingest();
+        commit(engine, batch);
         pool.snapshot().since(&before).wal_appended_bytes
     };
     let mut batch: Vec<String> = (0..BATCH_DOCS).map(|_| feed_doc(&mut rng)).collect();
     batch[0] = batch[0].replace("<src>", "<src>never-seen-");
-    let interning = commit(&mut engine, &batch);
+    let interning = logged(&mut engine, &batch);
     assert_eq!(engine.symbols().len(), names + 1, "exactly one new name");
-    let head = chain_head(&engine);
-    assert_ne!(head, 0, "the commit appended its name");
     for _ in 1..BATCHES {
         let batch: Vec<String> = (0..BATCH_DOCS).map(|_| feed_doc(&mut rng)).collect();
-        commit(&mut engine, &batch);
+        logged(&mut engine, &batch);
     }
     assert_eq!(
         engine.symbols().len(),
         names + 1,
         "the feed's names are old"
     );
-    assert_eq!(chain_head(&engine), head, "no new name, no names record");
     assert_eq!(
         pool.snapshot().since(&io0).fsyncs,
         BATCHES,
@@ -471,7 +534,6 @@ fn priced_by_the_dictionary(distinct: usize) -> (u64, u64) {
     assert!(engine.compact().unwrap());
     let compaction = env.bytes() - before;
     assert_eq!(runs(&engine), 2, "the delta's one name is the second run");
-    assert_eq!(chain_head(&engine), 0);
 
     // A delta that interned nothing leaves the dictionary's files alone.
     let rows = engine.segment_manifest().len();
@@ -495,10 +557,12 @@ fn priced_by_the_dictionary(distinct: usize) -> (u64, u64) {
 /// how many distinct leaf values they hold — some 560 names against
 /// some 20 060 — run the same script, and neither the commit that
 /// interns one name nor the compaction differs between them by more than
-/// a block: 35 378 bytes of log against 35 383, 332 845 bytes of
-/// compaction against 332 848. (While a generation held the symbol
-/// table as one record the interning commit logged 40 652 bytes over
-/// the small dictionary and 236 605 over the large one, and the
+/// a block: 2 271 bytes of log against 2 271 (the batch, as received),
+/// 218 573 bytes of compaction against 218 576. (While the delta was a
+/// page file the interning commit logged 35 378 bytes against 35 383,
+/// the compaction 332 845 against 332 848; while a generation held the
+/// symbol table as one record the interning commit logged 40 652 bytes
+/// over the small dictionary and 236 605 over the large one, and the
 /// compaction wrote 340 854 against 537 561: the dictionary each time,
 /// as whole-page first frames and in the fresh generation.)
 #[test]

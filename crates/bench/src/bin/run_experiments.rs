@@ -218,7 +218,7 @@ fn main() {
                 r.id,
                 r.prix.matches,
                 prix_bench::fmt_secs(r.prix.seconds),
-                r.prix.pages,
+                prix_bench::fmt_blocks(r.prix.pages),
                 prix_bench::fmt_secs(r.twigstackxb.seconds),
                 r.twigstackxb.pages,
             ));

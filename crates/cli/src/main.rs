@@ -674,27 +674,36 @@ fn known_db_suffix(suffix: &str) -> bool {
 }
 
 /// One line per index of the mutable delta (what `prix add` and the
-/// server's ingest grow until the next compaction), then one per
-/// segment of every tier, from the build statistics in its meta blob.
+/// server's ingest grow until the next compaction) — documents, trie
+/// nodes and sequence length, all an insert maintains — then one per
+/// segment of every tier, from the build statistics in its meta blob,
+/// with the paths and their sharing the tier's trie was built with.
 fn print_index_stats(engine: &PrixEngine) -> Result<(), CliError> {
-    let line = |name: String, idx: &prix_core::PrixIndex| {
+    for idx in [engine.rp_index(), engine.ep_index()] {
         let b = idx.build_stats();
         println!(
-            "{name}: {} docs, {} trie nodes, {} paths (best shared by {}), total seq len {}",
+            "{} delta: {} docs, {} trie nodes, total seq len {}",
+            idx.kind(),
             idx.doc_count(),
             b.trie_nodes,
-            b.trie_paths,
-            b.max_path_sharing,
             b.total_seq_len
         );
-    };
-    line("RPIndex delta".into(), engine.rp_index());
-    line("EPIndex delta".into(), engine.ep_index());
+    }
     for s in engine.segment_manifest() {
         if matches!(s.kind, prix_core::SEG_KIND_RP | prix_core::SEG_KIND_EP) {
             let idx = engine.segment_index(s).map_err(|e| e.to_string())?;
-            let kind = seg_kind_name(s.kind).to_uppercase();
-            line(format!("{kind}Index segment {}", s.suffix), idx);
+            let b = idx.build_stats();
+            println!(
+                "{} segment {}: {} docs, {} trie nodes, {} paths (best shared by {}), \
+                 total seq len {}",
+                idx.kind(),
+                s.suffix,
+                idx.doc_count(),
+                b.trie_nodes,
+                b.trie_paths,
+                b.max_path_sharing,
+                b.total_seq_len
+            );
         }
     }
     // The dictionary is tiered like the indexes: names in the tiers'
@@ -715,17 +724,16 @@ fn print_index_stats(engine: &PrixEngine) -> Result<(), CliError> {
 /// a reopen replays), the epoch the last one established, and the bound
 /// at which the writer folds it into a tier.
 fn print_log_state(engine: &PrixEngine) {
-    if let Some(log) = engine.log() {
-        println!(
-            "log: {} byte(s), {} record(s) since generation {} began, at epoch {}; \
-             compacted at {} byte(s)",
-            log.len(),
-            log.records(),
-            engine.generation(),
-            log.epoch(),
-            prix_core::CHECKPOINT_LOG_BYTES
-        );
-    }
+    let log = engine.log();
+    println!(
+        "log: {} byte(s), {} record(s) since generation {} began, at epoch {}; \
+         compacted at {} byte(s)",
+        log.len(),
+        log.records(),
+        engine.generation(),
+        log.epoch(),
+        prix_core::CHECKPOINT_LOG_BYTES
+    );
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), CliError> {

@@ -8,13 +8,14 @@
 //! [`PrixEngine::snapshot`] and [`crate::snapshot::SharedEngine`]),
 //! which carries the §5.6 optimizer rule and the §5.7 arrangement loop.
 //!
-//! On disk a database is a manifest, immutable tiers and one batch log
-//! (`prix_storage::wal`): the tiers hold what a bulk build or a
-//! compaction wrote, the log the batches the live generation accepted
-//! since, as they arrived. The mutable delta — both indexes' trees and
-//! records, the delta valix — lives in an in-memory buffer pool and is
-//! rebuilt on reopen by replaying the log through the same ingest
-//! calls that built it.
+//! Every engine has one shape. A database is a manifest, immutable
+//! tiers and one batch log (`prix_storage::wal`) — in files, or in an
+//! in-memory environment for an engine without a path: the tiers hold
+//! what a bulk build or a compaction wrote, the log the batches the
+//! live generation accepted since, as they arrived. The mutable delta —
+//! both indexes' trees and records, the delta valix — lives in an
+//! in-memory buffer pool, always starts empty, and is rebuilt on reopen
+//! by replaying the log through the same ingest calls that built it.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -42,9 +43,9 @@ pub(crate) const DUMMY_LABEL: &str = "\u{1}prix-dummy";
 pub struct EngineConfig {
     /// Buffer-pool capacity in pages (paper default: 2000, §6.1).
     pub buffer_pages: usize,
-    /// Virtual-trie labeling mode of an in-memory build. (A database
-    /// with a path is bulk-built: its delta starts empty, where both
-    /// modes label alike.)
+    /// Ignored: every engine is bulk-built, its tiers labeled exactly
+    /// and its delta begun empty. The field stays only because the
+    /// benchmark harness (`crates/bench/examples/prixbench`) sets it.
     pub labeling: LabelingMode,
     /// Database path; `None` = in memory.
     pub path: Option<PathBuf>,
@@ -67,7 +68,7 @@ fn log_suffix(generation: u64) -> String {
 
 /// The one encoder of a name list — a symbol run's payload: the count,
 /// then `len | utf8` per name, counts and lengths as varints.
-fn encode_symbols(names: &[String]) -> Vec<u8> {
+pub(crate) fn encode_symbols(names: &[String]) -> Vec<u8> {
     let mut out = Vec::with_capacity(names.iter().map(|n| n.len() + 2).sum());
     put_varint(&mut out, names.len() as u64);
     for name in names {
@@ -85,7 +86,7 @@ fn encode_symbols(names: &[String]) -> Vec<u8> {
 /// every later symbol one id short, and queries answering from the
 /// wrong labels). A checksum vouches for the bytes as last written, not
 /// for their shape.
-fn decode_symbols(bytes: &[u8], first: u32, syms: &mut SymbolTable) -> Option<()> {
+pub(crate) fn decode_symbols(bytes: &[u8], first: u32, syms: &mut SymbolTable) -> Option<()> {
     let mut r = bytes;
     let count = take_varint(&mut r)?;
     // A name takes a byte or more: a count the bytes could not hold is
@@ -131,6 +132,32 @@ pub(crate) fn write_symbol_run(
         doc_base: run.first,
         n_docs: run.count,
     });
+    Ok(())
+}
+
+/// The empty delta in `pool` — both indexes, then the value index, the
+/// order its pages have always been allocated in — with `dummy` as the
+/// label extended sequences hang under every leaf.
+fn empty_delta(pool: &Arc<BufferPool>, dummy: Sym) -> Result<(PrixIndex, PrixIndex, Valix)> {
+    Ok((
+        PrixIndex::empty(Arc::clone(pool), IndexKind::Regular, dummy)?,
+        PrixIndex::empty(Arc::clone(pool), IndexKind::Extended, dummy)?,
+        Valix::create(Arc::clone(pool))?,
+    ))
+}
+
+/// Writes `m` into the manifest store (suffix `".seg"`) of `env`,
+/// creating it on first use. The write itself is atomic at the slot
+/// level (two alternating CRC-framed slots; a torn write leaves the
+/// previous generation valid), so this call is the commit point of
+/// every bulk build and compaction.
+fn write_manifest(env: &dyn SegmentEnv, m: &Manifest) -> Result<()> {
+    let store = if env.exists(".seg")? {
+        env.open(".seg")?
+    } else {
+        env.create(".seg")?
+    };
+    m.write_to(&*store).map_err(IndexError::Storage)?;
     Ok(())
 }
 
@@ -180,6 +207,16 @@ pub struct SegTier {
     pub(crate) n_docs: u32,
 }
 
+impl SegTier {
+    /// The tier's index of `kind`.
+    pub fn index_of(&self, kind: IndexKind) -> &PrixIndex {
+        match kind {
+            IndexKind::Regular => &self.rp,
+            IndexKind::Extended => &self.ep,
+        }
+    }
+}
+
 /// What the full integrity check of one tier file covered
 /// ([`PrixEngine::verify_tiers`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -206,9 +243,8 @@ pub struct PrixEngine {
     rp: PrixIndex,
     ep: PrixIndex,
     dummy: Sym,
-    /// The live generation's batch log; `None` for an in-memory engine
-    /// no compaction has given one yet.
-    log: Option<BatchLog>,
+    /// The live generation's batch log.
+    log: BatchLog,
     /// The bodies ingested since the last commit — accepted or refused:
     /// a refused document interned its names too — which the next
     /// [`PrixEngine::save`] appends to the log as one record.
@@ -216,21 +252,21 @@ pub struct PrixEngine {
     /// What replaying the log did when this engine was reopened;
     /// `None` for engines built or compacted in this process.
     recovery: Option<RecoveryReport>,
-    /// Immutable segment tiers in ascending `doc_base` order (empty for
-    /// an in-memory engine never compacted).
+    /// Immutable segment tiers in ascending `doc_base` order.
     segments: Vec<SegTier>,
     /// The manifest rows behind `segments`, kept verbatim for
     /// compaction (which appends to them) and `prix segments`.
     manifest_segments: Vec<ManifestSegment>,
     /// Where the manifest, tier and log files live. File engines
-    /// resolve suffixes against the database path; in-memory and
-    /// harness engines use an in-memory map.
+    /// resolve suffixes against the database path; in-memory engines
+    /// use an in-memory map, harness engines a fault-injecting one.
     seg_env: Arc<dyn SegmentEnv>,
     /// Segment-block I/O counters. One instance for the engine's whole
     /// life: compaction swaps buffer pools (and their page counters)
     /// but `/metrics` totals must not reset.
     seg_stats: Arc<IoStats>,
-    /// Manifest generation; 0 = no manifest has ever been written.
+    /// Manifest generation: 1 for a fresh build, one more per
+    /// compaction.
     generation: u64,
     /// The cost-based planner's statistics, shared (via `Arc`) with
     /// every snapshot so observations from served queries feed back
@@ -243,114 +279,74 @@ pub struct PrixEngine {
 }
 
 impl PrixEngine {
-    /// Builds the engine over `collection`, keeping its symbol table
-    /// and none of its trees. With a path ([`EngineConfig::path`]) this
-    /// is the bulk build ([`crate::BulkBuilder`]): one tier of the
-    /// documents, an empty delta, a fresh batch log and the manifest
-    /// naming them. Without one the engine lives in memory, its indexes
-    /// built over the collection in the buffer pool with
-    /// [`EngineConfig::labeling`].
-    pub fn build(mut collection: Collection, cfg: EngineConfig) -> Result<Self> {
-        match &cfg.path {
-            Some(p) => {
-                let env = Arc::new(FileSegEnv::new(p.clone()));
-                Self::build_env(collection, cfg, env)
-            }
-            None => {
-                let dummy = collection.intern(DUMMY_LABEL);
-                let pool = BufferPool::new(Pager::in_memory(), cfg.buffer_pages);
-                let env = Arc::new(MemSegEnv::new());
-                Self::build_over(collection, dummy, cfg.labeling, pool, env)
-            }
-        }
+    /// Builds the engine over `collection` by the bulk build
+    /// ([`crate::BulkBuilder`]), keeping its symbol table and none of
+    /// its trees: one tier of the documents, an empty delta, a fresh
+    /// batch log and the manifest naming them — files at
+    /// [`EngineConfig::path`], or an in-memory environment without one.
+    pub fn build(collection: Collection, cfg: EngineConfig) -> Result<Self> {
+        let env: Arc<dyn SegmentEnv> = match &cfg.path {
+            Some(p) => Arc::new(FileSegEnv::new(p.clone())),
+            None => Arc::new(MemSegEnv::new()),
+        };
+        Self::build_env(collection, cfg, env)
     }
 
-    /// The bulk build of [`PrixEngine::build`] with the database's files
-    /// living in `env` instead of at [`EngineConfig::path`] (which is
-    /// ignored). The crash harness hands fault-injecting environments
-    /// in here and reopens what survived through
-    /// [`PrixEngine::reopen_env`].
+    /// [`PrixEngine::build`] with the database's files living in `env`
+    /// instead of at [`EngineConfig::path`] (which is ignored). The
+    /// crash harness hands fault-injecting environments in here and
+    /// reopens what survived through [`PrixEngine::reopen_env`]. The
+    /// planner starts from the collection: its label counts, and the
+    /// trie shape of the RP tier built over it.
     pub fn build_env(
         mut collection: Collection,
         cfg: EngineConfig,
         env: Arc<dyn SegmentEnv>,
     ) -> Result<Self> {
+        let mut stats = PlannerStats::default();
+        stats.merge_collection(&collection);
         let syms = std::mem::take(collection.symbols_mut());
         let run_mem = crate::segbuild::DEFAULT_RUN_MEM_BYTES;
-        let mut b = crate::segbuild::BulkBuilder::over(cfg, env, run_mem, syms)?;
+        let mut b = crate::segbuild::BulkBuilder::over(cfg, env, run_mem, syms, Some(stats))?;
         for (_, tree) in collection.iter() {
             b.add_tree(tree)?;
         }
         b.finish()
     }
 
-    /// An engine whose delta, in `pool`, is empty: a bulk build's, a
-    /// compaction's, or a reopen's before its replay. With nothing to
-    /// label, both labeling modes lay it out alike.
-    fn empty(dummy: Sym, pool: BufferPool, seg_env: Arc<dyn SegmentEnv>) -> Result<Self> {
-        Self::build_over(Collection::new(), dummy, LabelingMode::Exact, pool, seg_env)
-    }
-
-    /// The engine over `collection`, whose symbol table it keeps, in
-    /// `pool`, which is fresh; `dummy` is the label extended sequences
-    /// hang under every leaf.
-    fn build_over(
-        mut collection: Collection,
+    /// The engine of manifest `m`, whose files `seg_env` holds and
+    /// whose names are `symbols`: its tiers, `log` as its batch log,
+    /// and an empty delta in `pool` — a bulk build's, or a reopen's
+    /// before its replay.
+    fn empty(
         dummy: Sym,
-        labeling: LabelingMode,
-        pool: BufferPool,
+        symbols: SymbolTable,
+        pool: Arc<BufferPool>,
         seg_env: Arc<dyn SegmentEnv>,
+        planner: Arc<Planner>,
+        log: BatchLog,
+        m: &Manifest,
     ) -> Result<Self> {
-        let pool = Arc::new(pool);
-        // Both indexes read the same immutable collection and write
-        // through the internally synchronized buffer pool, so they are
-        // built concurrently — except over no documents (the empty
-        // delta of a bulk build, a compaction or a reopen), where there
-        // is nothing to overlap and one thread lays the pages out the
-        // same way every time.
-        let build = |kind| PrixIndex::build(Arc::clone(&pool), &collection, kind, labeling, dummy);
-        let (rp, ep) = if collection.is_empty() {
-            (build(IndexKind::Regular), build(IndexKind::Extended))
-        } else {
-            std::thread::scope(|s| {
-                let rp = s.spawn(|| build(IndexKind::Regular));
-                let ep = s.spawn(|| build(IndexKind::Extended));
-                (
-                    rp.join().expect("rp build thread"),
-                    ep.join().expect("ep build thread"),
-                )
-            })
-        };
-        let (rp, ep) = (rp?, ep?);
-        // Seed the planner from what the build just saw: label counts
-        // from the collection, trie fanout from the RP build.
-        let mut pstats = PlannerStats::default();
-        pstats.merge_collection(&collection);
-        let b = rp.build_stats();
-        pstats.set_trie_shape(b.trie_nodes as u64, b.trie_paths as u64, b.sequences);
-        // The value-predicate index shares the structural indexes'
-        // document numbering.
-        let mut valix = Valix::create(Arc::clone(&pool))?;
-        for (doc, tree) in collection.iter() {
-            valix.index_tree(tree, doc, collection.symbols())?;
-        }
-        Ok(PrixEngine {
-            symbols: std::mem::take(collection.symbols_mut()),
+        let (rp, ep, valix) = empty_delta(&pool, dummy)?;
+        let mut eng = PrixEngine {
+            symbols,
             pool,
             rp,
             ep,
             dummy,
-            log: None,
+            log,
             pending: Vec::new(),
             recovery: None,
             segments: Vec::new(),
             manifest_segments: Vec::new(),
             seg_env,
             seg_stats: Arc::new(IoStats::new()),
-            generation: 0,
-            planner: Arc::new(Planner::new(pstats)),
+            generation: m.generation,
+            planner,
             valix,
-        })
+        };
+        eng.attach_manifest(m)?;
+        Ok(eng)
     }
 
     /// The labels of every indexed document (what queries parse
@@ -387,9 +383,16 @@ impl PrixEngine {
         EngineSnapshot::capture(self, None)
     }
 
-    /// Empties the buffer pool's LRU so the next query measures
-    /// cold-cache I/O, like the paper's direct-I/O setup.
+    /// Empties the buffer pool's LRU and every tier's block caches so
+    /// the next query measures cold-cache I/O, like the paper's
+    /// direct-I/O setup.
     pub fn clear_cache(&self) -> Result<()> {
+        for t in &self.segments {
+            for reader in [&t.rp, &t.ep].into_iter().filter_map(PrixIndex::segment) {
+                reader.clear_cache();
+            }
+            t.vx.clear_cache();
+        }
         self.pool.clear().map_err(IndexError::Storage)
     }
 
@@ -398,34 +401,27 @@ impl PrixEngine {
     /// `fsync` — and the epoch it establishes the pool's committed
     /// epoch. A crash before the `fsync` returns loses the batch whole,
     /// one after it replays it whole. Nothing ingested, nothing
-    /// written; an engine without a log (in memory, never compacted)
-    /// only counts the epoch up.
+    /// written.
     pub fn save(&mut self) -> Result<()> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let epoch = match &mut self.log {
-            Some(log) => log.append(&self.pending)?,
-            None => self.pool.current_epoch() + 1,
-        };
+        let epoch = self.log.append(&self.pending)?;
         self.pending.clear();
         self.pool.commit_epoch(epoch);
         Ok(())
     }
 
-    /// The live generation's batch log (`None` in memory until a
-    /// compaction).
-    pub fn log(&self) -> Option<&BatchLog> {
-        self.log.as_ref()
+    /// The live generation's batch log.
+    pub fn log(&self) -> &BatchLog {
+        &self.log
     }
 
     /// Whether the log has reached `CHECKPOINT_LOG_BYTES`: the writer
     /// then compacts, which starts a fresh log and bounds what a reopen
     /// replays.
     pub fn log_full(&self) -> bool {
-        self.log
-            .as_ref()
-            .is_some_and(|l| l.len() >= CHECKPOINT_LOG_BYTES)
+        self.log.len() >= CHECKPOINT_LOG_BYTES
     }
 
     /// Reopens the database at `path`: its manifest, its tiers, and the
@@ -473,14 +469,10 @@ impl PrixEngine {
         let stats = PlannerStats::decode(&contents.blob).ok_or_else(|| {
             IndexError::Unsupported("corrupt planner statistics in the batch log".into())
         })?;
-        let mut eng = Self::empty(
-            dummy,
-            BufferPool::new(Pager::in_memory(), buffer_pages),
-            env,
-        )?;
-        eng.symbols = symbols;
-        eng.planner = Arc::new(Planner::new(stats));
-        eng.attach_manifest(&m)?;
+        let pool = Arc::new(BufferPool::new(Pager::in_memory(), buffer_pages));
+        let log = BatchLog::resume(store, &contents, pool.pager().stats());
+        let planner = Arc::new(Planner::new(stats));
+        let mut eng = Self::empty(dummy, symbols, pool, env, planner, log, &m)?;
         for (lsn, record) in (1..).zip(&contents.records) {
             for (mode, body) in &record.bodies {
                 eng.index_body(*mode, body).map_err(|e| {
@@ -491,8 +483,7 @@ impl PrixEngine {
         // A reopened engine starts cold, as one over files did: none of
         // the replay's pages is in the LRU.
         eng.pool.clear()?;
-        let log = BatchLog::resume(store, &contents, eng.pool.pager().stats());
-        eng.pool.reseed_epoch(log.epoch());
+        eng.pool.reseed_epoch(eng.log.epoch());
         eng.recovery = Some(RecoveryReport {
             unclean_shutdown: contents.file_len > contents.valid_len,
             replayed_frames: contents.records.len() as u64,
@@ -500,7 +491,6 @@ impl PrixEngine {
             wal_bytes: contents.valid_len,
             log_len: contents.file_len,
         });
-        eng.log = Some(log);
         Ok(eng)
     }
 
@@ -654,42 +644,33 @@ impl PrixEngine {
         Ok(())
     }
 
-    /// Writes `m` into the manifest store (suffix `".seg"`), creating
-    /// it on first use. The write itself is atomic at the slot level
-    /// (two alternating CRC-framed slots; a torn write leaves the
-    /// previous generation valid), so this call is the commit point of
-    /// every bulk build and compaction.
-    fn write_manifest(&self, m: &Manifest) -> Result<()> {
-        let store = if self.seg_env.exists(".seg")? {
-            self.seg_env.open(".seg")?
-        } else {
-            self.seg_env.create(".seg")?
-        };
-        m.write_to(&*store).map_err(IndexError::Storage)?;
-        Ok(())
-    }
-
     /// The log of manifest generation `generation`, for a delta in
-    /// `pool`: created (and synced) empty at `epoch`, the planner's
-    /// statistics in its header — which the live planner is reset to,
-    /// so that what a reopen decodes from the header and replays over
-    /// it is what the engine holds.
-    fn start_log(&self, generation: u64, epoch: u64, pool: &BufferPool) -> Result<BatchLog> {
-        let blob = self.planner.encode();
+    /// `pool`: created (and synced) empty in `env` at `epoch`,
+    /// `planner`'s statistics in its header — which `planner` is reset
+    /// to, so that what a reopen decodes from the header and replays
+    /// over it is what the engine holds.
+    fn start_log(
+        env: &dyn SegmentEnv,
+        planner: &Planner,
+        generation: u64,
+        epoch: u64,
+        pool: &BufferPool,
+    ) -> Result<BatchLog> {
+        let blob = planner.encode();
         let stats = PlannerStats::decode(&blob).expect("the planner decodes what it encodes");
-        self.planner.update(|s| *s = stats);
-        let store = self.seg_env.create(&log_suffix(generation))?;
+        planner.update(|s| *s = stats);
+        let store = env.create(&log_suffix(generation))?;
         Ok(BatchLog::create(store, epoch, &blob, pool.pager().stats())?)
     }
 
     /// Assembles the engine a finished bulk build publishes: an empty
     /// delta and the just-written segments, value run and symbol run
-    /// (every name of `syms`), with a fresh batch log, committed by one
-    /// manifest write. Crash-ordering contract (the bulk crash suite
-    /// pins it): the tier files are fully written and synced *before*
-    /// this runs, the log's header is synced next, and the manifest
-    /// write is last — a crash anywhere earlier leaves the previous
-    /// manifest (or no database at all) in charge.
+    /// (every name of `syms`), with a fresh batch log whose header holds
+    /// `stats`, committed by one manifest write. Crash-ordering contract
+    /// (the bulk crash suite pins it): the tier files are fully written
+    /// and synced *before* this runs, the log's header is synced next,
+    /// and the manifest write is last — a crash anywhere earlier leaves
+    /// the previous manifest (or no database at all) in charge.
     pub(crate) fn from_bulk(
         cfg: EngineConfig,
         env: Arc<dyn SegmentEnv>,
@@ -697,21 +678,19 @@ impl PrixEngine {
         dummy: Sym,
         generation: u64,
         segments: Vec<ManifestSegment>,
+        stats: PlannerStats,
     ) -> Result<Self> {
-        let pool = BufferPool::new(Pager::in_memory(), cfg.buffer_pages);
-        let mut eng = Self::empty(dummy, pool, env)?;
-        eng.symbols = syms;
-        let log = eng.start_log(generation, 1, &eng.pool)?;
-        eng.log = Some(log);
-        eng.pool.reseed_epoch(1);
+        let pool = Arc::new(BufferPool::new(Pager::in_memory(), cfg.buffer_pages));
+        let planner = Arc::new(Planner::new(stats));
+        let log = Self::start_log(&*env, &planner, generation, 1, &pool)?;
+        pool.reseed_epoch(1);
         let manifest = Manifest {
             generation,
             log_suffix: log_suffix(generation),
             segments,
         };
-        eng.write_manifest(&manifest)?;
-        eng.attach_manifest(&manifest)?;
-        Ok(eng)
+        write_manifest(&*env, &manifest)?;
+        Self::empty(dummy, syms, pool, env, planner, log, &manifest)
     }
 
     /// Folds the mutable delta into a new immutable tier — a segment per
@@ -789,31 +768,30 @@ impl PrixEngine {
             generation,
             &mut manifest_segments,
         )?;
-        // (2) The replacement delta: empty (so the labeling mode has
-        // nothing to label), in the pool that succeeds this one; and its
-        // log.
-        let fresh = Self::empty(self.dummy, self.pool.successor(), Arc::clone(&self.seg_env))?;
-        let epoch = fresh.pool.current_epoch();
-        let log = self.start_log(generation, epoch, &fresh.pool)?;
+        // (2) The replacement delta, empty, in the pool that succeeds
+        // this one; and its log.
+        let pool = Arc::new(self.pool.successor());
+        let (rp, ep, valix) = empty_delta(&pool, self.dummy)?;
+        let epoch = pool.current_epoch();
+        let log = Self::start_log(&*self.seg_env, &self.planner, generation, epoch, &pool)?;
         // (3) Commit.
         let manifest = Manifest {
             generation,
             log_suffix: log_suffix(generation),
             segments: manifest_segments,
         };
-        self.write_manifest(&manifest)?;
+        write_manifest(&*self.seg_env, &manifest)?;
         // (4) Publish in memory and retire the old log.
-        let old_log = self.log.replace(log).map(|_| log_suffix(self.generation));
-        self.pool = fresh.pool;
-        self.rp = fresh.rp;
-        self.ep = fresh.ep;
-        self.valix = fresh.valix;
+        let old_log = log_suffix(self.generation);
+        self.log = log;
+        self.pool = pool;
+        self.rp = rp;
+        self.ep = ep;
+        self.valix = valix;
         self.pending.clear();
         self.recovery = None;
         self.attach_manifest(&manifest)?;
-        if let Some(old_log) = old_log {
-            let _ = self.seg_env.remove(&old_log);
-        }
+        let _ = self.seg_env.remove(&old_log);
         Ok(true)
     }
 
@@ -830,8 +808,8 @@ impl PrixEngine {
         &self.segments
     }
 
-    /// Manifest generation of this database; 0 when no bulk build or
-    /// compaction has ever produced segments.
+    /// Manifest generation of this database: 1 after a build, one
+    /// more per compaction.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -921,29 +899,24 @@ impl PrixEngine {
 
     /// `(suffix, bytes)` of every file this database consists of right
     /// now: the manifest, the live batch log, and every segment, value
-    /// run and symbol run the manifest lists (`prix stats`). A file the
-    /// environment does not hold (an in-memory engine has no manifest
-    /// until a compaction writes one) is left out.
+    /// run and symbol run the manifest lists (`prix stats`).
     pub fn file_sizes(&self) -> Result<Vec<(String, u64)>> {
         let mut suffixes = vec![".seg".to_string(), log_suffix(self.generation)];
         suffixes.extend(self.manifest_segments.iter().map(|s| s.suffix.clone()));
         let mut sizes = Vec::with_capacity(suffixes.len());
         for suffix in suffixes {
-            if self.seg_env.exists(&suffix)? {
-                let len = self.seg_env.open(&suffix)?.len()?;
-                sizes.push((suffix, len));
-            }
+            let len = self.seg_env.open(&suffix)?.len()?;
+            sizes.push((suffix, len));
         }
         Ok(sizes)
     }
 
-    /// Parses `xml` and incrementally indexes it into both indexes
-    /// and the value index (§5.2.1 dynamic labeling in action), to be
-    /// logged by the next [`PrixEngine::save`]. Use
-    /// [`LabelingMode::Dynamic`] for an in-memory build that should
-    /// leave scope headroom; a bulk-exact index only accepts documents
-    /// whose trie paths already exist or branch at the root. (A bulk
-    /// build's delta starts empty: every scope is headroom.)
+    /// Parses `xml` and incrementally indexes it into the delta's two
+    /// indexes and value index (§5.2.1 dynamic labeling in action), to
+    /// be logged by the next [`PrixEngine::save`]. The delta starts
+    /// empty, so every scope is headroom until halving uses it up; a
+    /// document that no longer fits is refused with
+    /// [`IndexError::Unsupported`] (see [`PrixIndex::prepare`]).
     pub fn insert_document(&mut self, xml: &str) -> Result<prix_xml::DocId> {
         self.log_body(BatchMode::Doc, xml);
         self.index_xml(xml)
@@ -971,7 +944,8 @@ impl PrixEngine {
     }
 
     /// Indexes an already-parsed tree (which must use this engine's
-    /// symbol table).
+    /// symbol table). The planner counts its labels, and takes its
+    /// trie shape from the delta alone (a gap DESIGN.md names).
     fn insert_tree(&mut self, tree: prix_xml::XmlTree) -> Result<prix_xml::DocId> {
         // Prepare against *both* indexes before mutating either: if RP
         // accepted the document but EP then ran out of trie scope, the
@@ -1193,14 +1167,7 @@ mod tests {
         for d in &docs[..2] {
             base.add_xml(d).unwrap();
         }
-        let mut incremental = PrixEngine::build(
-            base,
-            EngineConfig {
-                labeling: LabelingMode::Dynamic { alpha: 2 },
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut incremental = PrixEngine::build(base, EngineConfig::default()).unwrap();
         for d in &docs[2..] {
             incremental.insert_document(d).unwrap();
         }
@@ -1241,14 +1208,7 @@ mod tests {
         for i in 0..10 {
             c.add_xml(&www(i)).unwrap();
         }
-        let mut e = PrixEngine::build(
-            c,
-            EngineConfig {
-                labeling: LabelingMode::Dynamic { alpha: 2 },
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut e = PrixEngine::build(c, EngineConfig::default()).unwrap();
         let xpaths = [
             "//www[./editor]/url",
             "//dblp//url",
@@ -1286,57 +1246,114 @@ mod tests {
     fn incremental_insert_shares_existing_paths() {
         let mut c = Collection::new();
         c.add_xml("<a><b><c>v</c></b></a>").unwrap();
-        let mut e = PrixEngine::build(
-            c,
-            EngineConfig {
-                labeling: LabelingMode::Dynamic { alpha: 1 },
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut e = PrixEngine::build(c, EngineConfig::default()).unwrap();
+        assert_eq!(
+            e.rp_index().build_stats().trie_nodes,
+            0,
+            "the delta starts empty"
+        );
+        e.insert_document("<a><b><c>w</c></b></a>").unwrap();
         let nodes_before = e.rp_index().build_stats().trie_nodes;
         // Identical structure: the RP trie path is fully shared.
-        e.insert_document("<a><b><c>w</c></b></a>").unwrap();
+        e.insert_document("<a><b><c>x</c></b></a>").unwrap();
         let nodes_after = e.rp_index().build_stats().trie_nodes;
         assert_eq!(nodes_before, nodes_after, "no new RP trie nodes");
-        assert_eq!(count(&e, "//a/b/c"), 2);
+        assert_eq!(count(&e, "//a/b/c"), 3);
     }
 
+    /// The scope limit of an empty delta: its root hands each fresh
+    /// child half of the scope it has left. `<a><b>v{i}</b></a>` shares
+    /// its RP path (`b a`) with every document before it, while its EP
+    /// sequence (`v{i} b a`) starts with a label new to the root — so
+    /// EP's root runs out and RP's never does. The engine must refuse
+    /// the document that no longer fits *before* touching either index.
     #[test]
     fn failed_ep_insert_leaves_indexes_in_lockstep() {
-        // Exact labeling packs trie scopes densely: only existing paths
-        // and fresh root branches are insertable. `<a><c>v</c></a>`
-        // diverges from `<a><b>v</b></a>` at the *root* of the RP trie
-        // (LPS `c a` vs `b a`), which exact labeling accepts — but its
-        // EP sequence (`v c a` vs `v b a`) diverges *below* the packed
-        // level-1 node for `v`, which underflows. The engine must
-        // reject the document *before* touching either index.
-        let mut c = Collection::new();
-        c.add_xml("<a><b>v</b></a>").unwrap();
-        let mut e = PrixEngine::build(c, EngineConfig::default()).unwrap();
-        assert!(
-            e.rp_index()
-                .prepare(
-                    &prix_xml::parse_document("<a><c>v</c></a>", &mut e.symbols().clone()).unwrap()
-                )
-                .is_ok(),
-            "RP alone would accept the document (root branch)"
-        );
-        let err = e.insert_document("<a><c>v</c></a>").unwrap_err();
+        let mut e = PrixEngine::build(Collection::new(), EngineConfig::default()).unwrap();
+        let mut accepted = 0u32;
+        let err = loop {
+            match e.insert_document(&format!("<a><b>v{accepted}</b></a>")) {
+                Ok(id) => assert_eq!(id, accepted, "ids are dense"),
+                Err(err) => break err,
+            }
+            accepted += 1;
+            assert!(accepted < 1000, "the root never ran out of scope");
+        };
         assert!(
             matches!(err, IndexError::Unsupported(_)),
             "expected scope underflow, got {err}"
         );
+        assert_eq!(accepted, 63, "first labels an empty delta's root takes");
+        let refused = format!("<a><b>v{accepted}</b></a>");
+        let tree = prix_xml::parse_document(&refused, &mut e.symbols().clone()).unwrap();
+        assert!(e.rp_index().prepare(&tree).is_ok(), "RP alone accepts it");
         let rp_docs = e.rp_index().doc_count();
         let ep_docs = e.ep_index().doc_count();
         assert_eq!(rp_docs, ep_docs, "indexes out of lockstep");
-        assert_eq!(rp_docs, 1, "rejected document must not be half-indexed");
-        // The engine still works, and an insert both indexes accept
-        // (identical document: both paths shared) assigns aligned ids.
-        let id = e.insert_document("<a><b>v</b></a>").unwrap();
-        assert_eq!(id, 1);
-        assert_eq!(count(&e, "//a/b"), 2);
-        assert_eq!(count(&e, r#"//b[text()="v"]"#), 2);
+        assert_eq!(rp_docs, accepted as usize, "rejected document half-indexed");
+        // The engine still works, and a document on paths both indexes
+        // hold gets the next id.
+        let id = e.insert_document("<a><b>v0</b></a>").unwrap();
+        assert_eq!(id, accepted);
+        assert_eq!(count(&e, "//a/b"), accepted as usize + 1);
+        assert_eq!(count(&e, r#"//b[text()="v0"]"#), 2);
+    }
+
+    /// A build over no documents is a database like any other: a
+    /// manifest, an empty tier, a log — and no answers.
+    #[test]
+    fn a_build_over_an_empty_collection_opens_and_answers_nothing() {
+        let mut e = PrixEngine::build(Collection::new(), EngineConfig::default()).unwrap();
+        assert_eq!(e.generation(), 1);
+        assert_eq!((e.segment_docs(), e.mutable_docs()), (0, 0));
+        for xpath in ["//a", "//a/b", r#"//a[./b="v"]"#] {
+            assert_eq!(count(&e, xpath), 0, "{xpath}");
+        }
+        e.insert_document("<a><b>v</b></a>").unwrap();
+        assert_eq!(count(&e, r#"//a[./b="v"]"#), 1);
+    }
+
+    /// An in-memory engine's planner starts from its collection: the
+    /// label counts and the RP tier's trie shape.
+    #[test]
+    fn a_build_seeds_the_planner_from_its_collection() {
+        let mut c = Collection::new();
+        for xml in [
+            "<a><b><c>v</c></b><d/></a>",
+            "<a><b><c>w</c></b><d/></a>",
+            "<a><e>v</e></a>",
+        ] {
+            c.add_xml(xml).unwrap();
+        }
+        let mut want = PlannerStats::default();
+        want.merge_collection(&c);
+        let e = PrixEngine::build(c, EngineConfig::default()).unwrap();
+        let rp = e.seg_tiers()[0].rp.build_stats();
+        // LPS `c b a a` twice and `e a`: six nodes on two paths.
+        assert_eq!((rp.trie_nodes, rp.trie_paths, rp.sequences), (6, 2, 3));
+        want.set_trie_shape(6, 2, 3);
+        assert_eq!(e.planner().encode(), want.encode());
+    }
+
+    /// `clear_cache` empties every tier's block caches too: two cold
+    /// runs of one query fetch the same blocks, and some.
+    #[test]
+    fn cold_means_cold_for_every_tier() {
+        let mut c = Collection::new();
+        for i in 0..50 {
+            c.add_xml(&format!("<a><b><c>v{i}</c></b><d>{i}</d></a>"))
+                .unwrap();
+        }
+        let e = PrixEngine::build(c, EngineConfig::default()).unwrap();
+        let view = e.snapshot();
+        let q = view.parse_query(r#"//a[./d="7"]/b/c"#).unwrap();
+        let fetches = || {
+            e.clear_cache().unwrap();
+            view.query(&q).unwrap().io.seg_block_fetches
+        };
+        let first = fetches();
+        assert!(first > 0, "a cold run reads the tier");
+        assert_eq!(fetches(), first, "the second run was warm");
     }
 
     #[test]
@@ -1395,7 +1412,6 @@ mod tests {
             c,
             EngineConfig {
                 path: Some(path.clone()),
-                labeling: LabelingMode::Dynamic { alpha: 1 },
                 ..Default::default()
             },
         )

@@ -29,10 +29,9 @@ use prix_prufer::{EdgeKind, ExtendedTree, MaxGapTable, PruferSeq};
 use prix_storage::{
     BPlusTree, BufferPool, RecordId, RecordStore, SegmentReader, StorageError, SEG_KIND_RP,
 };
-use prix_xml::{Collection, DocId, PostNum, Sym, XmlTree};
+use prix_xml::{DocId, PostNum, Sym, XmlTree};
 
 use crate::query::TwigQuery;
-use crate::trie::{LabeledNode, LabelingMode, VirtualTrie};
 
 /// Which sequence flavor an index stores (§5.6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,7 +215,9 @@ pub struct BuildStats {
     pub sequences: u64,
     /// Maximum number of sequences sharing one path.
     pub max_path_sharing: u64,
-    /// Scope underflows (dynamic labeling only).
+    /// Scope underflows: always 0 — a tier is labeled exactly, and the
+    /// delta refuses a document it has no scope for. The field stays in
+    /// the segment meta blob's format.
     pub underflows: u64,
     /// Total length of all indexed sequences.
     pub total_seq_len: u64,
@@ -232,7 +233,8 @@ pub struct BuildStats {
 ///
 /// Two backings exist behind one query interface: the **mutable tier**
 /// (B⁺-trees and a record store through the buffer pool, the only tier
-/// that accepts inserts) and **immutable segments** (the bulk-built
+/// that accepts inserts, always begun [`PrixIndex::empty`]) and
+/// **immutable segments** (the bulk-built
 /// implicit-tree files of `prix_storage::segment`, read through their
 /// own block cache). The executor is backing-agnostic — it only sees
 /// [`PrixIndex::scan_tag_range`] / [`PrixIndex::scan_docids`] /
@@ -306,9 +308,27 @@ fn tag_row(k: &[u8], v: &[u8]) -> (u64, u64, u32, u32) {
     )
 }
 
+/// A node of the delta's virtual trie, as its two tables hold it: the
+/// Trie-Symbol entry (`sym`, `left`, `right`, `level`, `fine_gap`) and
+/// the trie-node table's `frontier`, the highest scope position already
+/// handed to a child (`left` while it has none), after which
+/// [`PrixIndex::insert`] carves out the next child.
+#[derive(Debug, Clone, Copy)]
+struct DeltaNode {
+    sym: Sym,
+    /// 1-based LPS position (trie depth); the virtual root's is 0.
+    level: u32,
+    left: u64,
+    right: u64,
+    /// Per-occurrence MaxGap (§5.4 "finer granularity"); `u32::MAX`
+    /// when unknown.
+    fine_gap: u32,
+    frontier: u64,
+}
+
 /// Trie-node table value: right(8, LE) ++ frontier(8, LE) ++
 /// level(4, LE) ++ sym(4, LE), under the key left(8, BE).
-fn node_val(n: &LabeledNode) -> [u8; 24] {
+fn node_val(n: &DeltaNode) -> [u8; 24] {
     let mut v = [0u8; 24];
     v[..8].copy_from_slice(&n.right.to_le_bytes());
     v[8..16].copy_from_slice(&n.frontier.to_le_bytes());
@@ -319,8 +339,8 @@ fn node_val(n: &LabeledNode) -> [u8; 24] {
 
 /// The trie-node table's row at `left`: the inverse of [`node_val`].
 /// The table does not hold fine gaps (the Trie-Symbol index does).
-fn node_row(left: u64, v: &[u8]) -> LabeledNode {
-    LabeledNode {
+fn node_row(left: u64, v: &[u8]) -> DeltaNode {
+    DeltaNode {
         left,
         right: u64::from_le_bytes(v[..8].try_into().unwrap()),
         frontier: u64::from_le_bytes(v[8..16].try_into().unwrap()),
@@ -395,81 +415,40 @@ pub(crate) struct DocData {
 }
 
 impl PrixIndex {
-    /// Builds an index of the given `kind` over `collection`.
-    ///
-    /// `dummy` is the label used for the §5.6 leaf extension (EPIndex
-    /// only); it must not be used as a query label.
-    pub fn build(
-        pool: Arc<BufferPool>,
-        collection: &Collection,
-        kind: IndexKind,
-        mode: LabelingMode,
-        dummy: Sym,
-    ) -> Result<Self> {
-        let mut store = RecordStore::create(Arc::clone(&pool))?;
-        let mut trie = VirtualTrie::new();
-        let mut maxgap = MaxGapTable::new();
-        let mut docs = Vec::with_capacity(collection.len());
-        let mut total_seq_len = 0u64;
-        let mut childless = HashSet::new();
-
-        for (doc_id, tree) in collection.iter() {
-            let art = DocArtifacts::of(tree, kind, dummy, &mut maxgap);
-            childless.extend(&art.childless);
-            total_seq_len += art.data.lps.len() as u64;
-            trie.insert_with_gaps(&art.data.lps, doc_id, Some(&art.gaps));
-            docs.push(store.append(&encode_doc_record(&art.data))?);
-        }
-
-        trie.assign_ranges(mode);
-        let build_stats = BuildStats {
-            trie_nodes: trie.node_count(),
-            trie_paths: trie.leaf_count(),
-            sequences: trie.sequence_count(),
-            max_path_sharing: trie.max_path_sharing(),
-            underflows: trie.underflows(),
-            total_seq_len,
+    /// The empty delta index of `kind` in `pool`: an empty record
+    /// store, empty Trie-Symbol and Docid indexes, and a trie-node
+    /// table holding only the virtual root, whose scope `(0, u64::MAX]`
+    /// is all headroom for [`PrixIndex::insert`]. `dummy` is the label
+    /// used for the §5.6 leaf extension (EPIndex only); it must not be
+    /// used as a query label.
+    pub fn empty(pool: Arc<BufferPool>, kind: IndexKind, dummy: Sym) -> Result<Self> {
+        let root = DeltaNode {
+            sym: Sym(u32::MAX),
+            level: 0,
+            left: 0,
+            right: u64::MAX,
+            fine_gap: u32::MAX,
+            frontier: 0,
         };
-
-        // Bulk-load the Trie-Symbol index sorted by (sym, left).
-        let mut tag_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(trie.node_count());
-        trie.for_each_node(|n| {
-            let val = tag_val(n.right, n.level, n.fine_gap);
-            tag_entries.push((tag_key(n.sym, n.left).to_vec(), val.to_vec()));
-        });
-        tag_entries.sort();
-        let tag_index = BPlusTree::bulk_load(Arc::clone(&pool), tag_entries, 0.9)?;
-
-        // Docid index sorted by left.
-        let mut doc_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        trie.for_each_doc_end(|left, doc| {
-            doc_entries.push((left.to_be_bytes().to_vec(), doc.to_le_bytes().to_vec()));
-        });
-        doc_entries.sort();
-        let docid_index = BPlusTree::bulk_load(Arc::clone(&pool), doc_entries, 0.9)?;
-
-        // Trie-node table (allocation state for incremental inserts).
-        let mut node_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::with_capacity(trie.node_count() + 1);
-        let mut push_node = |n: LabeledNode| {
-            node_entries.push((n.left.to_be_bytes().to_vec(), node_val(&n).to_vec()))
-        };
-        push_node(trie.root_node());
-        trie.for_each_node(push_node);
-        node_entries.sort();
-        let trie_nodes = BPlusTree::bulk_load(Arc::clone(&pool), node_entries, 0.8)?;
-
+        // Pages are allocated in this order, the order every delta has
+        // had: a query's cold page count depends on which ids it reads.
+        let store = RecordStore::create(Arc::clone(&pool))?;
+        let tag_index = BPlusTree::create(Arc::clone(&pool))?;
+        let docid_index = BPlusTree::create(Arc::clone(&pool))?;
+        let root_row = (root.left.to_be_bytes().to_vec(), node_val(&root).to_vec());
+        let trie_nodes = BPlusTree::bulk_load(pool, [root_row], 0.8)?;
         Ok(PrixIndex {
             kind,
-            maxgap,
+            maxgap: MaxGapTable::new(),
             dummy,
-            build_stats,
+            build_stats: BuildStats::default(),
             doc_base: 0,
-            childless,
+            childless: HashSet::new(),
             backing: Backing::Tree(TreeBacking {
                 tag_index,
                 docid_index,
                 trie_nodes,
-                docs,
+                docs: Vec::new(),
                 store,
             }),
         })
@@ -501,10 +480,10 @@ impl PrixIndex {
     /// child is carved out it receives at least `need` positions, so
     /// every deeper level fits by induction — the first divergence is
     /// the only place an insert can fail.) Fails with
-    /// [`IndexError::Unsupported`] on scope underflow — build the index
-    /// with [`LabelingMode::Dynamic`] to leave headroom (the bulk-exact
-    /// labeling packs scopes densely, so only already-present paths and
-    /// fresh top-level branches can be added to it).
+    /// [`IndexError::Unsupported`] on scope underflow: a fresh child
+    /// takes half of its parent's remaining scope, so a delta — which
+    /// always starts empty — refuses new first labels once its root has
+    /// halved its scope some sixty times (DESIGN.md).
     ///
     /// [`crate::PrixEngine::insert_tree`] prepares against *both*
     /// indexes before inserting into either, so a rejected document
@@ -557,7 +536,7 @@ impl PrixIndex {
                     let need = (lps.len() - i) as u64;
                     let available = scope_left(&cur, level, need)?;
                     let share = (available / 2).max(need).min(available);
-                    let child = LabeledNode {
+                    let child = DeltaNode {
                         left: cur.frontier + 1,
                         right: cur.frontier + share,
                         frontier: cur.frontier + 1,
@@ -597,7 +576,7 @@ impl PrixIndex {
         Ok(self.doc_base + local)
     }
 
-    fn read_trie_node(&self, left: u64) -> Result<LabeledNode> {
+    fn read_trie_node(&self, left: u64) -> Result<DeltaNode> {
         let v = self
             .tree()?
             .trie_nodes
@@ -608,7 +587,7 @@ impl PrixIndex {
 
     /// The direct child of `cur` labeled `sym` (a trie node at exactly
     /// `level` inside `cur`'s scope), if present.
-    fn find_child(&self, cur: &LabeledNode, sym: Sym, level: u32) -> Result<Option<LabeledNode>> {
+    fn find_child(&self, cur: &DeltaNode, sym: Sym, level: u32) -> Result<Option<DeltaNode>> {
         let lo = tag_key(sym, cur.left);
         let hi = tag_key(sym, cur.right);
         let mut found = None;
@@ -625,7 +604,7 @@ impl PrixIndex {
         let Some((left, fine_gap)) = found else {
             return Ok(None);
         };
-        Ok(Some(LabeledNode {
+        Ok(Some(DeltaNode {
             fine_gap,
             ..self.read_trie_node(left)?
         }))
@@ -956,12 +935,12 @@ impl PrixIndex {
                 self.doc_base
             ))
         };
-        let local = doc.checked_sub(self.doc_base).ok_or_else(unknown)?;
+        let local = doc
+            .checked_sub(self.doc_base)
+            .filter(|&l| (l as usize) < self.doc_count())
+            .ok_or_else(unknown)?;
         Ok(match &self.backing {
-            Backing::Tree(t) => {
-                let rec = t.docs.get(local as usize).ok_or_else(unknown)?;
-                t.store.read(*rec)?
-            }
+            Backing::Tree(t) => t.store.read(t.docs[local as usize])?,
             Backing::Seg(r) => r.record(local)?,
         })
     }
@@ -985,12 +964,12 @@ pub(crate) struct GapRule {
 
 /// The positions `cur` can still hand to a fresh child at `level`, or
 /// the error when a suffix of `need` labels does not fit in them.
-fn scope_left(cur: &LabeledNode, level: u32, need: u64) -> Result<u64> {
+fn scope_left(cur: &DeltaNode, level: u32, need: u64) -> Result<u64> {
     let available = cur.right.saturating_sub(cur.frontier);
     if available < need {
         return Err(IndexError::Unsupported(format!(
             "virtual-trie scope underflow at level {level}: {available} positions left \
-             for a suffix of {need}; rebuild with dynamic labeling"
+             for a suffix of {need}; compact to start an empty delta"
         )));
     }
     Ok(available)
@@ -1078,9 +1057,8 @@ impl PrixIndex {
     /// childless set, and build stats come from the segment's metadata
     /// blob (see [`encode_seg_index_meta`]).
     pub fn from_segment(reader: Arc<SegmentReader>) -> Result<Self> {
-        let (kind, dummy, maxgap, childless, build_stats) =
-            decode_seg_index_meta(&mut codec::Reader(&reader.meta()?))
-                .ok_or_else(|| IndexError::Unsupported("corrupt segment metadata".into()))?;
+        let (kind, dummy, maxgap, childless, build_stats) = decode_seg_index_meta(&reader.meta()?)
+            .ok_or_else(|| IndexError::Unsupported("corrupt segment metadata".into()))?;
         if (reader.kind() == SEG_KIND_RP) != matches!(kind, IndexKind::Regular) {
             return Err(IndexError::Unsupported(
                 "segment header kind disagrees with its index metadata".into(),
@@ -1218,8 +1196,8 @@ pub(crate) fn encode_seg_index_meta(
 
 /// Inverse of [`encode_seg_index_meta`], requiring the input to end
 /// where the blob does.
-fn decode_seg_index_meta(
-    r: &mut codec::Reader,
+pub(crate) fn decode_seg_index_meta(
+    bytes: &[u8],
 ) -> Option<(IndexKind, Sym, MaxGapTable, HashSet<Sym>, BuildStats)> {
     /// The ascending symbols `deltas` are the successive distances of.
     fn ascending(deltas: impl Iterator<Item = u32>) -> Option<Vec<Sym>> {
@@ -1230,6 +1208,7 @@ fn decode_seg_index_meta(
         };
         deltas.map(&mut next).collect()
     }
+    let r = &mut codec::Reader(bytes);
     let kind = match r.u8()? {
         0 => IndexKind::Regular,
         1 => IndexKind::Extended,
@@ -1312,7 +1291,7 @@ pub(crate) fn project_embedding(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prix_storage::Pager;
+    use prix_xml::Collection;
 
     fn small_collection() -> Collection {
         let mut c = Collection::new();
@@ -1343,10 +1322,12 @@ mod tests {
         Ok((matches, stream.stats()))
     }
 
+    /// The bulk-built tier of `kind` over `c`, whose symbol table then
+    /// holds the engine's (the dummy label included).
     fn build_index(c: &mut Collection, kind: IndexKind) -> PrixIndex {
-        let dummy = c.intern("\u{1}dummy");
-        let pool = Arc::new(BufferPool::new(Pager::in_memory(), 256));
-        PrixIndex::build(pool, c, kind, LabelingMode::Exact, dummy).unwrap()
+        let engine = crate::PrixEngine::build(c.clone(), Default::default()).unwrap();
+        *c.symbols_mut() = engine.symbols().clone();
+        engine.seg_tiers()[0].index_of(kind).clone()
     }
 
     #[test]

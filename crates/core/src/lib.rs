@@ -67,3 +67,89 @@ pub use snapshot::{EngineSnapshot, IngestReport, QueryOutcome, SharedEngine};
 pub use trie::{LabelingMode, VirtualTrie};
 pub use valix::{PredEval, ProbeStats, Valix};
 pub use xpath::{parse_xpath, XPathError};
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+
+    use prix_prufer::MaxGapTable;
+    use prix_testkit::TestRng;
+    use prix_xml::{Collection, Sym, SymbolTable};
+
+    use crate::engine::{decode_symbols, encode_symbols};
+    use crate::index::{
+        decode_doc_record, decode_seg_index_meta, encode_doc_record, encode_seg_index_meta,
+        BuildStats, DocArtifacts, IndexKind,
+    };
+    use crate::plan::PlannerStats;
+
+    /// The never-panic table of core's decoders. Each reads bytes a file
+    /// held — a document record, a segment's meta blob, the planner's
+    /// statistics in a log header, a symbol run's name list — and must
+    /// answer every prefix of a valid blob, and 2 000 seeded mutations
+    /// of it, with a value or a refusal, never a panic.
+    #[test]
+    fn core_decoders_never_panic_on_hostile_bytes() {
+        let mut c = Collection::new();
+        c.add_xml(r#"<a x="1"><b><c>v</c></b><d>é — ü</d><b/></a>"#)
+            .unwrap();
+        let dummy = c.intern("\u{1}d");
+        let mut maxgap = MaxGapTable::new();
+        let art = DocArtifacts::of(c.doc(0), IndexKind::Extended, dummy, &mut maxgap);
+        let childless: HashSet<Sym> = art.childless.iter().copied().collect();
+        let stats = BuildStats {
+            trie_nodes: 9,
+            trie_paths: 1,
+            sequences: 1,
+            max_path_sharing: 1,
+            underflows: 0,
+            total_seq_len: 9,
+        };
+        let mut planner = PlannerStats::default();
+        planner.merge_collection(&c);
+        planner.set_trie_shape(9, 1, 1);
+        type Decodes = fn(&[u8]) -> bool;
+        let table: [(&str, Vec<u8>, Decodes); 4] = [
+            ("document record", encode_doc_record(&art.data), |b| {
+                decode_doc_record(b, true).is_some()
+            }),
+            (
+                "segment meta blob",
+                encode_seg_index_meta(IndexKind::Extended, dummy, &maxgap, &childless, &stats),
+                |b| decode_seg_index_meta(b).is_some(),
+            ),
+            ("planner statistics", planner.encode(), |b| {
+                PlannerStats::decode(b).is_some()
+            }),
+            (
+                "name list",
+                encode_symbols(c.symbols().names_from(0)),
+                |b| decode_symbols(b, 0, &mut SymbolTable::new()).is_some(),
+            ),
+        ];
+        let mut rng = TestRng::from_seed(0x5eed_0027);
+        for (what, good, decodes) in table {
+            let run = |bytes: &[u8]| {
+                std::panic::catch_unwind(|| decodes(bytes))
+                    .unwrap_or_else(|_| panic!("{what} panicked on {bytes:?}"))
+            };
+            assert!(run(&good), "{what}: the valid blob is refused");
+            for end in 0..good.len() {
+                run(&good[..end]);
+            }
+            for _ in 0..2000 {
+                let mut bytes = good.clone();
+                for _ in 0..=rng.below(3) {
+                    let at = rng.below(bytes.len() as u64) as usize;
+                    bytes[at] = match rng.below(3) {
+                        0 => bytes[at] ^ 1 << rng.below(8),
+                        1 => rng.below(256) as u8,
+                        // A varint that does not end where it should.
+                        _ => 0xff,
+                    };
+                }
+                run(&bytes);
+            }
+        }
+    }
+}

@@ -32,6 +32,7 @@ use crate::index::{
     decode_doc_record, encode_doc_record, encode_seg_index_meta, BuildStats, DocArtifacts,
     IndexError, IndexKind, Result,
 };
+use crate::plan::PlannerStats;
 use crate::valix::run_entries;
 
 /// Default in-memory sort budget per segment build (64 MiB, the
@@ -163,8 +164,8 @@ impl SegIndexBuilder {
     }
 }
 
-/// Streaming bulk index build (`prix index`, and
-/// [`PrixEngine::build`] with a path): how every file database begins.
+/// Streaming bulk index build (`prix index`, and [`PrixEngine::build`]):
+/// how every database begins, in files or in memory.
 ///
 /// Documents are parsed one at a time and pushed straight into the
 /// per-kind external sorters (label paths for RP and EP, leaf-value
@@ -196,6 +197,10 @@ pub struct BulkBuilder {
     /// the label paths.
     vx: ExternalSorter<VxEntry>,
     n_docs: u32,
+    /// The planner statistics of the documents, when the caller had
+    /// them all at hand ([`PrixEngine::build`]); `finish` adds the RP
+    /// tier's trie shape. A streaming build leaves the planner empty.
+    planner: Option<PlannerStats>,
 }
 
 impl BulkBuilder {
@@ -227,16 +232,18 @@ impl BulkBuilder {
         env: Arc<dyn SegmentEnv>,
         run_mem_bytes: usize,
     ) -> Result<Self> {
-        Self::over(cfg, env, run_mem_bytes, SymbolTable::new())
+        Self::over(cfg, env, run_mem_bytes, SymbolTable::new(), None)
     }
 
     /// A bulk build whose documents use `syms` (an already-parsed
-    /// collection's table; the dummy label is interned into it).
+    /// collection's table; the dummy label is interned into it), seeding
+    /// the planner with `planner` when it is given.
     pub(crate) fn over(
         cfg: EngineConfig,
         env: Arc<dyn SegmentEnv>,
         run_mem_bytes: usize,
         mut syms: SymbolTable,
+        planner: Option<PlannerStats>,
     ) -> Result<Self> {
         // A rebuild over a live segmented database takes the next
         // generation's names; a fresh path starts at generation 1.
@@ -276,6 +283,7 @@ impl BulkBuilder {
             vx: ExternalSorter::new(run_mem_bytes, env_temp_factory(&env)),
             n_docs: 0,
             env,
+            planner,
         })
     }
 
@@ -353,9 +361,10 @@ impl BulkBuilder {
             childless,
             vx,
             n_docs,
+            planner,
         } = self;
         let dummy = rp.dummy;
-        rp.finish(&rp_maxgap, &childless)?;
+        let rp_stats = rp.finish(&rp_maxgap, &childless)?;
         ep.finish(&ep_maxgap, &childless)?;
         let mut run =
             ValueRunBuilder::new(env.create(&format!(".g{generation}.vx.seg"))?, 0, n_docs);
@@ -376,7 +385,12 @@ impl BulkBuilder {
         );
         // No run precedes this one: it holds the whole table.
         write_symbol_run(&*env, &syms, generation, &mut segments)?;
-        let engine = PrixEngine::from_bulk(cfg, env, syms, dummy, generation, segments)?;
+        let stats = planner.map_or_else(PlannerStats::default, |mut s| {
+            let (nodes, paths) = (rp_stats.trie_nodes as u64, rp_stats.trie_paths as u64);
+            s.set_trie_shape(nodes, paths, rp_stats.sequences);
+            s
+        });
+        let engine = PrixEngine::from_bulk(cfg, env, syms, dummy, generation, segments, stats)?;
         // The manifest has committed; the previous generation's files
         // are dead weight now. Unlinking is safe even under live
         // readers (their open handles keep the bytes).

@@ -1,4 +1,4 @@
-//! The virtual trie (paper §5.2.1).
+//! The virtual trie (paper §5.2.1), built whole in memory.
 //!
 //! PRIX stores every LPS in a trie whose nodes carry `(LeftPos,
 //! RightPos)` ranges satisfying the containment property: the range of a
@@ -6,9 +6,14 @@
 //! descendants of node A labeled e" becomes a range query on e's
 //! Trie-Symbol index. The trie itself is *virtual*: after labeling, only
 //! the per-node `(symbol, level, left, right)` tuples and the per-path
-//! document endpoints go to B⁺-trees.
+//! document endpoints are stored.
 //!
-//! Two labeling modes are provided:
+//! PRIX's own indexes never build this structure: a segment is labeled
+//! by the streaming trie of `prix_storage::segment` (the exact labels
+//! [`LabelingMode::Exact`] gives), and the delta labels each insert as
+//! it arrives (`PrixIndex::insert`). What remains here serves the ViST
+//! baseline, which reuses the trie over its own alphabet, and the
+//! comparison of the two labeling schemes:
 //!
 //! * [`LabelingMode::Exact`] — a bulk DFS numbering (left = preorder
 //!   rank, right = max left in subtree). Tight ranges, no underflow;
@@ -37,8 +42,6 @@ pub enum LabelingMode {
     },
 }
 
-const NIL: u32 = u32::MAX;
-
 struct TrieNode {
     sym: Sym,
     /// Depth in the trie = 1-based position in the LPS.
@@ -49,10 +52,6 @@ struct TrieNode {
     doc_ends: Vec<DocId>,
     left: u64,
     right: u64,
-    /// Finer-grained MaxGap (§5.4): the largest postorder gap of the
-    /// data node behind this LPS position, across the sequences that
-    /// pass through. `u32::MAX` = unknown (no gap info supplied).
-    fine_gap: u32,
     /// Number of sequences passing through or ending at this node.
     weight: u64,
     /// Total remaining length of those sequences below this node.
@@ -62,11 +61,10 @@ struct TrieNode {
 /// An in-memory trie over LPS's, labeled with containment ranges.
 pub struct VirtualTrie {
     nodes: Vec<TrieNode>,
-    sequences: u64,
     underflows: u64,
 }
 
-/// A labeled trie node, as handed to the index builder.
+/// A labeled trie node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LabeledNode {
     /// The symbol at this trie position.
@@ -77,12 +75,6 @@ pub struct LabeledNode {
     pub left: u64,
     /// RightPos of the containment range.
     pub right: u64,
-    /// Per-occurrence MaxGap (§5.4 "finer granularity"); `u32::MAX`
-    /// when unknown.
-    pub fine_gap: u32,
-    /// Highest scope position already handed to a child (= `left` when
-    /// childless). Incremental inserts allocate new children after it.
-    pub frontier: u64,
 }
 
 impl VirtualTrie {
@@ -96,11 +88,9 @@ impl VirtualTrie {
                 doc_ends: Vec::new(),
                 left: 0,
                 right: u64::MAX,
-                fine_gap: u32::MAX,
                 weight: 0,
                 tail_len: 0,
             }],
-            sequences: 0,
             underflows: 0,
         }
     }
@@ -111,15 +101,6 @@ impl VirtualTrie {
     /// be indexed at all" (§5.2.1) because subsequence matching runs
     /// range queries instead.
     pub fn insert(&mut self, seq: &[Sym], doc: DocId) {
-        self.insert_with_gaps(seq, doc, None);
-    }
-
-    /// Like [`Self::insert`], but also folds per-position data-node gap
-    /// values into the trie nodes (`gaps[i]` = postorder gap between
-    /// the first and last children of the data node whose label sits at
-    /// LPS position `i`) — the finer-grained MaxGap of §5.4.
-    pub fn insert_with_gaps(&mut self, seq: &[Sym], doc: DocId, gaps: Option<&[u32]>) {
-        self.sequences += 1;
         let mut cur = 0u32;
         for (depth, &sym) in seq.iter().enumerate() {
             self.nodes[cur as usize].weight += 1;
@@ -138,7 +119,6 @@ impl VirtualTrie {
                         doc_ends: Vec::new(),
                         left: 0,
                         right: 0,
-                        fine_gap: if gaps.is_some() { 0 } else { u32::MAX },
                         weight: 0,
                         tail_len: 0,
                     });
@@ -146,14 +126,6 @@ impl VirtualTrie {
                     id
                 }
             };
-            if let Some(g) = gaps {
-                let node = &mut self.nodes[cur as usize];
-                if node.fine_gap == u32::MAX {
-                    node.fine_gap = g[depth];
-                } else {
-                    node.fine_gap = node.fine_gap.max(g[depth]);
-                }
-            }
         }
         self.nodes[cur as usize].weight += 1;
         self.nodes[cur as usize].doc_ends.push(doc);
@@ -286,31 +258,14 @@ impl VirtualTrie {
         self.nodes.len() - 1
     }
 
-    /// Number of sequences inserted.
-    pub fn sequence_count(&self) -> u64 {
-        self.sequences
-    }
-
-    /// Number of distinct root-to-leaf paths (trie leaves); the gap
-    /// between this and [`Self::sequence_count`] is the structural
-    /// sharing the paper highlights for DBLP (§6.4.2).
+    /// Number of distinct root-to-leaf paths (trie leaves): the
+    /// structural sharing the paper highlights for DBLP (§6.4.2) is
+    /// how far below the number of sequences this stays.
     pub fn leaf_count(&self) -> usize {
         self.nodes[1..]
             .iter()
             .filter(|n| n.children.is_empty())
             .count()
-    }
-
-    /// The largest number of sequences ending at or passing through a
-    /// single leaf path (cf. "one root-to-leaf path ... shared by 31,864
-    /// Regular Prüfer sequences").
-    pub fn max_path_sharing(&self) -> u64 {
-        self.nodes[1..]
-            .iter()
-            .filter(|n| n.children.is_empty())
-            .map(|n| n.weight)
-            .max()
-            .unwrap_or(0)
     }
 
     /// Iterates over all labeled (non-root) nodes.
@@ -321,31 +276,7 @@ impl VirtualTrie {
                 level: n.level,
                 left: n.left,
                 right: n.right,
-                fine_gap: n.fine_gap,
-                frontier: self.frontier_of(n),
             });
-        }
-    }
-
-    fn frontier_of(&self, n: &TrieNode) -> u64 {
-        n.children
-            .iter()
-            .map(|&(_, c)| self.nodes[c as usize].right)
-            .max()
-            .unwrap_or(n.left)
-    }
-
-    /// The virtual root's labeled view (scope `(0, u64::MAX]` plus its
-    /// allocation frontier), for the incremental-insert node table.
-    pub fn root_node(&self) -> LabeledNode {
-        let n = &self.nodes[0];
-        LabeledNode {
-            sym: n.sym,
-            level: 0,
-            left: n.left,
-            right: n.right,
-            fine_gap: u32::MAX,
-            frontier: self.frontier_of(n),
         }
     }
 
@@ -385,33 +316,6 @@ impl VirtualTrie {
         }
         violations
     }
-
-    /// Looks up the trie node reached by following `seq` from the root
-    /// (for tests).
-    pub fn locate(&self, seq: &[Sym]) -> Option<LabeledNode> {
-        let mut cur = 0u32;
-        for &sym in seq {
-            match self.nodes[cur as usize]
-                .children
-                .binary_search_by_key(&sym, |&(s, _)| s)
-            {
-                Ok(i) => cur = self.nodes[cur as usize].children[i].1,
-                Err(_) => return None,
-            }
-        }
-        if cur == NIL {
-            return None;
-        }
-        let n = &self.nodes[cur as usize];
-        Some(LabeledNode {
-            sym: n.sym,
-            level: n.level,
-            left: n.left,
-            right: n.right,
-            fine_gap: n.fine_gap,
-            frontier: self.frontier_of(n),
-        })
-    }
 }
 
 impl Default for VirtualTrie {
@@ -437,12 +341,28 @@ mod tests {
         t
     }
 
+    /// The labeled node reached by following `seq` from the root.
+    fn locate(t: &VirtualTrie, seq: &str) -> Option<LabeledNode> {
+        let mut cur = 0u32;
+        for sym in syms(seq) {
+            let kids = &t.nodes[cur as usize].children;
+            let i = kids.binary_search_by_key(&sym, |&(s, _)| s).ok()?;
+            cur = kids[i].1;
+        }
+        let n = &t.nodes[cur as usize];
+        Some(LabeledNode {
+            sym: n.sym,
+            level: n.level,
+            left: n.left,
+            right: n.right,
+        })
+    }
+
     #[test]
     fn shared_prefixes_share_nodes() {
         let t = build(&["ABC", "ABD", "AB"], LabelingMode::Exact);
         // Nodes: A, B, C, D.
         assert_eq!(t.node_count(), 4);
-        assert_eq!(t.sequence_count(), 3);
         assert_eq!(t.leaf_count(), 2);
     }
 
@@ -480,12 +400,12 @@ mod tests {
     #[test]
     fn doc_ends_are_recorded_at_final_nodes() {
         let t = build(&["AB", "AB", "ABC"], LabelingMode::Exact);
-        let ab = t.locate(&syms("AB")).unwrap();
+        let ab = locate(&t, "AB").unwrap();
         let mut ends: Vec<(u64, DocId)> = Vec::new();
         t.for_each_doc_end(|l, d| ends.push((l, d)));
         ends.sort();
         // Docs 0 and 1 end at node AB, doc 2 at ABC.
-        let abc = t.locate(&syms("ABC")).unwrap();
+        let abc = locate(&t, "ABC").unwrap();
         assert!(ends.contains(&(ab.left, 0)));
         assert!(ends.contains(&(ab.left, 1)));
         assert!(ends.contains(&(abc.left, 2)));
@@ -494,10 +414,10 @@ mod tests {
     #[test]
     fn descendant_ranges_nest() {
         let t = build(&["ABC", "ABD"], LabelingMode::Exact);
-        let a = t.locate(&syms("A")).unwrap();
-        let ab = t.locate(&syms("AB")).unwrap();
-        let abc = t.locate(&syms("ABC")).unwrap();
-        let abd = t.locate(&syms("ABD")).unwrap();
+        let a = locate(&t, "A").unwrap();
+        let ab = locate(&t, "AB").unwrap();
+        let abc = locate(&t, "ABC").unwrap();
+        let abd = locate(&t, "ABD").unwrap();
         assert!(a.left < ab.left && ab.right <= a.right);
         assert!(ab.left < abc.left && abc.right <= ab.right);
         assert!(ab.left < abd.left && abd.right <= ab.right);
@@ -508,20 +428,9 @@ mod tests {
     #[test]
     fn levels_are_lps_positions() {
         let t = build(&["XYZ"], LabelingMode::Exact);
-        assert_eq!(t.locate(&syms("X")).unwrap().level, 1);
-        assert_eq!(t.locate(&syms("XY")).unwrap().level, 2);
-        assert_eq!(t.locate(&syms("XYZ")).unwrap().level, 3);
-    }
-
-    #[test]
-    fn max_path_sharing_reports_heaviest_path() {
-        let mut t = VirtualTrie::new();
-        for i in 0..100 {
-            t.insert(&syms("AB"), i);
-        }
-        t.insert(&syms("AC"), 100);
-        t.assign_ranges(LabelingMode::Exact);
-        assert_eq!(t.max_path_sharing(), 100);
+        assert_eq!(locate(&t, "X").unwrap().level, 1);
+        assert_eq!(locate(&t, "XY").unwrap().level, 2);
+        assert_eq!(locate(&t, "XYZ").unwrap().level, 3);
     }
 
     #[test]

@@ -308,7 +308,7 @@ pub const SERIES: &[Series] = &[
     Series { name: "prix_engine_pinned_oldest_lag", kind: Gauge, read: One(|_, s| s.pinned_oldest_lag.to_string()),
         help: "Epochs between the published epoch and the oldest pinned reader (0 when nothing is pinned)." },
     Series { name: "prix_engine_generation", kind: Gauge, read: One(|_, s| s.generation.to_string()),
-        help: "Segment generation of the published manifest (0 = never segmented)." },
+        help: "Generation of the published manifest (1 after a build, one more per compaction)." },
     Series { name: "prix_segment_tiers", kind: Gauge, read: One(|_, s| s.segment_tiers.to_string()),
         help: "Immutable segment tiers currently serving reads." },
     Series { name: "prix_segment_docs", kind: Gauge, read: One(|_, s| s.segment_docs.to_string()),

@@ -321,6 +321,11 @@ impl BlockFile {
         Ok(())
     }
 
+    /// Drops every cached block: the next read of each is a fetch.
+    pub(crate) fn clear(&self) {
+        self.cache.lock().blocks.clear();
+    }
+
     pub(crate) fn block(&self, idx: u64) -> Result<Arc<Vec<u8>>> {
         self.stats.record_seg_block_read();
         let mut c = self.cache.lock();

@@ -782,6 +782,12 @@ impl SegmentReader {
         })
     }
 
+    /// Empties the block cache: the next read of every block fetches
+    /// it (a cold-cache measurement).
+    pub fn clear_cache(&self) {
+        self.file.clear();
+    }
+
     /// Segment flavor byte ([`SEG_KIND_RP`] / [`SEG_KIND_EP`]).
     pub fn kind(&self) -> u8 {
         self.hdr.kind

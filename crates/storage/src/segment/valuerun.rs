@@ -511,6 +511,12 @@ impl ValueRunReader {
         })
     }
 
+    /// Empties the block cache: the next read of every block fetches
+    /// it (a cold-cache measurement).
+    pub fn clear_cache(&self) {
+        self.file.clear();
+    }
+
     /// First global document id covered by this run.
     pub fn doc_base(&self) -> u32 {
         self.hdr.doc_base

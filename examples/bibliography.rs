@@ -6,7 +6,7 @@
 //! cargo run --release --example bibliography
 //! ```
 
-use prix::core::{EngineConfig, PrixEngine};
+use prix::core::{EngineConfig, IndexKind, PrixEngine};
 use prix::datagen::{dblp, Dataset};
 
 fn main() {
@@ -20,8 +20,12 @@ fn main() {
         stats.sequences, stats.elements, stats.attributes, stats.max_depth
     );
 
+    // The build is a bulk build: every record goes into one tier, and
+    // the delta later inserts would land in starts empty.
     let engine = PrixEngine::build(collection, EngineConfig::default()).expect("engine build");
-    let b = engine.rp_index().build_stats();
+    let b = engine.seg_tiers()[0]
+        .index_of(IndexKind::Regular)
+        .build_stats();
     println!(
         "RPIndex: {} trie nodes for {} sequences ({} distinct paths, best path shared by {})",
         b.trie_nodes, b.sequences, b.trie_paths, b.max_path_sharing
@@ -36,10 +40,10 @@ fn main() {
         .unwrap();
     let ordered = view.query(&q1).unwrap();
     println!(
-        "\nJim Gray 1990 inproceedings (ordered twig): {} — via {}, {} pages read",
+        "\nJim Gray 1990 inproceedings (ordered twig): {} — via {}, {} blocks read",
         ordered.matches.len(),
         ordered.index_used,
-        ordered.io.physical_reads
+        ordered.io.seg_block_fetches
     );
 
     // Unordered matching also accepts records that list the year before
@@ -69,9 +73,9 @@ fn main() {
         .unwrap();
     let out = view.query(&q3).unwrap();
     println!(
-        "exact title lookup: {} match, cold-cache IO = {} pages, {:?}",
+        "exact title lookup: {} match, cold-cache IO = {} blocks, {:?}",
         out.matches.len(),
-        out.io.physical_reads,
+        out.io.seg_block_fetches,
         out.elapsed
     );
 

@@ -34,9 +34,9 @@ fn main() {
         engine.clear_cache().unwrap();
         let out = view.query(&q).unwrap();
         println!(
-            "\n{xpath}: {} matches, {} pages, {:?}",
+            "\n{xpath}: {} matches, {} blocks, {:?}",
             out.matches.len(),
-            out.io.physical_reads,
+            out.io.seg_block_fetches,
             out.elapsed
         );
     }

@@ -33,7 +33,8 @@ fn main() {
         .expect("valid XML");
 
     // 2. Build the PRIX engine: documents become Prüfer sequences,
-    //    indexed in B+-tree-backed virtual tries (RPIndex + EPIndex).
+    //    bulk-built into one immutable tier of labeled virtual tries
+    //    (RPIndex + EPIndex), here in memory.
     //    The engine keeps the symbols, not the trees; this example
     //    keeps its own copy to print what the matches point at.
     let engine = PrixEngine::build(collection.clone(), EngineConfig::default())

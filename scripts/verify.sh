@@ -19,6 +19,11 @@ cargo fmt --all -- --check
 # one must fail here, not rot. (Links to private items only warn.)
 RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline --locked --workspace --quiet
 cargo test -q --offline --workspace
+# `cargo test` builds the examples but never runs them: run each once,
+# in release, so one that panics or has gone stale fails here.
+for example in examples/*.rs; do
+  cargo run --release --offline --locked --quiet --example "$(basename "$example" .rs)" >/dev/null
+done
 
 # prixbench (the repository's benchmark, BENCHMARK.json) is a package
 # of its own, so nothing above compiles it: build it against the

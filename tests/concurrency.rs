@@ -1,14 +1,14 @@
-//! Concurrent read queries: an engine view is `Sync` — all index reads go
-//! through the internally synchronized *sharded* buffer pool — so many
-//! threads can query one database simultaneously, and the pool's
-//! eviction, clearing, and I/O accounting must stay correct under
-//! contention.
+//! Concurrent read queries: an engine view is `Sync` — its tiers' block
+//! caches and the *sharded* buffer pool under its delta are internally
+//! synchronized — so many threads can query one database
+//! simultaneously, and the pool's eviction, clearing, and I/O
+//! accounting must stay correct under contention.
 
 use std::sync::Arc;
 
+use prix::core::index::IndexError;
 use prix::core::{
-    parse_xpath, EngineConfig, ExecOpts, IndexKind, LabelingMode, PrixEngine, PrixIndex, TwigMatch,
-    TwigQuery,
+    parse_xpath, EngineConfig, ExecOpts, IndexKind, PrixEngine, PrixIndex, TwigMatch, TwigQuery,
 };
 use prix::datagen::{generate, queries::queries_for, Dataset};
 use prix::storage::{BufferPool, Pager};
@@ -167,57 +167,6 @@ fn concurrent_readers_during_eviction() {
 }
 
 #[test]
-fn index_build_races_queries_on_shared_pool() {
-    // One pool, two indexes: thread 1 bulk-builds an EP index (heavy
-    // page writes) while thread 2 hammers queries on an already-built
-    // RP index (reads + evictions) of the same pool. Mirrors the
-    // engine's concurrent RP/EP build racing early queries.
-    let mut collection = generate(Dataset::Dblp, 0.02, 11);
-    let dummy = collection.intern("\u{1}prix-dummy");
-    let pool = Arc::new(BufferPool::with_shards(Pager::in_memory(), 64, 8));
-    let rp = PrixIndex::build(
-        Arc::clone(&pool),
-        &collection,
-        IndexKind::Regular,
-        LabelingMode::Exact,
-        dummy,
-    )
-    .unwrap();
-    let mut syms = collection.symbols().clone();
-    let q = parse_xpath("//inproceedings[./author]/year", &mut syms).unwrap();
-    let expected = run(&rp, &q);
-    std::thread::scope(|s| {
-        let builder = {
-            let pool = Arc::clone(&pool);
-            let collection = &collection;
-            s.spawn(move || {
-                PrixIndex::build(
-                    pool,
-                    collection,
-                    IndexKind::Extended,
-                    LabelingMode::Exact,
-                    dummy,
-                )
-                .unwrap()
-            })
-        };
-        for _ in 0..4 {
-            let rp = &rp;
-            let q = &q;
-            let expected = &expected;
-            s.spawn(move || {
-                for _ in 0..30 {
-                    assert_eq!(&run(rp, q), expected);
-                }
-            });
-        }
-        let ep = builder.join().expect("ep build thread");
-        let vq = parse_xpath(r#"//inproceedings[./author]"#, &mut syms.clone()).unwrap();
-        assert!(!run(&ep, &vq).is_empty());
-    });
-}
-
-#[test]
 fn clear_races_readers() {
     // clear() flushes + drops shard by shard while readers re-fault the
     // pages back in: every read must still see the last-written bytes.
@@ -264,14 +213,20 @@ fn sharded_cold_io_matches_single_shard_pool() {
         let mut coll = collection.clone();
         let dummy = coll.intern(dummy_name);
         let pool = Arc::new(BufferPool::with_shards(Pager::in_memory(), 2000, shards));
-        let idx = PrixIndex::build(
-            Arc::clone(&pool),
-            &coll,
-            IndexKind::Extended,
-            LabelingMode::Exact,
-            dummy,
-        )
-        .unwrap();
+        // A delta's index, filled the way the engine fills one: every
+        // document prepared, then inserted; those its trie scopes no
+        // longer fit are refused.
+        let mut idx = PrixIndex::empty(Arc::clone(&pool), IndexKind::Extended, dummy).unwrap();
+        for (_, tree) in coll.iter() {
+            match idx.prepare(tree) {
+                Ok(doc) => {
+                    idx.insert(doc).unwrap();
+                }
+                Err(IndexError::Unsupported(_)) => {}
+                Err(e) => panic!("{e}"),
+            }
+        }
+        assert!(idx.doc_count() > 0, "the delta took documents");
         let mut reads = Vec::new();
         for pq in queries_for(Dataset::Swissprot) {
             let mut syms = coll.symbols().clone();

@@ -25,7 +25,7 @@
 
 use std::sync::Arc;
 
-use prix::core::{BulkBuilder, EngineConfig, LabelingMode, PrixEngine};
+use prix::core::{BulkBuilder, EngineConfig, PrixEngine};
 use prix::storage::{MemSegEnv, RawStore, SegmentEnv};
 use prix::xml::Collection;
 use prix_testkit::{FaultInjector, FaultKind, FaultSegEnv, TestRng};
@@ -50,14 +50,9 @@ const QUERIES: &[&str] = &[
     r#"//a/c[starts-with(y, "v")]"#,
 ];
 
-fn labeling() -> LabelingMode {
-    LabelingMode::Dynamic { alpha: 4 }
-}
-
 fn cfg() -> EngineConfig {
     EngineConfig {
         buffer_pages: BUFFER_PAGES,
-        labeling: labeling(),
         ..Default::default()
     }
 }
@@ -166,7 +161,6 @@ fn same_matches(recovered: &PrixEngine, docs: &[String]) -> Result<(), String> {
     let reference = PrixEngine::build(
         reference_coll,
         EngineConfig {
-            labeling: labeling(),
             ..Default::default()
         },
     )
@@ -582,7 +576,7 @@ fn redo_log_iteration(
     for batch in &batches[..k] {
         ingest_round(&mut engine, batch).map_err(|e| format!("unarmed ingest: {e}"))?;
     }
-    let logged = engine.log().map_or(0, |l| l.records());
+    let logged = engine.log().records();
     if logged == 0 || logged > k as u64 {
         return Err(format!("{logged} record(s) in the log after {k} commits"));
     }

@@ -4,48 +4,44 @@
 //!   155fe53, which still ran unlimited queries through a materialising
 //!   executor of its own (drain, sort, refine) and limited ones through
 //!   `MatchStream`. For the paper workload (Q1–Q9, QP1–QP8) plus one
-//!   wide query per dataset, on a pool-tier engine, a bulk-built
-//!   segment engine and a three-tier engine, routed by §5.6's rule and
-//!   forced onto each index, unlimited and with limits 1 and 10, every
-//!   row pins the match vector in order, `truncated`, the ten
-//!   deterministic counters and the cold I/O counters. The one executor
-//!   must reproduce every row. (The I/O columns were re-pinned four
-//!   times, by `repin_golden_io_columns` below, which first proves that
-//!   nothing else in any row moved: the segment shapes' two block
-//!   counters when segment format 3 packed five times the rows into a
-//!   block, the pool tier's `physical_reads` when catalog version 5
+//!   wide query per dataset, on a bulk-built segment engine and a
+//!   three-tier engine, routed by §5.6's rule and forced onto each
+//!   index, unlimited and with limits 1 and 10, every row pins the
+//!   match vector in order, `truncated`, the ten deterministic counters
+//!   and the cold I/O counters. The one executor must reproduce every
+//!   row. (The I/O columns were re-pinned four times, by
+//!   `repin_golden_io_columns` below, which first proves that nothing
+//!   else in any row moved: the segment shapes' two block counters when
+//!   segment format 3 packed five times the rows into a block, the
+//!   since-dropped pool shape's `physical_reads` when catalog version 5
 //!   made a document one varint record, and the three-tier shape's when
 //!   catalog version 6 took the symbol table out of the generation a
 //!   compaction creates and again when the delta stopped being a page
 //!   file — both times renumbering the pages of its tail.)
 //! * **Limit pushdown** — on a high-fanout collection, `limit = 10`
 //!   performs strictly fewer range queries, scans strictly fewer trie
-//!   nodes, and reads strictly fewer buffer-pool pages than the
-//!   unlimited run (the observable win of stopping the trie descent) —
+//!   nodes, and reads strictly fewer segment blocks than the unlimited
+//!   run (the observable win of stopping the trie descent) —
 //!   and an unordered query keeps that early stop under its shared
 //!   limit.
 //! * **I/O attribution** — each `QueryOutcome.io` in a concurrent
-//!   batch counts only its own query's page accesses.
+//!   batch counts only its own query's block accesses.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use prix::core::index::ExecOpts;
 use prix::core::{
-    BulkBuilder, EngineChoice, EngineConfig, EngineId, EngineSnapshot, NoAlts, PrixEngine,
-    PrixIndex, QueryOutcome, TwigQuery,
+    BulkBuilder, EngineChoice, EngineConfig, EngineId, EngineSnapshot, IndexKind, NoAlts,
+    PrixEngine, PrixIndex, QueryOutcome, TwigQuery,
 };
 use prix::datagen::values::ShopConfig;
 use prix::datagen::{generate, predicate_queries, queries::queries_for, Dataset};
 use prix::storage::{MemSegEnv, SegmentEnv};
 use prix::xml::{write_document, Collection};
 
-/// Pool capacity of the golden's segment shapes: small enough that the
-/// order the tail's records are fetched in shows up in `physical_reads`.
-/// (The pool shape keeps the default capacity: `PrixEngine::build`
-/// fills both indexes on two threads, so its page numbering — and with
-/// it what a tight pool evicts — differs from run to run, while the
-/// number of distinct pages a query touches does not.)
+/// Pool capacity of the golden's shapes: small enough that the order
+/// the tail's records are fetched in shows up in `physical_reads`.
 const GOLDEN_POOL_PAGES: usize = 16;
 
 /// One golden workload: its name in the file, its documents as XML
@@ -85,45 +81,22 @@ fn golden_workload(name: &str) -> (Vec<String>, Vec<(&'static str, &'static str)
     (docs, queries)
 }
 
-/// An engine shape of the golden, and how it is made cold: the pool
-/// tier empties its buffer pool; the segment shapes are reopened, which
-/// also gives every segment reader an empty block cache.
-enum Shape {
-    Pool(Box<PrixEngine>),
-    Env(Arc<dyn SegmentEnv>),
+/// Runs `run` on a cold engine of the shape whose files `env` holds:
+/// reopened, so its delta is rebuilt in a fresh pool and every segment
+/// reader starts with an empty block cache.
+fn cold<R>(env: &Arc<dyn SegmentEnv>, run: impl FnOnce(&EngineSnapshot) -> R) -> R {
+    let engine = PrixEngine::reopen_env(Arc::clone(env), GOLDEN_POOL_PAGES).unwrap();
+    run(&engine.snapshot())
 }
 
-impl Shape {
-    fn cold<R>(&self, run: impl FnOnce(&EngineSnapshot) -> R) -> R {
-        match self {
-            Shape::Pool(engine) => {
-                engine.clear_cache().unwrap();
-                let snap = engine.snapshot();
-                run(&snap)
-            }
-            Shape::Env(env) => {
-                let engine = PrixEngine::reopen_env(Arc::clone(env), GOLDEN_POOL_PAGES).unwrap();
-                let snap = engine.snapshot();
-                run(&snap)
-            }
-        }
-    }
-}
-
-/// The three shapes over `docs`: every document in the pool tier; every
-/// document in one bulk-built segment; and three tiers — a bulk-built
-/// segment, a compacted segment, and an ingested tail in the pool.
-fn golden_shapes(docs: &[String]) -> Vec<(&'static str, Shape)> {
+/// The two shapes over `docs`: every document in one bulk-built
+/// segment; and three tiers — a bulk-built segment, a compacted
+/// segment, and an ingested tail in the pool.
+fn golden_shapes(docs: &[String]) -> Vec<(&'static str, Arc<dyn SegmentEnv>)> {
     let cfg = || EngineConfig {
         buffer_pages: GOLDEN_POOL_PAGES,
         ..Default::default()
     };
-    let mut collection = Collection::new();
-    for xml in docs {
-        collection.add_xml(xml).unwrap();
-    }
-    let pool = PrixEngine::build(collection, EngineConfig::default()).unwrap();
-
     let bulk_env = |upto: usize| {
         let env: Arc<dyn SegmentEnv> = Arc::new(MemSegEnv::new());
         let mut b = BulkBuilder::with_env(cfg(), Arc::clone(&env)).unwrap();
@@ -148,11 +121,7 @@ fn golden_shapes(docs: &[String]) -> Vec<(&'static str, Shape)> {
     engine.save().unwrap();
     drop(engine);
 
-    vec![
-        ("pool", Shape::Pool(Box::new(pool))),
-        ("bulk", Shape::Env(bulk)),
-        ("tiers", Shape::Env(tiers)),
-    ]
+    vec![("bulk", bulk), ("tiers", tiers)]
 }
 
 /// One golden row: the ten deterministic counters, the three cold I/O
@@ -212,7 +181,7 @@ fn golden_rows(name: &str) -> String {
                         "{name} {shape_name} {id} route={route} limit={}",
                         limit.map_or("none".to_string(), |k| k.to_string())
                     );
-                    let res = shape.cold(|snap| {
+                    let res = cold(&shape, |snap| {
                         let q = snap.parse_query(xpath).unwrap();
                         match forced {
                             None => snap.query_opts(&q, &opts),
@@ -272,8 +241,8 @@ fn split_io(row: &str) -> Option<([u64; 3], String)> {
 /// shape too; segment format 3 had the mirror-image rules: pool rows
 /// equal outright, `physical_reads` equal everywhere, neither segment
 /// counter up): no segment byte moved, so no row's segment counters may
-/// move, and the pool and bulk shapes — one in memory, the other with
-/// an empty delta — must be equal outright; the tiers shape's tail is
+/// move, and the bulk shape, with its empty delta, must be equal
+/// outright; the tiers shape's tail is
 /// now rebuilt by replaying its log into an empty in-memory delta —
 /// without the catalog page, the record directory and the valix
 /// metadata store the page file had — so its records sit on other page
@@ -384,7 +353,7 @@ fn limit_pushdown_strictly_reduces_work_and_io() {
     let snap = engine.snapshot();
     let q = snap.parse_query("//a/b").unwrap();
 
-    // Cold cache for each run so `io.logical_reads` is comparable.
+    // Cold cache for each run so `io.seg_block_reads` is comparable.
     engine.clear_cache().unwrap();
     let unlimited = snap.query_opts(&q, &ExecOpts::new()).unwrap();
     assert!(
@@ -414,13 +383,14 @@ fn limit_pushdown_strictly_reduces_work_and_io() {
         unlimited.stats.nodes_scanned
     );
     assert!(
-        limited.io.logical_reads < unlimited.io.logical_reads,
-        "page reads not reduced: {} vs {}",
-        limited.io.logical_reads,
-        unlimited.io.logical_reads
+        limited.io.seg_block_reads < unlimited.io.seg_block_reads,
+        "block reads not reduced: {} vs {}",
+        limited.io.seg_block_reads,
+        unlimited.io.seg_block_reads
     );
-    // The limited run's matches are a prefix of the arrival order.
-    let idx = engine.rp_index(); // `//a/b` carries no value
+    // The limited run's matches are a prefix of the arrival order of
+    // the one tier's RPIndex (`//a/b` carries no value).
+    let idx = engine.seg_tiers()[0].index_of(IndexKind::Regular);
     let streamed = drain(idx, &q, &ExecOpts::new().with_limit(usize::MAX));
     assert_eq!(limited.matches, streamed[..10]);
 }
@@ -460,11 +430,11 @@ fn batch_io_is_attributed_per_query() {
         .map(|pq| snap.parse_query(pq.xpath).unwrap())
         .collect();
 
-    // Serial baseline: logical reads are deterministic per query
-    // (independent of cache temperature, unlike physical reads).
+    // Serial baseline: block reads are deterministic per query
+    // (independent of cache temperature, unlike block fetches).
     let serial: Vec<u64> = queries
         .iter()
-        .map(|q| snap.query(q).unwrap().io.logical_reads)
+        .map(|q| snap.query(q).unwrap().io.seg_block_reads)
         .collect();
 
     // Interleave the queries across 4 workers, several times over.
@@ -472,9 +442,9 @@ fn batch_io_is_attributed_per_query() {
     let outs = snap.query_batch(&many, 4).unwrap();
     for (i, out) in outs.iter().enumerate() {
         assert_eq!(
-            out.io.logical_reads,
+            out.io.seg_block_reads,
             serial[i % serial.len()],
-            "query {} in batch read a different page count than alone",
+            "query {} in batch read a different block count than alone",
             i % serial.len()
         );
     }

@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use prix::core::query::TwigQuery;
-use prix::core::{naive, scan, EngineConfig, LabelingMode, PrixEngine};
+use prix::core::{naive, scan, EngineConfig, IndexKind, PrixEngine};
 use prix::prufer::EdgeKind;
 use prix::storage::{BufferPool, Pager};
 use prix::twigstack::{encode_collection, Algorithm, StreamStore, TwigJoin};
@@ -157,8 +157,8 @@ fn gen_engine_input() -> impl Generator<Value = EngineInput> {
     from_fn(|rng| (gen_doc_scripts(rng, 3, 14), gen_query_spec(rng, 5)))
 }
 
-/// PRIX (disk index, both labelings), the scan matcher, TwigStack
-/// and ViST all equal the oracle on random inputs.
+/// PRIX (its bulk-built tier), the scan matcher, TwigStack and ViST
+/// all equal the oracle on random inputs.
 fn prop_all_engines_equal_oracle(input: &EngineInput) -> Result<(), String> {
     let (doc_scripts, (q_root, q_steps, q_edges)) = input;
     let collection = build_collection(doc_scripts);
@@ -175,26 +175,10 @@ fn prop_all_engines_equal_oracle(input: &EngineInput) -> Result<(), String> {
     let scan_set = matches_as_set(&scan::scan_matches(&collection, &q, dummy));
     assert_eq!(&scan_set, &expected, "scan vs oracle");
 
-    // PRIX engine, exact labeling.
+    // PRIX engine.
     let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
     let out = engine.snapshot().query(&q).unwrap();
     assert_eq!(matches_as_set(&out.matches), expected, "PRIX vs oracle");
-
-    // PRIX engine, dynamic labeling.
-    let engine_dyn = PrixEngine::build(
-        collection.clone(),
-        EngineConfig {
-            labeling: LabelingMode::Dynamic { alpha: 2 },
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let out_dyn = engine_dyn.snapshot().query(&q).unwrap();
-    assert_eq!(
-        matches_as_set(&out_dyn.matches),
-        expected,
-        "dynamic labeling"
-    );
 
     // TwigStack.
     let pool = Arc::new(BufferPool::new(Pager::in_memory(), 128));
@@ -348,13 +332,14 @@ fn prop_limit_is_prefix_of_unlimited(input: &EngineInput) -> Result<(), String> 
     assert!(!unlimited.truncated);
 
     // The whole answer in trie-arrival order (a limit no stream
-    // reaches asks for that order), off the index §5.6 routes the query
-    // to: same match set as the unlimited run.
-    let idx = if q.needs_extended() {
-        engine.ep_index()
+    // reaches asks for that order), off the build's tier's index §5.6
+    // routes the query to: same match set as the unlimited run.
+    let kind = if q.needs_extended() {
+        IndexKind::Extended
     } else {
-        engine.rp_index()
+        IndexKind::Regular
     };
+    let idx = engine.seg_tiers()[0].index_of(kind);
     let arrival = ExecOpts::new().with_limit(usize::MAX);
     let mut stream = idx.stream(&q, &arrival, None).unwrap();
     let mut streamed = Vec::new();
@@ -482,14 +467,7 @@ fn prop_incremental_equals_bulk(input: &IncrementalInput) -> Result<(), String> 
         full.add_tree(tree);
     }
 
-    let mut incremental = PrixEngine::build(
-        base,
-        EngineConfig {
-            labeling: LabelingMode::Dynamic { alpha: 2 },
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let mut incremental = PrixEngine::build(base, EngineConfig::default()).unwrap();
     for xml in &added_xml {
         match incremental.insert_document(xml) {
             Ok(_) => {}

@@ -705,12 +705,12 @@ fn metrics_expose_segment_lifecycle_with_pinned_names() {
     let h = start(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         ingest: true,
-        compact_after: Some(4),
+        compact_after: Some(2),
         ..Default::default()
     });
     let addr = h.addr();
     // Exact metric names are a dashboard contract, and every series
-    // renders before any segment exists (as zeros, never vanishing).
+    // renders from the start: the build's tier, an empty delta.
     let (status, body) = get(addr, "/metrics");
     assert_eq!(status, 200);
     for name in [
@@ -726,25 +726,30 @@ fn metrics_expose_segment_lifecycle_with_pinned_names() {
     ] {
         assert!(body.contains(name), "missing series {name}: {body}");
     }
-    assert!(body.contains("prix_engine_generation 0"), "{body}");
-    assert!(body.contains("prix_engine_mutable_docs 3"), "{body}");
+    assert!(body.contains("prix_engine_generation 1"), "{body}");
+    assert!(body.contains("prix_segment_docs 3"), "{body}");
+    assert!(body.contains("prix_engine_mutable_docs 0"), "{body}");
     assert!(body.contains("prix_compactions_total 0"), "{body}");
 
-    // A fourth document pushes the mutable delta to compact_after: the
-    // ingesting worker folds everything into segment generation 1.
-    let (status, resp) = post(addr, "/documents", "<dblp><www><url>v</url></www></dblp>");
-    assert_eq!(status, 200, "{resp}");
+    // A second document pushes the mutable delta to compact_after: the
+    // ingesting worker folds it into segment generation 2.
+    for expect_mutable in [1, 0] {
+        let (status, resp) = post(addr, "/documents", "<dblp><www><url>v</url></www></dblp>");
+        assert_eq!(status, 200, "{resp}");
+        let (_, body) = get(addr, "/metrics");
+        let mutable = format!("prix_engine_mutable_docs {expect_mutable}\n");
+        assert!(body.contains(&mutable), "{body}");
+    }
     let (_, body) = get(addr, "/metrics");
     assert!(body.contains("prix_compactions_total 1"), "{body}");
-    assert!(body.contains("prix_engine_generation 1"), "{body}");
-    assert!(body.contains("prix_segment_docs 4"), "{body}");
-    assert!(body.contains("prix_engine_mutable_docs 0"), "{body}");
+    assert!(body.contains("prix_engine_generation 2"), "{body}");
+    assert!(body.contains("prix_segment_docs 5"), "{body}");
 
     // Queries keep answering through the segment tier, and report
     // their segment block I/O in the response's io object.
     let (status, resp) = get(addr, "/query?xp=//www/url");
     assert_eq!(status, 200, "{resp}");
-    assert!(resp.contains(r#""count":2"#), "{resp}");
+    assert!(resp.contains(r#""count":3"#), "{resp}");
     assert!(resp.contains(r#""seg_block_reads":"#), "{resp}");
     assert!(resp.contains(r#""seg_block_fetches":"#), "{resp}");
     h.shutdown().unwrap();

@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-use prix::core::{EngineConfig, LabelingMode, PrixEngine, SharedEngine, TwigMatch};
+use prix::core::{EngineConfig, PrixEngine, SharedEngine, TwigMatch};
 use prix::xml::Collection;
 use prix_testkit::{check, from_fn, replay, Config, Generator, TestRng};
 
@@ -27,10 +27,6 @@ const QUERIES: &[&str] = &[
     // snapshot and must match nothing at every epoch.
     "//a/zz_unseen",
 ];
-
-fn labeling() -> LabelingMode {
-    LabelingMode::Dynamic { alpha: 4 }
-}
 
 /// A small random document over a fixed vocabulary (the crash-harness
 /// shapes): most inserts fit the dynamic trie scopes of the base
@@ -75,7 +71,6 @@ fn build_engine(docs: &[String]) -> Result<PrixEngine, String> {
     PrixEngine::build(
         coll,
         EngineConfig {
-            labeling: labeling(),
             ..Default::default()
         },
     )

@@ -14,8 +14,7 @@ use std::sync::Arc;
 use prix::core::index::{ExecOpts, IndexKind};
 use prix::core::query::{PredOp, PredValue, TwigQuery, ValuePred};
 use prix::core::{
-    BulkBuilder, EngineConfig, LabelingMode, PredEval, PrixEngine, QueryStats, SharedEngine,
-    TwigMatch,
+    BulkBuilder, EngineConfig, PredEval, PrixEngine, QueryStats, SharedEngine, TwigMatch,
 };
 use prix::prufer::EdgeKind;
 use prix::storage::{MemSegEnv, SegmentEnv};
@@ -230,16 +229,16 @@ fn prop_filtered_equals_postfiltered(input: &PredInput) -> Result<(), String> {
     let snap = engine.snapshot();
     let opts = ExecOpts::new();
     // §5.6's own routing through the engine view; a forced kind
-    // straight on that index of this single-tier engine, with the
-    // evaluator the view would build.
+    // straight on that index of this single-tier engine (the bulk
+    // tier: the delta is empty), with the evaluator the view would
+    // build.
     let run = |query: &TwigQuery, force: Option<IndexKind>| -> (Vec<TwigMatch>, QueryStats) {
         let idx = match force {
             None => {
                 let out = snap.query_opts(query, &opts).unwrap();
                 return (out.matches, out.stats);
             }
-            Some(IndexKind::Regular) => engine.rp_index(),
-            Some(IndexKind::Extended) => engine.ep_index(),
+            Some(kind) => engine.seg_tiers()[0].index_of(kind),
         };
         let pred =
             PredEval::build(query, engine.seg_tiers(), engine.valix(), snap.symbols()).unwrap();
@@ -372,7 +371,6 @@ fn prop_insert_maintains_valix(input: &PredInput) -> Result<(), String> {
     let mut incremental = PrixEngine::build(
         base,
         EngineConfig {
-            labeling: LabelingMode::Dynamic { alpha: 2 },
             ..Default::default()
         },
     )
@@ -515,7 +513,6 @@ fn prop_tiered_valix_equals_single_tree(
 
     let cfg = EngineConfig {
         buffer_pages: 64,
-        labeling: LabelingMode::Dynamic { alpha: 4 },
         ..Default::default()
     };
     let env: Arc<dyn SegmentEnv> = Arc::new(MemSegEnv::new());
@@ -600,10 +597,10 @@ fn tiered_valix_equals_single_tree_through_the_lifecycle() {
     );
 }
 
-/// Predicate pushdown pays in pages: on the shop scenario (uniform
+/// Predicate pushdown pays in reads: on the shop scenario (uniform
 /// prices in [10, 1000)) `//item[price < 20]` keeps ~1% of the items.
 /// Probing the value index and skipping refinement for the rest must
-/// read strictly fewer pages than running the bare twig and filtering
+/// read strictly fewer blocks than running the bare twig and filtering
 /// its matches afterwards (the only way without a value index), with
 /// the identical answer; and `limit 10` must widen the gap, because
 /// the filtered stream stops after ten verified matches while the
@@ -638,10 +635,10 @@ fn selective_predicate_reads_fewer_pages_than_match_then_filter() {
         structural.matches.len()
     );
     assert!(pushed.stats.valix_probes > 0 && pushed.stats.pred_skipped > 0);
-    let (pred_reads, base_reads) = (pushed.io.logical_reads, structural.io.logical_reads);
+    let (pred_reads, base_reads) = (pushed.io.seg_block_reads, structural.io.seg_block_reads);
     assert!(
         pred_reads < base_reads,
-        "the predicate must read strictly fewer pages: {pred_reads} vs {base_reads}"
+        "the predicate must read strictly fewer blocks: {pred_reads} vs {base_reads}"
     );
 
     // The baseline cannot push a limit below its post-filter, so its
@@ -650,7 +647,7 @@ fn selective_predicate_reads_fewer_pages_than_match_then_filter() {
     let limited = cold(&q, &ExecOpts::new().with_limit(10));
     assert_eq!(limited.matches.len(), 10);
     assert!(limited.matches.iter().all(|m| pushed.matches.contains(m)));
-    let lim_reads = limited.io.logical_reads;
+    let lim_reads = limited.io.seg_block_reads;
     assert!(
         lim_reads <= pred_reads && lim_reads < base_reads,
         "limit 10 reads {lim_reads}, unlimited {pred_reads}, baseline {base_reads}"

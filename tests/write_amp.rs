@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use prix::core::{BulkBuilder, EngineConfig, LabelingMode, PrixEngine, SharedEngine};
+use prix::core::{BulkBuilder, EngineConfig, PrixEngine, SharedEngine};
 use prix::storage::{
     BatchLog, MemSegEnv, RawStore, SegmentEnv, StorageError, CHECKPOINT_LOG_BYTES,
 };
@@ -170,7 +170,6 @@ fn ingest_and_compaction_write_each_page_once() {
     let env = Arc::new(CountingEnv::default());
     let cfg = EngineConfig {
         buffer_pages: 2000,
-        labeling: LabelingMode::Dynamic { alpha: 4 },
         ..Default::default()
     };
     let mut b = BulkBuilder::with_env(cfg, env.clone()).unwrap();
@@ -338,7 +337,6 @@ fn bulk_items(n_bulk: usize) -> (PrixEngine, Arc<CountingEnv>, u64) {
     let env = Arc::new(CountingEnv::default());
     let cfg = EngineConfig {
         buffer_pages: 2000,
-        labeling: LabelingMode::Dynamic { alpha: 4 },
         ..Default::default()
     };
     let mut b = BulkBuilder::with_env(cfg, env.clone()).unwrap();
@@ -424,7 +422,6 @@ fn feed_commits(batch_docs: usize) -> (Vec<u64>, u64) {
     let mut rng = TestRng::from_seed(0x5EED_0023);
     let cfg = EngineConfig {
         buffer_pages: 2000,
-        labeling: LabelingMode::Dynamic { alpha: 4 },
         ..Default::default()
     };
     let mut b = BulkBuilder::with_env(cfg, Arc::new(MemSegEnv::new())).unwrap();
@@ -482,7 +479,6 @@ fn priced_by_the_dictionary(distinct: usize) -> (u64, u64) {
     let env = Arc::new(CountingEnv::default());
     let cfg = EngineConfig {
         buffer_pages: 2000,
-        labeling: LabelingMode::Dynamic { alpha: 4 },
         ..Default::default()
     };
     let mut b = BulkBuilder::with_env(cfg, env.clone()).unwrap();

@@ -261,10 +261,10 @@ pub struct PrixEngine {
     /// resolve suffixes against the database path; in-memory engines
     /// use an in-memory map, harness engines a fault-injecting one.
     seg_env: Arc<dyn SegmentEnv>,
-    /// Segment-block I/O counters. One instance for the engine's whole
-    /// life: compaction swaps buffer pools (and their page counters)
-    /// but `/metrics` totals must not reset.
-    seg_stats: Arc<IoStats>,
+    /// The I/O counters of the engine's whole life: every pool (through
+    /// its pager), batch log and tier reader it opens counts into them,
+    /// so a compaction's fresh pool continues them.
+    io: Arc<IoStats>,
     /// Manifest generation: 1 for a fresh build, one more per
     /// compaction.
     generation: u64,
@@ -317,7 +317,8 @@ impl PrixEngine {
     /// The engine of manifest `m`, whose files `seg_env` holds and
     /// whose names are `symbols`: its tiers, `log` as its batch log,
     /// and an empty delta in `pool` — a bulk build's, or a reopen's
-    /// before its replay.
+    /// before its replay. The counters of `pool`'s pager become the
+    /// engine's for its whole life.
     fn empty(
         dummy: Sym,
         symbols: SymbolTable,
@@ -330,6 +331,7 @@ impl PrixEngine {
         let (rp, ep, valix) = empty_delta(&pool, dummy)?;
         let mut eng = PrixEngine {
             symbols,
+            io: pool.pager().stats(),
             pool,
             rp,
             ep,
@@ -340,7 +342,6 @@ impl PrixEngine {
             segments: Vec::new(),
             manifest_segments: Vec::new(),
             seg_env,
-            seg_stats: Arc::new(IoStats::new()),
             generation: m.generation,
             planner,
             valix,
@@ -375,10 +376,11 @@ impl PrixEngine {
         &self.ep
     }
 
-    /// An epoch-pinned read view of the engine as it stands now: the
-    /// one way to parse, explain and run queries against a bare engine.
-    /// The view holds the page table frozen when it was taken, so it
-    /// answers as of then across later inserts and compactions.
+    /// An epoch-pinned read view of the engine as it stands now, at
+    /// [`PrixEngine::epoch`]: the one way to parse, explain and run
+    /// queries against a bare engine. The view holds the page table
+    /// frozen when it was taken, so it answers as of then across later
+    /// inserts and compactions.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot::capture(self, None)
     }
@@ -398,17 +400,15 @@ impl PrixEngine {
 
     /// Commits what was ingested since the last commit: the bodies, as
     /// received, become one record of the batch log — one append, one
-    /// `fsync` — and the epoch it establishes the pool's committed
-    /// epoch. A crash before the `fsync` returns loses the batch whole,
-    /// one after it replays it whole. Nothing ingested, nothing
-    /// written.
+    /// `fsync` — which establishes the next epoch. A crash before the
+    /// `fsync` returns loses the batch whole, one after it replays it
+    /// whole. Nothing ingested, nothing written.
     pub fn save(&mut self) -> Result<()> {
         if self.pending.is_empty() {
             return Ok(());
         }
-        let epoch = self.log.append(&self.pending)?;
+        self.log.append(&self.pending)?;
         self.pending.clear();
-        self.pool.commit_epoch(epoch);
         Ok(())
     }
 
@@ -483,7 +483,6 @@ impl PrixEngine {
         // A reopened engine starts cold, as one over files did: none of
         // the replay's pages is in the LRU.
         eng.pool.clear()?;
-        eng.pool.reseed_epoch(eng.log.epoch());
         eng.recovery = Some(RecoveryReport {
             unclean_shutdown: contents.file_len > contents.valid_len,
             replayed_frames: contents.records.len() as u64,
@@ -565,7 +564,7 @@ impl PrixEngine {
         };
         for s in m.segments.iter().filter(|s| s.kind != SEG_KIND_SYM) {
             let store = self.seg_env.open(&s.suffix)?;
-            let stats = Arc::clone(&self.seg_stats);
+            let stats = Arc::clone(&self.io);
             // What the file's own header says it is must be what the
             // row says: one comparison, whichever reader opened it.
             let check_row = |found: (u8, u32, u32)| {
@@ -644,23 +643,23 @@ impl PrixEngine {
         Ok(())
     }
 
-    /// The log of manifest generation `generation`, for a delta in
-    /// `pool`: created (and synced) empty in `env` at `epoch`,
-    /// `planner`'s statistics in its header — which `planner` is reset
-    /// to, so that what a reopen decodes from the header and replays
-    /// over it is what the engine holds.
+    /// The log of manifest generation `generation`, counting into `io`:
+    /// created (and synced) empty in `env` at `epoch`, `planner`'s
+    /// statistics in its header — which `planner` is reset to, so that
+    /// what a reopen decodes from the header and replays over it is what
+    /// the engine holds.
     fn start_log(
         env: &dyn SegmentEnv,
         planner: &Planner,
         generation: u64,
         epoch: u64,
-        pool: &BufferPool,
+        io: &Arc<IoStats>,
     ) -> Result<BatchLog> {
         let blob = planner.encode();
         let stats = PlannerStats::decode(&blob).expect("the planner decodes what it encodes");
         planner.update(|s| *s = stats);
         let store = env.create(&log_suffix(generation))?;
-        Ok(BatchLog::create(store, epoch, &blob, pool.pager().stats())?)
+        Ok(BatchLog::create(store, epoch, &blob, Arc::clone(io))?)
     }
 
     /// Assembles the engine a finished bulk build publishes: an empty
@@ -682,8 +681,7 @@ impl PrixEngine {
     ) -> Result<Self> {
         let pool = Arc::new(BufferPool::new(Pager::in_memory(), cfg.buffer_pages));
         let planner = Arc::new(Planner::new(stats));
-        let log = Self::start_log(&*env, &planner, generation, 1, &pool)?;
-        pool.reseed_epoch(1);
+        let log = Self::start_log(&*env, &planner, generation, 1, &pool.pager().stats())?;
         let manifest = Manifest {
             generation,
             log_suffix: log_suffix(generation),
@@ -704,13 +702,13 @@ impl PrixEngine {
     ///
     /// Publish protocol, in order: (1) build and sync the new tier's
     /// files under the next generation's names — the live generation is
-    /// untouched; (2) build the next delta, empty, in the old pool's
-    /// [`BufferPool::successor`] — its epoch clock continues past the
-    /// old pool's, so epoch-keyed caches and snapshots stay monotone,
-    /// and its pins count in the same registry — and create and sync
-    /// its log; (3) write the manifest — the single commit point; (4)
-    /// swap the in-memory state and unlink the old log. Readers pinned
-    /// on the old pool keep reading it: it lives as long as they do.
+    /// untouched; (2) build the next delta, empty, in a fresh pool of
+    /// the same capacity that counts into the engine's counters, and
+    /// create and sync its log, which starts one epoch past the old
+    /// one's — epoch-keyed caches and snapshots stay monotone; (3)
+    /// write the manifest — the single commit point; (4) swap the
+    /// in-memory state and unlink the old log. Readers pinned on the
+    /// old pool keep reading it: it lives as long as they do.
     pub fn compact(&mut self) -> Result<bool> {
         self.compact_with(crate::segbuild::DEFAULT_RUN_MEM_BYTES)
     }
@@ -768,12 +766,13 @@ impl PrixEngine {
             generation,
             &mut manifest_segments,
         )?;
-        // (2) The replacement delta, empty, in the pool that succeeds
-        // this one; and its log.
-        let pool = Arc::new(self.pool.successor());
+        // (2) The replacement delta, empty, in a fresh pool; and its
+        // log.
+        let pager = Pager::with_stats(Arc::clone(&self.io));
+        let pool = Arc::new(BufferPool::new(pager, self.pool.capacity()));
         let (rp, ep, valix) = empty_delta(&pool, self.dummy)?;
-        let epoch = pool.current_epoch();
-        let log = Self::start_log(&*self.seg_env, &self.planner, generation, epoch, &pool)?;
+        let epoch = self.log.epoch() + 1;
+        let log = Self::start_log(&*self.seg_env, &self.planner, generation, epoch, &self.io)?;
         // (3) Commit.
         let manifest = Manifest {
             generation,
@@ -829,12 +828,6 @@ impl PrixEngine {
     /// [`PrixEngine::compact`] would fold).
     pub fn mutable_docs(&self) -> usize {
         self.rp.doc_count()
-    }
-
-    /// Lifetime segment-block I/O counters (survive compaction pool
-    /// swaps; `/metrics` reads them).
-    pub fn seg_io(&self) -> &Arc<IoStats> {
-        &self.seg_stats
     }
 
     /// The loaded tier manifest row `s` belongs to.
@@ -974,10 +967,11 @@ impl PrixEngine {
         &self.valix
     }
 
-    /// The last committed epoch: what a reopen would come back at, and
+    /// The last committed epoch — the batch log's, the one clock: what
+    /// a reopen would come back at, what a view taken now reports, and
     /// what the next publish makes visible.
     pub fn epoch(&self) -> u64 {
-        self.pool.current_epoch()
+        self.log.epoch()
     }
 
     /// Batch ingest through the snapshot-isolation write path: every
@@ -1240,6 +1234,23 @@ mod tests {
         let after = answers(&e.snapshot());
         assert_eq!(after[0].len(), before[0].len() + 100);
         assert_eq!((before[3].len(), after[3].len()), (0, 100));
+    }
+
+    /// The batch log's epoch is the one clock: a commit moves it, a
+    /// compaction starts the next log one past it, and a bare engine's
+    /// view reports it.
+    #[test]
+    fn a_bare_engines_view_carries_the_engines_epoch() {
+        let mut c = Collection::new();
+        c.add_xml("<a><b>u</b></a>").unwrap();
+        let mut e = PrixEngine::build(c, EngineConfig::default()).unwrap();
+        assert_eq!((e.epoch(), e.snapshot().epoch()), (1, 1));
+        e.insert_document("<a><b>v</b></a>").unwrap();
+        e.save().unwrap();
+        assert_eq!(e.epoch(), 2, "a commit moves the clock");
+        assert_eq!(e.snapshot().epoch(), e.epoch());
+        assert!(e.compact().unwrap());
+        assert_eq!((e.epoch(), e.snapshot().epoch()), (3, 3));
     }
 
     #[test]

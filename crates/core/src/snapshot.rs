@@ -18,11 +18,15 @@
 //!   one published epoch. Snapshots are immutable
 //!   and cheap to share (`Arc`); queries against one snapshot are
 //!   bit-identical no matter what the writer does concurrently.
-//! * **Page level** — each snapshot holds a [`prix_storage::EpochPin`]:
+//! * **Page level** — each snapshot holds a [`prix_storage::PagePin`]:
 //!   the buffer pool's page table as frozen at its epoch's publish.
 //!   The writer copies a page before changing it while a frozen table
 //!   still shares it, so the frozen index handles read the exact bytes
 //!   of their epoch.
+//!
+//! The epoch is the batch log's, the engine's one clock
+//! ([`PrixEngine::epoch`]); the pool knows none. [`SharedEngine`] keeps
+//! the registry of the snapshots it published that readers still hold.
 //!
 //! [`SharedEngine`] is the concurrency wrapper: a single-writer
 //! [`SharedEngine::ingest`] path that commits each batch with one save
@@ -44,10 +48,10 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use prix_storage::{EpochPin, IoScope, IoSnapshot, PinGuard};
+use prix_storage::{IoScope, IoSnapshot, PagePin, PinGuard};
 use prix_xml::{Collection, DocId, PostNum, ScratchSyms, SymbolTable};
 
 use crate::arrange::{arrangements, ARRANGEMENT_LIMIT};
@@ -118,7 +122,7 @@ pub struct EngineSnapshot {
     valix: Valix,
     /// `(bytes, records)` of the batch log at capture time.
     log: (u64, u64),
-    pin: EpochPin,
+    pin: PagePin,
 }
 
 impl EngineSnapshot {
@@ -127,13 +131,12 @@ impl EngineSnapshot {
     /// `prev` froze one of the same length it is the same table and is
     /// shared instead of copied.
     pub(crate) fn capture(engine: &PrixEngine, prev: Option<&EngineSnapshot>) -> Self {
-        let pin = engine.pool().pin_epoch();
         let syms = match prev {
             Some(prev) if prev.syms.len() == engine.symbols().len() => Arc::clone(&prev.syms),
             _ => Arc::new(engine.symbols().clone()),
         };
         EngineSnapshot {
-            epoch: pin.epoch(),
+            epoch: engine.epoch(),
             syms,
             rp: engine.rp_index().clone(),
             ep: engine.ep_index().clone(),
@@ -142,7 +145,7 @@ impl EngineSnapshot {
             planner: Arc::clone(engine.planner()),
             valix: engine.valix().clone(),
             log: (engine.log().len(), engine.log().records()),
-            pin,
+            pin: engine.pool().pin(),
         }
     }
 
@@ -640,10 +643,10 @@ type PublishHook = Box<dyn Fn(u64) + Send + Sync>;
 pub struct SharedEngine {
     writer: Mutex<PrixEngine>,
     current: Mutex<Arc<EngineSnapshot>>,
+    /// Every snapshot this engine published that may still be held:
+    /// the pin registry. Dead handles are pruned at each publish.
+    published: Mutex<Vec<Weak<EngineSnapshot>>>,
     poisoned: AtomicBool,
-    /// Lifetime segment-block I/O counters (shared with the engine;
-    /// compaction never resets them).
-    seg_io: Arc<prix_storage::IoStats>,
     recovery: Option<prix_storage::RecoveryReport>,
     /// Compactions the log's bound forced (see
     /// [`prix_storage::CHECKPOINT_LOG_BYTES`]).
@@ -658,13 +661,12 @@ impl SharedEngine {
     /// snapshot number one.
     pub fn new(engine: PrixEngine) -> Self {
         let current = Arc::new(EngineSnapshot::capture(&engine, None));
-        let seg_io = Arc::clone(engine.seg_io());
         let recovery = engine.recovery();
         SharedEngine {
             writer: Mutex::new(engine),
+            published: Mutex::new(vec![Arc::downgrade(&current)]),
             current: Mutex::new(current),
             poisoned: AtomicBool::new(false),
-            seg_io,
             recovery,
             log_compactions: AtomicU64::new(0),
             on_publish: Mutex::new(None),
@@ -687,18 +689,17 @@ impl SharedEngine {
         Arc::clone(self.snapshot().pin.pool())
     }
 
-    /// Lifetime segment-block I/O counters (`/metrics`). Never reset,
-    /// even across compaction pool swaps.
-    pub fn seg_io(&self) -> &Arc<prix_storage::IoStats> {
-        &self.seg_io
-    }
-
-    /// Epoch-pin observability: `(active pins, oldest pinned epoch)`
-    /// over the live pool and every pool compaction retired that old
-    /// snapshots still hold — one registry, which each compaction's
-    /// pool inherits ([`prix_storage::BufferPool::successor`]).
+    /// Epoch-pin observability: `(published snapshots still held,
+    /// oldest epoch among them)`. The current snapshot is one of them;
+    /// the others pin what readers still query — an older epoch, and
+    /// the pool a compaction retired.
     pub fn pinned_epochs(&self) -> (usize, Option<u64>) {
-        self.pool().pinned_epochs()
+        let published = self.published.lock().unwrap_or_else(|e| e.into_inner());
+        let held: Vec<u64> = published
+            .iter()
+            .filter_map(|s| Some(s.upgrade()?.epoch()))
+            .collect();
+        (held.len(), held.into_iter().min())
     }
 
     /// Folds the mutable delta into immutable segments and publishes
@@ -744,6 +745,11 @@ impl SharedEngine {
     fn publish(&self, engine: &PrixEngine) -> u64 {
         let snap = Arc::new(EngineSnapshot::capture(engine, Some(&self.snapshot())));
         let epoch = snap.epoch();
+        {
+            let mut published = self.published.lock().unwrap_or_else(|e| e.into_inner());
+            published.retain(|s| s.strong_count() > 0);
+            published.push(Arc::downgrade(&snap));
+        }
         *self.current.lock().unwrap_or_else(|e| e.into_inner()) = snap;
         if let Some(hook) = self
             .on_publish
@@ -846,16 +852,16 @@ impl SharedEngine {
                 Ok(IngestReport {
                     accepted: outcome.accepted,
                     rejected: outcome.rejected,
-                    epoch: engine.pool().published_epoch(),
+                    epoch: engine.epoch(),
                 })
             }
             Ok(outcome) => {
-                // Publishing moves the epoch and freezes the page table,
-                // and swapping the snapshot makes the saved batch
-                // visible: the new snapshot pins the new table.
-                let epoch = engine.pool().publish_ingest();
-                let published = self.publish(&engine);
-                debug_assert_eq!(published, epoch);
+                // Publishing freezes the page table, and swapping the
+                // snapshot makes the saved batch visible at the epoch
+                // its commit established: the new snapshot pins the new
+                // table.
+                engine.pool().publish_ingest();
+                let epoch = self.publish(&engine);
                 // The batch is durable and visible whatever happens
                 // next: a compaction that fails poisons the writer, and
                 // later ingests report that.

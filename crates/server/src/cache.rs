@@ -22,160 +22,21 @@
 //!   epochs.
 //!
 //! Both caches are sharded (hash of the key picks a mutex-protected
-//! LRU shard) so concurrent workers rarely contend, and both keep
+//! [`Lru`] shard) so concurrent workers rarely contend, and both keep
 //! lifetime hit/miss/eviction counters for `/metrics`.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use prix_core::TwigQuery;
+use prix_storage::Lru;
 
 /// Shards per cache. Power of two; the low bits of the key hash pick
 /// the shard. Sixteen keeps contention negligible at the worker-pool
 /// sizes the server runs (≤ 16 threads) without bloating tiny caches.
 const SHARDS: usize = 16;
-
-/// `None` sentinel for the intrusive LRU links.
-const NIL: usize = usize::MAX;
-
-/// A doubly-linked LRU over a slab, O(1) for get/insert/evict.
-///
-/// `head` is the most recently used node, `tail` the least; eviction
-/// pops the tail. Kept private — the caches wrap one per shard.
-struct Lru<K, V> {
-    map: HashMap<K, usize>,
-    nodes: Vec<Node<K, V>>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
-    capacity: usize,
-}
-
-struct Node<K, V> {
-    key: K,
-    val: V,
-    prev: usize,
-    next: usize,
-}
-
-impl<K: Hash + Eq + Clone, V> Lru<K, V> {
-    fn new(capacity: usize) -> Self {
-        Lru {
-            map: HashMap::new(),
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            capacity: capacity.max(1),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-    }
-
-    fn push_front(&mut self, idx: usize) {
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    /// Looks `key` up and marks it most-recently-used.
-    fn get(&mut self, key: &K) -> Option<&V> {
-        let idx = *self.map.get(key)?;
-        if self.head != idx {
-            self.unlink(idx);
-            self.push_front(idx);
-        }
-        Some(&self.nodes[idx].val)
-    }
-
-    /// Inserts (or replaces) `key`. Returns the number of entries
-    /// evicted to make room (0 or 1).
-    fn insert(&mut self, key: K, val: V) -> u64 {
-        if let Some(&idx) = self.map.get(&key) {
-            self.nodes[idx].val = val;
-            if self.head != idx {
-                self.unlink(idx);
-                self.push_front(idx);
-            }
-            return 0;
-        }
-        let mut evicted = 0;
-        if self.map.len() >= self.capacity {
-            let tail = self.tail;
-            self.unlink(tail);
-            let doomed_key = self.nodes[tail].key.clone();
-            self.map.remove(&doomed_key);
-            self.free.push(tail);
-            evicted = 1;
-        }
-        let idx = match self.free.pop() {
-            Some(slot) => {
-                self.nodes[slot] = Node {
-                    key: key.clone(),
-                    val,
-                    prev: NIL,
-                    next: NIL,
-                };
-                slot
-            }
-            None => {
-                self.nodes.push(Node {
-                    key: key.clone(),
-                    val,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.nodes.len() - 1
-            }
-        };
-        self.map.insert(key, idx);
-        self.push_front(idx);
-        evicted
-    }
-
-    /// Removes every entry `pred` matches; returns how many went.
-    fn retain(&mut self, mut pred: impl FnMut(&K) -> bool) -> u64 {
-        let doomed: Vec<usize> = self
-            .map
-            .iter()
-            .filter(|(k, _)| !pred(k))
-            .map(|(_, &idx)| idx)
-            .collect();
-        let removed = doomed.len() as u64;
-        for idx in doomed {
-            self.unlink(idx);
-            let doomed_key = self.nodes[idx].key.clone();
-            self.map.remove(&doomed_key);
-            self.free.push(idx);
-        }
-        removed
-    }
-}
 
 /// Lifetime counters every cache keeps; `/metrics` renders them as
 /// `prix_cache_{hits,misses,evictions}_total{cache="..."}`.
@@ -433,40 +294,6 @@ mod tests {
             epoch,
             engine: String::new(),
         }
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used() {
-        let mut lru: Lru<u32, u32> = Lru::new(2);
-        assert_eq!(lru.insert(1, 10), 0);
-        assert_eq!(lru.insert(2, 20), 0);
-        assert_eq!(lru.get(&1), Some(&10)); // 1 is now MRU
-        assert_eq!(lru.insert(3, 30), 1); // evicts 2
-        assert_eq!(lru.get(&2), None);
-        assert_eq!(lru.get(&1), Some(&10));
-        assert_eq!(lru.get(&3), Some(&30));
-        assert_eq!(lru.len(), 2);
-        // Replacing an existing key never evicts.
-        assert_eq!(lru.insert(3, 31), 0);
-        assert_eq!(lru.get(&3), Some(&31));
-    }
-
-    #[test]
-    fn lru_retain_unlinks_cleanly() {
-        let mut lru: Lru<u32, u32> = Lru::new(8);
-        for i in 0..6 {
-            lru.insert(i, i);
-        }
-        assert_eq!(lru.retain(|k| k % 2 == 0), 3);
-        assert_eq!(lru.len(), 3);
-        for i in 0..6u32 {
-            assert_eq!(lru.get(&i).is_some(), i % 2 == 0, "key {i}");
-        }
-        // The list is still consistent: fill back up and evict through it.
-        for i in 10..18 {
-            lru.insert(i, i);
-        }
-        assert_eq!(lru.len(), 8);
     }
 
     #[test]

@@ -167,7 +167,9 @@ fn load(counter: &AtomicU64) -> u64 {
 /// fills it once; every [`SERIES`] reader takes it from there.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Sample {
-    /// The engine buffer pool's lifetime I/O counters.
+    /// The engine's lifetime I/O counters: every buffer pool it has
+    /// had, its batch logs and its tier readers count into one set,
+    /// which no compaction resets.
     pub io: IoSnapshot,
     /// Pages currently cached in the buffer pool.
     pub resident: u64,
@@ -194,16 +196,12 @@ pub struct Sample {
     pub segment_docs: u64,
     /// Documents in the mutable delta (what a compaction would fold).
     pub mutable_docs: u64,
-    /// Reader pins currently holding an epoch open, across the live
-    /// pool and every pool retired by compaction.
+    /// Published snapshots readers still hold, besides the current one
+    /// (each pins its epoch, and the pool a compaction retired).
     pub pinned_epochs: u64,
     /// `published_epoch - oldest_pinned_epoch` (0 when nothing is
     /// pinned): how far behind the slowest reader is.
     pub pinned_oldest_lag: u64,
-    /// Segment blocks served (cache hits + fetches), engine lifetime.
-    pub seg_block_reads: u64,
-    /// Segment blocks actually read from disk, engine lifetime.
-    pub seg_block_fetches: u64,
     /// Current length of the batch log in bytes.
     pub wal_bytes: u64,
     /// Records in the batch log (what a reopen now would replay).
@@ -315,9 +313,9 @@ pub const SERIES: &[Series] = &[
         help: "Documents served from immutable segments." },
     Series { name: "prix_engine_mutable_docs", kind: Gauge, read: One(|_, s| s.mutable_docs.to_string()),
         help: "Documents in the mutable delta (what a compaction would fold into a segment)." },
-    Series { name: "prix_segment_block_reads_total", kind: Counter, read: One(|_, s| s.seg_block_reads.to_string()),
+    Series { name: "prix_segment_block_reads_total", kind: Counter, read: One(|_, s| s.io.seg_block_reads.to_string()),
         help: "Segment blocks served (cache hits + fetches)." },
-    Series { name: "prix_segment_block_fetches_total", kind: Counter, read: One(|_, s| s.seg_block_fetches.to_string()),
+    Series { name: "prix_segment_block_fetches_total", kind: Counter, read: One(|_, s| s.io.seg_block_fetches.to_string()),
         help: "Segment blocks read from disk." },
     Series { name: "prix_compactions_total", kind: Counter, read: One(|m, _| load(&m.compactions).to_string()),
         help: "Compactions published (mutable delta folded into a segment)." },
@@ -625,8 +623,8 @@ mod tests {
                 fsyncs: 7,
                 wal_appends: 55,
                 wal_appended_bytes: 45100,
-                seg_block_reads: 11,
-                seg_block_fetches: 13,
+                seg_block_reads: 100,
+                seg_block_fetches: 25,
                 ..IoSnapshot::default()
             },
             resident: 37,
@@ -658,8 +656,6 @@ mod tests {
             mutable_docs: 6,
             pinned_epochs: 4,
             pinned_oldest_lag: 5,
-            seg_block_reads: 100,
-            seg_block_fetches: 25,
             wal_bytes: 8240,
             log_records: 31,
             log_compactions: 2,

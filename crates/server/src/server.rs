@@ -539,8 +539,8 @@ fn handle_metrics(shared: &Arc<Shared>) -> Response {
     let pool = shared.engine.pool();
     let snap = shared.engine.snapshot();
     let (pinned, oldest) = shared.engine.pinned_epochs();
-    let seg_io = shared.engine.seg_io().snapshot();
     let body = shared.metrics.render(&Sample {
+        // Every pool of the engine counts into its one lifetime set.
         io: pool.snapshot(),
         resident: pool.resident() as u64,
         capacity: pool.capacity() as u64,
@@ -553,11 +553,11 @@ fn handle_metrics(shared: &Arc<Shared>) -> Response {
         segment_tiers: snap.segment_tiers() as u64,
         segment_docs: snap.segment_docs(),
         mutable_docs: snap.mutable_docs() as u64,
-        // This handler's own snapshot holds one pin; don't report it.
+        // `snap` is the engine's current snapshot, which the engine
+        // itself holds: the one published snapshot every scrape finds,
+        // so it is not reported.
         pinned_epochs: (pinned as u64).saturating_sub(1),
         pinned_oldest_lag: oldest.map_or(0, |o| snap.epoch().saturating_sub(o)),
-        seg_block_reads: seg_io.seg_block_reads,
-        seg_block_fetches: seg_io.seg_block_fetches,
         wal_bytes: snap.log_bytes(),
         log_records: snap.log_records(),
         log_compactions: shared.engine.log_compactions(),

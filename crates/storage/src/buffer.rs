@@ -7,16 +7,20 @@
 //! to measure from a cold cache, which is what the paper's direct-I/O
 //! configuration achieves.
 //!
-//! Every page lives once, as an `Arc` in its shard's page table, and the
-//! LRU keeps only page ids: a miss copies nothing, and an eviction or a
-//! `clear` writes nothing back. They decide what the next request
-//! counts, nothing else.
+//! The pool is a page cache and nothing more: its page table, the
+//! copy-on-write freeze of that table a reader pins, and a per-shard
+//! [`Lru`] over page ids that counts the misses. Every page lives once,
+//! as an `Arc` in its shard's page table, and the LRU keeps only page
+//! ids: a miss copies nothing, and an eviction or a `clear` writes
+//! nothing back. They decide what the next request counts, nothing
+//! else. Epochs, the registry of readers and the lifetime of the I/O
+//! counters belong to the pool's owner.
 //!
 //! # Sharding
 //!
 //! The pool is split into a power-of-two number of **shards** (default:
 //! `min(16, available cores)` rounded down to a power of two), each with
-//! its own mutex, page table, LRU list, and page map. Pages are assigned
+//! its own mutex, page table and LRU. Pages are assigned
 //! to shards by the low bits of their [`PageId`]; since pagers allocate
 //! ids sequentially, adjacent pages — which tend to be accessed together
 //! by B⁺-tree descents and record scans — land on *different* shards, so
@@ -35,21 +39,21 @@
 //! # Snapshots
 //!
 //! [`BufferPool::publish_ingest`] freezes the page table: each shard's
-//! page vector is cloned, one `Arc` clone per page. An [`EpochPin`]
-//! holds the frozen table of its epoch, and a thread inside the pin's
-//! [`EpochPin::guard`] reads that table's bytes. A write copies a page
+//! page vector is cloned, one `Arc` clone per page. A [`PagePin`]
+//! holds a frozen table, and a thread inside the pin's
+//! [`PagePin::guard`] reads that table's bytes. A write copies a page
 //! only while a frozen table still shares it (`Arc::make_mut`), so a
-//! pinned reader keeps the bytes of its epoch for as long as it holds
-//! the pin, and [`BufferPool::abort_ingest`] rolls a round back by
-//! putting the frozen table back.
+//! pinned reader keeps the bytes it pinned for as long as it holds the
+//! pin, and [`BufferPool::abort_ingest`] rolls a round back by putting
+//! the frozen table back.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::error::Result;
+use crate::lru::Lru;
 use crate::pager::{PageId, Pager, PAGE_SIZE};
 use crate::stats::{IoSnapshot, IoStats};
 use crate::sync::Mutex;
@@ -60,101 +64,17 @@ pub const DEFAULT_CAPACITY: usize = 2000;
 /// Upper bound on the default shard count (`min(16, cores)`).
 pub const MAX_DEFAULT_SHARDS: usize = 16;
 
-const NIL: usize = usize::MAX;
-
 /// One page: held by its shard's page table and by every frozen table
 /// that still shares it.
 type Page = Arc<[u8; PAGE_SIZE]>;
 
-/// One LRU entry: a resident page id.
-struct Node {
-    page_id: PageId,
-    prev: usize,
-    next: usize,
-}
-
-/// One shard: the pages whose ids map to it, and an independently
-/// locked LRU list + page map over a slice of the total capacity.
+/// One shard: the pages whose ids map to it, and the LRU over a slice
+/// of the total capacity that says which of them a request finds
+/// resident.
 struct Shard {
     /// Page `id` at slot `id >> shard_bits` (see [`BufferPool::locate`]).
     pages: Vec<Page>,
-    nodes: Vec<Node>,
-    map: HashMap<PageId, usize>,
-    /// Most recently used node index.
-    head: usize,
-    /// Least recently used node index.
-    tail: usize,
-    capacity: usize,
-}
-
-impl Shard {
-    fn new(capacity: usize) -> Self {
-        Shard {
-            pages: Vec::new(),
-            nodes: Vec::new(),
-            map: HashMap::new(),
-            head: NIL,
-            tail: NIL,
-            capacity,
-        }
-    }
-
-    fn detach(&mut self, idx: usize) {
-        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
-        if prev != NIL {
-            self.nodes[prev].next = next;
-        } else {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next].prev = prev;
-        } else {
-            self.tail = prev;
-        }
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = NIL;
-    }
-
-    fn push_front(&mut self, idx: usize) {
-        self.nodes[idx].prev = NIL;
-        self.nodes[idx].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = idx;
-        }
-        self.head = idx;
-        if self.tail == NIL {
-            self.tail = idx;
-        }
-    }
-
-    /// Makes `id` the most recently used page: a hit, or a miss that
-    /// takes a free node or evicts the least recently used page's.
-    /// Returns `true` on a miss.
-    fn touch(&mut self, id: PageId) -> bool {
-        if let Some(&idx) = self.map.get(&id) {
-            self.detach(idx);
-            self.push_front(idx);
-            return false;
-        }
-        let idx = if self.nodes.len() < self.capacity {
-            self.nodes.push(Node {
-                page_id: id,
-                prev: NIL,
-                next: NIL,
-            });
-            self.nodes.len() - 1
-        } else {
-            // Capacity >= 1 guarantees a victim.
-            let victim = self.tail;
-            self.detach(victim);
-            self.map.remove(&self.nodes[victim].page_id);
-            self.nodes[victim].page_id = id;
-            victim
-        };
-        self.map.insert(id, idx);
-        self.push_front(idx);
-        true
-    }
+    lru: Lru<PageId, ()>,
 }
 
 /// Default shard count for a pool of `capacity` pages: `min(16, cores)`
@@ -184,23 +104,17 @@ thread_local! {
     static PINNED_TABLE: RefCell<Option<Arc<Frozen>>> = const { RefCell::new(None) };
 }
 
-/// RAII registration of one reader pinned at a published epoch: holds
-/// the frozen page table of that epoch, so the bytes it reads stay
-/// alive and unchanged for as long as the pin does. The pin itself
-/// does not redirect reads — wrap the reading code in
-/// [`EpochPin::guard`] on each thread that executes a pinned query.
-pub struct EpochPin {
+/// A reader's hold on one pool: the pool and a frozen page table of
+/// it, so the bytes the reader sees stay alive and unchanged for as
+/// long as the pin does. The pin itself does not redirect reads — wrap
+/// the reading code in [`PagePin::guard`] on each thread that executes
+/// a pinned query.
+pub struct PagePin {
     pool: Arc<BufferPool>,
-    epoch: u64,
     table: Arc<Frozen>,
 }
 
-impl EpochPin {
-    /// The published epoch this pin holds.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
+impl PagePin {
     /// The pool this pin reads.
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
@@ -220,19 +134,11 @@ impl EpochPin {
     }
 }
 
-impl Drop for EpochPin {
-    fn drop(&mut self) {
-        let mut pins = self.pool.pins.lock();
-        let held = pins.iter().position(|&e| e == self.epoch);
-        pins.swap_remove(held.expect("a pin is registered until it drops"));
-    }
-}
-
 /// Thread-local scope during which reads of one pool resolve against a
-/// pinned table (see [`EpochPin::guard`]).
+/// pinned table (see [`PagePin::guard`]).
 pub struct PinGuard<'a> {
     prev: (*const BufferPool, Option<Arc<Frozen>>),
-    _pin: PhantomData<&'a EpochPin>,
+    _pin: PhantomData<&'a PagePin>,
 }
 
 impl Drop for PinGuard<'_> {
@@ -254,22 +160,12 @@ pub struct BufferPool {
     /// log2 of the shard count.
     shard_bits: u32,
     capacity: usize,
-    /// The last committed epoch (moved by [`BufferPool::commit_epoch`]).
-    committed: AtomicU64,
-    /// Latest epoch visible to new snapshots. It lags the committed
-    /// epoch between a commit and [`BufferPool::publish_ingest`], so
-    /// readers never pin state whose catalog they have not been handed
-    /// yet.
-    published: AtomicU64,
     /// The table new pins get: frozen at the last publish, or by the
     /// last pin or round start that found writes since the freeze
-    /// before. Lock order: this lock, then a shard's or `pins`.
+    /// before. Lock order: this lock, then a shard's.
     frozen: Mutex<Arc<Frozen>>,
     /// Set by every write and allocation, cleared by a freeze.
     written: AtomicBool,
-    /// The epoch of every active pin, shared with the pools that
-    /// succeed this one ([`BufferPool::successor`]).
-    pins: Arc<Mutex<Vec<u64>>>,
     /// Set between [`BufferPool::begin_ingest`] and publish/abort.
     ingest_active: AtomicBool,
 }
@@ -303,34 +199,20 @@ impl BufferPool {
         // one extra slot.
         let base = capacity / shards;
         let extra = capacity % shards;
+        let shard = |i: usize| Shard {
+            pages: Vec::new(),
+            lru: Lru::new(base + usize::from(i < extra)),
+        };
         BufferPool {
             pager,
             stats,
-            shards: (0..shards)
-                .map(|i| Mutex::new(Shard::new(base + usize::from(i < extra))))
-                .collect(),
+            shards: (0..shards).map(|i| Mutex::new(shard(i))).collect(),
             shard_bits: shards.trailing_zeros(),
             capacity,
-            committed: AtomicU64::new(0),
-            published: AtomicU64::new(0),
             frozen: Mutex::new(Arc::new(Frozen(vec![Vec::new(); shards].into()))),
             written: AtomicBool::new(false),
-            pins: Arc::default(),
             ingest_active: AtomicBool::new(false),
         }
-    }
-
-    /// A fresh, empty pool of this one's capacity and shard count that
-    /// continues it: its epoch clock starts one past everything this
-    /// pool committed or published, and pins of either pool count in
-    /// one registry. Compaction swaps one in for the delta, and
-    /// snapshots, epoch-keyed caches and `/metrics` see one clock and
-    /// one set of readers across the swap.
-    pub fn successor(&self) -> BufferPool {
-        let mut next = Self::with_shards(Pager::in_memory(), self.capacity, self.shards.len());
-        next.reseed_epoch(self.published_epoch().max(self.current_epoch()) + 1);
-        next.pins = Arc::clone(&self.pins);
-        next
     }
 
     /// The underlying pager.
@@ -357,51 +239,6 @@ impl BufferPool {
         self.stats.snapshot()
     }
 
-    /// The latest *published* epoch: what a new snapshot pins. Lags the
-    /// committed epoch between a commit barrier and
-    /// [`BufferPool::publish_ingest`].
-    pub fn published_epoch(&self) -> u64 {
-        self.published.load(Ordering::Acquire)
-    }
-
-    /// The last committed epoch: what `prix add`-style offline writers
-    /// report after a commit.
-    pub fn current_epoch(&self) -> u64 {
-        self.committed.load(Ordering::Acquire)
-    }
-
-    /// Records that a commit established `epoch` (the batch log's): the
-    /// next [`BufferPool::publish_ingest`] makes it visible.
-    pub fn commit_epoch(&self, epoch: u64) {
-        self.committed.fetch_max(epoch, Ordering::AcqRel);
-    }
-
-    /// Observability for long-held reader pins: the number of active
-    /// [`EpochPin`] registrations — of this pool and every pool it
-    /// succeeded — and the oldest epoch any of them holds (`None` when
-    /// nothing is pinned). `/metrics` derives the pinned-epoch lag
-    /// (`published - oldest`) from this.
-    pub fn pinned_epochs(&self) -> (usize, Option<u64>) {
-        let pins = self.pins.lock();
-        (pins.len(), pins.iter().min().copied())
-    }
-
-    /// Moves the epoch clock of a freshly built pool forward to
-    /// `epoch`: a reopened delta continues its log's. Only valid
-    /// outside ingest mode, with nothing pinned, and only forward.
-    pub fn reseed_epoch(&self, epoch: u64) {
-        assert!(
-            !self.ingest_active.load(Ordering::Acquire),
-            "reseed_epoch during an ingest round"
-        );
-        assert!(
-            self.pins.lock().is_empty(),
-            "reseed_epoch with readers pinned on the old clock"
-        );
-        self.committed.fetch_max(epoch, Ordering::AcqRel);
-        self.published.fetch_max(epoch, Ordering::AcqRel);
-    }
-
     /// The live page table, frozen. Clears `written` first, so a write
     /// racing the freeze is seen by the next one.
     fn freeze(&self) -> Arc<Frozen> {
@@ -410,22 +247,17 @@ impl BufferPool {
         Arc::new(Frozen(shards.collect()))
     }
 
-    /// Pins the currently published epoch for a new reader. Outside an
-    /// ingest round, writes since the last freeze are frozen first, so
-    /// the pin sees the pool as it stands; inside one, it gets the
-    /// table the round started from. Registration holds the table lock
-    /// a publish takes, so a pin gets the epoch and the table of one
-    /// publish.
-    pub fn pin_epoch(self: &Arc<Self>) -> EpochPin {
+    /// Pins the page table for a new reader. Outside an ingest round,
+    /// writes since the last freeze are frozen first, so the pin sees
+    /// the pool as it stands; inside one, it gets the table the round
+    /// started from.
+    pub fn pin(self: &Arc<Self>) -> PagePin {
         let mut table = self.frozen.lock();
         if !self.ingest_active.load(Ordering::Acquire) && self.written.load(Ordering::Acquire) {
             *table = self.freeze();
         }
-        let epoch = self.published.load(Ordering::Acquire);
-        self.pins.lock().push(epoch);
-        EpochPin {
+        PagePin {
             pool: Arc::clone(self),
-            epoch,
             table: Arc::clone(&table),
         }
     }
@@ -447,22 +279,17 @@ impl BufferPool {
         }
     }
 
-    /// Publishes the ingest round at the committed epoch: freezes the
-    /// page table for the pins to come and leaves ingest mode. Call
-    /// after the round's commit; returns the published epoch.
-    pub fn publish_ingest(&self) -> u64 {
+    /// Publishes the ingest round: freezes the page table for the pins
+    /// to come and leaves ingest mode. Call after the round's commit.
+    pub fn publish_ingest(&self) {
         let mut table = self.frozen.lock();
         *table = self.freeze();
-        let next = self.committed.load(Ordering::Acquire);
-        self.published.store(next, Ordering::Release);
         self.ingest_active.store(false, Ordering::Release);
-        next
     }
 
     /// Rolls the in-flight ingest back: every page the round's table
-    /// starts from is put back as it was frozen, the published epoch
-    /// stays put, and ingest mode ends. Pages allocated during the
-    /// round are left unreferenced.
+    /// starts from is put back as it was frozen, and ingest mode ends.
+    /// Pages allocated during the round are left unreferenced.
     pub fn abort_ingest(&self) {
         let table = self.frozen.lock();
         for (shard, frozen) in self.shards.iter().zip(table.0.iter()) {
@@ -482,7 +309,7 @@ impl BufferPool {
                 .pages
                 .resize_with(slot + 1, || Arc::new([0u8; PAGE_SIZE]));
         }
-        shard.touch(id);
+        shard.lru.touch(id, || ());
         self.written.store(true, Ordering::Release);
         Ok(id)
     }
@@ -531,18 +358,14 @@ impl BufferPool {
     /// themselves stay where they are: nothing is written back.
     pub fn clear(&self) -> Result<()> {
         for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            shard.nodes.clear();
-            shard.map.clear();
-            shard.head = NIL;
-            shard.tail = NIL;
+            shard.lock().lru.clear();
         }
         Ok(())
     }
 
     /// Number of pages currently resident (summed over all shards).
     pub fn resident(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| s.lock().lru.len()).sum()
     }
 
     /// Counts a request for page `id` — a logical read, and a physical
@@ -550,7 +373,7 @@ impl BufferPool {
     /// shard's most recently used page.
     fn fetch(&self, shard: &mut Shard, id: PageId) {
         self.stats.record_logical_read();
-        if shard.touch(id) {
+        if shard.lru.touch(id, || ()) {
             self.stats.record_physical_read();
         }
     }
@@ -724,8 +547,7 @@ mod tests {
         let pool = Arc::new(mem_pool(4));
         let p = pool.allocate_page().unwrap();
         pool.with_page_mut(p, |d| d[0] = 1).unwrap();
-        let pin = pool.pin_epoch();
-        assert_eq!(pin.epoch(), 0);
+        let pin = pool.pin();
         pool.begin_ingest();
         pool.with_page_mut(p, |d| d[0] = 2).unwrap();
         // Unpinned (writer-side) reads see the in-flight bytes...
@@ -736,18 +558,14 @@ mod tests {
             let _g = pin.guard();
             assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 1);
         }
-        pool.commit_epoch(1);
-        assert_eq!(pool.publish_ingest(), 1);
-        assert_eq!(pool.published_epoch(), 1);
+        pool.publish_ingest();
         {
             let _g = pin.guard();
             assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 1);
         }
         assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 2);
         drop(pin);
-        assert_eq!(pool.pinned_epochs(), (0, None));
-        let pin2 = pool.pin_epoch();
-        assert_eq!(pin2.epoch(), 1);
+        let pin2 = pool.pin();
         let _g = pin2.guard();
         assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 2);
     }
@@ -757,15 +575,13 @@ mod tests {
         let pool = Arc::new(mem_pool(4));
         let p = pool.allocate_page().unwrap();
         pool.with_page_mut(p, |d| d[0] = 10).unwrap();
-        let pin0 = pool.pin_epoch();
+        let pin0 = pool.pin();
         pool.begin_ingest();
         pool.with_page_mut(p, |d| d[0] = 11).unwrap();
-        pool.commit_epoch(1);
         pool.publish_ingest();
-        let pin1 = pool.pin_epoch();
+        let pin1 = pool.pin();
         pool.begin_ingest();
         pool.with_page_mut(p, |d| d[0] = 12).unwrap();
-        pool.commit_epoch(2);
         pool.publish_ingest();
         {
             let _g = pin0.guard();
@@ -774,11 +590,6 @@ mod tests {
             assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 11, "epoch 1 view");
         }
         assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 12, "live view");
-        assert_eq!(pool.pinned_epochs(), (2, Some(0)));
-        drop(pin0);
-        assert_eq!(pool.pinned_epochs(), (1, Some(1)));
-        drop(pin1);
-        assert_eq!(pool.pinned_epochs(), (0, None));
     }
 
     #[test]
@@ -790,11 +601,10 @@ mod tests {
         let b = pool.allocate_page().unwrap();
         pool.with_page_mut(a, |d| d[0] = 1).unwrap();
         pool.with_page_mut(b, |d| d[0] = 2).unwrap();
-        let pin = pool.pin_epoch();
+        let pin = pool.pin();
         pool.begin_ingest();
         pool.with_page_mut(a, |d| d[0] = 101).unwrap();
         pool.with_page_mut(b, |d| d[0] = 102).unwrap();
-        pool.commit_epoch(1);
         pool.publish_ingest();
         let _g = pin.guard();
         for _ in 0..3 {
@@ -809,9 +619,9 @@ mod tests {
     fn a_pin_outside_a_round_freezes_the_writes_before_it() {
         let pool = Arc::new(mem_pool(4));
         let p = pool.allocate_page().unwrap();
-        let first = pool.pin_epoch();
+        let first = pool.pin();
         pool.with_page_mut(p, |d| d[0] = 1).unwrap();
-        let second = pool.pin_epoch();
+        let second = pool.pin();
         pool.with_page_mut(p, |d| d[0] = 2).unwrap();
         for (pin, want) in [(&first, 0), (&second, 1)] {
             let _g = pin.guard();
@@ -827,7 +637,7 @@ mod tests {
         let (a, b) = (Arc::new(mem_pool(4)), Arc::new(mem_pool(4)));
         let (pa, pb) = (a.allocate_page().unwrap(), b.allocate_page().unwrap());
         assert_eq!(pa, pb);
-        let pin = a.pin_epoch();
+        let pin = a.pin();
         a.with_page_mut(pa, |d| d[0] = 1).unwrap();
         b.with_page_mut(pb, |d| d[0] = 2).unwrap();
         let _g = pin.guard();
@@ -846,61 +656,32 @@ mod tests {
         pool.with_page_mut(junk, |d| d[0] = 77).unwrap();
         pool.abort_ingest();
         assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 5, "rolled back");
-        assert_eq!(pool.published_epoch(), 0, "no publish happened");
         // A later ingest starts from the restored state.
         pool.begin_ingest();
         pool.with_page_mut(p, |d| d[0] = 6).unwrap();
-        pool.commit_epoch(1);
-        assert_eq!(pool.publish_ingest(), 1);
+        pool.publish_ingest();
         assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 6);
     }
 
-    /// A commit moves the committed epoch ahead of the published one;
-    /// the publish after it lands on the commit's epoch. A publish that
-    /// no commit preceded moves nothing, and a reseed only moves both
-    /// forward.
+    /// Pools over pagers that share one set of counters count into it
+    /// together, and a pool dropped takes nothing with it: what an owner
+    /// that swaps pools reads as its lifetime I/O.
     #[test]
-    fn publish_lands_on_the_committed_epoch() {
-        let pool = Arc::new(mem_pool(8));
-        pool.reseed_epoch(4);
-        let p = pool.allocate_page().unwrap();
-        pool.with_page_mut(p, |d| d[0] = 3).unwrap();
-        let pin = pool.pin_epoch();
-        pool.begin_ingest();
-        pool.with_page_mut(p, |d| d[0] = 4).unwrap();
-        pool.commit_epoch(5);
-        // Between the commit and the publish, readers keep the old pin
-        // target.
-        assert_eq!((pool.current_epoch(), pool.published_epoch()), (5, 4));
-        assert_eq!(pool.publish_ingest(), 5);
-        {
-            let _g = pin.guard();
-            assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 3, "pinned view");
-        }
-        drop(pin);
-        pool.begin_ingest();
-        assert_eq!(pool.publish_ingest(), 5, "no commit, no new epoch");
-        pool.reseed_epoch(2);
-        assert_eq!(pool.published_epoch(), 5, "never backwards");
-    }
-
-    /// A successor starts one epoch past its predecessor and counts the
-    /// predecessor's pins with its own.
-    #[test]
-    fn a_successor_continues_the_clock_and_the_pin_counts() {
-        let old = Arc::new(mem_pool(4));
-        old.reseed_epoch(3);
-        old.commit_epoch(4);
-        let held = old.pin_epoch();
-        let next = Arc::new(old.successor());
-        assert_eq!((next.current_epoch(), next.published_epoch()), (5, 5));
-        assert_eq!(next.capacity(), old.capacity());
-        let fresh = next.pin_epoch();
-        assert_eq!(next.pinned_epochs(), (2, Some(3)));
-        drop(held);
-        assert_eq!(next.pinned_epochs(), (1, Some(5)));
-        drop(fresh);
-        assert_eq!(old.pinned_epochs(), (0, None));
+    fn pools_over_shared_counters_count_into_one_set() {
+        let first = mem_pool(4);
+        let stats = first.pager().stats();
+        let p = first.allocate_page().unwrap();
+        first.clear().unwrap();
+        first.with_page(p, |_| ()).unwrap();
+        drop(first);
+        let second = BufferPool::new(Pager::with_stats(Arc::clone(&stats)), 4);
+        let q = second.allocate_page().unwrap();
+        second.clear().unwrap();
+        second.with_page(q, |_| ()).unwrap();
+        second.with_page(q, |_| ()).unwrap();
+        let io = stats.snapshot();
+        assert_eq!((io.logical_reads, io.physical_reads), (3, 2));
+        assert_eq!(second.snapshot(), io, "one set, read through either");
     }
 
     #[test]

@@ -5,12 +5,15 @@
 //! cost as *pages read from disk*. This crate rebuilds that substrate:
 //!
 //! * [`Pager`] — the page-id counter and I/O counters of a page space,
-//! * [`BufferPool`] — the pages themselves, each held once, and a
+//! * [`BufferPool`] — a page cache: the pages themselves, each held
+//!   once, the copy-on-write freeze of that table a reader pins, and a
 //!   fixed-capacity *sharded* LRU over their ids (one lock per shard,
 //!   so concurrent queries don't serialize on a global mutex) that
 //!   counts logical and physical page accesses ([`IoStats`]); clearing
 //!   the pool ([`BufferPool::clear`]) gives the cold-cache runs the
 //!   paper measures with direct I/O,
+//! * [`Lru`] — the one LRU policy, which the pool's shards, every
+//!   tier's block cache and the server's caches keep,
 //! * [`BPlusTree`] — a B⁺-tree over byte-string keys (memcmp order) with
 //!   duplicate-key support, point/range scans, and sorted bulk loading,
 //! * [`RecordStore`] — a heap file for variable-length records (NPS
@@ -27,6 +30,7 @@ pub mod bptree;
 pub mod buffer;
 pub mod crc;
 pub mod error;
+pub mod lru;
 pub mod pager;
 pub mod record;
 pub mod segment;
@@ -36,9 +40,10 @@ pub mod sync;
 pub mod wal;
 
 pub use bptree::BPlusTree;
-pub use buffer::{BufferPool, EpochPin, PinGuard};
+pub use buffer::{BufferPool, PagePin, PinGuard};
 pub use crc::crc32;
 pub use error::{Result, StorageError};
+pub use lru::Lru;
 pub use pager::{PageId, Pager, NIL_PAGE, PAGE_SIZE};
 pub use record::{RecordId, RecordStore};
 pub use segment::{

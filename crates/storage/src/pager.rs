@@ -1,8 +1,8 @@
 //! Page identities.
 //!
-//! A [`Pager`] hands out page ids and owns the I/O counters of the
-//! [`crate::BufferPool`] over it; the pages themselves live once, in
-//! the pool's shards. Nothing of it is written to a file — a
+//! A [`Pager`] hands out page ids and holds the I/O counters the
+//! [`crate::BufferPool`] over it counts into; the pages themselves live
+//! once, in the pool's shards. Nothing of it is written to a file — a
 //! file-backed database keeps its delta durable as the batch log
 //! ([`crate::wal`]) and rebuilds these pages by replaying it. Page 0 is
 //! reserved at creation so that [`NIL_PAGE`] (= 0) can serve as a null
@@ -30,11 +30,18 @@ pub struct Pager {
 }
 
 impl Pager {
-    /// Creates an empty pager, its page 0 reserved.
+    /// Creates an empty pager, its page 0 reserved, with counters of
+    /// its own.
     pub fn in_memory() -> Self {
+        Self::with_stats(Arc::new(IoStats::new()))
+    }
+
+    /// An empty pager whose pool counts into `stats`: an owner that
+    /// swaps pools keeps one set of counters across the swap.
+    pub fn with_stats(stats: Arc<IoStats>) -> Self {
         Pager {
             next: AtomicU64::new(1),
-            stats: Arc::new(IoStats::new()),
+            stats,
         }
     }
 

@@ -19,7 +19,7 @@
 //!   [`SEG_BLOCK`] of everything before it, the frame included, so
 //!   `fsck` can verify a file without trusting any of it.
 //! * **The block cache** ([`BlockFile`]) — readers bypass the buffer
-//!   pool: direct [`RawStore`] reads through a per-file cache of
+//!   pool: direct [`RawStore`] reads through a per-file [`Lru`] of
 //!   [`CACHE_BLOCKS`] blocks, counted in [`IoStats`] as
 //!   `seg_block_reads` / `seg_block_fetches`.
 //! * **The section** ([`Section`]) — sorted entries packed into whole
@@ -35,11 +35,11 @@
 //!   of packed rows, and of the records and meta blob the core layer
 //!   stores in a segment.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::crc::crc32;
 use crate::error::{Result, StorageError};
+use crate::lru::Lru;
 use crate::stats::IoStats;
 use crate::store::RawStore;
 use crate::sync::Mutex;
@@ -273,11 +273,6 @@ pub(crate) fn check_crc_table(store: &dyn RawStore, crc_off: u64) -> Result<u64>
 // Reading
 // ---------------------------------------------------------------------------
 
-struct Cache {
-    blocks: HashMap<u64, (u64, Arc<Vec<u8>>)>,
-    tick: u64,
-}
-
 /// An immutable file read in [`SEG_BLOCK`] units through a cache of
 /// [`CACHE_BLOCKS`] blocks, never touching the buffer pool. Every block
 /// asked for is one `seg_block_read` in `stats`, every miss one
@@ -286,7 +281,7 @@ pub(crate) struct BlockFile {
     pub store: Box<dyn RawStore>,
     stats: Arc<IoStats>,
     len: u64,
-    cache: Mutex<Cache>,
+    cache: Mutex<Lru<u64, Arc<Vec<u8>>>>,
 }
 
 impl BlockFile {
@@ -295,10 +290,7 @@ impl BlockFile {
             store,
             stats,
             len,
-            cache: Mutex::new(Cache {
-                blocks: HashMap::new(),
-                tick: 0,
-            }),
+            cache: Mutex::new(Lru::new(CACHE_BLOCKS)),
         }
     }
 
@@ -323,19 +315,14 @@ impl BlockFile {
 
     /// Drops every cached block: the next read of each is a fetch.
     pub(crate) fn clear(&self) {
-        self.cache.lock().blocks.clear();
+        self.cache.lock().clear();
     }
 
     pub(crate) fn block(&self, idx: u64) -> Result<Arc<Vec<u8>>> {
         self.stats.record_seg_block_read();
-        let mut c = self.cache.lock();
-        c.tick += 1;
-        let tick = c.tick;
-        if let Some((t, block)) = c.blocks.get_mut(&idx) {
-            *t = tick;
+        if let Some(block) = self.cache.lock().get(&idx) {
             return Ok(Arc::clone(block));
         }
-        drop(c);
         self.stats.record_seg_block_fetch();
         let start = idx.saturating_mul(SEG_BLOCK as u64);
         let len = (SEG_BLOCK as u64).min(self.len.saturating_sub(start)) as usize;
@@ -345,13 +332,7 @@ impl BlockFile {
         let mut buf = vec![0u8; len];
         self.store.read_at(start, &mut buf)?;
         let block = Arc::new(buf);
-        let mut c = self.cache.lock();
-        if c.blocks.len() >= CACHE_BLOCKS {
-            if let Some((&victim, _)) = c.blocks.iter().min_by_key(|(_, (t, _))| *t) {
-                c.blocks.remove(&victim);
-            }
-        }
-        c.blocks.insert(idx, (tick, Arc::clone(&block)));
+        self.cache.lock().insert(idx, Arc::clone(&block));
         Ok(block)
     }
 }

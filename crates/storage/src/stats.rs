@@ -19,12 +19,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// (`true`) or it is durability cost that no query pays (`false`).
 macro_rules! io_counters {
     ($($(#[$doc:meta])* $field:ident, $record:ident($($by:ident)?), $scoped:literal;)*) => {
-        /// Shared, thread-safe I/O counters. One instance is attached to
-        /// each [`crate::Pager`] and observed through its
-        /// [`crate::BufferPool`]. The counters are plain atomics, so
-        /// they stay exact when the sharded buffer pool serves page
-        /// requests from many threads at once — recording is one
-        /// relaxed `fetch_add`, no lock.
+        /// Shared, thread-safe I/O counters, monotone for as long as
+        /// they live. An engine keeps one instance for its whole life:
+        /// the [`crate::Pager`] of each of its pools, its batch logs and
+        /// its tier readers all count into it. The counters are plain
+        /// atomics, so they stay exact when the sharded buffer pool
+        /// serves page requests from many threads at once — recording
+        /// is one relaxed `fetch_add`, no lock.
         #[derive(Debug, Default)]
         pub struct IoStats {
             $($field: AtomicU64,)*
@@ -46,11 +47,6 @@ macro_rules! io_counters {
             /// Snapshot of all counters.
             pub fn snapshot(&self) -> IoSnapshot {
                 IoSnapshot { $($field: self.$field.load(Ordering::Relaxed),)* }
-            }
-
-            /// Resets all counters to zero.
-            pub fn reset(&self) {
-                $(self.$field.store(0, Ordering::Relaxed);)*
             }
         }
 
@@ -244,16 +240,15 @@ mod tests {
     }
 
     #[test]
-    fn every_counter_accumulates_snapshots_and_resets() {
+    fn every_counter_accumulates_and_snapshots() {
         assert_eq!(COUNTERS.len(), 8, "a counter was added or removed");
         let s = IoStats::new();
+        assert_eq!(s.snapshot(), IoSnapshot::default());
         record_all(&s);
         let snap = s.snapshot();
         for (i, (name, _, read, _)) in COUNTERS.iter().enumerate() {
             assert_eq!(read(&snap), i as u64 + 1, "{name}");
         }
-        s.reset();
-        assert_eq!(s.snapshot(), IoSnapshot::default());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Model-based property test for the sharded buffer pool: under a
-//! random interleaving of writes, reads, `clear()`s, epoch pins and
+//! random interleaving of writes, reads, `clear()`s, pins and
 //! ingest rounds — across random shard counts and capacities — the pool
 //! behaves exactly like a flat `HashMap<page, byte>`: an unpinned read
 //! returns the last-written byte, a pinned read the byte as of its pin,
@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use prix_storage::{BufferPool, EpochPin, Pager};
+use prix_storage::{BufferPool, PagePin, Pager};
 use prix_testkit::{check, from_fn, replay, Config, Generator};
 
 const PAGES: usize = 40;
@@ -19,7 +19,7 @@ enum Op {
     Write(usize, u8),
     Read(usize),
     Clear,
-    /// Pins the published epoch (inside a round: the round's start).
+    /// Pins the pool as it stands (inside a round: the round's start).
     Pin,
     /// Drops the pin at this index, modulo the pins held.
     Unpin(usize),
@@ -27,7 +27,7 @@ enum Op {
     PinnedRead(usize, usize),
     /// Starts an ingest round (a no-op inside one).
     Begin,
-    /// Commits and publishes the round (a no-op outside one).
+    /// Publishes the round (a no-op outside one).
     Publish,
     /// Rolls the round back (a no-op outside one).
     Abort,
@@ -87,9 +87,8 @@ fn run_workload(w: &Workload) -> Result<(), String> {
     let mut model: HashMap<usize, u8> = (0..PAGES).map(|p| (p, 0)).collect();
     // The model as the round in flight found it.
     let mut round: Option<HashMap<usize, u8>> = None;
-    // Each pin and the model as of its epoch.
-    let mut pins: Vec<(EpochPin, HashMap<usize, u8>)> = Vec::new();
-    let mut epoch = 0;
+    // Each pin and the model as of its freeze.
+    let mut pins: Vec<(PagePin, HashMap<usize, u8>)> = Vec::new();
 
     for op in &w.ops {
         match *op {
@@ -107,7 +106,7 @@ fn run_workload(w: &Workload) -> Result<(), String> {
             Op::Clear => pool.clear().unwrap(),
             Op::Pin => {
                 let seen = round.as_ref().unwrap_or(&model).clone();
-                pins.push((pool.pin_epoch(), seen));
+                pins.push((pool.pin(), seen));
             }
             Op::Unpin(i) if !pins.is_empty() => {
                 pins.remove(i % pins.len());
@@ -120,8 +119,7 @@ fn run_workload(w: &Workload) -> Result<(), String> {
                 };
                 if got != seen[&p] {
                     return Err(format!(
-                        "page {p} pinned at epoch {}: read {got}, the pin saw {}",
-                        pin.epoch(),
+                        "page {p} pinned: read {got}, the pin saw {}",
                         seen[&p]
                     ));
                 }
@@ -131,11 +129,7 @@ fn run_workload(w: &Workload) -> Result<(), String> {
                 round = Some(model.clone());
             }
             Op::Publish if round.is_some() => {
-                epoch += 1;
-                pool.commit_epoch(epoch);
-                if pool.publish_ingest() != epoch {
-                    return Err(format!("publish did not land on epoch {epoch}"));
-                }
+                pool.publish_ingest();
                 round = None;
             }
             Op::Abort => {
@@ -152,10 +146,6 @@ fn run_workload(w: &Workload) -> Result<(), String> {
                 "{resident} resident pages exceed capacity {} ({} shards)",
                 w.capacity, w.shards
             ));
-        }
-        let held = pool.pinned_epochs().0;
-        if held != pins.len() {
-            return Err(format!("{held} pins registered, {} held", pins.len()));
         }
     }
     // Whatever the interleaving did, the full image must survive a final

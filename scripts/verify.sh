@@ -181,9 +181,12 @@ echo "crash smoke OK (3 SIGKILLs absorbed)"
 # Live-ingest smoke: restart the server with --ingest, POST one
 # document over /dev/tcp, and require the very next query to count it —
 # the POST returns only after its epoch is published, so sequential
-# read-your-writes must hold. Then a clean shutdown and fsck: the
-# ingested document must be durable, not just visible.
-"$PRIX" serve "$SMOKE/db.prix" --addr 127.0.0.1:0 --ingest >"$SMOKE/ingest.log" 2>&1 &
+# read-your-writes must hold. `--compact-after 1` folds the document
+# into a tier right after, and the engine's I/O counters must carry on
+# across that pool swap: the POST's log append is still counted. Then a
+# clean shutdown and fsck: the ingested document must be durable, not
+# just visible.
+"$PRIX" serve "$SMOKE/db.prix" --addr 127.0.0.1:0 --ingest --compact-after 1 >"$SMOKE/ingest.log" 2>&1 &
 SERVE_PID=$!
 PORT=
 for _ in $(seq 1 100); do
@@ -203,6 +206,9 @@ grep -q '200 OK' <<<"$RESP" || { echo "live-ingest: POST /documents failed" >&2;
 grep -q '"epoch"' <<<"$RESP" || { echo "live-ingest: POST response carries no epoch" >&2; echo "$RESP" >&2; exit 1; }
 AFTER=$(count_of "$(http "$Q")")
 [ "$AFTER" = "$((BEFORE + 1))" ] || { echo "live-ingest: //www/url count $BEFORE -> $AFTER, expected +1" >&2; exit 1; }
+INGESTMETRICS=$(http /metrics)
+grep -q '^prix_engine_generation 2$' <<<"$INGESTMETRICS" || { echo "live-ingest: the POST was not compacted into generation 2" >&2; echo "$INGESTMETRICS" >&2; exit 1; }
+grep -q '^prix_bufferpool_wal_appends_total 1$' <<<"$INGESTMETRICS" || { echo "live-ingest: the log append did not survive the compaction in the counters" >&2; echo "$INGESTMETRICS" >&2; exit 1; }
 http /shutdown POST >/dev/null
 
 wait "$SERVE_PID" || { echo "ingest serve exited non-zero" >&2; cat "$SMOKE/ingest.log" >&2; exit 1; }

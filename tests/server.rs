@@ -700,6 +700,48 @@ fn ingest_metrics_expose_epoch_and_counters() {
     h.shutdown().unwrap();
 }
 
+/// The `prix_bufferpool_*_total` samples of a scrape, by name.
+fn bufferpool_totals(body: &str) -> Vec<(String, u64)> {
+    body.lines()
+        .filter(|l| l.starts_with("prix_bufferpool_"))
+        .filter_map(|l| l.split_once(' '))
+        .filter(|(name, _)| name.ends_with("_total"))
+        .map(|(name, v)| (name.to_string(), v.parse().unwrap()))
+        .collect()
+}
+
+/// The engine's I/O counters last its whole life: a compaction swaps
+/// the buffer pool, and the totals carry on from where they were.
+#[test]
+fn bufferpool_and_log_counters_survive_compaction() {
+    let h = start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        ingest: true,
+        compact_after: Some(2),
+        ..Default::default()
+    });
+    let addr = h.addr();
+    let (_, first) = get(addr, "/metrics");
+    for url in ["v", "w"] {
+        let doc = format!("<dblp><www><url>{url}</url></www></dblp>");
+        let (status, resp) = post(addr, "/documents", &doc);
+        assert_eq!(status, 200, "{resp}");
+    }
+    let (_, second) = get(addr, "/metrics");
+    assert!(second.contains("prix_compactions_total 1"), "{second}");
+    assert!(
+        second.contains("prix_bufferpool_wal_appends_total 2\n"),
+        "{second}"
+    );
+    let (before, after) = (bufferpool_totals(&first), bufferpool_totals(&second));
+    assert_eq!(before.len(), 5, "{first}");
+    for ((name, was), (again, now)) in before.iter().zip(&after) {
+        assert_eq!(name, again);
+        assert!(now >= was, "{name} went from {was} to {now}");
+    }
+    h.shutdown().unwrap();
+}
+
 #[test]
 fn metrics_expose_segment_lifecycle_with_pinned_names() {
     let h = start(ServerConfig {

@@ -206,14 +206,15 @@ fn ingest_and_compaction_write_each_page_once() {
         "the log holds the batches and their framing, nothing else"
     );
 
+    let before = engine.pool().snapshot();
     assert!(engine.compact().unwrap());
-    let fresh = engine.pool().snapshot();
+    let fresh = engine.pool().snapshot().since(&before);
     assert_eq!(
         (fresh.wal_appends, fresh.fsyncs, fresh.physical_writes),
         (0, 1, 0),
         "the fresh generation is an empty log: its header, synced once"
     );
-    let old = old_pool.snapshot().since(&io0);
+    let old = before.since(&io0);
     assert_eq!(
         (old.physical_writes, old.fsyncs, old.wal_appends),
         (0, BATCHES, BATCHES),

@@ -376,11 +376,11 @@ impl PrixEngine {
         &self.ep
     }
 
-    /// An epoch-pinned read view of the engine as it stands now, at
+    /// A read view of the engine as it stands now, at
     /// [`PrixEngine::epoch`]: the one way to parse, explain and run
-    /// queries against a bare engine. The view holds the page table
-    /// frozen when it was taken, so it answers as of then across later
-    /// inserts and compactions.
+    /// queries against a bare engine. The view holds the tiers and as
+    /// many of the delta's documents as it has now, so it answers as of
+    /// then across later inserts and compactions.
     pub fn snapshot(&self) -> EngineSnapshot {
         EngineSnapshot::capture(self, None)
     }
@@ -707,8 +707,10 @@ impl PrixEngine {
     /// create and sync its log, which starts one epoch past the old
     /// one's — epoch-keyed caches and snapshots stay monotone; (3)
     /// write the manifest — the single commit point; (4) swap the
-    /// in-memory state and unlink the old log. Readers pinned on the
-    /// old pool keep reading it: it lives as long as they do.
+    /// in-memory state and unlink the old log and the files of tiers
+    /// without documents (a build over an empty collection has one,
+    /// and the new tier starts at its doc base). Views of the old delta
+    /// keep reading it and its pool: they live as long as the views do.
     pub fn compact(&mut self) -> Result<bool> {
         self.compact_with(crate::segbuild::DEFAULT_RUN_MEM_BYTES)
     }
@@ -723,8 +725,13 @@ impl PrixEngine {
         let generation = self.generation + 1;
         // (1) The delta's documents go over as their stored records,
         // which are what the bulk path's encoder makes of a document, so
-        // the segment bytes come out identical to a bulk build's.
-        let mut manifest_segments = self.manifest_segments.clone();
+        // the segment bytes come out identical to a bulk build's. A tier
+        // without documents is not carried over; symbol runs always are.
+        let (mut manifest_segments, empty): (Vec<_>, Vec<_>) = self
+            .manifest_segments
+            .iter()
+            .cloned()
+            .partition(|s| s.kind == SEG_KIND_SYM || s.n_docs > 0);
         for (idx, kname, seg_kind) in [(&self.rp, "rp", SEG_KIND_RP), (&self.ep, "ep", SEG_KIND_EP)]
         {
             let suffix = format!(".g{generation}.{kname}.seg");
@@ -790,7 +797,9 @@ impl PrixEngine {
         self.pending.clear();
         self.recovery = None;
         self.attach_manifest(&manifest)?;
-        let _ = self.seg_env.remove(&old_log);
+        for suffix in empty.iter().map(|s| &s.suffix).chain([&old_log]) {
+            let _ = self.seg_env.remove(suffix);
+        }
         Ok(true)
     }
 
@@ -989,12 +998,8 @@ impl PrixEngine {
     /// replay must intern them again. Any error *after* a document
     /// passed validation aborts the whole batch and is returned as
     /// `Err` — the caller must treat the engine as broken (see
-    /// [`crate::snapshot::SharedEngine`], which rolls the pool back and
-    /// poisons itself).
-    ///
-    /// The caller is also responsible for the pool-level ingest
-    /// protocol (`begin_ingest` / `publish_ingest`); this method only
-    /// parses, validates and inserts.
+    /// [`crate::snapshot::SharedEngine`], which poisons itself). Views
+    /// taken before the call see none of it.
     pub fn ingest_batch(&mut self, docs: &[String]) -> Result<IngestOutcome> {
         for doc in docs {
             self.log_body(BatchMode::Doc, doc);
@@ -1062,6 +1067,7 @@ pub struct IngestOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::ExecOpts;
 
     /// Match count of `xpath` on the engine as it stands.
     fn count(e: &PrixEngine, xpath: &str) -> usize {
@@ -1189,9 +1195,9 @@ mod tests {
         }
     }
 
-    /// A bare engine's view holds the page table frozen when it was
-    /// taken: 200 inserts later it answers exactly as it did, warm and
-    /// cold, while a fresh view sees every insert.
+    /// A bare engine's view sees the documents the delta held when it
+    /// was taken: 200 inserts later it answers exactly as it did, warm
+    /// and cold, while a fresh view sees every insert.
     #[test]
     fn a_view_taken_before_an_insert_answers_as_before_it() {
         let www = |i: usize| {
@@ -1234,6 +1240,98 @@ mod tests {
         let after = answers(&e.snapshot());
         assert_eq!(after[0].len(), before[0].len() + 100);
         assert_eq!((before[3].len(), after[3].len()), (0, 100));
+    }
+
+    /// A view of the delta is a document count. Copies of its documents
+    /// end on the trie nodes its own end on and carry values its
+    /// predicates accept, and documents of a new shape grow new trie
+    /// nodes; the view answers, counts and streams exactly as before
+    /// them all.
+    #[test]
+    fn a_view_skips_documents_that_came_after_it() {
+        let doc = |i: usize| format!("<r><p><n>{}</n><t>x{}</t></p></r>", i % 4, i % 3);
+        let mut e = PrixEngine::build(Collection::new(), EngineConfig::default()).unwrap();
+        for i in 0..8 {
+            e.insert_document(&doc(i)).unwrap();
+        }
+        let view = e.snapshot();
+        let xpaths = ["//p[./n]/t", r#"//p[./n="3"]/t"#, "//p[n > 1]/t", "//r//t"];
+        let queries: Vec<_> = xpaths.map(|xp| view.parse_query(xp).unwrap()).into();
+        let answers = || -> Vec<_> {
+            let one = ExecOpts::new().with_limit(1);
+            queries
+                .iter()
+                .flat_map(|q| [view.query(q).unwrap(), view.query_opts(q, &one).unwrap()])
+                .map(|o| (o.matches, o.truncated, o.stats.valix_postings))
+                .collect()
+        };
+        let before = answers();
+        // Arrival order, so the stream pulls its candidates lazily: one
+        // before the inserts, the rest after them.
+        let rp = e.rp_index().clone();
+        let order = ExecOpts::new().with_limit(usize::MAX);
+        let drain = |s: &mut crate::exec::MatchStream<'_>| {
+            std::iter::from_fn(|| s.next_match().unwrap()).collect::<Vec<_>>()
+        };
+        let streamed = drain(&mut rp.stream(&queries[0], &order, None).unwrap());
+        let mut stream = rp.stream(&queries[0], &order, None).unwrap();
+        let first = stream.next_match().unwrap();
+        for i in 0..40 {
+            e.insert_document(&doc(i)).unwrap();
+            e.insert_document(&format!("<r><p><n>{i}</n><t>y</t><u/></p></r>"))
+                .unwrap();
+        }
+        assert_eq!(answers(), before);
+        assert_eq!(view.mutable_docs(), 8);
+        let rest = drain(&mut stream);
+        assert_eq!([first.into_iter().collect(), rest].concat(), streamed);
+        let now = e.snapshot();
+        let q = now.parse_query(xpaths[0]).unwrap();
+        assert_eq!(now.query(&q).unwrap().matches.len(), 8 + 80);
+    }
+
+    /// A build over no documents leaves a tier of none at doc base 0,
+    /// which is where the delta's first compaction puts its tier too:
+    /// the empty tier is dropped, its files unlinked, and the database
+    /// reopens and answers like a build over the same documents.
+    #[test]
+    fn compacting_a_build_over_no_documents_keeps_the_database_open() {
+        let docs = ["<a><b>v</b></a>", "<a><c/></a>", "<a><b>w</b><c/></a>"];
+        let xpaths = ["//a/b", "//a[./c]", r#"//a[./b="w"]"#];
+        let answers = |e: &PrixEngine| -> Vec<_> {
+            let view = e.snapshot();
+            xpaths
+                .iter()
+                .map(|xp| view.query(&view.parse_query(xp).unwrap()).unwrap().matches)
+                .collect()
+        };
+        let mut full = Collection::new();
+        for xml in docs {
+            full.add_xml(xml).unwrap();
+        }
+        let want = answers(&PrixEngine::build(full, EngineConfig::default()).unwrap());
+        let dir = std::env::temp_dir().join(format!("prix-empty-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let envs: [Arc<dyn SegmentEnv>; 2] = [
+            Arc::new(MemSegEnv::new()),
+            Arc::new(FileSegEnv::new(dir.join("db.prix"))),
+        ];
+        for env in envs {
+            let cfg = EngineConfig::default();
+            let mut e = PrixEngine::build_env(Collection::new(), cfg, Arc::clone(&env)).unwrap();
+            for xml in docs {
+                e.insert_document(xml).unwrap();
+            }
+            e.save().unwrap();
+            assert!(e.compact().unwrap());
+            assert!(!env.exists(".g1.rp.seg").unwrap(), "the empty tier's files");
+            assert!(env.exists(".g1.sym").unwrap(), "its symbol run stays");
+            let reopened = PrixEngine::reopen_env(env, 64).unwrap();
+            assert_eq!((reopened.generation(), reopened.segment_docs()), (2, 3));
+            assert_eq!(answers(&e), want);
+            assert_eq!(answers(&reopened), want);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The batch log's epoch is the one clock: a commit moves it, a

@@ -19,10 +19,10 @@
 //! refinement phases), producing the set of twig matches with their
 //! embeddings.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::ops::Bound;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 use prix_prufer::{EdgeKind, ExtendedTree, MaxGapTable, PruferSeq};
@@ -225,11 +225,11 @@ pub struct BuildStats {
 
 /// A PRIX index over one collection *tier*.
 ///
-/// `Clone` snapshots the *handles* (tree roots, the documents' record
-/// ids, MaxGap): clones share the underlying pages. The engine's
-/// snapshot publication clones the index once per commit to give
-/// readers a frozen catalog while the writer's copy keeps mutating;
-/// the two stay consistent through the pool's epoch-pinned page views.
+/// `Clone` takes a view: the clone shares the backing and keeps its
+/// own MaxGap table, childless set and document count, so it sees the
+/// documents the index held when it was cloned and none inserted
+/// through the original since. That is how the engine's snapshots read
+/// the delta while the writer keeps inserting (DESIGN.md §10).
 ///
 /// Two backings exist behind one query interface: the **mutable tier**
 /// (B⁺-trees and a record store through the buffer pool, the only tier
@@ -260,23 +260,47 @@ pub struct PrixIndex {
 /// Where a [`PrixIndex`] reads its trie nodes, doc ends, and records.
 #[derive(Clone)]
 enum Backing {
-    Tree(TreeBacking),
+    /// The delta, shared by the writer and every view of it under one
+    /// lock (an insert holds it for a whole document), and the count of
+    /// its documents this handle sees: doc ids at or past it are
+    /// skipped.
+    Tree(Arc<RwLock<TreeBacking>>, usize),
     Seg(Arc<SegmentReader>),
 }
 
-/// The mutable tier: everything lives in buffer-pool pages.
-#[derive(Clone)]
+/// The mutable tier: the trees and records live in buffer-pool pages.
 struct TreeBacking {
     /// Trie-Symbol index: [`tag_key`] → [`tag_val`].
     tag_index: BPlusTree,
     /// Docid index: key = left(8, BE), value = doc(4, LE).
     docid_index: BPlusTree,
-    /// Trie-node table for incremental inserts: left(8, BE) →
-    /// [`node_val`]. Entry 0 is the virtual root.
-    trie_nodes: BPlusTree,
+    /// The frontier of every trie node with a child, by its `left`
+    /// (the virtual root's is 0): only [`PrixIndex::insert`] reads it.
+    frontiers: HashMap<u64, u64>,
     /// Each document's record, by local id.
     docs: Vec<RecordId>,
     store: RecordStore,
+}
+
+impl TreeBacking {
+    /// The trie node with scope `(left, right]` and `fine_gap`.
+    fn node(&self, left: u64, right: u64, fine_gap: u32) -> DeltaNode {
+        let frontier = self.frontiers.get(&left).copied().unwrap_or(left);
+        DeltaNode {
+            left,
+            right,
+            fine_gap,
+            frontier,
+        }
+    }
+}
+
+/// What a reader gets from a delta whose lock an insert panicked under:
+/// the delta holds a half-made change, and nothing is read past it.
+pub(crate) fn half_changed<T>(_: T) -> IndexError {
+    IndexError::Unsupported(
+        "the delta was left half-changed by a failed insert; reopen the database".into(),
+    )
 }
 
 /// Trie-Symbol index key: sym(4, BE) ++ left(8, BE).
@@ -308,46 +332,18 @@ fn tag_row(k: &[u8], v: &[u8]) -> (u64, u64, u32, u32) {
     )
 }
 
-/// A node of the delta's virtual trie, as its two tables hold it: the
-/// Trie-Symbol entry (`sym`, `left`, `right`, `level`, `fine_gap`) and
-/// the trie-node table's `frontier`, the highest scope position already
-/// handed to a child (`left` while it has none), after which
-/// [`PrixIndex::insert`] carves out the next child.
+/// A node of the delta's virtual trie: its Trie-Symbol entry's scope
+/// `(left, right]` and fine gap, and its `frontier`, the highest scope
+/// position already handed to a child (`left` while it has none), after
+/// which [`PrixIndex::insert`] carves out the next child.
 #[derive(Debug, Clone, Copy)]
 struct DeltaNode {
-    sym: Sym,
-    /// 1-based LPS position (trie depth); the virtual root's is 0.
-    level: u32,
     left: u64,
     right: u64,
     /// Per-occurrence MaxGap (§5.4 "finer granularity"); `u32::MAX`
     /// when unknown.
     fine_gap: u32,
     frontier: u64,
-}
-
-/// Trie-node table value: right(8, LE) ++ frontier(8, LE) ++
-/// level(4, LE) ++ sym(4, LE), under the key left(8, BE).
-fn node_val(n: &DeltaNode) -> [u8; 24] {
-    let mut v = [0u8; 24];
-    v[..8].copy_from_slice(&n.right.to_le_bytes());
-    v[8..16].copy_from_slice(&n.frontier.to_le_bytes());
-    v[16..20].copy_from_slice(&n.level.to_le_bytes());
-    v[20..].copy_from_slice(&n.sym.0.to_le_bytes());
-    v
-}
-
-/// The trie-node table's row at `left`: the inverse of [`node_val`].
-/// The table does not hold fine gaps (the Trie-Symbol index does).
-fn node_row(left: u64, v: &[u8]) -> DeltaNode {
-    DeltaNode {
-        left,
-        right: u64::from_le_bytes(v[..8].try_into().unwrap()),
-        frontier: u64::from_le_bytes(v[8..16].try_into().unwrap()),
-        level: u32::from_le_bytes(v[16..20].try_into().unwrap()),
-        sym: Sym(u32::from_le_bytes(v[20..24].try_into().unwrap())),
-        fine_gap: u32::MAX,
-    }
 }
 
 /// Everything indexing derives from one document, computed in one place
@@ -416,27 +412,24 @@ pub(crate) struct DocData {
 
 impl PrixIndex {
     /// The empty delta index of `kind` in `pool`: an empty record
-    /// store, empty Trie-Symbol and Docid indexes, and a trie-node
-    /// table holding only the virtual root, whose scope `(0, u64::MAX]`
-    /// is all headroom for [`PrixIndex::insert`]. `dummy` is the label
-    /// used for the §5.6 leaf extension (EPIndex only); it must not be
-    /// used as a query label.
+    /// store and empty Trie-Symbol and Docid indexes under the virtual
+    /// root, whose scope `(0, u64::MAX]` is all headroom for
+    /// [`PrixIndex::insert`]. `dummy` is the label used for the §5.6
+    /// leaf extension (EPIndex only); it must not be used as a query
+    /// label.
     pub fn empty(pool: Arc<BufferPool>, kind: IndexKind, dummy: Sym) -> Result<Self> {
-        let root = DeltaNode {
-            sym: Sym(u32::MAX),
-            level: 0,
-            left: 0,
-            right: u64::MAX,
-            fine_gap: u32::MAX,
-            frontier: 0,
-        };
         // Pages are allocated in this order, the order every delta has
         // had: a query's cold page count depends on which ids it reads.
         let store = RecordStore::create(Arc::clone(&pool))?;
         let tag_index = BPlusTree::create(Arc::clone(&pool))?;
-        let docid_index = BPlusTree::create(Arc::clone(&pool))?;
-        let root_row = (root.left.to_be_bytes().to_vec(), node_val(&root).to_vec());
-        let trie_nodes = BPlusTree::bulk_load(pool, [root_row], 0.8)?;
+        let docid_index = BPlusTree::create(pool)?;
+        let body = TreeBacking {
+            tag_index,
+            docid_index,
+            frontiers: HashMap::new(),
+            docs: Vec::new(),
+            store,
+        };
         Ok(PrixIndex {
             kind,
             maxgap: MaxGapTable::new(),
@@ -444,32 +437,16 @@ impl PrixIndex {
             build_stats: BuildStats::default(),
             doc_base: 0,
             childless: HashSet::new(),
-            backing: Backing::Tree(TreeBacking {
-                tag_index,
-                docid_index,
-                trie_nodes,
-                docs: Vec::new(),
-                store,
-            }),
+            backing: Backing::Tree(Arc::new(RwLock::new(body)), 0),
         })
     }
 
-    /// The mutable-tier backing, or `Unsupported` for a segment tier.
-    fn tree(&self) -> Result<&TreeBacking> {
+    /// The delta's shared body, read-locked, or `Unsupported` for a
+    /// segment tier.
+    fn tree(&self) -> Result<RwLockReadGuard<'_, TreeBacking>> {
         match &self.backing {
-            Backing::Tree(t) => Ok(t),
-            Backing::Seg(_) => Err(IndexError::Unsupported(
-                "operation needs the mutable index tier; this is an immutable segment".into(),
-            )),
-        }
-    }
-
-    fn tree_mut(&mut self) -> Result<&mut TreeBacking> {
-        match &mut self.backing {
-            Backing::Tree(t) => Ok(t),
-            Backing::Seg(_) => Err(IndexError::Unsupported(
-                "operation needs the mutable index tier; this is an immutable segment".into(),
-            )),
+            Backing::Tree(t, _) => t.read().map_err(half_changed),
+            Backing::Seg(_) => Err(needs_delta()),
         }
     }
 
@@ -492,10 +469,11 @@ impl PrixIndex {
         let mut maxgap = MaxGapTable::new();
         let art = DocArtifacts::of(tree, self.kind, self.dummy, &mut maxgap);
         let lps = &art.data.lps;
-        let mut cur = self.read_trie_node(0)?;
+        let t = self.tree()?;
+        let mut cur = t.node(0, u64::MAX, u32::MAX);
         for (i, &sym) in lps.iter().enumerate() {
             let level = (i + 1) as u32;
-            match self.find_child(&cur, sym, level)? {
+            match find_child(&t, &cur, sym, level)? {
                 Some(child) => cur = child,
                 None => {
                     scope_left(&cur, level, (lps.len() - i) as u64)?;
@@ -510,22 +488,28 @@ impl PrixIndex {
     /// paper's dynamic labeling scheme exists for (§5.2.1: ranges can
     /// be assigned "without building a physical trie").
     ///
-    /// Descends the virtual trie through the node table; existing path
-    /// prefixes are shared, new trie nodes take half of their parent's
-    /// remaining scope (the paper's policy). The document's record is
-    /// the bytes a segment would hold for it, appended once.
+    /// Descends the virtual trie; existing path prefixes are shared,
+    /// new trie nodes take half of their parent's remaining scope (the
+    /// paper's policy). The document's record is the bytes a segment
+    /// would hold for it, appended once. The whole insert holds the
+    /// delta's write lock, so a view reads it whole or not at all.
     pub fn insert(&mut self, doc: Prepared) -> Result<DocId> {
         let Prepared { art, maxgap } = doc;
         let (lps, gaps) = (&art.data.lps, &art.gaps);
-        let mut cur = self.read_trie_node(0)?;
+        let Backing::Tree(body, count) = &mut self.backing else {
+            return Err(needs_delta());
+        };
+        let mut t = body.write().map_err(half_changed)?;
+        let mut cur = t.node(0, u64::MAX, u32::MAX);
         for (i, &sym) in lps.iter().enumerate() {
             let level = (i + 1) as u32;
-            match self.find_child(&cur, sym, level)? {
+            match find_child(&t, &cur, sym, level)? {
                 Some(child) => {
-                    // Shared prefix: refresh the per-node fine gap.
+                    // Shared prefix: refresh the per-node fine gap, which
+                    // only grows (a view pruning by a larger gap prunes
+                    // less, never wrongly).
                     if child.fine_gap != u32::MAX && gaps[i] > child.fine_gap {
                         let key = tag_key(sym, child.left);
-                        let t = self.tree_mut()?;
                         t.tag_index.delete(&key, None)?;
                         t.tag_index
                             .insert(&key, &tag_val(child.right, level, gaps[i]))?;
@@ -536,78 +520,31 @@ impl PrixIndex {
                     let need = (lps.len() - i) as u64;
                     let available = scope_left(&cur, level, need)?;
                     let share = (available / 2).max(need).min(available);
-                    let child = DeltaNode {
-                        left: cur.frontier + 1,
-                        right: cur.frontier + share,
-                        frontier: cur.frontier + 1,
-                        level,
-                        sym,
-                        fine_gap: gaps[i],
-                    };
-                    // The child's two entries, and the parent's advanced
+                    let child = t.node(cur.frontier + 1, cur.frontier + share, gaps[i]);
+                    // The child's entry, and the parent's advanced
                     // frontier.
-                    cur.frontier = child.right;
-                    let t = self.tree_mut()?;
                     t.tag_index.insert(
                         &tag_key(sym, child.left),
                         &tag_val(child.right, level, child.fine_gap),
                     )?;
-                    t.trie_nodes
-                        .insert(&child.left.to_be_bytes(), &node_val(&child))?;
-                    t.trie_nodes.delete(&cur.left.to_be_bytes(), None)?;
-                    t.trie_nodes
-                        .insert(&cur.left.to_be_bytes(), &node_val(&cur))?;
+                    t.frontiers.insert(cur.left, child.right);
                     self.build_stats.trie_nodes += 1;
                     cur = child;
                 }
             }
         }
         // Document endpoint and record.
-        let t = self.tree_mut()?;
         let local = t.docs.len() as u32;
         t.docid_index
             .insert(&cur.left.to_be_bytes(), &local.to_le_bytes())?;
         let rec = t.store.append(&encode_doc_record(&art.data))?;
         t.docs.push(rec);
+        *count = t.docs.len();
         self.maxgap.merge(&maxgap);
         self.childless.extend(&art.childless);
         self.build_stats.sequences += 1;
         self.build_stats.total_seq_len += lps.len() as u64;
         Ok(self.doc_base + local)
-    }
-
-    fn read_trie_node(&self, left: u64) -> Result<DeltaNode> {
-        let v = self
-            .tree()?
-            .trie_nodes
-            .get(&left.to_be_bytes())?
-            .ok_or_else(|| IndexError::Unsupported(format!("trie node {left} missing")))?;
-        Ok(node_row(left, &v))
-    }
-
-    /// The direct child of `cur` labeled `sym` (a trie node at exactly
-    /// `level` inside `cur`'s scope), if present.
-    fn find_child(&self, cur: &DeltaNode, sym: Sym, level: u32) -> Result<Option<DeltaNode>> {
-        let lo = tag_key(sym, cur.left);
-        let hi = tag_key(sym, cur.right);
-        let mut found = None;
-        self.tree()?
-            .tag_index
-            .scan(Bound::Excluded(&lo), Bound::Included(&hi), |k, v| {
-                let (left, _, l, fine_gap) = tag_row(k, v);
-                if l == level {
-                    found = Some((left, fine_gap));
-                }
-                found.is_none()
-            })?;
-        // The node table has the rest of the row (the frontier).
-        let Some((left, fine_gap)) = found else {
-            return Ok(None);
-        };
-        Ok(Some(DeltaNode {
-            fine_gap,
-            ..self.read_trie_node(left)?
-        }))
     }
 
     /// This index's sequence flavor.
@@ -628,7 +565,7 @@ impl PrixIndex {
     /// Number of documents indexed *in this tier*.
     pub fn doc_count(&self) -> usize {
         match &self.backing {
-            Backing::Tree(t) => t.docs.len(),
+            Backing::Tree(_, count) => *count,
             Backing::Seg(r) => r.n_docs() as usize,
         }
     }
@@ -658,7 +595,7 @@ impl PrixIndex {
     pub(crate) fn segment(&self) -> Option<&Arc<SegmentReader>> {
         match &self.backing {
             Backing::Seg(r) => Some(r),
-            Backing::Tree(_) => None,
+            Backing::Tree(..) => None,
         }
     }
 
@@ -880,15 +817,18 @@ impl PrixIndex {
         qr: u64,
     ) -> Result<Vec<(u64, u64, u32, u32)>> {
         match &self.backing {
-            Backing::Tree(t) => {
+            Backing::Tree(..) => {
                 let lo = tag_key(sym, ql);
                 let hi = tag_key(sym, qr);
                 let mut hits: Vec<(u64, u64, u32, u32)> = Vec::new();
-                t.tag_index
-                    .scan(Bound::Excluded(&lo), Bound::Included(&hi), |k, v| {
+                self.tree()?.tag_index.scan(
+                    Bound::Excluded(&lo),
+                    Bound::Included(&hi),
+                    |k, v| {
                         hits.push(tag_row(k, v));
                         true
-                    })?;
+                    },
+                )?;
                 Ok(hits)
             }
             Backing::Seg(r) => Ok(r.scan_tag_range(sym.0, ql, qr)?),
@@ -897,7 +837,8 @@ impl PrixIndex {
 
     /// Appends every document whose LPS ends on a trie node with `left`
     /// in `[left, right]` (the Docid-index scan at the last LPS
-    /// position of Algorithm 1).
+    /// position of Algorithm 1): of the delta, the ones this handle
+    /// sees.
     pub(crate) fn scan_docids(
         &self,
         left: u64,
@@ -906,14 +847,20 @@ impl PrixIndex {
     ) -> Result<()> {
         let base = self.doc_base;
         match &self.backing {
-            Backing::Tree(t) => {
+            Backing::Tree(_, count) => {
                 let lo = left.to_be_bytes();
                 let hi = right.to_be_bytes();
-                t.docid_index
-                    .scan(Bound::Included(&lo), Bound::Included(&hi), |_, v| {
-                        out.push_back(base + u32::from_le_bytes(v.try_into().unwrap()));
+                self.tree()?.docid_index.scan(
+                    Bound::Included(&lo),
+                    Bound::Included(&hi),
+                    |_, v| {
+                        let local = u32::from_le_bytes(v.try_into().unwrap());
+                        if (local as usize) < *count {
+                            out.push_back(base + local);
+                        }
                         true
-                    })?;
+                    },
+                )?;
             }
             Backing::Seg(r) => {
                 r.scan_docids(left, right, &mut |d| out.push_back(base + d))?;
@@ -940,7 +887,10 @@ impl PrixIndex {
             .filter(|&l| (l as usize) < self.doc_count())
             .ok_or_else(unknown)?;
         Ok(match &self.backing {
-            Backing::Tree(t) => t.store.read(t.docs[local as usize])?,
+            Backing::Tree(..) => {
+                let t = self.tree()?;
+                t.store.read(t.docs[local as usize])?
+            }
             Backing::Seg(r) => r.record(local)?,
         })
     }
@@ -960,6 +910,30 @@ impl PrixIndex {
 pub(crate) struct GapRule {
     pub(crate) global: u64,
     pub(crate) extra: u64,
+}
+
+/// The refusal of a delta-only operation on a segment tier.
+fn needs_delta() -> IndexError {
+    IndexError::Unsupported(
+        "operation needs the mutable index tier; this is an immutable segment".into(),
+    )
+}
+
+/// The direct child of `cur` labeled `sym` (a trie node at exactly
+/// `level` inside `cur`'s scope) in the delta `t`, if present.
+fn find_child(t: &TreeBacking, cur: &DeltaNode, sym: Sym, level: u32) -> Result<Option<DeltaNode>> {
+    let lo = tag_key(sym, cur.left);
+    let hi = tag_key(sym, cur.right);
+    let mut found = None;
+    t.tag_index
+        .scan(Bound::Excluded(&lo), Bound::Included(&hi), |k, v| {
+            let (left, right, l, fine_gap) = tag_row(k, v);
+            if l == level {
+                found = Some(t.node(left, right, fine_gap));
+            }
+            found.is_none()
+        })?;
+    Ok(found)
 }
 
 /// The positions `cur` can still hand to a fresh child at `level`, or
@@ -1328,6 +1302,40 @@ mod tests {
         let engine = crate::PrixEngine::build(c.clone(), Default::default()).unwrap();
         *c.symbols_mut() = engine.symbols().clone();
         engine.seg_tiers()[0].index_of(kind).clone()
+    }
+
+    /// An insert that panics under the delta's write lock leaves a
+    /// half-made change behind it: every reader of that delta — a view
+    /// taken before, and the writer itself — gets an error, never an
+    /// answer read past it.
+    #[test]
+    fn a_delta_a_writer_panicked_in_is_refused() {
+        let mut e = crate::PrixEngine::build(Collection::new(), Default::default()).unwrap();
+        for xml in ["<a><b><c/></b></a>", "<a><b><d/></b></a>"] {
+            e.insert_document(xml).unwrap();
+        }
+        let view = e.rp_index().clone();
+        let q = crate::xpath::parse_xpath("//a/b/c", &mut e.symbols().clone()).unwrap();
+        assert_eq!(run(&view, &q, &ExecOpts::new()).unwrap().0.len(), 1);
+        let Backing::Tree(body, _) = &view.backing else {
+            panic!("the delta is tree-backed")
+        };
+        let body = Arc::clone(body);
+        let panicked = std::thread::spawn(move || {
+            let _insert = body.write().unwrap();
+            panic!("an insert fails half-way");
+        });
+        assert!(panicked.join().is_err());
+        let refusals = [
+            run(&view, &q, &ExecOpts::new()).err(),
+            view.load_doc(0, true).err(),
+            e.snapshot().query(&q).err(),
+            e.insert_document("<a><b><c/></b></a>").err(),
+        ];
+        for err in refusals {
+            let err = err.expect("refused").to_string();
+            assert!(err.contains("half-changed by a failed insert"), "{err}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!   over one collection,
 //! * [`PrixEngine`] — owns both indexes and everything that changes
 //!   them: build, reopen, insert, ingest, commit, compact, verify,
-//! * [`EngineSnapshot`] — an epoch-pinned view of an engine and the one
+//! * [`EngineSnapshot`] — a view of an engine at one epoch and the one
 //!   place queries run; routes each to the right index like the paper's
 //!   query optimizer (§5.6). [`PrixEngine::snapshot`] hands one out for
 //!   a bare engine, [`SharedEngine`] publishes one per ingest,

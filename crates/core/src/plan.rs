@@ -868,7 +868,8 @@ pub struct Routed {
 pub struct Router<'a> {
     /// The planner (owned by the engine, shared with snapshots).
     pub planner: &'a Planner,
-    /// PRIX execution (tiers, epoch pin — the snapshot's business).
+    /// PRIX execution (tiers, the delta's counts — the snapshot's
+    /// business).
     pub prix: &'a EngineSnapshot,
     /// Lazily-built alternative engines.
     pub alts: &'a dyn AltProvider,

@@ -10,23 +10,24 @@
 //!
 //! The paper treats the index as a build-once artifact with §5.2.1's
 //! dynamic labeling for incremental inserts; this module makes those
-//! inserts safe *while serving*. The scheme is epoch-based multi-
-//! versioning at two levels:
+//! inserts safe *while serving*. Dynamic labeling only ever adds
+//! documents, so a view is a document count:
 //!
-//! * **Catalog level** — [`EngineSnapshot`] freezes everything a query
-//!   needs (symbol table, RP/EP index handles, the value index) at
-//!   one published epoch. Snapshots are immutable
-//!   and cheap to share (`Arc`); queries against one snapshot are
-//!   bit-identical no matter what the writer does concurrently.
-//! * **Page level** — each snapshot holds a [`prix_storage::PagePin`]:
-//!   the buffer pool's page table as frozen at its epoch's publish.
-//!   The writer copies a page before changing it while a frozen table
-//!   still shares it, so the frozen index handles read the exact bytes
-//!   of their epoch.
+//! * [`EngineSnapshot`] holds everything a query needs (symbol table,
+//!   the tiers, RP/EP index handles, the value index) at one published
+//!   epoch. Snapshots are immutable and cheap to share (`Arc`); queries
+//!   against one snapshot are bit-identical no matter what the writer
+//!   does concurrently.
+//! * A tier never changes. The delta's structures are shared with the
+//!   writer, each behind one lock an insert holds for a whole document,
+//!   and a snapshot's handles see only the documents the delta held at
+//!   capture: doc ids and value postings past that count are skipped.
+//!   What an insert changes of an older document's rows is a fine gap,
+//!   which only grows (DESIGN.md §10).
 //!
 //! The epoch is the batch log's, the engine's one clock
-//! ([`PrixEngine::epoch`]); the pool knows none. [`SharedEngine`] keeps
-//! the registry of the snapshots it published that readers still hold.
+//! ([`PrixEngine::epoch`]). [`SharedEngine`] keeps the registry of the
+//! snapshots it published that readers still hold.
 //!
 //! [`SharedEngine`] is the concurrency wrapper: a single-writer
 //! [`SharedEngine::ingest`] path that commits each batch with one save
@@ -51,7 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
-use prix_storage::{IoScope, IoSnapshot, PagePin, PinGuard};
+use prix_storage::{BufferPool, IoScope, IoSnapshot};
 use prix_xml::{Collection, DocId, PostNum, ScratchSyms, SymbolTable};
 
 use crate::arrange::{arrangements, ARRANGEMENT_LIMIT};
@@ -91,14 +92,13 @@ pub struct QueryOutcome {
 /// over.
 type TierRefs<'a> = (&'a PrixIndex, &'a PrixIndex);
 
-/// An immutable, epoch-pinned view of a [`PrixEngine`], and the only
-/// way to query one.
+/// An immutable view of a [`PrixEngine`] at one epoch, and the only way
+/// to query one.
 ///
 /// Everything reachable from a snapshot reads as of its
-/// [`EngineSnapshot::epoch`]: the index handles are clones sharing the
-/// buffer pool, and every query method installs the snapshot's epoch
-/// pin for the duration of the call so the pool serves the frozen
-/// bytes of any page a later ingest has rewritten.
+/// [`EngineSnapshot::epoch`]: the tiers never change, and the delta's
+/// index handles and value index are clones that see the documents the
+/// delta held at capture and none inserted since.
 pub struct EngineSnapshot {
     epoch: u64,
     syms: Arc<SymbolTable>,
@@ -106,8 +106,7 @@ pub struct EngineSnapshot {
     ep: PrixIndex,
     /// Immutable segment tiers at capture time. The tiers themselves
     /// never change after publication; cloning shares the underlying
-    /// segment readers. Epoch pinning is only needed for the mutable
-    /// `rp`/`ep` handles above.
+    /// segment readers.
     segments: Vec<SegTier>,
     generation: u64,
     /// The engine's planner, *shared* (not frozen): observed stage
@@ -117,19 +116,20 @@ pub struct EngineSnapshot {
     planner: Arc<Planner>,
     /// The delta of the value index at capture time (the tiers' value
     /// runs are in `segments`). A clone of the engine's handle: shares
-    /// pages through the pool, and under this snapshot's epoch pin
-    /// reads the frozen bytes of its epoch like `rp`/`ep` do.
+    /// its trees, and skips the postings of documents past its count
+    /// like `rp`/`ep` do.
     valix: Valix,
     /// `(bytes, records)` of the batch log at capture time.
     log: (u64, u64),
-    pin: PagePin,
+    /// The pool the delta at capture lives in.
+    pool: Arc<BufferPool>,
 }
 
 impl EngineSnapshot {
-    /// The engine as it stands, pinned. `prev` is the snapshot this
-    /// one supersedes, if any: the symbol table only grows, so when
-    /// `prev` froze one of the same length it is the same table and is
-    /// shared instead of copied.
+    /// The engine as it stands. `prev` is the snapshot this one
+    /// supersedes, if any: the symbol table only grows, so when `prev`
+    /// froze one of the same length it is the same table and is shared
+    /// instead of copied.
     pub(crate) fn capture(engine: &PrixEngine, prev: Option<&EngineSnapshot>) -> Self {
         let syms = match prev {
             Some(prev) if prev.syms.len() == engine.symbols().len() => Arc::clone(&prev.syms),
@@ -145,7 +145,7 @@ impl EngineSnapshot {
             planner: Arc::clone(engine.planner()),
             valix: engine.valix().clone(),
             log: (engine.log().len(), engine.log().records()),
-            pin: engine.pool().pin(),
+            pool: Arc::clone(engine.pool()),
         }
     }
 
@@ -198,7 +198,7 @@ impl EngineSnapshot {
         self.log.1
     }
 
-    /// The published epoch this view is pinned at.
+    /// The published epoch this view answers at.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -243,13 +243,11 @@ impl EngineSnapshot {
         Ok(exec.finish(pred.as_ref()))
     }
 
-    /// Opens an execution at this epoch: installs the pin, probes the
-    /// value index for `q`'s predicates, lists the tiers, and only then
-    /// starts the I/O scope and the clock (the probe's page and run
-    /// block reads are reported as `valix_*` counters, not as query
-    /// I/O).
+    /// Opens an execution at this epoch: probes the value index for
+    /// `q`'s predicates, lists the tiers, and only then starts the I/O
+    /// scope and the clock (the probe's page and run block reads are
+    /// reported as `valix_*` counters, not as query I/O).
     fn begin(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<(Execution<'_>, Option<PredEval>)> {
-        let _pin = self.pin.guard();
         let pred = PredEval::build(q, &self.segments, &self.valix, &self.syms)?;
         let exec = Execution {
             tiers: self.tiers(),
@@ -267,16 +265,13 @@ impl EngineSnapshot {
             truncated: false,
             scope: IoScope::begin(),
             start: Instant::now(),
-            _pin,
         };
         Ok((exec, pred))
     }
 
     /// Executes a batch of ordered twig queries on up to `threads`
     /// worker threads, returning one [`QueryOutcome`] per query in
-    /// input order. Every worker reads this snapshot's epoch (the pin
-    /// is installed per query, so it is in effect on each worker
-    /// thread).
+    /// input order. Every worker reads this snapshot's epoch.
     pub fn query_batch(&self, queries: &[TwigQuery], threads: usize) -> Result<Vec<QueryOutcome>> {
         self.query_batch_opts(queries, threads, &ExecOpts::default())
     }
@@ -423,7 +418,6 @@ impl EngineSnapshot {
     /// nodes come back as elements (the RP encoding does not mark text
     /// nodes), which is exactly what label-driven matching needs.
     pub fn reconstruct_collection(&self) -> Result<Collection> {
-        let _pin = self.pin.guard();
         let mut collection = Collection::new();
         *collection.symbols_mut() = (*self.syms).clone();
         for (rp, _) in self.tiers() {
@@ -456,7 +450,6 @@ impl EngineSnapshot {
         let mut syms = (*self.syms).clone();
         let q = parse_xpath(xpath, &mut syms)
             .map_err(|e| IndexError::Unsupported(format!("parse error: {e}")))?;
-        let _pin = self.pin.guard();
         let (rp, ep) = self.tiers()[0];
         let idx = pick_index(rp, ep, &q, None)?;
         let mut out = format!("index: {}\n", idx.kind());
@@ -523,7 +516,6 @@ struct Execution<'a> {
     truncated: bool,
     scope: IoScope,
     start: Instant,
-    _pin: PinGuard<'a>,
 }
 
 impl Execution<'_> {
@@ -685,14 +677,14 @@ impl SharedEngine {
     /// The published snapshot's buffer pool (metrics). Does not take
     /// the writer lock. Compaction replaces the pool, so callers get a
     /// clone of the `Arc` rather than a reference.
-    pub fn pool(&self) -> Arc<prix_storage::BufferPool> {
-        Arc::clone(self.snapshot().pin.pool())
+    pub fn pool(&self) -> Arc<BufferPool> {
+        Arc::clone(&self.snapshot().pool)
     }
 
     /// Epoch-pin observability: `(published snapshots still held,
     /// oldest epoch among them)`. The current snapshot is one of them;
-    /// the others pin what readers still query — an older epoch, and
-    /// the pool a compaction retired.
+    /// the others hold what readers still query — an older epoch's
+    /// view, and the delta and pool a compaction retired.
     pub fn pinned_epochs(&self) -> (usize, Option<u64>) {
         let published = self.published.lock().unwrap_or_else(|e| e.into_inner());
         let held: Vec<u64> = published
@@ -768,8 +760,8 @@ impl SharedEngine {
     }
 
     /// The current published snapshot. Holding the returned `Arc` pins
-    /// its epoch: its frozen page table keeps the bytes of every page a
-    /// later ingest rewrites until the snapshot is dropped.
+    /// its epoch: it answers as of then, and keeps the delta and tiers
+    /// it reads alive, until it is dropped.
     pub fn snapshot(&self) -> Arc<EngineSnapshot> {
         Arc::clone(&self.current.lock().unwrap_or_else(|e| e.into_inner()))
     }
@@ -836,7 +828,6 @@ impl SharedEngine {
                 "engine poisoned by an earlier failed ingest; reopen the database".into(),
             ));
         }
-        engine.pool().begin_ingest();
         // One save commits the whole batch: the durability point.
         let ingested = run(&mut engine).and_then(|outcome| {
             if !outcome.accepted.is_empty() {
@@ -844,47 +835,34 @@ impl SharedEngine {
             }
             Ok(outcome)
         });
-        match ingested {
-            Ok(outcome) if outcome.accepted.is_empty() => {
-                // Nothing validated, nothing written: rejections are
-                // read-only, so this abort puts back the pages it found.
-                engine.pool().abort_ingest();
-                Ok(IngestReport {
-                    accepted: outcome.accepted,
-                    rejected: outcome.rejected,
-                    epoch: engine.epoch(),
-                })
+        let outcome = ingested.inspect_err(|_| {
+            // A document passed validation but failed mid-insert, or
+            // the save failed: the in-memory index state is no longer
+            // trustworthy. Further writes are refused; readers keep the
+            // last good snapshot, whose counts end before this batch.
+            self.poisoned.store(true, Ordering::Release);
+        })?;
+        // Rejections are read-only: nothing accepted, nothing published.
+        let epoch = if outcome.accepted.is_empty() {
+            engine.epoch()
+        } else {
+            // Swapping the snapshot makes the saved batch visible at the
+            // epoch its commit established: the new snapshot's counts
+            // take it in.
+            let epoch = self.publish(&engine);
+            // The batch is durable and visible whatever happens next: a
+            // compaction that fails poisons the writer, and later
+            // ingests report that.
+            if engine.log_full() && self.compact_locked(&mut engine).is_ok() {
+                self.log_compactions.fetch_add(1, Ordering::Relaxed);
             }
-            Ok(outcome) => {
-                // Publishing freezes the page table, and swapping the
-                // snapshot makes the saved batch visible at the epoch
-                // its commit established: the new snapshot pins the new
-                // table.
-                engine.pool().publish_ingest();
-                let epoch = self.publish(&engine);
-                // The batch is durable and visible whatever happens
-                // next: a compaction that fails poisons the writer, and
-                // later ingests report that.
-                if engine.log_full() && self.compact_locked(&mut engine).is_ok() {
-                    self.log_compactions.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(IngestReport {
-                    accepted: outcome.accepted,
-                    rejected: outcome.rejected,
-                    epoch,
-                })
-            }
-            Err(e) => {
-                // A document passed validation but failed mid-insert,
-                // or the save failed: the in-memory index state is no
-                // longer trustworthy.
-                // Roll the pool back to the published epoch and refuse
-                // further writes; readers keep the last good snapshot.
-                self.poisoned.store(true, Ordering::Release);
-                engine.pool().abort_ingest();
-                Err(e)
-            }
-        }
+            epoch
+        };
+        Ok(IngestReport {
+            accepted: outcome.accepted,
+            rejected: outcome.rejected,
+            epoch,
+        })
     }
 }
 

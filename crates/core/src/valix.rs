@@ -15,10 +15,10 @@
 //! Keys are prefixed with the *parent element tag*, so a predicate
 //! `[price < 10]` only scans `price` values. Every key maps to a
 //! `(doc, leaf postorder)` posting. The trees live in the same buffer
-//! pool as the structural B⁺-trees, so the index inherits epoch-pinned
-//! snapshot isolation with zero extra machinery: an `EngineSnapshot`
-//! clones the [`Valix`] handle and its epoch pin serves the frozen
-//! pages — and, like the structural delta, it is rebuilt on reopen by
+//! pool as the structural B⁺-trees and are read like them: an
+//! `EngineSnapshot` clones the [`Valix`] handle, which shares the trees
+//! and skips the postings of documents past its own coverage horizon —
+//! and, like the structural delta, they are rebuilt on reopen by
 //! replaying the batch log.
 //!
 //! The index is **tiered** like the structural ones: every immutable
@@ -42,7 +42,7 @@
 
 use std::collections::HashSet;
 use std::ops::Bound;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 use prix_storage::{
     BPlusTree, BufferPool, RawStore, ValueRunBuilder, VxEntry, VxSection, VX_MAX_KEY_LEN,
@@ -50,7 +50,7 @@ use prix_storage::{
 use prix_xml::{DocId, PostNum, Sym, SymbolTable, XmlTree};
 
 use crate::engine::SegTier;
-use crate::index::{DocData, IndexError, Result};
+use crate::index::{half_changed, DocData, IndexError, Result};
 use crate::query::{PredOp, PredValue, TwigQuery, ValuePred};
 
 /// String keys are truncated to this many value bytes. Truncation is
@@ -164,10 +164,10 @@ pub struct ProbeStats {
 }
 
 /// The mutable delta of the value index: the opclass trees over the
-/// documents no segment tier holds yet. `Clone` snapshots the handles
-/// (tree roots, counters): clones share pages through the pool, and a
-/// clone taken under an epoch pin reads the frozen bytes of its epoch —
-/// exactly the [`crate::index::PrixIndex`] contract.
+/// documents no segment tier holds yet. `Clone` takes a view, as
+/// [`crate::index::PrixIndex`]'s does: the clone shares the trees and
+/// keeps its own coverage horizon and counters, and its scans skip
+/// every posting of a document at or past [`Valix::covered`].
 ///
 /// Coverage invariant: the tiers' runs partition `[0, delta_base)`, the
 /// trees here hold the leaves of `[delta_base, covered)`, and that is
@@ -175,10 +175,10 @@ pub struct ProbeStats {
 /// compaction).
 #[derive(Clone)]
 pub struct Valix {
-    /// Numeric opclass.
-    num: BPlusTree,
-    /// String opclass.
-    strs: BPlusTree,
+    /// The opclass trees by [`VxSection`] (numeric, string), shared by
+    /// the writer and every view under one lock an insert holds for a
+    /// whole document.
+    trees: Arc<RwLock<[BPlusTree; 2]>>,
     /// First document of the delta: where the segment tiers end.
     delta_base: DocId,
     /// Documents indexed here, `[delta_base, delta_base + delta_docs)`.
@@ -190,9 +190,12 @@ pub struct Valix {
 impl Valix {
     /// Creates an empty valix in `pool`.
     pub fn create(pool: Arc<BufferPool>) -> Result<Self> {
+        let trees = [
+            BPlusTree::create(Arc::clone(&pool))?,
+            BPlusTree::create(pool)?,
+        ];
         Ok(Valix {
-            num: BPlusTree::create(Arc::clone(&pool))?,
-            strs: BPlusTree::create(pool)?,
+            trees: Arc::new(RwLock::new(trees)),
             delta_base: 0,
             delta_docs: 0,
             num_postings: 0,
@@ -231,6 +234,8 @@ impl Valix {
         // delta; a gap here would be a hole in the pre-filter that
         // nothing reports.
         assert_eq!(doc, self.covered(), "valix documents arrive in order");
+        let trees = Arc::clone(&self.trees);
+        let mut trees = trees.write().map_err(half_changed)?;
         for node in tree.nodes() {
             if !tree.is_leaf(node) || node == tree.root() {
                 continue;
@@ -238,30 +243,31 @@ impl Valix {
             let post = tree.postorder(node);
             let parent = tree.parent_post(post).expect("non-root leaf has a parent");
             let tag = tree.label_at(parent);
-            self.add_value(tag, syms.name(tree.label(node)), doc, post)?;
+            self.add_value(&mut trees, tag, syms.name(tree.label(node)), doc, post)?;
         }
         self.delta_docs += 1;
         Ok(())
     }
 
-    /// Indexes one leaf occurrence under its [`opclass_keys`].
-    fn add_value(&mut self, tag: Sym, value: &str, doc: DocId, post: PostNum) -> Result<()> {
+    /// Indexes one leaf occurrence under its [`opclass_keys`] in
+    /// `trees`, this delta's, write-locked.
+    fn add_value(
+        &mut self,
+        trees: &mut [BPlusTree; 2],
+        tag: Sym,
+        value: &str,
+        doc: DocId,
+        post: PostNum,
+    ) -> Result<()> {
         let p = posting(doc, post);
         let (num, strs) = opclass_keys(tag, value);
         if let Some(k) = num {
-            self.num.insert(&k, &p)?;
+            trees[VxSection::Num as usize].insert(&k, &p)?;
             self.num_postings += 1;
         }
-        self.strs.insert(&strs, &p)?;
+        trees[VxSection::Str as usize].insert(&strs, &p)?;
         self.str_postings += 1;
         Ok(())
-    }
-
-    fn tree(&self, section: VxSection) -> &BPlusTree {
-        match section {
-            VxSection::Num => &self.num,
-            VxSection::Str => &self.strs,
-        }
     }
 
     /// Streams the delta into the value run of the tier a compaction is
@@ -280,6 +286,7 @@ impl Valix {
             )));
         }
         let mut b = ValueRunBuilder::new(out, self.delta_base, self.delta_docs);
+        let trees = self.trees.read().map_err(half_changed)?;
         for section in [VxSection::Num, VxSection::Str] {
             let mut key: Vec<u8> = Vec::new();
             let mut postings: Vec<(DocId, PostNum)> = Vec::new();
@@ -290,16 +297,15 @@ impl Valix {
                     .try_for_each(|(doc, post)| b.push(section, key, doc, post))
             };
             let mut pushed = Ok(());
-            self.tree(section)
-                .scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
-                    if k != key.as_slice() {
-                        pushed = flush(&key, &mut postings);
-                        key.clear();
-                        key.extend_from_slice(k);
-                    }
-                    postings.push((posting_doc(v), posting_post(v)));
-                    pushed.is_ok()
-                })?;
+            trees[section as usize].scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
+                if k != key.as_slice() {
+                    pushed = flush(&key, &mut postings);
+                    key.clear();
+                    key.extend_from_slice(k);
+                }
+                postings.push((posting_doc(v), posting_post(v)));
+                pushed.is_ok()
+            })?;
             pushed?;
             flush(&key, &mut postings)?;
         }
@@ -308,7 +314,8 @@ impl Valix {
 
     /// Scans one opclass over every tier's run, then the delta's tree,
     /// with the contract of `BPlusTree::scan` per source: `f` returning
-    /// `false` ends the source it was reading, not the whole scan.
+    /// `false` ends the source it was reading, not the whole scan. The
+    /// delta's postings past this handle's horizon never reach `f`.
     fn scan(
         &self,
         tiers: &[SegTier],
@@ -320,7 +327,10 @@ impl Valix {
         for t in tiers {
             t.vx.scan(section, lo, hi, &mut f)?;
         }
-        Ok(self.tree(section).scan(lo, hi, &mut f)?)
+        let covered = self.covered();
+        let trees = self.trees.read().map_err(half_changed)?;
+        let seen = |k: &[u8], v: &[u8]| posting_doc(v) >= covered || f(k, v);
+        Ok(trees[section as usize].scan(lo, hi, seen)?)
     }
 
     /// Probes one predicate anchored at `tag` over the tiers' runs and
@@ -410,6 +420,7 @@ impl Valix {
     /// `prix_storage::ValueRunReader::verify`.)
     pub fn verify(&self) -> Result<(u64, u64)> {
         let docs = self.delta_base..self.covered();
+        let trees = self.trees.read().map_err(half_changed)?;
         let mut counts = [0u64; 2];
         for (section, count) in [VxSection::Num, VxSection::Str]
             .into_iter()
@@ -417,25 +428,24 @@ impl Valix {
         {
             let name = section.name();
             let mut bad: Option<String> = None;
-            self.tree(section)
-                .scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
-                    *count += 1;
-                    if !section.key_len_ok(k.len()) || v.len() != 8 {
-                        bad = Some(format!(
-                            "{name} entry has key len {} / posting len {}",
-                            k.len(),
-                            v.len()
-                        ));
-                    } else if !docs.contains(&posting_doc(v)) {
-                        bad = Some(format!(
-                            "{name} posting names doc {} outside the delta {}..{}",
-                            posting_doc(v),
-                            docs.start,
-                            docs.end
-                        ));
-                    }
-                    bad.is_none()
-                })?;
+            trees[section as usize].scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
+                *count += 1;
+                if !section.key_len_ok(k.len()) || v.len() != 8 {
+                    bad = Some(format!(
+                        "{name} entry has key len {} / posting len {}",
+                        k.len(),
+                        v.len()
+                    ));
+                } else if !docs.contains(&posting_doc(v)) {
+                    bad = Some(format!(
+                        "{name} posting names doc {} outside the delta {}..{}",
+                        posting_doc(v),
+                        docs.start,
+                        docs.end
+                    ));
+                }
+                bad.is_none()
+            })?;
             if let Some(msg) = bad {
                 return Err(IndexError::Unsupported(format!("valix: {msg}")));
             }
@@ -607,6 +617,13 @@ mod tests {
         Arc::new(BufferPool::new(Pager::in_memory(), 256))
     }
 
+    /// Indexes one leaf occurrence, as an insert does.
+    fn add(vx: &mut Valix, tag: Sym, value: &str, doc: DocId, post: PostNum) {
+        let trees = Arc::clone(&vx.trees);
+        let mut trees = trees.write().unwrap();
+        vx.add_value(&mut trees, tag, value, doc, post).unwrap();
+    }
+
     #[test]
     fn f64_encoding_preserves_order() {
         let vals = [
@@ -656,7 +673,7 @@ mod tests {
             "0", "-0", "1", "2.5", "9.99", "10", "10.0", "11", "-3", "1e2", "cheap", "inf",
         ];
         for (i, v) in values.iter().enumerate() {
-            vx.add_value(tag, v, i as DocId, 1).unwrap();
+            add(&mut vx, tag, v, i as DocId, 1);
         }
         vx.delta_docs = values.len() as DocId;
         for op in [PredOp::Eq, PredOp::Lt, PredOp::Le, PredOp::Gt, PredOp::Ge] {
@@ -688,7 +705,7 @@ mod tests {
         let tag = Sym(5);
         let values = ["x7", "x70", "x8", "ax7", "", "x", "10"];
         for (i, v) in values.iter().enumerate() {
-            vx.add_value(tag, v, i as DocId, 1).unwrap();
+            add(&mut vx, tag, v, i as DocId, 1);
         }
         vx.delta_docs = values.len() as DocId;
         for p in [
@@ -714,8 +731,8 @@ mod tests {
     fn probe_is_tag_scoped() {
         let pool = mem_pool();
         let mut vx = Valix::create(pool).unwrap();
-        vx.add_value(Sym(1), "5", 0, 1).unwrap();
-        vx.add_value(Sym(2), "5", 1, 1).unwrap();
+        add(&mut vx, Sym(1), "5", 0, 1);
+        add(&mut vx, Sym(2), "5", 1, 1);
         vx.delta_docs = 2;
         let p = pred(PredOp::Eq, PredValue::Num(5.0));
         let mut stats = ProbeStats::default();
@@ -727,8 +744,8 @@ mod tests {
     fn verify_counts_what_the_inserts_counted() {
         let pool = mem_pool();
         let mut vx = Valix::create(pool).unwrap();
-        vx.add_value(Sym(1), "42", 0, 2).unwrap();
-        vx.add_value(Sym(1), "hello", 0, 4).unwrap();
+        add(&mut vx, Sym(1), "42", 0, 2);
+        add(&mut vx, Sym(1), "hello", 0, 4);
         vx.delta_docs = 1;
         assert_eq!(vx.covered(), 1);
         assert_eq!(vx.posting_counts(), (1, 2));
@@ -744,7 +761,7 @@ mod tests {
     fn verify_catches_horizon_violations() {
         let pool = mem_pool();
         let mut vx = Valix::create(pool).unwrap();
-        vx.add_value(Sym(1), "1", 5, 1).unwrap();
+        add(&mut vx, Sym(1), "1", 5, 1);
         vx.delta_docs = 1; // posting names doc 5: corrupt
         assert!(vx.verify().is_err());
         // A posting below the delta belongs to a tier's run.
@@ -764,11 +781,9 @@ mod tests {
         // between equals), and within one in arena order (the later
         // leaf first): the run sorts each key's postings.
         for i in 0..3000u32 {
-            vx.add_value(Sym(1), &format!("{}", i % 7), 100 + i, 3)
-                .unwrap();
-            vx.add_value(Sym(1), &format!("{}", i % 7), 100 + i, 1)
-                .unwrap();
-            vx.add_value(Sym(2), "word", 100 + i, 5).unwrap();
+            add(&mut vx, Sym(1), &format!("{}", i % 7), 100 + i, 3);
+            add(&mut vx, Sym(1), &format!("{}", i % 7), 100 + i, 1);
+            add(&mut vx, Sym(2), "word", 100 + i, 5);
         }
         vx.delta_docs = 3000;
         let store = MemStore::new();
@@ -784,7 +799,7 @@ mod tests {
         assert_eq!((check.num_postings, check.str_postings), (6000, 9000));
         for section in [VxSection::Num, VxSection::Str] {
             let mut from_tree = Vec::new();
-            vx.tree(section)
+            vx.trees.read().unwrap()[section as usize]
                 .scan(Bound::Unbounded, Bound::Unbounded, |k, v| {
                     from_tree.push((k.to_vec(), v.to_vec()));
                     true

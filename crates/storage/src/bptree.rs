@@ -322,9 +322,10 @@ mod node {
 /// A B⁺-tree handle. Reads take `&self`; mutations take `&mut self`.
 ///
 /// `Clone` duplicates the *handle* (pool reference + root id), not the
-/// tree: clones share pages. A clone is a read-only view for snapshot
-/// readers — inserting through one clone while another reads is only
-/// sound under the pool's epoch-pin protocol.
+/// tree: clones share pages, but each keeps the root id it was cloned
+/// with, so none sees a root split made through another. A tree that is
+/// written while it is read keeps one handle, shared under a lock (the
+/// engine's delta does).
 #[derive(Clone)]
 pub struct BPlusTree {
     pool: Arc<BufferPool>,

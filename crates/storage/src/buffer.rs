@@ -7,14 +7,13 @@
 //! to measure from a cold cache, which is what the paper's direct-I/O
 //! configuration achieves.
 //!
-//! The pool is a page cache and nothing more: its page table, the
-//! copy-on-write freeze of that table a reader pins, and a per-shard
-//! [`Lru`] over page ids that counts the misses. Every page lives once,
-//! as an `Arc` in its shard's page table, and the LRU keeps only page
-//! ids: a miss copies nothing, and an eviction or a `clear` writes
+//! The pool is a page cache and nothing more: its page table and a
+//! per-shard [`Lru`] over page ids that counts the misses. Every page
+//! lives once, boxed in its shard's page table, and the LRU keeps only
+//! page ids: a miss copies nothing, and an eviction or a `clear` writes
 //! nothing back. They decide what the next request counts, nothing
-//! else. Epochs, the registry of readers and the lifetime of the I/O
-//! counters belong to the pool's owner.
+//! else. Which bytes a reader may look at, and for how long the I/O
+//! counters live, is the pool's owner's business.
 //!
 //! # Sharding
 //!
@@ -35,21 +34,7 @@
 //! cold-cache `physical_reads` counts are identical to a single global
 //! LRU. Only under eviction pressure do the per-shard LRU decisions
 //! diverge from a global LRU — correctness is unaffected either way.
-//!
-//! # Snapshots
-//!
-//! [`BufferPool::publish_ingest`] freezes the page table: each shard's
-//! page vector is cloned, one `Arc` clone per page. A [`PagePin`]
-//! holds a frozen table, and a thread inside the pin's
-//! [`PagePin::guard`] reads that table's bytes. A write copies a page
-//! only while a frozen table still shares it (`Arc::make_mut`), so a
-//! pinned reader keeps the bytes it pinned for as long as it holds the
-//! pin, and [`BufferPool::abort_ingest`] rolls a round back by putting
-//! the frozen table back.
 
-use std::cell::{Cell, RefCell};
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::error::Result;
@@ -64,16 +49,12 @@ pub const DEFAULT_CAPACITY: usize = 2000;
 /// Upper bound on the default shard count (`min(16, cores)`).
 pub const MAX_DEFAULT_SHARDS: usize = 16;
 
-/// One page: held by its shard's page table and by every frozen table
-/// that still shares it.
-type Page = Arc<[u8; PAGE_SIZE]>;
-
 /// One shard: the pages whose ids map to it, and the LRU over a slice
 /// of the total capacity that says which of them a request finds
 /// resident.
 struct Shard {
     /// Page `id` at slot `id >> shard_bits` (see [`BufferPool::locate`]).
-    pages: Vec<Page>,
+    pages: Vec<Box<[u8; PAGE_SIZE]>>,
     lru: Lru<PageId, ()>,
 }
 
@@ -88,66 +69,6 @@ fn default_shards(capacity: usize) -> usize {
     1 << want.ilog2()
 }
 
-/// The page table as of one freeze: each shard's page vector, sharing
-/// every page with the live table until a write copies it.
-struct Frozen(Box<[Vec<Page>]>);
-
-thread_local! {
-    /// The pool a [`PinGuard`] routes this thread's reads of (by
-    /// address, only ever compared): null — the default everywhere,
-    /// including the ingest writer — and reads of any other pool see
-    /// the live table. Kept apart from the table so that every read
-    /// pays one `Cell` load and only reads of the pinned pool look at
-    /// the table.
-    static PINNED_POOL: Cell<*const BufferPool> = const { Cell::new(std::ptr::null()) };
-    /// The table the pinned pool's reads resolve against.
-    static PINNED_TABLE: RefCell<Option<Arc<Frozen>>> = const { RefCell::new(None) };
-}
-
-/// A reader's hold on one pool: the pool and a frozen page table of
-/// it, so the bytes the reader sees stay alive and unchanged for as
-/// long as the pin does. The pin itself does not redirect reads — wrap
-/// the reading code in [`PagePin::guard`] on each thread that executes
-/// a pinned query.
-pub struct PagePin {
-    pool: Arc<BufferPool>,
-    table: Arc<Frozen>,
-}
-
-impl PagePin {
-    /// The pool this pin reads.
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
-    }
-
-    /// Routes this thread's reads of the pinned pool to the pinned
-    /// table until the guard drops. Nestable; the previous pin (if any)
-    /// is restored.
-    pub fn guard(&self) -> PinGuard<'_> {
-        PinGuard {
-            prev: (
-                PINNED_POOL.replace(Arc::as_ptr(&self.pool)),
-                PINNED_TABLE.replace(Some(Arc::clone(&self.table))),
-            ),
-            _pin: PhantomData,
-        }
-    }
-}
-
-/// Thread-local scope during which reads of one pool resolve against a
-/// pinned table (see [`PagePin::guard`]).
-pub struct PinGuard<'a> {
-    prev: (*const BufferPool, Option<Arc<Frozen>>),
-    _pin: PhantomData<&'a PagePin>,
-}
-
-impl Drop for PinGuard<'_> {
-    fn drop(&mut self) {
-        PINNED_POOL.set(self.prev.0);
-        PINNED_TABLE.set(self.prev.1.take());
-    }
-}
-
 /// A shared sharded LRU cache of pages over a [`Pager`].
 ///
 /// All methods take `&self`; the pool is internally synchronized (one
@@ -160,14 +81,6 @@ pub struct BufferPool {
     /// log2 of the shard count.
     shard_bits: u32,
     capacity: usize,
-    /// The table new pins get: frozen at the last publish, or by the
-    /// last pin or round start that found writes since the freeze
-    /// before. Lock order: this lock, then a shard's.
-    frozen: Mutex<Arc<Frozen>>,
-    /// Set by every write and allocation, cleared by a freeze.
-    written: AtomicBool,
-    /// Set between [`BufferPool::begin_ingest`] and publish/abort.
-    ingest_active: AtomicBool,
 }
 
 impl BufferPool {
@@ -209,9 +122,6 @@ impl BufferPool {
             shards: (0..shards).map(|i| Mutex::new(shard(i))).collect(),
             shard_bits: shards.trailing_zeros(),
             capacity,
-            frozen: Mutex::new(Arc::new(Frozen(vec![Vec::new(); shards].into()))),
-            written: AtomicBool::new(false),
-            ingest_active: AtomicBool::new(false),
         }
     }
 
@@ -239,66 +149,6 @@ impl BufferPool {
         self.stats.snapshot()
     }
 
-    /// The live page table, frozen. Clears `written` first, so a write
-    /// racing the freeze is seen by the next one.
-    fn freeze(&self) -> Arc<Frozen> {
-        self.written.store(false, Ordering::Release);
-        let shards = self.shards.iter().map(|s| s.lock().pages.clone());
-        Arc::new(Frozen(shards.collect()))
-    }
-
-    /// Pins the page table for a new reader. Outside an ingest round,
-    /// writes since the last freeze are frozen first, so the pin sees
-    /// the pool as it stands; inside one, it gets the table the round
-    /// started from.
-    pub fn pin(self: &Arc<Self>) -> PagePin {
-        let mut table = self.frozen.lock();
-        if !self.ingest_active.load(Ordering::Acquire) && self.written.load(Ordering::Acquire) {
-            *table = self.freeze();
-        }
-        PagePin {
-            pool: Arc::clone(self),
-            table: Arc::clone(&table),
-        }
-    }
-
-    /// Enters ingest mode: until [`BufferPool::publish_ingest`] or
-    /// [`BufferPool::abort_ingest`], new pins get the table this round
-    /// starts from (frozen here when it has writes since the last
-    /// freeze).
-    ///
-    /// Single-writer protocol: the caller must serialize ingests
-    /// externally (the engine's shared wrapper holds its writer lock
-    /// across begin → publish).
-    pub fn begin_ingest(&self) {
-        let mut table = self.frozen.lock();
-        let already = self.ingest_active.swap(true, Ordering::AcqRel);
-        assert!(!already, "nested ingest: the writer must be serialized");
-        if self.written.load(Ordering::Acquire) {
-            *table = self.freeze();
-        }
-    }
-
-    /// Publishes the ingest round: freezes the page table for the pins
-    /// to come and leaves ingest mode. Call after the round's commit.
-    pub fn publish_ingest(&self) {
-        let mut table = self.frozen.lock();
-        *table = self.freeze();
-        self.ingest_active.store(false, Ordering::Release);
-    }
-
-    /// Rolls the in-flight ingest back: every page the round's table
-    /// starts from is put back as it was frozen, and ingest mode ends.
-    /// Pages allocated during the round are left unreferenced.
-    pub fn abort_ingest(&self) {
-        let table = self.frozen.lock();
-        for (shard, frozen) in self.shards.iter().zip(table.0.iter()) {
-            shard.lock().pages[..frozen.len()].clone_from_slice(frozen);
-        }
-        self.written.store(false, Ordering::Release);
-        self.ingest_active.store(false, Ordering::Release);
-    }
-
     /// Allocates a fresh zeroed page, resident.
     pub fn allocate_page(&self) -> Result<PageId> {
         let id = self.pager.allocate();
@@ -307,40 +157,24 @@ impl BufferPool {
         if shard.pages.len() <= slot {
             shard
                 .pages
-                .resize_with(slot + 1, || Arc::new([0u8; PAGE_SIZE]));
+                .resize_with(slot + 1, || Box::new([0u8; PAGE_SIZE]));
         }
         shard.lru.touch(id, || ());
-        self.written.store(true, Ordering::Release);
         Ok(id)
     }
 
     /// Runs `f` over an immutable view of page `id`.
     ///
     /// `f` runs under the page's shard lock; accesses to pages on other
-    /// shards proceed concurrently. A thread inside a [`PinGuard`] of
-    /// this pool reads the pinned table's bytes of a page written since
-    /// the pin's freeze — a logical read that leaves the LRU alone, as
-    /// the page's current bytes are not what it reads.
+    /// shards proceed concurrently.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&[u8; PAGE_SIZE]) -> R) -> Result<R> {
         let (s, slot) = self.locate(id);
         let mut shard = self.shards[s].lock();
-        if std::ptr::eq(PINNED_POOL.get(), self) {
-            let read = PINNED_TABLE.with_borrow(|table| {
-                let page = table.as_ref()?.0[s].get(slot)?;
-                (!Arc::ptr_eq(page, &shard.pages[slot])).then(|| Arc::clone(page))
-            });
-            if let Some(page) = read {
-                self.stats.record_logical_read();
-                return Ok(f(&page));
-            }
-        }
         self.fetch(&mut shard, id);
         Ok(f(&shard.pages[slot]))
     }
 
-    /// Runs `f` over a mutable view of page `id`. The page is copied
-    /// first only while a frozen table still shares it, so the readers
-    /// pinned at that table keep seeing the bytes they pinned.
+    /// Runs `f` over a mutable view of page `id`, in place.
     pub fn with_page_mut<R>(
         &self,
         id: PageId,
@@ -349,8 +183,7 @@ impl BufferPool {
         let (s, slot) = self.locate(id);
         let mut shard = self.shards[s].lock();
         self.fetch(&mut shard, id);
-        self.written.store(true, Ordering::Release);
-        Ok(f(Arc::make_mut(&mut shard.pages[slot])))
+        Ok(f(&mut shard.pages[slot]))
     }
 
     /// Drops every page from the LRU, so the next accesses are physical
@@ -540,127 +373,6 @@ mod tests {
             assert_eq!(d.physical_reads, 32, "{shards} shards");
             assert_eq!(d.logical_reads, 64, "{shards} shards");
         }
-    }
-
-    #[test]
-    fn pinned_reader_sees_pre_ingest_image() {
-        let pool = Arc::new(mem_pool(4));
-        let p = pool.allocate_page().unwrap();
-        pool.with_page_mut(p, |d| d[0] = 1).unwrap();
-        let pin = pool.pin();
-        pool.begin_ingest();
-        pool.with_page_mut(p, |d| d[0] = 2).unwrap();
-        // Unpinned (writer-side) reads see the in-flight bytes...
-        assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 2);
-        // ...pinned reads keep the frozen bytes, before and after
-        // publish.
-        {
-            let _g = pin.guard();
-            assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 1);
-        }
-        pool.publish_ingest();
-        {
-            let _g = pin.guard();
-            assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 1);
-        }
-        assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 2);
-        drop(pin);
-        let pin2 = pool.pin();
-        let _g = pin2.guard();
-        assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 2);
-    }
-
-    #[test]
-    fn pins_of_two_epochs_read_their_own_tables() {
-        let pool = Arc::new(mem_pool(4));
-        let p = pool.allocate_page().unwrap();
-        pool.with_page_mut(p, |d| d[0] = 10).unwrap();
-        let pin0 = pool.pin();
-        pool.begin_ingest();
-        pool.with_page_mut(p, |d| d[0] = 11).unwrap();
-        pool.publish_ingest();
-        let pin1 = pool.pin();
-        pool.begin_ingest();
-        pool.with_page_mut(p, |d| d[0] = 12).unwrap();
-        pool.publish_ingest();
-        {
-            let _g = pin0.guard();
-            assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 10, "epoch 0 view");
-            let _inner = pin1.guard();
-            assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 11, "epoch 1 view");
-        }
-        assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 12, "live view");
-    }
-
-    #[test]
-    fn pinned_view_survives_eviction_pressure() {
-        // Capacity 1: every access evicts. Frozen pages live outside the
-        // LRU budget, so pinned reads stay correct under churn.
-        let pool = Arc::new(BufferPool::with_shards(Pager::in_memory(), 1, 1));
-        let a = pool.allocate_page().unwrap();
-        let b = pool.allocate_page().unwrap();
-        pool.with_page_mut(a, |d| d[0] = 1).unwrap();
-        pool.with_page_mut(b, |d| d[0] = 2).unwrap();
-        let pin = pool.pin();
-        pool.begin_ingest();
-        pool.with_page_mut(a, |d| d[0] = 101).unwrap();
-        pool.with_page_mut(b, |d| d[0] = 102).unwrap();
-        pool.publish_ingest();
-        let _g = pin.guard();
-        for _ in 0..3 {
-            assert_eq!(pool.with_page(a, |d| d[0]).unwrap(), 1);
-            assert_eq!(pool.with_page(b, |d| d[0]).unwrap(), 2);
-        }
-    }
-
-    /// Writes outside an ingest round are frozen by the next pin: the
-    /// pin sees them, and later writes do not reach it.
-    #[test]
-    fn a_pin_outside_a_round_freezes_the_writes_before_it() {
-        let pool = Arc::new(mem_pool(4));
-        let p = pool.allocate_page().unwrap();
-        let first = pool.pin();
-        pool.with_page_mut(p, |d| d[0] = 1).unwrap();
-        let second = pool.pin();
-        pool.with_page_mut(p, |d| d[0] = 2).unwrap();
-        for (pin, want) in [(&first, 0), (&second, 1)] {
-            let _g = pin.guard();
-            assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), want);
-        }
-        assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 2);
-    }
-
-    /// A guard routes reads of its own pool only: the same page id in
-    /// another pool reads that pool's live bytes.
-    #[test]
-    fn a_pin_routes_only_its_own_pool() {
-        let (a, b) = (Arc::new(mem_pool(4)), Arc::new(mem_pool(4)));
-        let (pa, pb) = (a.allocate_page().unwrap(), b.allocate_page().unwrap());
-        assert_eq!(pa, pb);
-        let pin = a.pin();
-        a.with_page_mut(pa, |d| d[0] = 1).unwrap();
-        b.with_page_mut(pb, |d| d[0] = 2).unwrap();
-        let _g = pin.guard();
-        assert_eq!(a.with_page(pa, |d| d[0]).unwrap(), 0, "pinned");
-        assert_eq!(b.with_page(pb, |d| d[0]).unwrap(), 2, "not pinned");
-    }
-
-    #[test]
-    fn abort_ingest_puts_the_frozen_table_back() {
-        let pool = Arc::new(mem_pool(4));
-        let p = pool.allocate_page().unwrap();
-        pool.with_page_mut(p, |d| d[0] = 5).unwrap();
-        pool.begin_ingest();
-        pool.with_page_mut(p, |d| d[0] = 99).unwrap();
-        let junk = pool.allocate_page().unwrap();
-        pool.with_page_mut(junk, |d| d[0] = 77).unwrap();
-        pool.abort_ingest();
-        assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 5, "rolled back");
-        // A later ingest starts from the restored state.
-        pool.begin_ingest();
-        pool.with_page_mut(p, |d| d[0] = 6).unwrap();
-        pool.publish_ingest();
-        assert_eq!(pool.with_page(p, |d| d[0]).unwrap(), 6);
     }
 
     /// Pools over pagers that share one set of counters count into it

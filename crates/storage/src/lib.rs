@@ -6,9 +6,8 @@
 //!
 //! * [`Pager`] — the page-id counter and I/O counters of a page space,
 //! * [`BufferPool`] — a page cache: the pages themselves, each held
-//!   once, the copy-on-write freeze of that table a reader pins, and a
-//!   fixed-capacity *sharded* LRU over their ids (one lock per shard,
-//!   so concurrent queries don't serialize on a global mutex) that
+//!   once, and a fixed-capacity *sharded* LRU over their ids (one lock
+//!   per shard, so concurrent queries don't serialize on a global mutex) that
 //!   counts logical and physical page accesses ([`IoStats`]); clearing
 //!   the pool ([`BufferPool::clear`]) gives the cold-cache runs the
 //!   paper measures with direct I/O,
@@ -40,7 +39,7 @@ pub mod sync;
 pub mod wal;
 
 pub use bptree::BPlusTree;
-pub use buffer::{BufferPool, PagePin, PinGuard};
+pub use buffer::BufferPool;
 pub use crc::crc32;
 pub use error::{Result, StorageError};
 pub use lru::Lru;

@@ -53,11 +53,11 @@ pub const OVERFLOW_THRESHOLD: usize = PAGE_SIZE / 2;
 
 /// An append-only heap of byte records over a shared [`BufferPool`].
 ///
-/// `Clone` duplicates the handle, sharing pages: existing records stay
-/// readable by id through either handle. Appending through more than
-/// one clone of the same store corrupts the shared fill page — treat
-/// clones as read-only snapshot views (the engine's single-writer
-/// ingest is the only appender).
+/// `Clone` duplicates the handle, sharing pages: a record stays
+/// readable by id through either handle, and no append moves it.
+/// Appending through more than one clone of the same store corrupts the
+/// shared fill page, so a store has one appender (the engine's delta
+/// shares one handle under a lock).
 #[derive(Clone)]
 pub struct RecordStore {
     pool: Arc<BufferPool>,

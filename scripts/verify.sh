@@ -40,9 +40,9 @@ cargo run --release --offline --quiet --manifest-path crates/bench/examples/prix
 # codegen could perturb.
 cargo test --release --test concurrency --offline --locked
 # The storage crate's suites rerun with it: the pool's model test
-# drives pins, publishes and aborts over random shard counts, and its
-# unit tests race readers across shards — copy-on-write page tables
-# whose races only get tight under optimized codegen.
+# drives reads, writes and clears over random shard counts, and its
+# unit tests race readers across shards — races that only get tight
+# under optimized codegen.
 cargo test --release -p prix-storage --offline --locked
 cargo test --release --test server --offline --locked
 cargo test --release --test executor_stream --offline --locked
@@ -219,9 +219,12 @@ echo "live-ingest smoke OK (count $BEFORE -> $AFTER on port $PORT)"
 
 # Batch-log smoke with a real SIGKILL: a serving writer acknowledges
 # several POSTs — each one log record and one fsync, nothing else
-# written — and is then killed outright. fsck must find those commits
-# in the log and replay them, come out clean, and a count query must
-# see every acknowledged document.
+# written — and is then killed outright. The POSTs come from a
+# background loop while the foreground queries: every count a reader
+# gets is a published epoch's, so it never goes down and never passes
+# the documents sent. fsck must find the commits in the log and replay
+# them, come out clean, and a count query must see every acknowledged
+# document.
 "$PRIX" serve "$SMOKE/db.prix" --addr 127.0.0.1:0 --ingest >"$SMOKE/kill.log" 2>&1 &
 SERVE_PID=$!
 PORT=
@@ -236,7 +239,18 @@ ACKED=4
 for i in $(seq 1 "$ACKED"); do
   RESP=$(http /documents POST "<www><key>smoke/kill$i</key><editor>Kill Smoke</editor><url>http://example.org/kill$i</url></www>")
   grep -q '200 OK' <<<"$RESP" || { echo "batch-log smoke: POST #$i failed" >&2; echo "$RESP" >&2; exit 1; }
+done &
+POSTS_PID=$!
+SEEN=$BEFORE
+for _ in $(seq 1 20); do
+  N=$(count_of "$(http "$Q")")
+  [ -n "$N" ] && [ "$N" -ge "$SEEN" ] && [ "$N" -le "$((BEFORE + ACKED))" ] || {
+    echo "batch-log smoke: //www/url count $SEEN -> ${N:-none} while $ACKED POSTs ran from $BEFORE" >&2
+    kill "$POSTS_PID" 2>/dev/null; kill -9 "$SERVE_PID"; exit 1
+  }
+  SEEN=$N
 done
+wait "$POSTS_PID" || { echo "batch-log smoke: a POST failed" >&2; kill -9 "$SERVE_PID"; exit 1; }
 kill -9 "$SERVE_PID"
 wait "$SERVE_PID" 2>/dev/null || true
 "$PRIX" fsck "$SMOKE/db.prix" >"$SMOKE/fsck.log" || { echo "fsck failed after killing the writer" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }

@@ -4,14 +4,17 @@
 //! simultaneously, and the pool's eviction, clearing, and I/O
 //! accounting must stay correct under contention.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
 use prix::core::index::IndexError;
 use prix::core::{
-    parse_xpath, EngineConfig, ExecOpts, IndexKind, PrixEngine, PrixIndex, TwigMatch, TwigQuery,
+    parse_xpath, EngineConfig, EngineSnapshot, ExecOpts, IndexKind, PrixEngine, PrixIndex,
+    SharedEngine, TwigMatch, TwigQuery,
 };
 use prix::datagen::{generate, queries::queries_for, Dataset};
 use prix::storage::{BufferPool, Pager};
+use prix::xml::Collection;
 
 /// Drains `q` off a bare index, default options.
 fn run(idx: &PrixIndex, q: &TwigQuery) -> Vec<TwigMatch> {
@@ -247,4 +250,84 @@ fn sharded_cold_io_matches_single_shard_pool() {
         "16-shard cold I/O deviates from global LRU"
     );
     assert!(per_shard[0].iter().any(|&r| r > 0), "workload read pages");
+}
+
+/// Readers hold views of the delta and query them again and again
+/// while the writer ingests 3 000 documents into it — enough to split
+/// the roots of both indexes' Trie-Symbol and Docid trees and of both
+/// value trees, which every view shares with the writer. Every answer a
+/// view gives must be its first one.
+#[test]
+fn views_race_a_writer_that_splits_every_delta_root() {
+    // Element names from six per slot vary the RP trie; values from a
+    // few per slot vary the EP trie, no trie node ever having more than
+    // seven children, so no scope runs out.
+    let doc = |i: usize| {
+        let (a, b, c) = (i % 6, (i / 6) % 6, (i / 36) % 6);
+        format!(
+            "<e><k>K</k><a{a}>{}</a{a}><b{b}>{}</b{b}><c{c}>w{}</c{c}></e>",
+            i % 7,
+            i % 5,
+            i % 3
+        )
+    };
+    let engine = PrixEngine::build(Collection::new(), EngineConfig::default()).unwrap();
+    let shared = SharedEngine::new(engine);
+    let xpaths = [
+        "//e[./k]/a1",
+        r#"//e[./b2="3"]/k"#,
+        "//e[c0]/b1",
+        "//e[a4 > 2]",
+    ];
+    let answers = |view: &EngineSnapshot| -> Vec<Vec<TwigMatch>> {
+        let one = ExecOpts::new().with_limit(1);
+        xpaths
+            .iter()
+            .map(|xp| view.parse_query(xp).unwrap())
+            .flat_map(|q| [view.query(&q).unwrap(), view.query_opts(&q, &one).unwrap()])
+            .map(|out| out.matches)
+            .collect()
+    };
+    let batches: Vec<Vec<String>> = (0..120)
+        .map(|b| (25 * b..25 * (b + 1)).map(doc).collect())
+        .collect();
+    let ingest = |docs: &[String]| {
+        let report = shared.ingest(docs).map_err(|e| e.to_string())?;
+        match report.rejected.first() {
+            Some(r) => Err(format!("{r:?}")),
+            None => Ok(()),
+        }
+    };
+    // The readers start on a delta with documents in it, and stop once
+    // the writer has stopped, whether it finished or failed.
+    ingest(&batches[0]).unwrap();
+    let started = Barrier::new(3);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                let mut held: Vec<(Arc<EngineSnapshot>, Vec<Vec<TwigMatch>>)> = Vec::new();
+                started.wait();
+                while !done.load(Ordering::Acquire) {
+                    let view = shared.snapshot();
+                    let first = answers(&view);
+                    held.push((view, first));
+                    if held.len() > 6 {
+                        held.remove(0);
+                    }
+                    for (view, first) in &held {
+                        assert_eq!(&answers(view), first, "epoch {}", view.epoch());
+                    }
+                }
+            });
+        }
+        started.wait();
+        let ingested: Result<(), String> = batches[1..].iter().try_for_each(|b| ingest(b));
+        done.store(true, Ordering::Release);
+        ingested.unwrap();
+    });
+    let view = shared.snapshot();
+    assert_eq!(view.mutable_docs(), 3000);
+    let all = answers(&view);
+    assert_eq!(all[0].len(), 500, "{}", xpaths[0]);
 }

@@ -475,12 +475,10 @@ impl KillIn {
 /// One acknowledged ingest round on a bare engine — the four steps
 /// `SharedEngine::ingest` takes. Returns the documents it accepted.
 fn ingest_round(engine: &mut PrixEngine, batch: &[String]) -> Result<Vec<String>, String> {
-    engine.pool().begin_ingest();
     let out = engine.ingest_batch(batch).map_err(|e| e.to_string())?;
     if !out.accepted.is_empty() {
         engine.save().map_err(|e| e.to_string())?;
     }
-    engine.pool().publish_ingest();
     Ok(batch
         .iter()
         .enumerate()

@@ -157,11 +157,9 @@ const BODY_FRAMING: u64 = 5;
 /// Ingests `batch` through the four steps `SharedEngine::ingest`
 /// takes, all of it accepted.
 fn commit(engine: &mut PrixEngine, batch: &[String]) {
-    engine.pool().begin_ingest();
     let out = engine.ingest_batch(batch).unwrap();
     assert!(out.rejected.is_empty(), "{:?}", out.rejected.first());
     engine.save().unwrap();
-    engine.pool().publish_ingest();
 }
 
 #[test]

@@ -135,14 +135,15 @@ pub(crate) fn write_symbol_run(
     Ok(())
 }
 
-/// The empty delta in `pool` — both indexes, then the value index, the
-/// order its pages have always been allocated in — with `dummy` as the
-/// label extended sequences hang under every leaf.
+/// The empty delta — both indexes, whose record stores take the pool's
+/// first two pages, RP's first, then the value index, which is all in
+/// memory — with `dummy` as the label extended sequences hang under
+/// every leaf.
 fn empty_delta(pool: &Arc<BufferPool>, dummy: Sym) -> Result<(PrixIndex, PrixIndex, Valix)> {
     Ok((
         PrixIndex::empty(Arc::clone(pool), IndexKind::Regular, dummy)?,
         PrixIndex::empty(Arc::clone(pool), IndexKind::Extended, dummy)?,
-        Valix::create(Arc::clone(pool))?,
+        Valix::create(),
     ))
 }
 

@@ -5,13 +5,15 @@
 //! Extended-Prüfer sequences. Both consist of
 //!
 //! * the **Trie-Symbol index** — the virtual trie's labeled nodes keyed
-//!   by `(symbol, LeftPos)` in a B⁺-tree (one logical index per tag,
-//!   stored as a composite key so sparsely-used tags share pages),
+//!   by `(symbol, LeftPos)` (one logical index per tag, stored under a
+//!   composite key): a segment's tag rows in a tier, an ordered map in
+//!   the delta,
 //! * the **Docid index** — document ids keyed by the LeftPos of the trie
-//!   node where each LPS ends,
+//!   node where each LPS ends: a segment's doc-end rows, or an ordered
+//!   map in the delta,
 //! * one record per document (NPS, LPS, leaf list, and for EPIndex the
 //!   extended→original postorder map: [`encode_doc_record`]) in a
-//!   [`RecordStore`],
+//!   segment's record section, or in the delta's [`RecordStore`],
 //! * the per-label [`MaxGapTable`] (§5.4).
 //!
 //! Query execution is Algorithm 1 (`FindSubsequence` by range queries,
@@ -19,16 +21,14 @@
 //! refinement phases), producing the set of twig matches with their
 //! embeddings.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
-use std::ops::Bound;
+use std::ops::Bound::{Excluded, Included};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 use prix_prufer::{EdgeKind, ExtendedTree, MaxGapTable, PruferSeq};
-use prix_storage::{
-    BPlusTree, BufferPool, RecordId, RecordStore, SegmentReader, StorageError, SEG_KIND_RP,
-};
+use prix_storage::{BufferPool, RecordId, RecordStore, SegmentReader, StorageError, SEG_KIND_RP};
 use prix_xml::{DocId, PostNum, Sym, XmlTree};
 
 use crate::query::TwigQuery;
@@ -232,9 +232,9 @@ pub struct BuildStats {
 /// the delta while the writer keeps inserting (DESIGN.md §10).
 ///
 /// Two backings exist behind one query interface: the **mutable tier**
-/// (B⁺-trees and a record store through the buffer pool, the only tier
-/// that accepts inserts, always begun [`PrixIndex::empty`]) and
-/// **immutable segments** (the bulk-built
+/// (ordered maps in memory and a record store in the buffer pool, the
+/// only tier that accepts inserts, always begun [`PrixIndex::empty`])
+/// and **immutable segments** (the bulk-built
 /// implicit-tree files of `prix_storage::segment`, read through their
 /// own block cache). The executor is backing-agnostic — it only sees
 /// [`PrixIndex::scan_tag_range`] / [`PrixIndex::scan_docids`] /
@@ -268,12 +268,14 @@ enum Backing {
     Seg(Arc<SegmentReader>),
 }
 
-/// The mutable tier: the trees and records live in buffer-pool pages.
+/// The mutable tier: its indexes are ordered maps, its records live in
+/// buffer-pool pages.
 struct TreeBacking {
-    /// Trie-Symbol index: [`tag_key`] → [`tag_val`].
-    tag_index: BPlusTree,
-    /// Docid index: key = left(8, BE), value = doc(4, LE).
-    docid_index: BPlusTree,
+    /// Trie-Symbol index: `(sym, left)` → `(right, level, fine_gap)`.
+    tags: BTreeMap<(Sym, u64), (u64, u32, u32)>,
+    /// Docid index: `left` → the local ids of the documents whose LPS
+    /// ends on that node, in insert order, which is ascending.
+    ends: BTreeMap<u64, Vec<u32>>,
     /// The frontier of every trie node with a child, by its `left`
     /// (the virtual root's is 0): only [`PrixIndex::insert`] reads it.
     frontiers: HashMap<u64, u64>,
@@ -300,35 +302,6 @@ impl TreeBacking {
 pub(crate) fn half_changed<T>(_: T) -> IndexError {
     IndexError::Unsupported(
         "the delta was left half-changed by a failed insert; reopen the database".into(),
-    )
-}
-
-/// Trie-Symbol index key: sym(4, BE) ++ left(8, BE).
-fn tag_key(sym: Sym, left: u64) -> [u8; 12] {
-    let mut k = [0u8; 12];
-    k[..4].copy_from_slice(&sym.0.to_be_bytes());
-    k[4..].copy_from_slice(&left.to_be_bytes());
-    k
-}
-
-/// Trie-Symbol index value: right(8, LE) ++ level(4, LE) ++
-/// fine_gap(4, LE).
-fn tag_val(right: u64, level: u32, fine_gap: u32) -> [u8; 16] {
-    let mut v = [0u8; 16];
-    v[..8].copy_from_slice(&right.to_le_bytes());
-    v[8..12].copy_from_slice(&level.to_le_bytes());
-    v[12..].copy_from_slice(&fine_gap.to_le_bytes());
-    v
-}
-
-/// A Trie-Symbol entry as `(left, right, level, fine_gap)`: the inverse
-/// of [`tag_key`] and [`tag_val`].
-fn tag_row(k: &[u8], v: &[u8]) -> (u64, u64, u32, u32) {
-    (
-        u64::from_be_bytes(k[4..12].try_into().unwrap()),
-        u64::from_le_bytes(v[..8].try_into().unwrap()),
-        u32::from_le_bytes(v[8..12].try_into().unwrap()),
-        u32::from_le_bytes(v[12..16].try_into().unwrap()),
     )
 }
 
@@ -411,24 +384,21 @@ pub(crate) struct DocData {
 }
 
 impl PrixIndex {
-    /// The empty delta index of `kind` in `pool`: an empty record
-    /// store and empty Trie-Symbol and Docid indexes under the virtual
-    /// root, whose scope `(0, u64::MAX]` is all headroom for
+    /// The empty delta index of `kind`: an empty record store in `pool`
+    /// and empty Trie-Symbol and Docid indexes under the virtual root,
+    /// whose scope `(0, u64::MAX]` is all headroom for
     /// [`PrixIndex::insert`]. `dummy` is the label used for the §5.6
     /// leaf extension (EPIndex only); it must not be used as a query
     /// label.
     pub fn empty(pool: Arc<BufferPool>, kind: IndexKind, dummy: Sym) -> Result<Self> {
-        // Pages are allocated in this order, the order every delta has
-        // had: a query's cold page count depends on which ids it reads.
-        let store = RecordStore::create(Arc::clone(&pool))?;
-        let tag_index = BPlusTree::create(Arc::clone(&pool))?;
-        let docid_index = BPlusTree::create(pool)?;
+        // The record store's first page is the index's only one: a
+        // query's cold page count depends on which ids its records got.
         let body = TreeBacking {
-            tag_index,
-            docid_index,
+            tags: BTreeMap::new(),
+            ends: BTreeMap::new(),
             frontiers: HashMap::new(),
             docs: Vec::new(),
-            store,
+            store: RecordStore::create(pool)?,
         };
         Ok(PrixIndex {
             kind,
@@ -473,7 +443,7 @@ impl PrixIndex {
         let mut cur = t.node(0, u64::MAX, u32::MAX);
         for (i, &sym) in lps.iter().enumerate() {
             let level = (i + 1) as u32;
-            match find_child(&t, &cur, sym, level)? {
+            match find_child(&t, &cur, sym, level) {
                 Some(child) => cur = child,
                 None => {
                     scope_left(&cur, level, (lps.len() - i) as u64)?;
@@ -503,16 +473,15 @@ impl PrixIndex {
         let mut cur = t.node(0, u64::MAX, u32::MAX);
         for (i, &sym) in lps.iter().enumerate() {
             let level = (i + 1) as u32;
-            match find_child(&t, &cur, sym, level)? {
+            match find_child(&t, &cur, sym, level) {
                 Some(child) => {
-                    // Shared prefix: refresh the per-node fine gap, which
+                    // Shared prefix: raise the per-node fine gap, which
                     // only grows (a view pruning by a larger gap prunes
                     // less, never wrongly).
                     if child.fine_gap != u32::MAX && gaps[i] > child.fine_gap {
-                        let key = tag_key(sym, child.left);
-                        t.tag_index.delete(&key, None)?;
-                        t.tag_index
-                            .insert(&key, &tag_val(child.right, level, gaps[i]))?;
+                        if let Some(row) = t.tags.get_mut(&(sym, child.left)) {
+                            row.2 = gaps[i];
+                        }
                     }
                     cur = child;
                 }
@@ -523,10 +492,8 @@ impl PrixIndex {
                     let child = t.node(cur.frontier + 1, cur.frontier + share, gaps[i]);
                     // The child's entry, and the parent's advanced
                     // frontier.
-                    t.tag_index.insert(
-                        &tag_key(sym, child.left),
-                        &tag_val(child.right, level, child.fine_gap),
-                    )?;
+                    let row = (child.right, level, child.fine_gap);
+                    t.tags.insert((sym, child.left), row);
                     t.frontiers.insert(cur.left, child.right);
                     self.build_stats.trie_nodes += 1;
                     cur = child;
@@ -535,8 +502,7 @@ impl PrixIndex {
         }
         // Document endpoint and record.
         let local = t.docs.len() as u32;
-        t.docid_index
-            .insert(&cur.left.to_be_bytes(), &local.to_le_bytes())?;
+        t.ends.entry(cur.left).or_default().push(local);
         let rec = t.store.append(&encode_doc_record(&art.data))?;
         t.docs.push(rec);
         *count = t.docs.len();
@@ -817,20 +783,12 @@ impl PrixIndex {
         qr: u64,
     ) -> Result<Vec<(u64, u64, u32, u32)>> {
         match &self.backing {
-            Backing::Tree(..) => {
-                let lo = tag_key(sym, ql);
-                let hi = tag_key(sym, qr);
-                let mut hits: Vec<(u64, u64, u32, u32)> = Vec::new();
-                self.tree()?.tag_index.scan(
-                    Bound::Excluded(&lo),
-                    Bound::Included(&hi),
-                    |k, v| {
-                        hits.push(tag_row(k, v));
-                        true
-                    },
-                )?;
-                Ok(hits)
-            }
+            Backing::Tree(..) => Ok(self
+                .tree()?
+                .tags
+                .range((Excluded((sym, ql)), Included((sym, qr))))
+                .map(|(&(_, left), &(right, level, gap))| (left, right, level, gap))
+                .collect()),
             Backing::Seg(r) => Ok(r.scan_tag_range(sym.0, ql, qr)?),
         }
     }
@@ -848,19 +806,10 @@ impl PrixIndex {
         let base = self.doc_base;
         match &self.backing {
             Backing::Tree(_, count) => {
-                let lo = left.to_be_bytes();
-                let hi = right.to_be_bytes();
-                self.tree()?.docid_index.scan(
-                    Bound::Included(&lo),
-                    Bound::Included(&hi),
-                    |_, v| {
-                        let local = u32::from_le_bytes(v.try_into().unwrap());
-                        if (local as usize) < *count {
-                            out.push_back(base + local);
-                        }
-                        true
-                    },
-                )?;
+                for locals in self.tree()?.ends.range(left..=right).map(|(_, v)| v) {
+                    let seen = locals.iter().take_while(|&&l| (l as usize) < *count);
+                    out.extend(seen.map(|&l| base + l));
+                }
             }
             Backing::Seg(r) => {
                 r.scan_docids(left, right, &mut |d| out.push_back(base + d))?;
@@ -921,19 +870,11 @@ fn needs_delta() -> IndexError {
 
 /// The direct child of `cur` labeled `sym` (a trie node at exactly
 /// `level` inside `cur`'s scope) in the delta `t`, if present.
-fn find_child(t: &TreeBacking, cur: &DeltaNode, sym: Sym, level: u32) -> Result<Option<DeltaNode>> {
-    let lo = tag_key(sym, cur.left);
-    let hi = tag_key(sym, cur.right);
-    let mut found = None;
-    t.tag_index
-        .scan(Bound::Excluded(&lo), Bound::Included(&hi), |k, v| {
-            let (left, right, l, fine_gap) = tag_row(k, v);
-            if l == level {
-                found = Some(t.node(left, right, fine_gap));
-            }
-            found.is_none()
-        })?;
-    Ok(found)
+fn find_child(t: &TreeBacking, cur: &DeltaNode, sym: Sym, level: u32) -> Option<DeltaNode> {
+    t.tags
+        .range((Excluded((sym, cur.left)), Included((sym, cur.right))))
+        .find(|(_, &(_, l, _))| l == level)
+        .map(|(&(_, left), &(right, _, fine_gap))| t.node(left, right, fine_gap))
 }
 
 /// The positions `cur` can still hand to a fresh child at `level`, or

@@ -11,7 +11,7 @@
 //!       │             │             │
 //!       ▼             ▼             ▼
 //!  NPS + leaf     virtual trie    filtering by subsequence matching
-//!  records        (B⁺-trees)      (Algorithm 1 + MaxGap pruning)
+//!  records        (sorted rows)   (Algorithm 1 + MaxGap pruning)
 //!                                   │
 //!                                   ▼
 //!                                 refinement: connectedness,

@@ -1029,6 +1029,39 @@ mod tests {
         assert_eq!((a[0].len(), a[1].len()), (1, 20));
     }
 
+    /// A limited query answers in trie-arrival order; documents that
+    /// end on one trie node arrive in id order from a delta as from a
+    /// tier, however many share it, and the delta's answer is the tier
+    /// it compacts into.
+    #[test]
+    fn a_limited_query_over_the_delta_answers_like_a_tier() {
+        let doc = "<a><b><c>v</c></b><d/></a>";
+        let mut c = Collection::new();
+        for _ in 0..2000 {
+            c.add_xml(doc).unwrap();
+        }
+        let tier = PrixEngine::build(c, EngineConfig::default()).unwrap();
+        let mut delta = PrixEngine::build(Collection::new(), EngineConfig::default()).unwrap();
+        for _ in 0..2000 {
+            delta.insert_document(doc).unwrap();
+        }
+        assert_eq!(delta.mutable_docs(), 2000);
+        let answers = |e: &PrixEngine| {
+            let view = e.snapshot();
+            let q = view.parse_query("//a[./b/c]/d").unwrap();
+            [300, 1000].map(|limit| {
+                let out = view.query_opts(&q, &ExecOpts::new().with_limit(limit));
+                out.unwrap().matches
+            })
+        };
+        let want = answers(&tier);
+        let docs: Vec<DocId> = want[0].iter().map(|m| m.doc).collect();
+        assert_eq!(docs, (0..300).collect::<Vec<_>>());
+        assert_eq!(answers(&delta), want);
+        assert!(delta.compact().unwrap());
+        assert_eq!(answers(&delta), want, "the tier the delta compacted into");
+    }
+
     #[test]
     fn explain_describes_the_plan() {
         let eng = engine();

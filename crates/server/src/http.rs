@@ -184,14 +184,14 @@ fn percent_decode_impl(s: &str, plus_is_space: bool) -> Result<String, HttpError
                 i += 1;
             }
             b'%' => {
-                let hex = bytes
-                    .get(i + 1..i + 3)
-                    .ok_or_else(|| HttpError::BadRequest("truncated %-escape".into()))?;
-                let hex = std::str::from_utf8(hex)
-                    .map_err(|_| HttpError::BadRequest("bad %-escape".into()))?;
-                let v = u8::from_str_radix(hex, 16)
-                    .map_err(|_| HttpError::BadRequest(format!("bad %-escape `%{hex}`")))?;
-                out.push(v);
+                // Exactly two hex digits (`u8::from_str_radix` would also
+                // take a sign: `%+5`).
+                let digit = |at: usize| bytes.get(at).and_then(|&b| (b as char).to_digit(16));
+                let (hi, lo) = digit(i + 1).zip(digit(i + 2)).ok_or_else(|| {
+                    let esc = String::from_utf8_lossy(&bytes[i..bytes.len().min(i + 3)]);
+                    HttpError::BadRequest(format!("bad %-escape `{esc}`"))
+                })?;
+                out.push((hi << 4 | lo) as u8);
                 i += 3;
             }
             b => {
@@ -568,6 +568,66 @@ mod tests {
         // The path variant decodes escapes but leaves `+` alone.
         assert_eq!(percent_decode_path("a%2Fb%20c+d").unwrap(), "a/b c+d");
         assert!(percent_decode_path("%zz").is_err());
+    }
+
+    /// An escape is `%` and exactly two hex digits: a sign is not a
+    /// digit, so `%+5` is not byte 5.
+    #[test]
+    fn a_percent_escape_is_two_hex_digits() {
+        for bad in ["%+5", "%+f", "%-1", "a%+2b", "%5", "%é"] {
+            assert!(percent_decode_form(bad).is_err(), "{bad}");
+            assert!(percent_decode_path(bad).is_err(), "{bad}");
+        }
+        let err = parse(b"GET /query?xp=%2F%2Fa%+2b HTTP/1.1\r\n\r\n").unwrap_err();
+        assert_eq!(err.status(), 400, "{err}");
+        assert_eq!(percent_decode_form("%4a%4A%7e").unwrap(), "JJ~");
+    }
+
+    /// `read_request` reads every prefix of a pipelined POST + GET, and
+    /// 2 000 seeded mutations of it, to an error or the end of the
+    /// input — never a panic.
+    #[test]
+    fn read_request_never_panics_on_hostile_bytes() {
+        let good: &[u8] = b"POST /documents?x=%2Fa+b HTTP/1.1\r\nHost: prix\r\n\
+            Content-Length: 11\r\n\r\n<a><b/></a>\
+            GET /query?xp=%2F%2Fa&limit=3 HTTP/1.0\r\nConnection: keep-alive\r\n\r\n";
+        let read_all = |bytes: &[u8]| {
+            let mut r = BufReader::new(bytes);
+            let mut n = 0;
+            let read = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                while let Ok(Some(_)) = read_request(&mut r) {
+                    n += 1;
+                }
+            }));
+            assert!(read.is_ok(), "read_request panicked on {bytes:?}");
+            n
+        };
+        assert_eq!(read_all(good), 2, "both requests of the valid input");
+        for end in 0..good.len() {
+            read_all(&good[..end]);
+        }
+        // SplitMix64, seeded: the mutations are the same on every run.
+        let mut state = 0x5eed_0030_u64;
+        let mut below = |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        for _ in 0..2000 {
+            let mut bytes = good.to_vec();
+            for _ in 0..=below(3) {
+                let at = below(bytes.len() as u64) as usize;
+                bytes[at] = match below(3) {
+                    0 => bytes[at] ^ (1 << below(8)),
+                    1 => below(256) as u8,
+                    // Bytes the parser splits and decodes on.
+                    _ => b"%+:\r\n 0"[below(7) as usize],
+                };
+            }
+            read_all(&bytes);
+        }
     }
 
     #[test]

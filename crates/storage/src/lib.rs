@@ -13,8 +13,9 @@
 //!   paper measures with direct I/O,
 //! * [`Lru`] — the one LRU policy, which the pool's shards, every
 //!   tier's block cache and the server's caches keep,
-//! * [`BPlusTree`] — a B⁺-tree over byte-string keys (memcmp order) with
-//!   duplicate-key support, point/range scans, and sorted bulk loading,
+//! * [`BPlusTree`] — a read-only B⁺-tree over byte-string keys (memcmp
+//!   order), bulk-loaded from sorted entries (duplicates kept in load
+//!   order), with point and range scans: ViST's indexes,
 //! * [`RecordStore`] — a heap file for variable-length records (NPS
 //!   arrays, leaf-node lists, positional streams) with overflow chains,
 //! * [`segment`] — the immutable tier files and the manifest naming

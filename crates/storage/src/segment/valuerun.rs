@@ -20,7 +20,7 @@
 //!   `n: u16`, then `n` entries `klen: u16 | key | doc: u32 | post: u32`
 //!   in ascending `(key, doc, post)` order, then zeros. An entry never
 //!   spans a block. Keys are opaque here but for their 4-byte big-endian
-//!   tag prefix; the core layer writes the bytes its B⁺-trees use.
+//!   tag prefix; the core layer writes the bytes its delta's maps use.
 //! * **fences** — `klen | key` of every block's first entry, resident
 //!   after open: one binary search picks the block a scan starts in.
 //! * **tags** — the sorted distinct tag prefixes of each section,

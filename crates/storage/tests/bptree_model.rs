@@ -1,120 +1,89 @@
-//! Model-based property test: the B+-tree behaves exactly like an
-//! ordered multimap (`BTreeMap<key, Vec<value>>`) under random
-//! interleavings of inserts, duplicate inserts, deletes, point lookups,
-//! and range scans.
+//! Model-based property test: a B+-tree bulk-loaded from sorted random
+//! entries (duplicate keys included) answers point lookups and bounded
+//! range scans exactly like the entries themselves — equal keys in the
+//! order they were loaded.
 
-use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::Arc;
 
 use prix_storage::{BPlusTree, BufferPool, Pager};
 use prix_testkit::{check, from_fn, vec_of, Config, Generator};
 
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(u16, u8),
-    Delete(u16),
-    DeleteExact(u16, u8),
-    Get(u16),
-    Scan(u16, u16),
-}
-
-/// Weighted op mix (4 insert : 1 delete : 1 delete-exact : 2 get :
-/// 1 scan), keys in a small space so collisions and duplicates happen.
-fn arb_op() -> impl Generator<Value = Op> {
-    from_fn(|rng| {
-        let k = rng.below(512) as u16;
-        match rng.below(9) {
-            0..=3 => Op::Insert(k, rng.below(256) as u8),
-            4 => Op::Delete(k),
-            5 => Op::DeleteExact(k, rng.below(256) as u8),
-            6 | 7 => Op::Get(k),
-            _ => Op::Scan(k, rng.below(512) as u16),
-        }
-    })
+/// One entry: a key from a small space, so duplicates happen, and the
+/// byte its value repeats.
+fn arb_entry() -> impl Generator<Value = (u16, u8)> {
+    from_fn(|rng| (rng.below(512) as u16, rng.below(256) as u8))
 }
 
 fn key(k: u16) -> [u8; 2] {
     k.to_be_bytes()
 }
 
-#[test]
-fn bptree_matches_ordered_multimap() {
-    let ops_gen = vec_of(1, 400, arb_op());
-    check(
-        "bptree_matches_ordered_multimap",
-        &Config::cases(64),
-        &ops_gen,
-        |ops| {
-            let pool = Arc::new(BufferPool::new(Pager::in_memory(), 16));
-            let mut tree = BPlusTree::create(pool).unwrap();
-            let mut model: BTreeMap<u16, Vec<u8>> = BTreeMap::new();
+/// A value long enough that a few hundred entries fill several leaves.
+fn val(v: u8) -> Vec<u8> {
+    vec![v; 40]
+}
 
-            for op in ops {
-                match *op {
-                    Op::Insert(k, v) => {
-                        tree.insert(&key(k), &[v]).unwrap();
-                        model.entry(k).or_default().push(v);
-                    }
-                    Op::Delete(k) => {
-                        let removed = tree.delete(&key(k), None).unwrap();
-                        let expected = model.remove(&k).map_or(0, |v| v.len());
-                        assert_eq!(removed, expected, "delete all {k}");
-                    }
-                    Op::DeleteExact(k, v) => {
-                        let removed = tree.delete(&key(k), Some(&[v])).unwrap();
-                        let expected = match model.get_mut(&k) {
-                            Some(vals) => {
-                                let before = vals.len();
-                                vals.retain(|&x| x != v);
-                                let after = vals.len();
-                                if vals.is_empty() {
-                                    model.remove(&k);
-                                }
-                                before - after
-                            }
-                            None => 0,
-                        };
-                        assert_eq!(removed, expected, "delete exact {k} {v}");
-                    }
-                    Op::Get(k) => {
-                        let got = tree.get_all(&key(k)).unwrap();
-                        let want = model.get(&k).cloned().unwrap_or_default();
-                        let mut got_sorted: Vec<u8> = got.iter().map(|v| v[0]).collect();
-                        let mut want_sorted = want.clone();
-                        got_sorted.sort_unstable();
-                        want_sorted.sort_unstable();
-                        assert_eq!(got_sorted, want_sorted, "get {k}");
-                    }
-                    Op::Scan(a, b) => {
-                        let (lo, hi) = (a.min(b), a.max(b));
-                        let mut got: Vec<(u16, u8)> = Vec::new();
-                        tree.scan(
-                            Bound::Included(&key(lo)),
-                            Bound::Included(&key(hi)),
-                            |k, v| {
-                                got.push((u16::from_be_bytes(k.try_into().unwrap()), v[0]));
-                                true
-                            },
-                        )
-                        .unwrap();
-                        let mut want: Vec<(u16, u8)> = model
-                            .range(lo..=hi)
-                            .flat_map(|(&k, vs)| vs.iter().map(move |&v| (k, v)))
-                            .collect();
-                        // Key order must match exactly; among equal keys
-                        // the order is unspecified, so sort
-                        // value-within-key.
-                        got.sort();
-                        want.sort();
-                        assert_eq!(got, want, "scan {lo}..={hi}");
+#[test]
+fn bulk_loaded_bptree_matches_its_entries() {
+    let entries_gen = vec_of(0, 600, arb_entry());
+    check(
+        "bulk_loaded_bptree_matches_its_entries",
+        &Config::cases(64),
+        &entries_gen,
+        |entries| {
+            // Sorted by key only: equal keys stay in generation order,
+            // which is the order the tree must give them back in.
+            let mut model = entries.clone();
+            model.sort_by_key(|&(k, _)| k);
+            let pool = Arc::new(BufferPool::new(Pager::in_memory(), 16));
+            let loaded = model.iter().map(|&(k, v)| (key(k).to_vec(), val(v)));
+            let tree = BPlusTree::bulk_load(pool, loaded, 0.9).unwrap();
+            let scan = |lo: Bound<&[u8]>, hi: Bound<&[u8]>| {
+                let mut got: Vec<(u16, u8)> = Vec::new();
+                tree.scan(lo, hi, |k, v| {
+                    got.push((u16::from_be_bytes(k.try_into().unwrap()), v[0]));
+                    true
+                })
+                .unwrap();
+                got
+            };
+            if scan(Bound::Unbounded, Bound::Unbounded) != model {
+                return Err("a full scan differs from the entries".into());
+            }
+            for probe in (0..520u16).step_by(7) {
+                let want = model
+                    .iter()
+                    .find(|&&(k, _)| k == probe)
+                    .map(|&(_, v)| val(v));
+                if tree.get(&key(probe)).unwrap() != want {
+                    return Err(format!("get {probe}"));
+                }
+            }
+            for (a, b) in [(0u16, 0u16), (3, 300), (100, 101), (250, 511), (400, 90)] {
+                let (lo, hi) = (a.min(b), a.max(b));
+                let within = |k: u16, lo_in: bool, hi_in: bool| {
+                    (k > lo || (lo_in && k == lo)) && (k < hi || (hi_in && k == hi))
+                };
+                for (lo_in, hi_in) in [(true, true), (false, true), (true, false), (false, false)] {
+                    let bound = |k, inclusive| {
+                        if inclusive {
+                            Bound::Included(k)
+                        } else {
+                            Bound::Excluded(k)
+                        }
+                    };
+                    let got = scan(bound(&key(lo)[..], lo_in), bound(&key(hi)[..], hi_in));
+                    let want: Vec<(u16, u8)> = model
+                        .iter()
+                        .copied()
+                        .filter(|&(k, _)| within(k, lo_in, hi_in))
+                        .collect();
+                    if got != want {
+                        return Err(format!("scan {lo}..{hi} ({lo_in}, {hi_in})"));
                     }
                 }
             }
-            // Final full-scan equivalence.
-            let total = tree.len().unwrap();
-            let model_total: usize = model.values().map(Vec::len).sum();
-            assert_eq!(total, model_total);
             Ok(())
         },
     );

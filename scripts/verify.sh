@@ -40,10 +40,14 @@ cargo run --release --offline --quiet --manifest-path crates/bench/examples/prix
 # codegen could perturb.
 cargo test --release --test concurrency --offline --locked
 # The storage crate's suites rerun with it: the pool's model test
-# drives reads, writes and clears over random shard counts, and its
-# unit tests race readers across shards — races that only get tight
-# under optimized codegen.
+# drives reads, writes and clears over random shard counts, its unit
+# tests race readers across shards — races that only get tight under
+# optimized codegen — and the B⁺-tree's model test checks a bulk load's
+# page arithmetic against the entries it was given.
 cargo test --release -p prix-storage --offline --locked
+# So does the core crate's unit suite: the delta's view, poison and
+# limited-answer tests live there, next to the ordered maps they read.
+cargo test --release -p prix-core --offline --locked
 cargo test --release --test server --offline --locked
 cargo test --release --test executor_stream --offline --locked
 # The server crate's unit suites (HTTP parser, LRU/plan/result caches)

@@ -253,10 +253,10 @@ fn sharded_cold_io_matches_single_shard_pool() {
 }
 
 /// Readers hold views of the delta and query them again and again
-/// while the writer ingests 3 000 documents into it — enough to split
-/// the roots of both indexes' Trie-Symbol and Docid trees and of both
-/// value trees, which every view shares with the writer. Every answer a
-/// view gives must be its first one.
+/// while the writer ingests 3 000 documents into it — thousands of rows
+/// in both indexes' Trie-Symbol and Docid maps and both value maps,
+/// which every view shares with the writer. Every answer a view gives
+/// must be its first one.
 #[test]
 fn views_race_a_writer_that_splits_every_delta_root() {
     // Element names from six per slot vary the RP trie; values from a

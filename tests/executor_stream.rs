@@ -9,15 +9,17 @@
 //!   index, unlimited and with limits 1 and 10, every row pins the
 //!   match vector in order, `truncated`, the ten deterministic counters
 //!   and the cold I/O counters. The one executor must reproduce every
-//!   row. (The I/O columns were re-pinned four times, by
+//!   row. (The I/O columns were re-pinned five times, by
 //!   `repin_golden_io_columns` below, which first proves that nothing
 //!   else in any row moved: the segment shapes' two block counters when
 //!   segment format 3 packed five times the rows into a block, the
 //!   since-dropped pool shape's `physical_reads` when catalog version 5
 //!   made a document one varint record, and the three-tier shape's when
 //!   catalog version 6 took the symbol table out of the generation a
-//!   compaction creates and again when the delta stopped being a page
-//!   file — both times renumbering the pages of its tail.)
+//!   compaction creates, again when the delta stopped being a page
+//!   file — both times renumbering the pages of its tail — and when the
+//!   delta's indexes left the pool for ordered maps, so that only its
+//!   records are pages.)
 //! * **Limit pushdown** — on a high-fanout collection, `limit = 10`
 //!   performs strictly fewer range queries, scans strictly fewer trie
 //!   nodes, and reads strictly fewer segment blocks than the unlimited
@@ -234,20 +236,19 @@ fn split_io(row: &str) -> Option<([u64; 3], String)> {
 /// written, every recomputed row must equal the committed one in its
 /// match vector, `truncated` and all ten counters (the answers did not
 /// move). What else must hold depends on which format moved, and is
-/// asserted for the last one that did. The delta stopped being a page
-/// file (catalog version 6, before it, took the symbol table out of the
-/// pool under the same rules; catalog version 5 changed the pool tier's
-/// document records, so `physical_reads` was free to move on the pool
-/// shape too; segment format 3 had the mirror-image rules: pool rows
-/// equal outright, `physical_reads` equal everywhere, neither segment
-/// counter up): no segment byte moved, so no row's segment counters may
-/// move, and the bulk shape, with its empty delta, must be equal
-/// outright; the tiers shape's tail is
-/// now rebuilt by replaying its log into an empty in-memory delta —
-/// without the catalog page, the record directory and the valix
-/// metadata store the page file had — so its records sit on other page
-/// ids (and other shards of a 16-page pool) and `physical_reads` may
-/// move there, direction printed per workload.
+/// asserted for the last one that did. The delta's Trie-Symbol, Docid
+/// and value indexes left the pool for ordered maps in memory (the
+/// delta stopping being a page file and catalog version 6, before it,
+/// had the same rules but let `physical_reads` move either way; catalog
+/// version 5 changed the pool tier's document records, so
+/// `physical_reads` was free to move on the pool shape too; segment
+/// format 3 had the mirror-image rules: pool rows equal outright,
+/// `physical_reads` equal everywhere, neither segment counter up): no
+/// segment byte moved, so no row's segment counters may move, and the
+/// bulk shape, with its empty delta, must be equal outright; the tiers
+/// shape's tail no longer reads index pages, and its records sit on
+/// other page ids (and other shards of a 16-page pool), so
+/// `physical_reads` may move there, and only down.
 #[test]
 #[ignore = "rewrites tests/executor_golden.txt; run by hand after an on-disk format change"]
 fn repin_golden_io_columns() {
@@ -273,6 +274,7 @@ fn repin_golden_io_columns() {
         if key.1 != "tiers" {
             assert_eq!(was, now, "no page of this shape was renumbered: {new}");
         }
+        assert!(now[0] <= was[0], "no index page is read any more: {new}");
         let m = moved.entry(key).or_default();
         m[0] += 1;
         m[1] += u64::from(now[0] < was[0]);

@@ -465,8 +465,13 @@ fn cmd_segments(args: &[String]) -> Result<(), CliError> {
 }
 
 /// One line per live segment, value run and symbol run: what it covers,
-/// its format and what its reader keeps in memory.
+/// its format and what its reader keeps in memory; for a segment or a
+/// value run, a second line saying where its bytes are.
 fn print_segment_rows(engine: &PrixEngine) -> Result<(), CliError> {
+    let packed = |bytes: u64, rows: u64, blocks: u64, what: &str| {
+        let per_block = rows.checked_div(blocks).unwrap_or(0);
+        format!("{bytes} ({rows} {what} in {blocks} blocks, {per_block} a block)")
+    };
     for s in engine.segment_manifest() {
         let docs = row_range(s);
         if s.kind == prix_core::SEG_KIND_SYM {
@@ -486,6 +491,19 @@ fn print_segment_rows(engine: &PrixEngine) -> Result<(), CliError> {
                 run.file_len(),
                 run.resident_bytes()
             );
+            let l = run.layout();
+            let sections = l.num_bytes + l.str_bytes + l.fence_bytes + l.tag_bytes + l.crc_bytes;
+            println!(
+                "    {} bytes: numeric blocks {}, string blocks {}, fences {}, \
+                 tag directory {}, CRC table {}, frame and alignment {}",
+                l.file_bytes,
+                packed(l.num_bytes, l.num_postings, l.num_blocks, "postings"),
+                packed(l.str_bytes, l.str_postings, l.str_blocks, "postings"),
+                l.fence_bytes,
+                l.tag_bytes,
+                l.crc_bytes,
+                l.file_bytes - sections
+            );
         } else {
             let reader = engine.segment_reader(s).map_err(|e| e.to_string())?;
             println!(
@@ -496,10 +514,6 @@ fn print_segment_rows(engine: &PrixEngine) -> Result<(), CliError> {
                 reader.fence_bytes()
             );
             let l = reader.layout();
-            let packed = |bytes: u64, rows: u64, blocks: u64| {
-                let per_block = rows.checked_div(blocks).unwrap_or(0);
-                format!("{bytes} ({rows} rows in {blocks} blocks, {per_block} a block)")
-            };
             let sections = l.record_bytes
                 + l.record_index_bytes
                 + l.tag_bytes
@@ -513,8 +527,8 @@ fn print_segment_rows(engine: &PrixEngine) -> Result<(), CliError> {
                 l.file_bytes,
                 l.record_bytes,
                 l.record_index_bytes,
-                packed(l.tag_bytes, l.tag_rows, l.tag_blocks),
-                packed(l.doc_bytes, l.doc_rows, l.doc_blocks),
+                packed(l.tag_bytes, l.tag_rows, l.tag_blocks, "rows"),
+                packed(l.doc_bytes, l.doc_rows, l.doc_blocks, "rows"),
                 l.fence_bytes,
                 l.meta_bytes,
                 l.crc_bytes,

@@ -360,8 +360,8 @@ fn value_runs_show_in_segments_stats_and_fsck() {
 
     let text = ok(&["segments", db, "--verify"]);
     for run in [
-        "run .g1.vx.seg: kind vx, docs 0..3, format v1, 3 numeric + 6 string posting(s)",
-        "run .g2.vx.seg: kind vx, docs 3..4, format v1, 1 numeric + 2 string posting(s)",
+        "run .g1.vx.seg: kind vx, docs 0..3, format v2, 3 numeric + 6 string posting(s)",
+        "run .g2.vx.seg: kind vx, docs 3..4, format v2, 1 numeric + 2 string posting(s)",
         "verified .g2.vx.seg: 4 blocks, 1 numeric posting(s), 2 string posting(s) ok",
         // The bulk build's names (the dummy, three tags, three names and
         // three prices), then the two the added document brought.
@@ -391,6 +391,20 @@ fn value_runs_show_in_segments_stats_and_fsck() {
         // Drop the (rows, blocks, rows a block) of the two row sections.
         let n = numbers(line);
         let sections = [&n[1..4], &n[7..8], &n[11..]].concat();
+        assert_eq!(n[0], sections.iter().sum::<u64>(), "{line}");
+    }
+    // So does every value run.
+    let layouts: Vec<&str> = text
+        .lines()
+        .filter(|l| l.contains(" bytes: numeric blocks "))
+        .collect();
+    assert_eq!(layouts.len(), 2, "{text}");
+    for line in layouts {
+        let words = line.split(|c: char| !c.is_ascii_digit());
+        let n: Vec<u64> = words.filter_map(|w| w.parse().ok()).collect();
+        // Drop the (postings, blocks, postings a block) of the two
+        // sections.
+        let sections = [&n[1..2], &n[5..6], &n[9..]].concat();
         assert_eq!(n[0], sections.iter().sum::<u64>(), "{line}");
     }
 

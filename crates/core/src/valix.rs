@@ -104,12 +104,6 @@ fn floor_char_boundary(s: &str, cap: usize) -> usize {
     i
 }
 
-/// The document of a run's posting payload: doc(4, LE) ++ leaf
-/// postorder(4, LE).
-fn posting_doc(v: &[u8]) -> DocId {
-    u32::from_le_bytes([v[0], v[1], v[2], v[3]])
-}
-
 /// One opclass of the delta: key → its `(doc, leaf postorder)`
 /// postings, ascending.
 type Postings = BTreeMap<Vec<u8>, Vec<(DocId, PostNum)>>;
@@ -302,7 +296,7 @@ impl Valix {
         mut f: impl FnMut(&[u8], DocId) -> bool,
     ) -> Result<()> {
         for t in tiers {
-            t.vx.scan(section, lo, hi, |k, v| f(k, posting_doc(v)))?;
+            t.vx.scan(section, lo, hi, |k, doc, _| f(k, doc))?;
         }
         let covered = self.covered();
         let trees = self.trees.read().map_err(half_changed)?;
@@ -775,11 +769,15 @@ mod tests {
                 .flat_map(|(k, postings)| postings.iter().map(|&(d, p)| (k.clone(), d, p)))
                 .collect();
             let mut from_run = Vec::new();
-            run.scan(section, Bound::Unbounded, Bound::Unbounded, |k, v| {
-                let post = u32::from_le_bytes(v[4..8].try_into().unwrap());
-                from_run.push((k.to_vec(), posting_doc(v), post));
-                true
-            })
+            run.scan(
+                section,
+                Bound::Unbounded,
+                Bound::Unbounded,
+                |k, doc, post| {
+                    from_run.push((k.to_vec(), doc, post));
+                    true
+                },
+            )
             .unwrap();
             assert_eq!(from_run, from_delta, "{section:?}");
         }

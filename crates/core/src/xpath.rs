@@ -634,4 +634,48 @@ mod tests {
         assert_eq!(frozen.len(), 5, "shared table untouched");
         assert_eq!(ghost.tree().len(), 2);
     }
+
+    /// Whatever the string — arbitrary characters, multi-byte ones
+    /// included, or a jumble of the brackets, quotes, operators and
+    /// function names the grammar reacts to — `parse_xpath` returns
+    /// `Ok` or `Err`, and what it accepts renders; neither panics.
+    #[test]
+    fn parse_xpath_never_panics() {
+        use prix_testkit::{check, from_fn, Config};
+        const ANY: &str = "aZ09 -_\té字🦀\0";
+        const SHARP: &str = r#"[ ] ( ) ' " = != < <= > >= / // . .. * @ , | : :: text()
+            starts-with( a b7 -1 1e308 NaN é"#;
+        let any: Vec<char> = ANY.chars().collect();
+        let sharp: Vec<&str> = SHARP.split_whitespace().collect();
+        let strings = from_fn(move |rng| {
+            let n = rng.below(40);
+            let jumble = rng.chance(0.5);
+            let mut s = String::new();
+            for _ in 0..n {
+                if jumble {
+                    s.push_str(rng.pick::<&str>(&sharp));
+                    if rng.chance(0.2) {
+                        s.push(' ');
+                    }
+                } else if rng.chance(0.8) {
+                    s.push(*rng.pick(&any));
+                } else {
+                    s.push(char::from_u32(rng.below(0x3000) as u32).unwrap_or('?'));
+                }
+            }
+            s
+        });
+        check(
+            "parse_xpath_never_panics",
+            &Config::cases(20_000),
+            &strings,
+            |s| {
+                let mut syms = SymbolTable::new();
+                if let Ok(q) = parse_xpath(s, &mut syms) {
+                    let _ = q.display(&syms);
+                }
+                Ok(())
+            },
+        );
+    }
 }

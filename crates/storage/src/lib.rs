@@ -22,9 +22,12 @@
 //!   them, and [`wal`] — the batch log: together, what a file-backed
 //!   database holds on disk.
 //!
-//! All components of one database share a single buffer pool, so the
-//! "Disk IO (pages)" columns of Tables 4–9 fall out of
-//! [`IoSnapshot::physical_reads`].
+//! The buffer pool holds only the mutable delta's records; the tiers'
+//! files are read past it, through each file's own block cache. Both
+//! count into one [`IoStats`], so the "Disk IO (pages)" columns of
+//! Tables 4–9 are a cold query's [`IoSnapshot::seg_block_fetches`]
+//! (tier blocks fetched) plus its [`IoSnapshot::physical_reads`]
+//! (delta pages missed).
 
 pub mod bptree;
 pub mod buffer;
@@ -49,8 +52,8 @@ pub use record::{RecordId, RecordStore};
 pub use segment::{
     env_temp_factory, FileSegEnv, Manifest, ManifestSegment, MemSegEnv, SegTrieStats,
     SegmentBuilder, SegmentCheck, SegmentEnv, SegmentLayout, SegmentReader, SymbolRun,
-    ValueRunBuilder, ValueRunReader, VxCheck, VxEntry, VxSection, SEG_KIND_EP, SEG_KIND_RP,
-    SEG_KIND_SYM, SEG_KIND_VX, SEG_VERSION, SYM_VERSION, VX_MAX_KEY_LEN, VX_VERSION,
+    ValueRunBuilder, ValueRunReader, VxCheck, VxEntry, VxLayout, VxSection, SEG_KIND_EP,
+    SEG_KIND_RP, SEG_KIND_SYM, SEG_KIND_VX, SEG_VERSION, SYM_VERSION, VX_MAX_KEY_LEN, VX_VERSION,
 };
 pub use stats::{IoScope, IoSnapshot, IoStats};
 pub use store::{FileStore, MemStore, RawStore};

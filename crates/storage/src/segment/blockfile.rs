@@ -26,11 +26,14 @@
 //!   blocks, the first key of every block (its *fence*) resident after
 //!   `open`. A lookup is one binary search over the fences and a search
 //!   inside one cached block; a range scan enters a following block
-//!   only while its fence is still inside the range. How a block and a
-//!   fence are encoded is the section's [`BlockCodec`]: delta-coded
-//!   varint rows with restarts ([`PackedRows`], binary search over the
-//!   restarts of the block) or count-prefixed `klen | key | posting`
-//!   entries ([`KeyedEntries`], linear inside the block).
+//!   only while its fence is still inside the range. Every block of
+//!   either format is one layout, rows coded against the row before
+//!   them with a restart table ([`walk_rows`], [`RowPacker`]): a search
+//!   is a binary search over the restarts of the block and a decode of
+//!   at most [`RESTART_EVERY`] rows. What a row is, and how a fence
+//!   stays resident, is its [`PackedRow`] (a structural segment's
+//!   fixed-width rows, [`FixedRow`]; a value run's prefix-coded
+//!   entries).
 //! * **Varints** ([`put_varint`], [`take_varint`]) — the LEB128 coding
 //!   of packed rows, and of the records and meta blob the core layer
 //!   stores in a segment.
@@ -123,15 +126,19 @@ impl Frame {
         let u32_at = |i: usize| u32::from_le_bytes(h[i..i + 4].try_into().unwrap());
         let (version, kind) = (u32_at(8), h[12]);
         if version != fmt.version || fmt.kind.is_some_and(|k| k != kind) {
-            let unsupported = match fmt.kind {
-                Some(_) => format!("version {version} (kind {kind}) is not supported"),
-                None => format!(
-                    "version {version} is not supported (this build reads version {})",
-                    fmt.version
+            let (found, reads) = match fmt.kind {
+                Some(k) => (
+                    format!("version {version}, kind {kind},"),
+                    format!("version {}, kind {k}", fmt.version),
+                ),
+                None => (
+                    format!("version {version}"),
+                    format!("version {}", fmt.version),
                 ),
             };
             return Err(corrupt(format!(
-                "{what} format {unsupported}; re-index the source documents"
+                "{what} format {found} is not supported (this build reads {reads}); \
+                 re-index the source documents"
             )));
         }
         if crc32(&h[..120]) != u32_at(120) {
@@ -337,48 +344,18 @@ impl BlockFile {
     }
 }
 
-/// How the blocks and the resident fences of one [`Section`] are
-/// encoded.
-pub(crate) trait BlockCodec {
-    /// What the section is sorted by.
-    type Key: ?Sized + PartialEq;
-    /// What a caller is handed of an entry, next to its key.
-    type Entry: ?Sized;
-    /// What stays resident of every block: its first key, one way or
-    /// another.
-    type Fence;
-    /// What error messages call one block of such a section.
-    const UNIT: &'static str;
-
-    /// The key a fence stands for.
-    fn key<'a>(&'a self, fence: &'a Self::Fence) -> &'a Self::Key;
-
-    /// Feeds the entries of block `g`, in order, to `each(key, entry)`
-    /// until it returns `false`, leaving out the leading entries
-    /// `skip` holds for. Returns the block's bytes past its last entry
-    /// (the padding), or `None` when `each` stopped the walk.
-    fn walk<'b>(
-        &self,
-        block: &'b [u8],
-        g: usize,
-        skip: Option<&impl Fn(&Self::Key) -> bool>,
-        each: impl FnMut(&Self::Key, &Self::Entry) -> Result<bool>,
-    ) -> Result<Option<&'b [u8]>>;
-}
-
 /// One sorted section of an open file: block `g` of the section is
-/// block `first_block + g` of the file and starts with the key of
-/// `fences[g]`.
-pub(crate) struct Section<C: BlockCodec> {
-    pub codec: C,
-    pub fences: Vec<C::Fence>,
+/// block `first_block + g` of the file, holds rows `R` as [`walk_rows`]
+/// reads them, and starts with the key of `fences[g]`.
+pub(crate) struct Section<R: PackedRow> {
+    pub fences: Vec<R::Fence>,
     pub first_block: u64,
 }
 
-impl<C: BlockCodec> Section<C> {
+impl<R: PackedRow> Section<R> {
     /// The first key of block `g`.
-    pub(crate) fn fence(&self, g: usize) -> &C::Key {
-        self.codec.key(&self.fences[g])
+    pub(crate) fn fence(&self, g: usize) -> &R::Key {
+        R::fence_key(&self.fences[g])
     }
 
     /// The one fence-guided range scan. Keys ascend through the
@@ -388,17 +365,17 @@ impl<C: BlockCodec> Section<C> {
     /// until `visit` returns `false`. One binary search over the
     /// resident fences finds the block holding the first such entry
     /// (entries equal to the range's start can end the block before the
-    /// first fence that is not `before`), the codec finds the entry
+    /// first fence that is not `before`), [`walk_rows`] finds the entry
     /// inside it, and a following block is touched only if its fence is
     /// not `past`.
     pub(crate) fn scan(
         &self,
         file: &BlockFile,
-        before: impl Fn(&C::Key) -> bool,
-        past: impl Fn(&C::Key) -> bool,
-        mut visit: impl FnMut(&C::Key, &C::Entry) -> bool,
+        before: impl Fn(&R::Key) -> bool,
+        past: impl Fn(&R::Key) -> bool,
+        mut visit: impl FnMut(&R::Key, &R) -> bool,
     ) -> Result<()> {
-        let not_before = self.fences.partition_point(|f| before(self.codec.key(f)));
+        let not_before = self.fences.partition_point(|f| before(R::fence_key(f)));
         let first = not_before.saturating_sub(1);
         for g in first..self.fences.len() {
             if past(self.fence(g)) {
@@ -408,8 +385,8 @@ impl<C: BlockCodec> Section<C> {
             // Later blocks start inside the range: their fence is
             // neither `before` nor `past`.
             let skip = (g == first).then_some(&before);
-            let each = |key: &C::Key, entry: &C::Entry| Ok(!past(key) && visit(key, entry));
-            if self.codec.walk(&block, g, skip, each)?.is_none() {
+            let each = |key: &R::Key, row: &R| Ok(!past(key) && visit(key, row));
+            if walk_rows(&block, g, skip, each)?.is_none() {
                 break;
             }
         }
@@ -424,7 +401,7 @@ impl<C: BlockCodec> Section<C> {
         &self,
         store: &dyn RawStore,
         name: &str,
-        mut check: impl FnMut(u64, &C::Key, &C::Entry) -> Result<()>,
+        mut check: impl FnMut(u64, &R::Key, &R) -> Result<()>,
     ) -> Result<u64> {
         let mut chunk = vec![0u8; 64 * SEG_BLOCK];
         let mut seen = 0u64;
@@ -434,21 +411,20 @@ impl<C: BlockCodec> Section<C> {
             store.read_at((self.first_block + g0 as u64) * SEG_BLOCK as u64, bytes)?;
             for (g, block) in (g0..).zip(bytes.chunks_exact(SEG_BLOCK)) {
                 let in_block = seen;
-                let no_skip = None::<&fn(&C::Key) -> bool>;
-                let pad = self.codec.walk(block, g, no_skip, |key, entry| {
+                let no_skip = None::<&fn(&R::Key) -> bool>;
+                let pad = walk_rows(block, g, no_skip, |key, row: &R| {
                     if seen == in_block && key != self.fence(g) {
                         return Err(corrupt(format!("{name} fence {g} disagrees")));
                     }
-                    check(seen, key, entry)?;
+                    check(seen, key, row)?;
                     seen += 1;
                     Ok(true)
                 })?;
                 if seen == in_block {
-                    return Err(corrupt(format!("{name} {} {g} is empty", C::UNIT)));
+                    return Err(corrupt(format!("{name} block {g} is empty")));
                 }
                 if pad.is_some_and(|pad| pad.iter().any(|&b| b != 0)) {
-                    let unit = C::UNIT;
-                    return Err(corrupt(format!("{name} {unit} {g} padding is not zero")));
+                    return Err(corrupt(format!("{name} block {g} padding is not zero")));
                 }
             }
         }
@@ -497,49 +473,59 @@ pub(crate) fn take_varint32(bytes: &mut &[u8]) -> Option<u32> {
     take_varint(bytes).and_then(|v| u32::try_from(v).ok())
 }
 
-/// Rows between two restarts of a [`PackedRows`] block, at most: what
-/// a search decodes after its binary searches is at most this many
-/// rows. A restart costs 7 bytes or more where a row coded against its
+/// Rows between two restarts of a block, at most: what a search
+/// decodes after its binary searches is at most this many rows. A
+/// restart costs 7 bytes or more where a row coded against its
 /// predecessor costs about 4; on the benchmark's EP segment (where most
 /// restarts are changes of symbol anyway) a restart every 8 rows makes
 /// the tag section 6 % larger than every 16, every 32 makes it 2.6 %
 /// smaller (DESIGN.md §12).
 pub(crate) const RESTART_EVERY: usize = 16;
 
-/// Bytes of a [`PackedRows`] block before its restart table: `n_rows`
-/// and `n_restarts`, both `u16`.
+/// Bytes of a block before its restart table: `n_rows` and
+/// `n_restarts`, both `u16`.
 const PACKED_HEAD: usize = 4;
 
-/// A row of a [`PackedRows`] section: how it is coded in full, how as
-/// the difference from the row before it, and what of it a fence keeps.
-pub(crate) trait PackedRow: Copy {
+/// A row of a restart-coded block: how it is coded in full, how as
+/// what it adds to the row before it, and what of it a fence keeps.
+pub(crate) trait PackedRow: Clone + Default {
     /// What the section is searched by.
-    type Key: Copy + PartialEq;
-    /// Bytes of a stored fence.
-    const FENCE_LEN: usize;
+    type Key: ?Sized + PartialEq;
+    /// What stays resident of every block: its first key, one way or
+    /// another.
+    type Fence;
     /// Fewest bytes a row takes in a block.
     const MIN_LEN: usize;
+    /// The most rows one block can hold.
+    const MAX_PER_BLOCK: u64 = ((SEG_BLOCK - PACKED_HEAD) / Self::MIN_LEN) as u64;
     /// What error messages call the section.
     const NAME: &'static str;
 
-    fn key(&self) -> Self::Key;
+    /// Hands `f` the row's key.
+    fn with_key<T>(&self, f: impl FnOnce(&Self::Key) -> T) -> T;
+    /// The key a fence stands for.
+    fn fence_key(fence: &Self::Fence) -> &Self::Key;
     fn put_fence(&self, out: &mut Vec<u8>);
-    fn fence(bytes: &[u8]) -> Self::Key;
     /// Whether the row cannot be coded as a difference from `prev`.
     fn breaks_run(&self, prev: &Self) -> bool;
     /// Appends the row as varints: in full, or as what it adds to
     /// `prev`.
     fn encode(&self, prev: Option<&Self>, out: &mut Vec<u8>);
-    /// Takes one row off the front of `bytes`. `None` when the bytes
-    /// end inside it, a field overflows, or the row does not sort
-    /// strictly after `prev`.
-    fn decode(bytes: &mut &[u8], prev: Option<&Self>) -> Option<Self>;
-    /// The key of the fully coded row `bytes` start with: all a search
-    /// over the restarts needs of it.
-    fn decode_key(bytes: &[u8]) -> Option<Self::Key>;
+    /// Takes the next row off the front of `bytes` into `self`: in full
+    /// at a `restart`, else as what it adds to the row `self` holds.
+    /// `None` when the bytes end inside it, a field overflows, or the
+    /// row does not sort strictly after the one before it.
+    fn decode(&mut self, bytes: &mut &[u8], restart: bool) -> Option<()>;
+    /// Takes the fully coded row `bytes` start with into `self` as far
+    /// as a search over the restarts compares it: all of it, unless the
+    /// row has a cheaper way to its key.
+    fn decode_restart(&mut self, mut bytes: &[u8]) -> Option<()> {
+        self.decode(&mut bytes, true)
+    }
 }
 
-/// [`BlockCodec`] of varint rows, each coded against the row before it:
+/// The one walk over a block of rows, each coded against the row
+/// before it:
 ///
 /// ```text
 /// n_rows u16 | n_restarts u16 | restart offsets u16 × n_restarts | end u16 | rows | zeros
@@ -549,17 +535,104 @@ pub(crate) trait PackedRow: Copy {
 /// table, and the rows up to the next restart (or `end`) are
 /// differences. The first row of a block, every row that
 /// [`PackedRow::breaks_run`] and every [`RESTART_EVERY`]th row in a run
-/// are restarts, so a search is a binary search over the restarts and a
-/// decode of at most [`RESTART_EVERY`] rows. A block holds the rows
-/// that fit ([`RowPacker`]); rows never span blocks. Fences are
-/// resident as decoded keys. Every offset, count and varint is checked
-/// against the block before it is followed.
-pub(crate) struct PackedRows<R>(std::marker::PhantomData<R>);
+/// are restarts ([`RowPacker`]), so a search is a binary search over
+/// the restarts and a decode of at most [`RESTART_EVERY`] rows. Every
+/// offset, count and varint is checked against the block before it is
+/// followed.
+///
+/// Feeds the rows of block `g`, in order, to `each(key, row)` until it
+/// returns `false`, leaving out the leading rows whose key `before`
+/// holds for. Returns the block's bytes past its last row (the
+/// padding), or `None` when `each` stopped the walk.
+pub(crate) fn walk_rows<'b, R: PackedRow>(
+    block: &'b [u8],
+    g: usize,
+    before: Option<&impl Fn(&R::Key) -> bool>,
+    mut each: impl FnMut(&R::Key, &R) -> Result<bool>,
+) -> Result<Option<&'b [u8]>> {
+    let bad = |what: &str| corrupt(format!("{} block {g}: {what}", R::NAME));
+    let u16_of = |b: &[u8]| usize::from(u16::from_le_bytes([b[0], b[1]]));
+    let Some((n_rows, n_restarts)) = block
+        .get(..PACKED_HEAD)
+        .map(|h| (u16_of(h), u16_of(&h[2..])))
+    else {
+        return Err(bad("cut short"));
+    };
+    let rows_at = PACKED_HEAD + 2 * (n_restarts + 1);
+    // The table's last entry is where the rows end.
+    let table = block.get(PACKED_HEAD..rows_at);
+    let table = table.ok_or_else(|| bad("restart table runs past the block"))?;
+    let offset = |r: usize| u16_of(&table[2 * r..]);
+    if n_restarts == 0 || n_restarts > n_rows || offset(0) != rows_at {
+        return Err(bad("restart table disagrees with its counts"));
+    }
+    let run = |r: usize| {
+        let run = block.get(offset(r)..offset(r + 1));
+        run.ok_or_else(|| bad("restart offsets out of order"))
+    };
+    let mut first = 0;
+    if let Some(before) = before {
+        // The last restart still below the range: the range's first
+        // row is in its run, or opens the next.
+        let (mut lo, mut hi) = (0, n_restarts);
+        let mut row = R::default();
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if row
+                .decode_restart(block.get(offset(mid)..).unwrap_or_default())
+                .is_none()
+            {
+                return Err(bad("restart is not a whole row inside its run"));
+            }
+            if row.with_key(before) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        first = lo.saturating_sub(1);
+    }
+    let mut skipping = before.is_some();
+    let mut seen = 0;
+    let mut row = R::default();
+    for r in first..n_restarts {
+        let mut rest = run(r)?;
+        let mut in_run = 0;
+        while !rest.is_empty() || in_run == 0 {
+            if in_run == RESTART_EVERY || row.decode(&mut rest, in_run == 0).is_none() {
+                return Err(bad(
+                    "a row overflows, is out of order or runs past its restart",
+                ));
+            }
+            in_run += 1;
+            if skipping {
+                if row.with_key(|key| before.is_some_and(|before| before(key))) {
+                    continue;
+                }
+                skipping = false;
+            }
+            if !row.with_key(|key| each(key, &row))? {
+                return Ok(None);
+            }
+        }
+        seen += in_run;
+    }
+    if first == 0 && seen != n_rows {
+        return Err(bad("row count disagrees with its rows"));
+    }
+    Ok(Some(&block[offset(n_restarts)..]))
+}
 
-impl<R: PackedRow> PackedRows<R> {
-    /// The most rows one block can hold.
-    pub(crate) const MAX_PER_BLOCK: u64 = ((SEG_BLOCK - PACKED_HEAD) / R::MIN_LEN) as u64;
+/// A [`PackedRow`] with a fixed-width fence, resident as the decoded
+/// key: a structural segment's rows.
+pub(crate) trait FixedRow: PackedRow {
+    /// Bytes of a stored fence.
+    const FENCE_LEN: usize;
 
+    fn fence(bytes: &[u8]) -> Self::Fence;
+}
+
+impl<R: FixedRow> Section<R> {
     /// Opens the section of `n_blocks` blocks at `off`, reading its
     /// fences in one sequential read at `fence_off`. The header was
     /// validated against the file length, so the array lies inside the
@@ -569,100 +642,17 @@ impl<R: PackedRow> PackedRows<R> {
         off: u64,
         fence_off: u64,
         n_blocks: u64,
-    ) -> Result<Section<Self>> {
+    ) -> Result<Self> {
         let mut raw = vec![0u8; n_blocks as usize * R::FENCE_LEN];
         store.read_at(fence_off, &mut raw)?;
         Ok(Section {
-            codec: PackedRows(std::marker::PhantomData),
             fences: raw.chunks_exact(R::FENCE_LEN).map(R::fence).collect(),
             first_block: off / SEG_BLOCK as u64,
         })
     }
 }
 
-impl<R: PackedRow> BlockCodec for PackedRows<R> {
-    type Key = R::Key;
-    type Entry = R;
-    type Fence = R::Key;
-    const UNIT: &'static str = "block";
-
-    fn key<'a>(&'a self, fence: &'a R::Key) -> &'a R::Key {
-        fence
-    }
-
-    fn walk<'b>(
-        &self,
-        block: &'b [u8],
-        g: usize,
-        skip: Option<&impl Fn(&R::Key) -> bool>,
-        mut each: impl FnMut(&R::Key, &R) -> Result<bool>,
-    ) -> Result<Option<&'b [u8]>> {
-        let bad = |what: &str| corrupt(format!("{} block {g}: {what}", R::NAME));
-        let u16_of = |b: &[u8]| usize::from(u16::from_le_bytes([b[0], b[1]]));
-        let Some((n_rows, n_restarts)) = block
-            .get(..PACKED_HEAD)
-            .map(|h| (u16_of(h), u16_of(&h[2..])))
-        else {
-            return Err(bad("cut short"));
-        };
-        let rows_at = PACKED_HEAD + 2 * (n_restarts + 1);
-        // The table's last entry is where the rows end.
-        let table = block.get(PACKED_HEAD..rows_at);
-        let table = table.ok_or_else(|| bad("restart table runs past the block"))?;
-        let offset = |r: usize| u16_of(&table[2 * r..]);
-        if n_restarts == 0 || n_restarts > n_rows || offset(0) != rows_at {
-            return Err(bad("restart table disagrees with its counts"));
-        }
-        let restart_key = |r: usize| {
-            let row = block.get(offset(r)..).and_then(R::decode_key);
-            row.ok_or_else(|| bad("restart is not a whole row inside the block"))
-        };
-        let mut first = 0;
-        if let Some(before) = skip {
-            // The last restart still below the range: the range's
-            // first row is in its run, or opens the next.
-            let (mut lo, mut hi) = (0, n_restarts);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                if before(&restart_key(mid)?) {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            first = lo.saturating_sub(1);
-        }
-        let mut skipping = skip;
-        let mut seen = 0;
-        for r in first..n_restarts {
-            let run = block.get(offset(r)..offset(r + 1));
-            let mut rest = run.ok_or_else(|| bad("restart offsets out of order"))?;
-            let (mut prev, mut in_run) = (None, 0);
-            while !rest.is_empty() || in_run == 0 {
-                let row = R::decode(&mut rest, prev.as_ref());
-                let row = row.filter(|_| in_run < RESTART_EVERY).ok_or_else(|| {
-                    bad("a row overflows, is out of order or runs past its restart")
-                })?;
-                (prev, in_run) = (Some(row), in_run + 1);
-                let key = row.key();
-                if skipping.is_some_and(|before| before(&key)) {
-                    continue;
-                }
-                skipping = None;
-                if !each(&key, &row)? {
-                    return Ok(None);
-                }
-            }
-            seen += in_run;
-        }
-        if first == 0 && seen != n_rows {
-            return Err(bad("row count disagrees with its rows"));
-        }
-        Ok(Some(&block[offset(n_restarts)..]))
-    }
-}
-
-/// The writing half of [`PackedRows`]: packs rows arriving in key order
+/// The writing half of [`walk_rows`]: packs rows arriving in key order
 /// into blocks, starting a new block when the next row no longer fits,
 /// and collects the fences.
 pub(crate) struct RowPacker<R> {
@@ -672,8 +662,10 @@ pub(crate) struct RowPacker<R> {
     restarts: Vec<u16>,
     n_rows: usize,
     since_restart: usize,
-    prev: Option<R>,
+    /// The last row pushed, if the block being filled holds one.
+    prev: R,
     scratch: Vec<u8>,
+    blocks: u64,
     /// The stored fence of every block begun.
     pub fences: Vec<u8>,
 }
@@ -685,44 +677,45 @@ impl<R: PackedRow> RowPacker<R> {
             restarts: Vec::new(),
             n_rows: 0,
             since_restart: 0,
-            prev: None,
+            prev: R::default(),
             scratch: Vec::new(),
+            blocks: 0,
             fences: Vec::new(),
         }
     }
 
     /// Blocks begun so far.
     pub(crate) fn blocks(&self) -> u64 {
-        (self.fences.len() / R::FENCE_LEN) as u64
+        self.blocks
     }
 
     /// Adds `row` to the block being filled, or to a new one when it
     /// does not fit. `w` must stand on a block boundary when the first
     /// row arrives.
     pub(crate) fn push(&mut self, w: &mut SeqWriter, row: &R) -> Result<()> {
-        let mut prev = self
-            .prev
-            .filter(|p| self.since_restart < RESTART_EVERY && !row.breaks_run(p));
+        let mut restart =
+            self.n_rows == 0 || self.since_restart == RESTART_EVERY || row.breaks_run(&self.prev);
         self.scratch.clear();
-        row.encode(prev.as_ref(), &mut self.scratch);
-        let table = 2 * (self.restarts.len() + 1 + usize::from(prev.is_none()));
+        row.encode((!restart).then_some(&self.prev), &mut self.scratch);
+        let table = 2 * (self.restarts.len() + 1 + usize::from(restart));
         if PACKED_HEAD + table + self.rows.len() + self.scratch.len() > SEG_BLOCK {
             self.flush(w)?;
-            prev = None;
+            restart = true;
             self.scratch.clear();
             row.encode(None, &mut self.scratch);
         }
         if self.n_rows == 0 {
             row.put_fence(&mut self.fences);
+            self.blocks += 1;
         }
-        if prev.is_none() {
+        if restart {
             self.restarts.push(self.rows.len() as u16);
             self.since_restart = 0;
         }
         self.rows.extend_from_slice(&self.scratch);
         self.n_rows += 1;
         self.since_restart += 1;
-        self.prev = Some(*row);
+        self.prev.clone_from(row);
         Ok(())
     }
 
@@ -746,109 +739,8 @@ impl<R: PackedRow> RowPacker<R> {
         w.pad_to_block();
         self.rows.clear();
         self.restarts.clear();
-        (self.n_rows, self.prev) = (0, None);
+        self.n_rows = 0;
         Ok(())
-    }
-}
-
-/// Shortest key of a [`KeyedEntries`] section: its tag prefix alone.
-pub(crate) const MIN_KEY_LEN: usize = 4;
-/// Bytes of a posting, which ends its entry.
-pub(crate) const POSTING_LEN: usize = 8;
-
-/// [`BlockCodec`] of variable-length entries: a block is `n: u16`, then
-/// `n` entries `klen: u16 | key | posting`, then zeros; an entry never
-/// spans a block. Fences are resident as they are stored (`klen | key`
-/// of every block's first entry), each block's fence being the start
-/// and length of its key in them. A count or key length that leads
-/// past the block is an error, not a panic.
-pub(crate) struct KeyedEntries {
-    /// The raw fence section.
-    pub fence_bytes: Vec<u8>,
-}
-
-/// The `klen: u16 | key | tail` item at `at`, if it lies inside `bytes`.
-fn keyed_at(bytes: &[u8], at: usize, tail: usize) -> Option<&[u8]> {
-    let l = bytes.get(at..at + 2)?;
-    bytes.get(at..at + 2 + usize::from(u16::from_le_bytes([l[0], l[1]])) + tail)
-}
-
-impl KeyedEntries {
-    /// Opens a section of `n_blocks` blocks from its raw fences: one
-    /// key `key_len_ok` accepts per block, filling the fence bytes
-    /// exactly, in non-descending order (one key's postings can fill
-    /// several blocks).
-    pub(crate) fn open(
-        fence_bytes: &[u8],
-        first_block: u64,
-        n_blocks: u64,
-        key_len_ok: impl Fn(usize) -> bool,
-    ) -> Result<Section<Self>> {
-        let mut fences: Vec<(u32, u16)> = Vec::with_capacity(n_blocks as usize);
-        let mut at = 0usize;
-        while at < fence_bytes.len() {
-            let Some(fence) = keyed_at(fence_bytes, at, 0).filter(|f| key_len_ok(f.len() - 2))
-            else {
-                return Err(corrupt("value-run fence runs past its section".into()));
-            };
-            fences.push(((at + 2) as u32, (fence.len() - 2) as u16));
-            at += fence.len();
-        }
-        let sec = Section {
-            codec: KeyedEntries {
-                fence_bytes: fence_bytes.to_vec(),
-            },
-            fences,
-            first_block,
-        };
-        if sec.fences.len() as u64 != n_blocks {
-            return Err(corrupt(
-                "value-run fence count disagrees with its blocks".into(),
-            ));
-        }
-        if (1..sec.fences.len()).any(|g| sec.fence(g - 1) > sec.fence(g)) {
-            return Err(corrupt("value-run fences are not sorted".into()));
-        }
-        Ok(sec)
-    }
-}
-
-impl BlockCodec for KeyedEntries {
-    type Key = [u8];
-    type Entry = [u8];
-    type Fence = (u32, u16);
-    const UNIT: &'static str = "block";
-
-    fn key<'a>(&'a self, &(at, len): &'a (u32, u16)) -> &'a [u8] {
-        &self.fence_bytes[at as usize..at as usize + usize::from(len)]
-    }
-
-    fn walk<'b>(
-        &self,
-        block: &'b [u8],
-        _g: usize,
-        skip: Option<&impl Fn(&[u8]) -> bool>,
-        mut each: impl FnMut(&[u8], &[u8]) -> Result<bool>,
-    ) -> Result<Option<&'b [u8]>> {
-        if block.len() != SEG_BLOCK {
-            return Err(corrupt("value-run block is cut short".into()));
-        }
-        let mut at = 2;
-        for _ in 0..u16::from_le_bytes([block[0], block[1]]) {
-            let entry = keyed_at(block, at, POSTING_LEN);
-            let Some(entry) = entry.filter(|e| e.len() >= 2 + MIN_KEY_LEN + POSTING_LEN) else {
-                return Err(corrupt("value-run entry runs past its block".into()));
-            };
-            at += entry.len();
-            let key = &entry[2..entry.len() - POSTING_LEN];
-            if skip.is_some_and(|before| before(key)) {
-                continue;
-            }
-            if !each(key, entry)? {
-                return Ok(None);
-            }
-        }
-        Ok(Some(&block[at..]))
     }
 }
 
@@ -871,11 +763,12 @@ pub(crate) mod tests {
 
     /// The files these builders write, pinned as `(length, FNV-1a)`: an
     /// on-disk format does not move by accident, and a change that
-    /// moves one must say so by editing these constants. The value run
-    /// is as the last commit with `segment.rs` in one piece (d996c7f)
-    /// wrote it; the two structural files were re-pinned when segment
-    /// format 3 packed their rows and records into varints (at format
-    /// 2 both were 151 761 bytes).
+    /// moves one must say so by editing these constants. The two
+    /// structural files were re-pinned when segment format 3 packed
+    /// their rows and records into varints (at format 2 both were
+    /// 151 761 bytes); the value run when its format 2 prefix-coded its
+    /// keys and delta-coded its postings (at format 1 it was 62 759
+    /// bytes).
     #[test]
     fn files_are_byte_for_byte_what_the_parent_commit_wrote() {
         let paths = seg::sample_paths(2000, 11);
@@ -897,13 +790,13 @@ pub(crate) mod tests {
         let run = run::build_run(&run::sample_entries(200, 43), 100, 200).snapshot();
         assert_eq!(
             (run.len(), fnv64(&run)),
-            (62_759, 6_856_223_222_807_685_314),
+            (16_596, 748_034_569_388_396_223),
             "value run"
         );
         let empty = run::build_run(&[], 7, 0).snapshot();
         assert_eq!(
             (empty.len(), fnv64(&empty)),
-            (4_100, 14_123_304_805_239_316_082),
+            (4_100, 7_761_964_859_799_963_142),
             "empty value run"
         );
     }
@@ -938,12 +831,11 @@ pub(crate) mod tests {
         store.read_at(0, &mut good).unwrap();
         assert_eq!(good.len(), SEG_BLOCK);
 
-        let codec = PackedRows::<TagEntry>(std::marker::PhantomData);
         let walk = |block: &[u8], from: Option<(u32, u64)>| {
             let mut got = Vec::new();
             let before = |k: &(u32, u64)| Some(*k) < from;
             let skip = from.is_some().then_some(&before);
-            let pad = codec.walk(block, 0, skip, |_, row| {
+            let pad = walk_rows(block, 0, skip, |_, row: &TagEntry| {
                 got.push(*row);
                 Ok(true)
             })?;
@@ -952,7 +844,7 @@ pub(crate) mod tests {
         };
         assert_eq!(walk(&good, None).unwrap(), rows);
         for (i, row) in rows.iter().enumerate() {
-            assert_eq!(walk(&good, Some(row.key())).unwrap(), rows[i..]);
+            assert_eq!(walk(&good, Some((row.sym, row.left))).unwrap(), rows[i..]);
         }
 
         // Header 4, five table entries, then row 0 (5 bytes) and its
@@ -988,7 +880,7 @@ pub(crate) mod tests {
                 "{what} went unnoticed"
             );
             for row in &rows {
-                match walk(&bad, Some(row.key())) {
+                match walk(&bad, Some((row.sym, row.left))) {
                     Ok(_) | Err(StorageError::Corrupt { .. }) => {}
                     Err(e) => panic!("{what}: wrong error {e}"),
                 }
@@ -1063,6 +955,7 @@ pub(crate) mod tests {
             seg::hostile_kind(),
             run::hostile_kind(),
             sym::hostile_kind(),
+            super::super::manifest::tests::hostile_kind(),
             crate::wal::tests::hostile_kind(),
         ] {
             assert_eq!(

@@ -70,6 +70,15 @@ fn take_str(r: &mut &[u8]) -> Option<String> {
     String::from_utf8(take(r, len)?.to_vec()).ok()
 }
 
+/// The CRC-32 a slot stores: of its generation, then its payload. (The
+/// generation picks the live slot; outside the CRC, one flipped bit
+/// would pick another unnoticed.)
+fn slot_crc(generation: u64, payload: &[u8]) -> u32 {
+    let mut covered = generation.to_le_bytes().to_vec();
+    covered.extend_from_slice(payload);
+    crc32(&covered)
+}
+
 impl Manifest {
     fn payload(&self) -> Vec<u8> {
         let mut p = Vec::new();
@@ -95,7 +104,7 @@ impl Manifest {
         let mut frame = Vec::with_capacity(payload.len() + SLOT_HEAD);
         frame.extend_from_slice(&self.generation.to_le_bytes());
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        frame.extend_from_slice(&slot_crc(self.generation, &payload).to_le_bytes());
         frame.extend_from_slice(&payload);
         if frame.len() as u64 > MANIFEST_SLOT[1] {
             return Err(corrupt(format!(
@@ -116,7 +125,10 @@ impl Manifest {
         Ok(())
     }
 
-    fn read_slot(store: &dyn RawStore, slot: u64) -> Option<Manifest> {
+    /// The manifest slot `slot` holds, and whether its CRC covers its
+    /// generation (`false`: the payload alone, as an older build
+    /// wrote it). `None` when it holds none.
+    fn read_slot(store: &dyn RawStore, slot: u64) -> Option<(Manifest, bool)> {
         let len = store.len().ok()?;
         if len < slot + SLOT_HEAD as u64 {
             return None;
@@ -132,7 +144,8 @@ impl Manifest {
         }
         let mut payload = vec![0u8; plen];
         store.read_at(slot + SLOT_HEAD as u64, &mut payload).ok()?;
-        if crc32(&payload) != crc {
+        let current = crc == slot_crc(generation, &payload);
+        if !current && crc != crc32(&payload) {
             return None;
         }
         let mut r = &payload[..];
@@ -155,32 +168,75 @@ impl Manifest {
                 n_docs: take_u32(&mut r)?,
             });
         }
-        r.is_empty().then_some(Manifest {
+        let m = Manifest {
             generation,
             log_suffix,
             segments,
-        })
+        };
+        r.is_empty().then_some((m, current))
     }
 
     /// Reads the newest valid manifest, or `None` when neither slot
-    /// holds one (fresh database, or torn first write).
+    /// holds one (fresh database, or torn first write). A manifest
+    /// whose CRC leaves out its generation — an older build's, or one
+    /// whose generation was damaged — is refused.
     pub fn read_from(store: &dyn RawStore) -> Result<Option<Manifest>> {
-        let a = Self::read_slot(store, MANIFEST_SLOT[0]);
-        let b = Self::read_slot(store, MANIFEST_SLOT[1]);
-        Ok(match (a, b) {
-            (Some(a), Some(b)) => Some(if a.generation >= b.generation { a } else { b }),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        })
+        let slots = MANIFEST_SLOT.map(|slot| Self::read_slot(store, slot));
+        let newest = slots
+            .iter()
+            .flatten()
+            .filter(|(_, current)| *current)
+            .map(|(m, _)| m)
+            .reduce(|a, b| if a.generation >= b.generation { a } else { b });
+        match newest {
+            Some(m) => Ok(Some(m.clone())),
+            None if slots.iter().any(Option::is_some) => Err(corrupt(
+                "the manifest's CRC leaves out its generation, as an older build wrote it \
+                 (or its generation is damaged); re-index the source documents"
+                    .into(),
+            )),
+            None => Ok(None),
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::super::{SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_VX};
+pub(crate) mod tests {
+    use super::super::blockfile::tests::FileKind;
+    use super::super::{SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_SYM, SEG_KIND_VX};
     use super::*;
     use crate::store::MemStore;
+
+    /// The manifest under [`FileKind`]'s hostile-bytes loop: a file
+    /// with one generation written (slot 0), so any answer but its
+    /// rows is damage gone unnoticed — with two, damage to the newer
+    /// slot rightly answers the older one.
+    pub(crate) fn hostile_kind() -> FileKind {
+        fn read_all(bytes: Vec<u8>) -> Option<String> {
+            let m = Manifest::read_from(&MemStore::from_bytes(bytes)).ok()??;
+            Some(format!("{m:?}"))
+        }
+        let m = Manifest {
+            generation: 2,
+            log_suffix: ".g2.log".into(),
+            segments: vec![
+                row(SEG_KIND_RP, ".g2.rp.seg", 0, 40),
+                row(SEG_KIND_EP, ".g2.ep.seg", 0, 40),
+                row(SEG_KIND_VX, ".g2.vx.seg", 0, 40),
+                row(SEG_KIND_SYM, ".g2.sym", 0, 77),
+            ],
+        };
+        let store = MemStore::new();
+        m.write_to(&store).unwrap();
+        FileKind {
+            name: "hostile_manifest",
+            good: store.snapshot(),
+            resident: 0,
+            oracle: format!("{m:?}"),
+            read_all,
+            prefixes: false,
+        }
+    }
 
     fn row(kind: u8, suffix: &str, doc_base: u32, n_docs: u32) -> ManifestSegment {
         ManifestSegment {
@@ -212,13 +268,41 @@ mod tests {
         assert_eq!(Manifest::read_from(&store).unwrap().unwrap(), m1);
     }
 
-    /// Plants `payload` as generation 3 (slot 1) with a valid CRC.
-    fn plant(store: &MemStore, payload: &[u8]) {
+    /// Plants `payload` as generation 3 (slot 1) with the CRC `crc`.
+    fn plant_with(store: &MemStore, payload: &[u8], crc: u32) {
         let mut frame = 3u64.to_le_bytes().to_vec();
         frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
+        frame.extend_from_slice(&crc.to_le_bytes());
         frame.extend_from_slice(payload);
         store.write_at(MANIFEST_SLOT[1], &frame).unwrap();
+    }
+
+    /// Plants `payload` as generation 3 (slot 1) with a valid CRC.
+    fn plant(store: &MemStore, payload: &[u8]) {
+        plant_with(store, payload, slot_crc(3, payload));
+    }
+
+    /// Before the slot CRC covered the generation, it covered the
+    /// payload alone: such a manifest is refused by name, unless the
+    /// other slot holds a valid one.
+    #[test]
+    fn a_manifest_whose_crc_leaves_out_its_generation_is_refused() {
+        let store = MemStore::new();
+        let m = Manifest {
+            generation: 3,
+            log_suffix: ".g3.log".into(),
+            segments: vec![row(SEG_KIND_RP, ".g3.rp.seg", 0, 4)],
+        };
+        plant_with(&store, &m.payload(), crc32(&m.payload()));
+        let err = Manifest::read_from(&store).unwrap_err().to_string();
+        assert!(
+            err.contains("older build") && err.contains("re-index"),
+            "{err}"
+        );
+        let mut m2 = m.clone();
+        m2.generation = 2;
+        m2.write_to(&store).unwrap();
+        assert_eq!(Manifest::read_from(&store).unwrap().unwrap(), m2);
     }
 
     #[test]

@@ -26,13 +26,13 @@
 //!                 +-------+----------------------+---------------------+-----------+
 //!   <db>.gN.rp.seg   Trie-Symbol rows, Docid rows, records, meta   (structural, format 3)
 //!   <db>.gN.ep.seg   the same for the extended sequences           (structural, format 3)
-//!   <db>.gN.vx.seg   numeric and string leaf-value postings        (value run, format 1)
+//!   <db>.gN.vx.seg   numeric and string leaf-value postings        (value run, format 2)
 //!   <db>.gN.sym      the names generation N added to the dictionary (symbol run, format 1)
 //!   <db>.gN.log      the batches generation N accepted since  (batch log, `crate::wal`)
 //!   <db>.seg         the manifest naming the live files of every tier and the log
 //!
-//!   a block of structural rows (varints; a restart is a row coded in full,
-//!   every other row what it adds to the row before it):
+//!   a block of either format's rows (varints; a restart is a row coded in
+//!   full, every other row what it adds to the row before it):
 //!                 +--------+------------+-----------------+-----+------+-----+------+---+-------+
 //!                 | n_rows | n_restarts | restart offsets | row | Δrow… | row | Δrow… | … | zeros |
 //!                 +--------+------------+-----------------+-----+------+-----+------+---+-------+
@@ -43,17 +43,17 @@
 //! * `sort` — bounded-memory external merge sort ([`ExternalSorter`]).
 //! * `blockfile` — what the two formats share, written once: the frame,
 //!   the buffered sequential writer, the CRC table, the block cache and
-//!   its counters, and the sorted section with its fence-guided scan
-//!   and its verification pass, generic over how a block is encoded;
-//!   the two block codecs (packed varint rows with restarts, keyed
-//!   entries) and the varint coding itself.
+//!   its counters, the sorted section with its fence-guided scan and
+//!   its verification pass, generic over how a fence is stored; the one
+//!   block layout (varint rows with restarts, generic over the row) and
+//!   the varint coding itself.
 //! * `structural` — RP and EP segments ([`SegmentBuilder`],
 //!   [`SegmentReader`]): delta-coded varint rows, a restart every 16
 //!   and at every change of symbol, the streaming trie labeler that
 //!   produces them, per-document records.
 //! * `valuerun` — a tier's value index ([`ValueRunBuilder`],
-//!   [`ValueRunReader`]): variable-length `key | posting` entries and
-//!   a resident tag directory.
+//!   [`ValueRunReader`]): entries with prefix-coded keys and
+//!   delta-coded postings, and a resident tag directory.
 //! * `symrun` — the names a tier interned ([`SymbolRun`]): a frame, an
 //!   opaque name list read whole, a CRC table.
 //! * `manifest` — the [`Manifest`]: the atomic commit point of every
@@ -79,6 +79,6 @@ pub use structural::{
 };
 pub use symrun::{SymbolRun, SEG_KIND_SYM, SYM_VERSION};
 pub use valuerun::{
-    ValueRunBuilder, ValueRunReader, VxCheck, VxEntry, VxSection, SEG_KIND_VX, VX_MAX_KEY_LEN,
-    VX_VERSION,
+    ValueRunBuilder, ValueRunReader, VxCheck, VxEntry, VxLayout, VxSection, SEG_KIND_VX,
+    VX_MAX_KEY_LEN, VX_VERSION,
 };

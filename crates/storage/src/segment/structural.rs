@@ -59,8 +59,8 @@
 use std::sync::Arc;
 
 use super::blockfile::{
-    check_crc_table, corrupt, put_varint, seal, take_varint, take_varint32, BlockFile, Format,
-    Frame, PackedRow, PackedRows, RowPacker, Section, SeqWriter, SEG_BLOCK, SEG_HEADER_LEN,
+    check_crc_table, corrupt, put_varint, seal, take_varint, take_varint32, BlockFile, FixedRow,
+    Format, Frame, PackedRow, RowPacker, Section, SeqWriter, SEG_BLOCK, SEG_HEADER_LEN,
 };
 use super::sort::{ExternalSorter, RunBuf, SortItem, TempFactory};
 use crate::error::Result;
@@ -142,7 +142,7 @@ impl SortItem for PathEntry {
 }
 
 /// One Trie-Symbol row of a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct TagEntry {
     /// Trie symbol.
     pub sym: u32,
@@ -161,24 +161,21 @@ pub(crate) struct TagEntry {
 /// `right − left`, `level`, `fine_gap`. A fence is `sym u32 | left u64`.
 impl PackedRow for TagEntry {
     type Key = (u32, u64);
-    const FENCE_LEN: usize = 12;
+    type Fence = (u32, u64);
     const MIN_LEN: usize = 4;
     const NAME: &'static str = "tag";
 
-    fn key(&self) -> (u32, u64) {
-        (self.sym, self.left)
+    fn with_key<T>(&self, f: impl FnOnce(&(u32, u64)) -> T) -> T {
+        f(&(self.sym, self.left))
+    }
+
+    fn fence_key(fence: &(u32, u64)) -> &(u32, u64) {
+        fence
     }
 
     fn put_fence(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.sym.to_le_bytes());
         out.extend_from_slice(&self.left.to_le_bytes());
-    }
-
-    fn fence(b: &[u8]) -> (u32, u64) {
-        (
-            u32::from_le_bytes(b[0..4].try_into().unwrap()),
-            u64::from_le_bytes(b[4..12].try_into().unwrap()),
-        )
     }
 
     fn breaks_run(&self, prev: &Self) -> bool {
@@ -200,40 +197,45 @@ impl PackedRow for TagEntry {
     }
 
     #[inline]
-    fn decode(b: &mut &[u8], prev: Option<&Self>) -> Option<Self> {
+    fn decode(&mut self, b: &mut &[u8], restart: bool) -> Option<()> {
         // Inside a run nearly every row is four one-byte varints: one
         // test for all of them.
-        if let (Some(p), Some(&[delta, width, level, fine_gap])) = (prev, b.first_chunk()) {
+        if let (false, Some(&[delta, width, level, fine_gap])) = (restart, b.first_chunk()) {
             if (delta | width | level | fine_gap) < 0x80 && delta != 0 {
                 *b = &b[4..];
-                let left = p.left.checked_add(u64::from(delta))?;
-                return Some(TagEntry {
-                    sym: p.sym,
-                    left,
-                    right: left.checked_add(u64::from(width))?,
-                    level: u32::from(level),
-                    fine_gap: u32::from(fine_gap),
-                });
+                self.left = self.left.checked_add(u64::from(delta))?;
+                self.right = self.left.checked_add(u64::from(width))?;
+                (self.level, self.fine_gap) = (u32::from(level), u32::from(fine_gap));
+                return Some(());
             }
         }
-        let (sym, left) = match prev {
-            Some(p) => (
-                p.sym,
-                p.left.checked_add(take_varint(b).filter(|&d| d != 0)?)?,
-            ),
-            None => (take_varint32(b)?, take_varint(b)?),
-        };
-        Some(TagEntry {
-            sym,
-            left,
-            right: left.checked_add(take_varint(b)?)?,
-            level: take_varint32(b)?,
-            fine_gap: take_varint32(b)?,
-        })
+        if restart {
+            (self.sym, self.left) = (take_varint32(b)?, take_varint(b)?);
+        } else {
+            self.left = self.left.checked_add(take_varint(b).filter(|&d| d != 0)?)?;
+        }
+        self.right = self.left.checked_add(take_varint(b)?)?;
+        (self.level, self.fine_gap) = (take_varint32(b)?, take_varint32(b)?);
+        Some(())
     }
 
-    fn decode_key(mut b: &[u8]) -> Option<(u32, u64)> {
-        Some((take_varint32(&mut b)?, take_varint(&mut b)?))
+    /// The key alone: the trie descent's narrow probes binary-search
+    /// thousands of cached blocks a query, and the rest of a restart
+    /// row is decoded when the walk reaches it.
+    fn decode_restart(&mut self, mut b: &[u8]) -> Option<()> {
+        (self.sym, self.left) = (take_varint32(&mut b)?, take_varint(&mut b)?);
+        Some(())
+    }
+}
+
+impl FixedRow for TagEntry {
+    const FENCE_LEN: usize = 12;
+
+    fn fence(b: &[u8]) -> (u32, u64) {
+        (
+            u32::from_le_bytes(b[0..4].try_into().unwrap()),
+            u64::from_le_bytes(b[4..12].try_into().unwrap()),
+        )
     }
 }
 
@@ -265,7 +267,7 @@ impl SortItem for TagEntry {
 }
 
 /// One Docid row of a segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct DocEnd {
     /// LeftPos of the trie node where the sequence ends.
     pub left: u64,
@@ -278,20 +280,20 @@ pub(crate) struct DocEnd {
 /// then `doc`. A fence is `left u64`.
 impl PackedRow for DocEnd {
     type Key = u64;
-    const FENCE_LEN: usize = 8;
+    type Fence = u64;
     const MIN_LEN: usize = 2;
     const NAME: &'static str = "doc";
 
-    fn key(&self) -> u64 {
-        self.left
+    fn with_key<T>(&self, f: impl FnOnce(&u64) -> T) -> T {
+        f(&self.left)
+    }
+
+    fn fence_key(fence: &u64) -> &u64 {
+        fence
     }
 
     fn put_fence(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.left.to_le_bytes());
-    }
-
-    fn fence(b: &[u8]) -> u64 {
-        u64::from_le_bytes(b[0..8].try_into().unwrap())
     }
 
     fn breaks_run(&self, _: &Self) -> bool {
@@ -304,17 +306,22 @@ impl PackedRow for DocEnd {
         put_varint(out, u64::from(self.doc));
     }
 
-    fn decode(b: &mut &[u8], prev: Option<&Self>) -> Option<Self> {
+    fn decode(&mut self, b: &mut &[u8], restart: bool) -> Option<()> {
+        let prev = (!restart).then_some(*self);
         let left = prev.map_or(0, |p| p.left).checked_add(take_varint(b)?)?;
-        let end = DocEnd {
+        *self = DocEnd {
             left,
             doc: take_varint32(b)?,
         };
-        prev.is_none_or(|p| *p < end).then_some(end)
+        prev.is_none_or(|p| p < *self).then_some(())
     }
+}
 
-    fn decode_key(mut b: &[u8]) -> Option<u64> {
-        take_varint(&mut b)
+impl FixedRow for DocEnd {
+    const FENCE_LEN: usize = 8;
+
+    fn fence(b: &[u8]) -> u64 {
+        u64::from_le_bytes(b[0..8].try_into().unwrap())
     }
 }
 
@@ -572,8 +579,8 @@ impl Header {
         };
         (rec_idx_off >= SEG_HEADER_LEN
             && hdr.frame() == *f
-            && holds(hdr.tag_blocks, n_tag, PackedRows::<TagEntry>::MAX_PER_BLOCK)
-            && holds(hdr.doc_blocks, n_doc, PackedRows::<DocEnd>::MAX_PER_BLOCK))
+            && holds(hdr.tag_blocks, n_tag, TagEntry::MAX_PER_BLOCK)
+            && holds(hdr.doc_blocks, n_doc, DocEnd::MAX_PER_BLOCK))
         .then_some(hdr)
     }
 }
@@ -666,8 +673,11 @@ impl SegmentBuilder {
         let mut tags = RowPacker::new();
         let mut prev_key: Option<(u32, u64)> = None;
         tag_sorter.drain(|t| {
-            debug_assert!(prev_key.is_none_or(|p| p < t.key()), "duplicate tag key");
-            prev_key = Some(t.key());
+            debug_assert!(
+                prev_key.is_none_or(|p| p < (t.sym, t.left)),
+                "duplicate tag key"
+            );
+            prev_key = Some((t.sym, t.left));
             tags.push(&mut w, &t)
         })?;
         tags.flush(&mut w)?;
@@ -762,8 +772,8 @@ pub struct SegmentLayout {
 pub struct SegmentReader {
     file: BlockFile,
     hdr: Header,
-    tags: Section<PackedRows<TagEntry>>,
-    docs: Section<PackedRows<DocEnd>>,
+    tags: Section<TagEntry>,
+    docs: Section<DocEnd>,
 }
 
 impl SegmentReader {
@@ -772,8 +782,8 @@ impl SegmentReader {
     /// rows). Segment block reads are recorded into `stats`.
     pub fn open(store: Box<dyn RawStore>, stats: Arc<IoStats>) -> Result<SegmentReader> {
         let hdr = Frame::open(&*store, &SEG_FORMAT, Header::from_frame)?;
-        let tags = PackedRows::open(&*store, hdr.tag_off, hdr.tag_fence_off, hdr.tag_blocks)?;
-        let docs = PackedRows::open(&*store, hdr.doc_off, hdr.doc_fence_off, hdr.doc_blocks)?;
+        let tags = Section::open(&*store, hdr.tag_off, hdr.tag_fence_off, hdr.tag_blocks)?;
+        let docs = Section::open(&*store, hdr.doc_off, hdr.doc_fence_off, hdr.doc_blocks)?;
         Ok(SegmentReader {
             file: BlockFile::new(store, stats, hdr.file_len),
             hdr,
@@ -1155,10 +1165,10 @@ pub(crate) mod tests {
     /// The indexes, in a section's sorted rows, of every row that opens
     /// a block (from the blocks' own counts in `file`) and of every
     /// restart (the packer's rule replayed over the oracle rows).
-    fn block_starts_and_restarts<R: PackedRow>(
+    fn block_starts_and_restarts<R: FixedRow>(
         rows: &[R],
         file: &[u8],
-        sec: &Section<PackedRows<R>>,
+        sec: &Section<R>,
     ) -> [Vec<usize>; 2] {
         let mut starts = vec![0];
         for g in 0..sec.fences.len() {

@@ -1,8 +1,8 @@
 //! Value runs: the value index of one segment tier — every
 //! `(opclass key, posting)` of exactly the tier's documents, sorted and
 //! packed, in a file next to the tier's RP and EP segments. Format
-//! version 1, on the frame, CRC table, block cache and sections of
-//! [`super::blockfile`]:
+//! version 2, on the frame, CRC table, block cache, sections and
+//! restart-coded blocks of [`super::blockfile`]:
 //!
 //! ```text
 //! +---------+------------+------------+------------+------------+----------+----------+-----------+
@@ -16,25 +16,44 @@
 //!   length), zero-padded to one block. `VxHeader::lay_out` derives
 //!   every offset from the counts; a header that disagrees is refused
 //!   at open.
-//! * **num / str blocks** — one section per opclass. A block is
-//!   `n: u16`, then `n` entries `klen: u16 | key | doc: u32 | post: u32`
-//!   in ascending `(key, doc, post)` order, then zeros. An entry never
-//!   spans a block. Keys are opaque here but for their 4-byte big-endian
-//!   tag prefix; the core layer writes the bytes its delta's maps use.
-//! * **fences** — `klen | key` of every block's first entry, resident
-//!   after open: one binary search picks the block a scan starts in.
+//! * **num / str blocks** — one section per opclass, its entries in
+//!   ascending `(key, doc, post)` order, each block laid out as a
+//!   structural segment's (`n_rows | n_restarts | restart offsets | end
+//!   | entries | zeros`, [`walk_rows`](super::blockfile::walk_rows)). An
+//!   entry is varints:
+//!
+//!   ```text
+//!   at a restart:  klen             | key            | doc           | post
+//!   elsewhere:     shared | slen    | key[shared..]  | doc or Δdoc   | post
+//!   ```
+//!
+//!   `shared` is the length of the key prefix the entry has in common
+//!   with the entry before it, `slen` the length of the rest. An entry
+//!   with the key of the one before it (`shared` its whole length, `slen`
+//!   0) stores its document as the difference from that entry's; any
+//!   other stores it in full. The first entry of a block and every 16th
+//!   of a run are restarts, so a probe is a binary search over the
+//!   restarts and a decode of at most 16 entries. An entry never spans
+//!   a block. Keys are opaque here but for their 4-byte big-endian tag
+//!   prefix; the core layer writes the bytes its delta's maps use.
+//! * **fences** — `klen u16 | key` of every block's first entry,
+//!   resident after open: one binary search picks the block a scan
+//!   starts in.
 //! * **tags** — the sorted distinct tag prefixes of each section,
 //!   resident after open: a scan for a tag the run does not hold returns
 //!   before touching a block. The tag directory is the one thing a run
 //!   has that the block-file layer does not know about.
 //! * **CRC table** — as in a segment.
+//!
+//! Format 1 (`klen u16 | key | doc u32 | post u32` for every posting,
+//! each block walked from its top) is refused at open: re-index.
 
 use std::ops::Bound;
 use std::sync::Arc;
 
 use super::blockfile::{
-    check_crc_table, corrupt, seal, BlockFile, Format, Frame, KeyedEntries, Section, SeqWriter,
-    MIN_KEY_LEN, POSTING_LEN, SEG_BLOCK, SEG_HEADER_LEN,
+    check_crc_table, corrupt, put_varint, seal, take_varint, take_varint32, BlockFile, Format,
+    Frame, PackedRow, RowPacker, Section, SeqWriter, SEG_BLOCK, SEG_HEADER_LEN,
 };
 use super::sort::{RunBuf, SortItem};
 use crate::error::Result;
@@ -43,16 +62,15 @@ use crate::store::RawStore;
 
 /// `kind` byte of a value run (its header and its manifest row).
 pub const SEG_KIND_VX: u8 = 2;
-/// Value-run format version.
-pub const VX_VERSION: u32 = 1;
+/// Value-run format version (2: prefix-coded keys, delta-coded
+/// postings, restart-coded blocks).
+pub const VX_VERSION: u32 = 2;
 /// Key length of the numeric section: tag(4) ++ encoded value(8).
 const VX_NUM_KEY_LEN: usize = 12;
+/// Shortest key a run stores: its tag prefix alone.
+const VX_MIN_KEY_LEN: usize = 4;
 /// Longest key a run stores: tag(4) ++ 256 value bytes.
 pub const VX_MAX_KEY_LEN: usize = 260;
-/// Bytes of an entry besides its key: klen(2) doc(4) post(4).
-const VX_ENTRY_OVERHEAD: usize = 2 + POSTING_LEN;
-/// The most entries one block holds (minimal keys).
-const VX_MAX_PER_BLOCK: u64 = ((SEG_BLOCK - 2) / (MIN_KEY_LEN + VX_ENTRY_OVERHEAD)) as u64;
 
 /// The frame of a value run: eleven words, one kind.
 const VX_FORMAT: Format = Format {
@@ -77,7 +95,7 @@ impl VxSection {
     pub fn key_len_ok(self, len: usize) -> bool {
         match self {
             VxSection::Num => len == VX_NUM_KEY_LEN,
-            VxSection::Str => (MIN_KEY_LEN..=VX_MAX_KEY_LEN).contains(&len),
+            VxSection::Str => (VX_MIN_KEY_LEN..=VX_MAX_KEY_LEN).contains(&len),
         }
     }
 
@@ -199,6 +217,92 @@ impl SortItem for VxEntry {
     }
 }
 
+/// One entry of a value-run block as the codec holds it: the key in
+/// full, then the posting.
+#[derive(Debug, Clone, Default)]
+struct VxRow {
+    key: Vec<u8>,
+    doc: u32,
+    post: u32,
+}
+
+/// The entry layout of the module doc. A fence is `klen u16 | key`.
+impl PackedRow for VxRow {
+    type Key = [u8];
+    type Fence = Box<[u8]>;
+    /// `shared`, `slen`, a document delta and `post`, a byte each.
+    const MIN_LEN: usize = 4;
+    const NAME: &'static str = "value-run";
+
+    fn with_key<T>(&self, f: impl FnOnce(&[u8]) -> T) -> T {
+        f(&self.key)
+    }
+
+    fn fence_key(fence: &Box<[u8]>) -> &[u8] {
+        fence
+    }
+
+    fn put_fence(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(self.key.len() as u16).to_le_bytes());
+        out.extend_from_slice(&self.key);
+    }
+
+    fn breaks_run(&self, _: &Self) -> bool {
+        false
+    }
+
+    fn encode(&self, prev: Option<&Self>, out: &mut Vec<u8>) {
+        let shared = prev.map_or(0, |p| {
+            let pairs = p.key.iter().zip(&self.key);
+            pairs.take_while(|(a, b)| a == b).count()
+        });
+        if prev.is_some() {
+            put_varint(out, shared as u64);
+        }
+        put_varint(out, (self.key.len() - shared) as u64);
+        out.extend_from_slice(&self.key[shared..]);
+        let base = prev.filter(|p| p.key == self.key).map_or(0, |p| p.doc);
+        let doc = self.doc.checked_sub(base);
+        put_varint(
+            out,
+            u64::from(doc.expect("entries arrive in (key, doc, post) order")),
+        );
+        put_varint(out, u64::from(self.post));
+    }
+
+    fn decode(&mut self, b: &mut &[u8], restart: bool) -> Option<()> {
+        let shared = if restart { 0 } else { take_varint(b)? };
+        let shared = usize::try_from(shared)
+            .ok()
+            .filter(|&s| s <= self.key.len())?;
+        let slen = usize::try_from(take_varint(b)?).ok()?;
+        let suffix = b.get(..slen)?;
+        if !(VX_MIN_KEY_LEN..=VX_MAX_KEY_LEN).contains(&(shared + slen)) {
+            return None;
+        }
+        let same = !restart && slen == 0 && shared == self.key.len();
+        // A new key sorts after the one before it: it differs from it
+        // past their shared prefix, upward.
+        if !restart && !same && suffix <= &self.key[shared..] {
+            return None;
+        }
+        *b = &b[slen..];
+        self.key.truncate(shared);
+        self.key.extend_from_slice(suffix);
+        let (doc, post) = (take_varint32(b)?, take_varint32(b)?);
+        if same {
+            if doc == 0 && post <= self.post {
+                return None;
+            }
+            self.doc = self.doc.checked_add(doc)?;
+        } else {
+            self.doc = doc;
+        }
+        self.post = post;
+        Some(())
+    }
+}
+
 /// Counts of one section, from which its place in the file follows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct VxGeom {
@@ -266,8 +370,8 @@ impl VxHeader {
     /// The header a frame stores, if the frame is exactly what
     /// [`VxHeader::lay_out`] derives from the counts it stores, and the
     /// counts are ones a builder can produce (every block holds at
-    /// least one entry and at most [`VX_MAX_PER_BLOCK`], every fence is
-    /// one key, a section with postings has a tag).
+    /// least one entry and at most [`PackedRow::MAX_PER_BLOCK`], every
+    /// fence is one key, a section with postings has a tag).
     fn from_frame(f: &Frame) -> Option<VxHeader> {
         let sec = |i: usize| VxGeom {
             postings: f.words[i],
@@ -278,8 +382,8 @@ impl VxHeader {
         let plausible = |s: &VxGeom| {
             let fence = |key: usize| s.blocks.checked_mul((2 + key) as u64);
             s.blocks <= s.postings
-                && Some(s.postings) <= s.blocks.checked_mul(VX_MAX_PER_BLOCK)
-                && fence(MIN_KEY_LEN) <= Some(s.fence_len)
+                && Some(s.postings) <= s.blocks.checked_mul(VxRow::MAX_PER_BLOCK)
+                && fence(VX_MIN_KEY_LEN) <= Some(s.fence_len)
                 && Some(s.fence_len) <= fence(VX_MAX_KEY_LEN)
                 && s.tags <= s.postings
                 && (s.tags == 0) == (s.postings == 0)
@@ -292,8 +396,7 @@ impl VxHeader {
 /// One section while a [`ValueRunBuilder`] fills it.
 struct VxSecBuild {
     entries: VxStream,
-    blocks: u64,
-    fences: Vec<u8>,
+    rows: RowPacker<VxRow>,
 }
 
 /// Writes one value run. Entries must arrive in the order the run
@@ -306,9 +409,8 @@ pub struct ValueRunBuilder {
     w: SeqWriter,
     doc_base: u32,
     n_docs: u32,
-    /// The block being filled; empty between blocks.
-    block: Vec<u8>,
-    in_block: u16,
+    /// The entry being pushed (its key's buffer is reused).
+    row: VxRow,
     section: VxSection,
     secs: [VxSecBuild; 2],
 }
@@ -321,13 +423,11 @@ impl ValueRunBuilder {
             w: SeqWriter::new(out, SEG_BLOCK as u64),
             doc_base,
             n_docs,
-            block: Vec::with_capacity(SEG_BLOCK),
-            in_block: 0,
+            row: VxRow::default(),
             section: VxSection::Num,
             secs: [VxSection::Num, VxSection::Str].map(|section| VxSecBuild {
                 entries: VxStream::new(section, doc_base, n_docs),
-                blocks: 0,
-                fences: Vec::new(),
+                rows: RowPacker::new(),
             }),
         }
     }
@@ -339,51 +439,28 @@ impl ValueRunBuilder {
             return Err(corrupt("value-run sections out of order".into()));
         }
         if section != self.section {
-            self.close_block()?;
+            self.secs[self.section as usize].rows.flush(&mut self.w)?;
             self.section = section;
         }
-        let admitted = self.secs[section as usize].entries.admit(key, doc, post);
-        admitted.map_err(|why| corrupt(format!("value-run posting {why}")))?;
-        if self.block.len() + key.len() + VX_ENTRY_OVERHEAD > SEG_BLOCK {
-            self.close_block()?;
-        }
         let sec = &mut self.secs[section as usize];
-        let klen = (key.len() as u16).to_le_bytes();
-        if self.block.is_empty() {
-            self.block.extend_from_slice(&[0, 0]);
-            sec.blocks += 1;
-            sec.fences.extend_from_slice(&klen);
-            sec.fences.extend_from_slice(key);
-        }
-        self.block.extend_from_slice(&klen);
-        self.block.extend_from_slice(key);
-        self.block.extend_from_slice(&doc.to_le_bytes());
-        self.block.extend_from_slice(&post.to_le_bytes());
-        self.in_block += 1;
-        Ok(())
-    }
-
-    /// Stamps the entry count into the block being filled, pads it to
-    /// [`SEG_BLOCK`] and hands it to the writer.
-    fn close_block(&mut self) -> Result<()> {
-        if !self.block.is_empty() {
-            self.block[..2].copy_from_slice(&self.in_block.to_le_bytes());
-            self.block.resize(SEG_BLOCK, 0);
-            self.w.push(&self.block)?;
-            self.block.clear();
-            self.in_block = 0;
-        }
-        Ok(())
+        let admitted = sec.entries.admit(key, doc, post);
+        admitted.map_err(|why| corrupt(format!("value-run posting {why}")))?;
+        self.row.key.clear();
+        self.row.key.extend_from_slice(key);
+        (self.row.doc, self.row.post) = (doc, post);
+        sec.rows.push(&mut self.w, &self.row)
     }
 
     /// Writes the last block, the fences, the tag directories, the
     /// header and the CRC table, then syncs.
     pub fn finish(mut self) -> Result<()> {
-        self.close_block()?;
+        for s in &mut self.secs {
+            s.rows.flush(&mut self.w)?;
+        }
         let geom = |s: &VxSecBuild| VxGeom {
             postings: s.entries.postings,
-            blocks: s.blocks,
-            fence_len: s.fences.len() as u64,
+            blocks: s.rows.blocks(),
+            fence_len: s.rows.fences.len() as u64,
             tags: s.entries.tags.len() as u64,
         };
         let header = VxHeader::lay_out(
@@ -399,7 +476,7 @@ impl ValueRunBuilder {
             "value-run writer left its layout"
         );
         for s in &self.secs {
-            w.push(&s.fences)?;
+            w.push(&s.rows.fences)?;
         }
         for t in self.secs.iter().flat_map(|s| &s.entries.tags) {
             w.push(&t.to_le_bytes())?;
@@ -421,18 +498,46 @@ pub struct VxCheck {
     pub str_postings: u64,
 }
 
+/// Where a value run's bytes are, from its header (`prix segments`).
+/// Everything else in the file is block 0 (the frame, padded).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VxLayout {
+    /// The numeric section (whole blocks).
+    pub num_bytes: u64,
+    /// Its postings.
+    pub num_postings: u64,
+    /// Its blocks.
+    pub num_blocks: u64,
+    /// The string section (whole blocks).
+    pub str_bytes: u64,
+    /// Its postings.
+    pub str_postings: u64,
+    /// Its blocks.
+    pub str_blocks: u64,
+    /// Both sections' stored fences.
+    pub fence_bytes: u64,
+    /// Both tag directories.
+    pub tag_bytes: u64,
+    /// The CRC table.
+    pub crc_bytes: u64,
+    /// The whole file.
+    pub file_bytes: u64,
+}
+
 /// What a [`ValueRunReader`] keeps of one section after `open`.
 struct VxSec {
     section: VxSection,
     postings: u64,
-    blocks: Section<KeyedEntries>,
+    blocks: Section<VxRow>,
     /// Sorted distinct tag prefixes.
     tags: Vec<u32>,
 }
 
 impl VxSec {
-    /// Parses and checks what `open` read for this section: its fences
-    /// ([`KeyedEntries::open`]) and its strictly ascending tags.
+    /// Parses and checks what `open` read for this section: one fence
+    /// of the section's key shape per block, filling the fence bytes
+    /// exactly, in non-descending order (one key's postings can fill
+    /// several blocks); strictly ascending tags.
     fn parse(
         section: VxSection,
         first_block: u64,
@@ -440,8 +545,27 @@ impl VxSec {
         fence_bytes: &[u8],
         tag_bytes: &[u8],
     ) -> Result<VxSec> {
-        let key_ok = |len: usize| section.key_len_ok(len);
-        let blocks = KeyedEntries::open(fence_bytes, first_block, geom.blocks, key_ok)?;
+        let mut fences: Vec<Box<[u8]>> = Vec::with_capacity(geom.blocks as usize);
+        let mut rest = fence_bytes;
+        while !rest.is_empty() {
+            let key = rest.get(..2).and_then(|l| {
+                let len = usize::from(u16::from_le_bytes([l[0], l[1]]));
+                rest.get(2..2 + len)
+            });
+            let Some(key) = key.filter(|k| section.key_len_ok(k.len())) else {
+                return Err(corrupt("value-run fence runs past its section".into()));
+            };
+            fences.push(key.into());
+            rest = &rest[2 + key.len()..];
+        }
+        if fences.len() as u64 != geom.blocks {
+            return Err(corrupt(
+                "value-run fence count disagrees with its blocks".into(),
+            ));
+        }
+        if fences.windows(2).any(|w| w[0] > w[1]) {
+            return Err(corrupt("value-run fences are not sorted".into()));
+        }
         let tags: Vec<u32> = tag_bytes
             .chunks_exact(4)
             .map(|t| u32::from_le_bytes(t.try_into().unwrap()))
@@ -452,7 +576,10 @@ impl VxSec {
         Ok(VxSec {
             section,
             postings: geom.postings,
-            blocks,
+            blocks: Section {
+                fences,
+                first_block,
+            },
             tags,
         })
     }
@@ -479,8 +606,9 @@ fn above(hi: Bound<&[u8]>, key: &[u8]) -> bool {
 /// Read handle over one value run: direct [`RawStore`] reads through
 /// the same block cache and counters as a segment's reader. Fences and
 /// tag directories are resident, so a probe is one in-memory binary
-/// search plus the blocks that hold its answer — none at all for a tag
-/// the run does not hold.
+/// search, one over the restarts of a block and a decode of at most 16
+/// entries, plus the blocks that hold the rest of its answer — none at
+/// all for a tag the run does not hold.
 pub struct ValueRunReader {
     file: BlockFile,
     hdr: VxHeader,
@@ -537,12 +665,31 @@ impl ValueRunReader {
         self.hdr.file_len
     }
 
+    /// Where the file's bytes are, from its header.
+    pub fn layout(&self) -> VxLayout {
+        let h = &self.hdr;
+        let [num, strs] = &h.secs;
+        let block = SEG_BLOCK as u64;
+        VxLayout {
+            num_bytes: num.blocks * block,
+            num_postings: num.postings,
+            num_blocks: num.blocks,
+            str_bytes: strs.blocks * block,
+            str_postings: strs.postings,
+            str_blocks: strs.blocks,
+            fence_bytes: num.fence_len + strs.fence_len,
+            tag_bytes: (num.tags + strs.tags) * 4,
+            crc_bytes: h.file_len - h.crc_off,
+            file_bytes: h.file_len,
+        }
+    }
+
     /// Bytes of memory the resident fences and tag directories occupy.
     pub fn resident_bytes(&self) -> u64 {
         self.secs
             .iter()
             .map(|s| {
-                s.blocks.codec.fence_bytes.len()
+                s.blocks.fences.iter().map(|f| f.len()).sum::<usize>()
                     + std::mem::size_of_val(&s.blocks.fences[..])
                     + std::mem::size_of_val(&s.tags[..])
             })
@@ -550,17 +697,17 @@ impl ValueRunReader {
     }
 
     /// Range scan of one section in `(key, doc, post)` order, with the
-    /// contract of `BPlusTree::scan`: `f(key, posting)` returns `false`
-    /// to stop early. A range no resident tag can fall into touches no
-    /// block; otherwise the scan starts in the one block the fences
-    /// point at and enters a following block only while its fence is
-    /// still inside the range.
+    /// contract of `BPlusTree::scan`: `f(key, doc, post)` returns
+    /// `false` to stop early. A range no resident tag can fall into
+    /// touches no block; otherwise the scan starts in the one block the
+    /// fences point at and enters a following block only while its
+    /// fence is still inside the range.
     pub fn scan(
         &self,
         section: VxSection,
         lo: Bound<&[u8]>,
         hi: Bound<&[u8]>,
-        mut f: impl FnMut(&[u8], &[u8]) -> bool,
+        mut f: impl FnMut(&[u8], u32, u32) -> bool,
     ) -> Result<()> {
         let sec = &self.secs[section as usize];
         let lo_tag = match lo {
@@ -577,7 +724,7 @@ impl ValueRunReader {
             &self.file,
             |key| below(lo, key),
             |key| above(hi, key),
-            |key, entry| f(key, &entry[entry.len() - POSTING_LEN..]),
+            |key, row| f(key, row.doc, row.post),
         )
     }
 
@@ -611,11 +758,8 @@ impl ValueRunReader {
         let name = sec.section.name();
         let mut entries = VxStream::new(sec.section, self.hdr.doc_base, self.hdr.n_docs);
         let store = &*self.file.store;
-        sec.blocks.verify(store, name, |n, key, entry| {
-            let posting = &entry[entry.len() - POSTING_LEN..];
-            let doc = u32::from_le_bytes(posting[..4].try_into().unwrap());
-            let post = u32::from_le_bytes(posting[4..].try_into().unwrap());
-            let admitted = entries.admit(key, doc, post);
+        sec.blocks.verify(store, name, |n, key, row| {
+            let admitted = entries.admit(key, row.doc, row.post);
             admitted.map_err(|why| corrupt(format!("{name} entry {n} {why}")))
         })?;
         if entries.tags != sec.tags {
@@ -636,6 +780,7 @@ impl ValueRunReader {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::super::blockfile::tests::{patch_header, FileKind};
+    use super::super::blockfile::{walk_rows, RESTART_EVERY};
     use super::super::structural::tests::lcg;
     use super::super::structural::SEG_KIND_RP;
     use super::*;
@@ -659,7 +804,7 @@ pub(crate) mod tests {
     /// and tags 3, 5 and 9: per document a few numeric and string
     /// values from a small vocabulary (so keys repeat across documents),
     /// one long string, and — under tag 5 — one string every document
-    /// shares, whose postings fill several blocks on their own.
+    /// shares.
     pub(crate) fn sample_entries(n_docs: u32, seed: u64) -> Vec<VxEntry> {
         let mut s = seed;
         let mut out = Vec::new();
@@ -697,6 +842,51 @@ pub(crate) mod tests {
         out
     }
 
+    /// Entries that lean on the prefix coding, over documents
+    /// `100..1100`: 600 string keys sharing a 200-byte prefix (a run of
+    /// them crosses restarts and blocks), keys that extend the key
+    /// before them, one string key with 3000 postings (several blocks of
+    /// them), and numeric keys a byte or two apart.
+    fn prefix_entries() -> Vec<VxEntry> {
+        let mut s = 47;
+        let mut out = Vec::new();
+        let mut push = |section, key: Vec<u8>, doc: u32, post: u32| {
+            out.push(VxEntry {
+                section,
+                key,
+                doc,
+                post,
+            })
+        };
+        let stem = "p".repeat(200);
+        for i in 0..600u32 {
+            let key = str_key(7, &format!("{stem}{i:05}"));
+            push(VxSection::Str, key, 100 + (lcg(&mut s) % 1000) as u32, i);
+        }
+        for n in 1..=40 {
+            push(
+                VxSection::Str,
+                str_key(7, &"q".repeat(n)),
+                100 + n as u32,
+                1,
+            );
+        }
+        for i in 0..3000u32 {
+            push(VxSection::Str, str_key(8, "hot"), 100 + i / 3, 1 + i % 3);
+        }
+        for i in 0..2500u64 {
+            let v = (1 << 20) + lcg(&mut s) % 4000;
+            push(
+                VxSection::Num,
+                num_key(7, v),
+                100 + (i % 1000) as u32,
+                1 + (i / 1000) as u32,
+            );
+        }
+        out.sort();
+        out
+    }
+
     pub(crate) fn build_run(entries: &[VxEntry], doc_base: u32, n_docs: u32) -> MemStore {
         let store = MemStore::new();
         let mut b = ValueRunBuilder::new(Box::new(store.clone()), doc_base, n_docs);
@@ -719,22 +909,26 @@ pub(crate) mod tests {
         hi: Bound<&[u8]>,
     ) -> Result<Vec<VxEntry>> {
         let mut got = Vec::new();
-        r.scan(section, lo, hi, |k, v| {
+        r.scan(section, lo, hi, |k, doc, post| {
             got.push(VxEntry {
                 section,
                 key: k.to_vec(),
-                doc: u32::from_le_bytes(v[..4].try_into().unwrap()),
-                post: u32::from_le_bytes(v[4..].try_into().unwrap()),
+                doc,
+                post,
             });
             true
         })?;
         Ok(got)
     }
 
-    #[test]
-    fn value_run_scans_match_filtered_oracle() {
-        let entries = sample_entries(400, 31);
-        let store = build_run(&entries, 100, 400);
+    /// Builds the run of `entries` over documents `100..100 + n_docs`
+    /// and checks it: verify counts every posting, and every scan —
+    /// bounds at every fence and its neighbours in key order, at keys
+    /// of absent tags, at the shortest and longest possible keys —
+    /// visits exactly the entries the filter over `entries` keeps, and
+    /// stops after the entry its callback refuses.
+    fn check_scans(entries: &[VxEntry], n_docs: u32) -> ValueRunReader {
+        let store = build_run(entries, 100, n_docs);
         let r = open_run(&store, &Arc::new(IoStats::default())).unwrap();
         let check = r.verify().unwrap();
         let count = |s| entries.iter().filter(|e| e.section == s).count() as u64;
@@ -743,19 +937,8 @@ pub(crate) mod tests {
             (count(VxSection::Num), count(VxSection::Str))
         );
         assert_eq!(r.posting_counts(), (check.num_postings, check.str_postings));
-        assert!(
-            r.secs.iter().all(|s| s.blocks.fences.len() > 4),
-            "several blocks"
-        );
-        assert!(
-            (1..r.secs[1].blocks.fences.len())
-                .any(|g| r.secs[1].blocks.fence(g - 1) == r.secs[1].blocks.fence(g)),
-            "one key's postings span whole blocks"
-        );
         for section in [VxSection::Num, VxSection::Str] {
             let of: Vec<&VxEntry> = entries.iter().filter(|e| e.section == section).collect();
-            // Bounds: every fence and its neighbours in key order, keys
-            // of absent tags, the shortest and longest possible keys.
             let sec = &r.secs[section as usize].blocks;
             let mut keys: Vec<Vec<u8>> =
                 vec![vec![], vec![0, 0, 0, 4], vec![0, 0, 0, 6], vec![0xFF; 12]];
@@ -782,15 +965,24 @@ pub(crate) mod tests {
                     );
                 }
             }
-            // Stopping early ends the scan after the entry refused.
             let mut seen = 0;
-            r.scan(section, Bound::Unbounded, Bound::Unbounded, |_, _| {
+            r.scan(section, Bound::Unbounded, Bound::Unbounded, |_, _, _| {
                 seen += 1;
                 seen < 3
             })
             .unwrap();
             assert_eq!(seen, 3);
         }
+        r
+    }
+
+    #[test]
+    fn value_run_scans_match_filtered_oracle() {
+        let r = check_scans(&sample_entries(400, 31), 400);
+        assert!(
+            r.secs.iter().all(|s| s.blocks.fences.len() >= 2),
+            "several blocks"
+        );
         // The empty run answers every range with nothing, from 4 KiB.
         let empty = build_run(&[], 7, 0);
         let r = open_run(&empty, &Arc::new(IoStats::default())).unwrap();
@@ -803,9 +995,37 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn prefix_coded_scans_match_filtered_oracle() {
+        let entries = prefix_entries();
+        let r = check_scans(&entries, 1000);
+        let sec = &r.secs[VxSection::Str as usize].blocks;
+        let fences: Vec<&[u8]> = (0..sec.fences.len()).map(|g| sec.fence(g)).collect();
+        let long = |k: &[u8]| k.len() > 200 && k[4..204].iter().all(|&b| b == b'p');
+        assert!(
+            entries.iter().filter(|e| long(&e.key)).count() > 2 * RESTART_EVERY,
+            "the shared prefix crosses restarts"
+        );
+        assert!(
+            fences
+                .windows(2)
+                .any(|w| long(w[0]) && long(w[1]) && w[0] != w[1]),
+            "the shared prefix crosses a block boundary"
+        );
+        let hot = str_key(8, "hot");
+        assert!(
+            fences
+                .windows(2)
+                .filter(|w| w[0] == hot && w[1] == hot)
+                .count()
+                >= 2,
+            "one key's postings span whole blocks"
+        );
+    }
+
+    #[test]
     fn value_run_probes_cost_the_blocks_that_hold_the_answer() {
-        let entries = sample_entries(700, 37);
-        let store = build_run(&entries, 100, 700);
+        let entries = sample_entries(2000, 37);
+        let store = build_run(&entries, 100, 2000);
         let stats = Arc::new(IoStats::default());
         let r = open_run(&store, &stats).unwrap();
         assert_eq!(stats.snapshot().seg_block_reads, 0, "open touches no block");
@@ -972,7 +1192,7 @@ pub(crate) mod tests {
                 match open_patched_run(&good, at, 8, f) {
                     Err(StorageError::Corrupt { .. }) => {}
                     Err(e) => panic!("word at {at}: wrong error {e}"),
-                    // A posting count can move by one without moving a
+                    // A posting count can move without moving a
                     // section; verify counts the postings.
                     Ok(r) => assert!(
                         (at == 24 || at == 56)
@@ -983,7 +1203,7 @@ pub(crate) mod tests {
             }
         }
         // Magic, version, kind, truncation.
-        for (at, byte) in [(0, b'X'), (8, 2), (12, SEG_KIND_RP)] {
+        for (at, byte) in [(0, b'X'), (8, 1), (8, 3), (12, SEG_KIND_RP)] {
             let mut bad = good.clone();
             bad[at] = byte;
             let crc = crc32(&bad[..120]);
@@ -1035,6 +1255,106 @@ pub(crate) mod tests {
                 Err(StorageError::Corrupt { .. }) => {}
                 Err(e) => panic!("{why}: wrong error {e}"),
                 Ok(_) => panic!("{why}: accepted"),
+            }
+        }
+    }
+
+    /// One value-run block damaged a field at a time: every walk of it
+    /// is `Corrupt` (a search into it may also come back clean when
+    /// what it decodes is intact), none panics. (The block head and
+    /// restart table are `walk_rows`'s, which
+    /// `hostile_packed_block_is_corrupt_never_a_panic` damages.)
+    #[test]
+    fn hostile_value_run_block_is_corrupt_never_a_panic() {
+        // 40 entries, two a key: an even one opens key `keyX`, the odd
+        // one after it is the same key's second posting. Restarts at
+        // entries 0, 16 and 32.
+        let rows: Vec<VxRow> = (0..40u32)
+            .map(|i| VxRow {
+                key: str_key(5, &format!("key{}", char::from(b'a' + (i / 2) as u8))),
+                doc: 10 + i - i % 2,
+                post: 1 + i % 2,
+            })
+            .collect();
+        let mut w = SeqWriter::new(Box::new(MemStore::new()), 0);
+        let mut packer = RowPacker::new();
+        for row in &rows {
+            packer.push(&mut w, row).unwrap();
+        }
+        packer.flush(&mut w).unwrap();
+        assert_eq!(packer.blocks(), 1);
+        let (store, len) = w.finish().unwrap();
+        let mut good = vec![0u8; len as usize];
+        store.read_at(0, &mut good).unwrap();
+
+        let walk = |block: &[u8], from: Option<&[u8]>| {
+            let mut got = Vec::new();
+            let before = |k: &[u8]| from.is_some_and(|f| k < f);
+            let skip = from.is_some().then_some(&before);
+            let pad = walk_rows(block, 0, skip, |_, row: &VxRow| {
+                got.push((row.key.clone(), row.doc, row.post));
+                Ok(true)
+            })?;
+            assert!(pad.is_some_and(|pad| pad.iter().all(|&b| b == 0)));
+            Ok::<_, StorageError>(got)
+        };
+        let want: Vec<_> = rows
+            .iter()
+            .map(|r| (r.key.clone(), r.doc, r.post))
+            .collect();
+        assert_eq!(walk(&good, None).unwrap(), want);
+        for (i, row) in rows.iter().enumerate() {
+            let from = want.iter().position(|w| w.0 == row.key).unwrap();
+            assert_eq!(walk(&good, Some(&row.key)).unwrap(), want[from..], "{i}");
+        }
+
+        // Where each entry starts: after the head and the four-entry
+        // table, each as the packer coded it.
+        let mut at = vec![4 + 2 * 4];
+        for (i, row) in rows.iter().enumerate() {
+            let mut buf = Vec::new();
+            row.encode((i % RESTART_EVERY != 0).then(|| &rows[i - 1]), &mut buf);
+            at.push(at[i] + buf.len());
+        }
+        // A restart: klen 8, the key, doc, post. The second posting of
+        // a key: shared 8, slen 0, Δdoc 0, post 2. A new key: shared 7,
+        // slen 1, its last byte, doc, post 1.
+        assert_eq!(
+            good[at[0]..at[1]],
+            [&[8][..], &rows[0].key, &[10, 1]].concat()
+        );
+        assert_eq!(good[at[1]..at[2]], [8, 0, 0, 2]);
+        assert_eq!(good[at[2]..at[3]], [7, 1, b'b', 12, 1]);
+        let last_of_run = at[RESTART_EVERY] - 1;
+        type Damage<'a> = (&'a str, &'a dyn Fn(&mut Vec<u8>));
+        let damages: [Damage; 8] = [
+            ("a key shorter than its tag", &|b| b[at[0]] = 3),
+            ("a shared prefix longer than the key before", &|b| {
+                b[at[1]] = 9
+            }),
+            ("a new key that sorts before the one before it", &|b| {
+                b[at[2] + 2] = b'a' - 1
+            }),
+            ("a key equal to the one before it, coded as new", &|b| {
+                b[at[2] + 2] = b'a'
+            }),
+            ("a posting repeated", &|b| b[at[1] + 3] = 1),
+            ("a suffix past its run", &|b| b[at[15] + 1] = 0x7F),
+            ("a varint of eleven bytes", &|b| b[at[2]..][..11].fill(0xff)),
+            ("a varint past its run", &|b| b[last_of_run] |= 0x80),
+        ];
+        for (what, damage) in damages {
+            let mut bad = good.clone();
+            damage(&mut bad);
+            assert!(
+                matches!(walk(&bad, None), Err(StorageError::Corrupt { .. })),
+                "{what} went unnoticed"
+            );
+            for row in &rows {
+                match walk(&bad, Some(&row.key)) {
+                    Ok(_) | Err(StorageError::Corrupt { .. }) => {}
+                    Err(e) => panic!("{what}: wrong error {e}"),
+                }
             }
         }
     }

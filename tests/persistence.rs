@@ -3,12 +3,13 @@
 //! I/O; damaged or foreign files are refused by name.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use prix::core::{
     BulkBuilder, EngineConfig, PrixEngine, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_SYM, SEG_KIND_VX,
 };
 use prix::datagen::{generate, queries::queries_for, Dataset};
-use prix::storage::{FileStore, Manifest, SymbolRun};
+use prix::storage::{crc32, FileStore, IoStats, Manifest, MemStore, SymbolRun, ValueRunReader};
 
 /// A one-document database at `path`: a bulk-built tier, an empty log.
 fn save_small_db(path: &Path) {
@@ -277,6 +278,63 @@ fn manifest_tier_missing_a_kind_is_refused() {
     assert!(
         PrixEngine::reopen(&path, 64).is_ok(),
         "restored manifest opens"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The empty value run of documents `doc_base..doc_base + n_docs` as
+/// value-run format 1 wrote it, frame written by hand: magic, version
+/// 1, kind, the documents, eight zero counts, then the fence offset,
+/// the CRC table's offset and the file length; the rest of block 0
+/// zero; then the CRC table of that one block.
+fn format_1_value_run(doc_base: u32, n_docs: u32) -> Vec<u8> {
+    let mut run = vec![0u8; 4096];
+    run[..8].copy_from_slice(b"PRIXVXR\0");
+    run[8..12].copy_from_slice(&1u32.to_le_bytes());
+    run[12] = SEG_KIND_VX;
+    run[16..20].copy_from_slice(&doc_base.to_le_bytes());
+    run[20..24].copy_from_slice(&n_docs.to_le_bytes());
+    for (i, word) in [4096u64, 4096, 4100].iter().enumerate() {
+        run[88 + 8 * i..96 + 8 * i].copy_from_slice(&word.to_le_bytes());
+    }
+    let crc = crc32(&run[..120]);
+    run[120..124].copy_from_slice(&crc.to_le_bytes());
+    let table = crc32(&run);
+    run.extend_from_slice(&table.to_le_bytes());
+    run
+}
+
+/// A value run an older build wrote is refused by the version it has
+/// and the one this build reads, with the way out — by the reader, and
+/// by reopen when a manifest names such a run, never a panic.
+#[test]
+fn a_format_1_value_run_is_refused_by_name() {
+    let dir = std::env::temp_dir().join(format!("prix-persist-vx1-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("db.prix");
+    bulk_small_db(&path);
+    let store = FileStore::open(dir.join("db.prix.seg")).unwrap();
+    let m = Manifest::read_from(&store).unwrap().unwrap();
+    let vx = m.segments.iter().find(|s| s.kind == SEG_KIND_VX).unwrap();
+    let old = format_1_value_run(vx.doc_base, vx.n_docs);
+    let err = ValueRunReader::open(
+        Box::new(MemStore::from_bytes(old.clone())),
+        Arc::new(IoStats::default()),
+    )
+    .err()
+    .expect("a format-1 run must be refused")
+    .to_string();
+    assert!(
+        err.contains("value-run format version 1")
+            && err.contains("this build reads version 2")
+            && err.contains("re-index the source documents"),
+        "{err}"
+    );
+    std::fs::write(sibling(&path, &vx.suffix), old).unwrap();
+    let msg = reopen_error(&path);
+    assert!(
+        msg.contains(&err),
+        "reopen says `{msg}`, the reader `{err}`"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

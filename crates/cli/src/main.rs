@@ -521,12 +521,17 @@ fn print_segment_rows(engine: &PrixEngine) -> Result<(), CliError> {
                 + l.fence_bytes
                 + l.meta_bytes
                 + l.crc_bytes;
+            // A tier keeps its records once, in its EP file.
+            let records = match s.kind {
+                prix_core::SEG_KIND_EP => {
+                    format!("{}, record index {}", l.record_bytes, l.record_index_bytes)
+                }
+                _ => "none (the tier's EP file holds them)".to_string(),
+            };
             println!(
-                "    {} bytes: records {}, record index {}, tag rows {}, doc ends {}, \
+                "    {} bytes: records {records}, tag rows {}, doc ends {}, \
                  fences {}, meta {}, CRC table {}, frame and alignment {}",
                 l.file_bytes,
-                l.record_bytes,
-                l.record_index_bytes,
                 packed(l.tag_bytes, l.tag_rows, l.tag_blocks, "rows"),
                 packed(l.doc_bytes, l.doc_rows, l.doc_blocks, "rows"),
                 l.fence_bytes,

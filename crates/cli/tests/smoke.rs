@@ -377,20 +377,31 @@ fn value_runs_show_in_segments_stats_and_fsck() {
         text.contains(", 0 record(s) since generation 2 began"),
         "{text}"
     );
-    // Every structural segment says where its bytes are, to the byte.
-    let layouts: Vec<&str> = text
-        .lines()
-        .filter(|l| l.contains(" bytes: records "))
+    // Every structural segment says where its bytes are, to the byte;
+    // an RP file holds no records, its tier's EP file does.
+    let lines: Vec<&str> = text.lines().collect();
+    let layouts: Vec<(&str, &str)> = lines
+        .windows(2)
+        .filter(|w| w[1].contains(" bytes: records "))
+        .map(|w| (w[0], w[1]))
         .collect();
     assert_eq!(layouts.len(), 4, "{text}");
-    for line in layouts {
+    for (head, line) in layouts {
         let numbers = |s: &str| -> Vec<u64> {
             let words = s.split(|c: char| !c.is_ascii_digit());
             words.filter_map(|w| w.parse().ok()).collect()
         };
-        // Drop the (rows, blocks, rows a block) of the two row sections.
+        let rp = head.contains("kind rp");
+        assert_eq!(
+            line.contains("records none (the tier's EP file holds them)"),
+            rp,
+            "{head}\n{line}"
+        );
+        // Drop the (rows, blocks, rows a block) of the two row sections,
+        // after the record and record-index bytes of an EP file.
         let n = numbers(line);
-        let sections = [&n[1..4], &n[7..8], &n[11..]].concat();
+        let r = if rp { 0 } else { 2 };
+        let sections = [&n[1..2 + r], &n[5 + r..6 + r], &n[9 + r..]].concat();
         assert_eq!(n[0], sections.iter().sum::<u64>(), "{line}");
     }
     // So does every value run.

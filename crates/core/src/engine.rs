@@ -135,16 +135,13 @@ pub(crate) fn write_symbol_run(
     Ok(())
 }
 
-/// The empty delta — both indexes, whose record stores take the pool's
-/// first two pages, RP's first, then the value index, which is all in
-/// memory — with `dummy` as the label extended sequences hang under
-/// every leaf.
+/// The empty delta — both indexes, and the one record store they read,
+/// which takes the pool's first page; then the value index, which is
+/// all in memory — with `dummy` as the label extended sequences hang
+/// under every leaf.
 fn empty_delta(pool: &Arc<BufferPool>, dummy: Sym) -> Result<(PrixIndex, PrixIndex, Valix)> {
-    Ok((
-        PrixIndex::empty(Arc::clone(pool), IndexKind::Regular, dummy)?,
-        PrixIndex::empty(Arc::clone(pool), IndexKind::Extended, dummy)?,
-        Valix::create(),
-    ))
+    let (rp, ep) = PrixIndex::empty_pair(Arc::clone(pool), dummy)?;
+    Ok((rp, ep, Valix::create()))
 }
 
 /// Writes `m` into the manifest store (suffix `".seg"`) of `env`,
@@ -193,7 +190,8 @@ fn refuse_unlogged(env: &dyn SegmentEnv, suffix: &str) -> Result<IndexError> {
     }))
 }
 
-/// One immutable segment tier: the RP/EP segment pair and the value
+/// One immutable segment tier: the RP/EP segment pair — the EP file
+/// holding the tier's records, which both indexes read — and the value
 /// run covering global document ids `[doc_base, doc_base + n_docs)`.
 /// Queries descend every tier and the mutable delta; tiers never change
 /// after publication, so snapshots clone them for free (the indexes
@@ -585,13 +583,12 @@ impl PrixEngine {
                 let reader =
                     Arc::new(SegmentReader::open(store, stats).map_err(IndexError::Storage)?);
                 check_row((reader.kind(), reader.doc_base(), reader.n_docs()))?;
-                let idx = PrixIndex::from_segment(reader)?;
                 let slot = if s.kind == SEG_KIND_RP {
                     &mut rps
                 } else {
                     &mut eps
                 };
-                slot.insert(s.doc_base, (s.n_docs, idx)).is_none()
+                slot.insert(s.doc_base, (s.n_docs, reader)).is_none()
             };
             if !fresh {
                 return Err(conflict(s.doc_base));
@@ -607,7 +604,7 @@ impl PrixEngine {
         let mut tiers: Vec<SegTier> = Vec::with_capacity(rps.len());
         let mut next = 0u32;
         for (doc_base, (n_docs, rp)) in rps {
-            let ep = match eps.remove(&doc_base) {
+            let records = match eps.remove(&doc_base) {
                 Some((n, ep)) if n == n_docs => ep,
                 Some(_) => return Err(conflict(doc_base)),
                 None => return Err(lacks("EP segment", doc_base)),
@@ -624,8 +621,8 @@ impl PrixEngine {
             }
             next += n_docs;
             tiers.push(SegTier {
-                rp,
-                ep,
+                rp: PrixIndex::from_segment(rp, Arc::clone(&records))?,
+                ep: PrixIndex::from_segment(Arc::clone(&records), records)?,
                 vx,
                 doc_base,
                 n_docs,
@@ -733,24 +730,22 @@ impl PrixEngine {
             .iter()
             .cloned()
             .partition(|s| s.kind == SEG_KIND_SYM || s.n_docs > 0);
-        for (idx, kname, seg_kind) in [(&self.rp, "rp", SEG_KIND_RP), (&self.ep, "ep", SEG_KIND_EP)]
-        {
-            let suffix = format!(".g{generation}.{kname}.seg");
-            let mut b = crate::segbuild::SegIndexBuilder::new(
-                &self.seg_env,
-                &suffix,
-                idx.kind(),
-                idx.dummy_sym(),
-                doc_base,
-                run_mem_bytes,
-            )?;
-            for local in 0..n {
-                b.add_doc_data(&idx.doc_record(doc_base + local)?)?;
-            }
-            b.finish(idx.maxgap(), idx.childless_set())?;
+        let mut tier = crate::segbuild::TierBuilder::new(
+            &self.seg_env,
+            generation,
+            self.dummy,
+            doc_base,
+            run_mem_bytes,
+        )?;
+        for local in 0..n {
+            tier.add_record(&self.ep.doc_record(doc_base + local)?)?;
+        }
+        let maxgaps = [self.rp.maxgap(), self.ep.maxgap()];
+        tier.finish(maxgaps, self.rp.childless_set())?;
+        for (seg_kind, kname) in [(SEG_KIND_RP, "rp"), (SEG_KIND_EP, "ep")] {
             manifest_segments.push(ManifestSegment {
                 kind: seg_kind,
-                suffix,
+                suffix: format!(".g{generation}.{kname}.seg"),
                 doc_base,
                 n_docs: n,
             });

@@ -11,10 +11,16 @@
 //! * the **Docid index** — document ids keyed by the LeftPos of the trie
 //!   node where each LPS ends: a segment's doc-end rows, or an ordered
 //!   map in the delta,
-//! * one record per document (NPS, LPS, leaf list, and for EPIndex the
-//!   extended→original postorder map: [`encode_doc_record`]) in a
-//!   segment's record section, or in the delta's [`RecordStore`],
 //! * the per-label [`MaxGapTable`] (§5.4).
+//!
+//! A tier keeps one record per document, which both of its indexes
+//! read: the *regular* view of the document — NPS, LPS and leaf list
+//! ([`encode_doc_record`]) — in the record section of the tier's EP
+//! segment file, or in the delta's one [`RecordStore`]. The extended
+//! tree is a fixed function of the regular one, so an EPIndex derives
+//! its extended view — extended NPS, LPS and leaf list, and the
+//! extended→original postorder map — when it loads a record
+//! ([`DocData::extended`]).
 //!
 //! Query execution is Algorithm 1 (`FindSubsequence` by range queries,
 //! with the Theorem 4 MaxGap pruning) followed by Algorithm 2 (the
@@ -27,7 +33,7 @@ use std::ops::Bound::{Excluded, Included};
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
-use prix_prufer::{EdgeKind, ExtendedTree, MaxGapTable, PruferSeq};
+use prix_prufer::{EdgeKind, MaxGapTable, PruferSeq};
 use prix_storage::{BufferPool, RecordId, RecordStore, SegmentReader, StorageError, SEG_KIND_RP};
 use prix_xml::{DocId, PostNum, Sym, XmlTree};
 
@@ -255,9 +261,10 @@ pub struct PrixIndex {
     /// childless node, which a dummy-extended query would miss.
     childless: HashSet<Sym>,
     backing: Backing,
+    records: Records,
 }
 
-/// Where a [`PrixIndex`] reads its trie nodes, doc ends, and records.
+/// Where a [`PrixIndex`] reads its trie nodes and doc ends.
 #[derive(Clone)]
 enum Backing {
     /// The delta, shared by the writer and every view of it under one
@@ -268,8 +275,7 @@ enum Backing {
     Seg(Arc<SegmentReader>),
 }
 
-/// The mutable tier: its indexes are ordered maps, its records live in
-/// buffer-pool pages.
+/// The mutable tier's index: ordered maps.
 struct TreeBacking {
     /// Trie-Symbol index: `(sym, left)` → `(right, level, fine_gap)`.
     tags: BTreeMap<(Sym, u64), (u64, u32, u32)>,
@@ -279,9 +285,39 @@ struct TreeBacking {
     /// The frontier of every trie node with a child, by its `left`
     /// (the virtual root's is 0): only [`PrixIndex::insert`] reads it.
     frontiers: HashMap<u64, u64>,
-    /// Each document's record, by local id.
+    /// Documents inserted: the next one's local id.
+    n_docs: usize,
+}
+
+/// Where a tier's document records are: one copy, which both of its
+/// indexes read.
+#[derive(Clone)]
+enum Records {
+    /// The delta's store: whichever of the delta's indexes files a
+    /// document first appends its record, the other finds it there.
+    Delta(Arc<RwLock<DeltaRecords>>),
+    /// A segment tier's EP file.
+    Seg(Arc<SegmentReader>),
+}
+
+/// The delta's records, in buffer-pool pages: each document's
+/// [`encode_doc_record`] bytes, by local id.
+struct DeltaRecords {
     docs: Vec<RecordId>,
     store: RecordStore,
+}
+
+impl Records {
+    /// An empty delta store in `pool`. Its first page is the delta's
+    /// only one: a query's cold page count depends on which ids its
+    /// records got.
+    fn delta(pool: Arc<BufferPool>) -> Result<Records> {
+        let records = DeltaRecords {
+            docs: Vec::new(),
+            store: RecordStore::create(pool)?,
+        };
+        Ok(Records::Delta(Arc::new(RwLock::new(records))))
+    }
 }
 
 impl TreeBacking {
@@ -319,47 +355,42 @@ struct DeltaNode {
     frontier: u64,
 }
 
-/// Everything indexing derives from one document, computed in one place
-/// and once per index: the only code that knows a Regular sequence from
-/// an Extended one.
+/// Everything an index files one document under, from its tree: its
+/// record, and the path [`DocData::filed_path`] — the only code that
+/// knows a Regular sequence from an Extended one — files it under.
 pub(crate) struct DocArtifacts {
-    /// What the document's record holds ([`encode_doc_record`]).
+    /// The document's record: its regular view ([`encode_doc_record`]),
+    /// whichever index files it.
     pub(crate) data: DocData,
+    /// The LPS the index files it under: the regular one, or the
+    /// extended view's.
+    pub(crate) path: Vec<Sym>,
     /// Per-position gaps feeding the fine-grained MaxGap.
     pub(crate) gaps: Vec<u32>,
-    /// Labels of the document's childless nodes (§4.4 gate).
-    pub(crate) childless: Vec<Sym>,
 }
 
 impl DocArtifacts {
-    /// The artifacts of `tree` for an index of `kind`, folding the tree
-    /// (extended with `dummy` leaves for [`IndexKind::Extended`]) into
-    /// `maxgap`.
+    /// The artifacts of `tree` for an index of `kind`, folding its
+    /// sequence (extended with `dummy` leaves for
+    /// [`IndexKind::Extended`]) into `maxgap`.
     pub(crate) fn of(
         tree: &XmlTree,
         kind: IndexKind,
         dummy: Sym,
         maxgap: &mut MaxGapTable,
     ) -> Self {
-        let ext = match kind {
-            IndexKind::Regular => None,
-            IndexKind::Extended => Some(ExtendedTree::build(tree, dummy)),
-        };
-        let indexed = ext.as_ref().map_or(tree, |e| &e.tree);
-        maxgap.add_tree(indexed);
-        let PruferSeq { lps, nps } = PruferSeq::regular(indexed);
-        let childless = tree.nodes().filter(|&n| tree.is_leaf(n));
-        DocArtifacts {
-            gaps: position_gaps(&nps, &node_gaps(indexed)),
-            childless: childless.map(|n| tree.label(n)).collect(),
-            data: DocData {
-                nps,
-                lps,
-                leaves: indexed.leaves(),
-                orig_map: ext.map(|e| e.orig_post),
-                n_orig: tree.len() as u32,
-            },
-        }
+        let data = DocData::regular(tree);
+        let (path, gaps) = data
+            .filed_path(kind, dummy)
+            .expect("a tree's regular view extends");
+        maxgap.add_seq(&path, &gaps);
+        DocArtifacts { data, path, gaps }
+    }
+
+    /// Labels of the document's childless nodes (§4.4 gate): its
+    /// leaves'.
+    pub(crate) fn childless(&self) -> impl Iterator<Item = Sym> + '_ {
+        self.data.leaves.iter().map(|&(s, _)| s)
     }
 }
 
@@ -372,15 +403,145 @@ pub struct Prepared {
     maxgap: MaxGapTable,
 }
 
-/// Per-document data used by refinement: what a document's record
-/// encodes.
+/// Per-document data used by refinement: a record's regular view
+/// ([`decode_doc_record`]), or the extended view an EPIndex derives from
+/// it ([`DocData::extended`]).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DocData {
     pub(crate) nps: Vec<PostNum>,
     pub(crate) lps: Vec<Sym>,
     pub(crate) leaves: Vec<(Sym, PostNum)>,
+    /// The extended view's ext→orig postorder map (0 for a dummy);
+    /// `None` in the regular view.
     pub(crate) orig_map: Option<Vec<PostNum>>,
+    /// Nodes of the original document.
     pub(crate) n_orig: u32,
+}
+
+impl DocData {
+    /// The regular view of `tree`: what its record holds.
+    pub(crate) fn regular(tree: &XmlTree) -> DocData {
+        let PruferSeq { lps, nps } = PruferSeq::regular(tree);
+        DocData {
+            nps,
+            lps,
+            leaves: tree.leaves(),
+            orig_map: None,
+            n_orig: tree.len() as u32,
+        }
+    }
+
+    /// The extended view (§5.6) of the document whose regular view this
+    /// is, with `dummy` as the label of the leaf every original leaf
+    /// gains. [`ExtendedTree::build`](prix_prufer::ExtendedTree::build)
+    /// adds each dummy as the only child of its leaf, so in postorder the
+    /// dummy comes just before its leaf, and original node `v` is
+    /// extended node `v + #(original leaves with postorder ≤ v)`; a node
+    /// is a leaf iff it never appears in the NPS, no node naming it as
+    /// its parent. The extended NPS, the ext→orig map and `n_orig`
+    /// therefore follow from the regular NPS alone: with
+    /// `need_leaf_data` unset that is all this reads, and the extended
+    /// LPS and leaf list stay empty. With it set, they need the leaf list
+    /// too: a dummy's parent label is its leaf's, and every extended leaf
+    /// is a dummy. `None` when this is not one tree's regular view: a
+    /// parent at or below its child or past the root, or a leaf list that
+    /// is not exactly the leaves in postorder.
+    pub(crate) fn extended(&self, dummy: Sym, need_leaf_data: bool) -> Option<DocData> {
+        let n = self.nps.len() + 1;
+        // `ext[v]` starts as 1 for a leaf, 0 for a node some position
+        // names as its parent; the running sum then makes it `v`'s
+        // extended postorder (`ext[0]`, no node, stays 0).
+        let mut ext = vec![1 as PostNum; n + 1];
+        ext[0] = 0;
+        for (i, &p) in self.nps.iter().enumerate() {
+            if p as usize <= i + 1 || p as usize > n {
+                return None;
+            }
+            ext[p as usize] = 0;
+        }
+        let mut leaves_so_far = 0;
+        for (v, e) in ext.iter_mut().enumerate().skip(1) {
+            leaves_so_far += *e;
+            *e = v as PostNum + leaves_so_far;
+        }
+        let is_leaf = |v: usize| ext[v] - ext[v - 1] == 2;
+        let n_ext = ext[n] as usize;
+        let mut nps = Vec::with_capacity(n_ext - 1);
+        let mut orig_map = vec![0 as PostNum; n_ext];
+        for v in 1..=n {
+            if is_leaf(v) {
+                nps.push(ext[v]);
+            }
+            if v < n {
+                nps.push(ext[self.nps[v - 1] as usize]);
+            }
+            orig_map[ext[v] as usize - 1] = v as PostNum;
+        }
+        let (lps, leaves) = if need_leaf_data {
+            let mut lps = Vec::with_capacity(n_ext - 1);
+            let mut leaves = Vec::with_capacity(n_ext - n);
+            let mut stored = self.leaves.iter();
+            for (v, &e) in ext.iter().enumerate().skip(1) {
+                if is_leaf(v) {
+                    let &(label, _) = stored.next().filter(|l| l.1 as usize == v)?;
+                    lps.push(label);
+                    leaves.push((dummy, e - 1));
+                }
+                if v < n {
+                    lps.push(*self.lps.get(v - 1)?);
+                }
+            }
+            stored.next().is_none().then_some((lps, leaves))?
+        } else {
+            (Vec::new(), Vec::new())
+        };
+        Some(DocData {
+            nps,
+            lps,
+            leaves,
+            orig_map: Some(orig_map),
+            n_orig: n as PostNum,
+        })
+    }
+
+    /// The LPS and per-position fine gaps an index of `kind` files the
+    /// document whose regular view this is (its leaf data loaded) under:
+    /// the node at position `i`'s parent is labeled `lps[i]` and has gap
+    /// `gaps[i]`, so `MaxGapTable::add_seq` of them is `add_tree` over
+    /// the indexed tree. `None` when the view does not extend
+    /// ([`DocData::extended`]).
+    pub(crate) fn filed_path(&self, kind: IndexKind, dummy: Sym) -> Option<(Vec<Sym>, Vec<u32>)> {
+        Some(match kind {
+            IndexKind::Regular => (self.lps.clone(), gaps_from_nps(&self.nps)),
+            IndexKind::Extended => {
+                let view = self.extended(dummy, true)?;
+                let gaps = gaps_from_nps(&view.nps);
+                (view.lps, gaps)
+            }
+        })
+    }
+}
+
+/// Reconstructs the per-position fine gaps from an NPS alone: the
+/// children of the node with postorder `p` are exactly the positions
+/// `i` with `nps[i] == p` (child postorder `i + 1`, already ascending),
+/// so the node's gap is `last - first` when it has two or more children
+/// (Definition 5 at single-node granularity), and `gaps[i]` is the gap
+/// of the parent recorded at position `i`.
+pub(crate) fn gaps_from_nps(nps: &[PostNum]) -> Vec<u32> {
+    let hi = nps.len() + 2; // postorders run 1..=len+1
+    let mut first = vec![0u32; hi];
+    let mut last = vec![0u32; hi];
+    for (i, &p) in nps.iter().enumerate() {
+        let child = (i + 1) as u32;
+        if first[p as usize] == 0 {
+            first[p as usize] = child;
+        }
+        last[p as usize] = child;
+    }
+    nps.iter()
+        .map(|&p| last[p as usize] - first[p as usize])
+        .collect()
 }
 
 impl PrixIndex {
@@ -391,16 +552,28 @@ impl PrixIndex {
     /// leaf extension (EPIndex only); it must not be used as a query
     /// label.
     pub fn empty(pool: Arc<BufferPool>, kind: IndexKind, dummy: Sym) -> Result<Self> {
-        // The record store's first page is the index's only one: a
-        // query's cold page count depends on which ids its records got.
+        Ok(Self::empty_with(kind, dummy, Records::delta(pool)?))
+    }
+
+    /// The empty delta's RPIndex and EPIndex, as [`PrixIndex::empty`]
+    /// makes them but over one record store, so the delta holds each
+    /// document's record once.
+    pub(crate) fn empty_pair(pool: Arc<BufferPool>, dummy: Sym) -> Result<(Self, Self)> {
+        let records = Records::delta(pool)?;
+        Ok((
+            Self::empty_with(IndexKind::Regular, dummy, records.clone()),
+            Self::empty_with(IndexKind::Extended, dummy, records),
+        ))
+    }
+
+    fn empty_with(kind: IndexKind, dummy: Sym, records: Records) -> Self {
         let body = TreeBacking {
             tags: BTreeMap::new(),
             ends: BTreeMap::new(),
             frontiers: HashMap::new(),
-            docs: Vec::new(),
-            store: RecordStore::create(pool)?,
+            n_docs: 0,
         };
-        Ok(PrixIndex {
+        PrixIndex {
             kind,
             maxgap: MaxGapTable::new(),
             dummy,
@@ -408,7 +581,8 @@ impl PrixIndex {
             doc_base: 0,
             childless: HashSet::new(),
             backing: Backing::Tree(Arc::new(RwLock::new(body)), 0),
-        })
+            records,
+        }
     }
 
     /// The delta's shared body, read-locked, or `Unsupported` for a
@@ -438,7 +612,7 @@ impl PrixIndex {
     pub fn prepare(&self, tree: &XmlTree) -> Result<Prepared> {
         let mut maxgap = MaxGapTable::new();
         let art = DocArtifacts::of(tree, self.kind, self.dummy, &mut maxgap);
-        let lps = &art.data.lps;
+        let lps = &art.path;
         let t = self.tree()?;
         let mut cur = t.node(0, u64::MAX, u32::MAX);
         for (i, &sym) in lps.iter().enumerate() {
@@ -461,11 +635,12 @@ impl PrixIndex {
     /// Descends the virtual trie; existing path prefixes are shared,
     /// new trie nodes take half of their parent's remaining scope (the
     /// paper's policy). The document's record is the bytes a segment
-    /// would hold for it, appended once. The whole insert holds the
-    /// delta's write lock, so a view reads it whole or not at all.
+    /// would hold for it, appended once, by whichever of the delta's
+    /// indexes files the document first. The whole insert holds the
+    /// index's write lock, so a view reads it whole or not at all.
     pub fn insert(&mut self, doc: Prepared) -> Result<DocId> {
         let Prepared { art, maxgap } = doc;
-        let (lps, gaps) = (&art.data.lps, &art.gaps);
+        let (lps, gaps) = (&art.path, &art.gaps);
         let Backing::Tree(body, count) = &mut self.backing else {
             return Err(needs_delta());
         };
@@ -501,13 +676,19 @@ impl PrixIndex {
             }
         }
         // Document endpoint and record.
-        let local = t.docs.len() as u32;
+        let local = t.n_docs as u32;
         t.ends.entry(cur.left).or_default().push(local);
-        let rec = t.store.append(&encode_doc_record(&art.data))?;
-        t.docs.push(rec);
-        *count = t.docs.len();
+        if let Records::Delta(records) = &self.records {
+            let mut r = records.write().map_err(half_changed)?;
+            if r.docs.len() == local as usize {
+                let rec = r.store.append(&encode_doc_record(&art.data))?;
+                r.docs.push(rec);
+            }
+        }
+        t.n_docs += 1;
+        *count = t.n_docs;
         self.maxgap.merge(&maxgap);
-        self.childless.extend(&art.childless);
+        self.childless.extend(art.childless());
         self.build_stats.sequences += 1;
         self.build_stats.total_seq_len += lps.len() as u64;
         Ok(self.doc_base + local)
@@ -545,11 +726,6 @@ impl PrixIndex {
     /// tier starts where the segments end).
     pub(crate) fn set_doc_base(&mut self, base: DocId) {
         self.doc_base = base;
-    }
-
-    /// The dummy label used for extended sequences.
-    pub(crate) fn dummy_sym(&self) -> Sym {
-        self.dummy
     }
 
     /// The childless-label set (§4.4 leaf-extended-plan gate).
@@ -819,7 +995,7 @@ impl PrixIndex {
     }
 
     /// A document's stored record: [`encode_doc_record`]'s bytes,
-    /// whichever backing holds them.
+    /// wherever its tier keeps them.
     pub(crate) fn doc_record(&self, doc: DocId) -> Result<Vec<u8>> {
         // A docid scan or a value posting can name a document this tier
         // does not hold only if the database is corrupt (a torn ingest,
@@ -835,22 +1011,50 @@ impl PrixIndex {
             .checked_sub(self.doc_base)
             .filter(|&l| (l as usize) < self.doc_count())
             .ok_or_else(unknown)?;
-        Ok(match &self.backing {
-            Backing::Tree(..) => {
-                let t = self.tree()?;
-                t.store.read(t.docs[local as usize])?
+        Ok(match &self.records {
+            Records::Delta(r) => {
+                let r = r.read().map_err(half_changed)?;
+                let id = r.docs.get(local as usize).ok_or_else(unknown)?;
+                r.store.read(*id)?
             }
-            Backing::Seg(r) => r.record(local)?,
+            Records::Seg(r) => r.record(local)?,
         })
     }
 
-    /// Reads a document's refinement data. The LPS and leaf list are
-    /// only needed by the leaf-matching phase; extended-query plans skip
-    /// it, so that part of the record is stepped over undecoded.
+    /// Reads a document's refinement data: its record's regular view,
+    /// or for an EPIndex the extended view derived from it. The LPS and
+    /// leaf list are only needed by the leaf-matching phase;
+    /// extended-query plans skip it, so that part of the record is
+    /// stepped over undecoded.
     pub(crate) fn load_doc(&self, doc: DocId, need_leaf_data: bool) -> Result<DocData> {
-        decode_doc_record(&self.doc_record(doc)?, need_leaf_data)
-            .ok_or_else(|| IndexError::Unsupported("corrupt document record".into()))
+        doc_view(
+            &self.doc_record(doc)?,
+            self.kind,
+            self.dummy,
+            need_leaf_data,
+        )
     }
+}
+
+/// What an index of `kind` refines against, from one record's bytes:
+/// the regular view, or the extended view derived from it.
+pub(crate) fn doc_view(
+    record: &[u8],
+    kind: IndexKind,
+    dummy: Sym,
+    need_leaf_data: bool,
+) -> Result<DocData> {
+    let regular = decode_doc_record(record, need_leaf_data);
+    match kind {
+        IndexKind::Regular => regular,
+        IndexKind::Extended => regular.and_then(|d| d.extended(dummy, need_leaf_data)),
+    }
+    .ok_or_else(corrupt_record)
+}
+
+/// The refusal of a record that is not one tree's regular view.
+pub(crate) fn corrupt_record() -> IndexError {
+    IndexError::Unsupported("corrupt document record".into())
 }
 
 /// One Theorem 4 pruning rule between adjacent LPS positions: allowed
@@ -888,28 +1092,6 @@ fn scope_left(cur: &DeltaNode, level: u32, need: u64) -> Result<u64> {
         )));
     }
     Ok(available)
-}
-
-/// Postorder gap between the first and last children per node
-/// (`out[post - 1]`; 0 for nodes with ≤ 1 child) — Definition 5 at
-/// single-node granularity.
-fn node_gaps(tree: &XmlTree) -> Vec<u32> {
-    let mut out = vec![0u32; tree.len()];
-    for node in tree.nodes() {
-        let kids = tree.children(node);
-        if kids.len() >= 2 {
-            let first = tree.postorder(kids[0]);
-            let last = tree.postorder(kids[kids.len() - 1]);
-            out[(tree.postorder(node) - 1) as usize] = last - first;
-        }
-    }
-    out
-}
-
-/// Per-LPS-position gaps: `gaps[i]` = gap of the parent node recorded
-/// at position `i`.
-fn position_gaps(nps: &[PostNum], node_gaps: &[u32]) -> Vec<u32> {
-    nps.iter().map(|&p| node_gaps[(p - 1) as usize]).collect()
 }
 
 /// Tiny byte codec for document records and tier metadata.
@@ -967,11 +1149,12 @@ mod codec {
 }
 
 impl PrixIndex {
-    /// Opens an immutable segment as an index tier. The tier's
-    /// `doc_base` comes from the segment header; MaxGap table,
-    /// childless set, and build stats come from the segment's metadata
-    /// blob (see [`encode_seg_index_meta`]).
-    pub fn from_segment(reader: Arc<SegmentReader>) -> Result<Self> {
+    /// Opens an immutable segment as an index tier whose records are in
+    /// `records`, the tier's EP segment (`reader` itself for an
+    /// EPIndex). The tier's `doc_base` comes from the segment header;
+    /// MaxGap table, childless set, and build stats come from the
+    /// segment's metadata blob (see [`encode_seg_index_meta`]).
+    pub fn from_segment(reader: Arc<SegmentReader>, records: Arc<SegmentReader>) -> Result<Self> {
         let (kind, dummy, maxgap, childless, build_stats) = decode_seg_index_meta(&reader.meta()?)
             .ok_or_else(|| IndexError::Unsupported("corrupt segment metadata".into()))?;
         if (reader.kind() == SEG_KIND_RP) != matches!(kind, IndexKind::Regular) {
@@ -987,17 +1170,19 @@ impl PrixIndex {
             doc_base: reader.doc_base(),
             childless,
             backing: Backing::Seg(reader),
+            records: Records::Seg(records),
         })
     }
 }
 
-/// Encodes one document's refinement record: everything
-/// [`PrixIndex::load_doc`] serves (NPS, LPS, leaf list, the ext→orig
-/// map for EPIndex tiers, and the original node count), in one
-/// contiguous blob. A segment's record section and the mutable tier's
-/// record store hold it verbatim, so a compaction moves it unread.
+/// Encodes one document's refinement record: its regular view (NPS,
+/// LPS, leaf list), from which [`PrixIndex::load_doc`] serves both
+/// indexes, in one contiguous blob. A segment's record section and the
+/// mutable tier's record store hold it verbatim, so a compaction moves
+/// it unread.
 pub(crate) fn encode_doc_record(d: &DocData) -> Vec<u8> {
     debug_assert_eq!(d.nps.len(), d.lps.len());
+    debug_assert!(d.orig_map.is_none(), "a record holds the regular view");
     let mut leaf_part = codec::Writer::new();
     for &s in &d.lps {
         leaf_part.var(u64::from(s.0));
@@ -1014,24 +1199,27 @@ pub(crate) fn encode_doc_record(d: &DocData) -> Vec<u8> {
     }
     w.var(leaf_part.0.len() as u64);
     w.0.extend_from_slice(&leaf_part.0);
-    let orig_map = d.orig_map.as_deref().unwrap_or(&[]);
-    w.var(orig_map.len() as u64);
-    for &v in orig_map {
-        w.var(u64::from(v));
-    }
-    w.var(u64::from(d.n_orig));
     w.0
 }
 
-/// Inverse of [`encode_doc_record`]: every field a varint, the byte
-/// length of the LPS + leaf-list part ahead of it, so that with
-/// `need_leaf_data` unset the part is stepped over undecoded. `None`
-/// when the bytes are not one whole record: segment blocks are not
-/// checksummed on the query path.
+/// Inverse of [`encode_doc_record`], the regular view: every field a
+/// varint, the byte length of the LPS + leaf-list part ahead of it, so
+/// that with `need_leaf_data` unset the part is stepped over undecoded.
+/// `None` when the bytes are not one whole record, or its NPS names a
+/// parent at or below its child or past the root: segment blocks are
+/// not checksummed on the query path.
 pub(crate) fn decode_doc_record(bytes: &[u8], need_leaf_data: bool) -> Option<DocData> {
     let mut r = codec::Reader(bytes);
     let n = r.var()?;
     let nps = r.var32s(n)?;
+    let root = nps.len() + 1;
+    let parents_ok = nps
+        .iter()
+        .enumerate()
+        .all(|(i, &p)| i + 1 < p as usize && p as usize <= root);
+    if !parents_ok {
+        return None;
+    }
     let leaf_len = usize::try_from(r.var()?).ok()?;
     let (leaf_part, rest) = r.0.split_at_checked(leaf_len)?;
     r.0 = rest;
@@ -1048,15 +1236,12 @@ pub(crate) fn decode_doc_record(bytes: &[u8], need_leaf_data: bool) -> Option<Do
     } else {
         (Vec::new(), Vec::new())
     };
-    let n_map = r.var()?;
-    let orig_map = r.var32s(n_map)?;
-    let n_orig = r.var32()?;
     r.0.is_empty().then_some(DocData {
         nps,
         lps,
         leaves,
-        orig_map: (n_map != 0).then_some(orig_map),
-        n_orig,
+        orig_map: None,
+        n_orig: u32::try_from(root).ok()?,
     })
 }
 
@@ -1245,10 +1430,10 @@ mod tests {
         engine.seg_tiers()[0].index_of(kind).clone()
     }
 
-    /// An insert that panics under the delta's write lock leaves a
-    /// half-made change behind it: every reader of that delta — a view
-    /// taken before, and the writer itself — gets an error, never an
-    /// answer read past it.
+    /// An insert that panics under one of the delta's write locks — an
+    /// index's, or its records' — leaves a half-made change behind it:
+    /// every reader of what it locked — a view taken before, and the
+    /// writer itself — gets an error, never an answer read past it.
     #[test]
     fn a_delta_a_writer_panicked_in_is_refused() {
         let mut e = crate::PrixEngine::build(Collection::new(), Default::default()).unwrap();
@@ -1261,9 +1446,13 @@ mod tests {
         let Backing::Tree(body, _) = &view.backing else {
             panic!("the delta is tree-backed")
         };
-        let body = Arc::clone(body);
+        let Records::Delta(records) = &view.records else {
+            panic!("the delta's records are its store's")
+        };
+        let (body, records) = (Arc::clone(body), Arc::clone(records));
         let panicked = std::thread::spawn(move || {
             let _insert = body.write().unwrap();
+            let _append = records.write().unwrap();
             panic!("an insert fails half-way");
         });
         assert!(panicked.join().is_err());
@@ -1499,26 +1688,44 @@ mod tests {
         );
     }
 
-    /// A document record round-trips, with and without its
-    /// leaf part; cut short, overwritten with a varint that never ends,
-    /// or claiming more than it holds, it decodes to `None` (which
-    /// `load_doc` reports as "corrupt document record") — never a
-    /// panic, never an allocation sized by a count it does not back.
+    /// A valid regular view of 300 nodes whose values take one, two and
+    /// three varint bytes: each node's parent a few places on, every
+    /// node labeled by its postorder.
+    fn wide_view() -> DocData {
+        let n: PostNum = 300;
+        let label = |v: PostNum| Sym(v * 7919 % 40_000);
+        let nps: Vec<PostNum> = (1..n).map(|c| (c + 1 + c * 37 % 50).min(n)).collect();
+        let parents: HashSet<PostNum> = nps.iter().copied().collect();
+        DocData {
+            lps: nps.iter().map(|&p| label(p)).collect(),
+            leaves: (1..=n)
+                .filter(|v| !parents.contains(v))
+                .map(|v| (label(v), v))
+                .collect(),
+            nps,
+            orig_map: None,
+            n_orig: n,
+        }
+    }
+
+    /// The varints `words`, as a record's bytes.
+    fn record(words: &[u64]) -> Vec<u8> {
+        let mut w = codec::Writer::new();
+        words.iter().for_each(|&v| w.var(v));
+        w.0
+    }
+
+    /// A document record round-trips, with and without its leaf part;
+    /// cut short, overwritten with a varint that never ends, claiming
+    /// more than it holds, or naming a parent at or below its child or
+    /// past the root, it decodes to `None` (which `load_doc` reports as
+    /// "corrupt document record") — never a panic, never an allocation
+    /// sized by a count it does not back. Whatever the damage, deriving
+    /// the extended view of it does not panic either.
     #[test]
     fn doc_record_roundtrips_and_damaged_ones_are_refused() {
         use prix_testkit::{check, from_fn, Config};
-        // Values of one, two and three varint bytes.
-        let nps: Vec<PostNum> = (0..300).map(|i| i * 71 % 20_000 + 1).collect();
-        let lps: Vec<Sym> = (0..300).map(|i| Sym(i * 7 % 400)).collect();
-        let leaves: Vec<(Sym, PostNum)> = (0..40).map(|i| (Sym(i * 11 % 300), i * 3 + 1)).collect();
-        let map: Vec<PostNum> = (0..350).map(|i| if i % 5 == 0 { 0 } else { i }).collect();
-        let whole = DocData {
-            nps,
-            lps,
-            leaves,
-            orig_map: Some(map),
-            n_orig: 281,
-        };
+        let whole = wide_view();
         let good = encode_doc_record(&whole);
         let bare = DocData {
             lps: vec![],
@@ -1527,31 +1734,28 @@ mod tests {
         };
         assert_eq!(decode_doc_record(&good, true), Some(whole));
         assert_eq!(decode_doc_record(&good, false).as_ref(), Some(&bare));
-        let none = DocData {
+        let one = DocData {
             nps: vec![],
+            lps: vec![],
+            leaves: vec![(Sym(5), 1)],
             orig_map: None,
             n_orig: 1,
-            ..bare.clone()
         };
-        assert_eq!(
-            decode_doc_record(&encode_doc_record(&none), true),
-            Some(none)
-        );
+        assert_eq!(decode_doc_record(&encode_doc_record(&one), true), Some(one));
 
-        // Counts and lengths the bytes do not back.
-        let record = |words: &[u64]| {
-            let mut w = codec::Writer::new();
-            words.iter().for_each(|&v| w.var(v));
-            w.0
-        };
+        // `n | nps × n | leaf part length | lps × n, leaf count, (sym,
+        // post) × count`, each word a varint.
         for bad in [
             record(&[u64::MAX]),
-            record(&[3, 1, 2]),
-            record(&[1, 7, 1 << 40, 0, 0, 0, 1]),
-            record(&[1, 7, 11, 5, u64::MAX, 0, 1]),
-            record(&[0, 1, 0, 1 << 33, 1]),
-            record(&[0, 1, 0, 0, 1 << 32]),
-            record(&[0, 1, 0, 0, 1, 0]),
+            record(&[3, 2, 3]),
+            record(&[1, 2, 1 << 40]),
+            record(&[1, 2, 3, 7, 100, 1]),
+            record(&[1, 2, 4, 7, 1, 5, 1, 9]),
+            record(&[0, 3, 1, 5, 1, 9]),
+            record(&[1, 1 << 33, 0]),
+            record(&[1, 1, 0]),
+            record(&[2, 3, 2, 0]),
+            record(&[1, 3, 0]),
         ] {
             assert!(decode_doc_record(&bad, true).is_none(), "{bad:?}");
         }
@@ -1601,6 +1805,9 @@ mod tests {
                     None
                 }
             };
+            for leaf in [true, false] {
+                let _ = doc_view(&bytes, IndexKind::Extended, Sym(1), leaf);
+            }
             let got = [true, false].map(|leaf| decode_doc_record(&bytes, leaf));
             match refused {
                 None => Ok(()),
@@ -1613,6 +1820,174 @@ mod tests {
                 }
                 Some(_) => Err(format!("{d:?} decoded to {got:?}")),
             }
+        });
+    }
+
+    /// Records that decode but are not one tree's regular view: the
+    /// extended view of each is "corrupt document record" — an NPS
+    /// naming a parent past the root or at or below its child (refused
+    /// by the decoder already), more leaves than the tree has, a leaf at
+    /// a node with children, too few leaves, and a leaf part cut short.
+    #[test]
+    fn an_extended_view_of_a_hostile_record_is_an_error_not_a_panic() {
+        // Two nodes: leaf 1 under root 2.
+        let ok = record(&[1, 2, 4, 7, 1, 5, 1]);
+        assert!(doc_view(&ok, IndexKind::Extended, Sym(0), true).is_ok());
+        let mut cut = encode_doc_record(&wide_view());
+        cut.truncate(cut.len() - 3);
+        for (what, bad, leaf_data) in [
+            ("a parent past the root", record(&[1, 3, 0]), false),
+            ("a parent below its child", record(&[2, 3, 1, 0]), false),
+            ("a parent that is its child", record(&[2, 1, 3, 0]), false),
+            (
+                "a leaf count past n",
+                record(&[1, 2, 8, 7, 3, 5, 1, 6, 1, 7, 1]),
+                true,
+            ),
+            ("a leaf with a child", record(&[1, 2, 4, 7, 1, 5, 2]), true),
+            ("no leaves", record(&[1, 2, 2, 7, 0]), true),
+            ("a truncated leaf part", cut, true),
+        ] {
+            for kind in [IndexKind::Regular, IndexKind::Extended] {
+                let got = doc_view(&bad, kind, Sym(0), leaf_data);
+                match (kind, got) {
+                    (_, Err(e)) => assert_eq!(
+                        e.to_string(),
+                        "unsupported query: corrupt document record",
+                        "{what}"
+                    ),
+                    (IndexKind::Regular, Ok(_)) if leaf_data => {}
+                    (_, Ok(v)) => panic!("{what}: {kind} view {v:?}"),
+                }
+            }
+        }
+    }
+
+    /// The extended view built from the tree itself: the extended tree
+    /// [`prix_prufer::ExtendedTree::build`] makes, its sequences, leaves
+    /// and ext→orig map — what the derivation must reproduce.
+    fn extended_by_tree(tree: &XmlTree, dummy: Sym) -> (DocData, XmlTree) {
+        let ext = prix_prufer::ExtendedTree::build(tree, dummy);
+        let PruferSeq { lps, nps } = PruferSeq::regular(&ext.tree);
+        let data = DocData {
+            nps,
+            lps,
+            leaves: ext.tree.leaves(),
+            orig_map: Some(ext.orig_post),
+            n_orig: tree.len() as u32,
+        };
+        (data, ext.tree)
+    }
+
+    /// Per-position gaps of `tree`'s NPS computed from the tree:
+    /// the postorder gap between its first and last children, of the
+    /// parent recorded at each position.
+    fn gaps_by_tree(tree: &XmlTree) -> Vec<u32> {
+        let mut node_gap = vec![0u32; tree.len()];
+        for node in tree.nodes() {
+            if let [first, .., last] = tree.children(node) {
+                let gap = tree.postorder(*last) - tree.postorder(*first);
+                node_gap[(tree.postorder(node) - 1) as usize] = gap;
+            }
+        }
+        let nps = PruferSeq::regular(tree).nps;
+        nps.iter().map(|&p| node_gap[(p - 1) as usize]).collect()
+    }
+
+    /// The derivation against the extended tree, for the one document
+    /// `xml`: the derived view field for field, without leaf data the
+    /// same with the LPS and leaf list emptied, and both indexes' paths,
+    /// gaps and MaxGap tables what the tree they index gives.
+    fn derivation_matches_the_extended_tree(xml: &str) -> std::result::Result<(), String> {
+        let mut c = Collection::new();
+        c.add_xml(xml).map_err(|e| format!("{xml}: {e}"))?;
+        let dummy = c.intern("\u{1}d");
+        let tree = c.doc(0);
+        let (want, ext_tree) = extended_by_tree(tree, dummy);
+        let record = encode_doc_record(&DocData::regular(tree));
+        let view = |leaf| doc_view(&record, IndexKind::Extended, dummy, leaf);
+        let got = view(true).map_err(|e| e.to_string())?;
+        if got != want {
+            return Err(format!("{xml}: derived {got:?}, built {want:?}"));
+        }
+        let bare = DocData {
+            lps: vec![],
+            leaves: vec![],
+            ..want.clone()
+        };
+        if view(false).map_err(|e| e.to_string())? != bare {
+            return Err(format!("{xml}: the view without leaf data differs"));
+        }
+        for (kind, indexed) in [(IndexKind::Regular, tree), (IndexKind::Extended, &ext_tree)] {
+            let mut maxgap = MaxGapTable::new();
+            let art = DocArtifacts::of(tree, kind, dummy, &mut maxgap);
+            let sorted = |t: &MaxGapTable| {
+                let mut e: Vec<_> = t.entries().collect();
+                e.sort_unstable_by_key(|&(s, _)| s.0);
+                e
+            };
+            let paths = (art.path, art.gaps, sorted(&maxgap));
+            let built = (
+                PruferSeq::regular(indexed).lps,
+                gaps_by_tree(indexed),
+                sorted(&MaxGapTable::build([indexed])),
+            );
+            if paths != built {
+                return Err(format!(
+                    "{xml}: {kind} files {paths:?}, the tree gives {built:?}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// A random document of up to 5 levels: elements from four names,
+    /// empty ones among them, and value leaves.
+    fn random_xml() -> impl prix_testkit::Generator<Value = String> {
+        fn element(rng: &mut prix_testkit::TestRng, depth: u32, out: &mut String) {
+            let name = *rng.pick(&["a", "b", "c", "d"]);
+            out.push_str(&format!("<{name}>"));
+            if depth < 5 && rng.chance(0.25) {
+                out.push_str(*rng.pick(&["v1", "v2", "Jim Gray"]));
+            } else if depth < 5 {
+                for _ in 0..rng.below(4) {
+                    element(rng, depth + 1, out);
+                }
+            }
+            out.push_str(&format!("</{name}>"));
+        }
+        prix_testkit::from_fn(|rng| {
+            let mut xml = String::new();
+            element(rng, 0, &mut xml);
+            xml
+        })
+    }
+
+    /// The extended view derived from a record equals the one built
+    /// from the extended tree: the paper's Figure 2 tree, a single node,
+    /// a deep chain, value leaves, and random documents.
+    #[test]
+    fn the_derived_extended_view_is_the_extended_trees() {
+        let chain = "<a>".repeat(200) + &"</a>".repeat(200);
+        for xml in [
+            "<A><C/><B><C><D/></C><C><D/><E/></C></B><C><C/></C><D><E><G/><F/><F/></E></D></A>",
+            "<one/>",
+            "<a>v</a>",
+            &chain,
+            r#"<r><p><name>Jim Gray</name><year>1990</year></p><p><name/><year>1991</year></p></r>"#,
+        ] {
+            derivation_matches_the_extended_tree(xml).unwrap();
+        }
+        let cfg = prix_testkit::Config::cases(300);
+        prix_testkit::check("derived_extended_view", &cfg, &random_xml(), |xml| {
+            derivation_matches_the_extended_tree(xml)
+        });
+    }
+
+    #[test]
+    fn derived_extended_view_regression_seed() {
+        prix_testkit::replay(0x5EED_0032, &random_xml(), |xml| {
+            derivation_matches_the_extended_tree(xml)
         });
     }
 }

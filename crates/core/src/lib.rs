@@ -78,14 +78,15 @@ mod tests {
 
     use crate::engine::{decode_symbols, encode_symbols};
     use crate::index::{
-        decode_doc_record, decode_seg_index_meta, encode_doc_record, encode_seg_index_meta,
-        BuildStats, DocArtifacts, IndexKind,
+        decode_doc_record, decode_seg_index_meta, doc_view, encode_doc_record,
+        encode_seg_index_meta, BuildStats, DocArtifacts, IndexKind,
     };
     use crate::plan::PlannerStats;
 
     /// The never-panic table of core's decoders. Each reads bytes a file
-    /// held — a document record, a segment's meta blob, the planner's
-    /// statistics in a log header, a symbol run's name list — and must
+    /// held — a document record, and the extended view an EPIndex
+    /// derives from it, a segment's meta blob, the planner's statistics
+    /// in a log header, a symbol run's name list — and must
     /// answer every prefix of a valid blob, and 2 000 seeded mutations
     /// of it, with a value or a refusal, never a panic.
     #[test]
@@ -96,7 +97,7 @@ mod tests {
         let dummy = c.intern("\u{1}d");
         let mut maxgap = MaxGapTable::new();
         let art = DocArtifacts::of(c.doc(0), IndexKind::Extended, dummy, &mut maxgap);
-        let childless: HashSet<Sym> = art.childless.iter().copied().collect();
+        let childless: HashSet<Sym> = art.childless().collect();
         let stats = BuildStats {
             trie_nodes: 9,
             trie_paths: 1,
@@ -109,9 +110,13 @@ mod tests {
         planner.merge_collection(&c);
         planner.set_trie_shape(9, 1, 1);
         type Decodes = fn(&[u8]) -> bool;
-        let table: [(&str, Vec<u8>, Decodes); 4] = [
+        let table: [(&str, Vec<u8>, Decodes); 5] = [
             ("document record", encode_doc_record(&art.data), |b| {
                 decode_doc_record(b, true).is_some()
+            }),
+            ("extended view", encode_doc_record(&art.data), |b| {
+                let view = |leaf| doc_view(b, IndexKind::Extended, Sym(0), leaf).is_ok();
+                view(false) & view(true)
             }),
             (
                 "segment meta blob",

@@ -1,20 +1,21 @@
 //! Bulk segment construction: streaming documents into the immutable
 //! segment files of `prix_storage::segment`.
 //!
-//! Two producers feed a segment:
+//! Two producers feed a tier:
 //!
 //! * [`BulkBuilder`] — `prix index`: documents stream straight
 //!   from the parser into the external sorter, never materializing the
 //!   whole collection's B⁺-trees. Memory is bounded by the sort-run
 //!   budget; everything else spills to scratch files.
-//! * Compaction (`PrixEngine::compact`) — hands over the mutable tier's
-//!   stored records, which the same encoder wrote at insert, so a
-//!   compacted segment is **byte-identical** to what a bulk build of
-//!   the same documents would have produced (the property the
+//! * Compaction (`PrixEngine::compact`) — hands over the delta's stored
+//!   records, which the same encoder wrote at insert, so a compacted
+//!   segment is **byte-identical** to what a bulk build of the same
+//!   documents would have produced (the property the
 //!   `bulk_equals_incremental` suite pins).
 //!
-//! Both paths end at [`SegIndexBuilder`], a thin adapter that turns one
-//! document into the segment builder's `(record, path, gaps)` triple.
+//! Both paths end at [`TierBuilder`], which files one document in the
+//! tier's RP and EP segments from its regular view — the EP file also
+//! taking its one record.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -25,12 +26,12 @@ use prix_storage::{
     env_temp_factory, ManifestSegment, SegmentBuilder, SegmentEnv, ValueRunBuilder, VxEntry,
     SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_VX,
 };
-use prix_xml::{parse_document, PostNum, Sym, SymbolTable, XmlTree};
+use prix_xml::{parse_document, Sym, SymbolTable, XmlTree};
 
 use crate::engine::{write_symbol_run, EngineConfig, PrixEngine, DUMMY_LABEL};
 use crate::index::{
-    decode_doc_record, encode_doc_record, encode_seg_index_meta, BuildStats, DocArtifacts,
-    IndexError, IndexKind, Result,
+    corrupt_record, decode_doc_record, encode_doc_record, encode_seg_index_meta, BuildStats,
+    DocData, IndexError, IndexKind, Result,
 };
 use crate::plan::PlannerStats;
 use crate::valix::run_entries;
@@ -39,128 +40,118 @@ use crate::valix::run_entries;
 /// `--run-mem-mb` default).
 pub const DEFAULT_RUN_MEM_BYTES: usize = 64 << 20;
 
-/// Reconstructs the per-position fine gaps from an NPS alone —
-/// equivalent to `position_gaps(nps, node_gaps(tree))` without the
-/// tree: the children of the node with postorder `p` are exactly the
-/// positions `i` with `nps[i] == p` (child postorder `i + 1`, already
-/// ascending), so the node's gap is `last - first` when it has two or
-/// more children. Compaction uses this to label a stored record's path
-/// bit-identically to the original bulk path.
-pub(crate) fn gaps_from_nps(nps: &[PostNum]) -> Vec<u32> {
-    let hi = nps.len() + 2; // postorders run 1..=len+1
-    let mut first = vec![0u32; hi];
-    let mut last = vec![0u32; hi];
-    for (i, &p) in nps.iter().enumerate() {
-        let child = (i + 1) as u32;
-        if first[p as usize] == 0 {
-            first[p as usize] = child;
-        }
-        last[p as usize] = child;
-    }
-    nps.iter()
-        .map(|&p| {
-            let (f, l) = (first[p as usize], last[p as usize]);
-            if f != 0 && l > f {
-                l - f
-            } else {
-                0
-            }
-        })
-        .collect()
-}
-
-/// Adapter from documents to one segment file of a given index kind.
-/// Wraps [`SegmentBuilder`] with the PRIX-level encoding: Prüfer
-/// sequences, refinement records, fine gaps, and the index-metadata
-/// blob written at [`SegIndexBuilder::finish`].
-pub(crate) struct SegIndexBuilder {
-    kind: IndexKind,
+/// The two segment files of one tier, written side by side: each
+/// document's label path and fine gaps in both, its record — the
+/// regular view — in the EP file only, and the index-metadata blob of
+/// each written at [`TierBuilder::finish`].
+pub(crate) struct TierBuilder {
     dummy: Sym,
-    inner: SegmentBuilder,
+    rp: SegmentBuilder,
+    ep: SegmentBuilder,
 }
 
-impl SegIndexBuilder {
+impl TierBuilder {
+    /// The builders of generation `generation`'s RP and EP files, for
+    /// documents from `doc_base` on.
     pub(crate) fn new(
         env: &Arc<dyn SegmentEnv>,
-        suffix: &str,
-        kind: IndexKind,
+        generation: u64,
         dummy: Sym,
         doc_base: u32,
         run_mem_bytes: usize,
     ) -> Result<Self> {
-        let out = env.create(suffix)?;
-        let seg_kind = match kind {
-            IndexKind::Regular => SEG_KIND_RP,
-            IndexKind::Extended => SEG_KIND_EP,
-        };
-        Ok(SegIndexBuilder {
-            kind,
-            dummy,
-            inner: SegmentBuilder::new(
+        let seg = |kind, kname| -> Result<SegmentBuilder> {
+            let out = env.create(&format!(".g{generation}.{kname}.seg"))?;
+            let temp = env_temp_factory(env);
+            Ok(SegmentBuilder::new(
                 out,
-                env_temp_factory(env),
-                seg_kind,
+                temp,
+                kind,
                 doc_base,
                 run_mem_bytes,
-            ),
+            ))
+        };
+        Ok(TierBuilder {
+            dummy,
+            rp: seg(SEG_KIND_RP, "rp")?,
+            ep: seg(SEG_KIND_EP, "ep")?,
         })
     }
 
-    /// Streams one parsed document in, folding its gaps into `maxgap`
-    /// and its childless labels into `childless` (the caller owns both
-    /// because they span the whole segment).
+    /// Files one document by its regular view `data` (leaf data loaded)
+    /// and `record`, that view's encoding, folding each index's
+    /// sequence into its MaxGap table in `maxgaps` (RP, EP) when given.
+    /// A view that does not extend is a corrupt record.
+    fn add(
+        &mut self,
+        data: &DocData,
+        record: &[u8],
+        maxgaps: Option<&mut [MaxGapTable; 2]>,
+    ) -> Result<()> {
+        let filed = |kind| data.filed_path(kind, self.dummy).ok_or_else(corrupt_record);
+        let (rp_lps, rp_gaps) = filed(IndexKind::Regular)?;
+        let (ep_lps, ep_gaps) = filed(IndexKind::Extended)?;
+        if let Some([rp, ep]) = maxgaps {
+            rp.add_seq(&rp_lps, &rp_gaps);
+            ep.add_seq(&ep_lps, &ep_gaps);
+        }
+        let path = |lps: Vec<Sym>| lps.into_iter().map(|s| s.0).collect();
+        self.rp.add_doc(&[], path(rp_lps), rp_gaps)?;
+        self.ep.add_doc(record, path(ep_lps), ep_gaps)?;
+        Ok(())
+    }
+
+    /// Files one parsed document, folding its childless labels into
+    /// `childless`.
     pub(crate) fn add_tree(
         &mut self,
         tree: &XmlTree,
-        maxgap: &mut MaxGapTable,
+        maxgaps: &mut [MaxGapTable; 2],
         childless: &mut HashSet<Sym>,
     ) -> Result<()> {
-        let art = DocArtifacts::of(tree, self.kind, self.dummy, maxgap);
-        childless.extend(&art.childless);
-        let path = art.data.lps.iter().map(|s| s.0).collect();
-        self.inner
-            .add_doc(&encode_doc_record(&art.data), path, art.gaps)?;
-        Ok(())
+        let data = DocData::regular(tree);
+        childless.extend(data.leaves.iter().map(|&(s, _)| s));
+        self.add(&data, &encode_doc_record(&data), Some(maxgaps))
     }
 
-    /// Streams one already-indexed document in as its stored record
-    /// (the compaction path): the bytes go into the segment as they
-    /// are, decoded only for the label path and the gaps.
-    pub(crate) fn add_doc_data(&mut self, record: &[u8]) -> Result<()> {
-        let d = decode_doc_record(record, true)
-            .ok_or_else(|| IndexError::Unsupported("corrupt document record".into()))?;
-        let path = d.lps.iter().map(|s| s.0).collect();
-        self.inner.add_doc(record, path, gaps_from_nps(&d.nps))?;
-        Ok(())
+    /// Files one already-indexed document as its stored record (the
+    /// compaction path): the bytes go into the EP file as they are,
+    /// decoded once for both label paths and their gaps. The MaxGap
+    /// tables are the delta indexes' already.
+    pub(crate) fn add_record(&mut self, record: &[u8]) -> Result<()> {
+        let data = decode_doc_record(record, true).ok_or_else(corrupt_record)?;
+        self.add(&data, record, None)
     }
 
-    /// Sorts, merges, labels, and writes the segment (header, CRC
-    /// table, metadata blob), then syncs it.
+    /// Sorts, merges, labels, and writes both files (header, CRC table,
+    /// metadata blob), then syncs them. Returns the RP file's statistics.
     pub(crate) fn finish(
         self,
-        maxgap: &MaxGapTable,
+        maxgaps: [&MaxGapTable; 2],
         childless: &HashSet<Sym>,
     ) -> Result<BuildStats> {
-        let (kind, dummy) = (self.kind, self.dummy);
-        let st = self.inner.finish(|st| {
-            let bs = BuildStats {
-                trie_nodes: st.nodes as usize,
-                trie_paths: st.leaves as usize,
-                sequences: st.sequences,
-                max_path_sharing: st.max_path_sharing,
-                underflows: 0,
-                total_seq_len: st.total_path_len,
-            };
-            encode_seg_index_meta(kind, dummy, maxgap, childless, &bs)
-        })?;
-        Ok(BuildStats {
-            trie_nodes: st.nodes as usize,
-            trie_paths: st.leaves as usize,
-            sequences: st.sequences,
-            max_path_sharing: st.max_path_sharing,
-            underflows: 0,
-            total_seq_len: st.total_path_len,
-        })
+        let dummy = self.dummy;
+        let finish = |b: SegmentBuilder, kind, maxgap| -> Result<BuildStats> {
+            let st = b.finish(|st| {
+                encode_seg_index_meta(kind, dummy, maxgap, childless, &build_stats(st))
+            })?;
+            Ok(build_stats(&st))
+        };
+        let rp = finish(self.rp, IndexKind::Regular, maxgaps[0])?;
+        finish(self.ep, IndexKind::Extended, maxgaps[1])?;
+        Ok(rp)
+    }
+}
+
+/// A segment's trie statistics as the index reports them.
+fn build_stats(st: &prix_storage::SegTrieStats) -> BuildStats {
+    BuildStats {
+        trie_nodes: st.nodes as usize,
+        trie_paths: st.leaves as usize,
+        sequences: st.sequences,
+        max_path_sharing: st.max_path_sharing,
+        underflows: 0,
+        total_seq_len: st.total_path_len,
     }
 }
 
@@ -188,10 +179,9 @@ pub struct BulkBuilder {
     syms: SymbolTable,
     generation: u64,
     prev: Option<prix_storage::Manifest>,
-    rp: SegIndexBuilder,
-    ep: SegIndexBuilder,
-    rp_maxgap: MaxGapTable,
-    ep_maxgap: MaxGapTable,
+    tier: TierBuilder,
+    /// The RP and EP MaxGap tables.
+    maxgaps: [MaxGapTable; 2],
     childless: HashSet<Sym>,
     /// Every leaf value's run entries, sorted under the same budget as
     /// the label paths.
@@ -254,31 +244,14 @@ impl BulkBuilder {
         };
         let generation = prev.as_ref().map_or(1, |m| m.generation + 1);
         let dummy = syms.intern(DUMMY_LABEL);
-        let rp = SegIndexBuilder::new(
-            &env,
-            &format!(".g{generation}.rp.seg"),
-            IndexKind::Regular,
-            dummy,
-            0,
-            run_mem_bytes,
-        )?;
-        let ep = SegIndexBuilder::new(
-            &env,
-            &format!(".g{generation}.ep.seg"),
-            IndexKind::Extended,
-            dummy,
-            0,
-            run_mem_bytes,
-        )?;
+        let tier = TierBuilder::new(&env, generation, dummy, 0, run_mem_bytes)?;
         Ok(BulkBuilder {
             cfg,
             syms,
             generation,
             prev,
-            rp,
-            ep,
-            rp_maxgap: MaxGapTable::new(),
-            ep_maxgap: MaxGapTable::new(),
+            tier,
+            maxgaps: Default::default(),
             childless: HashSet::new(),
             vx: ExternalSorter::new(run_mem_bytes, env_temp_factory(&env)),
             n_docs: 0,
@@ -323,10 +296,8 @@ impl BulkBuilder {
                 }
             }
         }
-        self.rp
-            .add_tree(tree, &mut self.rp_maxgap, &mut self.childless)?;
-        self.ep
-            .add_tree(tree, &mut self.ep_maxgap, &mut self.childless)?;
+        self.tier
+            .add_tree(tree, &mut self.maxgaps, &mut self.childless)?;
         let id = self.n_docs;
         self.n_docs += 1;
         Ok(id)
@@ -354,18 +325,15 @@ impl BulkBuilder {
             syms,
             generation,
             prev,
-            rp,
-            ep,
-            rp_maxgap,
-            ep_maxgap,
+            tier,
+            maxgaps: [rp_maxgap, ep_maxgap],
             childless,
             vx,
             n_docs,
             planner,
         } = self;
-        let dummy = rp.dummy;
-        let rp_stats = rp.finish(&rp_maxgap, &childless)?;
-        ep.finish(&ep_maxgap, &childless)?;
+        let dummy = tier.dummy;
+        let rp_stats = tier.finish([&rp_maxgap, &ep_maxgap], &childless)?;
         let mut run =
             ValueRunBuilder::new(env.create(&format!(".g{generation}.vx.seg"))?, 0, n_docs);
         vx.drain(|e| run.push(e.section, &e.key, e.doc, e.post))?;
@@ -401,28 +369,5 @@ impl BulkBuilder {
             let _ = engine.seg_env().remove(&prev.log_suffix);
         }
         Ok(engine)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn gaps_from_nps_matches_tree_derivation() {
-        let mut syms = SymbolTable::new();
-        for xml in [
-            "<a><b><c/><d/></b><e/></a>",
-            "<a><b>v</b></a>",
-            "<r><x><y><z/></y></x><x/><x><q/></x></r>",
-            "<one/>",
-        ] {
-            let tree = parse_document(xml, &mut syms).unwrap();
-            let dummy = syms.intern("\u{1}d");
-            for kind in [IndexKind::Regular, IndexKind::Extended] {
-                let art = DocArtifacts::of(&tree, kind, dummy, &mut MaxGapTable::new());
-                assert_eq!(gaps_from_nps(&art.data.nps), art.gaps, "{kind} {xml}");
-            }
-        }
     }
 }

@@ -38,6 +38,17 @@ impl MaxGapTable {
         }
     }
 
+    /// Folds one document in by its Prüfer sequence: the parent recorded
+    /// at position `i` is labeled `lps[i]` and has gap `gaps[i]`, and
+    /// every node with a child is some position's parent, so this is
+    /// [`MaxGapTable::add_tree`] without the tree.
+    pub fn add_seq(&mut self, lps: &[Sym], gaps: &[PostNum]) {
+        debug_assert_eq!(lps.len(), gaps.len());
+        for (&label, &gap) in lps.iter().zip(gaps) {
+            self.raise(label, gap);
+        }
+    }
+
     /// Records that some node labeled `label` has a gap of `gap`.
     fn raise(&mut self, label: Sym, gap: PostNum) {
         let e = self.gaps.entry(label).or_insert(0);

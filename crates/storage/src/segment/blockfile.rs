@@ -766,15 +766,18 @@ pub(crate) mod tests {
     /// moves one must say so by editing these constants. The two
     /// structural files were re-pinned when segment format 3 packed
     /// their rows and records into varints (at format 2 both were
-    /// 151 761 bytes); the value run when its format 2 prefix-coded its
+    /// 151 761 bytes), and when format 4 kept a tier's records in its EP
+    /// file alone (the RP file, 65 629 bytes at format 3, lost its
+    /// record section and record index; the EP file changed only its
+    /// version word); the value run when its format 2 prefix-coded its
     /// keys and delta-coded its postings (at format 1 it was 62 759
     /// bytes).
     #[test]
     fn files_are_byte_for_byte_what_the_parent_commit_wrote() {
         let paths = seg::sample_paths(2000, 11);
         for (kind, doc_base, want) in [
-            (SEG_KIND_RP, 0, (65_629, 12_053_939_134_499_915_117)),
-            (SEG_KIND_EP, 77, (65_629, 8_529_951_862_867_448_902)),
+            (SEG_KIND_RP, 0, (32_829, 12_265_844_467_701_941_141)),
+            (SEG_KIND_EP, 77, (65_629, 2_216_101_254_422_105_049)),
         ] {
             // The default budget (nothing spills) and a tiny one.
             for run_mem in [16 << 20, 1] {

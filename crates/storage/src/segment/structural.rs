@@ -1,13 +1,13 @@
 //! Structural segments: one index flavor (RP or EP) for a contiguous
 //! range of document ids (`doc_base .. doc_base + n_docs`), bulk-loaded
-//! into an implicit B⁺-tree file. Format version 3, on the frame, CRC
+//! into an implicit B⁺-tree file. Format version 4, on the frame, CRC
 //! table and sections of [`super::blockfile`]:
 //!
 //! ```text
 //! +--------+----------+---------+-----+------------+------------+-----+------------+------------+------+-----------+
 //! | header | rec data | rec idx | pad | tag blocks | tag fences | pad | doc blocks | doc fences | meta | CRC table |
 //! +--------+----------+---------+-----+------------+------------+-----+------------+------------+------+-----------+
-//!                                     ^ block-aligned                 ^ block-aligned
+//!            ^ EP files only          ^ block-aligned                 ^ block-aligned
 //!
 //!   one tag or doc block (4 KiB, rows never span blocks):
 //! +--------+------------+---------------------------+-----+----------------------------------------+-------+
@@ -18,15 +18,17 @@
 //!
 //! * **header** — the 128-byte frame, magic `PRIXSEG\0`; its twelve
 //!   words are the two row counts, then the section offsets, the meta
-//!   length and the file length. Every offset follows from the document
-//!   count, the end of the record data and the number of blocks each
-//!   row section packed into — which the header stores as the distance
-//!   from a section's offset to its fences' (`Header::lay_out`); a
-//!   header that disagrees with that arithmetic, or whose row counts
+//!   length and the file length. Every offset follows from the kind, the
+//!   document count, the end of the record data and the number of blocks
+//!   each row section packed into — which the header stores as the
+//!   distance from a section's offset to its fences' (`Header::lay_out`);
+//!   a header that disagrees with that arithmetic, or whose row counts
 //!   its blocks could not hold, is refused at open.
 //! * **rec data / rec idx** — per-document refinement records (opaque
 //!   blobs; the core layer writes varints) and their `n_docs + 1`
-//!   offsets.
+//!   offsets. A tier keeps its records once, in its EP file
+//!   ([`SEG_KIND_EP`]); an RP file has neither section, and its tag
+//!   section follows the header's block.
 //! * **tag blocks** — the Trie-Symbol index: `(sym, left, right, level,
 //!   fine_gap)` rows sorted by `(sym, left)`, as LEB128 varints. A row
 //!   is coded against the one before it — `left − previous left`,
@@ -47,9 +49,9 @@
 //! A lookup is one binary search over the resident fences, one over the
 //! restarts of one block and a decode of at most 16 rows.
 //!
-//! Versions 1 (unpadded groups, fences searched on disk) and 2
-//! (fixed-width rows, 146 to a block, raw `u32` records) are refused at
-//! open: re-index.
+//! Versions 1 (unpadded groups, fences searched on disk), 2
+//! (fixed-width rows, 146 to a block, raw `u32` records) and 3 (a record
+//! section in both files of a tier) are refused at open: re-index.
 //!
 //! The builder sorts label paths once with bounded memory
 //! ([`super::sort`]), streams them through a virtual trie that assigns
@@ -68,13 +70,23 @@ use crate::stats::IoStats;
 use crate::store::RawStore;
 use crate::sync::Mutex;
 
-/// Segment format version (3: packed varint rows in self-contained
-/// blocks).
-pub const SEG_VERSION: u32 = 3;
+/// Segment format version (4: packed varint rows in self-contained
+/// blocks, records in the EP file only).
+pub const SEG_VERSION: u32 = 4;
 /// `kind` byte for a Regular-Prüfer segment.
 pub const SEG_KIND_RP: u8 = 0;
-/// `kind` byte for an Extended-Prüfer segment.
+/// `kind` byte for an Extended-Prüfer segment: the file of a tier that
+/// holds its records.
 pub const SEG_KIND_EP: u8 = 1;
+
+/// Bytes of the record index of a segment of `kind` over `n_docs`
+/// documents: `n_docs + 1` offsets in an EP file, nothing in an RP file.
+fn rec_idx_len(kind: u8, n_docs: u32) -> u64 {
+    match kind {
+        SEG_KIND_EP => (u64::from(n_docs) + 1) * 8,
+        _ => 0,
+    }
+}
 /// The frame of a segment: all twelve words, any kind byte (the
 /// manifest row says which one the file must carry).
 const SEG_FORMAT: Format = Format {
@@ -491,8 +503,9 @@ struct Header {
 }
 
 impl Header {
-    /// The version-3 geometry, in one place: every section offset
-    /// follows from the document count, where the record data ends, how
+    /// The version-4 geometry, in one place: every section offset
+    /// follows from the kind, the document count, where the record data
+    /// ends, how
     /// many blocks each row section packed into and how long the meta
     /// blob is — the fields `self` must hold. The builder writes the
     /// header this returns; [`Header::from_frame`] refuses one that
@@ -503,7 +516,7 @@ impl Header {
         let fences = |blocks: u64, len: usize| blocks.checked_mul(len as u64);
         let tag_off = align(
             self.rec_idx_off
-                .checked_add((u64::from(self.n_docs) + 1) * 8)?,
+                .checked_add(rec_idx_len(self.kind, self.n_docs))?,
         )?;
         let tag_fence_off = tag_off.checked_add(self.tag_blocks.checked_mul(block)?)?;
         let doc_off =
@@ -552,10 +565,11 @@ impl Header {
     /// [`Header::lay_out`] derives from the counts and block counts it
     /// stores — which rules out sections out of order, overlapping,
     /// misaligned or past the end of the file — and each row count is
-    /// one its section's blocks can hold. (A row count can still be
-    /// wrong within that bound, and `rec_idx_off` can move within the
-    /// padding before the tag section; no read leaves the file then,
-    /// and [`SegmentReader::verify`] reports the rows that disagree.)
+    /// one its section's blocks can hold, and an RP file's records end
+    /// where they begin. (A row count can still be wrong within that
+    /// bound, and an EP file's `rec_idx_off` can move within the padding
+    /// before the tag section; no read leaves the file then, and
+    /// [`SegmentReader::verify`] reports the rows that disagree.)
     fn from_frame(f: &Frame) -> Option<Header> {
         let [n_tag, n_doc, rec_idx_off, _, tag_off, tag_fence_off, doc_off, doc_fence_off, _, meta_len, _, _] =
             f.words;
@@ -577,7 +591,12 @@ impl Header {
         let holds = |blocks: u64, rows: u64, most: u64| {
             blocks <= rows && rows <= blocks.saturating_mul(most)
         };
-        (rec_idx_off >= SEG_HEADER_LEN
+        let records_fit = match f.kind {
+            SEG_KIND_EP => rec_idx_off >= SEG_HEADER_LEN,
+            SEG_KIND_RP => rec_idx_off == SEG_HEADER_LEN,
+            _ => false,
+        };
+        (records_fit
             && hdr.frame() == *f
             && holds(hdr.tag_blocks, n_tag, TagEntry::MAX_PER_BLOCK)
             && holds(hdr.doc_blocks, n_doc, DocEnd::MAX_PER_BLOCK))
@@ -585,9 +604,9 @@ impl Header {
     }
 }
 
-/// Writes one immutable segment: stream documents in (records go
-/// straight to the output file, label paths to the external sorter),
-/// then [`SegmentBuilder::finish`] merges the runs through the
+/// Writes one immutable segment: stream documents in (an EP file's
+/// records go straight to the output file, label paths to the external
+/// sorter), then [`SegmentBuilder::finish`] merges the runs through the
 /// streaming trie and lays out the remaining sections.
 pub struct SegmentBuilder {
     /// One sequential writer from the first record to the CRC table.
@@ -597,7 +616,9 @@ pub struct SegmentBuilder {
     doc_base: u32,
     run_budget: usize,
     sorter: ExternalSorter<PathEntry>,
-    rec_offsets: Vec<u64>,
+    n_docs: u32,
+    /// Where each record ends (an EP file's; an RP file has none).
+    rec_ends: Vec<u64>,
 }
 
 /// Forwards a shared temp factory (the builder's two sort phases run
@@ -626,25 +647,32 @@ impl SegmentBuilder {
             doc_base,
             run_budget: run_mem_bytes,
             sorter,
-            rec_offsets: vec![0],
+            n_docs: 0,
+            rec_ends: Vec::new(),
         }
     }
 
-    /// Adds one document: its opaque refinement record and its label
+    /// Adds one document: its opaque refinement record (an EP file's;
+    /// an RP file holds none, and is handed an empty one) and its label
     /// path + fine gaps. Returns the local document id.
     pub fn add_doc(&mut self, record: &[u8], path: Vec<u32>, gaps: Vec<u32>) -> Result<u32> {
         debug_assert_eq!(path.len(), gaps.len());
-        let doc = (self.rec_offsets.len() - 1) as u32;
-        self.w.push(record)?;
-        let last = *self.rec_offsets.last().unwrap();
-        self.rec_offsets.push(last + record.len() as u64);
+        let doc = self.n_docs;
+        if self.kind == SEG_KIND_EP {
+            self.w.push(record)?;
+            let last = self.rec_ends.last().map_or(0, |&e| e);
+            self.rec_ends.push(last + record.len() as u64);
+        } else {
+            assert!(record.is_empty(), "an RP segment holds no records");
+        }
+        self.n_docs += 1;
         self.sorter.push(PathEntry { path, gaps, doc })?;
         Ok(doc)
     }
 
     /// Number of documents added so far.
     pub fn doc_count(&self) -> u32 {
-        (self.rec_offsets.len() - 1) as u32
+        self.n_docs
     }
 
     /// Merges the runs, labels the trie, writes every section, the
@@ -654,10 +682,12 @@ impl SegmentBuilder {
         // The record index follows the records; the header offsets
         // come from `Header::lay_out` and the writer must agree with it.
         let mut w = self.w;
-        let n_docs = (self.rec_offsets.len() - 1) as u32;
+        let n_docs = self.n_docs;
         let rec_idx_off = w.pos();
-        for &o in &self.rec_offsets {
-            w.push(&o.to_le_bytes())?;
+        if self.kind == SEG_KIND_EP {
+            for o in std::iter::once(0).chain(self.rec_ends) {
+                w.push(&o.to_le_bytes())?;
+            }
         }
         w.pad_to_block();
 
@@ -738,9 +768,9 @@ pub struct SegmentCheck {
 /// that align the two row sections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegmentLayout {
-    /// Per-document refinement records.
+    /// Per-document refinement records (0 in an RP file).
     pub record_bytes: u64,
-    /// Their `n_docs + 1` offsets.
+    /// Their `n_docs + 1` offsets (0 in an RP file).
     pub record_index_bytes: u64,
     /// The Trie-Symbol section (whole blocks).
     pub tag_bytes: u64,
@@ -824,7 +854,7 @@ impl SegmentReader {
         let h = &self.hdr;
         SegmentLayout {
             record_bytes: h.rec_idx_off - h.rec_data_off,
-            record_index_bytes: (u64::from(h.n_docs) + 1) * 8,
+            record_index_bytes: rec_idx_len(h.kind, h.n_docs),
             tag_bytes: h.tag_fence_off - h.tag_off,
             tag_rows: h.n_tag,
             tag_blocks: h.tag_blocks,
@@ -870,8 +900,14 @@ impl SegmentReader {
         )
     }
 
-    /// Reads the refinement record of local document `doc`.
+    /// Reads the refinement record of local document `doc` (from an EP
+    /// file: an RP file holds none).
     pub fn record(&self, doc: u32) -> Result<Vec<u8>> {
+        if self.hdr.kind != SEG_KIND_EP {
+            return Err(corrupt(format!(
+                "record {doc} asked of an RP segment, which holds no records"
+            )));
+        }
         if doc >= self.hdr.n_docs {
             return Err(corrupt(format!(
                 "record {doc} out of range (segment holds {})",
@@ -908,9 +944,9 @@ impl SegmentReader {
         let mut check = SegmentCheck::default();
         let store = &*self.file.store;
         check.blocks = check_crc_table(store, self.hdr.crc_off)?;
-        // Record index monotone and bounded.
+        // Record index (an EP file's) monotone and bounded.
         let rec_len = self.hdr.rec_idx_off - self.hdr.rec_data_off;
-        let mut idx_bytes = vec![0u8; (self.hdr.n_docs as usize + 1) * 8];
+        let mut idx_bytes = vec![0u8; rec_idx_len(self.hdr.kind, self.hdr.n_docs) as usize];
         store.read_at(self.hdr.rec_idx_off, &mut idx_bytes)?;
         let mut prev = 0u64;
         for (i, c) in idx_bytes.chunks_exact(8).enumerate() {
@@ -925,7 +961,9 @@ impl SegmentReader {
                 "record data length disagrees with record index".into(),
             ));
         }
-        check.records = self.hdr.n_docs as u64;
+        if !idx_bytes.is_empty() {
+            check.records = self.hdr.n_docs as u64;
+        }
         // The two alignment gaps.
         let idx_end = self.hdr.rec_idx_off + idx_bytes.len() as u64;
         let fence_end = self.hdr.tag_fence_off + self.hdr.tag_blocks * TagEntry::FENCE_LEN as u64;
@@ -1112,11 +1150,12 @@ pub(crate) mod tests {
         }
     }
 
+    /// An EP segment over `paths`, its records [`record_of`].
     fn build_segment(
         paths: &[(Vec<u32>, Vec<u32>)],
         run_mem: usize,
     ) -> (Arc<MemSegEnv>, SegTrieStats) {
-        build_segment_as(paths, run_mem, SEG_KIND_RP, 0)
+        build_segment_as(paths, run_mem, SEG_KIND_EP, 0)
     }
 
     pub(crate) fn build_segment_as(
@@ -1130,8 +1169,12 @@ pub(crate) mod tests {
         let env_dyn: Arc<dyn SegmentEnv> = Arc::<MemSegEnv>::clone(&env);
         let mut b = SegmentBuilder::new(out, env_temp_factory(&env_dyn), kind, doc_base, run_mem);
         for (i, (path, gaps)) in paths.iter().enumerate() {
-            b.add_doc(&record_of(i), path.clone(), gaps.clone())
-                .unwrap();
+            let record = if kind == SEG_KIND_EP {
+                record_of(i)
+            } else {
+                Vec::new()
+            };
+            b.add_doc(&record, path.clone(), gaps.clone()).unwrap();
         }
         let stats = b
             .finish(|st| format!("meta:{}", st.nodes).into_bytes())
@@ -1354,6 +1397,28 @@ pub(crate) mod tests {
         );
     }
 
+    /// An RP file has no record section and no record index: its tag
+    /// blocks start at the first block, it answers the same scans as the
+    /// EP file of the same paths, and a record asked of it is an error.
+    #[test]
+    fn an_rp_segment_holds_no_records() {
+        let paths = sample_paths(300, 8);
+        let (rp_env, _) = build_segment_as(&paths, 1 << 20, SEG_KIND_RP, 0);
+        let (ep_env, _) = build_segment(&paths, 1 << 20);
+        let (rp, ep) = (open_reader(&rp_env), open_reader(&ep_env));
+        let (rl, el) = (rp.layout(), ep.layout());
+        assert_eq!((rl.record_bytes, rl.record_index_bytes), (0, 0));
+        assert_eq!(el.record_index_bytes, (300 + 1) * 8);
+        assert_eq!(rp.hdr.tag_off, SEG_BLOCK as u64);
+        assert_eq!((rl.tag_bytes, rl.doc_bytes), (el.tag_bytes, el.doc_bytes));
+        let (tags, ends) = oracle_rows(&paths);
+        check_scans(&rp, &tags, &ends, &[0, 3, 5], &[0, 40, u64::MAX]);
+        let err = rp.record(0).unwrap_err().to_string();
+        assert!(err.contains("holds no records"), "{err}");
+        assert_eq!(rp.verify().unwrap().records, 0);
+        assert_eq!(ep.verify().unwrap().records, 300);
+    }
+
     #[test]
     fn verify_passes_clean_and_catches_corruption() {
         let paths = sample_paths(120, 5);
@@ -1379,7 +1444,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn open_rejects_bad_magic_truncation_and_version_2() {
+    fn open_rejects_bad_magic_truncation_and_older_versions() {
         let paths = sample_paths(20, 9);
         let (env, _) = build_segment(&paths, 1 << 20);
         let good = env.store(".t.seg").unwrap().snapshot();
@@ -1389,16 +1454,19 @@ pub(crate) mod tests {
         assert!(try_open(&bad).is_err());
         assert!(
             try_open(&good[..good.len() - 10]).is_err(),
-            "length mismatch must be rejected"
+            "length mismatch must be refused"
         );
-        let err = match try_open(&patch_header(&good, 8, 4, |_| 2)) {
-            Err(e) => e.to_string(),
-            Ok(_) => panic!("a version-2 segment must be refused"),
-        };
-        assert!(
-            err.contains("version 2") && err.contains("re-index the source documents"),
-            "unhelpful refusal: {err}"
-        );
+        for old in [2, 3] {
+            let err = match try_open(&patch_header(&good, 8, 4, |_| old)) {
+                Err(e) => e.to_string(),
+                Ok(_) => panic!("a version-{old} segment must be refused"),
+            };
+            let want = format!(
+                "segment format version {old} is not supported (this build reads \
+                 version 4); re-index the source documents"
+            );
+            assert!(err.ends_with(&want), "unhelpful refusal: {err}");
+        }
     }
 
     #[test]

@@ -502,9 +502,13 @@ fn tiny_run_budget_spills_leaf_values_and_produces_an_identical_value_run() {
 // Corrupt segment bytes: an error from the decoder, not a panic
 // ---------------------------------------------------------------------------
 
+/// The two segment files of `small_segmented_env`'s one tier.
+const RP: &str = ".g1.rp.seg";
+const EP: &str = ".g1.ep.seg";
+
 /// Segment blocks are CRC-checked by `verify_tiers`, not on the open
 /// or query path, so the decoders see whatever the file holds. A
-/// two-document database whose RP segment the tests below damage.
+/// two-document database whose segments the tests below damage.
 fn small_segmented_env() -> Arc<MemSegEnv> {
     let env = Arc::new(MemSegEnv::new());
     let docs = ["<a><b><y/></b><d/></a>", "<a><b><y/></b></a>"].map(String::from);
@@ -512,26 +516,27 @@ fn small_segmented_env() -> Arc<MemSegEnv> {
     env
 }
 
-/// The `N` bytes at `off` of `.g1.rp.seg`.
-fn rp_segment_bytes<const N: usize>(env: &MemSegEnv, off: u64) -> [u8; N] {
+/// The `N` bytes at `off` of the segment file `file` (`.g1.rp.seg`, or
+/// `.g1.ep.seg`, which holds the tier's records).
+fn segment_bytes<const N: usize>(env: &MemSegEnv, file: &str, off: u64) -> [u8; N] {
     let mut buf = [0u8; N];
-    let store = env.store(".g1.rp.seg").unwrap();
+    let store = env.store(file).unwrap();
     store.read_at(off, &mut buf).unwrap();
     buf
 }
 
-/// Overwrites the byte at `off` of `.g1.rp.seg`, returning what it held.
-fn poke_rp_segment(env: &MemSegEnv, off: u64, byte: u8) -> u8 {
-    let [old] = rp_segment_bytes(env, off);
-    let store = env.store(".g1.rp.seg").unwrap();
+/// Overwrites the byte at `off` of `file`, returning what it held.
+fn poke_segment(env: &MemSegEnv, file: &str, off: u64, byte: u8) -> u8 {
+    let [old] = segment_bytes(env, file, off);
+    let store = env.store(file).unwrap();
     store.write_at(off, &[byte]).unwrap();
     old
 }
 
-/// The offsets, from `off` on in `.g1.rp.seg`, of the varints that
-/// start there (this database's counts all fit one byte).
-fn rp_varint_offsets(env: &MemSegEnv, off: u64) -> Vec<u64> {
-    let bytes: [u8; 24] = rp_segment_bytes(env, off);
+/// The offsets, from `off` on in `file`, of the varints that start
+/// there (this database's counts all fit one byte).
+fn varint_offsets(env: &MemSegEnv, file: &str, off: u64) -> Vec<u64> {
+    let bytes: [u8; 24] = segment_bytes(env, file, off);
     let mut rest = &bytes[..];
     let mut at = vec![off];
     while prix::storage::segment::take_varint(&mut rest).is_some() {
@@ -543,13 +548,13 @@ fn rp_varint_offsets(env: &MemSegEnv, off: u64) -> Vec<u64> {
 #[test]
 fn garbled_segment_meta_is_refused_at_reopen() {
     let env = small_segmented_env();
-    let meta_off = u64::from_le_bytes(rp_segment_bytes(&env, 88)); // header field
-                                                                   // The blob: the kind byte, then varints — the dummy symbol, the
-                                                                   // MaxGap count and, after its (symbol, gap) pairs, the childless
-                                                                   // count.
-    let varints = rp_varint_offsets(&env, meta_off + 1);
+    let meta_off = u64::from_le_bytes(segment_bytes(&env, RP, 88)); // header field
+                                                                    // The blob: the kind byte, then varints — the dummy symbol, the
+                                                                    // MaxGap count and, after its (symbol, gap) pairs, the childless
+                                                                    // count.
+    let varints = varint_offsets(&env, RP, meta_off + 1);
     let n_gaps_off = varints[1];
-    let [n_gaps] = rp_segment_bytes(&env, n_gaps_off);
+    let [n_gaps] = segment_bytes(&env, RP, n_gaps_off);
     let n_childless_off = varints[2 + 2 * usize::from(n_gaps)];
     for (off, count) in [
         (n_gaps_off, 0x7f),
@@ -557,7 +562,7 @@ fn garbled_segment_meta_is_refused_at_reopen() {
         (n_childless_off, 0x7f),
         (n_childless_off, 0),
     ] {
-        let good = poke_rp_segment(&env, off, count);
+        let good = poke_segment(&env, RP, off, count);
         let err = match PrixEngine::reopen_env(env.clone(), BUFFER_PAGES) {
             Err(e) => e.to_string(),
             Ok(_) => panic!("count at {off} = {count} was accepted"),
@@ -566,7 +571,7 @@ fn garbled_segment_meta_is_refused_at_reopen() {
             err.contains("corrupt segment metadata"),
             "{off}/{count}: {err}"
         );
-        poke_rp_segment(&env, off, good);
+        poke_segment(&env, RP, off, good);
     }
     assert!(PrixEngine::reopen_env(env, BUFFER_PAGES).is_ok());
 }
@@ -574,14 +579,14 @@ fn garbled_segment_meta_is_refused_at_reopen() {
 #[test]
 fn garbled_document_record_fails_the_query() {
     let env = small_segmented_env();
-    // Record 0 opens the record section: the sequence length `n`, the
-    // `n` varints of the NPS, then the byte length of the LPS and leaf
-    // part.
-    let n_off = u64::from_le_bytes(rp_segment_bytes(&env, 48)); // header field
-    let [n] = rp_segment_bytes(&env, n_off);
-    let leaf_len_off = rp_varint_offsets(&env, n_off)[1 + usize::from(n)];
+    // Record 0 opens the EP file's record section, which the RP query
+    // below reads too: the sequence length `n`, the `n` varints of the
+    // NPS, then the byte length of the LPS and leaf part.
+    let n_off = u64::from_le_bytes(segment_bytes(&env, EP, 48)); // header field
+    let [n] = segment_bytes(&env, EP, n_off);
+    let leaf_len_off = varint_offsets(&env, EP, n_off)[1 + usize::from(n)];
     for (off, count) in [(n_off, 0x7f), (n_off, n - 1), (leaf_len_off, 0x7f)] {
-        let good = poke_rp_segment(&env, off, count);
+        let good = poke_segment(&env, EP, off, count);
         // A fresh reader: nothing of the record is cached yet.
         let engine = PrixEngine::reopen_env(env.clone(), BUFFER_PAGES).unwrap();
         let snap = engine.snapshot();
@@ -591,7 +596,7 @@ fn garbled_document_record_fails_the_query() {
             err.contains("corrupt document record"),
             "{off}/{count}: {err}"
         );
-        poke_rp_segment(&env, off, good);
+        poke_segment(&env, EP, off, good);
     }
     let engine = PrixEngine::reopen_env(env, BUFFER_PAGES).unwrap();
     let snap = engine.snapshot();
@@ -605,8 +610,8 @@ fn garbled_document_record_fails_the_query() {
 #[test]
 fn query_batch_surfaces_errors() {
     let env = small_segmented_env();
-    let record_0 = u64::from_le_bytes(rp_segment_bytes(&env, 48)); // header field
-    poke_rp_segment(&env, record_0, 0x7f);
+    let record_0 = u64::from_le_bytes(segment_bytes(&env, EP, 48)); // header field
+    poke_segment(&env, EP, record_0, 0x7f);
     let engine = PrixEngine::reopen_env(env, BUFFER_PAGES).unwrap();
     let snap = engine.snapshot();
     let good = snap.parse_query("//a/nothing").unwrap();

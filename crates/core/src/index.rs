@@ -16,7 +16,9 @@
 //! A tier keeps one record per document, which both of its indexes
 //! read: the *regular* view of the document — NPS, LPS and leaf list
 //! ([`encode_doc_record`]) — in the record section of the tier's EP
-//! segment file, or in the delta's one [`RecordStore`]. The extended
+//! segment file, laid out in the order of the tier's RP Docid index so
+//! that the candidates of one filter match share blocks, or in the
+//! delta's one [`RecordStore`]. The extended
 //! tree is a fixed function of the regular one, so an EPIndex derives
 //! its extended view — extended NPS, LPS and leaf list, and the
 //! extended→original postorder map — when it loads a record
@@ -1024,8 +1026,8 @@ impl PrixIndex {
     /// Reads a document's refinement data: its record's regular view,
     /// or for an EPIndex the extended view derived from it. The LPS and
     /// leaf list are only needed by the leaf-matching phase;
-    /// extended-query plans skip it, so that part of the record is
-    /// stepped over undecoded.
+    /// extended-query plans skip it, so the decode stops after the NPS
+    /// and leaves that part of the record undecoded.
     pub(crate) fn load_doc(&self, doc: DocId, need_leaf_data: bool) -> Result<DocData> {
         doc_view(
             &self.doc_record(doc)?,
@@ -1177,37 +1179,38 @@ impl PrixIndex {
 
 /// Encodes one document's refinement record: its regular view (NPS,
 /// LPS, leaf list), from which [`PrixIndex::load_doc`] serves both
-/// indexes, in one contiguous blob. A segment's record section and the
-/// mutable tier's record store hold it verbatim, so a compaction moves
-/// it unread.
+/// indexes, in one contiguous blob of varints — `n | NPS × n | LPS × n |
+/// leaf count | (sym, post) × count`. Whoever stores the blob knows its
+/// length (a segment prefixes it, the mutable tier's record store keeps
+/// it), so the LPS and leaf list are simply the rest of it. A segment's
+/// record section and the mutable tier's record store hold it verbatim,
+/// so a compaction moves it unread.
 pub(crate) fn encode_doc_record(d: &DocData) -> Vec<u8> {
     debug_assert_eq!(d.nps.len(), d.lps.len());
     debug_assert!(d.orig_map.is_none(), "a record holds the regular view");
-    let mut leaf_part = codec::Writer::new();
-    for &s in &d.lps {
-        leaf_part.var(u64::from(s.0));
-    }
-    leaf_part.var(d.leaves.len() as u64);
-    for &(s, p) in &d.leaves {
-        leaf_part.var(u64::from(s.0));
-        leaf_part.var(u64::from(p));
-    }
     let mut w = codec::Writer::new();
     w.var(d.nps.len() as u64);
     for &v in &d.nps {
         w.var(u64::from(v));
     }
-    w.var(leaf_part.0.len() as u64);
-    w.0.extend_from_slice(&leaf_part.0);
+    for &s in &d.lps {
+        w.var(u64::from(s.0));
+    }
+    w.var(d.leaves.len() as u64);
+    for &(s, p) in &d.leaves {
+        w.var(u64::from(s.0));
+        w.var(u64::from(p));
+    }
     w.0
 }
 
-/// Inverse of [`encode_doc_record`], the regular view: every field a
-/// varint, the byte length of the LPS + leaf-list part ahead of it, so
-/// that with `need_leaf_data` unset the part is stepped over undecoded.
-/// `None` when the bytes are not one whole record, or its NPS names a
-/// parent at or below its child or past the root: segment blocks are
-/// not checksummed on the query path.
+/// Inverse of [`encode_doc_record`], the regular view. With
+/// `need_leaf_data` unset it stops after the NPS and leaves the LPS and
+/// leaf list, the rest of the blob, undecoded. `None` when the bytes it
+/// decodes are not one whole record (short, or with bytes left over
+/// after the leaf list), or its NPS names a parent at or below its
+/// child or past the root: segment blocks are not checksummed on the
+/// query path.
 pub(crate) fn decode_doc_record(bytes: &[u8], need_leaf_data: bool) -> Option<DocData> {
     let mut r = codec::Reader(bytes);
     let n = r.var()?;
@@ -1220,15 +1223,11 @@ pub(crate) fn decode_doc_record(bytes: &[u8], need_leaf_data: bool) -> Option<Do
     if !parents_ok {
         return None;
     }
-    let leaf_len = usize::try_from(r.var()?).ok()?;
-    let (leaf_part, rest) = r.0.split_at_checked(leaf_len)?;
-    r.0 = rest;
     let (lps, leaves) = if need_leaf_data {
-        let mut part = codec::Reader(leaf_part);
-        let lps = part.var32s(n)?.into_iter().map(Sym).collect();
-        let nl = part.var()?;
-        let leaf_words = part.var32s(nl.checked_mul(2)?)?;
-        if !part.0.is_empty() {
+        let lps = r.var32s(n)?.into_iter().map(Sym).collect();
+        let nl = r.var()?;
+        let leaf_words = r.var32s(nl.checked_mul(2)?)?;
+        if !r.0.is_empty() {
             return None;
         }
         let leaves = leaf_words.chunks_exact(2).map(|c| (Sym(c[0]), c[1]));
@@ -1236,7 +1235,7 @@ pub(crate) fn decode_doc_record(bytes: &[u8], need_leaf_data: bool) -> Option<Do
     } else {
         (Vec::new(), Vec::new())
     };
-    r.0.is_empty().then_some(DocData {
+    Some(DocData {
         nps,
         lps,
         leaves,
@@ -1715,8 +1714,8 @@ mod tests {
         w.0
     }
 
-    /// A document record round-trips, with and without its leaf part;
-    /// cut short, overwritten with a varint that never ends, claiming
+    /// A document record round-trips, with and without its leaf part
+    /// (the LPS and leaf list, the rest of the blob); cut short, overwritten with a varint that never ends, claiming
     /// more than it holds, or naming a parent at or below its child or
     /// past the root, it decodes to `None` (which `load_doc` reports as
     /// "corrupt document record") — never a panic, never an allocation
@@ -1743,15 +1742,15 @@ mod tests {
         };
         assert_eq!(decode_doc_record(&encode_doc_record(&one), true), Some(one));
 
-        // `n | nps × n | leaf part length | lps × n, leaf count, (sym,
-        // post) × count`, each word a varint.
+        // `n | nps × n | lps × n | leaf count | (sym, post) × count`,
+        // each word a varint.
         for bad in [
             record(&[u64::MAX]),
             record(&[3, 2, 3]),
             record(&[1, 2, 1 << 40]),
-            record(&[1, 2, 3, 7, 100, 1]),
-            record(&[1, 2, 4, 7, 1, 5, 1, 9]),
-            record(&[0, 3, 1, 5, 1, 9]),
+            record(&[1, 2, 7, 100, 1]),
+            record(&[1, 2, 7, 1, 5, 1, 9]),
+            record(&[0, 1, 5, 1, 9]),
             record(&[1, 1 << 33, 0]),
             record(&[1, 1, 0]),
             record(&[2, 3, 2, 0]),
@@ -1767,14 +1766,13 @@ mod tests {
             Flip(usize, u8),
         }
         let len = good.len();
-        // The leaf part: after `n`, the NPS and the part's own length.
+        // Where the leaf part, the rest of the record, starts: after `n`
+        // and the NPS.
         let leaf_part = {
             let mut r = codec::Reader(&good);
             let n = r.var().unwrap();
             r.var32s(n).unwrap();
-            let part_len = r.var().unwrap() as usize;
-            let at = len - r.0.len();
-            at..at + part_len
+            len - r.0.len()
         };
         let damage = from_fn(move |rng| match rng.below(3) {
             0 => Damage::Truncate(rng.below(len as u64) as usize),
@@ -1793,12 +1791,12 @@ mod tests {
             let refused = match *d {
                 Damage::Truncate(at) => {
                     bytes.truncate(at);
-                    Some([true, true])
+                    Some([true, at < leaf_part])
                 }
                 Damage::Endless(at) => {
                     let end = len.min(at + 11);
                     bytes[at..end].fill(0xff);
-                    Some([true, at < leaf_part.start || end > leaf_part.end])
+                    Some([true, at < leaf_part])
                 }
                 Damage::Flip(at, mask) => {
                     bytes[at] ^= mask;
@@ -1812,7 +1810,7 @@ mod tests {
             match refused {
                 None => Ok(()),
                 Some(refused) if refused == got.each_ref().map(Option::is_none) => {
-                    // Damage inside a leaf part stepped over undecoded.
+                    // Damage inside a leaf part left undecoded.
                     match &got[1] {
                         Some(rec) if *rec != bare => Err(format!("{d:?} changed the record")),
                         _ => Ok(()),
@@ -1831,7 +1829,7 @@ mod tests {
     #[test]
     fn an_extended_view_of_a_hostile_record_is_an_error_not_a_panic() {
         // Two nodes: leaf 1 under root 2.
-        let ok = record(&[1, 2, 4, 7, 1, 5, 1]);
+        let ok = record(&[1, 2, 7, 1, 5, 1]);
         assert!(doc_view(&ok, IndexKind::Extended, Sym(0), true).is_ok());
         let mut cut = encode_doc_record(&wide_view());
         cut.truncate(cut.len() - 3);
@@ -1841,11 +1839,11 @@ mod tests {
             ("a parent that is its child", record(&[2, 1, 3, 0]), false),
             (
                 "a leaf count past n",
-                record(&[1, 2, 8, 7, 3, 5, 1, 6, 1, 7, 1]),
+                record(&[1, 2, 7, 3, 5, 1, 6, 1, 7, 1]),
                 true,
             ),
-            ("a leaf with a child", record(&[1, 2, 4, 7, 1, 5, 2]), true),
-            ("no leaves", record(&[1, 2, 2, 7, 0]), true),
+            ("a leaf with a child", record(&[1, 2, 7, 1, 5, 2]), true),
+            ("no leaves", record(&[1, 2, 7, 0]), true),
             ("a truncated leaf part", cut, true),
         ] {
             for kind in [IndexKind::Regular, IndexKind::Extended] {

@@ -15,7 +15,9 @@
 //!
 //! Both paths end at [`TierBuilder`], which files one document in the
 //! tier's RP and EP segments from its regular view — the EP file also
-//! taking its one record.
+//! taking its one record, which it lays out in the order of the RP
+//! file's Docid section (a function of the documents, so the two paths
+//! still agree byte for byte).
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -42,8 +44,9 @@ pub const DEFAULT_RUN_MEM_BYTES: usize = 64 << 20;
 
 /// The two segment files of one tier, written side by side: each
 /// document's label path and fine gaps in both, its record — the
-/// regular view — in the EP file only, and the index-metadata blob of
-/// each written at [`TierBuilder::finish`].
+/// regular view — in the EP file only (kept in arrival order, spilled
+/// past the sort budget, laid out in RP Docid order), and the
+/// index-metadata blob of each written at [`TierBuilder::finish`].
 pub(crate) struct TierBuilder {
     dummy: Sym,
     rp: SegmentBuilder,
@@ -124,22 +127,26 @@ impl TierBuilder {
     }
 
     /// Sorts, merges, labels, and writes both files (header, CRC table,
-    /// metadata blob), then syncs them. Returns the RP file's statistics.
+    /// metadata blob), then syncs them: the RP file first, whose Docid
+    /// order is the order of the EP file's records — the documents one
+    /// RP filter match refines are one range of it, and documents of one
+    /// structure sit together for an EP match too (the EP file's own
+    /// order would group them by first leaf value). Returns the RP
+    /// file's statistics.
     pub(crate) fn finish(
         self,
         maxgaps: [&MaxGapTable; 2],
         childless: &HashSet<Sym>,
     ) -> Result<BuildStats> {
         let dummy = self.dummy;
-        let finish = |b: SegmentBuilder, kind, maxgap| -> Result<BuildStats> {
-            let st = b.finish(|st| {
+        let finish = |b: SegmentBuilder, order: &[u32], kind, maxgap| {
+            b.finish(order, |st| {
                 encode_seg_index_meta(kind, dummy, maxgap, childless, &build_stats(st))
-            })?;
-            Ok(build_stats(&st))
+            })
         };
-        let rp = finish(self.rp, IndexKind::Regular, maxgaps[0])?;
-        finish(self.ep, IndexKind::Extended, maxgaps[1])?;
-        Ok(rp)
+        let (rp, order) = finish(self.rp, &[], IndexKind::Regular, maxgaps[0])?;
+        finish(self.ep, &order, IndexKind::Extended, maxgaps[1])?;
+        Ok(build_stats(&rp))
     }
 }
 
@@ -369,5 +376,192 @@ impl BulkBuilder {
             let _ = engine.seg_env().remove(&prev.log_suffix);
         }
         Ok(engine)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use prix_storage::{IoStats, MemSegEnv, RawStore, SegmentEnv, SegmentReader};
+    use prix_xml::Collection;
+
+    use super::*;
+
+    const PAGES: usize = 16;
+
+    /// Document `i`: three shapes, interleaved, opening with one of four
+    /// values all shapes share — so the documents of a shape share one
+    /// RP trie path, and the EP file (whose sequences open with the
+    /// first leaf's value) groups them by value, across shapes.
+    fn shaped(i: usize) -> String {
+        let v = i / 3 % 4;
+        match i % 3 {
+            0 => format!("<a><b>v{v}</b><c><d>w</d><d>x</d></c></a>"),
+            1 => format!("<p><q><r>v{v}</r></q><s>w</s></p>"),
+            _ => format!("<x><y>v{v}</y><y>w</y><z><y>x</y></z></x>"),
+        }
+    }
+
+    /// A [`MemSegEnv`] whose EP files log where every read starts.
+    #[derive(Default)]
+    struct EpReadLog {
+        inner: MemSegEnv,
+        reads: Arc<Mutex<Vec<u64>>>,
+    }
+
+    struct LoggedStore {
+        inner: Box<dyn RawStore>,
+        reads: Arc<Mutex<Vec<u64>>>,
+    }
+
+    impl RawStore for LoggedStore {
+        fn len(&self) -> prix_storage::Result<u64> {
+            self.inner.len()
+        }
+        fn set_len(&self, len: u64) -> prix_storage::Result<()> {
+            self.inner.set_len(len)
+        }
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> prix_storage::Result<()> {
+            self.reads.lock().unwrap().push(offset);
+            self.inner.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, buf: &[u8]) -> prix_storage::Result<()> {
+            self.inner.write_at(offset, buf)
+        }
+        fn sync(&self) -> prix_storage::Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    impl SegmentEnv for EpReadLog {
+        fn create(&self, suffix: &str) -> prix_storage::Result<Box<dyn RawStore>> {
+            self.inner.create(suffix)
+        }
+        fn open(&self, suffix: &str) -> prix_storage::Result<Box<dyn RawStore>> {
+            let inner = self.inner.open(suffix)?;
+            Ok(match suffix.ends_with(".ep.seg") {
+                true => Box::new(LoggedStore {
+                    inner,
+                    reads: Arc::clone(&self.reads),
+                }),
+                false => inner,
+            })
+        }
+        fn exists(&self, suffix: &str) -> prix_storage::Result<bool> {
+            self.inner.exists(suffix)
+        }
+        fn remove(&self, suffix: &str) -> prix_storage::Result<()> {
+            self.inner.remove(suffix)
+        }
+        fn temp(&self) -> prix_storage::Result<Box<dyn RawStore>> {
+            self.inner.temp()
+        }
+    }
+
+    /// The bytes of `suffix` in `env`.
+    fn file(env: &MemSegEnv, suffix: &str) -> Vec<u8> {
+        env.store(suffix).unwrap().snapshot()
+    }
+
+    /// Where the record index of the EP file `ep` starts, how long its
+    /// record section is, and the index's entries but the last (where
+    /// each record starts, by document id).
+    fn record_starts(ep: &[u8], n: usize) -> (u64, u64, Vec<u64>) {
+        let word = |at: usize| u64::from_le_bytes(ep[at..at + 8].try_into().unwrap());
+        let (idx, data) = (word(40), word(48)); // header fields
+        let starts = (0..n).map(|d| word(idx as usize + d * 8)).collect();
+        (idx, idx - data, starts)
+    }
+
+    /// The doc ids of the segment file `suffix`, in its Docid section's
+    /// order.
+    fn doc_order(env: &MemSegEnv, suffix: &str) -> Vec<u32> {
+        let store = env.open(suffix).unwrap();
+        let rp = SegmentReader::open(store, Arc::new(IoStats::default())).unwrap();
+        let mut order = Vec::new();
+        rp.scan_docids(0, u64::MAX, &mut |d| order.push(d)).unwrap();
+        order
+    }
+
+    /// The document ids sorted by where their EP records start.
+    fn by_record_offset(starts: &[u64]) -> Vec<u32> {
+        let mut docs: Vec<u32> = (0..starts.len() as u32).collect();
+        docs.sort_by_key(|&d| starts[d as usize]);
+        docs
+    }
+
+    /// A tier's records lie in the order of its RP Docid section, in a
+    /// bulk build and in a compaction of the same documents (which
+    /// writes the same EP file); and a value-free query over one shape
+    /// fetches no more record blocks than that shape's records span,
+    /// plus one for where they start inside a block.
+    #[test]
+    fn records_lie_in_rp_docid_order_and_a_shape_reads_its_own_blocks() {
+        const N: usize = 1800;
+        let docs: Vec<String> = (0..N).map(shaped).collect();
+        let env = Arc::new(EpReadLog::default());
+        let mut b = BulkBuilder::with_env(EngineConfig::default(), env.clone()).unwrap();
+        for d in &docs {
+            b.add_xml(d).unwrap();
+        }
+        drop(b.finish().unwrap());
+        let ep = file(&env.inner, ".g1.ep.seg");
+        let (idx_off, section, starts) = record_starts(&ep, N);
+        let order = doc_order(&env.inner, ".g1.rp.seg");
+        assert_eq!(by_record_offset(&starts), order);
+        // Not the arrival order, and not the EP file's own Docid order.
+        assert_ne!(order, (0..N as u32).collect::<Vec<_>>());
+        assert_ne!(order, doc_order(&env.inner, ".g1.ep.seg"));
+
+        // The same documents through the delta and a compaction.
+        let mem = Arc::new(MemSegEnv::new());
+        let mut engine =
+            PrixEngine::build_env(Collection::new(), EngineConfig::default(), mem.clone()).unwrap();
+        for d in &docs {
+            engine.insert_document(d).unwrap();
+        }
+        assert!(engine.compact().unwrap());
+        let compacted = file(&mem, ".g2.ep.seg");
+        let (_, _, compacted_starts) = record_starts(&compacted, N);
+        assert_eq!(
+            by_record_offset(&compacted_starts),
+            doc_order(&mem, ".g2.rp.seg")
+        );
+        assert!(
+            compacted == ep,
+            "a compaction writes the bulk build's EP file"
+        );
+
+        // `//a/b` refines every document of shape 0 and nothing else.
+        let shape: Vec<u32> = (0..N as u32).step_by(3).collect();
+        let end_of = |d: u32| {
+            let next = starts.iter().filter(|&&s| s > starts[d as usize]).min();
+            *next.unwrap_or(&section)
+        };
+        let bytes: u64 = shape.iter().map(|&d| end_of(d) - starts[d as usize]).sum();
+        let engine = PrixEngine::reopen_env(env.clone(), PAGES).unwrap();
+        let view = engine.snapshot();
+        let q = view.parse_query("//a/b").unwrap();
+        engine.clear_cache().unwrap();
+        env.reads.lock().unwrap().clear();
+        let out = view.query(&q).unwrap();
+        assert_eq!(out.matches.len(), shape.len());
+        let block = 4096; // a segment block
+        let fetched = env
+            .reads
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|&&at| at < idx_off)
+            .count();
+        let bound = bytes.div_ceil(block) + 1;
+        assert!(
+            fetched as u64 <= bound,
+            "{fetched} record blocks fetched for {bytes} bytes of records"
+        );
+        // In arrival order every block holds all three shapes.
+        let section_blocks = section.div_ceil(block);
+        assert!(2 * bound <= section_blocks, "{section_blocks} blocks");
     }
 }

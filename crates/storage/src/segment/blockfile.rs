@@ -761,6 +761,12 @@ pub(crate) mod tests {
         })
     }
 
+    /// `bytes`, a sealed file, with the version word of its frame set
+    /// to `version` and both its header CRC and its CRC table redone.
+    fn with_version(bytes: &[u8], version: u32) -> Vec<u8> {
+        reseal(&patch_header(bytes, 8, 4, |_| u64::from(version)))
+    }
+
     /// The files these builders write, pinned as `(length, FNV-1a)`: an
     /// on-disk format does not move by accident, and a change that
     /// moves one must say so by editing these constants. The two
@@ -769,20 +775,25 @@ pub(crate) mod tests {
     /// 151 761 bytes), and when format 4 kept a tier's records in its EP
     /// file alone (the RP file, 65 629 bytes at format 3, lost its
     /// record section and record index; the EP file changed only its
-    /// version word); the value run when its format 2 prefix-coded its
-    /// keys and delta-coded its postings (at format 1 it was 62 759
-    /// bytes).
+    /// version word); the EP file again when format 5 laid its records
+    /// out in a given order behind length prefixes (the prefixes fit
+    /// the padding: 65 629 bytes either way) — the RP file, whose sections format 5 left alone, is
+    /// still format 4's byte for byte once its version word is set
+    /// back; the value run when its format 2 prefix-coded its keys and
+    /// delta-coded its postings (at format 1 it was 62 759 bytes).
     #[test]
     fn files_are_byte_for_byte_what_the_parent_commit_wrote() {
         let paths = seg::sample_paths(2000, 11);
-        for (kind, doc_base, want) in [
-            (SEG_KIND_RP, 0, (32_829, 12_265_844_467_701_941_141)),
-            (SEG_KIND_EP, 77, (65_629, 2_216_101_254_422_105_049)),
+        for (kind, doc_base, as_version, want) in [
+            (SEG_KIND_RP, 0, 4, (32_829, 12_265_844_467_701_941_141)),
+            (SEG_KIND_EP, 77, 5, (65_629, 3_740_246_469_494_059_625)),
         ] {
             // The default budget (nothing spills) and a tiny one.
             for run_mem in [16 << 20, 1] {
                 let (env, _) = seg::build_segment_as(&paths, run_mem, kind, doc_base);
                 let bytes = env.store(".t.seg").unwrap().snapshot();
+                assert_eq!(bytes[8..12], 5u32.to_le_bytes(), "segment kind {kind}");
+                let bytes = with_version(&bytes, as_version);
                 assert_eq!(
                     (bytes.len(), fnv64(&bytes)),
                     want,
@@ -921,6 +932,18 @@ pub(crate) mod tests {
         let crc = crc32(&bytes[..120]);
         bytes[120..124].copy_from_slice(&crc.to_le_bytes());
         bytes
+    }
+
+    /// `bytes`, a sealed segment file, with its CRC table redone over
+    /// what its blocks hold now: damage that only `verify`'s own checks
+    /// can see, not the CRCs.
+    pub(crate) fn reseal(bytes: &[u8]) -> Vec<u8> {
+        let crc_off = u64::from_le_bytes(bytes[104..112].try_into().unwrap());
+        let store = crate::store::MemStore::new();
+        store.write_at(0, bytes).unwrap();
+        let table = crc_table(&store, crc_off).unwrap();
+        store.write_at(crc_off, &table).unwrap();
+        store.snapshot()
     }
 
     /// One kind of file, for the hostile-bytes loop: its pristine

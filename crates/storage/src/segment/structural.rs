@@ -1,6 +1,6 @@
 //! Structural segments: one index flavor (RP or EP) for a contiguous
 //! range of document ids (`doc_base .. doc_base + n_docs`), bulk-loaded
-//! into an implicit B⁺-tree file. Format version 4, on the frame, CRC
+//! into an implicit B⁺-tree file. Format version 5, on the frame, CRC
 //! table and sections of [`super::blockfile`]:
 //!
 //! ```text
@@ -24,11 +24,20 @@
 //!   distance from a section's offset to its fences' (`Header::lay_out`);
 //!   a header that disagrees with that arithmetic, or whose row counts
 //!   its blocks could not hold, is refused at open.
-//! * **rec data / rec idx** — per-document refinement records (opaque
-//!   blobs; the core layer writes varints) and their `n_docs + 1`
-//!   offsets. A tier keeps its records once, in its EP file
-//!   ([`SEG_KIND_EP`]); an RP file has neither section, and its tag
-//!   section follows the header's block.
+//! * **rec data** — per-document refinement records (opaque blobs; the
+//!   core layer writes varints), each behind its byte length as a
+//!   varint, laid out in the order of the tier's RP Docid section — the
+//!   `(left, doc)` order of the RP file's doc-end rows — so the
+//!   documents one filter match hands to refinement, one `[left, right]`
+//!   range of that section, sit side by side. A tier keeps its records
+//!   once, in its EP file ([`SEG_KIND_EP`]); an RP file has neither
+//!   section, and its tag section follows the header's block.
+//! * **rec idx** — `n_docs + 1` little-endian `u64`s, by document id:
+//!   entry `doc` is where that document's record starts in the record
+//!   data, entry `n_docs` the record data's length. The records tile
+//!   their section: sorted by offset, each starts where the one before
+//!   it ends, no two documents share one, and the last ends at entry
+//!   `n_docs` ([`SegmentReader::verify`] checks all of it).
 //! * **tag blocks** — the Trie-Symbol index: `(sym, left, right, level,
 //!   fine_gap)` rows sorted by `(sym, left)`, as LEB128 varints. A row
 //!   is coded against the one before it — `left − previous left`,
@@ -50,8 +59,9 @@
 //! restarts of one block and a decode of at most 16 rows.
 //!
 //! Versions 1 (unpadded groups, fences searched on disk), 2
-//! (fixed-width rows, 146 to a block, raw `u32` records) and 3 (a record
-//! section in both files of a tier) are refused at open: re-index.
+//! (fixed-width rows, 146 to a block, raw `u32` records), 3 (a record
+//! section in both files of a tier) and 4 (records in document-id
+//! order, unprefixed) are refused at open: re-index.
 //!
 //! The builder sorts label paths once with bounded memory
 //! ([`super::sort`]), streams them through a virtual trie that assigns
@@ -70,9 +80,10 @@ use crate::stats::IoStats;
 use crate::store::RawStore;
 use crate::sync::Mutex;
 
-/// Segment format version (4: packed varint rows in self-contained
-/// blocks, records in the EP file only).
-pub const SEG_VERSION: u32 = 4;
+/// Segment format version (5: packed varint rows in self-contained
+/// blocks, records in the EP file only, length-prefixed, in the order
+/// of the tier's RP Docid section).
+pub const SEG_VERSION: u32 = 5;
 /// `kind` byte for a Regular-Prüfer segment.
 pub const SEG_KIND_RP: u8 = 0;
 /// `kind` byte for an Extended-Prüfer segment: the file of a tier that
@@ -604,10 +615,18 @@ impl Header {
     }
 }
 
+/// An EP file's records in arrival order while its documents stream
+/// in: in memory up to the sort budget, past it in a scratch store.
+enum Spill {
+    Mem(Vec<u8>),
+    Store(SeqWriter),
+}
+
 /// Writes one immutable segment: stream documents in (an EP file's
-/// records go straight to the output file, label paths to the external
-/// sorter), then [`SegmentBuilder::finish`] merges the runs through the
-/// streaming trie and lays out the remaining sections.
+/// records to a [`Spill`] in arrival order, label paths to the external
+/// sorter), then [`SegmentBuilder::finish`] copies the records out in
+/// the order it is given, merges the runs through the streaming trie
+/// and lays out the remaining sections.
 pub struct SegmentBuilder {
     /// One sequential writer from the first record to the CRC table.
     w: SeqWriter,
@@ -617,7 +636,8 @@ pub struct SegmentBuilder {
     run_budget: usize,
     sorter: ExternalSorter<PathEntry>,
     n_docs: u32,
-    /// Where each record ends (an EP file's; an RP file has none).
+    /// An EP file's records as they arrived, and where each ends there.
+    spill: Spill,
     rec_ends: Vec<u64>,
 }
 
@@ -629,8 +649,9 @@ fn fwd_temp(shared: &Arc<Mutex<TempFactory>>) -> TempFactory {
 }
 
 impl SegmentBuilder {
-    /// A builder writing to `out`, spilling sort runs via `temp`, with
-    /// roughly `run_mem_bytes` of in-memory sort buffer per phase.
+    /// A builder writing to `out`, spilling sort runs (and an EP file's
+    /// records) via `temp`, with roughly `run_mem_bytes` of in-memory
+    /// sort buffer per phase.
     pub fn new(
         out: Box<dyn RawStore>,
         temp: TempFactory,
@@ -648,6 +669,7 @@ impl SegmentBuilder {
             run_budget: run_mem_bytes,
             sorter,
             n_docs: 0,
+            spill: Spill::Mem(Vec::new()),
             rec_ends: Vec::new(),
         }
     }
@@ -659,9 +681,24 @@ impl SegmentBuilder {
         debug_assert_eq!(path.len(), gaps.len());
         let doc = self.n_docs;
         if self.kind == SEG_KIND_EP {
-            self.w.push(record)?;
-            let last = self.rec_ends.last().map_or(0, |&e| e);
-            self.rec_ends.push(last + record.len() as u64);
+            if let Spill::Mem(buf) = &self.spill {
+                if buf.len() + record.len() > self.run_budget {
+                    let mut w = SeqWriter::new((self.temp.lock())()?, 0);
+                    w.push(buf)?;
+                    self.spill = Spill::Store(w);
+                }
+            }
+            let end = match &mut self.spill {
+                Spill::Mem(buf) => {
+                    buf.extend_from_slice(record);
+                    buf.len() as u64
+                }
+                Spill::Store(w) => {
+                    w.push(record)?;
+                    w.pos()
+                }
+            };
+            self.rec_ends.push(end);
         } else {
             assert!(record.is_empty(), "an RP segment holds no records");
         }
@@ -675,20 +712,72 @@ impl SegmentBuilder {
         self.n_docs
     }
 
+    /// Copies the spilled records into the record section in `order`,
+    /// each behind its length, then writes the record index. Returns
+    /// where the index starts.
+    fn write_records(&mut self, order: &[u32]) -> Result<u64> {
+        let n = self.n_docs as usize;
+        let mut starts = vec![u64::MAX; n];
+        let (mem, store) = match std::mem::replace(&mut self.spill, Spill::Mem(Vec::new())) {
+            Spill::Mem(buf) => (buf, None),
+            Spill::Store(w) => (Vec::new(), Some(w.finish()?.0)),
+        };
+        let mut rec = Vec::new();
+        for &doc in order {
+            let slot = &mut starts[doc as usize];
+            assert_eq!(*slot, u64::MAX, "the record order names a document twice");
+            *slot = self.w.pos() - SEG_HEADER_LEN;
+            let from = match doc {
+                0 => 0,
+                d => self.rec_ends[d as usize - 1],
+            };
+            let to = self.rec_ends[doc as usize];
+            let bytes = match &store {
+                Some(store) => {
+                    rec.resize((to - from) as usize, 0);
+                    store.read_at(from, &mut rec)?;
+                    &rec[..]
+                }
+                None => &mem[from as usize..to as usize],
+            };
+            self.w.push_with(|buf| {
+                put_varint(buf, bytes.len() as u64);
+                buf.extend_from_slice(bytes);
+            })?;
+        }
+        assert_eq!(order.len(), n, "the record order names every document");
+        let rec_idx_off = self.w.pos();
+        let section = rec_idx_off - SEG_HEADER_LEN;
+        for o in starts.into_iter().chain([section]) {
+            self.w.push(&o.to_le_bytes())?;
+        }
+        Ok(rec_idx_off)
+    }
+
     /// Merges the runs, labels the trie, writes every section, the
-    /// header, and the CRC table, then syncs. `make_meta` receives the
-    /// trie statistics and returns the opaque meta blob.
-    pub fn finish(self, make_meta: impl FnOnce(&SegTrieStats) -> Vec<u8>) -> Result<SegTrieStats> {
+    /// header, and the CRC table, then syncs. An EP file lays its
+    /// records out in `record_order`, a permutation of its local
+    /// document ids (the tier's RP Docid order); an RP file, which holds
+    /// none, takes an empty one. `make_meta` receives the trie
+    /// statistics and returns the opaque meta blob. Returns the
+    /// statistics and the local document ids in the order of the file's
+    /// Docid section.
+    pub fn finish(
+        mut self,
+        record_order: &[u32],
+        make_meta: impl FnOnce(&SegTrieStats) -> Vec<u8>,
+    ) -> Result<(SegTrieStats, Vec<u32>)> {
         // The record index follows the records; the header offsets
         // come from `Header::lay_out` and the writer must agree with it.
+        let rec_idx_off = match self.kind {
+            SEG_KIND_EP => self.write_records(record_order)?,
+            _ => {
+                assert!(record_order.is_empty(), "an RP segment holds no records");
+                self.w.pos()
+            }
+        };
         let mut w = self.w;
         let n_docs = self.n_docs;
-        let rec_idx_off = w.pos();
-        if self.kind == SEG_KIND_EP {
-            for o in std::iter::once(0).chain(self.rec_ends) {
-                w.push(&o.to_le_bytes())?;
-            }
-        }
         w.pad_to_block();
 
         // Merge the path runs through the streaming trie.
@@ -741,13 +830,24 @@ impl SegmentBuilder {
         .ok_or_else(|| corrupt("segment too large".into()))?;
         let frame = header.frame().encode(&SEG_FORMAT);
         seal(w, &frame, header.crc_off, header.file_len)?;
-        Ok(stats)
+        Ok((stats, doc_ends.iter().map(|d| d.doc).collect()))
     }
 }
 
 // ---------------------------------------------------------------------------
 // Segment reader
 // ---------------------------------------------------------------------------
+
+/// The length a record's varint prefix at the start of `head` gives,
+/// and the prefix's own bytes, if prefix and record fit in the `room`
+/// bytes left of the record section.
+fn length_prefix(head: &[u8], room: u64) -> Option<(u64, usize)> {
+    let mut rest = head;
+    let len = take_varint(&mut rest)?;
+    let prefix = head.len() - rest.len();
+    let left = room.checked_sub(prefix as u64)?;
+    (len <= left).then_some((len, prefix))
+}
 
 /// Summary returned by [`SegmentReader::verify`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -758,7 +858,7 @@ pub struct SegmentCheck {
     pub tag_entries: u64,
     /// Doc-end rows checked for strict `(left, doc)` order.
     pub doc_entries: u64,
-    /// Per-document records with consistent offsets.
+    /// Per-document records found to tile their section.
     pub records: u64,
 }
 
@@ -804,6 +904,9 @@ pub struct SegmentReader {
     hdr: Header,
     tags: Section<TagEntry>,
     docs: Section<DocEnd>,
+    /// The record index's last entry, read at open: the length of the
+    /// record data it claims (0 in an RP file).
+    records_end: u64,
 }
 
 impl SegmentReader {
@@ -814,11 +917,19 @@ impl SegmentReader {
         let hdr = Frame::open(&*store, &SEG_FORMAT, Header::from_frame)?;
         let tags = Section::open(&*store, hdr.tag_off, hdr.tag_fence_off, hdr.tag_blocks)?;
         let docs = Section::open(&*store, hdr.doc_off, hdr.doc_fence_off, hdr.doc_blocks)?;
+        let mut records_end = [0u8; 8];
+        if hdr.kind == SEG_KIND_EP {
+            store.read_at(
+                hdr.rec_idx_off + u64::from(hdr.n_docs) * 8,
+                &mut records_end,
+            )?;
+        }
         Ok(SegmentReader {
             file: BlockFile::new(store, stats, hdr.file_len),
             hdr,
             tags,
             docs,
+            records_end: u64::from_le_bytes(records_end),
         })
     }
 
@@ -900,8 +1011,19 @@ impl SegmentReader {
         )
     }
 
+    /// Bytes of record data, from the header; the index's last entry
+    /// must say the same.
+    fn records_len(&self) -> u64 {
+        self.hdr.rec_idx_off - self.hdr.rec_data_off
+    }
+
     /// Reads the refinement record of local document `doc` (from an EP
-    /// file: an RP file holds none).
+    /// file: an RP file holds none): one record-index entry, then the
+    /// record behind its length prefix, each block touched once (but
+    /// for a prefix that a block boundary cuts). A start or a length
+    /// that leaves the record section is `Corrupt`; two documents that
+    /// share a record, or a record that overlaps another or leaves a gap
+    /// before the next, are [`SegmentReader::verify`]'s to find.
     pub fn record(&self, doc: u32) -> Result<Vec<u8>> {
         if self.hdr.kind != SEG_KIND_EP {
             return Err(corrupt(format!(
@@ -914,16 +1036,46 @@ impl SegmentReader {
                 self.hdr.n_docs
             )));
         }
-        let mut idx = [0u8; 16];
-        self.file
-            .read_into(self.hdr.rec_idx_off + u64::from(doc) * 8, &mut idx)?;
-        let a = u64::from_le_bytes(idx[0..8].try_into().unwrap());
-        let b = u64::from_le_bytes(idx[8..16].try_into().unwrap());
-        if b < a || b > self.hdr.rec_idx_off - self.hdr.rec_data_off {
-            return Err(corrupt(format!("record {doc} has corrupt offsets")));
+        let section = self.records_len();
+        if self.records_end != section {
+            return Err(corrupt(format!(
+                "record index ends at {}, the record section holds {section} bytes",
+                self.records_end
+            )));
         }
-        let mut rec = vec![0u8; (b - a) as usize];
-        self.file.read_into(self.hdr.rec_data_off + a, &mut rec)?;
+        let mut entry = [0u8; 8];
+        self.file
+            .read_into(self.hdr.rec_idx_off + u64::from(doc) * 8, &mut entry)?;
+        let start = u64::from_le_bytes(entry);
+        let room = section.checked_sub(start).filter(|&r| r > 0);
+        let room = room.ok_or_else(|| {
+            corrupt(format!(
+                "record {doc} starts at {start}, past the record section's {section} bytes"
+            ))
+        })?;
+        let at = self.hdr.rec_data_off + start;
+        let block = self.file.block(at / SEG_BLOCK as u64)?;
+        let here = &block[((at % SEG_BLOCK as u64) as usize).min(block.len())..];
+        let (len, prefix, body) = match length_prefix(here, room) {
+            Some((len, prefix)) => (len, prefix, &here[prefix..]),
+            // A prefix the block's end cuts: read it across both blocks.
+            None => {
+                let mut head = [0u8; 10];
+                let head = &mut head[..room.min(10) as usize];
+                self.file.read_into(at, head)?;
+                let (len, prefix) = length_prefix(head, room).ok_or_else(|| {
+                    corrupt(format!(
+                        "record {doc} at {start} runs past the record section's {section} bytes"
+                    ))
+                })?;
+                (len, prefix, &[][..])
+            }
+        };
+        let mut rec = vec![0u8; len as usize];
+        let have = body.len().min(rec.len());
+        rec[..have].copy_from_slice(&body[..have]);
+        let next = at + (prefix + have) as u64;
+        self.file.read_into(next, &mut rec[have..])?;
         Ok(rec)
     }
 
@@ -934,8 +1086,47 @@ impl SegmentReader {
         Ok(meta)
     }
 
+    /// That the records starting at `starts` (sorted) tile the record
+    /// section and that it is `end` bytes long: each record's length
+    /// prefix read straight from the store, and each record starting
+    /// where the one before it ends.
+    fn check_tiling(&self, starts: &[u64], end: u64) -> Result<()> {
+        let section = self.records_len();
+        if end != section {
+            return Err(corrupt(format!(
+                "record index ends at {end}, the record section holds {section} bytes"
+            )));
+        }
+        let mut at = 0u64;
+        for (i, &start) in starts.iter().enumerate() {
+            if start != at {
+                let what = match starts.get(i.wrapping_sub(1)) {
+                    Some(&prev) if prev == start => "two records start",
+                    _ if start < at => "a record overlaps the one before it",
+                    _ => "a gap in the record section ends",
+                };
+                return Err(corrupt(format!("{what} at {start}")));
+            }
+            let mut head = [0u8; 10];
+            let head = &mut head[..(section - at).min(10) as usize];
+            self.file.store.read_at(self.hdr.rec_data_off + at, head)?;
+            let (len, prefix) = length_prefix(head, section - at).ok_or_else(|| {
+                corrupt(format!(
+                    "the record at {at} runs past the record section's {section} bytes"
+                ))
+            })?;
+            at += prefix as u64 + len;
+        }
+        if at != section {
+            return Err(corrupt(format!(
+                "a gap in the record section starts at {at}"
+            )));
+        }
+        Ok(())
+    }
+
     /// Full integrity check: every content block against the CRC
-    /// table, record-index monotonicity, strict sort order of both
+    /// table, the records' tiling of their section, strict sort order of both
     /// entry sections, each group's first key against the resident
     /// fence, and every pad byte zero (the header, and with it the
     /// block alignment of both sections, was validated at open). Reads
@@ -944,25 +1135,18 @@ impl SegmentReader {
         let mut check = SegmentCheck::default();
         let store = &*self.file.store;
         check.blocks = check_crc_table(store, self.hdr.crc_off)?;
-        // Record index (an EP file's) monotone and bounded.
-        let rec_len = self.hdr.rec_idx_off - self.hdr.rec_data_off;
+        // Record index (an EP file's): the records tile their section.
         let mut idx_bytes = vec![0u8; rec_idx_len(self.hdr.kind, self.hdr.n_docs) as usize];
         store.read_at(self.hdr.rec_idx_off, &mut idx_bytes)?;
-        let mut prev = 0u64;
-        for (i, c) in idx_bytes.chunks_exact(8).enumerate() {
-            let o = u64::from_le_bytes(c.try_into().unwrap());
-            if o < prev || o > rec_len {
-                return Err(corrupt(format!("record index entry {i} out of order")));
-            }
-            prev = o;
-        }
-        if prev != rec_len {
-            return Err(corrupt(
-                "record data length disagrees with record index".into(),
-            ));
-        }
-        if !idx_bytes.is_empty() {
-            check.records = self.hdr.n_docs as u64;
+        let entries: Vec<u64> = idx_bytes
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        if let Some((&end, starts)) = entries.split_last() {
+            let mut starts = starts.to_vec();
+            starts.sort_unstable();
+            self.check_tiling(&starts, end)?;
+            check.records = starts.len() as u64;
         }
         // The two alignment gaps.
         let idx_end = self.hdr.rec_idx_off + idx_bytes.len() as u64;
@@ -1016,7 +1200,7 @@ impl SegmentReader {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use super::super::blockfile::tests::{patch_header, FileKind};
+    use super::super::blockfile::tests::{patch_header, reseal, FileKind};
     use super::super::blockfile::RESTART_EVERY;
     use super::super::env::{env_temp_factory, MemSegEnv, SegmentEnv};
     use super::*;
@@ -1150,7 +1334,9 @@ pub(crate) mod tests {
         }
     }
 
-    /// An EP segment over `paths`, its records [`record_of`].
+    /// An EP segment over `paths`, its records [`record_of`] in the
+    /// order of its own Docid section (a tier lays them out in its RP
+    /// file's).
     fn build_segment(
         paths: &[(Vec<u32>, Vec<u32>)],
         run_mem: usize,
@@ -1176,9 +1362,14 @@ pub(crate) mod tests {
             };
             b.add_doc(&record, path.clone(), gaps.clone()).unwrap();
         }
-        let stats = b
-            .finish(|st| format!("meta:{}", st.nodes).into_bytes())
+        let order: Vec<u32> = match kind {
+            SEG_KIND_EP => oracle_rows(paths).1.iter().map(|e| e.doc).collect(),
+            _ => Vec::new(),
+        };
+        let (stats, doc_order) = b
+            .finish(&order, |st| format!("meta:{}", st.nodes).into_bytes())
             .unwrap();
+        assert!(order.is_empty() || doc_order == order);
         (env, stats)
     }
 
@@ -1437,6 +1628,110 @@ pub(crate) mod tests {
         assert!(r.verify().is_err(), "bit flip must fail verification");
     }
 
+    /// A hostile record section, damaged one way at a time in an
+    /// otherwise valid file (CRC table redone, so `verify` gets past the
+    /// CRCs): every damage is `Corrupt` from `verify`, and from `record`
+    /// of the document it hits whenever that record leaves the section
+    /// or the index's last entry disagrees with the section's length. A
+    /// record two documents share, or one that overlaps its neighbour or
+    /// leaves a gap before it, stays whole bytes to `record` — it reads
+    /// one entry and one record, and only the whole index tells — so it
+    /// is `verify`'s alone. No read panics.
+    #[test]
+    fn hostile_record_sections_are_corrupt_never_a_panic() {
+        let paths = sample_paths(120, 5);
+        let (env, _) = build_segment(&paths, 1 << 20);
+        let good = env.store(".t.seg").unwrap().snapshot();
+        let hdr = try_open(&good).unwrap().hdr;
+        let (idx, data, n) = (hdr.rec_idx_off as usize, hdr.rec_data_off as usize, 120);
+        let section = hdr.rec_idx_off - hdr.rec_data_off;
+        let entry = |d: usize| u64::from_le_bytes(good[idx + d * 8..][..8].try_into().unwrap());
+        // Neighbours in the section: `p`, then `q`; and the last record.
+        let mut by_offset: Vec<usize> = (0..n).collect();
+        by_offset.sort_by_key(|&d| entry(d));
+        let (p, q, last) = (by_offset[n / 2], by_offset[n / 2 + 1], by_offset[n - 1]);
+        let prefix = |d: usize| data + entry(d) as usize;
+        assert!(
+            good[prefix(p)] < 0x40 && good[prefix(last)] < 0x40,
+            "short records"
+        );
+        // Where document `d`'s entry is, and its new value.
+        let set = |d: usize, v: u64| (idx + d * 8, v.to_le_bytes().to_vec());
+        let [p_len, last_len] = [p, last].map(|d| good[prefix(d)]);
+        // (what, the bytes written where, the document `record` reads,
+        // `record` refuses it, `verify`'s complaint)
+        let cases = [
+            (
+                "a duplicated start offset",
+                set(q, entry(p)),
+                q,
+                false,
+                "two records start at",
+            ),
+            (
+                "a gap between records",
+                (prefix(p), vec![p_len - 1]),
+                p,
+                false,
+                "a gap in the record section ends at",
+            ),
+            (
+                "overlapping records",
+                (prefix(p), vec![p_len + 1]),
+                p,
+                false,
+                "a record overlaps the one before it at",
+            ),
+            (
+                "a length prefix running past the section",
+                (prefix(last), vec![last_len + 0x40]),
+                last,
+                true,
+                "runs past the record section",
+            ),
+            (
+                "an offset at the section end",
+                set(p, section),
+                p,
+                true,
+                "a gap in the record section ends at",
+            ),
+            (
+                "an offset past the section end",
+                set(p, section + 1000),
+                p,
+                true,
+                "a gap in the record section ends at",
+            ),
+            (
+                "a final entry different from the section length",
+                set(n, section - 1),
+                p,
+                true,
+                "record index ends at",
+            ),
+        ];
+        for (what, (at, new), victim, refused, complaint) in cases {
+            let mut bytes = good.clone();
+            bytes[at..at + new.len()].copy_from_slice(&new);
+            let r = try_open(&reseal(&bytes)).unwrap();
+            for d in 0..n as u32 {
+                let _ = r.record(d);
+            }
+            match r.record(victim as u32) {
+                Err(StorageError::Corrupt { .. }) if refused => {}
+                Ok(_) if !refused => {}
+                got => panic!("{what}: record {victim} read {got:?}"),
+            }
+            match r.verify() {
+                Err(e @ StorageError::Corrupt { .. }) => {
+                    assert!(e.to_string().contains(complaint), "{what}: {e}")
+                }
+                got => panic!("{what}: verify said {got:?}"),
+            }
+        }
+    }
+
     fn try_open(bytes: &[u8]) -> Result<SegmentReader> {
         let store = MemStore::new();
         store.write_at(0, bytes).unwrap();
@@ -1456,14 +1751,14 @@ pub(crate) mod tests {
             try_open(&good[..good.len() - 10]).is_err(),
             "length mismatch must be refused"
         );
-        for old in [2, 3] {
+        for old in [2, 3, 4] {
             let err = match try_open(&patch_header(&good, 8, 4, |_| old)) {
                 Err(e) => e.to_string(),
                 Ok(_) => panic!("a version-{old} segment must be refused"),
             };
             let want = format!(
                 "segment format version {old} is not supported (this build reads \
-                 version 4); re-index the source documents"
+                 version 5); re-index the source documents"
             );
             assert!(err.ends_with(&want), "unhelpful refusal: {err}");
         }
@@ -1561,7 +1856,7 @@ pub(crate) mod tests {
             7,
             1 << 20,
         );
-        b.finish(|_| b"m".to_vec()).unwrap();
+        b.finish(&[], |_| b"m".to_vec()).unwrap();
         let r = open_reader(&env);
         assert_eq!(r.kind(), SEG_KIND_EP);
         assert_eq!(r.doc_base(), 7);

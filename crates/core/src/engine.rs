@@ -22,9 +22,10 @@ use std::sync::Arc;
 
 use prix_storage::segment::{put_varint, take_varint};
 use prix_storage::{
-    BatchLog, BatchMode, BufferPool, FileSegEnv, IoStats, Manifest, ManifestSegment, MemSegEnv,
-    Pager, RecoveryReport, SegmentCheck, SegmentEnv, SegmentReader, SymbolRun, ValueRunReader,
-    VxCheck, CHECKPOINT_LOG_BYTES, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_SYM, SEG_KIND_VX,
+    BatchLog, BatchMode, BlockCache, BufferPool, FileSegEnv, IoStats, Manifest, ManifestSegment,
+    MemSegEnv, Pager, RecoveryReport, SegmentCheck, SegmentEnv, SegmentReader, SymbolRun,
+    ValueRunReader, VxCheck, CHECKPOINT_LOG_BYTES, SEG_KIND_EP, SEG_KIND_RP, SEG_KIND_SYM,
+    SEG_KIND_VX,
 };
 use prix_xml::{Collection, Sym, SymbolTable};
 
@@ -195,13 +196,15 @@ fn refuse_unlogged(env: &dyn SegmentEnv, suffix: &str) -> Result<IndexError> {
 /// run covering global document ids `[doc_base, doc_base + n_docs)`.
 /// Queries descend every tier and the mutable delta; tiers never change
 /// after publication, so snapshots clone them for free (the indexes
-/// inside are segment-backed and internally shared, the run is behind
-/// an `Arc`).
+/// inside are segment-backed and internally shared, the run and the
+/// cache are behind an `Arc`). The three files read through one
+/// [`BlockCache`] of 192 blocks.
 #[derive(Clone)]
 pub struct SegTier {
     pub(crate) rp: PrixIndex,
     pub(crate) ep: PrixIndex,
     pub(crate) vx: Arc<ValueRunReader>,
+    pub(crate) cache: Arc<BlockCache>,
     pub(crate) doc_base: u32,
     pub(crate) n_docs: u32,
 }
@@ -384,15 +387,12 @@ impl PrixEngine {
         EngineSnapshot::capture(self, None)
     }
 
-    /// Empties the buffer pool's LRU and every tier's block caches so
-    /// the next query measures cold-cache I/O, like the paper's
-    /// direct-I/O setup.
+    /// Empties the buffer pool's LRU and every tier's block cache (the
+    /// one its RP, EP and value-run files share) so the next query
+    /// measures cold-cache I/O, like the paper's direct-I/O setup.
     pub fn clear_cache(&self) -> Result<()> {
         for t in &self.segments {
-            for reader in [&t.rp, &t.ep].into_iter().filter_map(PrixIndex::segment) {
-                reader.clear_cache();
-            }
-            t.vx.clear_cache();
+            t.cache.clear();
         }
         self.pool.clear().map_err(IndexError::Storage)
     }
@@ -549,12 +549,14 @@ impl PrixEngine {
     /// files (a database compacted before value runs existed has none)
     /// or a non-contiguous tier layout is a hard error — serving a
     /// database with silently absent documents would be worse than
-    /// refusing.
+    /// refusing. The files of one doc base open into one fresh
+    /// [`BlockCache`], the tier's.
     fn attach_manifest(&mut self, m: &Manifest) -> Result<()> {
-        // Per kind: doc base -> (n_docs, reader).
+        // Per kind: doc base -> (n_docs, reader); per doc base its cache.
         let mut rps = std::collections::BTreeMap::new();
         let mut eps = std::collections::BTreeMap::new();
         let mut vxs = std::collections::BTreeMap::new();
+        let mut caches = std::collections::BTreeMap::new();
         let conflict = |doc_base: u32| {
             IndexError::Unsupported(format!(
                 "manifest generation {} lists conflicting segments at doc base {doc_base}",
@@ -564,6 +566,9 @@ impl PrixEngine {
         for s in m.segments.iter().filter(|s| s.kind != SEG_KIND_SYM) {
             let store = self.seg_env.open(&s.suffix)?;
             let stats = Arc::clone(&self.io);
+            let cache: &Arc<BlockCache> = caches
+                .entry(s.doc_base)
+                .or_insert_with(BlockCache::for_tier);
             // What the file's own header says it is must be what the
             // row says: one comparison, whichever reader opened it.
             let check_row = |found: (u8, u32, u32)| {
@@ -576,12 +581,13 @@ impl PrixEngine {
                 )))
             };
             let fresh = if s.kind == SEG_KIND_VX {
-                let run = ValueRunReader::open(store, stats).map_err(IndexError::Storage)?;
+                let run =
+                    ValueRunReader::open_in(store, stats, cache).map_err(IndexError::Storage)?;
                 check_row((SEG_KIND_VX, run.doc_base(), run.n_docs()))?;
                 vxs.insert(s.doc_base, (s.n_docs, Arc::new(run))).is_none()
             } else {
-                let reader =
-                    Arc::new(SegmentReader::open(store, stats).map_err(IndexError::Storage)?);
+                let reader = SegmentReader::open_in(store, stats, cache);
+                let reader = Arc::new(reader.map_err(IndexError::Storage)?);
                 check_row((reader.kind(), reader.doc_base(), reader.n_docs()))?;
                 let slot = if s.kind == SEG_KIND_RP {
                     &mut rps
@@ -624,6 +630,7 @@ impl PrixEngine {
                 rp: PrixIndex::from_segment(rp, Arc::clone(&records))?,
                 ep: PrixIndex::from_segment(Arc::clone(&records), records)?,
                 vx,
+                cache: caches.remove(&doc_base).expect("opened with its files"),
                 doc_base,
                 n_docs,
             });
@@ -1440,7 +1447,7 @@ mod tests {
         assert_eq!(e.planner().encode(), want.encode());
     }
 
-    /// `clear_cache` empties every tier's block caches too: two cold
+    /// `clear_cache` empties every tier's block cache too: two cold
     /// runs of one query fetch the same blocks, and some.
     #[test]
     fn cold_means_cold_for_every_tier() {

@@ -244,7 +244,7 @@ pub struct BuildStats {
 /// only tier that accepts inserts, always begun [`PrixIndex::empty`])
 /// and **immutable segments** (the bulk-built
 /// implicit-tree files of `prix_storage::segment`, read through their
-/// own block cache). The executor is backing-agnostic — it only sees
+/// tier's block cache). The executor is backing-agnostic — it only sees
 /// [`PrixIndex::scan_tag_range`] / [`PrixIndex::scan_docids`] /
 /// [`PrixIndex::load_doc`].
 #[derive(Clone)]

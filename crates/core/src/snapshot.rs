@@ -182,6 +182,12 @@ impl EngineSnapshot {
         self.segments.iter().map(|t| u64::from(t.n_docs)).sum()
     }
 
+    /// Blocks resident in the tiers' block caches now, summed over the
+    /// tiers visible at this epoch.
+    pub fn segment_cache_blocks(&self) -> usize {
+        self.segments.iter().map(|t| t.cache.resident()).sum()
+    }
+
     /// Documents living in the mutable delta at this epoch.
     pub fn mutable_docs(&self) -> usize {
         self.rp.doc_count()

@@ -194,6 +194,9 @@ pub struct Sample {
     pub segment_tiers: u64,
     /// Documents served from immutable segments.
     pub segment_docs: u64,
+    /// Blocks resident in the tiers' block caches, summed over the
+    /// current tiers.
+    pub segment_cache_blocks: u64,
     /// Documents in the mutable delta (what a compaction would fold).
     pub mutable_docs: u64,
     /// Published snapshots readers still hold, besides the current one
@@ -317,6 +320,10 @@ pub const SERIES: &[Series] = &[
         help: "Segment blocks served (cache hits + fetches)." },
     Series { name: "prix_segment_block_fetches_total", kind: Counter, read: One(|_, s| s.io.seg_block_fetches.to_string()),
         help: "Segment blocks read from disk." },
+    Series { name: "prix_segment_block_evictions_total", kind: Counter, read: One(|_, s| s.io.seg_block_evictions.to_string()),
+        help: "Segment blocks a fetch pushed out of a full tier block cache." },
+    Series { name: "prix_segment_cache_blocks", kind: Gauge, read: One(|_, s| s.segment_cache_blocks.to_string()),
+        help: "Segment blocks resident in the tier block caches, summed over the current tiers." },
     Series { name: "prix_compactions_total", kind: Counter, read: One(|m, _| load(&m.compactions).to_string()),
         help: "Compactions published (mutable delta folded into a segment)." },
     Series { name: "prix_planner_engine_chosen_total", kind: Counter,
@@ -625,6 +632,7 @@ mod tests {
                 wal_appended_bytes: 45100,
                 seg_block_reads: 100,
                 seg_block_fetches: 25,
+                seg_block_evictions: 9,
                 ..IoSnapshot::default()
             },
             resident: 37,
@@ -653,6 +661,7 @@ mod tests {
             generation: 3,
             segment_tiers: 2,
             segment_docs: 450,
+            segment_cache_blocks: 140,
             mutable_docs: 6,
             pinned_epochs: 4,
             pinned_oldest_lag: 5,

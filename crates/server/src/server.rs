@@ -552,6 +552,7 @@ fn handle_metrics(shared: &Arc<Shared>) -> Response {
         generation: snap.generation(),
         segment_tiers: snap.segment_tiers() as u64,
         segment_docs: snap.segment_docs(),
+        segment_cache_blocks: snap.segment_cache_blocks() as u64,
         mutable_docs: snap.mutable_docs() as u64,
         // `snap` is the engine's current snapshot, which the engine
         // itself holds: the one published snapshot every scrape finds,

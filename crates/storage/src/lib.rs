@@ -50,7 +50,7 @@ pub use lru::Lru;
 pub use pager::{PageId, Pager, NIL_PAGE, PAGE_SIZE};
 pub use record::{RecordId, RecordStore};
 pub use segment::{
-    env_temp_factory, FileSegEnv, Manifest, ManifestSegment, MemSegEnv, SegTrieStats,
+    env_temp_factory, BlockCache, FileSegEnv, Manifest, ManifestSegment, MemSegEnv, SegTrieStats,
     SegmentBuilder, SegmentCheck, SegmentEnv, SegmentLayout, SegmentReader, SymbolRun,
     ValueRunBuilder, ValueRunReader, VxCheck, VxEntry, VxLayout, VxSection, SEG_KIND_EP,
     SEG_KIND_RP, SEG_KIND_SYM, SEG_KIND_VX, SEG_VERSION, SYM_VERSION, VX_MAX_KEY_LEN, VX_VERSION,

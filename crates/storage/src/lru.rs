@@ -1,7 +1,9 @@
 //! The one LRU policy of the workspace: a doubly-linked list over a
 //! slab, O(1) for every operation. The buffer pool's shards, every
-//! tier's block cache and the server's plan and result caches each keep
-//! one; what an entry holds and how it is locked is theirs.
+//! tier's block cache (one for the tier's RP, EP and value-run files,
+//! keyed by file slot and block) and the server's plan and result
+//! caches each keep one; what an entry holds and how it is locked is
+//! theirs.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;

@@ -18,10 +18,14 @@
 //! * **The CRC table** ([`seal`], [`check_crc_table`]) — one CRC-32 per
 //!   [`SEG_BLOCK`] of everything before it, the frame included, so
 //!   `fsck` can verify a file without trusting any of it.
-//! * **The block cache** ([`BlockFile`]) — readers bypass the buffer
-//!   pool: direct [`RawStore`] reads through a per-file [`Lru`] of
-//!   [`CACHE_BLOCKS`] blocks, counted in [`IoStats`] as
-//!   `seg_block_reads` / `seg_block_fetches`.
+//! * **The block cache** ([`BlockCache`], [`BlockFile`]) — readers
+//!   bypass the buffer pool: direct [`RawStore`] reads through one
+//!   [`Lru`] per tier of [`TIER_CACHE_BLOCKS`] blocks, which the tier's
+//!   RP, EP and value-run files share. A block's key is the slot its
+//!   file took when it joined the cache and the block's index in the
+//!   file, so equal indexes of two files never meet. Counted in
+//!   [`IoStats`] as `seg_block_reads` / `seg_block_fetches` /
+//!   `seg_block_evictions`.
 //! * **The section** ([`Section`]) — sorted entries packed into whole
 //!   blocks, the first key of every block (its *fence*) resident after
 //!   `open`. A lookup is one binary search over the fences and a search
@@ -38,6 +42,7 @@
 //!   of packed rows, and of the records and meta blob the core layer
 //!   stores in a segment.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use crate::crc::crc32;
@@ -51,8 +56,13 @@ use crate::sync::Mutex;
 pub(crate) const SEG_HEADER_LEN: u64 = 128;
 /// Block granularity of sections, the reader cache and the CRC table.
 pub(crate) const SEG_BLOCK: usize = 4096;
-/// Blocks held by one file's read cache (256 KiB).
+/// One file's share of a tier's block cache (256 KiB): the cache a
+/// reader opened on its own gets.
 pub(crate) const CACHE_BLOCKS: usize = 64;
+/// Blocks held by one tier's cache, shared by its RP, EP and value-run
+/// files (768 KiB): the three files' shares pooled, so that the file a
+/// query leans on can hold more than its share.
+pub(crate) const TIER_CACHE_BLOCKS: usize = 3 * CACHE_BLOCKS;
 
 pub(crate) fn corrupt(reason: String) -> StorageError {
     StorageError::Corrupt { page: 0, reason }
@@ -280,24 +290,72 @@ pub(crate) fn check_crc_table(store: &dyn RawStore, crc_off: u64) -> Result<u64>
 // Reading
 // ---------------------------------------------------------------------------
 
-/// An immutable file read in [`SEG_BLOCK`] units through a cache of
-/// [`CACHE_BLOCKS`] blocks, never touching the buffer pool. Every block
-/// asked for is one `seg_block_read` in `stats`, every miss one
-/// `seg_block_fetch`: the one place both readers count their I/O.
+/// A cached block's key: the slot its file took when it joined the
+/// cache, and its index in the file.
+type BlockKey = (u32, u64);
+
+/// One LRU of blocks over the files that join it: a tier's RP, EP and
+/// value-run files, or a reader opened on its own. Every file takes the
+/// next slot number when it joins, the first half of its blocks' keys.
+pub struct BlockCache {
+    lru: Mutex<Lru<BlockKey, Arc<Vec<u8>>>>,
+    files: AtomicU32,
+}
+
+impl BlockCache {
+    /// An empty cache of at most `blocks` blocks.
+    pub(crate) fn new(blocks: usize) -> Self {
+        BlockCache {
+            lru: Mutex::new(Lru::new(blocks)),
+            files: AtomicU32::new(0),
+        }
+    }
+
+    /// An empty cache for the three files of one tier: 192 blocks
+    /// (768 KiB), three times one file's share.
+    pub fn for_tier() -> Arc<BlockCache> {
+        Arc::new(BlockCache::new(TIER_CACHE_BLOCKS))
+    }
+
+    /// Blocks held now.
+    pub fn resident(&self) -> usize {
+        self.lru.lock().len()
+    }
+
+    /// Drops every cached block of every file: the next read of each is
+    /// a fetch.
+    pub fn clear(&self) {
+        self.lru.lock().clear();
+    }
+}
+
+/// An immutable file read in [`SEG_BLOCK`] units through the
+/// [`BlockCache`] it joined, never touching the buffer pool. Every
+/// block asked for is one `seg_block_read` in `stats`, every miss one
+/// `seg_block_fetch` and every block a miss pushes out of the cache one
+/// `seg_block_eviction`: the one place both readers count their I/O.
 pub(crate) struct BlockFile {
     pub store: Box<dyn RawStore>,
     stats: Arc<IoStats>,
     len: u64,
-    cache: Mutex<Lru<u64, Arc<Vec<u8>>>>,
+    cache: Arc<BlockCache>,
+    /// This file's part of every key it caches under.
+    slot: u32,
 }
 
 impl BlockFile {
-    pub(crate) fn new(store: Box<dyn RawStore>, stats: Arc<IoStats>, len: u64) -> Self {
+    pub(crate) fn new(
+        store: Box<dyn RawStore>,
+        stats: Arc<IoStats>,
+        len: u64,
+        cache: &Arc<BlockCache>,
+    ) -> Self {
         BlockFile {
             store,
             stats,
             len,
-            cache: Mutex::new(Lru::new(CACHE_BLOCKS)),
+            cache: Arc::clone(cache),
+            slot: cache.files.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -320,14 +378,10 @@ impl BlockFile {
         Ok(())
     }
 
-    /// Drops every cached block: the next read of each is a fetch.
-    pub(crate) fn clear(&self) {
-        self.cache.lock().clear();
-    }
-
     pub(crate) fn block(&self, idx: u64) -> Result<Arc<Vec<u8>>> {
         self.stats.record_seg_block_read();
-        if let Some(block) = self.cache.lock().get(&idx) {
+        let key = (self.slot, idx);
+        if let Some(block) = self.cache.lru.lock().get(&key) {
             return Ok(Arc::clone(block));
         }
         self.stats.record_seg_block_fetch();
@@ -339,7 +393,9 @@ impl BlockFile {
         let mut buf = vec![0u8; len];
         self.store.read_at(start, &mut buf)?;
         let block = Arc::new(buf);
-        self.cache.lock().insert(idx, Arc::clone(&block));
+        if self.cache.lru.lock().insert(key, Arc::clone(&block)) > 0 {
+            self.stats.record_seg_block_eviction();
+        }
         Ok(block)
     }
 }
@@ -813,6 +869,93 @@ pub(crate) mod tests {
             (4_100, 7_761_964_859_799_963_142),
             "empty value run"
         );
+    }
+
+    /// Three files of one tier, in one [`BlockCache`]: equal block
+    /// indexes of two files are two entries (a key without the file's
+    /// slot hands the second file the first one's bytes), no read
+    /// pattern makes the cache hold more than [`TIER_CACHE_BLOCKS`],
+    /// and clearing it leaves every file cold.
+    #[test]
+    fn a_tier_cache_keeps_its_files_apart_within_its_budget() {
+        use crate::store::MemStore;
+        const BLOCKS: u64 = 150;
+        let stats = Arc::new(IoStats::new());
+        let cache = BlockCache::for_tier();
+        // Block `b` of file `f` starts with `f` and `b`: its bytes say
+        // whose it is.
+        let files: Vec<BlockFile> = (0..3u64)
+            .map(|f| {
+                let store = MemStore::new();
+                for b in 0..BLOCKS {
+                    let mut block = vec![0u8; SEG_BLOCK];
+                    block[..8].copy_from_slice(&f.to_le_bytes());
+                    block[8..16].copy_from_slice(&b.to_le_bytes());
+                    store.write_at(b * SEG_BLOCK as u64, &block).unwrap();
+                }
+                let len = BLOCKS * SEG_BLOCK as u64;
+                BlockFile::new(Box::new(store), Arc::clone(&stats), len, &cache)
+            })
+            .collect();
+        let whose = |f: usize, b: u64| {
+            let block = files[f].block(b).unwrap();
+            let word = |at: usize| u64::from_le_bytes(block[at..at + 8].try_into().unwrap());
+            (word(0) as usize, word(8))
+        };
+
+        // Two files, the same indexes: fetched, then cached, each file
+        // gets its own bytes.
+        for _ in 0..2 {
+            for b in 0..8 {
+                for f in 0..2 {
+                    assert_eq!(whose(f, b), (f, b));
+                }
+            }
+        }
+        let io = stats.snapshot();
+        assert_eq!((io.seg_block_reads, io.seg_block_fetches), (32, 16));
+        assert_eq!(cache.resident(), 16);
+
+        // A mixed pattern: a hot set of one file, a sweep of another,
+        // random blocks of all three — 450 blocks, more than twice the
+        // budget.
+        let mut rng = 0x5eed_u64;
+        let mut sweep = 0;
+        for i in 0..6000u64 {
+            let (f, b) = match i % 3 {
+                0 => (2, super::super::structural::tests::lcg(&mut rng) % 40),
+                1 => {
+                    sweep = (sweep + 1) % BLOCKS;
+                    (1, sweep)
+                }
+                _ => {
+                    let r = super::super::structural::tests::lcg(&mut rng);
+                    ((r % 3) as usize, (r >> 8) % BLOCKS)
+                }
+            };
+            assert_eq!(whose(f, b), (f, b));
+            assert!(cache.resident() <= TIER_CACHE_BLOCKS, "read {i}");
+        }
+        assert_eq!(cache.resident(), TIER_CACHE_BLOCKS);
+        let io = stats.snapshot();
+        assert_eq!(
+            io.seg_block_evictions,
+            io.seg_block_fetches - TIER_CACHE_BLOCKS as u64,
+            "every fetch past the budget evicts one block"
+        );
+
+        // Clearing empties the cache of every file: the next read of
+        // each block is one fetch, the one after a hit.
+        cache.clear();
+        assert_eq!(cache.resident(), 0);
+        for fetches in [3, 0] {
+            let before = stats.snapshot();
+            for f in 0..3 {
+                assert_eq!(whose(f, 7), (f, 7));
+            }
+            let io = stats.snapshot().since(&before);
+            assert_eq!((io.seg_block_reads, io.seg_block_fetches), (3, fetches));
+        }
     }
 
     /// One packed block damaged a field at a time: every walk of it is

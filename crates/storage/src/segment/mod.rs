@@ -42,9 +42,10 @@
 //!
 //! * `sort` — bounded-memory external merge sort ([`ExternalSorter`]).
 //! * `blockfile` — what the two formats share, written once: the frame,
-//!   the buffered sequential writer, the CRC table, the block cache and
-//!   its counters, the sorted section with its fence-guided scan and
-//!   its verification pass, generic over how a fence is stored; the one
+//!   the buffered sequential writer, the CRC table, the block cache a
+//!   tier's files share and its counters, the sorted section with its
+//!   fence-guided scan and its verification pass, generic over how a
+//!   fence is stored; the one
 //!   block layout (varint rows with restarts, generic over the row) and
 //!   the varint coding itself.
 //! * `structural` — RP and EP segments ([`SegmentBuilder`],
@@ -69,7 +70,7 @@ mod structural;
 mod symrun;
 mod valuerun;
 
-pub use blockfile::{put_varint, take_varint};
+pub use blockfile::{put_varint, take_varint, BlockCache};
 pub use env::{env_temp_factory, FileSegEnv, MemSegEnv, SegmentEnv};
 pub use manifest::{Manifest, ManifestSegment};
 pub use sort::{ExternalSorter, SortItem, TempFactory};

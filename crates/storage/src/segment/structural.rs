@@ -71,8 +71,9 @@
 use std::sync::Arc;
 
 use super::blockfile::{
-    check_crc_table, corrupt, put_varint, seal, take_varint, take_varint32, BlockFile, FixedRow,
-    Format, Frame, PackedRow, RowPacker, Section, SeqWriter, SEG_BLOCK, SEG_HEADER_LEN,
+    check_crc_table, corrupt, put_varint, seal, take_varint, take_varint32, BlockCache, BlockFile,
+    FixedRow, Format, Frame, PackedRow, RowPacker, Section, SeqWriter, CACHE_BLOCKS, SEG_BLOCK,
+    SEG_HEADER_LEN,
 };
 use super::sort::{ExternalSorter, RunBuf, SortItem, TempFactory};
 use crate::error::Result;
@@ -895,10 +896,10 @@ pub struct SegmentLayout {
 }
 
 /// Read handle over one immutable segment file: direct [`RawStore`]
-/// reads through a tiny per-segment block cache, never touching the
-/// buffer pool. Both fence arrays are resident, so a lookup is one
-/// in-memory binary search, one binary search over the restarts of one
-/// cached block and a decode of at most 16 rows.
+/// reads through its tier's [`BlockCache`], never touching the buffer
+/// pool. Both fence arrays are resident, so a lookup is one in-memory
+/// binary search, one binary search over the restarts of one cached
+/// block and a decode of at most 16 rows.
 pub struct SegmentReader {
     file: BlockFile,
     hdr: Header,
@@ -910,10 +911,22 @@ pub struct SegmentReader {
 }
 
 impl SegmentReader {
+    /// Opens a segment on its own, in a cache of one file's share of a
+    /// tier's ([`SegmentReader::open_in`]).
+    pub fn open(store: Box<dyn RawStore>, stats: Arc<IoStats>) -> Result<SegmentReader> {
+        Self::open_in(store, stats, &Arc::new(BlockCache::new(CACHE_BLOCKS)))
+    }
+
     /// Opens a segment: validates the header against the file and
     /// loads both fence arrays (16 bytes of memory per 4 KiB block of
-    /// rows). Segment block reads are recorded into `stats`.
-    pub fn open(store: Box<dyn RawStore>, stats: Arc<IoStats>) -> Result<SegmentReader> {
+    /// rows). Its blocks are cached in `cache`, beside those of the
+    /// other files that joined it, and its block reads are recorded
+    /// into `stats`.
+    pub fn open_in(
+        store: Box<dyn RawStore>,
+        stats: Arc<IoStats>,
+        cache: &Arc<BlockCache>,
+    ) -> Result<SegmentReader> {
         let hdr = Frame::open(&*store, &SEG_FORMAT, Header::from_frame)?;
         let tags = Section::open(&*store, hdr.tag_off, hdr.tag_fence_off, hdr.tag_blocks)?;
         let docs = Section::open(&*store, hdr.doc_off, hdr.doc_fence_off, hdr.doc_blocks)?;
@@ -925,18 +938,12 @@ impl SegmentReader {
             )?;
         }
         Ok(SegmentReader {
-            file: BlockFile::new(store, stats, hdr.file_len),
+            file: BlockFile::new(store, stats, hdr.file_len, cache),
             hdr,
             tags,
             docs,
             records_end: u64::from_le_bytes(records_end),
         })
-    }
-
-    /// Empties the block cache: the next read of every block fetches
-    /// it (a cold-cache measurement).
-    pub fn clear_cache(&self) {
-        self.file.clear();
     }
 
     /// Segment flavor byte ([`SEG_KIND_RP`] / [`SEG_KIND_EP`]).

@@ -52,8 +52,9 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use super::blockfile::{
-    check_crc_table, corrupt, put_varint, seal, take_varint, take_varint32, BlockFile, Format,
-    Frame, PackedRow, RowPacker, Section, SeqWriter, SEG_BLOCK, SEG_HEADER_LEN,
+    check_crc_table, corrupt, put_varint, seal, take_varint, take_varint32, BlockCache, BlockFile,
+    Format, Frame, PackedRow, RowPacker, Section, SeqWriter, CACHE_BLOCKS, SEG_BLOCK,
+    SEG_HEADER_LEN,
 };
 use super::sort::{RunBuf, SortItem};
 use crate::error::Result;
@@ -604,11 +605,11 @@ fn above(hi: Bound<&[u8]>, key: &[u8]) -> bool {
 }
 
 /// Read handle over one value run: direct [`RawStore`] reads through
-/// the same block cache and counters as a segment's reader. Fences and
-/// tag directories are resident, so a probe is one in-memory binary
-/// search, one over the restarts of a block and a decode of at most 16
-/// entries, plus the blocks that hold the rest of its answer — none at
-/// all for a tag the run does not hold.
+/// its tier's [`BlockCache`], with the same counters as a segment's
+/// reader. Fences and tag directories are resident, so a probe is one
+/// in-memory binary search, one over the restarts of a block and a
+/// decode of at most 16 entries, plus the blocks that hold the rest of
+/// its answer — none at all for a tag the run does not hold.
 pub struct ValueRunReader {
     file: BlockFile,
     hdr: VxHeader,
@@ -616,11 +617,22 @@ pub struct ValueRunReader {
 }
 
 impl ValueRunReader {
+    /// Opens a run on its own, in a cache of one file's share of a
+    /// tier's ([`ValueRunReader::open_in`]).
+    pub fn open(store: Box<dyn RawStore>, stats: Arc<IoStats>) -> Result<ValueRunReader> {
+        Self::open_in(store, stats, &Arc::new(BlockCache::new(CACHE_BLOCKS)))
+    }
+
     /// Opens a run: validates the header against the file, then loads
     /// and checks both fence sections and both tag directories (their
-    /// sizes were just checked against the file's). Block reads are
-    /// recorded into `stats`.
-    pub fn open(store: Box<dyn RawStore>, stats: Arc<IoStats>) -> Result<ValueRunReader> {
+    /// sizes were just checked against the file's). Its blocks are
+    /// cached in `cache`, beside those of the other files that joined
+    /// it, and its block reads are recorded into `stats`.
+    pub fn open_in(
+        store: Box<dyn RawStore>,
+        stats: Arc<IoStats>,
+        cache: &Arc<BlockCache>,
+    ) -> Result<ValueRunReader> {
         let hdr = Frame::open(&*store, &VX_FORMAT, VxHeader::from_frame)?;
         let mut resident = vec![0u8; (hdr.crc_off - hdr.fence_off) as usize];
         store.read_at(hdr.fence_off, &mut resident)?;
@@ -633,16 +645,10 @@ impl ValueRunReader {
             VxSec::parse(VxSection::Str, 1 + num.blocks, strs, str_fences, str_tags)?,
         ];
         Ok(ValueRunReader {
-            file: BlockFile::new(store, stats, hdr.file_len),
+            file: BlockFile::new(store, stats, hdr.file_len, cache),
             hdr,
             secs,
         })
-    }
-
-    /// Empties the block cache: the next read of every block fetches
-    /// it (a cold-cache measurement).
-    pub fn clear_cache(&self) {
-        self.file.clear();
     }
 
     /// First global document id covered by this run.

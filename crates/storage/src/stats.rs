@@ -107,13 +107,15 @@ io_counters! {
     /// Bytes appended to the batch log: the batches as received plus
     /// their framing.
     wal_appended_bytes, record_wal_appended_bytes(bytes), false;
-    /// Segment blocks requested through per-segment caches (hits and
-    /// misses). Segments bypass the buffer pool, so their reads get
+    /// Segment blocks requested through the tiers' block caches (hits
+    /// and misses). Segments bypass the buffer pool, so their reads get
     /// their own counters.
     seg_block_reads, record_seg_block_read(), true;
-    /// Segment blocks fetched from disk (per-segment cache misses —
-    /// the segment analogue of a physical page read).
+    /// Segment blocks fetched from disk (block cache misses — the
+    /// segment analogue of a physical page read).
     seg_block_fetches, record_seg_block_fetch(), true;
+    /// Blocks a fetch pushed out of a full tier block cache.
+    seg_block_evictions, record_seg_block_eviction(), true;
 }
 
 impl IoStats {
@@ -241,7 +243,7 @@ mod tests {
 
     #[test]
     fn every_counter_accumulates_and_snapshots() {
-        assert_eq!(COUNTERS.len(), 8, "a counter was added or removed");
+        assert_eq!(COUNTERS.len(), 9, "a counter was added or removed");
         let s = IoStats::new();
         assert_eq!(s.snapshot(), IoSnapshot::default());
         record_all(&s);
@@ -288,7 +290,8 @@ mod tests {
                 "physical_reads",
                 "physical_writes",
                 "seg_block_reads",
-                "seg_block_fetches"
+                "seg_block_fetches",
+                "seg_block_evictions"
             ]
         );
         // Outside a scope nothing is tallied, and the next scope starts

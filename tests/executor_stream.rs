@@ -9,7 +9,7 @@
 //!   index, unlimited and with limits 1 and 10, every row pins the
 //!   match vector in order, `truncated`, the ten deterministic counters
 //!   and the cold I/O counters. The one executor must reproduce every
-//!   row. (The I/O columns were re-pinned seven times, by
+//!   row. (The I/O columns were re-pinned eight times, by
 //!   `repin_golden_io_columns` below, which first proves that nothing
 //!   else in any row moved: the segment shapes' two block counters when
 //!   segment format 3 packed five times the rows into a block, when
@@ -21,7 +21,8 @@
 //!   compaction creates, again when the delta stopped being a page
 //!   file — both times renumbering the pages of its tail — and when the
 //!   delta's indexes left the pool for ordered maps, so that only its
-//!   records are pages.)
+//!   records are pages; and the segment shapes' block fetches alone
+//!   when a tier's three files came to share one block cache.)
 //! * **Limit pushdown** — on a high-fanout collection, `limit = 10`
 //!   performs strictly fewer range queries, scans strictly fewer trie
 //!   nodes, and reads strictly fewer segment blocks than the unlimited
@@ -52,8 +53,9 @@ const GOLDEN_POOL_PAGES: usize = 16;
 /// text, and its `(id, xpath)` queries — the paper's (Q1–Q9, QP1–QP8)
 /// plus one wide query each (W1–W4). The paper queries plant a handful
 /// of candidates; the wide ones refine hundreds, over more pages than
-/// the tail's pool holds and (W2) more segment blocks than a reader
-/// caches.
+/// the tail's pool holds and (W2) thousands of segment block reads —
+/// of at most 25 distinct blocks a query, well inside a tier's block
+/// cache.
 fn golden_workload(name: &str) -> (Vec<String>, Vec<(&'static str, &'static str)>) {
     let paper = |ds: Dataset, wide: (&'static str, &'static str)| {
         let mut queries: Vec<_> = queries_for(ds).iter().map(|q| (q.id, q.xpath)).collect();
@@ -238,11 +240,14 @@ fn split_io(row: &str) -> Option<([u64; 3], String)> {
 /// written, every recomputed row must equal the committed one in its
 /// match vector, `truncated` and all ten counters (the answers did not
 /// move). What else must hold depends on which format moved, and is
-/// asserted for the last one that did. Segment format 5 lays a tier's
-/// records out in the order of its RP Docid section: which record
-/// blocks a query touches moves, so both segment counters may move
-/// either way, on both shapes; the delta is untouched, so
-/// `physical_reads` stays equal everywhere. (Segment format 4, a tier's
+/// asserted for the last one that did. One block cache per tier, which
+/// the tier's RP, EP and value-run files share, changes no byte and no
+/// block a query asks for, only which of them are still cached: so
+/// `seg_block_reads` and `physical_reads` stay equal everywhere and
+/// only `seg_block_fetches` may move. (Segment format 5, a tier's
+/// records in the order of its RP Docid section, moved which record
+/// blocks a query touches, so both segment counters were free on both
+/// shapes and `physical_reads` stayed equal. Segment format 4, a tier's
 /// records once, in its EP file, freed both segment counters too, and
 /// the tiers shape's `physical_reads`, as the delta kept one record
 /// store where it kept two; the delta's indexes leaving the pool for
@@ -254,7 +259,7 @@ fn split_io(row: &str) -> Option<([u64; 3], String)> {
 /// format 3 had the mirror image: pool rows equal outright,
 /// `physical_reads` equal everywhere, neither segment counter up.)
 #[test]
-#[ignore = "rewrites tests/executor_golden.txt; run by hand after an on-disk format change"]
+#[ignore = "rewrites tests/executor_golden.txt; run by hand after an on-disk format or block cache change"]
 fn repin_golden_io_columns() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/executor_golden.txt");
     let golden = std::fs::read_to_string(path).unwrap();
@@ -276,6 +281,10 @@ fn repin_golden_io_columns() {
         let mut words = old.split(' ');
         let (workload, shape) = (words.next().unwrap(), words.next().unwrap());
         assert_eq!(was[0], now[0], "the delta's pages did not move: {new}");
+        assert_eq!(
+            was[1], now[1],
+            "every block asked for is asked for still: {new}"
+        );
         for col in 0..3 {
             let m = moved.entry((workload, shape, col)).or_default();
             m[0] += 1;

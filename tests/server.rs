@@ -764,6 +764,8 @@ fn metrics_expose_segment_lifecycle_with_pinned_names() {
         "prix_engine_mutable_docs ",
         "prix_segment_block_reads_total ",
         "prix_segment_block_fetches_total ",
+        "prix_segment_block_evictions_total ",
+        "prix_segment_cache_blocks ",
         "prix_compactions_total ",
     ] {
         assert!(body.contains(name), "missing series {name}: {body}");
@@ -794,6 +796,17 @@ fn metrics_expose_segment_lifecycle_with_pinned_names() {
     assert!(resp.contains(r#""count":3"#), "{resp}");
     assert!(resp.contains(r#""seg_block_reads":"#), "{resp}");
     assert!(resp.contains(r#""seg_block_fetches":"#), "{resp}");
+    // The blocks it read stay in the tier's cache; a database this
+    // small fits a tier's budget, so nothing was evicted.
+    let (_, body) = get(addr, "/metrics");
+    let value = |name: &str| -> u64 {
+        let line = body.lines().find(|l| l.starts_with(&format!("{name} ")));
+        line.and_then(|l| l.split(' ').nth(1)?.parse().ok())
+            .unwrap_or_else(|| panic!("no sample of {name}: {body}"))
+    };
+    assert!(value("prix_segment_block_fetches_total") > 0, "{body}");
+    assert!(value("prix_segment_cache_blocks") > 0, "{body}");
+    assert_eq!(value("prix_segment_block_evictions_total"), 0, "{body}");
     h.shutdown().unwrap();
 }
 

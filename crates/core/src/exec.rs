@@ -71,7 +71,7 @@ pub(crate) struct CandidateCursor<'a> {
     /// Value-predicate evaluator: a document its valix probe ruled out
     /// cannot pass positional verification, so its candidates are
     /// dropped here, before refinement loads a record for them.
-    pred: Option<&'a PredEval>,
+    pred: Option<&'a PredEval<'a>>,
     /// `frames[d]` is the suspended range-query state for LPS position
     /// `d`; `positions[..d]` are the levels chosen by frames `0..d`.
     frames: Vec<Frame>,
@@ -90,7 +90,7 @@ impl<'a> CandidateCursor<'a> {
         lps: Vec<Sym>,
         rules: Vec<Option<GapRule>>,
         use_fine: bool,
-        pred: Option<&'a PredEval>,
+        pred: Option<&'a PredEval<'a>>,
     ) -> Self {
         let cap = lps.len();
         CandidateCursor {
@@ -230,7 +230,7 @@ pub(crate) struct RefineStage<'a> {
     /// Value-predicate evaluator: refined matches must pass its
     /// positional verification, which needs the leaf records loaded
     /// even when the plan's leaf check is skipped.
-    pred: Option<&'a PredEval>,
+    pred: Option<&'a PredEval<'a>>,
     /// `(doc, S)` candidate pairs that entered refinement.
     candidates: u64,
     /// Candidates surviving all refinement phases.
@@ -242,7 +242,7 @@ pub(crate) struct RefineStage<'a> {
 }
 
 impl<'a> RefineStage<'a> {
-    fn new(idx: &'a PrixIndex, pred: Option<&'a PredEval>) -> Self {
+    fn new(idx: &'a PrixIndex, pred: Option<&'a PredEval<'a>>) -> Self {
         RefineStage {
             idx,
             cache: HashMap::new(),
@@ -342,7 +342,7 @@ impl<'a> MatchStream<'a> {
         plan: QueryPlan,
         absolute: bool,
         opts: &ExecOpts,
-        pred: Option<&'a PredEval>,
+        pred: Option<&'a PredEval<'a>>,
     ) -> Self {
         let rules = if opts.use_maxgap {
             idx.gap_rules(&plan)

@@ -128,7 +128,8 @@ pub struct QueryStats {
     /// Refined matches rejected by positional predicate verification.
     pub pred_rejected: u64,
     /// Wall clock spent in the filtering stage (Algorithm 1: trie range
-    /// queries + MaxGap pruning + docid scans).
+    /// queries + MaxGap pruning + docid scans), and in the value-index
+    /// probe that pre-filters a predicate query's documents.
     pub filter_time: Duration,
     /// Wall clock spent in refinement (per-document record loads +
     /// Algorithm 2).
@@ -815,7 +816,7 @@ impl PrixIndex {
         &'a self,
         q: &TwigQuery,
         opts: &ExecOpts,
-        pred: Option<&'a crate::valix::PredEval>,
+        pred: Option<&'a crate::valix::PredEval<'a>>,
     ) -> Result<crate::exec::MatchStream<'a>> {
         let plan = self.plan(q)?;
         if plan.seq.is_empty() {
@@ -1520,11 +1521,7 @@ mod tests {
         let mut c = small_collection();
         let mut idx = build_index(&mut c, IndexKind::Regular);
         assert!(idx.load_doc(3, true).is_ok());
-        let err = idx
-            .load_doc(4, true)
-            .err()
-            .expect("past the end")
-            .to_string();
+        let err = idx.load_doc(4, true).expect_err("past the end").to_string();
         assert!(err.contains("names document 4"), "{err}");
         idx.set_doc_base(10);
         assert!(idx.load_doc(13, false).is_ok());
@@ -1946,7 +1943,7 @@ mod tests {
             let name = *rng.pick(&["a", "b", "c", "d"]);
             out.push_str(&format!("<{name}>"));
             if depth < 5 && rng.chance(0.25) {
-                out.push_str(*rng.pick(&["v1", "v2", "Jim Gray"]));
+                out.push_str(rng.pick::<&str>(&["v1", "v2", "Jim Gray"]));
             } else if depth < 5 {
                 for _ in 0..rng.below(4) {
                     element(rng, depth + 1, out);

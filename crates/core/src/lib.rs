@@ -82,13 +82,17 @@ mod tests {
         encode_seg_index_meta, BuildStats, DocArtifacts, IndexKind,
     };
     use crate::plan::PlannerStats;
+    use crate::valix::{PredEval, Valix};
+    use crate::xpath::parse_xpath;
 
     /// The never-panic table of core's decoders. Each reads bytes a file
     /// held — a document record, and the extended view an EPIndex
     /// derives from it, a segment's meta blob, the planner's statistics
     /// in a log header, a symbol run's name list — and must
     /// answer every prefix of a valid blob, and 2 000 seeded mutations
-    /// of it, with a value or a refusal, never a panic.
+    /// of it, with a value or a refusal, never a panic. So must
+    /// predicate verification of a record whose leaves name symbols
+    /// past the table it resolves them in: the verdict is "no match".
     #[test]
     fn core_decoders_never_panic_on_hostile_bytes() {
         let mut c = Collection::new();
@@ -110,7 +114,7 @@ mod tests {
         planner.merge_collection(&c);
         planner.set_trie_shape(9, 1, 1);
         type Decodes = fn(&[u8]) -> bool;
-        let table: [(&str, Vec<u8>, Decodes); 5] = [
+        let table: [(&str, Vec<u8>, Decodes); 6] = [
             ("document record", encode_doc_record(&art.data), |b| {
                 decode_doc_record(b, true).is_some()
             }),
@@ -130,6 +134,27 @@ mod tests {
                 "name list",
                 encode_symbols(c.symbols().names_from(0)),
                 |b| decode_symbols(b, 0, &mut SymbolTable::new()).is_some(),
+            ),
+            (
+                "predicate verification",
+                encode_doc_record(&art.data),
+                |b| {
+                    // The query's two labels are the whole table, so every
+                    // leaf label the record names is past its end.
+                    let mut syms = SymbolTable::new();
+                    let q = parse_xpath(r#"//b[c = "v"]"#, &mut syms).unwrap();
+                    let eval = PredEval::build(&q, &[], &Valix::create(), &syms)
+                        .unwrap()
+                        .expect("one predicate");
+                    [IndexKind::Regular, IndexKind::Extended]
+                        .into_iter()
+                        .all(|kind| {
+                            doc_view(b, kind, Sym(0), true).is_ok_and(|d| {
+                                (0..=d.nps.len() as u32 + 1)
+                                    .all(|img| !eval.matches(&d, &[img, img]))
+                            })
+                        })
+                },
             ),
         ];
         let mut rng = TestRng::from_seed(0x5eed_0027);

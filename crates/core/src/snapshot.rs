@@ -249,13 +249,16 @@ impl EngineSnapshot {
         Ok(exec.finish(pred.as_ref()))
     }
 
-    /// Opens an execution at this epoch: probes the value index for
-    /// `q`'s predicates, lists the tiers, and only then starts the I/O
-    /// scope and the clock (the probe's page and run block reads are
-    /// reported as `valix_*` counters, not as query I/O).
-    fn begin(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<(Execution<'_>, Option<PredEval>)> {
-        let pred = PredEval::build(q, &self.segments, &self.valix, &self.syms)?;
-        let exec = Execution {
+    /// Opens an execution at this epoch: lists the tiers, starts the I/O
+    /// scope and the clock, then probes the value index for `q`'s
+    /// predicates — the pre-filter, so its wall time is filter time and
+    /// its run block reads are the query's I/O.
+    fn begin(
+        &self,
+        q: &TwigQuery,
+        opts: &ExecOpts,
+    ) -> Result<(Execution<'_>, Option<PredEval<'_>>)> {
+        let mut exec = Execution {
             tiers: self.tiers(),
             // `stream_tiers` owns the limit, so a limited execution asks
             // every stream for arrival order with a limit none of them
@@ -272,6 +275,8 @@ impl EngineSnapshot {
             scope: IoScope::begin(),
             start: Instant::now(),
         };
+        let pred = PredEval::build(q, &self.segments, &self.valix, &self.syms)?;
+        exec.stats.filter_time = exec.start.elapsed();
         Ok((exec, pred))
     }
 
@@ -536,7 +541,7 @@ impl Execution<'_> {
     fn stream_tiers(
         &mut self,
         q: &TwigQuery,
-        pred: Option<&PredEval>,
+        pred: Option<&PredEval<'_>>,
         force: Option<IndexKind>,
         mut keep: impl FnMut(TwigMatch) -> Option<TwigMatch>,
     ) -> Result<()> {
@@ -564,7 +569,7 @@ impl Execution<'_> {
 
     /// Closes the execution: match count, the valix probe counters, the
     /// I/O scope and the clock.
-    fn finish(mut self, pred: Option<&PredEval>) -> QueryOutcome {
+    fn finish(mut self, pred: Option<&PredEval<'_>>) -> QueryOutcome {
         self.stats.matches = self.matches.len() as u64;
         if let Some(p) = pred {
             self.stats.valix_probes += p.probe.probes;
@@ -585,7 +590,7 @@ impl Execution<'_> {
 /// Renders the `/explain` lines for a predicate query: one line per
 /// predicate plus the valix probe's estimated selectivity. Predicate-
 /// free queries never reach this (their explain output is pinned).
-fn explain_pred(q: &TwigQuery, pred: &PredEval, syms: &SymbolTable) -> String {
+fn explain_pred(q: &TwigQuery, pred: &PredEval<'_>, syms: &SymbolTable) -> String {
     let mut out = String::new();
     for p in q.preds() {
         out.push_str(&format!(

@@ -438,20 +438,24 @@ impl Valix {
     }
 }
 
-/// A query's predicates resolved for execution: per-predicate accepted
-/// symbol sets (the verification side) plus the probed document
-/// pre-filter (the pruning side).
+/// A query's predicates resolved for execution: the predicates
+/// themselves and the symbol table that names leaf labels (the
+/// verification side) plus the probed document pre-filter (the pruning
+/// side).
 ///
 /// Built once per query at the engine level, then threaded through the
-/// executor. The symbol sets come from one pass over the symbol table
-/// — bounded by distinct labels, independent of collection size — and
-/// make positional verification a pure `Sym` membership test with no
-/// string work per candidate.
+/// executor. Building it costs the value-index probes and nothing in
+/// proportion to the symbol table, which on a value-rich collection is
+/// mostly leaf values: verification resolves a leaf's label only once
+/// the leaf's parent is the embedding's image, so its string work grows
+/// with the refined candidates.
 #[derive(Clone)]
-pub struct PredEval {
-    /// `(original-query postorder of the predicate node, accepted value
-    /// symbols)` per predicate.
-    items: Vec<(PostNum, Arc<HashSet<Sym>>)>,
+pub struct PredEval<'s> {
+    /// `(original-query postorder of the predicate node, predicate)`
+    /// per predicate.
+    items: Vec<(PostNum, ValuePred)>,
+    /// The table the verified records' leaf label symbols name.
+    syms: &'s SymbolTable,
     /// Documents below the coverage horizon that can satisfy every
     /// probeable predicate; `None` when no predicate was probeable
     /// (`!=`-only).
@@ -463,7 +467,7 @@ pub struct PredEval {
     pub probe: ProbeStats,
 }
 
-impl PredEval {
+impl<'s> PredEval<'s> {
     /// Resolves `q`'s predicates against `syms`, probing the value
     /// index — the runs of `tiers`, then the delta `valix` — for the
     /// document pre-filter. `Ok(None)` when the query has no
@@ -472,21 +476,17 @@ impl PredEval {
         q: &TwigQuery,
         tiers: &[SegTier],
         valix: &Valix,
-        syms: &SymbolTable,
-    ) -> Result<Option<PredEval>> {
+        syms: &'s SymbolTable,
+    ) -> Result<Option<PredEval<'s>>> {
         if q.preds().is_empty() {
             return Ok(None);
         }
         let tree = q.tree();
-        let mut items = Vec::with_capacity(q.preds().len());
-        for p in q.preds() {
-            let set: HashSet<Sym> = syms
-                .iter()
-                .filter(|(_, name)| p.accepts(name))
-                .map(|(s, _)| s)
-                .collect();
-            items.push((tree.postorder(p.node), Arc::new(set)));
-        }
+        let items = q
+            .preds()
+            .iter()
+            .map(|p| (tree.postorder(p.node), p.clone()))
+            .collect();
         let mut probe = ProbeStats::default();
         let mut allowed: Option<HashSet<DocId>> = None;
         for p in q.preds() {
@@ -500,6 +500,7 @@ impl PredEval {
         }
         Ok(Some(PredEval {
             items,
+            syms,
             allowed,
             covered: valix.covered(),
             probe,
@@ -524,29 +525,23 @@ impl PredEval {
     /// This evaluator renumbered for a branch arrangement:
     /// `base_of[arr_post - 1]` maps arrangement postorders back to base
     /// ones (see `crate::arrange::Arrangement`).
-    pub fn remap(&self, base_of: &[PostNum]) -> PredEval {
-        let items = self
-            .items
-            .iter()
-            .map(|(base_post, set)| {
-                let arr_post = base_of
-                    .iter()
-                    .position(|&b| b == *base_post)
-                    .map(|i| (i + 1) as PostNum)
-                    .expect("arrangement permutes every base node");
-                (arr_post, Arc::clone(set))
-            })
-            .collect();
-        PredEval {
-            items,
-            allowed: self.allowed.clone(),
-            covered: self.covered,
+    pub fn remap(&self, base_of: &[PostNum]) -> PredEval<'s> {
+        let mut arr = PredEval {
             probe: ProbeStats::default(),
+            ..self.clone()
+        };
+        for (post, _) in &mut arr.items {
+            *post = base_of
+                .iter()
+                .position(|b| b == post)
+                .map(|i| (i + 1) as PostNum)
+                .expect("arrangement permutes every base node");
         }
+        arr
     }
 
     /// Positionally verifies a refined embedding: every predicate node's
-    /// image must have a leaf child whose label symbol is accepted.
+    /// image must have a leaf child whose label is accepted.
     ///
     /// `emb[q - 1]` is the image (original document postorder) of query
     /// node `q`; `data` must have been loaded with leaf data. Extended
@@ -555,7 +550,9 @@ impl PredEval {
     /// and `orig_map` translating the element back to original
     /// numbering.
     pub(crate) fn matches(&self, data: &DocData, emb: &[PostNum]) -> bool {
-        self.items.iter().all(|(qpost, set)| {
+        self.items.iter().all(|(qpost, p)| {
+            // A symbol past the table (a hostile record's) satisfies nothing.
+            let accepts = |sym| self.syms.get(sym).is_some_and(|name| p.accepts(name));
             let img = emb[(*qpost - 1) as usize];
             match &data.orig_map {
                 None => data.leaves.iter().any(|&(sym, pos)| {
@@ -564,7 +561,7 @@ impl PredEval {
                             .nps
                             .get(pos as usize - 1)
                             .is_some_and(|&parent| parent == img)
-                        && set.contains(&sym)
+                        && accepts(sym)
                 }),
                 Some(orig) => data.leaves.iter().any(|&(_, pos)| {
                     let Some(&val_post) = data.nps.get(pos.wrapping_sub(1) as usize) else {
@@ -577,7 +574,7 @@ impl PredEval {
                         && data
                             .lps
                             .get(pos.wrapping_sub(1) as usize)
-                            .is_some_and(|s| set.contains(s))
+                            .is_some_and(|&s| accepts(s))
                 }),
             }
         })
@@ -693,6 +690,90 @@ mod tests {
                 .map(|(i, _)| i as DocId)
                 .collect();
             assert_eq!(got, want, "{p:?}");
+        }
+    }
+
+    /// Verification checks a leaf's label against the predicate itself.
+    /// Over a table of tricky numerics, strings and shared prefixes, for
+    /// every operator, it must accept exactly the symbols of the set an
+    /// evaluator once built up front by scanning the whole table — in
+    /// the regular view and through an extended view's dummy leaf — and
+    /// a symbol past the table, which no such set held, matches nothing.
+    #[test]
+    fn verification_accepts_exactly_the_scanned_symbol_set() {
+        let mut syms = SymbolTable::new();
+        for name in [
+            "77", "77.0", "7.7e1", "+77", " 77", "77 ", "-0", "0", "0.0", "NaN", "inf", "-inf",
+            "76.99", "78", "7", "770", "x7", "x70", "x", "ax7", "", "price",
+        ] {
+            syms.intern(name);
+        }
+        // A regular view (leaf 1 under the root 2) and an extended one
+        // (dummy 1 under value node 2 under element 3, which is original
+        // node 2), each holding one leaf labelled `sym`.
+        let regular = |sym| DocData {
+            nps: vec![2],
+            lps: vec![Sym(0)],
+            leaves: vec![(sym, 1)],
+            orig_map: None,
+            n_orig: 2,
+        };
+        let extended = |sym| DocData {
+            nps: vec![2, 3],
+            lps: vec![sym, Sym(0)],
+            leaves: vec![(Sym(0), 1)],
+            orig_map: Some(vec![0, 1, 2]),
+            n_orig: 2,
+        };
+        let ops = [
+            PredOp::Eq,
+            PredOp::Ne,
+            PredOp::Lt,
+            PredOp::Le,
+            PredOp::Gt,
+            PredOp::Ge,
+            PredOp::StartsWith,
+        ];
+        let values = [
+            PredValue::Num(77.0),
+            PredValue::Num(0.0),
+            PredValue::Num(-0.0),
+            PredValue::Num(f64::INFINITY),
+            PredValue::Str("77".into()),
+            PredValue::Str("x7".into()),
+            PredValue::Str("".into()),
+        ];
+        for op in ops {
+            for value in &values {
+                let p = pred(op, value.clone());
+                let scanned: HashSet<Sym> = syms
+                    .iter()
+                    .filter(|(_, name)| p.accepts(name))
+                    .map(|(s, _)| s)
+                    .collect();
+                let eval = PredEval {
+                    items: vec![(1, p.clone())],
+                    syms: &syms,
+                    allowed: None,
+                    covered: 0,
+                    probe: ProbeStats::default(),
+                };
+                for (sym, name) in syms.iter() {
+                    let want = scanned.contains(&sym);
+                    assert_eq!(eval.matches(&regular(sym), &[2]), want, "{p:?} on {name:?}");
+                    assert_eq!(
+                        eval.matches(&extended(sym), &[2]),
+                        want,
+                        "{p:?} on {name:?}"
+                    );
+                    // The label is checked only where the parent is the
+                    // image.
+                    assert!(!eval.matches(&regular(sym), &[1]), "{p:?} on {name:?}");
+                }
+                let past = Sym(syms.len() as u32);
+                assert!(!eval.matches(&regular(past), &[2]), "{p:?} past the table");
+                assert!(!eval.matches(&extended(past), &[2]), "{p:?} past the table");
+            }
         }
     }
 

@@ -452,7 +452,8 @@ pub(crate) mod tests {
         let bytes = store.snapshot();
         let first = HEADER + b"PLN1blob".len();
         // Rewrites record 1's payload and reseals it.
-        let reseal = |edit: &dyn Fn(&mut Vec<u8>)| {
+        type Edit<'e> = &'e dyn Fn(&mut Vec<u8>);
+        let reseal = |edit: Edit| {
             let len = u32::from_le_bytes(bytes[first..first + 4].try_into().unwrap()) as usize;
             let mut payload = bytes[first + FRAME..first + FRAME + len].to_vec();
             edit(&mut payload);
@@ -462,7 +463,7 @@ pub(crate) mod tests {
             out.extend_from_slice(&payload);
             read(out).map(|c| c.records.len())
         };
-        let refused: [(&str, &dyn Fn(&mut Vec<u8>)); 6] = [
+        let refused: [(&str, Edit); 6] = [
             ("a count the bytes cannot hold", &|p| {
                 p[8..12].copy_from_slice(&u32::MAX.to_le_bytes())
             }),

@@ -70,6 +70,13 @@ impl SymbolTable {
         &self.names[sym.index()]
     }
 
+    /// Returns the string for a symbol, or `None` for one past the end
+    /// of this table (a symbol a stored record names but this table
+    /// never interned).
+    pub fn get(&self, sym: Sym) -> Option<&str> {
+        self.names.get(sym.index()).map(String::as_str)
+    }
+
     /// Number of distinct symbols interned so far.
     pub fn len(&self) -> usize {
         self.names.len()

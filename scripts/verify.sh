@@ -13,7 +13,7 @@ TREE_BEFORE=$(git status --porcelain)
 scripts/ledger.sh HEAD || echo "ledger.sh failed (ignored)" >&2
 
 cargo build --release --offline --locked
-cargo clippy --all-targets --offline --locked -- -D warnings
+cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 cargo fmt --all -- --check
 # Doc comments link to public functions by name; a deleted or renamed
 # one must fail here, not rot. (Links to private items only warn.)
@@ -84,7 +84,26 @@ cargo test --release --test value_predicates --offline --locked
 cargo build --release -p prix-cli --offline --locked
 PRIX=target/release/prix
 SMOKE=$(mktemp -d)
-trap 'rm -rf "$SMOKE"' EXIT
+# A smoke that fails leaves no server behind: the one started last is
+# killed on any exit (after a clean shutdown it is already gone).
+SERVE_PID=
+trap '[ -z "$SERVE_PID" ] || kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$SMOKE"' EXIT
+
+# serve_port <what> <log>: the port a backgrounded `prix serve` prints on
+# its first line ("listening on http://127.0.0.1:PORT"). The server may
+# not have created its log yet, so a missing log is waited on like an
+# empty one; ten seconds without a port fail the run.
+serve_port() {
+  local port
+  for _ in $(seq 1 100); do
+    port=$(sed -n 's|^listening on http://127\.0\.0\.1:\([0-9]*\)$|\1|p' "$2" 2>/dev/null || true)
+    [ -n "$port" ] && { echo "$port"; return; }
+    sleep 0.1
+  done
+  echo "$1 never reported its port" >&2
+  cat "$2" >&2 2>/dev/null || true
+  return 1
+}
 
 "$PRIX" gen dblp "$SMOKE/corpus" --scale 0.01 >/dev/null
 # A bulk build: the corpus in one tier, an empty delta (whose trie
@@ -94,15 +113,7 @@ trap 'rm -rf "$SMOKE"' EXIT
 
 "$PRIX" serve "$SMOKE/db.prix" --addr 127.0.0.1:0 >"$SMOKE/serve.log" 2>&1 &
 SERVE_PID=$!
-
-# The first line printed is "listening on http://127.0.0.1:PORT".
-PORT=
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's|^listening on http://127\.0\.0\.1:\([0-9]*\)$|\1|p' "$SMOKE/serve.log")
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "serve never reported its port" >&2; cat "$SMOKE/serve.log" >&2; exit 1; }
+PORT=$(serve_port serve "$SMOKE/serve.log")
 
 http() { # http <request-target> [method] [body] — one request, prints the response
   exec 3<>"/dev/tcp/127.0.0.1/$PORT"
@@ -192,13 +203,7 @@ echo "crash smoke OK (3 SIGKILLs absorbed)"
 # just visible.
 "$PRIX" serve "$SMOKE/db.prix" --addr 127.0.0.1:0 --ingest --compact-after 1 >"$SMOKE/ingest.log" 2>&1 &
 SERVE_PID=$!
-PORT=
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's|^listening on http://127\.0\.0\.1:\([0-9]*\)$|\1|p' "$SMOKE/ingest.log")
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "ingest serve never reported its port" >&2; cat "$SMOKE/ingest.log" >&2; exit 1; }
+PORT=$(serve_port "ingest serve" "$SMOKE/ingest.log")
 
 Q='/query?xp=%2F%2Fwww%2Furl&limit=0' # //www/url, default cap lifted
 count_of() { sed -n 's/.*"count":\([0-9]*\).*/\1/p' <<<"$1"; }
@@ -231,13 +236,7 @@ echo "live-ingest smoke OK (count $BEFORE -> $AFTER on port $PORT)"
 # document.
 "$PRIX" serve "$SMOKE/db.prix" --addr 127.0.0.1:0 --ingest >"$SMOKE/kill.log" 2>&1 &
 SERVE_PID=$!
-PORT=
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's|^listening on http://127\.0\.0\.1:\([0-9]*\)$|\1|p' "$SMOKE/kill.log")
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "batch-log smoke: serve never reported its port" >&2; cat "$SMOKE/kill.log" >&2; exit 1; }
+PORT=$(serve_port "batch-log smoke: serve" "$SMOKE/kill.log")
 BEFORE=$(count_of "$(http "$Q")")
 ACKED=4
 for i in $(seq 1 "$ACKED"); do
@@ -285,13 +284,7 @@ done
 
 "$PRIX" serve "$SMOKE/seg.prix" --addr 127.0.0.1:0 >"$SMOKE/seg-serve.log" 2>&1 &
 SERVE_PID=$!
-PORT=
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's|^listening on http://127\.0\.0\.1:\([0-9]*\)$|\1|p' "$SMOKE/seg-serve.log")
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "segment serve never reported its port" >&2; cat "$SMOKE/seg-serve.log" >&2; exit 1; }
+PORT=$(serve_port "segment serve" "$SMOKE/seg-serve.log")
 SEGQ=$(http "$Q")
 grep -q '200 OK' <<<"$SEGQ" || { echo "query against bulk-built database failed" >&2; echo "$SEGQ" >&2; exit 1; }
 grep -q '"seg_block_reads"' <<<"$SEGQ" || { echo "query response carries no segment I/O counters" >&2; exit 1; }
@@ -343,13 +336,7 @@ CLI_MATCHES=$(sed -n 's/^  doc \([0-9]*\) -> nodes \[\(.*\)\]$/\1:[\2]/p' <<<"$C
 
 "$PRIX" serve "$SMOKE/shop.prix" --addr 127.0.0.1:0 >"$SMOKE/shop-serve.log" 2>&1 &
 SERVE_PID=$!
-PORT=
-for _ in $(seq 1 100); do
-  PORT=$(sed -n 's|^listening on http://127\.0\.0\.1:\([0-9]*\)$|\1|p' "$SMOKE/shop-serve.log")
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || { echo "shop serve never reported its port" >&2; cat "$SMOKE/shop-serve.log" >&2; exit 1; }
+PORT=$(serve_port "shop serve" "$SMOKE/shop-serve.log")
 # //item[price < 10], URL-encoded.
 HTTP_PRED=$(http '/query?xp=%2F%2Fitem%5Bprice%20%3C%2010%5D&limit=0')
 grep -q '200 OK' <<<"$HTTP_PRED" || { echo "predicate smoke: /query failed" >&2; echo "$HTTP_PRED" >&2; exit 1; }

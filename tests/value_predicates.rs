@@ -435,11 +435,11 @@ fn check_against_single_tree(
     let q_tiered = build_query(*root, steps, edges, preds, &mut engine.symbols().clone());
     let q_oracle = build_query(*root, steps, edges, preds, &mut oracle.symbols().clone());
 
-    let pe = |e: &PrixEngine, q: &TwigQuery| {
+    fn pe<'e>(e: &'e PrixEngine, q: &TwigQuery) -> PredEval<'e> {
         PredEval::build(q, e.seg_tiers(), e.valix(), e.symbols())
             .unwrap()
             .expect("the generator plants a predicate")
-    };
+    }
     let (pe_tiered, pe_oracle) = (pe(engine, &q_tiered), pe(&oracle, &q_oracle));
     let allowed =
         |p: &PredEval| -> Vec<bool> { (0..docs.len() as u32 + 2).map(|d| p.allows(d)).collect() };

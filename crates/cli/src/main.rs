@@ -207,8 +207,8 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         snap.query_unordered_opts(&q, &opts)
             .map_err(|e| e.to_string())?
     } else {
-        // ViST/TwigStack substrates are built on first use, out of the
-        // documents reconstructed from the RP index.
+        // ViST/TwigStack substrates are built only when --engine forces
+        // one, out of the documents reconstructed from the RP index.
         let cache = AltCache::new();
         let alts = SnapshotAlts {
             snap: &snap,

@@ -30,7 +30,6 @@ use prix_storage::{
 use prix_xml::{Collection, Sym, SymbolTable};
 
 use crate::index::{IndexError, IndexKind, PrixIndex, Result};
-use crate::plan::{Planner, PlannerStats};
 use crate::snapshot::EngineSnapshot;
 use crate::trie::LabelingMode;
 use crate::valix::Valix;
@@ -270,10 +269,6 @@ pub struct PrixEngine {
     /// Manifest generation: 1 for a fresh build, one more per
     /// compaction.
     generation: u64,
-    /// The cost-based planner's statistics, shared (via `Arc`) with
-    /// every snapshot so observations from served queries feed back
-    /// into later plans. Persisted in the header of each log.
-    planner: Arc<Planner>,
     /// The value-predicate secondary index over leaf values
     /// ([`crate::valix`]), living in the same buffer pool as the
     /// structural indexes.
@@ -297,19 +292,15 @@ impl PrixEngine {
     /// [`PrixEngine::build`] with the database's files living in `env`
     /// instead of at [`EngineConfig::path`] (which is ignored). The
     /// crash harness hands fault-injecting environments in here and
-    /// reopens what survived through [`PrixEngine::reopen_env`]. The
-    /// planner starts from the collection: its label counts, and the
-    /// trie shape of the RP tier built over it.
+    /// reopens what survived through [`PrixEngine::reopen_env`].
     pub fn build_env(
         mut collection: Collection,
         cfg: EngineConfig,
         env: Arc<dyn SegmentEnv>,
     ) -> Result<Self> {
-        let mut stats = PlannerStats::default();
-        stats.merge_collection(&collection);
         let syms = std::mem::take(collection.symbols_mut());
         let run_mem = crate::segbuild::DEFAULT_RUN_MEM_BYTES;
-        let mut b = crate::segbuild::BulkBuilder::over(cfg, env, run_mem, syms, Some(stats))?;
+        let mut b = crate::segbuild::BulkBuilder::over(cfg, env, run_mem, syms)?;
         for (_, tree) in collection.iter() {
             b.add_tree(tree)?;
         }
@@ -326,7 +317,6 @@ impl PrixEngine {
         symbols: SymbolTable,
         pool: Arc<BufferPool>,
         seg_env: Arc<dyn SegmentEnv>,
-        planner: Arc<Planner>,
         log: BatchLog,
         m: &Manifest,
     ) -> Result<Self> {
@@ -345,7 +335,6 @@ impl PrixEngine {
             manifest_segments: Vec::new(),
             seg_env,
             generation: m.generation,
-            planner,
             valix,
         };
         eng.attach_manifest(m)?;
@@ -434,13 +423,13 @@ impl PrixEngine {
     /// [`PrixEngine::reopen`] over a segment environment (the crash
     /// harness hands fault-injecting ones in here). The manifest names
     /// the tiers and the log; the tiers' symbol runs give the
-    /// dictionary, the log's header the planner's statistics and the
-    /// epoch the generation began at, and its records — every commit of
-    /// its valid prefix, in order — are replayed into an empty delta
-    /// through the ingest calls that accepted them. Replay is
-    /// deterministic: the same documents are refused, the same names
-    /// interned in the same order, the same ids assigned. A torn tail
-    /// is left where it is until the next commit cuts it off.
+    /// dictionary, the log's header the epoch the generation began at,
+    /// and its records — every commit of its valid prefix, in order —
+    /// are replayed into an empty delta through the ingest calls that
+    /// accepted them. Replay is deterministic: the same documents are
+    /// refused, the same names interned in the same order, the same ids
+    /// assigned. A torn tail is left where it is until the next commit
+    /// cuts it off.
     pub fn reopen_env(env: Arc<dyn SegmentEnv>, buffer_pages: usize) -> Result<Self> {
         let manifest = if env.exists(".seg")? {
             Manifest::read_from(&*env.open(".seg")?)?
@@ -465,13 +454,9 @@ impl PrixEngine {
         }
         let store = env.open(&m.log_suffix)?;
         let contents = BatchLog::read(&*store)?;
-        let stats = PlannerStats::decode(&contents.blob).ok_or_else(|| {
-            IndexError::Unsupported("corrupt planner statistics in the batch log".into())
-        })?;
         let pool = Arc::new(BufferPool::new(Pager::in_memory(), buffer_pages));
         let log = BatchLog::resume(store, &contents, pool.pager().stats());
-        let planner = Arc::new(Planner::new(stats));
-        let mut eng = Self::empty(dummy, symbols, pool, env, planner, log, &m)?;
+        let mut eng = Self::empty(dummy, symbols, pool, env, log, &m)?;
         for (lsn, record) in (1..).zip(&contents.records) {
             for (mode, body) in &record.bodies {
                 eng.index_body(*mode, body).map_err(|e| {
@@ -649,32 +634,25 @@ impl PrixEngine {
     }
 
     /// The log of manifest generation `generation`, counting into `io`:
-    /// created (and synced) empty in `env` at `epoch`, `planner`'s
-    /// statistics in its header — which `planner` is reset to, so that
-    /// what a reopen decodes from the header and replays over it is what
-    /// the engine holds.
+    /// created (and synced) empty in `env` at `epoch`.
     fn start_log(
         env: &dyn SegmentEnv,
-        planner: &Planner,
         generation: u64,
         epoch: u64,
         io: &Arc<IoStats>,
     ) -> Result<BatchLog> {
-        let blob = planner.encode();
-        let stats = PlannerStats::decode(&blob).expect("the planner decodes what it encodes");
-        planner.update(|s| *s = stats);
         let store = env.create(&log_suffix(generation))?;
-        Ok(BatchLog::create(store, epoch, &blob, Arc::clone(io))?)
+        Ok(BatchLog::create(store, epoch, Arc::clone(io))?)
     }
 
     /// Assembles the engine a finished bulk build publishes: an empty
     /// delta and the just-written segments, value run and symbol run
-    /// (every name of `syms`), with a fresh batch log whose header holds
-    /// `stats`, committed by one manifest write. Crash-ordering contract
-    /// (the bulk crash suite pins it): the tier files are fully written
-    /// and synced *before* this runs, the log's header is synced next,
-    /// and the manifest write is last — a crash anywhere earlier leaves
-    /// the previous manifest (or no database at all) in charge.
+    /// (every name of `syms`), with a fresh batch log, committed by one
+    /// manifest write. Crash-ordering contract (the bulk crash suite
+    /// pins it): the tier files are fully written and synced *before*
+    /// this runs, the log's header is synced next, and the manifest
+    /// write is last — a crash anywhere earlier leaves the previous
+    /// manifest (or no database at all) in charge.
     pub(crate) fn from_bulk(
         cfg: EngineConfig,
         env: Arc<dyn SegmentEnv>,
@@ -682,18 +660,16 @@ impl PrixEngine {
         dummy: Sym,
         generation: u64,
         segments: Vec<ManifestSegment>,
-        stats: PlannerStats,
     ) -> Result<Self> {
         let pool = Arc::new(BufferPool::new(Pager::in_memory(), cfg.buffer_pages));
-        let planner = Arc::new(Planner::new(stats));
-        let log = Self::start_log(&*env, &planner, generation, 1, &pool.pager().stats())?;
+        let log = Self::start_log(&*env, generation, 1, &pool.pager().stats())?;
         let manifest = Manifest {
             generation,
             log_suffix: log_suffix(generation),
             segments,
         };
         write_manifest(&*env, &manifest)?;
-        Self::empty(dummy, syms, pool, env, planner, log, &manifest)
+        Self::empty(dummy, syms, pool, env, log, &manifest)
     }
 
     /// Folds the mutable delta into a new immutable tier — a segment per
@@ -782,7 +758,7 @@ impl PrixEngine {
         let pool = Arc::new(BufferPool::new(pager, self.pool.capacity()));
         let (rp, ep, valix) = empty_delta(&pool, self.dummy)?;
         let epoch = self.log.epoch() + 1;
-        let log = Self::start_log(&*self.seg_env, &self.planner, generation, epoch, &self.io)?;
+        let log = Self::start_log(&*self.seg_env, generation, epoch, &self.io)?;
         // (3) Commit.
         let manifest = Manifest {
             generation,
@@ -949,8 +925,7 @@ impl PrixEngine {
     }
 
     /// Indexes an already-parsed tree (which must use this engine's
-    /// symbol table). The planner counts its labels, and takes its
-    /// trie shape from the delta alone (a gap DESIGN.md names).
+    /// symbol table).
     fn insert_tree(&mut self, tree: prix_xml::XmlTree) -> Result<prix_xml::DocId> {
         // Prepare against *both* indexes before mutating either: if RP
         // accepted the document but EP then ran out of trie scope, the
@@ -959,19 +934,8 @@ impl PrixEngine {
         let id = self.rp.insert(rp_doc)?;
         let ep_id = self.ep.insert(ep_doc)?;
         debug_assert_eq!(id, ep_id, "indexes assign ids in lockstep");
-        let b = self.rp.build_stats();
-        self.planner.update(|s| {
-            s.merge_tree(&tree);
-            s.set_trie_shape(b.trie_nodes as u64, b.trie_paths as u64, b.sequences);
-        });
         self.valix.index_tree(&tree, id, &self.symbols)?;
         Ok(id)
-    }
-
-    /// The shared planner (snapshots and the serving layer feed
-    /// observations back through it).
-    pub fn planner(&self) -> &Arc<Planner> {
-        &self.planner
     }
 
     /// The value-predicate index.
@@ -1423,28 +1387,6 @@ mod tests {
         }
         e.insert_document("<a><b>v</b></a>").unwrap();
         assert_eq!(count(&e, r#"//a[./b="v"]"#), 1);
-    }
-
-    /// An in-memory engine's planner starts from its collection: the
-    /// label counts and the RP tier's trie shape.
-    #[test]
-    fn a_build_seeds_the_planner_from_its_collection() {
-        let mut c = Collection::new();
-        for xml in [
-            "<a><b><c>v</c></b><d/></a>",
-            "<a><b><c>w</c></b><d/></a>",
-            "<a><e>v</e></a>",
-        ] {
-            c.add_xml(xml).unwrap();
-        }
-        let mut want = PlannerStats::default();
-        want.merge_collection(&c);
-        let e = PrixEngine::build(c, EngineConfig::default()).unwrap();
-        let rp = e.seg_tiers()[0].rp.build_stats();
-        // LPS `c b a a` twice and `e a`: six nodes on two paths.
-        assert_eq!((rp.trie_nodes, rp.trie_paths, rp.sequences), (6, 2, 3));
-        want.set_trie_shape(6, 2, 3);
-        assert_eq!(e.planner().encode(), want.encode());
     }
 
     /// `clear_cache` empties every tier's block cache too: two cold

@@ -31,6 +31,10 @@
 //!   place queries run; routes each to the right index like the paper's
 //!   query optimizer (§5.6). [`PrixEngine::snapshot`] hands one out for
 //!   a bare engine, [`SharedEngine`] publishes one per ingest,
+//! * [`plan`] — §5.6's rule as the one routing rule (a value twig runs
+//!   on the EPIndex, any other on the RPIndex), and the [`QueryEngine`]
+//!   contract the paper's other engines (ViST, TwigStack, TwigStackXB)
+//!   meet when `--engine` forces one,
 //! * [`naive`] — a direct tree-matching oracle used to validate every
 //!   engine (no false alarms, no false dismissals),
 //! * [`scan`] — an index-free in-memory matcher built from the same
@@ -54,8 +58,7 @@ pub use engine::{EngineConfig, IngestOutcome, PrixEngine, SegTier, TierCheck};
 pub use exec::MatchStream;
 pub use index::{ExecOpts, IndexKind, PrixIndex, QueryStats, TwigMatch};
 pub use plan::{
-    canonicalize, prix_embedding_exact, AltProvider, EngineChoice, EngineId, NoAlts, PlanReport,
-    Planner, PlannerStats, QueryEngine, QueryShape, Routed, Router,
+    prix_embedding_exact, AltProvider, EngineChoice, EngineId, NoAlts, QueryEngine, Routed,
 };
 pub use prix_storage::{
     ManifestSegment, SegmentCheck, ValueRunReader, VxCheck, CHECKPOINT_LOG_BYTES, SEG_KIND_EP,
@@ -81,14 +84,13 @@ mod tests {
         decode_doc_record, decode_seg_index_meta, doc_view, encode_doc_record,
         encode_seg_index_meta, BuildStats, DocArtifacts, IndexKind,
     };
-    use crate::plan::PlannerStats;
     use crate::valix::{PredEval, Valix};
     use crate::xpath::parse_xpath;
 
     /// The never-panic table of core's decoders. Each reads bytes a file
     /// held — a document record, and the extended view an EPIndex
-    /// derives from it, a segment's meta blob, the planner's statistics
-    /// in a log header, a symbol run's name list — and must
+    /// derives from it, a segment's meta blob, a symbol run's name
+    /// list — and must
     /// answer every prefix of a valid blob, and 2 000 seeded mutations
     /// of it, with a value or a refusal, never a panic. So must
     /// predicate verification of a record whose leaves name symbols
@@ -110,11 +112,8 @@ mod tests {
             underflows: 0,
             total_seq_len: 9,
         };
-        let mut planner = PlannerStats::default();
-        planner.merge_collection(&c);
-        planner.set_trie_shape(9, 1, 1);
         type Decodes = fn(&[u8]) -> bool;
-        let table: [(&str, Vec<u8>, Decodes); 6] = [
+        let table: [(&str, Vec<u8>, Decodes); 5] = [
             ("document record", encode_doc_record(&art.data), |b| {
                 decode_doc_record(b, true).is_some()
             }),
@@ -127,9 +126,6 @@ mod tests {
                 encode_seg_index_meta(IndexKind::Extended, dummy, &maxgap, &childless, &stats),
                 |b| decode_seg_index_meta(b).is_some(),
             ),
-            ("planner statistics", planner.encode(), |b| {
-                PlannerStats::decode(b).is_some()
-            }),
             (
                 "name list",
                 encode_symbols(c.symbols().names_from(0)),

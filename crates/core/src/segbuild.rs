@@ -35,7 +35,6 @@ use crate::index::{
     corrupt_record, decode_doc_record, encode_doc_record, encode_seg_index_meta, BuildStats,
     DocData, IndexError, IndexKind, Result,
 };
-use crate::plan::PlannerStats;
 use crate::valix::run_entries;
 
 /// Default in-memory sort budget per segment build (64 MiB, the
@@ -131,22 +130,17 @@ impl TierBuilder {
     /// order is the order of the EP file's records — the documents one
     /// RP filter match refines are one range of it, and documents of one
     /// structure sit together for an EP match too (the EP file's own
-    /// order would group them by first leaf value). Returns the RP
-    /// file's statistics.
-    pub(crate) fn finish(
-        self,
-        maxgaps: [&MaxGapTable; 2],
-        childless: &HashSet<Sym>,
-    ) -> Result<BuildStats> {
+    /// order would group them by first leaf value).
+    pub(crate) fn finish(self, maxgaps: [&MaxGapTable; 2], childless: &HashSet<Sym>) -> Result<()> {
         let dummy = self.dummy;
         let finish = |b: SegmentBuilder, order: &[u32], kind, maxgap| {
             b.finish(order, |st| {
                 encode_seg_index_meta(kind, dummy, maxgap, childless, &build_stats(st))
             })
         };
-        let (rp, order) = finish(self.rp, &[], IndexKind::Regular, maxgaps[0])?;
+        let (_, order) = finish(self.rp, &[], IndexKind::Regular, maxgaps[0])?;
         finish(self.ep, &order, IndexKind::Extended, maxgaps[1])?;
-        Ok(build_stats(&rp))
+        Ok(())
     }
 }
 
@@ -194,10 +188,6 @@ pub struct BulkBuilder {
     /// the label paths.
     vx: ExternalSorter<VxEntry>,
     n_docs: u32,
-    /// The planner statistics of the documents, when the caller had
-    /// them all at hand ([`PrixEngine::build`]); `finish` adds the RP
-    /// tier's trie shape. A streaming build leaves the planner empty.
-    planner: Option<PlannerStats>,
 }
 
 impl BulkBuilder {
@@ -229,18 +219,16 @@ impl BulkBuilder {
         env: Arc<dyn SegmentEnv>,
         run_mem_bytes: usize,
     ) -> Result<Self> {
-        Self::over(cfg, env, run_mem_bytes, SymbolTable::new(), None)
+        Self::over(cfg, env, run_mem_bytes, SymbolTable::new())
     }
 
     /// A bulk build whose documents use `syms` (an already-parsed
-    /// collection's table; the dummy label is interned into it), seeding
-    /// the planner with `planner` when it is given.
+    /// collection's table; the dummy label is interned into it).
     pub(crate) fn over(
         cfg: EngineConfig,
         env: Arc<dyn SegmentEnv>,
         run_mem_bytes: usize,
         mut syms: SymbolTable,
-        planner: Option<PlannerStats>,
     ) -> Result<Self> {
         // A rebuild over a live segmented database takes the next
         // generation's names; a fresh path starts at generation 1.
@@ -263,7 +251,6 @@ impl BulkBuilder {
             vx: ExternalSorter::new(run_mem_bytes, env_temp_factory(&env)),
             n_docs: 0,
             env,
-            planner,
         })
     }
 
@@ -337,10 +324,9 @@ impl BulkBuilder {
             childless,
             vx,
             n_docs,
-            planner,
         } = self;
         let dummy = tier.dummy;
-        let rp_stats = tier.finish([&rp_maxgap, &ep_maxgap], &childless)?;
+        tier.finish([&rp_maxgap, &ep_maxgap], &childless)?;
         let mut run =
             ValueRunBuilder::new(env.create(&format!(".g{generation}.vx.seg"))?, 0, n_docs);
         vx.drain(|e| run.push(e.section, &e.key, e.doc, e.post))?;
@@ -360,12 +346,7 @@ impl BulkBuilder {
         );
         // No run precedes this one: it holds the whole table.
         write_symbol_run(&*env, &syms, generation, &mut segments)?;
-        let stats = planner.map_or_else(PlannerStats::default, |mut s| {
-            let (nodes, paths) = (rp_stats.trie_nodes as u64, rp_stats.trie_paths as u64);
-            s.set_trie_shape(nodes, paths, rp_stats.sequences);
-            s
-        });
-        let engine = PrixEngine::from_bulk(cfg, env, syms, dummy, generation, segments, stats)?;
+        let engine = PrixEngine::from_bulk(cfg, env, syms, dummy, generation, segments)?;
         // The manifest has committed; the previous generation's files
         // are dead weight now. Unlinking is safe even under live
         // readers (their open handles keep the bytes).

@@ -58,7 +58,7 @@ use prix_xml::{Collection, DocId, PostNum, ScratchSyms, SymbolTable};
 use crate::arrange::{arrangements, ARRANGEMENT_LIMIT};
 use crate::engine::{PrixEngine, SegTier};
 use crate::index::{ExecOpts, IndexError, IndexKind, PrixIndex, QueryStats, Result, TwigMatch};
-use crate::plan::{AltProvider, EngineChoice, EngineId, Planner, Routed, Router};
+use crate::plan::{AltProvider, EngineChoice, EngineId, Routed};
 use crate::query::TwigQuery;
 use crate::valix::{PredEval, Valix};
 use crate::xpath::{parse_xpath, XPathError};
@@ -109,11 +109,6 @@ pub struct EngineSnapshot {
     /// segment readers.
     segments: Vec<SegTier>,
     generation: u64,
-    /// The engine's planner, *shared* (not frozen): observed stage
-    /// clocks from queries served off this snapshot feed the same
-    /// statistics later plans read. Plans are advisory — sharing never
-    /// affects result bytes.
-    planner: Arc<Planner>,
     /// The delta of the value index at capture time (the tiers' value
     /// runs are in `segments`). A clone of the engine's handle: shares
     /// its trees, and skips the postings of documents past its count
@@ -142,7 +137,6 @@ impl EngineSnapshot {
             ep: engine.ep_index().clone(),
             segments: engine.seg_tiers().to_vec(),
             generation: engine.generation(),
-            planner: Arc::clone(engine.planner()),
             valix: engine.valix().clone(),
             log: (engine.log().len(), engine.log().records()),
             pool: Arc::clone(engine.pool()),
@@ -236,8 +230,8 @@ impl EngineSnapshot {
         self.execute_prix(q, opts, None)
     }
 
-    /// The ordered-query path, optionally forcing one index kind (the
-    /// router's RP-vs-EP decision; §5.6's rule when `None`).
+    /// The ordered-query path, optionally forcing one index kind
+    /// (`--engine prix_rp`/`prix_ep`; §5.6's rule when `None`).
     pub(crate) fn execute_prix(
         &self,
         q: &TwigQuery,
@@ -347,23 +341,11 @@ impl EngineSnapshot {
     /// all. (A per-stream limit would be unsound here — k matches from
     /// one arrangement may collapse with earlier ones in the dedup —
     /// which is why the budget is kept out of the streams.)
-    /// They also run cheapest-estimated-first then, so the budget fills
-    /// from the arrangements expected to drain (or fail) fastest.
-    /// Without a limit the order is left alone — every arrangement runs
-    /// to completion anyway, and keeping the stock order keeps the
-    /// concatenated match vector bit-identical to older builds.
+    /// Arrangements run in the order [`arrangements`] lists them,
+    /// with a limit or without.
     pub fn query_unordered_opts(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome> {
-        let mut arrs = arrangements(q, ARRANGEMENT_LIMIT)
+        let arrs = arrangements(q, ARRANGEMENT_LIMIT)
             .map_err(|e| IndexError::Unsupported(e.to_string()))?;
-        if opts.limit.is_some() {
-            let queries: Vec<TwigQuery> = arrs.iter().map(|a| a.query.clone()).collect();
-            let order = self.planner.rank_arrangements(&queries);
-            let mut taken: Vec<Option<_>> = arrs.into_iter().map(Some).collect();
-            arrs = order
-                .into_iter()
-                .map(|i| taken[i].take().expect("permutation visits each index once"))
-                .collect();
-        }
         let (mut exec, pred) = self.begin(q, opts)?;
         let mut seen: HashSet<(u32, Vec<PostNum>)> = HashSet::new();
         // Tiers nest inside the arrangement loop; the final sort
@@ -395,16 +377,12 @@ impl EngineSnapshot {
         Ok(exec.finish(pred.as_ref()))
     }
 
-    /// The shared planner.
-    pub fn planner(&self) -> &Arc<Planner> {
-        &self.planner
-    }
-
-    /// Plans and executes `q` through the cost-based router against
-    /// this epoch's view: the planner scores every alternative,
-    /// `forced` bypasses the comparison, and the result is
-    /// canonicalized (matches sorted by `(doc, embedding)`) whatever
-    /// engine ran.
+    /// Executes `q` against this epoch's view on the engine `forced`
+    /// names, or by §5.6's rule when it names none (or `prix`): what
+    /// [`EngineSnapshot::query_opts`] runs, the EPIndex for a value
+    /// twig and the RPIndex for any other, MaxGap as `opts` says. An
+    /// alternative engine comes from `alts`. Whatever engine ran, the
+    /// matches come back canonicalized: sorted by `(doc, embedding)`.
     pub fn query_routed(
         &self,
         q: &TwigQuery,
@@ -412,12 +390,27 @@ impl EngineSnapshot {
         forced: Option<EngineChoice>,
         alts: &dyn AltProvider,
     ) -> Result<Routed> {
-        Router {
-            planner: &self.planner,
-            prix: self,
-            alts,
-        }
-        .route(q, opts, forced)
+        let mut outcome = match forced {
+            None | Some(EngineChoice::Prix) => self.execute_prix(q, opts, None)?,
+            Some(EngineChoice::Forced(EngineId::PrixRp)) => {
+                self.execute_prix(q, opts, Some(IndexKind::Regular))?
+            }
+            Some(EngineChoice::Forced(EngineId::PrixEp)) => {
+                self.execute_prix(q, opts, Some(IndexKind::Extended))?
+            }
+            Some(EngineChoice::Forced(id)) => {
+                let engine = alts.alt_engine(id)?;
+                if !engine.supports(q) {
+                    return Err(IndexError::Unsupported(format!(
+                        "engine {} cannot answer this query",
+                        id.label()
+                    )));
+                }
+                engine.execute(q, opts)?
+            }
+        };
+        outcome.matches.sort_unstable();
+        Ok(Routed { outcome })
     }
 
     /// Rebuilds the document trees this epoch can see from the RP
@@ -451,8 +444,8 @@ impl EngineSnapshot {
     }
 
     /// Describes the plan for an XPath at this epoch (index choice,
-    /// sequences, edge constraints, MaxGap rules), followed by the
-    /// cost-based planner's ranked alternatives. On a tiered view the
+    /// sequences, edge constraints, MaxGap rules), ending with the
+    /// engine §5.6's rule runs it on. On a tiered view the
     /// index shown is the *first* tier's — every tier routes the same
     /// way. Parses against a private copy of the symbol table (explain
     /// needs names for every query label, including ones this epoch has
@@ -468,8 +461,13 @@ impl EngineSnapshot {
         if let Some(pred) = PredEval::build(&q, &self.segments, &self.valix, &syms)? {
             out.push_str(&explain_pred(&q, &pred, &syms));
         }
-        let report = self.planner.decide(&q, true, &ExecOpts::default(), None);
-        out.push_str(&report.render());
+        let maxgap = if ExecOpts::default().use_maxgap {
+            "on"
+        } else {
+            "off"
+        };
+        let engine = EngineId::from_kind(idx.kind()).label();
+        out.push_str(&format!("planner: engine={engine} maxgap={maxgap}\n"));
         Ok(out)
     }
 }
@@ -477,9 +475,9 @@ impl EngineSnapshot {
 /// §5.6's optimizer rule over one tier's index pair: value queries need
 /// the EPIndex; value-free queries take the RPIndex ("If twig queries
 /// have no values, then indexing Regular-Prüfer sequences is
-/// recommended"). `force` overrides the rule (the planner's RP-vs-EP
-/// choice, or `--engine prix_rp`/`prix_ep`); forcing the RPIndex for a
-/// value query is refused — it cannot answer it.
+/// recommended"). `force` overrides the rule (`--engine
+/// prix_rp`/`prix_ep`); forcing the RPIndex for a value query is
+/// refused — it cannot answer it.
 fn pick_index<'a>(
     rp: &'a PrixIndex,
     ep: &'a PrixIndex,
@@ -1086,12 +1084,13 @@ mod tests {
             .explain(r#"//inproceedings[./author="Jim Gray"]"#)
             .unwrap();
         assert!(tv.contains("EPIndex"), "{tv}");
+        assert!(tv.ends_with("planner: engine=prix_ep maxgap=on\n"), "{tv}");
     }
 
     /// Collapses digit runs (with embedded dots) to `#` and space runs
     /// to one space, so the explain pins cover the full output shape —
-    /// including the planner section — without re-pinning on every
-    /// cost-constant or dataset tweak.
+    /// through the planner line — without re-pinning on every dataset
+    /// tweak.
     fn normalize_explain(s: &str) -> String {
         let mut out = String::new();
         let (mut in_num, mut in_space) = (false, false);
@@ -1138,14 +1137,7 @@ mod tests {
              MaxGap rules: # of # adjacent pairs bounded\n\
              \x20positions #->#: distance <= min(#, per-node) + #\n\
              \x20positions #->#: distance <= min(#, per-node) + #\n\
-             planner: engine=prix_rp maxgap=on cost=#us (routed) shape=n#l#v#d# ewma_rows=#\n\
-             \x20alt prix_rp maxgap=on cost= #us\n\
-             \x20alt prix_rp maxgap=off cost= #us\n\
-             \x20alt twigstack cost= #us\n\
-             \x20alt prix_ep maxgap=on cost= #us\n\
-             \x20alt prix_ep maxgap=off cost= #us\n\
-             \x20alt twigstackxb cost= #us\n\
-             \x20alt vist cost= #us\n"
+             planner: engine=prix_rp maxgap=on\n"
         );
         assert_eq!(
             normalize_explain(&e.explain("//www[./editor]/url").unwrap()),
@@ -1159,14 +1151,7 @@ mod tests {
              \x20positions #->#: distance <= min(#, per-node) + #\n\
              \x20positions #->#: distance <= min(#, per-node) + #\n\
              \x20positions #->#: distance <= min(#, per-node) + #\n\
-             planner: engine=prix_rp maxgap=on cost=#us (routed) shape=n#l#v#d# ewma_rows=#\n\
-             \x20alt prix_rp maxgap=on cost= #us\n\
-             \x20alt prix_rp maxgap=off cost= #us\n\
-             \x20alt twigstack cost= #us\n\
-             \x20alt prix_ep maxgap=on cost= #us\n\
-             \x20alt prix_ep maxgap=off cost= #us\n\
-             \x20alt twigstackxb cost= #us\n\
-             \x20alt vist cost= #us\n"
+             planner: engine=prix_rp maxgap=on\n"
         );
     }
 

@@ -517,7 +517,8 @@ impl<'s> PredEval<'s> {
     }
 
     /// `(probed docs, coverage horizon)` when a usable probe ran — the
-    /// planner's estimated-selectivity numerator and denominator.
+    /// numerator and denominator of the estimated selectivity `/explain`
+    /// prints.
     pub fn estimate(&self) -> Option<(usize, DocId)> {
         self.allowed.as_ref().map(|s| (s.len(), self.covered))
     }

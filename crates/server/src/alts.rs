@@ -1,5 +1,5 @@
 //! Lazily-built alternative engines (ViST, TwigStack, TwigStackXB)
-//! for the cost-based router, cached per snapshot epoch.
+//! for queries that force one (`engine=`), cached per snapshot epoch.
 //!
 //! The alternative engines read the *same data* as PRIX: the
 //! collection is reconstructed out of the RP index (Prüfer-sequence
@@ -7,8 +7,8 @@
 //! buffer pools. That build is expensive, so one [`AltCache`] lives in
 //! the server's shared state and keeps the substrates of the most
 //! recent epoch; an ingest publishing a new epoch simply makes the
-//! cached entry unreachable and the next forced/routed alternative
-//! query rebuilds against the new snapshot.
+//! cached entry unreachable and the next forced alternative query
+//! rebuilds against the new snapshot.
 
 use std::sync::{Arc, Mutex};
 

@@ -190,7 +190,7 @@ pub struct ResultKey {
     pub limit: u64,
     /// The snapshot epoch the result was computed at.
     pub epoch: u64,
-    /// The `engine=` routing override (empty = cost-based routing).
+    /// The `engine=` routing override (empty = §5.6's rule).
     /// Forced and routed evaluations may legitimately differ in their
     /// reported stats, so they must not share cache entries.
     pub engine: String,

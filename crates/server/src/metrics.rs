@@ -328,9 +328,7 @@ pub const SERIES: &[Series] = &[
         help: "Compactions published (mutable delta folded into a segment)." },
     Series { name: "prix_planner_engine_chosen_total", kind: Counter,
         read: Many(|m, _| labelled("engine", EngineId::ALL.iter().map(|id| id.label()).zip(m.planner_chosen.iter().map(load)))),
-        help: "Routed queries executed, by the engine the cost-based planner chose." },
-    Series { name: "prix_planner_mispredict_total", kind: Counter, read: One(|m, _| load(&m.planner_mispredict).to_string()),
-        help: "Routed queries whose observed latency exceeded the planner's estimate by the misprediction factor." },
+        help: "Routed queries executed, by the engine that ran them: the paper's section 5.6 rule unless engine= forced one." },
     Series { name: "prix_valix_probes_total", kind: Counter, read: One(|m, _| load(&m.valix_probes).to_string()),
         help: "Value-index probes issued by predicate queries." },
     Series { name: "prix_valix_postings_total", kind: Counter, read: One(|m, _| load(&m.valix_postings).to_string()),
@@ -415,12 +413,9 @@ pub struct Metrics {
     ingest_rejected: AtomicU64,
     /// Compactions published (mutable delta folded into a segment).
     compactions: AtomicU64,
-    /// Queries the router executed, by chosen engine (indexed by
-    /// [`EngineId::index`]).
+    /// Routed queries executed, by the engine that ran them (indexed
+    /// by [`EngineId::index`]).
     planner_chosen: [AtomicU64; EngineId::ALL.len()],
-    /// Routed (not forced) queries whose observed wall clock blew
-    /// through the planner's estimate.
-    planner_mispredict: AtomicU64,
     /// Value-index probes issued by predicate queries.
     valix_probes: AtomicU64,
     /// Value-index postings scanned across all probes.
@@ -479,13 +474,9 @@ impl Metrics {
         self.ingest_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one routed query execution: which engine the planner
-    /// chose, and whether the estimate turned out badly wrong.
-    pub fn record_planner(&self, chosen: EngineId, mispredicted: bool) {
-        self.planner_chosen[chosen.index()].fetch_add(1, Ordering::Relaxed);
-        if mispredicted {
-            self.planner_mispredict.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Records one routed query execution on engine `ran`.
+    pub fn record_planner(&self, ran: EngineId) {
+        self.planner_chosen[ran.index()].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one published compaction.
@@ -613,8 +604,8 @@ mod tests {
         m.record_compaction();
         m.record_compaction();
         for (n, id) in EngineId::ALL.into_iter().enumerate() {
-            for i in 0..=n {
-                m.record_planner(id, i == 1);
+            for _ in 0..=n {
+                m.record_planner(id);
             }
         }
         m.record_valix(2, 15, 9, 1);
@@ -743,9 +734,17 @@ mod tests {
     /// sources are frozen: every series name in one of its string
     /// literals must be a `SERIES` family (a histogram's `_sum`,
     /// `_count` and `_bucket` samples included), so renaming one fails
-    /// here rather than in the benchmark pipeline.
+    /// here rather than in the benchmark pipeline. The exceptions are
+    /// the series this server retired on purpose that `prixbench` still
+    /// names (`tests/retired_series.txt`, one a line): its scraper reads
+    /// an absent series as 0. Such a name must stay out of `SERIES`, and
+    /// leaves that list when `prixbench` stops naming it.
     #[test]
     fn every_series_prixbench_scrapes_is_declared() {
+        let retired: Vec<&str> = include_str!("../tests/retired_series.txt")
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .collect();
         let family = |name: &str| {
             SERIES.iter().any(|s| {
                 let sample_of = |suffix| name.strip_suffix(suffix) == Some(s.name);
@@ -757,6 +756,10 @@ mod tests {
         let mut scraped = BTreeSet::new();
         for (path, text) in sources("crates/bench/examples/prixbench/src") {
             for name in prix_tokens(&text, |before| before == Some('"')) {
+                if retired.contains(&name) {
+                    assert!(!family(name), "{name} is declared and listed as retired");
+                    continue;
+                }
                 assert!(family(name), "{path} scrapes {name}, not in SERIES");
                 scraped.insert(name.to_string());
             }

@@ -176,8 +176,8 @@ struct Shared {
     /// `(query, opts, epoch)` → serialized 200 body; entries from
     /// superseded epochs are purged by the engine's publish hook.
     result_cache: Arc<ResultCache>,
-    /// Per-epoch ViST/TwigStack substrates for the router's
-    /// alternative engines.
+    /// Per-epoch ViST/TwigStack substrates for queries that force an
+    /// alternative engine.
     alt_cache: AltCache,
 }
 
@@ -610,8 +610,8 @@ fn parse_query_param(
     }
 }
 
-/// Parses the `engine=` routing override. `Ok(None)` = cost-based
-/// routing; `Err` is a ready `400`.
+/// Parses the `engine=` routing override. `Ok(None)` = §5.6's rule;
+/// `Err` is a ready `400`.
 fn parse_engine_param(req: &Request) -> Result<Option<EngineChoice>, Response> {
     match req.param("engine") {
         None | Some("") => Ok(None),
@@ -671,9 +671,7 @@ fn handle_query(req: &Request, shared: &Arc<Shared>) -> Response {
             cache: &shared.alt_cache,
         };
         snap.query_routed(&q, &opts, forced, &alts).map(|routed| {
-            shared
-                .metrics
-                .record_planner(routed.report.chosen, routed.mispredicted);
+            shared.metrics.record_planner(routed.outcome.engine);
             routed.outcome
         })
     };
@@ -794,9 +792,7 @@ fn handle_batch(req: &Request, shared: &Arc<Shared>) -> Response {
             for q in &queries {
                 match snap.query_routed(q, &opts, Some(choice), &alts) {
                     Ok(routed) => {
-                        shared
-                            .metrics
-                            .record_planner(routed.report.chosen, routed.mispredicted);
+                        shared.metrics.record_planner(routed.outcome.engine);
                         outs.push(routed.outcome);
                     }
                     Err(e) => {

@@ -12,7 +12,7 @@
 //! ```text
 //!   log file layout
 //!   ┌────────────────────────────────────────────────────────┐
-//!   │ header: magic │ base epoch │ blob len │ CRC │ blob       (24 bytes + blob)
+//!   │ header: magic │ base epoch │ CRC                        (20 bytes)
 //!   ├────────────────────────────────────────────────────────┤
 //!   │ record: len │ CRC │ epoch │ n │ (mode │ len │ body) × n   (one per commit)
 //!   │ record: …
@@ -22,11 +22,12 @@
 //!
 //! The header is written and synced before the manifest names the log,
 //! so a header that does not check is damage, never a crash, and is
-//! refused. It carries the epoch the generation starts at and an opaque
-//! blob (the planner's statistics). A record carries the epoch it
-//! establishes — the one after the record before it — and its bodies,
-//! each a document or a wrapper whose element children are the
-//! documents ([`BatchMode`]).
+//! refused. It carries the epoch the generation starts at. A log whose
+//! header is an older build's (magic `PRIXLOG1`, which carried a blob
+//! of planner statistics) is refused by name: re-index. A record
+//! carries the epoch it establishes — the one after the record before
+//! it — and its bodies, each a document or a wrapper whose element
+//! children are the documents ([`BatchMode`]).
 //!
 //! Reading stops at the first record that is torn: shorter than its
 //! length says, too short to be a record, or failing its CRC. That is
@@ -47,15 +48,18 @@ use crate::stats::IoStats;
 use crate::store::RawStore;
 
 /// Magic prefix of a batch log.
-const LOG_MAGIC: &[u8; 8] = b"PRIXLOG1";
+const LOG_MAGIC: &[u8; 8] = b"PRIXLOG2";
+/// Magic prefix of the log older builds wrote, whose header carried a
+/// blob of planner statistics.
+const OLD_LOG_MAGIC: &[u8; 8] = b"PRIXLOG1";
 
 /// Length at which the writer folds the log into a tier: a compaction
 /// starts a fresh log. It bounds what a reopen replays and the disk
 /// the log holds.
 pub const CHECKPOINT_LOG_BYTES: u64 = 8 << 20;
 
-/// Header bytes ahead of the blob: magic, base epoch, blob length, CRC.
-const HEADER: usize = 24;
+/// Header bytes: magic, base epoch, CRC.
+const HEADER: usize = 20;
 /// Record bytes ahead of the payload: payload length, CRC.
 const FRAME: usize = 8;
 /// Payload bytes ahead of the bodies: epoch, body count.
@@ -89,8 +93,6 @@ pub struct LogRecord {
 pub struct LogContents {
     /// The epoch the generation started at.
     pub base_epoch: u64,
-    /// The header's opaque blob.
-    pub blob: Vec<u8>,
     /// The records of the valid prefix.
     pub records: Vec<LogRecord>,
     /// Where the valid prefix ends.
@@ -181,21 +183,12 @@ fn decode(lsn: u64, epoch: u64, payload: &[u8]) -> Result<LogRecord> {
 
 impl BatchLog {
     /// Creates a log in `store` (truncating it) for a generation that
-    /// starts at `base_epoch`, with `blob` in its header, and syncs it.
-    /// Log I/O counts into `stats`.
-    pub fn create(
-        store: Box<dyn RawStore>,
-        base_epoch: u64,
-        blob: &[u8],
-        stats: Arc<IoStats>,
-    ) -> Result<Self> {
+    /// starts at `base_epoch`, and syncs it. Log I/O counts into
+    /// `stats`.
+    pub fn create(store: Box<dyn RawStore>, base_epoch: u64, stats: Arc<IoStats>) -> Result<Self> {
         let mut header = LOG_MAGIC.to_vec();
         header.extend_from_slice(&base_epoch.to_le_bytes());
-        header.extend_from_slice(&(blob.len() as u32).to_le_bytes());
-        header.extend_from_slice(&[0; 4]);
-        header.extend_from_slice(blob);
-        let crc = crc32(&[&header[8..20], blob].concat());
-        header[20..24].copy_from_slice(&crc.to_le_bytes());
+        header.extend_from_slice(&crc32(&base_epoch.to_le_bytes()).to_le_bytes());
         store.set_len(0)?;
         store.write_at(0, &header)?;
         store.sync()?;
@@ -215,23 +208,26 @@ impl BatchLog {
         let file_len = store.len()?;
         let mut bytes = vec![0u8; file_len as usize];
         store.read_at(0, &mut bytes)?;
+        if bytes.starts_with(OLD_LOG_MAGIC) {
+            return Err(corrupt(
+                "batch log format PRIXLOG1, with planner statistics in its header, \
+                 is not supported (this build reads PRIXLOG2); re-index the source documents"
+                    .into(),
+            ));
+        }
         let mut r = &bytes[..];
         let header = take(&mut r, HEADER)
             .filter(|h| &h[..8] == LOG_MAGIC)
             .ok_or_else(|| corrupt("not a batch log (bad magic or length)".into()))?;
+        let crc = u32::from_le_bytes(header[16..].try_into().unwrap());
+        if crc32(&header[8..16]) != crc {
+            return Err(corrupt("batch log header fails its checksum".into()));
+        }
         let base_epoch = u64::from_le_bytes(header[8..16].try_into().unwrap());
-        let blob_len = u32::from_le_bytes(header[16..20].try_into().unwrap()) as usize;
-        let blob = take(&mut r, blob_len)
-            .filter(|blob| {
-                let crc = u32::from_le_bytes(header[20..24].try_into().unwrap());
-                crc32(&[&header[8..20], blob].concat()) == crc
-            })
-            .ok_or_else(|| corrupt("batch log header fails its checksum".into()))?;
         let mut contents = LogContents {
             base_epoch,
-            blob: blob.to_vec(),
             records: Vec::new(),
-            valid_len: (HEADER + blob_len) as u64,
+            valid_len: HEADER as u64,
             file_len,
         };
         loop {
@@ -339,7 +335,7 @@ pub(crate) mod tests {
     fn sample() -> (MemStore, Vec<LogRecord>) {
         let store = MemStore::new();
         let stats = Arc::new(IoStats::new());
-        let mut log = BatchLog::create(Box::new(store.clone()), 7, b"PLN1blob", stats).unwrap();
+        let mut log = BatchLog::create(Box::new(store.clone()), 7, stats).unwrap();
         let bodies = [
             batch(&["<a><b>v</b></a>", "<a/>"]),
             vec![(BatchMode::Split, "<w><a/><a><c/></a></w>".to_string())],
@@ -363,7 +359,7 @@ pub(crate) mod tests {
     fn a_log_reads_back_what_was_appended_and_costs_its_bytes() {
         let (store, records) = sample();
         let back = BatchLog::read(&store).unwrap();
-        assert_eq!((back.base_epoch, &back.blob[..]), (7, &b"PLN1blob"[..]));
+        assert_eq!(back.base_epoch, 7);
         assert_eq!(back.records, records);
         assert_eq!(
             records.iter().map(|r| r.epoch).collect::<Vec<_>>(),
@@ -394,8 +390,7 @@ pub(crate) mod tests {
     fn a_torn_tail_ends_the_valid_prefix_and_the_next_append_cuts_it_off() {
         let (store, records) = sample();
         let full = store.snapshot();
-        let header = HEADER + b"PLN1blob".len();
-        for cut in header..full.len() {
+        for cut in HEADER..full.len() {
             let torn = MemStore::from_bytes(full[..cut].to_vec());
             let back = BatchLog::read(&torn).unwrap();
             assert_eq!(
@@ -425,7 +420,7 @@ pub(crate) mod tests {
             let bodies: usize = r.bodies.iter().map(|(_, b)| BODY_HEAD + b.len()).sum();
             FRAME + RECORD_HEAD + bodies
         };
-        let second = HEADER + b"PLN1blob".len() + size(&records[0]);
+        let second = HEADER + size(&records[0]);
         let third = second + size(&records[1]);
         let mut torn = bytes.clone();
         torn[second + FRAME + 3] ^= 1; // a payload byte of record 2
@@ -450,7 +445,7 @@ pub(crate) mod tests {
     fn a_record_that_does_not_decode_is_an_error_naming_its_lsn() {
         let (store, _) = sample();
         let bytes = store.snapshot();
-        let first = HEADER + b"PLN1blob".len();
+        let first = HEADER;
         // Rewrites record 1's payload and reseals it.
         type Edit<'e> = &'e dyn Fn(&mut Vec<u8>);
         let reseal = |edit: Edit| {
@@ -478,12 +473,36 @@ pub(crate) mod tests {
             assert!(err.contains("batch log record 1"), "{what}: {err}");
         }
         assert_eq!(reseal(&|_| ()).unwrap(), 1, "resealed unchanged");
-        for at in [0, 8, 16, 21, HEADER + 2] {
+        for at in [0, 8, 15, 16, 19] {
             let mut bad = bytes.clone();
             bad[at] ^= 0x10;
             assert!(read(bad).is_err(), "header byte {at}");
         }
         assert!(read(bytes[..HEADER - 1].to_vec()).is_err());
+    }
+
+    /// A log an older build wrote — magic `PRIXLOG1`, then the base
+    /// epoch, a blob length, a CRC over both and the blob (planner
+    /// statistics, magic `PLN1`) — is refused by name, with or without
+    /// records after it, never read as damage or as an empty log.
+    #[test]
+    fn a_log_with_the_old_header_is_refused_by_name() {
+        let blob = b"PLN1\0\0\0\0";
+        let mut old = b"PRIXLOG1".to_vec();
+        old.extend_from_slice(&7u64.to_le_bytes());
+        old.extend_from_slice(&(blob.len() as u32).to_le_bytes());
+        let crc = crc32(&[&old[8..20], &blob[..]].concat());
+        old.extend_from_slice(&crc.to_le_bytes());
+        old.extend_from_slice(blob);
+        let (store, _) = sample();
+        let with_records = [old.clone(), store.snapshot()[HEADER..].to_vec()].concat();
+        for bytes in [old, with_records] {
+            let err = read(bytes).unwrap_err().to_string();
+            assert!(
+                err.contains("PRIXLOG1") && err.contains("PRIXLOG2") && err.contains("re-index"),
+                "{err}"
+            );
+        }
     }
 
     /// The log under the hostile-bytes loop: whatever the damage, an
@@ -492,7 +511,7 @@ pub(crate) mod tests {
     pub(crate) fn hostile_kind() -> FileKind {
         fn read_all(bytes: Vec<u8>) -> Option<String> {
             let c = read(bytes).ok()?;
-            let header = format!("{} {:?}\n", c.base_epoch, c.blob);
+            let header = format!("{}\n", c.base_epoch);
             Some(
                 c.records
                     .iter()
@@ -504,7 +523,7 @@ pub(crate) mod tests {
         FileKind {
             name: "hostile_batch_log",
             oracle: read_all(good.clone()).unwrap(),
-            resident: (HEADER + b"PLN1blob".len()) as u64,
+            resident: HEADER as u64,
             good,
             read_all,
             prefixes: true,

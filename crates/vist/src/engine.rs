@@ -1,5 +1,6 @@
 //! [`VistEngine`]: the [`prix_core::plan::QueryEngine`] adapter that
-//! lets the planner route twig queries to ViST. Wraps a [`VistIndex`]
+//! runs twig queries on ViST when `--engine vist` / `engine=vist`
+//! forces it (routing never picks it). Wraps a [`VistIndex`]
 //! built over the shared collection and maps its outcome onto the
 //! common [`QueryOutcome`] shape (canonically sorted matches, PRIX
 //! counter names).
@@ -17,7 +18,7 @@ use prix_xml::Collection;
 use crate::index::VistIndex;
 use crate::Result;
 
-/// A routed ViST engine over one (immutable) collection.
+/// A forced-engine ViST over one (immutable) collection.
 pub struct VistEngine {
     index: VistIndex,
     collection: Arc<Collection>,

@@ -144,15 +144,17 @@ exec 3>&- 3<&-
 grep -qi 'connection: keep-alive' <<<"$KEEPALIVE" || { echo "keep-alive smoke: first response closed the connection" >&2; exit 1; }
 echo "keep-alive smoke OK (two 200s, one socket)"
 
-# Forced-engine smoke: the same query answered by the routed default
-# and with ?engine=twigstackxb / ?engine=vist must return the identical
-# match payload (the router canonicalizes every engine's matches), and
-# the planner metrics must record the choices.
+# Forced-engine smoke: the routed default is §5.6's rule — a value-free
+# twig runs on the RPIndex (prix_rp) — and the same query with
+# ?engine=twigstackxb / ?engine=vist must return the identical match
+# payload (query_routed canonicalizes every engine's matches). The
+# engine metrics must record the choices, and routing has no estimate
+# to miss: there is no misprediction series.
 EQ='/query?xp=%2F%2Fwww%2Furl&limit=0'
 match_json() { sed -n 's/.*"matches":\(.*\)}$/\1/p' <<<"$1"; }
 ROUTED=$(http "$EQ")
 grep -q '200 OK' <<<"$ROUTED" || { echo "forced-engine smoke: routed query failed" >&2; exit 1; }
-grep -q '"engine":"prix_' <<<"$ROUTED" || { echo "forced-engine smoke: no engine field" >&2; echo "$ROUTED" >&2; exit 1; }
+grep -q '"engine":"prix_rp"' <<<"$ROUTED" || { echo "forced-engine smoke: routed //www/url did not run on prix_rp" >&2; echo "$ROUTED" >&2; exit 1; }
 for ENG in twigstackxb vist; do
   FORCED=$(http "$EQ&engine=$ENG")
   grep -q '200 OK' <<<"$FORCED" || { echo "forced-engine smoke: engine=$ENG failed" >&2; echo "$FORCED" >&2; exit 1; }
@@ -168,6 +170,9 @@ PLANMETRICS=$(http /metrics)
 grep -q 'prix_planner_engine_chosen_total{engine="twigstackxb"} 1' <<<"$PLANMETRICS" || {
   echo "forced-engine smoke: planner metrics missing twigstackxb choice" >&2; exit 1;
 }
+if grep -q 'prix_planner_mispredict_total' <<<"$PLANMETRICS"; then
+  echo "forced-engine smoke: /metrics still has prix_planner_mispredict_total" >&2; exit 1
+fi
 echo "forced-engine smoke OK (twigstackxb + vist bit-identical to routed)"
 
 http /shutdown POST >/dev/null

@@ -1,10 +1,13 @@
 //! Cross-engine agreement: PRIX, TwigStack, TwigStackXB, ViST
 //! (verified), the scan matcher, and the naive oracle all return the
-//! same twig-match counts for the paper's workload — and, routed
-//! through the planner ([`prix::core::Router`]), all engines return
-//! *bit-identical* canonical match vectors. The routed half runs the
-//! paper workload plus random twigs via `prix-testkit`, with pinned
-//! replay seeds at the bottom of the file.
+//! same twig-match counts for the paper's workload — and, through
+//! [`EngineSnapshot::query_routed`], a query with no engine named runs
+//! where §5.6's rule sends it (the EPIndex for a value twig, the
+//! RPIndex for any other) and answers exactly what
+//! [`EngineSnapshot::query_opts`] does, while every forced engine
+//! returns a *bit-identical* canonical match vector. The routed half
+//! runs the paper workload plus random twigs via `prix-testkit`, with
+//! pinned replay seeds at the bottom of the file.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,7 +17,8 @@ use prix::core::{
     naive, prix_embedding_exact, EngineChoice, EngineConfig, EngineId, EngineSnapshot, ExecOpts,
     PrixEngine, TwigMatch,
 };
-use prix::datagen::{generate, queries::queries_for, Dataset};
+use prix::datagen::values::ShopConfig;
+use prix::datagen::{generate, predicate_queries, queries::queries_for, Dataset};
 use prix::server::{AltCache, SnapshotAlts};
 use prix::storage::{BufferPool, Pager};
 use prix::twigstack::{encode_collection, Algorithm, StreamStore, TwigJoin, XbTree};
@@ -87,7 +91,8 @@ fn treebank_engines_agree() {
 }
 
 // ---------------------------------------------------------------------
-// Routed agreement: the planner's answer is the answer.
+// Routed agreement: §5.6's rule picks the index, and every engine
+// gives its answer.
 // ---------------------------------------------------------------------
 
 fn doc_set(matches: &[TwigMatch]) -> Vec<u32> {
@@ -97,17 +102,27 @@ fn doc_set(matches: &[TwigMatch]) -> Vec<u32> {
     d
 }
 
+/// The engine §5.6's rule runs `q` on: the EPIndex when the twig has
+/// values, the RPIndex otherwise.
+fn rule(q: &TwigQuery) -> EngineId {
+    if q.needs_extended() {
+        EngineId::PrixEp
+    } else {
+        EngineId::PrixRp
+    }
+}
+
 /// The routed-agreement contract for one query:
 ///
-/// * cost-based routing is bit-identical to forced PRIX;
+/// * routing with no engine named runs §5.6's rule, bit-identical to
+///   `--engine prix`;
 /// * every forced alternative engine returns the identical canonical
 ///   match vector when PRIX's embedding set is exact
 ///   ([`prix_embedding_exact`]), and otherwise the same document set
 ///   with PRIX's matches as a subset (PRIX enumerates fewer embeddings
 ///   for `//` at a branching node — Definition 4's
 ///   frequency-consistency pins the branch image);
-/// * with a limit, the planner stays on PRIX (no limit pushdown in the
-///   alternative joins).
+/// * with a limit, routing runs the same rule.
 fn assert_routing_agrees(engine: &EngineSnapshot, q: &TwigQuery, cache: &AltCache, tag: &str) {
     let alts = &SnapshotAlts {
         snap: engine,
@@ -118,13 +133,15 @@ fn assert_routing_agrees(engine: &EngineSnapshot, q: &TwigQuery, cache: &AltCach
     let prix = engine
         .query_routed(q, &opts, Some(EngineChoice::Prix), alts)
         .unwrap();
-    assert!(!routed.report.forced, "{tag}: routed plan marked forced");
-    assert!(prix.report.forced, "{tag}: forced plan not marked forced");
+    assert_eq!(routed.outcome.engine, rule(q), "{tag}: routed off the rule");
     assert_eq!(
-        routed.outcome.matches,
-        prix.outcome.matches,
-        "{tag}: routed vs forced PRIX (chose {})",
-        routed.report.chosen.label()
+        prix.outcome.engine,
+        rule(q),
+        "{tag}: --engine prix off the rule"
+    );
+    assert_eq!(
+        routed.outcome.matches, prix.outcome.matches,
+        "{tag}: routed vs forced PRIX"
     );
 
     for id in [EngineId::Vist, EngineId::TwigStack, EngineId::TwigStackXb] {
@@ -157,15 +174,13 @@ fn assert_routing_agrees(engine: &EngineSnapshot, q: &TwigQuery, cache: &AltCach
         }
     }
 
-    // A limit pins routing to PRIX: the alternatives cannot push it
-    // into their joins, so they are never eligible.
     let limited = engine
         .query_routed(q, &opts.with_limit(3), None, alts)
         .unwrap();
-    assert!(
-        limited.report.chosen.is_prix(),
-        "{tag}: limited query routed off PRIX ({})",
-        limited.report.chosen.label()
+    assert_eq!(
+        limited.outcome.engine,
+        rule(q),
+        "{tag}: limited query routed off the rule"
     );
 }
 
@@ -182,18 +197,17 @@ fn check_routed(ds: Dataset) {
     }
 }
 
-/// The planner leaves PRIX when it should and stays when it should, on
-/// a skewed collection: ~1200 documents full of `hay`, a `needle`
-/// ancestor in one of 40. `//needle//hay` drives PRIX's subsequence
-/// filter through every `hay` trie position (the common leaf is the
-/// first LPS symbol) while a twig join drills down from the rare
-/// `needle` stream, so the planner must route that class off PRIX —
-/// and the routed answer must still equal forced PRIX's. The selective
-/// path `/root/needle` stays on PRIX. Each `hay` sits in a
+/// Every engine agrees on a skewed collection: ~1200 documents full of
+/// `hay`, a `needle` ancestor in one of 40. `//needle//hay` drives
+/// PRIX's subsequence filter through every `hay` trie position (the
+/// common leaf is the first LPS symbol) while a twig join drills down
+/// from the rare `needle` stream — the class where TwigStackXB is
+/// fastest, which routing still sends to the RPIndex. The selective
+/// path `/root/needle` is the class where PRIX is. Each `hay` sits in a
 /// pseudo-randomly chosen wrapper so documents do not collapse onto
-/// shared trie paths, which would make PRIX's scan artificially cheap.
+/// shared trie paths.
 #[test]
-fn planner_routes_the_rare_ancestor_class_off_prix() {
+fn rare_ancestor_and_selective_path_agree_across_engines() {
     let mut c = Collection::new();
     for i in 0..1200usize {
         let mut xml = String::from("<root>");
@@ -214,25 +228,69 @@ fn planner_routes_the_rare_ancestor_class_off_prix() {
     let engine = PrixEngine::build(c, EngineConfig::default()).unwrap();
     let snap = engine.snapshot();
     let cache = AltCache::new();
-    let alts = &SnapshotAlts {
-        snap: &snap,
-        cache: &cache,
-    };
-    for (class, xpath, expect_prix) in [
-        ("rare_ancestor", "//needle//hay", false),
-        ("selective_path", "/root/needle", true),
+    for (class, xpath) in [
+        ("rare_ancestor", "//needle//hay"),
+        ("selective_path", "/root/needle"),
     ] {
         let q = snap.parse_query(xpath).unwrap();
-        let routed = snap.query_routed(&q, &ExecOpts::new(), None, alts).unwrap();
-        assert!(!routed.outcome.matches.is_empty(), "{class}: empty answer");
-        assert_eq!(
-            routed.report.chosen.is_prix(),
-            expect_prix,
-            "{class}: planner chose {}\n{}",
-            routed.report.chosen.label(),
-            routed.report.render()
+        assert!(
+            !snap.query(&q).unwrap().matches.is_empty(),
+            "{class}: empty answer"
         );
         assert_routing_agrees(&snap, &q, &cache, class);
+    }
+}
+
+/// Routing is §5.6's rule and nothing else: every Table 3 query for
+/// DBLP and every predicate query over the shop scenario, run three
+/// times interleaved, goes to the EPIndex exactly when it has values
+/// and to the RPIndex otherwise — however many queries ran before it —
+/// and answers with the matches and segment block reads of
+/// [`EngineSnapshot::query_opts`] on the same snapshot.
+#[test]
+fn routing_is_the_section_5_6_rule_every_time() {
+    let shop = prix::datagen::values::generate(&ShopConfig {
+        records: 600,
+        seed: 7,
+    });
+    let workloads = [
+        (
+            generate(Dataset::Dblp, 0.03, 7),
+            queries_for(Dataset::Dblp)
+                .iter()
+                .map(|q| (q.id, q.xpath))
+                .collect::<Vec<_>>(),
+        ),
+        (
+            shop,
+            predicate_queries()
+                .iter()
+                .map(|q| (q.id, q.xpath))
+                .collect(),
+        ),
+    ];
+    for (collection, queries) in workloads {
+        let engine = PrixEngine::build(collection, EngineConfig::default()).unwrap();
+        let snap = engine.snapshot();
+        let cache = AltCache::new();
+        let alts = SnapshotAlts {
+            snap: &snap,
+            cache: &cache,
+        };
+        let opts = ExecOpts::new();
+        for round in 0..3 {
+            for &(id, xpath) in &queries {
+                let q = snap.parse_query(xpath).unwrap();
+                let routed = snap.query_routed(&q, &opts, None, &alts).unwrap().outcome;
+                let direct = snap.query_opts(&q, &opts).unwrap();
+                assert_eq!(routed.engine, rule(&q), "{id}, round {round}");
+                assert_eq!(routed.matches, direct.matches, "{id}, round {round}");
+                assert_eq!(
+                    routed.io.seg_block_reads, direct.io.seg_block_reads,
+                    "{id}, round {round}"
+                );
+            }
+        }
     }
 }
 
@@ -371,7 +429,7 @@ fn routed_agreement_on_random_twigs() {
 }
 
 // Pinned regression seeds: replayed verbatim so a generator change or
-// planner regression that breaks one of these exact inputs fails
+// routing regression that breaks one of these exact inputs fails
 // loudly and reproducibly.
 #[test]
 fn routed_agreement_replay_pinned_seeds() {

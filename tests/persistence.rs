@@ -514,42 +514,3 @@ fn reopening_without_writing_does_not_grow_the_page_file() {
     assert_eq!(engine.valix().verify().unwrap(), (0, 2));
     std::fs::remove_dir_all(&dir).ok();
 }
-
-/// The planner's statistics live in the header of the log a bulk build
-/// or a compaction starts, and the log's batches update them again on
-/// replay the way they did when they were ingested: a database that ran
-/// no query since its generation began reopens with the statistics it
-/// closed with — before and after a compaction.
-#[test]
-fn planner_statistics_read_the_same_after_reopen() {
-    let dir = std::env::temp_dir().join(format!("prix-persist-plan-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("db.prix");
-    let mut engine = PrixEngine::build(
-        generate(Dataset::Dblp, 0.01, 3),
-        EngineConfig {
-            path: Some(path.clone()),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let shop = prix::datagen::values::generate(&prix::datagen::values::ShopConfig::scaled(0.02, 5));
-    let docs: Vec<String> = shop
-        .iter()
-        .map(|(_, t)| prix::xml::write_document(t, shop.symbols()))
-        .collect();
-    for (round, batch) in docs.chunks(docs.len() / 3 + 1).enumerate() {
-        // Past sixty-odd distinct first labels a delta's root runs out
-        // of scope and refuses documents: they are logged all the same.
-        engine.ingest_batch(batch).unwrap();
-        engine.save().unwrap();
-        let before = engine.planner().encode();
-        drop(engine);
-        engine = PrixEngine::reopen(&path, 256).unwrap();
-        assert_eq!(engine.planner().encode(), before, "round {round}");
-        if round == 1 {
-            assert!(engine.compact().unwrap());
-        }
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-}

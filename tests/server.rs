@@ -188,20 +188,9 @@ fn explain_describes_the_plan_over_http() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("RPIndex"), "{body}");
     assert!(body.contains("MaxGap"), "{body}");
-    // The planner section: chosen engine plus one cost-estimated line
-    // per alternative (engine × maxgap on/off for the PRIX pair).
-    assert!(body.contains("planner: engine=prix_rp"), "{body}");
-    assert!(body.contains("(routed)"), "{body}");
-    assert!(body.contains("cost="), "{body}");
-    for alt in [
-        "alt prix_rp",
-        "alt prix_ep",
-        "alt vist",
-        "alt twigstack",
-        "alt twigstackxb",
-    ] {
-        assert!(body.contains(alt), "missing `{alt}` in {body}");
-    }
+    // The planner line: the engine §5.6's rule runs the query on.
+    assert!(body.contains("planner: engine=prix_rp maxgap=on"), "{body}");
+    assert!(!body.contains("cost="), "{body}");
     h.shutdown().unwrap();
 }
 
@@ -213,8 +202,7 @@ fn forced_engine_param_agrees_and_is_counted() {
 
     let (status, routed) = get(addr, &format!("/query?{xp}"));
     assert_eq!(status, 200, "{routed}");
-    // The default limit keeps routing on PRIX (no limit pushdown in
-    // the alternative joins), so the routed default stays bit-compat.
+    // §5.6's rule: a value-free twig runs on the RPIndex.
     assert!(routed.contains(r#""engine":"prix_rp""#), "{routed}");
 
     // The canonical match vector is the trailing `"matches":` array.
@@ -240,8 +228,9 @@ fn forced_engine_param_agrees_and_is_counted() {
     let (status, body) = get(addr, &format!("/query?{xp}&engine=vist&unordered=1"));
     assert_eq!(status, 400, "{body}");
 
-    // Planner metrics: the default routed query and forced prix_rp both
-    // land on prix_rp; each alternative was forced exactly once.
+    // Engine metrics: the default routed query and forced prix_rp both
+    // land on prix_rp; each alternative was forced exactly once. Routing
+    // has no estimate to miss, so there is no misprediction series.
     let (status, metrics) = get(addr, "/metrics");
     assert_eq!(status, 200);
     for line in [
@@ -249,10 +238,10 @@ fn forced_engine_param_agrees_and_is_counted() {
         r#"prix_planner_engine_chosen_total{engine="vist"} 1"#,
         r#"prix_planner_engine_chosen_total{engine="twigstack"} 1"#,
         r#"prix_planner_engine_chosen_total{engine="twigstackxb"} 1"#,
-        "prix_planner_mispredict_total",
     ] {
         assert!(metrics.contains(line), "missing `{line}` in {metrics}");
     }
+    assert!(!metrics.contains("mispredict"), "{metrics}");
     h.shutdown().unwrap();
 }
 

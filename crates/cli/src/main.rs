@@ -633,12 +633,6 @@ fn cmd_fsck(args: &[String]) -> Result<(), CliError> {
     for line in verify_tier_files(&engine)? {
         println!("segment {line}");
     }
-    let (nums, strs) = engine.valix().verify().map_err(|e| e.to_string())?;
-    println!(
-        "valix: delta docs {}..{}, {nums} numeric posting(s), {strs} string posting(s) ok",
-        engine.valix().delta_base(),
-        engine.valix().covered()
-    );
     for name in unknown_siblings(db) {
         println!("sibling {name}: not part of this database (ignored)");
     }

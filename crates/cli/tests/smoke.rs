@@ -154,7 +154,7 @@ fn index_query_roundtrip_works() {
     assert!(text.contains("1 match(es)"), "{text}");
 
     // fsck on a bulk-built database reports its log, verifies the tier
-    // files and the value index, and reports (without failing on) stray
+    // files — the value run among them — and reports (without failing on) stray
     // sibling files that merely share the database's name prefix.
     std::fs::write(dir.join("db.prix.stray"), b"not ours").unwrap();
     let out = prix(&["fsck", db.to_str().unwrap()]);
@@ -167,7 +167,7 @@ fn index_query_roundtrip_works() {
         "{text}"
     );
     assert!(text.contains("segment .g1.rp.seg: "), "{text}");
-    assert!(text.contains("valix:"), "{text}");
+    assert!(text.contains("segment .g1.vx.seg: "), "{text}");
     assert!(
         text.contains("sibling db.prix.stray: not part of this database"),
         "{text}"
@@ -448,7 +448,6 @@ fn value_runs_show_in_segments_stats_and_fsck() {
     let text = ok(&["fsck", db]);
     assert!(text.contains("segment .g1.vx.seg: 4 blocks"), "{text}");
     assert!(text.contains("segment .g1.sym: 10 name(s) ok"), "{text}");
-    assert!(text.contains("valix: delta docs 4..4, 0 numeric"), "{text}");
     assert!(!text.contains("sibling"), "{text}");
     assert!(text.contains("fsck: clean"), "{text}");
 

@@ -2,9 +2,10 @@
 //! compact, verify.
 //!
 //! "In the PRIX system, both RPIndex and EPIndex can coexist." A
-//! [`PrixEngine`] owns both, plus the value index, the segment tiers
-//! and the buffer pool they live in. It answers no queries itself:
-//! every read goes through an [`EngineSnapshot`] (see
+//! [`PrixEngine`] owns both, the segment tiers — each with the value
+//! run of its documents — and the buffer pool the delta lives in. It
+//! answers no queries itself: every read goes through an
+//! [`EngineSnapshot`] (see
 //! [`PrixEngine::snapshot`] and [`crate::snapshot::SharedEngine`]),
 //! which carries the §5.6 optimizer rule and the §5.7 arrangement loop.
 //!
@@ -13,9 +14,12 @@
 //! in-memory environment for an engine without a path: the tiers hold
 //! what a bulk build or a compaction wrote, the log the batches the
 //! live generation accepted since, as they arrived. The mutable delta —
-//! both indexes' trees and records, the delta valix — lives in an
-//! in-memory buffer pool, always starts empty, and is rebuilt on reopen
-//! by replaying the log through the same ingest calls that built it.
+//! both indexes' trees and records — lives in memory, its records in a
+//! buffer pool, always starts empty, and is rebuilt on reopen by
+//! replaying the log through the same ingest calls that built it. It
+//! keeps no value postings: a predicate query verifies each of its
+//! documents, and a compaction writes their value run from the records
+//! (`crate::segbuild::TierBuilder`, the bulk build's tier writer too).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -32,7 +36,6 @@ use prix_xml::{Collection, Sym, SymbolTable};
 use crate::index::{IndexError, IndexKind, PrixIndex, Result};
 use crate::snapshot::EngineSnapshot;
 use crate::trie::LabelingMode;
-use crate::valix::Valix;
 
 /// The label of the dummy child extended sequences give every leaf; no
 /// document can spell it.
@@ -135,15 +138,6 @@ pub(crate) fn write_symbol_run(
     Ok(())
 }
 
-/// The empty delta — both indexes, and the one record store they read,
-/// which takes the pool's first page; then the value index, which is
-/// all in memory — with `dummy` as the label extended sequences hang
-/// under every leaf.
-fn empty_delta(pool: &Arc<BufferPool>, dummy: Sym) -> Result<(PrixIndex, PrixIndex, Valix)> {
-    let (rp, ep) = PrixIndex::empty_pair(Arc::clone(pool), dummy)?;
-    Ok((rp, ep, Valix::create()))
-}
-
 /// Writes `m` into the manifest store (suffix `".seg"`) of `env`,
 /// creating it on first use. The write itself is atomic at the slot
 /// level (two alternating CRC-framed slots; a torn write leaves the
@@ -231,9 +225,10 @@ pub enum TierCheck {
     SymbolRun(u32),
 }
 
-/// An indexed XML database: its symbol table, its RP/EP indexes and
-/// value index, and the buffer pool they share. The document trees are
-/// not kept: everything query processing needs is in the indexes.
+/// An indexed XML database: its symbol table, its tiers, the RP/EP
+/// indexes of its delta, and the buffer pool the delta's records live
+/// in. The document trees are not kept: everything query processing
+/// needs is in the indexes.
 pub struct PrixEngine {
     /// Every label the indexed documents (and the dummy) use, ids dense
     /// in interning order. On disk it is tiered like the indexes: the
@@ -269,10 +264,6 @@ pub struct PrixEngine {
     /// Manifest generation: 1 for a fresh build, one more per
     /// compaction.
     generation: u64,
-    /// The value-predicate secondary index over leaf values
-    /// ([`crate::valix`]), living in the same buffer pool as the
-    /// structural indexes.
-    valix: Valix,
 }
 
 impl PrixEngine {
@@ -320,7 +311,7 @@ impl PrixEngine {
         log: BatchLog,
         m: &Manifest,
     ) -> Result<Self> {
-        let (rp, ep, valix) = empty_delta(&pool, dummy)?;
+        let (rp, ep) = PrixIndex::empty_pair(Arc::clone(&pool), dummy)?;
         let mut eng = PrixEngine {
             symbols,
             io: pool.pager().stats(),
@@ -335,7 +326,6 @@ impl PrixEngine {
             manifest_segments: Vec::new(),
             seg_env,
             generation: m.generation,
-            valix,
         };
         eng.attach_manifest(m)?;
         Ok(eng)
@@ -526,13 +516,13 @@ impl PrixEngine {
 
     /// Opens every segment and value run the manifest lists and installs
     /// them as this engine's immutable tiers, placing the (empty)
-    /// mutable indexes and delta valix where the tiers end. (Its symbol
-    /// runs are in the table already, its kinds known and its files
-    /// there: [`PrixEngine::reopen_env`] walked its rows before anything
-    /// else, or they were written a moment ago.) A header that
-    /// disagrees with its manifest row, a tier without one of its three
-    /// files (a database compacted before value runs existed has none)
-    /// or a non-contiguous tier layout is a hard error — serving a
+    /// mutable indexes where the tiers end. (Its symbol runs are in the
+    /// table already, its kinds known and its files there:
+    /// [`PrixEngine::reopen_env`] walked its rows before anything else,
+    /// or they were written a moment ago.) A header that disagrees with
+    /// its manifest row, a tier without one of its three files (a
+    /// database compacted before value runs existed has none) or a
+    /// non-contiguous tier layout is a hard error — serving a
     /// database with silently absent documents would be worse than
     /// refusing. The files of one doc base open into one fresh
     /// [`BlockCache`], the tier's.
@@ -629,7 +619,6 @@ impl PrixEngine {
         self.generation = m.generation;
         self.rp.set_doc_base(next);
         self.ep.set_doc_base(next);
-        self.valix.set_delta_base(next);
         Ok(())
     }
 
@@ -704,10 +693,11 @@ impl PrixEngine {
             return Ok(false);
         }
         let generation = self.generation + 1;
-        // (1) The delta's documents go over as their stored records,
-        // which are what the bulk path's encoder makes of a document, so
-        // the segment bytes come out identical to a bulk build's. A tier
-        // without documents is not carried over; symbol runs always are.
+        // (1) The delta's documents go to the bulk path's tier writer as
+        // their stored records, which are what the bulk path's encoder
+        // makes of a document, so the tier's files come out identical to
+        // a bulk build's. A tier without documents is not carried over;
+        // symbol runs always are.
         let (mut manifest_segments, empty): (Vec<_>, Vec<_>) = self
             .manifest_segments
             .iter()
@@ -721,29 +711,9 @@ impl PrixEngine {
             run_mem_bytes,
         )?;
         for local in 0..n {
-            tier.add_record(&self.ep.doc_record(doc_base + local)?)?;
+            tier.add_record(&self.ep.doc_record(doc_base + local)?, &self.symbols)?;
         }
-        let maxgaps = [self.rp.maxgap(), self.ep.maxgap()];
-        tier.finish(maxgaps, self.rp.childless_set())?;
-        for (seg_kind, kname) in [(SEG_KIND_RP, "rp"), (SEG_KIND_EP, "ep")] {
-            manifest_segments.push(ManifestSegment {
-                kind: seg_kind,
-                suffix: format!(".g{generation}.{kname}.seg"),
-                doc_base,
-                n_docs: n,
-            });
-        }
-        // The delta's value postings stream out of its two trees, which
-        // hold them in key order already.
-        let suffix = format!(".g{generation}.vx.seg");
-        self.valix
-            .write_run(self.seg_env.create(&suffix)?, n as usize)?;
-        manifest_segments.push(ManifestSegment {
-            kind: SEG_KIND_VX,
-            suffix,
-            doc_base,
-            n_docs: n,
-        });
+        manifest_segments.extend(tier.finish()?);
         // The names no symbol run holds yet: the ones the log's batches
         // interned, refused documents' included.
         write_symbol_run(
@@ -756,7 +726,7 @@ impl PrixEngine {
         // log.
         let pager = Pager::with_stats(Arc::clone(&self.io));
         let pool = Arc::new(BufferPool::new(pager, self.pool.capacity()));
-        let (rp, ep, valix) = empty_delta(&pool, self.dummy)?;
+        let (rp, ep) = PrixIndex::empty_pair(Arc::clone(&pool), self.dummy)?;
         let epoch = self.log.epoch() + 1;
         let log = Self::start_log(&*self.seg_env, generation, epoch, &self.io)?;
         // (3) Commit.
@@ -772,7 +742,6 @@ impl PrixEngine {
         self.pool = pool;
         self.rp = rp;
         self.ep = ep;
-        self.valix = valix;
         self.pending.clear();
         self.recovery = None;
         self.attach_manifest(&manifest)?;
@@ -789,8 +758,8 @@ impl PrixEngine {
     }
 
     /// The immutable tiers in ascending document order (what a snapshot
-    /// captures, and what [`crate::PredEval::build`] probes next to the
-    /// delta valix).
+    /// captures, and whose value runs [`crate::PredEval::build`]
+    /// probes).
     pub fn seg_tiers(&self) -> &[SegTier] {
         &self.segments
     }
@@ -893,10 +862,10 @@ impl PrixEngine {
     }
 
     /// Parses `xml` and incrementally indexes it into the delta's two
-    /// indexes and value index (§5.2.1 dynamic labeling in action), to
-    /// be logged by the next [`PrixEngine::save`]. The delta starts
-    /// empty, so every scope is headroom until halving uses it up; a
-    /// document that no longer fits is refused with
+    /// indexes (§5.2.1 dynamic labeling in action), to be logged by the
+    /// next [`PrixEngine::save`]. The delta starts empty, so every scope
+    /// is headroom until halving uses it up; a document that no longer
+    /// fits is refused with
     /// [`IndexError::Unsupported`] (see [`PrixIndex::prepare`]).
     pub fn insert_document(&mut self, xml: &str) -> Result<prix_xml::DocId> {
         self.log_body(BatchMode::Doc, xml);
@@ -934,13 +903,7 @@ impl PrixEngine {
         let id = self.rp.insert(rp_doc)?;
         let ep_id = self.ep.insert(ep_doc)?;
         debug_assert_eq!(id, ep_id, "indexes assign ids in lockstep");
-        self.valix.index_tree(&tree, id, &self.symbols)?;
         Ok(id)
-    }
-
-    /// The value-predicate index.
-    pub fn valix(&self) -> &Valix {
-        &self.valix
     }
 
     /// The last committed epoch — the batch log's, the one clock: what

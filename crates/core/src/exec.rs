@@ -67,7 +67,6 @@ pub(crate) struct CandidateCursor<'a> {
     idx: &'a PrixIndex,
     lps: Vec<Sym>,
     rules: Vec<Option<GapRule>>,
-    use_fine: bool,
     /// Value-predicate evaluator: a document its valix probe ruled out
     /// cannot pass positional verification, so its candidates are
     /// dropped here, before refinement loads a record for them.
@@ -89,7 +88,6 @@ impl<'a> CandidateCursor<'a> {
         idx: &'a PrixIndex,
         lps: Vec<Sym>,
         rules: Vec<Option<GapRule>>,
-        use_fine: bool,
         pred: Option<&'a PredEval<'a>>,
     ) -> Self {
         let cap = lps.len();
@@ -97,7 +95,6 @@ impl<'a> CandidateCursor<'a> {
             idx,
             lps,
             rules,
-            use_fine,
             pred,
             frames: Vec::with_capacity(cap),
             positions: Vec::with_capacity(cap),
@@ -181,11 +178,7 @@ impl<'a> CandidateCursor<'a> {
             if depth > 0 {
                 if let Some(rule) = self.rules[depth - 1] {
                     let prev_fine = self.frames[depth - 1].current().3;
-                    let mg = if self.use_fine {
-                        rule.global.min(prev_fine as u64)
-                    } else {
-                        rule.global
-                    };
+                    let mg = rule.global.min(prev_fine as u64);
                     let prev = self.positions[depth - 1];
                     let dist = (level as u64).saturating_sub(prev as u64);
                     if dist > mg + rule.extra {
@@ -349,8 +342,7 @@ impl<'a> MatchStream<'a> {
         } else {
             vec![None; plan.seq.len().saturating_sub(1)]
         };
-        let cursor =
-            CandidateCursor::new(idx, plan.seq.lps.clone(), rules, opts.use_fine_maxgap, pred);
+        let cursor = CandidateCursor::new(idx, plan.seq.lps.clone(), rules, pred);
         MatchStream {
             cursor,
             stage: RefineStage::new(idx, pred),

@@ -151,17 +151,15 @@ impl QueryStats {
     }
 }
 
-/// Execution options: the MaxGap toggles back the §5.4 ablation bench,
+/// Execution options: the MaxGap toggle backs the §5.4 ablation bench,
 /// `limit` drives LIMIT pushdown through the streaming executor.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOpts {
-    /// Apply the Theorem 4 pruning during subsequence matching.
+    /// Apply the Theorem 4 pruning during subsequence matching, bounded
+    /// by the finer-grained per-trie-node MaxGap values as well as the
+    /// per-label ones (§5.4: "Finer-grained MaxGap values can be stored
+    /// in every occurrence of a symbol in the virtual trie").
     pub use_maxgap: bool,
-    /// Use the finer-grained per-trie-node MaxGap values (§5.4:
-    /// "Finer-grained MaxGap values can be stored in every occurrence
-    /// of a symbol in the virtual trie"). Only effective when
-    /// `use_maxgap` is set.
-    pub use_fine_maxgap: bool,
     /// Stop after this many distinct matches. `None` = unlimited. With
     /// a limit the executor stops *pulling* — remaining trie range
     /// queries, docid scans, and refinements never run — and matches
@@ -175,7 +173,6 @@ impl Default for ExecOpts {
     fn default() -> Self {
         ExecOpts {
             use_maxgap: true,
-            use_fine_maxgap: true,
             limit: None,
         }
     }
@@ -202,13 +199,6 @@ impl ExecOpts {
     /// Disables Theorem 4 pruning entirely.
     pub fn without_maxgap(mut self) -> Self {
         self.use_maxgap = false;
-        self
-    }
-
-    /// Keeps the global per-label MaxGap bound but drops the per-node
-    /// fine gaps (§5.4 ablation).
-    pub fn without_fine_maxgap(mut self) -> Self {
-        self.use_fine_maxgap = false;
         self
     }
 }
@@ -707,11 +697,6 @@ impl PrixIndex {
         &self.build_stats
     }
 
-    /// The per-label MaxGap table (§5.4).
-    pub fn maxgap(&self) -> &MaxGapTable {
-        &self.maxgap
-    }
-
     /// Number of documents indexed *in this tier*.
     pub fn doc_count(&self) -> usize {
         match &self.backing {
@@ -729,11 +714,6 @@ impl PrixIndex {
     /// tier starts where the segments end).
     pub(crate) fn set_doc_base(&mut self, base: DocId) {
         self.doc_base = base;
-    }
-
-    /// The childless-label set (§4.4 leaf-extended-plan gate).
-    pub(crate) fn childless_set(&self) -> &HashSet<Sym> {
-        &self.childless
     }
 
     /// The segment reader behind a segment-backed tier, if any.
@@ -1656,10 +1636,10 @@ mod tests {
     }
 
     #[test]
-    fn fine_maxgap_prunes_at_least_as_much_and_is_lossless() {
+    fn fine_maxgap_prunes_and_is_lossless() {
         // Data where the *global* MaxGap of a label is inflated by one
         // wide node, while most occurrences are narrow: the per-node
-        // fine gaps (§5.4) prune candidates the global bound keeps.
+        // fine gaps (§5.4) bound the pruning as well as the global one.
         let mut c = Collection::new();
         // One wide `a` (many children) inflates MaxGap(a)...
         c.add_xml("<a><b><v/></b><x><v/></x><x><v/></x><x><v/></x><x><v/></x><c><v/></c></a>")
@@ -1672,16 +1652,11 @@ mod tests {
         let idx = build_index(&mut c, IndexKind::Regular);
         let mut syms = c.symbols().clone();
         let q = crate::xpath::parse_xpath("//a[./b]/c", &mut syms).unwrap();
-        let fine = run(&idx, &q, &ExecOpts::new()).unwrap();
-        let coarse = run(&idx, &q, &ExecOpts::new().without_fine_maxgap()).unwrap();
-        assert_eq!(fine.0, coarse.0, "fine pruning must be lossless");
-        assert_eq!(fine.0.len(), 1, "only the wide document matches");
-        assert!(
-            fine.1.maxgap_pruned >= coarse.1.maxgap_pruned,
-            "fine gaps prune at least as much ({} vs {})",
-            fine.1.maxgap_pruned,
-            coarse.1.maxgap_pruned
-        );
+        let (pruned, stats) = run(&idx, &q, &ExecOpts::new()).unwrap();
+        let (unpruned, _) = run(&idx, &q, &ExecOpts::new().without_maxgap()).unwrap();
+        assert_eq!(pruned, unpruned, "pruning must be lossless");
+        assert_eq!(pruned.len(), 1, "only the wide document matches");
+        assert_eq!(stats.maxgap_pruned, 5, "the candidates the gaps prune");
     }
 
     /// A valid regular view of 300 nodes whose values take one, two and

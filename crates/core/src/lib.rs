@@ -68,7 +68,7 @@ pub use query::{PredOp, PredValue, TwigBuilder, TwigQuery, ValuePred};
 pub use segbuild::{BulkBuilder, DEFAULT_RUN_MEM_BYTES};
 pub use snapshot::{EngineSnapshot, IngestReport, QueryOutcome, SharedEngine};
 pub use trie::{LabelingMode, VirtualTrie};
-pub use valix::{PredEval, ProbeStats, Valix};
+pub use valix::{PredEval, ProbeStats};
 pub use xpath::{parse_xpath, XPathError};
 
 #[cfg(test)]
@@ -84,7 +84,7 @@ mod tests {
         decode_doc_record, decode_seg_index_meta, doc_view, encode_doc_record,
         encode_seg_index_meta, BuildStats, DocArtifacts, IndexKind,
     };
-    use crate::valix::{PredEval, Valix};
+    use crate::valix::PredEval;
     use crate::xpath::parse_xpath;
 
     /// The never-panic table of core's decoders. Each reads bytes a file
@@ -139,7 +139,7 @@ mod tests {
                     // leaf label the record names is past its end.
                     let mut syms = SymbolTable::new();
                     let q = parse_xpath(r#"//b[c = "v"]"#, &mut syms).unwrap();
-                    let eval = PredEval::build(&q, &[], &Valix::create(), &syms)
+                    let eval = PredEval::build(&q, &[], &syms)
                         .unwrap()
                         .expect("one predicate");
                     [IndexKind::Regular, IndexKind::Extended]

@@ -1,23 +1,24 @@
-//! Bulk segment construction: streaming documents into the immutable
-//! segment files of `prix_storage::segment`.
+//! Tier construction: streaming documents into the immutable files of
+//! one tier — its RP and EP segments and its value run
+//! (`prix_storage::segment`).
 //!
-//! Two producers feed a tier:
+//! Two producers feed a tier, and both end at [`TierBuilder`], the one
+//! tier writer:
 //!
 //! * [`BulkBuilder`] — `prix index`: documents stream straight
-//!   from the parser into the external sorter, never materializing the
+//!   from the parser into the external sorters, never materializing the
 //!   whole collection's B⁺-trees. Memory is bounded by the sort-run
 //!   budget; everything else spills to scratch files.
 //! * Compaction (`PrixEngine::compact`) — hands over the delta's stored
-//!   records, which the same encoder wrote at insert, so a compacted
-//!   segment is **byte-identical** to what a bulk build of the same
-//!   documents would have produced (the property the
-//!   `bulk_equals_incremental` suite pins).
+//!   records, which the same encoder wrote at insert.
 //!
-//! Both paths end at [`TierBuilder`], which files one document in the
-//! tier's RP and EP segments from its regular view — the EP file also
-//! taking its one record, which it lays out in the order of the RP
-//! file's Docid section (a function of the documents, so the two paths
-//! still agree byte for byte).
+//! A tier's files are a function of its documents, their ids and the
+//! symbol table alone: [`TierBuilder`] derives every label path, MaxGap
+//! table, childless label and value posting from each document's regular
+//! view, and lays the EP file's records out in the order of the RP
+//! file's Docid section. So a compacted tier is **byte-identical** to
+//! what a bulk build of the same documents writes
+//! (`tests/segments.rs` pins it for all three files).
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -41,20 +42,32 @@ use crate::valix::run_entries;
 /// `--run-mem-mb` default).
 pub const DEFAULT_RUN_MEM_BYTES: usize = 64 << 20;
 
-/// The two segment files of one tier, written side by side: each
-/// document's label path and fine gaps in both, its record — the
-/// regular view — in the EP file only (kept in arrival order, spilled
-/// past the sort budget, laid out in RP Docid order), and the
-/// index-metadata blob of each written at [`TierBuilder::finish`].
+/// The three files of one tier, written side by side from each
+/// document's regular view: its label path and fine gaps in both
+/// segments, its record in the EP file only (kept in arrival order,
+/// spilled past the sort budget, laid out in RP Docid order), its
+/// leaves' postings in the value run; and, at [`TierBuilder::finish`],
+/// each segment's index-metadata blob from the MaxGap tables and
+/// childless labels the documents folded in.
 pub(crate) struct TierBuilder {
+    env: Arc<dyn SegmentEnv>,
+    generation: u64,
     dummy: Sym,
+    doc_base: u32,
+    n_docs: u32,
     rp: SegmentBuilder,
     ep: SegmentBuilder,
+    /// The RP and EP MaxGap tables.
+    maxgaps: [MaxGapTable; 2],
+    childless: HashSet<Sym>,
+    /// Every leaf value's run entries, sorted under the same budget as
+    /// the label paths.
+    vx: ExternalSorter<VxEntry>,
 }
 
 impl TierBuilder {
-    /// The builders of generation `generation`'s RP and EP files, for
-    /// documents from `doc_base` on.
+    /// The builder of generation `generation`'s tier, for documents from
+    /// `doc_base` on.
     pub(crate) fn new(
         env: &Arc<dyn SegmentEnv>,
         generation: u64,
@@ -74,73 +87,109 @@ impl TierBuilder {
             ))
         };
         Ok(TierBuilder {
+            env: Arc::clone(env),
+            generation,
             dummy,
+            doc_base,
+            n_docs: 0,
             rp: seg(SEG_KIND_RP, "rp")?,
             ep: seg(SEG_KIND_EP, "ep")?,
+            maxgaps: Default::default(),
+            childless: HashSet::new(),
+            vx: ExternalSorter::new(run_mem_bytes, env_temp_factory(env)),
         })
     }
 
-    /// Files one document by its regular view `data` (leaf data loaded)
-    /// and `record`, that view's encoding, folding each index's
-    /// sequence into its MaxGap table in `maxgaps` (RP, EP) when given.
-    /// A view that does not extend is a corrupt record.
-    fn add(
-        &mut self,
-        data: &DocData,
-        record: &[u8],
-        maxgaps: Option<&mut [MaxGapTable; 2]>,
-    ) -> Result<()> {
+    /// Files the next document by its regular view `data` (leaf data
+    /// loaded) and `record`, that view's encoding; `syms` names its leaf
+    /// labels. A view that does not extend, or a leaf label past `syms`,
+    /// is a corrupt record.
+    fn add(&mut self, data: &DocData, record: &[u8], syms: &SymbolTable) -> Result<()> {
         let filed = |kind| data.filed_path(kind, self.dummy).ok_or_else(corrupt_record);
         let (rp_lps, rp_gaps) = filed(IndexKind::Regular)?;
         let (ep_lps, ep_gaps) = filed(IndexKind::Extended)?;
-        if let Some([rp, ep]) = maxgaps {
-            rp.add_seq(&rp_lps, &rp_gaps);
-            ep.add_seq(&ep_lps, &ep_gaps);
+        let [rp_maxgap, ep_maxgap] = &mut self.maxgaps;
+        rp_maxgap.add_seq(&rp_lps, &rp_gaps);
+        ep_maxgap.add_seq(&ep_lps, &ep_gaps);
+        let doc = self.doc_base + self.n_docs;
+        // The extended view checked the leaf list: each leaf's parent is
+        // labeled at its own position of the LPS, and only a lone root
+        // (a leaf with no parent) has none.
+        for &(label, post) in &data.leaves {
+            self.childless.insert(label);
+            let Some(&tag) = data.lps.get(post as usize - 1) else {
+                continue;
+            };
+            let value = syms.get(label).ok_or_else(corrupt_record)?;
+            for e in run_entries(tag, value, doc, post) {
+                self.vx.push(e)?;
+            }
         }
         let path = |lps: Vec<Sym>| lps.into_iter().map(|s| s.0).collect();
         self.rp.add_doc(&[], path(rp_lps), rp_gaps)?;
         self.ep.add_doc(record, path(ep_lps), ep_gaps)?;
+        self.n_docs += 1;
         Ok(())
     }
 
-    /// Files one parsed document, folding its childless labels into
-    /// `childless`.
-    pub(crate) fn add_tree(
-        &mut self,
-        tree: &XmlTree,
-        maxgaps: &mut [MaxGapTable; 2],
-        childless: &mut HashSet<Sym>,
-    ) -> Result<()> {
+    /// Files one parsed document (the bulk path), whose labels `syms`
+    /// names.
+    pub(crate) fn add_tree(&mut self, tree: &XmlTree, syms: &SymbolTable) -> Result<()> {
         let data = DocData::regular(tree);
-        childless.extend(data.leaves.iter().map(|&(s, _)| s));
-        self.add(&data, &encode_doc_record(&data), Some(maxgaps))
+        self.add(&data, &encode_doc_record(&data), syms)
     }
 
     /// Files one already-indexed document as its stored record (the
     /// compaction path): the bytes go into the EP file as they are,
-    /// decoded once for both label paths and their gaps. The MaxGap
-    /// tables are the delta indexes' already.
-    pub(crate) fn add_record(&mut self, record: &[u8]) -> Result<()> {
+    /// decoded once for everything else.
+    pub(crate) fn add_record(&mut self, record: &[u8], syms: &SymbolTable) -> Result<()> {
         let data = decode_doc_record(record, true).ok_or_else(corrupt_record)?;
-        self.add(&data, record, None)
+        self.add(&data, record, syms)
     }
 
-    /// Sorts, merges, labels, and writes both files (header, CRC table,
-    /// metadata blob), then syncs them: the RP file first, whose Docid
-    /// order is the order of the EP file's records — the documents one
-    /// RP filter match refines are one range of it, and documents of one
-    /// structure sit together for an EP match too (the EP file's own
-    /// order would group them by first leaf value).
-    pub(crate) fn finish(self, maxgaps: [&MaxGapTable; 2], childless: &HashSet<Sym>) -> Result<()> {
-        let dummy = self.dummy;
+    /// Sorts, merges, labels, and writes the three files (header, CRC
+    /// table, metadata blob), syncing each, and returns their manifest
+    /// rows. The RP file goes first: its Docid order is the order of the
+    /// EP file's records — the documents one RP filter match refines are
+    /// one range of it, and documents of one structure sit together for
+    /// an EP match too (the EP file's own order would group them by
+    /// first leaf value). The value run goes last.
+    pub(crate) fn finish(self) -> Result<Vec<ManifestSegment>> {
+        let TierBuilder {
+            env,
+            generation,
+            dummy,
+            doc_base,
+            n_docs,
+            rp,
+            ep,
+            maxgaps: [rp_maxgap, ep_maxgap],
+            childless,
+            vx,
+        } = self;
         let finish = |b: SegmentBuilder, order: &[u32], kind, maxgap| {
             b.finish(order, |st| {
-                encode_seg_index_meta(kind, dummy, maxgap, childless, &build_stats(st))
+                encode_seg_index_meta(kind, dummy, maxgap, &childless, &build_stats(st))
             })
         };
-        let (_, order) = finish(self.rp, &[], IndexKind::Regular, maxgaps[0])?;
-        finish(self.ep, &order, IndexKind::Extended, maxgaps[1])?;
-        Ok(())
+        let (_, order) = finish(rp, &[], IndexKind::Regular, &rp_maxgap)?;
+        finish(ep, &order, IndexKind::Extended, &ep_maxgap)?;
+        let suffix = |kname| format!(".g{generation}.{kname}.seg");
+        let mut run = ValueRunBuilder::new(env.create(&suffix("vx"))?, doc_base, n_docs);
+        vx.drain(|e| run.push(e.section, &e.key, e.doc, e.post))?;
+        run.finish()?;
+        Ok([
+            (SEG_KIND_RP, "rp"),
+            (SEG_KIND_EP, "ep"),
+            (SEG_KIND_VX, "vx"),
+        ]
+        .map(|(kind, kname)| ManifestSegment {
+            kind,
+            suffix: suffix(kname),
+            doc_base,
+            n_docs,
+        })
+        .into())
     }
 }
 
@@ -159,12 +208,12 @@ fn build_stats(st: &prix_storage::SegTrieStats) -> BuildStats {
 /// Streaming bulk index build (`prix index`, and [`PrixEngine::build`]):
 /// how every database begins, in files or in memory.
 ///
-/// Documents are parsed one at a time and pushed straight into the
-/// per-kind external sorters (label paths for RP and EP, leaf-value
-/// postings for the value run); nothing but the symbol table, the
-/// MaxGap tables, and the bounded sort runs stays in memory. [`finish`]
-/// merges the runs into one immutable segment per kind and the tier's
-/// value run, writes the symbol table as the tier's symbol run, starts
+/// Documents are parsed one at a time and handed to the tier's
+/// [`TierBuilder`], which pushes them straight into its external sorters
+/// (label paths for RP and EP, leaf-value postings for the value run);
+/// nothing but the symbol table, the MaxGap tables, and the bounded sort
+/// runs stays in memory. [`finish`] merges the runs into the tier's
+/// files, writes the symbol table as the tier's symbol run, starts
 /// an empty delta and its batch log for future inserts, and writes the
 /// manifest **last** — a crash anywhere before that single write leaves
 /// the previous manifest (or, on a fresh path, nothing) in charge.
@@ -181,13 +230,6 @@ pub struct BulkBuilder {
     generation: u64,
     prev: Option<prix_storage::Manifest>,
     tier: TierBuilder,
-    /// The RP and EP MaxGap tables.
-    maxgaps: [MaxGapTable; 2],
-    childless: HashSet<Sym>,
-    /// Every leaf value's run entries, sorted under the same budget as
-    /// the label paths.
-    vx: ExternalSorter<VxEntry>,
-    n_docs: u32,
 }
 
 impl BulkBuilder {
@@ -246,10 +288,6 @@ impl BulkBuilder {
             generation,
             prev,
             tier,
-            maxgaps: Default::default(),
-            childless: HashSet::new(),
-            vx: ExternalSorter::new(run_mem_bytes, env_temp_factory(&env)),
-            n_docs: 0,
             env,
         })
     }
@@ -280,26 +318,14 @@ impl BulkBuilder {
 
     /// Streams one parsed tree (must use this builder's symbol table).
     pub fn add_tree(&mut self, tree: &XmlTree) -> Result<u32> {
-        for node in tree.nodes() {
-            if tree.is_leaf(node) && node != tree.root() {
-                let post = tree.postorder(node);
-                let parent = tree.parent_post(post).expect("non-root leaf has a parent");
-                let (tag, value) = (tree.label_at(parent), self.syms.name(tree.label(node)));
-                for e in run_entries(tag, value, self.n_docs, post) {
-                    self.vx.push(e)?;
-                }
-            }
-        }
-        self.tier
-            .add_tree(tree, &mut self.maxgaps, &mut self.childless)?;
-        let id = self.n_docs;
-        self.n_docs += 1;
+        let id = self.tier.n_docs;
+        self.tier.add_tree(tree, &self.syms)?;
         Ok(id)
     }
 
     /// Documents streamed so far.
     pub fn doc_count(&self) -> u32 {
-        self.n_docs
+        self.tier.n_docs
     }
 
     /// Mutable access to the builder's symbol table (callers parsing
@@ -320,30 +346,9 @@ impl BulkBuilder {
             generation,
             prev,
             tier,
-            maxgaps: [rp_maxgap, ep_maxgap],
-            childless,
-            vx,
-            n_docs,
         } = self;
         let dummy = tier.dummy;
-        tier.finish([&rp_maxgap, &ep_maxgap], &childless)?;
-        let mut run =
-            ValueRunBuilder::new(env.create(&format!(".g{generation}.vx.seg"))?, 0, n_docs);
-        vx.drain(|e| run.push(e.section, &e.key, e.doc, e.post))?;
-        run.finish()?;
-        let mut segments = Vec::from(
-            [
-                (SEG_KIND_RP, "rp"),
-                (SEG_KIND_EP, "ep"),
-                (SEG_KIND_VX, "vx"),
-            ]
-            .map(|(kind, kname)| ManifestSegment {
-                kind,
-                suffix: format!(".g{generation}.{kname}.seg"),
-                doc_base: 0,
-                n_docs,
-            }),
-        );
+        let mut segments = tier.finish()?;
         // No run precedes this one: it holds the whole table.
         write_symbol_run(&*env, &syms, generation, &mut segments)?;
         let engine = PrixEngine::from_bulk(cfg, env, syms, dummy, generation, segments)?;

@@ -60,7 +60,7 @@ use crate::engine::{PrixEngine, SegTier};
 use crate::index::{ExecOpts, IndexError, IndexKind, PrixIndex, QueryStats, Result, TwigMatch};
 use crate::plan::{AltProvider, EngineChoice, EngineId, Routed};
 use crate::query::TwigQuery;
-use crate::valix::{PredEval, Valix};
+use crate::valix::PredEval;
 use crate::xpath::{parse_xpath, XPathError};
 
 /// Everything a query execution reports.
@@ -97,8 +97,8 @@ type TierRefs<'a> = (&'a PrixIndex, &'a PrixIndex);
 ///
 /// Everything reachable from a snapshot reads as of its
 /// [`EngineSnapshot::epoch`]: the tiers never change, and the delta's
-/// index handles and value index are clones that see the documents the
-/// delta held at capture and none inserted since.
+/// index handles are clones that see the documents the delta held at
+/// capture and none inserted since.
 pub struct EngineSnapshot {
     epoch: u64,
     syms: Arc<SymbolTable>,
@@ -109,11 +109,6 @@ pub struct EngineSnapshot {
     /// segment readers.
     segments: Vec<SegTier>,
     generation: u64,
-    /// The delta of the value index at capture time (the tiers' value
-    /// runs are in `segments`). A clone of the engine's handle: shares
-    /// its trees, and skips the postings of documents past its count
-    /// like `rp`/`ep` do.
-    valix: Valix,
     /// `(bytes, records)` of the batch log at capture time.
     log: (u64, u64),
     /// The pool the delta at capture lives in.
@@ -137,7 +132,6 @@ impl EngineSnapshot {
             ep: engine.ep_index().clone(),
             segments: engine.seg_tiers().to_vec(),
             generation: engine.generation(),
-            valix: engine.valix().clone(),
             log: (engine.log().len(), engine.log().records()),
             pool: Arc::clone(engine.pool()),
         }
@@ -269,7 +263,7 @@ impl EngineSnapshot {
             scope: IoScope::begin(),
             start: Instant::now(),
         };
-        let pred = PredEval::build(q, &self.segments, &self.valix, &self.syms)?;
+        let pred = PredEval::build(q, &self.segments, &self.syms)?;
         exec.stats.filter_time = exec.start.elapsed();
         Ok((exec, pred))
     }
@@ -458,7 +452,7 @@ impl EngineSnapshot {
         let idx = pick_index(rp, ep, &q, None)?;
         let mut out = format!("index: {}\n", idx.kind());
         out.push_str(&idx.explain(&q, &syms)?);
-        if let Some(pred) = PredEval::build(&q, &self.segments, &self.valix, &syms)? {
+        if let Some(pred) = PredEval::build(&q, &self.segments, &syms)? {
             out.push_str(&explain_pred(&q, &pred, &syms));
         }
         let maxgap = if ExecOpts::default().use_maxgap {

@@ -14,21 +14,17 @@
 //!
 //! Keys are prefixed with the *parent element tag*, so a predicate
 //! `[price < 10]` only scans `price` values. Every key maps to
-//! `(doc, leaf postorder)` postings. The delta keeps them in two ordered
-//! maps in memory, read like the structural delta's: an
-//! `EngineSnapshot` clones the [`Valix`] handle, which shares the maps
-//! and skips the postings of documents past its own coverage horizon —
-//! and, like the structural delta, they are rebuilt on reopen by
-//! replaying the batch log.
+//! `(doc, leaf postorder)` postings.
 //!
-//! The index is **tiered** like the structural ones: every immutable
-//! segment tier carries a *value run* (`prix_storage::ValueRunReader`,
-//! a sorted, packed file holding the postings of exactly the tier's
-//! documents) and the map pair of [`Valix`] covers only the mutable
-//! delta. Run keys are byte for byte the map keys, so one set of scan
-//! bounds serves both ([`Valix::probe_docs`]); tiers partition the
-//! document ids below the delta, so the per-tier answers are disjoint
-//! and their union is the probe's.
+//! There is one value index: the tiers' *value runs*
+//! (`prix_storage::ValueRunReader`, a sorted, packed file holding the
+//! postings of exactly one tier's documents), written from the tier's
+//! documents by the tier writer (`crate::segbuild::TierBuilder`), bulk
+//! build and compaction alike. Tiers partition the document ids below
+//! the delta, so the per-run answers are disjoint and their union is the
+//! probe's ([`probe_docs`]). The mutable delta keeps no postings: the
+//! probe's coverage horizon is where the tiers end, every delta document
+//! passes the pre-filter, and verification decides it like any other.
 //!
 //! Matching is **label-based**, mirroring the structural engines: a
 //! childless element and a text node with the same label are
@@ -40,15 +36,14 @@
 //! exactly the post-filtered unfiltered results, with or without a
 //! usable probe.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Bound;
-use std::sync::{Arc, RwLock};
 
-use prix_storage::{RawStore, ValueRunBuilder, VxEntry, VxSection, VX_MAX_KEY_LEN};
-use prix_xml::{DocId, PostNum, Sym, SymbolTable, XmlTree};
+use prix_storage::{ValueRunReader, VxEntry, VxSection, VX_MAX_KEY_LEN};
+use prix_xml::{DocId, PostNum, Sym, SymbolTable};
 
 use crate::engine::SegTier;
-use crate::index::{half_changed, DocData, IndexError, Result};
+use crate::index::{DocData, IndexError, Result};
 use crate::query::{PredOp, PredValue, TwigQuery, ValuePred};
 
 /// String keys are truncated to this many value bytes. Truncation is
@@ -56,7 +51,7 @@ use crate::query::{PredOp, PredValue, TwigQuery, ValuePred};
 /// probe stays a superset) and verification compares full strings.
 pub const STR_KEY_CAP: usize = 256;
 
-// A run stores what the trees store: its key bound is this one's.
+// A run stores these keys: its key bound is this one's.
 const _: () = assert!(4 + STR_KEY_CAP == VX_MAX_KEY_LEN);
 
 /// Order-preserving `f64` → `u64` transform (sign bit flipped for
@@ -104,19 +99,6 @@ fn floor_char_boundary(s: &str, cap: usize) -> usize {
     i
 }
 
-/// One opclass of the delta: key → its `(doc, leaf postorder)`
-/// postings, ascending.
-type Postings = BTreeMap<Vec<u8>, Vec<(DocId, PostNum)>>;
-
-/// Files `(doc, post)` under `key` in `(doc, post)` order: documents
-/// arrive in id order, but a document's leaves in arena order, not
-/// postorder.
-fn file_posting(map: &mut Postings, key: Vec<u8>, doc: DocId, post: PostNum) {
-    let postings = map.entry(key).or_default();
-    let at = postings.partition_point(|&p| p < (doc, post));
-    postings.insert(at, (doc, post));
-}
-
 /// The keys one leaf occurrence is indexed under: always one in the
 /// string opclass, and one in the numeric opclass too when the text
 /// parses as a (non-NaN) `f64`.
@@ -129,8 +111,8 @@ fn opclass_keys(tag: Sym, value: &str) -> (Option<[u8; 12]>, Vec<u8>) {
     (num, str_key(tag, value))
 }
 
-/// The run entries of one leaf occurrence (the bulk path sorts these
-/// into the bulk tier's value run).
+/// The run entries of one leaf occurrence (the tier writer sorts these
+/// into the tier's value run).
 pub(crate) fn run_entries(
     tag: Sym,
     value: &str,
@@ -158,284 +140,85 @@ pub struct ProbeStats {
     pub postings: u64,
 }
 
-/// The mutable delta of the value index: the opclass maps over the
-/// documents no segment tier holds yet. `Clone` takes a view, as
-/// [`crate::index::PrixIndex`]'s does: the clone shares the maps and
-/// keeps its own coverage horizon and counters, and its scans skip
-/// every posting of a document at or past [`Valix::covered`].
-///
-/// Coverage invariant: the tiers' runs partition `[0, delta_base)`, the
-/// maps here hold the leaves of `[delta_base, covered)`, and that is
-/// every document the engine has ([`Valix::write_run`] checks it at
-/// compaction).
-#[derive(Clone)]
-pub struct Valix {
-    /// The opclass maps by [`VxSection`] (numeric, string), shared by
-    /// the writer and every view under one lock an insert holds for a
-    /// whole document.
-    trees: Arc<RwLock<[Postings; 2]>>,
-    /// First document of the delta: where the segment tiers end.
-    delta_base: DocId,
-    /// Documents indexed here, `[delta_base, delta_base + delta_docs)`.
-    delta_docs: DocId,
-    num_postings: u64,
-    str_postings: u64,
-}
-
-impl Valix {
-    /// Creates an empty valix.
-    pub fn create() -> Self {
-        Valix {
-            trees: Arc::default(),
-            delta_base: 0,
-            delta_docs: 0,
-            num_postings: 0,
-            str_postings: 0,
-        }
-    }
-
-    /// The coverage horizon: documents `[0, covered)` have their leaves
-    /// indexed, in a tier's run or in the delta's maps.
-    pub fn covered(&self) -> DocId {
-        self.delta_base + self.delta_docs
-    }
-
-    /// First document of the delta.
-    pub fn delta_base(&self) -> DocId {
-        self.delta_base
-    }
-
-    /// `(numeric postings, string postings)` in the delta.
-    pub fn posting_counts(&self) -> (u64, u64) {
-        (self.num_postings, self.str_postings)
-    }
-
-    /// Places the empty delta behind the segment tiers, which end at
-    /// `delta_base` (the structural indexes' `set_doc_base`).
-    pub(crate) fn set_delta_base(&mut self, delta_base: DocId) {
-        debug_assert_eq!(self.delta_docs, 0, "only an empty delta moves");
-        self.delta_base = delta_base;
-    }
-
-    /// Indexes every leaf of `tree` as document `doc`. Documents must
-    /// arrive in id order with no gaps — the coverage horizon is what
-    /// makes the probe safe to trust.
-    pub fn index_tree(&mut self, tree: &XmlTree, doc: DocId, syms: &SymbolTable) -> Result<()> {
-        // Every insert path keeps the lockstep with the structural
-        // delta; a gap here would be a hole in the pre-filter that
-        // nothing reports.
-        assert_eq!(doc, self.covered(), "valix documents arrive in order");
-        let trees = Arc::clone(&self.trees);
-        let mut trees = trees.write().map_err(half_changed)?;
-        for node in tree.nodes() {
-            if !tree.is_leaf(node) || node == tree.root() {
-                continue;
-            }
-            let post = tree.postorder(node);
-            let parent = tree.parent_post(post).expect("non-root leaf has a parent");
-            let tag = tree.label_at(parent);
-            self.add_value(&mut trees, tag, syms.name(tree.label(node)), doc, post);
-        }
-        self.delta_docs += 1;
-        Ok(())
-    }
-
-    /// Indexes one leaf occurrence under its [`opclass_keys`] in
-    /// `trees`, this delta's, write-locked.
-    fn add_value(
-        &mut self,
-        trees: &mut [Postings; 2],
-        tag: Sym,
-        value: &str,
-        doc: DocId,
-        post: PostNum,
-    ) {
-        let (num, strs) = opclass_keys(tag, value);
-        if let Some(k) = num {
-            file_posting(&mut trees[VxSection::Num as usize], k.to_vec(), doc, post);
-            self.num_postings += 1;
-        }
-        file_posting(&mut trees[VxSection::Str as usize], strs, doc, post);
-        self.str_postings += 1;
-    }
-
-    /// Streams the delta into the value run of the tier a compaction is
-    /// folding it into: both maps, in run order already, straight into
-    /// the builder. `mutable_docs` is what the structural delta holds; a
-    /// delta that covers anything else is refused.
-    pub(crate) fn write_run(&self, out: Box<dyn RawStore>, mutable_docs: usize) -> Result<()> {
-        if self.delta_docs as usize != mutable_docs {
-            return Err(IndexError::Unsupported(format!(
-                "value index covers {} delta document(s) but the delta holds {mutable_docs}",
-                self.delta_docs
-            )));
-        }
-        let mut b = ValueRunBuilder::new(out, self.delta_base, self.delta_docs);
-        let trees = self.trees.read().map_err(half_changed)?;
-        for section in [VxSection::Num, VxSection::Str] {
-            for (key, postings) in &trees[section as usize] {
-                for &(doc, post) in postings {
-                    b.push(section, key, doc, post)?;
+/// Probes one predicate anchored at `tag` over `runs`, collecting the
+/// matching document ids. Returns `None` when the operator has no index
+/// strategy (`!=`: nearly everything matches, a scan would cost more
+/// than it saves) — the caller falls back to verification-only.
+pub(crate) fn probe_docs(
+    runs: &[&ValueRunReader],
+    tag: Sym,
+    pred: &ValuePred,
+    stats: &mut ProbeStats,
+) -> Result<Option<HashSet<DocId>>> {
+    let mut docs: HashSet<DocId> = HashSet::new();
+    let mut seen = 0u64;
+    // Scans one opclass over every run, with the contract of
+    // `ValueRunReader::scan` per run: `keep(key)` returning `false` ends
+    // the run it was reading, not the whole scan.
+    let mut scan = |section, lo: Bound<&[u8]>, hi: Bound<&[u8]>, keep: &dyn Fn(&[u8]) -> bool| {
+        for run in runs {
+            run.scan(section, lo, hi, |k, doc, _| {
+                let kept = keep(k);
+                if kept {
+                    seen += 1;
+                    docs.insert(doc);
                 }
-            }
+                kept
+            })?;
         }
-        Ok(b.finish()?)
-    }
-
-    /// Scans one opclass over every tier's run, then the delta, with
-    /// the contract of `ValueRunReader::scan` per source: `f(key, doc)`
-    /// returning `false` ends the source it was reading, not the whole
-    /// scan. The delta's postings past this handle's horizon never
-    /// reach `f`.
-    fn scan(
-        &self,
-        tiers: &[SegTier],
-        section: VxSection,
-        lo: Bound<&[u8]>,
-        hi: Bound<&[u8]>,
-        mut f: impl FnMut(&[u8], DocId) -> bool,
-    ) -> Result<()> {
-        for t in tiers {
-            t.vx.scan(section, lo, hi, |k, doc, _| f(k, doc))?;
+        Ok::<_, IndexError>(())
+    };
+    match &pred.value {
+        PredValue::Num(lit) => {
+            let lit = *lit;
+            let (lo, hi) = match pred.op {
+                PredOp::Eq => (num_key(tag, lit), num_key(tag, lit)),
+                PredOp::Lt | PredOp::Le => (num_key(tag, f64::NEG_INFINITY), num_key(tag, lit)),
+                PredOp::Gt | PredOp::Ge => (num_key(tag, lit), num_key(tag, f64::INFINITY)),
+                PredOp::Ne | PredOp::StartsWith => return Ok(None),
+            };
+            let lo_b = if pred.op == PredOp::Gt {
+                Bound::Excluded(&lo[..])
+            } else {
+                Bound::Included(&lo[..])
+            };
+            let hi_b = if pred.op == PredOp::Lt {
+                Bound::Excluded(&hi[..])
+            } else {
+                Bound::Included(&hi[..])
+            };
+            scan(VxSection::Num, lo_b, hi_b, &|_| true)?;
         }
-        let covered = self.covered();
-        let trees = self.trees.read().map_err(half_changed)?;
-        let past_hi = |k: &[u8]| match hi {
-            Bound::Included(h) => k > h,
-            Bound::Excluded(h) => k >= h,
-            Bound::Unbounded => false,
-        };
-        // Bounded below only: `BTreeMap::range` panics on bounds that
-        // cross, where a scan answers nothing.
-        let from = trees[section as usize].range::<[u8], _>((lo, Bound::Unbounded));
-        for (key, postings) in from.take_while(|(k, _)| !past_hi(k)) {
-            for &(doc, _) in postings.iter().take_while(|&&(doc, _)| doc < covered) {
-                if !f(key, doc) {
-                    return Ok(());
+        PredValue::Str(lit) => {
+            let key = str_key(tag, lit);
+            match pred.op {
+                PredOp::Eq => scan(
+                    VxSection::Str,
+                    Bound::Included(&key[..]),
+                    Bound::Included(&key[..]),
+                    &|_| true,
+                )?,
+                PredOp::StartsWith => {
+                    // A prefix is a contiguous key range: scan from the
+                    // prefix key, stop at the first key that no longer
+                    // starts with it. The next tag's first possible key
+                    // bounds the range above, which is what lets a run
+                    // that lacks the tag skip the scan.
+                    let next_tag = tag.0.checked_add(1).map(u32::to_be_bytes);
+                    let hi_b = next_tag
+                        .as_ref()
+                        .map_or(Bound::Unbounded, |t| Bound::Excluded(&t[..]));
+                    scan(VxSection::Str, Bound::Included(&key[..]), hi_b, &|k| {
+                        k.starts_with(&key)
+                    })?;
                 }
+                _ => return Ok(None),
             }
         }
-        Ok(())
     }
-
-    /// Probes one predicate anchored at `tag` over the tiers' runs and
-    /// the delta, collecting the matching document ids. Returns `None`
-    /// when the operator has no index strategy (`!=`: nearly everything
-    /// matches, a scan would cost more than it saves) — the caller
-    /// falls back to verification-only.
-    pub fn probe_docs(
-        &self,
-        tiers: &[SegTier],
-        tag: Sym,
-        pred: &ValuePred,
-        stats: &mut ProbeStats,
-    ) -> Result<Option<HashSet<DocId>>> {
-        let mut docs: HashSet<DocId> = HashSet::new();
-        let mut seen = 0u64;
-        let mut collect = |_k: &[u8], doc: DocId| {
-            seen += 1;
-            docs.insert(doc);
-            true
-        };
-        match &pred.value {
-            PredValue::Num(lit) => {
-                let lit = *lit;
-                let (lo, hi) = match pred.op {
-                    PredOp::Eq => (num_key(tag, lit), num_key(tag, lit)),
-                    PredOp::Lt | PredOp::Le => (num_key(tag, f64::NEG_INFINITY), num_key(tag, lit)),
-                    PredOp::Gt | PredOp::Ge => (num_key(tag, lit), num_key(tag, f64::INFINITY)),
-                    PredOp::Ne | PredOp::StartsWith => return Ok(None),
-                };
-                let lo_b = if pred.op == PredOp::Gt {
-                    Bound::Excluded(&lo[..])
-                } else {
-                    Bound::Included(&lo[..])
-                };
-                let hi_b = if pred.op == PredOp::Lt {
-                    Bound::Excluded(&hi[..])
-                } else {
-                    Bound::Included(&hi[..])
-                };
-                self.scan(tiers, VxSection::Num, lo_b, hi_b, collect)?;
-            }
-            PredValue::Str(lit) => {
-                let key = str_key(tag, lit);
-                match pred.op {
-                    PredOp::Eq => self.scan(
-                        tiers,
-                        VxSection::Str,
-                        Bound::Included(&key[..]),
-                        Bound::Included(&key[..]),
-                        collect,
-                    )?,
-                    PredOp::StartsWith => {
-                        // A prefix is a contiguous key range: scan from
-                        // the prefix key, stop at the first key that no
-                        // longer starts with it. The next tag's first
-                        // possible key bounds the range above, which is
-                        // what lets a run that lacks the tag skip the
-                        // scan.
-                        let next_tag = tag.0.checked_add(1).map(u32::to_be_bytes);
-                        let hi_b = next_tag
-                            .as_ref()
-                            .map_or(Bound::Unbounded, |t| Bound::Excluded(&t[..]));
-                        self.scan(
-                            tiers,
-                            VxSection::Str,
-                            Bound::Included(&key[..]),
-                            hi_b,
-                            |k, doc| k.starts_with(&key) && collect(k, doc),
-                        )?;
-                    }
-                    _ => return Ok(None),
-                }
-            }
-        }
-        stats.probes += 1;
-        stats.postings += seen;
-        Ok(Some(docs))
-    }
-
-    /// Full structural walk of the delta for `prix fsck`: scans both
-    /// opclass maps in key order, checks every key's length and that
-    /// every posting names a document of the delta
-    /// (`[delta_base, covered)`), and compares the posting counts against
-    /// the counters kept on insert. Returns `(numeric, string)` posting
-    /// counts. (The tiers' runs have their own
-    /// `prix_storage::ValueRunReader::verify`.)
-    pub fn verify(&self) -> Result<(u64, u64)> {
-        let docs = self.delta_base..self.covered();
-        let trees = self.trees.read().map_err(half_changed)?;
-        let mut counts = [0u64; 2];
-        for (section, count) in [VxSection::Num, VxSection::Str]
-            .into_iter()
-            .zip(&mut counts)
-        {
-            let name = section.name();
-            for (k, postings) in &trees[section as usize] {
-                *count += postings.len() as u64;
-                let outside = postings.iter().find(|(doc, _)| !docs.contains(doc));
-                let bad = if !section.key_len_ok(k.len()) {
-                    format!("{name} entry has key len {}", k.len())
-                } else if let Some((doc, _)) = outside {
-                    let (start, end) = (docs.start, docs.end);
-                    format!("{name} posting names doc {doc} outside the delta {start}..{end}")
-                } else {
-                    continue;
-                };
-                return Err(IndexError::Unsupported(format!("valix: {bad}")));
-            }
-        }
-        let [n_num, n_str] = counts;
-        if n_num != self.num_postings || n_str != self.str_postings {
-            return Err(IndexError::Unsupported(format!(
-                "valix: posting counts diverge (numeric {n_num} vs {} recorded, \
-                 string {n_str} vs {} recorded)",
-                self.num_postings, self.str_postings
-            )));
-        }
-        Ok((n_num, n_str))
-    }
+    stats.probes += 1;
+    stats.postings += seen;
+    Ok(Some(docs))
 }
 
 /// A query's predicates resolved for execution: the predicates
@@ -460,22 +243,22 @@ pub struct PredEval<'s> {
     /// probeable predicate; `None` when no predicate was probeable
     /// (`!=`-only).
     allowed: Option<HashSet<DocId>>,
-    /// The valix coverage horizon at probe time. Documents at or past
-    /// it were never indexed, so the pre-filter must admit them.
+    /// The coverage horizon: where the probed tiers end. Documents at or
+    /// past it — the delta's — have no postings, so the pre-filter must
+    /// admit them.
     covered: DocId,
     /// Probe counters, folded into the query stats by the runner.
     pub probe: ProbeStats,
 }
 
 impl<'s> PredEval<'s> {
-    /// Resolves `q`'s predicates against `syms`, probing the value
-    /// index — the runs of `tiers`, then the delta `valix` — for the
-    /// document pre-filter. `Ok(None)` when the query has no
+    /// Resolves `q`'s predicates against `syms`, probing the value runs
+    /// of `tiers` for the document pre-filter, which admits every
+    /// document past the last tier. `Ok(None)` when the query has no
     /// predicates.
     pub fn build(
         q: &TwigQuery,
         tiers: &[SegTier],
-        valix: &Valix,
         syms: &'s SymbolTable,
     ) -> Result<Option<PredEval<'s>>> {
         if q.preds().is_empty() {
@@ -487,11 +270,12 @@ impl<'s> PredEval<'s> {
             .iter()
             .map(|p| (tree.postorder(p.node), p.clone()))
             .collect();
+        let runs: Vec<&ValueRunReader> = tiers.iter().map(|t| &*t.vx).collect();
         let mut probe = ProbeStats::default();
         let mut allowed: Option<HashSet<DocId>> = None;
         for p in q.preds() {
             let tag = tree.label(p.node);
-            if let Some(docs) = valix.probe_docs(tiers, tag, p, &mut probe)? {
+            if let Some(docs) = probe_docs(&runs, tag, p, &mut probe)? {
                 allowed = Some(match allowed {
                     None => docs,
                     Some(acc) => acc.intersection(&docs).copied().collect(),
@@ -502,7 +286,7 @@ impl<'s> PredEval<'s> {
             items,
             syms,
             allowed,
-            covered: valix.covered(),
+            covered: tiers.last().map_or(0, |t| t.doc_base + t.n_docs),
             probe,
         }))
     }
@@ -584,13 +368,34 @@ impl<'s> PredEval<'s> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
+    use prix_storage::{IoStats, MemSegEnv, SegmentEnv, ValueRunBuilder};
+
     use super::*;
 
-    /// Indexes one leaf occurrence, as an insert does.
-    fn add(vx: &mut Valix, tag: Sym, value: &str, doc: DocId, post: PostNum) {
-        let trees = Arc::clone(&vx.trees);
-        let mut trees = trees.write().unwrap();
-        vx.add_value(&mut trees, tag, value, doc, post);
+    /// The value run of `leaves`, `(tag, value, doc)` each, every leaf
+    /// at postorder 1: their run entries sorted, as a tier writer sorts
+    /// them, and written to a [`MemSegEnv`].
+    fn run_of(leaves: &[(Sym, &str, DocId)]) -> ValueRunReader {
+        let env = MemSegEnv::new();
+        let mut entries: Vec<VxEntry> = leaves
+            .iter()
+            .flat_map(|&(tag, value, doc)| run_entries(tag, value, doc, 1))
+            .collect();
+        entries.sort();
+        let n_docs = leaves.iter().map(|&(_, _, doc)| doc + 1).max().unwrap_or(0);
+        let mut b = ValueRunBuilder::new(env.create(".vx.seg").unwrap(), 0, n_docs);
+        for e in &entries {
+            b.push(e.section, &e.key, e.doc, e.post).unwrap();
+        }
+        b.finish().unwrap();
+        ValueRunReader::open(env.open(".vx.seg").unwrap(), Arc::new(IoStats::new())).unwrap()
+    }
+
+    /// The documents `pred` anchored at `tag` probes in `run`.
+    fn probe(run: &ValueRunReader, tag: Sym, pred: &ValuePred) -> Option<HashSet<DocId>> {
+        probe_docs(&[run], tag, pred, &mut ProbeStats::default()).unwrap()
     }
 
     #[test]
@@ -635,20 +440,16 @@ mod tests {
 
     #[test]
     fn probe_agrees_with_accepts_on_numeric_ranges() {
-        let mut vx = Valix::create();
         let tag = Sym(3);
         let values = [
             "0", "-0", "1", "2.5", "9.99", "10", "10.0", "11", "-3", "1e2", "cheap", "inf",
         ];
-        for (i, v) in values.iter().enumerate() {
-            add(&mut vx, tag, v, i as DocId, 1);
-        }
-        vx.delta_docs = values.len() as DocId;
+        let leaves: Vec<_> = (0..).zip(values).map(|(i, v)| (tag, v, i)).collect();
+        let run = run_of(&leaves);
         for op in [PredOp::Eq, PredOp::Lt, PredOp::Le, PredOp::Gt, PredOp::Ge] {
             for lit in [0.0, 2.5, 10.0, -1.0] {
                 let p = pred(op, PredValue::Num(lit));
-                let mut stats = ProbeStats::default();
-                let got = vx.probe_docs(&[], tag, &p, &mut stats).unwrap().unwrap();
+                let got = probe(&run, tag, &p).unwrap();
                 let want: HashSet<DocId> = values
                     .iter()
                     .enumerate()
@@ -659,22 +460,15 @@ mod tests {
             }
         }
         // != has no index strategy.
-        let mut stats = ProbeStats::default();
-        assert!(vx
-            .probe_docs(&[], tag, &pred(PredOp::Ne, PredValue::Num(1.0)), &mut stats)
-            .unwrap()
-            .is_none());
+        assert!(probe(&run, tag, &pred(PredOp::Ne, PredValue::Num(1.0))).is_none());
     }
 
     #[test]
     fn probe_agrees_with_accepts_on_strings() {
-        let mut vx = Valix::create();
         let tag = Sym(5);
         let values = ["x7", "x70", "x8", "ax7", "", "x", "10"];
-        for (i, v) in values.iter().enumerate() {
-            add(&mut vx, tag, v, i as DocId, 1);
-        }
-        vx.delta_docs = values.len() as DocId;
+        let leaves: Vec<_> = (0..).zip(values).map(|(i, v)| (tag, v, i)).collect();
+        let run = run_of(&leaves);
         for p in [
             pred(PredOp::Eq, PredValue::Str("x7".into())),
             pred(PredOp::Eq, PredValue::Str("10".into())),
@@ -682,8 +476,7 @@ mod tests {
             pred(PredOp::StartsWith, PredValue::Str("x".into())),
             pred(PredOp::StartsWith, PredValue::Str("".into())),
         ] {
-            let mut stats = ProbeStats::default();
-            let got = vx.probe_docs(&[], tag, &p, &mut stats).unwrap().unwrap();
+            let got = probe(&run, tag, &p).unwrap();
             let want: HashSet<DocId> = values
                 .iter()
                 .enumerate()
@@ -780,88 +573,8 @@ mod tests {
 
     #[test]
     fn probe_is_tag_scoped() {
-        let mut vx = Valix::create();
-        add(&mut vx, Sym(1), "5", 0, 1);
-        add(&mut vx, Sym(2), "5", 1, 1);
-        vx.delta_docs = 2;
+        let run = run_of(&[(Sym(1), "5", 0), (Sym(2), "5", 1)]);
         let p = pred(PredOp::Eq, PredValue::Num(5.0));
-        let mut stats = ProbeStats::default();
-        let got = vx.probe_docs(&[], Sym(1), &p, &mut stats).unwrap().unwrap();
-        assert_eq!(got, HashSet::from([0]));
-    }
-
-    #[test]
-    fn verify_counts_what_the_inserts_counted() {
-        let mut vx = Valix::create();
-        add(&mut vx, Sym(1), "42", 0, 2);
-        add(&mut vx, Sym(1), "hello", 0, 4);
-        vx.delta_docs = 1;
-        assert_eq!(vx.covered(), 1);
-        assert_eq!(vx.posting_counts(), (1, 2));
-        assert_eq!(vx.verify().unwrap(), (1, 2));
-        vx.str_postings += 1;
-        assert!(
-            vx.verify().is_err(),
-            "a count that disagrees with the trees"
-        );
-    }
-
-    #[test]
-    fn verify_catches_horizon_violations() {
-        let mut vx = Valix::create();
-        add(&mut vx, Sym(1), "1", 5, 1);
-        vx.delta_docs = 1; // posting names doc 5: corrupt
-        assert!(vx.verify().is_err());
-        // A posting below the delta belongs to a tier's run.
-        vx.delta_docs = 6;
-        vx.verify().unwrap();
-        vx.delta_base = 6;
-        assert!(vx.verify().is_err());
-    }
-
-    #[test]
-    fn write_run_streams_the_delta_in_run_order() {
-        use prix_storage::{IoStats, MemStore, ValueRunReader};
-        let mut vx = Valix::create();
-        vx.delta_base = 100;
-        // Equal keys across documents, and within one in arena order
-        // (the later leaf first): each key's postings are filed in
-        // (doc, post) order, the run's.
-        for i in 0..3000u32 {
-            add(&mut vx, Sym(1), &format!("{}", i % 7), 100 + i, 3);
-            add(&mut vx, Sym(1), &format!("{}", i % 7), 100 + i, 1);
-            add(&mut vx, Sym(2), "word", 100 + i, 5);
-        }
-        vx.delta_docs = 3000;
-        let store = MemStore::new();
-        assert!(
-            vx.write_run(Box::new(store.clone()), 2999).is_err(),
-            "a delta that covers other documents than the structural one is refused"
-        );
-        vx.write_run(Box::new(store.clone()), 3000).unwrap();
-        let run = ValueRunReader::open(Box::new(store), Arc::new(IoStats::new())).unwrap();
-        assert_eq!((run.doc_base(), run.n_docs()), (100, 3000));
-        assert_eq!(run.posting_counts(), vx.posting_counts());
-        let check = run.verify().unwrap();
-        assert_eq!((check.num_postings, check.str_postings), (6000, 9000));
-        for section in [VxSection::Num, VxSection::Str] {
-            let from_delta: Vec<(Vec<u8>, DocId, PostNum)> = vx.trees.read().unwrap()
-                [section as usize]
-                .iter()
-                .flat_map(|(k, postings)| postings.iter().map(|&(d, p)| (k.clone(), d, p)))
-                .collect();
-            let mut from_run = Vec::new();
-            run.scan(
-                section,
-                Bound::Unbounded,
-                Bound::Unbounded,
-                |k, doc, post| {
-                    from_run.push((k.to_vec(), doc, post));
-                    true
-                },
-            )
-            .unwrap();
-            assert_eq!(from_run, from_delta, "{section:?}");
-        }
+        assert_eq!(probe(&run, Sym(1), &p), Some(HashSet::from([0])));
     }
 }

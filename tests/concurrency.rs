@@ -254,7 +254,7 @@ fn sharded_cold_io_matches_single_shard_pool() {
 
 /// Readers hold views of the delta and query them again and again
 /// while the writer ingests 3 000 documents into it — thousands of rows
-/// in both indexes' Trie-Symbol and Docid maps and both value maps,
+/// in both indexes' Trie-Symbol and Docid maps and their record store,
 /// which every view shares with the writer. Every answer a view gives
 /// must be its first one.
 #[test]

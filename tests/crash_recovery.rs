@@ -101,8 +101,8 @@ fn bulk_base(env: Arc<dyn SegmentEnv>, docs: &[String]) -> Result<PrixEngine, St
     b.finish().map_err(|e| format!("bulk finish: {e}"))
 }
 
-/// Reopens what a crash left in `fenv`; the tier files and the delta's
-/// value index must verify.
+/// Reopens what a crash left in `fenv`; the tier files — value runs
+/// included — must verify.
 fn reopen_after_crash(fenv: &FaultSegEnv) -> Result<(PrixEngine, Arc<MemSegEnv>), String> {
     let env = fenv.durable_env();
     let after =
@@ -113,10 +113,6 @@ fn reopen_after_crash(fenv: &FaultSegEnv) -> Result<(PrixEngine, Arc<MemSegEnv>)
     after
         .verify_tiers()
         .map_err(|e| format!("tier file verification after recovery: {e}"))?;
-    after
-        .valix()
-        .verify()
-        .map_err(|e| format!("valix verification after recovery: {e}"))?;
     Ok((after, env))
 }
 

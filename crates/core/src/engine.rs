@@ -35,11 +35,26 @@ use prix_xml::{Collection, Sym, SymbolTable};
 
 use crate::index::{IndexError, IndexKind, PrixIndex, Result};
 use crate::snapshot::EngineSnapshot;
-use crate::trie::LabelingMode;
 
 /// The label of the dummy child extended sequences give every leaf; no
 /// document can spell it.
 pub(crate) const DUMMY_LABEL: &str = "\u{1}prix-dummy";
+
+/// The type of the ignored [`EngineConfig::labeling`] field, and
+/// nothing else: every tier is labeled exactly by the segments'
+/// streaming trie, and the delta labels each insert as it arrives.
+/// It stays only because the benchmark harness
+/// (`crates/bench/examples/prixbench`) names both variants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LabelingMode {
+    /// A DFS numbering of the whole trie (§5.2.1's exact labels).
+    Exact,
+    /// §5.2.1's α-prefix pre-allocation; nothing implements it.
+    Dynamic {
+        /// Prefix depth that would receive pre-allocated ranges.
+        alpha: usize,
+    },
+}
 
 /// Engine construction options.
 #[derive(Debug, Clone)]
@@ -612,6 +627,13 @@ impl PrixEngine {
         }
         if let Some(&doc_base) = eps.keys().chain(vxs.keys()).next() {
             return Err(lacks("RP segment", doc_base));
+        }
+        // Every build and compaction writes at least one tier.
+        if tiers.is_empty() {
+            return Err(IndexError::Unsupported(format!(
+                "manifest generation {} lists no tier; re-index the source documents",
+                m.generation
+            )));
         }
         // The tiers partition `[0, next)`; the delta covers the rest.
         self.segments = tiers;

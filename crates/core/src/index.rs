@@ -214,10 +214,6 @@ pub struct BuildStats {
     pub sequences: u64,
     /// Maximum number of sequences sharing one path.
     pub max_path_sharing: u64,
-    /// Scope underflows: always 0 — a tier is labeled exactly, and the
-    /// delta refuses a document it has no scope for. The field stays in
-    /// the segment meta blob's format.
-    pub underflows: u64,
     /// Total length of all indexed sequences.
     pub total_seq_len: u64,
 }
@@ -692,7 +688,7 @@ impl PrixIndex {
         self.kind
     }
 
-    /// Build-time statistics (trie sharing, underflows, ...).
+    /// Build-time statistics (trie sharing, sequence lengths, ...).
     pub fn build_stats(&self) -> &BuildStats {
         &self.build_stats
     }
@@ -1266,7 +1262,8 @@ pub(crate) fn encode_seg_index_meta(
         stats.trie_paths as u64,
         stats.sequences,
         stats.max_path_sharing,
-        stats.underflows,
+        // Scope underflows: a word the format keeps, always 0.
+        0,
         stats.total_seq_len,
     ] {
         w.var(stat);
@@ -1307,8 +1304,11 @@ pub(crate) fn decode_seg_index_meta(
         trie_paths: r.var()? as usize,
         sequences: r.var()?,
         max_path_sharing: r.var()?,
-        underflows: r.var()?,
-        total_seq_len: r.var()?,
+        // The scope-underflow word (always 0), then the total.
+        total_seq_len: {
+            r.var()?;
+            r.var()?
+        },
     };
     r.0.is_empty()
         .then(|| (kind, dummy, maxgap, childless.into_iter().collect(), stats))

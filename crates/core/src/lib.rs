@@ -50,11 +50,10 @@ pub mod query;
 pub mod scan;
 pub mod segbuild;
 pub mod snapshot;
-pub mod trie;
 pub mod valix;
 pub mod xpath;
 
-pub use engine::{EngineConfig, IngestOutcome, PrixEngine, SegTier, TierCheck};
+pub use engine::{EngineConfig, IngestOutcome, LabelingMode, PrixEngine, SegTier, TierCheck};
 pub use exec::MatchStream;
 pub use index::{ExecOpts, IndexKind, PrixIndex, QueryStats, TwigMatch};
 pub use plan::{
@@ -67,7 +66,6 @@ pub use prix_storage::{
 pub use query::{PredOp, PredValue, TwigBuilder, TwigQuery, ValuePred};
 pub use segbuild::{BulkBuilder, DEFAULT_RUN_MEM_BYTES};
 pub use snapshot::{EngineSnapshot, IngestReport, QueryOutcome, SharedEngine};
-pub use trie::{LabelingMode, VirtualTrie};
 pub use valix::{PredEval, ProbeStats};
 pub use xpath::{parse_xpath, XPathError};
 
@@ -109,7 +107,6 @@ mod tests {
             trie_paths: 1,
             sequences: 1,
             max_path_sharing: 1,
-            underflows: 0,
             total_seq_len: 9,
         };
         type Decodes = fn(&[u8]) -> bool;

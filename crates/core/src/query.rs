@@ -240,14 +240,6 @@ impl TwigQuery {
         false
     }
 
-    /// Number of branching nodes (nodes with ≥ 2 children).
-    pub fn branch_count(&self) -> usize {
-        self.tree
-            .nodes()
-            .filter(|&n| self.tree.children(n).len() >= 2)
-            .count()
-    }
-
     /// Renders the twig in a compact single-line form for debugging.
     pub fn display(&self, syms: &SymbolTable) -> String {
         let mut out = String::new();
@@ -468,17 +460,6 @@ mod tests {
         assert_eq!(eq.edges[1], EdgeKind::Child); // SYM
         assert_eq!(eq.edges[2], EdgeKind::Descendant); // NP
         assert_eq!(eq.seq.len(), 3);
-    }
-
-    #[test]
-    fn branch_count() {
-        let mut syms = SymbolTable::new();
-        let q = q1(&mut syms);
-        assert_eq!(q.branch_count(), 1);
-        let mut b = TwigBuilder::new(&mut syms, "a");
-        b.child("b", EdgeKind::Child);
-        let q2 = b.finish();
-        assert_eq!(q2.branch_count(), 0);
     }
 
     #[test]

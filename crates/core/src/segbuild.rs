@@ -200,7 +200,6 @@ fn build_stats(st: &prix_storage::SegTrieStats) -> BuildStats {
         trie_paths: st.leaves as usize,
         sequences: st.sequences,
         max_path_sharing: st.max_path_sharing,
-        underflows: 0,
         total_seq_len: st.total_path_len,
     }
 }

@@ -61,6 +61,15 @@ use crate::json::JsonWriter;
 use crate::metrics::{Endpoint, Metrics, Sample, Stage};
 use crate::workers::{QueueProbe, WorkerPool};
 
+/// Socket write timeout (a non-draining client is cut).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+/// Default cap on embeddings returned per query (`limit=` overrides,
+/// `limit=0` means unlimited). The total count is always reported.
+const MATCH_LIMIT: usize = 1000;
+/// Entries in the plan cache (XPath string → parsed twig, invalidated
+/// only by symbol-table growth).
+const PLAN_CACHE_ENTRIES: usize = 1024;
+
 /// Server tuning knobs. `Default` is sized for tests and small
 /// deployments; the CLI exposes the interesting ones as flags.
 #[derive(Debug, Clone)]
@@ -81,11 +90,6 @@ pub struct ServerConfig {
     pub batch_threads: usize,
     /// Socket read timeout (a stalled client gets `408` and is cut).
     pub read_timeout: Duration,
-    /// Socket write timeout (a non-draining client is cut).
-    pub write_timeout: Duration,
-    /// Default cap on embeddings returned per query (`limit=` overrides,
-    /// `limit=0` means unlimited). The total count is always reported.
-    pub match_limit: usize,
     /// Whether `POST /documents` is enabled. Off by default: a serving
     /// replica should not silently accept writes.
     pub ingest: bool,
@@ -100,9 +104,6 @@ pub struct ServerConfig {
     /// Entries in the epoch-keyed result cache shared by `/query` and
     /// `/batch`. 0 disables result caching.
     pub result_cache_entries: usize,
-    /// Entries in the plan cache (XPath string → parsed twig,
-    /// invalidated only by symbol-table growth).
-    pub plan_cache_entries: usize,
     /// Compact once the mutable delta reaches this many documents
     /// (checked after each ingest publish). `None` disables automatic
     /// compaction; `prix compact` always works offline.
@@ -121,13 +122,10 @@ impl Default for ServerConfig {
             max_connections: 256,
             batch_threads: 4,
             read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            match_limit: 1000,
             ingest: false,
             idle_timeout: Duration::from_secs(5),
             max_requests_per_conn: 1000,
             result_cache_entries: 4096,
-            plan_cache_entries: 1024,
             compact_after: None,
         }
     }
@@ -222,7 +220,7 @@ impl Server {
         let shared = Arc::new(Shared {
             engine,
             metrics: Metrics::new(),
-            plan_cache: PlanCache::new(cfg.plan_cache_entries),
+            plan_cache: PlanCache::new(PLAN_CACHE_ENTRIES),
             result_cache,
             alt_cache: AltCache::new(),
             cfg,
@@ -329,7 +327,7 @@ fn accept_loop(
             return;
         }
         let _ = stream.set_read_timeout(Some(shared.cfg.read_timeout));
-        let _ = stream.set_write_timeout(Some(shared.cfg.write_timeout));
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let _ = stream.set_nodelay(true);
 
         shared.active_conns.fetch_add(1, Ordering::Relaxed);
@@ -376,19 +374,7 @@ fn shed_loop(rx: &mpsc::Receiver<TcpStream>, shared: &Arc<Shared>) {
             .header("Retry-After", "1")
             .json(r#"{"error":"server saturated, retry later"}"#);
         if resp.write_to(&mut stream).is_ok() {
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-            let mut sink = [0u8; 4096];
-            let mut drained = 0usize;
-            while let Ok(n) = stream.read(&mut sink) {
-                if n == 0 {
-                    break;
-                }
-                drained += n;
-                if drained > 64 * 1024 {
-                    break;
-                }
-            }
+            half_close_and_drain(&stream, &stream);
         }
         shared.metrics.record(Endpoint::Other, 503, start.elapsed());
     }
@@ -469,14 +455,22 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
         }
     }
     let _ = writer.flush();
-    // Half-close and drain leftover request bytes (e.g. the body we
-    // refused with 413) before dropping: closing with unread data in
-    // the receive buffer would RST the response away (see shed_loop).
-    let _ = writer.shutdown(std::net::Shutdown::Write);
-    let _ = writer.set_read_timeout(Some(Duration::from_millis(200)));
+    // Drain leftover request bytes (e.g. the body we refused with 413),
+    // the reader's buffer first.
+    half_close_and_drain(&writer, reader);
+}
+
+/// Half-closes `stream` and reads what the client still sends through
+/// `unread` — until its EOF, a 200 ms read timeout or 64 KiB — before
+/// the socket is dropped: closing with unread data in the receive
+/// buffer sends RST, and the client's copy of the response would be
+/// discarded (see [`shed_loop`]).
+fn half_close_and_drain(stream: &TcpStream, mut unread: impl Read) {
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut sink = [0u8; 4096];
     let mut drained = 0usize;
-    while let Ok(n) = reader.read(&mut sink) {
+    while let Ok(n) = unread.read(&mut sink) {
         if n == 0 {
             break;
         }
@@ -644,7 +638,7 @@ fn handle_query(req: &Request, shared: &Arc<Shared>) -> Response {
     // stops once enough distinct matches streamed out. `limit=0` asks
     // for everything; absent, the server's configured cap applies.
     let opts = match req.param("limit").map(str::parse::<usize>) {
-        None => ExecOpts::new().with_limit(shared.cfg.match_limit),
+        None => ExecOpts::new().with_limit(MATCH_LIMIT),
         Some(Ok(0)) => ExecOpts::new(),
         Some(Ok(n)) => ExecOpts::new().with_limit(n),
         Some(Err(_)) => return Response::new(400).json(error_json("bad `limit` parameter")),

@@ -51,7 +51,8 @@
 //! * `structural` — RP and EP segments ([`SegmentBuilder`],
 //!   [`SegmentReader`]): delta-coded varint rows, a restart every 16
 //!   and at every change of symbol, the streaming trie labeler that
-//!   produces them, per-document records.
+//!   produces them (and [`label_paths`], its in-memory entry),
+//!   per-document records.
 //! * `valuerun` — a tier's value index ([`ValueRunBuilder`],
 //!   [`ValueRunReader`]): entries with prefix-coded keys and
 //!   delta-coded postings, and a resident tag directory.
@@ -75,8 +76,8 @@ pub use env::{env_temp_factory, FileSegEnv, MemSegEnv, SegmentEnv};
 pub use manifest::{Manifest, ManifestSegment};
 pub use sort::{ExternalSorter, SortItem, TempFactory};
 pub use structural::{
-    SegTrieStats, SegmentBuilder, SegmentCheck, SegmentLayout, SegmentReader, SEG_KIND_EP,
-    SEG_KIND_RP, SEG_VERSION,
+    label_paths, DocEnd, SegTrieStats, SegmentBuilder, SegmentCheck, SegmentLayout, SegmentReader,
+    TagEntry, SEG_KIND_EP, SEG_KIND_RP, SEG_VERSION,
 };
 pub use symrun::{SymbolRun, SEG_KIND_SYM, SYM_VERSION};
 pub use valuerun::{

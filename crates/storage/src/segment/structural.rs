@@ -65,8 +65,10 @@
 //!
 //! The builder sorts label paths once with bounded memory
 //! ([`super::sort`]), streams them through a virtual trie that assigns
-//! the exact labels a bulk `VirtualTrie::assign_ranges(Exact)` would,
-//! sorts the finished tag rows a second time and lays the sections out.
+//! §5.2.1's labels exactly (a DFS numbering), sorts the finished tag
+//! rows a second time and lays the sections out. [`label_paths`] runs
+//! the same trie over label paths held in memory (the ViST baseline's
+//! index is labeled by it).
 
 use std::sync::Arc;
 
@@ -167,7 +169,7 @@ impl SortItem for PathEntry {
 
 /// One Trie-Symbol row of a segment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct TagEntry {
+pub struct TagEntry {
     /// Trie symbol.
     pub sym: u32,
     /// LeftPos of the containment range.
@@ -292,7 +294,7 @@ impl SortItem for TagEntry {
 
 /// One Docid row of a segment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct DocEnd {
+pub struct DocEnd {
     /// LeftPos of the trie node where the sequence ends.
     pub left: u64,
     /// Local document id.
@@ -353,8 +355,8 @@ impl FixedRow for DocEnd {
 // Streaming trie labeler
 // ---------------------------------------------------------------------------
 
-/// Statistics of the virtual trie a segment build streamed through,
-/// bit-compatible with the in-memory `VirtualTrie` counters.
+/// Statistics of the virtual trie a set of label paths streamed
+/// through.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SegTrieStats {
     /// Labeled (non-root) trie nodes.
@@ -379,31 +381,30 @@ struct TrieFrame {
 }
 
 /// Streams `(path, doc)` entries — which **must** arrive in ascending
-/// `(path, doc)` order — through a virtual-trie DFS, assigning the same
-/// exact labels a bulk `VirtualTrie::assign_ranges(Exact)` would:
-/// `left` = DFS first-visit rank (children in symbol order), `right` =
-/// max `left` in the subtree, per-node fine gaps max-folded across the
-/// sequences passing through. Finished tag rows leave at node pop, in
-/// postorder, so they go to a second sort by `(sym, left)`; doc-end
-/// rows come out in `(left, doc)` order already and are tiny (one per
-/// document), so they stay in memory.
-struct StreamTrie {
+/// `(path, doc)` order — through a virtual-trie DFS, assigning the
+/// exact labels of §5.2.1: `left` = DFS first-visit rank (children in
+/// symbol order, the root 0), `right` = max `left` in the subtree,
+/// per-node fine gaps max-folded across the sequences passing through.
+/// Finished tag rows leave through `sink` at node pop, in postorder;
+/// doc-end rows come out in `(left, doc)` order already and are tiny
+/// (one per document), so they stay in memory.
+struct StreamTrie<S> {
     stack: Vec<TrieFrame>,
     prev_path: Vec<u32>,
     counter: u64,
     stats: SegTrieStats,
-    tags: ExternalSorter<TagEntry>,
+    sink: S,
     doc_ends: Vec<DocEnd>,
 }
 
-impl StreamTrie {
-    fn new(tags: ExternalSorter<TagEntry>) -> Self {
+impl<S: FnMut(TagEntry) -> Result<()>> StreamTrie<S> {
+    fn new(sink: S) -> Self {
         StreamTrie {
             stack: Vec::new(),
             prev_path: Vec::new(),
             counter: 0,
             stats: SegTrieStats::default(),
-            tags,
+            sink,
             doc_ends: Vec::new(),
         }
     }
@@ -416,7 +417,7 @@ impl StreamTrie {
                 self.stats.max_path_sharing = f.weight;
             }
         }
-        self.tags.push(TagEntry {
+        (self.sink)(TagEntry {
             sym: f.sym,
             left: f.left,
             right: self.counter.max(f.left),
@@ -425,17 +426,18 @@ impl StreamTrie {
         })
     }
 
-    fn insert(&mut self, e: &PathEntry) -> Result<()> {
+    /// Inserts `doc`'s label path and its fine gaps (one per symbol).
+    fn insert(&mut self, path: &[u32], gaps: &[u32], doc: u32) -> Result<()> {
         debug_assert!(
-            (e.path.as_slice(), e.doc) >= (self.prev_path.as_slice(), 0),
+            (path, doc) >= (self.prev_path.as_slice(), 0),
             "path entries must arrive sorted"
         );
         self.stats.sequences += 1;
-        self.stats.total_path_len += e.path.len() as u64;
+        self.stats.total_path_len += path.len() as u64;
         let common = self
             .prev_path
             .iter()
-            .zip(e.path.iter())
+            .zip(path)
             .take_while(|(a, b)| a == b)
             .count();
         while self.stack.len() > common {
@@ -446,21 +448,21 @@ impl StreamTrie {
         for (i, f) in self.stack.iter_mut().enumerate() {
             f.weight += 1;
             if f.fine_gap == u32::MAX {
-                f.fine_gap = e.gaps[i];
+                f.fine_gap = gaps[i];
             } else {
-                f.fine_gap = f.fine_gap.max(e.gaps[i]);
+                f.fine_gap = f.fine_gap.max(gaps[i]);
             }
         }
-        for i in common..e.path.len() {
+        for i in common..path.len() {
             if let Some(parent) = self.stack.last_mut() {
                 parent.has_child = true;
             }
             self.counter += 1;
             self.stack.push(TrieFrame {
-                sym: e.path[i],
+                sym: path[i],
                 level: (i + 1) as u32,
                 left: self.counter,
-                fine_gap: e.gaps[i],
+                fine_gap: gaps[i],
                 weight: 1,
                 has_child: false,
             });
@@ -468,23 +470,47 @@ impl StreamTrie {
         }
         let end = DocEnd {
             left: self.stack.last().map_or(0, |f| f.left),
-            doc: e.doc,
+            doc,
         };
         debug_assert!(self.doc_ends.last().is_none_or(|p| *p < end));
         self.doc_ends.push(end);
         self.prev_path.clear();
-        self.prev_path.extend_from_slice(&e.path);
+        self.prev_path.extend_from_slice(path);
         Ok(())
     }
 
-    /// The trie's statistics, its tag rows (still to be drained in
-    /// `(sym, left)` order) and its doc-end rows.
-    fn finish(mut self) -> Result<(SegTrieStats, ExternalSorter<TagEntry>, Vec<DocEnd>)> {
+    /// Pops what is left through the sink; returns the trie's
+    /// statistics and its doc-end rows.
+    fn finish(mut self) -> Result<(SegTrieStats, Vec<DocEnd>)> {
         while !self.stack.is_empty() {
             self.pop()?;
         }
-        Ok((self.stats, self.tags, self.doc_ends))
+        Ok((self.stats, self.doc_ends))
     }
+}
+
+/// Labels the virtual trie over `paths` — one `(label path, document)`
+/// pair per document, in any order — in memory, through the same
+/// streaming trie a segment build runs, with every fine gap 0. Returns
+/// the tag rows in `(sym, left)` order, the doc-end rows in `(left,
+/// doc)` order and the trie's statistics.
+pub fn label_paths(mut paths: Vec<(Vec<u32>, u32)>) -> (Vec<TagEntry>, Vec<DocEnd>, SegTrieStats) {
+    paths.sort_unstable();
+    let longest = paths.iter().map(|(p, _)| p.len()).max().unwrap_or(0);
+    let zeros = vec![0; longest];
+    let mut tags = Vec::new();
+    let mut trie = StreamTrie::new(|t| {
+        tags.push(t);
+        Ok(())
+    });
+    let in_memory = "an in-memory labeling cannot fail";
+    for (path, doc) in &paths {
+        trie.insert(path, &zeros[..path.len()], *doc)
+            .expect(in_memory);
+    }
+    let (stats, doc_ends) = trie.finish().expect(in_memory);
+    tags.sort_unstable();
+    (tags, doc_ends, stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -782,10 +808,11 @@ impl SegmentBuilder {
         w.pad_to_block();
 
         // Merge the path runs through the streaming trie.
-        let tag_sorter = ExternalSorter::new(self.run_budget, fwd_temp(&self.temp));
-        let mut trie = StreamTrie::new(tag_sorter);
-        self.sorter.drain(|e| trie.insert(&e))?;
-        let (stats, tag_sorter, doc_ends) = trie.finish()?;
+        let mut tag_sorter = ExternalSorter::new(self.run_budget, fwd_temp(&self.temp));
+        let mut trie = StreamTrie::new(|t| tag_sorter.push(t));
+        self.sorter
+            .drain(|e| trie.insert(&e.path, &e.gaps, e.doc))?;
+        let (stats, doc_ends) = trie.finish()?;
 
         // Tag rows packed into blocks, then their fences (the first key
         // of every block).
@@ -1225,8 +1252,8 @@ pub(crate) mod tests {
     /// (sym, level, children, fine_gap, doc_ends) of one oracle node.
     type RefNode = (u32, u32, BTreeMap<u32, usize>, u32, Vec<u32>);
 
-    /// Reference trie with the exact-labeling semantics of
-    /// `VirtualTrie::assign_ranges(Exact)`, used as the oracle.
+    /// Reference trie, used as the oracle: built whole in memory, then
+    /// labeled exactly by one DFS numbering once every path is in.
     #[derive(Default)]
     struct RefTrie {
         nodes: Vec<RefNode>,
@@ -1474,7 +1501,25 @@ pub(crate) mod tests {
         let r = open_reader(&env);
         assert_eq!(r.hdr.n_tag, exp_tags.len() as u64);
         assert_eq!(r.hdr.n_doc, exp_ends.len() as u64);
-        assert_eq!(stats.sequences, paths.len() as u64);
+        // The statistics, from the oracle's rows: a leaf's range is its
+        // own left alone, and every sequence through a leaf ends there.
+        let leaves: Vec<u64> = exp_tags
+            .iter()
+            .filter(|t| t.right == t.left)
+            .map(|t| t.left)
+            .collect();
+        let sharing = leaves
+            .iter()
+            .map(|&l| exp_ends.iter().filter(|e| e.left == l).count() as u64)
+            .max();
+        let want_stats = SegTrieStats {
+            nodes: exp_tags.len() as u64,
+            leaves: leaves.len() as u64,
+            sequences: paths.len() as u64,
+            max_path_sharing: sharing.unwrap_or(0),
+            total_path_len: paths.iter().map(|(p, _)| p.len() as u64).sum(),
+        };
+        assert_eq!(stats, want_stats);
         // Full-range scans per symbol reproduce the oracle rows.
         for sym in 0..6u32 {
             let got = r.scan_tag_range(sym, 0, u64::MAX).unwrap();
@@ -1490,6 +1535,16 @@ pub(crate) mod tests {
             .unwrap();
         let want_ends: Vec<u32> = exp_ends.iter().map(|e| e.doc).collect();
         assert_eq!(got_ends, want_ends);
+        // The in-memory labeler is the same trie with every fine gap 0.
+        let zeroed: Vec<_> = paths
+            .iter()
+            .map(|(p, _)| (p.clone(), vec![0; p.len()]))
+            .collect();
+        let docs = paths.iter().enumerate();
+        let (tags, ends, mem_stats) =
+            label_paths(docs.map(|(d, (p, _))| (p.clone(), d as u32)).collect());
+        assert_eq!((tags, ends), oracle_rows(&zeroed));
+        assert_eq!(mem_stats, want_stats);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use prix_core::trie::{LabelingMode, VirtualTrie};
+use prix_storage::segment::label_paths;
 use prix_storage::{BPlusTree, BufferPool};
 use prix_xml::{Collection, Sym};
 
@@ -54,50 +54,52 @@ impl VistIndex {
     pub fn build(pool: Arc<BufferPool>, collection: &Collection) -> Result<Self> {
         let mut pair_ids: HashMap<PairKey, u32> = HashMap::new();
         let mut pairs: Vec<PairKey> = Vec::new();
-        let mut trie = VirtualTrie::new();
+        let mut paths: Vec<(Vec<u32>, u32)> = Vec::with_capacity(collection.len());
         let mut total_seq_len = 0u64;
         let mut key_bytes = 0u64;
 
         for (doc, tree) in collection.iter() {
             let seq = structure_encode(tree);
             total_seq_len += seq.len() as u64;
-            let ids: Vec<Sym> = seq
+            let ids: Vec<u32> = seq
                 .into_iter()
                 .map(|pk| {
                     key_bytes += 4 + 4 * pk.prefix.len() as u64;
-                    let id = *pair_ids.entry(pk.clone()).or_insert_with(|| {
+                    *pair_ids.entry(pk.clone()).or_insert_with(|| {
                         pairs.push(pk);
                         (pairs.len() - 1) as u32
-                    });
-                    Sym(id)
+                    })
                 })
                 .collect();
-            // Reuse the PRIX virtual trie over the pair-id alphabet.
-            trie.insert(&ids, doc);
+            paths.push((ids, doc));
         }
-        trie.assign_ranges(LabelingMode::Exact);
+        // PRIX's virtual trie over the pair-id alphabet, labeled by the
+        // segments' streaming labeler.
+        let (tags, doc_ends, trie) = label_paths(paths);
 
-        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        trie.for_each_node(|n| {
-            let pk = &pairs[n.sym.0 as usize];
-            let mut v = Vec::with_capacity(12);
-            v.extend_from_slice(&n.right.to_le_bytes());
-            v.extend_from_slice(&n.sym.0.to_le_bytes());
-            entries.push((dancestor_key(pk.sym, &pk.prefix, n.left), v));
-        });
+        let mut entries: Vec<(Vec<u8>, Vec<u8>)> = tags
+            .iter()
+            .map(|t| {
+                let pk = &pairs[t.sym as usize];
+                let mut v = Vec::with_capacity(12);
+                v.extend_from_slice(&t.right.to_le_bytes());
+                v.extend_from_slice(&t.sym.to_le_bytes());
+                (dancestor_key(pk.sym, &pk.prefix, t.left), v)
+            })
+            .collect();
         entries.sort();
         let dancestor = BPlusTree::bulk_load(Arc::clone(&pool), entries, 0.9)?;
 
-        let mut doc_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        trie.for_each_doc_end(|left, doc| {
-            doc_entries.push((left.to_be_bytes().to_vec(), doc.to_le_bytes().to_vec()));
-        });
+        let mut doc_entries: Vec<(Vec<u8>, Vec<u8>)> = doc_ends
+            .iter()
+            .map(|e| (e.left.to_be_bytes().to_vec(), e.doc.to_le_bytes().to_vec()))
+            .collect();
         doc_entries.sort();
         let docid = BPlusTree::bulk_load(Arc::clone(&pool), doc_entries, 0.9)?;
 
         let build_stats = VistBuildStats {
             unique_keys: pairs.len(),
-            trie_nodes: trie.node_count(),
+            trie_nodes: trie.nodes as usize,
             total_seq_len,
             key_bytes,
         };

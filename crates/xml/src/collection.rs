@@ -7,7 +7,7 @@
 use crate::parser::{parse_document, ParseError};
 use crate::stats::CollectionStats;
 use crate::sym::{Sym, SymbolTable};
-use crate::tree::{NodeKind, XmlTree};
+use crate::tree::XmlTree;
 
 /// Identifier of a document within a [`Collection`] (dense, 0-based).
 pub type DocId = u32;
@@ -135,22 +135,6 @@ impl Collection {
     pub fn total_nodes(&self) -> u64 {
         self.docs.iter().map(|t| t.len() as u64).sum()
     }
-
-    /// Counts nodes with a given label (handy for selectivity checks).
-    pub fn label_frequency(&self, sym: Sym) -> u64 {
-        self.docs
-            .iter()
-            .map(|t| t.nodes().filter(|&n| t.label(n) == sym).count() as u64)
-            .sum()
-    }
-
-    /// Counts value (text) leaves across the collection.
-    pub fn value_count(&self) -> u64 {
-        self.docs
-            .iter()
-            .map(|t| t.nodes().filter(|&n| t.kind(n) == NodeKind::Text).count() as u64)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -189,15 +173,6 @@ mod tests {
         assert_eq!(s.max_depth, 3);
         assert_eq!(s.total_nodes, 6);
         assert!(s.size_bytes > 0);
-    }
-
-    #[test]
-    fn label_frequency_counts_across_docs() {
-        let mut c = Collection::new();
-        c.add_xml("<a><a/><b/></a>").unwrap();
-        c.add_xml("<a/>").unwrap();
-        let a = c.symbols().lookup("a").unwrap();
-        assert_eq!(c.label_frequency(a), 3);
     }
 
     #[test]

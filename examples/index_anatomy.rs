@@ -1,14 +1,14 @@
 //! A guided tour of the PRIX machinery on one small document: Prüfer
 //! sequences (§3), subsequence filtering (§4.1), the refinement phases
-//! (§4.2–§4.4), and the virtual trie's labeling schemes (§5.2.1).
+//! (§4.2–§4.4), and the virtual trie's labels (§5.2.1).
 //!
 //! ```sh
 //! cargo run --example index_anatomy
 //! ```
 
-use prix::core::trie::{LabelingMode, VirtualTrie};
 use prix::prufer::{subsequence_positions, ExtendedTree, PruferSeq};
-use prix::xml::{parse_document, SymbolTable};
+use prix::storage::segment::label_paths;
+use prix::xml::{parse_document, Sym, SymbolTable};
 
 fn main() {
     let mut syms = SymbolTable::new();
@@ -55,31 +55,29 @@ fn main() {
     );
     println!("(each position p is the deletion of data node p — Lemma 1)");
 
-    // The virtual trie and its two labeling schemes.
-    let mut trie = VirtualTrie::new();
-    trie.insert(&seq.lps, 0);
-    trie.insert(&eseq.lps, 1);
-    trie.assign_ranges(LabelingMode::Exact);
+    // The virtual trie over both sequences, labeled exactly (§5.2.1):
+    // every node's (LeftPos, RightPos) range contains its descendants'.
+    let paths = [(&seq.lps, 0), (&eseq.lps, 1)]
+        .into_iter()
+        .map(|(lps, doc)| (lps.iter().map(|s| s.0).collect(), doc))
+        .collect();
+    let (mut tags, ends, stats) = label_paths(paths);
     println!(
-        "\nvirtual trie: {} nodes, {} paths, containment violations: {}",
-        trie.node_count(),
-        trie.leaf_count(),
-        trie.validate_containment()
+        "\nvirtual trie: {} nodes, {} paths",
+        stats.nodes, stats.leaves
     );
-
-    let mut dyn_trie = VirtualTrie::new();
-    // Insert many sequences to provoke dynamic-labeling underflows.
-    for i in 0..50 {
-        let mut s = seq.lps.clone();
-        let k = i % s.len();
-        s.rotate_left(k);
-        dyn_trie.insert(&s, i as u32);
+    tags.sort_by_key(|t| t.left);
+    for t in &tags {
+        println!(
+            "  {:>width$}{} [{}, {}]",
+            "",
+            syms.name(Sym(t.sym)),
+            t.left,
+            t.right,
+            width = 2 * (t.level as usize - 1)
+        );
     }
-    dyn_trie.assign_ranges(LabelingMode::Dynamic { alpha: 2 });
-    println!(
-        "dynamic labeling (alpha=2): {} nodes, {} scope underflows, violations: {}",
-        dyn_trie.node_count(),
-        dyn_trie.underflows(),
-        dyn_trie.validate_containment()
-    );
+    for e in &ends {
+        println!("sequence {} ends at LeftPos {}", e.doc, e.left);
+    }
 }

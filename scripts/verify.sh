@@ -25,6 +25,13 @@ for example in examples/*.rs; do
   cargo run --release --offline --locked --quiet --example "$(basename "$example" .rs)" >/dev/null
 done
 
+# The paper's nine queries (Table 3) on every engine at a small scale:
+# run_experiments exits 1 when PRIX, ViST, TwigStack, TwigStackXB or
+# the oracle counts other than the paper's matches. Its mismatch lines
+# and verdict are what is printed.
+cargo run --release --offline --locked --quiet -p prix-bench --bin run_experiments -- \
+  --scale 0.025 --seed 11 | grep -E '^(!!|result counts)'
+
 # prixbench (the repository's benchmark, BENCHMARK.json) is a package
 # of its own, so nothing above compiles it: build it against the
 # workspace's current API and run its self-test.

@@ -274,6 +274,18 @@ fn manifest_tier_missing_a_kind_is_refused() {
         msg.contains("corrupt symbol table") && msg.contains("re-index"),
         "tier with no symbol run: {msg}"
     );
+    // All three tier kinds gone: the symbol run alone lists no tier.
+    let mut m = full.clone();
+    m.segments.retain(|s| s.kind == SEG_KIND_SYM);
+    m.write_to(&store).unwrap();
+    let msg = reopen_error(&path);
+    assert!(
+        msg.contains(&format!(
+            "manifest generation {} lists no tier",
+            m.generation
+        )) && msg.contains("re-index"),
+        "manifest with no tier: {msg}"
+    );
     full.write_to(&store).unwrap();
     assert!(
         PrixEngine::reopen(&path, 64).is_ok(),

@@ -5,12 +5,15 @@
 //! Algorithm 2 refinement) is decomposed into composable operators:
 //!
 //! ```text
-//!   CandidateCursor ──► RefineStage ──► MatchStream
-//!   (explicit-stack      (per-candidate   (composition +
-//!    trie descent,        refinement,      ordering rule,
-//!    predicate            embedding        limit pushdown,
-//!    pre-filter, one      projection,      per-stage stats)
-//!    candidate per pull)  dedup)
+//!   CandidateCursor ─┬─► RefineStage ──► MatchStream
+//!   (explicit-stack   │   (per-candidate   (composition +
+//!    trie descent,    │    refinement,      ordering rule,
+//!    predicate        │    embedding        limit pushdown,
+//!    pre-filter, one  │    projection,      per-stage stats)
+//!    candidate per    │    dedup)
+//!    pull)            │
+//!   AnchoredCursor ───┘
+//!   (value-run postings + record walks, a value twig on a tier)
 //! ```
 //!
 //! [`CandidateCursor`] is the recursive `FindSubsequence` turned into
@@ -29,18 +32,31 @@
 //! each document's records are fetched once and in record order, which
 //! is what keeps the pages per query down (refining in arrival order
 //! instead measured +9 `pages_per_query` on `query_cold`).
+//!
+//! The trie descent is one of two candidate sources. A value twig on a
+//! segment tier — an EPIndex plan whose every edge is `/` and whose
+//! every leaf is a text leaf — takes its candidates from the tier's
+//! value run instead: [`AnchoredCursor`] probes each text leaf's
+//! `(parent tag, value)` postings, and the document's record fixes the
+//! rest of the embedding, since `NPS[i]` is node *i*'s parent
+//! (Theorem 2). It yields them in `(doc, positions)` order, one document
+//! at a time, so the stream refines them as they come, with a limit or
+//! without, and a limited answer is the first matches of the unlimited
+//! one.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::ops::Bound;
 use std::time::{Duration, Instant};
 
-use prix_prufer::{embedding, refine_match, RefineCtx};
-use prix_xml::{DocId, PostNum, Sym};
+use prix_prufer::{embedding, refine_match, EdgeKind, RefineCtx};
+use prix_storage::{ValueRunReader, VxSection};
+use prix_xml::{DocId, NodeKind, PostNum, Sym, SymbolTable};
 
 use crate::index::{
-    project_embedding, DocData, ExecOpts, GapRule, PrixIndex, QueryPlan, QueryStats, Result,
-    TwigMatch,
+    corrupt_record, decode_doc_record, project_embedding, DocData, ExecOpts, GapRule, IndexKind,
+    PrixIndex, QueryPlan, QueryStats, Result, TwigMatch,
 };
-use crate::valix::PredEval;
+use crate::valix::{str_key, PredEval};
 
 /// One suspended level of the trie descent: the rows its range query
 /// produced and how far the cursor has advanced through them.
@@ -129,6 +145,24 @@ impl<'a> CandidateCursor<'a> {
         }
     }
 
+    /// Drains the rest of the descent, sorted by `(doc, positions)` and
+    /// reversed so the first pops off the back; the copies and the sort
+    /// run on the filter clock.
+    fn drain_sorted(&mut self) -> Result<Vec<(DocId, Vec<PostNum>)>> {
+        let t0 = Instant::now();
+        let mut out = Vec::new();
+        let res = loop {
+            match self.advance() {
+                Ok(Some(doc)) => out.push((doc, self.positions.clone())),
+                Ok(None) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        };
+        out.sort_unstable_by(|a, b| b.cmp(a));
+        self.stats.filter_time += t0.elapsed();
+        res.map(|()| out)
+    }
+
     /// The next pending document the predicate pre-filter lets through.
     fn pop_pending(&mut self) -> Option<DocId> {
         while let Some(doc) = self.pending.pop_front() {
@@ -210,6 +244,405 @@ impl<'a> CandidateCursor<'a> {
     }
 }
 
+/// What a segment tier lends an EPIndex stream to anchor a value twig
+/// on (see [`AnchoredCursor`]).
+#[derive(Clone, Copy)]
+pub(crate) struct TierValues<'a> {
+    /// The tier's value run.
+    pub(crate) run: &'a ValueRunReader,
+    /// The tier's RPIndex: its MaxGap table names every label a node
+    /// with children carries in the tier.
+    pub(crate) rp: &'a PrixIndex,
+    /// The table the query's and the records' labels name.
+    pub(crate) syms: &'a SymbolTable,
+}
+
+/// One text leaf of an anchored plan.
+pub(crate) struct Anchor {
+    /// Extended query postorder of the text leaf.
+    at: PostNum,
+    /// The leaf's label: the value.
+    value: Sym,
+    /// `(extended query postorder, label)` of the leaf's ancestors,
+    /// parent first, root last.
+    up: Vec<(PostNum, Sym)>,
+    /// The one value-run key its postings lie under:
+    /// `str_key(parent tag, value)`. `None` when the table does not
+    /// name the value, so no document of a tier holds it.
+    key: Option<Vec<u8>>,
+}
+
+/// The anchors `plan` has on the tier `values` describes, one per text
+/// leaf in query postorder, or `None` when the tier's stream descends
+/// the trie. Anchoring is structural: an EPIndex plan, every edge below
+/// the root `/`, every query leaf a text leaf (so every other query
+/// node is an anchor's ancestor and its image lies on the anchor's walk
+/// up the NPS), and no value label that a node with children carries in
+/// the tier — such a node is the image of a text leaf too (matching is
+/// label-based), but the value run indexes leaves only.
+pub(crate) fn plan_anchors(
+    idx: &PrixIndex,
+    plan: &QueryPlan,
+    values: &TierValues<'_>,
+) -> Option<Vec<Anchor>> {
+    let t = &plan.qtree;
+    let n = t.len() as PostNum;
+    if idx.kind() != IndexKind::Extended
+        || plan.edges[..n as usize - 1]
+            .iter()
+            .any(|e| *e != EdgeKind::Child)
+    {
+        return None;
+    }
+    let mut anchors = Vec::new();
+    for e in 1..n {
+        let node = t.node_at(e);
+        // A dummy leaf: its parent is an original leaf, right after it.
+        if !t.is_leaf(node) {
+            continue;
+        }
+        let leaf = e + 1;
+        let value = t.label_at(leaf);
+        if t.kind(t.node_at(leaf)) != NodeKind::Text || values.rp.labels_a_parent(value) {
+            return None;
+        }
+        let mut up = Vec::new();
+        let mut at = leaf;
+        while let Some(p) = t.parent_post(at) {
+            up.push((p, t.label_at(p)));
+            at = p;
+        }
+        let key = values.syms.get(value).map(|name| str_key(up[0].1, name));
+        anchors.push(Anchor {
+            at: leaf,
+            value,
+            up,
+            key,
+        });
+    }
+    (!anchors.is_empty()).then_some(anchors)
+}
+
+/// `explain`'s line for an anchored plan: each anchor's key.
+pub(crate) fn explain_anchors(anchors: &[Anchor], syms: &SymbolTable) -> String {
+    let keys: Vec<String> = anchors
+        .iter()
+        .map(|a| format!("{} = \"{}\"", syms.name(a.up[0].1), syms.name(a.value)))
+        .collect();
+    format!("filter: anchored on the value run: {}\n", keys.join(", "))
+}
+
+/// The second candidate source: a value twig's `(doc, positions)`
+/// candidates from its tier's value run and records, with no trie
+/// descent.
+///
+/// The first pull probes every anchor's key — the one spanning the
+/// fewest blocks first, each later scan stopping past the last document
+/// still in the intersection — and merge-joins the postings by
+/// document. Then, one document at a time: a document whose anchors'
+/// postorders cannot come in query order is dropped unread; otherwise
+/// its record's regular view is decoded once, each posting's leaf must
+/// carry the value (the key is truncated, the label is exact), each
+/// anchor walks up the NPS checking every ancestor's label, and the
+/// anchors join where their images meet. Each join is one embedding;
+/// its images map to extended positions (`ext(v) = v + #leaves ≤ v`, a
+/// dummy at its leaf's minus one) and a strictly increasing `S` is a
+/// candidate. A document that yields one hands its extended view to the
+/// refine stage's cache, so no record is decoded twice.
+pub(crate) struct AnchoredCursor<'a> {
+    idx: &'a PrixIndex,
+    run: &'a ValueRunReader,
+    anchors: Vec<Anchor>,
+    /// `dummy[e - 1]`: extended query node `e` is a dummy leaf.
+    dummy: Vec<bool>,
+    pred: Option<&'a PredEval<'a>>,
+    /// Whether the refine stage wants leaf data in the views it gets.
+    need_leaf_data: bool,
+    /// Per anchor, its postings in the documents every anchor's key
+    /// holds, `(doc, post)` ascending, and the first not walked yet.
+    postings: Vec<Vec<(DocId, PostNum)>>,
+    walked: Vec<usize>,
+    /// The document being yielded, its candidates ascending, and how
+    /// many of them were yielded.
+    doc: DocId,
+    found: Vec<Vec<PostNum>>,
+    yielded: usize,
+    probed: bool,
+    done: bool,
+    stats: QueryStats,
+}
+
+impl<'a> AnchoredCursor<'a> {
+    pub(crate) fn new(
+        idx: &'a PrixIndex,
+        run: &'a ValueRunReader,
+        anchors: Vec<Anchor>,
+        plan: &QueryPlan,
+        pred: Option<&'a PredEval<'a>>,
+    ) -> Self {
+        let t = &plan.qtree;
+        let dummy = (1..t.len() as PostNum)
+            .map(|e| t.is_leaf(t.node_at(e)))
+            .collect();
+        let n = anchors.len();
+        AnchoredCursor {
+            idx,
+            run,
+            anchors,
+            dummy,
+            pred,
+            need_leaf_data: !plan.skip_leaf || pred.is_some(),
+            postings: vec![Vec::new(); n],
+            walked: vec![0; n],
+            doc: 0,
+            found: Vec::new(),
+            yielded: 0,
+            probed: false,
+            done: false,
+            stats: QueryStats::default(),
+        }
+    }
+
+    /// Pulls the next candidate. Entering a document that yields one
+    /// replaces `cache`'s views with that document's.
+    pub(crate) fn next(
+        &mut self,
+        cache: &mut HashMap<DocId, DocData>,
+    ) -> Result<Option<(DocId, &[PostNum])>> {
+        let t0 = Instant::now();
+        let res = self.advance(cache);
+        self.stats.filter_time += t0.elapsed();
+        Ok(res?.then(|| (self.doc, self.found[self.yielded - 1].as_slice())))
+    }
+
+    fn advance(&mut self, cache: &mut HashMap<DocId, DocData>) -> Result<bool> {
+        if self.done {
+            return Ok(false);
+        }
+        if !self.probed {
+            self.probed = true;
+            self.probe()?;
+        }
+        while self.yielded == self.found.len() {
+            if !self.next_doc(cache)? {
+                self.done = true;
+                return Ok(false);
+            }
+        }
+        self.yielded += 1;
+        Ok(true)
+    }
+
+    /// Scans every anchor's key and keeps the postings of the documents
+    /// all of them hold.
+    fn probe(&mut self) -> Result<()> {
+        let span = |a: &Anchor| {
+            a.key
+                .as_ref()
+                .map_or(0, |k| self.run.key_span(VxSection::Str, k))
+        };
+        let mut order: Vec<usize> = (0..self.anchors.len()).collect();
+        order.sort_by_key(|&i| (span(&self.anchors[i]), i));
+        let mut docs: Option<Vec<DocId>> = None;
+        for i in order {
+            let Some(key) = &self.anchors[i].key else {
+                docs = Some(Vec::new());
+                break;
+            };
+            let last = match &docs {
+                Some(d) if d.is_empty() => break,
+                Some(d) => d.last().copied(),
+                None => None,
+            };
+            let list = &mut self.postings[i];
+            let (lo, hi) = (Bound::Included(&key[..]), Bound::Included(&key[..]));
+            self.run.scan(VxSection::Str, lo, hi, |_, doc, post| {
+                let inside = last.is_none_or(|l| doc <= l);
+                if inside {
+                    list.push((doc, post));
+                }
+                inside
+            })?;
+            self.stats.valix_probes += 1;
+            self.stats.valix_postings += list.len() as u64;
+            let mut held: Vec<DocId> = list.iter().map(|&(d, _)| d).collect();
+            held.dedup();
+            docs = Some(match docs {
+                None => held,
+                Some(d) => merge_join(&d, &held),
+            });
+        }
+        let docs = docs.unwrap_or_default();
+        for list in &mut self.postings {
+            let mut k = 0;
+            list.retain(|&(d, _)| {
+                while docs.get(k).is_some_and(|&x| x < d) {
+                    k += 1;
+                }
+                docs.get(k) == Some(&d)
+            });
+        }
+        Ok(())
+    }
+
+    /// Walks the next document; `false` when none is left.
+    fn next_doc(&mut self, cache: &mut HashMap<DocId, DocData>) -> Result<bool> {
+        let Some(&(doc, _)) = self.postings[0].get(self.walked[0]) else {
+            return Ok(false);
+        };
+        self.doc = doc;
+        self.found.clear();
+        self.yielded = 0;
+        // Each anchor's postings in `doc`.
+        let mut posts: Vec<&[(DocId, PostNum)]> = Vec::with_capacity(self.anchors.len());
+        for (list, walked) in self.postings.iter().zip(&mut self.walked) {
+            let from = *walked;
+            while list.get(*walked).is_some_and(|&(d, _)| d == doc) {
+                *walked += 1;
+            }
+            posts.push(&list[from..*walked]);
+        }
+        // An embedding's leaves ascend in query postorder, so some
+        // choice of postings must: try the least one each time.
+        let mut least = 0;
+        for p in &posts {
+            match p.iter().find(|&&(_, post)| post > least) {
+                Some(&(_, post)) => least = post,
+                None => return Ok(true),
+            }
+        }
+        if self.pred.is_some_and(|p| !p.allows(doc)) {
+            self.stats.pred_skipped += 1;
+            return Ok(true);
+        }
+        let view =
+            decode_doc_record(&self.idx.doc_record(doc)?, true).ok_or_else(corrupt_record)?;
+        // Per anchor, the images of its walks, `1 + up.len()` each.
+        let mut walks: Vec<Vec<PostNum>> = Vec::with_capacity(posts.len());
+        for (a, p) in self.anchors.iter().zip(&posts) {
+            let mut out = Vec::new();
+            for &(_, post) in *p {
+                climb(&view, a, post, &mut out);
+            }
+            if out.is_empty() {
+                return Ok(true);
+            }
+            walks.push(out);
+        }
+        let mut img = vec![0 as PostNum; self.dummy.len() + 2];
+        let mut found = Vec::new();
+        self.join(0, &walks, &mut img, &view, &mut found);
+        if found.is_empty() {
+            return Ok(true);
+        }
+        found.sort_unstable();
+        let ext = view
+            .extended(self.idx.dummy(), self.need_leaf_data)
+            .ok_or_else(corrupt_record)?;
+        // A record whose leaf list disagrees with its NPS can place a
+        // position outside the extended view.
+        let len = ext.nps.len() as PostNum;
+        found.retain(|s| s[0] >= 1 && s[s.len() - 1] <= len);
+        cache.clear();
+        cache.insert(doc, ext);
+        self.found = found;
+        Ok(true)
+    }
+
+    /// Joins anchor `i`'s walks onto the images `img` (extended query
+    /// postorder → document postorder, 0 unset) the earlier anchors
+    /// fixed, and turns every complete, strictly increasing assignment
+    /// into a candidate.
+    fn join(
+        &self,
+        i: usize,
+        walks: &[Vec<PostNum>],
+        img: &mut [PostNum],
+        view: &DocData,
+        found: &mut Vec<Vec<PostNum>>,
+    ) {
+        let Some(a) = self.anchors.get(i) else {
+            // ext(v) = v + #(leaves ≤ v); a dummy sits just before its leaf.
+            let ext = |v: PostNum| v + view.leaves.partition_point(|l| l.1 <= v) as PostNum;
+            let s: Vec<PostNum> = self
+                .dummy
+                .iter()
+                .zip(1..)
+                .map(|(&d, e)| if d { ext(img[e + 1]) - 1 } else { ext(img[e]) })
+                .collect();
+            if s.windows(2).all(|w| w[0] < w[1]) {
+                found.push(s);
+            }
+            return;
+        };
+        let nodes = || std::iter::once(a.at).chain(a.up.iter().map(|&(e, _)| e));
+        for walk in walks[i].chunks_exact(a.up.len() + 1) {
+            if nodes()
+                .zip(walk)
+                .any(|(e, &v)| img[e as usize] != 0 && img[e as usize] != v)
+            {
+                continue;
+            }
+            let fresh: Vec<PostNum> = nodes().filter(|&e| img[e as usize] == 0).collect();
+            for (e, &v) in nodes().zip(walk) {
+                img[e as usize] = v;
+            }
+            self.join(i + 1, walks, img, view, found);
+            for e in fresh {
+                img[e as usize] = 0;
+            }
+        }
+    }
+
+    /// Filter-stage counters: the probes, their postings, the documents
+    /// the predicate pre-filter dropped, `filter_time`.
+    pub(crate) fn stats(&self) -> QueryStats {
+        self.stats
+    }
+
+    /// `true` once a pull found no candidate left.
+    pub(crate) fn exhausted(&self) -> bool {
+        self.done
+    }
+}
+
+/// Appends to `out` the images of anchor `a`'s walk from the leaf at
+/// `post` up to the query root — the leaf itself, then each ancestor —
+/// if the leaf carries the value and every ancestor the query's label.
+fn climb(view: &DocData, a: &Anchor, post: PostNum, out: &mut Vec<PostNum>) {
+    let own = view.leaves.binary_search_by_key(&post, |l| l.1);
+    if own.map(|k| view.leaves[k].0) != Ok(a.value) {
+        return;
+    }
+    let start = out.len();
+    out.push(post);
+    let mut v = post;
+    for &(_, label) in &a.up {
+        let i = (v as usize).wrapping_sub(1);
+        match (view.lps.get(i), view.nps.get(i)) {
+            (Some(&l), Some(&parent)) if l == label => v = parent,
+            _ => {
+                out.truncate(start);
+                return;
+            }
+        }
+        out.push(v);
+    }
+}
+
+/// The documents both ascending lists hold.
+fn merge_join(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
+    let (mut i, mut j, mut out) = (0, 0, Vec::new());
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        if x == y {
+            out.push(x);
+        }
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out
+}
+
 /// Algorithm 2 refinement + embedding projection + dedup + predicate
 /// verification as a per-candidate stage. Order-agnostic: feeding it
 /// candidates in any order yields the same set of distinct matches
@@ -279,12 +712,12 @@ impl<'a> RefineStage<'a> {
             skip_leaf_check: plan.skip_leaf,
         };
         let ok = refine_match(&ctx);
-        self.refine_time += t0.elapsed();
+        let t1 = Instant::now();
+        self.refine_time += t1 - t0;
         if !ok {
             return Ok(None);
         }
         self.refined += 1;
-        let t1 = Instant::now();
         let img = embedding(&plan.seq.nps, positions, &data.nps);
         let out = (|| {
             let base = project_embedding(plan, data, &img)?;
@@ -301,56 +734,87 @@ impl<'a> RefineStage<'a> {
                 embedding: base,
             })
         })();
-        self.project_time += t1.elapsed();
+        let t2 = Instant::now();
+        self.project_time += t2 - t1;
         match (self.pred, out) {
-            (Some(p), Some(m)) if !p.matches(data, &m.embedding) => {
-                self.pred_rejected += 1;
-                Ok(None)
+            (Some(p), Some(m)) => {
+                // Positional predicate verification refines too.
+                let ok = p.matches(data, &m.embedding);
+                self.refine_time += t2.elapsed();
+                if !ok {
+                    self.pred_rejected += 1;
+                }
+                Ok(ok.then_some(m))
             }
             (_, out) => Ok(out),
         }
     }
 }
 
-/// The one executor, behind [`PrixIndex::stream`]: cursor → refine →
-/// project. With [`ExecOpts::limit`] set, matches arrive in
-/// trie-traversal order and the descent stops at the limit; without
-/// one the first pull drains the cursor and matches arrive in
-/// `(doc, positions)` candidate order (see the module docs for why).
+/// Where a [`MatchStream`]'s candidates come from.
+enum Source<'a> {
+    /// Algorithm 1's trie descent.
+    Trie(CandidateCursor<'a>),
+    /// The tier's value run and records.
+    Anchored(AnchoredCursor<'a>),
+}
+
+/// The one executor, behind [`PrixIndex::stream`]: candidates → refine
+/// → project. With [`ExecOpts::limit`] set, matches arrive in the
+/// tier's candidate order and the source stops at the limit; without
+/// one they arrive in `(doc, positions)` candidate order — a trie
+/// descent is drained and sorted by the first pull (see the module
+/// docs for why), an anchored source yields that order as it goes.
 pub struct MatchStream<'a> {
-    cursor: CandidateCursor<'a>,
+    source: Source<'a>,
     stage: RefineStage<'a>,
     plan: QueryPlan,
     absolute: bool,
     limit: Option<usize>,
-    /// Unlimited streams only: the candidates not yet refined, sorted
-    /// descending so the next one pops off the back.
+    /// Unlimited trie streams only: the candidates not yet refined,
+    /// sorted descending so the next one pops off the back.
     sorted: Vec<(DocId, Vec<PostNum>)>,
     emitted: u64,
+    /// Filter time spent outside the source: planning the stream.
+    setup_time: Duration,
 }
 
 impl<'a> MatchStream<'a> {
+    /// The stream of `plan` over `idx`, anchored on `values` when the
+    /// plan has anchors there ([`plan_anchors`]); `setup_time` is what
+    /// planning it took.
     pub(crate) fn new(
         idx: &'a PrixIndex,
         plan: QueryPlan,
         absolute: bool,
         opts: &ExecOpts,
         pred: Option<&'a PredEval<'a>>,
+        values: Option<TierValues<'a>>,
+        setup: Instant,
     ) -> Self {
-        let rules = if opts.use_maxgap {
-            idx.gap_rules(&plan)
-        } else {
-            vec![None; plan.seq.len().saturating_sub(1)]
+        let anchored = values.and_then(|v| Some((v.run, plan_anchors(idx, &plan, &v)?)));
+        let source = match anchored {
+            Some((run, anchors)) => {
+                Source::Anchored(AnchoredCursor::new(idx, run, anchors, &plan, pred))
+            }
+            None => {
+                let rules = if opts.use_maxgap {
+                    idx.gap_rules(&plan)
+                } else {
+                    vec![None; plan.seq.len().saturating_sub(1)]
+                };
+                Source::Trie(CandidateCursor::new(idx, plan.seq.lps.clone(), rules, pred))
+            }
         };
-        let cursor = CandidateCursor::new(idx, plan.seq.lps.clone(), rules, pred);
         MatchStream {
-            cursor,
+            source,
             stage: RefineStage::new(idx, pred),
             plan,
             absolute,
             limit: opts.limit,
             sorted: Vec::new(),
             emitted: 0,
+            setup_time: setup.elapsed(),
         }
     }
 
@@ -358,19 +822,19 @@ impl<'a> MatchStream<'a> {
     /// candidates are used up or the limit is reached; either way, no
     /// further index work happens after that.
     pub fn next_match(&mut self) -> Result<Option<TwigMatch>> {
-        if self.limit.is_none() && !self.cursor.exhausted() {
-            // Phase 1 (Algorithm 1) in full, then grouped per document
-            // so phase 2 fetches each record once.
-            while let Some((doc, positions)) = self.cursor.next()? {
-                self.sorted.push((doc, positions.to_vec()));
+        if let (None, Source::Trie(cursor)) = (self.limit, &mut self.source) {
+            if !cursor.exhausted() {
+                // Phase 1 (Algorithm 1) in full, then grouped per
+                // document so phase 2 fetches each record once.
+                self.sorted = cursor.drain_sorted()?;
             }
-            self.sorted.sort_unstable_by(|a, b| b.cmp(a));
         }
         while self.limit.is_none_or(|k| (self.emitted as usize) < k) {
             let popped;
-            let candidate = match self.limit {
-                Some(_) => self.cursor.next()?,
-                None => {
+            let candidate = match &mut self.source {
+                Source::Anchored(a) => a.next(&mut self.stage.cache)?,
+                Source::Trie(cursor) if self.limit.is_some() => cursor.next()?,
+                Source::Trie(_) => {
                     popped = self.sorted.pop();
                     popped.as_ref().map(|(doc, p)| (*doc, p.as_slice()))
                 }
@@ -389,20 +853,27 @@ impl<'a> MatchStream<'a> {
         Ok(None)
     }
 
-    /// `true` once the underlying cursor drained the whole trie
-    /// descent. A stream stopped by its limit (or dropped early) is not
+    /// `true` once the source ran dry: a pull found no candidate left.
+    /// A stream stopped by its limit (or dropped early) is not
     /// exhausted — `!exhausted()` after the stream ends is the
     /// conservative "truncated" signal (no probing for a further match
     /// is performed).
     pub fn exhausted(&self) -> bool {
-        self.cursor.exhausted()
+        match &self.source {
+            Source::Trie(cursor) => cursor.exhausted(),
+            Source::Anchored(a) => a.exhausted(),
+        }
     }
 
     /// Merged pipeline statistics: the cursor's filter counters and
     /// timing, the refine stage's counters and timings, and the
     /// candidate / match counts observed by the stream so far.
     pub fn stats(&self) -> QueryStats {
-        let mut s = self.cursor.stats();
+        let mut s = match &self.source {
+            Source::Trie(cursor) => cursor.stats(),
+            Source::Anchored(a) => a.stats(),
+        };
+        s.filter_time += self.setup_time;
         s.candidates = self.stage.candidates;
         s.refined = self.stage.refined;
         s.refine_time = self.stage.refine_time;
@@ -410,5 +881,90 @@ impl<'a> MatchStream<'a> {
         s.matches = self.emitted;
         s.pred_rejected = self.stage.pred_rejected;
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use prix_xml::Collection;
+
+    use crate::engine::{EngineConfig, PrixEngine};
+    use crate::index::ExecOpts;
+    use crate::naive::naive_ordered;
+
+    /// `(doc, embedding)` pairs.
+    type Matches = Vec<(u32, Vec<u32>)>;
+
+    /// `xpath` over `docs` in one tier: its matches, whether the tier
+    /// anchored it (no range query ran), and the oracle's embeddings.
+    fn run(docs: &[&str], xpath: &str) -> (Matches, bool, Matches) {
+        let mut c = Collection::new();
+        for d in docs {
+            c.add_xml(d).unwrap();
+        }
+        let engine = PrixEngine::build(c.clone(), EngineConfig::default()).unwrap();
+        let snap = engine.snapshot();
+        let q = snap.parse_query(xpath).unwrap();
+        let out = snap.query_opts(&q, &ExecOpts::new()).unwrap();
+        let got = out.matches.into_iter().map(|m| (m.doc, m.embedding));
+        let mut syms = c.symbols().clone();
+        let oq = crate::xpath::parse_xpath(xpath, &mut syms).unwrap();
+        let oracle = c
+            .iter()
+            .flat_map(|(doc, t)| naive_ordered(t, &oq).into_iter().map(move |e| (doc, e)));
+        (
+            got.collect(),
+            out.stats.range_queries == 0,
+            oracle.collect(),
+        )
+    }
+
+    #[test]
+    fn a_value_a_node_with_children_carries_keeps_the_tier_on_the_trie() {
+        // Matching is by label: the element `d`, which has a child, is
+        // the image of the text leaf "d", but no posting names it.
+        let docs = ["<r><A><d><x/></d></A></r>", "<r><A>d</A></r>"];
+        let (got, anchored, oracle) = run(&docs, r#"//r[./A="d"]"#);
+        assert!(!anchored);
+        assert_eq!(got, oracle);
+        assert_eq!(got.len(), 2);
+    }
+
+    #[test]
+    fn a_truncated_key_is_told_apart_by_the_leaf_label() {
+        let long = "v".repeat(300);
+        let docs = [
+            format!("<a><b>{long}1</b></a>"),
+            format!("<a><b>{long}2</b><b>{long}1</b></a>"),
+        ];
+        let docs: Vec<&str> = docs.iter().map(String::as_str).collect();
+        let (got, anchored, oracle) = run(&docs, &format!(r#"//a[./b="{long}2"]"#));
+        assert!(anchored);
+        assert_eq!(got, oracle);
+        assert_eq!(got, vec![(1, vec![1, 2, 5])]);
+    }
+
+    #[test]
+    fn an_anchored_twig_still_verifies_its_predicates() {
+        let docs = ["<a><b>x</b>5</a>", "<a><b>x</b>50</a>", "<a><b>y</b>5</a>"];
+        let (got, anchored, _) = run(&docs, r#"//a[./b="x"][. < 10]"#);
+        assert!(anchored);
+        assert_eq!(got, vec![(0, vec![1, 2, 4])]);
+    }
+
+    #[test]
+    fn anchors_join_in_query_order_only() {
+        // Doc 0 holds both values in the other order, doc 1 in query
+        // order twice over, doc 2 under two different parents.
+        let docs = [
+            "<e><r><u>y</u><u>x</u></r></e>",
+            "<e><r><u>x</u><u>y</u><u>x</u><u>y</u></r></e>",
+            "<e><r><u>x</u></r><r><u>y</u></r></e>",
+        ];
+        let (got, anchored, oracle) = run(&docs, r#"//e/r[./u="x"][./u="y"]"#);
+        assert!(anchored);
+        assert_eq!(got, oracle);
+        assert_eq!(got.iter().filter(|(d, _)| *d == 1).count(), 3);
+        assert!(got.iter().all(|(d, _)| *d == 1));
     }
 }

@@ -118,21 +118,28 @@ pub struct QueryStats {
     pub refined: u64,
     /// Distinct twig matches reported.
     pub matches: u64,
-    /// Value-index probes issued for the query's predicates.
+    /// Value-index probes issued for the query's predicates, and the
+    /// value-run keys its anchored streams scanned.
     pub valix_probes: u64,
     /// Postings scanned by those probes.
     pub valix_postings: u64,
     /// Candidates dropped by the valix document pre-filter before
-    /// refinement (their documents cannot satisfy every predicate).
+    /// refinement (their documents cannot satisfy every predicate); an
+    /// anchored stream drops such a document before reading it and
+    /// counts it once.
     pub pred_skipped: u64,
     /// Refined matches rejected by positional predicate verification.
     pub pred_rejected: u64,
-    /// Wall clock spent in the filtering stage (Algorithm 1: trie range
-    /// queries + MaxGap pruning + docid scans), and in the value-index
-    /// probe that pre-filters a predicate query's documents.
+    /// Wall clock spent in the filtering stage — the candidate source
+    /// (Algorithm 1: trie range queries + MaxGap pruning + docid scans;
+    /// or an anchored value twig's value-run probes and record walks),
+    /// planning each stream, buffering and sorting an unlimited
+    /// descent's candidates — and in the value-index probe that
+    /// pre-filters a predicate query's documents.
     pub filter_time: Duration,
     /// Wall clock spent in refinement (per-document record loads +
-    /// Algorithm 2).
+    /// Algorithm 2 + positional predicate verification, and freeing
+    /// each stream's record views and dedup sets).
     pub refine_time: Duration,
     /// Wall clock spent projecting embeddings and deduplicating
     /// matches.
@@ -161,11 +168,12 @@ pub struct ExecOpts {
     /// in every occurrence of a symbol in the virtual trie").
     pub use_maxgap: bool,
     /// Stop after this many distinct matches. `None` = unlimited. With
-    /// a limit the executor stops *pulling* — remaining trie range
-    /// queries, docid scans, and refinements never run — and matches
-    /// arrive in trie-traversal order rather than sorted candidate
-    /// order (so a limit no query reaches, `usize::MAX`, asks for
-    /// exactly that order).
+    /// a limit the executor stops *pulling* — the rest of the candidate
+    /// source (trie range queries and docid scans, or value-run walks)
+    /// and refinements never run — and matches arrive in the tier's
+    /// candidate order: trie-traversal order for a descent, `(doc,
+    /// positions)` order for an anchored value twig (so a limit no
+    /// query reaches, `usize::MAX`, asks for exactly that order).
     pub limit: Option<usize>,
 }
 
@@ -720,6 +728,18 @@ impl PrixIndex {
         }
     }
 
+    /// The label of the dummy leaf an EPIndex extends every leaf with.
+    pub(crate) fn dummy(&self) -> Sym {
+        self.dummy
+    }
+
+    /// Whether some node labeled `label` has a child in this tier: what
+    /// an RPIndex's MaxGap table records (an EPIndex's dummies give
+    /// every node a child).
+    pub(crate) fn labels_a_parent(&self, label: Sym) -> bool {
+        self.maxgap.contains(label)
+    }
+
     /// Describes how this index would run `q`: the plan flavor, the
     /// query's Prüfer sequences, edge constraints, and the Theorem 4
     /// pruning rules.
@@ -779,11 +799,11 @@ impl PrixIndex {
     /// way this index runs a query: each
     /// [`crate::exec::MatchStream::next_match`] call does exactly the
     /// trie traversal and refinement the next distinct match needs.
-    /// With `opts.limit` set, matches arrive in trie-traversal order
-    /// and hitting the limit (or dropping the stream) abandons the rest
-    /// of the descent — the LIMIT pushdown; without one, the first pull
-    /// drains the descent and matches arrive in `(doc, positions)`
-    /// candidate order. With a value-predicate evaluator (which must
+    /// With `opts.limit` set, matches arrive in the tier's candidate
+    /// order (here, trie-traversal order) and hitting the limit (or
+    /// dropping the stream) abandons the rest of the descent — the
+    /// LIMIT pushdown; without one, the first pull drains the descent
+    /// and matches arrive in `(doc, positions)` candidate order. With a value-predicate evaluator (which must
     /// outlive the stream), candidates from documents its valix
     /// pre-filter rules out are skipped before refinement and every
     /// emitted match passes its positional verification — the results
@@ -794,6 +814,21 @@ impl PrixIndex {
         opts: &ExecOpts,
         pred: Option<&'a crate::valix::PredEval<'a>>,
     ) -> Result<crate::exec::MatchStream<'a>> {
+        self.stream_tier(q, opts, pred, None)
+    }
+
+    /// [`PrixIndex::stream`] over a segment tier whose value run
+    /// `values` lends: a value twig takes its candidates from the run
+    /// instead of the trie (`crate::exec::AnchoredCursor`), in `(doc,
+    /// positions)` order with a limit or without.
+    pub(crate) fn stream_tier<'a>(
+        &'a self,
+        q: &TwigQuery,
+        opts: &ExecOpts,
+        pred: Option<&'a crate::valix::PredEval<'a>>,
+        values: Option<crate::exec::TierValues<'a>>,
+    ) -> Result<crate::exec::MatchStream<'a>> {
+        let setup = std::time::Instant::now();
         let plan = self.plan(q)?;
         if plan.seq.is_empty() {
             return Err(IndexError::Unsupported(
@@ -806,6 +841,8 @@ impl PrixIndex {
             q.is_absolute(),
             opts,
             pred,
+            values,
+            setup,
         ))
     }
 

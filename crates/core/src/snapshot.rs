@@ -57,6 +57,7 @@ use prix_xml::{Collection, DocId, PostNum, ScratchSyms, SymbolTable};
 
 use crate::arrange::{arrangements, ARRANGEMENT_LIMIT};
 use crate::engine::{PrixEngine, SegTier};
+use crate::exec::{explain_anchors, plan_anchors, TierValues};
 use crate::index::{ExecOpts, IndexError, IndexKind, PrixIndex, QueryStats, Result, TwigMatch};
 use crate::plan::{AltProvider, EngineChoice, EngineId, Routed};
 use crate::query::TwigQuery;
@@ -88,9 +89,10 @@ pub struct QueryOutcome {
     pub engine: EngineId,
 }
 
-/// One tier's index pair, `(rp, ep)`: the shape [`pick_index`] routes
-/// over.
-type TierRefs<'a> = (&'a PrixIndex, &'a PrixIndex);
+/// One tier's index pair, `(rp, ep)`, the shape [`pick_index`] routes
+/// over, and what it lends an anchored stream (nothing on the delta,
+/// which has no value run).
+type TierRefs<'a> = (&'a PrixIndex, &'a PrixIndex, Option<TierValues<'a>>);
 
 /// An immutable view of a [`PrixEngine`] at one epoch, and the only way
 /// to query one.
@@ -147,9 +149,20 @@ impl EngineSnapshot {
     /// documents, which is the property the `bulk_equals_incremental`
     /// suite pins.
     fn tiers(&self) -> Vec<TierRefs<'_>> {
-        let mut tiers: Vec<TierRefs<'_>> = self.segments.iter().map(|t| (&t.rp, &t.ep)).collect();
+        let mut tiers: Vec<TierRefs<'_>> = self
+            .segments
+            .iter()
+            .map(|t| {
+                let values = TierValues {
+                    run: &t.vx,
+                    rp: &t.rp,
+                    syms: &self.syms,
+                };
+                (&t.rp, &t.ep, Some(values))
+            })
+            .collect();
         if self.mutable_docs() > 0 {
-            tiers.push((&self.rp, &self.ep));
+            tiers.push((&self.rp, &self.ep, None));
         }
         tiers
     }
@@ -217,9 +230,10 @@ impl EngineSnapshot {
 
     /// [`EngineSnapshot::query`] with execution options. With
     /// [`ExecOpts::limit`] set the query stops pulling at the limit —
-    /// the remaining trie range queries and refinements never happen —
-    /// and matches come in trie-traversal order per tier instead of
-    /// `(doc, positions)` candidate order.
+    /// the rest of each tier's candidate source and refinements never
+    /// happen — and matches come in each tier's candidate order:
+    /// trie-traversal order for a descent, `(doc, positions)` order for
+    /// a value twig the tier anchors on its value run.
     pub fn query_opts(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome> {
         self.execute_prix(q, opts, None)
     }
@@ -418,7 +432,7 @@ impl EngineSnapshot {
     pub fn reconstruct_collection(&self) -> Result<Collection> {
         let mut collection = Collection::new();
         *collection.symbols_mut() = (*self.syms).clone();
-        for (rp, _) in self.tiers() {
+        for (rp, _, _) in self.tiers() {
             let base = rp.doc_base();
             for local in 0..rp.doc_count() as u32 {
                 let data = rp.load_doc(base + local, true)?;
@@ -448,10 +462,15 @@ impl EngineSnapshot {
         let mut syms = (*self.syms).clone();
         let q = parse_xpath(xpath, &mut syms)
             .map_err(|e| IndexError::Unsupported(format!("parse error: {e}")))?;
-        let (rp, ep) = self.tiers()[0];
+        let (rp, ep, values) = self.tiers()[0];
         let idx = pick_index(rp, ep, &q, None)?;
         let mut out = format!("index: {}\n", idx.kind());
         out.push_str(&idx.explain(&q, &syms)?);
+        if let Some(values) = values {
+            if let Some(anchors) = plan_anchors(idx, &idx.plan(&q)?, &values) {
+                out.push_str(&explain_anchors(&anchors, &syms));
+            }
+        }
         if let Some(pred) = PredEval::build(&q, &self.segments, &syms)? {
             out.push_str(&explain_pred(&q, &pred, &syms));
         }
@@ -502,6 +521,8 @@ fn add_filter_counters(total: &mut QueryStats, s: &QueryStats) {
     total.project_time += s.project_time;
     total.pred_skipped += s.pred_skipped;
     total.pred_rejected += s.pred_rejected;
+    total.valix_probes += s.valix_probes;
+    total.valix_postings += s.valix_postings;
 }
 
 /// One PRIX execution in progress: what the ordered path and the §5.7
@@ -537,10 +558,10 @@ impl Execution<'_> {
         force: Option<IndexKind>,
         mut keep: impl FnMut(TwigMatch) -> Option<TwigMatch>,
     ) -> Result<()> {
-        for &(rp, ep) in &self.tiers {
+        for &(rp, ep, values) in &self.tiers {
             let idx = pick_index(rp, ep, q, force)?;
             self.index_used = idx.kind();
-            let mut stream = idx.stream(q, &self.stream_opts, pred)?;
+            let mut stream = idx.stream_tier(q, &self.stream_opts, pred, values)?;
             while self.budget > 0 {
                 let Some(m) = stream.next_match()? else {
                     break;
@@ -550,8 +571,14 @@ impl Execution<'_> {
                     self.budget -= 1;
                 }
             }
-            add_filter_counters(&mut self.stats, &stream.stats());
-            if !stream.exhausted() {
+            // Dropping the stream frees its refine stage's views and
+            // dedup sets: refine time.
+            let t0 = Instant::now();
+            let (mut stats, exhausted) = (stream.stats(), stream.exhausted());
+            drop(stream);
+            stats.refine_time += t0.elapsed();
+            add_filter_counters(&mut self.stats, &stats);
+            if !exhausted {
                 self.truncated = true;
                 break;
             }
@@ -1146,6 +1173,35 @@ mod tests {
              \x20positions #->#: distance <= min(#, per-node) + #\n\
              \x20positions #->#: distance <= min(#, per-node) + #\n\
              planner: engine=prix_rp maxgap=on\n"
+        );
+    }
+
+    /// A value twig the first tier anchors names its anchors' keys in
+    /// one more line (Table 3's Q5 over a one-entry SWISSPROT).
+    #[test]
+    fn explain_names_the_value_run_anchors() {
+        let mut c = Collection::new();
+        c.add_xml("<Entry><Ref><Author>Mueller P</Author><Author>Keller M</Author></Ref></Entry>")
+            .unwrap();
+        let eng = PrixEngine::build(c, EngineConfig::default()).unwrap();
+        let q5 = r#"//Entry/Ref[./Author="Mueller P"][./Author="Keller M"]"#;
+        assert_eq!(
+            normalize_explain(&eng.snapshot().explain(q5).unwrap()),
+            "index: EPIndex\n\
+             plan: EPIndex, extended query (§#)\n\
+             LPS(Q) = Mueller P Author Ref Keller M Author Ref Entry\n\
+             NPS(Q) = # # # # # # #\n\
+             edges = / / / / / / / /\n\
+             executor: streaming filter -> refine -> project (limit pushdown)\n\
+             MaxGap rules: # of # adjacent pairs bounded\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             filter: anchored on the value run: Author = \"Mueller P\", Author = \"Keller M\"\n\
+             planner: engine=prix_ep maxgap=on\n"
         );
     }
 

@@ -78,7 +78,7 @@ fn num_key(tag: Sym, v: f64) -> [u8; 12] {
 }
 
 /// String-opclass key: tag(4, BE) ++ value bytes (truncated).
-fn str_key(tag: Sym, s: &str) -> Vec<u8> {
+pub(crate) fn str_key(tag: Sym, s: &str) -> Vec<u8> {
     let bytes = s.as_bytes();
     let take = floor_char_boundary(s, STR_KEY_CAP);
     let mut k = Vec::with_capacity(4 + take);

@@ -77,6 +77,12 @@ impl MaxGapTable {
         self.gaps.get(&label).copied().unwrap_or(0)
     }
 
+    /// Whether some node labeled `label` has a child: the table records
+    /// a (possibly zero) gap for exactly those labels.
+    pub fn contains(&self, label: Sym) -> bool {
+        self.gaps.contains_key(&label)
+    }
+
     /// Number of labels with a recorded (possibly zero) gap.
     pub fn len(&self) -> usize {
         self.gaps.len()

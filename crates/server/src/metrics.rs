@@ -330,9 +330,9 @@ pub const SERIES: &[Series] = &[
         read: Many(|m, _| labelled("engine", EngineId::ALL.iter().map(|id| id.label()).zip(m.planner_chosen.iter().map(load)))),
         help: "Routed queries executed, by the engine that ran them: the paper's section 5.6 rule unless engine= forced one." },
     Series { name: "prix_valix_probes_total", kind: Counter, read: One(|m, _| load(&m.valix_probes).to_string()),
-        help: "Value-index probes issued by predicate queries." },
+        help: "Value-index probes issued: one per probed predicate and one per value-run key an anchored value twig scans." },
     Series { name: "prix_valix_postings_total", kind: Counter, read: One(|m, _| load(&m.valix_postings).to_string()),
-        help: "Value-index postings scanned across all probes." },
+        help: "Value-index postings scanned across all probes, predicates' and anchors' alike." },
     Series { name: "prix_valix_pred_skipped_total", kind: Counter, read: One(|m, _| load(&m.valix_pred_skipped).to_string()),
         help: "Structural candidates skipped by the value-index pre-filter before refinement." },
     Series { name: "prix_valix_pred_rejected_total", kind: Counter, read: One(|m, _| load(&m.valix_pred_rejected).to_string()),
@@ -416,9 +416,9 @@ pub struct Metrics {
     /// Routed queries executed, by the engine that ran them (indexed
     /// by [`EngineId::index`]).
     planner_chosen: [AtomicU64; EngineId::ALL.len()],
-    /// Value-index probes issued by predicate queries.
+    /// Value-index probes issued: one per probed predicate and one per value-run key an anchored value twig scans.
     valix_probes: AtomicU64,
-    /// Value-index postings scanned across all probes.
+    /// Value-index postings scanned across all probes, predicates' and anchors' alike.
     valix_postings: AtomicU64,
     /// Structural candidates skipped by the value-index pre-filter.
     valix_pred_skipped: AtomicU64,

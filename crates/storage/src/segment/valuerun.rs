@@ -702,6 +702,20 @@ impl ValueRunReader {
             .sum::<usize>() as u64
     }
 
+    /// How many blocks a scan of the one key `key` in `section` enters,
+    /// from the resident fences and tag directory alone: 0 for a key of
+    /// a tag the run does not hold.
+    pub fn key_span(&self, section: VxSection, key: &[u8]) -> u64 {
+        let sec = &self.secs[section as usize];
+        if sec.tags.binary_search(&vx_tag(key)).is_err() {
+            return 0;
+        }
+        let fences = &sec.blocks.fences;
+        let first = fences.partition_point(|f| &f[..] < key).saturating_sub(1);
+        let end = fences.partition_point(|f| &f[..] <= key);
+        end.saturating_sub(first) as u64
+    }
+
     /// Range scan of one section in `(key, doc, post)` order, with the
     /// contract of `BPlusTree::scan`: `f(key, doc, post)` returns
     /// `false` to stop early. A range no resident tag can fall into
@@ -935,7 +949,8 @@ pub(crate) mod tests {
     /// stops after the entry its callback refuses.
     fn check_scans(entries: &[VxEntry], n_docs: u32) -> ValueRunReader {
         let store = build_run(entries, 100, n_docs);
-        let r = open_run(&store, &Arc::new(IoStats::default())).unwrap();
+        let stats = Arc::new(IoStats::default());
+        let r = open_run(&store, &stats).unwrap();
         let check = r.verify().unwrap();
         let count = |s| entries.iter().filter(|e| e.section == s).count() as u64;
         assert_eq!(
@@ -955,6 +970,13 @@ pub(crate) mod tests {
             }
             keys.sort();
             keys.dedup();
+            // A one-key scan enters exactly the blocks `key_span` counts.
+            for k in keys.iter().filter(|k| section.key_len_ok(k.len())) {
+                let before = stats.snapshot();
+                scan_run(&r, section, Bound::Included(k), Bound::Included(k)).unwrap();
+                let reads = stats.snapshot().since(&before).seg_block_reads;
+                assert_eq!(r.key_span(section, k), reads, "{section:?} {k:?}");
+            }
             let mut all: Vec<Bound<&[u8]>> = vec![Bound::Unbounded];
             for k in &keys {
                 all.extend([Bound::Included(&k[..]), Bound::Excluded(&k[..])]);

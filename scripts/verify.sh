@@ -313,19 +313,24 @@ match_payload() { # match_payload <out-file>
 }
 # The predicate query's pre-filter is probed from the bulk tier's value
 # run before (the delta's documents are verified, not probed), from two
-# runs after.
-SEG_QUERIES=("//www/url" "//inproceedings[year < 1985]")
-for i in 0 1; do
+# runs after. Table 3's Q1, a dotted equality twig, anchors on the bulk
+# tier's value run before (the delta's documents descend the trie) and
+# on both runs after.
+SEG_QUERIES=("//www/url" "//inproceedings[year < 1985]" '//inproceedings[./author="Jim Gray"][./year="1990"]')
+for i in 0 1 2; do
   "$PRIX" query "$SMOKE/seg.prix" "${SEG_QUERIES[$i]}" --limit 0 >"$SMOKE/q-before-$i.txt"
 done
 grep -q '^[1-9][0-9]* match(es)' "$SMOKE/q-before-1.txt" || { echo "predicate query matched nothing before compaction" >&2; cat "$SMOKE/q-before-1.txt" >&2; exit 1; }
+grep -q '^[1-9][0-9]* match(es)' "$SMOKE/q-before-2.txt" || { echo "Q1 matched nothing before compaction" >&2; cat "$SMOKE/q-before-2.txt" >&2; exit 1; }
+"$PRIX" explain "$SMOKE/seg.prix" "${SEG_QUERIES[2]}" >"$SMOKE/explain-q1.txt"
+grep -qx 'filter: anchored on the value run: author = "Jim Gray", year = "1990"' "$SMOKE/explain-q1.txt" || { echo "explain does not anchor Q1 on the value run" >&2; cat "$SMOKE/explain-q1.txt" >&2; exit 1; }
 "$PRIX" compact "$SMOKE/seg.prix" >"$SMOKE/compact.log"
 grep -q 'into generation 2' "$SMOKE/compact.log" || { echo "compact did not produce generation 2" >&2; cat "$SMOKE/compact.log" >&2; exit 1; }
 # The compacted tier's value run is written from the delta's records.
 "$PRIX" segments "$SMOKE/seg.prix" --verify >"$SMOKE/segments2.log"
 grep -q 'verified \.g2\.vx\.seg: [0-9]* blocks, [0-9]* numeric posting(s), [1-9][0-9]* string posting(s) ok' "$SMOKE/segments2.log" || { echo "compaction wrote no verified value run" >&2; cat "$SMOKE/segments2.log" >&2; exit 1; }
 grep -q 'segments: clean' "$SMOKE/segments2.log" || { echo "segments --verify not clean after compaction" >&2; cat "$SMOKE/segments2.log" >&2; exit 1; }
-for i in 0 1; do
+for i in 0 1 2; do
   "$PRIX" query "$SMOKE/seg.prix" "${SEG_QUERIES[$i]}" --limit 0 >"$SMOKE/q-after-$i.txt"
   match_payload "$SMOKE/q-before-$i.txt" >"$SMOKE/m-before.txt"
   match_payload "$SMOKE/q-after-$i.txt" >"$SMOKE/m-after.txt"
@@ -337,7 +342,7 @@ for i in 0 1; do
 done
 "$PRIX" fsck "$SMOKE/seg.prix" >"$SMOKE/fsck.log" || { echo "fsck failed after compaction" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
 grep -q 'fsck: clean' "$SMOKE/fsck.log" || { echo "fsck not clean after compaction" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
-echo "segment smoke OK (two bulk builds byte-identical incl. the value run, bulk -> add -> compact bit-identical for a path and a predicate query, fsck clean)"
+echo "segment smoke OK (two bulk builds byte-identical incl. the value run, bulk -> add -> compact bit-identical for a path, a predicate and an anchored value query, fsck clean)"
 
 # Value-predicate smoke: generate the shop scenario, index it (the
 # value index is built alongside the structural ones), and require the

@@ -17,7 +17,7 @@ use prix::prufer::EdgeKind;
 use prix::storage::{BufferPool, Pager};
 use prix::twigstack::{encode_collection, Algorithm, StreamStore, TwigJoin};
 use prix::vist::VistIndex;
-use prix::xml::{Collection, NodeKind, PostNum, SymbolTable, XmlTree};
+use prix::xml::{Collection, NodeId, NodeKind, PostNum, SymbolTable, XmlTree};
 use prix_testkit::{check, from_fn, replay, Config, Generator, TestRng};
 
 /// Construction script for a random tree: each step adds a node under
@@ -383,6 +383,279 @@ fn limit_is_prefix_of_unlimited() {
     );
 }
 
+// ---------------------------------------------------------------------
+// Value twigs: the candidates a tier's value run anchors.
+// ---------------------------------------------------------------------
+
+/// One node of a value document's script: `text` makes a leaf a text
+/// node (never right after a text sibling, which XML would merge), and
+/// a node the script descends into is labelled from `a`–`c` alone, so
+/// `d` and `e` only ever label leaves.
+#[derive(Debug, Clone)]
+struct ValueStep {
+    label: u8,
+    text: bool,
+    descend: bool,
+    ups: u8,
+}
+
+fn gen_value_steps(rng: &mut TestRng, max_nodes: usize) -> Vec<ValueStep> {
+    let len = rng.range(1, max_nodes as u64 - 1) as usize;
+    (0..len)
+        .map(|_| ValueStep {
+            label: if rng.chance(0.85) {
+                3 + rng.below(2)
+            } else {
+                rng.below(5)
+            } as u8,
+            text: rng.chance(0.5),
+            descend: rng.chance(0.4),
+            ups: rng.below(3) as u8,
+        })
+        .collect()
+}
+
+/// A document of the five-letter alphabet whose leaves are childless
+/// elements or text nodes alike.
+fn build_value_tree(root: u8, steps: &[ValueStep], syms: &mut SymbolTable) -> XmlTree {
+    let names = ["a", "b", "c", "d", "e"];
+    let mut tree = XmlTree::with_root(syms.intern(names[root as usize % 3]), NodeKind::Element);
+    let mut stack = vec![tree.root()];
+    for s in steps {
+        let cur = *stack.last().unwrap();
+        let after_text = tree
+            .children(cur)
+            .last()
+            .is_some_and(|&c| tree.kind(c) == NodeKind::Text);
+        let id = if s.descend {
+            let sym = syms.intern(names[s.label as usize % 3]);
+            tree.add_child(cur, sym, NodeKind::Element)
+        } else {
+            let kind = if s.text && !after_text {
+                NodeKind::Text
+            } else {
+                NodeKind::Element
+            };
+            tree.add_child(cur, syms.intern(names[s.label as usize % 5]), kind)
+        };
+        if s.descend {
+            stack.push(id);
+        }
+        for _ in 0..s.ups {
+            if stack.len() > 1 {
+                stack.pop();
+            }
+        }
+    }
+    tree.seal();
+    tree
+}
+
+/// A twig's shape: a label and the children.
+struct Shape {
+    name: String,
+    kids: Vec<Shape>,
+}
+
+impl Shape {
+    /// `node`'s subtree in `tree`, two children a node at most, cut
+    /// `depth` levels below it.
+    fn of(tree: &XmlTree, node: NodeId, syms: &SymbolTable, depth: usize) -> Shape {
+        let kids = tree
+            .children(node)
+            .iter()
+            .take(if depth > 0 { 2 } else { 0 });
+        Shape {
+            name: syms.name(tree.label(node)).to_string(),
+            kids: kids.map(|&c| Shape::of(tree, c, syms, depth - 1)).collect(),
+        }
+    }
+
+    /// The value twig of this shape: every edge `/`, every inner node
+    /// an element and every leaf a text node — but, with
+    /// `element_leaf`, the first leaf stays an element, so no tier
+    /// anchors the twig.
+    fn twig(&self, element_leaf: bool, syms: &mut SymbolTable) -> TwigQuery {
+        let mut tree = XmlTree::with_root(syms.intern(&self.name), NodeKind::Element);
+        let (mut todo, mut leaves) = (vec![(self, tree.root())], 0);
+        while let Some((from, to)) = todo.pop() {
+            for c in &from.kids {
+                let kind = match c.kids.is_empty() {
+                    true if !(element_leaf && leaves == 0) => NodeKind::Text,
+                    _ => NodeKind::Element,
+                };
+                leaves += usize::from(c.kids.is_empty());
+                todo.push((c, tree.add_child(to, syms.intern(&c.name), kind)));
+            }
+        }
+        tree.seal();
+        let edges = vec![EdgeKind::Child; tree.len()];
+        TwigQuery::new(tree, edges, false)
+    }
+}
+
+/// Where a value twig comes from: a subtree of one of the documents
+/// (`sample`: which document, which inner node), so it often matches, or a
+/// shape script whose inner nodes take `a`–`c` and whose leaves take
+/// `values` — `d` or `e` mostly, whose tiers anchor, `a`–`c` now and
+/// then, whose tiers descend the trie.
+#[derive(Debug, Clone)]
+struct ValueQuery {
+    sample: Option<(u8, u8)>,
+    root: u8,
+    steps: Vec<Step>,
+    values: Vec<u8>,
+    element_leaf: bool,
+}
+
+impl ValueQuery {
+    fn shape(&self, collection: &Collection) -> Shape {
+        if let Some((d, n)) = self.sample {
+            let tree = collection.doc(u32::from(d) % collection.len() as u32);
+            let inner: Vec<NodeId> = tree.nodes().filter(|&n| !tree.is_leaf(n)).collect();
+            let node = inner.get(usize::from(n) % inner.len().max(1));
+            return Shape::of(tree, *node.unwrap_or(&tree.root()), collection.symbols(), 3);
+        }
+        let mut syms = SymbolTable::new();
+        let tree = build_tree(self.root, &self.steps, &mut syms);
+        let names = ["a", "b", "c", "d", "e"];
+        let mut leaves = 0;
+        fn walk(t: &XmlTree, n: NodeId, label: &mut dyn FnMut(NodeId) -> String) -> Shape {
+            let kids = t.children(n).iter().map(|&c| walk(t, c, label)).collect();
+            Shape {
+                name: label(n),
+                kids,
+            }
+        }
+        walk(&tree, tree.root(), &mut |n| {
+            if tree.is_leaf(n) && n != tree.root() {
+                leaves += 1;
+                names[self.values[leaves % self.values.len()] as usize % 5].to_string()
+            } else {
+                names[(syms.name(tree.label(n)).as_bytes()[0] - b'a') as usize % 3].to_string()
+            }
+        })
+    }
+}
+
+/// Documents split in three (bulk, ingest then compact, ingest into the
+/// delta) and a value twig.
+type ValueInput = (Vec<(u8, Vec<ValueStep>)>, (usize, usize), ValueQuery);
+
+fn gen_value_input() -> impl Generator<Value = ValueInput> {
+    from_fn(|rng| {
+        let docs: Vec<_> = (0..rng.range(1, 6))
+            .map(|_| (rng.below(3) as u8, gen_value_steps(rng, 14)))
+            .collect();
+        let cut = rng.below(docs.len() as u64 + 1) as usize;
+        let cut2 = cut + rng.below((docs.len() - cut) as u64 + 1) as usize;
+        let query = ValueQuery {
+            sample: rng
+                .chance(0.6)
+                .then(|| (rng.below(8) as u8, rng.below(16) as u8)),
+            root: rng.below(3) as u8,
+            steps: gen_steps(rng, 5),
+            values: (0..4)
+                .map(|_| if rng.chance(0.8) { 3 + rng.below(2) } else { rng.below(3) } as u8)
+                .collect(),
+            element_leaf: rng.chance(0.2),
+        };
+        (docs, (cut, cut2), query)
+    })
+}
+
+/// Value twigs answer alike whether their candidates come from the
+/// value run or the trie descent: on a one-tier engine the answer is
+/// the oracle's and the scan matcher's, the tier anchors exactly when
+/// every query leaf is a text node whose label no node with children
+/// carries, `limit = k` returns the first `k` matches of the unlimited
+/// answer, and an engine whose documents sit in a bulk tier, a
+/// compacted tier and the delta gives the same answer set.
+fn prop_anchored_equals_oracle(input: &ValueInput) -> Result<(), String> {
+    let (scripts, (cut, cut2), spec) = input;
+    let mut collection = Collection::new();
+    for (root, steps) in scripts {
+        let tree = build_value_tree(*root, steps, collection.symbols_mut());
+        collection.add_tree(tree);
+    }
+    let shape = spec.shape(&collection);
+    let mut syms = collection.symbols().clone();
+    let q = shape.twig(spec.element_leaf, &mut syms);
+    let expected = naive_as_set(&collection, &q);
+    let dummy = syms.clone().intern("\u{1}dummy");
+    let scan_set = matches_as_set(&scan::scan_matches(&collection, &q, dummy));
+    assert_eq!(scan_set, expected, "scan vs oracle");
+
+    let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
+    use prix::core::index::ExecOpts;
+    let unlimited = snap.query_opts(&q, &ExecOpts::new()).unwrap();
+    assert_eq!(
+        matches_as_set(&unlimited.matches),
+        expected,
+        "PRIX vs oracle"
+    );
+    let qt = q.tree();
+    let parents: std::collections::HashSet<_> = collection
+        .iter()
+        .flat_map(|(_, t)| t.nodes().filter(|&n| !t.is_leaf(n)).map(|n| t.label(n)))
+        .collect();
+    let anchors = qt
+        .nodes()
+        .filter(|&n| qt.is_leaf(n))
+        .all(|n| qt.kind(n) == NodeKind::Text && !parents.contains(&qt.label(n)));
+    let s = &unlimited.stats;
+    assert_eq!(s.range_queries == 0, anchors, "anchored {anchors}: {s:?}");
+    for k in 0..=expected.len() + 1 {
+        let out = snap.query_opts(&q, &ExecOpts::new().with_limit(k)).unwrap();
+        if anchors {
+            let first: Vec<_> = unlimited.matches.iter().take(k).cloned().collect();
+            assert_eq!(out.matches, first, "limit {k} is not a prefix");
+        }
+        assert_eq!(out.truncated, k <= expected.len(), "limit {k} truncated");
+    }
+
+    // The same documents over three tiers.
+    let xml: Vec<String> = collection
+        .iter()
+        .map(|(_, t)| prix::xml::write_document(t, collection.symbols()))
+        .collect();
+    let mut bulk = Collection::new();
+    for doc in &xml[..*cut] {
+        bulk.add_xml(doc).unwrap();
+    }
+    let mut tiered = PrixEngine::build(bulk, EngineConfig::default()).unwrap();
+    for (part, compact) in [(&xml[*cut..*cut2], true), (&xml[*cut2..], false)] {
+        let out = tiered.ingest_batch(part).unwrap();
+        if !out.rejected.is_empty() {
+            return Ok(()); // the delta's scope ran out (DESIGN.md §12)
+        }
+        tiered.save().unwrap();
+        if compact {
+            tiered.compact().unwrap();
+        }
+    }
+    let mut syms_t = tiered.symbols().clone();
+    let qt = shape.twig(spec.element_leaf, &mut syms_t);
+    let out = tiered.snapshot().query(&qt).unwrap();
+    assert_eq!(matches_as_set(&out.matches), expected, "tiers vs one tier");
+    Ok(())
+}
+
+#[test]
+fn anchored_equals_oracle() {
+    check(
+        "anchored_equals_oracle",
+        &Config {
+            cases: 96,
+            max_shrink_iters: 200,
+            ..Default::default()
+        },
+        &gen_value_input(),
+        prop_anchored_equals_oracle,
+    );
+}
+
 /// Unordered matching finds at least the ordered matches and agrees
 /// with the arrangement-union oracle.
 fn prop_unordered_is_arrangement_union(input: &EngineInput) -> Result<(), String> {
@@ -657,6 +930,11 @@ fn regression_seed_limit_is_prefix_of_unlimited() {
         &gen_engine_input(),
         prop_limit_is_prefix_of_unlimited,
     );
+}
+
+#[test]
+fn regression_seed_anchored_equals_oracle() {
+    replay(0x5EED_0008, &gen_value_input(), prop_anchored_equals_oracle);
 }
 
 #[test]

@@ -44,17 +44,18 @@
 //! without, and a limited answer is the first matches of the unlimited
 //! one.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::ops::Bound;
 use std::time::{Duration, Instant};
 
-use prix_prufer::{embedding, refine_match, EdgeKind, RefineCtx};
+use prix_prufer::{embedding_into, refine_match, EdgeKind, RefineCtx};
 use prix_storage::{ValueRunReader, VxSection};
 use prix_xml::{DocId, NodeKind, PostNum, Sym, SymbolTable};
 
 use crate::index::{
-    corrupt_record, decode_doc_record, project_embedding, DocData, ExecOpts, GapRule, IndexKind,
-    PrixIndex, QueryPlan, QueryStats, Result, TwigMatch,
+    corrupt_record, decode_doc_record_into, project_embedding_into, DocBuf, DocData, ExecOpts,
+    GapRule, IndexKind, PrixIndex, QueryPlan, QueryStats, Result, TwigMatch,
 };
 use crate::valix::{str_key, PredEval};
 
@@ -341,14 +342,16 @@ pub(crate) fn explain_anchors(anchors: &[Anchor], syms: &SymbolTable) -> String 
 /// still in the intersection — and merge-joins the postings by
 /// document. Then, one document at a time: a document whose anchors'
 /// postorders cannot come in query order is dropped unread; otherwise
-/// its record's regular view is decoded once, each posting's leaf must
-/// carry the value (the key is truncated, the label is exact), each
-/// anchor walks up the NPS checking every ancestor's label, and the
-/// anchors join where their images meet. Each join is one embedding;
-/// its images map to extended positions (`ext(v) = v + #leaves ≤ v`, a
-/// dummy at its leaf's minus one) and a strictly increasing `S` is a
-/// candidate. A document that yields one hands its extended view to the
-/// refine stage's cache, so no record is decoded twice.
+/// its record's regular view is decoded once, into the refine stage's
+/// [`DocBuf`], each posting's leaf must carry the value (the key is
+/// truncated, the label is exact), each anchor walks up the NPS checking
+/// every ancestor's label, and the anchors join where their images meet.
+/// Each join is one embedding; its images map to extended positions
+/// (`ext(v) = v + #leaves ≤ v`, a dummy at its leaf's minus one) and a
+/// strictly increasing `S` is a candidate. A document that yields one
+/// derives its extended view into the stage's one view, which its
+/// candidates are then refined against, so no record is decoded twice
+/// and nothing is handed over per document.
 pub(crate) struct AnchoredCursor<'a> {
     idx: &'a PrixIndex,
     run: &'a ValueRunReader,
@@ -356,12 +359,19 @@ pub(crate) struct AnchoredCursor<'a> {
     /// `dummy[e - 1]`: extended query node `e` is a dummy leaf.
     dummy: Vec<bool>,
     pred: Option<&'a PredEval<'a>>,
-    /// Whether the refine stage wants leaf data in the views it gets.
-    need_leaf_data: bool,
     /// Per anchor, its postings in the documents every anchor's key
     /// holds, `(doc, post)` ascending, and the first not walked yet.
     postings: Vec<Vec<(DocId, PostNum)>>,
     walked: Vec<usize>,
+    /// Per anchor, where its postings in the current document start
+    /// (they end at `walked`).
+    starts: Vec<usize>,
+    /// Per anchor, the images of its walks in the current document,
+    /// `1 + up.len()` each; and the images a join assigns (extended
+    /// query postorder → document postorder, 0 unset). Reused from one
+    /// document to the next.
+    walks: Vec<Vec<PostNum>>,
+    img: Vec<PostNum>,
     /// The document being yielded, its candidates ascending, and how
     /// many of them were yielded.
     doc: DocId,
@@ -381,7 +391,7 @@ impl<'a> AnchoredCursor<'a> {
         pred: Option<&'a PredEval<'a>>,
     ) -> Self {
         let t = &plan.qtree;
-        let dummy = (1..t.len() as PostNum)
+        let dummy: Vec<bool> = (1..t.len() as PostNum)
             .map(|e| t.is_leaf(t.node_at(e)))
             .collect();
         let n = anchors.len();
@@ -389,11 +399,13 @@ impl<'a> AnchoredCursor<'a> {
             idx,
             run,
             anchors,
+            img: vec![0; dummy.len() + 2],
             dummy,
             pred,
-            need_leaf_data: !plan.skip_leaf || pred.is_some(),
             postings: vec![Vec::new(); n],
             walked: vec![0; n],
+            starts: vec![0; n],
+            walks: vec![Vec::new(); n],
             doc: 0,
             found: Vec::new(),
             yielded: 0,
@@ -404,18 +416,15 @@ impl<'a> AnchoredCursor<'a> {
     }
 
     /// Pulls the next candidate. Entering a document that yields one
-    /// replaces `cache`'s views with that document's.
-    pub(crate) fn next(
-        &mut self,
-        cache: &mut HashMap<DocId, DocData>,
-    ) -> Result<Option<(DocId, &[PostNum])>> {
+    /// loads that document into `views`' one view.
+    pub(crate) fn next(&mut self, views: &mut Views<'_>) -> Result<Option<(DocId, &[PostNum])>> {
         let t0 = Instant::now();
-        let res = self.advance(cache);
+        let res = self.advance(views);
         self.stats.filter_time += t0.elapsed();
         Ok(res?.then(|| (self.doc, self.found[self.yielded - 1].as_slice())))
     }
 
-    fn advance(&mut self, cache: &mut HashMap<DocId, DocData>) -> Result<bool> {
+    fn advance(&mut self, views: &mut Views<'_>) -> Result<bool> {
         if self.done {
             return Ok(false);
         }
@@ -424,7 +433,7 @@ impl<'a> AnchoredCursor<'a> {
             self.probe()?;
         }
         while self.yielded == self.found.len() {
-            if !self.next_doc(cache)? {
+            if !self.next_doc(views)? {
                 self.done = true;
                 return Ok(false);
             }
@@ -485,28 +494,35 @@ impl<'a> AnchoredCursor<'a> {
         Ok(())
     }
 
+    /// Anchor `i`'s postings in the current document.
+    fn posts(&self, i: usize) -> &[(DocId, PostNum)] {
+        &self.postings[i][self.starts[i]..self.walked[i]]
+    }
+
     /// Walks the next document; `false` when none is left.
-    fn next_doc(&mut self, cache: &mut HashMap<DocId, DocData>) -> Result<bool> {
+    fn next_doc(&mut self, views: &mut Views<'_>) -> Result<bool> {
         let Some(&(doc, _)) = self.postings[0].get(self.walked[0]) else {
             return Ok(false);
         };
         self.doc = doc;
         self.found.clear();
         self.yielded = 0;
-        // Each anchor's postings in `doc`.
-        let mut posts: Vec<&[(DocId, PostNum)]> = Vec::with_capacity(self.anchors.len());
-        for (list, walked) in self.postings.iter().zip(&mut self.walked) {
-            let from = *walked;
+        for ((list, walked), start) in self
+            .postings
+            .iter()
+            .zip(&mut self.walked)
+            .zip(&mut self.starts)
+        {
+            *start = *walked;
             while list.get(*walked).is_some_and(|&(d, _)| d == doc) {
                 *walked += 1;
             }
-            posts.push(&list[from..*walked]);
         }
         // An embedding's leaves ascend in query postorder, so some
         // choice of postings must: try the least one each time.
         let mut least = 0;
-        for p in &posts {
-            match p.iter().find(|&&(_, post)| post > least) {
+        for i in 0..self.anchors.len() {
+            match self.posts(i).iter().find(|&&(_, post)| post > least) {
                 Some(&(_, post)) => least = post,
                 None => return Ok(true),
             }
@@ -515,52 +531,48 @@ impl<'a> AnchoredCursor<'a> {
             self.stats.pred_skipped += 1;
             return Ok(true);
         }
-        let view =
-            decode_doc_record(&self.idx.doc_record(doc)?, true).ok_or_else(corrupt_record)?;
-        // Per anchor, the images of its walks, `1 + up.len()` each.
-        let mut walks: Vec<Vec<PostNum>> = Vec::with_capacity(posts.len());
-        for (a, p) in self.anchors.iter().zip(&posts) {
-            let mut out = Vec::new();
-            for &(_, post) in *p {
-                climb(&view, a, post, &mut out);
+        // The view is about to be overwritten: until this document's
+        // view stands in it, it is no document's.
+        views.one.doc = None;
+        let buf = &mut views.buf;
+        self.idx.doc_record_into(doc, &mut buf.record)?;
+        decode_doc_record_into(&buf.record, true, &mut buf.regular).ok_or_else(corrupt_record)?;
+        for (i, (a, out)) in self.anchors.iter().zip(&mut self.walks).enumerate() {
+            out.clear();
+            for &(_, post) in &self.postings[i][self.starts[i]..self.walked[i]] {
+                climb(&buf.regular, a, post, out);
             }
             if out.is_empty() {
                 return Ok(true);
             }
-            walks.push(out);
         }
-        let mut img = vec![0 as PostNum; self.dummy.len() + 2];
-        let mut found = Vec::new();
-        self.join(0, &walks, &mut img, &view, &mut found);
+        let mut img = std::mem::take(&mut self.img);
+        let mut found = std::mem::take(&mut self.found);
+        self.join(0, &mut img, &buf.regular, &mut found);
+        self.img = img;
         if found.is_empty() {
+            self.found = found;
             return Ok(true);
         }
         found.sort_unstable();
-        let ext = view
-            .extended(self.idx.dummy(), self.need_leaf_data)
+        let need_leaf_data = views.need_leaf_data;
+        let view = &mut views.one.data;
+        buf.regular
+            .extended_into(self.idx.dummy(), need_leaf_data, &mut buf.ext, view)
             .ok_or_else(corrupt_record)?;
         // A record whose leaf list disagrees with its NPS can place a
         // position outside the extended view.
-        let len = ext.nps.len() as PostNum;
+        let len = view.nps.len() as PostNum;
         found.retain(|s| s[0] >= 1 && s[s.len() - 1] <= len);
-        cache.clear();
-        cache.insert(doc, ext);
+        views.one.enter(doc);
         self.found = found;
         Ok(true)
     }
 
-    /// Joins anchor `i`'s walks onto the images `img` (extended query
-    /// postorder → document postorder, 0 unset) the earlier anchors
-    /// fixed, and turns every complete, strictly increasing assignment
-    /// into a candidate.
-    fn join(
-        &self,
-        i: usize,
-        walks: &[Vec<PostNum>],
-        img: &mut [PostNum],
-        view: &DocData,
-        found: &mut Vec<Vec<PostNum>>,
-    ) {
+    /// Joins anchor `i`'s walks onto the images `img` the earlier
+    /// anchors fixed, and turns every complete, strictly increasing
+    /// assignment into a candidate.
+    fn join(&self, i: usize, img: &mut [PostNum], view: &DocData, found: &mut Vec<Vec<PostNum>>) {
         let Some(a) = self.anchors.get(i) else {
             // ext(v) = v + #(leaves ≤ v); a dummy sits just before its leaf.
             let ext = |v: PostNum| v + view.leaves.partition_point(|l| l.1 <= v) as PostNum;
@@ -576,19 +588,22 @@ impl<'a> AnchoredCursor<'a> {
             return;
         };
         let nodes = || std::iter::once(a.at).chain(a.up.iter().map(|&(e, _)| e));
-        for walk in walks[i].chunks_exact(a.up.len() + 1) {
+        for walk in self.walks[i].chunks_exact(a.up.len() + 1) {
             if nodes()
                 .zip(walk)
                 .any(|(e, &v)| img[e as usize] != 0 && img[e as usize] != v)
             {
                 continue;
             }
-            let fresh: Vec<PostNum> = nodes().filter(|&e| img[e as usize] == 0).collect();
+            // The earlier anchors fixed whole walks up to the root, so
+            // the nodes this walk fixes first are the ones below the
+            // highest it shares: a prefix of `nodes()`.
+            let fresh = nodes().take_while(|&e| img[e as usize] == 0).count();
             for (e, &v) in nodes().zip(walk) {
                 img[e as usize] = v;
             }
-            self.join(i + 1, walks, img, view, found);
-            for e in fresh {
+            self.join(i + 1, img, view, found);
+            for e in nodes().take(fresh) {
                 img[e as usize] = 0;
             }
         }
@@ -643,20 +658,116 @@ fn merge_join(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
     out
 }
 
+/// The embeddings already emitted from one document.
+type Seen = HashSet<Vec<PostNum>>;
+
+/// One document's view and the embeddings already emitted from it.
+#[derive(Default)]
+struct OneDoc {
+    /// The document `data` and `seen` belong to; `None` while they
+    /// belong to none (before the first document, and while the next
+    /// one is read into `data`).
+    doc: Option<DocId>,
+    data: DocData,
+    seen: Seen,
+}
+
+impl OneDoc {
+    /// Marks `data` as `doc`'s view, with nothing emitted from it yet.
+    fn enter(&mut self, doc: DocId) {
+        self.doc = Some(doc);
+        self.seen.clear();
+    }
+}
+
+/// The documents a [`RefineStage`] refines against and the scratch it
+/// reads them through.
+///
+/// A stream whose candidates arrive grouped by document — an unlimited
+/// trie stream after its sort, and every anchored stream — never returns
+/// to a document it has left, so it keeps one view and one dedup set,
+/// reset when the document changes: its vectors grow to the widest
+/// document and are then reused, and nothing is left to free when the
+/// stream ends. A limited trie stream refines in trie order, which
+/// interleaves documents, so its dedup must span them: it keeps every
+/// document's view and dedup set, each document read once, through the
+/// same [`DocBuf`].
+pub(crate) struct Views<'a> {
+    idx: &'a PrixIndex,
+    /// Whether the views need the LPS and leaf list: for the leaf check,
+    /// or for predicate verification.
+    need_leaf_data: bool,
+    buf: DocBuf,
+    one: OneDoc,
+    /// A limited trie stream's views and dedup sets, per document;
+    /// `None` for a grouped stream.
+    spread: Option<HashMap<DocId, (DocData, Seen)>>,
+}
+
+impl<'a> Views<'a> {
+    fn new(idx: &'a PrixIndex, need_leaf_data: bool, grouped: bool) -> Self {
+        Views {
+            idx,
+            need_leaf_data,
+            buf: DocBuf::default(),
+            one: OneDoc::default(),
+            spread: (!grouped).then(HashMap::new),
+        }
+    }
+
+    /// `doc`'s view and the embeddings emitted from it, the document
+    /// read first unless it is held.
+    fn get(&mut self, doc: DocId) -> Result<(&DocData, &mut Seen)> {
+        let (idx, need, buf) = (self.idx, self.need_leaf_data, &mut self.buf);
+        if let Some(spread) = &mut self.spread {
+            let (data, seen) = match spread.entry(doc) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    let mut data = DocData::default();
+                    idx.load_doc_into(doc, need, buf, &mut data)?;
+                    e.insert((data, Seen::new()))
+                }
+            };
+            return Ok((data, seen));
+        }
+        let one = &mut self.one;
+        if one.doc != Some(doc) {
+            // A record that does not decode must not leave the previous
+            // document's view standing under this one's id.
+            one.doc = None;
+            idx.load_doc_into(doc, need, buf, &mut one.data)?;
+            one.enter(doc);
+        }
+        Ok((&one.data, &mut one.seen))
+    }
+
+    /// How many views and dedup sets are held.
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        match &self.spread {
+            Some(spread) => spread.len(),
+            None => usize::from(self.one.doc.is_some()),
+        }
+    }
+}
+
 /// Algorithm 2 refinement + embedding projection + dedup + predicate
 /// verification as a per-candidate stage. Order-agnostic: feeding it
 /// candidates in any order yields the same set of distinct matches
-/// (first occurrence wins). The per-document [`DocData`] cache survives
-/// across candidates, and dedup hashes per-document embedding sets so a
-/// duplicate costs a lookup, not a clone.
+/// (first occurrence wins). Where it keeps the documents it reads is
+/// [`Views`]'s: one view for a stream grouped by document, one per
+/// document otherwise. Per candidate it allocates nothing but the
+/// match it emits: the checks read the view in place, and the embedding
+/// and its projection go to buffers the stage keeps.
 pub(crate) struct RefineStage<'a> {
-    idx: &'a PrixIndex,
-    cache: HashMap<DocId, DocData>,
-    seen: HashMap<DocId, HashSet<Vec<PostNum>>>,
+    views: Views<'a>,
     /// Value-predicate evaluator: refined matches must pass its
     /// positional verification, which needs the leaf records loaded
     /// even when the plan's leaf check is skipped.
     pred: Option<&'a PredEval<'a>>,
+    /// The embedding in plan numbering, and projected.
+    img: Vec<PostNum>,
+    base: Vec<PostNum>,
     /// `(doc, S)` candidate pairs that entered refinement.
     candidates: u64,
     /// Candidates surviving all refinement phases.
@@ -668,12 +779,12 @@ pub(crate) struct RefineStage<'a> {
 }
 
 impl<'a> RefineStage<'a> {
-    fn new(idx: &'a PrixIndex, pred: Option<&'a PredEval<'a>>) -> Self {
+    fn new(views: Views<'a>, pred: Option<&'a PredEval<'a>>) -> Self {
         RefineStage {
-            idx,
-            cache: HashMap::new(),
-            seen: HashMap::new(),
+            views,
             pred,
+            img: Vec::new(),
+            base: Vec::new(),
             candidates: 0,
             refined: 0,
             pred_rejected: 0,
@@ -694,13 +805,7 @@ impl<'a> RefineStage<'a> {
     ) -> Result<Option<TwigMatch>> {
         self.candidates += 1;
         let t0 = Instant::now();
-        let data = match self.cache.entry(doc) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(e) => e.insert(
-                self.idx
-                    .load_doc(doc, !plan.skip_leaf || self.pred.is_some())?,
-            ),
-        };
+        let (data, seen) = self.views.get(doc)?;
         let ctx = RefineCtx {
             doc_nps: &data.nps,
             query_nps: &plan.seq.nps,
@@ -718,36 +823,32 @@ impl<'a> RefineStage<'a> {
             return Ok(None);
         }
         self.refined += 1;
-        let img = embedding(&plan.seq.nps, positions, &data.nps);
-        let out = (|| {
-            let base = project_embedding(plan, data, &img)?;
-            if absolute && base[base.len() - 1] != data.n_orig {
-                return None;
-            }
-            let set = self.seen.entry(doc).or_default();
-            if set.contains(&base) {
-                return None;
-            }
-            set.insert(base.clone());
-            Some(TwigMatch {
-                doc,
-                embedding: base,
-            })
-        })();
+        embedding_into(&plan.seq.nps, positions, &data.nps, &mut self.img);
+        let base = &mut self.base;
+        let new = project_embedding_into(plan, data, &self.img, base).is_some()
+            && !(absolute && base.last() != Some(&data.n_orig))
+            && !seen.contains(base.as_slice());
+        if new {
+            seen.insert(base.clone());
+        }
         let t2 = Instant::now();
         self.project_time += t2 - t1;
-        match (self.pred, out) {
-            (Some(p), Some(m)) => {
-                // Positional predicate verification refines too.
-                let ok = p.matches(data, &m.embedding);
-                self.refine_time += t2.elapsed();
-                if !ok {
-                    self.pred_rejected += 1;
-                }
-                Ok(ok.then_some(m))
-            }
-            (_, out) => Ok(out),
+        if !new {
+            return Ok(None);
         }
+        if let Some(p) = self.pred {
+            // Positional predicate verification refines too.
+            let ok = p.matches(data, base);
+            self.refine_time += t2.elapsed();
+            if !ok {
+                self.pred_rejected += 1;
+                return Ok(None);
+            }
+        }
+        Ok(Some(TwigMatch {
+            doc,
+            embedding: base.clone(),
+        }))
     }
 }
 
@@ -793,6 +894,11 @@ impl<'a> MatchStream<'a> {
         setup: Instant,
     ) -> Self {
         let anchored = values.and_then(|v| Some((v.run, plan_anchors(idx, &plan, &v)?)));
+        // An anchored source yields one document at a time, and an
+        // unlimited trie stream refines its sorted candidates: both
+        // arrive grouped by document.
+        let grouped = anchored.is_some() || opts.limit.is_none();
+        let views = Views::new(idx, !plan.skip_leaf || pred.is_some(), grouped);
         let source = match anchored {
             Some((run, anchors)) => {
                 Source::Anchored(AnchoredCursor::new(idx, run, anchors, &plan, pred))
@@ -808,7 +914,7 @@ impl<'a> MatchStream<'a> {
         };
         MatchStream {
             source,
-            stage: RefineStage::new(idx, pred),
+            stage: RefineStage::new(views, pred),
             plan,
             absolute,
             limit: opts.limit,
@@ -832,7 +938,7 @@ impl<'a> MatchStream<'a> {
         while self.limit.is_none_or(|k| (self.emitted as usize) < k) {
             let popped;
             let candidate = match &mut self.source {
-                Source::Anchored(a) => a.next(&mut self.stage.cache)?,
+                Source::Anchored(a) => a.next(&mut self.stage.views)?,
                 Source::Trie(cursor) if self.limit.is_some() => cursor.next()?,
                 Source::Trie(_) => {
                     popped = self.sorted.pop();
@@ -886,11 +992,15 @@ impl<'a> MatchStream<'a> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use prix_xml::Collection;
 
+    use super::{MatchStream, TierValues, Views};
     use crate::engine::{EngineConfig, PrixEngine};
     use crate::index::ExecOpts;
     use crate::naive::naive_ordered;
+    use crate::xpath::parse_xpath;
 
     /// `(doc, embedding)` pairs.
     type Matches = Vec<(u32, Vec<u32>)>;
@@ -966,5 +1076,76 @@ mod tests {
         assert_eq!(got, oracle);
         assert_eq!(got.iter().filter(|(d, _)| *d == 1).count(), 3);
         assert!(got.iter().all(|(d, _)| *d == 1));
+    }
+
+    /// Six documents, each one match of `//a/b` and of `//a[./b="x"]`.
+    fn six_docs() -> PrixEngine {
+        let mut c = Collection::new();
+        for i in 0..6 {
+            c.add_xml(&format!("<a><b>x</b><c>{i}</c></a>")).unwrap();
+        }
+        PrixEngine::build(c, EngineConfig::default()).unwrap()
+    }
+
+    /// Drains `stream`: the documents its matches came from, and the
+    /// most views its refine stage held after any pull.
+    fn drain_holding(stream: &mut MatchStream<'_>) -> (usize, usize) {
+        let (mut docs, mut most) = (HashSet::new(), 0);
+        while let Some(m) = stream.next_match().unwrap() {
+            docs.insert(m.doc);
+            most = most.max(stream.stage.views.held());
+        }
+        (docs.len(), most)
+    }
+
+    /// A stream grouped by document — an unlimited trie stream, an
+    /// anchored stream with a limit or without — holds one view and one
+    /// dedup set however many documents it drains; a limited trie
+    /// stream, whose documents interleave, holds one per document.
+    #[test]
+    fn a_grouped_stream_holds_one_view_and_one_dedup_set() {
+        let engine = six_docs();
+        let tier = &engine.seg_tiers()[0];
+        let values = TierValues {
+            run: &tier.vx,
+            rp: &tier.rp,
+            syms: engine.symbols(),
+        };
+        let mut syms = engine.symbols().clone();
+        let path = parse_xpath("//a/b", &mut syms).unwrap();
+        let twig = parse_xpath(r#"//a[./b="x"]"#, &mut syms).unwrap();
+        let unlimited = ExecOpts::new();
+        let limited = ExecOpts {
+            limit: Some(100),
+            ..ExecOpts::new()
+        };
+        for (what, q, values, opts, held) in [
+            ("unlimited trie", &path, None, &unlimited, 1),
+            ("anchored", &twig, Some(values), &unlimited, 1),
+            ("limited anchored", &twig, Some(values), &limited, 1),
+            ("limited trie", &path, None, &limited, 6),
+        ] {
+            let idx = if values.is_some() { &tier.ep } else { &tier.rp };
+            let mut stream = idx.stream_tier(q, opts, None, values).unwrap();
+            assert_eq!(drain_holding(&mut stream), (6, held), "{what}");
+            let anchored = stream.stats().range_queries == 0;
+            assert_eq!(anchored, values.is_some(), "{what}");
+        }
+    }
+
+    /// A document that fails to load leaves no view standing: the one
+    /// view is no document's until the next load succeeds, so the
+    /// previous document's is never served under the new id.
+    #[test]
+    fn a_document_that_fails_to_load_leaves_no_view_standing() {
+        let engine = six_docs();
+        let idx = &engine.seg_tiers()[0].ep;
+        let mut views = Views::new(idx, true, true);
+        let first = views.get(0).unwrap().0.clone();
+        assert_eq!(views.held(), 1);
+        assert!(views.get(99).is_err(), "past the tier");
+        assert_eq!(views.held(), 0);
+        assert!(views.get(99).is_err());
+        assert_eq!(views.get(0).unwrap().0, &first);
     }
 }

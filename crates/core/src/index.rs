@@ -402,8 +402,10 @@ pub struct Prepared {
 
 /// Per-document data used by refinement: a record's regular view
 /// ([`decode_doc_record`]), or the extended view an EPIndex derives from
-/// it ([`DocData::extended`]).
-#[derive(Debug, Clone, PartialEq)]
+/// it ([`DocData::extended`]). A stream grouped by document keeps one
+/// and decodes each document into it in turn (the `_into` forms), so its
+/// vectors are allocated once per stream, not once per document.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct DocData {
     pub(crate) nps: Vec<PostNum>,
     pub(crate) lps: Vec<Sym>,
@@ -444,11 +446,26 @@ impl DocData {
     /// parent at or below its child or past the root, or a leaf list that
     /// is not exactly the leaves in postorder.
     pub(crate) fn extended(&self, dummy: Sym, need_leaf_data: bool) -> Option<DocData> {
+        let mut out = DocData::default();
+        self.extended_into(dummy, need_leaf_data, &mut Vec::new(), &mut out)
+            .map(|()| out)
+    }
+
+    /// [`DocData::extended`] written into `out`, whose vectors it reuses,
+    /// with `ext` as its scratch. On `None`, `out` holds no view.
+    pub(crate) fn extended_into(
+        &self,
+        dummy: Sym,
+        need_leaf_data: bool,
+        ext: &mut Vec<PostNum>,
+        out: &mut DocData,
+    ) -> Option<()> {
         let n = self.nps.len() + 1;
         // `ext[v]` starts as 1 for a leaf, 0 for a node some position
         // names as its parent; the running sum then makes it `v`'s
         // extended postorder (`ext[0]`, no node, stays 0).
-        let mut ext = vec![1 as PostNum; n + 1];
+        ext.clear();
+        ext.resize(n + 1, 1);
         ext[0] = 0;
         for (i, &p) in self.nps.iter().enumerate() {
             if p as usize <= i + 1 || p as usize > n {
@@ -461,44 +478,40 @@ impl DocData {
             leaves_so_far += *e;
             *e = v as PostNum + leaves_so_far;
         }
+        let ext = &ext[..];
         let is_leaf = |v: usize| ext[v] - ext[v - 1] == 2;
         let n_ext = ext[n] as usize;
-        let mut nps = Vec::with_capacity(n_ext - 1);
-        let mut orig_map = vec![0 as PostNum; n_ext];
+        out.nps.clear();
+        let orig_map = out.orig_map.get_or_insert_with(Vec::new);
+        orig_map.clear();
+        orig_map.resize(n_ext, 0);
         for v in 1..=n {
             if is_leaf(v) {
-                nps.push(ext[v]);
+                out.nps.push(ext[v]);
             }
             if v < n {
-                nps.push(ext[self.nps[v - 1] as usize]);
+                out.nps.push(ext[self.nps[v - 1] as usize]);
             }
             orig_map[ext[v] as usize - 1] = v as PostNum;
         }
-        let (lps, leaves) = if need_leaf_data {
-            let mut lps = Vec::with_capacity(n_ext - 1);
-            let mut leaves = Vec::with_capacity(n_ext - n);
+        out.lps.clear();
+        out.leaves.clear();
+        if need_leaf_data {
             let mut stored = self.leaves.iter();
             for (v, &e) in ext.iter().enumerate().skip(1) {
                 if is_leaf(v) {
                     let &(label, _) = stored.next().filter(|l| l.1 as usize == v)?;
-                    lps.push(label);
-                    leaves.push((dummy, e - 1));
+                    out.lps.push(label);
+                    out.leaves.push((dummy, e - 1));
                 }
                 if v < n {
-                    lps.push(*self.lps.get(v - 1)?);
+                    out.lps.push(*self.lps.get(v - 1)?);
                 }
             }
-            stored.next().is_none().then_some((lps, leaves))?
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        Some(DocData {
-            nps,
-            lps,
-            leaves,
-            orig_map: Some(orig_map),
-            n_orig: n as PostNum,
-        })
+            stored.next().is_none().then_some(())?;
+        }
+        out.n_orig = n as PostNum;
+        Some(())
     }
 
     /// The LPS and per-position fine gaps an index of `kind` files the
@@ -740,11 +753,18 @@ impl PrixIndex {
         self.maxgap.contains(label)
     }
 
-    /// Describes how this index would run `q`: the plan flavor, the
-    /// query's Prüfer sequences, edge constraints, and the Theorem 4
-    /// pruning rules.
-    pub fn explain(&self, q: &TwigQuery, syms: &prix_xml::SymbolTable) -> Result<String> {
-        let plan = self.plan(q)?;
+    /// Describes how this index runs `plan`: the plan flavor, the
+    /// query's Prüfer sequences, edge constraints, then `anchored` — the
+    /// line naming the value-run anchors when the tier takes its
+    /// candidates from them — and the Theorem 4 pruning rules, which
+    /// only a trie descent applies: with anchors, that of a tier which
+    /// cannot anchor, such as the delta, which has no value run.
+    pub(crate) fn explain(
+        &self,
+        plan: &QueryPlan,
+        syms: &prix_xml::SymbolTable,
+        anchored: Option<String>,
+    ) -> String {
         let mut out = String::new();
         let flavor = match (&self.kind, plan.ext_of_orig.is_some()) {
             (IndexKind::Regular, true) => "RPIndex, leaf-extended query (§4.4 fast path)",
@@ -774,10 +794,17 @@ impl PrixIndex {
             .collect();
         out.push_str(&format!("edges  = {}\n", edge_str.join(" ")));
         out.push_str("executor: streaming filter -> refine -> project (limit pushdown)\n");
-        let rules = self.gap_rules(&plan);
+        let rules = self.gap_rules(plan);
         let bounded = rules.iter().flatten().count();
+        let scope = match anchored {
+            Some(line) => {
+                out.push_str(&line);
+                " (trie descent only, as on the delta)"
+            }
+            None => "",
+        };
         out.push_str(&format!(
-            "MaxGap rules: {bounded} of {} adjacent pairs bounded",
+            "MaxGap rules{scope}: {bounded} of {} adjacent pairs bounded",
             rules.len()
         ));
         for (k, r) in rules.iter().enumerate() {
@@ -792,7 +819,7 @@ impl PrixIndex {
             }
         }
         out.push('\n');
-        Ok(out)
+        out
     }
 
     /// Executes an ordered twig query as a pull-based stream, the one
@@ -1013,6 +1040,13 @@ impl PrixIndex {
     /// A document's stored record: [`encode_doc_record`]'s bytes,
     /// wherever its tier keeps them.
     pub(crate) fn doc_record(&self, doc: DocId) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.doc_record_into(doc, &mut out).map(|()| out)
+    }
+
+    /// [`PrixIndex::doc_record`] written into `out`, whose contents it
+    /// replaces.
+    pub(crate) fn doc_record_into(&self, doc: DocId, out: &mut Vec<u8>) -> Result<()> {
         // A docid scan or a value posting can name a document this tier
         // does not hold only if the database is corrupt (a torn ingest,
         // say); that is the caller's error to report, not a panic.
@@ -1027,14 +1061,15 @@ impl PrixIndex {
             .checked_sub(self.doc_base)
             .filter(|&l| (l as usize) < self.doc_count())
             .ok_or_else(unknown)?;
-        Ok(match &self.records {
+        match &self.records {
             Records::Delta(r) => {
                 let r = r.read().map_err(half_changed)?;
                 let id = r.docs.get(local as usize).ok_or_else(unknown)?;
-                r.store.read(*id)?
+                r.store.read_into(*id, out)?
             }
-            Records::Seg(r) => r.record(local)?,
-        })
+            Records::Seg(r) => r.record_into(local, out)?,
+        }
+        Ok(())
     }
 
     /// Reads a document's refinement data: its record's regular view,
@@ -1043,29 +1078,82 @@ impl PrixIndex {
     /// extended-query plans skip it, so the decode stops after the NPS
     /// and leaves that part of the record undecoded.
     pub(crate) fn load_doc(&self, doc: DocId, need_leaf_data: bool) -> Result<DocData> {
-        doc_view(
-            &self.doc_record(doc)?,
-            self.kind,
-            self.dummy,
-            need_leaf_data,
-        )
+        let mut out = DocData::default();
+        self.load_doc_into(doc, need_leaf_data, &mut DocBuf::default(), &mut out)
+            .map(|()| out)
+    }
+
+    /// [`PrixIndex::load_doc`] written into `out`, reading through
+    /// `buf`'s scratch. On an error, `out` holds no view.
+    pub(crate) fn load_doc_into(
+        &self,
+        doc: DocId,
+        need_leaf_data: bool,
+        buf: &mut DocBuf,
+        out: &mut DocData,
+    ) -> Result<()> {
+        self.doc_record_into(doc, &mut buf.record)?;
+        buf.view_into(self.kind, self.dummy, need_leaf_data, out)
+    }
+}
+
+/// What a stream reads documents through, one at a time: a record's
+/// bytes, its regular view, and the scratch the extended view is
+/// derived with. Each document overwrites the last one's, so the
+/// buffers grow to the widest document and are not allocated again.
+#[derive(Default)]
+pub(crate) struct DocBuf {
+    /// The record: [`encode_doc_record`]'s bytes.
+    pub(crate) record: Vec<u8>,
+    /// Its regular view, when it is not the view refined against (an
+    /// EPIndex derives the extended view from it).
+    pub(crate) regular: DocData,
+    /// [`DocData::extended_into`]'s scratch.
+    pub(crate) ext: Vec<PostNum>,
+}
+
+impl DocBuf {
+    /// What an index of `kind` refines against, from the record in
+    /// `self.record`, into `out`: the regular view, or the extended view
+    /// derived from it. On an error, `out` holds no view.
+    pub(crate) fn view_into(
+        &mut self,
+        kind: IndexKind,
+        dummy: Sym,
+        need_leaf_data: bool,
+        out: &mut DocData,
+    ) -> Result<()> {
+        match kind {
+            IndexKind::Regular => decode_doc_record_into(&self.record, need_leaf_data, out),
+            IndexKind::Extended => {
+                decode_doc_record_into(&self.record, need_leaf_data, &mut self.regular).and_then(
+                    |()| {
+                        self.regular
+                            .extended_into(dummy, need_leaf_data, &mut self.ext, out)
+                    },
+                )
+            }
+        }
+        .ok_or_else(corrupt_record)
     }
 }
 
 /// What an index of `kind` refines against, from one record's bytes:
 /// the regular view, or the extended view derived from it.
+#[cfg(test)]
 pub(crate) fn doc_view(
     record: &[u8],
     kind: IndexKind,
     dummy: Sym,
     need_leaf_data: bool,
 ) -> Result<DocData> {
-    let regular = decode_doc_record(record, need_leaf_data);
-    match kind {
-        IndexKind::Regular => regular,
-        IndexKind::Extended => regular.and_then(|d| d.extended(dummy, need_leaf_data)),
-    }
-    .ok_or_else(corrupt_record)
+    let mut buf = DocBuf {
+        record: record.to_vec(),
+        ..DocBuf::default()
+    };
+    let mut out = DocData::default();
+    buf.view_into(kind, dummy, need_leaf_data, &mut out)
+        .map(|()| out)
 }
 
 /// The refusal of a record that is not one tree's regular view.
@@ -1152,14 +1240,19 @@ mod codec {
         /// input: a varint is at least a byte, so a count above what is
         /// left is refused before anything is allocated for it.
         pub fn var32s(&mut self, n: u64) -> Option<Vec<u32>> {
+            let mut out = Vec::new();
+            self.var32s_each(n, |v| out.push(v)).map(|()| out)
+        }
+        /// [`Reader::var32s`] handing each value to `each`, with the
+        /// same refusal of a count above what is left.
+        pub fn var32s_each(&mut self, n: u64, mut each: impl FnMut(u32)) -> Option<()> {
             if n > self.0.len() as u64 {
                 return None;
             }
-            let mut out = Vec::with_capacity(n as usize);
             for _ in 0..n {
-                out.push(self.var32()?);
+                each(self.var32()?);
             }
-            Some(out)
+            Some(())
         }
     }
 }
@@ -1226,36 +1319,48 @@ pub(crate) fn encode_doc_record(d: &DocData) -> Vec<u8> {
 /// child or past the root: segment blocks are not checksummed on the
 /// query path.
 pub(crate) fn decode_doc_record(bytes: &[u8], need_leaf_data: bool) -> Option<DocData> {
+    let mut out = DocData::default();
+    decode_doc_record_into(bytes, need_leaf_data, &mut out).map(|()| out)
+}
+
+/// [`decode_doc_record`] written into `out`, whose vectors it reuses.
+/// On `None`, `out` holds no view.
+pub(crate) fn decode_doc_record_into(
+    bytes: &[u8],
+    need_leaf_data: bool,
+    out: &mut DocData,
+) -> Option<()> {
     let mut r = codec::Reader(bytes);
     let n = r.var()?;
-    let nps = r.var32s(n)?;
-    let root = nps.len() + 1;
-    let parents_ok = nps
+    out.nps.clear();
+    r.var32s_each(n, |p| out.nps.push(p))?;
+    let root = out.nps.len() + 1;
+    let parents_ok = out
+        .nps
         .iter()
         .enumerate()
         .all(|(i, &p)| i + 1 < p as usize && p as usize <= root);
     if !parents_ok {
         return None;
     }
-    let (lps, leaves) = if need_leaf_data {
-        let lps = r.var32s(n)?.into_iter().map(Sym).collect();
+    out.lps.clear();
+    out.leaves.clear();
+    out.orig_map = None;
+    if need_leaf_data {
+        r.var32s_each(n, |s| out.lps.push(Sym(s)))?;
         let nl = r.var()?;
-        let leaf_words = r.var32s(nl.checked_mul(2)?)?;
+        if nl.checked_mul(2)? > r.0.len() as u64 {
+            return None;
+        }
+        for _ in 0..nl {
+            out.leaves.push((Sym(r.var32()?), r.var32()?));
+        }
         if !r.0.is_empty() {
             return None;
         }
-        let leaves = leaf_words.chunks_exact(2).map(|c| (Sym(c[0]), c[1]));
-        (lps, leaves.collect())
-    } else {
-        (Vec::new(), Vec::new())
-    };
-    Some(DocData {
-        nps,
-        lps,
-        leaves,
-        orig_map: None,
-        n_orig: u32::try_from(root).ok()?,
-    })
+    }
+    out.n_orig = u32::try_from(root).ok()?;
+    Some(())
 }
 
 /// Encodes the metadata a segment describes itself with, in its meta
@@ -1367,15 +1472,17 @@ pub(crate) struct QueryPlan {
 
 /// Projects an embedding in plan numbering (possibly extended, possibly
 /// over the extended document) down to original query and document
-/// postorder numbers. Returns `None` if any original query node lands on
-/// a document dummy (cannot happen for well-formed plans; defensive).
-pub(crate) fn project_embedding(
+/// postorder numbers, into `out`, whose contents it replaces. Returns
+/// `None` if any original query node lands on a document dummy (cannot
+/// happen for well-formed plans; defensive).
+pub(crate) fn project_embedding_into(
     plan: &QueryPlan,
     data: &DocData,
     img: &[PostNum],
-) -> Option<Vec<PostNum>> {
+    out: &mut Vec<PostNum>,
+) -> Option<()> {
     let m = plan.n_orig_query as usize;
-    let mut out = Vec::with_capacity(m);
+    out.clear();
     match (&plan.ext_of_orig, &data.orig_map) {
         (None, _) => {
             debug_assert!(data.orig_map.is_none());
@@ -1402,7 +1509,7 @@ pub(crate) fn project_embedding(
             }
         }
     }
-    Some(out)
+    Some(())
 }
 
 #[cfg(test)]
@@ -1828,6 +1935,81 @@ mod tests {
                 Some(_) => Err(format!("{d:?} decoded to {got:?}")),
             }
         });
+    }
+
+    /// The `_into` forms reuse what they write into: a wide record, then
+    /// a narrow one, with and without leaf data, decoded into the same
+    /// buffers, give what a fresh decode gives, for the regular view and
+    /// for the extended view derived into a used output. A damaged record
+    /// decoded into used buffers is refused.
+    #[test]
+    fn decoding_into_used_buffers_equals_a_fresh_decode() {
+        let wide = encode_doc_record(&wide_view());
+        let narrow = record(&[1, 2, 7, 1, 5, 1]);
+        let dummy = Sym(9);
+        let (mut regular, mut view, mut ext) = (DocData::default(), DocData::default(), Vec::new());
+        let mut buf = DocBuf::default();
+        let mut out = DocData::default();
+        let (w, n) = (&wide, &narrow);
+        for (bytes, leaf) in [
+            (w, true),
+            (n, true),
+            (w, false),
+            (n, false),
+            (w, true),
+            (n, false),
+            (w, false),
+            (n, true),
+        ] {
+            let fresh = decode_doc_record(bytes, leaf).unwrap();
+            decode_doc_record_into(bytes, leaf, &mut regular).unwrap();
+            assert_eq!(regular, fresh, "leaf data {leaf}");
+            let fresh_ext = fresh.extended(dummy, leaf).unwrap();
+            regular
+                .extended_into(dummy, leaf, &mut ext, &mut view)
+                .unwrap();
+            assert_eq!(view, fresh_ext, "leaf data {leaf}");
+            buf.record.clone_from(bytes);
+            for (kind, want) in [
+                (IndexKind::Regular, &fresh),
+                (IndexKind::Extended, &fresh_ext),
+            ] {
+                buf.view_into(kind, dummy, leaf, &mut out).unwrap();
+                assert_eq!(&out, want, "{kind}, leaf data {leaf}");
+            }
+        }
+        let mut cut = wide.clone();
+        cut.truncate(cut.len() - 3);
+        // Refused by the decoder: a parent at or below its child, a leaf
+        // part cut short; by the derivation only: a leaf with a child.
+        let leafy_parent = record(&[1, 2, 7, 1, 5, 2]);
+        for (bad, decodes) in [
+            (record(&[2, 3, 1, 0]), false),
+            (cut, false),
+            (leafy_parent, true),
+        ] {
+            decode_doc_record_into(&wide, true, &mut regular).unwrap();
+            regular
+                .extended_into(dummy, true, &mut ext, &mut view)
+                .unwrap();
+            let got = decode_doc_record_into(&bad, true, &mut regular);
+            assert_eq!(got.is_some(), decodes, "{bad:?}");
+            if decodes {
+                assert!(regular
+                    .extended_into(dummy, true, &mut ext, &mut view)
+                    .is_none());
+            }
+            for kind in [IndexKind::Regular, IndexKind::Extended] {
+                buf.record.clone_from(&wide);
+                buf.view_into(kind, dummy, true, &mut out).unwrap();
+                buf.record.clone_from(&bad);
+                let refused = buf.view_into(kind, dummy, true, &mut out).is_err();
+                // A regular view is not derived: a leaf with a child
+                // decodes.
+                let regular_decodes = decodes && kind == IndexKind::Regular;
+                assert_eq!(refused, !regular_decodes, "{kind}: {bad:?}");
+            }
+        }
     }
 
     /// Records that decode but are not one tree's regular view: the

@@ -464,13 +464,11 @@ impl EngineSnapshot {
             .map_err(|e| IndexError::Unsupported(format!("parse error: {e}")))?;
         let (rp, ep, values) = self.tiers()[0];
         let idx = pick_index(rp, ep, &q, None)?;
+        let plan = idx.plan(&q)?;
+        let anchors = values.and_then(|v| plan_anchors(idx, &plan, &v));
+        let anchored = anchors.map(|a| explain_anchors(&a, &syms));
         let mut out = format!("index: {}\n", idx.kind());
-        out.push_str(&idx.explain(&q, &syms)?);
-        if let Some(values) = values {
-            if let Some(anchors) = plan_anchors(idx, &idx.plan(&q)?, &values) {
-                out.push_str(&explain_anchors(&anchors, &syms));
-            }
-        }
+        out.push_str(&idx.explain(&plan, &syms, anchored));
         if let Some(pred) = PredEval::build(&q, &self.segments, &syms)? {
             out.push_str(&explain_pred(&q, &pred, &syms));
         }
@@ -1177,7 +1175,8 @@ mod tests {
     }
 
     /// A value twig the first tier anchors names its anchors' keys in
-    /// one more line (Table 3's Q5 over a one-entry SWISSPROT).
+    /// one more line (Table 3's Q5 over a one-entry SWISSPROT), ahead of
+    /// the MaxGap rules, which only a trie descent applies.
     #[test]
     fn explain_names_the_value_run_anchors() {
         let mut c = Collection::new();
@@ -1193,14 +1192,14 @@ mod tests {
              NPS(Q) = # # # # # # #\n\
              edges = / / / / / / / /\n\
              executor: streaming filter -> refine -> project (limit pushdown)\n\
-             MaxGap rules: # of # adjacent pairs bounded\n\
-             \x20positions #->#: distance <= min(#, per-node) + #\n\
-             \x20positions #->#: distance <= min(#, per-node) + #\n\
-             \x20positions #->#: distance <= min(#, per-node) + #\n\
-             \x20positions #->#: distance <= min(#, per-node) + #\n\
-             \x20positions #->#: distance <= min(#, per-node) + #\n\
-             \x20positions #->#: distance <= min(#, per-node) + #\n\
              filter: anchored on the value run: Author = \"Mueller P\", Author = \"Keller M\"\n\
+             MaxGap rules (trie descent only, as on the delta): # of # adjacent pairs bounded\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
              planner: engine=prix_ep maxgap=on\n"
         );
     }

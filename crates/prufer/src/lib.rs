@@ -37,7 +37,7 @@ pub mod subseq;
 pub use maxgap::MaxGapTable;
 pub use refine::{
     check_connectedness, check_frequency_consistency, check_gap_consistency, check_leaves,
-    embedding, refine_match, EdgeKind, RefineCtx,
+    embedding, embedding_into, refine_match, EdgeKind, RefineCtx,
 };
 pub use seq::{ExtendedTree, PruferSeq};
 pub use subseq::subsequence_positions;

@@ -13,7 +13,13 @@
 //!    equal signs and the query gap never exceeds the data gap.
 //! 3. **Frequency consistency** (Definition 4): equal values occur at
 //!    identical position sets in the query NPS and the matched data
-//!    values.
+//!    values. Both sequences split the indices `0..|S|` into classes of
+//!    equal values, and the condition is that the two partitions are the
+//!    same. The check compares, at every index, the index where the same
+//!    value last occurred before it (or none) in each sequence. That is
+//!    equivalent to comparing first-occurrence fingerprints: each class
+//!    is the chain its previous-occurrence links form, so equal links
+//!    give equal partitions, and equal partitions give equal links.
 //! 4. **Leaf matching** (§4.4): query leaf labels are verified against
 //!    the document's leaf list (or its LPS/NPS for internal matches).
 //!    Skipped for Extended-Prüfer matches (§5.6), where every label
@@ -22,6 +28,13 @@
 //! Positions are 1-based throughout, matching the paper: position `p`
 //! in an LPS corresponds to the deletion of the data node with postorder
 //! number `p` (Lemma 1).
+//!
+//! Every check reads the matched values `N[i] = doc_nps[S[i] - 1]` in
+//! place and allocates nothing, and [`embedding_into`] writes into the
+//! caller's buffer: refinement runs once per candidate, so its cost is
+//! per-candidate cost. Connectedness and frequency consistency are
+//! quadratic in the match's length, which is the query's sequence
+//! length, not the document's.
 
 use prix_xml::{PostNum, Sym};
 
@@ -79,32 +92,31 @@ fn parent_of(doc_nps: &[PostNum], k: PostNum) -> Option<PostNum> {
 /// ended).
 pub fn check_connectedness(ctx: &RefineCtx<'_>) -> bool {
     let s = ctx.positions;
-    let n: Vec<PostNum> = s.iter().map(|&p| ctx.doc_nps[(p - 1) as usize]).collect();
-    let max_n = *n.iter().max().expect("positions must be non-empty");
-    for i in 0..n.len() {
-        if n[i] == max_n {
+    // N[i], read in place: the parent of the data node behind S[i].
+    let n = |i: usize| ctx.doc_nps[(s[i] - 1) as usize];
+    let max_n = (0..s.len())
+        .map(n)
+        .max()
+        .expect("positions must be non-empty");
+    for i in 0..s.len() {
+        let ni = n(i);
+        if ni == max_n {
             continue;
         }
-        if n[i + 1..].contains(&n[i]) {
+        if (i + 1..s.len()).any(|j| n(j) == ni) {
             continue; // not the last occurrence
         }
-        // Last occurrence of n[i], and it is not the subtree root of the
+        // Last occurrence of N[i], and it is not the subtree root of the
         // match: the next element must be (or lead to) its parent.
-        let Some(&target) = n.get(i + 1) else {
+        if i + 1 == s.len() {
             return false; // nothing follows a non-max value: disconnected
-        };
-        // Edge being verified: query node (i + 2) in 1-based numbering
-        // would be wrong — the node deleted at query step i+1 (0-based i)
-        // is query node i+1, whose deletion marks its own subtree
-        // complete; the edge climbed belongs to query node i + 2?  No:
-        // by Lemma 1 on the query, if position index i (0-based) holds
-        // the last occurrence of value p = N_Q[i], then the node deleted
-        // at the next step is p itself, i.e. p = i + 2 in 1-based terms.
-        // The climb from n[i] to n[i+1] therefore verifies the edge of
-        // query node p = i + 2 ... except p is exactly the query node
-        // whose image is n[i]; its edge index is p - 1 = i + 1.
+        }
+        // By Lemma 1 on the query, the last occurrence of N_Q[i] at
+        // (0-based) index i means the node deleted next is that parent,
+        // query node i + 2, whose image is N[i]: the climb from N[i] to
+        // N[i + 1] verifies its edge, `edges[i + 1]`.
         let edge = ctx.edges.get(i + 1).copied().unwrap_or(EdgeKind::Child);
-        if !climb_matches(ctx.doc_nps, n[i], target, edge) {
+        if !climb_matches(ctx.doc_nps, ni, n(i + 1), edge) {
             return false;
         }
     }
@@ -165,26 +177,25 @@ pub fn check_gap_consistency(ctx: &RefineCtx<'_>) -> bool {
 
 /// Refinement by structure, part 2: frequency consistency
 /// (Definition 4). Implements the full *iff* — equal values must occur
-/// at identical position sets in both sequences — via first-occurrence
-/// fingerprints.
+/// at identical position sets in the query NPS and the matched data
+/// values — by comparing, at every index, where the same value last
+/// occurred before it in each sequence (see the module docs).
 pub fn check_frequency_consistency(ctx: &RefineCtx<'_>) -> bool {
     let s = ctx.positions;
-    let len = s.len();
-    debug_assert_eq!(ctx.query_nps.len(), len);
-    // first_q[i] = first index holding the same value as query_nps[i];
-    // likewise for the matched data values. The sequences are frequency
-    // consistent iff the fingerprints agree elementwise.
-    let mut first_q: Vec<usize> = Vec::with_capacity(len);
-    let mut first_d: Vec<usize> = Vec::with_capacity(len);
-    let mut seen_q: std::collections::HashMap<PostNum, usize> = std::collections::HashMap::new();
-    let mut seen_d: std::collections::HashMap<PostNum, usize> = std::collections::HashMap::new();
-    for i in 0..len {
-        let q = ctx.query_nps[i];
-        let d = ctx.doc_nps[(s[i] - 1) as usize];
-        first_q.push(*seen_q.entry(q).or_insert(i));
-        first_d.push(*seen_d.entry(d).or_insert(i));
-        if first_q[i] != first_d[i] {
-            return false;
+    debug_assert_eq!(ctx.query_nps.len(), s.len());
+    let q = ctx.query_nps;
+    let d = |i: usize| ctx.doc_nps[(s[i] - 1) as usize];
+    for i in 1..s.len() {
+        let (qi, di) = (q[i], d(i));
+        // The nearest earlier index holding either value must hold both.
+        for j in (0..i).rev() {
+            let (same_q, same_d) = (q[j] == qi, d(j) == di);
+            if same_q != same_d {
+                return false;
+            }
+            if same_q {
+                break;
+            }
         }
     }
     true
@@ -249,21 +260,31 @@ pub fn embedding(
     positions: &[PostNum],
     doc_nps: &[PostNum],
 ) -> Vec<PostNum> {
-    let m = query_nps.len() + 1;
-    let mut img = vec![0 as PostNum; m];
+    let mut img = Vec::new();
+    embedding_into(query_nps, positions, doc_nps, &mut img);
+    img
+}
+
+/// [`embedding`] written into `img`, whose contents it replaces.
+pub fn embedding_into(
+    query_nps: &[PostNum],
+    positions: &[PostNum],
+    doc_nps: &[PostNum],
+    img: &mut Vec<PostNum>,
+) {
+    img.clear();
+    img.resize(query_nps.len() + 1, 0);
     // Pass 1: every parent p = query_nps[j] maps to the data parent of
     // the match of its child j + 1.
     for (j, &p) in query_nps.iter().enumerate() {
-        let d = doc_nps[(positions[j] - 1) as usize];
-        img[(p - 1) as usize] = d;
+        img[(p - 1) as usize] = doc_nps[(positions[j] - 1) as usize];
     }
     // Pass 2: leaves (never parents) map to their own positions.
-    for q in 1..m {
-        if img[q - 1] == 0 {
-            img[q - 1] = positions[q - 1];
+    for (v, &p) in img.iter_mut().zip(positions) {
+        if *v == 0 {
+            *v = p;
         }
     }
-    img
 }
 
 #[cfg(test)]
@@ -555,5 +576,178 @@ mod tests {
             &positions,
             &edges
         )));
+    }
+
+    /// The checks as they were written before they stopped allocating:
+    /// `N` collected into a `Vec`, first occurrences kept in `HashMap`s.
+    mod reference {
+        use super::super::{climb_matches, EdgeKind, RefineCtx};
+        use prix_xml::PostNum;
+        use std::collections::HashMap;
+
+        pub fn check_connectedness(ctx: &RefineCtx<'_>) -> bool {
+            let s = ctx.positions;
+            let n: Vec<PostNum> = s.iter().map(|&p| ctx.doc_nps[(p - 1) as usize]).collect();
+            let max_n = *n.iter().max().expect("positions must be non-empty");
+            for i in 0..n.len() {
+                if n[i] == max_n {
+                    continue;
+                }
+                if n[i + 1..].contains(&n[i]) {
+                    continue;
+                }
+                let Some(&target) = n.get(i + 1) else {
+                    return false;
+                };
+                let edge = ctx.edges.get(i + 1).copied().unwrap_or(EdgeKind::Child);
+                if !climb_matches(ctx.doc_nps, n[i], target, edge) {
+                    return false;
+                }
+            }
+            true
+        }
+
+        pub fn check_frequency_consistency(ctx: &RefineCtx<'_>) -> bool {
+            let s = ctx.positions;
+            let mut first_q: Vec<usize> = Vec::with_capacity(s.len());
+            let mut first_d: Vec<usize> = Vec::with_capacity(s.len());
+            let mut seen_q: HashMap<PostNum, usize> = HashMap::new();
+            let mut seen_d: HashMap<PostNum, usize> = HashMap::new();
+            for i in 0..s.len() {
+                let q = ctx.query_nps[i];
+                let d = ctx.doc_nps[(s[i] - 1) as usize];
+                first_q.push(*seen_q.entry(q).or_insert(i));
+                first_d.push(*seen_d.entry(d).or_insert(i));
+                if first_q[i] != first_d[i] {
+                    return false;
+                }
+            }
+            true
+        }
+    }
+
+    /// A seeded splitmix64: the test's only source of randomness.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// The NPS of a random tree of `n` nodes (each new node under a
+    /// random earlier one).
+    fn random_nps(rng: &mut Mix, n: usize) -> Vec<PostNum> {
+        let mut syms = SymbolTable::new();
+        let label = syms.intern("x");
+        let mut t = XmlTree::with_root(label, prix_xml::NodeKind::Element);
+        let mut nodes = vec![t.root()];
+        for _ in 1..n {
+            let parent = nodes[rng.below(nodes.len() as u64) as usize];
+            nodes.push(t.add_child(parent, label, prix_xml::NodeKind::Element));
+        }
+        t.seal();
+        PruferSeq::regular(&t).nps
+    }
+
+    /// Match positions into an LPS of `len`: either a random strictly
+    /// increasing subset, or every non-root node of one subtree (a
+    /// connected match), possibly missing one.
+    fn random_positions(rng: &mut Mix, nps: &[PostNum]) -> Vec<PostNum> {
+        let len = nps.len() as PostNum;
+        if rng.below(2) == 0 {
+            let k = 1 + rng.below(u64::from(len.min(6))) as usize;
+            loop {
+                let mut s: Vec<PostNum> = (0..k)
+                    .map(|_| 1 + rng.below(u64::from(len)) as PostNum)
+                    .collect();
+                s.sort_unstable();
+                s.dedup();
+                if s.len() == k {
+                    return s;
+                }
+            }
+        }
+        // Postorder subtrees are contiguous: node r's is r - size + 1 ..= r.
+        let mut size = vec![1 as PostNum; nps.len() + 2];
+        for (i, &p) in nps.iter().enumerate() {
+            size[p as usize] += size[i + 1];
+        }
+        let roots: Vec<PostNum> = (1..=len + 1).filter(|&r| size[r as usize] > 1).collect();
+        let r = roots[rng.below(roots.len() as u64) as usize];
+        let mut s: Vec<PostNum> = (r + 1 - size[r as usize]..r).collect();
+        if s.len() > 1 && rng.below(3) == 0 {
+            s.remove(rng.below(s.len() as u64) as usize);
+        }
+        s
+    }
+
+    /// A query NPS for the matched data values `d`: the same partition
+    /// under other values, that partition with one index moved to
+    /// another class, or values drawn from a small range.
+    fn random_query_nps(rng: &mut Mix, d: &[PostNum]) -> Vec<PostNum> {
+        let mut q: Vec<PostNum> = match rng.below(3) {
+            0 => (0..d.len()).map(|_| 1 + rng.below(3) as PostNum).collect(),
+            _ => d.iter().map(|&v| 2 * v + 7).collect(),
+        };
+        if rng.below(2) == 0 {
+            let at = rng.below(q.len() as u64) as usize;
+            let from = rng.below(q.len() as u64) as usize;
+            q[at] = if rng.below(2) == 0 { q[from] } else { 1000 };
+        }
+        q
+    }
+
+    #[test]
+    fn rewritten_checks_agree_with_the_allocating_reference() {
+        let mut rng = Mix(0x5eed_0042);
+        let mut verdicts = [[0u32; 2]; 2];
+        for _ in 0..20_000 {
+            let n = 2 + rng.below(14) as usize;
+            let nps = random_nps(&mut rng, n);
+            let positions = random_positions(&mut rng, &nps);
+            let d: Vec<PostNum> = positions.iter().map(|&p| nps[(p - 1) as usize]).collect();
+            let query_nps = random_query_nps(&mut rng, &d);
+            let edges: Vec<EdgeKind> = (0..=positions.len())
+                .map(|_| match rng.below(4) {
+                    0 => EdgeKind::Descendant,
+                    1 => EdgeKind::Exactly(1 + rng.below(3) as u32),
+                    _ => EdgeKind::Child,
+                })
+                .collect();
+            let ctx = RefineCtx {
+                doc_nps: &nps,
+                query_nps: &query_nps,
+                positions: &positions,
+                edges: &edges,
+                query_leaves: &[],
+                doc_leaves: &[],
+                doc_lps: &[],
+                skip_leaf_check: true,
+            };
+            let connected = check_connectedness(&ctx);
+            let consistent = check_frequency_consistency(&ctx);
+            let case = format!("nps {nps:?} S {positions:?} NPS(Q) {query_nps:?} edges {edges:?}");
+            assert_eq!(
+                connected,
+                reference::check_connectedness(&ctx),
+                "connectedness: {case}"
+            );
+            assert_eq!(
+                consistent,
+                reference::check_frequency_consistency(&ctx),
+                "frequency consistency: {case}"
+            );
+            verdicts[0][usize::from(connected)] += 1;
+            verdicts[1][usize::from(consistent)] += 1;
+        }
+        // Both verdicts of both checks come up often enough to be tested.
+        for v in verdicts.iter().flatten() {
+            assert!(*v > 2_000, "{verdicts:?}");
+        }
     }
 }

@@ -119,8 +119,16 @@ impl RecordStore {
 
     /// Reads the record back.
     pub fn read(&self, id: RecordId) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.read_into(id, &mut out).map(|()| out)
+    }
+
+    /// [`RecordStore::read`] written into `out`, whose contents it
+    /// replaces.
+    pub fn read_into(&self, id: RecordId, out: &mut Vec<u8>) -> Result<()> {
+        out.clear();
         if id.slot() == OVERFLOW_SLOT {
-            return self.read_overflow(id.page());
+            return self.read_overflow(id.page(), out);
         }
         self.pool.with_page(id.page(), |p| {
             if p[0] != TYPE_DATA {
@@ -140,12 +148,12 @@ impl RecordStore {
             let off = DATA_HDR + 2 * slot;
             let start = u16::from_le_bytes([p[off], p[off + 1]]) as usize;
             let len = u16::from_le_bytes([p[start], p[start + 1]]) as usize;
-            Ok(p[start + 2..start + 2 + len].to_vec())
+            out.extend_from_slice(&p[start + 2..start + 2 + len]);
+            Ok(())
         })?
     }
 
-    fn read_overflow(&self, mut page: PageId) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
+    fn read_overflow(&self, mut page: PageId, out: &mut Vec<u8>) -> Result<()> {
         while page != NIL_PAGE {
             page = self.pool.with_page(page, |p| {
                 if p[0] != TYPE_OVERFLOW {
@@ -160,7 +168,7 @@ impl RecordStore {
                 Ok(next)
             })??;
         }
-        Ok(out)
+        Ok(())
     }
 }
 

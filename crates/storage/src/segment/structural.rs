@@ -1059,6 +1059,14 @@ impl SegmentReader {
     /// share a record, or a record that overlaps another or leaves a gap
     /// before the next, are [`SegmentReader::verify`]'s to find.
     pub fn record(&self, doc: u32) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.record_into(doc, &mut out).map(|()| out)
+    }
+
+    /// [`SegmentReader::record`] written into `out`, whose contents it
+    /// replaces: a reader that reuses one buffer allocates nothing per
+    /// record once it has grown to the widest.
+    pub fn record_into(&self, doc: u32, out: &mut Vec<u8>) -> Result<()> {
         if self.hdr.kind != SEG_KIND_EP {
             return Err(corrupt(format!(
                 "record {doc} asked of an RP segment, which holds no records"
@@ -1105,12 +1113,13 @@ impl SegmentReader {
                 (len, prefix, &[][..])
             }
         };
-        let mut rec = vec![0u8; len as usize];
-        let have = body.len().min(rec.len());
-        rec[..have].copy_from_slice(&body[..have]);
+        out.clear();
+        let have = body.len().min(len as usize);
+        out.extend_from_slice(&body[..have]);
+        out.resize(len as usize, 0);
         let next = at + (prefix + have) as u64;
-        self.file.read_into(next, &mut rec[have..])?;
-        Ok(rec)
+        self.file.read_into(next, &mut out[have..])?;
+        Ok(())
     }
 
     /// The opaque meta blob.

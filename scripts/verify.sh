@@ -55,6 +55,12 @@ cargo test --release -p prix-storage --offline --locked
 # So does the core crate's unit suite: the delta's view, poison and
 # limited-answer tests live there, next to the ordered maps they read.
 cargo test --release -p prix-core --offline --locked
+# Refinement's checks (Algorithm 2) read the matched values in place and
+# its views reuse their buffers: the prufer crate's suite (the checks
+# against their allocating reference) and the engine-agreement property
+# suite rerun in release, where integer overflow goes unchecked.
+cargo test --release -p prix-prufer --offline --locked
+cargo test --release --test property_engines --offline --locked
 cargo test --release --test server --offline --locked
 cargo test --release --test executor_stream --offline --locked
 # The server crate's unit suites (HTTP parser, LRU/plan/result caches)

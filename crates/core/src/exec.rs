@@ -13,10 +13,11 @@
 //!    candidate per    │    dedup)
 //!    pull)            │
 //!   AnchoredCursor ───┘
-//!   (value-run postings + record walks, a value twig on a tier)
+//!   (value-run postings + record walks, a value or predicate twig on
+//!    a tier)
 //! ```
 //!
-//! [`CandidateCursor`] is the recursive `FindSubsequence` turned into
+//! `CandidateCursor` is the recursive `FindSubsequence` turned into
 //! an explicit stack of suspended trie levels: each `next()` resumes
 //! the depth-first descent exactly where the previous candidate was
 //! emitted, so a consumer that stops pulling stops the traversal
@@ -24,7 +25,7 @@
 //! scans never run. That is what makes `LIMIT` a real pushdown instead
 //! of a post-hoc truncation.
 //!
-//! [`RefineStage`] is order-agnostic; [`MatchStream`] picks the order
+//! `RefineStage` is order-agnostic; [`MatchStream`] picks the order
 //! from [`ExecOpts::limit`]. With a limit it refines candidates as the
 //! trie yields them, so it can stop mid-descent. Without one nobody can
 //! stop it early, so its first pull drains the cursor, sorts the
@@ -33,16 +34,21 @@
 //! is what keeps the pages per query down (refining in arrival order
 //! instead measured +9 `pages_per_query` on `query_cold`).
 //!
-//! The trie descent is one of two candidate sources. A value twig on a
-//! segment tier — an EPIndex plan whose every edge is `/` and whose
-//! every leaf is a text leaf — takes its candidates from the tier's
-//! value run instead: [`AnchoredCursor`] probes each text leaf's
-//! `(parent tag, value)` postings, and the document's record fixes the
-//! rest of the embedding, since `NPS[i]` is node *i*'s parent
-//! (Theorem 2). It yields them in `(doc, positions)` order, one document
-//! at a time, so the stream refines them as they come, with a limit or
-//! without, and a limited answer is the first matches of the unlimited
-//! one.
+//! The trie descent is one of two candidate sources. A twig on a
+//! segment tier whose every edge is `/` and whose every leaf is a text
+//! leaf or carries a probeable value predicate takes its candidates from
+//! the tier's value run instead: `AnchoredCursor` takes each text leaf's
+//! `(parent tag, value)` postings and each predicate's probed postings,
+//! and the document's record fixes the rest of the embedding, since
+//! `NPS[i]` is node *i*'s parent (Theorem 2). It yields them in `(doc,
+//! positions)` order, one document at a time, so the stream refines them
+//! as they come, with a limit or without, and a limited answer is the
+//! first matches of the unlimited one.
+//!
+//! A descent that stays on the trie is pruned by the rarest label of
+//! its LPS on a segment tier (`PrixIndex::rarest_label`): a row whose
+//! subtree holds none of that label's rows leads to no candidate, so
+//! the cursor skips it before its range query.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -57,7 +63,7 @@ use crate::index::{
     corrupt_record, decode_doc_record_into, project_embedding_into, DocBuf, DocData, ExecOpts,
     GapRule, IndexKind, PrixIndex, QueryPlan, QueryStats, Result, TwigMatch,
 };
-use crate::valix::{str_key, PredEval};
+use crate::valix::{docs_of, merge_join, str_key, PredEval};
 
 /// One suspended level of the trie descent: the rows its range query
 /// produced and how far the cursor has advanced through them.
@@ -95,6 +101,10 @@ pub(crate) struct CandidateCursor<'a> {
     /// Documents found at the last LPS position, drained one per pull
     /// (all share the current `positions`).
     pending: VecDeque<DocId>,
+    /// Rarest-label pruning ([`PrixIndex::rarest_label`]): the frames
+    /// shallower than the position skip every row whose subtree holds
+    /// none of the lefts, the rows of that position's label.
+    prune: Option<(usize, Vec<u64>)>,
     started: bool,
     done: bool,
     stats: QueryStats,
@@ -116,6 +126,7 @@ impl<'a> CandidateCursor<'a> {
             frames: Vec::with_capacity(cap),
             positions: Vec::with_capacity(cap),
             pending: VecDeque::new(),
+            prune: None,
             started: false,
             done: false,
             stats: QueryStats::default(),
@@ -184,6 +195,11 @@ impl<'a> CandidateCursor<'a> {
         }
         if !self.started {
             self.started = true;
+            self.prune = self.idx.rarest_label(&self.lps)?;
+            if let Some((_, lefts)) = &self.prune {
+                self.stats.range_queries += 1;
+                self.stats.nodes_scanned += lefts.len() as u64;
+            }
             // The virtual root's scope is (0, u64::MAX].
             self.push_frame(0, 0, u64::MAX)?;
         }
@@ -222,6 +238,15 @@ impl<'a> CandidateCursor<'a> {
                     }
                 }
             }
+            // Rarest-label pruning: the candidate's node at that
+            // position would descend from this row, so some row of its
+            // label must have its left in the row's subtree.
+            if let Some((_, lefts)) = self.prune.as_ref().filter(|p| depth < p.0) {
+                let next = lefts.partition_point(|&l| l <= left);
+                if lefts.get(next).is_none_or(|&l| l > right) {
+                    continue;
+                }
+            }
             self.positions.push(level);
             if depth + 1 == self.lps.len() {
                 self.idx.scan_docids(left, right, &mut self.pending)?;
@@ -258,106 +283,155 @@ pub(crate) struct TierValues<'a> {
     pub(crate) syms: &'a SymbolTable,
 }
 
-/// One text leaf of an anchored plan.
-pub(crate) struct Anchor {
-    /// Extended query postorder of the text leaf.
-    at: PostNum,
-    /// The leaf's label: the value.
-    value: Sym,
-    /// `(extended query postorder, label)` of the leaf's ancestors,
-    /// parent first, root last.
-    up: Vec<(PostNum, Sym)>,
-    /// The one value-run key its postings lie under:
-    /// `str_key(parent tag, value)`. `None` when the table does not
-    /// name the value, so no document of a tier holds it.
-    key: Option<Vec<u8>>,
+/// Where an anchor's postings come from, and what its leaf must be.
+enum Probe {
+    /// A text leaf: its label — the value — and the one value-run key
+    /// its postings lie under, `str_key(parent tag, value)`; `None` when
+    /// the table does not name the value, so no document of a tier holds
+    /// it.
+    Text { value: Sym, key: Option<Vec<u8>> },
+    /// A leaf that carries a probeable predicate: the evaluator's index
+    /// of that predicate, whose postings [`PredEval::build`] probed.
+    Pred(usize),
 }
 
-/// The anchors `plan` has on the tier `values` describes, one per text
-/// leaf in query postorder, or `None` when the tier's stream descends
-/// the trie. Anchoring is structural: an EPIndex plan, every edge below
-/// the root `/`, every query leaf a text leaf (so every other query
-/// node is an anchor's ancestor and its image lies on the anchor's walk
-/// up the NPS), and no value label that a node with children carries in
-/// the tier — such a node is the image of a text leaf too (matching is
-/// label-based), but the value run indexes leaves only.
+/// One anchor of an anchored plan: a query leaf that is a text leaf or
+/// carries a probeable predicate.
+pub(crate) struct Anchor {
+    /// The plan node a posting's leaf stands for: the text leaf itself,
+    /// or a predicate leaf's §4.4 dummy. `None` for a predicate leaf of
+    /// an exact RPIndex plan, which has no dummies.
+    at: Option<PostNum>,
+    probe: Probe,
+    /// `(plan postorder, label)` of the plan nodes above `at`, parent
+    /// first, root last: for a predicate leaf, the leaf first.
+    up: Vec<(PostNum, Sym)>,
+}
+
+/// The anchors `plan` has on the tier `values` describes, one per query
+/// leaf in postorder, or `None` when the tier's stream descends the
+/// trie. Anchoring is structural: every edge below the root `/`, and
+/// every query leaf either a text leaf or a leaf carrying a predicate
+/// `pred` probed this tier's value run for (any operator but `!=`), so
+/// that every other query node is an anchor's ancestor and its image
+/// lies on the anchor's walk up the NPS. A text leaf also needs its
+/// value to be no label a node with children carries in the tier: such a
+/// node is the image of a text leaf too (matching is label-based), but
+/// the value run indexes leaves only. A predicate leaf needs nothing
+/// more: its image's accepted leaf children are the postings.
 pub(crate) fn plan_anchors(
     idx: &PrixIndex,
     plan: &QueryPlan,
     values: &TierValues<'_>,
+    pred: Option<&PredEval<'_>>,
 ) -> Option<Vec<Anchor>> {
     let t = &plan.qtree;
     let n = t.len() as PostNum;
-    if idx.kind() != IndexKind::Extended
-        || plan.edges[..n as usize - 1]
-            .iter()
-            .any(|e| *e != EdgeKind::Child)
+    if plan.edges[..n as usize - 1]
+        .iter()
+        .any(|e| *e != EdgeKind::Child)
     {
         return None;
     }
+    // The original query's postorder of plan node `e`.
+    let orig = |e: PostNum| match &plan.ext_of_orig {
+        None => Some(e),
+        Some(m) => m.iter().position(|&x| x == e).map(|i| i as PostNum + 1),
+    };
+    let extended = plan.ext_of_orig.is_some();
     let mut anchors = Vec::new();
     for e in 1..n {
-        let node = t.node_at(e);
-        // A dummy leaf: its parent is an original leaf, right after it.
-        if !t.is_leaf(node) {
+        if !t.is_leaf(t.node_at(e)) {
             continue;
         }
-        let leaf = e + 1;
-        let value = t.label_at(leaf);
-        if t.kind(t.node_at(leaf)) != NodeKind::Text || values.rp.labels_a_parent(value) {
-            return None;
-        }
+        // In an extended plan every leaf is a dummy, and the original
+        // leaf it hangs under comes right after it.
+        let leaf = if extended { e + 1 } else { e };
         let mut up = Vec::new();
         let mut at = leaf;
         while let Some(p) = t.parent_post(at) {
             up.push((p, t.label_at(p)));
             at = p;
         }
-        let key = values.syms.get(value).map(|name| str_key(up[0].1, name));
-        anchors.push(Anchor {
-            at: leaf,
-            value,
-            up,
-            key,
+        let label = t.label_at(leaf);
+        anchors.push(if t.kind(t.node_at(leaf)) == NodeKind::Text {
+            if values.rp.labels_a_parent(label) {
+                return None;
+            }
+            let key = values.syms.get(label).map(|name| str_key(up[0].1, name));
+            Anchor {
+                at: Some(leaf),
+                probe: Probe::Text { value: label, key },
+                up,
+            }
+        } else {
+            let k = pred?.probed_at(idx.doc_base(), orig(leaf)?)?;
+            up.insert(0, (leaf, label));
+            Anchor {
+                at: extended.then_some(e),
+                probe: Probe::Pred(k),
+                up,
+            }
         });
     }
     (!anchors.is_empty()).then_some(anchors)
 }
 
-/// `explain`'s line for an anchored plan: each anchor's key.
-pub(crate) fn explain_anchors(anchors: &[Anchor], syms: &SymbolTable) -> String {
+/// `explain`'s line for an anchored plan: each anchor's key, or its
+/// predicate.
+pub(crate) fn explain_anchors(
+    anchors: &[Anchor],
+    syms: &SymbolTable,
+    pred: Option<&PredEval<'_>>,
+) -> String {
     let keys: Vec<String> = anchors
         .iter()
-        .map(|a| format!("{} = \"{}\"", syms.name(a.up[0].1), syms.name(a.value)))
+        .map(|a| {
+            let tag = syms.name(a.up[0].1);
+            match a.probe {
+                Probe::Text { value, .. } => format!("{tag} = \"{}\"", syms.name(value)),
+                Probe::Pred(k) => {
+                    let op = pred.map(|p| p.pred(k).render_op()).unwrap_or_default();
+                    format!("{tag} {op}")
+                }
+            }
+        })
         .collect();
     format!("filter: anchored on the value run: {}\n", keys.join(", "))
 }
 
-/// The second candidate source: a value twig's `(doc, positions)`
-/// candidates from its tier's value run and records, with no trie
-/// descent.
+/// The second candidate source: a value twig's or a predicate twig's
+/// `(doc, positions)` candidates from its tier's value run and records,
+/// with no trie descent.
 ///
-/// The first pull probes every anchor's key — the one spanning the
-/// fewest blocks first, each later scan stopping past the last document
-/// still in the intersection — and merge-joins the postings by
-/// document. Then, one document at a time: a document whose anchors'
+/// The first pull gathers every anchor's postings and merge-joins them
+/// by document: a predicate's come from the evaluator's probe, and each
+/// text leaf's key is scanned here — the one spanning the fewest blocks
+/// first, each later scan stopping past the last document still in the
+/// intersection. Then, one document at a time: a document whose anchors'
 /// postorders cannot come in query order is dropped unread; otherwise
 /// its record's regular view is decoded once, into the refine stage's
-/// [`DocBuf`], each posting's leaf must carry the value (the key is
+/// [`DocBuf`], each text posting's leaf must carry the value (the key is
 /// truncated, the label is exact), each anchor walks up the NPS checking
 /// every ancestor's label, and the anchors join where their images meet.
-/// Each join is one embedding; its images map to extended positions
-/// (`ext(v) = v + #leaves ≤ v`, a dummy at its leaf's minus one) and a
-/// strictly increasing `S` is a candidate. A document that yields one
-/// derives its extended view into the stage's one view, which its
-/// candidates are then refined against, so no record is decoded twice
-/// and nothing is handed over per document.
+/// A predicate posting only finds its node's image, so a predicate's
+/// walks are one per image, and the §4.4 dummy under it takes the
+/// image's first child: that is the least candidate the trie descent
+/// has for the embedding, so matches come out in the order the descent
+/// gives them. Each join is one embedding; an EPIndex plan's images map
+/// to extended positions (`ext(v) = v + #leaves ≤ v`, a text leaf's
+/// dummy at its leaf's minus one), an RPIndex plan's are positions as
+/// they stand, and a strictly increasing `S` is a candidate. A document
+/// that yields one puts the view its index refines against into the
+/// stage's one view — the extended view derived, or the regular view
+/// itself — and its candidates are then refined against it, so no
+/// record is decoded twice and nothing is handed over per document.
 pub(crate) struct AnchoredCursor<'a> {
     idx: &'a PrixIndex,
     run: &'a ValueRunReader,
     anchors: Vec<Anchor>,
-    /// `dummy[e - 1]`: extended query node `e` is a dummy leaf.
-    dummy: Vec<bool>,
+    /// `text_dummy[e - 1]`: plan node `e` is a text leaf's dummy.
+    text_dummy: Vec<bool>,
     pred: Option<&'a PredEval<'a>>,
     /// Per anchor, its postings in the documents every anchor's key
     /// holds, `(doc, post)` ascending, and the first not walked yet.
@@ -367,8 +441,8 @@ pub(crate) struct AnchoredCursor<'a> {
     /// (they end at `walked`).
     starts: Vec<usize>,
     /// Per anchor, the images of its walks in the current document,
-    /// `1 + up.len()` each; and the images a join assigns (extended
-    /// query postorder → document postorder, 0 unset). Reused from one
+    /// `at` (if any) and then `up` each; and the images a join assigns
+    /// (plan postorder → document postorder, 0 unset). Reused from one
     /// document to the next.
     walks: Vec<Vec<PostNum>>,
     img: Vec<PostNum>,
@@ -391,16 +465,19 @@ impl<'a> AnchoredCursor<'a> {
         pred: Option<&'a PredEval<'a>>,
     ) -> Self {
         let t = &plan.qtree;
-        let dummy: Vec<bool> = (1..t.len() as PostNum)
-            .map(|e| t.is_leaf(t.node_at(e)))
+        let extended = plan.ext_of_orig.is_some();
+        let text_dummy: Vec<bool> = (1..t.len() as PostNum)
+            .map(|e| {
+                extended && t.is_leaf(t.node_at(e)) && t.kind(t.node_at(e + 1)) == NodeKind::Text
+            })
             .collect();
         let n = anchors.len();
         AnchoredCursor {
             idx,
             run,
             anchors,
-            img: vec![0; dummy.len() + 2],
-            dummy,
+            img: vec![0; text_dummy.len() + 2],
+            text_dummy,
             pred,
             postings: vec![Vec::new(); n],
             walked: vec![0; n],
@@ -442,19 +519,43 @@ impl<'a> AnchoredCursor<'a> {
         Ok(true)
     }
 
-    /// Scans every anchor's key and keeps the postings of the documents
+    /// Predicate `k`'s postings in this tier, as the evaluator probed
+    /// them.
+    fn probed(&self, k: usize) -> &'a [(DocId, PostNum)] {
+        self.pred
+            .and_then(|p| p.postings(self.idx.doc_base(), k))
+            .unwrap_or_default()
+    }
+
+    /// Gathers every anchor's postings and keeps those of the documents
     /// all of them hold.
     fn probe(&mut self) -> Result<()> {
-        let span = |a: &Anchor| {
-            a.key
-                .as_ref()
-                .map_or(0, |k| self.run.key_span(VxSection::Str, k))
-        };
-        let mut order: Vec<usize> = (0..self.anchors.len()).collect();
-        order.sort_by_key(|&i| (span(&self.anchors[i]), i));
         let mut docs: Option<Vec<DocId>> = None;
-        for i in order {
-            let Some(key) = &self.anchors[i].key else {
+        let mut texts = Vec::new();
+        for (i, a) in self.anchors.iter().enumerate() {
+            match a.probe {
+                Probe::Pred(k) => {
+                    let held = docs_of(self.probed(k));
+                    docs = Some(match docs {
+                        None => held,
+                        Some(d) => merge_join(&d, &held),
+                    });
+                }
+                Probe::Text { ref key, .. } => {
+                    let span = key
+                        .as_ref()
+                        .map_or(0, |k| self.run.key_span(VxSection::Str, k));
+                    texts.push((span, i));
+                }
+            }
+        }
+        // The predicates' probe ruled the rest of the tier out unvisited.
+        if let Some(d) = &docs {
+            self.stats.pred_skipped += (self.idx.doc_count() - d.len()) as u64;
+        }
+        texts.sort_unstable();
+        for (_, i) in texts {
+            let Probe::Text { key: Some(key), .. } = &self.anchors[i].probe else {
                 docs = Some(Vec::new());
                 break;
             };
@@ -474,22 +575,22 @@ impl<'a> AnchoredCursor<'a> {
             })?;
             self.stats.valix_probes += 1;
             self.stats.valix_postings += list.len() as u64;
-            let mut held: Vec<DocId> = list.iter().map(|&(d, _)| d).collect();
-            held.dedup();
+            let held = docs_of(list);
             docs = Some(match docs {
                 None => held,
                 Some(d) => merge_join(&d, &held),
             });
         }
         let docs = docs.unwrap_or_default();
-        for list in &mut self.postings {
-            let mut k = 0;
-            list.retain(|&(d, _)| {
-                while docs.get(k).is_some_and(|&x| x < d) {
-                    k += 1;
+        let keep = |&(d, _): &(DocId, PostNum)| docs.binary_search(&d).is_ok();
+        for i in 0..self.anchors.len() {
+            match self.anchors[i].probe {
+                Probe::Pred(k) => {
+                    let kept = self.probed(k).iter().copied().filter(keep);
+                    self.postings[i].extend(kept);
                 }
-                docs.get(k) == Some(&d)
-            });
+                Probe::Text { .. } => self.postings[i].retain(keep),
+            }
         }
         Ok(())
     }
@@ -518,8 +619,8 @@ impl<'a> AnchoredCursor<'a> {
                 *walked += 1;
             }
         }
-        // An embedding's leaves ascend in query postorder, so some
-        // choice of postings must: try the least one each time.
+        // An embedding's leaves ascend in query postorder, and so do the
+        // leaves under them: try the least posting each time.
         let mut least = 0;
         for i in 0..self.anchors.len() {
             match self.posts(i).iter().find(|&&(_, post)| post > least) {
@@ -555,11 +656,14 @@ impl<'a> AnchoredCursor<'a> {
             return Ok(true);
         }
         found.sort_unstable();
-        let need_leaf_data = views.need_leaf_data;
         let view = &mut views.one.data;
-        buf.regular
-            .extended_into(self.idx.dummy(), need_leaf_data, &mut buf.ext, view)
-            .ok_or_else(corrupt_record)?;
+        match self.idx.kind() {
+            IndexKind::Extended => buf
+                .regular
+                .extended_into(self.idx.dummy(), views.need_leaf_data, &mut buf.ext, view)
+                .ok_or_else(corrupt_record)?,
+            IndexKind::Regular => std::mem::swap(&mut buf.regular, view),
+        }
         // A record whose leaf list disagrees with its NPS can place a
         // position outside the extended view.
         let len = view.nps.len() as PostNum;
@@ -575,20 +679,25 @@ impl<'a> AnchoredCursor<'a> {
     fn join(&self, i: usize, img: &mut [PostNum], view: &DocData, found: &mut Vec<Vec<PostNum>>) {
         let Some(a) = self.anchors.get(i) else {
             // ext(v) = v + #(leaves ≤ v); a dummy sits just before its leaf.
-            let ext = |v: PostNum| v + view.leaves.partition_point(|l| l.1 <= v) as PostNum;
+            let extended = self.idx.kind() == IndexKind::Extended;
+            let pos = |v: PostNum| match extended {
+                true => v + view.leaves.partition_point(|l| l.1 <= v) as PostNum,
+                false => v,
+            };
             let s: Vec<PostNum> = self
-                .dummy
+                .text_dummy
                 .iter()
                 .zip(1..)
-                .map(|(&d, e)| if d { ext(img[e + 1]) - 1 } else { ext(img[e]) })
+                .map(|(&d, e)| if d { pos(img[e + 1]) - 1 } else { pos(img[e]) })
                 .collect();
             if s.windows(2).all(|w| w[0] < w[1]) {
                 found.push(s);
             }
             return;
         };
-        let nodes = || std::iter::once(a.at).chain(a.up.iter().map(|&(e, _)| e));
-        for walk in self.walks[i].chunks_exact(a.up.len() + 1) {
+        let nodes = || a.at.into_iter().chain(a.up.iter().map(|&(e, _)| e));
+        let width = a.up.len() + usize::from(a.at.is_some());
+        for walk in self.walks[i].chunks_exact(width) {
             if nodes()
                 .zip(walk)
                 .any(|(e, &v)| img[e as usize] != 0 && img[e as usize] != v)
@@ -622,15 +731,21 @@ impl<'a> AnchoredCursor<'a> {
 }
 
 /// Appends to `out` the images of anchor `a`'s walk from the leaf at
-/// `post` up to the query root — the leaf itself, then each ancestor —
-/// if the leaf carries the value and every ancestor the query's label.
+/// `post` up to the query root — `at`'s, then each node's of `up` — if
+/// a text leaf carries the value and every node the query's label. A
+/// predicate's walk is appended once per image of its node, with the
+/// dummy under it on that image's first child.
 fn climb(view: &DocData, a: &Anchor, post: PostNum, out: &mut Vec<PostNum>) {
-    let own = view.leaves.binary_search_by_key(&post, |l| l.1);
-    if own.map(|k| view.leaves[k].0) != Ok(a.value) {
-        return;
+    if let Probe::Text { value, .. } = a.probe {
+        let own = view.leaves.binary_search_by_key(&post, |l| l.1);
+        if own.map(|k| view.leaves[k].0) != Ok(value) {
+            return;
+        }
     }
     let start = out.len();
-    out.push(post);
+    if a.at.is_some() {
+        out.push(post);
+    }
     let mut v = post;
     for &(_, label) in &a.up {
         let i = (v as usize).wrapping_sub(1);
@@ -643,19 +758,24 @@ fn climb(view: &DocData, a: &Anchor, post: PostNum, out: &mut Vec<PostNum>) {
         }
         out.push(v);
     }
+    if let Probe::Pred(_) = a.probe {
+        let node = usize::from(a.at.is_some());
+        let width = out.len() - start;
+        let image = out[start + node];
+        if out[..start].chunks_exact(width).any(|w| w[node] == image) {
+            out.truncate(start);
+        } else if a.at.is_some() {
+            out[start] = first_child(view, image);
+        }
+    }
 }
 
-/// The documents both ascending lists hold.
-fn merge_join(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
-    let (mut i, mut j, mut out) = (0, 0, Vec::new());
-    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
-        if x == y {
-            out.push(x);
-        }
-        i += usize::from(x <= y);
-        j += usize::from(y <= x);
-    }
-    out
+/// The first child of node `v`: the least node whose parent it is.
+fn first_child(view: &DocData, v: PostNum) -> PostNum {
+    view.nps
+        .iter()
+        .position(|&p| p == v)
+        .map_or(0, |i| i as PostNum + 1)
 }
 
 /// The embeddings already emitted from one document.
@@ -893,7 +1013,7 @@ impl<'a> MatchStream<'a> {
         values: Option<TierValues<'a>>,
         setup: Instant,
     ) -> Self {
-        let anchored = values.and_then(|v| Some((v.run, plan_anchors(idx, &plan, &v)?)));
+        let anchored = values.and_then(|v| Some((v.run, plan_anchors(idx, &plan, &v, pred)?)));
         // An anchored source yields one document at a time, and an
         // unlimited trie stream refines its sorted candidates: both
         // arrive grouped by document.

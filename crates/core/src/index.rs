@@ -15,14 +15,14 @@
 //!
 //! A tier keeps one record per document, which both of its indexes
 //! read: the *regular* view of the document — NPS, LPS and leaf list
-//! ([`encode_doc_record`]) — in the record section of the tier's EP
+//! (`encode_doc_record`) — in the record section of the tier's EP
 //! segment file, laid out in the order of the tier's RP Docid index so
 //! that the candidates of one filter match share blocks, or in the
 //! delta's one [`RecordStore`]. The extended
 //! tree is a fixed function of the regular one, so an EPIndex derives
 //! its extended view — extended NPS, LPS and leaf list, and the
 //! extended→original postorder map — when it loads a record
-//! ([`DocData::extended`]).
+//! (`DocData::extended`).
 //!
 //! Query execution is Algorithm 1 (`FindSubsequence` by range queries,
 //! with the Theorem 4 MaxGap pruning) followed by Algorithm 2 (the
@@ -126,7 +126,9 @@ pub struct QueryStats {
     /// Candidates dropped by the valix document pre-filter before
     /// refinement (their documents cannot satisfy every predicate); an
     /// anchored stream drops such a document before reading it and
-    /// counts it once.
+    /// counts it once, and one anchored on predicates counts every
+    /// document of its tier their postings rule out, none of which it
+    /// visits.
     pub pred_skipped: u64,
     /// Refined matches rejected by positional predicate verification.
     pub pred_rejected: u64,
@@ -240,8 +242,8 @@ pub struct BuildStats {
 /// and **immutable segments** (the bulk-built
 /// implicit-tree files of `prix_storage::segment`, read through their
 /// tier's block cache). The executor is backing-agnostic — it only sees
-/// [`PrixIndex::scan_tag_range`] / [`PrixIndex::scan_docids`] /
-/// [`PrixIndex::load_doc`].
+/// `PrixIndex::scan_tag_range` / `PrixIndex::scan_docids` /
+/// `PrixIndex::load_doc`.
 #[derive(Clone)]
 pub struct PrixIndex {
     kind: IndexKind,
@@ -616,7 +618,7 @@ impl PrixIndex {
     /// always starts empty — refuses new first labels once its root has
     /// halved its scope some sixty times (DESIGN.md).
     ///
-    /// [`crate::PrixEngine::insert_tree`] prepares against *both*
+    /// `PrixEngine::insert_tree` prepares against *both*
     /// indexes before inserting into either, so a rejected document
     /// cannot leave RP and EP with different document counts.
     pub fn prepare(&self, tree: &XmlTree) -> Result<Prepared> {
@@ -764,7 +766,7 @@ impl PrixIndex {
         plan: &QueryPlan,
         syms: &prix_xml::SymbolTable,
         anchored: Option<String>,
-    ) -> String {
+    ) -> Result<String> {
         let mut out = String::new();
         let flavor = match (&self.kind, plan.ext_of_orig.is_some()) {
             (IndexKind::Regular, true) => "RPIndex, leaf-extended query (§4.4 fast path)",
@@ -801,7 +803,16 @@ impl PrixIndex {
                 out.push_str(&line);
                 " (trie descent only, as on the delta)"
             }
-            None => "",
+            None => {
+                if let Some((j, lefts)) = self.rarest_label(&plan.seq.lps)? {
+                    out.push_str(&format!(
+                        "filter: descent pruned to subtrees holding {} ({} rows)\n",
+                        syms.name(plan.seq.lps[j]),
+                        lefts.len()
+                    ));
+                }
+                ""
+            }
         };
         out.push_str(&format!(
             "MaxGap rules{scope}: {bounded} of {} adjacent pairs bounded",
@@ -819,7 +830,33 @@ impl PrixIndex {
             }
         }
         out.push('\n');
-        out
+        Ok(out)
+    }
+
+    /// The rarest-label pruning a trie descent of `lps` gets on this
+    /// tier: the LPS position `j ≥ 1` whose label's rows span the fewest
+    /// tag-section blocks (the later position on a tie), and the `left`
+    /// of every row of that label, ascending — when that label spans
+    /// fewer blocks than position 0's does, so reading its rows costs
+    /// less than the descent's first range query. A candidate's trie
+    /// node at position `j` descends from the one it passes at every
+    /// shallower position, so a row there whose subtree `(left, right]`
+    /// holds none of these rows leads to no candidate. `None` on the
+    /// delta, whose ordered maps have no blocks to count, and for a
+    /// one-label LPS.
+    pub(crate) fn rarest_label(&self, lps: &[Sym]) -> Result<Option<(usize, Vec<u64>)>> {
+        let Backing::Seg(r) = &self.backing else {
+            return Ok(None);
+        };
+        let blocks = |j: usize| r.tag_blocks(lps[j].0);
+        let Some(j) = (1..lps.len()).min_by_key(|&j| (blocks(j), std::cmp::Reverse(j))) else {
+            return Ok(None);
+        };
+        if blocks(j) >= blocks(0) {
+            return Ok(None);
+        }
+        let rows = r.scan_tag_range(lps[j].0, 0, u64::MAX)?;
+        Ok(Some((j, rows.into_iter().map(|row| row.0).collect())))
     }
 
     /// Executes an ordered twig query as a pull-based stream, the one
@@ -1262,7 +1299,7 @@ impl PrixIndex {
     /// `records`, the tier's EP segment (`reader` itself for an
     /// EPIndex). The tier's `doc_base` comes from the segment header;
     /// MaxGap table, childless set, and build stats come from the
-    /// segment's metadata blob (see [`encode_seg_index_meta`]).
+    /// segment's metadata blob (see `encode_seg_index_meta`).
     pub fn from_segment(reader: Arc<SegmentReader>, records: Arc<SegmentReader>) -> Result<Self> {
         let (kind, dummy, maxgap, childless, build_stats) = decode_seg_index_meta(&reader.meta()?)
             .ok_or_else(|| IndexError::Unsupported("corrupt segment metadata".into()))?;

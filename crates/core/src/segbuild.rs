@@ -2,7 +2,7 @@
 //! one tier — its RP and EP segments and its value run
 //! (`prix_storage::segment`).
 //!
-//! Two producers feed a tier, and both end at [`TierBuilder`], the one
+//! Two producers feed a tier, and both end at `TierBuilder`, the one
 //! tier writer:
 //!
 //! * [`BulkBuilder`] — `prix index`: documents stream straight
@@ -13,7 +13,7 @@
 //!   records, which the same encoder wrote at insert.
 //!
 //! A tier's files are a function of its documents, their ids and the
-//! symbol table alone: [`TierBuilder`] derives every label path, MaxGap
+//! symbol table alone: `TierBuilder` derives every label path, MaxGap
 //! table, childless label and value posting from each document's regular
 //! view, and lays the EP file's records out in the order of the RP
 //! file's Docid section. So a compacted tier is **byte-identical** to
@@ -208,7 +208,7 @@ fn build_stats(st: &prix_storage::SegTrieStats) -> BuildStats {
 /// how every database begins, in files or in memory.
 ///
 /// Documents are parsed one at a time and handed to the tier's
-/// [`TierBuilder`], which pushes them straight into its external sorters
+/// `TierBuilder`, which pushes them straight into its external sorters
 /// (label paths for RP and EP, leaf-value postings for the value run);
 /// nothing but the symbol table, the MaxGap tables, and the bounded sort
 /// runs stays in memory. [`finish`] merges the runs into the tier's

@@ -465,12 +465,13 @@ impl EngineSnapshot {
         let (rp, ep, values) = self.tiers()[0];
         let idx = pick_index(rp, ep, &q, None)?;
         let plan = idx.plan(&q)?;
-        let anchors = values.and_then(|v| plan_anchors(idx, &plan, &v));
-        let anchored = anchors.map(|a| explain_anchors(&a, &syms));
+        let pred = PredEval::build(&q, &self.segments, &syms)?;
+        let anchors = values.and_then(|v| plan_anchors(idx, &plan, &v, pred.as_ref()));
+        let anchored = anchors.map(|a| explain_anchors(&a, &syms, pred.as_ref()));
         let mut out = format!("index: {}\n", idx.kind());
-        out.push_str(&idx.explain(&plan, &syms, anchored));
-        if let Some(pred) = PredEval::build(&q, &self.segments, &syms)? {
-            out.push_str(&explain_pred(&q, &pred, &syms));
+        out.push_str(&idx.explain(&plan, &syms, anchored)?);
+        if let Some(pred) = &pred {
+            out.push_str(&explain_pred(&q, pred, &syms));
         }
         let maxgap = if ExecOpts::default().use_maxgap {
             "on"
@@ -1202,6 +1203,84 @@ mod tests {
              \x20positions #->#: distance <= min(#, per-node) + #\n\
              planner: engine=prix_ep maxgap=on\n"
         );
+    }
+
+    /// A predicate twig the first tier anchors names its predicates in
+    /// that line: a leaf carrying a probeable predicate is an anchor
+    /// like a text leaf.
+    #[test]
+    fn explain_names_a_predicate_anchor() {
+        let mut c = Collection::new();
+        for year in [1980, 1990] {
+            c.add_xml(&format!(
+                "<inproceedings><year>{year}</year></inproceedings>"
+            ))
+            .unwrap();
+        }
+        let eng = PrixEngine::build(c, EngineConfig::default()).unwrap();
+        let text = eng
+            .snapshot()
+            .explain("//inproceedings[year < 1985]")
+            .unwrap();
+        assert_eq!(
+            normalize_explain(&text),
+            "index: RPIndex\n\
+             plan: RPIndex, leaf-extended query (§# fast path)\n\
+             LPS(Q) = year inproceedings\n\
+             NPS(Q) = # #\n\
+             edges = / / /\n\
+             executor: streaming filter -> refine -> project (limit pushdown)\n\
+             filter: anchored on the value run: year < #\n\
+             MaxGap rules (trie descent only, as on the delta): # of # adjacent pairs bounded\n\
+             \x20positions #->#: distance <= min(#, per-node) + #\n\
+             predicate: year{< #}\n\
+             valix: probe passes #/# docs (estimated selectivity #%)\n\
+             planner: engine=prix_rp maxgap=on\n"
+        );
+        assert!(text.contains("\nfilter: anchored on the value run: year < 1985\n"));
+    }
+
+    /// A trie descent whose LPS holds a label past position 0 that spans
+    /// fewer tag blocks than position 0's names it and its row count:
+    /// 600 haystack documents of distinct shapes, twelve of them under
+    /// an `n`, asked `//n//h`.
+    #[test]
+    fn explain_names_the_rarest_label_pruning() {
+        let mut c = Collection::new();
+        for i in 0..600u32 {
+            let body: String = (0..10)
+                .map(|b| match i >> b & 1 {
+                    1 => "<h><k/></h>",
+                    _ => "<m/>",
+                })
+                .collect();
+            let body = match i % 50 {
+                0 => format!("<n>{body}</n>"),
+                _ => body,
+            };
+            c.add_xml(&format!("<r>{body}<h><k/></h></r>")).unwrap();
+        }
+        let eng = PrixEngine::build(c, EngineConfig::default()).unwrap();
+        let snap = eng.snapshot();
+        let text = snap.explain("//n//h").unwrap();
+        assert_eq!(
+            normalize_explain(&text),
+            "index: EPIndex\n\
+             plan: EPIndex, extended query (§#)\n\
+             LPS(Q) = h n\n\
+             NPS(Q) = # #\n\
+             edges = / // /\n\
+             executor: streaming filter -> refine -> project (limit pushdown)\n\
+             filter: descent pruned to subtrees holding n (# rows)\n\
+             MaxGap rules: # of # adjacent pairs bounded\n\
+             planner: engine=prix_ep maxgap=on\n"
+        );
+        let q = snap.parse_query("//n//h").unwrap();
+        let under_n: u32 = (0..600u32)
+            .step_by(50)
+            .map(|i| (i & 1023).count_ones())
+            .sum();
+        assert_eq!(snap.query(&q).unwrap().matches.len(), under_n as usize);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! documents by the tier writer (`crate::segbuild::TierBuilder`), bulk
 //! build and compaction alike. Tiers partition the document ids below
 //! the delta, so the per-run answers are disjoint and their union is the
-//! probe's ([`probe_docs`]). The mutable delta keeps no postings: the
+//! probe's ([`PredEval::build`]). The mutable delta keeps no postings: the
 //! probe's coverage horizon is where the tiers end, every delta document
 //! passes the pre-filter, and verification decides it like any other.
 //!
@@ -31,19 +31,19 @@
 //! indistinguishable to Prüfer matching, so valix indexes the label of
 //! *every* leaf under its parent's tag. The probe is a conservative
 //! pre-filter (a superset of the satisfying documents); the
-//! authoritative check is [`PredEval::matches`], which verifies each
+//! authoritative check is `PredEval::matches`, which verifies each
 //! refined embedding positionally. Filtered results are therefore
 //! exactly the post-filtered unfiltered results, with or without a
 //! usable probe.
 
-use std::collections::HashSet;
 use std::ops::Bound;
+use std::sync::Arc;
 
 use prix_storage::{ValueRunReader, VxEntry, VxSection, VX_MAX_KEY_LEN};
 use prix_xml::{DocId, PostNum, Sym, SymbolTable};
 
 use crate::engine::SegTier;
-use crate::index::{DocData, IndexError, Result};
+use crate::index::{DocData, Result};
 use crate::query::{PredOp, PredValue, TwigQuery, ValuePred};
 
 /// String keys are truncated to this many value bytes. Truncation is
@@ -140,91 +140,132 @@ pub struct ProbeStats {
     pub postings: u64,
 }
 
-/// Probes one predicate anchored at `tag` over `runs`, collecting the
-/// matching document ids. Returns `None` when the operator has no index
-/// strategy (`!=`: nearly everything matches, a scan would cost more
-/// than it saves) — the caller falls back to verification-only.
-pub(crate) fn probe_docs(
-    runs: &[&ValueRunReader],
-    tag: Sym,
-    pred: &ValuePred,
-    stats: &mut ProbeStats,
-) -> Result<Option<HashSet<DocId>>> {
-    let mut docs: HashSet<DocId> = HashSet::new();
-    let mut seen = 0u64;
-    // Scans one opclass over every run, with the contract of
-    // `ValueRunReader::scan` per run: `keep(key)` returning `false` ends
-    // the run it was reading, not the whole scan.
-    let mut scan = |section, lo: Bound<&[u8]>, hi: Bound<&[u8]>, keep: &dyn Fn(&[u8]) -> bool| {
-        for run in runs {
-            run.scan(section, lo, hi, |k, doc, _| {
-                let kept = keep(k);
-                if kept {
-                    seen += 1;
-                    docs.insert(doc);
-                }
-                kept
-            })?;
-        }
-        Ok::<_, IndexError>(())
-    };
-    match &pred.value {
-        PredValue::Num(lit) => {
-            let lit = *lit;
-            let (lo, hi) = match pred.op {
-                PredOp::Eq => (num_key(tag, lit), num_key(tag, lit)),
-                PredOp::Lt | PredOp::Le => (num_key(tag, f64::NEG_INFINITY), num_key(tag, lit)),
-                PredOp::Gt | PredOp::Ge => (num_key(tag, lit), num_key(tag, f64::INFINITY)),
-                PredOp::Ne | PredOp::StartsWith => return Ok(None),
-            };
-            let lo_b = if pred.op == PredOp::Gt {
-                Bound::Excluded(&lo[..])
-            } else {
-                Bound::Included(&lo[..])
-            };
-            let hi_b = if pred.op == PredOp::Lt {
-                Bound::Excluded(&hi[..])
-            } else {
-                Bound::Included(&hi[..])
-            };
-            scan(VxSection::Num, lo_b, hi_b, &|_| true)?;
-        }
-        PredValue::Str(lit) => {
-            let key = str_key(tag, lit);
-            match pred.op {
-                PredOp::Eq => scan(
-                    VxSection::Str,
-                    Bound::Included(&key[..]),
-                    Bound::Included(&key[..]),
-                    &|_| true,
-                )?,
-                PredOp::StartsWith => {
-                    // A prefix is a contiguous key range: scan from the
-                    // prefix key, stop at the first key that no longer
-                    // starts with it. The next tag's first possible key
-                    // bounds the range above, which is what lets a run
-                    // that lacks the tag skip the scan.
-                    let next_tag = tag.0.checked_add(1).map(u32::to_be_bytes);
-                    let hi_b = next_tag
-                        .as_ref()
-                        .map_or(Bound::Unbounded, |t| Bound::Excluded(&t[..]));
-                    scan(VxSection::Str, Bound::Included(&key[..]), hi_b, &|k| {
-                        k.starts_with(&key)
-                    })?;
-                }
-                _ => return Ok(None),
+/// How one predicate probes a value run: an opclass section, a key
+/// range, and for `starts-with` the prefix every key in it must start
+/// with.
+struct KeyRange {
+    section: VxSection,
+    lo: Bound<Vec<u8>>,
+    hi: Bound<Vec<u8>>,
+    prefix: Option<Vec<u8>>,
+}
+
+impl KeyRange {
+    /// The range of `pred` anchored at `tag`, or `None` when the
+    /// operator has no index strategy (`!=`: nearly everything matches,
+    /// a scan would cost more than it saves) and verification alone
+    /// decides it.
+    fn of(tag: Sym, pred: &ValuePred) -> Option<KeyRange> {
+        let (section, lo, hi, prefix) = match (&pred.value, pred.op) {
+            (PredValue::Num(_), PredOp::Ne | PredOp::StartsWith) => return None,
+            (PredValue::Num(lit), op) => {
+                let key = num_key(tag, *lit).to_vec();
+                let (lo, hi) = match op {
+                    PredOp::Lt | PredOp::Le => (num_key(tag, f64::NEG_INFINITY).to_vec(), key),
+                    PredOp::Gt | PredOp::Ge => (key, num_key(tag, f64::INFINITY).to_vec()),
+                    _ => (key.clone(), key),
+                };
+                let lo = match op {
+                    PredOp::Gt => Bound::Excluded(lo),
+                    _ => Bound::Included(lo),
+                };
+                let hi = match op {
+                    PredOp::Lt => Bound::Excluded(hi),
+                    _ => Bound::Included(hi),
+                };
+                (VxSection::Num, lo, hi, None)
             }
-        }
+            (PredValue::Str(lit), PredOp::Eq) => {
+                let key = str_key(tag, lit);
+                (
+                    VxSection::Str,
+                    Bound::Included(key.clone()),
+                    Bound::Included(key),
+                    None,
+                )
+            }
+            (PredValue::Str(lit), PredOp::StartsWith) => {
+                // A prefix is a contiguous key range: scan from the
+                // prefix key, stop at the first key that no longer starts
+                // with it. The next tag's first possible key bounds the
+                // range above, which is what lets a run that lacks the
+                // tag skip the scan.
+                let key = str_key(tag, lit);
+                let hi = tag.0.checked_add(1).map_or(Bound::Unbounded, |t| {
+                    Bound::Excluded(t.to_be_bytes().to_vec())
+                });
+                (VxSection::Str, Bound::Included(key.clone()), hi, Some(key))
+            }
+            (PredValue::Str(_), _) => return None,
+        };
+        Some(KeyRange {
+            section,
+            lo,
+            hi,
+            prefix,
+        })
     }
-    stats.probes += 1;
-    stats.postings += seen;
-    Ok(Some(docs))
+
+    /// Appends the range's postings in `run` to `out`, in `(key, doc,
+    /// post)` order.
+    fn scan(&self, run: &ValueRunReader, out: &mut Vec<(DocId, PostNum)>) -> Result<()> {
+        let lo = self.lo.as_ref().map(Vec::as_slice);
+        let hi = self.hi.as_ref().map(Vec::as_slice);
+        run.scan(self.section, lo, hi, |k, doc, post| {
+            let kept = self.prefix.as_ref().is_none_or(|p| k.starts_with(p));
+            if kept {
+                out.push((doc, post));
+            }
+            kept
+        })?;
+        Ok(())
+    }
+}
+
+/// The documents both ascending lists hold.
+pub(crate) fn merge_join(a: &[DocId], b: &[DocId]) -> Vec<DocId> {
+    let (mut i, mut j, mut out) = (0, 0, Vec::new());
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        if x == y {
+            out.push(x);
+        }
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out
+}
+
+/// The documents of `(doc, post)` postings sorted by document.
+pub(crate) fn docs_of(postings: &[(DocId, PostNum)]) -> Vec<DocId> {
+    let mut docs: Vec<DocId> = postings.iter().map(|&(d, _)| d).collect();
+    docs.dedup();
+    docs
+}
+
+/// What one probe found in one tier's value run: per predicate, its
+/// `(doc, post)` postings sorted, or `None` for a predicate with no
+/// index strategy.
+struct TierPostings {
+    /// The tier's first document id.
+    base: DocId,
+    preds: Vec<Option<Vec<(DocId, PostNum)>>>,
+}
+
+/// What [`PredEval::build`] probed, shared by the evaluator and its
+/// [`PredEval::remap`]s.
+struct Probed {
+    /// Documents below the coverage horizon that can satisfy every
+    /// probeable predicate, ascending; `None` when no predicate was
+    /// probeable (`!=`-only).
+    allowed: Option<Vec<DocId>>,
+    tiers: Vec<TierPostings>,
 }
 
 /// A query's predicates resolved for execution: the predicates
 /// themselves and the symbol table that names leaf labels (the
-/// verification side) plus the probed document pre-filter (the pruning
-/// side).
+/// verification side) plus what one probe of the tiers' value runs found
+/// (the pruning side): the document pre-filter, and each tier's postings
+/// per predicate, which an anchored stream takes its candidates from.
 ///
 /// Built once per query at the engine level, then threaded through the
 /// executor. Building it costs the value-index probes and nothing in
@@ -239,10 +280,7 @@ pub struct PredEval<'s> {
     items: Vec<(PostNum, ValuePred)>,
     /// The table the verified records' leaf label symbols name.
     syms: &'s SymbolTable,
-    /// Documents below the coverage horizon that can satisfy every
-    /// probeable predicate; `None` when no predicate was probeable
-    /// (`!=`-only).
-    allowed: Option<HashSet<DocId>>,
+    probed: Arc<Probed>,
     /// The coverage horizon: where the probed tiers end. Documents at or
     /// past it — the delta's — have no postings, so the pre-filter must
     /// admit them.
@@ -252,10 +290,11 @@ pub struct PredEval<'s> {
 }
 
 impl<'s> PredEval<'s> {
-    /// Resolves `q`'s predicates against `syms`, probing the value runs
-    /// of `tiers` for the document pre-filter, which admits every
-    /// document past the last tier. `Ok(None)` when the query has no
-    /// predicates.
+    /// Resolves `q`'s predicates against `syms`, probing the value run
+    /// of each of `tiers` once per probeable predicate: the postings,
+    /// sorted, and the document pre-filter they imply, which admits
+    /// every document past the last tier. `Ok(None)` when the query has
+    /// no predicates.
     pub fn build(
         q: &TwigQuery,
         tiers: &[SegTier],
@@ -270,22 +309,51 @@ impl<'s> PredEval<'s> {
             .iter()
             .map(|p| (tree.postorder(p.node), p.clone()))
             .collect();
-        let runs: Vec<&ValueRunReader> = tiers.iter().map(|t| &*t.vx).collect();
-        let mut probe = ProbeStats::default();
-        let mut allowed: Option<HashSet<DocId>> = None;
-        for p in q.preds() {
-            let tag = tree.label(p.node);
-            if let Some(docs) = probe_docs(&runs, tag, p, &mut probe)? {
-                allowed = Some(match allowed {
-                    None => docs,
-                    Some(acc) => acc.intersection(&docs).copied().collect(),
+        let ranges: Vec<Option<KeyRange>> = q
+            .preds()
+            .iter()
+            .map(|p| KeyRange::of(tree.label(p.node), p))
+            .collect();
+        let mut probe = ProbeStats {
+            probes: ranges.iter().flatten().count() as u64,
+            postings: 0,
+        };
+        let mut allowed = (probe.probes > 0).then(Vec::new);
+        let mut probed = Vec::with_capacity(tiers.len());
+        for tier in tiers {
+            let mut docs: Option<Vec<DocId>> = None;
+            let mut preds = Vec::with_capacity(ranges.len());
+            for range in &ranges {
+                let Some(range) = range else {
+                    preds.push(None);
+                    continue;
+                };
+                let mut list = Vec::new();
+                range.scan(&tier.vx, &mut list)?;
+                probe.postings += list.len() as u64;
+                list.sort_unstable();
+                let held = docs_of(&list);
+                docs = Some(match docs {
+                    None => held,
+                    Some(d) => merge_join(&d, &held),
                 });
+                preds.push(Some(list));
             }
+            if let (Some(all), Some(docs)) = (&mut allowed, docs) {
+                all.extend(docs);
+            }
+            probed.push(TierPostings {
+                base: tier.doc_base,
+                preds,
+            });
         }
         Ok(Some(PredEval {
             items,
             syms,
-            allowed,
+            probed: Arc::new(Probed {
+                allowed,
+                tiers: probed,
+            }),
             covered: tiers.last().map_or(0, |t| t.doc_base + t.n_docs),
             probe,
         }))
@@ -294,9 +362,9 @@ impl<'s> PredEval<'s> {
     /// Whether the document pre-filter admits `doc`. Conservative:
     /// `true` whenever the probe cannot rule the document out.
     pub fn allows(&self, doc: DocId) -> bool {
-        match &self.allowed {
+        match &self.probed.allowed {
             None => true,
-            Some(s) => doc >= self.covered || s.contains(&doc),
+            Some(docs) => doc >= self.covered || docs.binary_search(&doc).is_ok(),
         }
     }
 
@@ -304,12 +372,37 @@ impl<'s> PredEval<'s> {
     /// numerator and denominator of the estimated selectivity `/explain`
     /// prints.
     pub fn estimate(&self) -> Option<(usize, DocId)> {
-        self.allowed.as_ref().map(|s| (s.len(), self.covered))
+        self.probed
+            .allowed
+            .as_ref()
+            .map(|docs| (docs.len(), self.covered))
+    }
+
+    /// The first predicate of the node at postorder `post` (of the
+    /// query this evaluator is numbered for) whose postings the probe
+    /// holds for the tier whose first document is `base`.
+    pub(crate) fn probed_at(&self, base: DocId, post: PostNum) -> Option<usize> {
+        (0..self.items.len()).find(|&k| self.items[k].0 == post && self.postings(base, k).is_some())
+    }
+
+    /// Predicate `k`.
+    pub(crate) fn pred(&self, k: usize) -> &ValuePred {
+        &self.items[k].1
+    }
+
+    /// Predicate `k`'s postings in the value run of the tier whose first
+    /// document is `base`, sorted by `(doc, post)`: `None` when the
+    /// predicate has no index strategy or the probe did not cover the
+    /// tier.
+    pub(crate) fn postings(&self, base: DocId, k: usize) -> Option<&[(DocId, PostNum)]> {
+        let tier = self.probed.tiers.iter().find(|t| t.base == base)?;
+        tier.preds.get(k)?.as_deref()
     }
 
     /// This evaluator renumbered for a branch arrangement:
     /// `base_of[arr_post - 1]` maps arrangement postorders back to base
-    /// ones (see `crate::arrange::Arrangement`).
+    /// ones (see `crate::arrange::Arrangement`). The probe's findings are
+    /// shared, not copied.
     pub fn remap(&self, base_of: &[PostNum]) -> PredEval<'s> {
         let mut arr = PredEval {
             probe: ProbeStats::default(),
@@ -368,7 +461,7 @@ impl<'s> PredEval<'s> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
+    use std::collections::HashSet;
 
     use prix_storage::{IoStats, MemSegEnv, SegmentEnv, ValueRunBuilder};
 
@@ -395,7 +488,9 @@ mod tests {
 
     /// The documents `pred` anchored at `tag` probes in `run`.
     fn probe(run: &ValueRunReader, tag: Sym, pred: &ValuePred) -> Option<HashSet<DocId>> {
-        probe_docs(&[run], tag, pred, &mut ProbeStats::default()).unwrap()
+        let mut list = Vec::new();
+        KeyRange::of(tag, pred)?.scan(run, &mut list).unwrap();
+        Some(list.into_iter().map(|(doc, _)| doc).collect())
     }
 
     #[test]
@@ -548,7 +643,10 @@ mod tests {
                 let eval = PredEval {
                     items: vec![(1, p.clone())],
                     syms: &syms,
-                    allowed: None,
+                    probed: Arc::new(Probed {
+                        allowed: None,
+                        tiers: Vec::new(),
+                    }),
                     covered: 0,
                     probe: ProbeStats::default(),
                 };

@@ -650,7 +650,7 @@ enum Spill {
 }
 
 /// Writes one immutable segment: stream documents in (an EP file's
-/// records to a [`Spill`] in arrival order, label paths to the external
+/// records to a `Spill` in arrival order, label paths to the external
 /// sorter), then [`SegmentBuilder::finish`] copies the records out in
 /// the order it is given, merges the runs through the streaming trie
 /// and lays out the remaining sections.
@@ -1029,6 +1029,16 @@ impl SegmentReader {
             },
         )?;
         Ok(hits)
+    }
+
+    /// How many tag-section blocks a scan of every row of `sym` enters,
+    /// from the resident fences alone: [`SegmentReader::scan_tag_range`]
+    /// over `(0, u64::MAX]` reads exactly these.
+    pub fn tag_blocks(&self, sym: u32) -> u64 {
+        let fences = &self.tags.fences;
+        let first = fences.partition_point(|&k| k <= (sym, 0)).saturating_sub(1);
+        let end = fences.partition_point(|&(s, _)| s <= sym);
+        end.saturating_sub(first) as u64
     }
 
     /// Range query on the Docid section: local doc ids whose end-node

@@ -16,8 +16,9 @@ cargo build --release --offline --locked
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 cargo fmt --all -- --check
 # Doc comments link to public functions by name; a deleted or renamed
-# one must fail here, not rot. (Links to private items only warn.)
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --offline --locked --workspace --quiet
+# one must fail here, not rot, and public docs name private items in
+# plain code, since a link to one leads nowhere in the rendered docs.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" cargo doc --no-deps --offline --locked --workspace --quiet
 cargo test -q --offline --workspace
 # `cargo test` builds the examples but never runs them: run each once,
 # in release, so one that panics or has gone stale fails here.
@@ -317,9 +318,9 @@ wait "$SERVE_PID" || { echo "segment serve exited non-zero" >&2; cat "$SMOKE/seg
 match_payload() { # match_payload <out-file>
   { head -1 "$1" | sed 's/ in .*//'; grep '^  doc ' "$1" || true; }
 }
-# The predicate query's pre-filter is probed from the bulk tier's value
-# run before (the delta's documents are verified, not probed), from two
-# runs after. Table 3's Q1, a dotted equality twig, anchors on the bulk
+# The predicate query anchors on the bulk tier's value run before (its
+# probe's postings give the candidates; the delta's documents descend
+# the trie and are verified), on both runs after. Table 3's Q1, a dotted equality twig, anchors on the bulk
 # tier's value run before (the delta's documents descend the trie) and
 # on both runs after.
 SEG_QUERIES=("//www/url" "//inproceedings[year < 1985]" '//inproceedings[./author="Jim Gray"][./year="1990"]')
@@ -328,6 +329,8 @@ for i in 0 1 2; do
 done
 grep -q '^[1-9][0-9]* match(es)' "$SMOKE/q-before-1.txt" || { echo "predicate query matched nothing before compaction" >&2; cat "$SMOKE/q-before-1.txt" >&2; exit 1; }
 grep -q '^[1-9][0-9]* match(es)' "$SMOKE/q-before-2.txt" || { echo "Q1 matched nothing before compaction" >&2; cat "$SMOKE/q-before-2.txt" >&2; exit 1; }
+"$PRIX" explain "$SMOKE/seg.prix" "${SEG_QUERIES[1]}" >"$SMOKE/explain-pred.txt"
+grep -qx 'filter: anchored on the value run: year < 1985' "$SMOKE/explain-pred.txt" || { echo "explain does not anchor the predicate query on the value run" >&2; cat "$SMOKE/explain-pred.txt" >&2; exit 1; }
 "$PRIX" explain "$SMOKE/seg.prix" "${SEG_QUERIES[2]}" >"$SMOKE/explain-q1.txt"
 grep -qx 'filter: anchored on the value run: author = "Jim Gray", year = "1990"' "$SMOKE/explain-q1.txt" || { echo "explain does not anchor Q1 on the value run" >&2; cat "$SMOKE/explain-q1.txt" >&2; exit 1; }
 "$PRIX" compact "$SMOKE/seg.prix" >"$SMOKE/compact.log"

@@ -237,20 +237,43 @@ fn split_counters(row: &str) -> Option<(BTreeMap<&str, &str>, String)> {
     Some((counters, format!("{head} |{matches}")))
 }
 
+/// A golden row's match vector: the text after its counters.
+fn match_vector(row: &str) -> &str {
+    row.rsplit_once(" |").map_or("", |(_, m)| m)
+}
+
 /// Rewrites the golden's rows after a change that moves counters but no
-/// answer. Before a byte is written, every recomputed row must equal
-/// the committed one in its head and match vector, and what else must
-/// hold depends on which change moved them; it is asserted for the last
-/// one that did. Value twigs anchoring on their tier's value run (a
-/// second candidate source beside the trie descent) moved the rows
-/// whose plan anchors, which are the rows whose `valix_probes` rose:
-/// every other row is equal outright; an anchored row keeps its
-/// `index`, `truncated`, `refined`, `matches`, `pred_*` and
-/// `physical_reads`, its trie counters (`range_queries`,
-/// `nodes_scanned`, `maxgap_pruned`: only the delta's descent is left)
-/// only fall, `valix_probes` and `valix_postings` only rise, and
-/// `candidates` and the two segment block counters are free. (Earlier
-/// changes: the delta keeping no value postings kept bulk rows and rows
+/// answer. Before a byte is written, every recomputed row must pass the
+/// rules of the last change that moved them, which the golden's header
+/// states too. Predicate twigs anchoring on their probe's postings, and
+/// the trie descent skipping subtrees that lack the rarest label, set
+/// these:
+///
+/// * every head is equal, and so is every `unsupported` row;
+/// * every unlimited row's match vector is equal;
+/// * a limited row's match vector is equal, or it is the first `k` of
+///   its unlimited row's, `k` its length; and on a row no range query
+///   ran for (every tier anchored it) it must be that first `k`, which
+///   holds the value twigs' rows to it too;
+/// * `index`, `truncated`, `matches`, `valix_probes`, `valix_postings`
+///   and `physical_reads` are equal on every row;
+/// * on a row without a probe (`valix_probes=0`), `candidates`,
+///   `refined`, `pred_skipped` and `pred_rejected` are equal: the
+///   pruning is exact;
+/// * on a row with one, `candidates`, `refined` and `pred_rejected` only
+///   fall: an anchored predicate gives an embedding one candidate, and
+///   a document no posting reaches none;
+/// * `range_queries`, `nodes_scanned`, `maxgap_pruned`, `pred_skipped`
+///   and the two segment block counters are free: the pruning reads its
+///   label's rows as one range query and skips others, an anchored tier
+///   runs none, and counts the documents its postings rule out as
+///   skipped.
+///
+/// (Earlier changes: value twigs anchoring on the value run kept every
+/// row whose `valix_probes` did not rise equal outright and let an
+/// anchored row's trie counters only fall, `valix_probes` and
+/// `valix_postings` only rise, `candidates` and the segment counters
+/// move; the delta keeping no value postings kept bulk rows and rows
 /// without a probe equal outright, and on a tiers row that probes let
 /// `pred_skipped` only fall, `candidates` rise by exactly that,
 /// `refined` by no more, `pred_rejected`/`physical_reads` only rise and
@@ -275,12 +298,40 @@ fn repin_golden_io_columns() {
         .map(golden_rows)
         .concat();
     assert_eq!(new.lines().count(), old.len(), "row count");
-    const FALL: [&str; 3] = ["range_queries", "nodes_scanned", "maxgap_pruned"];
-    const RISE: [&str; 2] = ["valix_probes", "valix_postings"];
-    const FREE: [&str; 3] = ["candidates", "seg_block_reads", "seg_block_fetches"];
+    // The recomputed unlimited match vector of every query, route and
+    // shape, by its head without the limit.
+    let unlimited: BTreeMap<&str, &str> = new
+        .lines()
+        .filter_map(|row| {
+            let (head, _) = row.split_once(" limit=none |")?;
+            Some((head, match_vector(row)))
+        })
+        .collect();
+    const EQUAL: [&str; 6] = [
+        "index",
+        "truncated",
+        "matches",
+        "valix_probes",
+        "valix_postings",
+        "physical_reads",
+    ];
+    const EXACT: [&str; 4] = ["candidates", "refined", "pred_skipped", "pred_rejected"];
+    const FALL: [&str; 3] = ["candidates", "refined", "pred_rejected"];
+    const MOVED: [&str; 9] = [
+        "range_queries",
+        "nodes_scanned",
+        "maxgap_pruned",
+        "candidates",
+        "refined",
+        "pred_skipped",
+        "pred_rejected",
+        "seg_block_reads",
+        "seg_block_fetches",
+    ];
     // (workload, shape, column) -> rows, rows down, rows up, the column
     // summed before and after.
     let mut moved = BTreeMap::<(&str, &str, &str), [u64; 5]>::new();
+    let mut prefixes = BTreeMap::<(&str, &str), u64>::new();
     for (old, new) in old.iter().zip(new.lines()) {
         let (Some((was, old_rest)), Some((now, new_rest))) =
             (split_counters(old), split_counters(new))
@@ -288,24 +339,38 @@ fn repin_golden_io_columns() {
             assert_eq!(*old, new, "an unsupported row moved");
             continue;
         };
-        assert_eq!(old_rest, new_rest, "a head or a match vector moved");
+        let (old_head, new_head) = (old_rest.split(" |").next(), new_rest.split(" |").next());
+        assert_eq!(old_head, new_head, "a head moved");
         let mut words = old.split(' ');
         let (workload, shape) = (words.next().unwrap(), words.next().unwrap());
         let n = |m: &BTreeMap<&str, &str>, col: &str| -> u64 { m[col].parse().unwrap() };
-        if n(&now, "valix_probes") <= n(&was, "valix_probes") {
-            assert_eq!(*old, new, "a row that does not anchor moved");
+        let (old_v, new_v) = (match_vector(old), match_vector(new));
+        match new.split_once(" limit=") {
+            Some((_, rest)) if rest.starts_with("none ") => {
+                assert_eq!(old_v, new_v, "an unlimited match vector moved: {new}")
+            }
+            Some((key, _)) => {
+                let k = new_v.matches(']').count();
+                let full = unlimited[key];
+                let end = full.match_indices(']').nth(k.wrapping_sub(1));
+                let first = &full[..end.map_or(0, |(i, _)| i + 1)];
+                if old_v != new_v || n(&now, "range_queries") == 0 {
+                    assert_eq!(new_v, first, "not the first {k} of the unlimited: {new}");
+                }
+                *prefixes.entry((workload, shape)).or_default() += u64::from(old_v != new_v);
+            }
+            None => panic!("a head without a limit: {new}"),
         }
         assert!(was.keys().eq(now.keys()), "the columns moved: {new}");
+        let probes = n(&was, "valix_probes") > 0;
         for (col, w) in was.iter() {
-            if FALL.contains(col) {
-                assert!(n(&now, col) <= n(&was, col), "{col} rose: {new}");
-            } else if RISE.contains(col) {
-                assert!(n(&now, col) >= n(&was, col), "{col} fell: {new}");
-            } else if !FREE.contains(col) {
+            if EQUAL.contains(col) || (!probes && EXACT.contains(col)) {
                 assert_eq!(*w, now[col], "{col} moved: {new}");
+            } else if probes && FALL.contains(col) {
+                assert!(n(&now, col) <= n(&was, col), "{col} rose: {new}");
             }
         }
-        for col in FALL.iter().chain(&RISE).chain(&FREE) {
+        for col in MOVED {
             let m = moved.entry((workload, shape, col)).or_default();
             let (w, v) = (n(&was, col), n(&now, col));
             m[0] += 1;
@@ -315,7 +380,17 @@ fn repin_golden_io_columns() {
             m[4] += v;
         }
     }
-    println!("{} rows, heads and match vectors equal", old.len());
+    println!(
+        "{} rows, heads and unlimited match vectors equal",
+        old.len()
+    );
+    for ((workload, shape), rows) in prefixes {
+        if rows > 0 {
+            println!(
+                "{workload} {shape}: {rows} limited match vectors became their unlimited's first k"
+            );
+        }
+    }
     for ((workload, shape, col), [rows, down, up, was, now]) in moved {
         if down + up > 0 {
             println!(

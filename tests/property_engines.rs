@@ -8,16 +8,16 @@
 //! the same function serves the random sweep (`check`) and the pinned
 //! regression seeds at the bottom of this file (`replay`).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use prix::core::query::TwigQuery;
+use prix::core::query::{PredOp, PredValue, TwigQuery, ValuePred};
 use prix::core::{naive, scan, EngineConfig, IndexKind, PrixEngine};
 use prix::prufer::EdgeKind;
 use prix::storage::{BufferPool, Pager};
 use prix::twigstack::{encode_collection, Algorithm, StreamStore, TwigJoin};
 use prix::vist::VistIndex;
-use prix::xml::{Collection, NodeId, NodeKind, PostNum, SymbolTable, XmlTree};
+use prix::xml::{Collection, NodeId, NodeKind, PostNum, Sym, SymbolTable, XmlTree};
 use prix_testkit::{check, from_fn, replay, Config, Generator, TestRng};
 
 /// Construction script for a random tree: each step adds a node under
@@ -656,6 +656,546 @@ fn anchored_equals_oracle() {
     );
 }
 
+// ---------------------------------------------------------------------
+// Predicate twigs: the candidates a predicate's postings anchor.
+// ---------------------------------------------------------------------
+
+/// The values a field holds: numbers and strings that share prefixes.
+const FIELD_VALUES: [&str; 7] = ["1", "2", "5", "10", "x1", "x2", "y"];
+
+/// One node of a predicate document's script: an element `a`–`c`
+/// (`label < 3`), or a field `d`/`e` holding one of [`FIELD_VALUES`]
+/// (or none) as its first child. Any of them may be descended into, so
+/// fields nest and hold elements too.
+#[derive(Debug, Clone)]
+struct FieldStep {
+    label: u8,
+    value: Option<u8>,
+    descend: bool,
+    ups: u8,
+}
+
+fn gen_field_steps(rng: &mut TestRng, max_nodes: usize) -> Vec<FieldStep> {
+    let len = rng.range(1, max_nodes as u64 - 1) as usize;
+    (0..len)
+        .map(|_| {
+            let label = if rng.chance(0.6) {
+                3 + rng.below(2)
+            } else {
+                rng.below(3)
+            } as u8;
+            FieldStep {
+                label,
+                value: (label >= 3 && rng.chance(0.85))
+                    .then(|| rng.below(FIELD_VALUES.len() as u64) as u8),
+                descend: rng.chance(0.35),
+                ups: rng.below(3) as u8,
+            }
+        })
+        .collect()
+}
+
+fn build_field_tree(root: u8, steps: &[FieldStep], syms: &mut SymbolTable) -> XmlTree {
+    let names = ["a", "b", "c", "d", "e"];
+    let mut tree = XmlTree::with_root(syms.intern(names[root as usize % 3]), NodeKind::Element);
+    let mut stack = vec![tree.root()];
+    for s in steps {
+        let cur = *stack.last().unwrap();
+        let id = tree.add_child(
+            cur,
+            syms.intern(names[s.label as usize % 5]),
+            NodeKind::Element,
+        );
+        if let Some(v) = s.value {
+            let value = FIELD_VALUES[v as usize % FIELD_VALUES.len()];
+            tree.add_child(id, syms.intern(value), NodeKind::Text);
+        }
+        if s.descend {
+            stack.push(id);
+        }
+        for _ in 0..s.ups {
+            if stack.len() > 1 {
+                stack.pop();
+            }
+        }
+    }
+    tree.seal();
+    tree
+}
+
+/// A predicate twig drawn from a document: the subtree under one of its
+/// elements (`node`), two element children a node at most, cut three
+/// levels down, every edge `/`. Each field leaf takes `preds[i]`'s
+/// predicates in turn (none, one, or two of them): `(op, literal)`, op
+/// `0..7` (`=`, `<`, `<=`, `>`, `>=`, `starts-with`, `!=`) and a literal
+/// index, numeric for the order operators.
+#[derive(Debug, Clone)]
+struct PredTwig {
+    doc: u8,
+    node: u8,
+    preds: Vec<Vec<(u8, u8)>>,
+}
+
+impl PredTwig {
+    fn value(op: u8, lit: u8) -> (PredOp, PredValue) {
+        const NUMS: [f64; 5] = [1.0, 2.0, 5.0, 10.0, 3.0];
+        const STRS: [&str; 5] = ["x1", "x", "1", "y", ""];
+        let num = PredValue::Num(NUMS[lit as usize % NUMS.len()]);
+        let str = PredValue::Str(STRS[lit as usize % STRS.len()].to_string());
+        match op % 7 {
+            0 if lit % 2 == 0 => (PredOp::Eq, num),
+            0 => (PredOp::Eq, str),
+            1 => (PredOp::Lt, num),
+            2 => (PredOp::Le, num),
+            3 => (PredOp::Gt, num),
+            4 => (PredOp::Ge, num),
+            5 => (PredOp::StartsWith, str),
+            _ => (PredOp::Ne, num),
+        }
+    }
+
+    /// The twig over `collection`'s symbols, interned into `syms`.
+    fn twig(&self, collection: &Collection, syms: &mut SymbolTable) -> TwigQuery {
+        let src = collection.doc(u32::from(self.doc) % collection.len() as u32);
+        let is_element = |n: NodeId| src.kind(n) == NodeKind::Element;
+        let mut elements: Vec<NodeId> = src.nodes().filter(|&n| is_element(n)).collect();
+        // Mostly a node with element children, so that most twigs branch.
+        let inner: Vec<NodeId> = elements
+            .iter()
+            .copied()
+            .filter(|&n| src.children(n).iter().any(|&c| is_element(c)))
+            .collect();
+        if self.node % 4 != 0 && !inner.is_empty() {
+            elements = inner;
+        }
+        let top = elements[usize::from(self.node / 4) % elements.len()];
+        let name = |n: NodeId| collection.symbols().name(src.label(n)).to_string();
+        let mut tree = XmlTree::with_root(syms.intern(&name(top)), NodeKind::Element);
+        let mut todo = vec![(top, tree.root(), 0)];
+        let mut leaves = Vec::new();
+        while let Some((from, to, depth)) = todo.pop() {
+            let kids: Vec<NodeId> = src
+                .children(from)
+                .iter()
+                .copied()
+                .filter(|&c| src.kind(c) == NodeKind::Element)
+                .take(if depth < 3 { 2 } else { 0 })
+                .collect();
+            if kids.is_empty() {
+                leaves.push((to, from));
+            }
+            for c in kids {
+                todo.push((
+                    c,
+                    tree.add_child(to, syms.intern(&name(c)), NodeKind::Element),
+                    depth + 1,
+                ));
+            }
+        }
+        tree.seal();
+        let mut preds = Vec::new();
+        for (i, &(leaf, from)) in leaves.iter().enumerate() {
+            let is_field = matches!(syms.name(tree.label(leaf)), "d" | "e");
+            // The value the source field holds, if any.
+            let held = src
+                .children(from)
+                .first()
+                .filter(|&&c| src.kind(c) == NodeKind::Text)
+                .map(|&c| collection.symbols().name(src.label(c)));
+            for &(op, lit) in self.preds.get(i).into_iter().flatten().filter(|_| is_field) {
+                let (op, value) = match (Self::value(op, lit), held) {
+                    // Most literals are the held value, so that most
+                    // twigs match somewhere.
+                    ((op, PredValue::Num(_)), Some(v)) if lit % 5 != 0 => match v.parse() {
+                        Ok(n) => (op, PredValue::Num(n)),
+                        Err(_) => (PredOp::Eq, PredValue::Str(v.to_string())),
+                    },
+                    ((PredOp::StartsWith, _), Some(v)) if lit % 5 != 0 => {
+                        (PredOp::StartsWith, PredValue::Str(v[..1].to_string()))
+                    }
+                    (drawn, _) => drawn,
+                };
+                preds.push(ValuePred {
+                    node: leaf,
+                    op,
+                    value,
+                });
+            }
+        }
+        let edges = vec![EdgeKind::Child; tree.len()];
+        TwigQuery::with_preds(tree, edges, false, preds)
+    }
+}
+
+/// Documents split in three (bulk, ingest then compact, ingest into the
+/// delta) and a predicate twig.
+type PredTwigInput = (Vec<(u8, Vec<FieldStep>)>, (usize, usize), PredTwig);
+
+fn gen_pred_twig_input() -> impl Generator<Value = PredTwigInput> {
+    from_fn(|rng| {
+        let docs: Vec<_> = (0..rng.range(1, 6))
+            .map(|_| (rng.below(3) as u8, gen_field_steps(rng, 16)))
+            .collect();
+        let cut = rng.below(docs.len() as u64 + 1) as usize;
+        let cut2 = cut + rng.below((docs.len() - cut) as u64 + 1) as usize;
+        let twig = PredTwig {
+            doc: rng.below(8) as u8,
+            node: rng.below(64) as u8,
+            preds: (0..6)
+                .map(|_| {
+                    let n = if rng.chance(0.1) {
+                        0
+                    } else if rng.chance(0.15) {
+                        2
+                    } else {
+                        1
+                    };
+                    (0..n)
+                        .map(|_| (rng.below(7) as u8, rng.below(5) as u8))
+                        .collect()
+                })
+                .collect(),
+        };
+        (docs, (cut, cut2), twig)
+    })
+}
+
+/// Does `emb` satisfy every predicate of `q` in `tree`? A predicate
+/// holds iff its node's image has a leaf child whose label is accepted.
+fn preds_hold(tree: &XmlTree, syms: &SymbolTable, q: &TwigQuery, emb: &[PostNum]) -> bool {
+    q.preds().iter().all(|p| {
+        let img = emb[(q.tree().postorder(p.node) - 1) as usize];
+        let node = tree.nodes().find(|&n| tree.postorder(n) == img).unwrap();
+        tree.children(node)
+            .iter()
+            .any(|&c| tree.is_leaf(c) && p.accepts(syms.name(tree.label(c))))
+    })
+}
+
+/// Predicate twigs answer alike whether their candidates come from the
+/// predicates' postings or the trie descent. On a one-tier engine: the
+/// unlimited answer is the oracle's and, match for match and in order,
+/// the trie descent's; the tier anchors (runs no range query) exactly
+/// when every query leaf carries a predicate other than `!=`; an
+/// anchored twig whose predicates are all its anchors' rejects nothing
+/// in verification; `limit = k` returns the first `k` matches of the
+/// unlimited answer; and the §5.7 arrangement loop answers the union of
+/// its arrangements' filtered oracles. An engine whose documents sit in
+/// a bulk tier, a compacted tier and the delta gives the same answer.
+fn prop_pred_anchored_equals_oracle(input: &PredTwigInput) -> Result<(), String> {
+    let (scripts, (cut, cut2), spec) = input;
+    let mut collection = Collection::new();
+    for (root, steps) in scripts {
+        let tree = build_field_tree(*root, steps, collection.symbols_mut());
+        collection.add_tree(tree);
+    }
+    let mut syms = collection.symbols().clone();
+    let q = spec.twig(&collection, &mut syms);
+    let holds = |doc: u32, emb: &[PostNum]| preds_hold(collection.doc(doc), &syms, &q, emb);
+    let mut expected = naive_as_set(&collection, &q.without_preds());
+    expected.retain(|(doc, emb)| holds(*doc, emb));
+
+    let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
+    let snap = engine.snapshot();
+    use prix::core::index::ExecOpts;
+    use prix::core::PredEval;
+    let unlimited = snap.query_opts(&q, &ExecOpts::new()).unwrap();
+    assert_eq!(
+        matches_as_set(&unlimited.matches),
+        expected,
+        "PRIX vs oracle"
+    );
+
+    // The trie descent of the same tier, which never anchors.
+    let idx = engine.seg_tiers()[0].index_of(unlimited.index_used);
+    let pred = PredEval::build(&q, engine.seg_tiers(), engine.symbols()).unwrap();
+    let mut stream = idx.stream(&q, &ExecOpts::new(), pred.as_ref()).unwrap();
+    let mut trie = Vec::new();
+    while let Some(m) = stream.next_match().unwrap() {
+        trie.push(m);
+    }
+    assert_eq!(unlimited.matches, trie, "anchored vs the trie descent");
+
+    let qt = q.tree();
+    let probeable = |n: NodeId| q.preds().iter().any(|p| p.node == n && p.op != PredOp::Ne);
+    let leaves: Vec<NodeId> = qt.nodes().filter(|&n| qt.is_leaf(n)).collect();
+    let anchors = leaves.iter().all(|&n| probeable(n));
+    let s = &unlimited.stats;
+    assert_eq!(s.range_queries == 0, anchors, "anchored {anchors}: {s:?}");
+    let only_anchors = q.preds().len() == leaves.len();
+    if anchors && only_anchors {
+        assert_eq!(
+            s.pred_rejected, 0,
+            "an anchor's posting failed its own predicate: {s:?}"
+        );
+    }
+    for k in 0..=expected.len() + 1 {
+        let out = snap.query_opts(&q, &ExecOpts::new().with_limit(k)).unwrap();
+        if anchors {
+            let first: Vec<_> = unlimited.matches.iter().take(k).cloned().collect();
+            assert_eq!(out.matches, first, "limit {k} is not a prefix");
+        }
+        assert_eq!(out.truncated, k <= expected.len(), "limit {k} truncated");
+    }
+
+    if let Ok(arrs) = prix::core::arrange::arrangements(&q, 24) {
+        let mut union = Vec::new();
+        for arr in &arrs {
+            for (doc, tree) in collection.iter() {
+                for emb in naive::naive_ordered(tree, &arr.query) {
+                    let mut base = vec![0 as PostNum; emb.len()];
+                    for (arr_q, img) in emb.iter().enumerate() {
+                        base[(arr.base_of[arr_q] - 1) as usize] = *img;
+                    }
+                    if holds(doc, &base) {
+                        union.push((doc, base));
+                    }
+                }
+            }
+        }
+        union.sort();
+        union.dedup();
+        let out = snap.query_unordered(&q).unwrap();
+        assert_eq!(matches_as_set(&out.matches), union, "unordered vs oracle");
+    }
+
+    // The same documents over three tiers.
+    let xml: Vec<String> = collection
+        .iter()
+        .map(|(_, t)| prix::xml::write_document(t, collection.symbols()))
+        .collect();
+    let mut bulk = Collection::new();
+    for doc in &xml[..*cut] {
+        bulk.add_xml(doc).unwrap();
+    }
+    let mut tiered = PrixEngine::build(bulk, EngineConfig::default()).unwrap();
+    for (part, compact) in [(&xml[*cut..*cut2], true), (&xml[*cut2..], false)] {
+        let out = tiered.ingest_batch(part).unwrap();
+        if !out.rejected.is_empty() {
+            return Ok(()); // the delta's scope ran out (DESIGN.md §12)
+        }
+        tiered.save().unwrap();
+        if compact {
+            tiered.compact().unwrap();
+        }
+    }
+    let mut syms_t = tiered.symbols().clone();
+    let qt = spec.twig(&collection, &mut syms_t);
+    let out = tiered.snapshot().query(&qt).unwrap();
+    assert_eq!(matches_as_set(&out.matches), expected, "tiers vs one tier");
+    if tiered.mutable_docs() == 0 || !anchors {
+        let anchored = out.stats.range_queries == 0;
+        assert_eq!(
+            anchored, anchors,
+            "tiers anchored {anchors}: {:?}",
+            out.stats
+        );
+    }
+    Ok(())
+}
+
+#[test]
+fn pred_anchored_equals_oracle() {
+    check(
+        "pred_anchored_equals_oracle",
+        &Config {
+            cases: 192,
+            max_shrink_iters: 200,
+            ..Default::default()
+        },
+        &gen_pred_twig_input(),
+        prop_pred_anchored_equals_oracle,
+    );
+}
+
+// ---------------------------------------------------------------------
+// Rarest-label pruning: rare labels planted in a haystack.
+// ---------------------------------------------------------------------
+
+/// A haystack document: `m` and `h` nodes under a root `r`, each `h`
+/// holding a `k` (so no `h` is childless and a twig ending in `h` takes
+/// the §4.4 plan); a planted one has `n` (`n/n` when nested) inserted
+/// before step `at`, and the steps after it under that.
+type Haystack = (Vec<Step>, Option<(u8, bool)>);
+
+/// Haystack documents and one of [`RARE_TWIGS`].
+type RareInput = (Vec<Haystack>, u8);
+
+/// Twigs whose LPS holds the planted label past position 0, behind the
+/// haystack's commonest one.
+const RARE_TWIGS: [&str; 3] = ["//n//h", "//n/m//h", "//n//n//h"];
+
+fn gen_rare_input() -> impl Generator<Value = RareInput> {
+    from_fn(|rng| {
+        let docs = (0..400)
+            .map(|_| {
+                let steps = gen_steps(rng, 24);
+                let plant = rng
+                    .chance(0.06)
+                    .then(|| (rng.below(24) as u8, rng.chance(0.5)));
+                (steps, plant)
+            })
+            .collect();
+        (docs, rng.below(RARE_TWIGS.len() as u64) as u8)
+    })
+}
+
+fn build_haystack((steps, plant): &Haystack, syms: &mut SymbolTable) -> XmlTree {
+    let mut tree = XmlTree::with_root(syms.intern("r"), NodeKind::Element);
+    let mut stack = vec![tree.root()];
+    for (i, s) in steps.iter().enumerate() {
+        if let Some((at, nested)) = *plant {
+            if i == usize::from(at) % steps.len() {
+                for _ in 0..1 + usize::from(nested) {
+                    let cur = *stack.last().unwrap();
+                    stack.push(tree.add_child(cur, syms.intern("n"), NodeKind::Element));
+                }
+            }
+        }
+        let cur = *stack.last().unwrap();
+        let label = if s.label % 2 == 0 { "h" } else { "m" };
+        let id = tree.add_child(cur, syms.intern(label), NodeKind::Element);
+        if label == "h" {
+            tree.add_child(id, syms.intern("k"), NodeKind::Element);
+        }
+        if s.descend {
+            stack.push(id);
+        }
+        for _ in 0..s.ups {
+            if stack.len() > 1 {
+                stack.pop();
+            }
+        }
+    }
+    tree.seal();
+    tree
+}
+
+/// The range queries a trie descent of `lps` runs, MaxGap off, over the
+/// trie of `paths` labeled as §5.2.1 labels it (`left` = first-visit
+/// rank, children in symbol order, the root 0; `right` = the largest
+/// `left` below): one per frame, and with `prune = Some((j, label))`
+/// one more for reading `label`'s rows, and no frame for a row at a
+/// position below `j` whose subtree `(left, right]` holds none of them.
+fn model_range_queries(paths: &[Vec<Sym>], lps: &[Sym], prune: Option<(usize, Sym)>) -> u64 {
+    #[derive(Default)]
+    struct Node {
+        kids: BTreeMap<Sym, Node>,
+    }
+    let mut root = Node::default();
+    for path in paths {
+        let mut at = &mut root;
+        for &s in path {
+            at = at.kids.entry(s).or_default();
+        }
+    }
+    // (sym, left, right) of every node, by a preorder walk.
+    fn label(node: &Node, next: &mut u64, rows: &mut Vec<(Sym, u64, u64)>) {
+        for (&sym, kid) in &node.kids {
+            *next += 1;
+            let (left, at) = (*next, rows.len());
+            rows.push((sym, left, 0));
+            label(kid, next, rows);
+            rows[at].2 = *next;
+        }
+    }
+    let mut rows = Vec::new();
+    label(&root, &mut 0, &mut rows);
+    let of = |sym: Sym| -> Vec<(u64, u64)> {
+        rows.iter()
+            .filter(|r| r.0 == sym)
+            .map(|r| (r.1, r.2))
+            .collect()
+    };
+    let lefts: Vec<u64> = prune.map_or(Vec::new(), |(_, s)| of(s).iter().map(|r| r.0).collect());
+    let below = prune.map_or(0, |(j, _)| j);
+    let holds = |l: u64, r: u64| lefts.iter().any(|&x| l < x && x <= r);
+    let mut count = u64::from(prune.is_some());
+    let mut todo = vec![(0usize, 0u64, u64::MAX)];
+    while let Some((depth, ql, qr)) = todo.pop() {
+        count += 1;
+        for (left, right) in of(lps[depth]) {
+            let kept = left > ql && left <= qr && (depth >= below || holds(left, right));
+            if kept && depth + 1 < lps.len() {
+                todo.push((depth + 1, left, right));
+            }
+        }
+    }
+    count
+}
+
+/// Rarest-label pruning is exact and pays where the label is rare: over
+/// a haystack with a label planted in a few documents, a twig whose LPS
+/// holds it past position 0 answers what the oracle does, and its range
+/// queries are those of a model descent that reads the planted label's
+/// rows once and skips every shallower row whose subtree lacks one —
+/// fewer than the model's descent without pruning.
+fn prop_rare_label_pruning(input: &RareInput) -> Result<(), String> {
+    let (docs, pick) = input;
+    let mut collection = Collection::new();
+    for doc in docs {
+        let tree = build_haystack(doc, collection.symbols_mut());
+        collection.add_tree(tree);
+    }
+    let mut syms = collection.symbols().clone();
+    let xpath = RARE_TWIGS[usize::from(*pick) % RARE_TWIGS.len()];
+    let q = prix::core::parse_xpath(xpath, &mut syms).unwrap();
+    let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
+    use prix::core::index::ExecOpts;
+    let out = engine
+        .snapshot()
+        .query_opts(&q, &ExecOpts::new().without_maxgap())
+        .unwrap();
+    assert_eq!(
+        matches_as_set(&out.matches),
+        naive_as_set(&collection, &q),
+        "PRIX vs oracle"
+    );
+
+    // The `//` above the leaf puts the twig on the EPIndex, whose trie
+    // files the extended documents' LPS; either plan's LPS is the
+    // extended twig's, the RPIndex's by §4.4.
+    let dummy = syms.intern("\u{1}dummy");
+    let paths: Vec<Vec<Sym>> = collection
+        .iter()
+        .map(|(_, t)| match out.index_used {
+            IndexKind::Regular => prix::prufer::PruferSeq::regular(t).lps,
+            IndexKind::Extended => {
+                let ext = prix::prufer::ExtendedTree::build(t, dummy);
+                prix::prufer::PruferSeq::regular(&ext.tree).lps
+            }
+        })
+        .collect();
+    let lps = q.extended(dummy).seq.lps;
+    let n = syms.lookup("n").unwrap();
+    let j = lps.iter().rposition(|&s| s == n).unwrap();
+    let pruned = model_range_queries(&paths, &lps, Some((j, n)));
+    let full = model_range_queries(&paths, &lps, None);
+    assert_eq!(
+        out.stats.range_queries, pruned,
+        "{xpath}: full descent {full}"
+    );
+    assert!(
+        pruned < full,
+        "{xpath}: pruning saved nothing ({pruned} of {full})"
+    );
+    Ok(())
+}
+
+#[test]
+fn rare_label_pruning() {
+    check(
+        "rare_label_pruning",
+        &Config {
+            cases: 8,
+            max_shrink_iters: 20,
+            ..Default::default()
+        },
+        &gen_rare_input(),
+        prop_rare_label_pruning,
+    );
+}
+
 /// Unordered matching finds at least the ordered matches and agrees
 /// with the arrangement-union oracle.
 fn prop_unordered_is_arrangement_union(input: &EngineInput) -> Result<(), String> {
@@ -935,6 +1475,20 @@ fn regression_seed_limit_is_prefix_of_unlimited() {
 #[test]
 fn regression_seed_anchored_equals_oracle() {
     replay(0x5EED_0008, &gen_value_input(), prop_anchored_equals_oracle);
+}
+
+#[test]
+fn regression_seed_pred_anchored_equals_oracle() {
+    replay(
+        0x5EED_0009,
+        &gen_pred_twig_input(),
+        prop_pred_anchored_equals_oracle,
+    );
+}
+
+#[test]
+fn regression_seed_rare_label_pruning() {
+    replay(0x5EED_000A, &gen_rare_input(), prop_rare_label_pruning);
 }
 
 #[test]

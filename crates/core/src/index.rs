@@ -758,7 +758,10 @@ impl PrixIndex {
     /// Describes how this index runs `plan`: the plan flavor, the
     /// query's Prüfer sequences, edge constraints, then `anchored` — the
     /// line naming the value-run anchors when the tier takes its
-    /// candidates from them — and the Theorem 4 pruning rules, which
+    /// candidates from them — or, when it descends the trie, the line
+    /// naming the rarest label that prunes the descent
+    /// ([`PrixIndex::rarest_label`]), if one does, and the Theorem 4
+    /// pruning rules, which
     /// only a trie descent applies: with anchors, that of a tier which
     /// cannot anchor, such as the delta, which has no value run.
     pub(crate) fn explain(

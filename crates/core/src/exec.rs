@@ -25,14 +25,14 @@
 //! scans never run. That is what makes `LIMIT` a real pushdown instead
 //! of a post-hoc truncation.
 //!
-//! `RefineStage` is order-agnostic; [`MatchStream`] picks the order
-//! from [`ExecOpts::limit`]. With a limit it refines candidates as the
-//! trie yields them, so it can stop mid-descent. Without one nobody can
-//! stop it early, so its first pull drains the cursor, sorts the
-//! candidates by `(doc, positions)` and refines them in that order:
-//! each document's records are fetched once and in record order, which
-//! is what keeps the pages per query down (refining in arrival order
-//! instead measured +9 `pages_per_query` on `query_cold`).
+//! `RefineStage` is order-agnostic; the order is the source's. A trie
+//! cursor made with a limit yields candidates as the trie does, so the
+//! stream can stop mid-descent. Without one nobody can stop it early, so
+//! its first pull drains the descent, sorts the candidates by `(doc,
+//! positions)` and yields them in that order: each document's records
+//! are fetched once and in record order, which is what keeps the pages
+//! per query down (refining in arrival order instead measured +9
+//! `pages_per_query` on `query_cold`).
 //!
 //! The trie descent is one of two candidate sources. A twig on a
 //! segment tier whose every edge is `/` and whose every leaf is a text
@@ -44,6 +44,16 @@
 //! positions)` order, one document at a time, so the stream refines them
 //! as they come, with a limit or without, and a limited answer is the
 //! first matches of the unlimited one.
+//!
+//! Both sources sit behind one interface, `Source` (`next`, `stats`,
+//! `exhausted`), and [`MatchStream`] calls each once. Neither reads a
+//! document itself: the anchored source loads each document it walks
+//! through the refine stage's `Views::load`, the one place a document is
+//! read, decoded and entered as the stage's view, and gets back the
+//! regular view it walks. An EPIndex's positions come from one
+//! numbering, `extension_numbering` in `index.rs` (§5.6: node `v` sits at
+//! `v + #leaves ≤ v`): the load derives the extended view with it, and
+//! the anchored join maps its images through the same numbers.
 //!
 //! A descent that stays on the trie is pruned by the rarest label of
 //! its LPS on a segment tier (`PrixIndex::rarest_label`): a row whose
@@ -60,10 +70,24 @@ use prix_storage::{ValueRunReader, VxSection};
 use prix_xml::{DocId, NodeKind, PostNum, Sym, SymbolTable};
 
 use crate::index::{
-    corrupt_record, decode_doc_record_into, project_embedding_into, DocBuf, DocData, ExecOpts,
-    GapRule, IndexKind, PrixIndex, QueryPlan, QueryStats, Result, TwigMatch,
+    project_embedding_into, DocBuf, DocData, ExecOpts, GapRule, IndexKind, PrixIndex, QueryPlan,
+    QueryStats, Result, TwigMatch,
 };
 use crate::valix::{docs_of, merge_join, str_key, PredEval};
+
+/// Where a [`MatchStream`]'s candidates come from: Algorithm 1's trie
+/// descent ([`CandidateCursor`]), or a tier's value run and records
+/// ([`AnchoredCursor`]).
+trait Source {
+    /// Pulls the next `(doc, positions)` candidate; a source that reads
+    /// documents loads them through `views`, the refine stage's.
+    fn next(&mut self, views: &mut Views<'_>) -> Result<Option<(DocId, &[PostNum])>>;
+    /// Filter-stage counters and clock accumulated so far.
+    fn stats(&self) -> QueryStats;
+    /// `true` once a pull found no candidate left. A source abandoned
+    /// early (limit hit) never becomes exhausted.
+    fn exhausted(&self) -> bool;
+}
 
 /// One suspended level of the trie descent: the rows its range query
 /// produced and how far the cursor has advanced through them.
@@ -82,10 +106,11 @@ impl Frame {
 }
 
 /// Algorithm 1 (`FindSubsequence` + Theorem 4 MaxGap pruning) as a
-/// resumable cursor. Each [`CandidateCursor::next`] yields one
+/// resumable cursor. Each pull of a limited cursor yields one
 /// `(doc, positions)` candidate pair in the same depth-first order the
-/// recursive formulation emitted them, then suspends. Documents the
-/// predicate pre-filter rules out are never yielded.
+/// recursive formulation emitted them, then suspends; an unlimited one
+/// yields them all sorted by `(doc, positions)`. Documents the predicate
+/// pre-filter rules out are never yielded.
 pub(crate) struct CandidateCursor<'a> {
     idx: &'a PrixIndex,
     lps: Vec<Sym>,
@@ -105,7 +130,11 @@ pub(crate) struct CandidateCursor<'a> {
     /// shallower than the position skip every row whose subtree holds
     /// none of the lefts, the rows of that position's label.
     prune: Option<(usize, Vec<u64>)>,
-    started: bool,
+    /// An unlimited cursor's candidates, which its first pull drains
+    /// from the descent and sorts by `(doc, positions)`, descending so
+    /// the next pops off the back; `None` for a limited cursor, which
+    /// yields in descent order.
+    sorted: Option<Vec<(DocId, Vec<PostNum>)>>,
     done: bool,
     stats: QueryStats,
 }
@@ -116,6 +145,7 @@ impl<'a> CandidateCursor<'a> {
         lps: Vec<Sym>,
         rules: Vec<Option<GapRule>>,
         pred: Option<&'a PredEval<'a>>,
+        unlimited: bool,
     ) -> Self {
         let cap = lps.len();
         CandidateCursor {
@@ -127,52 +157,31 @@ impl<'a> CandidateCursor<'a> {
             positions: Vec::with_capacity(cap),
             pending: VecDeque::new(),
             prune: None,
-            started: false,
+            sorted: unlimited.then(Vec::new),
             done: false,
             stats: QueryStats::default(),
         }
     }
 
-    /// Filter-stage counters accumulated so far (`range_queries`,
-    /// `nodes_scanned`, `maxgap_pruned`, `pred_skipped`, `filter_time`).
-    pub(crate) fn stats(&self) -> QueryStats {
-        self.stats
-    }
-
-    /// `true` once the whole trie descent has been drained. A cursor
-    /// abandoned mid-descent (limit hit) never becomes exhausted.
-    pub(crate) fn exhausted(&self) -> bool {
-        self.done
-    }
-
-    /// Pulls the next `(doc, positions)` candidate, resuming the
-    /// descent where the previous pull suspended.
-    pub(crate) fn next(&mut self) -> Result<Option<(DocId, &[PostNum])>> {
-        let t0 = Instant::now();
-        let res = self.advance();
-        self.stats.filter_time += t0.elapsed();
-        match res? {
-            Some(doc) => Ok(Some((doc, &self.positions))),
-            None => Ok(None),
-        }
-    }
-
-    /// Drains the rest of the descent, sorted by `(doc, positions)` and
-    /// reversed so the first pops off the back; the copies and the sort
-    /// run on the filter clock.
-    fn drain_sorted(&mut self) -> Result<Vec<(DocId, Vec<PostNum>)>> {
-        let t0 = Instant::now();
-        let mut out = Vec::new();
-        let res = loop {
-            match self.advance() {
-                Ok(Some(doc)) => out.push((doc, self.positions.clone())),
-                Ok(None) => break Ok(()),
-                Err(e) => break Err(e),
+    /// An unlimited cursor's next candidate in `(doc, positions)` order,
+    /// left in `positions`; the first pull drains the descent, and the
+    /// copies and the sort run on the filter clock.
+    fn pop_sorted(&mut self) -> Result<Option<DocId>> {
+        if !self.done {
+            let t0 = Instant::now();
+            let mut all = Vec::new();
+            while let Some(doc) = self.advance()? {
+                all.push((doc, self.positions.clone()));
             }
-        };
-        out.sort_unstable_by(|a, b| b.cmp(a));
-        self.stats.filter_time += t0.elapsed();
-        res.map(|()| out)
+            all.sort_unstable_by(|a, b| b.cmp(a));
+            self.sorted = Some(all);
+            self.stats.filter_time += t0.elapsed();
+        }
+        let next = self.sorted.as_mut().and_then(Vec::pop);
+        Ok(next.map(|(doc, positions)| {
+            self.positions = positions;
+            doc
+        }))
     }
 
     /// The next pending document the predicate pre-filter lets through.
@@ -193,8 +202,8 @@ impl<'a> CandidateCursor<'a> {
         if let Some(doc) = self.pop_pending() {
             return Ok(Some(doc));
         }
-        if !self.started {
-            self.started = true;
+        if self.frames.is_empty() {
+            // Not started: a cursor whose frames ran out is done.
             self.prune = self.idx.rarest_label(&self.lps)?;
             if let Some((_, lefts)) = &self.prune {
                 self.stats.range_queries += 1;
@@ -267,6 +276,34 @@ impl<'a> CandidateCursor<'a> {
         self.stats.nodes_scanned += hits.len() as u64;
         self.frames.push(Frame { hits, next: 0 });
         Ok(())
+    }
+}
+
+impl Source for CandidateCursor<'_> {
+    /// Resumes the descent where the previous pull suspended, on the
+    /// filter clock; an unlimited cursor yields its sorted candidates
+    /// instead. The descent reads no document.
+    fn next(&mut self, _: &mut Views<'_>) -> Result<Option<(DocId, &[PostNum])>> {
+        let doc = match self.sorted {
+            Some(_) => self.pop_sorted()?,
+            None => {
+                let t0 = Instant::now();
+                let doc = self.advance();
+                self.stats.filter_time += t0.elapsed();
+                doc?
+            }
+        };
+        Ok(doc.map(|doc| (doc, self.positions.as_slice())))
+    }
+
+    /// `range_queries`, `nodes_scanned`, `maxgap_pruned`,
+    /// `pred_skipped`, `filter_time`.
+    fn stats(&self) -> QueryStats {
+        self.stats
+    }
+
+    fn exhausted(&self) -> bool {
+        self.done
     }
 }
 
@@ -410,28 +447,25 @@ pub(crate) fn explain_anchors(
 /// first, each later scan stopping past the last document still in the
 /// intersection. Then, one document at a time: a document whose anchors'
 /// postorders cannot come in query order is dropped unread; otherwise
-/// its record's regular view is decoded once, into the refine stage's
-/// [`DocBuf`], each text posting's leaf must carry the value (the key is
-/// truncated, the label is exact), each anchor walks up the NPS checking
-/// every ancestor's label, and the anchors join where their images meet.
-/// A predicate posting only finds its node's image, so a predicate's
-/// walks are one per image, and the §4.4 dummy under it takes the
-/// image's first child: that is the least candidate the trie descent
-/// has for the embedding, so matches come out in the order the descent
-/// gives them. Each join is one embedding; an EPIndex plan's images map
-/// to extended positions (`ext(v) = v + #leaves ≤ v`, a text leaf's
-/// dummy at its leaf's minus one), an RPIndex plan's are positions as
-/// they stand, and a strictly increasing `S` is a candidate. A document
-/// that yields one puts the view its index refines against into the
-/// stage's one view — the extended view derived, or the regular view
-/// itself — and its candidates are then refined against it, so no
-/// record is decoded twice and nothing is handed over per document.
+/// the refine stage's [`Views::load`] loads it into the stage's one view
+/// and hands back its regular view, which the anchors walk: each text
+/// posting's leaf must carry the value (the key is truncated, the label
+/// is exact), each anchor walks up the NPS checking every ancestor's
+/// label, and the anchors join where their images meet. A predicate
+/// posting only finds its node's image, so a predicate's walks are one
+/// per image, and the §4.4 dummy under it takes the image's first child:
+/// that is the least candidate the trie descent has for the embedding, so
+/// matches come out in the order the descent gives them. Each join is one
+/// embedding; an EPIndex plan's images map through the extension
+/// numbering the load derived the extended view with
+/// ([`crate::index::extension_numbering`]), an RPIndex plan's are
+/// positions as they stand, and a strictly increasing `S` is a
+/// candidate. No record is decoded twice, and nothing is handed over per
+/// document.
 pub(crate) struct AnchoredCursor<'a> {
     idx: &'a PrixIndex,
     run: &'a ValueRunReader,
     anchors: Vec<Anchor>,
-    /// `text_dummy[e - 1]`: plan node `e` is a text leaf's dummy.
-    text_dummy: Vec<bool>,
     pred: Option<&'a PredEval<'a>>,
     /// Per anchor, its postings in the documents every anchor's key
     /// holds, `(doc, post)` ascending, and the first not walked yet.
@@ -464,20 +498,12 @@ impl<'a> AnchoredCursor<'a> {
         plan: &QueryPlan,
         pred: Option<&'a PredEval<'a>>,
     ) -> Self {
-        let t = &plan.qtree;
-        let extended = plan.ext_of_orig.is_some();
-        let text_dummy: Vec<bool> = (1..t.len() as PostNum)
-            .map(|e| {
-                extended && t.is_leaf(t.node_at(e)) && t.kind(t.node_at(e + 1)) == NodeKind::Text
-            })
-            .collect();
         let n = anchors.len();
         AnchoredCursor {
             idx,
             run,
             anchors,
-            img: vec![0; text_dummy.len() + 2],
-            text_dummy,
+            img: vec![0; plan.qtree.len() + 1],
             pred,
             postings: vec![Vec::new(); n],
             walked: vec![0; n],
@@ -490,33 +516,6 @@ impl<'a> AnchoredCursor<'a> {
             done: false,
             stats: QueryStats::default(),
         }
-    }
-
-    /// Pulls the next candidate. Entering a document that yields one
-    /// loads that document into `views`' one view.
-    pub(crate) fn next(&mut self, views: &mut Views<'_>) -> Result<Option<(DocId, &[PostNum])>> {
-        let t0 = Instant::now();
-        let res = self.advance(views);
-        self.stats.filter_time += t0.elapsed();
-        Ok(res?.then(|| (self.doc, self.found[self.yielded - 1].as_slice())))
-    }
-
-    fn advance(&mut self, views: &mut Views<'_>) -> Result<bool> {
-        if self.done {
-            return Ok(false);
-        }
-        if !self.probed {
-            self.probed = true;
-            self.probe()?;
-        }
-        while self.yielded == self.found.len() {
-            if !self.next_doc(views)? {
-                self.done = true;
-                return Ok(false);
-            }
-        }
-        self.yielded += 1;
-        Ok(true)
     }
 
     /// Predicate `k`'s postings in this tier, as the evaluator probed
@@ -632,16 +631,11 @@ impl<'a> AnchoredCursor<'a> {
             self.stats.pred_skipped += 1;
             return Ok(true);
         }
-        // The view is about to be overwritten: until this document's
-        // view stands in it, it is no document's.
-        views.one.doc = None;
-        let buf = &mut views.buf;
-        self.idx.doc_record_into(doc, &mut buf.record)?;
-        decode_doc_record_into(&buf.record, true, &mut buf.regular).ok_or_else(corrupt_record)?;
+        let (regular, ext) = views.load(doc)?;
         for (i, (a, out)) in self.anchors.iter().zip(&mut self.walks).enumerate() {
             out.clear();
             for &(_, post) in &self.postings[i][self.starts[i]..self.walked[i]] {
-                climb(&buf.regular, a, post, out);
+                climb(regular, a, post, out);
             }
             if out.is_empty() {
                 return Ok(true);
@@ -649,47 +643,36 @@ impl<'a> AnchoredCursor<'a> {
         }
         let mut img = std::mem::take(&mut self.img);
         let mut found = std::mem::take(&mut self.found);
-        self.join(0, &mut img, &buf.regular, &mut found);
-        self.img = img;
-        if found.is_empty() {
-            self.found = found;
-            return Ok(true);
-        }
+        self.join(0, &mut img, ext, &mut found);
         found.sort_unstable();
-        let view = &mut views.one.data;
-        match self.idx.kind() {
-            IndexKind::Extended => buf
-                .regular
-                .extended_into(self.idx.dummy(), views.need_leaf_data, &mut buf.ext, view)
-                .ok_or_else(corrupt_record)?,
-            IndexKind::Regular => std::mem::swap(&mut buf.regular, view),
-        }
-        // A record whose leaf list disagrees with its NPS can place a
-        // position outside the extended view.
-        let len = view.nps.len() as PostNum;
-        found.retain(|s| s[0] >= 1 && s[s.len() - 1] <= len);
-        views.one.enter(doc);
+        self.img = img;
         self.found = found;
         Ok(true)
     }
 
     /// Joins anchor `i`'s walks onto the images `img` the earlier
     /// anchors fixed, and turns every complete, strictly increasing
-    /// assignment into a candidate.
-    fn join(&self, i: usize, img: &mut [PostNum], view: &DocData, found: &mut Vec<Vec<PostNum>>) {
+    /// assignment into a candidate: its images' positions through `ext`,
+    /// an EPIndex's extension numbering, or as they stand.
+    fn join(
+        &self,
+        i: usize,
+        img: &mut [PostNum],
+        ext: Option<&[PostNum]>,
+        found: &mut Vec<Vec<PostNum>>,
+    ) {
         let Some(a) = self.anchors.get(i) else {
-            // ext(v) = v + #(leaves ≤ v); a dummy sits just before its leaf.
-            let extended = self.idx.kind() == IndexKind::Extended;
-            let pos = |v: PostNum| match extended {
-                true => v + view.leaves.partition_point(|l| l.1 <= v) as PostNum,
-                false => v,
-            };
-            let s: Vec<PostNum> = self
-                .text_dummy
-                .iter()
-                .zip(1..)
-                .map(|(&d, e)| if d { pos(img[e + 1]) - 1 } else { pos(img[e]) })
-                .collect();
+            let pos = |v: PostNum| ext.map_or(v, |ext| ext[v as usize]);
+            let mut s: Vec<PostNum> = img[1..img.len() - 1].iter().map(|&v| pos(v)).collect();
+            // A text leaf's dummy, just before it in the plan, has no image
+            // of its own: it sits just after the node before the leaf's.
+            // When the NPS gives that leaf a child, this is the leaf's own
+            // position, and `S` does not increase.
+            for a in &self.anchors {
+                if let (Probe::Text { .. }, Some(leaf)) = (&a.probe, a.at) {
+                    s[leaf as usize - 2] = pos(img[leaf as usize] - 1) + 1;
+                }
+            }
             if s.windows(2).all(|w| w[0] < w[1]) {
                 found.push(s);
             }
@@ -711,21 +694,41 @@ impl<'a> AnchoredCursor<'a> {
             for (e, &v) in nodes().zip(walk) {
                 img[e as usize] = v;
             }
-            self.join(i + 1, img, view, found);
+            self.join(i + 1, img, ext, found);
             for e in nodes().take(fresh) {
                 img[e as usize] = 0;
             }
         }
     }
+}
 
-    /// Filter-stage counters: the probes, their postings, the documents
-    /// the predicate pre-filter dropped, `filter_time`.
-    pub(crate) fn stats(&self) -> QueryStats {
+impl Source for AnchoredCursor<'_> {
+    /// Loads each document it enters through `views`, on the filter
+    /// clock.
+    fn next(&mut self, views: &mut Views<'_>) -> Result<Option<(DocId, &[PostNum])>> {
+        let t0 = Instant::now();
+        if !self.probed {
+            self.probed = true;
+            self.probe()?;
+        }
+        while !self.done && self.yielded == self.found.len() {
+            self.done = !self.next_doc(views)?;
+        }
+        self.stats.filter_time += t0.elapsed();
+        if self.done {
+            return Ok(None);
+        }
+        self.yielded += 1;
+        Ok(Some((self.doc, &self.found[self.yielded - 1])))
+    }
+
+    /// The probes, their postings, the documents the predicate
+    /// pre-filter dropped, `filter_time`.
+    fn stats(&self) -> QueryStats {
         self.stats
     }
 
-    /// `true` once a pull found no candidate left.
-    pub(crate) fn exhausted(&self) -> bool {
+    fn exhausted(&self) -> bool {
         self.done
     }
 }
@@ -792,14 +795,6 @@ struct OneDoc {
     seen: Seen,
 }
 
-impl OneDoc {
-    /// Marks `data` as `doc`'s view, with nothing emitted from it yet.
-    fn enter(&mut self, doc: DocId) {
-        self.doc = Some(doc);
-        self.seen.clear();
-    }
-}
-
 /// The documents a [`RefineStage`] refines against and the scratch it
 /// reads them through.
 ///
@@ -825,11 +820,15 @@ pub(crate) struct Views<'a> {
 }
 
 impl<'a> Views<'a> {
-    fn new(idx: &'a PrixIndex, need_leaf_data: bool, grouped: bool) -> Self {
+    /// `walk`: an anchored stream walks each document's regular view.
+    fn new(idx: &'a PrixIndex, need_leaf_data: bool, walk: bool, grouped: bool) -> Self {
         Views {
             idx,
             need_leaf_data,
-            buf: DocBuf::default(),
+            buf: DocBuf {
+                walk,
+                ..DocBuf::default()
+            },
             one: OneDoc::default(),
             spread: (!grouped).then(HashMap::new),
         }
@@ -838,27 +837,43 @@ impl<'a> Views<'a> {
     /// `doc`'s view and the embeddings emitted from it, the document
     /// read first unless it is held.
     fn get(&mut self, doc: DocId) -> Result<(&DocData, &mut Seen)> {
-        let (idx, need, buf) = (self.idx, self.need_leaf_data, &mut self.buf);
-        if let Some(spread) = &mut self.spread {
-            let (data, seen) = match spread.entry(doc) {
-                Entry::Occupied(e) => e.into_mut(),
-                Entry::Vacant(e) => {
-                    let mut data = DocData::default();
-                    idx.load_doc_into(doc, need, buf, &mut data)?;
-                    e.insert((data, Seen::new()))
-                }
-            };
-            return Ok((data, seen));
+        if self.spread.is_none() {
+            if self.one.doc != Some(doc) {
+                self.load(doc)?;
+            }
+            return Ok((&self.one.data, &mut self.one.seen));
         }
+        let spread = self.spread.get_or_insert_with(HashMap::new);
+        let (data, seen) = match spread.entry(doc) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let mut data = DocData::default();
+                self.idx
+                    .load_doc_into(doc, self.need_leaf_data, &mut self.buf, &mut data)?;
+                e.insert((data, Seen::new()))
+            }
+        };
+        Ok((data, seen))
+    }
+
+    /// Loads `doc` into the one view, which is no document's until the
+    /// load succeeds: a record that does not load never leaves the
+    /// previous document's view standing under this one's id. Returns
+    /// the document's regular view — on an EPIndex, the one the view was
+    /// derived from — and an EPIndex's extension numbering of it
+    /// ([`crate::index::extension_numbering`]): what an anchored stream
+    /// walks, and maps its images through.
+    fn load(&mut self, doc: DocId) -> Result<(&DocData, Option<&[PostNum]>)> {
         let one = &mut self.one;
-        if one.doc != Some(doc) {
-            // A record that does not decode must not leave the previous
-            // document's view standing under this one's id.
-            one.doc = None;
-            idx.load_doc_into(doc, need, buf, &mut one.data)?;
-            one.enter(doc);
-        }
-        Ok((&one.data, &mut one.seen))
+        one.doc = None;
+        self.idx
+            .load_doc_into(doc, self.need_leaf_data, &mut self.buf, &mut one.data)?;
+        one.doc = Some(doc);
+        one.seen.clear();
+        Ok(match self.idx.kind() {
+            IndexKind::Regular => (&one.data, None),
+            IndexKind::Extended => (&self.buf.regular, Some(&self.buf.ext)),
+        })
     }
 
     /// How many views and dedup sets are held.
@@ -972,14 +987,6 @@ impl<'a> RefineStage<'a> {
     }
 }
 
-/// Where a [`MatchStream`]'s candidates come from.
-enum Source<'a> {
-    /// Algorithm 1's trie descent.
-    Trie(CandidateCursor<'a>),
-    /// The tier's value run and records.
-    Anchored(AnchoredCursor<'a>),
-}
-
 /// The one executor, behind [`PrixIndex::stream`]: candidates → refine
 /// → project. With [`ExecOpts::limit`] set, matches arrive in the
 /// tier's candidate order and the source stops at the limit; without
@@ -987,14 +994,11 @@ enum Source<'a> {
 /// descent is drained and sorted by the first pull (see the module
 /// docs for why), an anchored source yields that order as it goes.
 pub struct MatchStream<'a> {
-    source: Source<'a>,
+    source: Box<dyn Source + 'a>,
     stage: RefineStage<'a>,
     plan: QueryPlan,
     absolute: bool,
     limit: Option<usize>,
-    /// Unlimited trie streams only: the candidates not yet refined,
-    /// sorted descending so the next one pops off the back.
-    sorted: Vec<(DocId, Vec<PostNum>)>,
     emitted: u64,
     /// Filter time spent outside the source: planning the stream.
     setup_time: Duration,
@@ -1002,8 +1006,8 @@ pub struct MatchStream<'a> {
 
 impl<'a> MatchStream<'a> {
     /// The stream of `plan` over `idx`, anchored on `values` when the
-    /// plan has anchors there ([`plan_anchors`]); `setup_time` is what
-    /// planning it took.
+    /// plan has anchors there ([`plan_anchors`]); `setup` is when
+    /// planning it started.
     pub(crate) fn new(
         idx: &'a PrixIndex,
         plan: QueryPlan,
@@ -1014,22 +1018,23 @@ impl<'a> MatchStream<'a> {
         setup: Instant,
     ) -> Self {
         let anchored = values.and_then(|v| Some((v.run, plan_anchors(idx, &plan, &v, pred)?)));
+        let walk = anchored.is_some();
         // An anchored source yields one document at a time, and an
         // unlimited trie stream refines its sorted candidates: both
         // arrive grouped by document.
-        let grouped = anchored.is_some() || opts.limit.is_none();
-        let views = Views::new(idx, !plan.skip_leaf || pred.is_some(), grouped);
-        let source = match anchored {
-            Some((run, anchors)) => {
-                Source::Anchored(AnchoredCursor::new(idx, run, anchors, &plan, pred))
-            }
+        let unlimited = opts.limit.is_none();
+        let grouped = walk || unlimited;
+        let views = Views::new(idx, !plan.skip_leaf || pred.is_some(), walk, grouped);
+        let source: Box<dyn Source + 'a> = match anchored {
+            Some((run, anchors)) => Box::new(AnchoredCursor::new(idx, run, anchors, &plan, pred)),
             None => {
                 let rules = if opts.use_maxgap {
                     idx.gap_rules(&plan)
                 } else {
                     vec![None; plan.seq.len().saturating_sub(1)]
                 };
-                Source::Trie(CandidateCursor::new(idx, plan.seq.lps.clone(), rules, pred))
+                let lps = plan.seq.lps.clone();
+                Box::new(CandidateCursor::new(idx, lps, rules, pred, unlimited))
             }
         };
         MatchStream {
@@ -1038,7 +1043,6 @@ impl<'a> MatchStream<'a> {
             plan,
             absolute,
             limit: opts.limit,
-            sorted: Vec::new(),
             emitted: 0,
             setup_time: setup.elapsed(),
         }
@@ -1048,24 +1052,8 @@ impl<'a> MatchStream<'a> {
     /// candidates are used up or the limit is reached; either way, no
     /// further index work happens after that.
     pub fn next_match(&mut self) -> Result<Option<TwigMatch>> {
-        if let (None, Source::Trie(cursor)) = (self.limit, &mut self.source) {
-            if !cursor.exhausted() {
-                // Phase 1 (Algorithm 1) in full, then grouped per
-                // document so phase 2 fetches each record once.
-                self.sorted = cursor.drain_sorted()?;
-            }
-        }
         while self.limit.is_none_or(|k| (self.emitted as usize) < k) {
-            let popped;
-            let candidate = match &mut self.source {
-                Source::Anchored(a) => a.next(&mut self.stage.views)?,
-                Source::Trie(cursor) if self.limit.is_some() => cursor.next()?,
-                Source::Trie(_) => {
-                    popped = self.sorted.pop();
-                    popped.as_ref().map(|(doc, p)| (*doc, p.as_slice()))
-                }
-            };
-            let Some((doc, positions)) = candidate else {
+            let Some((doc, positions)) = self.source.next(&mut self.stage.views)? else {
                 break;
             };
             if let Some(m) = self
@@ -1085,20 +1073,14 @@ impl<'a> MatchStream<'a> {
     /// conservative "truncated" signal (no probing for a further match
     /// is performed).
     pub fn exhausted(&self) -> bool {
-        match &self.source {
-            Source::Trie(cursor) => cursor.exhausted(),
-            Source::Anchored(a) => a.exhausted(),
-        }
+        self.source.exhausted()
     }
 
-    /// Merged pipeline statistics: the cursor's filter counters and
+    /// Merged pipeline statistics: the source's filter counters and
     /// timing, the refine stage's counters and timings, and the
     /// candidate / match counts observed by the stream so far.
     pub fn stats(&self) -> QueryStats {
-        let mut s = match &self.source {
-            Source::Trie(cursor) => cursor.stats(),
-            Source::Anchored(a) => a.stats(),
-        };
+        let mut s = self.source.stats();
         s.filter_time += self.setup_time;
         s.candidates = self.stage.candidates;
         s.refined = self.stage.refined;
@@ -1113,13 +1095,16 @@ impl<'a> MatchStream<'a> {
 #[cfg(test)]
 mod tests {
     use std::collections::HashSet;
+    use std::sync::Arc;
 
+    use prix_storage::{MemSegEnv, RawStore};
     use prix_xml::Collection;
 
     use super::{MatchStream, TierValues, Views};
     use crate::engine::{EngineConfig, PrixEngine};
     use crate::index::ExecOpts;
     use crate::naive::naive_ordered;
+    use crate::segbuild::BulkBuilder;
     use crate::xpath::parse_xpath;
 
     /// `(doc, embedding)` pairs.
@@ -1260,12 +1245,88 @@ mod tests {
     fn a_document_that_fails_to_load_leaves_no_view_standing() {
         let engine = six_docs();
         let idx = &engine.seg_tiers()[0].ep;
-        let mut views = Views::new(idx, true, true);
+        let mut views = Views::new(idx, true, false, true);
         let first = views.get(0).unwrap().0.clone();
         assert_eq!(views.held(), 1);
         assert!(views.get(99).is_err(), "past the tier");
         assert_eq!(views.held(), 0);
         assert!(views.get(99).is_err());
         assert_eq!(views.get(0).unwrap().0, &first);
+
+        // An anchored stream's load: the regular view it walks, with its
+        // leaf data, and the extension numbering.
+        let mut views = Views::new(idx, false, true, true);
+        let (regular, ext) = views.load(0).unwrap();
+        assert_eq!(regular.leaves.len(), 2);
+        assert_eq!(ext.map(<[u32]>::len), Some(regular.nps.len() + 2));
+        assert_eq!(views.held(), 1);
+        assert!(views.load(99).is_err(), "past the tier");
+        assert_eq!(views.held(), 0);
+        assert!(views.get(0).is_ok());
+        assert_eq!(views.held(), 1);
+    }
+
+    /// A bulk-built tier of the one document `xml`, in memory.
+    fn one_doc_tier(xml: &str) -> Arc<MemSegEnv> {
+        let env = Arc::new(MemSegEnv::new());
+        let mut b = BulkBuilder::with_env(EngineConfig::default(), env.clone()).unwrap();
+        b.add_xml(xml).unwrap();
+        drop(b.finish().unwrap());
+        env
+    }
+
+    /// A tier of one document, `<a><b>x</b><c>y</c></a>`, whose record
+    /// was damaged: its NPS gives `b` (node 2) the parent `y` (node 3)
+    /// instead of `a` (node 5), a chain, while its leaf list still names
+    /// `y` a leaf. The segment does not checksum blocks on the query path.
+    fn a_damaged_record() -> PrixEngine {
+        let env = one_doc_tier("<a><b>x</b><c>y</c></a>");
+        let ep = env.store(".g1.ep.seg").unwrap();
+        let word = |at: u64| {
+            let mut w = [0; 8];
+            ep.read_at(at, &mut w).unwrap();
+            u64::from_le_bytes(w)
+        };
+        // Header fields: the record index and the record section. Record
+        // 0 is its length prefix, `n`, then the NPS.
+        let at = word(48) + word(word(40)) + 3;
+        let mut parent = [0];
+        ep.read_at(at, &mut parent).unwrap();
+        assert_eq!(parent, [5]);
+        ep.write_at(at, &[3]).unwrap();
+        PrixEngine::reopen_env(env, 8).unwrap()
+    }
+
+    /// An anchored stream over a record its leaf list and NPS disagree
+    /// on, and over postings past a record's last node, yields no
+    /// candidate: it never panics, and never places a position outside
+    /// the view. (Mapping `y`'s dummy through the stored leaf list would
+    /// place `c` at 6 in a view of 5 positions.)
+    #[test]
+    fn an_anchored_stream_over_a_damaged_record_yields_no_candidate() {
+        let engine = a_damaged_record();
+        let tier = &engine.seg_tiers()[0];
+        // The same labels, with `y` at postorder 7: past the last node of
+        // the damaged record, which is document 0 too.
+        let far = one_doc_tier("<a><b>x</b><b>x</b><b>x</b><c>y</c></a>");
+        let far = PrixEngine::reopen_env(far, 8).unwrap();
+        let mut syms = engine.symbols().clone();
+        let q = parse_xpath(r#"//a[./c="y"]"#, &mut syms).unwrap();
+        for (what, run) in [("its own run", &tier.vx), ("far", &far.seg_tiers()[0].vx)] {
+            let values = TierValues {
+                run,
+                rp: &tier.rp,
+                syms: engine.symbols(),
+            };
+            let opts = ExecOpts::new();
+            let mut stream = tier.ep.stream_tier(&q, &opts, None, Some(values)).unwrap();
+            if let Ok(m) = stream.next_match() {
+                assert_eq!(m, None, "{what}");
+            }
+            let stats = stream.stats();
+            assert_eq!(stats.range_queries, 0, "{what}: anchored");
+            assert_eq!(stats.valix_postings, 1, "{what}");
+            assert_eq!(stats.candidates, 0, "{what}");
+        }
     }
 }

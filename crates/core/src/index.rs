@@ -437,10 +437,9 @@ impl DocData {
     /// gains. [`ExtendedTree::build`](prix_prufer::ExtendedTree::build)
     /// adds each dummy as the only child of its leaf, so in postorder the
     /// dummy comes just before its leaf, and original node `v` is
-    /// extended node `v + #(original leaves with postorder ≤ v)`; a node
-    /// is a leaf iff it never appears in the NPS, no node naming it as
-    /// its parent. The extended NPS, the ext→orig map and `n_orig`
-    /// therefore follow from the regular NPS alone: with
+    /// extended node `v + #(original leaves with postorder ≤ v)`
+    /// ([`extension_numbering`]). The extended NPS, the ext→orig map and
+    /// `n_orig` therefore follow from the regular NPS alone: with
     /// `need_leaf_data` unset that is all this reads, and the extended
     /// LPS and leaf list stay empty. With it set, they need the leaf list
     /// too: a dummy's parent label is its leaf's, and every extended leaf
@@ -454,7 +453,8 @@ impl DocData {
     }
 
     /// [`DocData::extended`] written into `out`, whose vectors it reuses,
-    /// with `ext` as its scratch. On `None`, `out` holds no view.
+    /// leaving the view's [`extension_numbering`] in `ext`. On `None`,
+    /// `out` holds no view.
     pub(crate) fn extended_into(
         &self,
         dummy: Sym,
@@ -463,23 +463,7 @@ impl DocData {
         out: &mut DocData,
     ) -> Option<()> {
         let n = self.nps.len() + 1;
-        // `ext[v]` starts as 1 for a leaf, 0 for a node some position
-        // names as its parent; the running sum then makes it `v`'s
-        // extended postorder (`ext[0]`, no node, stays 0).
-        ext.clear();
-        ext.resize(n + 1, 1);
-        ext[0] = 0;
-        for (i, &p) in self.nps.iter().enumerate() {
-            if p as usize <= i + 1 || p as usize > n {
-                return None;
-            }
-            ext[p as usize] = 0;
-        }
-        let mut leaves_so_far = 0;
-        for (v, e) in ext.iter_mut().enumerate().skip(1) {
-            leaves_so_far += *e;
-            *e = v as PostNum + leaves_so_far;
-        }
+        extension_numbering(&self.nps, ext)?;
         let ext = &ext[..];
         let is_leaf = |v: usize| ext[v] - ext[v - 1] == 2;
         let n_ext = ext[n] as usize;
@@ -532,6 +516,35 @@ impl DocData {
             }
         })
     }
+}
+
+/// The extension numbering (§5.6) of the tree whose regular NPS is
+/// `nps`, written into `ext`: `ext[v]` is node `v`'s postorder in the
+/// extended tree, `v + #(leaves with postorder ≤ v)`, and `ext[0]`, no
+/// node, is 0. A leaf is a node no position names as its parent, so it is
+/// exactly a `v` with `ext[v] - ext[v - 1] == 2`, its dummy sitting
+/// between the two. `None` when `nps` is not one tree's: a parent at or
+/// below its child or past the root.
+pub(crate) fn extension_numbering(nps: &[PostNum], ext: &mut Vec<PostNum>) -> Option<()> {
+    let n = nps.len() + 1;
+    // `ext[v]` starts as 1 for a leaf, 0 for a node some position names
+    // as its parent; the running sum then makes it `v`'s extended
+    // postorder.
+    ext.clear();
+    ext.resize(n + 1, 1);
+    ext[0] = 0;
+    for (i, &p) in nps.iter().enumerate() {
+        if p as usize <= i + 1 || p as usize > n {
+            return None;
+        }
+        ext[p as usize] = 0;
+    }
+    let mut leaves_so_far = 0;
+    for (v, e) in ext.iter_mut().enumerate().skip(1) {
+        leaves_so_far += *e;
+        *e = v as PostNum + leaves_so_far;
+    }
+    Some(())
 }
 
 /// Reconstructs the per-position fine gaps from an NPS alone: the
@@ -743,11 +756,6 @@ impl PrixIndex {
         }
     }
 
-    /// The label of the dummy leaf an EPIndex extends every leaf with.
-    pub(crate) fn dummy(&self) -> Sym {
-        self.dummy
-    }
-
     /// Whether some node labeled `label` has a child in this tier: what
     /// an RPIndex's MaxGap table records (an EPIndex's dummies give
     /// every node a child).
@@ -915,70 +923,50 @@ impl PrixIndex {
 
     /// Prepares the sequences / edges / leaves for this index kind.
     pub(crate) fn plan(&self, q: &TwigQuery) -> Result<QueryPlan> {
-        match self.kind {
-            IndexKind::Regular => {
-                if q.needs_extended() {
-                    return Err(IndexError::Unsupported(
-                        "query requires the EPIndex (values, single node, or wildcard above a leaf)"
-                            .into(),
-                    ));
-                }
-                // §4.4 special leaf treatment: when no query-leaf label
-                // ever occurs childless in the data, extending the
-                // *query* with dummy leaf children is exact — every
-                // query label then participates in subsequence matching,
-                // and the LPS starts with the selective deep labels
-                // (this is what makes the paper's Q2/Q7/Q8 fast).
-                let leaf_ok = q.leaves().iter().all(|(s, _)| !self.childless.contains(s));
-                if leaf_ok {
-                    let eq = q.extended(self.dummy);
-                    let mut ext_of_orig = vec![0 as PostNum; q.tree().len()];
-                    for (i, &orig) in eq.ext.orig_post.iter().enumerate() {
-                        if orig != 0 {
-                            ext_of_orig[(orig - 1) as usize] = (i + 1) as PostNum;
-                        }
-                    }
-                    Ok(QueryPlan {
-                        seq: eq.seq,
-                        edges: eq.edges,
-                        leaves: Vec::new(),
-                        qtree: eq.ext.tree,
-                        ext_of_orig: Some(ext_of_orig),
-                        n_orig_query: q.tree().len() as u32,
-                        skip_leaf: true,
-                    })
-                } else {
-                    Ok(QueryPlan {
-                        seq: q.prufer(),
-                        edges: q.edges_by_post(),
-                        leaves: q.leaves(),
-                        qtree: q.tree().clone(),
-                        ext_of_orig: None,
-                        n_orig_query: q.tree().len() as u32,
-                        skip_leaf: false,
-                    })
-                }
+        let n_orig_query = q.tree().len() as u32;
+        if self.kind == IndexKind::Regular {
+            if q.needs_extended() {
+                return Err(IndexError::Unsupported(
+                    "query requires the EPIndex (values, single node, or wildcard above a leaf)"
+                        .into(),
+                ));
             }
-            IndexKind::Extended => {
-                let eq = q.extended(self.dummy);
-                // Invert ext -> orig into orig -> ext.
-                let mut ext_of_orig = vec![0 as PostNum; q.tree().len()];
-                for (i, &orig) in eq.ext.orig_post.iter().enumerate() {
-                    if orig != 0 {
-                        ext_of_orig[(orig - 1) as usize] = (i + 1) as PostNum;
-                    }
-                }
-                Ok(QueryPlan {
-                    seq: eq.seq,
-                    edges: eq.edges,
-                    leaves: Vec::new(),
-                    qtree: eq.ext.tree,
-                    ext_of_orig: Some(ext_of_orig),
-                    n_orig_query: q.tree().len() as u32,
-                    skip_leaf: true,
-                })
+            // §4.4 special leaf treatment: when no query-leaf label ever
+            // occurs childless in the data, extending the *query* with
+            // dummy leaf children is exact — every query label then
+            // participates in subsequence matching, and the LPS starts
+            // with the selective deep labels (this is what makes the
+            // paper's Q2/Q7/Q8 fast). Otherwise the plan is the query as
+            // it stands.
+            if q.leaves().iter().any(|(s, _)| self.childless.contains(s)) {
+                return Ok(QueryPlan {
+                    seq: q.prufer(),
+                    edges: q.edges_by_post(),
+                    leaves: q.leaves(),
+                    qtree: q.tree().clone(),
+                    ext_of_orig: None,
+                    n_orig_query,
+                    skip_leaf: false,
+                });
             }
         }
+        let eq = q.extended(self.dummy);
+        // Invert ext -> orig into orig -> ext.
+        let mut ext_of_orig = vec![0 as PostNum; q.tree().len()];
+        for (i, &orig) in eq.ext.orig_post.iter().enumerate() {
+            if orig != 0 {
+                ext_of_orig[(orig - 1) as usize] = (i + 1) as PostNum;
+            }
+        }
+        Ok(QueryPlan {
+            seq: eq.seq,
+            edges: eq.edges,
+            leaves: Vec::new(),
+            qtree: eq.ext.tree,
+            ext_of_orig: Some(ext_of_orig),
+            n_orig_query,
+            skip_leaf: true,
+        })
     }
 
     /// Theorem 4 pruning rules: `rules[k]` bounds `S[k+1] - S[k]` as
@@ -1148,8 +1136,12 @@ pub(crate) struct DocBuf {
     /// Its regular view, when it is not the view refined against (an
     /// EPIndex derives the extended view from it).
     pub(crate) regular: DocData,
-    /// [`DocData::extended_into`]'s scratch.
+    /// The regular view's [`extension_numbering`], which
+    /// [`DocData::extended_into`] leaves here.
     pub(crate) ext: Vec<PostNum>,
+    /// Whether the regular view keeps its LPS and leaf list when the
+    /// view refined against needs neither: an anchored stream walks it.
+    pub(crate) walk: bool,
 }
 
 impl DocBuf {
@@ -1163,10 +1155,11 @@ impl DocBuf {
         need_leaf_data: bool,
         out: &mut DocData,
     ) -> Result<()> {
+        let regular_leaf_data = need_leaf_data || self.walk;
         match kind {
-            IndexKind::Regular => decode_doc_record_into(&self.record, need_leaf_data, out),
+            IndexKind::Regular => decode_doc_record_into(&self.record, regular_leaf_data, out),
             IndexKind::Extended => {
-                decode_doc_record_into(&self.record, need_leaf_data, &mut self.regular).and_then(
+                decode_doc_record_into(&self.record, regular_leaf_data, &mut self.regular).and_then(
                     |()| {
                         self.regular
                             .extended_into(dummy, need_leaf_data, &mut self.ext, out)

@@ -284,13 +284,8 @@ impl EngineSnapshot {
 
     /// Executes a batch of ordered twig queries on up to `threads`
     /// worker threads, returning one [`QueryOutcome`] per query in
-    /// input order. Every worker reads this snapshot's epoch.
-    pub fn query_batch(&self, queries: &[TwigQuery], threads: usize) -> Result<Vec<QueryOutcome>> {
-        self.query_batch_opts(queries, threads, &ExecOpts::default())
-    }
-
-    /// [`EngineSnapshot::query_batch`] with execution options (each
-    /// query gets the same `opts`, including any limit). Workers pull
+    /// input order. Every worker reads this snapshot's epoch, and each
+    /// query gets the same `opts`, including any limit. Workers pull
     /// queries from a shared atomic cursor, so long and short queries
     /// balance across threads; all of them read through the same
     /// sharded buffer pool.
@@ -336,12 +331,7 @@ impl EngineSnapshot {
     }
 
     /// Executes an unordered twig query by running every distinct branch
-    /// arrangement (§5.7) and unioning the embeddings.
-    pub fn query_unordered(&self, q: &TwigQuery) -> Result<QueryOutcome> {
-        self.query_unordered_opts(q, &ExecOpts::default())
-    }
-
-    /// [`EngineSnapshot::query_unordered`] with execution options. With
+    /// arrangement (§5.7) and unioning the embeddings. With
     /// [`ExecOpts::limit`] set, arrangements interleave through the
     /// *shared* limit: distinct base-numbered matches count against the
     /// one budget, and as soon as it is spent the current stream is
@@ -817,14 +807,6 @@ impl SharedEngine {
         self.ingest_locked(guard, |e| e.ingest_batch(docs))
     }
 
-    /// [`SharedEngine::ingest`] over a wrapper document whose root's
-    /// element children each become one indexed document (see
-    /// `PrixEngine::ingest_batch_split`).
-    pub fn ingest_split(&self, wrapper: &str) -> Result<IngestReport> {
-        let guard = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        self.ingest_locked(guard, |e| e.ingest_batch_split(wrapper))
-    }
-
     /// [`SharedEngine::ingest`] that fails fast with `None` when
     /// another ingest holds the writer lock, so servers can shed load
     /// (HTTP 503) instead of queueing unboundedly.
@@ -833,7 +815,9 @@ impl SharedEngine {
             .map(|guard| self.ingest_locked(guard, |e| e.ingest_batch(docs)))
     }
 
-    /// Non-blocking [`SharedEngine::ingest_split`].
+    /// [`SharedEngine::try_ingest`] over a wrapper document whose root's
+    /// element children each become one indexed document (see
+    /// `PrixEngine::ingest_batch_split`).
     pub fn try_ingest_split(&self, wrapper: &str) -> Option<Result<IngestReport>> {
         self.try_writer()
             .map(|guard| self.ingest_locked(guard, |e| e.ingest_batch_split(wrapper)))
@@ -960,7 +944,7 @@ mod tests {
         assert_eq!(ordered.matches.len(), 1);
         assert_eq!(ordered.matches[0].doc, 0);
         // Unordered: both docs.
-        let unordered = e.query_unordered(&q).unwrap();
+        let unordered = e.query_unordered_opts(&q, &ExecOpts::new()).unwrap();
         assert_eq!(unordered.matches.len(), 2);
     }
 
@@ -972,7 +956,10 @@ mod tests {
         let q = e
             .parse_query("//a[./b][./c][./d][./e][./f][./g]/h")
             .unwrap();
-        let err = e.query_unordered(&q).unwrap_err().to_string();
+        let err = e
+            .query_unordered_opts(&q, &ExecOpts::new())
+            .unwrap_err()
+            .to_string();
         assert!(err.contains(&ARRANGEMENT_LIMIT.to_string()), "{err}");
         assert!(e.query(&q).is_ok(), "the ordered query is unaffected");
     }
@@ -984,7 +971,7 @@ mod tests {
         let q = e
             .parse_query(r#"//inproceedings[./author="Jim Gray"][./year="1990"]"#)
             .unwrap();
-        let out = e.query_unordered(&q).unwrap();
+        let out = e.query_unordered_opts(&q, &ExecOpts::new()).unwrap();
         let c = collection();
         let author = c.symbols().lookup("author").unwrap();
         for m in &out.matches {
@@ -1299,7 +1286,9 @@ mod tests {
             .map(|q| e.query(q).unwrap().matches)
             .collect();
         for threads in [1, 2, 4, 16] {
-            let batch = e.query_batch(&queries, threads).unwrap();
+            let batch = e
+                .query_batch_opts(&queries, threads, &ExecOpts::new())
+                .unwrap();
             assert_eq!(batch.len(), queries.len());
             for (i, out) in batch.iter().enumerate() {
                 assert_eq!(out.matches, serial[i], "threads={threads} query {i}");
@@ -1316,13 +1305,16 @@ mod tests {
         let e = eng.snapshot();
         let xpaths = ["//www[./editor]/url", "//dblp//year"];
         let queries: Vec<_> = xpaths.iter().map(|x| e.parse_query(x).unwrap()).collect();
-        let batch = e.query_batch(&queries, 0).unwrap();
+        let batch = e.query_batch_opts(&queries, 0, &ExecOpts::new()).unwrap();
         assert_eq!(batch.len(), queries.len());
         for (q, out) in queries.iter().zip(&batch) {
             assert_eq!(out.matches, e.query(q).unwrap().matches);
         }
         // Empty input with zero threads is a no-op, not a panic.
-        assert!(e.query_batch(&[], 0).unwrap().is_empty());
+        assert!(e
+            .query_batch_opts(&[], 0, &ExecOpts::new())
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! | Endpoint          | Meaning                                        |
 //! |-------------------|------------------------------------------------|
 //! | `GET /query`      | one twig query (`xp=`, `unordered=1`, `limit=`)|
-//! | `POST /batch`     | newline-delimited XPaths via `query_batch`     |
+//! | `POST /batch`     | newline-delimited XPaths via `query_batch_opts`|
 //! | `POST /documents` | online ingest (requires `ServerConfig::ingest`)|
 //! | `GET /explain`    | the optimizer's plan for `xp=` (debug)         |
 //! | `GET /healthz`    | liveness probe                                 |
@@ -85,8 +85,8 @@ pub struct ServerConfig {
     /// Cap on connections being handled at once (in a worker or in the
     /// queue). Beyond it, new connections get `503`.
     pub max_connections: usize,
-    /// Threads used by `POST /batch` through `query_batch` (the `threads=`
-    /// query parameter can lower it per request).
+    /// Threads used by `POST /batch` through `query_batch_opts` (the
+    /// `threads=` query parameter can lower it per request).
     pub batch_threads: usize,
     /// Socket read timeout (a stalled client gets `408` and is cut).
     pub read_timeout: Duration,

@@ -169,7 +169,7 @@ fn scope_record(bump: impl FnOnce(&mut IoSnapshot)) {
 /// Scoped, per-thread I/O attribution.
 ///
 /// [`IoSnapshot::since`] over the shared pool counters is only exact
-/// when a single query runs at a time: under `query_batch` every worker
+/// when a single query runs at a time: under a query batch every worker
 /// bumps the same atomics, so a before/after delta silently includes
 /// other queries' pages. `IoScope` fixes attribution by tallying the
 /// accesses made *by the current thread* between `begin` and `end`.

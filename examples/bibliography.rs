@@ -6,7 +6,7 @@
 //! cargo run --release --example bibliography
 //! ```
 
-use prix::core::{EngineConfig, IndexKind, PrixEngine};
+use prix::core::{EngineConfig, ExecOpts, IndexKind, PrixEngine};
 use prix::datagen::{dblp, Dataset};
 
 fn main() {
@@ -48,7 +48,7 @@ fn main() {
 
     // Unordered matching also accepts records that list the year before
     // the author (§5.7 branch arrangements).
-    let unordered = view.query_unordered(&q1).unwrap();
+    let unordered = view.query_unordered_opts(&q1, &ExecOpts::new()).unwrap();
     println!(
         "Jim Gray 1990 inproceedings (unordered twig): {}",
         unordered.matches.len()

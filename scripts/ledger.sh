@@ -14,8 +14,9 @@
 # (`== "--x"`, `"--x" =>`, `Some("--x")` in crates/cli/src/main.rs).
 # Then the entry points: `pub fn`s of PrixIndex named execute*/stream*
 # (ways to run a query) and check_insert/insert*/prepare (ways to add a
-# document), and of PrixEngine named build*/reopen* (ways to make an
-# engine), counted above each file's test module.
+# document), of PrixEngine named build*/reopen* (ways to make an
+# engine), and of EngineSnapshot named query* (ways to query a
+# snapshot), counted above each file's test module.
 # Last, the `/metrics` registry: entries of `SERIES` in
 # crates/server/src/metrics.rs and rows of README.md's table (a
 # `cargo test` keeps the two lists equal; this prints their sizes).
@@ -112,6 +113,7 @@ PrixIndex::{execute*,stream*} crates/core/src/index.rs execute|stream
 PrixIndex::{check_insert,insert*,prepare} crates/core/src/index.rs check_insert|insert|prepare
 PrixEngine::build* crates/core/src/engine.rs build
 PrixEngine::reopen* crates/core/src/engine.rs reopen
+EngineSnapshot::query* crates/core/src/snapshot.rs query
 ENTRY_POINTS
 
 echo "/metrics registry, $BASE -> working tree"

@@ -111,7 +111,9 @@ fn query_batch_agrees_with_serial() {
         .map(|q| engine.query(q).unwrap().matches)
         .collect();
     for threads in [2, 4, 8] {
-        let batch = engine.query_batch(&queries, threads).unwrap();
+        let batch = engine
+            .query_batch_opts(&queries, threads, &ExecOpts::new())
+            .unwrap();
         for (i, out) in batch.iter().enumerate() {
             assert_eq!(out.matches, serial[i], "threads={threads} query {i}");
         }

@@ -548,7 +548,7 @@ fn batch_io_is_attributed_per_query() {
 
     // Interleave the queries across 4 workers, several times over.
     let many: Vec<TwigQuery> = (0..4).flat_map(|_| queries.iter().cloned()).collect();
-    let outs = snap.query_batch(&many, 4).unwrap();
+    let outs = snap.query_batch_opts(&many, 4, &ExecOpts::new()).unwrap();
     for (i, out) in outs.iter().enumerate() {
         assert_eq!(
             out.io.seg_block_reads,

@@ -955,7 +955,7 @@ fn prop_pred_anchored_equals_oracle(input: &PredTwigInput) -> Result<(), String>
         }
         union.sort();
         union.dedup();
-        let out = snap.query_unordered(&q).unwrap();
+        let out = snap.query_unordered_opts(&q, &ExecOpts::new()).unwrap();
         assert_eq!(matches_as_set(&out.matches), union, "unordered vs oracle");
     }
 
@@ -1224,7 +1224,10 @@ fn prop_unordered_is_arrangement_union(input: &EngineInput) -> Result<(), String
     expected.sort();
     expected.dedup();
 
-    let out = engine.snapshot().query_unordered(&q).unwrap();
+    let out = engine
+        .snapshot()
+        .query_unordered_opts(&q, &prix::core::index::ExecOpts::new())
+        .unwrap();
     assert_eq!(matches_as_set(&out.matches), expected);
     Ok(())
 }

@@ -96,7 +96,7 @@ fn full_results(engine: &PrixEngine) -> Result<Vec<(MatchSet, MatchSet)>, String
             return Err(format!("unlimited query {xp} claims truncation"));
         }
         let unord = engine
-            .query_unordered(&q)
+            .query_unordered_opts(&q, &ExecOpts::new())
             .map_err(|e| format!("unordered {xp}: {e}"))?;
         out.push((match_set(&ord.matches), match_set(&unord.matches)));
     }
@@ -257,7 +257,7 @@ fn snapshot_results(
         .map(|xp| {
             let q = snap.parse_query(xp).expect(xp);
             let ord = snap.query(&q).expect(xp);
-            let unord = snap.query_unordered(&q).expect(xp);
+            let unord = snap.query_unordered_opts(&q, &ExecOpts::new()).expect(xp);
             let opts = ExecOpts {
                 limit: Some(2),
                 ..Default::default()
@@ -667,7 +667,9 @@ fn query_batch_surfaces_errors() {
     let good = snap.parse_query("//a/nothing").unwrap();
     let bad = snap.parse_query("//a/d").unwrap();
     assert!(snap.query(&good).unwrap().matches.is_empty());
-    assert!(snap.query_batch(&[good, bad], 2).is_err());
+    assert!(snap
+        .query_batch_opts(&[good, bad], 2, &ExecOpts::new())
+        .is_err());
 }
 
 // ---------------------------------------------------------------------------

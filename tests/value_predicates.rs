@@ -324,8 +324,8 @@ fn prop_unordered_filters_identically(input: &PredInput) -> Result<(), String> {
 
     let engine = PrixEngine::build(collection.clone(), EngineConfig::default()).unwrap();
     let snap = engine.snapshot();
-    let unfiltered = snap.query_unordered(&bare).unwrap();
-    let filtered = snap.query_unordered(&q).unwrap();
+    let unfiltered = snap.query_unordered_opts(&bare, &ExecOpts::new()).unwrap();
+    let filtered = snap.query_unordered_opts(&q, &ExecOpts::new()).unwrap();
     let expect = oracle_filter(&collection, &syms, &q, &unfiltered.matches);
     assert_eq!(filtered.matches, expect);
     Ok(())

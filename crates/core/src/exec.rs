@@ -10,11 +10,13 @@
 //!    trie descent,    │    refinement,      ordering rule,
 //!    predicate        │    embedding        limit pushdown,
 //!    pre-filter, one  │    projection,      per-stage stats)
-//!    candidate per    │    dedup)
-//!    pull)            │
+//!    candidate per    │    dedup; an
+//!    pull)            │    anchored match
+//!                     │    is taken as
+//!                     │    proven)
 //!   AnchoredCursor ───┘
 //!   (value-run postings + record walks, a value or predicate twig on
-//!    a tier)
+//!    a tier; one match per pull)
 //! ```
 //!
 //! `CandidateCursor` is the recursive `FindSubsequence` turned into
@@ -40,20 +42,25 @@
 //! the tier's value run instead: `AnchoredCursor` takes each text leaf's
 //! `(parent tag, value)` postings and each predicate's probed postings,
 //! and the document's record fixes the rest of the embedding, since
-//! `NPS[i]` is node *i*'s parent (Theorem 2). It yields them in `(doc,
-//! positions)` order, one document at a time, so the stream refines them
-//! as they come, with a limit or without, and a limited answer is the
-//! first matches of the unlimited one.
+//! `NPS[i]` is node *i*'s parent (Theorem 2). Each join that survives is
+//! a match, not a candidate: it already holds what Algorithm 2 checks
+//! (labels, connectedness, distinct images in query order), so the stage
+//! does not refine it again, project it or look it up in a dedup set; it
+//! applies only the absolute-root check and predicate verification. The
+//! source yields the matches in `(doc, S)` order, one document at a
+//! time, with a limit or without, and a limited answer is the first
+//! matches of the unlimited one.
 //!
 //! Both sources sit behind one interface, `Source` (`next`, `stats`,
 //! `exhausted`), and [`MatchStream`] calls each once. Neither reads a
 //! document itself: the anchored source loads each document it walks
-//! through the refine stage's `Views::load`, the one place a document is
-//! read, decoded and entered as the stage's view, and gets back the
-//! regular view it walks. An EPIndex's positions come from one
-//! numbering, `extension_numbering` in `index.rs` (§5.6: node `v` sits at
-//! `v + #leaves ≤ v`): the load derives the extended view with it, and
-//! the anchored join maps its images through the same numbers.
+//! through the refine stage's `Views::load`, which decodes the record's
+//! regular view into the stage's one view, only as far as
+//! `AnchoredCursor::depth` asks, and derives no extended view. An
+//! EPIndex's positions come from one numbering, `extension_numbering` in
+//! `index.rs` (§5.6: node `v` sits at `v + #leaves ≤ v`): the trie path
+//! derives the extended view with it, and the anchored load computes it
+//! alone, for the join to map its images' `S` through.
 //!
 //! A descent that stays on the trie is pruned by the rarest label of
 //! its LPS on a segment tier (`PrixIndex::rarest_label`): a row whose
@@ -70,17 +77,20 @@ use prix_storage::{ValueRunReader, VxSection};
 use prix_xml::{DocId, NodeKind, PostNum, Sym, SymbolTable};
 
 use crate::index::{
-    project_embedding_into, DocBuf, DocData, ExecOpts, GapRule, IndexKind, PrixIndex, QueryPlan,
-    QueryStats, Result, TwigMatch,
+    corrupt_record, decode_doc_record_into, extension_numbering, project_embedding_into, Depth,
+    DocBuf, DocData, ExecOpts, GapRule, IndexKind, PrixIndex, QueryPlan, QueryStats, Result,
+    TwigMatch,
 };
-use crate::valix::{docs_of, merge_join, str_key, PredEval};
+use crate::valix::{docs_of, merge_join, str_key, PredEval, STR_KEY_CAP};
 
 /// Where a [`MatchStream`]'s candidates come from: Algorithm 1's trie
 /// descent ([`CandidateCursor`]), or a tier's value run and records
 /// ([`AnchoredCursor`]).
 trait Source {
-    /// Pulls the next `(doc, positions)` candidate; a source that reads
-    /// documents loads them through `views`, the refine stage's.
+    /// Pulls the next `(doc, positions)` candidate of the trie descent,
+    /// or the next `(doc, embedding)` match an anchored source proved; a
+    /// source that reads documents loads them through `views`, the
+    /// refine stage's.
     fn next(&mut self, views: &mut Views<'_>) -> Result<Option<(DocId, &[PostNum])>>;
     /// Filter-stage counters and clock accumulated so far.
     fn stats(&self) -> QueryStats;
@@ -325,8 +335,13 @@ enum Probe {
     /// A text leaf: its label — the value — and the one value-run key
     /// its postings lie under, `str_key(parent tag, value)`; `None` when
     /// the table does not name the value, so no document of a tier holds
-    /// it.
-    Text { value: Sym, key: Option<Vec<u8>> },
+    /// it. `truncated` when the value is longer than the key holds
+    /// ([`STR_KEY_CAP`] bytes), so other values share the key.
+    Text {
+        value: Sym,
+        key: Option<Vec<u8>>,
+        truncated: bool,
+    },
     /// A leaf that carries a probeable predicate: the evaluator's index
     /// of that predicate, whose postings [`PredEval::build`] probed.
     Pred(usize),
@@ -395,10 +410,14 @@ pub(crate) fn plan_anchors(
             if values.rp.labels_a_parent(label) {
                 return None;
             }
-            let key = values.syms.get(label).map(|name| str_key(up[0].1, name));
+            let name = values.syms.get(label);
             Anchor {
                 at: Some(leaf),
-                probe: Probe::Text { value: label, key },
+                probe: Probe::Text {
+                    value: label,
+                    key: name.map(|name| str_key(up[0].1, name)),
+                    truncated: name.is_some_and(|name| name.len() > STR_KEY_CAP),
+                },
                 up,
             }
         } else {
@@ -438,8 +457,8 @@ pub(crate) fn explain_anchors(
 }
 
 /// The second candidate source: a value twig's or a predicate twig's
-/// `(doc, positions)` candidates from its tier's value run and records,
-/// with no trie descent.
+/// matches, from its tier's value run and records, with no trie descent
+/// and no Algorithm 2 pass.
 ///
 /// The first pull gathers every anchor's postings and merge-joins them
 /// by document: a predicate's come from the evaluator's probe, and each
@@ -447,21 +466,26 @@ pub(crate) fn explain_anchors(
 /// first, each later scan stopping past the last document still in the
 /// intersection. Then, one document at a time: a document whose anchors'
 /// postorders cannot come in query order is dropped unread; otherwise
-/// the refine stage's [`Views::load`] loads it into the stage's one view
-/// and hands back its regular view, which the anchors walk: each text
-/// posting's leaf must carry the value (the key is truncated, the label
-/// is exact), each anchor walks up the NPS checking every ancestor's
-/// label, and the anchors join where their images meet. A predicate
-/// posting only finds its node's image, so a predicate's walks are one
-/// per image, and the §4.4 dummy under it takes the image's first child:
-/// that is the least candidate the trie descent has for the embedding, so
-/// matches come out in the order the descent gives them. Each join is one
-/// embedding; an EPIndex plan's images map through the extension
-/// numbering the load derived the extended view with
-/// ([`crate::index::extension_numbering`]), an RPIndex plan's are
-/// positions as they stand, and a strictly increasing `S` is a
-/// candidate. No record is decoded twice, and nothing is handed over per
-/// document.
+/// the refine stage's [`Views::load`] decodes its regular view into the
+/// stage's one view, to the depth [`AnchoredCursor::depth`] names, and
+/// the anchors walk it: a text posting under a truncated key must name a
+/// leaf that carries the value (an exact key already does), each anchor
+/// walks up the NPS checking every ancestor's label, and the anchors
+/// join where their images meet. A predicate posting only finds its
+/// node's image, so a predicate's walks are one per image, and the §4.4
+/// dummy under it takes the image's first child: that is the least
+/// candidate the trie descent has for the embedding, so matches come out
+/// in the order the descent gives them.
+///
+/// Each join is one embedding, and a proven one: every query node's
+/// image carries its label and is its query parent's image's child, and
+/// images in query postorder ascend, which is what Algorithm 2 checks.
+/// The join computes the candidate `S` the trie descent would have found
+/// for it — an EPIndex plan's images mapped through the load's
+/// [`extension_numbering`], an RPIndex plan's as they stand — and keeps
+/// the embedding only when `S` strictly increases; the cursor yields the
+/// embeddings in `S` order. Distinct joins differ in some anchor's walk,
+/// and so in the image of an original query node: no match repeats.
 pub(crate) struct AnchoredCursor<'a> {
     idx: &'a PrixIndex,
     run: &'a ValueRunReader,
@@ -480,10 +504,16 @@ pub(crate) struct AnchoredCursor<'a> {
     /// document to the next.
     walks: Vec<Vec<PostNum>>,
     img: Vec<PostNum>,
-    /// The document being yielded, its candidates ascending, and how
-    /// many of them were yielded.
+    /// The plan postorder of each original query node, in the original
+    /// postorder: an embedding is their images.
+    orig: Vec<PostNum>,
+    /// The document being yielded; its matches, each its `S` (`slen`
+    /// words) and then its embedding; where each match starts, in `S`
+    /// order; and how many of them were yielded.
     doc: DocId,
-    found: Vec<Vec<PostNum>>,
+    found: Vec<PostNum>,
+    slen: usize,
+    order: Vec<usize>,
     yielded: usize,
     probed: bool,
     done: bool,
@@ -499,11 +529,17 @@ impl<'a> AnchoredCursor<'a> {
         pred: Option<&'a PredEval<'a>>,
     ) -> Self {
         let n = anchors.len();
+        let orig = match &plan.ext_of_orig {
+            Some(map) => map.clone(),
+            None => (1..=plan.n_orig_query).collect(),
+        };
         AnchoredCursor {
             idx,
             run,
             anchors,
             img: vec![0; plan.qtree.len() + 1],
+            slen: plan.seq.len(),
+            orig,
             pred,
             postings: vec![Vec::new(); n],
             walked: vec![0; n],
@@ -511,10 +547,31 @@ impl<'a> AnchoredCursor<'a> {
             walks: vec![Vec::new(); n],
             doc: 0,
             found: Vec::new(),
+            order: Vec::new(),
             yielded: 0,
             probed: false,
             done: false,
             stats: QueryStats::default(),
+        }
+    }
+
+    /// How much of a record the walks and the stage read: the LPS for the
+    /// labels, and the leaf list too when a text anchor's key is
+    /// truncated or a predicate is verified.
+    pub(crate) fn depth(&self) -> Depth {
+        let truncated = |a: &Anchor| {
+            matches!(
+                a.probe,
+                Probe::Text {
+                    truncated: true,
+                    ..
+                }
+            )
+        };
+        if self.pred.is_some() || self.anchors.iter().any(truncated) {
+            Depth::Leaves
+        } else {
+            Depth::Lps
         }
     }
 
@@ -581,14 +638,13 @@ impl<'a> AnchoredCursor<'a> {
             });
         }
         let docs = docs.unwrap_or_default();
-        let keep = |&(d, _): &(DocId, PostNum)| docs.binary_search(&d).is_ok();
         for i in 0..self.anchors.len() {
             match self.anchors[i].probe {
                 Probe::Pred(k) => {
-                    let kept = self.probed(k).iter().copied().filter(keep);
+                    let kept = self.probed(k).iter().copied().filter(held_in(&docs));
                     self.postings[i].extend(kept);
                 }
-                Probe::Text { .. } => self.postings[i].retain(keep),
+                Probe::Text { .. } => self.postings[i].retain(held_in(&docs)),
             }
         }
         Ok(())
@@ -606,6 +662,7 @@ impl<'a> AnchoredCursor<'a> {
         };
         self.doc = doc;
         self.found.clear();
+        self.order.clear();
         self.yielded = 0;
         for ((list, walked), start) in self
             .postings
@@ -644,26 +701,33 @@ impl<'a> AnchoredCursor<'a> {
         let mut img = std::mem::take(&mut self.img);
         let mut found = std::mem::take(&mut self.found);
         self.join(0, &mut img, ext, &mut found);
-        found.sort_unstable();
+        let slen = self.slen;
+        self.order
+            .extend((0..found.len()).step_by(slen + self.orig.len()));
+        self.order
+            .sort_unstable_by(|&x, &y| found[x..x + slen].cmp(&found[y..y + slen]));
         self.img = img;
         self.found = found;
         Ok(true)
     }
 
     /// Joins anchor `i`'s walks onto the images `img` the earlier
-    /// anchors fixed, and turns every complete, strictly increasing
-    /// assignment into a candidate: its images' positions through `ext`,
-    /// an EPIndex's extension numbering, or as they stand.
+    /// anchors fixed, and appends every complete assignment whose `S` —
+    /// its images' positions through `ext`, an EPIndex's extension
+    /// numbering, or as they stand — strictly increases to `found`: its
+    /// `S`, then its embedding.
     fn join(
         &self,
         i: usize,
         img: &mut [PostNum],
         ext: Option<&[PostNum]>,
-        found: &mut Vec<Vec<PostNum>>,
+        found: &mut Vec<PostNum>,
     ) {
         let Some(a) = self.anchors.get(i) else {
             let pos = |v: PostNum| ext.map_or(v, |ext| ext[v as usize]);
-            let mut s: Vec<PostNum> = img[1..img.len() - 1].iter().map(|&v| pos(v)).collect();
+            let start = found.len();
+            found.extend(img[1..img.len() - 1].iter().map(|&v| pos(v)));
+            let s = &mut found[start..];
             // A text leaf's dummy, just before it in the plan, has no image
             // of its own: it sits just after the node before the leaf's.
             // When the NPS gives that leaf a child, this is the leaf's own
@@ -674,7 +738,9 @@ impl<'a> AnchoredCursor<'a> {
                 }
             }
             if s.windows(2).all(|w| w[0] < w[1]) {
-                found.push(s);
+                found.extend(self.orig.iter().map(|&e| img[e as usize]));
+            } else {
+                found.truncate(start);
             }
             return;
         };
@@ -700,26 +766,34 @@ impl<'a> AnchoredCursor<'a> {
             }
         }
     }
+
+    /// The `S` of the match yielded last.
+    #[cfg(test)]
+    fn positions(&self) -> &[PostNum] {
+        let at = self.order[self.yielded - 1];
+        &self.found[at..at + self.slen]
+    }
 }
 
 impl Source for AnchoredCursor<'_> {
     /// Loads each document it enters through `views`, on the filter
-    /// clock.
+    /// clock, and yields its matches' embeddings.
     fn next(&mut self, views: &mut Views<'_>) -> Result<Option<(DocId, &[PostNum])>> {
         let t0 = Instant::now();
         if !self.probed {
             self.probed = true;
             self.probe()?;
         }
-        while !self.done && self.yielded == self.found.len() {
+        while !self.done && self.yielded == self.order.len() {
             self.done = !self.next_doc(views)?;
         }
         self.stats.filter_time += t0.elapsed();
         if self.done {
             return Ok(None);
         }
+        let at = self.order[self.yielded] + self.slen;
         self.yielded += 1;
-        Ok(Some((self.doc, &self.found[self.yielded - 1])))
+        Ok(Some((self.doc, &self.found[at..at + self.orig.len()])))
     }
 
     /// The probes, their postings, the documents the predicate
@@ -733,13 +807,33 @@ impl Source for AnchoredCursor<'_> {
     }
 }
 
+/// A filter over `(doc, post)` postings in document order that keeps
+/// those of the documents `docs` (ascending) holds: one merge walk over
+/// the two lists, however many postings a document has.
+fn held_in(docs: &[DocId]) -> impl FnMut(&(DocId, PostNum)) -> bool + '_ {
+    let mut at = 0;
+    move |&(doc, _)| {
+        while docs.get(at).is_some_and(|&d| d < doc) {
+            at += 1;
+        }
+        docs.get(at) == Some(&doc)
+    }
+}
+
 /// Appends to `out` the images of anchor `a`'s walk from the leaf at
 /// `post` up to the query root — `at`'s, then each node's of `up` — if
-/// a text leaf carries the value and every node the query's label. A
-/// predicate's walk is appended once per image of its node, with the
-/// dummy under it on that image's first child.
+/// every node carries the query's label, and a text leaf under a
+/// truncated key the value. (The tier files every leaf under its parent's
+/// tag and its own name, one symbol's, so an exact key already names the
+/// value.) A predicate's walk is appended once per image of its node,
+/// with the dummy under it on that image's first child.
 fn climb(view: &DocData, a: &Anchor, post: PostNum, out: &mut Vec<PostNum>) {
-    if let Probe::Text { value, .. } = a.probe {
+    if let Probe::Text {
+        value,
+        truncated: true,
+        ..
+    } = a.probe
+    {
         let own = view.leaves.binary_search_by_key(&post, |l| l.1);
         if own.map(|k| view.leaves[k].0) != Ok(value) {
             return;
@@ -800,18 +894,17 @@ struct OneDoc {
 ///
 /// A stream whose candidates arrive grouped by document — an unlimited
 /// trie stream after its sort, and every anchored stream — never returns
-/// to a document it has left, so it keeps one view and one dedup set,
-/// reset when the document changes: its vectors grow to the widest
-/// document and are then reused, and nothing is left to free when the
-/// stream ends. A limited trie stream refines in trie order, which
-/// interleaves documents, so its dedup must span them: it keeps every
-/// document's view and dedup set, each document read once, through the
-/// same [`DocBuf`].
+/// to a document it has left, so it keeps one view, and a trie stream
+/// one dedup set, reset when the document changes: its vectors grow to
+/// the widest document and are then reused, and nothing is left to free
+/// when the stream ends. A limited trie stream refines in trie order,
+/// which interleaves documents, so its dedup must span them: it keeps
+/// every document's view and dedup set, each document read once, through
+/// the same [`DocBuf`].
 pub(crate) struct Views<'a> {
     idx: &'a PrixIndex,
-    /// Whether the views need the LPS and leaf list: for the leaf check,
-    /// or for predicate verification.
-    need_leaf_data: bool,
+    /// How much of each record the views decode.
+    depth: Depth,
     buf: DocBuf,
     one: OneDoc,
     /// A limited trie stream's views and dedup sets, per document;
@@ -820,60 +913,56 @@ pub(crate) struct Views<'a> {
 }
 
 impl<'a> Views<'a> {
-    /// `walk`: an anchored stream walks each document's regular view.
-    fn new(idx: &'a PrixIndex, need_leaf_data: bool, walk: bool, grouped: bool) -> Self {
+    fn new(idx: &'a PrixIndex, depth: Depth, grouped: bool) -> Self {
         Views {
             idx,
-            need_leaf_data,
-            buf: DocBuf {
-                walk,
-                ..DocBuf::default()
-            },
+            depth,
+            buf: DocBuf::default(),
             one: OneDoc::default(),
             spread: (!grouped).then(HashMap::new),
         }
     }
 
-    /// `doc`'s view and the embeddings emitted from it, the document
-    /// read first unless it is held.
+    /// `doc`'s view — what the index refines against — and the
+    /// embeddings emitted from it, the document read first unless it is
+    /// held.
     fn get(&mut self, doc: DocId) -> Result<(&DocData, &mut Seen)> {
-        if self.spread.is_none() {
+        let Some(spread) = &mut self.spread else {
             if self.one.doc != Some(doc) {
-                self.load(doc)?;
+                let (idx, depth, buf) = (self.idx, self.depth, &mut self.buf);
+                self.one
+                    .enter(doc, |data| idx.load_doc_into(doc, depth, buf, data))?;
             }
             return Ok((&self.one.data, &mut self.one.seen));
-        }
-        let spread = self.spread.get_or_insert_with(HashMap::new);
+        };
         let (data, seen) = match spread.entry(doc) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
                 let mut data = DocData::default();
                 self.idx
-                    .load_doc_into(doc, self.need_leaf_data, &mut self.buf, &mut data)?;
+                    .load_doc_into(doc, self.depth, &mut self.buf, &mut data)?;
                 e.insert((data, Seen::new()))
             }
         };
         Ok((data, seen))
     }
 
-    /// Loads `doc` into the one view, which is no document's until the
-    /// load succeeds: a record that does not load never leaves the
-    /// previous document's view standing under this one's id. Returns
-    /// the document's regular view — on an EPIndex, the one the view was
-    /// derived from — and an EPIndex's extension numbering of it
-    /// ([`crate::index::extension_numbering`]): what an anchored stream
-    /// walks, and maps its images through.
+    /// An anchored stream's load: `doc`'s regular view, decoded into the
+    /// one view, and on an EPIndex its extension numbering
+    /// ([`crate::index::extension_numbering`]), which the join maps its
+    /// images through. No extended view is derived.
     fn load(&mut self, doc: DocId) -> Result<(&DocData, Option<&[PostNum]>)> {
-        let one = &mut self.one;
-        one.doc = None;
-        self.idx
-            .load_doc_into(doc, self.need_leaf_data, &mut self.buf, &mut one.data)?;
-        one.doc = Some(doc);
-        one.seen.clear();
-        Ok(match self.idx.kind() {
-            IndexKind::Regular => (&one.data, None),
-            IndexKind::Extended => (&self.buf.regular, Some(&self.buf.ext)),
-        })
+        let (idx, depth, buf) = (self.idx, self.depth, &mut self.buf);
+        let extended = idx.kind() == IndexKind::Extended;
+        self.one.enter(doc, |data| {
+            idx.doc_record_into(doc, &mut buf.record)?;
+            decode_doc_record_into(&buf.record, depth, data).ok_or_else(corrupt_record)?;
+            if extended {
+                extension_numbering(&data.nps, &mut buf.ext).ok_or_else(corrupt_record)?;
+            }
+            Ok(())
+        })?;
+        Ok((&self.one.data, extended.then_some(&self.buf.ext[..])))
     }
 
     /// How many views and dedup sets are held.
@@ -886,6 +975,19 @@ impl<'a> Views<'a> {
     }
 }
 
+impl OneDoc {
+    /// Reads `doc` into the view with `read`. The view is no document's
+    /// until the read succeeds: a record that does not load never leaves
+    /// the previous document's view standing under this one's id.
+    fn enter(&mut self, doc: DocId, read: impl FnOnce(&mut DocData) -> Result<()>) -> Result<()> {
+        self.doc = None;
+        read(&mut self.data)?;
+        self.doc = Some(doc);
+        self.seen.clear();
+        Ok(())
+    }
+}
+
 /// Algorithm 2 refinement + embedding projection + dedup + predicate
 /// verification as a per-candidate stage. Order-agnostic: feeding it
 /// candidates in any order yields the same set of distinct matches
@@ -893,7 +995,10 @@ impl<'a> Views<'a> {
 /// [`Views`]'s: one view for a stream grouped by document, one per
 /// document otherwise. Per candidate it allocates nothing but the
 /// match it emits: the checks read the view in place, and the embedding
-/// and its projection go to buffers the stage keeps.
+/// and its projection go to buffers the stage keeps. An anchored
+/// stream's matches skip refinement, projection and dedup: only the
+/// absolute-root check and predicate verification run
+/// ([`RefineStage::accept`]).
 pub(crate) struct RefineStage<'a> {
     views: Views<'a>,
     /// Value-predicate evaluator: refined matches must pass its
@@ -985,6 +1090,27 @@ impl<'a> RefineStage<'a> {
             embedding: base.clone(),
         }))
     }
+
+    /// Takes a match an anchored source proved, in its document's regular
+    /// view (the one view the source loaded), through the absolute-root
+    /// check and predicate verification, on the refine clock. Its join
+    /// already did what Algorithm 2 and projection do, and made it
+    /// distinct, so it counts as a refined candidate as it comes.
+    fn accept(&mut self, absolute: bool, doc: DocId, embedding: &[PostNum]) -> Option<TwigMatch> {
+        debug_assert_eq!(self.views.one.doc, Some(doc));
+        self.candidates += 1;
+        self.refined += 1;
+        let t0 = Instant::now();
+        let data = &self.views.one.data;
+        let rooted = !absolute || embedding.last() == Some(&data.n_orig);
+        let verified = rooted && self.pred.is_none_or(|p| p.matches(data, embedding));
+        self.pred_rejected += u64::from(rooted && !verified);
+        self.refine_time += t0.elapsed();
+        verified.then(|| TwigMatch {
+            doc,
+            embedding: embedding.to_vec(),
+        })
+    }
 }
 
 /// The one executor, behind [`PrixIndex::stream`]: candidates → refine
@@ -995,6 +1121,9 @@ impl<'a> RefineStage<'a> {
 /// docs for why), an anchored source yields that order as it goes.
 pub struct MatchStream<'a> {
     source: Box<dyn Source + 'a>,
+    /// Whether the source yields proven matches (it is anchored), not
+    /// candidates for Algorithm 2.
+    proven: bool,
     stage: RefineStage<'a>,
     plan: QueryPlan,
     absolute: bool,
@@ -1018,15 +1147,18 @@ impl<'a> MatchStream<'a> {
         setup: Instant,
     ) -> Self {
         let anchored = values.and_then(|v| Some((v.run, plan_anchors(idx, &plan, &v, pred)?)));
-        let walk = anchored.is_some();
+        let proven = anchored.is_some();
         // An anchored source yields one document at a time, and an
         // unlimited trie stream refines its sorted candidates: both
         // arrive grouped by document.
         let unlimited = opts.limit.is_none();
-        let grouped = walk || unlimited;
-        let views = Views::new(idx, !plan.skip_leaf || pred.is_some(), walk, grouped);
-        let source: Box<dyn Source + 'a> = match anchored {
-            Some((run, anchors)) => Box::new(AnchoredCursor::new(idx, run, anchors, &plan, pred)),
+        let grouped = proven || unlimited;
+        let (source, depth): (Box<dyn Source + 'a>, _) = match anchored {
+            Some((run, anchors)) => {
+                let cursor = AnchoredCursor::new(idx, run, anchors, &plan, pred);
+                let depth = cursor.depth();
+                (Box::new(cursor), depth)
+            }
             None => {
                 let rules = if opts.use_maxgap {
                     idx.gap_rules(&plan)
@@ -1034,12 +1166,16 @@ impl<'a> MatchStream<'a> {
                     vec![None; plan.seq.len().saturating_sub(1)]
                 };
                 let lps = plan.seq.lps.clone();
-                Box::new(CandidateCursor::new(idx, lps, rules, pred, unlimited))
+                let cursor = CandidateCursor::new(idx, lps, rules, pred, unlimited);
+                let leaf_data = !plan.skip_leaf || pred.is_some();
+                let depth = if leaf_data { Depth::Leaves } else { Depth::Nps };
+                (Box::new(cursor), depth)
             }
         };
         MatchStream {
             source,
-            stage: RefineStage::new(views, pred),
+            proven,
+            stage: RefineStage::new(Views::new(idx, depth, grouped), pred),
             plan,
             absolute,
             limit: opts.limit,
@@ -1053,13 +1189,15 @@ impl<'a> MatchStream<'a> {
     /// further index work happens after that.
     pub fn next_match(&mut self) -> Result<Option<TwigMatch>> {
         while self.limit.is_none_or(|k| (self.emitted as usize) < k) {
-            let Some((doc, positions)) = self.source.next(&mut self.stage.views)? else {
+            let Some((doc, pulled)) = self.source.next(&mut self.stage.views)? else {
                 break;
             };
-            if let Some(m) = self
-                .stage
-                .process(&self.plan, self.absolute, doc, positions)?
-            {
+            let m = if self.proven {
+                self.stage.accept(self.absolute, doc, pulled)
+            } else {
+                self.stage.process(&self.plan, self.absolute, doc, pulled)?
+            };
+            if let Some(m) = m {
                 self.emitted += 1;
                 return Ok(Some(m));
             }
@@ -1097,14 +1235,17 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::Arc;
 
+    use prix_prufer::{embedding_into, refine_match, RefineCtx};
     use prix_storage::{MemSegEnv, RawStore};
+    use prix_testkit::TestRng;
     use prix_xml::Collection;
 
-    use super::{MatchStream, TierValues, Views};
+    use super::{plan_anchors, AnchoredCursor, MatchStream, Source, TierValues, Views};
     use crate::engine::{EngineConfig, PrixEngine};
-    use crate::index::ExecOpts;
+    use crate::index::{project_embedding_into, Depth, ExecOpts, PrixIndex};
     use crate::naive::naive_ordered;
     use crate::segbuild::BulkBuilder;
+    use crate::valix::{PredEval, STR_KEY_CAP};
     use crate::xpath::parse_xpath;
 
     /// `(doc, embedding)` pairs.
@@ -1245,7 +1386,7 @@ mod tests {
     fn a_document_that_fails_to_load_leaves_no_view_standing() {
         let engine = six_docs();
         let idx = &engine.seg_tiers()[0].ep;
-        let mut views = Views::new(idx, true, false, true);
+        let mut views = Views::new(idx, Depth::Leaves, true);
         let first = views.get(0).unwrap().0.clone();
         assert_eq!(views.held(), 1);
         assert!(views.get(99).is_err(), "past the tier");
@@ -1253,17 +1394,22 @@ mod tests {
         assert!(views.get(99).is_err());
         assert_eq!(views.get(0).unwrap().0, &first);
 
-        // An anchored stream's load: the regular view it walks, with its
-        // leaf data, and the extension numbering.
-        let mut views = Views::new(idx, false, true, true);
-        let (regular, ext) = views.load(0).unwrap();
-        assert_eq!(regular.leaves.len(), 2);
-        assert_eq!(ext.map(<[u32]>::len), Some(regular.nps.len() + 2));
-        assert_eq!(views.held(), 1);
-        assert!(views.load(99).is_err(), "past the tier");
-        assert_eq!(views.held(), 0);
-        assert!(views.get(0).is_ok());
-        assert_eq!(views.held(), 1);
+        // An anchored stream's load: the regular view it walks, no
+        // extended view, the leaf list decoded exactly when the depth
+        // asks for it, and the extension numbering.
+        for (depth, leaves) in [(Depth::Lps, 0), (Depth::Leaves, 2)] {
+            let mut views = Views::new(idx, depth, true);
+            let (regular, ext) = views.load(0).unwrap();
+            assert_eq!(regular.orig_map, None, "{depth:?}");
+            assert_eq!(regular.lps.len(), regular.nps.len(), "{depth:?}");
+            assert_eq!(regular.leaves.len(), leaves, "{depth:?}");
+            assert_eq!(ext.map(<[u32]>::len), Some(regular.nps.len() + 2));
+            assert_eq!(views.held(), 1);
+            assert!(views.load(99).is_err(), "past the tier");
+            assert_eq!(views.held(), 0);
+            assert!(views.get(0).is_ok());
+            assert_eq!(views.held(), 1);
+        }
     }
 
     /// A bulk-built tier of the one document `xml`, in memory.
@@ -1328,5 +1474,178 @@ mod tests {
             assert_eq!(stats.valix_postings, 1, "{what}");
             assert_eq!(stats.candidates, 0, "{what}");
         }
+    }
+
+    const NAMES: [&str; 4] = ["a", "b", "c", "d"];
+
+    /// The values of the random documents and twigs: two of them longer
+    /// than a value-run key holds, equal in their first
+    /// [`STR_KEY_CAP`] bytes.
+    fn values() -> [String; 6] {
+        let long = "w".repeat(STR_KEY_CAP + 20);
+        [
+            "v1",
+            "v2",
+            "5",
+            "17",
+            &format!("{long}1"),
+            &format!("{long}2"),
+        ]
+        .map(String::from)
+    }
+
+    /// A random document of up to four levels over four element names,
+    /// with value leaves, some of them among an element's children, and
+    /// empty elements at the bottom.
+    fn random_doc(rng: &mut TestRng, depth: u32, out: &mut String) {
+        let name = *rng.pick(&NAMES);
+        out.push_str(&format!("<{name}>"));
+        if depth > 0 && rng.chance(0.4) {
+            out.push_str(rng.pick::<String>(&values()));
+        } else if depth < 3 {
+            for _ in 0..1 + rng.below(4) {
+                if rng.chance(0.15) {
+                    out.push_str(rng.pick::<String>(&values()));
+                } else {
+                    random_doc(rng, depth + 1, out);
+                }
+            }
+        }
+        out.push_str(&format!("</{name}>"));
+    }
+
+    /// A random predicate whose path ends in an anchor: a text leaf, or a
+    /// leaf carrying `=`, `<` or `starts-with`.
+    fn anchor_pred(rng: &mut TestRng) -> String {
+        let mut path = rng.pick(&NAMES).to_string();
+        if rng.chance(0.2) {
+            path = format!("{path}/{}", rng.pick(&NAMES));
+        }
+        let value = rng.pick(&values()).clone();
+        match rng.below(5) {
+            0 | 1 => format!(r#"./{path}="{value}""#),
+            2 => format!(r#"{path} = "{value}""#),
+            3 => format!("./{path} < {}", rng.pick(&["6", "20"])),
+            _ => format!(r#"starts-with(./{path}, "{}")"#, &value[..1]),
+        }
+    }
+
+    /// A random twig whose edges below the root are all `/` and whose
+    /// leaves are all anchors: one or two steps, each with anchored
+    /// branches, the last step possibly a leaf with a predicate of its
+    /// own.
+    fn random_twig(rng: &mut TestRng) -> String {
+        let axis = if rng.chance(0.25) { "/" } else { "//" };
+        let mut q = format!("{axis}{}", rng.pick(&NAMES));
+        let steps = rng.below(2);
+        for k in 0..=steps {
+            if k > 0 {
+                q.push_str(&format!("/{}", rng.pick(&NAMES)));
+            }
+            if k == steps && k > 0 && rng.chance(0.25) {
+                q.push_str(&format!("[. >= {}]", rng.pick(&["5", "17"])));
+                break;
+            }
+            let branches = if k == steps {
+                1 + rng.below(2)
+            } else {
+                rng.below(2)
+            };
+            for _ in 0..branches {
+                q.push_str(&format!("[{}]", anchor_pred(rng)));
+            }
+        }
+        q
+    }
+
+    /// The matches of `idx`'s unlimited stream of `q`, anchored on
+    /// `values` when given, in the order it yields them.
+    fn stream_matches(
+        idx: &PrixIndex,
+        q: &crate::query::TwigQuery,
+        pred: Option<&PredEval<'_>>,
+        values: Option<TierValues<'_>>,
+    ) -> Matches {
+        let mut stream = idx.stream_tier(q, &ExecOpts::new(), pred, values).unwrap();
+        let mut out = Vec::new();
+        while let Some(m) = stream.next_match().unwrap() {
+            out.push((m.doc, m.embedding));
+        }
+        out
+    }
+
+    /// Every match an anchored stream yields without Algorithm 2 is one
+    /// the trie path's checks accept on the same candidate: on random
+    /// documents and all-`/` twigs with text and predicate leaves, on the
+    /// RPIndex and the EPIndex, the document's LPS at `S` is the plan's,
+    /// `refine_match` accepts `S` on the view the trie path refines
+    /// against, projecting the embedding that gives is the match, and no
+    /// `(doc, embedding)` pair repeats. The anchored and trie streams
+    /// answer alike, in the same order.
+    #[test]
+    fn anchored_matches_pass_the_trie_paths_checks() {
+        let mut rng = TestRng::from_seed(0x5eed_0047);
+        let mut checked = [0; 2];
+        for _ in 0..60 {
+            let mut c = Collection::new();
+            for _ in 0..12 {
+                let mut xml = String::new();
+                random_doc(&mut rng, 0, &mut xml);
+                c.add_xml(&xml).unwrap();
+            }
+            let engine = PrixEngine::build(c, EngineConfig::default()).unwrap();
+            let tier = &engine.seg_tiers()[0];
+            let values = TierValues {
+                run: &tier.vx,
+                rp: &tier.rp,
+                syms: engine.symbols(),
+            };
+            for _ in 0..24 {
+                let xpath = random_twig(&mut rng);
+                let q = parse_xpath(&xpath, &mut engine.symbols().clone()).unwrap();
+                let pred = PredEval::build(&q, engine.seg_tiers(), engine.symbols()).unwrap();
+                let pred = pred.as_ref();
+                for (kind, idx) in [&tier.rp, &tier.ep].into_iter().enumerate() {
+                    let Ok(plan) = idx.plan(&q) else {
+                        continue;
+                    };
+                    let Some(anchors) = plan_anchors(idx, &plan, &values, pred) else {
+                        continue;
+                    };
+                    let mut cursor = AnchoredCursor::new(idx, values.run, anchors, &plan, pred);
+                    let mut views = Views::new(idx, cursor.depth(), true);
+                    let mut seen = HashSet::new();
+                    while let Some((doc, emb)) = cursor.next(&mut views).unwrap() {
+                        let emb = emb.to_vec();
+                        let s = cursor.positions();
+                        let view = idx.load_doc(doc, Depth::Leaves).unwrap();
+                        let what = format!("{xpath} on {}, doc {doc}, S {s:?}", idx.kind());
+                        let lps: Vec<_> = s.iter().map(|&p| view.lps.get(p as usize - 1)).collect();
+                        let want: Vec<_> = plan.seq.lps.iter().map(Some).collect();
+                        assert_eq!(lps, want, "{what}");
+                        let ctx = RefineCtx {
+                            doc_nps: &view.nps,
+                            query_nps: &plan.seq.nps,
+                            positions: s,
+                            edges: &plan.edges,
+                            query_leaves: &plan.leaves,
+                            doc_leaves: &view.leaves,
+                            doc_lps: &view.lps,
+                            skip_leaf_check: plan.skip_leaf,
+                        };
+                        assert!(refine_match(&ctx), "{what}");
+                        let (mut img, mut base) = (Vec::new(), Vec::new());
+                        embedding_into(&plan.seq.nps, s, &view.nps, &mut img);
+                        project_embedding_into(&plan, &view, &img, &mut base).unwrap();
+                        assert_eq!(base, emb, "{what}");
+                        assert!(seen.insert((doc, emb)), "{what}: repeated");
+                        checked[kind] += 1;
+                    }
+                    let anchored = stream_matches(idx, &q, pred, Some(values));
+                    assert_eq!(anchored, stream_matches(idx, &q, pred, None), "{xpath}");
+                }
+            }
+        }
+        assert!(checked.iter().all(|&n| n >= 200), "{checked:?}");
     }
 }

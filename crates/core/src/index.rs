@@ -440,15 +440,15 @@ impl DocData {
     /// extended node `v + #(original leaves with postorder ≤ v)`
     /// ([`extension_numbering`]). The extended NPS, the ext→orig map and
     /// `n_orig` therefore follow from the regular NPS alone: with
-    /// `need_leaf_data` unset that is all this reads, and the extended
+    /// `leaf_data` unset that is all this reads, and the extended
     /// LPS and leaf list stay empty. With it set, they need the leaf list
     /// too: a dummy's parent label is its leaf's, and every extended leaf
     /// is a dummy. `None` when this is not one tree's regular view: a
     /// parent at or below its child or past the root, or a leaf list that
     /// is not exactly the leaves in postorder.
-    pub(crate) fn extended(&self, dummy: Sym, need_leaf_data: bool) -> Option<DocData> {
+    pub(crate) fn extended(&self, dummy: Sym, leaf_data: bool) -> Option<DocData> {
         let mut out = DocData::default();
-        self.extended_into(dummy, need_leaf_data, &mut Vec::new(), &mut out)
+        self.extended_into(dummy, leaf_data, &mut Vec::new(), &mut out)
             .map(|()| out)
     }
 
@@ -458,7 +458,7 @@ impl DocData {
     pub(crate) fn extended_into(
         &self,
         dummy: Sym,
-        need_leaf_data: bool,
+        leaf_data: bool,
         ext: &mut Vec<PostNum>,
         out: &mut DocData,
     ) -> Option<()> {
@@ -482,7 +482,7 @@ impl DocData {
         }
         out.lps.clear();
         out.leaves.clear();
-        if need_leaf_data {
+        if leaf_data {
             let mut stored = self.leaves.iter();
             for (v, &e) in ext.iter().enumerate().skip(1) {
                 if is_leaf(v) {
@@ -1101,13 +1101,15 @@ impl PrixIndex {
     }
 
     /// Reads a document's refinement data: its record's regular view,
-    /// or for an EPIndex the extended view derived from it. The LPS and
-    /// leaf list are only needed by the leaf-matching phase;
-    /// extended-query plans skip it, so the decode stops after the NPS
-    /// and leaves that part of the record undecoded.
-    pub(crate) fn load_doc(&self, doc: DocId, need_leaf_data: bool) -> Result<DocData> {
+    /// or for an EPIndex the extended view derived from it, decoded to
+    /// `depth`. The LPS and leaf list are only needed by the
+    /// leaf-matching phase and by predicate verification;
+    /// extended-query plans skip the former, so without a predicate the
+    /// decode stops after the NPS and leaves the rest of the record
+    /// undecoded.
+    pub(crate) fn load_doc(&self, doc: DocId, depth: Depth) -> Result<DocData> {
         let mut out = DocData::default();
-        self.load_doc_into(doc, need_leaf_data, &mut DocBuf::default(), &mut out)
+        self.load_doc_into(doc, depth, &mut DocBuf::default(), &mut out)
             .map(|()| out)
     }
 
@@ -1116,13 +1118,28 @@ impl PrixIndex {
     pub(crate) fn load_doc_into(
         &self,
         doc: DocId,
-        need_leaf_data: bool,
+        depth: Depth,
         buf: &mut DocBuf,
         out: &mut DocData,
     ) -> Result<()> {
         self.doc_record_into(doc, &mut buf.record)?;
-        buf.view_into(self.kind, self.dummy, need_leaf_data, out)
+        buf.view_into(self.kind, self.dummy, depth, out)
     }
+}
+
+/// How much of a record a load decodes. A record is `n | NPS | LPS |
+/// leaves` ([`encode_doc_record`]), and each depth decodes the parts
+/// before its own too.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Depth {
+    /// The NPS: what Algorithm 2 reads when the plan skips the leaf
+    /// check and no predicate is verified.
+    Nps,
+    /// The NPS and LPS: what an anchored walk reads.
+    Lps,
+    /// The whole record: the leaf check and predicate verification read
+    /// the leaf list, and an extended view's LPS is derived from it.
+    Leaves,
 }
 
 /// What a stream reads documents through, one at a time: a record's
@@ -1137,35 +1154,32 @@ pub(crate) struct DocBuf {
     /// EPIndex derives the extended view from it).
     pub(crate) regular: DocData,
     /// The regular view's [`extension_numbering`], which
-    /// [`DocData::extended_into`] leaves here.
+    /// [`DocData::extended_into`] leaves here, or an anchored stream's
+    /// load computes alone.
     pub(crate) ext: Vec<PostNum>,
-    /// Whether the regular view keeps its LPS and leaf list when the
-    /// view refined against needs neither: an anchored stream walks it.
-    pub(crate) walk: bool,
 }
 
 impl DocBuf {
     /// What an index of `kind` refines against, from the record in
-    /// `self.record`, into `out`: the regular view, or the extended view
-    /// derived from it. On an error, `out` holds no view.
+    /// `self.record`, into `out`: the regular view decoded to `depth`,
+    /// or the extended view derived from it, with its LPS and leaf list
+    /// when `depth` is [`Depth::Leaves`]. On an error, `out` holds no
+    /// view.
     pub(crate) fn view_into(
         &mut self,
         kind: IndexKind,
         dummy: Sym,
-        need_leaf_data: bool,
+        depth: Depth,
         out: &mut DocData,
     ) -> Result<()> {
-        let regular_leaf_data = need_leaf_data || self.walk;
         match kind {
-            IndexKind::Regular => decode_doc_record_into(&self.record, regular_leaf_data, out),
-            IndexKind::Extended => {
-                decode_doc_record_into(&self.record, regular_leaf_data, &mut self.regular).and_then(
-                    |()| {
-                        self.regular
-                            .extended_into(dummy, need_leaf_data, &mut self.ext, out)
-                    },
-                )
-            }
+            IndexKind::Regular => decode_doc_record_into(&self.record, depth, out),
+            IndexKind::Extended => decode_doc_record_into(&self.record, depth, &mut self.regular)
+                .and_then(|()| {
+                    let leaf_data = depth == Depth::Leaves;
+                    self.regular
+                        .extended_into(dummy, leaf_data, &mut self.ext, out)
+                }),
         }
         .ok_or_else(corrupt_record)
     }
@@ -1178,15 +1192,14 @@ pub(crate) fn doc_view(
     record: &[u8],
     kind: IndexKind,
     dummy: Sym,
-    need_leaf_data: bool,
+    depth: Depth,
 ) -> Result<DocData> {
     let mut buf = DocBuf {
         record: record.to_vec(),
         ..DocBuf::default()
     };
     let mut out = DocData::default();
-    buf.view_into(kind, dummy, need_leaf_data, &mut out)
-        .map(|()| out)
+    buf.view_into(kind, dummy, depth, &mut out).map(|()| out)
 }
 
 /// The refusal of a record that is not one tree's regular view.
@@ -1344,25 +1357,20 @@ pub(crate) fn encode_doc_record(d: &DocData) -> Vec<u8> {
     w.0
 }
 
-/// Inverse of [`encode_doc_record`], the regular view. With
-/// `need_leaf_data` unset it stops after the NPS and leaves the LPS and
-/// leaf list, the rest of the blob, undecoded. `None` when the bytes it
-/// decodes are not one whole record (short, or with bytes left over
-/// after the leaf list), or its NPS names a parent at or below its
-/// child or past the root: segment blocks are not checksummed on the
-/// query path.
-pub(crate) fn decode_doc_record(bytes: &[u8], need_leaf_data: bool) -> Option<DocData> {
+/// Inverse of [`encode_doc_record`], the regular view, decoded to
+/// `depth`: what lies past it (the LPS, the leaf list) is left undecoded
+/// and its vectors empty. `None` when the bytes it decodes are not one
+/// whole record (short, or with bytes left over after the leaf list), or
+/// its NPS names a parent at or below its child or past the root:
+/// segment blocks are not checksummed on the query path.
+pub(crate) fn decode_doc_record(bytes: &[u8], depth: Depth) -> Option<DocData> {
     let mut out = DocData::default();
-    decode_doc_record_into(bytes, need_leaf_data, &mut out).map(|()| out)
+    decode_doc_record_into(bytes, depth, &mut out).map(|()| out)
 }
 
 /// [`decode_doc_record`] written into `out`, whose vectors it reuses.
 /// On `None`, `out` holds no view.
-pub(crate) fn decode_doc_record_into(
-    bytes: &[u8],
-    need_leaf_data: bool,
-    out: &mut DocData,
-) -> Option<()> {
+pub(crate) fn decode_doc_record_into(bytes: &[u8], depth: Depth, out: &mut DocData) -> Option<()> {
     let mut r = codec::Reader(bytes);
     let n = r.var()?;
     out.nps.clear();
@@ -1379,8 +1387,10 @@ pub(crate) fn decode_doc_record_into(
     out.lps.clear();
     out.leaves.clear();
     out.orig_map = None;
-    if need_leaf_data {
+    if depth >= Depth::Lps {
         r.var32s_each(n, |s| out.lps.push(Sym(s)))?;
+    }
+    if depth == Depth::Leaves {
         let nl = r.var()?;
         if nl.checked_mul(2)? > r.0.len() as u64 {
             return None;
@@ -1615,7 +1625,7 @@ mod tests {
         assert!(panicked.join().is_err());
         let refusals = [
             run(&view, &q, &ExecOpts::new()).err(),
-            view.load_doc(0, true).err(),
+            view.load_doc(0, Depth::Leaves).err(),
             e.snapshot().query(&q).err(),
             e.insert_document("<a><b><c/></b></a>").err(),
         ];
@@ -1677,12 +1687,18 @@ mod tests {
     fn load_doc_outside_the_tier_is_an_error_not_a_panic() {
         let mut c = small_collection();
         let mut idx = build_index(&mut c, IndexKind::Regular);
-        assert!(idx.load_doc(3, true).is_ok());
-        let err = idx.load_doc(4, true).expect_err("past the end").to_string();
+        assert!(idx.load_doc(3, Depth::Leaves).is_ok());
+        let err = idx
+            .load_doc(4, Depth::Leaves)
+            .expect_err("past the end")
+            .to_string();
         assert!(err.contains("names document 4"), "{err}");
         idx.set_doc_base(10);
-        assert!(idx.load_doc(13, false).is_ok());
-        assert!(idx.load_doc(9, false).is_err(), "below the tier's base");
+        assert!(idx.load_doc(13, Depth::Nps).is_ok());
+        assert!(
+            idx.load_doc(9, Depth::Nps).is_err(),
+            "below the tier's base"
+        );
     }
 
     #[test]
@@ -1880,8 +1896,16 @@ mod tests {
             leaves: vec![],
             ..whole.clone()
         };
-        assert_eq!(decode_doc_record(&good, true), Some(whole));
-        assert_eq!(decode_doc_record(&good, false).as_ref(), Some(&bare));
+        assert_eq!(
+            decode_doc_record(&good, Depth::Leaves).as_ref(),
+            Some(&whole)
+        );
+        assert_eq!(decode_doc_record(&good, Depth::Nps).as_ref(), Some(&bare));
+        let walked = DocData {
+            leaves: vec![],
+            ..whole.clone()
+        };
+        assert_eq!(decode_doc_record(&good, Depth::Lps), Some(walked));
         let one = DocData {
             nps: vec![],
             lps: vec![],
@@ -1889,7 +1913,10 @@ mod tests {
             orig_map: None,
             n_orig: 1,
         };
-        assert_eq!(decode_doc_record(&encode_doc_record(&one), true), Some(one));
+        assert_eq!(
+            decode_doc_record(&encode_doc_record(&one), Depth::Leaves),
+            Some(one)
+        );
 
         // `n | nps × n | lps × n | leaf count | (sym, post) × count`,
         // each word a varint.
@@ -1905,7 +1932,7 @@ mod tests {
             record(&[2, 3, 2, 0]),
             record(&[1, 3, 0]),
         ] {
-            assert!(decode_doc_record(&bad, true).is_none(), "{bad:?}");
+            assert!(decode_doc_record(&bad, Depth::Leaves).is_none(), "{bad:?}");
         }
 
         #[derive(Debug, Clone)]
@@ -1952,10 +1979,10 @@ mod tests {
                     None
                 }
             };
-            for leaf in [true, false] {
-                let _ = doc_view(&bytes, IndexKind::Extended, Sym(1), leaf);
+            for depth in [Depth::Leaves, Depth::Nps] {
+                let _ = doc_view(&bytes, IndexKind::Extended, Sym(1), depth);
             }
-            let got = [true, false].map(|leaf| decode_doc_record(&bytes, leaf));
+            let got = [Depth::Leaves, Depth::Nps].map(|depth| decode_doc_record(&bytes, depth));
             match refused {
                 None => Ok(()),
                 Some(refused) if refused == got.each_ref().map(Option::is_none) => {
@@ -1984,18 +2011,20 @@ mod tests {
         let mut buf = DocBuf::default();
         let mut out = DocData::default();
         let (w, n) = (&wide, &narrow);
-        for (bytes, leaf) in [
-            (w, true),
-            (n, true),
-            (w, false),
-            (n, false),
-            (w, true),
-            (n, false),
-            (w, false),
-            (n, true),
+        let (all, nps) = (Depth::Leaves, Depth::Nps);
+        for (bytes, depth) in [
+            (w, all),
+            (n, all),
+            (w, nps),
+            (n, nps),
+            (w, all),
+            (n, nps),
+            (w, nps),
+            (n, all),
         ] {
-            let fresh = decode_doc_record(bytes, leaf).unwrap();
-            decode_doc_record_into(bytes, leaf, &mut regular).unwrap();
+            let leaf = depth == Depth::Leaves;
+            let fresh = decode_doc_record(bytes, depth).unwrap();
+            decode_doc_record_into(bytes, depth, &mut regular).unwrap();
             assert_eq!(regular, fresh, "leaf data {leaf}");
             let fresh_ext = fresh.extended(dummy, leaf).unwrap();
             regular
@@ -2007,7 +2036,7 @@ mod tests {
                 (IndexKind::Regular, &fresh),
                 (IndexKind::Extended, &fresh_ext),
             ] {
-                buf.view_into(kind, dummy, leaf, &mut out).unwrap();
+                buf.view_into(kind, dummy, depth, &mut out).unwrap();
                 assert_eq!(&out, want, "{kind}, leaf data {leaf}");
             }
         }
@@ -2021,11 +2050,11 @@ mod tests {
             (cut, false),
             (leafy_parent, true),
         ] {
-            decode_doc_record_into(&wide, true, &mut regular).unwrap();
+            decode_doc_record_into(&wide, Depth::Leaves, &mut regular).unwrap();
             regular
                 .extended_into(dummy, true, &mut ext, &mut view)
                 .unwrap();
-            let got = decode_doc_record_into(&bad, true, &mut regular);
+            let got = decode_doc_record_into(&bad, Depth::Leaves, &mut regular);
             assert_eq!(got.is_some(), decodes, "{bad:?}");
             if decodes {
                 assert!(regular
@@ -2034,9 +2063,9 @@ mod tests {
             }
             for kind in [IndexKind::Regular, IndexKind::Extended] {
                 buf.record.clone_from(&wide);
-                buf.view_into(kind, dummy, true, &mut out).unwrap();
+                buf.view_into(kind, dummy, Depth::Leaves, &mut out).unwrap();
                 buf.record.clone_from(&bad);
-                let refused = buf.view_into(kind, dummy, true, &mut out).is_err();
+                let refused = buf.view_into(kind, dummy, Depth::Leaves, &mut out).is_err();
                 // A regular view is not derived: a leaf with a child
                 // decodes.
                 let regular_decodes = decodes && kind == IndexKind::Regular;
@@ -2054,31 +2083,43 @@ mod tests {
     fn an_extended_view_of_a_hostile_record_is_an_error_not_a_panic() {
         // Two nodes: leaf 1 under root 2.
         let ok = record(&[1, 2, 7, 1, 5, 1]);
-        assert!(doc_view(&ok, IndexKind::Extended, Sym(0), true).is_ok());
+        assert!(doc_view(&ok, IndexKind::Extended, Sym(0), Depth::Leaves).is_ok());
         let mut cut = encode_doc_record(&wide_view());
         cut.truncate(cut.len() - 3);
-        for (what, bad, leaf_data) in [
-            ("a parent past the root", record(&[1, 3, 0]), false),
-            ("a parent below its child", record(&[2, 3, 1, 0]), false),
-            ("a parent that is its child", record(&[2, 1, 3, 0]), false),
+        for (what, bad, depth) in [
+            ("a parent past the root", record(&[1, 3, 0]), Depth::Nps),
+            (
+                "a parent below its child",
+                record(&[2, 3, 1, 0]),
+                Depth::Nps,
+            ),
+            (
+                "a parent that is its child",
+                record(&[2, 1, 3, 0]),
+                Depth::Nps,
+            ),
             (
                 "a leaf count past n",
                 record(&[1, 2, 7, 3, 5, 1, 6, 1, 7, 1]),
-                true,
+                Depth::Leaves,
             ),
-            ("a leaf with a child", record(&[1, 2, 7, 1, 5, 2]), true),
-            ("no leaves", record(&[1, 2, 7, 0]), true),
-            ("a truncated leaf part", cut, true),
+            (
+                "a leaf with a child",
+                record(&[1, 2, 7, 1, 5, 2]),
+                Depth::Leaves,
+            ),
+            ("no leaves", record(&[1, 2, 7, 0]), Depth::Leaves),
+            ("a truncated leaf part", cut, Depth::Leaves),
         ] {
             for kind in [IndexKind::Regular, IndexKind::Extended] {
-                let got = doc_view(&bad, kind, Sym(0), leaf_data);
+                let got = doc_view(&bad, kind, Sym(0), depth);
                 match (kind, got) {
                     (_, Err(e)) => assert_eq!(
                         e.to_string(),
                         "unsupported query: corrupt document record",
                         "{what}"
                     ),
-                    (IndexKind::Regular, Ok(_)) if leaf_data => {}
+                    (IndexKind::Regular, Ok(_)) if depth == Depth::Leaves => {}
                     (_, Ok(v)) => panic!("{what}: {kind} view {v:?}"),
                 }
             }
@@ -2128,7 +2169,7 @@ mod tests {
         let (want, ext_tree) = extended_by_tree(tree, dummy);
         let record = encode_doc_record(&DocData::regular(tree));
         let view = |leaf| doc_view(&record, IndexKind::Extended, dummy, leaf);
-        let got = view(true).map_err(|e| e.to_string())?;
+        let got = view(Depth::Leaves).map_err(|e| e.to_string())?;
         if got != want {
             return Err(format!("{xml}: derived {got:?}, built {want:?}"));
         }
@@ -2137,7 +2178,7 @@ mod tests {
             leaves: vec![],
             ..want.clone()
         };
-        if view(false).map_err(|e| e.to_string())? != bare {
+        if view(Depth::Nps).map_err(|e| e.to_string())? != bare {
             return Err(format!("{xml}: the view without leaf data differs"));
         }
         for (kind, indexed) in [(IndexKind::Regular, tree), (IndexKind::Extended, &ext_tree)] {

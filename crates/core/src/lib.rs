@@ -80,7 +80,7 @@ mod tests {
     use crate::engine::{decode_symbols, encode_symbols};
     use crate::index::{
         decode_doc_record, decode_seg_index_meta, doc_view, encode_doc_record,
-        encode_seg_index_meta, BuildStats, DocArtifacts, IndexKind,
+        encode_seg_index_meta, BuildStats, Depth, DocArtifacts, IndexKind,
     };
     use crate::valix::PredEval;
     use crate::xpath::parse_xpath;
@@ -112,11 +112,11 @@ mod tests {
         type Decodes = fn(&[u8]) -> bool;
         let table: [(&str, Vec<u8>, Decodes); 5] = [
             ("document record", encode_doc_record(&art.data), |b| {
-                decode_doc_record(b, true).is_some()
+                decode_doc_record(b, Depth::Leaves).is_some()
             }),
             ("extended view", encode_doc_record(&art.data), |b| {
-                let view = |leaf| doc_view(b, IndexKind::Extended, Sym(0), leaf).is_ok();
-                view(false) & view(true)
+                let view = |depth| doc_view(b, IndexKind::Extended, Sym(0), depth).is_ok();
+                view(Depth::Nps) & view(Depth::Leaves)
             }),
             (
                 "segment meta blob",
@@ -142,7 +142,7 @@ mod tests {
                     [IndexKind::Regular, IndexKind::Extended]
                         .into_iter()
                         .all(|kind| {
-                            doc_view(b, kind, Sym(0), true).is_ok_and(|d| {
+                            doc_view(b, kind, Sym(0), Depth::Leaves).is_ok_and(|d| {
                                 (0..=d.nps.len() as u32 + 1)
                                     .all(|img| !eval.matches(&d, &[img, img]))
                             })

@@ -33,7 +33,7 @@ use prix_xml::{parse_document, Sym, SymbolTable, XmlTree};
 
 use crate::engine::{write_symbol_run, EngineConfig, PrixEngine, DUMMY_LABEL};
 use crate::index::{
-    corrupt_record, decode_doc_record, encode_doc_record, encode_seg_index_meta, BuildStats,
+    corrupt_record, decode_doc_record, encode_doc_record, encode_seg_index_meta, BuildStats, Depth,
     DocData, IndexError, IndexKind, Result,
 };
 use crate::valix::run_entries;
@@ -143,7 +143,7 @@ impl TierBuilder {
     /// compaction path): the bytes go into the EP file as they are,
     /// decoded once for everything else.
     pub(crate) fn add_record(&mut self, record: &[u8], syms: &SymbolTable) -> Result<()> {
-        let data = decode_doc_record(record, true).ok_or_else(corrupt_record)?;
+        let data = decode_doc_record(record, Depth::Leaves).ok_or_else(corrupt_record)?;
         self.add(&data, record, syms)
     }
 

@@ -58,7 +58,9 @@ use prix_xml::{Collection, DocId, PostNum, ScratchSyms, SymbolTable};
 use crate::arrange::{arrangements, ARRANGEMENT_LIMIT};
 use crate::engine::{PrixEngine, SegTier};
 use crate::exec::{explain_anchors, plan_anchors, TierValues};
-use crate::index::{ExecOpts, IndexError, IndexKind, PrixIndex, QueryStats, Result, TwigMatch};
+use crate::index::{
+    Depth, ExecOpts, IndexError, IndexKind, PrixIndex, QueryStats, Result, TwigMatch,
+};
 use crate::plan::{AltProvider, EngineChoice, EngineId, Routed};
 use crate::query::TwigQuery;
 use crate::valix::PredEval;
@@ -425,7 +427,7 @@ impl EngineSnapshot {
         for (rp, _, _) in self.tiers() {
             let base = rp.doc_base();
             for local in 0..rp.doc_count() as u32 {
-                let data = rp.load_doc(base + local, true)?;
+                let data = rp.load_doc(base + local, Depth::Leaves)?;
                 let tree = prix_prufer::reconstruct::tree_from_sequences(
                     &data.lps,
                     &data.nps,

@@ -62,6 +62,10 @@ cargo test --release -p prix-core --offline --locked
 # suite rerun in release, where integer overflow goes unchecked.
 cargo test --release -p prix-prufer --offline --locked
 cargo test --release --test property_engines --offline --locked
+# An anchored stream's matches skip Algorithm 2: these two suites check
+# them against the oracle and the paper's Table 3 counts, in release too.
+cargo test --release --test engines_agree --offline --locked
+cargo test --release --test table3_counts --offline --locked
 cargo test --release --test server --offline --locked
 cargo test --release --test executor_stream --offline --locked
 # The server crate's unit suites (HTTP parser, LRU/plan/result caches)

@@ -47,20 +47,27 @@
 //! (labels, connectedness, distinct images in query order), so the stage
 //! does not refine it again, project it or look it up in a dedup set; it
 //! applies only the absolute-root check and predicate verification. The
-//! source yields the matches in `(doc, S)` order, one document at a
-//! time, with a limit or without, and a limited answer is the first
-//! matches of the unlimited one.
+//! source yields the matches in the order the trie descent's `(doc, S)`
+//! sort gives them, one document at a time, with a limit or without, and
+//! a limited answer is the first matches of the unlimited one.
+//!
+//! An anchored stream needs no `QueryPlan`: it works in the query's
+//! own postorder and the record's. Its order key is every non-root query
+//! node's image in postorder, with a predicate leaf's §4.4 dummy (the
+//! image's first child) just before the leaf when the index extends the
+//! query (`PrixIndex::extends`). That is the descent's `S` up to a
+//! strictly increasing map: an EPIndex places node `v` at `v + #leaves ≤
+//! v`, and a text leaf's dummy is a strictly increasing function of the
+//! leaf's image, placed just before it, so it never decides an order; it
+//! lies strictly below its leaf exactly when the image is a leaf of the
+//! record, which the walk checks instead.
 //!
 //! Both sources sit behind one interface, `Source` (`next`, `stats`,
 //! `exhausted`), and [`MatchStream`] calls each once. Neither reads a
-//! document itself: the anchored source loads each document it walks
-//! through the refine stage's `Views::load`, which decodes the record's
-//! regular view into the stage's one view, only as far as
-//! `AnchoredCursor::depth` asks, and derives no extended view. An
-//! EPIndex's positions come from one numbering, `extension_numbering` in
-//! `index.rs` (§5.6: node `v` sits at `v + #leaves ≤ v`): the trie path
-//! derives the extended view with it, and the anchored load computes it
-//! alone, for the join to map its images' `S` through.
+//! document itself: both load documents through the refine stage's
+//! `Views::get`, a trie stream in its index's view, an anchored stream
+//! in the record's regular view, decoded only as far as
+//! `AnchoredCursor::depth` asks.
 //!
 //! A descent that stays on the trie is pruned by the rarest label of
 //! its LPS on a segment tier (`PrixIndex::rarest_label`): a row whose
@@ -77,10 +84,10 @@ use prix_storage::{ValueRunReader, VxSection};
 use prix_xml::{DocId, NodeKind, PostNum, Sym, SymbolTable};
 
 use crate::index::{
-    corrupt_record, decode_doc_record_into, extension_numbering, project_embedding_into, Depth,
-    DocBuf, DocData, ExecOpts, GapRule, IndexKind, PrixIndex, QueryPlan, QueryStats, Result,
-    TwigMatch,
+    project_embedding_into, Depth, DocBuf, DocData, ExecOpts, GapRule, IndexKind, PrixIndex,
+    QueryPlan, QueryStats, Result, TwigMatch,
 };
+use crate::query::TwigQuery;
 use crate::valix::{docs_of, merge_join, str_key, PredEval, STR_KEY_CAP};
 
 /// Where a [`MatchStream`]'s candidates come from: Algorithm 1's trie
@@ -347,58 +354,50 @@ enum Probe {
     Pred(usize),
 }
 
-/// One anchor of an anchored plan: a query leaf that is a text leaf or
+/// One anchor of an anchored stream: a query leaf that is a text leaf or
 /// carries a probeable predicate.
 pub(crate) struct Anchor {
-    /// The plan node a posting's leaf stands for: the text leaf itself,
-    /// or a predicate leaf's §4.4 dummy. `None` for a predicate leaf of
-    /// an exact RPIndex plan, which has no dummies.
+    /// The image slot a posting's leaf fills: the text leaf's own
+    /// postorder, or a predicate leaf's §4.4 dummy, a slot past the
+    /// query's nodes. `None` for a predicate leaf the index does not
+    /// extend, as an exact RPIndex plan does not.
     at: Option<PostNum>,
     probe: Probe,
-    /// `(plan postorder, label)` of the plan nodes above `at`, parent
-    /// first, root last: for a predicate leaf, the leaf first.
+    /// `(query postorder, label)` of the nodes above `at`, parent first,
+    /// root last: for a predicate leaf, the leaf first.
     up: Vec<(PostNum, Sym)>,
 }
 
-/// The anchors `plan` has on the tier `values` describes, one per query
-/// leaf in postorder, or `None` when the tier's stream descends the
-/// trie. Anchoring is structural: every edge below the root `/`, and
-/// every query leaf either a text leaf or a leaf carrying a predicate
-/// `pred` probed this tier's value run for (any operator but `!=`), so
-/// that every other query node is an anchor's ancestor and its image
-/// lies on the anchor's walk up the NPS. A text leaf also needs its
-/// value to be no label a node with children carries in the tier: such a
-/// node is the image of a text leaf too (matching is label-based), but
-/// the value run indexes leaves only. A predicate leaf needs nothing
-/// more: its image's accepted leaf children are the postings.
+/// The anchors `q` has on the tier `values` describes, one per query leaf
+/// in postorder, or `None` when the tier's stream descends the trie;
+/// `extended` is whether the index extends `q` ([`PrixIndex::extends`]).
+/// Anchoring is structural: every edge below the root `/`, and every
+/// query leaf either a text leaf or a leaf carrying a predicate `pred`
+/// probed this tier's value run for (any operator but `!=`), so that
+/// every other query node is an anchor's ancestor and its image lies on
+/// the anchor's walk up the NPS. A text leaf also needs its value to be
+/// no label a node with children carries in the tier: such a node is the
+/// image of a text leaf too (matching is label-based), but the value run
+/// indexes leaves only. A predicate leaf needs nothing more: its image's
+/// accepted leaf children are the postings.
 pub(crate) fn plan_anchors(
     idx: &PrixIndex,
-    plan: &QueryPlan,
+    q: &TwigQuery,
+    extended: bool,
     values: &TierValues<'_>,
     pred: Option<&PredEval<'_>>,
 ) -> Option<Vec<Anchor>> {
-    let t = &plan.qtree;
+    let t = q.tree();
     let n = t.len() as PostNum;
-    if plan.edges[..n as usize - 1]
+    if q.edges_by_post()[..n as usize - 1]
         .iter()
         .any(|e| *e != EdgeKind::Child)
     {
         return None;
     }
-    // The original query's postorder of plan node `e`.
-    let orig = |e: PostNum| match &plan.ext_of_orig {
-        None => Some(e),
-        Some(m) => m.iter().position(|&x| x == e).map(|i| i as PostNum + 1),
-    };
-    let extended = plan.ext_of_orig.is_some();
     let mut anchors = Vec::new();
-    for e in 1..n {
-        if !t.is_leaf(t.node_at(e)) {
-            continue;
-        }
-        // In an extended plan every leaf is a dummy, and the original
-        // leaf it hangs under comes right after it.
-        let leaf = if extended { e + 1 } else { e };
+    let mut dummy = n;
+    for leaf in (1..=n).filter(|&v| t.is_leaf(t.node_at(v))) {
         let mut up = Vec::new();
         let mut at = leaf;
         while let Some(p) = t.parent_post(at) {
@@ -421,10 +420,13 @@ pub(crate) fn plan_anchors(
                 up,
             }
         } else {
-            let k = pred?.probed_at(idx.doc_base(), orig(leaf)?)?;
+            let k = pred?.probed_at(idx.doc_base(), leaf)?;
             up.insert(0, (leaf, label));
             Anchor {
-                at: extended.then_some(e),
+                at: extended.then(|| {
+                    dummy += 1;
+                    dummy
+                }),
                 probe: Probe::Pred(k),
                 up,
             }
@@ -457,8 +459,8 @@ pub(crate) fn explain_anchors(
 }
 
 /// The second candidate source: a value twig's or a predicate twig's
-/// matches, from its tier's value run and records, with no trie descent
-/// and no Algorithm 2 pass.
+/// matches, from its tier's value run and records, with no trie descent,
+/// no plan and no Algorithm 2 pass.
 ///
 /// The first pull gathers every anchor's postings and merge-joins them
 /// by document: a predicate's come from the evaluator's probe, and each
@@ -466,26 +468,24 @@ pub(crate) fn explain_anchors(
 /// first, each later scan stopping past the last document still in the
 /// intersection. Then, one document at a time: a document whose anchors'
 /// postorders cannot come in query order is dropped unread; otherwise
-/// the refine stage's [`Views::load`] decodes its regular view into the
+/// the refine stage's [`Views::get`] decodes its regular view into the
 /// stage's one view, to the depth [`AnchoredCursor::depth`] names, and
-/// the anchors walk it: a text posting under a truncated key must name a
-/// leaf that carries the value (an exact key already does), each anchor
-/// walks up the NPS checking every ancestor's label, and the anchors
-/// join where their images meet. A predicate posting only finds its
-/// node's image, so a predicate's walks are one per image, and the §4.4
-/// dummy under it takes the image's first child: that is the least
-/// candidate the trie descent has for the embedding, so matches come out
-/// in the order the descent gives them.
+/// the anchors walk it: a text posting must name a leaf of the record,
+/// and under a truncated key one that carries the value (an exact key
+/// already does), each anchor walks up the NPS checking every ancestor's
+/// label, and the anchors join where their images meet. A predicate
+/// posting only finds its node's image, so a predicate's walks are one
+/// per image, and the §4.4 dummy under it takes the image's first child:
+/// that is the least candidate the trie descent has for the embedding.
 ///
 /// Each join is one embedding, and a proven one: every query node's
 /// image carries its label and is its query parent's image's child, and
 /// images in query postorder ascend, which is what Algorithm 2 checks.
-/// The join computes the candidate `S` the trie descent would have found
-/// for it — an EPIndex plan's images mapped through the load's
-/// [`extension_numbering`], an RPIndex plan's as they stand — and keeps
-/// the embedding only when `S` strictly increases; the cursor yields the
-/// embeddings in `S` order. Distinct joins differ in some anchor's walk,
-/// and so in the image of an original query node: no match repeats.
+/// The join keeps the embedding only when its order key — the images of
+/// the cursor's `key` slots — strictly increases, and the cursor yields
+/// the embeddings in key order: the order of the trie descent's `S` (see
+/// the module docs). Distinct joins differ in some anchor's walk, and so
+/// in the image of a query node: no match repeats.
 pub(crate) struct AnchoredCursor<'a> {
     idx: &'a PrixIndex,
     run: &'a ValueRunReader,
@@ -500,19 +500,24 @@ pub(crate) struct AnchoredCursor<'a> {
     starts: Vec<usize>,
     /// Per anchor, the images of its walks in the current document,
     /// `at` (if any) and then `up` each; and the images a join assigns
-    /// (plan postorder → document postorder, 0 unset). Reused from one
-    /// document to the next.
+    /// by slot — the query's nodes in postorder, then the predicate
+    /// leaves' dummies — 0 unset. Reused from one document to the next.
     walks: Vec<Vec<PostNum>>,
     img: Vec<PostNum>,
-    /// The plan postorder of each original query node, in the original
-    /// postorder: an embedding is their images.
-    orig: Vec<PostNum>,
-    /// The document being yielded; its matches, each its `S` (`slen`
-    /// words) and then its embedding; where each match starts, in `S`
-    /// order; and how many of them were yielded.
+    /// Per node of the document being walked, its first child — the
+    /// least node whose parent it is — or 0 for a leaf: what a text
+    /// posting's leaf test and a predicate's dummy read.
+    first: Vec<PostNum>,
+    /// The slots of the order key: every non-root query node in
+    /// postorder, a predicate leaf's dummy just before its leaf.
+    key: Vec<usize>,
+    /// The query's nodes: an embedding is the images of slots `1..=n`.
+    n: usize,
+    /// The document being yielded; its matches, each its key and then its
+    /// embedding; where each match starts, in key order; and how many of
+    /// them were yielded.
     doc: DocId,
     found: Vec<PostNum>,
-    slen: usize,
     order: Vec<usize>,
     yielded: usize,
     probed: bool,
@@ -521,30 +526,42 @@ pub(crate) struct AnchoredCursor<'a> {
 }
 
 impl<'a> AnchoredCursor<'a> {
+    /// The cursor of `anchors` ([`plan_anchors`]) over a query of `n`
+    /// nodes.
     pub(crate) fn new(
         idx: &'a PrixIndex,
         run: &'a ValueRunReader,
         anchors: Vec<Anchor>,
-        plan: &QueryPlan,
+        n: usize,
         pred: Option<&'a PredEval<'a>>,
     ) -> Self {
-        let n = anchors.len();
-        let orig = match &plan.ext_of_orig {
-            Some(map) => map.clone(),
-            None => (1..=plan.n_orig_query).collect(),
-        };
+        let mut dummies = anchors
+            .iter()
+            .filter(|a| matches!(a.probe, Probe::Pred(_)))
+            .filter_map(|a| Some((a.up[0].0 as usize, a.at? as usize)))
+            .peekable();
+        let mut key = Vec::new();
+        for v in 1..=n {
+            key.extend(dummies.next_if(|&(leaf, _)| leaf == v).map(|(_, d)| d));
+            if v < n {
+                key.push(v);
+            }
+        }
+        let slots = anchors.iter().filter_map(|a| a.at).max().unwrap_or(0);
+        let k = anchors.len();
         AnchoredCursor {
             idx,
             run,
             anchors,
-            img: vec![0; plan.qtree.len() + 1],
-            slen: plan.seq.len(),
-            orig,
+            img: vec![0; n.max(slots as usize) + 1],
+            first: Vec::new(),
+            key,
+            n,
             pred,
-            postings: vec![Vec::new(); n],
-            walked: vec![0; n],
-            starts: vec![0; n],
-            walks: vec![Vec::new(); n],
+            postings: vec![Vec::new(); k],
+            walked: vec![0; k],
+            starts: vec![0; k],
+            walks: vec![Vec::new(); k],
             doc: 0,
             found: Vec::new(),
             order: Vec::new(),
@@ -688,11 +705,17 @@ impl<'a> AnchoredCursor<'a> {
             self.stats.pred_skipped += 1;
             return Ok(true);
         }
-        let (regular, ext) = views.load(doc)?;
+        let (regular, _) = views.get(doc)?;
+        // Descending, so each node keeps its least child.
+        self.first.clear();
+        self.first.resize(regular.nps.len() + 2, 0);
+        for (i, &p) in regular.nps.iter().enumerate().rev() {
+            self.first[p as usize] = i as PostNum + 1;
+        }
         for (i, (a, out)) in self.anchors.iter().zip(&mut self.walks).enumerate() {
             out.clear();
             for &(_, post) in &self.postings[i][self.starts[i]..self.walked[i]] {
-                climb(regular, a, post, out);
+                climb(regular, &self.first, a, post, out);
             }
             if out.is_empty() {
                 return Ok(true);
@@ -700,45 +723,25 @@ impl<'a> AnchoredCursor<'a> {
         }
         let mut img = std::mem::take(&mut self.img);
         let mut found = std::mem::take(&mut self.found);
-        self.join(0, &mut img, ext, &mut found);
-        let slen = self.slen;
+        self.join(0, &mut img, &mut found);
+        let klen = self.key.len();
+        self.order.extend((0..found.len()).step_by(klen + self.n));
         self.order
-            .extend((0..found.len()).step_by(slen + self.orig.len()));
-        self.order
-            .sort_unstable_by(|&x, &y| found[x..x + slen].cmp(&found[y..y + slen]));
+            .sort_unstable_by(|&x, &y| found[x..x + klen].cmp(&found[y..y + klen]));
         self.img = img;
         self.found = found;
         Ok(true)
     }
 
     /// Joins anchor `i`'s walks onto the images `img` the earlier
-    /// anchors fixed, and appends every complete assignment whose `S` —
-    /// its images' positions through `ext`, an EPIndex's extension
-    /// numbering, or as they stand — strictly increases to `found`: its
-    /// `S`, then its embedding.
-    fn join(
-        &self,
-        i: usize,
-        img: &mut [PostNum],
-        ext: Option<&[PostNum]>,
-        found: &mut Vec<PostNum>,
-    ) {
+    /// anchors fixed, and appends every complete assignment whose key
+    /// strictly increases to `found`: its key, then its embedding.
+    fn join(&self, i: usize, img: &mut [PostNum], found: &mut Vec<PostNum>) {
         let Some(a) = self.anchors.get(i) else {
-            let pos = |v: PostNum| ext.map_or(v, |ext| ext[v as usize]);
             let start = found.len();
-            found.extend(img[1..img.len() - 1].iter().map(|&v| pos(v)));
-            let s = &mut found[start..];
-            // A text leaf's dummy, just before it in the plan, has no image
-            // of its own: it sits just after the node before the leaf's.
-            // When the NPS gives that leaf a child, this is the leaf's own
-            // position, and `S` does not increase.
-            for a in &self.anchors {
-                if let (Probe::Text { .. }, Some(leaf)) = (&a.probe, a.at) {
-                    s[leaf as usize - 2] = pos(img[leaf as usize] - 1) + 1;
-                }
-            }
-            if s.windows(2).all(|w| w[0] < w[1]) {
-                found.extend(self.orig.iter().map(|&e| img[e as usize]));
+            found.extend(self.key.iter().map(|&slot| img[slot]));
+            if found[start..].windows(2).all(|w| w[0] < w[1]) {
+                found.extend_from_slice(&img[1..=self.n]);
             } else {
                 found.truncate(start);
             }
@@ -760,18 +763,18 @@ impl<'a> AnchoredCursor<'a> {
             for (e, &v) in nodes().zip(walk) {
                 img[e as usize] = v;
             }
-            self.join(i + 1, img, ext, found);
+            self.join(i + 1, img, found);
             for e in nodes().take(fresh) {
                 img[e as usize] = 0;
             }
         }
     }
 
-    /// The `S` of the match yielded last.
+    /// The order key of the match yielded last.
     #[cfg(test)]
-    fn positions(&self) -> &[PostNum] {
+    fn last_key(&self) -> &[PostNum] {
         let at = self.order[self.yielded - 1];
-        &self.found[at..at + self.slen]
+        &self.found[at..at + self.key.len()]
     }
 }
 
@@ -791,9 +794,9 @@ impl Source for AnchoredCursor<'_> {
         if self.done {
             return Ok(None);
         }
-        let at = self.order[self.yielded] + self.slen;
+        let at = self.order[self.yielded] + self.key.len();
         self.yielded += 1;
-        Ok(Some((self.doc, &self.found[at..at + self.orig.len()])))
+        Ok(Some((self.doc, &self.found[at..at + self.n])))
     }
 
     /// The probes, their postings, the documents the predicate
@@ -821,22 +824,29 @@ fn held_in(docs: &[DocId]) -> impl FnMut(&(DocId, PostNum)) -> bool + '_ {
 }
 
 /// Appends to `out` the images of anchor `a`'s walk from the leaf at
-/// `post` up to the query root — `at`'s, then each node's of `up` — if
-/// every node carries the query's label, and a text leaf under a
-/// truncated key the value. (The tier files every leaf under its parent's
-/// tag and its own name, one symbol's, so an exact key already names the
-/// value.) A predicate's walk is appended once per image of its node,
-/// with the dummy under it on that image's first child.
-fn climb(view: &DocData, a: &Anchor, post: PostNum, out: &mut Vec<PostNum>) {
+/// `post` up to the query root — `at`'s, then each node's of `up` — in
+/// the document whose view is `view` and whose first children are
+/// `first`, if every node carries the query's label, a text leaf's node
+/// is a leaf of the record, which no NPS entry names as its parent (the
+/// rule [`extension_numbering`](crate::index::extension_numbering) uses),
+/// and under a truncated key carries the value. (The tier files every
+/// leaf under its parent's tag and its own name, one symbol's, so an
+/// exact key already names the value.) A predicate's walk is appended
+/// once per image of its node, with the dummy under it on that image's
+/// first child.
+fn climb(view: &DocData, first: &[PostNum], a: &Anchor, post: PostNum, out: &mut Vec<PostNum>) {
     if let Probe::Text {
-        value,
-        truncated: true,
-        ..
+        value, truncated, ..
     } = a.probe
     {
-        let own = view.leaves.binary_search_by_key(&post, |l| l.1);
-        if own.map(|k| view.leaves[k].0) != Ok(value) {
+        if first.get(post as usize) != Some(&0) {
             return;
+        }
+        if truncated {
+            let own = view.leaves.binary_search_by_key(&post, |l| l.1);
+            if own.map(|k| view.leaves[k].0) != Ok(value) {
+                return;
+            }
         }
     }
     let start = out.len();
@@ -862,17 +872,9 @@ fn climb(view: &DocData, a: &Anchor, post: PostNum, out: &mut Vec<PostNum>) {
         if out[..start].chunks_exact(width).any(|w| w[node] == image) {
             out.truncate(start);
         } else if a.at.is_some() {
-            out[start] = first_child(view, image);
+            out[start] = first[image as usize];
         }
     }
-}
-
-/// The first child of node `v`: the least node whose parent it is.
-fn first_child(view: &DocData, v: PostNum) -> PostNum {
-    view.nps
-        .iter()
-        .position(|&p| p == v)
-        .map_or(0, |i| i as PostNum + 1)
 }
 
 /// The embeddings already emitted from one document.
@@ -903,6 +905,9 @@ struct OneDoc {
 /// the same [`DocBuf`].
 pub(crate) struct Views<'a> {
     idx: &'a PrixIndex,
+    /// Which view of each record is held: the index's own for a trie
+    /// stream, the regular view for an anchored one.
+    kind: IndexKind,
     /// How much of each record the views decode.
     depth: Depth,
     buf: DocBuf,
@@ -913,9 +918,10 @@ pub(crate) struct Views<'a> {
 }
 
 impl<'a> Views<'a> {
-    fn new(idx: &'a PrixIndex, depth: Depth, grouped: bool) -> Self {
+    fn new(idx: &'a PrixIndex, kind: IndexKind, depth: Depth, grouped: bool) -> Self {
         Views {
             idx,
+            kind,
             depth,
             buf: DocBuf::default(),
             one: OneDoc::default(),
@@ -923,15 +929,14 @@ impl<'a> Views<'a> {
         }
     }
 
-    /// `doc`'s view — what the index refines against — and the
-    /// embeddings emitted from it, the document read first unless it is
-    /// held.
+    /// `doc`'s view of the stream's kind and the embeddings emitted from
+    /// it, the document read first unless it is held.
     fn get(&mut self, doc: DocId) -> Result<(&DocData, &mut Seen)> {
+        let (idx, kind, depth, buf) = (self.idx, self.kind, self.depth, &mut self.buf);
         let Some(spread) = &mut self.spread else {
             if self.one.doc != Some(doc) {
-                let (idx, depth, buf) = (self.idx, self.depth, &mut self.buf);
                 self.one
-                    .enter(doc, |data| idx.load_doc_into(doc, depth, buf, data))?;
+                    .enter(doc, |data| idx.load_doc_into(doc, kind, depth, buf, data))?;
             }
             return Ok((&self.one.data, &mut self.one.seen));
         };
@@ -939,30 +944,11 @@ impl<'a> Views<'a> {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
                 let mut data = DocData::default();
-                self.idx
-                    .load_doc_into(doc, self.depth, &mut self.buf, &mut data)?;
+                idx.load_doc_into(doc, kind, depth, buf, &mut data)?;
                 e.insert((data, Seen::new()))
             }
         };
         Ok((data, seen))
-    }
-
-    /// An anchored stream's load: `doc`'s regular view, decoded into the
-    /// one view, and on an EPIndex its extension numbering
-    /// ([`crate::index::extension_numbering`]), which the join maps its
-    /// images through. No extended view is derived.
-    fn load(&mut self, doc: DocId) -> Result<(&DocData, Option<&[PostNum]>)> {
-        let (idx, depth, buf) = (self.idx, self.depth, &mut self.buf);
-        let extended = idx.kind() == IndexKind::Extended;
-        self.one.enter(doc, |data| {
-            idx.doc_record_into(doc, &mut buf.record)?;
-            decode_doc_record_into(&buf.record, depth, data).ok_or_else(corrupt_record)?;
-            if extended {
-                extension_numbering(&data.nps, &mut buf.ext).ok_or_else(corrupt_record)?;
-            }
-            Ok(())
-        })?;
-        Ok((&self.one.data, extended.then_some(&self.buf.ext[..])))
     }
 
     /// How many views and dedup sets are held.
@@ -1121,11 +1107,10 @@ impl<'a> RefineStage<'a> {
 /// docs for why), an anchored source yields that order as it goes.
 pub struct MatchStream<'a> {
     source: Box<dyn Source + 'a>,
-    /// Whether the source yields proven matches (it is anchored), not
-    /// candidates for Algorithm 2.
-    proven: bool,
     stage: RefineStage<'a>,
-    plan: QueryPlan,
+    /// The plan a trie descent's candidates are refined against; `None`
+    /// when the source is anchored and yields proven matches.
+    plan: Option<QueryPlan>,
     absolute: bool,
     limit: Option<usize>,
     emitted: u64,
@@ -1134,54 +1119,55 @@ pub struct MatchStream<'a> {
 }
 
 impl<'a> MatchStream<'a> {
-    /// The stream of `plan` over `idx`, anchored on `values` when the
-    /// plan has anchors there ([`plan_anchors`]); `setup` is when
-    /// planning it started.
+    /// The stream of `q` over `idx`, anchored on `values` when the query
+    /// has anchors there ([`plan_anchors`]), a trie descent of its
+    /// [`QueryPlan`] otherwise; `setup` is when planning it started.
     pub(crate) fn new(
         idx: &'a PrixIndex,
-        plan: QueryPlan,
-        absolute: bool,
+        q: &TwigQuery,
         opts: &ExecOpts,
         pred: Option<&'a PredEval<'a>>,
         values: Option<TierValues<'a>>,
         setup: Instant,
-    ) -> Self {
-        let anchored = values.and_then(|v| Some((v.run, plan_anchors(idx, &plan, &v, pred)?)));
-        let proven = anchored.is_some();
-        // An anchored source yields one document at a time, and an
-        // unlimited trie stream refines its sorted candidates: both
-        // arrive grouped by document.
-        let unlimited = opts.limit.is_none();
-        let grouped = proven || unlimited;
-        let (source, depth): (Box<dyn Source + 'a>, _) = match anchored {
+    ) -> Result<Self> {
+        let extended = idx.extends(q)?;
+        let anchored =
+            values.and_then(|v| Some((v.run, plan_anchors(idx, q, extended, &v, pred)?)));
+        let (source, views, plan): (Box<dyn Source + 'a>, _, _) = match anchored {
+            // An anchored source yields one document at a time, so it
+            // arrives grouped by document.
             Some((run, anchors)) => {
-                let cursor = AnchoredCursor::new(idx, run, anchors, &plan, pred);
-                let depth = cursor.depth();
-                (Box::new(cursor), depth)
+                let cursor = AnchoredCursor::new(idx, run, anchors, q.tree().len(), pred);
+                let views = Views::new(idx, IndexKind::Regular, cursor.depth(), true);
+                (Box::new(cursor), views, None)
             }
             None => {
+                let plan = idx.plan(q)?;
                 let rules = if opts.use_maxgap {
                     idx.gap_rules(&plan)
                 } else {
                     vec![None; plan.seq.len().saturating_sub(1)]
                 };
                 let lps = plan.seq.lps.clone();
+                // An unlimited trie stream refines its sorted candidates,
+                // grouped by document.
+                let unlimited = opts.limit.is_none();
                 let cursor = CandidateCursor::new(idx, lps, rules, pred, unlimited);
                 let leaf_data = !plan.skip_leaf || pred.is_some();
                 let depth = if leaf_data { Depth::Leaves } else { Depth::Nps };
-                (Box::new(cursor), depth)
+                let views = Views::new(idx, idx.kind(), depth, unlimited);
+                (Box::new(cursor), views, Some(plan))
             }
         };
-        MatchStream {
+        Ok(MatchStream {
             source,
-            proven,
-            stage: RefineStage::new(Views::new(idx, depth, grouped), pred),
+            stage: RefineStage::new(views, pred),
             plan,
-            absolute,
+            absolute: q.is_absolute(),
             limit: opts.limit,
             emitted: 0,
             setup_time: setup.elapsed(),
-        }
+        })
     }
 
     /// Pulls the next distinct match. Returns `None` once the
@@ -1192,10 +1178,9 @@ impl<'a> MatchStream<'a> {
             let Some((doc, pulled)) = self.source.next(&mut self.stage.views)? else {
                 break;
             };
-            let m = if self.proven {
-                self.stage.accept(self.absolute, doc, pulled)
-            } else {
-                self.stage.process(&self.plan, self.absolute, doc, pulled)?
+            let m = match &self.plan {
+                Some(plan) => self.stage.process(plan, self.absolute, doc, pulled)?,
+                None => self.stage.accept(self.absolute, doc, pulled),
             };
             if let Some(m) = m {
                 self.emitted += 1;
@@ -1238,11 +1223,14 @@ mod tests {
     use prix_prufer::{embedding_into, refine_match, RefineCtx};
     use prix_storage::{MemSegEnv, RawStore};
     use prix_testkit::TestRng;
-    use prix_xml::Collection;
+    use prix_xml::{Collection, NodeKind};
 
     use super::{plan_anchors, AnchoredCursor, MatchStream, Source, TierValues, Views};
     use crate::engine::{EngineConfig, PrixEngine};
-    use crate::index::{project_embedding_into, Depth, ExecOpts, PrixIndex};
+    use crate::index::{
+        extension_numbering, project_embedding_into, Depth, DocBuf, DocData, ExecOpts, IndexKind,
+        PrixIndex, QueryPlan,
+    };
     use crate::naive::naive_ordered;
     use crate::segbuild::BulkBuilder;
     use crate::valix::{PredEval, STR_KEY_CAP};
@@ -1386,7 +1374,7 @@ mod tests {
     fn a_document_that_fails_to_load_leaves_no_view_standing() {
         let engine = six_docs();
         let idx = &engine.seg_tiers()[0].ep;
-        let mut views = Views::new(idx, Depth::Leaves, true);
+        let mut views = Views::new(idx, IndexKind::Extended, Depth::Leaves, true);
         let first = views.get(0).unwrap().0.clone();
         assert_eq!(views.held(), 1);
         assert!(views.get(99).is_err(), "past the tier");
@@ -1394,18 +1382,18 @@ mod tests {
         assert!(views.get(99).is_err());
         assert_eq!(views.get(0).unwrap().0, &first);
 
-        // An anchored stream's load: the regular view it walks, no
-        // extended view, the leaf list decoded exactly when the depth
-        // asks for it, and the extension numbering.
+        // An anchored stream's load on the EPIndex: the regular view it
+        // walks, no extended view, and the leaf list decoded exactly when
+        // the depth asks for it.
         for (depth, leaves) in [(Depth::Lps, 0), (Depth::Leaves, 2)] {
-            let mut views = Views::new(idx, depth, true);
-            let (regular, ext) = views.load(0).unwrap();
+            let mut views = Views::new(idx, IndexKind::Regular, depth, true);
+            let regular = views.get(0).unwrap().0;
             assert_eq!(regular.orig_map, None, "{depth:?}");
+            assert_eq!(regular.nps.len() + 1, regular.n_orig as usize, "{depth:?}");
             assert_eq!(regular.lps.len(), regular.nps.len(), "{depth:?}");
             assert_eq!(regular.leaves.len(), leaves, "{depth:?}");
-            assert_eq!(ext.map(<[u32]>::len), Some(regular.nps.len() + 2));
             assert_eq!(views.held(), 1);
-            assert!(views.load(99).is_err(), "past the tier");
+            assert!(views.get(99).is_err(), "past the tier");
             assert_eq!(views.held(), 0);
             assert!(views.get(0).is_ok());
             assert_eq!(views.held(), 1);
@@ -1421,11 +1409,11 @@ mod tests {
         env
     }
 
-    /// A tier of one document, `<a><b>x</b><c>y</c></a>`, whose record
-    /// was damaged: its NPS gives `b` (node 2) the parent `y` (node 3)
-    /// instead of `a` (node 5), a chain, while its leaf list still names
-    /// `y` a leaf. The segment does not checksum blocks on the query path.
-    fn a_damaged_record() -> PrixEngine {
+    /// A tier of one document, `<a><b>x</b><c>y</c></a>` (postorder x 1,
+    /// b 2, y 3, c 4, a 5), whose record was damaged: NPS entry `i`, node
+    /// `i + 1`'s parent, set from `was` to `now`. The segment does not
+    /// checksum blocks on the query path.
+    fn a_damaged_record(i: u64, was: u8, now: u8) -> PrixEngine {
         let env = one_doc_tier("<a><b>x</b><c>y</c></a>");
         let ep = env.store(".g1.ep.seg").unwrap();
         let word = |at: u64| {
@@ -1435,44 +1423,48 @@ mod tests {
         };
         // Header fields: the record index and the record section. Record
         // 0 is its length prefix, `n`, then the NPS.
-        let at = word(48) + word(word(40)) + 3;
+        let at = word(48) + word(word(40)) + 2 + i;
         let mut parent = [0];
         ep.read_at(at, &mut parent).unwrap();
-        assert_eq!(parent, [5]);
-        ep.write_at(at, &[3]).unwrap();
+        assert_eq!(parent, [was]);
+        ep.write_at(at, &[now]).unwrap();
         PrixEngine::reopen_env(env, 8).unwrap()
     }
 
     /// An anchored stream over a record its leaf list and NPS disagree
     /// on, and over postings past a record's last node, yields no
     /// candidate: it never panics, and never places a position outside
-    /// the view. (Mapping `y`'s dummy through the stored leaf list would
-    /// place `c` at 6 in a view of 5 positions.)
+    /// the view. Both damages pass decode (every parent above its child)
+    /// and give `y`, which the leaf list names a leaf, a child: `b` (a
+    /// chain), and `x`, which is not the node just before `y`, so a leaf
+    /// test that reads only `y`'s last possible child passes it.
     #[test]
     fn an_anchored_stream_over_a_damaged_record_yields_no_candidate() {
-        let engine = a_damaged_record();
-        let tier = &engine.seg_tiers()[0];
         // The same labels, with `y` at postorder 7: past the last node of
         // the damaged record, which is document 0 too.
         let far = one_doc_tier("<a><b>x</b><b>x</b><b>x</b><c>y</c></a>");
         let far = PrixEngine::reopen_env(far, 8).unwrap();
-        let mut syms = engine.symbols().clone();
-        let q = parse_xpath(r#"//a[./c="y"]"#, &mut syms).unwrap();
-        for (what, run) in [("its own run", &tier.vx), ("far", &far.seg_tiers()[0].vx)] {
-            let values = TierValues {
-                run,
-                rp: &tier.rp,
-                syms: engine.symbols(),
-            };
-            let opts = ExecOpts::new();
-            let mut stream = tier.ep.stream_tier(&q, &opts, None, Some(values)).unwrap();
-            if let Ok(m) = stream.next_match() {
-                assert_eq!(m, None, "{what}");
+        for (damage, (i, was, now)) in [("b under y", (1, 5, 3)), ("x under y", (0, 2, 3))] {
+            let engine = a_damaged_record(i, was, now);
+            let tier = &engine.seg_tiers()[0];
+            let mut syms = engine.symbols().clone();
+            let q = parse_xpath(r#"//a[./c="y"]"#, &mut syms).unwrap();
+            for (what, run) in [("its own run", &tier.vx), ("far", &far.seg_tiers()[0].vx)] {
+                let values = TierValues {
+                    run,
+                    rp: &tier.rp,
+                    syms: engine.symbols(),
+                };
+                let opts = ExecOpts::new();
+                let mut stream = tier.ep.stream_tier(&q, &opts, None, Some(values)).unwrap();
+                if let Ok(m) = stream.next_match() {
+                    assert_eq!(m, None, "{damage}, {what}");
+                }
+                let stats = stream.stats();
+                assert_eq!(stats.range_queries, 0, "{damage}, {what}: anchored");
+                assert_eq!(stats.valix_postings, 1, "{damage}, {what}");
+                assert_eq!(stats.candidates, 0, "{damage}, {what}");
             }
-            let stats = stream.stats();
-            assert_eq!(stats.range_queries, 0, "{what}: anchored");
-            assert_eq!(stats.valix_postings, 1, "{what}");
-            assert_eq!(stats.candidates, 0, "{what}");
         }
     }
 
@@ -1574,14 +1566,72 @@ mod tests {
         out
     }
 
+    /// The `S` the trie descent finds for an anchored match of `q` (run
+    /// by `plan`) in `doc`, computed apart from the cursor: the plan's
+    /// non-root nodes in
+    /// postorder, a query node at its image in `emb`, a text leaf's dummy
+    /// just after the node before its leaf's image, a predicate leaf's
+    /// dummy at the cursor's `key` entry for it; on an EPIndex each
+    /// through the record's extension numbering. Also checks that the key
+    /// holds every other entry's image, in the plan's order.
+    fn reference_s(
+        idx: &PrixIndex,
+        plan: &QueryPlan,
+        q: &crate::query::TwigQuery,
+        doc: u32,
+        emb: &[u32],
+        key: &[u32],
+    ) -> Vec<u32> {
+        let mut regular = DocData::default();
+        idx.load_doc_into(
+            doc,
+            IndexKind::Regular,
+            Depth::Nps,
+            &mut DocBuf::default(),
+            &mut regular,
+        )
+        .unwrap();
+        let mut ext = Vec::new();
+        if idx.kind() == IndexKind::Extended {
+            extension_numbering(&regular.nps, &mut ext).unwrap();
+        }
+        let pos = |v: u32| if ext.is_empty() { v } else { ext[v as usize] };
+        // The query postorder of plan node `e`, 0 for a dummy.
+        let orig = |e: u32| match &plan.ext_of_orig {
+            None => e,
+            Some(map) => map.iter().position(|&x| x == e).map_or(0, |i| i as u32 + 1),
+        };
+        let t = q.tree();
+        let mut keys = key.iter();
+        let mut s = Vec::new();
+        for e in 1..plan.qtree.len() as u32 {
+            s.push(match orig(e) {
+                // A dummy: its leaf comes right after it.
+                0 if t.kind(t.node_at(orig(e + 1))) == NodeKind::Text => {
+                    pos(emb[orig(e + 1) as usize - 1] - 1) + 1
+                }
+                0 => pos(*keys.next().unwrap()),
+                v => {
+                    let image = emb[v as usize - 1];
+                    assert_eq!(keys.next(), Some(&image));
+                    pos(image)
+                }
+            });
+        }
+        assert_eq!(keys.next(), None);
+        s
+    }
+
     /// Every match an anchored stream yields without Algorithm 2 is one
     /// the trie path's checks accept on the same candidate: on random
     /// documents and all-`/` twigs with text and predicate leaves, on the
-    /// RPIndex and the EPIndex, the document's LPS at `S` is the plan's,
-    /// `refine_match` accepts `S` on the view the trie path refines
-    /// against, projecting the embedding that gives is the match, and no
-    /// `(doc, embedding)` pair repeats. The anchored and trie streams
-    /// answer alike, in the same order.
+    /// RPIndex and the EPIndex, with `S` computed from the match apart
+    /// from the cursor ([`reference_s`]), the document's LPS at `S` is the
+    /// plan's, `refine_match` accepts `S` on the view the trie path
+    /// refines against, projecting the embedding that gives is the match,
+    /// and no `(doc, embedding)` pair repeats. A document's matches come
+    /// in ascending `S`, and the anchored and trie streams answer alike,
+    /// in the same order.
     #[test]
     fn anchored_matches_pass_the_trie_paths_checks() {
         let mut rng = TestRng::from_seed(0x5eed_0047);
@@ -1606,18 +1656,21 @@ mod tests {
                 let pred = PredEval::build(&q, engine.seg_tiers(), engine.symbols()).unwrap();
                 let pred = pred.as_ref();
                 for (kind, idx) in [&tier.rp, &tier.ep].into_iter().enumerate() {
-                    let Ok(plan) = idx.plan(&q) else {
+                    let Ok(extended) = idx.extends(&q) else {
                         continue;
                     };
-                    let Some(anchors) = plan_anchors(idx, &plan, &values, pred) else {
+                    let Some(anchors) = plan_anchors(idx, &q, extended, &values, pred) else {
                         continue;
                     };
-                    let mut cursor = AnchoredCursor::new(idx, values.run, anchors, &plan, pred);
-                    let mut views = Views::new(idx, cursor.depth(), true);
+                    let plan = idx.plan(&q).unwrap();
+                    let n = q.tree().len();
+                    let mut cursor = AnchoredCursor::new(idx, values.run, anchors, n, pred);
+                    let mut views = Views::new(idx, IndexKind::Regular, cursor.depth(), true);
                     let mut seen = HashSet::new();
+                    let mut last: Option<(u32, Vec<u32>)> = None;
                     while let Some((doc, emb)) = cursor.next(&mut views).unwrap() {
                         let emb = emb.to_vec();
-                        let s = cursor.positions();
+                        let s = reference_s(idx, &plan, &q, doc, &emb, cursor.last_key());
                         let view = idx.load_doc(doc, Depth::Leaves).unwrap();
                         let what = format!("{xpath} on {}, doc {doc}, S {s:?}", idx.kind());
                         let lps: Vec<_> = s.iter().map(|&p| view.lps.get(p as usize - 1)).collect();
@@ -1626,7 +1679,7 @@ mod tests {
                         let ctx = RefineCtx {
                             doc_nps: &view.nps,
                             query_nps: &plan.seq.nps,
-                            positions: s,
+                            positions: &s,
                             edges: &plan.edges,
                             query_leaves: &plan.leaves,
                             doc_leaves: &view.leaves,
@@ -1635,10 +1688,14 @@ mod tests {
                         };
                         assert!(refine_match(&ctx), "{what}");
                         let (mut img, mut base) = (Vec::new(), Vec::new());
-                        embedding_into(&plan.seq.nps, s, &view.nps, &mut img);
+                        embedding_into(&plan.seq.nps, &s, &view.nps, &mut img);
                         project_embedding_into(&plan, &view, &img, &mut base).unwrap();
                         assert_eq!(base, emb, "{what}");
                         assert!(seen.insert((doc, emb)), "{what}: repeated");
+                        if let Some((_, before)) = last.as_ref().filter(|l| l.0 == doc) {
+                            assert!(before < &s, "{what}: after {before:?}");
+                        }
+                        last = Some((doc, s));
                         checked[kind] += 1;
                     }
                     let anchored = stream_matches(idx, &q, pred, Some(values));
@@ -1647,5 +1704,52 @@ mod tests {
             }
         }
         assert!(checked.iter().all(|&n| n >= 200), "{checked:?}");
+    }
+
+    /// Where predicate images nest, the trie's order is not the order of
+    /// the images but that of the §4.4 dummy under each, the image's
+    /// first child: in the first document the value is `b`'s first child,
+    /// in the second it is not. An anchored stream yields the trie's
+    /// matches in the trie's order on both indexes.
+    #[test]
+    fn nested_predicate_images_come_in_the_tries_order() {
+        let mut c = Collection::new();
+        c.add_xml("<r><a><b>5<c/><a><b>7</b></a></b></a></r>")
+            .unwrap();
+        c.add_xml("<r><a><b><c/>5<a><b>7</b></a></b></a></r>")
+            .unwrap();
+        let engine = PrixEngine::build(c, EngineConfig::default()).unwrap();
+        let tier = &engine.seg_tiers()[0];
+        let values = TierValues {
+            run: &tier.vx,
+            rp: &tier.rp,
+            syms: engine.symbols(),
+        };
+        for xpath in ["//a/b[. > 3]", "//a[./b > 3]", "//b[. > 3]"] {
+            let q = parse_xpath(xpath, &mut engine.symbols().clone()).unwrap();
+            let pred = PredEval::build(&q, engine.seg_tiers(), engine.symbols()).unwrap();
+            let pred = pred.as_ref();
+            for idx in [&tier.rp, &tier.ep] {
+                let what = format!("{xpath} on {}", idx.kind());
+                if q.tree().len() == 1 && idx.kind() == IndexKind::Regular {
+                    assert!(idx.stream(&q, &ExecOpts::new(), pred).is_err(), "{what}");
+                    continue;
+                }
+                let mut stream = idx
+                    .stream_tier(&q, &ExecOpts::new(), pred, Some(values))
+                    .unwrap();
+                let mut anchored = Vec::new();
+                while let Some(m) = stream.next_match().unwrap() {
+                    anchored.push((m.doc, m.embedding));
+                }
+                assert_eq!(stream.stats().range_queries, 0, "{what}: anchored");
+                let trie = stream_matches(idx, &q, pred, None);
+                assert_eq!(anchored, trie, "{what}");
+                let mut sorted = trie.clone();
+                sorted.sort();
+                assert_ne!(trie, sorted, "{what}");
+                assert_eq!(trie.len(), 4, "{what}");
+            }
+        }
     }
 }

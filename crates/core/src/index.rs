@@ -904,51 +904,43 @@ impl PrixIndex {
         values: Option<crate::exec::TierValues<'a>>,
     ) -> Result<crate::exec::MatchStream<'a>> {
         let setup = std::time::Instant::now();
-        let plan = self.plan(q)?;
-        if plan.seq.is_empty() {
-            return Err(IndexError::Unsupported(
-                "query has an empty Prüfer sequence (single-node query on RPIndex)".into(),
-            ));
-        }
-        Ok(crate::exec::MatchStream::new(
-            self,
-            plan,
-            q.is_absolute(),
-            opts,
-            pred,
-            values,
-            setup,
-        ))
+        crate::exec::MatchStream::new(self, q, opts, pred, values, setup)
     }
 
-    /// Prepares the sequences / edges / leaves for this index kind.
+    /// Whether this index runs `q` extended, every query leaf given a
+    /// dummy child: an EPIndex always does (§5.6), an RPIndex when no
+    /// query leaf's label occurs childless in its data (§4.4 special leaf
+    /// treatment). Extending the query is then exact — every query label
+    /// participates in subsequence matching, and the LPS starts with the
+    /// selective deep labels (this is what makes the paper's Q2/Q7/Q8
+    /// fast). Refuses on an RPIndex a query that needs the EPIndex.
+    pub(crate) fn extends(&self, q: &TwigQuery) -> Result<bool> {
+        if self.kind == IndexKind::Extended {
+            return Ok(true);
+        }
+        if q.needs_extended() {
+            return Err(IndexError::Unsupported(
+                "query requires the EPIndex (values, single node, or wildcard above a leaf)".into(),
+            ));
+        }
+        Ok(!q.leaves().iter().any(|(s, _)| self.childless.contains(s)))
+    }
+
+    /// Prepares the sequences / edges / leaves for this index kind: the
+    /// query extended when [`PrixIndex::extends`] says so, as it stands
+    /// otherwise.
     pub(crate) fn plan(&self, q: &TwigQuery) -> Result<QueryPlan> {
         let n_orig_query = q.tree().len() as u32;
-        if self.kind == IndexKind::Regular {
-            if q.needs_extended() {
-                return Err(IndexError::Unsupported(
-                    "query requires the EPIndex (values, single node, or wildcard above a leaf)"
-                        .into(),
-                ));
-            }
-            // §4.4 special leaf treatment: when no query-leaf label ever
-            // occurs childless in the data, extending the *query* with
-            // dummy leaf children is exact — every query label then
-            // participates in subsequence matching, and the LPS starts
-            // with the selective deep labels (this is what makes the
-            // paper's Q2/Q7/Q8 fast). Otherwise the plan is the query as
-            // it stands.
-            if q.leaves().iter().any(|(s, _)| self.childless.contains(s)) {
-                return Ok(QueryPlan {
-                    seq: q.prufer(),
-                    edges: q.edges_by_post(),
-                    leaves: q.leaves(),
-                    qtree: q.tree().clone(),
-                    ext_of_orig: None,
-                    n_orig_query,
-                    skip_leaf: false,
-                });
-            }
+        if !self.extends(q)? {
+            return Ok(QueryPlan {
+                seq: q.prufer(),
+                edges: q.edges_by_post(),
+                leaves: q.leaves(),
+                qtree: q.tree().clone(),
+                ext_of_orig: None,
+                n_orig_query,
+                skip_leaf: false,
+            });
         }
         let eq = q.extended(self.dummy);
         // Invert ext -> orig into orig -> ext.
@@ -1109,21 +1101,24 @@ impl PrixIndex {
     /// undecoded.
     pub(crate) fn load_doc(&self, doc: DocId, depth: Depth) -> Result<DocData> {
         let mut out = DocData::default();
-        self.load_doc_into(doc, depth, &mut DocBuf::default(), &mut out)
+        self.load_doc_into(doc, self.kind, depth, &mut DocBuf::default(), &mut out)
             .map(|()| out)
     }
 
     /// [`PrixIndex::load_doc`] written into `out`, reading through
-    /// `buf`'s scratch. On an error, `out` holds no view.
+    /// `buf`'s scratch, in the view of `kind`: the index's own, or the
+    /// record's regular view on either index. On an error, `out` holds no
+    /// view.
     pub(crate) fn load_doc_into(
         &self,
         doc: DocId,
+        kind: IndexKind,
         depth: Depth,
         buf: &mut DocBuf,
         out: &mut DocData,
     ) -> Result<()> {
         self.doc_record_into(doc, &mut buf.record)?;
-        buf.view_into(self.kind, self.dummy, depth, out)
+        buf.view_into(kind, self.dummy, depth, out)
     }
 }
 
@@ -1154,8 +1149,7 @@ pub(crate) struct DocBuf {
     /// EPIndex derives the extended view from it).
     pub(crate) regular: DocData,
     /// The regular view's [`extension_numbering`], which
-    /// [`DocData::extended_into`] leaves here, or an anchored stream's
-    /// load computes alone.
+    /// [`DocData::extended_into`] leaves here.
     pub(crate) ext: Vec<PostNum>,
 }
 

@@ -458,7 +458,8 @@ impl EngineSnapshot {
         let idx = pick_index(rp, ep, &q, None)?;
         let plan = idx.plan(&q)?;
         let pred = PredEval::build(&q, &self.segments, &syms)?;
-        let anchors = values.and_then(|v| plan_anchors(idx, &plan, &v, pred.as_ref()));
+        let extended = idx.extends(&q)?;
+        let anchors = values.and_then(|v| plan_anchors(idx, &q, extended, &v, pred.as_ref()));
         let anchored = anchors.map(|a| explain_anchors(&a, &syms, pred.as_ref()));
         let mut out = format!("index: {}\n", idx.kind());
         out.push_str(&idx.explain(&plan, &syms, anchored)?);

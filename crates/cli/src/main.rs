@@ -25,7 +25,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use prix_core::plan::EngineChoice;
-use prix_core::{EngineConfig, ExecOpts, PrixEngine, TierCheck};
+use prix_core::{EngineConfig, ExecOpts, IndexKind, PrixEngine, TierCheck};
 use prix_server::{AltCache, Server, ServerConfig, SnapshotAlts};
 use prix_xml::write_document;
 
@@ -688,11 +688,12 @@ fn known_db_suffix(suffix: &str) -> bool {
 
 /// One line per index of the mutable delta (what `prix add` and the
 /// server's ingest grow until the next compaction) — documents, trie
-/// nodes and sequence length, all an insert maintains — then one per
+/// nodes and sequence length, of a view labeled now — then one per
 /// segment of every tier, from the build statistics in its meta blob,
 /// with the paths and their sharing the tier's trie was built with.
 fn print_index_stats(engine: &PrixEngine) -> Result<(), CliError> {
-    for idx in [engine.rp_index(), engine.ep_index()] {
+    for kind in [IndexKind::Regular, IndexKind::Extended] {
+        let idx = engine.delta().index(kind);
         let b = idx.build_stats();
         println!(
             "{} delta: {} docs, {} trie nodes, total seq len {}",

@@ -177,10 +177,9 @@ fn index_query_roundtrip_works() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A bulk-built database's delta starts empty — every trie scope is
-/// headroom — so a later `prix add` accepts the document, reports its
-/// commit epoch, and the next query both sees the document and names a
-/// later epoch.
+/// A bulk-built database's delta starts empty, and a later `prix add`
+/// accepts the document, reports its commit epoch, and the next query
+/// both sees the document and names a later epoch.
 #[test]
 fn index_then_add_advances_the_epoch() {
     let dir = std::env::temp_dir().join(format!("prix-cli-alpha-{}", std::process::id()));

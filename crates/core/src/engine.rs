@@ -14,12 +14,13 @@
 //! in-memory environment for an engine without a path: the tiers hold
 //! what a bulk build or a compaction wrote, the log the batches the
 //! live generation accepted since, as they arrived. The mutable delta —
-//! both indexes' trees and records — lives in memory, its records in a
-//! buffer pool, always starts empty, and is rebuilt on reopen by
-//! replaying the log through the same ingest calls that built it. It
-//! keeps no value postings: a predicate query verifies each of its
-//! documents, and a compaction writes their value run from the records
-//! (`crate::segbuild::TierBuilder`, the bulk build's tier writer too).
+//! both indexes' label paths and the records ([`Delta`]) — lives in
+//! memory, its records in a buffer pool, always starts empty, and is
+//! rebuilt on reopen by replaying the log through the same ingest calls
+//! that built it. It keeps no value postings: a predicate query
+//! verifies each of its documents, and a compaction writes their value
+//! run from the records (`crate::segbuild::TierBuilder`, the bulk
+//! build's tier writer too).
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -33,6 +34,7 @@ use prix_storage::{
 };
 use prix_xml::{Collection, Sym, SymbolTable};
 
+use crate::delta::Delta;
 use crate::index::{IndexError, IndexKind, PrixIndex, Result};
 use crate::snapshot::EngineSnapshot;
 
@@ -41,8 +43,8 @@ use crate::snapshot::EngineSnapshot;
 pub(crate) const DUMMY_LABEL: &str = "\u{1}prix-dummy";
 
 /// The type of the ignored [`EngineConfig::labeling`] field, and
-/// nothing else: every tier is labeled exactly by the segments'
-/// streaming trie, and the delta labels each insert as it arrives.
+/// nothing else: every tier, and every view of the delta, is labeled
+/// exactly by the segments' streaming trie.
 /// It stays only because the benchmark harness
 /// (`crates/bench/examples/prixbench`) names both variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,10 +242,9 @@ pub enum TierCheck {
     SymbolRun(u32),
 }
 
-/// An indexed XML database: its symbol table, its tiers, the RP/EP
-/// indexes of its delta, and the buffer pool the delta's records live
-/// in. The document trees are not kept: everything query processing
-/// needs is in the indexes.
+/// An indexed XML database: its symbol table, its tiers, its delta, and
+/// the buffer pool the delta's records live in. The document trees are
+/// not kept: everything query processing needs is in the indexes.
 pub struct PrixEngine {
     /// Every label the indexed documents (and the dummy) use, ids dense
     /// in interning order. On disk it is tiered like the indexes: the
@@ -251,8 +252,7 @@ pub struct PrixEngine {
     /// batches intern again when they are replayed.
     symbols: SymbolTable,
     pool: Arc<BufferPool>,
-    rp: PrixIndex,
-    ep: PrixIndex,
+    delta: Delta,
     dummy: Sym,
     /// The live generation's batch log.
     log: BatchLog,
@@ -326,13 +326,11 @@ impl PrixEngine {
         log: BatchLog,
         m: &Manifest,
     ) -> Result<Self> {
-        let (rp, ep) = PrixIndex::empty_pair(Arc::clone(&pool), dummy)?;
         let mut eng = PrixEngine {
             symbols,
             io: pool.pager().stats(),
+            delta: Delta::new(Arc::clone(&pool), dummy)?,
             pool,
-            rp,
-            ep,
             dummy,
             log,
             pending: Vec::new(),
@@ -362,14 +360,10 @@ impl PrixEngine {
         self.dummy
     }
 
-    /// The mutable tier's RPIndex.
-    pub fn rp_index(&self) -> &PrixIndex {
-        &self.rp
-    }
-
-    /// The mutable tier's EPIndex.
-    pub fn ep_index(&self) -> &PrixIndex {
-        &self.ep
+    /// The mutable tier: [`Delta::index`] takes a view of either of its
+    /// indexes.
+    pub fn delta(&self) -> &Delta {
+        &self.delta
     }
 
     /// A read view of the engine as it stands now, at
@@ -475,7 +469,7 @@ impl PrixEngine {
         eng.recovery = Some(RecoveryReport {
             unclean_shutdown: contents.file_len > contents.valid_len,
             replayed_frames: contents.records.len() as u64,
-            replayed_documents: eng.rp.doc_count() as u64,
+            replayed_documents: eng.delta.doc_count() as u64,
             wal_bytes: contents.valid_len,
             log_len: contents.file_len,
         });
@@ -639,8 +633,7 @@ impl PrixEngine {
         self.segments = tiers;
         self.manifest_segments = m.segments.clone();
         self.generation = m.generation;
-        self.rp.set_doc_base(next);
-        self.ep.set_doc_base(next);
+        self.delta.set_doc_base(next);
         Ok(())
     }
 
@@ -709,8 +702,8 @@ impl PrixEngine {
 
     /// [`PrixEngine::compact`] with an explicit sort-run budget.
     pub fn compact_with(&mut self, run_mem_bytes: usize) -> Result<bool> {
-        let n = self.rp.doc_count() as u32;
-        let doc_base = self.rp.doc_base();
+        let n = self.delta.doc_count();
+        let doc_base = self.delta.doc_base();
         if n == 0 {
             return Ok(false);
         }
@@ -733,7 +726,7 @@ impl PrixEngine {
             run_mem_bytes,
         )?;
         for local in 0..n {
-            tier.add_record(&self.ep.doc_record(doc_base + local)?, &self.symbols)?;
+            tier.add_record(&self.delta.record(local)?, &self.symbols)?;
         }
         manifest_segments.extend(tier.finish()?);
         // The names no symbol run holds yet: the ones the log's batches
@@ -748,7 +741,7 @@ impl PrixEngine {
         // log.
         let pager = Pager::with_stats(Arc::clone(&self.io));
         let pool = Arc::new(BufferPool::new(pager, self.pool.capacity()));
-        let (rp, ep) = PrixIndex::empty_pair(Arc::clone(&pool), self.dummy)?;
+        let delta = Delta::new(Arc::clone(&pool), self.dummy)?;
         let epoch = self.log.epoch() + 1;
         let log = Self::start_log(&*self.seg_env, generation, epoch, &self.io)?;
         // (3) Commit.
@@ -762,8 +755,7 @@ impl PrixEngine {
         let old_log = log_suffix(self.generation);
         self.log = log;
         self.pool = pool;
-        self.rp = rp;
-        self.ep = ep;
+        self.delta = delta;
         self.pending.clear();
         self.recovery = None;
         self.attach_manifest(&manifest)?;
@@ -806,7 +798,7 @@ impl PrixEngine {
     /// Documents living in the mutable delta (what the next
     /// [`PrixEngine::compact`] would fold).
     pub fn mutable_docs(&self) -> usize {
-        self.rp.doc_count()
+        self.delta.doc_count()
     }
 
     /// The loaded tier manifest row `s` belongs to.
@@ -883,15 +875,13 @@ impl PrixEngine {
         Ok(sizes)
     }
 
-    /// Parses `xml` and incrementally indexes it into the delta's two
-    /// indexes (§5.2.1 dynamic labeling in action), to be logged by the
-    /// next [`PrixEngine::save`]. The delta starts empty, so every scope
-    /// is headroom until halving uses it up; a document that no longer
-    /// fits is refused with
-    /// [`IndexError::Unsupported`] (see [`PrixIndex::prepare`]).
+    /// Parses `xml` and adds it to the delta ([`Delta::insert`]), to be
+    /// logged by the next [`PrixEngine::save`]. A document that does not
+    /// parse is refused with [`IndexError::Unsupported`]; no other is.
     pub fn insert_document(&mut self, xml: &str) -> Result<prix_xml::DocId> {
         self.log_body(BatchMode::Doc, xml);
-        self.index_xml(xml)
+        let tree = self.parse(xml).map_err(IndexError::Unsupported)?;
+        self.delta.insert(&tree)
     }
 
     /// Queues `body` for the next commit's record.
@@ -903,29 +893,15 @@ impl PrixEngine {
     /// it did, without logging it again.
     fn index_body(&mut self, mode: BatchMode, body: &str) -> Result<IngestOutcome> {
         match mode {
-            BatchMode::Doc => self.insert_each([body], Self::index_xml),
+            BatchMode::Doc => self.insert_each([body], Self::parse),
             BatchMode::Split => self.index_split(body),
         }
     }
 
-    /// Parses and indexes one document.
-    fn index_xml(&mut self, xml: &str) -> Result<prix_xml::DocId> {
-        let tree = prix_xml::parse_document(xml, &mut self.symbols)
-            .map_err(|e| IndexError::Unsupported(format!("parse error: {e}")))?;
-        self.insert_tree(tree)
-    }
-
-    /// Indexes an already-parsed tree (which must use this engine's
-    /// symbol table).
-    fn insert_tree(&mut self, tree: prix_xml::XmlTree) -> Result<prix_xml::DocId> {
-        // Prepare against *both* indexes before mutating either: if RP
-        // accepted the document but EP then ran out of trie scope, the
-        // two indexes would disagree on document ids forever after.
-        let (rp_doc, ep_doc) = (self.rp.prepare(&tree)?, self.ep.prepare(&tree)?);
-        let id = self.rp.insert(rp_doc)?;
-        let ep_id = self.ep.insert(ep_doc)?;
-        debug_assert_eq!(id, ep_id, "indexes assign ids in lockstep");
-        Ok(id)
+    /// Parses one document into the engine's symbol table, or says why
+    /// it does not parse.
+    fn parse(&mut self, xml: &str) -> std::result::Result<prix_xml::XmlTree, String> {
+        prix_xml::parse_document(xml, &mut self.symbols).map_err(|e| format!("parse error: {e}"))
     }
 
     /// The last committed epoch — the batch log's, the one clock: what
@@ -936,27 +912,24 @@ impl PrixEngine {
     }
 
     /// Batch ingest through the snapshot-isolation write path: every
-    /// document is prepared against *both* indexes (the same lockstep
-    /// rule as [`PrixEngine::insert_document`]) and accepted documents
-    /// are inserted. Nothing is committed: the caller looks at the
-    /// outcome and then makes **one** [`PrixEngine::save`] for the batch
-    /// (one log record, one `fsync`, one epoch) — or, when it wants all
-    /// of `docs` or none (`prix add`), drops the engine unsaved, which
-    /// commits nothing.
+    /// document that parses is inserted into the delta. Nothing is
+    /// committed: the caller looks at the outcome and then makes **one**
+    /// [`PrixEngine::save`] for the batch (one log record, one `fsync`,
+    /// one epoch) — or, when it wants all of `docs` or none (`prix
+    /// add`), drops the engine unsaved, which commits nothing.
     ///
-    /// Rejected documents (trie scope exhausted, parse errors) are
-    /// reported per-document and never touch either index — but they
-    /// are logged with the batch: parsing interned their names, and
-    /// replay must intern them again. Any error *after* a document
-    /// passed validation aborts the whole batch and is returned as
-    /// `Err` — the caller must treat the engine as broken (see
-    /// [`crate::snapshot::SharedEngine`], which poisons itself). Views
-    /// taken before the call see none of it.
+    /// Documents that do not parse are reported per-document and never
+    /// touch the delta — but they are logged with the batch: parsing
+    /// interned their names, and replay must intern them again. Any
+    /// error inserting a parsed document aborts the whole batch and is
+    /// returned as `Err` — the caller must treat the engine as broken
+    /// (see [`crate::snapshot::SharedEngine`], which poisons itself).
+    /// Views taken before the call see none of it.
     pub fn ingest_batch(&mut self, docs: &[String]) -> Result<IngestOutcome> {
         for doc in docs {
             self.log_body(BatchMode::Doc, doc);
         }
-        self.insert_each(docs.iter().map(String::as_str), Self::index_xml)
+        self.insert_each(docs.iter().map(String::as_str), Self::parse)
     }
 
     /// [`PrixEngine::ingest_batch`] over a *wrapper* document: the
@@ -983,24 +956,23 @@ impl PrixEngine {
         if subtrees.is_empty() {
             return Ok(reject("wrapper has no element children to ingest".into()));
         }
-        self.insert_each(subtrees, Self::insert_tree)
+        self.insert_each(subtrees, |_, tree| Ok(tree))
     }
 
-    /// The one accept/reject loop: `insert` prepares against both
-    /// indexes before mutating either, so an `Unsupported` error means
-    /// the document was refused cleanly; anything else aborts.
+    /// The one accept/reject loop: `parse` refuses a document cleanly
+    /// with its reason; every tree it makes is inserted, and a failed
+    /// insert aborts.
     fn insert_each<T>(
         &mut self,
         docs: impl IntoIterator<Item = T>,
-        mut insert: impl FnMut(&mut Self, T) -> Result<prix_xml::DocId>,
+        mut parse: impl FnMut(&mut Self, T) -> std::result::Result<prix_xml::XmlTree, String>,
     ) -> Result<IngestOutcome> {
         let mut accepted: Vec<prix_xml::DocId> = Vec::new();
         let mut rejected: Vec<(usize, String)> = Vec::new();
         for (i, doc) in docs.into_iter().enumerate() {
-            match insert(self, doc) {
-                Ok(id) => accepted.push(id),
-                Err(IndexError::Unsupported(msg)) => rejected.push((i, msg)),
-                Err(e) => return Err(e),
+            match parse(self, doc) {
+                Ok(tree) => accepted.push(self.delta.insert(&tree)?),
+                Err(why) => rejected.push((i, why)),
             }
         }
         Ok(IngestOutcome { accepted, rejected })
@@ -1012,7 +984,7 @@ impl PrixEngine {
 pub struct IngestOutcome {
     /// Ids assigned to accepted documents, in input order.
     pub accepted: Vec<prix_xml::DocId>,
-    /// `(input position, reason)` for each cleanly rejected document.
+    /// `(input position, reason)` for each document that did not parse.
     pub rejected: Vec<(usize, String)>,
 }
 
@@ -1194,11 +1166,11 @@ mod tests {
         assert_eq!((before[3].len(), after[3].len()), (0, 100));
     }
 
-    /// A view of the delta is a document count. Copies of its documents
-    /// end on the trie nodes its own end on and carry values its
-    /// predicates accept, and documents of a new shape grow new trie
-    /// nodes; the view answers, counts and streams exactly as before
-    /// them all.
+    /// A view of the delta holds the rows labeled when it was taken.
+    /// Copies of its documents end on the trie nodes its own end on and
+    /// carry values its predicates accept, and documents of a new shape
+    /// grow new trie nodes and move every label after them; the view
+    /// answers, counts and streams exactly as before them all.
     #[test]
     fn a_view_skips_documents_that_came_after_it() {
         let doc = |i: usize| format!("<r><p><n>{}</n><t>x{}</t></p></r>", i % 4, i % 3);
@@ -1220,7 +1192,7 @@ mod tests {
         let before = answers();
         // Arrival order, so the stream pulls its candidates lazily: one
         // before the inserts, the rest after them.
-        let rp = e.rp_index().clone();
+        let rp = e.delta().index(IndexKind::Regular);
         let order = ExecOpts::new().with_limit(usize::MAX);
         let drain = |s: &mut crate::exec::MatchStream<'_>| {
             std::iter::from_fn(|| s.next_match().unwrap()).collect::<Vec<_>>()
@@ -1308,56 +1280,16 @@ mod tests {
         let mut c = Collection::new();
         c.add_xml("<a><b><c>v</c></b></a>").unwrap();
         let mut e = PrixEngine::build(c, EngineConfig::default()).unwrap();
-        assert_eq!(
-            e.rp_index().build_stats().trie_nodes,
-            0,
-            "the delta starts empty"
-        );
+        let rp_nodes =
+            |e: &PrixEngine| e.delta().index(IndexKind::Regular).build_stats().trie_nodes;
+        assert_eq!(rp_nodes(&e), 0, "the delta starts empty");
         e.insert_document("<a><b><c>w</c></b></a>").unwrap();
-        let nodes_before = e.rp_index().build_stats().trie_nodes;
+        let nodes_before = rp_nodes(&e);
         // Identical structure: the RP trie path is fully shared.
         e.insert_document("<a><b><c>x</c></b></a>").unwrap();
-        let nodes_after = e.rp_index().build_stats().trie_nodes;
+        let nodes_after = rp_nodes(&e);
         assert_eq!(nodes_before, nodes_after, "no new RP trie nodes");
         assert_eq!(count(&e, "//a/b/c"), 3);
-    }
-
-    /// The scope limit of an empty delta: its root hands each fresh
-    /// child half of the scope it has left. `<a><b>v{i}</b></a>` shares
-    /// its RP path (`b a`) with every document before it, while its EP
-    /// sequence (`v{i} b a`) starts with a label new to the root — so
-    /// EP's root runs out and RP's never does. The engine must refuse
-    /// the document that no longer fits *before* touching either index.
-    #[test]
-    fn failed_ep_insert_leaves_indexes_in_lockstep() {
-        let mut e = PrixEngine::build(Collection::new(), EngineConfig::default()).unwrap();
-        let mut accepted = 0u32;
-        let err = loop {
-            match e.insert_document(&format!("<a><b>v{accepted}</b></a>")) {
-                Ok(id) => assert_eq!(id, accepted, "ids are dense"),
-                Err(err) => break err,
-            }
-            accepted += 1;
-            assert!(accepted < 1000, "the root never ran out of scope");
-        };
-        assert!(
-            matches!(err, IndexError::Unsupported(_)),
-            "expected scope underflow, got {err}"
-        );
-        assert_eq!(accepted, 63, "first labels an empty delta's root takes");
-        let refused = format!("<a><b>v{accepted}</b></a>");
-        let tree = prix_xml::parse_document(&refused, &mut e.symbols().clone()).unwrap();
-        assert!(e.rp_index().prepare(&tree).is_ok(), "RP alone accepts it");
-        let rp_docs = e.rp_index().doc_count();
-        let ep_docs = e.ep_index().doc_count();
-        assert_eq!(rp_docs, ep_docs, "indexes out of lockstep");
-        assert_eq!(rp_docs, accepted as usize, "rejected document half-indexed");
-        // The engine still works, and a document on paths both indexes
-        // hold gets the next id.
-        let id = e.insert_document("<a><b>v0</b></a>").unwrap();
-        assert_eq!(id, accepted);
-        assert_eq!(count(&e, "//a/b"), accepted as usize + 1);
-        assert_eq!(count(&e, r#"//b[text()="v0"]"#), 2);
     }
 
     /// A build over no documents is a database like any other: a

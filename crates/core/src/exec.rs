@@ -84,8 +84,8 @@ use prix_storage::{ValueRunReader, VxSection};
 use prix_xml::{DocId, NodeKind, PostNum, Sym, SymbolTable};
 
 use crate::index::{
-    project_embedding_into, Depth, DocBuf, DocData, ExecOpts, GapRule, IndexKind, PrixIndex,
-    QueryPlan, QueryStats, Result, TwigMatch,
+    corrupt_record, project_embedding_into, Depth, DocBuf, DocData, ExecOpts, GapRule, IndexKind,
+    PrixIndex, QueryPlan, QueryStats, Result, TwigMatch,
 };
 use crate::query::TwigQuery;
 use crate::valix::{docs_of, merge_join, str_key, PredEval, STR_KEY_CAP};
@@ -1032,6 +1032,15 @@ impl<'a> RefineStage<'a> {
         self.candidates += 1;
         let t0 = Instant::now();
         let (data, seen) = self.views.get(doc)?;
+        // The trie holds the document's sequence as its record was
+        // written: a position past the record's is a damaged record,
+        // which refinement must not index into.
+        if positions
+            .iter()
+            .any(|&p| p == 0 || p as usize > data.nps.len())
+        {
+            return Err(corrupt_record());
+        }
         let ctx = RefineCtx {
             doc_nps: &data.nps,
             query_nps: &plan.seq.nps,
@@ -1465,6 +1474,40 @@ mod tests {
                 assert_eq!(stats.valix_postings, 1, "{damage}, {what}");
                 assert_eq!(stats.candidates, 0, "{damage}, {what}");
             }
+        }
+    }
+
+    /// A trie stream over a record whose node count was lowered, 2 to
+    /// 1, in a one-document tier `<a><b><c/></b></a>`: every parent is
+    /// still above its child, so the record decodes, but the trie's
+    /// positions run past its NPS. The stream refuses the record,
+    /// limited or not; it never panics.
+    #[test]
+    fn a_trie_stream_over_a_damaged_record_is_refused() {
+        let env = one_doc_tier("<a><b><c/></b></a>");
+        let ep = env.store(".g1.ep.seg").unwrap();
+        let word = |at: u64| {
+            let mut w = [0; 8];
+            ep.read_at(at, &mut w).unwrap();
+            u64::from_le_bytes(w)
+        };
+        // Record 0: its length prefix, then `n`.
+        let at = word(48) + word(word(40)) + 1;
+        let mut n = [0];
+        ep.read_at(at, &mut n).unwrap();
+        assert_eq!(n, [2]);
+        ep.write_at(at, &[1]).unwrap();
+        let engine = PrixEngine::reopen_env(env, 8).unwrap();
+        let tier = &engine.seg_tiers()[0];
+        let q = parse_xpath("//a/b", &mut engine.symbols().clone()).unwrap();
+        for opts in [ExecOpts::new(), ExecOpts::new().with_limit(1)] {
+            let mut stream = tier.rp.stream(&q, &opts, None).unwrap();
+            let err = stream.next_match().expect_err("a damaged record");
+            assert_eq!(
+                err.to_string(),
+                "unsupported query: corrupt document record",
+                "{opts:?}"
+            );
         }
     }
 

@@ -6,11 +6,11 @@
 //!
 //! * the **Trie-Symbol index** — the virtual trie's labeled nodes keyed
 //!   by `(symbol, LeftPos)` (one logical index per tag, stored under a
-//!   composite key): a segment's tag rows in a tier, an ordered map in
-//!   the delta,
+//!   composite key): a segment's tag rows in a tier, the same rows in
+//!   memory in a view of the delta,
 //! * the **Docid index** — document ids keyed by the LeftPos of the trie
-//!   node where each LPS ends: a segment's doc-end rows, or an ordered
-//!   map in the delta,
+//!   node where each LPS ends: a segment's doc-end rows, or the same
+//!   rows in memory,
 //! * the per-label [`MaxGapTable`] (§5.4).
 //!
 //! A tier keeps one record per document, which both of its indexes
@@ -29,14 +29,14 @@
 //! refinement phases), producing the set of twig matches with their
 //! embeddings.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
-use std::ops::Bound::{Excluded, Included};
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use prix_prufer::{EdgeKind, MaxGapTable, PruferSeq};
-use prix_storage::{BufferPool, RecordId, RecordStore, SegmentReader, StorageError, SEG_KIND_RP};
+use prix_storage::segment::{DocEnd, TagEntry};
+use prix_storage::{RecordId, RecordStore, SegmentReader, StorageError, SEG_KIND_RP};
 use prix_xml::{DocId, PostNum, Sym, XmlTree};
 
 use crate::query::TwigQuery;
@@ -228,20 +228,16 @@ pub struct BuildStats {
     pub total_seq_len: u64,
 }
 
-/// A PRIX index over one collection *tier*.
+/// A PRIX index over one collection *tier*. It never changes: `Clone`
+/// shares its rows and records.
 ///
-/// `Clone` takes a view: the clone shares the backing and keeps its
-/// own MaxGap table, childless set and document count, so it sees the
-/// documents the index held when it was cloned and none inserted
-/// through the original since. That is how the engine's snapshots read
-/// the delta while the writer keeps inserting (DESIGN.md §10).
-///
-/// Two backings exist behind one query interface: the **mutable tier**
-/// (ordered maps in memory and a record store in the buffer pool, the
-/// only tier that accepts inserts, always begun [`PrixIndex::empty`])
-/// and **immutable segments** (the bulk-built
-/// implicit-tree files of `prix_storage::segment`, read through their
-/// tier's block cache). The executor is backing-agnostic — it only sees
+/// Two backings exist behind one query interface: a **view of the
+/// delta** (the rows [`crate::Delta::index`] labeled at one capture,
+/// in memory, and the delta's record store in the buffer pool) and
+/// **immutable segments** (the bulk-built implicit-tree files of
+/// `prix_storage::segment`, read through their tier's block cache).
+/// Both hold the rows a segment of the same documents holds. The
+/// executor is backing-agnostic — it only sees
 /// `PrixIndex::scan_tag_range` / `PrixIndex::scan_docids` /
 /// `PrixIndex::load_doc`.
 #[derive(Clone)]
@@ -266,34 +262,27 @@ pub struct PrixIndex {
 /// Where a [`PrixIndex`] reads its trie nodes and doc ends.
 #[derive(Clone)]
 enum Backing {
-    /// The delta, shared by the writer and every view of it under one
-    /// lock (an insert holds it for a whole document), and the count of
-    /// its documents this handle sees: doc ids at or past it are
-    /// skipped.
-    Tree(Arc<RwLock<TreeBacking>>, usize),
+    /// A view of the delta: the rows one capture labeled, its own.
+    Rows(Arc<Rows>),
     Seg(Arc<SegmentReader>),
 }
 
-/// The mutable tier's index: ordered maps.
-struct TreeBacking {
-    /// Trie-Symbol index: `(sym, left)` → `(right, level, fine_gap)`.
-    tags: BTreeMap<(Sym, u64), (u64, u32, u32)>,
-    /// Docid index: `left` → the local ids of the documents whose LPS
-    /// ends on that node, in insert order, which is ascending.
-    ends: BTreeMap<u64, Vec<u32>>,
-    /// The frontier of every trie node with a child, by its `left`
-    /// (the virtual root's is 0): only [`PrixIndex::insert`] reads it.
-    frontiers: HashMap<u64, u64>,
-    /// Documents inserted: the next one's local id.
-    n_docs: usize,
+/// The Trie-Symbol and Docid rows of a view of the delta, as
+/// `prix_storage::segment::label_paths` labels them: what a segment of
+/// the same documents holds, in memory.
+pub(crate) struct Rows {
+    /// Trie-Symbol rows in `(sym, left)` order.
+    pub(crate) tags: Vec<TagEntry>,
+    /// Docid rows in `(left, doc)` order, one per document.
+    pub(crate) ends: Vec<DocEnd>,
 }
 
 /// Where a tier's document records are: one copy, which both of its
 /// indexes read.
 #[derive(Clone)]
-enum Records {
-    /// The delta's store: whichever of the delta's indexes files a
-    /// document first appends its record, the other finds it there.
+pub(crate) enum Records {
+    /// The delta's store, which its writer appends to; a view reads the
+    /// documents it holds rows for.
     Delta(Arc<RwLock<DeltaRecords>>),
     /// A segment tier's EP file.
     Seg(Arc<SegmentReader>),
@@ -301,105 +290,18 @@ enum Records {
 
 /// The delta's records, in buffer-pool pages: each document's
 /// [`encode_doc_record`] bytes, by local id.
-struct DeltaRecords {
-    docs: Vec<RecordId>,
-    store: RecordStore,
+pub(crate) struct DeltaRecords {
+    pub(crate) docs: Vec<RecordId>,
+    pub(crate) store: RecordStore,
 }
 
-impl Records {
-    /// An empty delta store in `pool`. Its first page is the delta's
-    /// only one: a query's cold page count depends on which ids its
-    /// records got.
-    fn delta(pool: Arc<BufferPool>) -> Result<Records> {
-        let records = DeltaRecords {
-            docs: Vec::new(),
-            store: RecordStore::create(pool)?,
-        };
-        Ok(Records::Delta(Arc::new(RwLock::new(records))))
-    }
-}
-
-impl TreeBacking {
-    /// The trie node with scope `(left, right]` and `fine_gap`.
-    fn node(&self, left: u64, right: u64, fine_gap: u32) -> DeltaNode {
-        let frontier = self.frontiers.get(&left).copied().unwrap_or(left);
-        DeltaNode {
-            left,
-            right,
-            fine_gap,
-            frontier,
-        }
-    }
-}
-
-/// What a reader gets from a delta whose lock an insert panicked under:
-/// the delta holds a half-made change, and nothing is read past it.
+/// What a reader gets from a delta whose record store an insert
+/// panicked under: the store holds a half-made change, and nothing is
+/// read past it.
 pub(crate) fn half_changed<T>(_: T) -> IndexError {
     IndexError::Unsupported(
         "the delta was left half-changed by a failed insert; reopen the database".into(),
     )
-}
-
-/// A node of the delta's virtual trie: its Trie-Symbol entry's scope
-/// `(left, right]` and fine gap, and its `frontier`, the highest scope
-/// position already handed to a child (`left` while it has none), after
-/// which [`PrixIndex::insert`] carves out the next child.
-#[derive(Debug, Clone, Copy)]
-struct DeltaNode {
-    left: u64,
-    right: u64,
-    /// Per-occurrence MaxGap (§5.4 "finer granularity"); `u32::MAX`
-    /// when unknown.
-    fine_gap: u32,
-    frontier: u64,
-}
-
-/// Everything an index files one document under, from its tree: its
-/// record, and the path [`DocData::filed_path`] — the only code that
-/// knows a Regular sequence from an Extended one — files it under.
-pub(crate) struct DocArtifacts {
-    /// The document's record: its regular view ([`encode_doc_record`]),
-    /// whichever index files it.
-    pub(crate) data: DocData,
-    /// The LPS the index files it under: the regular one, or the
-    /// extended view's.
-    pub(crate) path: Vec<Sym>,
-    /// Per-position gaps feeding the fine-grained MaxGap.
-    pub(crate) gaps: Vec<u32>,
-}
-
-impl DocArtifacts {
-    /// The artifacts of `tree` for an index of `kind`, folding its
-    /// sequence (extended with `dummy` leaves for
-    /// [`IndexKind::Extended`]) into `maxgap`.
-    pub(crate) fn of(
-        tree: &XmlTree,
-        kind: IndexKind,
-        dummy: Sym,
-        maxgap: &mut MaxGapTable,
-    ) -> Self {
-        let data = DocData::regular(tree);
-        let (path, gaps) = data
-            .filed_path(kind, dummy)
-            .expect("a tree's regular view extends");
-        maxgap.add_seq(&path, &gaps);
-        DocArtifacts { data, path, gaps }
-    }
-
-    /// Labels of the document's childless nodes (§4.4 gate): its
-    /// leaves'.
-    pub(crate) fn childless(&self) -> impl Iterator<Item = Sym> + '_ {
-        self.data.leaves.iter().map(|&(s, _)| s)
-    }
-}
-
-/// A document [`PrixIndex::prepare`] has encoded and found room for in
-/// the virtual trie: the only thing [`PrixIndex::insert`] takes.
-pub struct Prepared {
-    art: DocArtifacts,
-    /// The document's own MaxGap table, folded into the index's by the
-    /// insert (preparing mutates nothing).
-    maxgap: MaxGapTable,
 }
 
 /// Per-document data used by refinement: a record's regular view
@@ -570,153 +472,29 @@ pub(crate) fn gaps_from_nps(nps: &[PostNum]) -> Vec<u32> {
 }
 
 impl PrixIndex {
-    /// The empty delta index of `kind`: an empty record store in `pool`
-    /// and empty Trie-Symbol and Docid indexes under the virtual root,
-    /// whose scope `(0, u64::MAX]` is all headroom for
-    /// [`PrixIndex::insert`]. `dummy` is the label used for the §5.6
-    /// leaf extension (EPIndex only); it must not be used as a query
-    /// label.
-    pub fn empty(pool: Arc<BufferPool>, kind: IndexKind, dummy: Sym) -> Result<Self> {
-        Ok(Self::empty_with(kind, dummy, Records::delta(pool)?))
-    }
-
-    /// The empty delta's RPIndex and EPIndex, as [`PrixIndex::empty`]
-    /// makes them but over one record store, so the delta holds each
-    /// document's record once.
-    pub(crate) fn empty_pair(pool: Arc<BufferPool>, dummy: Sym) -> Result<(Self, Self)> {
-        let records = Records::delta(pool)?;
-        Ok((
-            Self::empty_with(IndexKind::Regular, dummy, records.clone()),
-            Self::empty_with(IndexKind::Extended, dummy, records),
-        ))
-    }
-
-    fn empty_with(kind: IndexKind, dummy: Sym, records: Records) -> Self {
-        let body = TreeBacking {
-            tags: BTreeMap::new(),
-            ends: BTreeMap::new(),
-            frontiers: HashMap::new(),
-            n_docs: 0,
-        };
+    /// A view of the delta: its index of `kind` over `rows` and the
+    /// records of `records`, with the MaxGap table, childless labels and
+    /// trie statistics of the documents the rows hold. Its documents
+    /// start at id 0 until [`PrixIndex::set_doc_base`] moves them.
+    pub(crate) fn from_rows(
+        kind: IndexKind,
+        dummy: Sym,
+        rows: Rows,
+        build_stats: BuildStats,
+        maxgap: MaxGapTable,
+        childless: HashSet<Sym>,
+        records: Records,
+    ) -> Self {
         PrixIndex {
             kind,
-            maxgap: MaxGapTable::new(),
+            maxgap,
             dummy,
-            build_stats: BuildStats::default(),
+            build_stats,
             doc_base: 0,
-            childless: HashSet::new(),
-            backing: Backing::Tree(Arc::new(RwLock::new(body)), 0),
+            childless,
+            backing: Backing::Rows(Arc::new(rows)),
             records,
         }
-    }
-
-    /// The delta's shared body, read-locked, or `Unsupported` for a
-    /// segment tier.
-    fn tree(&self) -> Result<RwLockReadGuard<'_, TreeBacking>> {
-        match &self.backing {
-            Backing::Tree(t, _) => t.read().map_err(half_changed),
-            Backing::Seg(_) => Err(needs_delta()),
-        }
-    }
-
-    /// Encodes `tree` for this index and checks, without mutating
-    /// anything, that [`PrixIndex::insert`] has room for it: a read-only
-    /// descent of the virtual trie that verifies the parent scope at the
-    /// first divergence point fits the remaining suffix. (Once a fresh
-    /// child is carved out it receives at least `need` positions, so
-    /// every deeper level fits by induction — the first divergence is
-    /// the only place an insert can fail.) Fails with
-    /// [`IndexError::Unsupported`] on scope underflow: a fresh child
-    /// takes half of its parent's remaining scope, so a delta — which
-    /// always starts empty — refuses new first labels once its root has
-    /// halved its scope some sixty times (DESIGN.md).
-    ///
-    /// `PrixEngine::insert_tree` prepares against *both*
-    /// indexes before inserting into either, so a rejected document
-    /// cannot leave RP and EP with different document counts.
-    pub fn prepare(&self, tree: &XmlTree) -> Result<Prepared> {
-        let mut maxgap = MaxGapTable::new();
-        let art = DocArtifacts::of(tree, self.kind, self.dummy, &mut maxgap);
-        let lps = &art.path;
-        let t = self.tree()?;
-        let mut cur = t.node(0, u64::MAX, u32::MAX);
-        for (i, &sym) in lps.iter().enumerate() {
-            let level = (i + 1) as u32;
-            match find_child(&t, &cur, sym, level) {
-                Some(child) => cur = child,
-                None => {
-                    scope_left(&cur, level, (lps.len() - i) as u64)?;
-                    break;
-                }
-            }
-        }
-        Ok(Prepared { art, maxgap })
-    }
-
-    /// Incrementally indexes one more document — the use case the
-    /// paper's dynamic labeling scheme exists for (§5.2.1: ranges can
-    /// be assigned "without building a physical trie").
-    ///
-    /// Descends the virtual trie; existing path prefixes are shared,
-    /// new trie nodes take half of their parent's remaining scope (the
-    /// paper's policy). The document's record is the bytes a segment
-    /// would hold for it, appended once, by whichever of the delta's
-    /// indexes files the document first. The whole insert holds the
-    /// index's write lock, so a view reads it whole or not at all.
-    pub fn insert(&mut self, doc: Prepared) -> Result<DocId> {
-        let Prepared { art, maxgap } = doc;
-        let (lps, gaps) = (&art.path, &art.gaps);
-        let Backing::Tree(body, count) = &mut self.backing else {
-            return Err(needs_delta());
-        };
-        let mut t = body.write().map_err(half_changed)?;
-        let mut cur = t.node(0, u64::MAX, u32::MAX);
-        for (i, &sym) in lps.iter().enumerate() {
-            let level = (i + 1) as u32;
-            match find_child(&t, &cur, sym, level) {
-                Some(child) => {
-                    // Shared prefix: raise the per-node fine gap, which
-                    // only grows (a view pruning by a larger gap prunes
-                    // less, never wrongly).
-                    if child.fine_gap != u32::MAX && gaps[i] > child.fine_gap {
-                        if let Some(row) = t.tags.get_mut(&(sym, child.left)) {
-                            row.2 = gaps[i];
-                        }
-                    }
-                    cur = child;
-                }
-                None => {
-                    let need = (lps.len() - i) as u64;
-                    let available = scope_left(&cur, level, need)?;
-                    let share = (available / 2).max(need).min(available);
-                    let child = t.node(cur.frontier + 1, cur.frontier + share, gaps[i]);
-                    // The child's entry, and the parent's advanced
-                    // frontier.
-                    let row = (child.right, level, child.fine_gap);
-                    t.tags.insert((sym, child.left), row);
-                    t.frontiers.insert(cur.left, child.right);
-                    self.build_stats.trie_nodes += 1;
-                    cur = child;
-                }
-            }
-        }
-        // Document endpoint and record.
-        let local = t.n_docs as u32;
-        t.ends.entry(cur.left).or_default().push(local);
-        if let Records::Delta(records) = &self.records {
-            let mut r = records.write().map_err(half_changed)?;
-            if r.docs.len() == local as usize {
-                let rec = r.store.append(&encode_doc_record(&art.data))?;
-                r.docs.push(rec);
-            }
-        }
-        t.n_docs += 1;
-        *count = t.n_docs;
-        self.maxgap.merge(&maxgap);
-        self.childless.extend(art.childless());
-        self.build_stats.sequences += 1;
-        self.build_stats.total_seq_len += lps.len() as u64;
-        Ok(self.doc_base + local)
     }
 
     /// This index's sequence flavor.
@@ -732,7 +510,7 @@ impl PrixIndex {
     /// Number of documents indexed *in this tier*.
     pub fn doc_count(&self) -> usize {
         match &self.backing {
-            Backing::Tree(_, count) => *count,
+            Backing::Rows(rows) => rows.ends.len(),
             Backing::Seg(r) => r.n_docs() as usize,
         }
     }
@@ -752,7 +530,7 @@ impl PrixIndex {
     pub(crate) fn segment(&self) -> Option<&Arc<SegmentReader>> {
         match &self.backing {
             Backing::Seg(r) => Some(r),
-            Backing::Tree(..) => None,
+            Backing::Rows(_) => None,
         }
     }
 
@@ -1022,20 +800,22 @@ impl PrixIndex {
         qr: u64,
     ) -> Result<Vec<(u64, u64, u32, u32)>> {
         match &self.backing {
-            Backing::Tree(..) => Ok(self
-                .tree()?
-                .tags
-                .range((Excluded((sym, ql)), Included((sym, qr))))
-                .map(|(&(_, left), &(right, level, gap))| (left, right, level, gap))
-                .collect()),
+            Backing::Rows(rows) => {
+                let tags = &rows.tags;
+                let from = tags.partition_point(|t| (t.sym, t.left) <= (sym.0, ql));
+                let to = tags.partition_point(|t| (t.sym, t.left) <= (sym.0, qr));
+                let hits = tags[from..to.max(from)].iter();
+                Ok(hits
+                    .map(|t| (t.left, t.right, t.level, t.fine_gap))
+                    .collect())
+            }
             Backing::Seg(r) => Ok(r.scan_tag_range(sym.0, ql, qr)?),
         }
     }
 
     /// Appends every document whose LPS ends on a trie node with `left`
     /// in `[left, right]` (the Docid-index scan at the last LPS
-    /// position of Algorithm 1): of the delta, the ones this handle
-    /// sees.
+    /// position of Algorithm 1), in `(left, doc)` order.
     pub(crate) fn scan_docids(
         &self,
         left: u64,
@@ -1044,11 +824,10 @@ impl PrixIndex {
     ) -> Result<()> {
         let base = self.doc_base;
         match &self.backing {
-            Backing::Tree(_, count) => {
-                for locals in self.tree()?.ends.range(left..=right).map(|(_, v)| v) {
-                    let seen = locals.iter().take_while(|&&l| (l as usize) < *count);
-                    out.extend(seen.map(|&l| base + l));
-                }
+            Backing::Rows(rows) => {
+                let from = rows.ends.partition_point(|e| e.left < left);
+                let ends = rows.ends[from..].iter().take_while(|e| e.left <= right);
+                out.extend(ends.map(|e| base + e.doc));
             }
             Backing::Seg(r) => {
                 r.scan_docids(left, right, &mut |d| out.push_back(base + d))?;
@@ -1057,15 +836,9 @@ impl PrixIndex {
         Ok(())
     }
 
-    /// A document's stored record: [`encode_doc_record`]'s bytes,
-    /// wherever its tier keeps them.
-    pub(crate) fn doc_record(&self, doc: DocId) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.doc_record_into(doc, &mut out).map(|()| out)
-    }
-
-    /// [`PrixIndex::doc_record`] written into `out`, whose contents it
-    /// replaces.
+    /// A document's stored record — [`encode_doc_record`]'s bytes,
+    /// wherever its tier keeps them — written into `out`, whose contents
+    /// it replaces.
     pub(crate) fn doc_record_into(&self, doc: DocId, out: &mut Vec<u8>) -> Result<()> {
         // A docid scan or a value posting can name a document this tier
         // does not hold only if the database is corrupt (a torn ingest,
@@ -1207,35 +980,6 @@ pub(crate) fn corrupt_record() -> IndexError {
 pub(crate) struct GapRule {
     pub(crate) global: u64,
     pub(crate) extra: u64,
-}
-
-/// The refusal of a delta-only operation on a segment tier.
-fn needs_delta() -> IndexError {
-    IndexError::Unsupported(
-        "operation needs the mutable index tier; this is an immutable segment".into(),
-    )
-}
-
-/// The direct child of `cur` labeled `sym` (a trie node at exactly
-/// `level` inside `cur`'s scope) in the delta `t`, if present.
-fn find_child(t: &TreeBacking, cur: &DeltaNode, sym: Sym, level: u32) -> Option<DeltaNode> {
-    t.tags
-        .range((Excluded((sym, cur.left)), Included((sym, cur.right))))
-        .find(|(_, &(_, l, _))| l == level)
-        .map(|(&(_, left), &(right, _, fine_gap))| t.node(left, right, fine_gap))
-}
-
-/// The positions `cur` can still hand to a fresh child at `level`, or
-/// the error when a suffix of `need` labels does not fit in them.
-fn scope_left(cur: &DeltaNode, level: u32, need: u64) -> Result<u64> {
-    let available = cur.right.saturating_sub(cur.frontier);
-    if available < need {
-        return Err(IndexError::Unsupported(format!(
-            "virtual-trie scope underflow at level {level}: {available} positions left \
-             for a suffix of {need}; compact to start an empty delta"
-        )));
-    }
-    Ok(available)
 }
 
 /// Tiny byte codec for document records and tier metadata.
@@ -1591,28 +1335,24 @@ mod tests {
         engine.seg_tiers()[0].index_of(kind).clone()
     }
 
-    /// An insert that panics under one of the delta's write locks — an
-    /// index's, or its records' — leaves a half-made change behind it:
-    /// every reader of what it locked — a view taken before, and the
-    /// writer itself — gets an error, never an answer read past it.
+    /// An insert that panics under the delta's record store's write
+    /// lock leaves a half-made change behind it: every reader of the
+    /// store — a view taken before, and the writer itself — gets an
+    /// error, never an answer read past it.
     #[test]
     fn a_delta_a_writer_panicked_in_is_refused() {
         let mut e = crate::PrixEngine::build(Collection::new(), Default::default()).unwrap();
         for xml in ["<a><b><c/></b></a>", "<a><b><d/></b></a>"] {
             e.insert_document(xml).unwrap();
         }
-        let view = e.rp_index().clone();
+        let view = e.delta().index(IndexKind::Regular);
         let q = crate::xpath::parse_xpath("//a/b/c", &mut e.symbols().clone()).unwrap();
         assert_eq!(run(&view, &q, &ExecOpts::new()).unwrap().0.len(), 1);
-        let Backing::Tree(body, _) = &view.backing else {
-            panic!("the delta is tree-backed")
-        };
         let Records::Delta(records) = &view.records else {
             panic!("the delta's records are its store's")
         };
-        let (body, records) = (Arc::clone(body), Arc::clone(records));
+        let records = Arc::clone(records);
         let panicked = std::thread::spawn(move || {
-            let _insert = body.write().unwrap();
             let _append = records.write().unwrap();
             panic!("an insert fails half-way");
         });
@@ -2177,13 +1917,14 @@ mod tests {
         }
         for (kind, indexed) in [(IndexKind::Regular, tree), (IndexKind::Extended, &ext_tree)] {
             let mut maxgap = MaxGapTable::new();
-            let art = DocArtifacts::of(tree, kind, dummy, &mut maxgap);
+            let (path, gaps) = DocData::regular(tree).filed_path(kind, dummy).unwrap();
+            maxgap.add_seq(&path, &gaps);
             let sorted = |t: &MaxGapTable| {
                 let mut e: Vec<_> = t.entries().collect();
                 e.sort_unstable_by_key(|&(s, _)| s.0);
                 e
             };
-            let paths = (art.path, art.gaps, sorted(&maxgap));
+            let paths = (path, gaps, sorted(&maxgap));
             let built = (
                 PruferSeq::regular(indexed).lps,
                 gaps_by_tree(indexed),

@@ -27,6 +27,8 @@
 //!   over one collection,
 //! * [`PrixEngine`] — owns both indexes and everything that changes
 //!   them: build, reopen, insert, ingest, commit, compact, verify,
+//! * [`Delta`] — the tier inserts go to: each document's filed paths
+//!   and record, labeled exactly when a view is taken,
 //! * [`EngineSnapshot`] — a view of an engine at one epoch and the one
 //!   place queries run; routes each to the right index like the paper's
 //!   query optimizer (§5.6). [`PrixEngine::snapshot`] hands one out for
@@ -41,6 +43,7 @@
 //!   filtering + refinement phases.
 
 pub mod arrange;
+pub mod delta;
 pub mod engine;
 pub mod exec;
 pub mod index;
@@ -53,6 +56,7 @@ pub mod snapshot;
 pub mod valix;
 pub mod xpath;
 
+pub use delta::Delta;
 pub use engine::{EngineConfig, IngestOutcome, LabelingMode, PrixEngine, SegTier, TierCheck};
 pub use exec::MatchStream;
 pub use index::{ExecOpts, IndexKind, PrixIndex, QueryStats, TwigMatch};
@@ -80,7 +84,7 @@ mod tests {
     use crate::engine::{decode_symbols, encode_symbols};
     use crate::index::{
         decode_doc_record, decode_seg_index_meta, doc_view, encode_doc_record,
-        encode_seg_index_meta, BuildStats, Depth, DocArtifacts, IndexKind,
+        encode_seg_index_meta, BuildStats, Depth, DocData, IndexKind,
     };
     use crate::valix::PredEval;
     use crate::xpath::parse_xpath;
@@ -99,9 +103,11 @@ mod tests {
         c.add_xml(r#"<a x="1"><b><c>v</c></b><d>é — ü</d><b/></a>"#)
             .unwrap();
         let dummy = c.intern("\u{1}d");
+        let data = DocData::regular(c.doc(0));
+        let (path, gaps) = data.filed_path(IndexKind::Extended, dummy).unwrap();
         let mut maxgap = MaxGapTable::new();
-        let art = DocArtifacts::of(c.doc(0), IndexKind::Extended, dummy, &mut maxgap);
-        let childless: HashSet<Sym> = art.childless().collect();
+        maxgap.add_seq(&path, &gaps);
+        let childless: HashSet<Sym> = data.leaves.iter().map(|&(s, _)| s).collect();
         let stats = BuildStats {
             trie_nodes: 9,
             trie_paths: 1,
@@ -111,10 +117,10 @@ mod tests {
         };
         type Decodes = fn(&[u8]) -> bool;
         let table: [(&str, Vec<u8>, Decodes); 5] = [
-            ("document record", encode_doc_record(&art.data), |b| {
+            ("document record", encode_doc_record(&data), |b| {
                 decode_doc_record(b, Depth::Leaves).is_some()
             }),
-            ("extended view", encode_doc_record(&art.data), |b| {
+            ("extended view", encode_doc_record(&data), |b| {
                 let view = |depth| doc_view(b, IndexKind::Extended, Sym(0), depth).is_ok();
                 view(Depth::Nps) & view(Depth::Leaves)
             }),
@@ -128,27 +134,22 @@ mod tests {
                 encode_symbols(c.symbols().names_from(0)),
                 |b| decode_symbols(b, 0, &mut SymbolTable::new()).is_some(),
             ),
-            (
-                "predicate verification",
-                encode_doc_record(&art.data),
-                |b| {
-                    // The query's two labels are the whole table, so every
-                    // leaf label the record names is past its end.
-                    let mut syms = SymbolTable::new();
-                    let q = parse_xpath(r#"//b[c = "v"]"#, &mut syms).unwrap();
-                    let eval = PredEval::build(&q, &[], &syms)
-                        .unwrap()
-                        .expect("one predicate");
-                    [IndexKind::Regular, IndexKind::Extended]
-                        .into_iter()
-                        .all(|kind| {
-                            doc_view(b, kind, Sym(0), Depth::Leaves).is_ok_and(|d| {
-                                (0..=d.nps.len() as u32 + 1)
-                                    .all(|img| !eval.matches(&d, &[img, img]))
-                            })
+            ("predicate verification", encode_doc_record(&data), |b| {
+                // The query's two labels are the whole table, so every
+                // leaf label the record names is past its end.
+                let mut syms = SymbolTable::new();
+                let q = parse_xpath(r#"//b[c = "v"]"#, &mut syms).unwrap();
+                let eval = PredEval::build(&q, &[], &syms)
+                    .unwrap()
+                    .expect("one predicate");
+                [IndexKind::Regular, IndexKind::Extended]
+                    .into_iter()
+                    .all(|kind| {
+                        doc_view(b, kind, Sym(0), Depth::Leaves).is_ok_and(|d| {
+                            (0..=d.nps.len() as u32 + 1).all(|img| !eval.matches(&d, &[img, img]))
                         })
-                },
-            ),
+                    })
+            }),
         ];
         let mut rng = TestRng::from_seed(0x5eed_0027);
         for (what, good, decodes) in table {

@@ -193,8 +193,9 @@ impl TierBuilder {
     }
 }
 
-/// A segment's trie statistics as the index reports them.
-fn build_stats(st: &prix_storage::SegTrieStats) -> BuildStats {
+/// A trie's statistics as the index reports them: a segment's, or a
+/// view of the delta's.
+pub(crate) fn build_stats(st: &prix_storage::SegTrieStats) -> BuildStats {
     BuildStats {
         trie_nodes: st.nodes as usize,
         trie_paths: st.leaves as usize,

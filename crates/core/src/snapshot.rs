@@ -8,22 +8,19 @@
 //! answers takes a view — [`PrixEngine::snapshot`] for a bare engine,
 //! [`SharedEngine::snapshot`] while a writer runs.
 //!
-//! The paper treats the index as a build-once artifact with §5.2.1's
-//! dynamic labeling for incremental inserts; this module makes those
-//! inserts safe *while serving*. Dynamic labeling only ever adds
-//! documents, so a view is a document count:
+//! The paper treats the index as a build-once artifact; this module
+//! makes inserts safe *while serving*. A view owns what it reads:
 //!
 //! * [`EngineSnapshot`] holds everything a query needs (symbol table,
 //!   the tiers, RP/EP index handles, the value index) at one published
 //!   epoch. Snapshots are immutable and cheap to share (`Arc`); queries
 //!   against one snapshot are bit-identical no matter what the writer
 //!   does concurrently.
-//! * A tier never changes. The delta's structures are shared with the
-//!   writer, each behind one lock an insert holds for a whole document,
-//!   and a snapshot's handles see only the documents the delta held at
-//!   capture: doc ids and value postings past that count are skipped.
-//!   What an insert changes of an older document's rows is a fine gap,
-//!   which only grows (DESIGN.md §10).
+//! * A tier never changes. A capture labels the delta's documents into
+//!   rows of its own ([`crate::Delta::index`]), the rows the tier its
+//!   compaction writes will hold; the writer shares only the record
+//!   store with it, which only grows, and the view reads the records of
+//!   its own documents (DESIGN.md §10).
 //!
 //! The epoch is the batch log's, the engine's one clock
 //! ([`PrixEngine::epoch`]). [`SharedEngine`] keeps the registry of the
@@ -101,8 +98,7 @@ type TierRefs<'a> = (&'a PrixIndex, &'a PrixIndex, Option<TierValues<'a>>);
 ///
 /// Everything reachable from a snapshot reads as of its
 /// [`EngineSnapshot::epoch`]: the tiers never change, and the delta's
-/// index handles are clones that see the documents the delta held at
-/// capture and none inserted since.
+/// indexes are the rows its documents were labeled into at capture.
 pub struct EngineSnapshot {
     epoch: u64,
     syms: Arc<SymbolTable>,
@@ -120,10 +116,10 @@ pub struct EngineSnapshot {
 }
 
 impl EngineSnapshot {
-    /// The engine as it stands. `prev` is the snapshot this one
-    /// supersedes, if any: the symbol table only grows, so when `prev`
-    /// froze one of the same length it is the same table and is shared
-    /// instead of copied.
+    /// The engine as it stands, the delta's documents labeled now.
+    /// `prev` is the snapshot this one supersedes, if any: the symbol
+    /// table only grows, so when `prev` froze one of the same length it
+    /// is the same table and is shared instead of copied.
     pub(crate) fn capture(engine: &PrixEngine, prev: Option<&EngineSnapshot>) -> Self {
         let syms = match prev {
             Some(prev) if prev.syms.len() == engine.symbols().len() => Arc::clone(&prev.syms),
@@ -132,8 +128,8 @@ impl EngineSnapshot {
         EngineSnapshot {
             epoch: engine.epoch(),
             syms,
-            rp: engine.rp_index().clone(),
-            ep: engine.ep_index().clone(),
+            rp: engine.delta().index(IndexKind::Regular),
+            ep: engine.delta().index(IndexKind::Extended),
             segments: engine.seg_tiers().to_vec(),
             generation: engine.generation(),
             log: (engine.log().len(), engine.log().records()),
@@ -632,9 +628,8 @@ fn explain_pred(q: &TwigQuery, pred: &PredEval<'_>, syms: &SymbolTable) -> Strin
 pub struct IngestReport {
     /// Ids assigned to accepted documents, in input order.
     pub accepted: Vec<DocId>,
-    /// `(input position, reason)` for documents rejected cleanly
-    /// (parse errors, trie scope exhausted). Rejection never touches
-    /// either index.
+    /// `(input position, reason)` for documents that did not parse,
+    /// the only ones refused. Rejection never touches the delta.
     pub rejected: Vec<(usize, String)>,
     /// The epoch readers see the accepted documents at. Unchanged from
     /// the previous epoch when nothing was accepted.
@@ -793,11 +788,12 @@ impl SharedEngine {
         self.snapshot().epoch()
     }
 
-    /// Whether a failed ingest has poisoned the writer. Reads keep
-    /// serving the last published snapshot; further ingests are
-    /// refused.
+    /// Whether a failed ingest or compaction has poisoned the engine, or
+    /// a writer panicked under the writer lock, which may have left it
+    /// half-changed. Reads keep serving the last published snapshot;
+    /// further ingests and compactions are refused.
     pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
+        self.poisoned.load(Ordering::Acquire) || self.writer.is_poisoned()
     }
 
     /// Ingests a batch of XML documents and publishes a new epoch.
@@ -1020,8 +1016,8 @@ mod tests {
         assert_eq!(e.query(&q).unwrap().matches.len(), 2, "unforced: EPIndex");
     }
 
-    /// The delta labels each insert as it comes (§5.2.1); a tier is
-    /// labeled exactly. Both answer alike.
+    /// A view of the delta labels its documents as a tier of them is
+    /// labeled, and answers alike.
     #[test]
     fn a_delta_answers_like_a_tier() {
         let docs: Vec<String> = (0..20)
@@ -1408,6 +1404,34 @@ mod tests {
         // A successful publish reports exactly the new epoch.
         let report = shared.ingest(&docs(&["<a><b>x</b></a>"])).unwrap();
         assert_eq!(seen.load(Ordering::SeqCst), report.epoch);
+    }
+
+    /// A writer that panics under the writer lock — here, in the publish
+    /// hook — may leave the engine half-changed: the engine is poisoned,
+    /// and every later ingest and compaction is refused, while readers
+    /// keep the view published before the panic.
+    #[test]
+    fn a_writer_that_panicked_is_refused() {
+        let shared = std::sync::Arc::new(shared());
+        shared.set_on_publish(|_| panic!("the publish hook fails"));
+        let writer = std::sync::Arc::clone(&shared);
+        let panicked = std::thread::spawn(move || writer.ingest(&docs(&["<a><b>x</b></a>"])));
+        assert!(panicked.join().is_err());
+        assert!(shared.is_poisoned());
+        let batch = docs(&["<a><c/></a>"]);
+        let refusals = [
+            shared.ingest(&batch).err(),
+            shared.try_ingest(&batch).and_then(Result::err),
+            shared.try_ingest_split("<r><a/></r>").and_then(Result::err),
+            shared.compact().err(),
+        ];
+        for err in refusals {
+            let err = err.expect("refused").to_string();
+            assert!(err.contains("poisoned"), "{err}");
+        }
+        let snap = shared.snapshot();
+        let q = snap.parse_query("/a/b").unwrap();
+        assert_eq!(snap.query(&q).unwrap().matches.len(), 2);
     }
 
     #[test]

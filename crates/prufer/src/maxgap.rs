@@ -55,14 +55,6 @@ impl MaxGapTable {
         *e = (*e).max(gap);
     }
 
-    /// Folds in every label `other` has recorded: the table of two
-    /// collections' union.
-    pub fn merge(&mut self, other: &MaxGapTable) {
-        for (label, gap) in other.entries() {
-            self.raise(label, gap);
-        }
-    }
-
     /// Builds a table over a whole collection.
     pub fn build<'a>(trees: impl IntoIterator<Item = &'a XmlTree>) -> Self {
         let mut t = Self::new();
@@ -139,11 +131,6 @@ mod tests {
         let a = syms.lookup("a").unwrap();
         let table = MaxGapTable::build([&t1, &t2]);
         assert_eq!(table.get(a), 3);
-        // Folding the documents' own tables together is the same table.
-        let mut merged = MaxGapTable::build([&t2]);
-        merged.merge(&MaxGapTable::build([&t1]));
-        assert_eq!(merged.get(a), 3);
-        assert_eq!(merged.len(), table.len());
     }
 
     #[test]

@@ -489,24 +489,25 @@ impl<S: FnMut(TagEntry) -> Result<()>> StreamTrie<S> {
     }
 }
 
-/// Labels the virtual trie over `paths` — one `(label path, document)`
-/// pair per document, in any order — in memory, through the same
-/// streaming trie a segment build runs, with every fine gap 0. Returns
-/// the tag rows in `(sym, left)` order, the doc-end rows in `(left,
-/// doc)` order and the trie's statistics.
-pub fn label_paths(mut paths: Vec<(Vec<u32>, u32)>) -> (Vec<TagEntry>, Vec<DocEnd>, SegTrieStats) {
-    paths.sort_unstable();
-    let longest = paths.iter().map(|(p, _)| p.len()).max().unwrap_or(0);
-    let zeros = vec![0; longest];
+/// Labels the virtual trie over `paths` — one `(label path, fine gaps,
+/// document)` triple per document, the gaps one per symbol, in any
+/// order — in memory, through the same streaming trie a segment build
+/// runs, so the rows are the ones a segment of the same paths holds.
+/// Returns the tag rows in `(sym, left)` order, the doc-end rows in
+/// `(left, doc)` order and the trie's statistics.
+pub fn label_paths<'a>(
+    paths: impl IntoIterator<Item = (&'a [u32], &'a [u32], u32)>,
+) -> (Vec<TagEntry>, Vec<DocEnd>, SegTrieStats) {
+    let mut paths: Vec<_> = paths.into_iter().collect();
+    paths.sort_unstable_by(|a, b| (a.0, a.2).cmp(&(b.0, b.2)));
     let mut tags = Vec::new();
     let mut trie = StreamTrie::new(|t| {
         tags.push(t);
         Ok(())
     });
     let in_memory = "an in-memory labeling cannot fail";
-    for (path, doc) in &paths {
-        trie.insert(path, &zeros[..path.len()], *doc)
-            .expect(in_memory);
+    for (path, gaps, doc) in paths {
+        trie.insert(path, gaps, doc).expect(in_memory);
     }
     let (stats, doc_ends) = trie.finish().expect(in_memory);
     tags.sort_unstable();
@@ -1554,15 +1555,11 @@ pub(crate) mod tests {
             .unwrap();
         let want_ends: Vec<u32> = exp_ends.iter().map(|e| e.doc).collect();
         assert_eq!(got_ends, want_ends);
-        // The in-memory labeler is the same trie with every fine gap 0.
-        let zeroed: Vec<_> = paths
-            .iter()
-            .map(|(p, _)| (p.clone(), vec![0; p.len()]))
-            .collect();
-        let docs = paths.iter().enumerate();
-        let (tags, ends, mem_stats) =
-            label_paths(docs.map(|(d, (p, _))| (p.clone(), d as u32)).collect());
-        assert_eq!((tags, ends), oracle_rows(&zeroed));
+        // The in-memory labeler is the same trie: the segment's rows,
+        // from the paths handed over in reverse.
+        let docs = paths.iter().zip(0..paths.len() as u32).rev();
+        let (tags, ends, mem_stats) = label_paths(docs.map(|((p, g), d)| (&p[..], &g[..], d)));
+        assert_eq!((tags, ends), (exp_tags, exp_ends));
         assert_eq!(mem_stats, want_stats);
     }
 

@@ -74,8 +74,13 @@ impl VistIndex {
             paths.push((ids, doc));
         }
         // PRIX's virtual trie over the pair-id alphabet, labeled by the
-        // segments' streaming labeler.
-        let (tags, doc_ends, trie) = label_paths(paths);
+        // segments' streaming labeler; ViST prunes by no gap.
+        let zeros = vec![0; paths.iter().map(|(p, _)| p.len()).max().unwrap_or(0)];
+        let (tags, doc_ends, trie) = label_paths(
+            paths
+                .iter()
+                .map(|(p, doc)| (&p[..], &zeros[..p.len()], *doc)),
+        );
 
         let mut entries: Vec<(Vec<u8>, Vec<u8>)> = tags
             .iter()

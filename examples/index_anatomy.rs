@@ -57,11 +57,17 @@ fn main() {
 
     // The virtual trie over both sequences, labeled exactly (§5.2.1):
     // every node's (LeftPos, RightPos) range contains its descendants'.
-    let paths = [(&seq.lps, 0), (&eseq.lps, 1)]
+    let paths: Vec<(Vec<u32>, u32)> = [(&seq.lps, 0), (&eseq.lps, 1)]
         .into_iter()
         .map(|(lps, doc)| (lps.iter().map(|s| s.0).collect(), doc))
         .collect();
-    let (mut tags, ends, stats) = label_paths(paths);
+    // No fine gaps: the example prints labels, not pruning bounds.
+    let zeros = vec![0; eseq.len()];
+    let (mut tags, ends, stats) = label_paths(
+        paths
+            .iter()
+            .map(|(p, doc)| (&p[..], &zeros[..p.len()], *doc)),
+    );
     println!(
         "\nvirtual trie: {} nodes, {} paths",
         stats.nodes, stats.leaves

@@ -14,9 +14,10 @@
 # (`== "--x"`, `"--x" =>`, `Some("--x")` in crates/cli/src/main.rs).
 # Then the entry points: `pub fn`s of PrixIndex named execute*/stream*
 # (ways to run a query) and check_insert/insert*/prepare (ways to add a
-# document), of PrixEngine named build*/reopen* (ways to make an
-# engine), and of EngineSnapshot named query* (ways to query a
-# snapshot), counted above each file's test module.
+# document), of Delta named insert* (the way a document is added now),
+# of PrixEngine named build*/reopen* (ways to make an engine), and of
+# EngineSnapshot named query* (ways to query a snapshot), counted above
+# each file's test module.
 # Last, the `/metrics` registry: entries of `SERIES` in
 # crates/server/src/metrics.rs and rows of README.md's table (a
 # `cargo test` keeps the two lists equal; this prints their sizes).
@@ -111,6 +112,7 @@ while read -r name file prefixes; do
 done <<'ENTRY_POINTS'
 PrixIndex::{execute*,stream*} crates/core/src/index.rs execute|stream
 PrixIndex::{check_insert,insert*,prepare} crates/core/src/index.rs check_insert|insert|prepare
+Delta::insert* crates/core/src/delta.rs insert
 PrixEngine::build* crates/core/src/engine.rs build
 PrixEngine::reopen* crates/core/src/engine.rs reopen
 EngineSnapshot::query* crates/core/src/snapshot.rs query

@@ -123,9 +123,8 @@ serve_port() {
 }
 
 "$PRIX" gen dblp "$SMOKE/corpus" --scale 0.01 >/dev/null
-# A bulk build: the corpus in one tier, an empty delta (whose trie
-# scopes are all headroom for the later `prix add` and live-ingest
-# smokes) and its batch log.
+# A bulk build: the corpus in one tier, an empty delta (which the later
+# `prix add` and live-ingest smokes fill) and its batch log.
 "$PRIX" index "$SMOKE/db.prix" "$SMOKE"/corpus/*.xml >/dev/null
 
 "$PRIX" serve "$SMOKE/db.prix" --addr 127.0.0.1:0 >"$SMOKE/serve.log" 2>&1 &
@@ -287,10 +286,11 @@ echo "batch-log smoke OK ($ACKED acknowledged POSTs survived kill -9: $(grep '^l
 
 # Segment lifecycle smoke: bulk-index the corpus into a fresh database,
 # verify the segments, rebuild and compare them, grow a mutable delta
-# with `prix add`, serve and query it through segments + delta over
-# /dev/tcp, then compact and
-# require the answer bit-identical — same matches before and after the
-# delta folds into generation 2 — and a clean fsck at the end.
+# of a hundred records with `prix add` — every one accepted —, serve
+# and query it through segments + delta over /dev/tcp, then compact and
+# require the answers bit-identical to a bulk build of the same files —
+# with the delta, and after it folds into generation 2 — and a clean
+# fsck at the end.
 "$PRIX" index "$SMOKE/seg.prix" "$SMOKE"/corpus/*.xml >"$SMOKE/bulk.log"
 grep -q 'generation 1' "$SMOKE/bulk.log" || { echo "bulk index did not report generation 1" >&2; cat "$SMOKE/bulk.log" >&2; exit 1; }
 "$PRIX" segments "$SMOKE/seg.prix" --verify >"$SMOKE/segments.log"
@@ -302,7 +302,12 @@ for KIND in rp ep vx; do
   cmp "$SMOKE/seg.prix.g1.$KIND.seg" "$SMOKE/seg2.prix.g1.$KIND.seg" || { echo "two bulk builds of one corpus wrote different $KIND segments" >&2; exit 1; }
 done
 
-"$PRIX" add "$SMOKE/seg.prix" "$SMOKE"/corpus/doc00000*.xml >/dev/null
+ADDED=("$SMOKE"/corpus/doc0000[0-9][0-9].xml)
+"$PRIX" add "$SMOKE/seg.prix" "${ADDED[@]}" >"$SMOKE/add.log" || { echo "prix add of ${#ADDED[@]} records failed" >&2; cat "$SMOKE/add.log" >&2; exit 1; }
+[ "$(grep -c '^added ' "$SMOKE/add.log")" = "${#ADDED[@]}" ] || { echo "prix add did not add all ${#ADDED[@]} records" >&2; cat "$SMOKE/add.log" >&2; exit 1; }
+# The reference: one bulk build of the corpus, then the added records,
+# so its document ids are the tiered database's.
+"$PRIX" index "$SMOKE/ref.prix" "$SMOKE"/corpus/*.xml "${ADDED[@]}" >/dev/null
 
 "$PRIX" serve "$SMOKE/seg.prix" --addr 127.0.0.1:0 >"$SMOKE/seg-serve.log" 2>&1 &
 SERVE_PID=$!
@@ -316,8 +321,9 @@ grep -q 'prix_engine_pinned_epochs' <<<"$SEGMETRICS" || { echo "metrics missing 
 http /shutdown POST >/dev/null
 wait "$SERVE_PID" || { echo "segment serve exited non-zero" >&2; cat "$SMOKE/seg-serve.log" >&2; exit 1; }
 
-# Bit-identity across compaction: the match payload (doc -> embedding
-# lines plus the match count) must not change by one byte.
+# Bit-identity with the bulk build, before and after compaction: the
+# match payload (doc -> embedding lines plus the match count) must not
+# differ by one byte.
 match_payload() { # match_payload <out-file>
   { head -1 "$1" | sed 's/ in .*//'; grep '^  doc ' "$1" || true; }
 }
@@ -327,8 +333,21 @@ match_payload() { # match_payload <out-file>
 # tier's value run before (the delta's documents descend the trie) and
 # on both runs after.
 SEG_QUERIES=("//www/url" "//inproceedings[year < 1985]" '//inproceedings[./author="Jim Gray"][./year="1990"]')
+# same_payload <query index> <when>: the tiered database's answer is the
+# reference's.
+same_payload() {
+  "$PRIX" query "$SMOKE/seg.prix" "${SEG_QUERIES[$1]}" --limit 0 >"$SMOKE/q-$2-$1.txt"
+  match_payload "$SMOKE/q-ref-$1.txt" >"$SMOKE/m-ref.txt"
+  match_payload "$SMOKE/q-$2-$1.txt" >"$SMOKE/m-tiered.txt"
+  cmp -s "$SMOKE/m-ref.txt" "$SMOKE/m-tiered.txt" || {
+    echo "answer to ${SEG_QUERIES[$1]} $2 compaction differs from a bulk build's" >&2
+    diff "$SMOKE/m-ref.txt" "$SMOKE/m-tiered.txt" >&2 || true
+    exit 1
+  }
+}
 for i in 0 1 2; do
-  "$PRIX" query "$SMOKE/seg.prix" "${SEG_QUERIES[$i]}" --limit 0 >"$SMOKE/q-before-$i.txt"
+  "$PRIX" query "$SMOKE/ref.prix" "${SEG_QUERIES[$i]}" --limit 0 >"$SMOKE/q-ref-$i.txt"
+  same_payload "$i" before
 done
 grep -q '^[1-9][0-9]* match(es)' "$SMOKE/q-before-1.txt" || { echo "predicate query matched nothing before compaction" >&2; cat "$SMOKE/q-before-1.txt" >&2; exit 1; }
 grep -q '^[1-9][0-9]* match(es)' "$SMOKE/q-before-2.txt" || { echo "Q1 matched nothing before compaction" >&2; cat "$SMOKE/q-before-2.txt" >&2; exit 1; }
@@ -337,24 +356,17 @@ grep -qx 'filter: anchored on the value run: year < 1985' "$SMOKE/explain-pred.t
 "$PRIX" explain "$SMOKE/seg.prix" "${SEG_QUERIES[2]}" >"$SMOKE/explain-q1.txt"
 grep -qx 'filter: anchored on the value run: author = "Jim Gray", year = "1990"' "$SMOKE/explain-q1.txt" || { echo "explain does not anchor Q1 on the value run" >&2; cat "$SMOKE/explain-q1.txt" >&2; exit 1; }
 "$PRIX" compact "$SMOKE/seg.prix" >"$SMOKE/compact.log"
-grep -q 'into generation 2' "$SMOKE/compact.log" || { echo "compact did not produce generation 2" >&2; cat "$SMOKE/compact.log" >&2; exit 1; }
+grep -q "^compacted ${#ADDED[@]} document(s) into generation 2" "$SMOKE/compact.log" || { echo "compact did not fold the ${#ADDED[@]} added records into generation 2" >&2; cat "$SMOKE/compact.log" >&2; exit 1; }
 # The compacted tier's value run is written from the delta's records.
 "$PRIX" segments "$SMOKE/seg.prix" --verify >"$SMOKE/segments2.log"
 grep -q 'verified \.g2\.vx\.seg: [0-9]* blocks, [0-9]* numeric posting(s), [1-9][0-9]* string posting(s) ok' "$SMOKE/segments2.log" || { echo "compaction wrote no verified value run" >&2; cat "$SMOKE/segments2.log" >&2; exit 1; }
 grep -q 'segments: clean' "$SMOKE/segments2.log" || { echo "segments --verify not clean after compaction" >&2; cat "$SMOKE/segments2.log" >&2; exit 1; }
 for i in 0 1 2; do
-  "$PRIX" query "$SMOKE/seg.prix" "${SEG_QUERIES[$i]}" --limit 0 >"$SMOKE/q-after-$i.txt"
-  match_payload "$SMOKE/q-before-$i.txt" >"$SMOKE/m-before.txt"
-  match_payload "$SMOKE/q-after-$i.txt" >"$SMOKE/m-after.txt"
-  cmp -s "$SMOKE/m-before.txt" "$SMOKE/m-after.txt" || {
-    echo "answer to ${SEG_QUERIES[$i]} changed across compaction" >&2
-    diff "$SMOKE/m-before.txt" "$SMOKE/m-after.txt" >&2 || true
-    exit 1
-  }
+  same_payload "$i" after
 done
 "$PRIX" fsck "$SMOKE/seg.prix" >"$SMOKE/fsck.log" || { echo "fsck failed after compaction" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
 grep -q 'fsck: clean' "$SMOKE/fsck.log" || { echo "fsck not clean after compaction" >&2; cat "$SMOKE/fsck.log" >&2; exit 1; }
-echo "segment smoke OK (two bulk builds byte-identical incl. the value run, bulk -> add -> compact bit-identical for a path, a predicate and an anchored value query, fsck clean)"
+echo "segment smoke OK (two bulk builds byte-identical incl. the value run, bulk -> add ${#ADDED[@]} records -> compact bit-identical to a bulk build for a path, a predicate and an anchored value query, fsck clean)"
 
 # Value-predicate smoke: generate the shop scenario, index it (the
 # value index is built alongside the structural ones), and require the

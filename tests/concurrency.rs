@@ -7,9 +7,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 
-use prix::core::index::IndexError;
 use prix::core::{
-    parse_xpath, EngineConfig, EngineSnapshot, ExecOpts, IndexKind, PrixEngine, PrixIndex,
+    parse_xpath, Delta, EngineConfig, EngineSnapshot, ExecOpts, IndexKind, PrixEngine, PrixIndex,
     SharedEngine, TwigMatch, TwigQuery,
 };
 use prix::datagen::{generate, queries::queries_for, Dataset};
@@ -218,20 +217,14 @@ fn sharded_cold_io_matches_single_shard_pool() {
         let mut coll = collection.clone();
         let dummy = coll.intern(dummy_name);
         let pool = Arc::new(BufferPool::with_shards(Pager::in_memory(), 2000, shards));
-        // A delta's index, filled the way the engine fills one: every
-        // document prepared, then inserted; those its trie scopes no
-        // longer fit are refused.
-        let mut idx = PrixIndex::empty(Arc::clone(&pool), IndexKind::Extended, dummy).unwrap();
+        // A delta filled the way the engine fills one, every document
+        // accepted, and a view of its EPIndex.
+        let mut delta = Delta::new(Arc::clone(&pool), dummy).unwrap();
         for (_, tree) in coll.iter() {
-            match idx.prepare(tree) {
-                Ok(doc) => {
-                    idx.insert(doc).unwrap();
-                }
-                Err(IndexError::Unsupported(_)) => {}
-                Err(e) => panic!("{e}"),
-            }
+            delta.insert(tree).unwrap();
         }
-        assert!(idx.doc_count() > 0, "the delta took documents");
+        let idx = delta.index(IndexKind::Extended);
+        assert_eq!(idx.doc_count(), coll.len(), "the delta took every document");
         let mut reads = Vec::new();
         for pq in queries_for(Dataset::Swissprot) {
             let mut syms = coll.symbols().clone();
@@ -255,15 +248,14 @@ fn sharded_cold_io_matches_single_shard_pool() {
 }
 
 /// Readers hold views of the delta and query them again and again
-/// while the writer ingests 3 000 documents into it — thousands of rows
-/// in both indexes' Trie-Symbol and Docid maps and their record store,
-/// which every view shares with the writer. Every answer a view gives
-/// must be its first one.
+/// while the writer ingests 3 000 documents into it — every publish
+/// labels thousands of rows of both indexes anew, and the record store
+/// grows under the views that share it with the writer. Every answer a
+/// view gives must be its first one.
 #[test]
 fn views_race_a_writer_that_splits_every_delta_root() {
     // Element names from six per slot vary the RP trie; values from a
-    // few per slot vary the EP trie, no trie node ever having more than
-    // seven children, so no scope runs out.
+    // few per slot vary the EP trie.
     let doc = |i: usize| {
         let (a, b, c) = (i % 6, (i / 6) % 6, (i / 36) % 6);
         format!(

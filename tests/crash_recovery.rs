@@ -60,9 +60,7 @@ fn cfg() -> EngineConfig {
 /// A small random document over a fixed vocabulary, but for one leaf:
 /// the value under `d` is the document's own (one in a million), so
 /// most commits intern a name and the dictionary is under every kill
-/// point. Shapes are kept few so most inserts fit the trie scopes of an
-/// empty delta; the occasional legitimate rejection is tolerated by the
-/// harness.
+/// point.
 fn doc_xml(rng: &mut TestRng) -> String {
     let mid = *rng.pick(&["b", "c"]);
     let leaf = *rng.pick(&["x", "y", "z"]);
@@ -225,9 +223,7 @@ fn crash_iteration(seed: u64, kind: FaultKind) -> Result<(), String> {
             match engine.insert_document(&d) {
                 Ok(_) => docs.push(d),
                 Err(_) if inj.crashed() => break,
-                // Legitimate rejection (trie scope exhausted): the
-                // document was never indexed, keep it out of the model.
-                Err(_) => {}
+                Err(e) => return Err(format!("insert failed without a crash: {e}")),
             }
         }
     }

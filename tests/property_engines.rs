@@ -627,9 +627,7 @@ fn prop_anchored_equals_oracle(input: &ValueInput) -> Result<(), String> {
     let mut tiered = PrixEngine::build(bulk, EngineConfig::default()).unwrap();
     for (part, compact) in [(&xml[*cut..*cut2], true), (&xml[*cut2..], false)] {
         let out = tiered.ingest_batch(part).unwrap();
-        if !out.rejected.is_empty() {
-            return Ok(()); // the delta's scope ran out (DESIGN.md §12)
-        }
+        assert!(out.rejected.is_empty(), "{:?}", out.rejected);
         tiered.save().unwrap();
         if compact {
             tiered.compact().unwrap();
@@ -971,9 +969,7 @@ fn prop_pred_anchored_equals_oracle(input: &PredTwigInput) -> Result<(), String>
     let mut tiered = PrixEngine::build(bulk, EngineConfig::default()).unwrap();
     for (part, compact) in [(&xml[*cut..*cut2], true), (&xml[*cut2..], false)] {
         let out = tiered.ingest_batch(part).unwrap();
-        if !out.rejected.is_empty() {
-            return Ok(()); // the delta's scope ran out (DESIGN.md §12)
-        }
+        assert!(out.rejected.is_empty(), "{:?}", out.rejected);
         tiered.save().unwrap();
         if compact {
             tiered.compact().unwrap();
@@ -1287,10 +1283,6 @@ fn prop_incremental_equals_bulk(input: &IncrementalInput) -> Result<(), String> 
     for xml in &added_xml {
         match incremental.insert_document(xml) {
             Ok(_) => {}
-            // Scope underflow is inherent to the §5.2.1 dynamic
-            // scheme ("this dynamic labeling scheme suffers from
-            // scope underflows"); skip such cases.
-            Err(e) if e.to_string().contains("underflow") => return Ok(()),
             Err(e) => panic!("unexpected insert failure: {e}"),
         }
     }

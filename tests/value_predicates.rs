@@ -377,7 +377,6 @@ fn prop_insert_maintains_valix(input: &PredInput) -> Result<(), String> {
     for xml in &added_xml {
         match incremental.insert_document(xml) {
             Ok(_) => {}
-            Err(e) if e.to_string().contains("underflow") => return Ok(()),
             Err(e) => panic!("unexpected insert failure: {e}"),
         }
     }

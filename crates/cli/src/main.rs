@@ -24,12 +24,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use prix_core::plan::EngineChoice;
 use prix_core::{EngineConfig, ExecOpts, IndexKind, PrixEngine, TierCheck};
-use prix_server::{AltCache, Server, ServerConfig, SnapshotAlts};
+use prix_server::{Server, ServerConfig};
 use prix_xml::write_document;
 
-const USAGE: &str = "usage:\n  prix index [--run-mem-mb N] [--split] <out.prix> <file.xml>...\n  prix query <db.prix> \"<xpath>\" [--unordered] [--limit N] [--engine prix|prix_rp|prix_ep|vist|twigstack|twigstackxb]\n  prix serve <db.prix> [--addr HOST:PORT] [--ingest] [--threads N] [--queue N] [--buffer-pages N] [--batch-threads N] [--max-conns N] [--result-cache-entries N] [--idle-timeout-ms N] [--compact-after N]\n  prix stats <db.prix>\n  prix segments <db.prix> [--verify]\n  prix compact <db.prix> [--run-mem-mb N]\n  prix fsck <db.prix>\n  prix explain <db.prix> \"<xpath>\"\n  prix add <db.prix> <file.xml>...\n  prix gen <dblp|swissprot|treebank|shop> <dir> [--scale S] [--seed N]";
+const USAGE: &str = "usage:\n  prix index [--run-mem-mb N] [--split] <out.prix> <file.xml>...\n  prix query <db.prix> \"<xpath>\" [--unordered] [--limit N]\n  prix serve <db.prix> [--addr HOST:PORT] [--ingest] [--threads N] [--queue N] [--buffer-pages N] [--batch-threads N] [--result-cache-entries N] [--idle-timeout-ms N] [--compact-after N]\n  prix stats <db.prix>\n  prix segments <db.prix> [--verify]\n  prix compact <db.prix> [--run-mem-mb N]\n  prix fsck <db.prix>\n  prix explain <db.prix> \"<xpath>\"\n  prix add <db.prix> <file.xml>...\n  prix gen <dblp|swissprot|treebank|shop> <dir> [--scale S] [--seed N]";
 
 /// A CLI failure: usage errors exit 2 (with the usage text on stderr),
 /// runtime errors exit 1.
@@ -164,7 +163,6 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         ));
     }
     let mut unordered = false;
-    let mut forced: Option<EngineChoice> = None;
     let mut opts = ExecOpts::new();
     let mut it = rest.iter();
     while let Some(a) = it.next() {
@@ -182,42 +180,23 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
                     opts.with_limit(n)
                 };
             }
-            "--engine" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| usage_err("--engine needs a value"))?;
-                forced = Some(EngineChoice::parse(v).ok_or_else(|| {
-                    usage_err(format!(
-                        "unknown engine `{v}` (expected prix, prix_rp, prix_ep, vist, twigstack, or twigstackxb)"
-                    ))
-                })?);
-            }
             other => return Err(usage_err(format!("unknown query flag `{other}`"))),
         }
-    }
-    if unordered && forced.is_some() {
-        return Err(usage_err(
-            "--engine cannot be combined with --unordered (arrangement matching is PRIX-only)",
-        ));
     }
     let engine = PrixEngine::reopen(db, 2000).map_err(|e| e.to_string())?;
     let snap = engine.snapshot();
     let q = snap.parse_query(xpath).map_err(|e| e.to_string())?;
+    // §5.6's rule picks the index; matches print in `(doc, embedding)`
+    // order either way.
     let out = if unordered {
         snap.query_unordered_opts(&q, &opts)
-            .map_err(|e| e.to_string())?
     } else {
-        // ViST/TwigStack substrates are built only when --engine forces
-        // one, out of the documents reconstructed from the RP index.
-        let cache = AltCache::new();
-        let alts = SnapshotAlts {
-            snap: &snap,
-            cache: &cache,
-        };
-        snap.query_routed(&q, &opts, forced, &alts)
-            .map_err(|e| e.to_string())?
-            .outcome
-    };
+        snap.query_opts(&q, &opts).map(|mut out| {
+            out.matches.sort_unstable();
+            out
+        })
+    }
+    .map_err(|e| e.to_string())?;
     println!(
         "{} match(es){} via {} ({}) in {:?} ({} pages read, {} range queries, {} candidates)",
         out.matches.len(),
@@ -291,11 +270,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
                 cfg.batch_threads = val("--batch-threads")?
                     .parse()
                     .map_err(|_| usage_err("--batch-threads needs an integer"))?
-            }
-            "--max-conns" => {
-                cfg.max_connections = val("--max-conns")?
-                    .parse()
-                    .map_err(|_| usage_err("--max-conns needs an integer"))?
             }
             "--read-timeout-ms" => {
                 cfg.read_timeout = Duration::from_millis(

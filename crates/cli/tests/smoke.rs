@@ -48,11 +48,13 @@ fn usage_errors_are_consistent_across_subcommands() {
     assert_usage_error(&["query", "db.prix", "//a", "--limit"]); // flag missing value
     assert_usage_error(&["query", "db.prix", "//a", "--limit", "x"]); // non-integer
     assert_usage_error(&["query", "db.prix", "//a", "--bogus"]); // unknown flag
+    assert_usage_error(&["query", "db.prix", "//a", "--engine", "vist"]); // retired flag
     assert_usage_error(&["serve"]); // no db
     assert_usage_error(&["serve", "--addr", "127.0.0.1:0"]); // flag where db belongs
     assert_usage_error(&["serve", "db.prix", "--threads"]); // flag missing value
     assert_usage_error(&["serve", "db.prix", "--bogus"]); // unknown flag
     assert_usage_error(&["serve", "db.prix", "--no-wal"]); // retired flag
+    assert_usage_error(&["serve", "db.prix", "--max-conns", "2"]); // retired flag
     assert_usage_error(&["stats"]);
     assert_usage_error(&["fsck"]); // no db
     assert_usage_error(&["fsck", "a.prix", "b.prix"]); // too many args

@@ -36,11 +36,9 @@
 //! * [`plan`] — §5.6's rule as the one routing rule (a value twig runs
 //!   on the EPIndex, any other on the RPIndex), and the [`QueryEngine`]
 //!   contract the paper's other engines (ViST, TwigStack, TwigStackXB)
-//!   meet when `--engine` forces one,
+//!   meet so the library can compare them with PRIX,
 //! * [`naive`] — a direct tree-matching oracle used to validate every
-//!   engine (no false alarms, no false dismissals),
-//! * [`scan`] — an index-free in-memory matcher built from the same
-//!   filtering + refinement phases.
+//!   engine (no false alarms, no false dismissals).
 
 pub mod arrange;
 pub mod delta;
@@ -50,7 +48,6 @@ pub mod index;
 pub mod naive;
 pub mod plan;
 pub mod query;
-pub mod scan;
 pub mod segbuild;
 pub mod snapshot;
 pub mod valix;
@@ -60,9 +57,7 @@ pub use delta::Delta;
 pub use engine::{EngineConfig, IngestOutcome, LabelingMode, PrixEngine, SegTier, TierCheck};
 pub use exec::MatchStream;
 pub use index::{ExecOpts, IndexKind, PrixIndex, QueryStats, TwigMatch};
-pub use plan::{
-    prix_embedding_exact, AltProvider, EngineChoice, EngineId, NoAlts, QueryEngine, Routed,
-};
+pub use plan::{prix_embedding_exact, AltProvider, EngineId, NoAlts, QueryEngine, Routed};
 pub use prix_storage::{
     ManifestSegment, SegmentCheck, ValueRunReader, VxCheck, CHECKPOINT_LOG_BYTES, SEG_KIND_EP,
     SEG_KIND_RP, SEG_KIND_SYM, SEG_KIND_VX, SEG_VERSION, SYM_VERSION, VX_VERSION,

@@ -3,15 +3,18 @@
 //! The paper's §5.6 chooses the index on one fact: a twig with values
 //! runs on the EPIndex, any other twig on the RPIndex ("if twig queries
 //! have no values, then indexing Regular-Prüfer sequences is
-//! recommended"). [`EngineSnapshot::query_routed`] applies that rule
-//! whenever no engine is forced, with MaxGap as [`ExecOpts::use_maxgap`]
-//! says. The paper's other engines (§6: ViST, TwigStack, TwigStackXB)
-//! sit behind the [`QueryEngine`] trait and run only when `--engine` /
-//! `engine=` forces one, through an [`AltProvider`].
+//! recommended"). [`EngineSnapshot::query_opts`] applies that rule, with
+//! MaxGap as [`ExecOpts::use_maxgap`] says, and it is how the server and
+//! the CLI answer every query. The paper's other engines (§6: ViST,
+//! TwigStack, TwigStackXB) are baselines: they sit behind the
+//! [`QueryEngine`] trait, and [`EngineSnapshot::query_routed`] runs one
+//! through an [`AltProvider`] when its caller names it. That is the
+//! library's comparison API (the agreement tests and the benchmark use
+//! it); no serving surface names an engine.
 //!
 //! ## Result compatibility
 //!
-//! A forced engine's results must be comparable with PRIX's:
+//! A named engine's results must be comparable with PRIX's:
 //!
 //! 1. every routed outcome is canonicalized — matches sorted by
 //!    `(doc, embedding)` — so engines with different enumeration
@@ -23,6 +26,7 @@
 //!    and deliberately enumerates fewer embeddings than a per-ancestor
 //!    oracle.
 //!
+//! [`EngineSnapshot::query_opts`]: crate::EngineSnapshot::query_opts
 //! [`EngineSnapshot::query_routed`]: crate::EngineSnapshot::query_routed
 //! [`ExecOpts::use_maxgap`]: crate::ExecOpts::use_maxgap
 
@@ -85,36 +89,10 @@ impl EngineId {
     }
 }
 
-/// What `--engine` / `?engine=` accepts: `prix` is §5.6's RP-vs-EP
-/// rule (what an absent choice runs too), the rest force one engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EngineChoice {
-    /// §5.6's rule: EP for value queries, else RP.
-    Prix,
-    /// One specific engine.
-    Forced(EngineId),
-}
-
-impl EngineChoice {
-    /// Parses a `--engine` value. Accepted: `prix`, `prix_rp`,
-    /// `prix_ep`, `vist`, `twigstack`, `twigstackxb`.
-    pub fn parse(s: &str) -> Option<EngineChoice> {
-        match s {
-            "prix" => Some(EngineChoice::Prix),
-            "prix_rp" | "prix-rp" => Some(EngineChoice::Forced(EngineId::PrixRp)),
-            "prix_ep" | "prix-ep" => Some(EngineChoice::Forced(EngineId::PrixEp)),
-            "vist" => Some(EngineChoice::Forced(EngineId::Vist)),
-            "twigstack" => Some(EngineChoice::Forced(EngineId::TwigStack)),
-            "twigstackxb" => Some(EngineChoice::Forced(EngineId::TwigStackXb)),
-            _ => None,
-        }
-    }
-}
-
 /// One alternative engine. Implementations adapt ViST and TwigStack
 /// (which live in their own crates, downstream of this one) to the
 /// shared execution contract: same query type, same options, same
-/// outcome — so forced results are directly comparable.
+/// outcome — so their results are directly comparable with PRIX's.
 pub trait QueryEngine: Send + Sync {
     /// Which engine this is.
     fn id(&self) -> EngineId;
@@ -126,10 +104,10 @@ pub trait QueryEngine: Send + Sync {
     fn execute(&self, q: &TwigQuery, opts: &ExecOpts) -> Result<QueryOutcome>;
 }
 
-/// Supplies (usually lazily-built) alternative engines to a forced
-/// query. Building a ViST or TwigStack substrate over a large
-/// collection is expensive, so providers construct them on first use
-/// and cache.
+/// Supplies (usually lazily-built) alternative engines to
+/// [`EngineSnapshot::query_routed`](crate::EngineSnapshot::query_routed).
+/// Building a ViST or TwigStack substrate over a large collection is
+/// expensive, so providers construct them on first use and cache.
 pub trait AltProvider: Sync {
     /// Returns the adapter for `id`, building it if necessary.
     /// `id` is never `PrixRp`/`PrixEp`.
@@ -200,19 +178,5 @@ mod tests {
         assert!(prix_embedding_exact(&q("//a[./b]/c")));
         // A // edge at a branching node is not.
         assert!(!prix_embedding_exact(&q("//a[.//b]/c")));
-    }
-
-    #[test]
-    fn engine_choice_parses_the_cli_names() {
-        assert_eq!(EngineChoice::parse("prix"), Some(EngineChoice::Prix));
-        assert_eq!(
-            EngineChoice::parse("twigstackxb"),
-            Some(EngineChoice::Forced(EngineId::TwigStackXb))
-        );
-        assert_eq!(
-            EngineChoice::parse("vist"),
-            Some(EngineChoice::Forced(EngineId::Vist))
-        );
-        assert_eq!(EngineChoice::parse("bogus"), None);
     }
 }

@@ -58,7 +58,7 @@ use crate::exec::{explain_anchors, plan_anchors, TierValues};
 use crate::index::{
     Depth, ExecOpts, IndexError, IndexKind, PrixIndex, QueryStats, Result, TwigMatch,
 };
-use crate::plan::{AltProvider, EngineChoice, EngineId, Routed};
+use crate::plan::{AltProvider, EngineId, Routed};
 use crate::query::TwigQuery;
 use crate::valix::PredEval;
 use crate::xpath::{parse_xpath, XPathError};
@@ -237,7 +237,8 @@ impl EngineSnapshot {
     }
 
     /// The ordered-query path, optionally forcing one index kind
-    /// (`--engine prix_rp`/`prix_ep`; §5.6's rule when `None`).
+    /// ([`EngineSnapshot::query_routed`] naming `prix_rp`/`prix_ep`;
+    /// §5.6's rule when `None`).
     pub(crate) fn execute_prix(
         &self,
         q: &TwigQuery,
@@ -373,28 +374,26 @@ impl EngineSnapshot {
         Ok(exec.finish(pred.as_ref()))
     }
 
-    /// Executes `q` against this epoch's view on the engine `forced`
-    /// names, or by §5.6's rule when it names none (or `prix`): what
+    /// Executes `q` against this epoch's view on the engine `engine`
+    /// names, or by §5.6's rule when it names none: what
     /// [`EngineSnapshot::query_opts`] runs, the EPIndex for a value
     /// twig and the RPIndex for any other, MaxGap as `opts` says. An
     /// alternative engine comes from `alts`. Whatever engine ran, the
     /// matches come back canonicalized: sorted by `(doc, embedding)`.
+    /// This is the library's way to compare engines; serving answers
+    /// by §5.6's rule alone.
     pub fn query_routed(
         &self,
         q: &TwigQuery,
         opts: &ExecOpts,
-        forced: Option<EngineChoice>,
+        engine: Option<EngineId>,
         alts: &dyn AltProvider,
     ) -> Result<Routed> {
-        let mut outcome = match forced {
-            None | Some(EngineChoice::Prix) => self.execute_prix(q, opts, None)?,
-            Some(EngineChoice::Forced(EngineId::PrixRp)) => {
-                self.execute_prix(q, opts, Some(IndexKind::Regular))?
-            }
-            Some(EngineChoice::Forced(EngineId::PrixEp)) => {
-                self.execute_prix(q, opts, Some(IndexKind::Extended))?
-            }
-            Some(EngineChoice::Forced(id)) => {
+        let mut outcome = match engine {
+            None => self.execute_prix(q, opts, None)?,
+            Some(EngineId::PrixRp) => self.execute_prix(q, opts, Some(IndexKind::Regular))?,
+            Some(EngineId::PrixEp) => self.execute_prix(q, opts, Some(IndexKind::Extended))?,
+            Some(id) => {
                 let engine = alts.alt_engine(id)?;
                 if !engine.supports(q) {
                     return Err(IndexError::Unsupported(format!(
@@ -476,8 +475,8 @@ impl EngineSnapshot {
 /// §5.6's optimizer rule over one tier's index pair: value queries need
 /// the EPIndex; value-free queries take the RPIndex ("If twig queries
 /// have no values, then indexing Regular-Prüfer sequences is
-/// recommended"). `force` overrides the rule (`--engine
-/// prix_rp`/`prix_ep`); forcing the RPIndex for a value query is
+/// recommended"). `force` overrides the rule (`query_routed` naming
+/// `prix_rp`/`prix_ep`); forcing the RPIndex for a value query is
 /// refused — it cannot answer it.
 fn pick_index<'a>(
     rp: &'a PrixIndex,
@@ -1006,13 +1005,10 @@ mod tests {
         let routed = e.query_routed(
             &q,
             &ExecOpts::default(),
-            Some(EngineChoice::Forced(EngineId::PrixRp)),
+            Some(EngineId::PrixRp),
             &crate::plan::NoAlts,
         );
-        assert!(
-            routed.is_err(),
-            "--engine prix_rp goes through the same rule"
-        );
+        assert!(routed.is_err(), "naming prix_rp goes through the same rule");
         assert_eq!(e.query(&q).unwrap().matches.len(), 2, "unforced: EPIndex");
     }
 

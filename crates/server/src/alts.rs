@@ -1,14 +1,15 @@
 //! Lazily-built alternative engines (ViST, TwigStack, TwigStackXB)
-//! for queries that force one (`engine=`), cached per snapshot epoch.
+//! for callers that compare them with PRIX through
+//! [`EngineSnapshot::query_routed`], cached per snapshot epoch. The
+//! server itself never runs them.
 //!
 //! The alternative engines read the *same data* as PRIX: the
 //! collection is reconstructed out of the RP index (Prüfer-sequence
 //! inversion), region-/structure-encoded, and indexed into in-memory
-//! buffer pools. That build is expensive, so one [`AltCache`] lives in
-//! the server's shared state and keeps the substrates of the most
-//! recent epoch; an ingest publishing a new epoch simply makes the
-//! cached entry unreachable and the next forced alternative query
-//! rebuilds against the new snapshot.
+//! buffer pools. That build is expensive, so one [`AltCache`] keeps
+//! the substrates of the most recent epoch it was asked for; a snapshot
+//! of a newer epoch makes the cached entry unreachable and the next
+//! alternative query rebuilds against it.
 
 use std::sync::{Arc, Mutex};
 
@@ -28,7 +29,7 @@ struct Built {
     twigstack_xb: Arc<dyn QueryEngine>,
 }
 
-/// Epoch-keyed cache of alternative engines. One per server.
+/// Epoch-keyed cache of alternative engines.
 #[derive(Default)]
 pub struct AltCache {
     inner: Mutex<Option<Arc<Built>>>,
@@ -75,7 +76,7 @@ impl AltCache {
 pub struct SnapshotAlts<'a> {
     /// The epoch-pinned snapshot the request executes against.
     pub snap: &'a EngineSnapshot,
-    /// The server's shared cache.
+    /// The cache the substrates are kept in.
     pub cache: &'a AltCache,
 }
 

@@ -190,9 +190,9 @@ pub struct ResultKey {
     pub limit: u64,
     /// The snapshot epoch the result was computed at.
     pub epoch: u64,
-    /// The `engine=` routing override (empty = §5.6's rule).
-    /// Forced and routed evaluations may legitimately differ in their
-    /// reported stats, so they must not share cache entries.
+    /// Always empty: the server answers every query by §5.6's rule.
+    /// The field stays only because the benchmark constructs keys with
+    /// it; it goes with the benchmark's next change (ROADMAP item 1).
     pub engine: String,
 }
 

@@ -13,9 +13,10 @@
 //! The server takes a [`prix_core::PrixEngine`] and keeps it behind a
 //! [`prix_core::SharedEngine`]: every handler reaches the index through
 //! `SharedEngine::snapshot()` — the engine itself answers no queries —
-//! and the alternative-engine substrates ([`alts`]) are built from that
-//! same snapshot. `prix query --engine`, the routing bench and the
-//! agreement tests build theirs through [`AltCache`] too.
+//! and every query runs by §5.6's rule. [`alts`] is library API the
+//! server does not use: it builds the ViST and TwigStack substrates
+//! from a snapshot for the callers that compare engines (the agreement
+//! tests and the benchmark), through [`AltCache`].
 //!
 //! ```no_run
 //! use prix_core::PrixEngine;

@@ -17,6 +17,7 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use prix_core::plan::EngineId;
+use prix_core::IndexKind;
 use prix_storage::{IoSnapshot, RecoveryReport, CHECKPOINT_LOG_BYTES};
 
 use crate::cache::CacheSnapshot;
@@ -280,6 +281,10 @@ fn per_cache<V: ToString>(s: &Sample, f: fn(&CacheSnapshot) -> V) -> Vec<(String
     labelled("cache", caches.into_iter().map(|(name, c)| (name, f(c))))
 }
 
+/// The indexes §5.6's rule chooses between, in exposition order: the
+/// `engine` labels of the planner series.
+const ROUTED: [IndexKind; 2] = [IndexKind::Regular, IndexKind::Extended];
+
 /// Every series `GET /metrics` exposes, in exposition order: the single
 /// declaration site of a series. Names, types and help text are a
 /// dashboard contract (and `prixbench` scrapes some by name); every
@@ -327,8 +332,8 @@ pub const SERIES: &[Series] = &[
     Series { name: "prix_compactions_total", kind: Counter, read: One(|m, _| load(&m.compactions).to_string()),
         help: "Compactions published (mutable delta folded into a segment)." },
     Series { name: "prix_planner_engine_chosen_total", kind: Counter,
-        read: Many(|m, _| labelled("engine", EngineId::ALL.iter().map(|id| id.label()).zip(m.planner_chosen.iter().map(load)))),
-        help: "Routed queries executed, by the engine that ran them: the paper's section 5.6 rule unless engine= forced one." },
+        read: Many(|m, _| labelled("engine", ROUTED.iter().map(|&k| EngineId::from_kind(k).label()).zip(m.planner_chosen.iter().map(load)))),
+        help: "Routed queries executed, by the index the paper's section 5.6 rule chose." },
     Series { name: "prix_valix_probes_total", kind: Counter, read: One(|m, _| load(&m.valix_probes).to_string()),
         help: "Value-index probes issued: one per probed predicate and one per value-run key an anchored value twig scans." },
     Series { name: "prix_valix_postings_total", kind: Counter, read: One(|m, _| load(&m.valix_postings).to_string()),
@@ -413,9 +418,9 @@ pub struct Metrics {
     ingest_rejected: AtomicU64,
     /// Compactions published (mutable delta folded into a segment).
     compactions: AtomicU64,
-    /// Routed queries executed, by the engine that ran them (indexed
-    /// by [`EngineId::index`]).
-    planner_chosen: [AtomicU64; EngineId::ALL.len()],
+    /// Routed queries executed, by the index §5.6's rule chose (in
+    /// [`ROUTED`] order).
+    planner_chosen: [AtomicU64; ROUTED.len()],
     /// Value-index probes issued: one per probed predicate and one per value-run key an anchored value twig scans.
     valix_probes: AtomicU64,
     /// Value-index postings scanned across all probes, predicates' and anchors' alike.
@@ -474,9 +479,13 @@ impl Metrics {
         self.ingest_rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one routed query execution on engine `ran`.
-    pub fn record_planner(&self, ran: EngineId) {
-        self.planner_chosen[ran.index()].fetch_add(1, Ordering::Relaxed);
+    /// Records one routed query execution on the index `ran`.
+    pub fn record_planner(&self, ran: IndexKind) {
+        let at = ROUTED
+            .iter()
+            .position(|&k| k == ran)
+            .expect("ROUTED lists every index kind");
+        self.planner_chosen[at].fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one published compaction.
@@ -585,7 +594,7 @@ mod tests {
 
     /// The fixed state the golden exposition was rendered from: every
     /// recorder called, every rendered `Sample` field non-zero, two
-    /// endpoints with two status codes each, all five engines.
+    /// endpoints with two status codes each, both indexes.
     fn golden_state() -> (Metrics, Sample) {
         let m = Metrics::new();
         m.record(Endpoint::Query, 200, Duration::from_micros(300));
@@ -603,9 +612,9 @@ mod tests {
         m.record_ingest_shed();
         m.record_compaction();
         m.record_compaction();
-        for (n, id) in EngineId::ALL.into_iter().enumerate() {
+        for (n, kind) in ROUTED.into_iter().enumerate() {
             for _ in 0..=n {
-                m.record_planner(id);
+                m.record_planner(kind);
             }
         }
         m.record_valix(2, 15, 9, 1);

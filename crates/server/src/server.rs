@@ -19,8 +19,11 @@
 //! keep-alive with pipelining) until the client closes, asks for
 //! `Connection: close`, idles past [`ServerConfig::idle_timeout`], or
 //! hits [`ServerConfig::max_requests_per_conn`]. Admission control is
-//! fail-fast: a full queue or the connection cap turns into an
-//! immediate `503` + `Retry-After`, never an unbounded backlog.
+//! fail-fast: a connection accepted while the queue is full gets an
+//! immediate `503` + `Retry-After`, never an unbounded backlog. That
+//! one check bounds what the server holds: a worker serves one
+//! connection at a time, so at most `threads` connections are served
+//! and `queue_depth` wait at once.
 //!
 //! **Caching.** Two epoch-keyed caches (see [`crate::cache`]) sit in
 //! front of the executor: a plan cache (XPath → parsed twig,
@@ -28,6 +31,11 @@
 //! cache keyed by `(query, options, epoch)` whose entries are purged
 //! the moment an ingest publishes a new epoch — cached responses are
 //! bit-identical to live evaluation and can never be stale.
+//!
+//! **Routing.** Every query runs by §5.6's rule alone — a value twig on
+//! the EPIndex, any other on the RPIndex — through
+//! [`EngineSnapshot::query_opts`]; `/query` sorts its matches by
+//! `(doc, embedding)`.
 //!
 //! **Snapshot isolation.** The engine lives in a [`SharedEngine`]:
 //! every request takes the current [`EngineSnapshot`] (an `Arc` clone)
@@ -46,15 +54,12 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use prix_core::plan::EngineChoice;
 use prix_core::{EngineSnapshot, ExecOpts, PrixEngine, QueryOutcome, SharedEngine, TwigQuery};
 
-use crate::alts::{AltCache, SnapshotAlts};
 use crate::cache::{PlanCache, ResultCache, ResultKey};
 use crate::http::{read_request, HttpError, Request, Response};
 use crate::json::JsonWriter;
@@ -79,12 +84,11 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker threads handling requests. Clamped to >= 1.
     pub threads: usize,
-    /// Bounded queue of accepted-but-unserved connections. Clamped to
-    /// >= 1; when full, new connections get `503`.
+    /// Bounded queue of accepted-but-unserved connections (clamped to
+    /// at least 1). When it is full, new connections get `503`: the
+    /// only admission limit, which with [`ServerConfig::threads`]
+    /// bounds the connections the server holds at once.
     pub queue_depth: usize,
-    /// Cap on connections being handled at once (in a worker or in the
-    /// queue). Beyond it, new connections get `503`.
-    pub max_connections: usize,
     /// Threads used by `POST /batch` through `query_batch_opts` (the
     /// `threads=` query parameter can lower it per request).
     pub batch_threads: usize,
@@ -119,7 +123,6 @@ impl Default for ServerConfig {
                 .unwrap_or(4)
                 .min(16),
             queue_depth: 64,
-            max_connections: 256,
             batch_threads: 4,
             read_timeout: Duration::from_secs(10),
             ingest: false,
@@ -166,27 +169,12 @@ struct Shared {
     metrics: Metrics,
     cfg: ServerConfig,
     shutdown: ShutdownSignal,
-    /// Connections accepted and not yet finished (queued or in a worker).
-    active_conns: AtomicUsize,
     queue: QueueProbe,
     /// XPath string → parsed twig, invalidated by symbol-table growth.
     plan_cache: PlanCache,
     /// `(query, opts, epoch)` → serialized 200 body; entries from
     /// superseded epochs are purged by the engine's publish hook.
     result_cache: Arc<ResultCache>,
-    /// Per-epoch ViST/TwigStack substrates for queries that force an
-    /// alternative engine.
-    alt_cache: AltCache,
-}
-
-/// Decrements the accepted-connection count on drop, whatever path the
-/// connection takes (served, rejected, errored).
-struct ConnGuard(Arc<Shared>);
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.0.active_conns.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 /// The serving subsystem. See the module docs for the architecture.
@@ -222,10 +210,8 @@ impl Server {
             metrics: Metrics::new(),
             plan_cache: PlanCache::new(PLAN_CACHE_ENTRIES),
             result_cache,
-            alt_cache: AltCache::new(),
             cfg,
             shutdown: ShutdownSignal::default(),
-            active_conns: AtomicUsize::new(0),
             queue: pool.probe(),
         });
         // Rejected connections are answered off the accept thread so a
@@ -330,29 +316,21 @@ fn accept_loop(
         let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         let _ = stream.set_nodelay(true);
 
-        shared.active_conns.fetch_add(1, Ordering::Relaxed);
-        let guard = ConnGuard(Arc::clone(shared));
-        let accepted = shared.active_conns.load(Ordering::Relaxed);
-
         // Admission control. The queue-fullness check is race-free
         // because this thread is the only producer: workers only ever
         // shrink the queue.
-        if accepted > shared.cfg.max_connections || shared.queue.depth() >= pool.queue_capacity() {
+        if shared.queue.depth() >= pool.queue_capacity() {
             shared.metrics.record_rejected();
             // Best-effort 503 off-thread; a full shed channel means the
             // connection is simply dropped.
             let _ = shed_tx.try_send(stream);
-            drop(guard);
             continue;
         }
         let job_shared = Arc::clone(shared);
-        let enqueued = pool.try_execute(move || {
-            handle_connection(stream, &job_shared);
-            drop(guard);
-        });
+        let enqueued = pool.try_execute(move || handle_connection(stream, &job_shared));
         // Only possible once shutdown flipped the queue closed;
         // dropping the job closes the connection, which is fine
-        // mid-shutdown. (The guard inside the job decrements.)
+        // mid-shutdown.
         if enqueued.is_err() {
             return;
         }
@@ -604,20 +582,6 @@ fn parse_query_param(
     }
 }
 
-/// Parses the `engine=` routing override. `Ok(None)` = §5.6's rule;
-/// `Err` is a ready `400`.
-fn parse_engine_param(req: &Request) -> Result<Option<EngineChoice>, Response> {
-    match req.param("engine") {
-        None | Some("") => Ok(None),
-        Some(s) => match EngineChoice::parse(s) {
-            Some(c) => Ok(Some(c)),
-            None => Err(Response::new(400).json(error_json(&format!(
-                "bad `engine` parameter `{s}` (expected prix, prix_rp, prix_ep, vist, twigstack, or twigstackxb)"
-            )))),
-        },
-    }
-}
-
 fn handle_query(req: &Request, shared: &Arc<Shared>) -> Response {
     let snap = shared.engine.snapshot();
     let (xp, q) = match parse_query_param(req, &snap, shared) {
@@ -625,15 +589,6 @@ fn handle_query(req: &Request, shared: &Arc<Shared>) -> Response {
         Err(resp) => return resp,
     };
     let unordered = matches!(req.param("unordered"), Some("1" | "true"));
-    let forced = match parse_engine_param(req) {
-        Ok(f) => f,
-        Err(resp) => return resp,
-    };
-    if unordered && forced.is_some() {
-        return Response::new(400).json(error_json(
-            "`engine` cannot be combined with `unordered` (arrangement matching is PRIX-only)",
-        ));
-    }
     // The limit is pushed down into the executor: the trie descent
     // stops once enough distinct matches streamed out. `limit=0` asks
     // for everything; absent, the server's configured cap applies.
@@ -652,7 +607,7 @@ fn handle_query(req: &Request, shared: &Arc<Shared>) -> Response {
         unordered,
         limit: opts.limit.map_or(u64::MAX, |n| n as u64),
         epoch: snap.epoch(),
-        engine: req.param("engine").unwrap_or("").to_string(),
+        engine: String::new(),
     };
     if let Some(body) = shared.result_cache.get(&key) {
         return Response::new(200).json(String::from(&*body));
@@ -660,13 +615,10 @@ fn handle_query(req: &Request, shared: &Arc<Shared>) -> Response {
     let outcome = if unordered {
         snap.query_unordered_opts(&q, &opts)
     } else {
-        let alts = SnapshotAlts {
-            snap: &snap,
-            cache: &shared.alt_cache,
-        };
-        snap.query_routed(&q, &opts, forced, &alts).map(|routed| {
-            shared.metrics.record_planner(routed.outcome.engine);
-            routed.outcome
+        snap.query_opts(&q, &opts).map(|mut out| {
+            shared.metrics.record_planner(out.index_used);
+            out.matches.sort_unstable();
+            out
         })
     };
     match outcome {
@@ -738,10 +690,6 @@ fn handle_batch(req: &Request, shared: &Arc<Shared>) -> Response {
         Some(Ok(n)) => ExecOpts::new().with_limit(n),
         Some(Err(_)) => return Response::new(400).json(error_json("bad `limit` parameter")),
     };
-    let forced = match parse_engine_param(req) {
-        Ok(f) => f,
-        Err(resp) => return resp,
-    };
     let lines: Vec<&str> = body
         .lines()
         .map(str::trim)
@@ -756,7 +704,7 @@ fn handle_batch(req: &Request, shared: &Arc<Shared>) -> Response {
         unordered: false,
         limit: opts.limit.map_or(u64::MAX, |n| n as u64),
         epoch: snap.epoch(),
-        engine: req.param("engine").unwrap_or("").to_string(),
+        engine: String::new(),
     };
     if let Some(cached) = shared.result_cache.get(&key) {
         return Response::new(200).json(String::from(&*cached));
@@ -771,38 +719,7 @@ fn handle_batch(req: &Request, shared: &Arc<Shared>) -> Response {
             }
         }
     }
-    // A forced engine runs each query through the router (sequentially:
-    // the alternative substrates are shared and the point of forcing is
-    // comparison, not throughput); the default batch path keeps the
-    // multi-threaded PRIX executor.
-    let result = match forced {
-        Some(choice) => {
-            let alts = SnapshotAlts {
-                snap: &snap,
-                cache: &shared.alt_cache,
-            };
-            let mut outs = Vec::with_capacity(queries.len());
-            let mut routed_err = None;
-            for q in &queries {
-                match snap.query_routed(q, &opts, Some(choice), &alts) {
-                    Ok(routed) => {
-                        shared.metrics.record_planner(routed.outcome.engine);
-                        outs.push(routed.outcome);
-                    }
-                    Err(e) => {
-                        routed_err = Some(e);
-                        break;
-                    }
-                }
-            }
-            match routed_err {
-                Some(e) => Err(e),
-                None => Ok(outs),
-            }
-        }
-        None => snap.query_batch_opts(&queries, threads, &opts),
-    };
-    match result {
+    match snap.query_batch_opts(&queries, threads, &opts) {
         Ok(outs) => {
             let mut w = JsonWriter::new();
             w.obj();

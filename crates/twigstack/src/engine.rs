@@ -1,5 +1,6 @@
-//! Forced-engine [`prix_core::plan::QueryEngine`] adapters for the
-//! TwigStack family (`--engine twigstack|twigstackxb`). A [`Substrate`] (per-tag streams + XB-trees +
+//! [`prix_core::plan::QueryEngine`] adapters for the TwigStack family,
+//! run when a caller of `query_routed` names `twigstack` or
+//! `twigstackxb`. A [`Substrate`] (per-tag streams + XB-trees +
 //! per-document postorder maps) is built once over the shared
 //! collection; [`TwigStackEngine`] then answers queries with either
 //! algorithm, translating region-encoded assignments back into PRIX's

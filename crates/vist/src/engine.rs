@@ -1,6 +1,6 @@
 //! [`VistEngine`]: the [`prix_core::plan::QueryEngine`] adapter that
-//! runs twig queries on ViST when `--engine vist` / `engine=vist`
-//! forces it (routing never picks it). Wraps a [`VistIndex`]
+//! runs twig queries on ViST when a caller of `query_routed` names it
+//! (routing never picks it). Wraps a [`VistIndex`]
 //! built over the shared collection and maps its outcome onto the
 //! common [`QueryOutcome`] shape (canonically sorted matches, PRIX
 //! counter names).
@@ -18,7 +18,7 @@ use prix_xml::Collection;
 use crate::index::VistIndex;
 use crate::Result;
 
-/// A forced-engine ViST over one (immutable) collection.
+/// A ViST engine over one (immutable) collection.
 pub struct VistEngine {
     index: VistIndex,
     collection: Arc<Collection>,

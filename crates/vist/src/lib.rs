@@ -32,7 +32,7 @@
 //!
 //! The crate is split by lifecycle stage: [`seq`](self) holds the
 //! structure encoding, `index` the B⁺-tree construction, `query` the
-//! subsequence matching, and `engine` the forced-engine
+//! subsequence matching, and `engine` the
 //! [`prix_core::plan::QueryEngine`] adapter.
 
 use prix_storage::StorageError;

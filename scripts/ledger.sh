@@ -9,9 +9,13 @@
 # the file's `#[cfg(test)] mod` (every such module in these crates
 # closes its file; a `#[cfg(test)]` on a lone item above it is counted
 # like any other line), with one subtotal: `segment.rs` and the modules
-# under `segment/` that succeeded it. Then the option counts: `pub` fields of
-# EngineConfig, ExecOpts and ServerConfig, and CLI flag match sites
-# (`== "--x"`, `"--x" =>`, `Some("--x")` in crates/cli/src/main.rs).
+# under `segment/` that succeeded it. A file git sees as renamed out of
+# these directories (tracked or staged) is marked with where it went,
+# and its lines are summed apart as moved, not removed. Then the option
+# counts: `pub` fields of EngineConfig, ExecOpts and ServerConfig, CLI
+# flag match sites (`== "--x"`, `"--x" =>`, `Some("--x")` in
+# crates/cli/src/main.rs), and the distinct HTTP parameters the server
+# reads (`req.param("x")` in crates/server/src/server.rs).
 # Then the entry points: `pub fn`s of PrixIndex named execute*/stream*
 # (ways to run a query) and check_insert/insert*/prepare (ways to add a
 # document), of Delta named insert* (the way a document is added now),
@@ -63,8 +67,23 @@ cli_flags() {
     wc -l | tr -d ' '
 }
 
+http_params() {
+  above_tests |
+    { grep -oE 'req\.param\("[a-z_]+"\)' || true; } |
+    sort -u | wc -l | tr -d ' '
+}
+
+# Files renamed out of the counted directories since the base: old path
+# -> new path, by git's rename detection.
+declare -A MOVED=()
+while IFS=$'\t' read -r _ old new; do
+  case "$new" in crates/core/src/* | crates/storage/src/* | crates/server/src/* | crates/cli/src/*) continue ;; esac
+  MOVED[$old]=$new
+done < <(git diff -M --diff-filter=R --name-status "$BASE" 2>/dev/null |
+  awk -F'\t' '$2 ~ /^crates\/(core|storage|server|cli)\/src\//')
+
 echo "code lines outside #[cfg(test)], $BASE -> working tree"
-total_b=0 total_w=0 seg_b=0 seg_w=0
+total_b=0 total_w=0 seg_b=0 seg_w=0 moved=0
 for c in "${CRATES[@]}"; do
   dir="crates/$c/src"
   crate_b=0 crate_w=0
@@ -75,7 +94,10 @@ for c in "${CRATES[@]}"; do
     case "$f" in crates/storage/src/segment.rs | crates/storage/src/segment/*)
       seg_b=$((seg_b + b)) seg_w=$((seg_w + w)) ;;
     esac
-    if [ "$b" != "$w" ]; then
+    if [ -n "${MOVED[$f]:-}" ]; then
+      printf '  %-41s %6d -> %6d  (%+d, moved to %s)\n' "$f" "$b" "$w" $((w - b)) "${MOVED[$f]}"
+      moved=$((moved + b))
+    elif [ "$b" != "$w" ]; then
       printf '  %-41s %6d -> %6d  (%+d)\n' "$f" "$b" "$w" $((w - b))
     else
       printf '  %-41s %6d\n' "$f" "$w"
@@ -86,6 +108,7 @@ for c in "${CRATES[@]}"; do
 done
 printf '  %-41s %6d -> %6d  (%+d)\n' "all four crates" "$total_b" "$total_w" $((total_w - total_b))
 printf '  %-41s %6d -> %6d  (%+d)\n' "segment.rs and successors" "$seg_b" "$seg_w" $((seg_w - seg_b))
+printf '  %-41s %6d\n' "of which moved out of the four crates" "$moved"
 
 echo "options, $BASE -> working tree"
 while read -r name file; do
@@ -98,6 +121,8 @@ ServerConfig crates/server/src/server.rs
 EOF
 printf '  %-41s %6d -> %6d\n' "CLI flag sites" \
   "$(at_base crates/cli/src/main.rs | cli_flags)" "$(at_work crates/cli/src/main.rs | cli_flags)"
+printf '  %-41s %6d -> %6d\n' "HTTP parameters read" \
+  "$(at_base crates/server/src/server.rs | http_params)" "$(at_work crates/server/src/server.rs | http_params)"
 
 echo "entry points, $BASE -> working tree"
 # pub_fns <prefixes>: reads a source file, counts its `pub fn`s whose

@@ -160,36 +160,37 @@ exec 3>&- 3<&-
 grep -qi 'connection: keep-alive' <<<"$KEEPALIVE" || { echo "keep-alive smoke: first response closed the connection" >&2; exit 1; }
 echo "keep-alive smoke OK (two 200s, one socket)"
 
-# Forced-engine smoke: the routed default is §5.6's rule — a value-free
-# twig runs on the RPIndex (prix_rp) — and the same query with
-# ?engine=twigstackxb / ?engine=vist must return the identical match
-# payload (query_routed canonicalizes every engine's matches). The
-# engine metrics must record the choices, and routing has no estimate
-# to miss: there is no misprediction series.
+# Routing smoke: every query runs by §5.6's rule — a value-free twig
+# on the RPIndex (prix_rp) — and `engine=` is an unknown parameter the
+# server ignores: the same request with &engine=vist returns the same
+# match payload, still on prix_rp. /metrics has a planner row per index
+# the rule chooses and none for an alternative engine, and routing has
+# no estimate to miss: there is no misprediction series.
 EQ='/query?xp=%2F%2Fwww%2Furl&limit=0'
 match_json() { sed -n 's/.*"matches":\(.*\)}$/\1/p' <<<"$1"; }
 ROUTED=$(http "$EQ")
-grep -q '200 OK' <<<"$ROUTED" || { echo "forced-engine smoke: routed query failed" >&2; exit 1; }
-grep -q '"engine":"prix_rp"' <<<"$ROUTED" || { echo "forced-engine smoke: routed //www/url did not run on prix_rp" >&2; echo "$ROUTED" >&2; exit 1; }
-for ENG in twigstackxb vist; do
-  FORCED=$(http "$EQ&engine=$ENG")
-  grep -q '200 OK' <<<"$FORCED" || { echo "forced-engine smoke: engine=$ENG failed" >&2; echo "$FORCED" >&2; exit 1; }
-  grep -q "\"engine\":\"$ENG\"" <<<"$FORCED" || { echo "forced-engine smoke: engine=$ENG did not run" >&2; echo "$FORCED" >&2; exit 1; }
-  [ "$(match_json "$FORCED")" = "$(match_json "$ROUTED")" ] || {
-    echo "forced-engine smoke: engine=$ENG matches differ from routed PRIX" >&2
-    echo "routed: $(match_json "$ROUTED")" >&2
-    echo "forced: $(match_json "$FORCED")" >&2
-    exit 1
-  }
-done
-PLANMETRICS=$(http /metrics)
-grep -q 'prix_planner_engine_chosen_total{engine="twigstackxb"} 1' <<<"$PLANMETRICS" || {
-  echo "forced-engine smoke: planner metrics missing twigstackxb choice" >&2; exit 1;
+grep -q '200 OK' <<<"$ROUTED" || { echo "routing smoke: query failed" >&2; exit 1; }
+grep -q '"engine":"prix_rp"' <<<"$ROUTED" || { echo "routing smoke: //www/url did not run on prix_rp" >&2; echo "$ROUTED" >&2; exit 1; }
+IGNORED=$(http "$EQ&engine=vist")
+grep -q '200 OK' <<<"$IGNORED" || { echo "routing smoke: engine=vist was refused" >&2; echo "$IGNORED" >&2; exit 1; }
+grep -q '"engine":"prix_rp"' <<<"$IGNORED" || { echo "routing smoke: engine=vist did not run on prix_rp" >&2; echo "$IGNORED" >&2; exit 1; }
+[ -n "$(match_json "$ROUTED")" ] && [ "$(match_json "$IGNORED")" = "$(match_json "$ROUTED")" ] || {
+  echo "routing smoke: engine=vist changed the matches" >&2
+  echo "without: $(match_json "$ROUTED")" >&2
+  echo "with:    $(match_json "$IGNORED")" >&2
+  exit 1
 }
-if grep -q 'prix_planner_mispredict_total' <<<"$PLANMETRICS"; then
-  echo "forced-engine smoke: /metrics still has prix_planner_mispredict_total" >&2; exit 1
+PLANMETRICS=$(http /metrics)
+grep -q 'prix_planner_engine_chosen_total{engine="prix_rp"}' <<<"$PLANMETRICS" || {
+  echo "routing smoke: planner metrics missing the prix_rp row" >&2; exit 1;
+}
+if grep -qE 'engine="(vist|twigstack|twigstackxb)"' <<<"$PLANMETRICS"; then
+  echo "routing smoke: /metrics has an alternative-engine row" >&2; exit 1
 fi
-echo "forced-engine smoke OK (twigstackxb + vist bit-identical to routed)"
+if grep -q 'prix_planner_mispredict_total' <<<"$PLANMETRICS"; then
+  echo "routing smoke: /metrics still has prix_planner_mispredict_total" >&2; exit 1
+fi
+echo "routing smoke OK (//www/url on prix_rp, engine=vist ignored)"
 
 http /shutdown POST >/dev/null
 

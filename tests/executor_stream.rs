@@ -40,8 +40,8 @@ use std::sync::Arc;
 
 use prix::core::index::ExecOpts;
 use prix::core::{
-    BulkBuilder, EngineChoice, EngineConfig, EngineId, EngineSnapshot, IndexKind, NoAlts,
-    PrixEngine, PrixIndex, QueryOutcome, TwigQuery,
+    BulkBuilder, EngineConfig, EngineId, EngineSnapshot, IndexKind, NoAlts, PrixEngine, PrixIndex,
+    QueryOutcome, TwigQuery,
 };
 use prix::datagen::values::ShopConfig;
 use prix::datagen::{generate, predicate_queries, queries::queries_for, Dataset};
@@ -116,9 +116,9 @@ fn golden_shapes(docs: &[String]) -> Vec<(&'static str, Arc<dyn SegmentEnv>)> {
     };
     let (bulk, _) = bulk_env(docs.len());
 
-    // Forty documents per ingest: a fresh child takes half of its
-    // parent's remaining scope, so an empty generation's root runs out
-    // after about sixty distinct first symbols.
+    // Two ingests of forty documents each: the delta labels its tries
+    // as a compaction will and refuses only documents that do not
+    // parse, so every one of these is accepted.
     let (first, second) = (docs.len() - 80, docs.len() - 40);
     let (tiers, mut engine) = bulk_env(first);
     let ingested = engine.ingest_batch(&docs[first..second]).unwrap();
@@ -195,7 +195,7 @@ fn golden_rows(name: &str) -> String {
                         match forced {
                             None => snap.query_opts(&q, &opts),
                             Some(id) => snap
-                                .query_routed(&q, &opts, Some(EngineChoice::Forced(id)), &NoAlts)
+                                .query_routed(&q, &opts, Some(id), &NoAlts)
                                 .map(|routed| routed.outcome),
                         }
                     });

@@ -8,17 +8,20 @@
 //! the same function serves the random sweep (`check`) and the pinned
 //! regression seeds at the bottom of this file (`replay`).
 
+mod support;
+
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use prix::core::query::{PredOp, PredValue, TwigQuery, ValuePred};
-use prix::core::{naive, scan, EngineConfig, IndexKind, PrixEngine};
+use prix::core::{naive, EngineConfig, IndexKind, PrixEngine};
 use prix::prufer::EdgeKind;
 use prix::storage::{BufferPool, Pager};
 use prix::twigstack::{encode_collection, Algorithm, StreamStore, TwigJoin};
 use prix::vist::VistIndex;
 use prix::xml::{Collection, NodeId, NodeKind, PostNum, Sym, SymbolTable, XmlTree};
 use prix_testkit::{check, from_fn, replay, Config, Generator, TestRng};
+use support::scan;
 
 /// Construction script for a random tree: each step adds a node under
 /// the current cursor. `descend` controls whether the cursor moves into

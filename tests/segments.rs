@@ -51,8 +51,8 @@ fn cfg() -> EngineConfig {
 }
 
 /// A small random document over a fixed vocabulary (the
-/// tests/crash_recovery.rs shapes): few enough shapes that most
-/// inserts fit the dynamic trie scopes of a base build.
+/// tests/crash_recovery.rs shapes). Every one parses, so the delta
+/// accepts every insert.
 fn doc_xml(rng: &mut TestRng) -> String {
     let mid = *rng.pick(&["b", "c"]);
     let leaf = *rng.pick(&["x", "y", "z"]);
@@ -171,9 +171,9 @@ fn docs_gen() -> impl Generator<Value = Vec<String>> {
 
 fn bulk_equals_incremental(docs: &[String]) -> Result<(), String> {
     // Incremental: base build over the first document, the rest
-    // document-at-a-time. Dynamic labeling may legitimately reject a
-    // document whose shape outgrows the base trie scopes; the bulk
-    // build gets exactly the accepted list.
+    // document-at-a-time. The delta refuses only a document that does
+    // not parse (none of these); the bulk build gets exactly the
+    // accepted list.
     let mut base = Collection::new();
     base.add_xml(&docs[0])
         .map_err(|e| format!("base doc: {e}"))?;

@@ -8,13 +8,11 @@
 
 use std::collections::HashSet;
 
-use prix_prufer::{
+use prix::core::{TwigMatch, TwigQuery};
+use prix::prufer::{
     embedding, refine_match, subseq::for_each_subsequence, ExtendedTree, PruferSeq, RefineCtx,
 };
-use prix_xml::{Collection, PostNum, Sym};
-
-use crate::index::TwigMatch;
-use crate::query::TwigQuery;
+use prix::xml::{Collection, PostNum, Sym};
 
 /// Matches `q` against every document of `collection` by in-memory
 /// filtering + refinement. Extended sequences are used automatically
@@ -99,8 +97,8 @@ pub fn scan_matches(collection: &Collection, q: &TwigQuery, dummy: Sym) -> Vec<T
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::xpath::parse_xpath;
-    use prix_xml::SymbolTable;
+    use prix::core::parse_xpath;
+    use prix::xml::SymbolTable;
 
     fn collection() -> Collection {
         let mut c = Collection::new();

@@ -2,8 +2,11 @@
 //! published twig-match count on the generated datasets, and the PRIX
 //! engine agrees with both the naive oracle and the scan matcher.
 
-use prix::core::{naive, scan, EngineConfig, PrixEngine};
+mod support;
+
+use prix::core::{naive, EngineConfig, PrixEngine};
 use prix::datagen::{generate, queries::queries_for, Dataset};
+use support::scan;
 
 fn check_dataset(ds: Dataset) {
     let collection = generate(ds, 0.05, 42);
